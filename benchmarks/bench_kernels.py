@@ -9,16 +9,19 @@ workload, and records per-backend ms plus numba-over-numpy speedups into
 the communication / session / serve records) for the CI regression gate
 in ``bench_compare.py``.
 
-Headline (asserted here whenever numba is installed, i.e. in the CI
+Floors (asserted here whenever numba is installed, i.e. in the CI
 ``kernel-backends`` lane): the compiled backend must beat numpy by >=
-1.5x on the FusedMM hot path — ``sddmm_coo`` (numpy pays a chunked
-gather + einsum) and ``spmm_scatter`` (numpy pays a sort + reduceat
-pass) — and by >= 1.2x on the fused :class:`GatScoreOp` scoring pass.
-``spmm_a_block`` / ``spmm_b_block`` compete against SciPy's compiled
-sequential CSR matmul, and ``gat_edge_scores`` against a pure
-memory-bound fancy-index gather, so those gate on near-parity floors
-(0.9x / 0.8x): the win there is parallelism, which small CI runners may
-not have.  On numpy-only hosts the record still carries the numpy
+1.2x on the fused :class:`GatScoreOp` scoring pass and must not lose on
+``sddmm_coo`` (>= 1.0x: since the numpy path's gather chunks were sized
+in bytes it is no longer the 2x-slow formulation the old 1.5x floor
+was cut against, and no numba run has re-measured the margin).
+``spmm_a_block`` / ``spmm_b_block`` / ``spmm_scatter`` all run one CSR
+walk on both backends — SciPy's compiled sequential ``csr_matvecs``
+against the jitted row-partitioned loop (``spmm_scatter`` adds the same
+per-call sort on both sides) — and ``gat_edge_scores`` competes against
+a pure memory-bound fancy-index gather, so those gate on near-parity
+floors (0.9x / 0.8x): the win there is parallelism, which small CI
+runners may not have.  On numpy-only hosts the record still carries the numpy
 timings so the regression gate can watch the default path's cost.
 """
 
@@ -51,11 +54,11 @@ _REPEATS = 5
 
 #: numba-over-numpy speedup floors gated in CI (see module docstring)
 SPEEDUP_FLOORS = {
-    "sddmm_coo": 1.5,
-    "spmm_scatter": 1.5,
+    "sddmm_coo": 1.0,
     "sddmm_custom": 1.2,
     "spmm_a_block": 0.9,
     "spmm_b_block": 0.9,
+    "spmm_scatter": 0.9,
     "gat_edge_scores": 0.8,
 }
 

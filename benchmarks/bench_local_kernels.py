@@ -1,7 +1,7 @@
 """Local-kernel ablation (paper Section III-A).
 
-Times the local building blocks under pytest-benchmark: naive vs
-cache-tiled SDDMM/SpMM, the fused local kernel vs two separate calls, and
+Times the local building blocks under pytest-benchmark: the chunked
+SDDMM and the CSR SpMM, the fused local kernel vs two separate calls, and
 the effect of locality reordering on the blocked-kernel traffic proxy.
 These justify the shared-memory design choices DESIGN.md calls out.
 
@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kernels.blocked import tiled_sddmm, tiled_spmm
 from repro.kernels.fused import fusedmm_local
 from repro.kernels.sddmm import sddmm_coo
 from repro.kernels.spmm import spmm_a_block
@@ -86,24 +85,11 @@ def test_bench_sddmm(benchmark, workload):
     _record("sddmm", benchmark)
 
 
-def test_bench_sddmm_tiled(benchmark, workload):
-    S, A, B, blk = workload
-    benchmark(lambda: tiled_sddmm(A, B, blk, tile_cols=2048))
-    _record("sddmm_tiled", benchmark)
-
-
 def test_bench_spmm_csr(benchmark, workload):
     S, A, B, blk = workload
     out = np.zeros_like(A)
     benchmark(lambda: spmm_a_block(blk, B, out))
     _record("spmm_csr", benchmark)
-
-
-def test_bench_spmm_tiled(benchmark, workload):
-    S, A, B, blk = workload
-    out = np.zeros_like(A)
-    benchmark(lambda: tiled_spmm(blk, B, out, tile_cols=2048))
-    _record("spmm_tiled", benchmark)
 
 
 def test_bench_fused_local(benchmark, workload):
@@ -179,9 +165,7 @@ if __name__ == "__main__":
 
     cases = {
         "sddmm": lambda: sddmm_coo(A, B, S.rows, S.cols, s_vals=S.vals),
-        "sddmm_tiled": lambda: tiled_sddmm(A, B, blk, tile_cols=2048),
         "spmm_csr": lambda: spmm_a_block(blk, B, out),
-        "spmm_tiled": lambda: tiled_spmm(blk, B, out, tile_cols=2048),
         "fused_local": lambda: fusedmm_local(A, B, blk, np.zeros_like(A)),
         "unfused_pair": pair,
     }

@@ -27,6 +27,10 @@ Unified kernel:
   (accumulating across the grid row); no terminal reduction.
 * SpMMB — mirror image of SpMMA with A propagating.
 
+The resident block is held as a :class:`~repro.sparse.coo.SparseBlock`,
+so the ``q`` SpMM phases of a call (and every later call) are CSR
+products on one cached structure with the gathered values swapped in.
+
 FusedMM (the paper: this family admits *no* communication elision): an
 initial value all-gather, the SDDMM round, an all-reduce of the values
 (reduce-scatter + all-gather, exactly the paper's description), and the
@@ -84,11 +88,11 @@ from repro.comm_sparse.planner import (
 )
 from repro.errors import DistributionError
 from repro.kernels.sddmm import sddmm_coo
-from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_scatter
+from repro.kernels.spmm import spmm_a_block, spmm_b_block
 from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator
 from repro.runtime.grid import Grid25D
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, SparseBlock
 from repro.sparse.partition import block_ranges, partition_coo_2d
 from repro.types import Elision, Mode, Phase
 
@@ -140,14 +144,22 @@ class Local25DSparse:
     x: int
     y: int
     z: int
-    S_rows: np.ndarray  # coords of coarse block (x, y), replicated over z
-    S_cols: np.ndarray
+    S: SparseBlock  # coarse block (x, y): structure replicated over z
     S_vals_chunk: np.ndarray  # this layer's contiguous value chunk
     val_bounds: np.ndarray  # (c+1,) chunk boundaries over the block's nnz
     gidx: np.ndarray  # global positions of the block's nonzeros
     A: np.ndarray  # piece (x, kappa0): coarse rows x, chunk kappa0 of strip z
     B: np.ndarray  # piece (y, kappa0)
     R_chunk: Optional[np.ndarray] = None  # SDDMM output (this layer's chunk)
+
+    # coordinate views under the names the other families' locals use
+    @property
+    def S_rows(self) -> np.ndarray:
+        return self.S.rows
+
+    @property
+    def S_cols(self) -> np.ndarray:
+        return self.S.cols
 
 
 @dataclass
@@ -215,18 +227,25 @@ class SparseReplicate25D(DistributedAlgorithm):
             np.empty(0, np.int64),
         )
         placeholder = np.empty((0, 0))
+        # one structure-caching block per coarse (x, y), shared by its c
+        # fiber ranks like the coordinates themselves; its stored values
+        # are never read (every kernel passes the gathered ``values=``)
+        blocks = {}
         locals_: List[Local25DSparse] = []
         for rank in range(self.p):
             x, y, z = self.grid.coords(rank)
             sr, sc, sv, gi = parts.get((x, y), empty)
+            if (x, y) not in blocks:
+                ra, rb = plan.rows_a(x), plan.rows_b(y)
+                shape = (ra.stop - ra.start, rb.stop - rb.start)
+                blocks[x, y] = SparseBlock(sr, sc, sv, shape)
             vb = block_ranges(len(sr), c)
             locals_.append(
                 Local25DSparse(
                     x=x,
                     y=y,
                     z=z,
-                    S_rows=sr,
-                    S_cols=sc,
+                    S=blocks[x, y],
                     S_vals_chunk=sv[int(vb[z]) : int(vb[z + 1])].copy(),
                     val_bounds=vb,
                     gidx=gi,
@@ -471,11 +490,9 @@ class SparseReplicate25D(DistributedAlgorithm):
                     with track(ctx.comm, Phase.PROPAGATION):
                         pend_b = ctx.col.ishift(b_cur, displacement=1, tag=TAG_SHIFT_B)
                 with track(ctx.comm, Phase.COMPUTATION):
-                    if len(local.S_rows):
-                        spmm_scatter(
-                            local.S_rows, local.S_cols, values_full, b_cur,
-                            out_cur, profile=prof,
-                        )
+                    spmm_a_block(
+                        local.S, b_cur, out_cur, values=values_full, profile=prof
+                    )
                 with track(ctx.comm, Phase.PROPAGATION):
                     out_cur = ctx.row.shift(out_cur, displacement=1, tag=TAG_SHIFT_A)
                     b_cur = (
@@ -493,11 +510,9 @@ class SparseReplicate25D(DistributedAlgorithm):
                     with track(ctx.comm, Phase.PROPAGATION):
                         pend_a = ctx.row.ishift(a_cur, displacement=1, tag=TAG_SHIFT_A)
                 with track(ctx.comm, Phase.COMPUTATION):
-                    if len(local.S_rows):
-                        spmm_scatter(
-                            local.S_cols, local.S_rows, values_full, a_cur,
-                            out_cur, profile=prof,
-                        )
+                    spmm_b_block(
+                        local.S, a_cur, out_cur, values=values_full, profile=prof
+                    )
                 with track(ctx.comm, Phase.PROPAGATION):
                     a_cur = (
                         pend_a.wait()

@@ -242,19 +242,20 @@ class SparseShift15D(DistributedAlgorithm):
         B: Optional[np.ndarray],
     ) -> None:
         for loc in locals_:
+            # fancy rows x strip *slice*: one row-wise gather into a fresh
+            # C-contiguous panel (never a view of the caller's operand)
             sl = plan.strip_slice(loc.u)
-            cols = np.arange(sl.start, sl.stop)
             rows_a = plan.rows_a_of_fiber[loc.v]
             rows_b = plan.rows_b_of_fiber[loc.v]
             if A is not KEEP:
                 loc.A = (
-                    A[np.ix_(rows_a, cols)].copy()
+                    A[rows_a, sl]
                     if A is not None
                     else np.zeros((len(rows_a), plan.strip_width(loc.u)))
                 )
             if B is not KEEP:
                 loc.B = (
-                    B[np.ix_(rows_b, cols)].copy()
+                    B[rows_b, sl]
                     if B is not None
                     else np.zeros((len(rows_b), plan.strip_width(loc.u)))
                 )
@@ -271,9 +272,7 @@ class SparseShift15D(DistributedAlgorithm):
     ) -> np.ndarray:
         out = np.zeros((plan.m, plan.r))
         for loc in locals_:
-            sl = plan.strip_slice(loc.u)
-            cols = np.arange(sl.start, sl.stop)
-            out[np.ix_(plan.rows_a_of_fiber[loc.v], cols)] = loc.A
+            out[plan.rows_a_of_fiber[loc.v], plan.strip_slice(loc.u)] = loc.A
         return out
 
     def collect_dense_b(
@@ -281,9 +280,7 @@ class SparseShift15D(DistributedAlgorithm):
     ) -> np.ndarray:
         out = np.zeros((plan.n, plan.r))
         for loc in locals_:
-            sl = plan.strip_slice(loc.u)
-            cols = np.arange(sl.start, sl.stop)
-            out[np.ix_(plan.rows_b_of_fiber[loc.v], cols)] = loc.B
+            out[plan.rows_b_of_fiber[loc.v], plan.strip_slice(loc.u)] = loc.B
         return out
 
     def collect_sddmm(

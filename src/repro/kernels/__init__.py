@@ -15,7 +15,6 @@ profile, with ``kernels="numpy"`` (no backend attached) as the
 zero-overhead default.
 """
 
-from repro.kernels.blocked import tiled_sddmm, tiled_spmm
 from repro.kernels.fused import fusedmm_local
 from repro.kernels.registry import (
     KERNEL_BACKENDS,
@@ -46,8 +45,6 @@ __all__ = [
     "spmm_scatter",
     "spmm_flops",
     "fusedmm_local",
-    "tiled_sddmm",
-    "tiled_spmm",
     "KERNEL_BACKENDS",
     "available_kernel_backends",
     "ensure_kernel_backend_available",

@@ -1,37 +1,35 @@
 """Numba-JIT'd local kernels (``kernels="numba"``).
 
-Compiled, ``prange``-parallel implementations of the six hot local
-kernels dispatched by :mod:`repro.kernels.registry`.  Partitioning
-follows the shared-memory sparse-kernel literature (Gale et al., "Sparse
-GPU Kernels for Deep Learning"):
+Compiled, ``prange``-parallel implementations of the hot local kernels
+dispatched by :mod:`repro.kernels.registry`.  Partitioning follows the
+shared-memory sparse-kernel literature (Gale et al., "Sparse GPU Kernels
+for Deep Learning"):
 
-* **Row-partitioned CSR** for SpMMA/SpMMB: one ``prange`` iteration per
-  output row walks that row's nonzeros in CSR index order into a private
-  accumulator, then adds the accumulator into the caller's output — the
-  *same* per-element accumulation order SciPy's ``csr @ dense`` routine
+* **Row-partitioned CSR** for SpMMA/SpMMB and the transient touched-rows
+  CSR of ``spmm_scatter``: one ``prange`` iteration per output row walks
+  that row's nonzeros in CSR index order into a private accumulator,
+  then adds the accumulator into the caller's output — the *same*
+  per-element accumulation order SciPy's ``csr @ dense`` routine
   (``csr_matvecs``) uses, so the numpy and numba paths are
   **bitwise-identical** (gated in ``tests/test_kernel_backends.py``).
 * **Merge/nonzero-partitioned COO** for SDDMM-family kernels: ``prange``
   over nonzeros gives every thread an equal contiguous nonzero range (the
   merge-path equal-work split for edge-parallel kernels).  Where the
-  numpy path materializes gathered row blocks in ``_CHUNK``-sized pieces
-  to stay cache-resident, the compiled loop streams each edge's two rows
-  directly from A and B and materializes nothing — the cache blocking is
-  implicit in the per-thread contiguous nonzero range.
+  numpy path materializes gathered row blocks in byte-bounded chunks,
+  the compiled loop streams each edge's two rows directly from A and B
+  and materializes nothing — the cache blocking is implicit in the
+  per-thread contiguous nonzero range.
 
 ``fastmath`` is **off** everywhere and every reduction has a fixed
-left-to-right accumulation order.  Two kernels still cannot match the
-numpy path bit for bit, because numpy's own reduction order there is an
-implementation detail that varies with SIMD width and numpy version:
-
-* ``sddmm_coo`` — ``np.einsum("ij,ij->i")`` reduces each edge dot with
-  SIMD partial accumulators (empirically ≠ any fixed sequential order);
-* ``spmm_scatter`` — ``np.add.reduceat`` segment sums are likewise not
-  plain left-to-right.
-
-For those two the registry documents a tight tolerance instead (error
-bounded by ``r * eps`` per reduced element); the equivalence suite gates
-it.  The other four kernels are gated bitwise.
+left-to-right accumulation order.  The SDDMM-family kernels still cannot
+match the numpy path bit for bit, because numpy's own reduction order
+there is an implementation detail that varies with SIMD width and numpy
+version: ``sddmm_coo``'s ``np.einsum("ij,ij->i")`` reduces each edge dot
+with SIMD partial accumulators (empirically ≠ any fixed sequential
+order), and the fused GAT score goes through BLAS gemv.  For those the
+registry documents a tight tolerance instead (error bounded by
+``r * eps`` per reduced element); the equivalence suite gates it.  Every
+CSR-backed kernel is gated bitwise.
 
 The module imports cleanly without numba (mirroring
 ``runtime/backend_mpi.py``): guards in the registry raise the typed
@@ -146,31 +144,6 @@ def _spmm_csr_add(indptr, indices, data, B, out):
             out[i, t] += acc[t]
 
 
-@njit(cache=True, parallel=True)
-def _spmm_scatter_add(r_sorted, c_sorted, v_sorted, B, out, seg_starts):
-    """Segment-summed ``out[row] += val * B[col]`` over row-sorted COO.
-
-    One ``prange`` iteration per output-row segment (the same segments
-    the numpy path feeds ``np.add.reduceat``); within a segment the
-    contributions accumulate left-to-right.  Nothing the size of the
-    numpy path's ``nnz x r`` ``contrib`` array is ever materialized.
-    """
-    nseg = seg_starts.shape[0] - 1
-    r = B.shape[1]
-    for s in prange(nseg):
-        lo = seg_starts[s]
-        hi = seg_starts[s + 1]
-        row = r_sorted[lo]
-        acc = np.zeros(r)
-        for k in range(lo, hi):
-            v = v_sorted[k]
-            j = c_sorted[k]
-            for t in range(r):
-                acc[t] += v * B[j, t]
-        for t in range(r):
-            out[row, t] += acc[t]
-
-
 class NumbaKernels:
     """The ``kernels="numba"`` backend object handed to rank profiles.
 
@@ -191,7 +164,6 @@ class NumbaKernels:
     gat_edge_scores = staticmethod(_gat_edge_scores)
     sddmm_gat_score = staticmethod(_sddmm_gat_score)
     spmm_csr_add = staticmethod(_spmm_csr_add)
-    spmm_scatter_add = staticmethod(_spmm_scatter_add)
 
     def warmup(self) -> "NumbaKernels":
         """Compile every kernel on tiny operands (idempotent).
@@ -208,12 +180,10 @@ class NumbaKernels:
         val = np.zeros(1)
         out1 = np.zeros(1)
         out2 = np.zeros((1, 2))
-        seg = np.array([0, 1], dtype=np.int64)
         indptr = np.array([0, 1], dtype=np.int64)
         _sddmm_dots_add(M, M, idx, idx, out1)
         _gat_edge_scores(val, val, idx, idx, 0.2, out1)
         _sddmm_gat_score(M, M, idx, idx, vec, vec, 0.2, out1)
         _spmm_csr_add(indptr, idx, val, M, out2)
-        _spmm_scatter_add(idx, idx, val, M, out2, seg)
         self._warmed = True
         return self

@@ -28,21 +28,21 @@ ceiling from the per-host microbenchmark calibration in
 ``auto`` degrades to numpy (never raises) on hosts without numba.
 
 **Bitwise policy** (gated in ``tests/test_kernel_backends.py``):
-``spmm_a_block``, ``spmm_b_block``, ``gat_edge_scores`` and the numpy
-fallback of ``sddmm_custom`` are bitwise-identical across backends.
-``sddmm_coo``, ``spmm_scatter`` and the compiled
+``spmm_a_block``, ``spmm_b_block``, ``spmm_scatter`` (all one CSR walk),
+``gat_edge_scores`` and the numpy fallback of ``sddmm_custom`` are
+bitwise-identical across backends.  ``sddmm_coo`` and the compiled
 :class:`~repro.kernels.sddmm.GatScoreOp` path of ``sddmm_custom`` carry
 a documented tolerance instead: their numpy formulations reduce through
-``np.einsum`` / ``np.add.reduceat`` / BLAS gemv, whose internal
-accumulation order depends on SIMD width and numpy/BLAS version and
-cannot be replicated portably (error bound ``O(r * eps)`` per reduced
-element; see ``backend_numba.py``).
+``np.einsum`` / BLAS gemv, whose internal accumulation order depends on
+SIMD width and numpy/BLAS version and cannot be replicated portably
+(error bound ``O(r * eps)`` per reduced element; see
+``backend_numba.py``).
 
 **Adding a third backend** (e.g. cupy): extend :data:`KERNEL_BACKENDS`,
 add an availability probe, and return an object from
-:func:`get_kernel_backend` with the five inner-compute hooks
+:func:`get_kernel_backend` with the four inner-compute hooks
 (``sddmm_dots_add``, ``gat_edge_scores``, ``sddmm_gat_score``,
-``spmm_csr_add``, ``spmm_scatter_add``), a ``name`` attribute and a
+``spmm_csr_add``), a ``name`` attribute and a
 ``warmup()`` method — the wrappers and the Session never special-case a
 backend beyond ``None``-means-numpy.
 """

@@ -3,10 +3,10 @@
 ``SDDMM(A, B, S) = S * (A @ B.T)`` evaluated only at the nonzeros of S:
 for each nonzero ``(i, j)``, the output value is ``S_ij * <A_i, B_j>``.
 
-The core routine is *chunked* over nonzeros so the gathered row blocks
-``A[rows]`` / ``B[cols]`` stay inside the last-level cache — the same
-blocking consideration the paper discusses for shared-memory SDDMM
-(Section III-A).
+The core routine is *chunked* over nonzeros, with the chunk sized in
+bytes so the gathered row blocks ``A[rows]`` / ``B[cols]`` stay a few MB
+whatever the width — the same blocking consideration the paper discusses
+for shared-memory SDDMM (Section III-A).
 
 Each public kernel takes an optional ``profile``; when the profile
 carries a compiled kernel backend (``profile.kernels``, attached by the
@@ -28,11 +28,22 @@ import numpy as np
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 
-#: Nonzeros processed per chunk.  Each chunk gathers two 64k-row blocks
-#: of width r, i.e. ``2 * 65536 * r * 8`` bytes — 64 MB at r=64 — so a
-#: chunk's working set stays within a typical last-level cache slice and
-#: the full ``nnz x r`` gather is never materialized at once.
-_CHUNK = 1 << 16
+#: Byte budget of one chunk's two gathered row blocks (``A[rows]`` and
+#: ``B[cols]``, ``2 * chunk * r * itemsize`` bytes): 8 MB, i.e. 8 192
+#: nonzeros at r = 64.  Large enough that a rank block's SDDMM is a few
+#: pieces at most (every extra chunk is another round of interpreter
+#: calls on the GIL the rank threads share — 1 MB chunks cost the
+#: ``er_compute`` benchmark workload +20 %); small enough that no gather
+#: reaches the tens of MB where every fresh block is page-fault bound —
+#: the former fixed 65 536 nonzeros were 64 MB at r = 64 and measured
+#: 1.4x (r = 64) to 2.1x (r = 128) slower at nnz 131 072.  Results do not
+#: depend on it: the row-wise dots are independent.
+_CHUNK_BYTES = 1 << 23
+
+
+def _chunk_nnz(A: np.ndarray) -> int:
+    """Nonzeros per chunk for width-``A.shape[1]`` gathers of A's dtype."""
+    return max(1, _CHUNK_BYTES // (2 * max(1, A.shape[1]) * A.itemsize))
 
 
 def _kernel_impl(profile: Optional[RankProfile]):
@@ -108,8 +119,9 @@ def sddmm_coo(
             out,
         )
     else:
-        for s in range(0, nnz, _CHUNK):
-            e = min(s + _CHUNK, nnz)
+        chunk = _chunk_nnz(A)
+        for s in range(0, nnz, chunk):
+            e = min(s + chunk, nnz)
             ga = A[rows[s:e]]
             gb = B[cols[s:e]]
             # einsum computes the row-wise dots without materializing ga*gb
@@ -272,9 +284,16 @@ def sddmm_custom(
             out,
         )
     else:
-        for s in range(0, nnz, _CHUNK):
-            e = min(s + _CHUNK, nnz)
-            out[s:e] = edge_op(A[rows[s:e]], B[cols[s:e]])
+        chunk = _chunk_nnz(A)
+        for s in range(0, nnz, chunk):
+            e = min(s + chunk, nnz)
+            # named, like sddmm_coo's, so the previous chunk's blocks are
+            # released one at a time as the next are bound: dropping both
+            # at once lets the allocator trim the heap and re-fault the
+            # pages on every chunk (measured 41 vs 19 ms at nnz 131 072)
+            ga = A[rows[s:e]]
+            gb = B[cols[s:e]]
+            out[s:e] = edge_op(ga, gb)
     if profile is not None:
         profile.add_flops(nnz * flops_per_edge)
         if tracer is not None:

@@ -12,6 +12,10 @@ data)`` arrays — bitwise-identical to the SciPy path, because both walk
 each row's nonzeros in CSR index order (gated in
 ``tests/test_kernel_backends.py``).  Non-float64 operands always take
 the SciPy path.
+
+:func:`spmm_scatter` is the same product for a *transient* coordinate
+chunk (no structure to cache): a per-call CSR over the touched rows,
+run through the same two CSR implementations.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.kernels.sddmm import _f64, _kernel_impl
 from repro.runtime.profile import RankProfile
@@ -95,38 +100,43 @@ def spmm_scatter(
     out: np.ndarray,
     profile: Optional[RankProfile] = None,
 ) -> np.ndarray:
-    """``out[rows] += vals * B[cols]`` without building a CSR.
+    """``out[rows] += vals * B[cols]`` for a transient coordinate chunk.
 
-    Used for one-shot products on transient coordinate chunks (circulating
-    sparse blocks visit a rank once per kernel call, so building a CSR
-    would not amortize).  Contributions of duplicate rows are summed.
+    Circulating sparse chunks visit a rank once per phase, so no
+    structure can be cached; instead a CSR over *only the rows the chunk
+    touches* is built per call (stable row sort, ``indptr`` = the sorted
+    rows' segment starts, ``indices``/``data`` in chunk order within each
+    row) and the product is one CSR matmul scattered back into the
+    touched rows.  Work and temporaries are O(nnz * r) whatever the
+    height of ``out``.  Contributions of duplicate rows (and duplicate
+    ``(row, col)`` pairs) are summed.  Both kernel backends walk the same
+    CSR in the same order, so they are bitwise-identical.
     """
     nnz = len(rows)
     if nnz == 0:
         return out
     tracer = profile.tracer if profile is not None else None
     t0 = time.perf_counter() if tracer is not None else 0.0
-    # Sort by row so contributions can be segment-summed (np.add.at is
-    # an order of magnitude slower than this gather/reduce formulation).
     order = np.argsort(rows, kind="stable")
     r_sorted = rows[order]
-    boundaries = np.flatnonzero(np.diff(r_sorted)) + 1
-    segments = np.concatenate(([0], boundaries))
+    starts = np.flatnonzero(r_sorted[1:] != r_sorted[:-1]) + 1
+    indptr = np.concatenate(([0], starts, [nnz]))
+    touched = r_sorted[indptr[:-1]]
+    indices, data = cols[order], vals[order]
     impl = _kernel_impl(profile)
     if impl is not None and _f64(vals, B, out):
-        seg_starts = np.concatenate((segments, [nnz])).astype(np.int64)
-        impl.spmm_scatter_add(
-            np.ascontiguousarray(r_sorted, dtype=np.int64),
-            np.ascontiguousarray(cols[order], dtype=np.int64),
-            np.ascontiguousarray(vals[order]),
+        sums = np.zeros((len(touched), B.shape[1]))
+        impl.spmm_csr_add(
+            indptr,
+            np.ascontiguousarray(indices, dtype=np.int64),
+            data,
             np.ascontiguousarray(B),
-            out,
-            seg_starts,
+            sums,
         )
     else:
-        contrib = vals[order, None] * B[cols[order]]
-        sums = np.add.reduceat(contrib, segments, axis=0)
-        out[r_sorted[segments]] += sums
+        shape = (len(touched), B.shape[0])
+        sums = sp.csr_matrix((data, indices, indptr), shape=shape) @ B
+    out[touched] += sums
     if profile is not None:
         profile.add_flops(spmm_flops(nnz, B.shape[1]))
         if tracer is not None:

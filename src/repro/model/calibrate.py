@@ -14,7 +14,9 @@ host, so ``kernels="auto"``:
   at the rate the chosen kernels really run, not the assumed one.
 
 The cache is a JSON file keyed by a host fingerprint (hostname, CPU
-architecture, core count, numpy/numba versions).  Default location:
+architecture, core count, numpy/numba versions, and the revision of the
+probed kernels, so a cache measured before a kernel rewrite is
+re-measured, not trusted).  Default location:
 ``~/.cache/repro/kernel_calibration.json``; override with the
 ``REPRO_KERNEL_CALIBRATION`` environment variable (point it at a
 per-job path on shared filesystems).  A stale or unwritable cache is
@@ -46,6 +48,12 @@ _AVG_DEG = 16
 _R = 64
 _REPEATS = 3
 
+#: Revision of the probed kernels' implementation.  Bump whenever
+#: ``sddmm_coo`` / ``spmm_scatter`` change speed class, so cached rates
+#: from the old code stop feeding the cost model.  (2: ``spmm_scatter``
+#: became a touched-rows CSR product, ``sddmm_coo`` byte-sized chunks.)
+KERNEL_REVISION = 2
+
 #: in-memory memo: calibration runs at most once per process per cache
 _MEMO: Dict[str, dict] = {}
 
@@ -73,6 +81,7 @@ def host_key() -> str:
             str(os.cpu_count()),
             f"numpy-{np.__version__}",
             f"numba-{numba_ver}",
+            f"kernels-r{KERNEL_REVISION}",
         )
     )
 

@@ -3,7 +3,7 @@
 The paper cites two shared-memory optimizations for SDDMM/SpMM: reordering
 the sparse matrix to minimize the hypergraph connectivity metric (Jiang et
 al.) and adaptive tiling (Hong et al.).  This module implements lightweight
-analogues used by the blocked local kernels and the ablation benchmarks:
+analogues used by the ablation benchmarks:
 
 * :func:`degree_sort` — order rows by descending nonzero count, clustering
   heavy rows so their dense-row reuse coalesces.

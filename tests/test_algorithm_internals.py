@@ -56,6 +56,28 @@ class TestSparseShiftLayout:
         rows = np.sort(np.concatenate(plan.rows_a_of_fiber))
         np.testing.assert_array_equal(rows, np.arange(101))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bound_panels_are_fresh_contiguous_copies(self, rng, order):
+        """bind_dense hands each rank its (cyclic rows) x (r-strip) panel
+        as a fresh C-contiguous array — never a view of the operand."""
+        alg = SparseShift15D(8, 4)
+        plan = alg.plan(37, 29, 10)
+        locals_ = alg.distribute_sparse(plan, erdos_renyi(37, 29, 3, seed=4))
+        A = np.asarray(rng.standard_normal((37, 10)), order=order)
+        B = np.asarray(rng.standard_normal((29, 10)), order=order)
+        alg.bind_dense(plan, locals_, A, B)
+        for loc in locals_:
+            cols = np.arange(*plan.strip_slice(loc.u).indices(10)[:2])
+            for panel, full, rows in (
+                (loc.A, A, plan.rows_a_of_fiber[loc.v]),
+                (loc.B, B, plan.rows_b_of_fiber[loc.v]),
+            ):
+                assert panel.flags["C_CONTIGUOUS"] and panel.flags["OWNDATA"]
+                assert not np.shares_memory(panel, full)
+                np.testing.assert_array_equal(panel, full[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(alg.collect_dense_a(plan, locals_), A)
+        np.testing.assert_array_equal(alg.collect_dense_b(plan, locals_), B)
+
     def test_layer_owns_consistent_columns(self):
         """Every nonzero lands in the layer owning its B rows."""
         alg = SparseShift15D(8, 2)
@@ -126,3 +148,88 @@ class TestValueChunking25DSparse:
                 np.testing.assert_array_equal(first.gidx, other.gidx)
             total = sum(len(loc.S_vals_chunk) for loc in group)
             assert total == len(first.S_rows)
+
+
+class TestResidentBlock25DSparse:
+    """The stationary S block of the 2.5D sparse-replicating family is a
+    structure-caching :class:`SparseBlock`: the ``comm="dense"`` SpMM
+    loops run q CSR products on one cached structure instead of
+    re-sorting the same coordinates every phase."""
+
+    M, N, R = 53, 47, 12  # ragged on purpose
+
+    def _setup(self, p=8, c=2):
+        from repro.sparse.coo import SparseBlock
+
+        alg = SparseReplicate25D(p, c)
+        S = erdos_renyi(self.M, self.N, 4, seed=9)
+        plan = alg.plan(self.M, self.N, self.R)
+        locals_ = alg.distribute_sparse(plan, S)
+        for loc in locals_:
+            assert isinstance(loc.S, SparseBlock)
+            assert loc.S.shape == (
+                plan.row_coarse[loc.x + 1] - plan.row_coarse[loc.x],
+                plan.col_coarse[loc.y + 1] - plan.col_coarse[loc.y],
+            )
+            assert loc.S_rows is loc.S.rows and loc.S_cols is loc.S.cols
+        return alg, S, plan, locals_
+
+    def test_structure_shared_along_fiber(self):
+        alg, S, plan, locals_ = self._setup()
+        by_xy = {}
+        for loc in locals_:
+            by_xy.setdefault((loc.x, loc.y), []).append(loc)
+        for group in by_xy.values():
+            assert len(group) == plan.c
+            assert all(loc.S is group[0].S for loc in group)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("p,c", [(4, 1), (8, 2), (18, 2)])
+    def test_dense_comm_spmm_matches_serial(self, rng, p, c, overlap):
+        from repro.baselines.serial import spmm_a_serial, spmm_b_serial
+        from repro.types import Mode
+        from tests.helpers import run_rank_method
+
+        alg, S, plan, locals_ = self._setup(p, c)
+        alg.overlap = overlap
+        A = rng.standard_normal((self.M, self.R))
+        B = rng.standard_normal((self.N, self.R))
+
+        alg.bind_dense(plan, locals_, None, B)
+        run_rank_method(alg, plan, locals_, alg.rank_kernel, Mode.SPMM_A)
+        np.testing.assert_allclose(
+            alg.collect_dense_a(plan, locals_), spmm_a_serial(S, B),
+            rtol=1e-9, atol=1e-12,
+        )
+        alg.bind_dense(plan, locals_, A, None)
+        run_rank_method(alg, plan, locals_, alg.rank_kernel, Mode.SPMM_B)
+        np.testing.assert_allclose(
+            alg.collect_dense_b(plan, locals_), spmm_b_serial(S, A),
+            rtol=1e-9, atol=1e-12,
+        )
+
+    def test_structure_built_once_and_values_follow_updates(self, rng):
+        """The CSR structure survives across calls; the product always
+        uses the gathered per-call values, never the block's stored ones."""
+        from repro.baselines.serial import spmm_a_serial
+        from repro.types import Mode
+        from tests.helpers import run_rank_method
+
+        alg, S, plan, locals_ = self._setup()
+        B = rng.standard_normal((self.N, self.R))
+        alg.bind_dense(plan, locals_, None, B)
+        run_rank_method(alg, plan, locals_, alg.rank_kernel, Mode.SPMM_A)
+        cached = {id(loc.S): loc.S._csr for loc in locals_ if loc.S.nnz}
+        assert cached and all(c is not None for c in cached.values())
+
+        S2 = S.with_values(rng.standard_normal(S.nnz))
+        alg.update_values(plan, locals_, S2.vals)
+        alg.bind_dense(plan, locals_, None, B)
+        run_rank_method(alg, plan, locals_, alg.rank_kernel, Mode.SPMM_A)
+        np.testing.assert_allclose(
+            alg.collect_dense_a(plan, locals_), spmm_a_serial(S2, B),
+            rtol=1e-9, atol=1e-12,
+        )
+        for loc in locals_:
+            if loc.S.nnz:
+                assert loc.S._csr is cached[id(loc.S)]  # no rebuild

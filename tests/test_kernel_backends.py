@@ -5,15 +5,15 @@ numba).  The numpy-vs-numba equivalence suite is gated on numba being
 installed and runs in the CI ``kernel-backends`` lane.
 
 Bitwise policy under test (see ``repro/kernels/registry.py``):
-``spmm_a_block``, ``spmm_b_block``, ``gat_edge_scores`` and opaque-
-callable ``sddmm_custom`` must be **bitwise identical** across backends.
-``sddmm_coo``, ``spmm_scatter`` and the :class:`GatScoreOp` path of
-``sddmm_custom`` carry a documented tolerance: their numpy formulations
-reduce through ``np.einsum`` / ``np.add.reduceat`` / BLAS gemv, whose
-internal accumulation order is SIMD-width- and library-version-dependent
-and cannot be replicated portably; the compiled kernels use a fixed
-left-to-right order, so the difference is bounded by ``O(r * eps)`` per
-reduced element.
+``spmm_a_block``, ``spmm_b_block``, ``spmm_scatter`` (one CSR walk
+each), ``gat_edge_scores`` and opaque-callable ``sddmm_custom`` must be
+**bitwise identical** across backends.  ``sddmm_coo`` and the
+:class:`GatScoreOp` path of ``sddmm_custom`` carry a documented
+tolerance: their numpy formulations reduce through ``np.einsum`` / BLAS
+gemv, whose internal accumulation order is SIMD-width- and
+library-version-dependent and cannot be replicated portably; the
+compiled kernels use a fixed left-to-right order, so the difference is
+bounded by ``O(r * eps)`` per reduced element.
 """
 
 from __future__ import annotations
@@ -219,6 +219,25 @@ class TestAutoCalibration:
         assert doc["host"] == cal.host_key()  # stale cache replaced
         assert json.loads(cal_env.read_text())["host"] == cal.host_key()
 
+    def test_kernel_revision_mismatch_remeasures(self, cal_env):
+        """A cache measured by another revision of the probed kernels
+        (same host, same library versions) must not feed the model."""
+        from repro.model import calibrate as cal
+
+        current = cal.host_key()
+        token = f"kernels-r{cal.KERNEL_REVISION}"
+        assert token in current
+        stale_key = current.replace(token, f"kernels-r{cal.KERNEL_REVISION - 1}")
+        stale = {"gamma": 123.0, "gflops": 0.0, "sddmm_ms": 1.0, "spmm_ms": 1.0}
+        cal_env.write_text(json.dumps(
+            {"host": stale_key,
+             "backends": {b: stale for b in available_kernel_backends()}}
+        ))
+        doc = cal.calibrate()
+        assert doc["host"] == current
+        assert doc["backends"]["numpy"]["gamma"] != 123.0
+        assert json.loads(cal_env.read_text())["host"] == current
+
     def test_unwritable_cache_not_fatal(self, tmp_path, monkeypatch):
         from repro.model import calibrate as cal
 
@@ -324,6 +343,57 @@ class TestFlopAccounting:
 
 
 # ----------------------------------------------------------------------
+# the compiled-backend route of spmm_scatter, without needing numba
+# ----------------------------------------------------------------------
+
+
+class TestScatterBackendRoute:
+    """``spmm_scatter`` hands a backend the same touched-rows CSR it
+    hands SciPy.  The hook under test is ``backend_numba._spmm_csr_add``
+    itself — jitted where numba is installed, the plain-Python function
+    otherwise (the ``njit`` stub) — so the route is covered in tier-1."""
+
+    @pytest.fixture
+    def hook_profile(self):
+        from repro.kernels import backend_numba
+
+        class CsrOnly:
+            spmm_csr_add = staticmethod(backend_numba._spmm_csr_add)
+
+        prof = RankProfile()
+        prof.kernels = CsrOnly()
+        return prof
+
+    def test_bitwise_with_scipy_route(self, hook_profile, rng):
+        m, n, r, nnz = 30, 20, 6, 150
+        rows = rng.integers(0, m, nnz)
+        cols = rng.integers(0, n, nnz)
+        vals = rng.standard_normal(nnz)
+        wide = rng.standard_normal((n, 2 * r))
+        for B in (wide[:, :r].copy(), wide[:, r:]):  # contiguous and sliced
+            start = rng.standard_normal((m, r))
+            a = spmm_scatter(rows, cols, vals, B, start.copy())
+            b = spmm_scatter(rows, cols, vals, B, start.copy(), profile=hook_profile)
+            np.testing.assert_array_equal(a, b)
+        assert hook_profile.total().flops == 2 * 2 * nnz * r
+
+    def test_float32_takes_scipy_route(self, rng):
+        class Exploding:
+            def spmm_csr_add(self, *args):
+                raise AssertionError("compiled hook called for float32")
+
+        prof = RankProfile()
+        prof.kernels = Exploding()
+        rows = rng.integers(0, 5, 12); cols = rng.integers(0, 4, 12)
+        vals = rng.standard_normal(12).astype(np.float32)
+        B = rng.standard_normal((4, 3)).astype(np.float32)
+        got = spmm_scatter(rows, cols, vals, B, np.zeros((5, 3), np.float32),
+                           profile=prof)
+        ref = spmm_scatter(rows, cols, vals, B, np.zeros((5, 3), np.float32))
+        np.testing.assert_array_equal(got, ref)
+
+
+# ----------------------------------------------------------------------
 # numpy-vs-numba equivalence (CI kernel-backends lane)
 # ----------------------------------------------------------------------
 
@@ -401,6 +471,18 @@ class TestNumbaEquivalence:
             outs.append(out)
         np.testing.assert_array_equal(outs[0], outs[1])
 
+    def test_spmm_scatter_bitwise(self, profs, coords, rng):
+        np_prof, nb_prof = profs
+        m, n, rows, cols, _, B = coords
+        vals = rng.standard_normal(len(rows))
+        for rws in (rows, rng.permutation(rows)):  # sorted and unsorted
+            outs = []
+            for prof in (np_prof, nb_prof):
+                out = np.ones((m, B.shape[1]))
+                spmm_scatter(rws, cols, vals, B, out, profile=prof)
+                outs.append(out)
+            np.testing.assert_array_equal(outs[0], outs[1])
+
     def test_gat_edge_scores_bitwise(self, profs, coords, rng):
         np_prof, nb_prof = profs
         m, n, rows, cols, _, _ = coords
@@ -450,17 +532,6 @@ class TestNumbaEquivalence:
             out = np.ones(len(rows))
             sddmm_coo(A, B, rows, cols, out=out, accumulate=True,
                       col_range=(4, 12), profile=prof)
-            outs.append(out)
-        np.testing.assert_allclose(outs[0], outs[1], **TOL)
-
-    def test_spmm_scatter_tolerance(self, profs, coords, rng):
-        np_prof, nb_prof = profs
-        m, n, rows, cols, _, B = coords
-        vals = rng.standard_normal(len(rows))
-        outs = []
-        for prof in (np_prof, nb_prof):
-            out = np.zeros((m, B.shape[1]))
-            spmm_scatter(rows, cols, vals, B, out, profile=prof)
             outs.append(out)
         np.testing.assert_allclose(outs[0], outs[1], **TOL)
 

@@ -1,13 +1,14 @@
-"""Tests for the local kernels: SDDMM, SpMM, fused, tiled variants."""
+"""Tests for the local kernels: SDDMM, SpMM, fused."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.blocked import tiled_sddmm, tiled_spmm
 from repro.kernels.fused import fusedmm_local, fusedmm_reference
 from repro.kernels.sddmm import (
     gat_edge_scores,
@@ -67,9 +68,23 @@ class TestSddmm:
         import repro.kernels.sddmm as mod
 
         S, A, B, blk, ref = problem
-        monkeypatch.setattr(mod, "_CHUNK", 7)
+        whole = sddmm_coo(A, B, S.rows, S.cols)
+        # budget for 7 nonzeros per chunk (two width-r float64 gathers)
+        monkeypatch.setattr(mod, "_CHUNK_BYTES", 7 * 2 * A.shape[1] * 8)
+        assert mod._chunk_nnz(A) == 7
         got = sddmm_coo(A, B, S.rows, S.cols)
         np.testing.assert_allclose(got, ref)
+        # row-wise dots are independent: chunk size never changes a bit
+        np.testing.assert_array_equal(got, whole)
+
+    def test_chunk_sized_by_bytes(self):
+        import repro.kernels.sddmm as mod
+
+        wide, narrow = np.zeros((1, 64)), np.zeros((1, 8))
+        assert 2 * mod._chunk_nnz(wide) * 64 * 8 == mod._CHUNK_BYTES
+        assert mod._chunk_nnz(narrow) == 8 * mod._chunk_nnz(wide)
+        assert mod._chunk_nnz(wide.astype(np.float32)) == 2 * mod._chunk_nnz(wide)
+        assert mod._chunk_nnz(np.zeros((1, 0))) >= 1
 
     def test_flop_accounting(self, problem):
         S, A, B, blk, _ = problem
@@ -177,6 +192,106 @@ class TestSpmm:
         assert spmm_flops(100, 8) == 1600
 
 
+def _dense_scatter_ref(rows, cols, vals, B, out):
+    """Loop reference for ``spmm_scatter``: one nonzero at a time."""
+    ref = out.astype(np.float64)
+    for i, j, v in zip(rows, cols, vals):
+        ref[i] += np.float64(v) * B[j].astype(np.float64)
+    return ref
+
+
+class TestSpmmScatter:
+    """The transient touched-rows CSR product behind every circulating
+    chunk SpMM."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["one_row", "all_duplicate_rows", "duplicate_pairs", "unsorted", "reversed"],
+    )
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_against_dense_reference(self, rng, case, r):
+        m, n, nnz = 9, 7, 40
+        rows = rng.integers(0, m, nnz)
+        cols = rng.integers(0, n, nnz)
+        if case == "one_row":
+            rows, cols = rows[:1], cols[:1]
+        elif case == "all_duplicate_rows":
+            rows = np.full(nnz, 4)
+        elif case == "duplicate_pairs":
+            rows, cols = np.tile(rows[:10], 4), np.tile(cols[:10], 4)
+        elif case == "reversed":
+            rows = np.sort(rows)[::-1]
+        vals = rng.standard_normal(len(rows))
+        B = rng.standard_normal((n, r))
+        out = np.zeros((m, r))
+        assert spmm_scatter(rows, cols, vals, B, out) is out
+        np.testing.assert_allclose(
+            out, _dense_scatter_ref(rows, cols, vals, B, np.zeros((m, r))),
+            rtol=1e-13, atol=1e-13,
+        )
+
+    def test_accumulates_into_nonzero_out(self, rng):
+        rows = np.array([3, 0, 3, 1]); cols = np.array([1, 1, 0, 2])
+        vals = rng.standard_normal(4)
+        B = rng.standard_normal((3, 4))
+        start = rng.standard_normal((5, 4))
+        out = start.copy()
+        spmm_scatter(rows, cols, vals, B, out)
+        np.testing.assert_allclose(
+            out, _dense_scatter_ref(rows, cols, vals, B, start), rtol=1e-13
+        )
+        # untouched rows keep their bits
+        np.testing.assert_array_equal(out[[2, 4]], start[[2, 4]])
+
+    def test_non_contiguous_operand(self, rng):
+        rows = rng.integers(0, 6, 30); cols = rng.integers(0, 8, 30)
+        vals = rng.standard_normal(30)
+        wide = rng.standard_normal((8, 12))
+        B = wide[:, 3:9]  # column slice of a wider panel
+        assert not B.flags["C_CONTIGUOUS"]
+        a = spmm_scatter(rows, cols, vals, B, np.zeros((6, 6)))
+        b = spmm_scatter(rows, cols, vals, B.copy(), np.zeros((6, 6)))
+        np.testing.assert_array_equal(a, b)
+
+    def test_float32_operands(self, rng):
+        rows = rng.integers(0, 6, 30); cols = rng.integers(0, 8, 30)
+        vals = rng.standard_normal(30).astype(np.float32)
+        B = rng.standard_normal((8, 3)).astype(np.float32)
+        out = np.zeros((6, 3), dtype=np.float32)
+        spmm_scatter(rows, cols, vals, B, out)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, _dense_scatter_ref(rows, cols, vals, B, np.zeros((6, 3))),
+            rtol=1e-5, atol=1e-5,
+        )
+
+    def test_flops_recorded(self, rng):
+        prof = RankProfile()
+        rows = np.array([0, 2]); cols = np.array([1, 1])
+        spmm_scatter(rows, cols, np.ones(2), np.ones((2, 3)), np.zeros((3, 3)),
+                     profile=prof)
+        assert prof.total().flops == spmm_flops(2, 3)
+
+    def test_temporaries_independent_of_panel_height(self, rng):
+        """Work and memory are O(nnz * r): a 10^6-row ``out`` with 10^3
+        nonzeros must not allocate anything panel-sized."""
+        m, n, r, nnz = 1_000_000, 500, 4, 1_000
+        rows = rng.integers(0, m, nnz)
+        cols = rng.integers(0, n, nnz)
+        vals = rng.standard_normal(nnz)
+        B = rng.standard_normal((n, r))
+        out = np.zeros((m, r))
+        spmm_scatter(rows, cols, vals, B, out)  # warm imports / caches
+        tracemalloc.start()
+        try:
+            spmm_scatter(rows, cols, vals, B, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * nnz * r * 8  # a small multiple of nnz * r words
+        assert peak < out.nbytes // 50
+
+
 class TestFusedLocal:
     def test_matches_two_step_reference(self, problem):
         S, A, B, blk, _ = problem
@@ -215,29 +330,3 @@ class TestFusedLocal:
             fusedmm_reference(S.rows, S.cols, S.vals, A, B, S.shape, "c")
 
 
-class TestTiledKernels:
-    @pytest.mark.parametrize("tile", [1, 4, 16, 1000])
-    def test_tiled_spmm(self, problem, tile):
-        S, A, B, blk, _ = problem
-        out = np.zeros((S.nrows, B.shape[1]))
-        tiled_spmm(blk, B, out, tile_cols=tile)
-        np.testing.assert_allclose(out, S.to_scipy() @ B)
-
-    @pytest.mark.parametrize("tile", [1, 4, 16, 1000])
-    def test_tiled_sddmm(self, problem, tile):
-        S, A, B, blk, ref = problem
-        got = tiled_sddmm(A, B, blk, tile_cols=tile)
-        np.testing.assert_allclose(got, S.vals * ref)
-
-    def test_tiled_sddmm_pattern_only(self, problem):
-        S, A, B, blk, ref = problem
-        got = tiled_sddmm(A, B, blk, tile_cols=8, use_values=False)
-        np.testing.assert_allclose(got, ref)
-
-    def test_tiled_empty(self, rng):
-        e = np.empty(0, np.int64)
-        blk = SparseBlock(e, e, np.empty(0), (5, 5))
-        out = np.zeros((5, 2))
-        tiled_spmm(blk, rng.standard_normal((5, 2)), out)
-        np.testing.assert_allclose(out, 0)
-        assert tiled_sddmm(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), blk).shape == (0,)
