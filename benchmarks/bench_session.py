@@ -3,25 +3,22 @@
 The session API (:func:`repro.plan`) pays knob resolution, layout
 planning, sparse-operand partitioning and need-list/packed-index
 construction **once**; each subsequent call only rebinds the dense
-operands.  On top of that, the session's persistent worker pool keeps
+operands.  On top of that, the session's resident worker pool keeps
 ``p`` rank threads, their communicators and per-orientation contexts
 warm across calls.  This benchmark times ``calls=5`` FusedMM invocations
-three ways — five independent one-shot calls, five calls on a
-spawn-per-call session (``persistent=False``: threads, world and
-contexts rebuilt every call), and five calls on a resident-pool session
-— checks the outputs coincide bitwise, and records the amortized
-per-call driver wall time of each mode.
+two ways — five independent one-shot calls (a throwaway session each)
+and five calls on one resident session — checks the outputs coincide
+bitwise, and records the amortized per-call driver wall time of each.
 
 Results are merged into ``BENCH_sparse_comm.json`` at the repository root
 (under the ``"session"`` key, next to the dense-vs-sparse communication
 records) for the performance trajectory, alongside the usual text table
 under ``benchmarks/results/``.
 
-Headlines: the pooled session's amortized per-call time must not exceed
-the one-shot per-call time (it skips per-call re-distribution entirely)
-nor the spawn-per-call session time (it skips thread spawn, communicator
-splits and context builds) — both asserted, both recorded for the CI
-regression gate.
+Headline: the resident session's amortized per-call time must not
+exceed the one-shot per-call time (it skips per-call re-distribution,
+thread spawn, communicator splits and context builds) — asserted, and
+recorded for the CI regression gate.
 """
 
 from __future__ import annotations
@@ -63,12 +60,12 @@ def _time_one_shot(S, A, B, name, elision, p, c, comm):
     return ticks, outs
 
 
-def _time_session(S, A, B, name, elision, p, c, comm, persistent=True,
-                  overlap="auto", backend="threads"):
+def _time_session(S, A, B, name, elision, p, c, comm, overlap="auto",
+                  backend="threads"):
     t0 = time.perf_counter()
     sess = repro.plan(
         S, A.shape[1], p=p, c=c, algorithm=name, elision=elision, comm=comm,
-        persistent=persistent, overlap=overlap, backend=backend,
+        overlap=overlap, backend=backend,
     )
     plan_seconds = time.perf_counter() - t0
     outs, ticks = [], []
@@ -89,7 +86,7 @@ def _time_traced(S, A, B, name, elision, p, c, comm):
     local-kernel time with a transfer actually in flight)."""
     sess = repro.plan(
         S, A.shape[1], p=p, c=c, algorithm=name, elision=elision, comm=comm,
-        persistent=True, overlap="on", trace="on",
+        overlap="on", trace="on",
     )
     ticks = []
     for _ in range(CALLS):
@@ -116,18 +113,15 @@ def measure(scale: str):
         # two interleaved measurement rounds per mode: the min over both
         # decorrelates the steady-state estimate from transient scheduler
         # noise on shared runners (a single slow round cannot flip the
-        # pool-vs-spawn comparison)
-        ticks_os, ticks_spawn, ticks_sess = [], [], []
+        # session-vs-one-shot comparison)
+        ticks_os, ticks_sess = [], []
         ticks_sync, ticks_overlap = [], []
         overlap_eff = 0.0
         plan_s = None
         for rnd in range(2):
             t_os, outs_os = _time_one_shot(S, A, B, name, elision, p, c, comm)
-            _, t_spawn, outs_spawn, _ = _time_session(
-                S, A, B, name, elision, p, c, comm, persistent=False
-            )
             plan_round, t_sess, outs_sess, _ = _time_session(
-                S, A, B, name, elision, p, c, comm, persistent=True
+                S, A, B, name, elision, p, c, comm
             )
             # sync vs overlapped phase loops on identical resident-pool
             # sessions: same plans, same warm ranks — only the software
@@ -138,31 +132,27 @@ def measure(scale: str):
             timed = {}
             for ov in modes:
                 _, ticks_ov, outs_ov, eff_ov = _time_session(
-                    S, A, B, name, elision, p, c, comm, persistent=True,
-                    overlap=ov,
+                    S, A, B, name, elision, p, c, comm, overlap=ov
                 )
                 timed[ov] = (ticks_ov, outs_ov, eff_ov)
             t_sync, outs_sync, _ = timed["off"]
             t_over, outs_over, eff = timed["on"]
             ticks_os += t_os
-            ticks_spawn += t_spawn
             ticks_sess += t_sess
             ticks_sync += t_sync
             ticks_overlap += t_over
             overlap_eff = max(overlap_eff, eff)
             plan_s = plan_round if plan_s is None else min(plan_s, plan_round)
-            for o_os, o_sp, o_s, o_sy, o_ov in zip(
-                outs_os, outs_spawn, outs_sess, outs_sync, outs_over
+            for o_os, o_s, o_sy, o_ov in zip(
+                outs_os, outs_sess, outs_sync, outs_over
             ):
-                assert np.array_equal(o_os, o_s), f"{name}: pooled session diverged"
-                assert np.array_equal(o_sp, o_s), f"{name}: spawn session diverged"
+                assert np.array_equal(o_os, o_s), f"{name}: session diverged"
                 assert np.array_equal(o_sy, o_ov), f"{name}: overlap diverged"
         # best-of-CALLS is the steady-state driver cost per call; it is
         # robust to scheduler noise on shared runners (the mean is not)
         # and excludes the first session call, which carries the one-time
         # lazy distribution (plan_s above covers knob resolution only)
         one_shot, per_call = min(ticks_os), min(ticks_sess)
-        spawn_call = min(ticks_spawn)
         sync_call, overlap_call = min(ticks_sync), min(ticks_overlap)
         # distribution of the pooled per-call cost across every timed call
         # (both rounds): min is the steady-state floor, p50 the typical
@@ -194,15 +184,7 @@ def measure(scale: str):
                 ),
                 "session_ms_per_call_p50": round(sess_p50 * 1e3, 3),
                 "session_ms_per_call_p99": round(sess_p99 * 1e3, 3),
-                # spawn-per-call session: threads + contexts per call
-                "spawn_ms_per_call": round(spawn_call * 1e3, 3),
-                "spawn_ms_per_call_mean": round(
-                    sum(ticks_spawn) / len(ticks_spawn) * 1e3, 3
-                ),
                 "speedup": round(one_shot / per_call, 2) if per_call > 0 else 0.0,
-                "pool_speedup_vs_spawn": (
-                    round(spawn_call / per_call, 2) if per_call > 0 else 0.0
-                ),
                 # synchronous vs software-pipelined phase loops (overlap)
                 "sync_ms_per_call": round(sync_call * 1e3, 3),
                 "overlap_ms_per_call": round(overlap_call * 1e3, 3),
@@ -223,14 +205,13 @@ def measure_backend(scale: str, backend: str) -> None:
     """Reduced measurement for a process backend: sync-vs-overlap per-call
     time on resident sessions only.
 
-    The full thread-backend benchmark compares launch modes
-    (one-shot / spawn-per-call / resident pool) that are thread-only
-    concepts, and its JSON feeds a regression gate whose baselines were
-    measured on threads — so under ``--backend mpi`` this path times the
-    part that is meaningful on real processes (the overlap pipeline,
-    whose speedup the thread runtime structurally cannot show) and prints
-    it without touching ``BENCH_sparse_comm.json``.  Launch with
-    ``mpirun -n 8`` (the benchmark grid plans p=8).
+    The full thread-backend benchmark's JSON feeds a regression gate
+    whose baselines were measured on threads — so under ``--backend mpi``
+    this path times the part that is meaningful on real processes (the
+    overlap pipeline, whose speedup the thread runtime structurally
+    cannot show) and prints it without touching
+    ``BENCH_sparse_comm.json``.  Launch with ``mpirun -n 8`` (the
+    benchmark grid plans p=8).
     """
     n = 2048 if scale == "small" else 8192
     r = 64
@@ -282,20 +263,15 @@ def _overlap_bound(p: int) -> float:
 
 
 def check_headline(records) -> None:
-    """Steady-state pooled-session calls must not be slower than one-shot
-    calls, nor than the spawn-per-call session mode (the pool does
-    strictly less driver work per call: no thread spawn, no communicator
-    splits, no context rebuild; 15% slack absorbs residual wall-clock
-    noise on shared CI runners)."""
+    """Steady-state resident-session calls must not be slower than
+    one-shot calls (the session does strictly less driver work per call:
+    no re-distribution, no thread spawn, no communicator splits, no
+    context rebuild; 15% slack absorbs residual wall-clock noise on
+    shared CI runners)."""
     for rec in records:
         assert rec["session_ms_per_call"] <= 1.15 * rec["one_shot_ms_per_call"], (
             f"{rec['algorithm']}: session per-call {rec['session_ms_per_call']} ms "
             f"exceeds one-shot {rec['one_shot_ms_per_call']} ms"
-        )
-        assert rec["session_ms_per_call"] <= 1.15 * rec["spawn_ms_per_call"], (
-            f"{rec['algorithm']}: resident-pool per-call "
-            f"{rec['session_ms_per_call']} ms exceeds spawn-per-call "
-            f"{rec['spawn_ms_per_call']} ms"
         )
         # the software pipeline only removes exposed wait time (identical
         # kernels, one extra pre-posted message per split shift), so the
@@ -338,12 +314,10 @@ def emit(n, r, records) -> None:
             f"{rec['algorithm']}/{rec['elision']}/{rec['comm']}",
             rec["one_shot_ms_per_call"],
             rec["session_plan_ms"],
-            rec["spawn_ms_per_call"],
             rec["session_ms_per_call"],
             rec["session_ms_per_call_p50"],
             rec["session_ms_per_call_p99"],
             f"{rec['speedup']:.2f}x",
-            f"{rec['pool_speedup_vs_spawn']:.2f}x",
             rec["sync_ms_per_call"],
             rec["overlap_ms_per_call"],
             f"{rec['overlap_speedup']:.2f}x",
@@ -355,11 +329,11 @@ def emit(n, r, records) -> None:
     write_result(
         "session.txt",
         f"One-shot vs session-handle FusedMM — amortized driver ms/call "
-        f"at calls={CALLS} (n={n}, r={r}); 'spawn' = session without the "
-        f"resident worker pool, 'pool' = the default resident-pool mode "
+        f"at calls={CALLS} (n={n}, r={r}); 'one-shot' = a throwaway "
+        f"session per call, 'pool' = one resident session "
         f"('pool ms' = best-of-calls floor, p50/p99 = per-call "
         f"distribution over all timed calls); "
-        f"'sync'/'overlap' = resident-pool sessions with the phase-loop "
+        f"'sync'/'overlap' = resident sessions with the phase-loop "
         f"software pipeline off/on ('eff' = measured fraction of the "
         f"perfectly-hideable communication actually hidden; 'window occ' "
         f"= traced-run fraction of local-kernel time with a transfer in "
@@ -369,12 +343,10 @@ def emit(n, r, records) -> None:
                 "variant",
                 "one-shot ms",
                 "plan ms (once)",
-                "spawn ms",
                 "pool ms",
                 "pool p50",
                 "pool p99",
                 "vs one-shot",
-                "vs spawn",
                 "sync ms",
                 "overlap ms",
                 "overlap spdup",

@@ -148,7 +148,7 @@ class DistributedAlgorithm:
       kernel call.  ``distribute(plan, S, A, B)`` composes the two for
       one-shot callers.
     * ``make_context(comm)`` (rank side, once per resident distribution —
-      under the session's persistent worker pool the context, with its
+      under the session's worker pool the context, with its
       layer/fiber subcommunicators, is built on the *first* kernel call
       of an orientation and reused by every later call; see
       :meth:`ensure_context` / :meth:`refresh_context`)
@@ -247,7 +247,7 @@ class DistributedAlgorithm:
         self._pools.clear()
 
     # ------------------------------------------------------------------
-    # rank-side context lifecycle (split for the persistent worker pool)
+    # rank-side context lifecycle (split for the resident worker pool)
     # ------------------------------------------------------------------
 
     def ensure_context(self, comm: Communicator, cache: List):

@@ -85,39 +85,26 @@ def run_fusedmm(
 ) -> FusedResult:
     """Run ``calls`` FusedMM invocations on a throwaway session and collect.
 
-    ``calls > 1`` mirrors the paper's benchmarking methodology ("time for
-    5 FusedMM calls"): the sparse operand is distributed **once** on the
-    session (only the dense operands are re-bound per call, which is what
-    the paper amortizes as setup) and the per-rank cost profiles
-    accumulate across calls.
-
-    ``comm_mode`` must already be resolved to dense or sparse (the
-    ``"auto"`` policy lives in :mod:`repro.session`); with sparse mode,
-    the need-list plans are built once by the session and reused by every
-    call.
+    A shim over :func:`repro.plan` for callers that hold an algorithm
+    instance: the session is planned for ``alg``'s family and grid
+    (``alg.name``, ``alg.p``, ``alg.c``).  ``calls > 1`` mirrors the
+    paper's benchmarking methodology ("time for 5 FusedMM calls"): the
+    sparse operand is distributed **once** on the session and the
+    per-rank cost profiles accumulate across calls.  ``overlap`` defaults
+    to the synchronous loops, so baseline measurements stay baseline.
     """
-    from repro.session import Session  # session builds on this module
+    from repro.session import plan  # session builds on this module
 
-    comm_mode = comm_mode if isinstance(comm_mode, CommMode) else CommMode(comm_mode)
-    if comm_mode == CommMode.AUTO:
-        raise ReproError("run_fusedmm needs a resolved comm mode (dense or sparse)")
     A = np.asarray(A)
     if A.ndim != 2:
         raise ReproError(f"operand shapes inconsistent: S{S.shape}, A{A.shape}")
-    # calls > 1 amortizes the resident pool; a single call stays
-    # spawn-per-call (nothing to amortize, no warm threads to hold)
-    sess = Session.for_algorithm(
-        alg, S, A.shape[1], elision=elision, comm=comm_mode,
-        persistent=calls > 1, overlap=overlap,
+    with plan(
+        S, A.shape[1], p=alg.p, c=alg.c, algorithm=alg.name, elision=elision,
+        comm=comm_mode, overlap=overlap,
+    ) as sess:
+        kernel = sess.fusedmm_a if variant == FusedVariant.FUSED_A else sess.fusedmm_b
+        for _ in range(max(calls, 1)):
+            res = kernel(A, B, collect_sddmm=collect_sddmm)
+    return FusedResult(
+        output=res[0], sddmm=res[1] if collect_sddmm else None, report=res[-1]
     )
-    try:
-        ncalls = max(calls, 1)
-        for i in range(ncalls):
-            # collect (gather the output, reassemble the intermediate) only
-            # after the last call; earlier calls leave state resident
-            out, sddmm_out, report = sess._run_fused(
-                variant, A, B, collect_sddmm, collect=(i == ncalls - 1)
-            )
-    finally:
-        sess.close()
-    return FusedResult(output=out, sddmm=sddmm_out, report=report)

@@ -21,11 +21,14 @@ setup this way: only the dense operands move per call.
 
 The module-level one-shot functions below (:func:`sddmm`, :func:`spmm_a`,
 :func:`spmm_b`, :func:`fusedmm_a`, :func:`fusedmm_b`) keep their original
-signatures and semantics — each builds a throwaway session, runs
-``calls`` kernel invocations against it, and returns the output together
-with the accumulated :class:`~repro.runtime.profile.RunReport` (feed the
-report a :class:`~repro.runtime.cost.MachineParams` for modeled cluster
-times).
+call shapes and semantics — each is ``with plan(S, r, **knobs) as sess:``
+plus ``calls`` invocations of the session method of the same name, and
+returns the last output together with the accumulated
+:class:`~repro.runtime.profile.RunReport` (feed the report a
+:class:`~repro.runtime.cost.MachineParams` for modeled cluster times).
+Every :func:`repro.plan` knob is accepted by keyword and forwarded; the
+session (and its worker pool) is always closed on return, also when the
+kernel raises.
 
 Algorithm may be ``"auto"``: the Table III/IV model picks the cheapest
 family for the operands' ``phi = nnz/(n r)``, which is the paper's
@@ -45,22 +48,15 @@ typed requests into panels on fleets of resident sessions — see
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.runtime.cost import CORI_KNL, MachineParams
+from repro.errors import ReproError
 from repro.runtime.profile import RunReport
 from repro.serve.server import Server
-from repro.session import (
-    CommLike,
-    ElisionLike,
-    Session,
-    _as_coo,
-    plan,
-)
+from repro.session import Session, plan
 from repro.sparse.coo import CooMatrix
-from repro.types import CommMode, Elision, FusedVariant, Mode
 
 __all__ = [
     "plan",
@@ -74,210 +70,93 @@ __all__ = [
 ]
 
 
-def _one_shot_session(
-    S,
-    r: int,
-    p: int,
-    c: Optional[int],
-    algorithm: str,
-    elision: ElisionLike,
-    machine: MachineParams,
-    comm: CommLike,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
-) -> Session:
-    """A lazily-distributed session for a single wrapper invocation.
-
-    ``eager=False`` so a fused variant that resolves to the transposed
-    native procedure only ever distributes the orientation it uses.
-    ``persistent=False`` keeps the one-shot wrappers spawn-per-call: a
-    single kernel call cannot amortize a resident worker pool, and a
-    throwaway session must not hold ``p`` warm threads past its return
-    (iterative callers should hold a :func:`plan` session instead).
-    Under ``backend="mpi"`` the wrappers run persistent instead — the
-    ranks are mpirun-resident processes, so there are no threads to
-    spawn or hold, and spawn-per-call is a thread-only mode.
-    """
-    return Session(
-        S, r, p=p, c=c, algorithm=algorithm, elision=elision, comm=comm,
-        machine=machine, eager=False, persistent=(backend != "threads"),
-        overlap=overlap, trace=trace, deadline_ms=deadline_ms,
-        retries=retries, backend=backend, kernels=kernels,
-    )
+def _width(X) -> int:
+    """The embedding width ``r`` a one-shot call plans its session for."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ReproError(
+            f"operand shapes inconsistent: dense operands must be 2-D "
+            f"arrays, got shape {X.shape}"
+        )
+    return X.shape[1]
 
 
 def sddmm(
     S,
     A: np.ndarray,
     B: np.ndarray,
-    p: int = 4,
-    c: Optional[int] = None,
     algorithm: str = "1.5d-dense-shift",
-    machine: MachineParams = CORI_KNL,
     calls: int = 1,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
+    **knobs,
 ) -> Tuple[CooMatrix, RunReport]:
     """Distributed ``SDDMM(A, B, S) = S * (A @ B.T)``.
 
-    Returns the sampled output (same pattern as S) and the run report.
-    With ``trace="on"`` the report's profiles carry span tracers — feed
-    the report to :func:`repro.export_chrome_trace` /
-    :meth:`repro.TimelineStats.from_report`.  ``deadline_ms`` /
-    ``retries`` arm the watchdog and retry machinery (see
-    :func:`repro.plan`).
+    Returns the sampled output (same pattern as S) and the run report
+    accumulated over ``calls`` invocations.  ``knobs`` are forwarded to
+    :func:`repro.plan` (``p``, ``c``, ``comm``, ``overlap``, ``trace``,
+    ``deadline_ms``, ``retries``, ``backend``, ``kernels``, ...).  With
+    ``trace="on"`` the report's profiles carry span tracers — feed the
+    report to :func:`repro.export_chrome_trace` /
+    :meth:`repro.TimelineStats.from_report`.
     """
-    sess = _one_shot_session(
-        _as_coo(S), A.shape[1], p, c, algorithm, Elision.NONE, machine, comm,
-        overlap, trace, deadline_ms, retries, backend, kernels,
-    )
-    for _ in range(max(calls, 1) - 1):  # collect only after the last call
-        sess._run_mode(Mode.SDDMM, A, B)
-    return sess.sddmm(A, B)
+    with plan(S, _width(A), algorithm=algorithm, **knobs) as sess:
+        for _ in range(max(calls, 1)):
+            result = sess.sddmm(A, B)
+    return result
 
 
 def spmm_a(
-    S,
-    B: np.ndarray,
-    p: int = 4,
-    c: Optional[int] = None,
-    algorithm: str = "1.5d-dense-shift",
-    machine: MachineParams = CORI_KNL,
-    calls: int = 1,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
+    S, B: np.ndarray, algorithm: str = "1.5d-dense-shift", calls: int = 1, **knobs
 ) -> Tuple[np.ndarray, RunReport]:
-    """Distributed ``SpMMA(S, B) = S @ B``."""
-    sess = _one_shot_session(
-        _as_coo(S), B.shape[1], p, c, algorithm, Elision.NONE, machine, comm,
-        overlap, trace, deadline_ms, retries, backend, kernels,
-    )
-    for _ in range(max(calls, 1) - 1):  # collect only after the last call
-        sess._run_mode(Mode.SPMM_A, None, B)
-    return sess.spmm_a(B)
+    """Distributed ``SpMMA(S, B) = S @ B`` (see :func:`sddmm`)."""
+    with plan(S, _width(B), algorithm=algorithm, **knobs) as sess:
+        for _ in range(max(calls, 1)):
+            result = sess.spmm_a(B)
+    return result
 
 
 def spmm_b(
-    S,
-    A: np.ndarray,
-    p: int = 4,
-    c: Optional[int] = None,
-    algorithm: str = "1.5d-dense-shift",
-    machine: MachineParams = CORI_KNL,
-    calls: int = 1,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
+    S, A: np.ndarray, algorithm: str = "1.5d-dense-shift", calls: int = 1, **knobs
 ) -> Tuple[np.ndarray, RunReport]:
-    """Distributed ``SpMMB(S, A) = S.T @ A``."""
-    sess = _one_shot_session(
-        _as_coo(S), A.shape[1], p, c, algorithm, Elision.NONE, machine, comm,
-        overlap, trace, deadline_ms, retries, backend, kernels,
-    )
-    for _ in range(max(calls, 1) - 1):  # collect only after the last call
-        sess._run_mode(Mode.SPMM_B, A, None)
-    return sess.spmm_b(A)
-
-
-def _fused(
-    variant: FusedVariant,
-    S,
-    A: np.ndarray,
-    B: np.ndarray,
-    p: int,
-    c: Optional[int],
-    algorithm: str,
-    elision: ElisionLike,
-    machine: MachineParams,
-    calls: int,
-    collect_sddmm: bool,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
-) -> Tuple[np.ndarray, RunReport]:
-    sess = _one_shot_session(
-        _as_coo(S), A.shape[1], p, c, algorithm, elision, machine, comm,
-        overlap, trace, deadline_ms, retries, backend, kernels,
-    )
-    ncalls = max(calls, 1)
-    for i in range(ncalls):
-        out, _sddmm, report = sess._run_fused(
-            variant, A, B, collect_sddmm, collect=(i == ncalls - 1)
-        )
-    return out, report
+    """Distributed ``SpMMB(S, A) = S.T @ A`` (see :func:`sddmm`)."""
+    with plan(S, _width(A), algorithm=algorithm, **knobs) as sess:
+        for _ in range(max(calls, 1)):
+            result = sess.spmm_b(A)
+    return result
 
 
 def fusedmm_a(
     S,
     A: np.ndarray,
     B: np.ndarray,
-    p: int = 4,
-    c: Optional[int] = None,
     algorithm: str = "1.5d-dense-shift",
-    elision: ElisionLike = Elision.NONE,
-    machine: MachineParams = CORI_KNL,
     calls: int = 1,
     collect_sddmm: bool = False,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
-) -> Tuple[np.ndarray, RunReport]:
-    """Distributed ``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``."""
-    return _fused(
-        FusedVariant.FUSED_A, S, A, B, p, c, algorithm, elision, machine, calls,
-        collect_sddmm, comm, overlap, trace, deadline_ms, retries, backend,
-        kernels,
-    )
+    **knobs,
+):
+    """Distributed ``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``.
+
+    Returns what :meth:`Session.fusedmm_a` returns; ``knobs`` (including
+    ``elision``) are forwarded to :func:`repro.plan`.
+    """
+    with plan(S, _width(A), algorithm=algorithm, **knobs) as sess:
+        for _ in range(max(calls, 1)):
+            result = sess.fusedmm_a(A, B, collect_sddmm=collect_sddmm)
+    return result
 
 
 def fusedmm_b(
     S,
     A: np.ndarray,
     B: np.ndarray,
-    p: int = 4,
-    c: Optional[int] = None,
     algorithm: str = "1.5d-dense-shift",
-    elision: ElisionLike = Elision.NONE,
-    machine: MachineParams = CORI_KNL,
     calls: int = 1,
     collect_sddmm: bool = False,
-    comm: CommLike = CommMode.DENSE,
-    overlap: str = "auto",
-    trace: str = "off",
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    backend: str = "threads",
-    kernels: str = "numpy",
-) -> Tuple[np.ndarray, RunReport]:
-    """Distributed ``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``."""
-    return _fused(
-        FusedVariant.FUSED_B, S, A, B, p, c, algorithm, elision, machine, calls,
-        collect_sddmm, comm, overlap, trace, deadline_ms, retries, backend,
-        kernels,
-    )
+    **knobs,
+):
+    """Distributed ``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)`` (see
+    :func:`fusedmm_a`)."""
+    with plan(S, _width(A), algorithm=algorithm, **knobs) as sess:
+        for _ in range(max(calls, 1)):
+            result = sess.fusedmm_b(A, B, collect_sddmm=collect_sddmm)
+    return result

@@ -18,7 +18,7 @@ it plans **two resident distributions once** — one on the observed
 values (for the normal-equation right-hand sides) and one on the
 indicator pattern (for every CG matvec and the loss SDDMM) — and runs
 each half-sweep's entire batched CG **rank-side** on the sessions'
-persistent worker pool: one :meth:`~repro.session.Session.run_rank`
+resident worker pool: one :meth:`~repro.session.Session.run_rank`
 dispatch performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG
 scalar recurrences on the warm ranks, so no factor matrix is gathered or
 re-scattered between CG iterations (the fixed factor is bound once per

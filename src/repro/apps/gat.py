@@ -18,7 +18,7 @@ This implementation runs on the 1.5D dense-shifting algorithm with either
 * ``Elision.NONE`` — built on the session-handle API (:func:`repro.plan`):
   the adjacency is distributed **once** into a resident session (cached
   across forward passes / training epochs, so re-invoking the layer never
-  re-ships the graph) whose persistent worker pool runs each head as a
+  re-ships the graph) whose resident worker pool runs each head as a
   single rank-side dispatch: an SDDMM kernel (custom edge op), the edge
   softmax — per-row max/sum all-reduced along the fiber, measured as
   OTHER-phase communication — and an SpMMA aggregation directly on the

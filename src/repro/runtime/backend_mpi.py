@@ -26,11 +26,10 @@ queue, so the overlap pipeline's hidden-communication accounting is a
 the drain is credited from the drain, not from wire arrival.
 
 Deliberately thread-only for now (typed errors enforce it): fault
-injection, ``retries``/graceful degradation, serve fleets, and
-spawn-per-call (``persistent=False``) sessions.  A deadline expiry under
-this backend is a job-level circuit breaker — the blocked-state dump is
-printed and the MPI job is aborted — because there is no sibling-abort
-recovery across processes.
+injection, ``retries``/graceful degradation and serve fleets.  A
+deadline expiry under this backend is a job-level circuit breaker — the
+blocked-state dump is printed and the MPI job is aborted — because
+there is no sibling-abort recovery across processes.
 
 This module imports cleanly without mpi4py; constructing either class
 raises :class:`~repro.errors.BackendUnavailableError` with the install

@@ -153,13 +153,10 @@ class SessionFleet:
                 "timeout" if isinstance(error, SpmdTimeout) else "failed"
             )
         else:
-            # the session's own per-call record for this future (appended
-            # at finalize) carries retry/degradation outcomes for the
-            # synchronous fallback path; async launches have none
-            last = self.sessions[ticket.session_index]._metrics
-            if last:
-                batch_outcome = last[-1].get("outcome", "ok")
-                retries = int(last[-1].get("retries", 0))
+            # the settled future carries its call's own metrics record,
+            # with the retry / degradation outcome
+            batch_outcome = ticket.future.metrics["outcome"]
+            retries = ticket.future.metrics["retries"]
         for i, env in enumerate(ticket.envelopes):
             if error is None and env.expired(now):
                 outcome = "timeout"

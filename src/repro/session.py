@@ -82,7 +82,7 @@ from repro.runtime.backend import ensure_backend_available, validate_backend_nam
 from repro.runtime.buffers import BufferLeaseError
 from repro.runtime.cost import CORI_KNL, MachineParams
 from repro.runtime.profile import RankProfile, RunReport
-from repro.runtime.spmd import WorkerPool, make_worker_pool, run_spmd
+from repro.runtime.spmd import WorkerPool, make_worker_pool
 from repro.runtime.trace import TimelineStats, Tracer, export_chrome_trace
 from repro.sparse.coo import CooMatrix
 from repro.types import CommMode, Elision, FusedVariant, Mode, Phase
@@ -285,40 +285,51 @@ class _Orientation:
 
 
 class SessionFuture:
-    """Handle for a kernel call pipelined with :meth:`Session.fusedmm_a_async`.
+    """Handle for one kernel call on a :class:`Session`.
 
-    :meth:`result` blocks until the SPMD run finished, gathers the output
-    from the resident blocks, and returns ``(output, RunReport)`` (plus
-    the reassembled SDDMM intermediate when requested) — exactly what the
-    synchronous kernel method would have returned.  The session finalizes
-    a future automatically before any later call touches the resident
-    state, so outputs are never clobbered by the next call's dense
-    scatter; ``result()`` then simply returns the cached outcome.  Errors
-    from the SPMD run surface here (and, if unconsumed, at the next
-    session call).
+    Every kernel call is a future: the ``*_async`` methods return it, the
+    synchronous methods are ``*_async(...).result()``.  :meth:`result`
+    blocks until the SPMD run finished — re-executing it under the
+    session's ``retries`` / degrade policy if it died of a runtime fault —
+    gathers the output from the resident blocks, and returns ``(output,
+    RunReport)`` (plus the reassembled SDDMM intermediate when requested).
+    The session settles a future automatically before any later call
+    touches the resident state, so outputs are never clobbered by the next
+    call's dense scatter; ``result()`` then simply returns the cached
+    outcome.  Errors from the SPMD run surface here (and, if unconsumed,
+    at the next session call).
+
+    Once settled, :attr:`metrics` is the call's own
+    :meth:`Session.metrics` record (``outcome``, ``retries``, ``wall_ms``
+    from stage to collect, ...).
     """
 
     __slots__ = (
         "_session",
-        "_pool_future",
+        "_bound",
         "_collect",
+        "_pool_future",
+        "_t0",
         "_done",
         "_error",
         "_value",
-        "_metrics_label",
-        "_metrics_t0",
+        "metrics",
     )
 
-    def __init__(self, session: "Session", pool_future, collect: Callable) -> None:
+    def __init__(self, session: "Session", bound: Tuple, collect: Callable) -> None:
         self._session = session
-        self._pool_future = pool_future
+        # (transpose, A, B, call, label, dirty): everything a re-execution
+        # needs to re-bind from scratch; dropped at settle
+        self._bound = bound
         self._collect = collect
+        self._pool_future = None
+        self._t0 = time.perf_counter()
         self._done = False
+        # the latest attempt's failure; after settle, the surfaced error
         self._error: Optional[BaseException] = None
         self._value = None
-        # per-call metrics bookkeeping, settled by the session at finalize
-        self._metrics_label: Optional[str] = None
-        self._metrics_t0: float = 0.0
+        #: the call's per-call metrics record, set when the call settles
+        self.metrics: Optional[Dict[str, Any]] = None
 
     @property
     def done(self) -> bool:
@@ -330,38 +341,20 @@ class SessionFuture:
             raise self._error
         return self._value
 
-    def _finalize_now(self) -> None:
-        """Wait the SPMD run and collect while the resident blocks still
-        hold this call's output.  Called by the session, exactly once."""
-        if self._done:
-            return
-        self._done = True
-        try:
-            self._pool_future.wait()
-            self._value = self._collect()
-        except BaseException as exc:  # noqa: BLE001 - stored and re-raised
-            self._error = exc
-            raise
-        finally:
-            # drop closure/pool references: consumed futures must pin no
-            # per-call staging state or rank_fn closures
-            self._collect = None
-            self._pool_future = None
-
 
 class Session:
     """Resident distributed state for repeated kernel calls.
 
-    Build via :func:`plan` (or :meth:`for_algorithm` when an algorithm
-    instance is already in hand).  All knobs are resolved at construction;
-    every kernel method scatters only its dense operands, runs the SPMD
-    kernel on the resident sparse distribution, gathers the output and
-    returns ``(output, RunReport)``.  Reports accumulate across calls
-    until :meth:`reset_profile`.
+    Build via :func:`plan`, which documents every knob and the call
+    contract.  All knobs are resolved at construction; every kernel
+    method scatters only its dense operands, runs the SPMD kernel on the
+    resident sparse distribution, gathers the output and returns
+    ``(output, RunReport)``.  Reports accumulate across calls until
+    :meth:`reset_profile`.
 
-    The session owns a persistent :class:`~repro.runtime.spmd.WorkerPool`
-    for its lifetime: ``p`` resident rank threads spawn on the first
-    kernel call and every later call dispatches to the warm ranks, whose
+    The session owns a :class:`~repro.runtime.spmd.WorkerPool` for its
+    lifetime: ``p`` resident rank threads spawn on the first kernel call
+    and every later call dispatches to the warm ranks, whose
     per-orientation algorithm contexts (grid subcommunicators, buffer
     pools) are built exactly once (see :attr:`context_builds`).
 
@@ -380,8 +373,6 @@ class Session:
         elision: ElisionLike = Elision.NONE,
         comm: CommLike = CommMode.DENSE,
         machine: MachineParams = CORI_KNL,
-        eager: bool = False,
-        persistent: bool = True,
         overlap: str = "auto",
         trace: str = "off",
         deadline_ms: Optional[float] = None,
@@ -391,95 +382,34 @@ class Session:
         kernels: str = "numpy",
     ) -> None:
         S = _as_coo(S)
-        el = _as_elision(elision)
+        elision = _as_elision(elision)
         r = int(r)
         if r <= 0:
             raise ReproError(f"r must be positive, got {r}")
         # resolve the kernel backend before the comm mode: kernels="auto"
         # yields a *measured* compute rate that feeds the comm decision
         kern = _resolve_kernels(kernels, backend)
-        algorithm, c = _resolve(algorithm, p, c, S, r, el, machine, comm)
-        if el not in supported_elisions(algorithm):
+        algorithm, c = _resolve(algorithm, p, c, S, r, elision, machine, comm)
+        if elision not in supported_elisions(algorithm):
             raise ReproError(
                 f"{algorithm} supports "
-                f"{[e.value for e in supported_elisions(algorithm)]}, not {el.value}"
+                f"{[e.value for e in supported_elisions(algorithm)]}, "
+                f"not {elision.value}"
             )
         comm_mode = _resolve_comm(
-            comm, algorithm, S, r, p, c, el, machine,
+            comm, algorithm, S, r, p, c, elision, machine,
             compute_gamma=kern.compute_gamma,
         )
-        self._init_resolved(
-            S, r, make_algorithm(algorithm, p, c), el, comm_mode, machine, eager,
-            persistent, overlap, trace, deadline_ms, retries, faults, backend,
-            kern,
-        )
-
-    @classmethod
-    def for_algorithm(
-        cls,
-        alg,
-        S,
-        r: int,
-        elision: ElisionLike = Elision.NONE,
-        comm: CommLike = CommMode.DENSE,
-        machine: MachineParams = CORI_KNL,
-        persistent: bool = True,
-        overlap: str = "off",
-        trace: str = "off",
-        deadline_ms: Optional[float] = None,
-        retries: int = 0,
-        faults=None,
-        backend: str = "threads",
-        kernels: str = "numpy",
-    ) -> "Session":
-        """A session over an existing algorithm instance (no knob
-        resolution; ``comm`` must already be dense or sparse).  This is
-        the driver layer under :func:`repro.algorithms.fused.run_fusedmm`
-        and the harness sweeps — both default to the synchronous loops, so
-        baseline measurements stay baseline."""
-        comm_mode = comm if isinstance(comm, CommMode) else CommMode(comm)
-        if comm_mode == CommMode.AUTO:
-            raise ReproError("Session.for_algorithm needs a resolved comm mode")
-        sess = cls.__new__(cls)
-        sess._init_resolved(
-            _as_coo(S), int(r), alg, _as_elision(elision), comm_mode, machine,
-            eager=False, persistent=persistent, overlap=overlap, trace=trace,
-            deadline_ms=deadline_ms, retries=retries, faults=faults,
-            backend=backend, kern=_resolve_kernels(kernels, backend),
-        )
-        return sess
-
-    def _init_resolved(
-        self,
-        S: CooMatrix,
-        r: int,
-        alg,
-        elision: Elision,
-        comm_mode: CommMode,
-        machine: MachineParams,
-        eager: bool,
-        persistent: bool = True,
-        overlap: str = "off",
-        trace: str = "off",
-        deadline_ms: Optional[float] = None,
-        retries: int = 0,
-        faults=None,
-        backend: str = "threads",
-        kern: Optional[KernelChoice] = None,
-    ) -> None:
         self.S = S
         self.m, self.n = S.shape
         self.r = r
-        self._alg = alg
+        self._alg = alg = make_algorithm(algorithm, p, c)
         self.algorithm = alg.name
         self.p, self.c = alg.p, alg.c
         self.elision = elision
         self.comm_mode = comm_mode
         self.machine = machine
         self.phi = S.nnz / (float(S.ncols) * r)
-        self.persistent = bool(persistent)
-        if kern is None:
-            kern = KernelChoice("numpy", None, None)
         #: resolved kernel-backend name ("numpy" / "numba"), observable on
         #: reports and per-call metrics
         self.kernels = kern.name
@@ -526,13 +456,6 @@ class Session:
                     "error (or aborts the job on a deadline expiry) "
                     "instead of re-executing"
                 )
-            if not persistent:
-                raise ReproError(
-                    "backend='mpi' requires persistent=True: ranks are "
-                    "mpirun-resident processes, so there is nothing to "
-                    "spawn per call (the thread backend keeps "
-                    "persistent=False as its spawn-per-call baseline mode)"
-                )
             ensure_backend_available(self.backend)
         #: per-call watchdog horizon (ms); expiry raises SpmdTimeout with
         #: a per-rank blocked-state dump instead of hanging the driver
@@ -570,15 +493,13 @@ class Session:
         #: — the counters the skip-rebind guarantee is asserted on
         self.dense_bind_counts: Dict[str, int] = {"a": 0, "b": 0}
         self.dense_bind_skips: Dict[str, int] = {"a": 0, "b": 0}
-        # cross-call pipeline: the one in-flight async kernel call
+        # cross-call pipeline: the one not-yet-settled kernel call
         self._inflight: Optional[SessionFuture] = None
         # sessions are single-caller by design: every public entry point
         # try-acquires this gate and raises SessionBusyError on genuine
         # concurrency (reentrant, so kernel methods may compose freely on
         # the owning thread)
         self._call_gate = threading.RLock()
-        if eager:
-            self._orientation(False)
 
     @contextmanager
     def _exclusive(self):
@@ -660,8 +581,9 @@ class Session:
 
     def _record_call(
         self, label: str, t0: float, outcome: str = "ok", retries: int = 0
-    ) -> None:
-        """Append one structured metrics record for a finished call.
+    ) -> Dict[str, Any]:
+        """Append (and return) one structured metrics record for a
+        finished call.
 
         ``outcome`` is one of ``"ok"`` / ``"retried"`` / ``"degraded"`` /
         ``"timeout"`` / ``"failed"``; failed calls are recorded too (their
@@ -672,36 +594,30 @@ class Session:
         snap = self._counter_snapshot()
         prev = self._last_snapshot
         self._last_snapshot = snap
-        self._metrics.append(
-            {
-                "call": len(self._metrics),
-                "label": label,
-                "outcome": outcome,
-                "retries": retries,
-                "algorithm": self.algorithm,
-                "comm_mode": self.comm_mode.value,
-                "kernels": self.kernels,
-                "overlap": self.overlap_mode,
-                "trace": self.trace_mode,
-                "nranks": self.p,
-                "wall_ms": wall_ms,
-                "comm_words": int(snap["comm_words"] - prev["comm_words"]),
-                "comm_messages": int(
-                    snap["comm_messages"] - prev["comm_messages"]
-                ),
-                "flops": int(snap["flops"] - prev["flops"]),
-                "compute_ms": (snap["compute_s"] - prev["compute_s"]) * 1e3,
-                "exposed_comm_ms": (
-                    snap["exposed_comm_s"] - prev["exposed_comm_s"]
-                )
-                * 1e3,
-                "hidden_comm_ms": (snap["hidden_comm_s"] - prev["hidden_comm_s"])
-                * 1e3,
-                "peak_buffer_bytes": max(
-                    (p.peak_buffer_bytes for p in self._profiles), default=0
-                ),
-            }
-        )
+        record = {
+            "call": len(self._metrics),
+            "label": label,
+            "outcome": outcome,
+            "retries": retries,
+            "algorithm": self.algorithm,
+            "comm_mode": self.comm_mode.value,
+            "kernels": self.kernels,
+            "overlap": self.overlap_mode,
+            "trace": self.trace_mode,
+            "nranks": self.p,
+            "wall_ms": wall_ms,
+            "comm_words": int(snap["comm_words"] - prev["comm_words"]),
+            "comm_messages": int(snap["comm_messages"] - prev["comm_messages"]),
+            "flops": int(snap["flops"] - prev["flops"]),
+            "compute_ms": (snap["compute_s"] - prev["compute_s"]) * 1e3,
+            "exposed_comm_ms": (snap["exposed_comm_s"] - prev["exposed_comm_s"]) * 1e3,
+            "hidden_comm_ms": (snap["hidden_comm_s"] - prev["hidden_comm_s"]) * 1e3,
+            "peak_buffer_bytes": max(
+                (p.peak_buffer_bytes for p in self._profiles), default=0
+            ),
+        }
+        self._metrics.append(record)
+        return record
 
     # ------------------------------------------------------------------
     # resident state
@@ -824,64 +740,6 @@ class Session:
             self._context_builds[transpose] = self._context_builds.get(transpose, 0) + 1
 
     # ------------------------------------------------------------------
-    # cross-call pipeline plumbing
-    # ------------------------------------------------------------------
-
-    def _finalize(self, future: SessionFuture) -> None:
-        """Settle a pipelined call: wait its SPMD run and collect its
-        output before anything else touches the resident blocks.
-
-        Takes the call gate: ``SessionFuture.result()`` is a public entry
-        point, so settling a future from a second thread while the owning
-        thread is mid-call is concurrent driving and raises
-        :class:`~repro.errors.SessionBusyError` like any other call.
-        """
-        with self._exclusive():
-            self._finalize_locked(future)
-
-    def _finalize_locked(self, future: SessionFuture) -> None:
-        if future is self._inflight:
-            self._inflight = None
-        try:
-            future._finalize_now()
-        except Exception as exc:
-            # a failed item may have interrupted a collective context
-            # build; drop all resident contexts so the next call rebuilds
-            # them consistently on the recovered pool (the realigned split
-            # counters guarantee fresh communicator ids)
-            self._drop_contexts()
-            if future._metrics_label is not None:
-                self._record_call(
-                    future._metrics_label,
-                    future._metrics_t0,
-                    outcome=self._failure_outcome(exc),
-                )
-                future._metrics_label = None
-            raise
-        if future._metrics_label is not None:
-            # settle the async call's metrics record exactly once, now
-            # that its counters stopped moving
-            self._record_call(future._metrics_label, future._metrics_t0)
-            future._metrics_label = None
-
-    def _wait_inflight(self) -> None:
-        if self._inflight is not None:
-            self._finalize(self._inflight)
-
-    def _drop_contexts(self) -> None:
-        """Failure recovery: force full rebuilds on the next call.
-
-        Clears the resident contexts *and* the dense-operand snapshots — a
-        failed item may have overwritten resident blocks mid-kernel (or
-        died before a staged bind was promoted), so no side may claim to
-        still hold its last-bound operand.
-        """
-        for o in self._orients.values():
-            o.contexts = [None] * self.p
-        self._dense_state.clear()
-        self._bind_miss.clear()
-
-    # ------------------------------------------------------------------
     # dense-operand binding: dirty tracking + skip-rebind
     # ------------------------------------------------------------------
 
@@ -939,23 +797,14 @@ class Session:
             for side in sides:
                 misses[side] = 0
 
-    def _bind_operands(self, ori: _Orientation, transpose: bool, A, B) -> None:
-        """Scatter the dense operands, skipping bitwise-unchanged sides."""
-        A_arg = self._resolve_bind(transpose, "a", A)
-        B_arg = self._resolve_bind(transpose, "b", B)
-        if A_arg is KEEP and B_arg is KEEP:
-            return
-        self._alg.bind_dense(ori.plan, ori.locals_, A_arg, B_arg)
-
     def _stage_operands(self, ori: _Orientation, transpose: bool, A, B):
         """Compute the dense scatter into *staged* shallow copies of the
         rank locals, without touching the resident blocks.
 
-        This is the pipelined half of ``bind``: it runs while the previous
-        call's SPMD ranks are still computing (they only ever read/rebind
-        the real locals' dense fields, which staging never writes), and
-        :meth:`_promote_staged` later swaps the freshly sliced blocks in
-        with ``p`` pointer assignments once the pool drains.
+        This is the pipelined half of :meth:`_bind`: it runs while the
+        previous call's SPMD ranks are still computing (they only ever
+        read/rebind the real locals' dense fields, which staging never
+        writes).
         """
         A_arg = self._resolve_bind(transpose, "a", A)
         B_arg = self._resolve_bind(transpose, "b", B)
@@ -965,7 +814,22 @@ class Session:
         self._alg.bind_dense(ori.plan, staged, A_arg, B_arg)
         return staged, A_arg is not KEEP, B_arg is not KEEP
 
-    def _promote_staged(self, ori: _Orientation, staging) -> None:
+    def _bind(self, ori: _Orientation, transpose: bool, A, B) -> None:
+        """Scatter the dense operands, skipping bitwise-unchanged sides:
+        stage against shallow copies → drain the in-flight call → swap
+        the freshly sliced blocks in with ``p`` pointer assignments.
+
+        Staging *before* the drain is the driver-side half of the overlap
+        pipeline: call ``k+1``'s scatter is computed while call ``k``'s
+        SPMD run is still in flight.
+        """
+        prev = self._inflight
+        staging = self._stage_operands(ori, transpose, A, B)
+        self._wait_inflight()  # drains the pool; raises call k's error
+        if prev is not None and prev.metrics["outcome"] != "ok":
+            # call k recovered from a fault: its re-execution dropped and
+            # re-took the snapshots this staging was decided against
+            staging = self._stage_operands(ori, transpose, A, B)
         if staging is None:
             return
         staged, bind_a, bind_b = staging
@@ -982,41 +846,27 @@ class Session:
     def _dispatch(self, ori: _Orientation, call, label: str, degraded: bool = False):
         """Send one rank procedure to the worker pool (without waiting).
 
-        Returns a :class:`~repro.runtime.spmd.PoolFuture`; the
-        non-persistent (spawn-per-call) mode runs synchronously and
-        returns ``None``.  ``degraded=True`` forces the dense
-        communication path even on a sparse-comm session (the graceful
-        degradation re-run — see :meth:`_execute`).
+        Returns a :class:`~repro.runtime.spmd.PoolFuture`.
+        ``degraded=True`` forces the dense communication path even on a
+        sparse-comm session (the graceful degradation re-run — see
+        :meth:`_await_recovering`).
         """
         alg = self._alg
         transpose = ori is self._orients.get(True)
-
-        def invoke(ctx, comm):
-            if ori.sparse_plans is None or degraded:
-                call(ctx, ori.plan, ori.locals_[comm.rank])
-            else:
-                call(
-                    ctx, ori.plan, ori.locals_[comm.rank],
-                    sparse_plan=ori.sparse_plans[comm.rank],
-                )
-
-        if not self.persistent:
-            # spawn-per-call comparison/debug mode: fresh threads, fresh
-            # world and fresh contexts on every kernel call (pre-pool
-            # behavior, kept for the benchmarks' baseline measurements)
-            def cold_body(comm):
-                ctx = alg.make_context(comm)
-                self._note_context_build(transpose)
-                invoke(ctx, comm)
-
-            run_spmd(
-                self.p, cold_body, profiles=self._profiles, label=label,
-                deadline_ms=self.deadline_ms, faults=self._faults,
-            )
-            return None
-
         pool = self._ensure_pool()
 
+        def body(comm):
+            if ori.contexts[comm.rank] is None:
+                self._note_context_build(transpose)
+            ctx = alg.ensure_context(comm, ori.contexts)
+            local = ori.locals_[comm.rank]
+            if ori.sparse_plans is None or degraded:
+                call(ctx, ori.plan, local)
+            else:
+                call(ctx, ori.plan, local, sparse_plan=ori.sparse_plans[comm.rank])
+            return local
+
+        future = pool.run_async(body, profiles=self._profiles, label=label)
         if pool.spans_processes:
             # replicated-driver mode (backend="mpi"): only the local
             # rank's body runs in this process and only its entry of
@@ -1025,51 +875,90 @@ class Session:
             # sync — remote entries are patched before any driver-side
             # collect reads them.  The pool executes eagerly (settled
             # future), so waiting here adds no blocking.
-            def process_body(comm):
-                if ori.contexts[comm.rank] is None:
-                    self._note_context_build(transpose)
-                ctx = alg.ensure_context(comm, ori.contexts)
-                invoke(ctx, comm)
-                return ori.locals_[comm.rank]
-
-            future = pool.run_async(
-                process_body, profiles=self._profiles, label=label
-            )
             results, _ = future.wait()
             for rr, loc in enumerate(results):
                 if rr != pool.local_rank and loc is not None:
                     ori.locals_[rr] = loc
-            return future
+        return future
 
-        def body(comm):
-            if ori.contexts[comm.rank] is None:
-                self._note_context_build(transpose)
-            ctx = alg.ensure_context(comm, ori.contexts)
-            invoke(ctx, comm)
+    # ------------------------------------------------------------------
+    # the call pipeline: submit -> settle (retry + graceful degradation)
+    # ------------------------------------------------------------------
 
-        return pool.run_async(body, profiles=self._profiles, label=label)
+    def _submit(self, future: SessionFuture, degraded: bool = False) -> SessionFuture:
+        """Start (or, from :meth:`_await_recovering`, re-start) a kernel
+        call: bind the dense operands through the staged pipeline, then
+        dispatch to the pool and leave the run in flight.
 
-    def _launch(
-        self, ori: _Orientation, call, label: str, degraded: bool = False
-    ) -> None:
-        """Synchronous dispatch: run ``call`` on every rank and wait.
-
-        The dispatch itself is inside the failure guard: a single-rank
-        pool runs the body inline (and the spawn-per-call mode runs it
-        synchronously), so its exceptions surface here, not at wait time,
-        and must drop contexts/snapshots all the same.
+        Every kernel entry point goes through here, and so does every
+        re-execution — a retry re-binds from the operands the future
+        keeps, exactly like a fresh call.
         """
+        transpose, A, B, call, label, dirty = future._bound
+        ori = self._orientation(transpose)
+        self._bind(ori, transpose, A, B)
         try:
-            future = self._dispatch(ori, call, label, degraded=degraded)
-            if future is not None:
-                future.wait()
-        except Exception:
-            self._drop_contexts()
-            raise
+            future._pool_future = self._dispatch(ori, call, label, degraded)
+        except Exception as exc:  # noqa: BLE001 - raised at settle
+            # single-rank and mpi pools run the body at dispatch: park the
+            # failure so settle classifies, retries and records it exactly
+            # like a waited one
+            future._pool_future, future._error = None, exc
+        # the kernel overwrites its output side(s)
+        self._mark_dense_dirty(transpose, dirty)
+        self._inflight = future
+        return future
 
-    # ------------------------------------------------------------------
-    # retry + graceful degradation
-    # ------------------------------------------------------------------
+    def _finalize(self, future: SessionFuture) -> None:
+        """Settle a call: wait its SPMD run and collect its output before
+        anything else touches the resident blocks.
+
+        Takes the call gate: ``SessionFuture.result()`` is a public entry
+        point, so settling a future from a second thread while the owning
+        thread is mid-call is concurrent driving and raises
+        :class:`~repro.errors.SessionBusyError` like any other call.
+        """
+        with self._exclusive():
+            self._settle(future)
+
+    def _settle(self, future: SessionFuture) -> None:
+        if future._done:
+            return
+        future._done = True
+        transpose, _A, _B, _call, label, _dirty = future._bound
+        outcome, nretries = "failed", 0
+        try:
+            outcome, nretries = self._await_recovering(future)
+            self._ncalls += 1
+            future._value = future._collect(self._orients[transpose])
+        except BaseException as exc:  # noqa: BLE001 - stored and re-raised
+            future._error = exc
+            outcome = self._failure_outcome(exc)
+            raise
+        finally:
+            # exactly one record per call, once its counters stopped
+            # moving; wall_ms spans stage -> collect
+            future.metrics = self._record_call(label, future._t0, outcome, nretries)
+            # consumed futures pin no operands, staging state or rank_fn
+            # closures
+            future._bound = future._collect = future._pool_future = None
+
+    def _wait_inflight(self) -> None:
+        if self._inflight is not None:
+            self._finalize(self._inflight)
+
+    def _drop_contexts(self) -> None:
+        """Failure recovery: force full rebuilds on the next call.
+
+        Clears the resident contexts *and* the dense-operand snapshots — a
+        failed item may have overwritten resident blocks mid-kernel (or
+        died before a staged bind was promoted), so no side may claim to
+        still hold its last-bound operand.
+        """
+        for o in self._orients.values():
+            o.contexts = [None] * self.p
+        self._dense_state.clear()
+        self._bind_miss.clear()
 
     #: root-cause classes that justify a re-execution: runtime-shaped
     #: failures (expired deadlines, transport errors, leases wedged by an
@@ -1097,18 +986,24 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _execute(
-        self, ori: _Orientation, transpose: bool, A, B, call, label: str
-    ) -> Tuple[str, int]:
-        """Bind + launch with retry and graceful degradation.
+    def _wait_attempt(self, future: SessionFuture) -> None:
+        # once waited the attempt is no longer in flight: a re-execution
+        # must not drain itself
+        self._inflight = None
+        if future._pool_future is None:
+            raise future._error  # parked by _submit: failed at dispatch
+        future._pool_future.wait()
 
-        Each attempt re-binds the dense operands from scratch — a failed
-        kernel may have half-overwritten resident blocks, and the
-        ``_launch`` failure path already dropped the contexts and the
-        skip-rebind snapshots, so every re-execution starts from the same
-        bitwise state as a clean call (the resident *sparse* distribution
-        and its comm plans are reused as-is: retries never re-plan, which
-        :attr:`plan_builds` asserts).
+    def _await_recovering(self, future: SessionFuture) -> Tuple[str, int]:
+        """Wait the call's SPMD run, with retry and graceful degradation.
+
+        Each re-execution goes back through :meth:`_submit`, so it
+        re-binds the dense operands from scratch — a failed kernel may
+        have half-overwritten resident blocks, and every failure drops the
+        contexts and the skip-rebind snapshots, so a re-execution starts
+        from the same bitwise state as a clean call (the resident *sparse*
+        distribution and its comm plans are reused as-is: retries never
+        re-plan, which :attr:`plan_builds` asserts).
 
         After ``retries`` runtime-fault failures, sessions running with
         aggressive knobs (``overlap="on"`` / ``comm="sparse"``) make one
@@ -1119,256 +1014,168 @@ class Session:
         first_error: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             try:
-                self._bind_operands(ori, transpose, A, B)
-                self._launch(ori, call, label)
-                if attempt == 0:
-                    return "ok", 0
-                self.retried_calls += 1
-                return "retried", attempt
+                if attempt:
+                    self._submit(future)
+                self._wait_attempt(future)
             except Exception as exc:  # noqa: BLE001 - classified below
+                # a failed item may have interrupted a collective context
+                # build; drop all resident contexts so the next attempt
+                # rebuilds them consistently on the recovered pool (the
+                # realigned split counters guarantee fresh communicator
+                # ids)
+                self._drop_contexts()
                 if not self._retryable(exc):
                     raise
                 if first_error is None:
                     first_error = exc
+                continue
+            if attempt == 0:
+                return "ok", 0
+            self.retried_calls += 1
+            return "retried", attempt
         assert first_error is not None
         alg = self._alg
-        if ori.sparse_plans is not None or alg.overlap:
-            # graceful degradation: one conservative re-run.  The overlap
-            # flag is flipped on the algorithm instance (contexts were
-            # dropped by the failed launch, so the rebuild/refresh
-            # snapshots the conservative value) and restored afterwards;
-            # the dense comm path is forced by the degraded dispatch.
-            saved_overlap = alg.overlap
-            alg.overlap = False
-            try:
-                self._bind_operands(ori, transpose, A, B)
-                self._launch(ori, call, label, degraded=True)
-            except Exception:  # noqa: BLE001 - degraded run failed too
-                raise first_error
-            finally:
-                alg.overlap = saved_overlap
-                # the degraded run's contexts snapshot overlap=False; drop
-                # them so the next call rebuilds with the session's knobs
-                self._drop_contexts()
-            self.degraded_calls += 1
-            return "degraded", self.retries
-        raise first_error
-
-    def _run_mode(self, mode: Mode, A, B, **kernel_kwargs) -> _Orientation:
-        t0 = time.perf_counter()
-        self._wait_inflight()
-        ori = self._orientation(False)
-
-        def call(ctx, plan, local, **kw):
-            self._alg.rank_kernel(ctx, plan, local, mode, **kernel_kwargs, **kw)
-
-        label = f"{self.algorithm}/{mode.value}{self._suffix}"
+        transpose = future._bound[0]
+        if self._orients[transpose].sparse_plans is None and not alg.overlap:
+            raise first_error
+        # graceful degradation: one conservative re-run.  The overlap
+        # flag is flipped on the algorithm instance (contexts were
+        # dropped by the failed attempt, so the rebuild/refresh
+        # snapshots the conservative value) and restored afterwards;
+        # the dense comm path is forced by the degraded dispatch.
+        saved_overlap = alg.overlap
+        alg.overlap = False
         try:
-            outcome, nretries = self._execute(ori, False, A, B, call, label)
-        except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            self._record_call(label, t0, outcome=self._failure_outcome(exc))
-            raise
-        self._ncalls += 1
-        self._record_call(label, t0, outcome=outcome, retries=nretries)
-        if mode == Mode.SPMM_A:
-            self._mark_dense_dirty(False, "a")
-        elif mode == Mode.SPMM_B:
-            self._mark_dense_dirty(False, "b")
-        return ori
+            self._submit(future, degraded=True)
+            self._wait_attempt(future)
+        except Exception:  # noqa: BLE001 - degraded run failed too
+            raise first_error
+        finally:
+            alg.overlap = saved_overlap
+            # the degraded run's contexts snapshot overlap=False; drop
+            # them so the next call rebuilds with the session's knobs
+            self._drop_contexts()
+        self.degraded_calls += 1
+        return "degraded", self.retries
 
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
 
-    def sddmm(
+    def _submit_mode(self, mode: Mode, A, B, S, **kernel_kwargs) -> SessionFuture:
+        """Validate and submit one single-mode kernel call (``None``
+        marks the output side)."""
+        with self._exclusive():
+            self._check_open()
+            self._check_same_s(S)
+            if mode != Mode.SPMM_A:
+                A = self._check_dense(A, "A", self.m)
+            if mode != Mode.SPMM_B:
+                B = self._check_dense(B, "B", self.n)
+            alg = self._alg
+
+            def call(ctx, plan, local, **kw):
+                alg.rank_kernel(ctx, plan, local, mode, **kernel_kwargs, **kw)
+
+            def collect(ori):
+                if mode == Mode.SDDMM:
+                    out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
+                elif mode == Mode.SPMM_A:
+                    out = alg.collect_dense_a(ori.plan, ori.locals_)
+                else:
+                    out = alg.collect_dense_b(ori.plan, ori.locals_)
+                return out, self.report(self._window_label(mode.value))
+
+            label = f"{self.algorithm}/{mode.value}{self._suffix}"
+            dirty = {Mode.SPMM_A: "a", Mode.SPMM_B: "b"}.get(mode, "")
+            return self._submit(
+                SessionFuture(self, (False, A, B, call, label, dirty), collect)
+            )
+
+    def _submit_fused(
+        self, variant: FusedVariant, A, B, S, collect_sddmm: bool
+    ) -> SessionFuture:
+        """Validate, resolve and submit one fused kernel call."""
+        with self._exclusive():
+            self._check_open()
+            self._check_same_s(S)
+            A = self._check_dense(A, "A", self.m)
+            B = self._check_dense(B, "B", self.n)
+            alg = self._alg
+            transpose, native = resolve_orientation(alg, variant, self.elision)
+            method = _native_method(alg, self.elision, native)
+            A_eff, B_eff = (B, A) if transpose else (A, B)
+            label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
+
+            def collect(ori):
+                if native == "a":
+                    out = alg.collect_dense_a(ori.plan, ori.locals_)
+                else:
+                    out = alg.collect_dense_b(ori.plan, ori.locals_)
+                report = self.report(f"{label}/x{self._ncalls}")
+                if not collect_sddmm:
+                    return out, report
+                sddmm_out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
+                if transpose:
+                    sddmm_out = sddmm_out.transposed()
+                return out, sddmm_out, report
+
+            return self._submit(
+                SessionFuture(
+                    self, (transpose, A_eff, B_eff, method, label, native), collect
+                )
+            )
+
+    def sddmm_async(
         self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
         edge_op=None,
-    ) -> Tuple[CooMatrix, RunReport]:
-        """``SDDMM(A, B, S) = S * (A @ B.T)`` on the resident S.
+    ) -> SessionFuture:
+        """``SDDMM(A, B, S) = S * (A @ B.T)`` on the resident S, left in
+        flight (see :meth:`fusedmm_a_async`); the serving path for GAT
+        edge scoring batches.
 
         ``use_values=False`` computes pattern-only dots; ``edge_op``
         replaces the dot products with a custom per-edge function (both
         on the families whose kernels support them, e.g. the 1.5D
         dense-shifting family used by the GAT app).
         """
-        with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            A = self._check_dense(A, "A", self.m)
-            B = self._check_dense(B, "B", self.n)
-            kw = self._sddmm_kwargs(use_values, edge_op)
-            ori = self._run_mode(Mode.SDDMM, A, B, **kw)
-            out = self._alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-            return out, self.report(self._window_label(Mode.SDDMM.value))
-
-    @staticmethod
-    def _sddmm_kwargs(use_values: bool, edge_op) -> Dict[str, Any]:
         kw: Dict[str, Any] = {}
         if not use_values:
             kw["use_values"] = False
         if edge_op is not None:
             kw["edge_op"] = edge_op
-        return kw
+        return self._submit_mode(Mode.SDDMM, A, B, S, **kw)
+
+    def sddmm(
+        self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
+        edge_op=None,
+    ) -> Tuple[CooMatrix, RunReport]:
+        """Synchronous :meth:`sddmm_async`."""
+        with self._exclusive():
+            return self.sddmm_async(A, B, S, use_values, edge_op).result()
+
+    def spmm_a_async(self, B: np.ndarray, S=None) -> SessionFuture:
+        """``SpMMA(S, B) = S @ B`` on the resident S, left in flight (see
+        :meth:`fusedmm_a_async`).  This is the serving fleet's dispatch
+        primitive — the next micro-batch panel binds while the current
+        one runs."""
+        return self._submit_mode(Mode.SPMM_A, None, B, S)
 
     def spmm_a(self, B: np.ndarray, S=None) -> Tuple[np.ndarray, RunReport]:
-        """``SpMMA(S, B) = S @ B`` on the resident S."""
+        """Synchronous :meth:`spmm_a_async`."""
         with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            B = self._check_dense(B, "B", self.n)
-            ori = self._run_mode(Mode.SPMM_A, None, B)
-            out = self._alg.collect_dense_a(ori.plan, ori.locals_)
-            return out, self.report(self._window_label(Mode.SPMM_A.value))
+            return self.spmm_a_async(B, S).result()
 
     def spmm_b(self, A: np.ndarray, S=None) -> Tuple[np.ndarray, RunReport]:
         """``SpMMB(S, A) = S.T @ A`` on the resident S."""
         with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            A = self._check_dense(A, "A", self.m)
-            ori = self._run_mode(Mode.SPMM_B, A, None)
-            out = self._alg.collect_dense_b(ori.plan, ori.locals_)
-            return out, self.report(self._window_label(Mode.SPMM_B.value))
-
-    def spmm_a_async(self, B: np.ndarray, S=None) -> SessionFuture:
-        """Pipelined :meth:`spmm_a`: returns a :class:`SessionFuture`.
-
-        Same double-buffering contract as :meth:`fusedmm_a_async`: the
-        dense scatter of this call is staged while the previous call's
-        SPMD run is still in flight.  This is the serving fleet's dispatch
-        primitive — the next micro-batch panel binds while the current
-        one runs.  ``result()`` returns exactly what :meth:`spmm_a` would.
-        """
-        with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            B = self._check_dense(B, "B", self.n)
-
-            def collect(ori):
-                out = self._alg.collect_dense_a(ori.plan, ori.locals_)
-                return out, self.report(self._window_label(Mode.SPMM_A.value))
-
-            return self._run_mode_async(Mode.SPMM_A, None, B, collect)
-
-    def sddmm_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
-        edge_op=None,
-    ) -> SessionFuture:
-        """Pipelined :meth:`sddmm` (see :meth:`spmm_a_async`); the serving
-        path for GAT edge scoring batches."""
-        with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            A = self._check_dense(A, "A", self.m)
-            B = self._check_dense(B, "B", self.n)
-            kw = self._sddmm_kwargs(use_values, edge_op)
-
-            def collect(ori):
-                out = self._alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-                return out, self.report(self._window_label(Mode.SDDMM.value))
-
-            return self._run_mode_async(Mode.SDDMM, A, B, collect, **kw)
-
-    def _run_mode_async(
-        self, mode: Mode, A, B, collect: Callable, **kernel_kwargs
-    ) -> SessionFuture:
-        """Async single-mode run: the :meth:`_run_mode` pipeline with the
-        dispatch left in flight (mirrors :meth:`_run_fused_async`)."""
-        t0 = time.perf_counter()
-        ori = self._orientation(False)
-        label = f"{self.algorithm}/{mode.value}{self._suffix}"
-
-        if not self.persistent:
-            ori = self._run_mode(mode, A, B, **kernel_kwargs)
-            future = SessionFuture(self, None, None)
-            future._done = True
-            future._value = collect(ori)
-            return future
-
-        def call(ctx, plan, local, **kw):
-            self._alg.rank_kernel(ctx, plan, local, mode, **kernel_kwargs, **kw)
-
-        staging = self._stage_operands(ori, False, A, B)
-        self._wait_inflight()  # drains the pool; raises call k's error
-        self._promote_staged(ori, staging)
-        try:
-            pool_future = self._dispatch(ori, call, label)
-        except Exception:
-            self._drop_contexts()
-            raise
-        self._ncalls += 1
-        if mode == Mode.SPMM_A:
-            self._mark_dense_dirty(False, "a")
-        elif mode == Mode.SPMM_B:
-            self._mark_dense_dirty(False, "b")
-
-        future = SessionFuture(self, pool_future, lambda: collect(ori))
-        future._metrics_label = label
-        future._metrics_t0 = t0
-        self._inflight = future
-        return future
-
-    def fusedmm_a(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ):
-        """``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``.
-
-        Returns ``(output, report)``; with ``collect_sddmm=True``,
-        ``(output, sddmm_intermediate, report)``.
-        """
-        with self._exclusive():
-            out, sddmm_out, rep = self._run_fused(
-                FusedVariant.FUSED_A, A, B, collect_sddmm, S
-            )
-        if collect_sddmm:
-            return out, sddmm_out, rep
-        return out, rep
-
-    def fusedmm_b(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ):
-        """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)`` (see
-        :meth:`fusedmm_a` for the return convention)."""
-        with self._exclusive():
-            out, sddmm_out, rep = self._run_fused(
-                FusedVariant.FUSED_B, A, B, collect_sddmm, S
-            )
-        if collect_sddmm:
-            return out, sddmm_out, rep
-        return out, rep
-
-    def _fused_parts(self, variant: FusedVariant, A, B, S):
-        """Shared validation/resolution for the fused entry points."""
-        self._check_open()
-        self._check_same_s(S)
-        A = self._check_dense(A, "A", self.m)
-        B = self._check_dense(B, "B", self.n)
-        transpose, native = resolve_orientation(self._alg, variant, self.elision)
-        method = _native_method(self._alg, self.elision, native)
-        A_eff, B_eff = (B, A) if transpose else (A, B)
-        label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
-        return transpose, native, method, A_eff, B_eff, label
-
-    def _collect_fused(
-        self, ori: _Orientation, transpose: bool, native: str,
-        collect_sddmm: bool, label: str,
-    ):
-        alg = self._alg
-        if native == "a":
-            out = alg.collect_dense_a(ori.plan, ori.locals_)
-        else:
-            out = alg.collect_dense_b(ori.plan, ori.locals_)
-        sddmm_out = None
-        if collect_sddmm:
-            sddmm_out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-            if transpose:
-                sddmm_out = sddmm_out.transposed()
-        return out, sddmm_out, self.report(f"{label}/x{self._ncalls}")
+            return self._submit_mode(Mode.SPMM_B, A, None, S).result()
 
     def fusedmm_a_async(
         self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
     ) -> SessionFuture:
-        """Pipelined :meth:`fusedmm_a`: returns a :class:`SessionFuture`.
+        """``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``, left in
+        flight: returns a :class:`SessionFuture`.
 
         Submitting call ``k+1`` while call ``k`` is still running overlaps
         the driver-side dense scatter of ``k+1`` (computed against staged
@@ -1378,108 +1185,31 @@ class Session:
             futures = [sess.fusedmm_a_async(A, Bs[i]) for i in range(5)]
             outs = [f.result()[0] for f in futures]
 
-        ``result()`` returns exactly what :meth:`fusedmm_a` would have.
+        ``result()`` returns ``(output, report)``; with
+        ``collect_sddmm=True``, ``(output, sddmm_intermediate, report)``.
         """
+        return self._submit_fused(FusedVariant.FUSED_A, A, B, S, collect_sddmm)
+
+    def fusedmm_a(
+        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
+    ):
+        """Synchronous :meth:`fusedmm_a_async`."""
         with self._exclusive():
-            return self._run_fused_async(
-                FusedVariant.FUSED_A, A, B, collect_sddmm, S
-            )
+            return self.fusedmm_a_async(A, B, S, collect_sddmm).result()
 
     def fusedmm_b_async(
         self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
     ) -> SessionFuture:
-        """Pipelined :meth:`fusedmm_b` (see :meth:`fusedmm_a_async`)."""
+        """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``, left in
+        flight (see :meth:`fusedmm_a_async`)."""
+        return self._submit_fused(FusedVariant.FUSED_B, A, B, S, collect_sddmm)
+
+    def fusedmm_b(
+        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
+    ):
+        """Synchronous :meth:`fusedmm_b_async`."""
         with self._exclusive():
-            return self._run_fused_async(
-                FusedVariant.FUSED_B, A, B, collect_sddmm, S
-            )
-
-    def _run_fused(
-        self,
-        variant: FusedVariant,
-        A: np.ndarray,
-        B: np.ndarray,
-        collect_sddmm: bool,
-        S=None,
-        collect: bool = True,
-    ) -> Tuple[Optional[np.ndarray], Optional[CooMatrix], RunReport]:
-        t0 = time.perf_counter()
-        self._wait_inflight()
-        transpose, native, method, A_eff, B_eff, label = self._fused_parts(
-            variant, A, B, S
-        )
-        ori = self._orientation(transpose)
-        try:
-            outcome, nretries = self._execute(
-                ori, transpose, A_eff, B_eff, method, label
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            self._record_call(label, t0, outcome=self._failure_outcome(exc))
-            raise
-        self._ncalls += 1
-        self._record_call(label, t0, outcome=outcome, retries=nretries)
-        self._mark_dense_dirty(transpose, native)
-
-        if not collect:
-            return None, None, self.report(f"{label}/x{self._ncalls}")
-        return self._collect_fused(ori, transpose, native, collect_sddmm, label)
-
-    def _run_fused_async(
-        self,
-        variant: FusedVariant,
-        A: np.ndarray,
-        B: np.ndarray,
-        collect_sddmm: bool,
-        S=None,
-    ) -> SessionFuture:
-        """Pipelined fused call: stage the dense scatter of *this* call
-        while the previous call's SPMD run is still in flight, then swap
-        the staged blocks in and dispatch to the pool's second slot.
-
-        Requires the persistent worker pool (``persistent=False`` falls
-        back to a synchronous run wrapped in a completed future).
-        """
-        t0 = time.perf_counter()
-        transpose, native, method, A_eff, B_eff, label = self._fused_parts(
-            variant, A, B, S
-        )
-        ori = self._orientation(transpose)
-
-        if not self.persistent:
-            out, sddmm_out, rep = self._run_fused(variant, A, B, collect_sddmm, S)
-            future = SessionFuture(self, None, None)
-            future._done = True
-            future._value = (
-                (out, sddmm_out, rep) if collect_sddmm else (out, rep)
-            )
-            return future
-
-        # the dense scatter of call k+1, computed against staged locals
-        # while call k runs — the driver-side half of the overlap pipeline
-        staging = self._stage_operands(ori, transpose, A_eff, B_eff)
-        self._wait_inflight()  # drains the pool; raises call k's error
-        self._promote_staged(ori, staging)
-        try:
-            pool_future = self._dispatch(ori, method, label)
-        except Exception:
-            # single-rank pools run the body inline: an immediate failure
-            # must invalidate contexts and snapshots like a waited one
-            self._drop_contexts()
-            raise
-        self._ncalls += 1
-        self._mark_dense_dirty(transpose, native)
-
-        def collect():
-            parts = self._collect_fused(
-                ori, transpose, native, collect_sddmm, label
-            )
-            return parts if collect_sddmm else (parts[0], parts[2])
-
-        future = SessionFuture(self, pool_future, collect)
-        future._metrics_label = label
-        future._metrics_t0 = t0
-        self._inflight = future
-        return future
+            return self.fusedmm_b_async(A, B, S, collect_sddmm).result()
 
     # ------------------------------------------------------------------
     # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
@@ -1510,13 +1240,12 @@ class Session:
         """
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             ori = self._orientation(transpose)
             if A is not None:
                 A = self._check_dense(A, "A", ori.plan.m)
             if B is not None:
                 B = self._check_dense(B, "B", ori.plan.n)
-            self._bind_operands(ori, transpose, A, B)
+            self._bind(ori, transpose, A, B)
             return ori
 
     def run_rank(
@@ -1543,8 +1272,9 @@ class Session:
                 # edge softmax) mutate rank-resident state as they go, so a
                 # re-execution would not start from the pre-call state —
                 # fail fast and let the app re-drive from its own checkpoint
-                self._launch(ori, proc, label)
+                self._dispatch(ori, proc, label).wait()
             except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
+                self._drop_contexts()
                 self._record_call(label, t0, outcome=self._failure_outcome(exc))
                 raise
             self._ncalls += 1
@@ -1704,8 +1434,6 @@ def plan(
     elision: ElisionLike = Elision.NONE,
     comm: CommLike = CommMode.DENSE,
     machine: MachineParams = CORI_KNL,
-    eager: bool = False,
-    persistent: bool = True,
     overlap: str = "auto",
     trace: str = "off",
     deadline_ms: Optional[float] = None,
@@ -1726,17 +1454,24 @@ def plan(
     Each resident distribution (forward, and the transposed sibling for
     opposite-native fused variants) is built exactly once, on the first
     kernel call that needs it — so a session never distributes an
-    orientation it does not use.  ``eager=True`` front-loads the forward
-    distribution to construction time instead (warmup for serving paths
-    that will run forward kernels).
+    orientation it does not use.  The session's
+    :class:`~repro.runtime.spmd.WorkerPool` likewise spawns its ``p`` rank
+    threads on the first kernel call and keeps them warm — with their
+    communicators, grid contexts and panel-buffer pools — until
+    :meth:`Session.close`, so steady-state calls pay no thread spawn, no
+    communicator splits and no context rebuild.
 
-    ``persistent=True`` (the default) gives the session a resident
-    :class:`~repro.runtime.spmd.WorkerPool`: ``p`` rank threads spawn on
-    the first kernel call and stay warm — with their communicators, grid
-    contexts and panel-buffer pools — until :meth:`Session.close`, so
-    steady-state calls pay no thread spawn, no communicator splits and no
-    context rebuild.  ``persistent=False`` restores spawn-per-call
-    launching (the benchmarks use it as their baseline).
+    **One call pipeline.**  Every kernel call is a
+    :class:`SessionFuture`: the dense operands are staged against shallow
+    copies of the rank locals, the previous in-flight call is settled,
+    the staged blocks are swapped in and the SPMD run is dispatched to
+    the pool.  A synchronous method *is* ``*_async(...).result()``, so
+    both spellings produce the same bits, the same report counters and
+    exactly one :meth:`Session.metrics` record per call, whose
+    ``wall_ms`` spans stage → collect.  ``deadline_ms`` / ``retries`` /
+    degradation (below) apply when the future settles — at ``result()``,
+    or at the next session call if the future was left unconsumed — and
+    therefore to sync and async calls alike.
 
     ``overlap`` selects the communication/compute software pipeline inside
     the rank kernels: ``"on"`` posts every propagation shift / packed
@@ -1769,9 +1504,10 @@ def plan(
     aggressive (``overlap="on"``/``comm="sparse"``), falls back to one
     conservative re-run (synchronous loops, dense collectives) before
     surfacing the first error; outputs after retry or degradation are
-    bitwise-identical to a clean run.  ``faults`` arms a deterministic
-    :class:`~repro.runtime.faults.FaultPlan` (chaos testing).  All three
-    default to off and cost nothing when off.
+    bitwise-identical to a clean run.  (:meth:`Session.run_rank` stays
+    fail-fast: custom rank procedures mutate rank state.)  ``faults`` arms
+    a deterministic :class:`~repro.runtime.faults.FaultPlan` (chaos
+    testing).  All three default to off and cost nothing when off.
 
     ``backend`` selects the execution substrate (see ``ARCHITECTURE.md``):
     ``"threads"`` (the default) simulates the ranks as threads in this
@@ -1782,9 +1518,8 @@ def plan(
     shared; only the transport differs).  Unknown names raise
     :class:`~repro.errors.UnknownBackendError`; ``"mpi"`` without mpi4py
     raises :class:`~repro.errors.BackendUnavailableError` with the
-    install hint.  Fault injection, ``retries`` and ``persistent=False``
-    are thread-only and raise typed errors when combined with
-    ``backend="mpi"``.
+    install hint.  Fault injection and ``retries`` are thread-only and
+    raise typed errors when combined with ``backend="mpi"``.
 
     ``kernels`` selects the *local-kernel* backend (independent of the
     execution backend): ``"numpy"`` (the default) keeps the vectorized
@@ -1807,7 +1542,6 @@ def plan(
     """
     return Session(
         S, r, p=p, c=c, algorithm=algorithm, elision=elision, comm=comm,
-        machine=machine, eager=eager, persistent=persistent, overlap=overlap,
-        trace=trace, deadline_ms=deadline_ms, retries=retries, faults=faults,
-        backend=backend, kernels=kernels,
+        machine=machine, overlap=overlap, trace=trace, deadline_ms=deadline_ms,
+        retries=retries, faults=faults, backend=backend, kernels=kernels,
     )

@@ -56,6 +56,46 @@ class TestPublicKernels:
         np.testing.assert_allclose(out, spmm_a_serial(S, B), rtol=1e-9)
 
 
+    @pytest.mark.parametrize("bad", [None, 3.0, "operand", [1.0, 2.0]])
+    def test_non_array_operand_raises_typed_error(self, small_problem, bad):
+        S, A, B = small_problem
+        with pytest.raises(ReproError, match="operand shapes"):
+            repro.spmm_a(S, bad, p=2)
+        with pytest.raises(ReproError, match="operand shapes"):
+            repro.fusedmm_a(S, bad, B, p=2)
+
+
+class TestKnobSurface:
+    """Knob growth is a reviewed diff: ``repro.plan`` is the one place
+    the knobs are declared, and the one-shot wrappers forward them."""
+
+    KNOBS = (
+        "p", "c", "algorithm", "elision", "comm", "machine", "overlap",
+        "trace", "deadline_ms", "retries", "faults", "backend", "kernels",
+    )
+
+    def test_knob_surface(self, small_problem):
+        import inspect
+
+        params = inspect.signature(repro.plan).parameters
+        assert tuple(params) == ("S", "r") + self.KNOBS
+        S, A, B = small_problem
+        # every wrapper accepts every knob (here: at plan's own default)
+        knobs = {name: params[name].default for name in self.KNOBS}
+        knobs["algorithm"] = "1.5d-dense-shift"
+        for one_shot, operands in (
+            (repro.sddmm, (A, B)),
+            (repro.spmm_a, (B,)),
+            (repro.spmm_b, (A,)),
+            (repro.fusedmm_a, (A, B)),
+            (repro.fusedmm_b, (A, B)),
+        ):
+            _, report = one_shot(S, *operands, **knobs)
+            assert report.comm_mode == "dense"
+        with pytest.raises(TypeError, match="persistent"):
+            repro.fusedmm_a(S, A, B, persistent=False)
+
+
 class TestAutoSelection:
     def test_auto_algorithm_runs(self, small_problem):
         S, A, B = small_problem

@@ -147,7 +147,6 @@ class TestSessionBackend:
         [
             ({"faults": {"seed": 1, "crash_rate": 0.5}}, "fault"),
             ({"retries": 1}, "retries"),
-            ({"persistent": False}, "persistent"),
         ],
     )
     def test_mpi_thread_only_guards(self, small_problem, kwargs, needle):

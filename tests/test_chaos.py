@@ -8,6 +8,10 @@ identical to a clean run (or, for the deliberately unrecoverable cases,
 a typed error carrying the blocked-state dump) — never a hang and never
 a re-plan.  The thread-leak gate from the stress suite guards every
 session here too.
+
+Retry / degrade runs when a call's future settles, so every recovery
+case is driven through both the synchronous entry point and its
+``_async(...).result()`` twin (``ENTRIES``): same bits, same outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import pytest
 import repro
 from repro.algorithms.base import TAG_SHIFT_B, TAG_SHIFT_SV
 from repro.comm_sparse import TAG_SPARSE_AG
-from repro.errors import SpmdTimeout
+from repro.errors import CommError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
 
 P = 8
@@ -40,6 +44,16 @@ FAMILIES = [
 #: matrix (same seeds every run), yet guaranteed to cover crash x drop x
 #: straggler on every family
 _SEED_BASES = {family: 100 * i for i, family in enumerate(FAMILIES)}
+
+
+#: the two spellings of one call: retry/degrade must not tell them apart
+ENTRIES = ["fusedmm_a", "fusedmm_a_async"]
+
+
+def _fused_a(sess, entry: str, A, B):
+    if entry == "fusedmm_a":
+        return sess.fusedmm_a(A, B)
+    return sess.fusedmm_a_async(A, B).result()
 
 
 def _chaos_seed(family: str, action: str) -> int:
@@ -74,9 +88,12 @@ def references(workload):
 class TestChaosMatrix:
     """crash x drop x straggler across the four families."""
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("action", FaultPlan.CHAOS_ACTIONS)
-    def test_chaos_case_recovers_bitwise(self, workload, references, family, action):
+    def test_chaos_case_recovers_bitwise(
+        self, workload, references, family, action, entry
+    ):
         S, A, B = workload
         seed = _chaos_seed(family, action)
         plan = repro.FaultPlan.chaos(seed, P)
@@ -85,16 +102,17 @@ class TestChaosMatrix:
             S, R, p=P, c=2, algorithm=family, comm="dense", overlap="off",
             deadline_ms=1200, retries=2, faults=plan,
         ) as sess:
-            out, _ = sess.fusedmm_a(A, B)
+            out, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out, references[family])
             rec = sess.metrics()[-1]
             assert rec["outcome"] in ("ok", "retried", "degraded")
+            assert len(sess.metrics()) == 1  # one record per call
             # retry re-executes against the resident distribution; it
             # must never re-plan
             assert sess.plan_builds == 1
             # the session stays usable for a follow-up call (which may
             # consume a yet-unfired fault index and still recover)
-            out2, _ = sess.fusedmm_a(A, B)
+            out2, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out2, references[family])
             assert sess.plan_builds == 1
         assert threading.active_count() == baseline  # thread-leak gate
@@ -117,7 +135,8 @@ class TestChaosMatrix:
 
 
 class TestGracefulDegradation:
-    def test_sparse_comm_degrades_to_dense(self, workload, references):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_sparse_comm_degrades_to_dense(self, workload, references, entry):
         """A sticky fault on the need-list exchange channel defeats every
         retry; the degraded dense re-run avoids the channel entirely and
         produces the bitwise-identical output."""
@@ -127,13 +146,14 @@ class TestGracefulDegradation:
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
             overlap="off", deadline_ms=700, retries=1, faults=sticky,
         ) as sess:
-            out, _ = sess.fusedmm_a(A, B)
+            out, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
             assert sess.metrics()[-1]["outcome"] == "degraded"
             assert sess.degraded_calls == 1
             assert sess.plan_builds == 1
 
-    def test_overlap_degrades_to_synchronous(self, workload, references):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_overlap_degrades_to_synchronous(self, workload, references, entry):
         """A sticky fault on the overlap pipeline's value-shift channel
         (used only by the software pipeline) forces the degraded
         synchronous re-run."""
@@ -143,7 +163,7 @@ class TestGracefulDegradation:
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="dense",
             overlap="on", deadline_ms=700, retries=0, faults=sticky,
         ) as sess:
-            out, _ = sess.fusedmm_a(A, B)
+            out, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
             assert sess.metrics()[-1]["outcome"] == "degraded"
             # the degraded run is one-off: the session's own overlap knob
@@ -151,7 +171,8 @@ class TestGracefulDegradation:
             assert sess.overlap_mode == "on"
             assert sess.alg.overlap is True
 
-    def test_unrecoverable_fault_surfaces_first_error(self, workload):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_unrecoverable_fault_surfaces_first_error(self, workload, entry):
         """When the conservative path hits the same sticky fault, the
         *first* error (with its dump) surfaces — not the degraded
         attempt's — and the outcome records the timeout."""
@@ -164,7 +185,7 @@ class TestGracefulDegradation:
             overlap="on", deadline_ms=500, retries=0, faults=sticky,
         ) as sess:
             with pytest.raises(SpmdTimeout) as err:
-                sess.fusedmm_a(A, B)
+                _fused_a(sess, entry, A, B)
             assert err.value.dump  # blocked-state dump travels with it
             assert sess.metrics()[-1]["outcome"] == "timeout"
             assert sess.degraded_calls == 0
@@ -210,7 +231,8 @@ class TestRetrySemantics:
         np.testing.assert_array_equal(out_a, out_b)
         assert log_a == log_b == ((3, "crash", "phase=computation"),)
 
-    def test_exhausted_retries_surface_typed_error(self, workload):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_exhausted_retries_surface_typed_error(self, workload, entry):
         """More consecutive faults than retries on the conservative path:
         the typed error surfaces (no silent success, no hang)."""
         S, A, B = workload
@@ -220,7 +242,90 @@ class TestRetrySemantics:
             overlap="off", retries=1, faults=plan,
         ) as sess:
             with pytest.raises(RuntimeError, match="injected crash"):
-                sess.fusedmm_a(A, B)
+                _fused_a(sess, entry, A, B)
+            assert sess.metrics()[-1]["outcome"] == "failed"
+
+    def test_serve_dispatch_primitive_retries_at_settle(self, workload):
+        """``spmm_a_async`` is what the serving fleet dispatches: a crash
+        under ``retries=1`` is recovered when the future settles, the
+        output matches the clean synchronous call bitwise, and the future
+        carries its own ``retried`` metrics record."""
+        S, A, B = workload
+        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
+                  overlap="off")
+        with repro.plan(S, R, **kw) as sess:
+            want, _ = sess.spmm_a(B)
+        plan = FaultPlan.crash_at(site="computation", rank=2)
+        with repro.plan(S, R, retries=1, faults=plan, **kw) as sess:
+            future = sess.spmm_a_async(B)
+            out, _ = future.result()
+            np.testing.assert_array_equal(out, want)
+            assert future.metrics is sess.metrics()[-1]
+            assert future.metrics["outcome"] == "retried"
+            assert future.metrics["retries"] == 1
+            assert sess.retried_calls == 1 and sess.plan_builds == 1
+
+    def test_retry_at_drain_keeps_the_pipeline_bitwise(self, workload):
+        """Call k crashes while call k+1 is already staged behind it: the
+        drain inside k+1's submit re-executes k, k+1 re-stages against the
+        recovered snapshots, and a later call repeating k's operands
+        still sees the right resident blocks."""
+        S, A, B = workload
+        B2 = np.random.default_rng(9).standard_normal(B.shape)
+        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
+                  overlap="off")
+        with repro.plan(S, R, **kw) as sess:
+            want = [sess.fusedmm_a(A, b)[0] for b in (B, B2, B)]
+        plan = FaultPlan.crash_at(site="computation", rank=1)
+        with repro.plan(S, R, retries=1, faults=plan, **kw) as sess:
+            f1 = sess.fusedmm_a_async(A, B)  # crashes once
+            f2 = sess.fusedmm_a_async(A, B2)  # staged behind it
+            f3 = sess.fusedmm_a_async(A, B)
+            for future, ref in zip((f1, f2, f3), want):
+                np.testing.assert_array_equal(future.result()[0], ref)
+            assert [r["outcome"] for r in sess.metrics()] == [
+                "retried", "ok", "ok"
+            ]
+            assert sess.plan_builds == 1
+
+    def test_unconsumed_failed_future_surfaces_at_next_call(self, workload):
+        """A future that failed for good (retries exhausted) and was never
+        consumed raises at the next session call, once; the session is
+        usable afterwards and ``result()`` keeps re-raising."""
+        S, A, B = workload
+        plan = FaultPlan([FaultSpec("crash", rank=1, site="computation", times=2)])
+        with repro.plan(
+            S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
+            overlap="off", retries=1, faults=plan,
+        ) as sess:
+            future = sess.fusedmm_a_async(A, B)
+            with pytest.raises(RuntimeError, match="injected crash"):
+                sess.spmm_a(B)  # drains the failed call, never launches
+            assert [r["outcome"] for r in sess.metrics()] == ["failed"]
+            out, _ = sess.spmm_a(B)
+            assert out.shape == (N, R)
+            with pytest.raises(RuntimeError, match="injected crash"):
+                future.result()
+            assert future.metrics["outcome"] == "failed"
+
+    def test_run_rank_stays_fail_fast(self, workload):
+        """Custom rank procedures mutate rank state, so ``run_rank`` never
+        re-executes — even a runtime-shaped fault under ``retries``."""
+        S, A, B = workload
+        runs = []
+
+        def flaky(ctx, plan_, local, sparse_plan=None):
+            runs.append(ctx.comm.rank)
+            raise CommError("transport hiccup")
+
+        with repro.plan(
+            S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
+            overlap="off", retries=3,
+        ) as sess:
+            with pytest.raises(RuntimeError, match="transport hiccup"):
+                sess.run_rank(flaky, label="flaky")
+            assert len(runs) <= P  # one attempt, not retries + 1
+            assert sess.retried_calls == 0
             assert sess.metrics()[-1]["outcome"] == "failed"
 
     def test_metrics_trail_is_complete(self, workload):

@@ -472,16 +472,6 @@ class TestSessionOverlap:
             assert np.array_equal(want1, out1)
             assert np.array_equal(want2, out2)
 
-    def test_async_on_nonpersistent_session_falls_back(self, small_problem):
-        S, A, B = small_problem
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        persistent=False) as sess:
-            want = sess.fusedmm_a(A, B)[0]
-            fut = sess.fusedmm_a_async(A, B)
-            assert fut.done
-            assert np.array_equal(want, fut.result()[0])
-
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
         """A failed item must clear the dense-operand snapshots: a bind
         staged (or marked bound) around the failure may never be skipped

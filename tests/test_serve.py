@@ -227,6 +227,40 @@ class TestDeadlines:
         assert completions[0].ok
 
 
+class TestRetries:
+    def test_completion_reports_the_retried_session_call(
+        self, als_parts, monkeypatch
+    ):
+        """The fleet dispatches through ``spmm_a_async``; a batch whose
+        session call crashed and was re-executed under the model's
+        ``retries`` completes ``"retried"`` — with the clean values."""
+        import repro.apps.als as als_app
+        from repro.runtime.faults import FaultPlan
+
+        reqs = lambda: [  # noqa: E731 - fresh dataclasses per server
+            AlsTopKRequest(model_id="als", user=u, k=5) for u in range(WIDTH + 2)
+        ]
+        clean = _serve_all(_als_model(als_parts), reqs())
+        # arm a crash-once fault on the session the model plans
+        monkeypatch.setattr(
+            als_app, "plan",
+            lambda *a, **kw: repro.plan(
+                *a, faults=FaultPlan.crash_at(site="computation", rank=0), **kw
+            ),
+        )
+        completions = _serve_all(_als_model(als_parts, retries=1), reqs())
+        # first batch: the crash fired once and the call was re-executed
+        assert {(c.outcome, c.retries) for c in completions[:WIDTH]} == {
+            ("retried", 1)
+        }
+        assert all(c.ok for c in completions)
+        # second batch: clean
+        assert {(c.outcome, c.retries) for c in completions[WIDTH:]} == {("ok", 0)}
+        for got, want in zip(completions, clean):
+            assert np.array_equal(got.value[0], want.value[0])
+            assert np.array_equal(got.value[1], want.value[1])
+
+
 class TestTenants:
     def test_rebind_per_tenant_values(self, als_parts):
         user_factors, item_factors, seen = als_parts

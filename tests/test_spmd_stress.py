@@ -191,6 +191,33 @@ class TestPoolStress:
                 sess.sddmm(A, B)
         assert threading.active_count() == baseline
 
+    def test_one_shot_wrappers_close_what_they_open(self):
+        """The one-shot functions are ``with plan(...)`` blocks: the
+        throwaway session's pool is joined on return — also when the
+        kernel raises (an injected crash, through the forwarded
+        ``faults=`` knob)."""
+        from repro.runtime.faults import FaultPlan
+        from repro.sparse.generate import erdos_renyi
+
+        rng = np.random.default_rng(3)
+        S = erdos_renyi(64, 64, 4, seed=3)
+        A = rng.standard_normal((64, 8))
+        B = rng.standard_normal((64, 8))
+        baseline = threading.active_count()
+        repro.sddmm(S, A, B, p=4, c=2)
+        repro.spmm_a(S, B, p=4, c=2)
+        repro.spmm_b(S, A, p=4, c=2, calls=2)
+        repro.fusedmm_a(S, A, B, p=4, c=2)
+        repro.fusedmm_b(S, A, B, p=4, c=2, elision="replication-reuse")
+        assert threading.active_count() == baseline
+        for one_shot in (repro.sddmm, repro.fusedmm_a):
+            with pytest.raises(RuntimeError, match="injected crash"):
+                one_shot(
+                    S, A, B, p=4, c=2, overlap="off",  # no degraded re-run
+                    faults=FaultPlan.crash_at(site="computation", rank=1),
+                )
+            assert threading.active_count() == baseline
+
     def test_overlap_session_thread_count_returns_to_baseline(self):
         """Overlap-mode case of the thread-leak gate: pipelined shifts,
         async packed exchanges and cross-call futures (including an
