@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import CommError, ReproError
 from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator
 from repro.types import Phase
@@ -89,22 +89,25 @@ def reduce_scatter_rows(
 
 
 @dataclass
-class ShiftPayload:
-    """A sparse chunk in flight during propagation.
+class Lane:
+    """One operand circulating around ``ring`` during a propagation round.
 
-    Exactly the paper's coordinate-format accounting: three words per
-    nonzero (row, column, value) when ``vals`` travels with the
-    coordinates, or one word per nonzero for value-only movement.
+    ``payload`` is an array or a tuple of arrays (a sparse chunk travels
+    as its ``(rows, cols, vals)`` triple — the paper's three words per
+    nonzero); each phase it moves ``displacement`` positions on channel
+    ``tag``.  ``read_only`` says the local kernel only *reads* the
+    payload, which is what lets :meth:`DistributedAlgorithm.ring_loop`
+    put its transfer in flight behind the kernel.  ``rides_with`` marks
+    the value half of a split sparse chunk: its payload must stay as long
+    as the coordinate lane's (see :meth:`DistributedAlgorithm.chunk_lanes`).
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: Optional[np.ndarray]
-
-    def as_tuple(self):
-        if self.vals is None:
-            return (self.rows, self.cols)
-        return (self.rows, self.cols, self.vals)
+    ring: Communicator
+    payload: Any
+    tag: int
+    displacement: int = -1
+    read_only: bool = True
+    rides_with: Optional["Lane"] = None
 
 
 def track(comm: Communicator, phase: Phase):
@@ -134,19 +137,41 @@ def region(comm: Communicator, name: str, cat: str = "algorithm"):
     return tracer.region(name, cat)
 
 
+def _extent(index, n: int) -> int:
+    """Number of positions ``index`` (a slice or an integer array) selects
+    along an axis of length ``n``."""
+    if isinstance(index, slice):
+        return len(range(*index.indices(n)))
+    return len(index)
+
+
+def _operands(lanes: Sequence[Lane]) -> list:
+    """The lanes' payloads as one flat argument list (tuples splatted)."""
+    out: list = []
+    for lane in lanes:
+        if isinstance(lane.payload, tuple):
+            out.extend(lane.payload)
+        else:
+            out.append(lane.payload)
+    return out
+
+
 class DistributedAlgorithm:
     """Interface shared by the four algorithm families.
 
     Subclasses provide:
 
     * ``plan(m, n, r)``
-    * ``distribute_sparse(plan, S)`` / ``bind_dense(plan, locals_, A, B)``
-      / ``collect_*`` (driver side).  The split mirrors the session API:
-      the sparse operand is partitioned **once** per resident distribution
-      (it owns the expensive COO partitioning and all per-rank sparse
-      metadata), while the dense operands are (re)bound cheaply on every
-      kernel call.  ``distribute(plan, S, A, B)`` composes the two for
-      one-shot callers.
+    * ``distribute_sparse(plan, S)`` / ``collect_sddmm`` and the one
+      statement of the family's Table II dense layout,
+      ``dense_index(plan, loc, side)`` (driver side); :meth:`bind_dense`
+      / :meth:`collect_dense_a` / :meth:`collect_dense_b` are derived
+      from it here.  The split mirrors the session API: the sparse
+      operand is partitioned **once** per resident distribution (it owns
+      the expensive COO partitioning and all per-rank sparse metadata),
+      while the dense operands are (re)bound cheaply on every kernel
+      call.  ``distribute(plan, S, A, B)`` composes the two for one-shot
+      callers.
     * ``make_context(comm)`` (rank side, once per resident distribution —
       under the session's worker pool the context, with its
       layer/fiber subcommunicators, is built on the *first* kernel call
@@ -155,6 +180,11 @@ class DistributedAlgorithm:
     * ``rank_kernel(ctx, plan, local, mode, ...)`` (rank side, unified)
     * ``rank_fusedmm(ctx, plan, local, elision)`` for the native fused
       variant (see :mod:`repro.algorithms.fused` for role mapping)
+
+    The propagation *schedule* is not the families' business: they state
+    which operands circulate (:class:`Lane`) and which packed legs an
+    exchange posts, and :meth:`ring_loop` / :meth:`exchange` below — the
+    only readers of :attr:`overlap` — decide where the waits sit.
     """
 
     #: registry name, e.g. "1.5d-dense-shift"
@@ -168,11 +198,12 @@ class DistributedAlgorithm:
     def __init__(self, p: int, c: int) -> None:
         self.p = p
         self.c = c
-        # communication/compute overlap: when True the rank kernels run
-        # their phase loops as a software pipeline (post the next shift /
-        # exchange, compute on the current panel, then wait).  Set by the
-        # session from the resolved overlap knob before any kernel runs;
-        # contexts snapshot it in make_context / refresh_context.
+        # communication/compute overlap: when True ring_loop / exchange
+        # run as a software pipeline (post the next shift / exchange,
+        # compute on the current panel, then wait).  Set by the session
+        # from the resolved overlap knob, and flipped only between SPMD
+        # runs (the degraded re-run), so every rank of a run reads the
+        # same value.
         self.overlap: bool = False
         # per-rank panel-buffer pools, persistent across kernel calls so
         # steady-state runs (the paper's "5 FusedMM calls") allocate no
@@ -212,16 +243,62 @@ class DistributedAlgorithm:
         """
         raise NotImplementedError
 
+    def dense_index(self, plan, loc, side: str) -> Tuple[Any, Any]:
+        """The family's dense layout (paper Table II), stated once.
+
+        Returns the ``(rows, cols)`` index — slices or an integer row
+        array plus a column slice — of the piece of the global ``m x r``
+        (``side="a"``) or ``n x r`` (``side="b"``) matrix that
+        ``loc``'s rank holds at the start of a kernel call.
+        """
+        raise NotImplementedError
+
     def bind_dense(self, plan, locals_, A, B) -> None:
         """(Re)scatter the dense operands into ``locals_`` in place.
 
         ``None`` operands (pure outputs) become fresh zero blocks — this
         also resets output blocks a previous kernel call overwrote, so a
         session can run many kernels against the same resident sparse
-        state.  Cheap relative to :meth:`distribute_sparse` (pure dense
-        slicing, no COO partitioning).
+        state — and :data:`KEEP` leaves a side untouched.  Every bound
+        block is a fresh C-contiguous array that never aliases the
+        caller's operand.  Cheap relative to :meth:`distribute_sparse`
+        (pure dense slicing, no COO partitioning).
         """
-        raise NotImplementedError
+        sides = [
+            (side, X, nrows)
+            for side, X, nrows in (("a", A, plan.m), ("b", B, plan.n))
+            if X is not KEEP
+        ]
+        # rank by rank, A then B: interleaving the two sides' blocks keeps a
+        # side that is rebound every call from sitting alone at the top of
+        # the heap, where freeing it trims the heap and the next bind
+        # page-faults every block back in (~13 % of an er_comm op)
+        for loc in locals_:
+            for side, X, nrows in sides:
+                rows, cols = self.dense_index(plan, loc, side)
+                if X is None:
+                    block = np.zeros((_extent(rows, nrows), _extent(cols, plan.r)))
+                else:
+                    block = X[rows, cols]
+                    if isinstance(rows, slice):
+                        # basic slicing views the operand (an integer row
+                        # array already gathered into a fresh C panel)
+                        block = block.copy()
+                setattr(loc, side.upper(), block)
+
+    def _collect_dense(self, plan, locals_, side: str, nrows: int) -> np.ndarray:
+        out = np.zeros((nrows, plan.r))
+        for loc in locals_:
+            out[self.dense_index(plan, loc, side)] = getattr(loc, side.upper())
+        return out
+
+    def collect_dense_a(self, plan, locals_) -> np.ndarray:
+        """Reassemble the global ``m x r`` matrix from the ranks' A blocks."""
+        return self._collect_dense(plan, locals_, "a", plan.m)
+
+    def collect_dense_b(self, plan, locals_) -> np.ndarray:
+        """Reassemble the global ``n x r`` matrix from the ranks' B blocks."""
+        return self._collect_dense(plan, locals_, "b", plan.n)
 
     def distribute(self, plan, S, A, B) -> List:
         """One-shot distribution: ``distribute_sparse`` + ``bind_dense``."""
@@ -271,11 +348,9 @@ class DistributedAlgorithm:
     def refresh_context(self, ctx, comm: Communicator) -> None:
         """Re-bind per-dispatch state on a resident context.
 
-        Contexts live for a whole session; the mutable bindings they carry
-        are the buffer pool's profile source, which must follow the
-        communicator that the current work item runs under, and the
-        overlap flag (constant per session, but helpers that reuse
-        contexts across reconfigured algorithms pick up the change here).
+        Contexts live for a whole session; the one mutable binding they
+        carry is the buffer pool's profile source, which must follow the
+        communicator that the current work item runs under.
         """
         pool = getattr(ctx, "pool", None)
         if pool is not None:
@@ -283,8 +358,133 @@ class DistributedAlgorithm:
             # dispatch boundary: release lease guards an aborted item's
             # in-flight exchanges never got to wait (see release_all)
             pool.release_all()
-        if hasattr(ctx, "overlap"):
-            ctx.overlap = self.overlap
+
+    # ------------------------------------------------------------------
+    # the propagation schedule (the only readers of ``overlap``)
+    # ------------------------------------------------------------------
+
+    def chunk_lanes(
+        self,
+        ring: Communicator,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        accumulating: bool,
+    ) -> List[Lane]:
+        """The lane(s) of a sparse chunk circulating around ``ring``.
+
+        A chunk normally travels whole, as one ``(rows, cols, vals)``
+        message per phase.  When the kernel *accumulates* into the values
+        (the SDDMM rounds) the pipelined schedule cannot pre-post them, so
+        the chunk splits: the read-only coordinates — two of the three
+        words per nonzero — fly behind the kernel on :data:`TAG_SHIFT_S`
+        and the just-accumulated values follow it on
+        :data:`TAG_SHIFT_SV`, one extra message per phase for the same
+        words.  Either way the kernel sees ``rows, cols, vals``.
+        """
+        if accumulating and self.overlap:
+            coords = Lane(ring, (rows, cols), TAG_SHIFT_S)
+            return [
+                coords,
+                Lane(ring, vals, TAG_SHIFT_SV, read_only=False, rides_with=coords),
+            ]
+        return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, read_only=not accumulating)]
+
+    def ring_loop(
+        self,
+        root: Communicator,
+        steps: int,
+        lanes: Sequence[Lane],
+        compute: Callable[..., None],
+    ) -> list:
+        """The propagation round every family runs: ``steps`` phases of
+        ``compute(t, *operands)`` followed by one cyclic shift of every
+        lane, where ``operands`` are the lanes' current payloads in lane
+        order (tuple payloads splatted).  Returns the operands after the
+        full cycle — back at their home ranks when ``steps`` is the ring
+        size.
+
+        Synchronous and pipelined runs move the same payloads in the same
+        kernel order, so outputs are bitwise identical; the only
+        difference is where the wait sits.  Synchronously every lane
+        shifts (blocking) after the kernel.  Pipelined, a ``read_only``
+        lane is posted *before* the kernel and waited after it — the
+        transfer hides behind the compute — while a lane the kernel
+        mutates (a circulating output or accumulator) still shifts after
+        it; those sends go out before the waits on the pre-posted lanes,
+        so a neighbor is never kept waiting on data this rank already
+        holds.  ``root`` is the communicator whose profile the phases are
+        tracked on.
+        """
+        pipelined = self.overlap
+        for t in range(steps):
+            pending = [None] * len(lanes)
+            if pipelined:
+                with track(root, Phase.PROPAGATION):
+                    for k, lane in enumerate(lanes):
+                        if lane.read_only:
+                            pending[k] = lane.ring.ishift(
+                                lane.payload, lane.displacement, lane.tag
+                            )
+            with track(root, Phase.COMPUTATION):
+                compute(t, *_operands(lanes))
+            with track(root, Phase.PROPAGATION):
+                for lane, pend in zip(lanes, pending):
+                    if pend is None:
+                        lane.payload = lane.ring.shift(
+                            lane.payload, lane.displacement, lane.tag
+                        )
+                for lane, pend in zip(lanes, pending):
+                    if pend is not None:
+                        lane.payload = pend.wait()
+                for lane in lanes:
+                    head = lane.rides_with
+                    if head is not None and len(lane.payload) != len(head.payload[0]):
+                        # the two halves of a split chunk fell out of step:
+                        # a message was lost on one channel (a transport
+                        # fault the session may retry, not a user error)
+                        raise CommError(
+                            f"split chunk out of step on tag {lane.tag}: "
+                            f"{len(lane.payload)} values for "
+                            f"{len(head.payload[0])} coordinates"
+                        )
+        return _operands(lanes)
+
+    def allgather_behind(
+        self, comm: Communicator, obj: Any, tag: int
+    ) -> Callable[[], List[Any]]:
+        """All-gather ``obj`` along ``comm`` for a consumer that runs
+        *later*; returns the zero-argument wait yielding the per-rank list.
+
+        Pipelined, the contributions are posted now as a direct exchange
+        (:meth:`~repro.runtime.comm.Communicator.iallgather` — same
+        received words and message count as the ring) and land behind
+        whatever runs before the wait; synchronously the blocking ring
+        all-gather runs here and the wait is free.
+        """
+        if self.overlap:
+            return comm.iallgather(obj, tag=tag).wait
+        parts = comm.allgather(obj, tag=tag)
+        return lambda: parts
+
+    def exchange(self, posts: Sequence[Callable], own: Callable[[], None]) -> list:
+        """Run packed need-list exchanges around the own-rows copy.
+
+        Each of ``posts`` is one of the packed collectives of
+        :mod:`repro.comm_sparse.collectives` with everything but
+        ``eager`` bound; ``own()`` copies the locally-owned rows.  All
+        legs are posted, then the own copy runs, then every exchange is
+        waited (placing / accumulating in plan order) — several posts fly
+        concurrently.  Synchronously the legs are *received eagerly* at
+        post time with plain blocking receives, so nothing is accounted as
+        hidden and message and word counts are those of the blocking
+        collectives; pipelined, the receives complete behind ``own()``.
+        Returns the filled targets in post order.
+        """
+        eager = not self.overlap
+        pending = [post(eager=eager) for post in posts]
+        own()
+        return [p.wait() for p in pending]
 
     def build_comm_plans(self, plan, S) -> list:
         """Per-rank need-list plans for ``comm="sparse"``.

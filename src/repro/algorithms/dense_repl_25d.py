@@ -33,6 +33,12 @@ both rounds; native FusedMMB), at the Table III cost
 ``nr/sqrt(pc) * (6 phi + 2 + (c^1.5 - sqrt(c))/sqrt(p))`` with
 ``4 sqrt(p/c) + (c-1)`` messages.  Local kernel fusion is impossible
 (dense operands are split along r), as the paper notes.
+
+Propagation is stated as :class:`~repro.algorithms.base.Lane` s — the S
+chunk on the grid row (``chunk_lanes``: its values accumulate in the
+SDDMM rounds) and the B block on the grid column (the output accumulator
+in the SpMMB rounds) — handed to the shared ``ring_loop``, which owns
+the schedule.
 """
 
 from __future__ import annotations
@@ -43,13 +49,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms.base import (
-    KEEP,
     TAG_FIBER_AG,
     TAG_FIBER_RS,
     TAG_SHIFT_B,
-    TAG_SHIFT_S,
-    TAG_SHIFT_SV,
     DistributedAlgorithm,
+    Lane,
+    reduce_scatter_rows,
     region,
     track,
 )
@@ -135,7 +140,6 @@ class Ctx25D:
     x: int
     y: int
     z: int
-    overlap: bool = False
 
 
 class DenseReplicate25D(DistributedAlgorithm):
@@ -211,40 +215,14 @@ class DenseReplicate25D(DistributedAlgorithm):
             )
         return locals_
 
-    def bind_dense(
-        self,
-        plan: Plan25DDense,
-        locals_: List[Local25DDense],
-        A: Optional[np.ndarray],
-        B: Optional[np.ndarray],
-    ) -> None:
-        c = plan.c
-        for loc in locals_:
-            sl = plan.strip_slice(loc.y)
-            fa = loc.x * c + loc.z
-            fb = plan.sigma(loc.x, loc.y, 0) * c + loc.z
-            if A is not KEEP:
-                loc.A = (
-                    A[plan.fine_rows_a(fa), sl].copy()
-                    if A is not None
-                    else np.zeros(
-                        (
-                            int(plan.row_fine[fa + 1] - plan.row_fine[fa]),
-                            plan.strip_width(loc.y),
-                        )
-                    )
-                )
-            if B is not KEEP:
-                loc.B = (
-                    B[plan.fine_rows_b(fb), sl].copy()
-                    if B is not None
-                    else np.zeros(
-                        (
-                            int(plan.col_fine[fb + 1] - plan.col_fine[fb]),
-                            plan.strip_width(loc.y),
-                        )
-                    )
-                )
+    def dense_index(self, plan: Plan25DDense, loc: Local25DDense, side: str):
+        """Fine row block (``x*c + z`` of A; the skewed start
+        ``sigma0*c + z`` of B) x r-strip ``y``."""
+        if side == "a":
+            rows = plan.fine_rows_a(loc.x * plan.c + loc.z)
+        else:
+            rows = plan.fine_rows_b(plan.sigma(loc.x, loc.y, 0) * plan.c + loc.z)
+        return rows, plan.strip_slice(loc.y)
 
     def update_values(
         self, plan: Plan25DDense, locals_: List[Local25DDense], vals: np.ndarray
@@ -252,24 +230,6 @@ class DenseReplicate25D(DistributedAlgorithm):
         for loc in locals_:
             if len(loc.gidx):
                 loc.S_vals[:] = vals[loc.gidx]
-
-    def collect_dense_a(
-        self, plan: Plan25DDense, locals_: List[Local25DDense]
-    ) -> np.ndarray:
-        out = np.zeros((plan.m, plan.r))
-        for loc in locals_:
-            fa = loc.x * plan.c + loc.z
-            out[plan.fine_rows_a(fa), plan.strip_slice(loc.y)] = loc.A
-        return out
-
-    def collect_dense_b(
-        self, plan: Plan25DDense, locals_: List[Local25DDense]
-    ) -> np.ndarray:
-        out = np.zeros((plan.n, plan.r))
-        for loc in locals_:
-            fb = plan.sigma(loc.x, loc.y, 0) * plan.c + loc.z
-            out[plan.fine_rows_b(fb), plan.strip_slice(loc.y)] = loc.B
-        return out
 
     def collect_sddmm(
         self, plan: Plan25DDense, locals_: List[Local25DDense], S: CooMatrix
@@ -287,10 +247,7 @@ class DenseReplicate25D(DistributedAlgorithm):
     def make_context(self, comm: Communicator) -> Ctx25D:
         row, col, fiber = self.grid.make_comms(comm)
         x, y, z = self.grid.coords(comm.rank)
-        return Ctx25D(
-            comm=comm, row=row, col=col, fiber=fiber, x=x, y=y, z=z,
-            overlap=self.overlap,
-        )
+        return Ctx25D(comm=comm, row=row, col=col, fiber=fiber, x=x, y=y, z=z)
 
     def _fiber_sizes_a(self, plan: Plan25DDense, x: int) -> List[int]:
         return [
@@ -304,57 +261,6 @@ class DenseReplicate25D(DistributedAlgorithm):
             parts = ctx.fiber.allgather(local.A, tag=TAG_FIBER_AG)
             return np.concatenate(parts, axis=0)
 
-    def _shift_loop(
-        self, ctx: Ctx25D, q: int, s_payload, B_cur, compute,
-        s_split: bool, b_read_only: bool,
-    ):
-        """``q`` Cannon phases: local kernel, then shift S along the grid
-        row and B along the grid column.
-
-        Overlap pipeline: the S chunk is never output-circulating here, so
-        its shift is always pre-posted behind the kernel — wholly when the
-        circulating values are read-only (``s_split=False``), or split
-        into a pre-posted coordinate part plus a post-kernel value shift
-        on :data:`TAG_SHIFT_SV` when the kernel accumulates into them
-        (``s_split=True``, the SDDMM rounds).  The B shift is pre-posted
-        only when B circulates as an input; output-circulating B rounds
-        stay synchronous.  Returns ``(s_payload, B_cur)`` after the full
-        cycle; values and order are bitwise identical across modes.
-        """
-        overlap = ctx.overlap
-        for _ in range(q):
-            rows, cols, vals = s_payload
-            pend_s = pend_b = None
-            if overlap:
-                with track(ctx.comm, Phase.PROPAGATION):
-                    part = (rows, cols) if s_split else s_payload
-                    pend_s = ctx.row.ishift(part, displacement=-1, tag=TAG_SHIFT_S)
-                    if b_read_only:
-                        pend_b = ctx.col.ishift(
-                            B_cur, displacement=-1, tag=TAG_SHIFT_B
-                        )
-            with track(ctx.comm, Phase.COMPUTATION):
-                compute(rows, cols, vals, B_cur)
-            with track(ctx.comm, Phase.PROPAGATION):
-                if overlap:
-                    if s_split:
-                        vals = ctx.row.shift(vals, displacement=-1, tag=TAG_SHIFT_SV)
-                        rows, cols = pend_s.wait()
-                        s_payload = (rows, cols, vals)
-                    else:
-                        s_payload = pend_s.wait()
-                    B_cur = (
-                        pend_b.wait()
-                        if b_read_only
-                        else ctx.col.shift(B_cur, displacement=-1, tag=TAG_SHIFT_B)
-                    )
-                else:
-                    s_payload = ctx.row.shift(
-                        s_payload, displacement=-1, tag=TAG_SHIFT_S
-                    )
-                    B_cur = ctx.col.shift(B_cur, displacement=-1, tag=TAG_SHIFT_B)
-        return s_payload, B_cur
-
     def rank_kernel(
         self,
         ctx: Ctx25D,
@@ -362,27 +268,32 @@ class DenseReplicate25D(DistributedAlgorithm):
         local: Local25DDense,
         mode: Mode,
         use_r_values: bool = False,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
-        """One unified kernel call (paper Algorithm 2)."""
+        """One unified kernel call (paper Algorithm 2).
+
+        ``replicated`` hands in an already-gathered coarse A panel
+        (replication reuse shares one gather between its two rounds).
+        """
         prof = ctx.comm.profile
-        q = plan.q
         x, y = ctx.x, ctx.y
         coarse_rows = int(plan.row_coarse[x + 1] - plan.row_coarse[x])
 
-        with track(ctx.comm, Phase.REPLICATION):
-            if mode in (Mode.SDDMM, Mode.SPMM_B):
-                T = self._gather_T(ctx, local)
-            else:
-                T = np.zeros((coarse_rows, plan.strip_width(y)))
+        T = replicated
+        if T is None:
+            with track(ctx.comm, Phase.REPLICATION):
+                if mode in (Mode.SDDMM, Mode.SPMM_B):
+                    T = self._gather_T(ctx, local)
+                else:
+                    T = np.zeros((coarse_rows, plan.strip_width(y)))
 
         if mode == Mode.SDDMM:
-            s_payload = (local.S_rows, local.S_cols, np.zeros(len(local.S_rows)))
+            vals0 = np.zeros(len(local.S_rows))
         else:
-            vals_in = local.R if use_r_values else local.S_vals
-            s_payload = (local.S_rows, local.S_cols, vals_in.copy())
+            vals0 = (local.R if use_r_values else local.S_vals).copy()
         B_start = np.zeros_like(local.B) if mode == Mode.SPMM_B else local.B.copy()
 
-        def compute(rows, cols, vals, B_cur):
+        def compute(_t, rows, cols, vals, B_cur):
             if len(rows):
                 if mode == Mode.SDDMM:
                     sddmm_coo(
@@ -394,25 +305,30 @@ class DenseReplicate25D(DistributedAlgorithm):
                 else:  # SPMM_B
                     spmm_scatter(cols, rows, vals, T, B_cur, profile=prof)
 
-        # S left along the grid row; B up along the grid column
-        s_payload, B_end = self._shift_loop(
-            ctx, q, s_payload, B_start, compute,
-            s_split=(mode == Mode.SDDMM),
-            b_read_only=(mode != Mode.SPMM_B),
+        # q Cannon phases: the S chunk moves left along the grid row (its
+        # values accumulate in the SDDMM), B up along the grid column (as
+        # the output accumulator in the SpMMB)
+        _, _, dots, B_end = self.ring_loop(
+            ctx.comm, plan.q,
+            [
+                *self.chunk_lanes(
+                    ctx.row, local.S_rows, local.S_cols, vals0,
+                    accumulating=(mode == Mode.SDDMM),
+                ),
+                Lane(ctx.col, B_start, TAG_SHIFT_B, read_only=(mode != Mode.SPMM_B)),
+            ],
+            compute,
         )
 
         if mode == Mode.SDDMM:
-            local.R = s_payload[2] * local.S_vals  # home after q shifts
+            local.R = dots * local.S_vals  # home after q shifts
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
                 ctx.comm, "reduce-scatter-A"
             ):
-                blocks = []
-                start = 0
-                for size in self._fiber_sizes_a(plan, x):
-                    blocks.append(T[start : start + size])
-                    start += size
-                local.A = ctx.fiber.reduce_scatter(blocks, tag=TAG_FIBER_RS)
+                local.A = reduce_scatter_rows(
+                    ctx.fiber, T, self._fiber_sizes_a(plan, x), TAG_FIBER_RS
+                )
         else:
             local.B = B_end  # accumulated output, back at its skewed start
 
@@ -436,36 +352,7 @@ class DenseReplicate25D(DistributedAlgorithm):
         self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense
     ) -> None:
         """Replication reuse (native FusedMMB): one all-gather, two rounds."""
-        prof = ctx.comm.profile
-        q = plan.q
-
         with track(ctx.comm, Phase.REPLICATION):
             T = self._gather_T(ctx, local)
-
-        # round 1: SDDMM (B input circulates — both shifts pipelined)
-        def sddmm_compute(rows, cols, vals, B_cur):
-            if len(rows):
-                sddmm_coo(
-                    T, B_cur, rows, cols, out=vals, accumulate=True, profile=prof
-                )
-
-        s_payload, _ = self._shift_loop(
-            ctx, q,
-            (local.S_rows, local.S_cols, np.zeros(len(local.S_rows))),
-            local.B.copy(), sddmm_compute, s_split=True, b_read_only=True,
-        )
-        local.R = s_payload[2] * local.S_vals
-
-        # round 2: SpMMB reusing T (S read-only — pipelined; the B-shaped
-        # output accumulator is mutated by the kernel and stays synchronous)
-        def spmmb_compute(rows, cols, vals, B_acc):
-            if len(rows):
-                spmm_scatter(cols, rows, vals, T, B_acc, profile=prof)
-
-        _, B_acc = self._shift_loop(
-            ctx, q,
-            (local.S_rows, local.S_cols, local.R.copy()),
-            np.zeros_like(local.B), spmmb_compute, s_split=False,
-            b_read_only=False,
-        )
-        local.B = B_acc
+        self.rank_kernel(ctx, plan, local, Mode.SDDMM, replicated=T)
+        self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T)

@@ -27,6 +27,10 @@ FusedMM strategies (Section IV-B, Table III):
 * *Local kernel fusion* (native output: A-shaped, i.e. FusedMMA): one
   propagation round runs the fused local kernel; ``nr(1/c + 2(c-1)/p)``
   words, optimal ``c = sqrt(p/2)``.
+
+Propagation is one :class:`~repro.algorithms.base.Lane` — the B block on
+the layer ring, read-only as an input and mutated as the SpMMB output —
+handed to the shared ``ring_loop``, which owns the schedule.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.base import (
-    KEEP,
     TAG_FIBER_AG,
     TAG_FIBER_RS,
     TAG_SHIFT_B,
     DistributedAlgorithm,
+    Lane,
     concat_allgather,
     reduce_scatter_rows,
     region,
@@ -115,7 +119,6 @@ class Ctx15D:
     fiber: Communicator  # the c ranks sharing u (replication happens here)
     u: int
     v: int
-    overlap: bool = False
 
 
 class DenseShift15D(DistributedAlgorithm):
@@ -179,28 +182,11 @@ class DenseShift15D(DistributedAlgorithm):
             loc.gidx[j] = gi
         return locals_
 
-    def bind_dense(
-        self,
-        plan: Plan15DDense,
-        locals_: List[Local15DDense],
-        A: Optional[np.ndarray],
-        B: Optional[np.ndarray],
-    ) -> None:
-        r = plan.r
-        for loc in locals_:
-            i = loc.u * self.c + loc.v
-            if A is not KEEP:
-                loc.A = (
-                    A[plan.fine_rows_a(i)].copy()
-                    if A is not None
-                    else np.zeros((int(plan.row_fine[i + 1] - plan.row_fine[i]), r))
-                )
-            if B is not KEEP:
-                loc.B = (
-                    B[plan.fine_rows_b(i)].copy()
-                    if B is not None
-                    else np.zeros((int(plan.col_fine[i + 1] - plan.col_fine[i]), r))
-                )
+    def dense_index(self, plan: Plan15DDense, loc: Local15DDense, side: str):
+        """Fine row block ``u*c + v``, full width."""
+        i = loc.u * self.c + loc.v
+        rows = plan.fine_rows_a(i) if side == "a" else plan.fine_rows_b(i)
+        return rows, slice(None)
 
     def update_values(
         self, plan: Plan15DDense, locals_: List[Local15DDense], vals: np.ndarray
@@ -208,24 +194,6 @@ class DenseShift15D(DistributedAlgorithm):
         for loc in locals_:
             for j, gi in loc.gidx.items():
                 loc.S[j].vals[:] = vals[gi]
-
-    def collect_dense_a(
-        self, plan: Plan15DDense, locals_: List[Local15DDense]
-    ) -> np.ndarray:
-        out = np.zeros((plan.m, plan.r))
-        for rank, loc in enumerate(locals_):
-            i = loc.u * self.c + loc.v
-            out[plan.fine_rows_a(i)] = loc.A
-        return out
-
-    def collect_dense_b(
-        self, plan: Plan15DDense, locals_: List[Local15DDense]
-    ) -> np.ndarray:
-        out = np.zeros((plan.n, plan.r))
-        for loc in locals_:
-            i = loc.u * self.c + loc.v
-            out[plan.fine_rows_b(i)] = loc.B
-        return out
 
     def collect_sddmm(
         self, plan: Plan15DDense, locals_: List[Local15DDense], S: CooMatrix
@@ -244,9 +212,7 @@ class DenseShift15D(DistributedAlgorithm):
     def make_context(self, comm: Communicator) -> Ctx15D:
         layer, fiber = self.grid.make_comms(comm)
         u, v = self.grid.coords(comm.rank)
-        return Ctx15D(
-            comm=comm, layer=layer, fiber=fiber, u=u, v=v, overlap=self.overlap
-        )
+        return Ctx15D(comm=comm, layer=layer, fiber=fiber, u=u, v=v)
 
     def _fiber_sizes_a(self, plan: Plan15DDense, u: int) -> List[int]:
         """Row counts of the fine A blocks inside coarse block ``u``."""
@@ -254,33 +220,6 @@ class DenseShift15D(DistributedAlgorithm):
             int(plan.row_fine[u * self.c + w + 1] - plan.row_fine[u * self.c + w])
             for w in range(self.c)
         ]
-
-    def _shift_loop(self, ctx: Ctx15D, nl: int, B_cur, compute, read_only: bool):
-        """``nl`` phases of ``compute(t, B_cur)`` + cyclic shift of ``B_cur``.
-
-        With ``read_only=True`` (the circulating B block is an *input* —
-        SDDMM, SpMMA, the first replication-reuse round and local kernel
-        fusion) the overlap pipeline posts the shift before the local
-        kernel and waits after it, hiding the transfer.  Output-circulating
-        rounds (SpMMB, the second reuse round) mutate the buffer inside
-        the kernel, a strict serial dependency, and always run
-        synchronously.  Kernel order and values are identical either way.
-        """
-        overlap = ctx.overlap and read_only
-        for t in range(nl):
-            pending = None
-            if overlap:
-                with track(ctx.comm, Phase.PROPAGATION):
-                    pending = ctx.layer.ishift(B_cur, displacement=-1, tag=TAG_SHIFT_B)
-            with track(ctx.comm, Phase.COMPUTATION):
-                compute(t, B_cur)
-            with track(ctx.comm, Phase.PROPAGATION):
-                B_cur = (
-                    pending.wait()
-                    if overlap
-                    else ctx.layer.shift(B_cur, displacement=-1, tag=TAG_SHIFT_B)
-                )
-        return B_cur
 
     def rank_kernel(
         self,
@@ -291,6 +230,7 @@ class DenseShift15D(DistributedAlgorithm):
         use_r_values: bool = False,
         use_values: bool = True,
         edge_op=None,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
         """One unified kernel call (paper Algorithm 1).
 
@@ -300,27 +240,30 @@ class DenseShift15D(DistributedAlgorithm):
         pattern-only SDDMM (dots without the ``S *`` multiply, used by the
         ALS normal equations).  ``edge_op`` replaces the SDDMM dot products
         with a custom per-edge function of the incident dense rows (used by
-        the GAT attention scores).
+        the GAT attention scores).  ``replicated`` hands in an
+        already-gathered coarse A panel (replication reuse shares one
+        gather between its two rounds).
         """
         prof = ctx.comm.profile
-        nl = plan.n_layer
         u, v = ctx.u, ctx.v
         coarse_rows = int(plan.row_coarse[u + 1] - plan.row_coarse[u])
 
         # --- replication -------------------------------------------------
-        with track(ctx.comm, Phase.REPLICATION):
-            if mode in (Mode.SDDMM, Mode.SPMM_B):
-                with region(ctx.comm, "gather-A"):
-                    T = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
-            else:
-                T = np.zeros((coarse_rows, plan.r))
+        T = replicated
+        if T is None:
+            with track(ctx.comm, Phase.REPLICATION):
+                if mode in (Mode.SDDMM, Mode.SPMM_B):
+                    with region(ctx.comm, "gather-A"):
+                        T = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
+                else:
+                    T = np.zeros((coarse_rows, plan.r))
 
-        # --- propagation loop (software-pipelined when B circulates as a
-        # read-only input; see _shift_loop) -------------------------------
+        # --- propagation: the B block circulates around the layer, as a
+        # read-only input or (SpMMB) as the output the kernel accumulates
         if mode == Mode.SPMM_B:
-            B_start = np.zeros_like(local.B)  # circulating *output*
+            B_start = np.zeros_like(local.B)
         else:
-            B_start = local.B.copy()  # circulating input
+            B_start = local.B.copy()
 
         def compute(t, B_cur):
             j = plan.held_block(u, v, t)
@@ -351,8 +294,10 @@ class DenseShift15D(DistributedAlgorithm):
                 vals = local.R[j] if use_r_values else None
                 spmm_b_block(blk, T, B_cur, values=vals, profile=prof)
 
-        B_end = self._shift_loop(
-            ctx, nl, B_start, compute, read_only=(mode != Mode.SPMM_B)
+        (B_end,) = self.ring_loop(
+            ctx.comm, plan.n_layer,
+            [Lane(ctx.layer, B_start, TAG_SHIFT_B, read_only=(mode != Mode.SPMM_B))],
+            compute,
         )
 
         if mode == Mode.SPMM_B:
@@ -396,38 +341,13 @@ class DenseShift15D(DistributedAlgorithm):
         output accumulates in the circulating buffer, so no terminal
         reduce-scatter is needed.  Words: ``nr((c-1)/p + 2/c)``.
         """
-        prof = ctx.comm.profile
-        nl = plan.n_layer
-        u, v = ctx.u, ctx.v
         with track(ctx.comm, Phase.REPLICATION):
             T = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
-
-        # round 1: SDDMM (circulates the B input; pipelined)
-        def sddmm_compute(t, B_cur):
-            j = plan.held_block(u, v, t)
-            blk = local.S.get(j)
-            if blk is not None:
-                local.R[j] = sddmm_coo(
-                    T,
-                    B_cur,
-                    blk.rows,
-                    blk.cols,
-                    s_vals=blk.vals if use_values else None,
-                    profile=prof,
-                )
-
-        self._shift_loop(ctx, nl, local.B.copy(), sddmm_compute, read_only=True)
-
-        # round 2: SpMMB reusing T (circulates the B-shaped *output*, which
-        # the local kernel mutates — inherently synchronous)
-        def spmmb_compute(t, B_acc):
-            j = plan.held_block(u, v, t)
-            blk = local.S.get(j)
-            if blk is not None:
-                spmm_b_block(blk, T, B_acc, values=local.R[j], profile=prof)
-
-        local.B = self._shift_loop(
-            ctx, nl, np.zeros_like(local.B), spmmb_compute, read_only=False
+        self.rank_kernel(
+            ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T
+        )
+        self.rank_kernel(
+            ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T
         )
 
     def rank_fusedmm_lkf(
@@ -443,7 +363,6 @@ class DenseShift15D(DistributedAlgorithm):
         SDDMM+SpMM kernel.  Words: ``nr(2(c-1)/p + 1/c)``.
         """
         prof = ctx.comm.profile
-        nl = plan.n_layer
         u, v = ctx.u, ctx.v
         coarse_rows = int(plan.row_coarse[u + 1] - plan.row_coarse[u])
         with track(ctx.comm, Phase.REPLICATION):
@@ -464,7 +383,11 @@ class DenseShift15D(DistributedAlgorithm):
                     profile=prof,
                 )
 
-        self._shift_loop(ctx, nl, local.B.copy(), fused_compute, read_only=True)
+        self.ring_loop(
+            ctx.comm, plan.n_layer,
+            [Lane(ctx.layer, local.B.copy(), TAG_SHIFT_B)],
+            fused_compute,
+        )
         with track(ctx.comm, Phase.REPLICATION):
             local.A = reduce_scatter_rows(
                 ctx.fiber, T_out, self._fiber_sizes_a(plan, u), TAG_FIBER_RS

@@ -91,7 +91,7 @@ def run_fusedmm(
     paper's benchmarking methodology ("time for 5 FusedMM calls"): the
     sparse operand is distributed **once** on the session and the
     per-rank cost profiles accumulate across calls.  ``overlap`` defaults
-    to the synchronous loops, so baseline measurements stay baseline.
+    to the synchronous schedule, so baseline measurements stay baseline.
     """
     from repro.session import plan  # session builds on this module
 

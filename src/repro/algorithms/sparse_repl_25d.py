@@ -56,30 +56,37 @@ once per structure (:meth:`~repro.sparse.coo.SparseBlock.remapped`, with
 the CSR caches prebuilt driver-side) so the local kernels run as plain
 ``spmm_a_block``/``spmm_b_block`` CSR products and coordinate SDDMMs on
 compact panels with zero per-call index translation.
+
+The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
+(A pieces on the grid row, B pieces on the grid column; an SpMM's output
+lane is the accumulator the kernel mutates) handed to the shared
+``ring_loop``; the packed neighborhood gathers / reductions go through
+the shared ``exchange`` and the value all-gather of an SDDMM round
+through ``allgather_behind``.  Those three own the schedule — nothing
+here knows whether a run is pipelined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import (
-    KEEP,
     TAG_FIBER_AG,
     TAG_FIBER_RS,
     TAG_SHIFT_A,
     TAG_SHIFT_B,
     DistributedAlgorithm,
+    Lane,
     region,
     track,
 )
 from repro.comm_sparse.collectives import (
     isparse_allgatherv_packed,
     isparse_reduce_scatterv_packed,
-    sparse_allgatherv_packed,
-    sparse_reduce_scatterv_packed,
 )
 from repro.comm_sparse.planner import (
     SparsePlan25D,
@@ -172,7 +179,6 @@ class Ctx25DSparse:
     y: int
     z: int
     pool: BufferPool = field(default_factory=BufferPool)
-    overlap: bool = False
 
 
 class SparseReplicate25D(DistributedAlgorithm):
@@ -255,38 +261,11 @@ class SparseReplicate25D(DistributedAlgorithm):
             )
         return locals_
 
-    def bind_dense(
-        self,
-        plan: Plan25DSparse,
-        locals_: List[Local25DSparse],
-        A: Optional[np.ndarray],
-        B: Optional[np.ndarray],
-    ) -> None:
-        for loc in locals_:
-            k0 = plan.kappa0(loc.x, loc.y)
-            ka = plan.chunk_slice(loc.z, k0)
-            if A is not KEEP:
-                loc.A = (
-                    A[plan.rows_a(loc.x), ka].copy()
-                    if A is not None
-                    else np.zeros(
-                        (
-                            int(plan.row_coarse[loc.x + 1] - plan.row_coarse[loc.x]),
-                            ka.stop - ka.start,
-                        )
-                    )
-                )
-            if B is not KEEP:
-                loc.B = (
-                    B[plan.rows_b(loc.y), ka].copy()
-                    if B is not None
-                    else np.zeros(
-                        (
-                            int(plan.col_coarse[loc.y + 1] - plan.col_coarse[loc.y]),
-                            ka.stop - ka.start,
-                        )
-                    )
-                )
+    def dense_index(self, plan: Plan25DSparse, loc: Local25DSparse, side: str):
+        """Coarse row block (``x`` for A, ``y`` for B) x the phase-0 column
+        chunk of layer strip ``z``."""
+        rows = plan.rows_a(loc.x) if side == "a" else plan.rows_b(loc.y)
+        return rows, plan.chunk_slice(loc.z, plan.kappa0(loc.x, loc.y))
 
     def update_values(
         self, plan: Plan25DSparse, locals_: List[Local25DSparse], vals: np.ndarray
@@ -297,24 +276,6 @@ class SparseReplicate25D(DistributedAlgorithm):
                 # gather only this layer's chunk, not the whole replicated block
                 chunk = loc.gidx[int(vb[loc.z]) : int(vb[loc.z + 1])]
                 loc.S_vals_chunk[:] = vals[chunk]
-
-    def collect_dense_a(
-        self, plan: Plan25DSparse, locals_: List[Local25DSparse]
-    ) -> np.ndarray:
-        out = np.zeros((plan.m, plan.r))
-        for loc in locals_:
-            k0 = plan.kappa0(loc.x, loc.y)
-            out[plan.rows_a(loc.x), plan.chunk_slice(loc.z, k0)] = loc.A
-        return out
-
-    def collect_dense_b(
-        self, plan: Plan25DSparse, locals_: List[Local25DSparse]
-    ) -> np.ndarray:
-        out = np.zeros((plan.n, plan.r))
-        for loc in locals_:
-            k0 = plan.kappa0(loc.x, loc.y)
-            out[plan.rows_b(loc.y), plan.chunk_slice(loc.z, k0)] = loc.B
-        return out
 
     def collect_sddmm(
         self, plan: Plan25DSparse, locals_: List[Local25DSparse], S: CooMatrix
@@ -342,7 +303,7 @@ class SparseReplicate25D(DistributedAlgorithm):
         x, y, z = self.grid.coords(comm.rank)
         return Ctx25DSparse(
             comm=comm, row=row, col=col, fiber=fiber, x=x, y=y, z=z,
-            pool=self.pool_for(comm), overlap=self.overlap,
+            pool=self.pool_for(comm),
         )
 
     # -- fiber value collectives ------------------------------------------
@@ -360,85 +321,54 @@ class SparseReplicate25D(DistributedAlgorithm):
         pieces = [full[int(vb[k]) : int(vb[k + 1])] for k in range(self.c)]
         return ctx.fiber.reduce_scatter(pieces, tag=TAG_FIBER_RS)
 
+    @staticmethod
+    def _piece_ring(ctx: Ctx25DSparse, side: str) -> Tuple[Communicator, int]:
+        """Where a dense side's pieces travel: A's along the grid row, B's
+        along the grid column (ring, shift channel)."""
+        return (ctx.row, TAG_SHIFT_A) if side == "a" else (ctx.col, TAG_SHIFT_B)
+
     # -- need-list dense-row exchanges (comm="sparse") ---------------------
 
-    def _gather_a_packed(
-        self, ctx: Ctx25DSparse, local: Local25DSparse, sp: SparsePlan25D
-    ) -> np.ndarray:
-        """Assemble A's needed rows across the strip into a *packed* panel.
+    def _gather_packed(
+        self, ctx: Ctx25DSparse, local: Local25DSparse, sp: SparsePlan25D, sides: str
+    ) -> List[np.ndarray]:
+        """Assemble the needed rows of A (``"a"``, along the grid row), of
+        B (``"b"``, along the grid column) or of both (``"ab"``) across
+        the strip into *packed* panels.
 
-        The panel is ``len(unique(S_rows)) x strip_width``: the own
-        chunk's needed rows are copied into its column window with one
-        fancy-indexed gather, and every peer's column window is filled
+        A panel is ``len(unique(S_rows or S_cols)) x strip_width``: the
+        own chunk's needed rows are copied into its column window with
+        one fancy-indexed gather, and every peer's column window is filled
         row-complete by that peer's leg (the need list is identical for
-        every chunk of the strip), so the pool hands back an uninitialized
-        leased panel — no block-tall buffer, no zero fill.  Under the
-        overlap pipeline the exchange is posted first and the own-window
-        copy hides behind it.
+        every chunk of the strip), so the pool hands back uninitialized
+        leased panels — no block-tall buffer, no zero fill.  Both
+        exchanges of an ``"ab"`` gather are posted before either is
+        waited, so pipelined they are in flight concurrently.
         """
-        with region(ctx.comm, "gather-A-packed"):
-            A_p = ctx.pool.lease("gather-a", (sp.index_a.size, sp.strip_width))
-            if ctx.overlap:
-                pending = isparse_allgatherv_packed(
-                    ctx.row, sp.gather_a_packed, sp.index_a, local.A, A_p,
-                    pool=ctx.pool,
+        w0, w1 = sp.my_window
+        legs = {
+            "a": (sp.gather_a_packed, sp.index_a, local.A),
+            "b": (sp.gather_b_packed, sp.index_b, local.B),
+        }
+        with region(ctx.comm, f"gather-{sides.upper()}-packed"):
+            posts, copies = [], []
+            for side in sides:
+                gather, index, block = legs[side]
+                ring, _ = self._piece_ring(ctx, side)
+                panel = ctx.pool.lease(f"gather-{side}", (index.size, sp.strip_width))
+                posts.append(
+                    partial(
+                        isparse_allgatherv_packed, ring, gather, index, block,
+                        panel, pool=ctx.pool,
+                    )
                 )
-                A_p[:, sp.my_window[0] : sp.my_window[1]] = local.A[sp.index_a.union]
-                pending.wait()
-            else:
-                A_p[:, sp.my_window[0] : sp.my_window[1]] = local.A[sp.index_a.union]
-                sparse_allgatherv_packed(
-                    ctx.row, sp.gather_a_packed, sp.index_a, local.A, A_p
-                )
-            return A_p
+                copies.append((panel, block, index))
 
-    def _gather_b_packed(
-        self, ctx: Ctx25DSparse, local: Local25DSparse, sp: SparsePlan25D
-    ) -> np.ndarray:
-        """Mirror of :meth:`_gather_a_packed` for B along the grid column."""
-        with region(ctx.comm, "gather-B-packed"):
-            B_p = ctx.pool.lease("gather-b", (sp.index_b.size, sp.strip_width))
-            if ctx.overlap:
-                pending = isparse_allgatherv_packed(
-                    ctx.col, sp.gather_b_packed, sp.index_b, local.B, B_p,
-                    pool=ctx.pool,
-                )
-                B_p[:, sp.my_window[0] : sp.my_window[1]] = local.B[sp.index_b.union]
-                pending.wait()
-            else:
-                B_p[:, sp.my_window[0] : sp.my_window[1]] = local.B[sp.index_b.union]
-                sparse_allgatherv_packed(
-                    ctx.col, sp.gather_b_packed, sp.index_b, local.B, B_p
-                )
-            return B_p
+            def own():
+                for panel, block, index in copies:
+                    panel[:, w0:w1] = block[index.union]
 
-    def _gather_ab_packed(
-        self, ctx: Ctx25DSparse, local: Local25DSparse, sp: SparsePlan25D
-    ):
-        """Both packed panels for the SDDMM; overlapped, the two
-        neighborhood exchanges (row axis for A, column axis for B) are in
-        flight *concurrently* while both own-window copies run behind
-        them, halving the exposed exchange latency."""
-        if not ctx.overlap:
-            return (
-                self._gather_a_packed(ctx, local, sp),
-                self._gather_b_packed(ctx, local, sp),
-            )
-        with region(ctx.comm, "gather-AB-packed"):
-            w0, w1 = sp.my_window
-            A_p = ctx.pool.lease("gather-a", (sp.index_a.size, sp.strip_width))
-            B_p = ctx.pool.lease("gather-b", (sp.index_b.size, sp.strip_width))
-            pend_a = isparse_allgatherv_packed(
-                ctx.row, sp.gather_a_packed, sp.index_a, local.A, A_p, pool=ctx.pool
-            )
-            pend_b = isparse_allgatherv_packed(
-                ctx.col, sp.gather_b_packed, sp.index_b, local.B, B_p, pool=ctx.pool
-            )
-            A_p[:, w0:w1] = local.A[sp.index_a.union]
-            B_p[:, w0:w1] = local.B[sp.index_b.union]
-            pend_a.wait()
-            pend_b.wait()
-            return A_p, B_p
+            return self.exchange(posts, own)
 
     # -- unified kernel ----------------------------------------------------
 
@@ -458,179 +388,111 @@ class SparseReplicate25D(DistributedAlgorithm):
         With ``sparse_plan`` the dense Cannon propagation is replaced by
         need-list neighborhood exchanges (see module docstring).
         """
-        prof = ctx.comm.profile
-        q = plan.q
-
         if mode == Mode.SDDMM:
-            self._sddmm_round(
-                ctx, plan, local, gather_input=True, reduce_output=True,
-                sparse_plan=sparse_plan,
-            )
+            partial_vals = self._sddmm_round(ctx, plan, local, sparse_plan)
+            with track(ctx.comm, Phase.REPLICATION):
+                local.R_chunk = self._reduce_scatter_values(ctx, local, partial_vals)
             return
 
         with track(ctx.comm, Phase.REPLICATION):
             if values_full is None:
                 values_full = self._gather_values(ctx, local)
 
-        if sparse_plan is not None:
-            self._spmm_sparse(ctx, plan, local, mode, values_full, sparse_plan)
-            return
-
-        overlap = ctx.overlap
-        if mode == Mode.SPMM_A:
-            # output circulates in A's piece layout; B propagates.  The
-            # input piece shift is pipelined behind the local kernel; the
-            # circulating output accumulator is mutated by the kernel and
-            # shifts synchronously.
-            out_cur = ctx.pool.zeros("piece-out", local.A.shape)
-            b_cur = ctx.pool.take_like("piece-b", local.B)
-            for _ in range(q):
-                pend_b = None
-                if overlap:
-                    with track(ctx.comm, Phase.PROPAGATION):
-                        pend_b = ctx.col.ishift(b_cur, displacement=1, tag=TAG_SHIFT_B)
-                with track(ctx.comm, Phase.COMPUTATION):
-                    spmm_a_block(
-                        local.S, b_cur, out_cur, values=values_full, profile=prof
-                    )
-                with track(ctx.comm, Phase.PROPAGATION):
-                    out_cur = ctx.row.shift(out_cur, displacement=1, tag=TAG_SHIFT_A)
-                    b_cur = (
-                        pend_b.wait()
-                        if overlap
-                        else ctx.col.shift(b_cur, displacement=1, tag=TAG_SHIFT_B)
-                    )
-            local.A = out_cur
-        else:  # SPMM_B (mirror: A propagates pipelined, output synchronous)
-            out_cur = ctx.pool.zeros("piece-out", local.B.shape)
-            a_cur = ctx.pool.take_like("piece-a", local.A)
-            for _ in range(q):
-                pend_a = None
-                if overlap:
-                    with track(ctx.comm, Phase.PROPAGATION):
-                        pend_a = ctx.row.ishift(a_cur, displacement=1, tag=TAG_SHIFT_A)
-                with track(ctx.comm, Phase.COMPUTATION):
-                    spmm_b_block(
-                        local.S, a_cur, out_cur, values=values_full, profile=prof
-                    )
-                with track(ctx.comm, Phase.PROPAGATION):
-                    a_cur = (
-                        pend_a.wait()
-                        if overlap
-                        else ctx.row.shift(a_cur, displacement=1, tag=TAG_SHIFT_A)
-                    )
-                    out_cur = ctx.col.shift(out_cur, displacement=1, tag=TAG_SHIFT_B)
-            local.B = out_cur
-
-    def _spmm_sparse(
-        self,
-        ctx: Ctx25DSparse,
-        plan: Plan25DSparse,
-        local: Local25DSparse,
-        mode: Mode,
-        values_full: np.ndarray,
-        sp: SparsePlan25D,
-    ) -> None:
-        """SpMM with need-list propagation over packed panels.
-
-        One gather of the stationary operand's needed rows into a packed
-        strip panel, one local CSR product through the structure-cached
-        packed block (its coordinates already live in packed-panel
-        space), then a need-list reduction of the packed partial-output
-        panel back to the chunk owners.  Every row of the packed output
-        panel is a touched row, so the reduction ships it densely — the
-        packing *is* the need list.
-        """
+        # SpMMA accumulates in A's layout out of B's pieces; SpMMB mirrors it
+        out, inp = ("a", "b") if mode == Mode.SPMM_A else ("b", "a")
+        kernel = spmm_a_block if mode == Mode.SPMM_A else spmm_b_block
+        out_home, in_home = (local.A, local.B) if out == "a" else (local.B, local.A)
+        out_ring, out_tag = self._piece_ring(ctx, out)
         prof = ctx.comm.profile
-        w0, w1 = sp.my_window
 
-        def reduce_back(comm, plan_packed, index, out_p, own):
-            """Ship the packed partial-output panel back to the chunk
-            owners.  Pipelined: the contribution legs post first and the
-            own-window seeding hides behind the exchange."""
-            base = np.zeros_like(own)
-            if ctx.overlap:
-                pending = isparse_reduce_scatterv_packed(
-                    comm, plan_packed, index, out_p, base
-                )
-                base[index.union] = out_p[:, w0:w1]
-                return pending.wait()
-            base[index.union] = out_p[:, w0:w1]
-            return sparse_reduce_scatterv_packed(comm, plan_packed, index, out_p, base)
+        if sparse_plan is not None:
+            # need-list propagation over packed panels: one gather of the
+            # stationary operand's needed rows into a packed strip panel,
+            # one local CSR product through the structure-cached packed
+            # block (its coordinates already live in packed-panel space),
+            # then a need-list reduction of the packed partial-output
+            # panel back to the chunk owners.  Every row of the packed
+            # output panel is a touched row, so the reduction ships it
+            # densely — the packing *is* the need list.
+            sp = sparse_plan
+            w0, w1 = sp.my_window
+            index, reduce = (
+                (sp.index_a, sp.reduce_a_packed)
+                if out == "a"
+                else (sp.index_b, sp.reduce_b_packed)
+            )
+            with track(ctx.comm, Phase.PROPAGATION):
+                (in_p,) = self._gather_packed(ctx, local, sp, inp)
+            out_p = ctx.pool.zeros("out-panel", (index.size, sp.strip_width))
+            with track(ctx.comm, Phase.COMPUTATION):
+                kernel(sp.block_packed, in_p, out_p, values=values_full, profile=prof)
+            with track(ctx.comm, Phase.PROPAGATION):
+                result = np.zeros_like(out_home)
 
-        if mode == Mode.SPMM_A:
-            with track(ctx.comm, Phase.PROPAGATION):
-                B_p = self._gather_b_packed(ctx, local, sp)
-            out_p = ctx.pool.zeros("out-panel", (sp.index_a.size, sp.strip_width))
-            with track(ctx.comm, Phase.COMPUTATION):
-                spmm_a_block(
-                    sp.block_packed, B_p, out_p, values=values_full, profile=prof
+                def own():
+                    result[index.union] = out_p[:, w0:w1]
+
+                post = partial(
+                    isparse_reduce_scatterv_packed, out_ring, reduce, index,
+                    out_p, result,
                 )
-            with track(ctx.comm, Phase.PROPAGATION):
-                local.A = reduce_back(
-                    ctx.row, sp.reduce_a_packed, sp.index_a, out_p, local.A
-                )
-        else:  # SPMM_B
-            with track(ctx.comm, Phase.PROPAGATION):
-                A_p = self._gather_a_packed(ctx, local, sp)
-            out_p = ctx.pool.zeros("out-panel", (sp.index_b.size, sp.strip_width))
-            with track(ctx.comm, Phase.COMPUTATION):
-                spmm_b_block(
-                    sp.block_packed, A_p, out_p, values=values_full, profile=prof
-                )
-            with track(ctx.comm, Phase.PROPAGATION):
-                local.B = reduce_back(
-                    ctx.col, sp.reduce_b_packed, sp.index_b, out_p, local.B
-                )
+                self.exchange([post], own)
+        else:
+            # Cannon propagation: the input pieces circulate read-only, the
+            # output circulates as the accumulator the kernel mutates
+            def compute(_t, in_cur, out_cur):
+                kernel(local.S, in_cur, out_cur, values=values_full, profile=prof)
+
+            in_ring, in_tag = self._piece_ring(ctx, inp)
+            _, result = self.ring_loop(
+                ctx.comm, plan.q,
+                [
+                    Lane(
+                        in_ring, ctx.pool.take_like(f"piece-{inp}", in_home),
+                        in_tag, displacement=1,
+                    ),
+                    Lane(
+                        out_ring, ctx.pool.zeros("piece-out", out_home.shape),
+                        out_tag, displacement=1, read_only=False,
+                    ),
+                ],
+                compute,
+            )
+        if out == "a":
+            local.A = result
+        else:
+            local.B = result
 
     def _sddmm_round(
         self,
         ctx: Ctx25DSparse,
         plan: Plan25DSparse,
         local: Local25DSparse,
-        gather_input: bool,
-        reduce_output: bool,
         sparse_plan: Optional[SparsePlan25D] = None,
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """The SDDMM propagation round.
 
-        Returns the *full-length* partial R values (before reduction) when
-        ``reduce_output=False`` (the FusedMM path, which all-reduces them);
-        otherwise stores the reduced chunk in ``local.R_chunk``.
+        Returns the *full-length* partial R values of this layer's strip,
+        already multiplied by the gathered S values; the caller reduces
+        them along the fiber.
         """
         prof = ctx.comm.profile
-        q = plan.q
-        overlap = ctx.overlap
         # the gathered values are consumed only by the final multiply, so
-        # the overlap pipeline posts the fiber all-gather now and waits it
-        # *after* the local SDDMM kernel — the whole value replication
-        # hides behind the dominant compute of this round
-        pend_vals = None
-        s_vals = None
+        # the fiber all-gather may complete *behind* the local SDDMM
+        # kernel — the whole value replication hides behind the dominant
+        # compute of this round
         with track(ctx.comm, Phase.REPLICATION):
-            if gather_input:
-                if overlap and ctx.fiber.size > 1:
-                    pend_vals = ctx.fiber.iallgather(
-                        local.S_vals_chunk, tag=TAG_FIBER_AG
-                    )
-                else:
-                    s_vals = self._gather_values(ctx, local)
+            wait_vals = self.allgather_behind(
+                ctx.fiber, local.S_vals_chunk, TAG_FIBER_AG
+            )
 
-        def finish_values():
-            nonlocal s_vals
-            if pend_vals is not None:
-                with track(ctx.comm, Phase.REPLICATION):
-                    parts = pend_vals.wait()
-                    s_vals = np.concatenate(parts) if parts else np.empty(0)
-
+        acc = np.zeros(len(local.S_rows))
         if sparse_plan is not None:
             # gather every needed row across the strip once into packed
             # panels and take the full-width dots in a single local kernel
             # call, addressed through the structure-cached packed block
-            # (overlapped: both neighborhood exchanges fly concurrently)
             with track(ctx.comm, Phase.PROPAGATION):
-                a_p, b_p = self._gather_ab_packed(ctx, local, sparse_plan)
-            acc = np.zeros(len(local.S_rows))
+                a_p, b_p = self._gather_packed(ctx, local, sparse_plan, "ab")
             with track(ctx.comm, Phase.COMPUTATION):
                 if len(local.S_rows):
                     blk = sparse_plan.block_packed
@@ -638,50 +500,38 @@ class SparseReplicate25D(DistributedAlgorithm):
                         a_p, b_p, blk.rows, blk.cols,
                         out=acc, accumulate=True, profile=prof,
                     )
-            finish_values()
-            with track(ctx.comm, Phase.COMPUTATION):
-                partial = acc * s_vals if s_vals is not None else acc
-                prof.add_flops(len(acc))
-            if reduce_output:
-                with track(ctx.comm, Phase.REPLICATION):
-                    local.R_chunk = self._reduce_scatter_values(ctx, local, partial)
-                return None
-            return partial
-
-        acc = np.zeros(len(local.S_rows))
-        a_cur = ctx.pool.take_like("piece-a", local.A)
-        b_cur = ctx.pool.take_like("piece-b", local.B)
-        for _ in range(q):
-            pend_a = pend_b = None
-            if overlap:
-                # both circulating pieces are read-only inputs here (the
-                # accumulator is rank-local): pipeline both shifts
-                with track(ctx.comm, Phase.PROPAGATION):
-                    pend_a = ctx.row.ishift(a_cur, displacement=1, tag=TAG_SHIFT_A)
-                    pend_b = ctx.col.ishift(b_cur, displacement=1, tag=TAG_SHIFT_B)
-            with track(ctx.comm, Phase.COMPUTATION):
+        else:
+            # both circulating pieces are read-only inputs here (the
+            # accumulator is rank-local)
+            def compute(_t, a_cur, b_cur):
                 if len(local.S_rows):
                     sddmm_coo(
                         a_cur, b_cur, local.S_rows, local.S_cols,
                         out=acc, accumulate=True, profile=prof,
                     )
-            with track(ctx.comm, Phase.PROPAGATION):
-                if overlap:
-                    a_cur = pend_a.wait()
-                    b_cur = pend_b.wait()
-                else:
-                    a_cur = ctx.row.shift(a_cur, displacement=1, tag=TAG_SHIFT_A)
-                    b_cur = ctx.col.shift(b_cur, displacement=1, tag=TAG_SHIFT_B)
 
-        finish_values()
+            self.ring_loop(
+                ctx.comm, plan.q,
+                [
+                    Lane(
+                        ctx.row, ctx.pool.take_like("piece-a", local.A),
+                        TAG_SHIFT_A, displacement=1,
+                    ),
+                    Lane(
+                        ctx.col, ctx.pool.take_like("piece-b", local.B),
+                        TAG_SHIFT_B, displacement=1,
+                    ),
+                ],
+                compute,
+            )
+
+        with track(ctx.comm, Phase.REPLICATION):
+            parts = wait_vals()
+            s_vals = np.concatenate(parts) if parts else np.empty(0)
         with track(ctx.comm, Phase.COMPUTATION):
-            partial = acc * s_vals if s_vals is not None else acc
+            partial_vals = acc * s_vals
             prof.add_flops(len(acc))
-        if reduce_output:
-            with track(ctx.comm, Phase.REPLICATION):
-                local.R_chunk = self._reduce_scatter_values(ctx, local, partial)
-            return None
-        return partial
+        return partial_vals
 
     # -- FusedMM -----------------------------------------------------------
 
@@ -695,12 +545,9 @@ class SparseReplicate25D(DistributedAlgorithm):
     ) -> None:
         """FusedMM per the paper: value all-gather, SDDMM round, value
         all-reduce (reduce-scatter + all-gather), SpMM round."""
-        partial = self._sddmm_round(
-            ctx, plan, local, gather_input=True, reduce_output=False,
-            sparse_plan=sparse_plan,
-        )
+        partial_vals = self._sddmm_round(ctx, plan, local, sparse_plan)
         with track(ctx.comm, Phase.REPLICATION):
-            local.R_chunk = self._reduce_scatter_values(ctx, local, partial)
+            local.R_chunk = self._reduce_scatter_values(ctx, local, partial_vals)
             parts = ctx.fiber.allgather(local.R_chunk, tag=TAG_FIBER_AG)
             r_full = np.concatenate(parts) if parts else np.empty(0)
         self.rank_kernel(

@@ -52,21 +52,24 @@ layer shares the same remap, so the translation happens once per kernel
 call instead of once per phase.  All panels come from a per-rank
 :class:`~repro.runtime.buffers.BufferPool`, so repeated calls allocate
 nothing and the rank profiles record true peak buffer footprints.
+
+Propagation is the S chunk's :class:`~repro.algorithms.base.Lane` s on the
+layer ring (``chunk_lanes``) handed to the shared ``ring_loop``; the
+packed fiber collectives go through the shared ``exchange``.  Both own
+the schedule — nothing here knows whether a run is pipelined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import (
-    KEEP,
     TAG_FIBER_AG,
     TAG_FIBER_RS,
-    TAG_SHIFT_S,
-    TAG_SHIFT_SV,
     DistributedAlgorithm,
     region,
     track,
@@ -74,8 +77,6 @@ from repro.algorithms.base import (
 from repro.comm_sparse.collectives import (
     isparse_allgatherv_packed,
     isparse_reduce_scatterv_packed,
-    sparse_allgatherv_packed,
-    sparse_reduce_scatterv_packed,
 )
 from repro.comm_sparse.planner import (
     SparsePlan15D,
@@ -157,7 +158,6 @@ class Ctx15DSparse:
     u: int
     v: int
     pool: BufferPool = field(default_factory=BufferPool)
-    overlap: bool = False
 
 
 class SparseShift15D(DistributedAlgorithm):
@@ -234,31 +234,10 @@ class SparseShift15D(DistributedAlgorithm):
             )
         return locals_
 
-    def bind_dense(
-        self,
-        plan: Plan15DSparse,
-        locals_: List[Local15DSparse],
-        A: Optional[np.ndarray],
-        B: Optional[np.ndarray],
-    ) -> None:
-        for loc in locals_:
-            # fancy rows x strip *slice*: one row-wise gather into a fresh
-            # C-contiguous panel (never a view of the caller's operand)
-            sl = plan.strip_slice(loc.u)
-            rows_a = plan.rows_a_of_fiber[loc.v]
-            rows_b = plan.rows_b_of_fiber[loc.v]
-            if A is not KEEP:
-                loc.A = (
-                    A[rows_a, sl]
-                    if A is not None
-                    else np.zeros((len(rows_a), plan.strip_width(loc.u)))
-                )
-            if B is not KEEP:
-                loc.B = (
-                    B[rows_b, sl]
-                    if B is not None
-                    else np.zeros((len(rows_b), plan.strip_width(loc.u)))
-                )
+    def dense_index(self, plan: Plan15DSparse, loc: Local15DSparse, side: str):
+        """Block-row cyclic fine rows of fiber position ``v`` x r-strip ``u``."""
+        rows = plan.rows_a_of_fiber if side == "a" else plan.rows_b_of_fiber
+        return rows[loc.v], plan.strip_slice(loc.u)
 
     def update_values(
         self, plan: Plan15DSparse, locals_: List[Local15DSparse], vals: np.ndarray
@@ -266,22 +245,6 @@ class SparseShift15D(DistributedAlgorithm):
         for loc in locals_:
             if len(loc.gidx):
                 loc.S_vals[:] = vals[loc.gidx]
-
-    def collect_dense_a(
-        self, plan: Plan15DSparse, locals_: List[Local15DSparse]
-    ) -> np.ndarray:
-        out = np.zeros((plan.m, plan.r))
-        for loc in locals_:
-            out[plan.rows_a_of_fiber[loc.v], plan.strip_slice(loc.u)] = loc.A
-        return out
-
-    def collect_dense_b(
-        self, plan: Plan15DSparse, locals_: List[Local15DSparse]
-    ) -> np.ndarray:
-        out = np.zeros((plan.n, plan.r))
-        for loc in locals_:
-            out[plan.rows_b_of_fiber[loc.v], plan.strip_slice(loc.u)] = loc.B
-        return out
 
     def collect_sddmm(
         self, plan: Plan15DSparse, locals_: List[Local15DSparse], S: CooMatrix
@@ -305,8 +268,7 @@ class SparseShift15D(DistributedAlgorithm):
         layer, fiber = self.grid.make_comms(comm)
         u, v = self.grid.coords(comm.rank)
         return Ctx15DSparse(
-            comm=comm, layer=layer, fiber=fiber, u=u, v=v,
-            pool=self.pool_for(comm), overlap=self.overlap,
+            comm=comm, layer=layer, fiber=fiber, u=u, v=v, pool=self.pool_for(comm)
         )
 
     def _gather_strip(
@@ -331,63 +293,31 @@ class SparseShift15D(DistributedAlgorithm):
         row is covered by exactly one peer leg of the packed plan, so the
         pool hands back an uninitialized panel and no zero-fill or
         full-height scatter bandwidth is ever paid.  The panel comes from
-        the pool's double-buffer lease; under the overlap pipeline the
-        exchange is posted first (guarding the in-flight panel) and the
-        own-rows copy runs behind it.
+        the pool's double-buffer lease; the own-rows copy runs between the
+        exchange's post and its wait (see ``exchange``).
         """
         with region(ctx.comm, "gather-strip-packed"):
             P = ctx.pool.lease("panel", (sparse_plan.index.size, local.A.shape[1]))
-            if ctx.overlap:
-                pending = isparse_allgatherv_packed(
-                    ctx.fiber, sparse_plan.gather_packed, sparse_plan.index,
-                    local.A, P, pool=ctx.pool,
-                )
+
+            def own():
                 P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
-                pending.wait()
-            else:
-                P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
-                sparse_allgatherv_packed(
-                    ctx.fiber, sparse_plan.gather_packed, sparse_plan.index, local.A, P
-                )
+
+            post = partial(
+                isparse_allgatherv_packed, ctx.fiber, sparse_plan.gather_packed,
+                sparse_plan.index, local.A, P, pool=ctx.pool,
+            )
+            self.exchange([post], own)
             return P
 
-    def _shift_loop(self, ctx: Ctx15DSparse, nl: int, payload, compute, split: bool):
-        """Run ``nl`` phases of ``compute(rows, cols, vals)`` + ring shift.
-
-        Synchronous mode shifts the whole ``(rows, cols, vals)`` chunk
-        after each kernel.  Under the overlap pipeline the shift is
-        software-pipelined behind the kernel: with ``split=False`` the
-        payload is read-only during compute, so the entire shift is posted
-        *before* the kernel and waited after it; with ``split=True`` (the
-        SDDMM rounds, whose circulating value array accumulates *during*
-        compute) the read-only coordinate part — two of the three words
-        per nonzero — is pre-posted on :data:`TAG_SHIFT_S` and the
-        freshly-accumulated values follow after the kernel on
-        :data:`TAG_SHIFT_SV`.  Values and kernel order are identical in
-        every mode, so outputs are bitwise unchanged.
-        """
-        overlap = ctx.overlap
-        for _ in range(nl):
-            rows, cols, vals = payload
-            pending = None
-            if overlap:
-                with track(ctx.comm, Phase.PROPAGATION):
-                    part = (rows, cols) if split else payload
-                    pending = ctx.layer.ishift(part, displacement=-1, tag=TAG_SHIFT_S)
-            with track(ctx.comm, Phase.COMPUTATION):
-                compute(rows, cols, vals)
-            with track(ctx.comm, Phase.PROPAGATION):
-                if not overlap:
-                    payload = ctx.layer.shift(
-                        payload, displacement=-1, tag=TAG_SHIFT_S
-                    )
-                elif split:
-                    vals = ctx.layer.shift(vals, displacement=-1, tag=TAG_SHIFT_SV)
-                    rows, cols = pending.wait()
-                    payload = (rows, cols, vals)
-                else:
-                    payload = pending.wait()
-        return payload
+    def _replicate(
+        self, ctx: Ctx15DSparse, plan: Plan15DSparse, local: Local15DSparse,
+        sparse_plan: Optional[SparsePlan15D],
+    ) -> np.ndarray:
+        """The replication step: A's strip gathered along the fiber."""
+        with track(ctx.comm, Phase.REPLICATION):
+            if sparse_plan is not None:
+                return self._gather_strip_packed(ctx, local, sparse_plan)
+            return self._gather_strip(ctx, plan, local.A, plan.rows_a_of_fiber)
 
     def rank_kernel(
         self,
@@ -398,6 +328,7 @@ class SparseShift15D(DistributedAlgorithm):
         use_r_values: bool = False,
         use_values: bool = True,
         sparse_plan: Optional[SparsePlan15D] = None,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
         """One unified kernel call (see module docstring).
 
@@ -405,24 +336,25 @@ class SparseShift15D(DistributedAlgorithm):
         for the ALS normal equations).  With ``sparse_plan`` the fiber
         collectives become need-list neighborhood exchanges over *packed*
         panels, and the circulating chunks carry pre-remapped coordinates.
+        ``replicated`` hands in an already-gathered A panel (replication
+        reuse shares one gather between its two rounds).
         """
         prof = ctx.comm.profile
-        nl = plan.n_layer
         sw = plan.strip_width(ctx.u)
         packed = sparse_plan is not None
 
-        with track(ctx.comm, Phase.REPLICATION):
-            if mode in (Mode.SDDMM, Mode.SPMM_B):
+        if replicated is not None:
+            T = replicated
+        elif mode != Mode.SPMM_A:
+            T = self._replicate(ctx, plan, local, sparse_plan)
+        else:
+            with track(ctx.comm, Phase.REPLICATION):
                 if packed:
-                    T = self._gather_strip_packed(ctx, local, sparse_plan)
+                    # SpMMA partial-output accumulator, packed to the layer's
+                    # row union (leased: same slot as the gather panel)
+                    T = ctx.pool.lease_zeros("panel", (sparse_plan.index.size, sw))
                 else:
-                    T = self._gather_strip(ctx, plan, local.A, plan.rows_a_of_fiber)
-            elif packed:
-                # SpMMA partial-output accumulator, packed to the layer's
-                # row union (leased: same slot as the gather panel)
-                T = ctx.pool.lease_zeros("panel", (sparse_plan.index.size, sw))
-            else:
-                T = ctx.pool.zeros("panel", (plan.m, sw))
+                    T = ctx.pool.zeros("panel", (plan.m, sw))
 
         if mode == Mode.SDDMM:
             vals0 = np.zeros(len(local.S_rows))
@@ -435,13 +367,9 @@ class SparseShift15D(DistributedAlgorithm):
             # rows and local columns (computed once per structure) and no
             # index translation happens anywhere on the ring, per phase
             # or per call
-            payload = (
-                sparse_plan.home_rows_packed,
-                sparse_plan.home_cols_local,
-                vals0,
-            )
+            rows0, cols0 = sparse_plan.home_rows_packed, sparse_plan.home_cols_local
         else:
-            payload = (local.S_rows, local.S_cols, vals0)
+            rows0, cols0 = local.S_rows, local.S_cols
         if mode == Mode.SPMM_B:
             # B is a pure output here; rebind rather than zero in place
             # (the previous array may be caller-owned, e.g. a CG query
@@ -449,7 +377,7 @@ class SparseShift15D(DistributedAlgorithm):
             # collected local state
             local.B = np.zeros_like(local.B)
 
-        def compute(rows, cols, vals):
+        def compute(_t, rows, cols, vals):
             if len(rows):
                 lcols = cols if packed else self._local_cols(local, cols)
                 if mode == Mode.SDDMM:
@@ -464,12 +392,16 @@ class SparseShift15D(DistributedAlgorithm):
                 else:  # SPMM_B: out[local cols] += vals * T[rows]
                     spmm_scatter(lcols, rows, vals, T, local.B, profile=prof)
 
-        payload = self._shift_loop(
-            ctx, nl, payload, compute, split=(mode == Mode.SDDMM)
+        # the chunk is home again after the full ring cycle
+        _, _, dots = self.ring_loop(
+            ctx.comm, plan.n_layer,
+            self.chunk_lanes(
+                ctx.layer, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM)
+            ),
+            compute,
         )
 
         if mode == Mode.SDDMM:
-            _, _, dots = payload  # home again after the full ring cycle
             local.R = dots * local.S_vals if use_values else dots
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
@@ -479,23 +411,17 @@ class SparseShift15D(DistributedAlgorithm):
                     # seed with this rank's own partials at the owned union
                     # rows (everything else it owns was never touched and
                     # stays zero), then pull in each fiber peer's
-                    # contributions straight out of their packed panels.
-                    # Pipelined: the contribution legs are posted first and
-                    # the own-rows seeding hides behind the exchange.
+                    # contributions straight out of their packed panels
                     base = np.zeros_like(local.A)
-                    if ctx.overlap:
-                        pending = isparse_reduce_scatterv_packed(
-                            ctx.fiber, sparse_plan.reduce_packed,
-                            sparse_plan.index, T, base,
-                        )
+
+                    def own():
                         base[sparse_plan.own_local] = T[sparse_plan.own_packed]
-                        local.A = pending.wait()
-                    else:
-                        base[sparse_plan.own_local] = T[sparse_plan.own_packed]
-                        local.A = sparse_reduce_scatterv_packed(
-                            ctx.fiber, sparse_plan.reduce_packed,
-                            sparse_plan.index, T, base,
-                        )
+
+                    post = partial(
+                        isparse_reduce_scatterv_packed, ctx.fiber,
+                        sparse_plan.reduce_packed, sparse_plan.index, T, base,
+                    )
+                    (local.A,) = self.exchange([post], own)
                 else:
                     pieces = [T[plan.rows_a_of_fiber[w]] for w in range(self.c)]
                     local.A = ctx.fiber.reduce_scatter(pieces, tag=TAG_FIBER_RS)
@@ -543,55 +469,12 @@ class SparseShift15D(DistributedAlgorithm):
         ``sparse_plan`` the ``n r (c-1)/p`` term shrinks to the layer's
         touched rows.
         """
-        prof = ctx.comm.profile
-        nl = plan.n_layer
-        packed = sparse_plan is not None
-
-        with track(ctx.comm, Phase.REPLICATION):
-            if packed:
-                T = self._gather_strip_packed(ctx, local, sparse_plan)
-            else:
-                T = self._gather_strip(ctx, plan, local.A, plan.rows_a_of_fiber)
-
-        # home-chunk coordinates: the packed path circulates the plan's
-        # structure-cached pre-translated coordinates (shared by both
-        # rounds), the dense path the global ones
-        if packed:
-            rows0 = sparse_plan.home_rows_packed
-            cols0 = sparse_plan.home_cols_local
-        else:
-            rows0, cols0 = local.S_rows, local.S_cols
-
-        # round 1: SDDMM — circulate accumulating dots (split pipeline:
-        # coordinates pre-posted, accumulated values follow the kernel)
-        def sddmm_compute(rows, cols, vals):
-            if len(rows):
-                sddmm_coo(
-                    T, local.B, rows,
-                    cols if packed else self._local_cols(local, cols),
-                    out=vals, accumulate=True, profile=prof,
-                )
-
-        payload = self._shift_loop(
-            ctx, nl, (rows0, cols0, np.zeros(len(local.S_rows))),
-            sddmm_compute, split=True,
+        T = self._replicate(ctx, plan, local, sparse_plan)
+        self.rank_kernel(
+            ctx, plan, local, Mode.SDDMM, use_values=use_values,
+            sparse_plan=sparse_plan, replicated=T,
         )
-        local.R = payload[2] * local.S_vals if use_values else payload[2]
-
-        # round 2: SpMMB reusing T — accumulate into a fresh output panel
-        # (rebind, never zero in place: the old array may be caller-owned,
-        # and the result escapes into the collected local state).  The
-        # circulating chunk is read-only here, so the pipeline pre-posts
-        # the whole shift behind the local kernel.
-        local.B = np.zeros_like(local.B)
-
-        def spmmb_compute(rows, cols, vals):
-            if len(rows):
-                spmm_scatter(
-                    cols if packed else self._local_cols(local, cols),
-                    rows, vals, T, local.B, profile=prof,
-                )
-
-        self._shift_loop(
-            ctx, nl, (rows0, cols0, local.R.copy()), spmmb_compute, split=False
+        self.rank_kernel(
+            ctx, plan, local, Mode.SPMM_B, use_r_values=True,
+            sparse_plan=sparse_plan, replicated=T,
         )

@@ -46,8 +46,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import TAG_APP, TAG_FIBER_AG, concat_allgather, track
-from repro.algorithms.dense_shift_15d import DenseShift15D, TAG_SHIFT_B
+from repro.algorithms.base import (
+    TAG_APP,
+    TAG_FIBER_AG,
+    TAG_SHIFT_B,
+    Lane,
+    concat_allgather,
+    track,
+)
+from repro.algorithms.dense_shift_15d import DenseShift15D
 from repro.errors import ReproError
 from repro.kernels.registry import resolve_kernel_backend
 from repro.kernels.sddmm import GatScoreOp, sddmm_custom
@@ -298,26 +305,23 @@ class DistributedGAT:
                     prof.add_flops(2 * (T_X.size + X_blk.size) * head.W.shape[1])
 
                 # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>)
-                # on the transposed layout: block rows are j, cols are i
-                B_cur = H_blk.copy()
+                # on the transposed layout: block rows are j (a_R side),
+                # block cols are i (a_L side); H circulates read-only
                 scores = {}
-                for t in range(nl):
+                score_op = GatScoreOp(head.a_right, head.a_left, slope)
+
+                def score_compute(t, B_cur):
                     j = plan.held_block(u, v, t)
                     blk = loc.S.get(j)
-                    with track(ctx.comm, Phase.COMPUTATION):
-                        if blk is not None:
-                            # transposed layout: block rows are j (a_R side),
-                            # block cols are i (a_L side)
-                            scores[j] = sddmm_custom(
-                                T_H,
-                                B_cur,
-                                blk.rows,
-                                blk.cols,
-                                GatScoreOp(head.a_right, head.a_left, slope),
-                                profile=prof,
-                            )
-                    with track(ctx.comm, Phase.PROPAGATION):
-                        B_cur = ctx.layer.shift(B_cur, displacement=-1, tag=TAG_SHIFT_B)
+                    if blk is not None:
+                        scores[j] = sddmm_custom(
+                            T_H, B_cur, blk.rows, blk.cols, score_op, profile=prof
+                        )
+
+                alg.ring_loop(
+                    ctx.comm, nl, [Lane(ctx.layer, H_blk.copy(), TAG_SHIFT_B)],
+                    score_compute,
+                )
 
                 # softmax over S rows == columns of the transposed layout:
                 # reductions run across the LAYER (all coarse row blocks)
@@ -340,19 +344,16 @@ class DistributedGAT:
 
                 # round 2: aggregation out_i = sum_j attn_ij H_j, accumulated
                 # in the circulating buffer (SpMMB on the transposed layout)
-                out_acc = np.zeros_like(H_blk)
-                for t in range(nl):
+                def agg_compute(t, out_cur):
                     j = plan.held_block(u, v, t)
                     blk = loc.S.get(j)
-                    with track(ctx.comm, Phase.COMPUTATION):
-                        if blk is not None:
-                            spmm_b_block(
-                                blk, T_H, out_acc, values=scores[j], profile=prof
-                            )
-                    with track(ctx.comm, Phase.PROPAGATION):
-                        out_acc = ctx.layer.shift(
-                            out_acc, displacement=-1, tag=TAG_SHIFT_B
-                        )
+                    if blk is not None:
+                        spmm_b_block(blk, T_H, out_cur, values=scores[j], profile=prof)
+
+                out_lane = Lane(
+                    ctx.layer, np.zeros_like(H_blk), TAG_SHIFT_B, read_only=False
+                )
+                (out_acc,) = alg.ring_loop(ctx.comm, nl, [out_lane], agg_compute)
                 with prof.track(Phase.OTHER):
                     outs[comm.rank].append(elu(out_acc) if apply_elu else out_acc)
 

@@ -145,7 +145,6 @@ def _cmd_mpi_smoke(args: argparse.Namespace) -> int:
         supports_sparse_comm,
     )
     from repro.runtime.backend import resolve_backend
-    from repro.types import Elision
 
     resolve_backend("mpi")  # typed install hint before any MPI call
     from repro.runtime.backend_mpi import mpi_world_rank, mpi_world_size
@@ -180,25 +179,28 @@ def _cmd_mpi_smoke(args: argparse.Namespace) -> int:
             if root:
                 print(f"SKIP {name}: no feasible replication factor at p={p}")
             continue
-        els = supported_elisions(name)
-        elision = Elision.NONE if Elision.NONE in els else els[0]
         comm_modes = ["dense"]
         if supports_sparse_comm(name):
             comm_modes.append("sparse")
-        for comm in comm_modes:
-            for overlap in ("off", "on"):
-                ref = run_case(name, elision, comm, overlap, "threads")
-                out = run_case(name, elision, comm, overlap, "mpi")
-                ok = np.array_equal(ref, out)
-                checked += 1
-                if not ok:
-                    failures.append((name, comm, overlap))
-                if root:
-                    verdict = "OK " if ok else "FAIL"
-                    print(
-                        f"{verdict} {name:<24} comm={comm:<6} "
-                        f"overlap={overlap:<3} thread-vs-mpi bitwise"
-                    )
+        # every elision: between them the family's rounds cover read-only,
+        # accumulating and output-circulating lanes (and, with
+        # comm="sparse", eager and deferred packed exchanges)
+        for elision in supported_elisions(name):
+            for comm in comm_modes:
+                for overlap in ("off", "on"):
+                    ref = run_case(name, elision, comm, overlap, "threads")
+                    out = run_case(name, elision, comm, overlap, "mpi")
+                    ok = np.array_equal(ref, out)
+                    checked += 1
+                    if not ok:
+                        failures.append((name, elision.value, comm, overlap))
+                    if root:
+                        verdict = "OK " if ok else "FAIL"
+                        print(
+                            f"{verdict} {name:<24} elision={elision.value:<20} "
+                            f"comm={comm:<6} overlap={overlap:<3} "
+                            f"thread-vs-mpi bitwise"
+                        )
     if failures:
         if root:
             print(f"\n{len(failures)}/{checked} case(s) diverged: {failures}")

@@ -23,9 +23,7 @@ from repro.comm_sparse.collectives import (
     TAG_SPARSE_AG,
     TAG_SPARSE_RS,
     sparse_allgatherv,
-    sparse_allgatherv_packed,
     sparse_reduce_scatterv,
-    sparse_reduce_scatterv_packed,
 )
 from repro.comm_sparse.plan import (
     CommPlan,
@@ -50,9 +48,7 @@ __all__ = [
     "SparsePlan15D",
     "SparsePlan25D",
     "sparse_allgatherv",
-    "sparse_allgatherv_packed",
     "sparse_reduce_scatterv",
-    "sparse_reduce_scatterv_packed",
     "TAG_SPARSE_AG",
     "TAG_SPARSE_RS",
     "plan_sparse_shift_15d",

@@ -27,11 +27,11 @@ deadlock-free regardless of the neighborhood's shape.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.comm_sparse.plan import CommPlan, PackedIndex
+from repro.comm_sparse.plan import CommPlan, PackedIndex, PeerExchange
 from repro.errors import CommError
 from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator, PendingRecv
@@ -69,20 +69,6 @@ def _post_sends(
         comm.send(px.peer, np.ascontiguousarray(block), tag)
 
 
-def _recv_blocks(comm: Communicator, plan: CommPlan, tag: int):
-    """Yield ``(leg, block)`` for every non-empty recv leg, validated."""
-    for px in plan.peers:
-        if not len(px.recv_rows):
-            continue
-        block = comm.recv(px.peer, tag)
-        if block.shape != (len(px.recv_rows), px.recv_width):
-            raise CommError(
-                f"plan {plan.key!r}: received {block.shape} from peer "
-                f"{px.peer}, expected ({len(px.recv_rows)}, {px.recv_width})"
-            )
-        yield px, block
-
-
 def sparse_allgatherv(
     comm: Communicator,
     plan: CommPlan,
@@ -100,11 +86,7 @@ def sparse_allgatherv(
     The caller fills its own locally-owned rows of ``out`` before or after
     the call (ownership never moves).
     """
-    _check(comm, plan)
-    _post_sends(comm, plan, sendbuf, tag)
-    for px, block in _recv_blocks(comm, plan, tag):
-        _window(out, px.recv_cols)[px.recv_rows] = block
-    return out
+    return _post_exchange(comm, plan, sendbuf, out, tag, reduce=False).wait()
 
 
 def sparse_reduce_scatterv(
@@ -124,25 +106,25 @@ def sparse_reduce_scatterv(
     the dense reduce-scatter on the touched rows.  ``recv_rows`` are
     unique per peer by construction, making the in-place ``+=`` exact.
     """
-    _check(comm, plan)
-    _post_sends(comm, plan, contrib, tag)
-    for px, block in _recv_blocks(comm, plan, tag):
-        _window(base, px.recv_cols)[px.recv_rows] += block
-    return base
+    return _post_exchange(comm, plan, contrib, base, tag, reduce=True).wait()
 
 
 class PendingSparseExchange:
-    """Waitable handle for a posted nonblocking need-list exchange.
+    """Waitable handle for a posted need-list exchange.
 
     Created by :func:`isparse_allgatherv_packed` /
-    :func:`isparse_reduce_scatterv_packed`: every send leg is already
-    posted (sends are buffered), the receive legs are held as
-    :class:`~repro.runtime.comm.PendingRecv` handles, and the target
-    panel is :meth:`~repro.runtime.buffers.BufferPool.guard`-ed against
-    pooled reuse while in flight.  :meth:`wait` drains the legs in plan
-    order — identical placement/accumulation order to the blocking
-    collectives, so results are bitwise unchanged — releases the guard
-    and returns the filled target.
+    :func:`isparse_reduce_scatterv_packed` (and, waited on the spot, by
+    the blocking collectives above): every send leg is already posted
+    (sends are buffered), the receive legs are held either as
+    :class:`~repro.runtime.comm.PendingRecv` handles (*deferred*: the
+    transfer flies behind whatever the caller does before the wait, and
+    the hidden part is accounted) or as already-received blocks (*eager*:
+    blocking receives at post time, the synchronous schedule), and the
+    target panel is :meth:`~repro.runtime.buffers.BufferPool.guard`-ed
+    against pooled reuse until the wait.  :meth:`wait` validates and
+    places / accumulates the legs in plan order — the same order either
+    way, so eager and deferred exchanges are bitwise identical — releases
+    the guard and returns the filled target.
     """
 
     __slots__ = (
@@ -158,12 +140,12 @@ class PendingSparseExchange:
 
     def __init__(
         self,
+        comm: Communicator,
         plan: CommPlan,
         target: np.ndarray,
-        legs: List[Tuple[object, PendingRecv]],
+        legs: List[Tuple[PeerExchange, Union[PendingRecv, np.ndarray]]],
         reduce: bool,
         pool: Optional[BufferPool] = None,
-        comm: Optional[Communicator] = None,
     ) -> None:
         self._plan = plan
         self._target = target
@@ -181,8 +163,8 @@ class PendingSparseExchange:
             raise CommError(f"exchange {self._plan.key!r} waited more than once")
         self._done = True
         try:
-            for px, pending in self._legs:
-                block = pending.wait()
+            for px, leg in self._legs:
+                block = leg.wait() if isinstance(leg, PendingRecv) else leg
                 if block.shape != (len(px.recv_rows), px.recv_width):
                     raise CommError(
                         f"plan {self._plan.key!r}: received {block.shape} from "
@@ -197,20 +179,19 @@ class PendingSparseExchange:
             self._legs = []
             if self._pool is not None:
                 self._pool.release(self._target)
-            if self._comm is not None:
-                tracer = self._comm.profile.tracer
-                if tracer is not None:
-                    # cat "exchange", not "comm": this is the post->complete
-                    # *lifetime* of the whole exchange (it ends at the wait,
-                    # not at arrival), so it must not count toward the
-                    # overlap-window occupancy the per-leg "comm" async
-                    # spans measure.
-                    tracer.async_span(
-                        "reduce-exchange" if self._reduce else "gather-exchange",
-                        "exchange",
-                        self._post_ts,
-                        time.perf_counter(),
-                    )
+            tracer = self._comm.profile.tracer
+            if tracer is not None:
+                # cat "exchange", not "comm": this is the post->complete
+                # *lifetime* of the whole exchange (it ends at the wait,
+                # not at arrival), so it must not count toward the
+                # overlap-window occupancy the per-leg "comm" async
+                # spans measure.
+                tracer.async_span(
+                    "reduce-exchange" if self._reduce else "gather-exchange",
+                    "exchange",
+                    self._post_ts,
+                    time.perf_counter(),
+                )
         return self._target
 
 
@@ -221,63 +202,25 @@ def _post_exchange(
     target: np.ndarray,
     tag: int,
     reduce: bool,
-    pool: Optional[BufferPool],
+    pool: Optional[BufferPool] = None,
+    eager: bool = True,
 ) -> PendingSparseExchange:
+    """Post every send leg, then the receive legs — blocking receives
+    when ``eager`` (plain ``recv`` accounting: nothing is ever hidden),
+    nonblocking handles otherwise."""
     _check(comm, plan)
     _post_sends(comm, plan, sendbuf, tag)
-    legs = [
-        (px, comm.irecv(px.peer, tag)) for px in plan.peers if len(px.recv_rows)
-    ]
-    return PendingSparseExchange(plan, target, legs, reduce, pool, comm=comm)
+    take = comm.recv if eager else comm.irecv
+    legs = [(px, take(px.peer, tag)) for px in plan.peers if len(px.recv_rows)]
+    return PendingSparseExchange(comm, plan, target, legs, reduce, pool)
 
 
-def sparse_allgatherv_packed(
-    comm: Communicator,
-    plan: CommPlan,
-    index: PackedIndex,
-    sendbuf: np.ndarray,
-    out: np.ndarray,
-    tag: int = TAG_SPARSE_AG,
-) -> np.ndarray:
-    """Need-list all-gather into a *packed* panel of height ``index.size``.
-
-    ``plan`` must be the :meth:`CommPlan.packed_recv` derivation whose
-    ``recv_rows`` are packed positions of ``index``; ``out`` is a
-    ``len(union) x width`` panel — no full-height buffer exists on the
-    receive side, and because every union row is either locally owned or
-    covered by exactly one peer leg, ``out`` may be allocated with
-    ``np.empty`` (no zero-fill bandwidth is ever paid).
-    """
-    if out.shape[0] != index.size:
+def _check_packed(plan: CommPlan, index: PackedIndex, panel: np.ndarray) -> None:
+    if panel.shape[0] != index.size:
         raise CommError(
-            f"plan {plan.key!r}: packed out has {out.shape[0]} rows, "
+            f"plan {plan.key!r}: packed panel has {panel.shape[0]} rows, "
             f"index union has {index.size}"
         )
-    return sparse_allgatherv(comm, plan, sendbuf, out, tag)
-
-
-def sparse_reduce_scatterv_packed(
-    comm: Communicator,
-    plan: CommPlan,
-    index: PackedIndex,
-    contrib: np.ndarray,
-    base: np.ndarray,
-    tag: int = TAG_SPARSE_RS,
-) -> np.ndarray:
-    """Need-list reduce-scatter out of a *packed* contribution panel.
-
-    ``plan`` must be the :meth:`CommPlan.packed_send` derivation whose
-    ``send_rows`` are packed positions of ``index``; ``contrib`` is the
-    ``len(union) x width`` partial-output panel holding exactly the rows
-    this rank's nonzeros touched.  ``base`` stays in the owner's local
-    (unpacked) row space, as in :func:`sparse_reduce_scatterv`.
-    """
-    if contrib.shape[0] != index.size:
-        raise CommError(
-            f"plan {plan.key!r}: packed contrib has {contrib.shape[0]} rows, "
-            f"index union has {index.size}"
-        )
-    return sparse_reduce_scatterv(comm, plan, contrib, base, tag)
 
 
 def isparse_allgatherv_packed(
@@ -288,22 +231,28 @@ def isparse_allgatherv_packed(
     out: np.ndarray,
     tag: int = TAG_SPARSE_AG,
     pool: Optional[BufferPool] = None,
+    eager: bool = False,
 ) -> PendingSparseExchange:
-    """Nonblocking :func:`sparse_allgatherv_packed`.
+    """Post a need-list all-gather into a *packed* panel.
 
-    Posts every send leg immediately and returns a waitable handle; the
-    caller runs local work (the own-rows copy, a kernel) between post and
-    ``wait()``, hiding the exchange behind it.  ``out`` must not be read
-    before the wait returns it; pass ``pool`` to have the panel guarded
-    against pooled reuse while in flight (the double-buffer no-aliasing
-    invariant).
+    ``plan`` must be the :meth:`CommPlan.packed_recv` derivation whose
+    ``recv_rows`` are packed positions of ``index``; ``out`` is a
+    ``len(union) x width`` panel — no full-height buffer exists on the
+    receive side, and because every union row is either locally owned or
+    covered by exactly one peer leg, ``out`` may be allocated with
+    ``np.empty`` (no zero-fill bandwidth is ever paid).
+
+    Every send leg is posted immediately and a waitable handle returned;
+    the caller runs local work (the own-rows copy, a kernel) between post
+    and ``wait()``, hiding the exchange behind it unless ``eager``.
+    ``out`` must not be read before the wait returns it; pass ``pool`` to
+    have the panel guarded against pooled reuse while in flight (the
+    double-buffer no-aliasing invariant).
     """
-    if out.shape[0] != index.size:
-        raise CommError(
-            f"plan {plan.key!r}: packed out has {out.shape[0]} rows, "
-            f"index union has {index.size}"
-        )
-    return _post_exchange(comm, plan, sendbuf, out, tag, reduce=False, pool=pool)
+    _check_packed(plan, index, out)
+    return _post_exchange(
+        comm, plan, sendbuf, out, tag, reduce=False, pool=pool, eager=eager
+    )
 
 
 def isparse_reduce_scatterv_packed(
@@ -314,17 +263,22 @@ def isparse_reduce_scatterv_packed(
     base: np.ndarray,
     tag: int = TAG_SPARSE_RS,
     pool: Optional[BufferPool] = None,
+    eager: bool = False,
 ) -> PendingSparseExchange:
-    """Nonblocking :func:`sparse_reduce_scatterv_packed`.
+    """Post a need-list reduce-scatter out of a *packed* contribution panel.
+
+    ``plan`` must be the :meth:`CommPlan.packed_send` derivation whose
+    ``send_rows`` are packed positions of ``index``; ``contrib`` is the
+    ``len(union) x width`` partial-output panel holding exactly the rows
+    this rank's nonzeros touched.  ``base`` stays in the owner's local
+    (unpacked) row space, as in :func:`sparse_reduce_scatterv`.
 
     The outgoing contribution legs are posted (and deep-copied) up front,
     so the caller is free to build/seed ``base`` — or reuse ``contrib``
     — before waiting; peer contributions are accumulated into ``base`` in
-    plan order at ``wait()``, bitwise identical to the blocking call.
+    plan order at ``wait()``, eager or not.
     """
-    if contrib.shape[0] != index.size:
-        raise CommError(
-            f"plan {plan.key!r}: packed contrib has {contrib.shape[0]} rows, "
-            f"index union has {index.size}"
-        )
-    return _post_exchange(comm, plan, contrib, base, tag, reduce=True, pool=pool)
+    _check_packed(plan, index, contrib)
+    return _post_exchange(
+        comm, plan, contrib, base, tag, reduce=True, pool=pool, eager=eager
+    )

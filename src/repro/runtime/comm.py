@@ -167,13 +167,17 @@ class PendingAllgather:
     blocking :meth:`Communicator.allgather`.
     """
 
-    __slots__ = ("_out", "_legs")
+    __slots__ = ("_out", "_legs", "_done")
 
     def __init__(self, out: List[Any], legs: List[Tuple[int, PendingRecv]]) -> None:
         self._out = out
         self._legs = legs
+        self._done = False
 
     def wait(self) -> List[Any]:
+        if self._done:
+            raise CommError("nonblocking all-gather waited more than once")
+        self._done = True
         for src, pending in self._legs:
             self._out[src] = pending.wait()
         self._legs = []
@@ -307,12 +311,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # nonblocking point to point (the overlap pipeline's primitives)
     # ------------------------------------------------------------------
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> None:
-        """Nonblocking send.  Sends in this runtime are always buffered
-        (the payload is deep-copied into the destination mailbox), so this
-        is :meth:`send` under its MPI-convention name."""
-        self.send(dest, payload, tag)
 
     def irecv(self, source: int, tag: int = 0, tracked: bool = True) -> PendingRecv:
         """Post a nonblocking receive; ``.wait()`` blocks and accounts.

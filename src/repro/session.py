@@ -1008,7 +1008,7 @@ class Session:
         After ``retries`` runtime-fault failures, sessions running with
         aggressive knobs (``overlap="on"`` / ``comm="sparse"``) make one
         final *degraded* attempt on the conservative path — synchronous
-        loops, dense ring collectives — before surfacing the **first**
+        schedule, dense ring collectives — before surfacing the **first**
         error.  Returns ``(outcome, retries_used)``.
         """
         first_error: Optional[BaseException] = None
@@ -1039,22 +1039,22 @@ class Session:
         if self._orients[transpose].sparse_plans is None and not alg.overlap:
             raise first_error
         # graceful degradation: one conservative re-run.  The overlap
-        # flag is flipped on the algorithm instance (contexts were
-        # dropped by the failed attempt, so the rebuild/refresh
-        # snapshots the conservative value) and restored afterwards;
-        # the dense comm path is forced by the degraded dispatch.
+        # flag is flipped on the algorithm instance — the propagation
+        # schedule reads it live and nothing else is in flight — and
+        # restored afterwards; the dense comm path is forced by the
+        # degraded dispatch.  Contexts and bind snapshots carry neither
+        # knob, so a successful re-run leaves them resident for the next
+        # clean call.
         saved_overlap = alg.overlap
         alg.overlap = False
         try:
             self._submit(future, degraded=True)
             self._wait_attempt(future)
         except Exception:  # noqa: BLE001 - degraded run failed too
+            self._drop_contexts()
             raise first_error
         finally:
             alg.overlap = saved_overlap
-            # the degraded run's contexts snapshot overlap=False; drop
-            # them so the next call rebuilds with the session's knobs
-            self._drop_contexts()
         self.degraded_calls += 1
         return "degraded", self.retries
 
@@ -1473,13 +1473,15 @@ def plan(
     or at the next session call if the future was left unconsumed — and
     therefore to sync and async calls alike.
 
-    ``overlap`` selects the communication/compute software pipeline inside
-    the rank kernels: ``"on"`` posts every propagation shift / packed
-    exchange behind the local kernel (bitwise-identical outputs, hidden
-    transfer time measured on the report as
+    ``overlap`` selects where the one propagation schedule puts its waits
+    (:meth:`~repro.algorithms.base.DistributedAlgorithm.ring_loop` /
+    ``exchange``): ``"on"`` posts every read-only shift / packed exchange
+    *behind* the local kernel (bitwise-identical outputs, hidden transfer
+    time measured on the report as
     :attr:`~repro.runtime.profile.RunReport.hidden_comm_seconds` /
     :attr:`~repro.runtime.profile.RunReport.overlap_efficiency`),
-    ``"off"`` keeps the historical synchronous loops, and ``"auto"`` (the
+    ``"off"`` runs the same schedule synchronously (every transfer is
+    waited where it is posted; nothing is hidden), and ``"auto"`` (the
     default) consults the cost model's overlapped-time term and enables
     the pipeline whenever it predicts a positive saving — default-on
     where profitable.
@@ -1502,7 +1504,7 @@ def plan(
     deterministic user error) up to N times against the resident
     distribution — never re-planning — and, when the knobs were
     aggressive (``overlap="on"``/``comm="sparse"``), falls back to one
-    conservative re-run (synchronous loops, dense collectives) before
+    conservative re-run (synchronous schedule, dense collectives) before
     surfacing the first error; outputs after retry or degradation are
     bitwise-identical to a clean run.  (:meth:`Session.run_rank` stays
     fail-fast: custom rank procedures mutate rank state.)  ``faults`` arms

@@ -233,3 +233,55 @@ class TestResidentBlock25DSparse:
         for loc in locals_:
             if loc.S.nnz:
                 assert loc.S._csr is cached[id(loc.S)]  # no rebuild
+
+
+class TestDenseIndex:
+    """Each family states its Table II dense layout once (``dense_index``);
+    ``bind_dense`` / ``collect_dense_*`` are the base class's."""
+
+    FAMILIES = [
+        (DenseShift15D, 8, 2),
+        (SparseShift15D, 8, 4),
+        (DenseReplicate25D, 8, 2),
+        (SparseReplicate25D, 8, 2),
+    ]
+    M, N, R = 37, 29, 10  # ragged on purpose
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("cls,p,c", FAMILIES)
+    def test_bind_never_aliases_and_round_trips(self, rng, cls, p, c, order):
+        alg = cls(p, c)
+        plan = alg.plan(self.M, self.N, self.R)
+        locals_ = alg.distribute_sparse(plan, erdos_renyi(self.M, self.N, 3, seed=4))
+        A = np.asarray(rng.standard_normal((self.M, self.R)), order=order)
+        B = np.asarray(rng.standard_normal((self.N, self.R)), order=order)
+        alg.bind_dense(plan, locals_, A, B)
+        for loc in locals_:
+            for side, block, full in (("a", loc.A, A), ("b", loc.B, B)):
+                assert block.flags["C_CONTIGUOUS"] and block.flags["OWNDATA"]
+                assert not np.shares_memory(block, full)
+                np.testing.assert_array_equal(
+                    block, full[alg.dense_index(plan, loc, side)]
+                )
+        np.testing.assert_array_equal(alg.collect_dense_a(plan, locals_), A)
+        np.testing.assert_array_equal(alg.collect_dense_b(plan, locals_), B)
+
+    @pytest.mark.parametrize("cls,p,c", FAMILIES)
+    def test_keep_and_none_handled_once_for_every_family(self, rng, cls, p, c):
+        from repro.algorithms.base import KEEP
+
+        alg = cls(p, c)
+        plan = alg.plan(self.M, self.N, self.R)
+        locals_ = alg.distribute_sparse(plan, erdos_renyi(self.M, self.N, 3, seed=4))
+        A = rng.standard_normal((self.M, self.R))
+        alg.bind_dense(plan, locals_, A, None)
+        held = [loc.A for loc in locals_]
+        for loc in locals_:  # an output side binds as fresh zeros, right shape
+            want = np.empty((self.N, self.R))[alg.dense_index(plan, loc, "b")]
+            assert loc.B.shape == want.shape
+            assert not loc.B.any() and loc.B.flags["OWNDATA"]
+        B = rng.standard_normal((self.N, self.R))
+        alg.bind_dense(plan, locals_, KEEP, B)
+        assert all(loc.A is blk for loc, blk in zip(locals_, held))
+        np.testing.assert_array_equal(alg.collect_dense_a(plan, locals_), A)
+        np.testing.assert_array_equal(alg.collect_dense_b(plan, locals_), B)

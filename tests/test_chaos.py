@@ -172,6 +172,54 @@ class TestGracefulDegradation:
             assert sess.alg.overlap is True
 
     @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("retries,outcome", [(1, "retried"), (0, "degraded")])
+    @pytest.mark.parametrize("family", ["1.5d-sparse-shift", "2.5d-dense-replicate"])
+    def test_lost_value_half_of_a_split_chunk_is_a_transport_fault(
+        self, workload, references, family, retries, outcome, entry
+    ):
+        """One message lost on the split value channel leaves a rank with
+        the coordinates of one chunk and the values of the next.  Where
+        the lanes re-join that is a CommError — retried (or degraded)
+        bitwise — not a broadcasting ValueError out of the local kernel
+        that no policy would ever re-run."""
+        S, A, B = workload
+        lost = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_SV, times=1)])
+        with repro.plan(
+            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="on",
+            deadline_ms=1500, retries=retries, faults=lost,
+        ) as sess:
+            out, _ = _fused_a(sess, entry, A, B)
+            np.testing.assert_array_equal(out, references[family])
+            assert sess.metrics()[-1]["outcome"] == outcome
+            assert sess.plan_builds == 1
+            assert len(lost.fired_log) == 1
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_successful_degrade_keeps_contexts_and_bind_snapshots(
+        self, workload, references, entry
+    ):
+        """Contexts carry no schedule knob, so the degraded re-run's
+        contexts and skip-rebind snapshots serve the next clean call: no
+        context rebuild, and the unchanged input side is not re-scattered."""
+        S, A, B = workload
+        once = FaultPlan([FaultSpec("drop", tag=TAG_SPARSE_AG, times=1)])
+        with repro.plan(
+            S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
+            overlap="on", deadline_ms=700, retries=0, faults=once,
+        ) as sess:
+            out, _ = _fused_a(sess, entry, A, B)
+            np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
+            assert sess.metrics()[-1]["outcome"] == "degraded"
+            builds = sess.context_builds
+            skips = sum(sess.dense_bind_skips.values())
+            out2, _ = _fused_a(sess, entry, A, B)
+            np.testing.assert_array_equal(out2, references["1.5d-sparse-shift"])
+            assert sess.metrics()[-1]["outcome"] == "ok"
+            assert sess.context_builds == builds
+            assert sum(sess.dense_bind_skips.values()) > skips
+            assert sess.plan_builds == 1
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_unrecoverable_fault_surfaces_first_error(self, workload, entry):
         """When the conservative path hits the same sticky fault, the
         *first* error (with its dump) surfaces — not the degraded
