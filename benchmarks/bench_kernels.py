@@ -3,11 +3,11 @@
 Times every kernel the registry dispatches (``sddmm_coo``,
 ``sddmm_custom`` with the structured :class:`GatScoreOp`,
 ``gat_edge_scores``, ``spmm_a_block``, ``spmm_b_block``,
-``spmm_scatter``) under every *available* backend on one committed
-workload, and records per-backend ms plus numba-over-numpy speedups into
-``BENCH_sparse_comm.json`` under the ``"kernels"`` key (merged next to
-the communication / session / serve records) for the CI regression gate
-in ``bench_compare.py``.
+``spmm_scatter`` on sorted and on unsorted keys) under every *available*
+backend on one committed workload, and records per-backend ms plus
+numba-over-numpy speedups into ``BENCH_sparse_comm.json`` under the
+``"kernels"`` key (merged next to the communication / session / serve
+records) for the CI regression gate in ``bench_compare.py``.
 
 Floors (asserted here whenever numba is installed, i.e. in the CI
 ``kernel-backends`` lane): the compiled backend must beat numpy by >=
@@ -18,11 +18,15 @@ was cut against, and no numba run has re-measured the margin).
 ``spmm_a_block`` / ``spmm_b_block`` / ``spmm_scatter`` all run one CSR
 walk on both backends — SciPy's compiled sequential ``csr_matvecs``
 against the jitted row-partitioned loop (``spmm_scatter`` adds the same
-per-call sort on both sides) — and ``gat_edge_scores`` competes against
-a pure memory-bound fancy-index gather, so those gate on near-parity
-floors (0.9x / 0.8x): the win there is parallelism, which small CI
-runners may not have.  On numpy-only hosts the record still carries the numpy
-timings so the regression gate can watch the default path's cost.
+per-call segment scan, plus the same stable sort when its keys arrive
+unsorted, on both sides: the ``_sorted`` / ``_unsorted`` rows time one
+column-keyed chunk both ways — as the families circulate it, prepared
+at its home rank, and as an unprepared caller hands it over) — and
+``gat_edge_scores`` competes against a pure memory-bound fancy-index
+gather, so those gate on near-parity floors (0.9x / 0.8x): the win there
+is parallelism, which small CI runners may not have.  On numpy-only
+hosts the record still carries the numpy timings so the regression gate
+can watch the default path's cost.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ SPEEDUP_FLOORS = {
     "spmm_a_block": 0.9,
     "spmm_b_block": 0.9,
     "spmm_scatter": 0.9,
+    "spmm_scatter_sorted": 0.9,
+    "spmm_scatter_unsorted": 0.9,
     "gat_edge_scores": 0.8,
 }
 
@@ -81,6 +87,8 @@ def measure_backend(name: str, workload) -> dict:
     prof.kernels = backend
     out_a = np.zeros_like(A)
     out_b = np.zeros_like(B)
+    by_col = np.argsort(S.cols, kind="stable")  # the home rank's cached order
+    column_major = (S.cols[by_col], S.rows[by_col], S.vals[by_col])
     return {
         "sddmm_coo": _best_of(
             lambda: sddmm_coo(A, B, S.rows, S.cols, s_vals=S.vals, profile=prof)
@@ -95,6 +103,15 @@ def measure_backend(name: str, workload) -> dict:
         "spmm_b_block": _best_of(lambda: spmm_b_block(blk, A, out_b, profile=prof)),
         "spmm_scatter": _best_of(
             lambda: spmm_scatter(S.rows, S.cols, S.vals, B, out_a, profile=prof)
+        ),
+        # the SpMMB orientation (output index = column) of the same chunk:
+        # as a circulating chunk arrives — column-major, prepared once at
+        # its home rank — and as an unprepared caller hands it over
+        "spmm_scatter_sorted": _best_of(
+            lambda: spmm_scatter(*column_major, A, out_b, profile=prof)
+        ),
+        "spmm_scatter_unsorted": _best_of(
+            lambda: spmm_scatter(S.cols, S.rows, S.vals, A, out_b, profile=prof)
         ),
     }
 

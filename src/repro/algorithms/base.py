@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import CommError, ReproError
 from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator
-from repro.types import Phase
+from repro.types import Mode, Phase
 
 # Message tags: one per logical channel so phases never cross-talk.
 TAG_SHIFT_B = 10
@@ -287,7 +287,9 @@ class DistributedAlgorithm:
                 setattr(loc, side.upper(), block)
 
     def _collect_dense(self, plan, locals_, side: str, nrows: int) -> np.ndarray:
-        out = np.zeros((nrows, plan.r))
+        # uninitialized: the ranks' ``dense_index`` pieces tile the matrix
+        # exactly once (gated for every family in tests/test_schedule.py)
+        out = np.empty((nrows, plan.r))
         for loc in locals_:
             out[self.dense_index(plan, loc, side)] = getattr(loc, side.upper())
         return out
@@ -389,6 +391,51 @@ class DistributedAlgorithm:
                 Lane(ring, vals, TAG_SHIFT_SV, read_only=False, rides_with=coords),
             ]
         return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, read_only=not accumulating)]
+
+    def home_chunk(
+        self,
+        cache: dict,
+        space: str,
+        coords: Callable[[], Tuple[np.ndarray, np.ndarray]],
+        mode: Mode,
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """A rank's home chunk in the form the kernel of one mode consumes.
+
+        Everything index-shaped about a circulating chunk is fixed for the
+        life of the resident structure, so it is prepared *here*, once, at
+        the home rank, and the ring then moves the chunk as-is: a phase
+        does kernel work only.  ``coords()`` yields the chunk's
+        ``(rows, cols)`` in kernel space ``space`` (a family translates
+        global indices there, e.g. columns to layer-local B rows), in
+        distributed order.  Returns ``(rows, cols, perm)`` in ``mode``'s
+        *travel order* — stably sorted by the coordinate the kernel
+        scatters into (rows for SpMMA, columns for SpMMB), so
+        :func:`~repro.kernels.spmm.spmm_scatter` finds its keys
+        non-decreasing and every output row's nonzeros in distributed
+        order; distributed order itself for SDDMM, whose values must come
+        home that way — with ``perm`` the permutation the caller applies
+        to the values (``None`` when distributed order already is travel
+        order, as it is for a row-major chunk's SpMMA).
+
+        ``cache`` is the home rank's own dict (it lives with the local
+        sparse state: built lazily, once per resident structure, surviving
+        ``update_values``); it holds at most ~3 words per home nonzero per
+        mode, and receivers cache nothing.
+        """
+        entry = cache.get((space, mode))
+        if entry is None:
+            if mode == Mode.SDDMM:
+                entry = (*coords(), None)
+            else:
+                # sort the distributed-order entry, translated only once
+                rows, cols, perm = self.home_chunk(cache, space, coords, Mode.SDDMM)
+                keys = rows if mode == Mode.SPMM_A else cols
+                if (keys[1:] < keys[:-1]).any():
+                    perm = np.argsort(keys, kind="stable")
+                    rows, cols = rows[perm], cols[perm]
+                entry = (rows, cols, perm)
+            cache[(space, mode)] = entry
+        return entry
 
     def ring_loop(
         self,

@@ -38,7 +38,9 @@ Propagation is stated as :class:`~repro.algorithms.base.Lane` s — the S
 chunk on the grid row (``chunk_lanes``: its values accumulate in the
 SDDMM rounds) and the B block on the grid column (the output accumulator
 in the SpMMB rounds) — handed to the shared ``ring_loop``, which owns
-the schedule.
+the schedule.  The S chunk leaves home in the mode's travel order
+(``home_chunk``: column-major for SpMMB, cached per resident structure),
+so a phase runs the local kernel and nothing else.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ class Local25DDense:
     S_vals: np.ndarray
     gidx: np.ndarray
     R: Optional[np.ndarray] = None
+    #: the home chunk as each mode's kernel consumes it (``home_chunk``)
+    travel: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -255,9 +259,13 @@ class DenseReplicate25D(DistributedAlgorithm):
             for z in range(plan.c)
         ]
 
-    def _gather_T(self, ctx: Ctx25D, local: Local25DDense) -> np.ndarray:
-        """All-gather A's fine blocks along the fiber into the coarse panel."""
-        with region(ctx.comm, "gather-A"):
+    def replicate(
+        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense
+    ) -> np.ndarray:
+        """The replication step: A's fine blocks all-gathered along the
+        fiber into the coarse panel ``rank_kernel`` / ``rank_fusedmm_reuse``
+        accept as ``replicated=``."""
+        with track(ctx.comm, Phase.REPLICATION), region(ctx.comm, "gather-A"):
             parts = ctx.fiber.allgather(local.A, tag=TAG_FIBER_AG)
             return np.concatenate(parts, axis=0)
 
@@ -281,16 +289,22 @@ class DenseReplicate25D(DistributedAlgorithm):
 
         T = replicated
         if T is None:
-            with track(ctx.comm, Phase.REPLICATION):
-                if mode in (Mode.SDDMM, Mode.SPMM_B):
-                    T = self._gather_T(ctx, local)
-                else:
+            if mode in (Mode.SDDMM, Mode.SPMM_B):
+                T = self.replicate(ctx, plan, local)
+            else:
+                with track(ctx.comm, Phase.REPLICATION):
                     T = np.zeros((coarse_rows, plan.strip_width(y)))
 
+        # block-local coordinates are kernel space already; SpMMB travels
+        # column-major
+        rows0, cols0, perm = self.home_chunk(
+            local.travel, "block", lambda: (local.S_rows, local.S_cols), mode
+        )
         if mode == Mode.SDDMM:
             vals0 = np.zeros(len(local.S_rows))
         else:
-            vals0 = (local.R if use_r_values else local.S_vals).copy()
+            vals0 = local.R if use_r_values else local.S_vals
+            vals0 = vals0.copy() if perm is None else vals0[perm]
         B_start = np.zeros_like(local.B) if mode == Mode.SPMM_B else local.B.copy()
 
         def compute(_t, rows, cols, vals, B_cur):
@@ -312,8 +326,7 @@ class DenseReplicate25D(DistributedAlgorithm):
             ctx.comm, plan.q,
             [
                 *self.chunk_lanes(
-                    ctx.row, local.S_rows, local.S_cols, vals0,
-                    accumulating=(mode == Mode.SDDMM),
+                    ctx.row, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM)
                 ),
                 Lane(ctx.col, B_start, TAG_SHIFT_B, read_only=(mode != Mode.SPMM_B)),
             ],
@@ -349,10 +362,13 @@ class DenseReplicate25D(DistributedAlgorithm):
         self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True)
 
     def rank_fusedmm_reuse(
-        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense
+        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
-        """Replication reuse (native FusedMMB): one all-gather, two rounds."""
-        with track(ctx.comm, Phase.REPLICATION):
-            T = self._gather_T(ctx, local)
+        """Replication reuse (native FusedMMB): one all-gather — or the
+        caller's ``replicated`` panel of an unchanged A — and two rounds."""
+        T = replicated
+        if T is None:
+            T = self.replicate(ctx, plan, local)
         self.rank_kernel(ctx, plan, local, Mode.SDDMM, replicated=T)
         self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T)

@@ -221,6 +221,15 @@ class DenseShift15D(DistributedAlgorithm):
             for w in range(self.c)
         ]
 
+    def replicate(
+        self, ctx: Ctx15D, plan: Plan15DDense, local: Local15DDense
+    ) -> np.ndarray:
+        """The replication step: A's fine blocks all-gathered along the
+        fiber into the coarse panel ``rank_kernel`` / ``rank_fusedmm_reuse``
+        accept as ``replicated=``."""
+        with track(ctx.comm, Phase.REPLICATION), region(ctx.comm, "gather-A"):
+            return concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
+
     def rank_kernel(
         self,
         ctx: Ctx15D,
@@ -251,11 +260,10 @@ class DenseShift15D(DistributedAlgorithm):
         # --- replication -------------------------------------------------
         T = replicated
         if T is None:
-            with track(ctx.comm, Phase.REPLICATION):
-                if mode in (Mode.SDDMM, Mode.SPMM_B):
-                    with region(ctx.comm, "gather-A"):
-                        T = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
-                else:
+            if mode in (Mode.SDDMM, Mode.SPMM_B):
+                T = self.replicate(ctx, plan, local)
+            else:
+                with track(ctx.comm, Phase.REPLICATION):
                     T = np.zeros((coarse_rows, plan.r))
 
         # --- propagation: the B block circulates around the layer, as a
@@ -334,15 +342,19 @@ class DenseShift15D(DistributedAlgorithm):
         plan: Plan15DDense,
         local: Local15DDense,
         use_values: bool = True,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
         """Replication reuse (native FusedMMB).
 
         A single all-gather of A feeds both the SDDMM and the SpMMB; the
         output accumulates in the circulating buffer, so no terminal
         reduce-scatter is needed.  Words: ``nr((c-1)/p + 2/c)``.
+        ``replicated`` hands in the panel of an earlier :meth:`replicate`
+        of an unchanged A, saving the ``nr(c-1)/p`` term.
         """
-        with track(ctx.comm, Phase.REPLICATION):
-            T = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
+        T = replicated
+        if T is None:
+            T = self.replicate(ctx, plan, local)
         self.rank_kernel(
             ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T
         )
@@ -365,8 +377,7 @@ class DenseShift15D(DistributedAlgorithm):
         prof = ctx.comm.profile
         u, v = ctx.u, ctx.v
         coarse_rows = int(plan.row_coarse[u + 1] - plan.row_coarse[u])
-        with track(ctx.comm, Phase.REPLICATION):
-            T_in = concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
+        T_in = self.replicate(ctx, plan, local)
         T_out = np.zeros((coarse_rows, plan.r))
 
         def fused_compute(t, B_cur):

@@ -46,10 +46,7 @@ propagation is unchanged.
 Packed buffers: on the sparse path no ``m``-tall panel exists at all.
 The gather target and the SpMMA partial-output accumulator are *packed*
 ``len(union) x sw`` panels addressed through the plan's cached
-global->packed remap, and the circulating chunk payloads carry
-pre-remapped (packed-row, local-column) coordinates — every rank of a
-layer shares the same remap, so the translation happens once per kernel
-call instead of once per phase.  All panels come from a per-rank
+global->packed remap.  All panels come from a per-rank
 :class:`~repro.runtime.buffers.BufferPool`, so repeated calls allocate
 nothing and the rank profiles record true peak buffer footprints.
 
@@ -57,6 +54,14 @@ Propagation is the S chunk's :class:`~repro.algorithms.base.Lane` s on the
 layer ring (``chunk_lanes``) handed to the shared ``ring_loop``; the
 packed fiber collectives go through the shared ``exchange``.  Both own
 the schedule — nothing here knows whether a run is pipelined.
+
+The chunk leaves home *kernel-ready* on both communication paths
+(``home_chunk``, cached per resident structure with the rank's local
+state): coordinates in kernel space — panel rows (global, or packed) and
+layer-local B rows, one translation every rank of the layer ring shares
+— and in the mode's travel order (column-major for SpMMB, whose output
+index is the column).  A ring phase therefore runs the local kernel and
+nothing else; per call only the values are gathered into travel order.
 """
 
 from __future__ import annotations
@@ -148,6 +153,8 @@ class Local15DSparse:
     S_vals: np.ndarray
     gidx: np.ndarray  # positions of the home chunk in the global COO
     R: Optional[np.ndarray] = None  # SDDMM output values for the home chunk
+    #: the home chunk as each mode's kernel consumes it (``home_chunk``)
+    travel: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -309,15 +316,37 @@ class SparseShift15D(DistributedAlgorithm):
             self.exchange([post], own)
             return P
 
-    def _replicate(
+    def replicate(
         self, ctx: Ctx15DSparse, plan: Plan15DSparse, local: Local15DSparse,
-        sparse_plan: Optional[SparsePlan15D],
+        sparse_plan: Optional[SparsePlan15D] = None,
     ) -> np.ndarray:
-        """The replication step: A's strip gathered along the fiber."""
+        """The replication step: A's strip gathered along the fiber.
+
+        The panel is what ``rank_kernel`` / ``rank_fusedmm_reuse`` accept
+        as ``replicated=``; it stays valid until the next replication on
+        this rank (it lives in the rank's buffer pool).
+        """
         with track(ctx.comm, Phase.REPLICATION):
             if sparse_plan is not None:
                 return self._gather_strip_packed(ctx, local, sparse_plan)
             return self._gather_strip(ctx, plan, local.A, plan.rows_a_of_fiber)
+
+    @staticmethod
+    def _kernel_coords(
+        local: Local15DSparse, sparse_plan: Optional[SparsePlan15D]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The home chunk's coordinates in kernel space: rows index the
+        gathered panel (global, or packed to the layer's row union),
+        columns the layer-local B rows.  Every rank of a layer ring shares
+        one row space and one B ownership, so a chunk translated at home
+        is valid wherever it travels."""
+        if sparse_plan is not None:
+            # the plan's per-structure remap (same owner partition of S)
+            return sparse_plan.home_rows_packed, sparse_plan.home_cols_local
+        lcols = local.loc_b[local.S_cols]
+        if len(lcols) and lcols.min() < 0:
+            raise DistributionError("nonzero column not owned by this layer")
+        return local.S_rows, lcols
 
     def rank_kernel(
         self,
@@ -335,7 +364,7 @@ class SparseShift15D(DistributedAlgorithm):
         ``use_values=False`` computes a pattern-only SDDMM (plain dots,
         for the ALS normal equations).  With ``sparse_plan`` the fiber
         collectives become need-list neighborhood exchanges over *packed*
-        panels, and the circulating chunks carry pre-remapped coordinates.
+        panels (the chunk's rows then index the packed panel).
         ``replicated`` hands in an already-gathered A panel (replication
         reuse shares one gather between its two rounds).
         """
@@ -346,7 +375,7 @@ class SparseShift15D(DistributedAlgorithm):
         if replicated is not None:
             T = replicated
         elif mode != Mode.SPMM_A:
-            T = self._replicate(ctx, plan, local, sparse_plan)
+            T = self.replicate(ctx, plan, local, sparse_plan)
         else:
             with track(ctx.comm, Phase.REPLICATION):
                 if packed:
@@ -356,20 +385,17 @@ class SparseShift15D(DistributedAlgorithm):
                 else:
                     T = ctx.pool.zeros("panel", (plan.m, sw))
 
+        # the chunk leaves home kernel-ready — translated, in the mode's
+        # travel order — so no phase sorts, gathers or translates an index
+        rows0, cols0, perm = self.home_chunk(
+            local.travel, "packed" if packed else "panel",
+            partial(self._kernel_coords, local, sparse_plan), mode,
+        )
         if mode == Mode.SDDMM:
             vals0 = np.zeros(len(local.S_rows))
         else:
-            vals0 = (local.R if use_r_values else local.S_vals).copy()
-        if packed:
-            # cached index remapping: every rank of the layer ring shares
-            # the same global->packed row map and the same B ownership, so
-            # the chunk circulates with the plan's pre-translated packed
-            # rows and local columns (computed once per structure) and no
-            # index translation happens anywhere on the ring, per phase
-            # or per call
-            rows0, cols0 = sparse_plan.home_rows_packed, sparse_plan.home_cols_local
-        else:
-            rows0, cols0 = local.S_rows, local.S_cols
+            vals0 = local.R if use_r_values else local.S_vals
+            vals0 = vals0.copy() if perm is None else vals0[perm]
         if mode == Mode.SPMM_B:
             # B is a pure output here; rebind rather than zero in place
             # (the previous array may be caller-owned, e.g. a CG query
@@ -379,18 +405,17 @@ class SparseShift15D(DistributedAlgorithm):
 
         def compute(_t, rows, cols, vals):
             if len(rows):
-                lcols = cols if packed else self._local_cols(local, cols)
                 if mode == Mode.SDDMM:
                     # accumulate this strip's partial dots into the
                     # circulating value array
                     sddmm_coo(
-                        T, local.B, rows, lcols, out=vals, accumulate=True,
+                        T, local.B, rows, cols, out=vals, accumulate=True,
                         profile=prof,
                     )
                 elif mode == Mode.SPMM_A:
-                    spmm_scatter(rows, lcols, vals, local.B, T, profile=prof)
+                    spmm_scatter(rows, cols, vals, local.B, T, profile=prof)
                 else:  # SPMM_B: out[local cols] += vals * T[rows]
-                    spmm_scatter(lcols, rows, vals, T, local.B, profile=prof)
+                    spmm_scatter(cols, rows, vals, T, local.B, profile=prof)
 
         # the chunk is home again after the full ring cycle
         _, _, dots = self.ring_loop(
@@ -426,13 +451,6 @@ class SparseShift15D(DistributedAlgorithm):
                     pieces = [T[plan.rows_a_of_fiber[w]] for w in range(self.c)]
                     local.A = ctx.fiber.reduce_scatter(pieces, tag=TAG_FIBER_RS)
 
-    @staticmethod
-    def _local_cols(local: Local15DSparse, cols: np.ndarray) -> np.ndarray:
-        lc = local.loc_b[cols]
-        if len(lc) and lc.min() < 0:
-            raise DistributionError("nonzero column not owned by this layer")
-        return lc
-
     # -- FusedMM ---------------------------------------------------------
 
     def rank_fusedmm_none_a(
@@ -462,14 +480,19 @@ class SparseShift15D(DistributedAlgorithm):
         local: Local15DSparse,
         use_values: bool = True,
         sparse_plan: Optional[SparsePlan15D] = None,
+        replicated: Optional[np.ndarray] = None,
     ) -> None:
         """Replication reuse (native FusedMMB): one all-gather, two rounds.
 
         Cost: ``6 nnz/c + n r (c-1)/p`` words (paper Eq. 2); with
         ``sparse_plan`` the ``n r (c-1)/p`` term shrinks to the layer's
-        touched rows.
+        touched rows.  ``replicated`` hands in the panel of an earlier
+        :meth:`replicate` when A has not changed since (an iterative
+        solver's fixed operand), and the call costs ``6 nnz/c`` only.
         """
-        T = self._replicate(ctx, plan, local, sparse_plan)
+        T = replicated
+        if T is None:
+            T = self.replicate(ctx, plan, local, sparse_plan)
         self.rank_kernel(
             ctx, plan, local, Mode.SDDMM, use_values=use_values,
             sparse_plan=sparse_plan, replicated=T,

@@ -22,9 +22,11 @@ resident worker pool: one :meth:`~repro.session.Session.run_rank`
 dispatch performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG
 scalar recurrences on the warm ranks, so no factor matrix is gathered or
 re-scattered between CG iterations (the fixed factor is bound once per
-half-sweep).  FusedMMB-phase solves transparently run on the session's
-transposed sibling distribution (the paper's "two copies of the sparse
-matrix, one transposed"), built once on first use.
+half-sweep and, under replication reuse, replicated along the fiber
+once per half-sweep instead of once per matvec).  FusedMMB-phase solves
+transparently run on the session's transposed sibling distribution (the
+paper's "two copies of the sparse matrix, one transposed"), built once
+on first use.
 
 Two algorithm families are supported, capturing the paper's contrast:
 
@@ -188,7 +190,8 @@ class DistributedALS:
         per-row scalar recurrences — runs in **one** dispatch to the
         session's warm worker pool.  The moving factor occupies the
         native-output slot of the (possibly transposed) resident
-        orientation; the fixed factor is bound once.  When a rank's
+        orientation; the fixed factor is bound once and, under
+        replication reuse, gathered along the fiber once.  When a rank's
         factor block holds only an r-strip (sparse-shifting family), the
         per-row dots are all-reduced across the layer, measured as
         OTHER-phase communication.
@@ -214,9 +217,16 @@ class DistributedALS:
         sess.bind(*slots(x0), transpose=transpose)
         r_full = sess.r
 
+        reuse = self.elision == Elision.REPLICATION_REUSE
+
         def cg_body(ctx, plan_, local, sparse_plan=None):
             kw = {"sparse_plan": sparse_plan} if sparse_plan is not None else {}
             prof = ctx.comm.profile
+            if reuse:
+                # replication reuse gathers the operand opposite its
+                # output — here the *fixed* factor — along the fiber: one
+                # gather serves all cg_iters + 1 matvecs of the half-sweep
+                kw["replicated"] = sess.alg.replicate(ctx, plan_, local, **kw)
 
             def get():
                 return local.A if x_in_a else local.B

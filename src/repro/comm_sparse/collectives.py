@@ -60,13 +60,15 @@ def _post_sends(
     for px in plan.peers:
         if not len(px.send_rows):
             continue
+        # ``send_rows`` is an integer array, so the gather is a fresh
+        # C-ordered block nothing else references: hand it over as-is
         block = _window(sendbuf, px.send_cols)[px.send_rows]
         if block.shape[1] != px.send_width:
             raise CommError(
                 f"plan {plan.key!r}: send width {block.shape[1]} != planned "
                 f"{px.send_width} for peer {px.peer}"
             )
-        comm.send(px.peer, np.ascontiguousarray(block), tag)
+        comm.send_owned(px.peer, block, tag)
 
 
 def sparse_allgatherv(

@@ -14,8 +14,10 @@ each row's nonzeros in CSR index order (gated in
 the SciPy path.
 
 :func:`spmm_scatter` is the same product for a *transient* coordinate
-chunk (no structure to cache): a per-call CSR over the touched rows,
-run through the same two CSR implementations.
+chunk: a per-call CSR over the touched rows, run through the same two
+CSR implementations.  The rank running it caches nothing — what can be
+prepared about a circulating chunk (its order by output row) is prepared
+once per structure at the chunk's home rank, and arrives with it.
 """
 
 from __future__ import annotations
@@ -102,40 +104,47 @@ def spmm_scatter(
 ) -> np.ndarray:
     """``out[rows] += vals * B[cols]`` for a transient coordinate chunk.
 
-    Circulating sparse chunks visit a rank once per phase, so no
-    structure can be cached; instead a CSR over *only the rows the chunk
-    touches* is built per call (stable row sort, ``indptr`` = the sorted
-    rows' segment starts, ``indices``/``data`` in chunk order within each
-    row) and the product is one CSR matmul scattered back into the
-    touched rows.  Work and temporaries are O(nnz * r) whatever the
-    height of ``out``.  Contributions of duplicate rows (and duplicate
-    ``(row, col)`` pairs) are summed.  Both kernel backends walk the same
-    CSR in the same order, so they are bitwise-identical.
+    A circulating sparse chunk visits a rank once per phase and the
+    receiver keeps nothing about it, so a CSR over *only the rows the
+    chunk touches* is built per call (``indptr`` = the segment starts of
+    the row keys, ``indices``/``data`` in chunk order within each row)
+    and the product is one CSR matmul scattered back into the touched
+    rows.  The families send their chunks out already ordered by output
+    row (prepared once per structure at the home rank, see
+    ``DistributedAlgorithm.home_chunk``), so the keys are first checked,
+    in O(nnz), for arriving non-decreasing — then the CSR is the chunk
+    itself; any other order is stably sorted here first.  Both ways walk
+    each row's nonzeros in the same order, so a chunk and its stable
+    row-sort give bitwise-equal outputs.
+    Work and temporaries are O(nnz * r) whatever the height of ``out``.
+    Contributions of duplicate rows (and duplicate ``(row, col)`` pairs)
+    are summed.  Both kernel backends walk the same CSR in the same
+    order, so they are bitwise-identical.
     """
     nnz = len(rows)
     if nnz == 0:
         return out
     tracer = profile.tracer if profile is not None else None
     t0 = time.perf_counter() if tracer is not None else 0.0
-    order = np.argsort(rows, kind="stable")
-    r_sorted = rows[order]
-    starts = np.flatnonzero(r_sorted[1:] != r_sorted[:-1]) + 1
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
     indptr = np.concatenate(([0], starts, [nnz]))
-    touched = r_sorted[indptr[:-1]]
-    indices, data = cols[order], vals[order]
+    touched = rows[indptr[:-1]]
     impl = _kernel_impl(profile)
     if impl is not None and _f64(vals, B, out):
         sums = np.zeros((len(touched), B.shape[1]))
         impl.spmm_csr_add(
             indptr,
-            np.ascontiguousarray(indices, dtype=np.int64),
-            data,
+            np.ascontiguousarray(cols, dtype=np.int64),
+            vals,
             np.ascontiguousarray(B),
             sums,
         )
     else:
         shape = (len(touched), B.shape[0])
-        sums = sp.csr_matrix((data, indices, indptr), shape=shape) @ B
+        sums = sp.csr_matrix((vals, cols, indptr), shape=shape) @ B
     out[touched] += sums
     if profile is not None:
         profile.add_flops(spmm_flops(nnz, B.shape[1]))

@@ -36,7 +36,9 @@ layer and skip empty legs entirely, so their costs are data dependent:
 ``sum_k |need_k| * width_k`` words in at most ``P - 1`` messages.
 
 Payloads are NumPy arrays, scalars, or (nested) tuples/lists/dicts thereof.
-Sends deep-copy array payloads so no two ranks ever alias a buffer.
+The receiver never aliases a buffer the sender still holds: ``send``
+deep-copies array payloads, ``send_owned`` takes over a temporary the
+sender gives up.
 """
 
 from __future__ import annotations
@@ -246,17 +248,30 @@ class Communicator:
     def send(self, dest: int, payload: Any, tag: int = 0, tracked: bool = True) -> None:
         """Buffered (non-blocking, copying) send to ``dest`` in this comm.
 
+        The payload is deep-copied, so the caller keeps it: the receiver
+        never aliases a buffer the sender still holds.
+        """
+        self.send_owned(dest, _isolate(payload), tag, tracked)
+
+    def send_owned(
+        self, dest: int, data: Any, tag: int = 0, tracked: bool = True
+    ) -> None:
+        """Ownership-transfer send: ``data`` is handed to the receiver
+        as-is, so the caller must hold no other reference into it and
+        never touch it again (the exchange layers give up the temporaries
+        they gathered for a leg this way instead of copying them twice).
+
         When a :class:`~repro.runtime.faults.FaultPlan` is threaded into
         the world, a matching trigger may drop the message after the
         accounting (lost on the wire — the receiver blocks until abort or
-        deadline), delay its delivery, or deliver it twice.
+        deadline), delay its delivery, or deliver it twice (the second
+        delivery is its own copy).
         """
         if not 0 <= dest < self.size:
             raise CommError(f"destination {dest} out of range for size {self.size}")
-        data = _isolate(payload)
         if tracked:
             profile = self.profile
-            profile.on_send(payload_words(payload))
+            profile.on_send(payload_words(data))
             if profile.tracer is not None:
                 profile.tracer.instant(f"send->r{dest}", "comm")
         faults = self.world.faults

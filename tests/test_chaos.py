@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.base import TAG_SHIFT_B, TAG_SHIFT_SV
+from repro.algorithms.base import TAG_SHIFT_B, TAG_SHIFT_S, TAG_SHIFT_SV
 from repro.comm_sparse import TAG_SPARSE_AG
 from repro.errors import CommError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -193,6 +193,39 @@ class TestGracefulDegradation:
             assert sess.metrics()[-1]["outcome"] == outcome
             assert sess.plan_builds == 1
             assert len(lost.fired_log) == 1
+
+    @pytest.mark.parametrize(
+        "times,retries,outcome",
+        [(1, 1, "retried"), (1, 0, "degraded"), (None, 1, "timeout")],
+    )
+    @pytest.mark.parametrize("family", ["1.5d-sparse-shift", "2.5d-dense-replicate"])
+    def test_lost_column_major_chunk_recovers_bitwise_or_typed(
+        self, workload, family, times, retries, outcome
+    ):
+        """An SpMMB round circulates the chunk in its prepared
+        column-major travel order; losing one on the wire is an ordinary
+        transport fault.  The re-run reads the home rank's cached
+        preparation (nothing about a visiting chunk is kept anywhere), so
+        it is bitwise — or, when the channel stays dead, a typed timeout."""
+        S, A, _ = workload
+        with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense",
+                        overlap="off") as clean:
+            ref, _ = clean.spmm_b(A)
+        lost = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_S, times=times)])
+        with repro.plan(
+            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="on",
+            deadline_ms=700, retries=retries, faults=lost,
+        ) as sess:
+            if outcome == "timeout":
+                with pytest.raises(SpmdTimeout) as err:
+                    sess.spmm_b(A)
+                assert err.value.dump
+            else:
+                out, _ = sess.spmm_b(A)
+                np.testing.assert_array_equal(out, ref)
+                assert len(lost.fired_log) == 1
+            assert sess.metrics()[-1]["outcome"] == outcome
+            assert sess.plan_builds == 1
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_successful_degrade_keeps_contexts_and_bind_snapshots(

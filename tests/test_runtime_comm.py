@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import CommError
 from repro.runtime.comm import Communicator, payload_words
+from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import run_spmd
 from repro.types import Phase
@@ -273,3 +274,36 @@ class TestFailureHandling:
     def test_profiles_length_validation(self):
         with pytest.raises(ValueError):
             run_spmd(2, lambda comm: None, profiles=[RankProfile()])
+
+
+class TestSendOwned:
+    def test_transfers_without_copy_and_send_still_isolates(self):
+        def body(comm):
+            mine = np.arange(4.0) + comm.rank
+            handed = mine.copy()
+            peer = 1 - comm.rank
+            comm.send(peer, mine, tag=5)
+            comm.send_owned(peer, handed, tag=6)
+            return mine, handed, comm.recv(peer, tag=5), comm.recv(peer, tag=6)
+
+        results, _ = run_spmd(2, body)
+        for rank, (mine, handed, copied, owned) in enumerate(results):
+            peer_mine, peer_handed = results[1 - rank][:2]
+            assert np.array_equal(copied, peer_mine)
+            assert not np.shares_memory(copied, peer_mine)
+            assert owned is peer_handed  # handed over, not copied
+
+    def test_duplicated_delivery_is_its_own_copy(self):
+        faults = FaultPlan([FaultSpec("dup", tag=6, rank=0, times=1)])
+
+        def body(comm):
+            if comm.rank == 0:
+                comm.send_owned(1, np.arange(3.0), tag=6)
+                return None
+            first, second = comm.recv(0, tag=6), comm.recv(0, tag=6)
+            return first, second
+
+        results, _ = run_spmd(2, body, faults=faults)
+        first, second = results[1]
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)

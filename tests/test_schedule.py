@@ -5,7 +5,10 @@ the only code that knows whether a run is pipelined; the families and the
 GAT reuse forward state lanes and packed legs.  Covers:
 
 * the ownership guard — no family module (nor ``apps/gat.py``) reads
-  ``overlap``;
+  ``overlap``, and no per-phase ``compute`` closure sorts or translates
+  indices (a circulating chunk arrives kernel-ready); every family's
+  ``dense_index`` pieces tile the dense matrices exactly once (the
+  premise of the uninitialized ``_collect_dense`` output);
 * ``ring_loop`` units — same payloads home in both modes, per-lane word
   and message counts (the chunk split adds exactly one message per
   phase), mutated lanes really shift *after* the kernel, nothing hidden
@@ -50,7 +53,78 @@ SCHEDULE_FREE = [
 ]
 
 
+#: index-shaped work a ring step must not do: it belongs to the chunk's
+#: home rank, once per structure (``DistributedAlgorithm.home_chunk``)
+INDEX_WORK_CALLS = {
+    "argsort", "sort", "lexsort", "unique", "searchsorted", "take",
+    "positions", "_local_cols", "_kernel_coords", "home_chunk",
+    "global_to_local_map",
+}
+#: global -> local translation tables; indexing one is a fancy-index gather
+INDEX_MAPS = {"loc_b", "lookup"}
+
+
+def _phase_closures(tree: ast.AST) -> list:
+    """The functions a module hands to ``ring_loop`` as the per-phase
+    ``compute`` (fourth positional argument, always a local ``def``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "ring_loop"
+        ):
+            compute = node.args[3]
+            assert isinstance(compute, ast.Name), "compute must be a named def"
+            names.add(compute.id)
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+
+
 class TestScheduleOwnership:
+    @pytest.mark.parametrize("module", SCHEDULE_FREE)
+    def test_ring_step_is_kernel_only(self, module):
+        """No sort, no index translation, no preparation call inside a
+        per-phase ``compute`` closure: a chunk arrives kernel-ready."""
+        closures = _phase_closures(ast.parse((SRC / module).read_text()))
+        assert closures, f"{module} runs no ring_loop"
+        for fn in closures:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = getattr(f, "attr", None) or getattr(f, "id", "")
+                    assert called not in INDEX_WORK_CALLS, (
+                        f"{module}:{node.lineno} calls {called} inside {fn.name}"
+                    )
+                if isinstance(node, ast.Subscript) and isinstance(
+                    node.value, ast.Attribute
+                ):
+                    assert node.value.attr not in INDEX_MAPS, (
+                        f"{module}:{node.lineno} indexes {node.value.attr} "
+                        f"inside {fn.name}"
+                    )
+
+    def test_the_guard_sees_a_translating_closure(self):
+        bad = ast.parse(
+            "def k(self):\n"
+            "    def compute(t, rows, cols, vals):\n"
+            "        lc = local.loc_b[cols]\n"
+            "        order = np.argsort(lc)\n"
+            "    self.ring_loop(comm, steps, lanes, compute)\n"
+        )
+        (fn,) = _phase_closures(bad)
+        calls = {
+            n.func.attr for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        }
+        maps = {
+            n.value.attr for n in ast.walk(fn)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+        }
+        assert calls & INDEX_WORK_CALLS and maps & INDEX_MAPS
+
     @pytest.mark.parametrize("module", SCHEDULE_FREE)
     def test_module_never_reads_overlap(self, module):
         tree = ast.parse((SRC / module).read_text())
@@ -84,6 +158,51 @@ class TestScheduleOwnership:
             }
             assert "dense_index" in defined, module
             assert not defined & {"bind_dense", "collect_dense_a", "collect_dense_b"}
+
+
+#: the p x c grids the equivalence suites run each family on
+TILING_GRIDS = [
+    ("1.5d-dense-shift", 8, 1), ("1.5d-dense-shift", 8, 2),
+    ("1.5d-dense-shift", 8, 4), ("1.5d-dense-shift", 6, 3),
+    ("1.5d-sparse-shift", 8, 1), ("1.5d-sparse-shift", 8, 2),
+    ("1.5d-sparse-shift", 8, 4), ("1.5d-sparse-shift", 6, 2),
+    ("2.5d-dense-replicate", 4, 1), ("2.5d-dense-replicate", 8, 2),
+    ("2.5d-dense-replicate", 9, 1), ("2.5d-dense-replicate", 16, 4),
+    ("2.5d-sparse-replicate", 4, 1), ("2.5d-sparse-replicate", 8, 2),
+    ("2.5d-sparse-replicate", 9, 1), ("2.5d-sparse-replicate", 16, 4),
+]
+
+
+class TestDenseIndexTiling:
+    """``_collect_dense`` allocates its output uninitialized: the ranks'
+    ``dense_index`` pieces must cover every entry exactly once."""
+
+    @pytest.mark.parametrize("shape", [(97, 123, 16), (64, 64, 8), (31, 50, 5)])
+    @pytest.mark.parametrize("name,p,c", TILING_GRIDS)
+    def test_pieces_tile_the_matrix_exactly_once(self, name, p, c, shape):
+        m, n, r = shape
+        alg = make_algorithm(name, p, c)
+        try:
+            plan = alg.plan(m, n, r)
+        except repro.ReproError:
+            pytest.skip("shape not representable on this grid")
+        locals_ = alg.distribute_sparse(plan, erdos_renyi(m, n, 2, seed=0))
+        for side, nrows in (("a", m), ("b", n)):
+            hits = np.zeros((nrows, r), dtype=np.int64)
+            for loc in locals_:
+                hits[alg.dense_index(plan, loc, side)] += 1
+            assert hits.min() == 1 and hits.max() == 1, (name, side)
+
+    @pytest.mark.parametrize("name,p,c", TILING_GRIDS)
+    def test_collect_round_trips_a_bound_matrix(self, name, p, c, rng):
+        m, n, r = 97, 123, 16
+        alg = make_algorithm(name, p, c)
+        plan = alg.plan(m, n, r)
+        locals_ = alg.distribute_sparse(plan, None)
+        A, B = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+        alg.bind_dense(plan, locals_, A, B)
+        assert np.array_equal(alg.collect_dense_a(plan, locals_), A)
+        assert np.array_equal(alg.collect_dense_b(plan, locals_), B)
 
 
 # ----------------------------------------------------------------------

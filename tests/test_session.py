@@ -459,6 +459,60 @@ class TestDenseBindSkipping:
             sess.bind(x0, B)
             assert sess.dense_bind_counts == {"a": 3, "b": 2}
 
+    @pytest.mark.parametrize("name,comm", [
+        ("1.5d-sparse-shift", "dense"),
+        ("1.5d-sparse-shift", "sparse"),
+        ("1.5d-dense-shift", "dense"),
+    ])
+    @pytest.mark.parametrize("variant", [FusedVariant.FUSED_A, FusedVariant.FUSED_B])
+    def test_als_fixed_factor_replicated_once_per_half_sweep(
+        self, monkeypatch, name, comm, variant
+    ):
+        """Under replication reuse the fixed factor is what the fiber
+        gathers: one ``replicate`` per rank per half-sweep feeds all
+        ``cg_iters + 1`` matvecs, bitwise-equal to gathering per matvec."""
+        from repro.apps.als import DistributedALS
+        from repro.types import Phase
+
+        p, c, n, r, cg_iters = 8, 2, 60, 8, 3
+        pattern = repro.erdos_renyi(n, n, 5, seed=4, values="ones")
+        rng = np.random.default_rng(6)
+        fixed, rhs, x0 = (rng.standard_normal((n, r)) for _ in range(3))
+        als = DistributedALS(p=p, c=c, algorithm=name, cg_iters=cg_iters, comm=comm,
+                             elision=repro.Elision.REPLICATION_REUSE)
+
+        def half_sweep(per_matvec_gather: bool):
+            with repro.plan(pattern, r, p=p, c=c, algorithm=name,
+                            elision="replication-reuse", comm=comm) as sess:
+                alg = sess.alg
+                gathers, handed = [], []
+                replicate, reuse = alg.replicate, alg.rank_fusedmm_reuse
+
+                def counting_replicate(*args, **kw):
+                    gathers.append(1)
+                    return replicate(*args, **kw)
+
+                def watching_reuse(*args, replicated=None, **kw):
+                    handed.append(replicated is not None)
+                    if per_matvec_gather:
+                        replicated = None
+                    return reuse(*args, replicated=replicated, **kw)
+
+                monkeypatch.setattr(alg, "replicate", counting_replicate)
+                monkeypatch.setattr(alg, "rank_fusedmm_reuse", watching_reuse)
+                x = als._rank_cg(sess, variant, fixed, rhs, x0)
+                words = sess.report().phase_words(Phase.REPLICATION)
+            return x, len(gathers), handed, words
+
+        x, gathers, handed, words = half_sweep(per_matvec_gather=False)
+        assert gathers == p  # one fiber gather per rank per half-sweep
+        assert len(handed) == p * (cg_iters + 1) and all(handed)
+        ref, ref_gathers, _, ref_words = half_sweep(per_matvec_gather=True)
+        assert ref_gathers == p * (cg_iters + 2)  # the hoisted one + per matvec
+        assert np.array_equal(x, ref)
+        # the only count that moves is the replication traffic, downward
+        assert words * (cg_iters + 2) == ref_words
+
     def test_skipping_preserves_bitwise_outputs(self, small_problem):
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
