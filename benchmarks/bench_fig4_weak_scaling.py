@@ -38,7 +38,7 @@ def _run_setup(setup: int, p_list, base_log2, r):
     )
 
 
-def test_fig4_weak_scaling(benchmark, scale):
+def test_fig4_weak_scaling(scale):
     p_list = [1, 4, 16] if scale == "small" else [1, 4, 16, 64]
     base = 10 if scale == "small" else 11
     r = 32
@@ -46,7 +46,7 @@ def test_fig4_weak_scaling(benchmark, scale):
     def run():
         return (_run_setup(1, p_list, base, r), _run_setup(2, p_list, base, r))
 
-    res1, res2 = benchmark.pedantic(run, rounds=1, iterations=1)
+    res1, res2 = run()
 
     lines = []
     for setup, res in ((1, res1), (2, res2)):

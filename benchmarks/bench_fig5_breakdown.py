@@ -29,7 +29,7 @@ VARIANTS = (
 )
 
 
-def test_fig5_time_breakdown(benchmark, scale):
+def test_fig5_time_breakdown(scale):
     p_list = [4, 16] if scale == "small" else [4, 16, 64]
     base = 10 if scale == "small" else 11
 
@@ -39,7 +39,7 @@ def test_fig5_time_breakdown(benchmark, scale):
             variants=VARIANTS, max_c=8,
         )
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = []
     per_variant = defaultdict(dict)

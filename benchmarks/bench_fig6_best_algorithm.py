@@ -20,7 +20,7 @@ from conftest import write_result
 BETA_MACHINE = MachineParams(alpha=2e-7, beta=1e-9, gamma=5e-11, name="beta-heavy")
 
 
-def test_fig6_best_algorithm_map(benchmark, scale):
+def test_fig6_best_algorithm_map(scale):
     p = 16
     m = 1 << 12 if scale == "small" else 1 << 14
     r_values = [16, 64, 192]
@@ -31,7 +31,7 @@ def test_fig6_best_algorithm_map(benchmark, scale):
             p, m, r_values, nnz_values, machine=BETA_MACHINE, max_c=8
         )
 
-    cells = benchmark.pedantic(run, rounds=1, iterations=1)
+    cells = run()
 
     rows = [
         [c.r, c.nnz_per_row, f"{c.phi:.3f}", c.predicted, c.observed,

@@ -18,14 +18,14 @@ from repro.harness.sweeps import replication_factor_sweep
 from conftest import write_result
 
 
-def test_fig7_optimal_replication_factor(benchmark, scale):
+def test_fig7_optimal_replication_factor(scale):
     p_list = [4, 16] if scale == "small" else [4, 16, 64]
     base = 9 if scale == "small" else 10
 
     def run():
         return replication_factor_sweep(p_list, r=32, base_log2=base, base_nnz_row=8)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
 
     table = [[r.variant, r.p, f"{r.predicted_c:.2f}", r.observed_c] for r in rows]
     write_result(

@@ -26,7 +26,7 @@ from conftest import write_result
 MATRICES = ("amazon-large", "uk-2002", "eukarya", "arabic-2005", "twitter7")
 
 
-def test_fig8_strong_scaling(benchmark, scale):
+def test_fig8_strong_scaling(scale):
     mat_scale = 11 if scale == "small" else 13
     p_list = [4, 16] if scale == "small" else [4, 16, 64]
     r = 128  # the paper's embedding width; sets phi ~ 0.13 for amazon-like
@@ -39,7 +39,7 @@ def test_fig8_strong_scaling(benchmark, scale):
             matrices, p_list, r=r, calls=1, max_c=16, include_petsc=True
         )
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = []
     best_at = {}

@@ -16,6 +16,8 @@ reductions outside FusedMM.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.apps.als import DistributedALS
 from repro.apps.gat import DistributedGAT
 from repro.harness.reporting import format_table
@@ -35,7 +37,7 @@ def _phase_row(label, report):
     return [label, repl, prop, comp, out_comm, out_comp], (repl, prop, comp, out_comm, out_comp)
 
 
-def test_fig9_applications(benchmark, scale):
+def test_fig9_applications(scale):
     mat_scale = 10 if scale == "small" else 12
     p, c = 16, 4
     r = 32
@@ -53,8 +55,6 @@ def test_fig9_applications(benchmark, scale):
             res = als.run(amazon.with_values(amazon.vals), r, outer_iters=1,
                           seed=0, track_loss=False)
             out[label] = res.report
-        import numpy as np
-
         X = np.random.default_rng(0).standard_normal((amazon.nrows, r))
         for label, el in (
             ("GAT none", Elision.NONE),
@@ -64,7 +64,7 @@ def test_fig9_applications(benchmark, scale):
             out[label] = gat.forward(amazon, X).report
         return out
 
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = run()
 
     rows, parsed = [], {}
     for label, rep in reports.items():
@@ -82,18 +82,18 @@ def test_fig9_applications(benchmark, scale):
         ),
     )
 
-    # --- claims (session-era driver) -------------------------------------
-    # every variant is dominated by in-kernel FusedMM communication
-    for label, (repl, prop, comp, out_comm, _) in parsed.items():
+    # --- claims ------------------------------------------------------------
+    # every variant communicates inside FusedMM
+    for label, (repl, prop, *_rest) in parsed.items():
         assert repl + prop > 0.0, f"{label}: no kernel communication measured"
-    # handle-based drivers run CG scalars / the NONE-variant softmax
-    # driver-side: no OTHER-phase rank communication
+    # ALS outside FusedMM: the sparse-shifting family splits r across the
+    # layer, so the batched-CG dot products are a layer all-reduce; the
+    # dense-shifting variants hold whole rows and reduce nothing
+    assert parsed["ALS 1.5d-sparse-shift reuse"][3] > 0.0
     assert parsed["ALS 1.5d-dense-shift LKF"][3] == 0.0
     assert parsed["ALS 1.5d-dense-shift reuse"][3] == 0.0
-    assert parsed["ALS 1.5d-sparse-shift reuse"][3] == 0.0
-    assert parsed["GAT none"][3] == 0.0
-    # the bespoke replication-reuse GAT still pays edge-softmax
-    # reductions outside FusedMM (paper Section VI-E)
-    assert parsed["GAT replication-reuse"][3] > 0.0
+    # both GAT variants pay the same edge-softmax max/sum reductions
+    # outside FusedMM (paper Section VI-E)
+    assert parsed["GAT none"][3] == parsed["GAT replication-reuse"][3] > 0.0
     # reuse lowers GAT replication traffic vs the unoptimized sequence
     assert parsed["GAT replication-reuse"][0] < parsed["GAT none"][0]

@@ -4,10 +4,10 @@ Times every kernel the registry dispatches (``sddmm_coo``,
 ``sddmm_custom`` with the structured :class:`GatScoreOp`,
 ``gat_edge_scores``, ``spmm_a_block``, ``spmm_b_block``,
 ``spmm_scatter`` on sorted and on unsorted keys) under every *available*
-backend on one committed workload, and records per-backend ms plus
-numba-over-numpy speedups into ``BENCH_sparse_comm.json`` under the
-``"kernels"`` key (merged next to the communication / session / serve
-records) for the CI regression gate in ``bench_compare.py``.
+backend on one fixed workload and prints per-backend ms plus
+numba-over-numpy speedups.  The numpy path's own cost is an e2e metric
+(``kernels.*_ms``, ``benchmarks/e2e``); this script exists for the one
+thing only it can do — compare the two backends where both are installed.
 
 Floors (asserted here whenever numba is installed, i.e. in the CI
 ``kernel-backends`` lane): the compiled backend must beat numpy by >=
@@ -24,16 +24,13 @@ column-keyed chunk both ways — as the families circulate it, prepared
 at its home rank, and as an unprepared caller hands it over) — and
 ``gat_edge_scores`` competes against a pure memory-bound fancy-index
 gather, so those gate on near-parity floors (0.9x / 0.8x): the win there
-is parallelism, which small CI runners may not have.  On numpy-only
-hosts the record still carries the numpy timings so the regression gate
-can watch the default path's cost.
+is parallelism, which small CI runners may not have.  On a numpy-only
+host the script prints the numpy column and asserts nothing.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -45,12 +42,6 @@ from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 from repro.sparse.generate import erdos_renyi
 
-from conftest import write_result
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_sparse_comm.json"
-
-#: committed workload: the same shape class as bench_local_kernels.py
 _N = 1 << 13
 _NNZ_PER_ROW = 16
 _R = 64
@@ -138,9 +129,6 @@ def measure() -> dict:
             "repeats": _REPEATS,
         },
         "backends": backends,
-        # self-describing gate: bench_compare.py re-checks these floors
-        # without importing this module (it runs without PYTHONPATH)
-        "floors": SPEEDUP_FLOORS,
     }
     if "numba" in backends:
         record["speedup"] = {
@@ -165,16 +153,9 @@ def check_headline(record) -> None:
         )
 
 
-def emit(record) -> None:
-    doc = {}
-    if JSON_PATH.exists():
-        doc = json.loads(JSON_PATH.read_text())
-    doc["kernels"] = record
-    JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-
-    kernels = sorted(record["backends"]["numpy"])
+def render(record) -> str:
     rows = []
-    for kernel in kernels:
+    for kernel in sorted(record["backends"]["numpy"]):
         row = [kernel, round(record["backends"]["numpy"][kernel], 3)]
         if "numba" in record["backends"]:
             row.append(round(record["backends"]["numba"][kernel], 3))
@@ -183,23 +164,15 @@ def emit(record) -> None:
             row.extend(["-", "-"])
         rows.append(row)
     cfg = record["config"]
-    write_result(
-        "kernels.txt",
+    return (
         f"Kernel backends (n={cfg['n']}, ~{cfg['nnz_per_row']} nnz/row, "
         f"r={cfg['r']}, best of {cfg['repeats']}) — per-kernel ms under "
         f"each available backend\n"
-        + format_table(["kernel", "numpy ms", "numba ms", "speedup"], rows),
+        + format_table(["kernel", "numpy ms", "numba ms", "speedup"], rows)
     )
-
-
-def test_bench_kernels(benchmark):
-    record = benchmark.pedantic(measure, rounds=1, iterations=1)
-    check_headline(record)
-    emit(record)
 
 
 if __name__ == "__main__":
     record = measure()
+    print(render(record))
     check_headline(record)
-    emit(record)
-    print(f"updated {JSON_PATH}")

@@ -31,7 +31,7 @@ CASES = [
 ]
 
 
-def test_table3_comm_model(benchmark, scale):
+def test_table3_comm_model(scale):
     n = 16 * 64 if scale == "small" else 16 * 256
     r = 64
     S = erdos_renyi(n, n, 8, seed=3)
@@ -68,7 +68,7 @@ def test_table3_comm_model(benchmark, scale):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
 
     write_result(
         "table3_comm_model.txt",

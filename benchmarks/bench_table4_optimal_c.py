@@ -68,7 +68,7 @@ def _smooth_words(key, n, r, p, c, phi):
     raise ValueError(key)
 
 
-def test_table4_optimal_replication_factors(benchmark):
+def test_table4_optimal_replication_factors():
     n, r, p, phi = 1 << 20, 256, 256, 0.125
 
     def run():
@@ -79,7 +79,7 @@ def test_table4_optimal_replication_factors(benchmark):
             rows.append([key, formula, f"{closed:.3f}", f"{brute:.3f}"])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     write_result(
         "table4_optimal_c.txt",
         f"Table IV — optimal replication factors (p={p}, phi={phi})\n"

@@ -15,7 +15,7 @@ from repro.sparse.stats import matrix_stats
 from conftest import write_result
 
 
-def test_table5_matrix_standins(benchmark, scale):
+def test_table5_matrix_standins(scale):
     mat_scale = 11 if scale == "small" else 13
 
     def run():
@@ -35,7 +35,7 @@ def test_table5_matrix_standins(benchmark, scale):
             )
         return rows, stats
 
-    rows, stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, stats = run()
     write_result(
         "table5_matrices.txt",
         "Table V — real-world matrices (paper) vs R-MAT stand-ins (ours)\n"

@@ -1,8 +1,7 @@
-"""Legacy setup shim.
+"""Setup shim: all metadata is in ``pyproject.toml``.
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so that editable installs work on environments without the ``wheel``
-package (offline clusters), via::
+This file exists so that editable installs work on environments without
+the ``wheel`` package (offline clusters), via::
 
     pip install -e . --no-build-isolation --no-use-pep517
 """

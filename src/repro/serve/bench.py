@@ -15,9 +15,9 @@ micro-batching front-end two ways:
   server, reporting the request-latency percentiles and throughput a
   client actually observes, queue wait included.
 
-Used by ``python -m repro.cli serve-bench`` and
-``benchmarks/bench_serve.py`` (which records into
-``BENCH_sparse_comm.json`` for the CI gate).
+Used by ``python -m repro.cli serve-bench`` (the CI ``serve-smoke``
+lane); ``tests/test_serve.py`` asserts the batched-beats-unbatched
+headline on a small run.
 """
 
 from __future__ import annotations
@@ -170,14 +170,14 @@ def run_open_loop(
 def _best_closed_loop(
     model: Any, requests: Sequence[Request], rounds: int
 ) -> Dict[str, Any]:
-    """Best-of-``rounds`` closed loop (same idiom as ``bench_session.py``'s
-    min-over-rounds: robust to scheduler noise on shared runners, where a
-    single slow round would poison a mean).  The base snapshot is the round
-    with the lowest amortized per-request cost; the gate headlines —
-    latency percentiles and throughput — are then floored/ceiled across
-    *all* rounds, because the chosen round's tail is itself one noisy
-    sample while the min-across-rounds tail is a stable steady-state
-    estimate (a closed loop's p99 tracks its total wall time)."""
+    """Best-of-``rounds`` closed loop (min over rounds: robust to
+    scheduler noise on shared runners, where a single slow round would
+    poison a mean).  The base snapshot is the round with the lowest
+    amortized per-request cost; the gate headlines — latency percentiles
+    and throughput — are then floored/ceiled across *all* rounds, because
+    the chosen round's tail is itself one noisy sample while the
+    min-across-rounds tail is a stable steady-state estimate (a closed
+    loop's p99 tracks its total wall time)."""
     snaps: List[Dict[str, Any]] = [
         run_closed_loop(model, requests) for _ in range(max(rounds, 1))
     ]

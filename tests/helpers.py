@@ -4,8 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro
 from repro.runtime.spmd import run_spmd
+from repro.sparse.generate import erdos_renyi
 from repro.types import Mode
+
+#: the phi sweep the sparse-comm volume / peak-buffer claims are stated
+#: over: ER, n = 2048, r = 64, phi = nnz_per_row / 64 from 0.016 to 0.5,
+#: one (family, elision, p, c) grid per sparse-comm-capable family
+SWEEP_NNZ_PER_ROW = [1, 2, 4, 8, 16, 32]
+SWEEP_SPARSE_SHIFT = ("1.5d-sparse-shift", "replication-reuse", 8, 4)
+SWEEP_SPARSE_REPLICATE = ("2.5d-sparse-replicate", "none", 8, 2)
+
+
+def sweep_dense_vs_sparse(nnz_per_row, name, elision, p, c):
+    """One FusedMM of the phi sweep under ``comm="dense"`` and
+    ``comm="sparse"`` (outputs checked equal): ``(phi, dense report,
+    sparse report)``."""
+    n, r = 2048, 64
+    S = erdos_renyi(n, n, nnz_per_row, seed=5)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, r))
+    B = rng.standard_normal((n, r))
+    kw = dict(p=p, c=c, algorithm=name, elision=elision)
+    out_d, rep_d = repro.fusedmm_b(S, A, B, comm="dense", **kw)
+    out_s, rep_s = repro.fusedmm_b(S, A, B, comm="sparse", **kw)
+    np.testing.assert_allclose(out_s, out_d, rtol=1e-8, atol=1e-10)
+    return S.nnz / (n * r), rep_d, rep_s
 
 
 def run_rank_method(alg, plan, locals_, method, *args, **kwargs):

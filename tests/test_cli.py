@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.types import Phase
 
 
 class TestCli:
@@ -35,6 +38,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "output shape: (256, 16)" in out
         assert "modeled time" in out
+
+    def test_run_trace_out_writes_phase_spans_for_every_rank(self, tmp_path, capsys):
+        """`run --trace-out` end to end: the file the CLI leaves behind is
+        a Chrome trace-event document with duration spans for all three
+        paper phases on each of the p ranks."""
+        out = tmp_path / "trace.json"
+        assert main(["run", "--n", "256", "--r", "16", "--p", "4",
+                     "--algorithm", "1.5d-sparse-shift", "--comm", "sparse",
+                     "--overlap", "on", "--calls", "2",
+                     "--trace-out", str(out)]) == 0
+        assert str(out) in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        for rank in range(4):
+            phases = {e["name"] for e in events
+                      if e["ph"] == "X" and e["tid"] == rank
+                      and e["cat"] == "phase"}
+            assert {Phase.REPLICATION.value, Phase.PROPAGATION.value,
+                    Phase.COMPUTATION.value} <= phases, (rank, phases)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -17,6 +17,12 @@ from hypothesis import strategies as st
 
 import repro
 from tests.conftest import require_world_size
+from tests.helpers import (
+    SWEEP_NNZ_PER_ROW,
+    SWEEP_SPARSE_REPLICATE,
+    SWEEP_SPARSE_SHIFT,
+    sweep_dense_vs_sparse,
+)
 from repro.algorithms.registry import (
     ALGORITHMS,
     feasible_replication_factors,
@@ -204,21 +210,18 @@ class TestCommModeSelection:
 
 
 class TestVolumeReduction:
-    def test_15d_sparse_shift_saves_30pct_at_low_phi(self, rng):
+    @pytest.mark.parametrize("nnz_per_row", [1, 2])
+    def test_15d_sparse_shift_saves_30pct_at_low_phi(self, nnz_per_row):
         """The acceptance bar: >= 30% fewer measured words/rank on the
         1.5D sparse-shift path for an ER input with phi <= 0.05."""
-        n, r = 2048, 64
-        S = erdos_renyi(n, n, 2, seed=5)  # phi = 2/64 ~ 0.031
-        assert S.nnz / (n * r) <= 0.05
-        A = rng.standard_normal((n, r))
-        B = rng.standard_normal((n, r))
-        out_d, rep_d = repro.fusedmm_b(
-            S, A, B, p=8, c=4, algorithm="1.5d-sparse-shift",
-            elision="replication-reuse", comm="dense",
-        )
-        out_s, rep_s = repro.fusedmm_b(
-            S, A, B, p=8, c=4, algorithm="1.5d-sparse-shift",
-            elision="replication-reuse", comm="sparse",
-        )
-        np.testing.assert_allclose(out_s, out_d, rtol=1e-8, atol=1e-10)
+        phi, rep_d, rep_s = sweep_dense_vs_sparse(nnz_per_row, *SWEEP_SPARSE_SHIFT)
+        assert phi <= 0.05
         assert rep_s.comm_words <= 0.7 * rep_d.comm_words
+
+    @pytest.mark.parametrize("nnz_per_row", SWEEP_NNZ_PER_ROW)
+    @pytest.mark.parametrize("case", [SWEEP_SPARSE_SHIFT, SWEEP_SPARSE_REPLICATE])
+    def test_sparse_never_moves_more_words_than_dense(self, nnz_per_row, case):
+        """Need-list communication degrades to the dense volume as phi
+        grows (every row needed) but never past it, on either family."""
+        _, rep_d, rep_s = sweep_dense_vs_sparse(nnz_per_row, *case)
+        assert rep_s.comm_words <= rep_d.comm_words

@@ -38,6 +38,12 @@ from repro.runtime.spmd import run_spmd
 from repro.sparse.coo import CooMatrix, SparseBlock
 from repro.sparse.generate import erdos_renyi
 from repro.types import Mode
+from tests.helpers import (
+    SWEEP_NNZ_PER_ROW,
+    SWEEP_SPARSE_REPLICATE,
+    SWEEP_SPARSE_SHIFT,
+    sweep_dense_vs_sparse,
+)
 
 
 def ix(*vals):
@@ -373,23 +379,37 @@ class TestPeakBufferRegression:
             bound = (cp.index_a.size + cp.index_b.size) * cp.strip_width * 8
             assert prof.peak_buffer_bytes <= bound
 
-    def test_15d_sparse_peak_halves_dense_at_low_phi(self):
+    @pytest.mark.parametrize("nnz_per_row", [1, 2])
+    def test_15d_sparse_peak_halves_dense_at_low_phi(self, nnz_per_row):
         """The acceptance bar: >= 50% peak-buffer reduction at phi <= 0.05."""
-        n, r = 2048, 64
-        S = erdos_renyi(n, n, 2, seed=5)
-        assert S.nnz / (n * r) <= 0.05
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((n, r))
-        B = rng.standard_normal((n, r))
-        _, rep_d = repro.fusedmm_b(
-            S, A, B, p=8, c=4, algorithm="1.5d-sparse-shift",
-            elision="replication-reuse", comm="dense",
-        )
-        _, rep_s = repro.fusedmm_b(
-            S, A, B, p=8, c=4, algorithm="1.5d-sparse-shift",
-            elision="replication-reuse", comm="sparse",
-        )
+        phi, rep_d, rep_s = sweep_dense_vs_sparse(nnz_per_row, *SWEEP_SPARSE_SHIFT)
+        assert phi <= 0.05
         assert rep_s.peak_buffer_bytes <= 0.5 * rep_d.peak_buffer_bytes
+
+    @pytest.mark.parametrize("nnz_per_row", SWEEP_NNZ_PER_ROW)
+    def test_15d_sparse_peak_never_exceeds_dense(self, nnz_per_row):
+        """The packed panel grows to the full-height one as phi -> 0.5
+        (every row needed) and stops there."""
+        _, rep_d, rep_s = sweep_dense_vs_sparse(nnz_per_row, *SWEEP_SPARSE_SHIFT)
+        assert rep_s.peak_buffer_bytes <= rep_d.peak_buffer_bytes
+
+    @pytest.mark.parametrize(
+        "nnz_per_row",
+        SWEEP_NNZ_PER_ROW[:1]
+        + [
+            pytest.param(k, marks=pytest.mark.xfail(strict=True, reason="ROADMAP 3(b)"))
+            for k in SWEEP_NNZ_PER_ROW[1:]
+        ],
+    )
+    def test_25d_sparse_peak_never_exceeds_dense(self, nnz_per_row):
+        """Known defect, pinned strict so its fix must flip it: the 2.5D
+        strip-panel fiber gathers are union-sized and held together, so
+        from phi ~ 0.03 up the packed path holds 31% ... 100% *more*
+        panel bytes than the dense one."""
+        _, rep_d, rep_s = sweep_dense_vs_sparse(
+            nnz_per_row, *SWEEP_SPARSE_REPLICATE
+        )
+        assert rep_s.peak_buffer_bytes <= rep_d.peak_buffer_bytes
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.serve import (
     Server,
     ServeFuture,
 )
+from repro.serve.bench import bench_serve
 from repro.serve.request import Envelope, Request, batch_deadline_ms
 
 N_USERS, N_ITEMS, D = 48, 40, 6
@@ -375,3 +376,29 @@ class TestStats:
             assert f_gat.result(timeout=0).ok
             models = {r["model_id"] for r in srv._stats.session_records}
             assert models == {"als", "gat"}
+
+
+class TestServeBench:
+    def test_batching_amortizes_the_session_call(self):
+        """The headline `repro.cli serve-bench` reports: at a panel width
+        >= 8, micro-batching beats unbatched serving (every request pays
+        a full session call) on amortized per-request time, on both
+        workloads, and neither loop drops a request."""
+        record = bench_serve(
+            n_users=128, n_items=96, d=8, p=2, batch_width=8,
+            n_requests=32, rounds=2, open_loop_rate_rps=2000.0,
+        )
+        for name in ("als", "gat"):
+            entry = record[name]
+            batched, unbatched = entry["batched"], entry["unbatched"]
+            assert (
+                batched["amortized_ms_per_request"]
+                < unbatched["amortized_ms_per_request"]
+            ), name
+            # panels really formed, or the comparison means nothing
+            assert batched["batch_size_mean"] > 1.0, name
+            for loop in ("batched", "unbatched", "open_loop"):
+                outcomes = entry[loop]["outcomes"]
+                assert not any(
+                    outcomes[k] for k in ("failed", "timeout", "rejected")
+                ), (name, loop, outcomes)
