@@ -8,10 +8,12 @@ persistent worker pool, the apps run those outside-the-kernel steps
 all-reduce across the layer on the sparse-shifting family) and the GAT
 edge-softmax max/sum reductions both execute on the warm ranks and are
 measured as OTHER-phase communication in the reports — the paper's
-contrast this figure plots.  The GAT replication-reuse variant remains
-a bespoke rank procedure (its cross-round gather sharing cannot be
-split into independent kernel calls) and pays the same edge-softmax
-reductions outside FusedMM.
+contrast this figure plots.  The GAT replication-reuse variant is one
+rank-side procedure on the same cached session (its cross-round gather
+sharing cannot be split into independent kernel calls) and pays the same
+edge-softmax reductions outside FusedMM.  ALS holds one session on the
+observations; its CG matvecs are pattern-only (``use_values=False``), so
+they carry no ``S *`` multiply in the compute column.
 """
 
 from __future__ import annotations

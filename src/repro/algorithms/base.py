@@ -178,8 +178,12 @@ class DistributedAlgorithm:
       of an orientation and reused by every later call; see
       :meth:`ensure_context` / :meth:`refresh_context`)
     * ``rank_kernel(ctx, plan, local, mode, ...)`` (rank side, unified)
-    * ``rank_fusedmm(ctx, plan, local, elision)`` for the native fused
-      variant (see :mod:`repro.algorithms.fused` for role mapping)
+    * ``replicate(ctx, plan, local)`` where replication reuse is
+      supported — the fiber gather ``rank_kernel`` accepts as
+      ``replicated=``; ``rank_fusedmm_none_a`` / ``rank_fusedmm_none_b`` /
+      ``rank_fusedmm_reuse`` are derived here from the two (see
+      :mod:`repro.algorithms.fused` for role mapping), only local kernel
+      fusion (``rank_fusedmm_lkf``) is a family's own procedure
 
     The propagation *schedule* is not the families' business: they state
     which operands circulate (:class:`Lane`) and which packed legs an
@@ -532,6 +536,43 @@ class DistributedAlgorithm:
         pending = [post(eager=eager) for post in posts]
         own()
         return [p.wait() for p in pending]
+
+    # ------------------------------------------------------------------
+    # FusedMM as a sequence of unified kernel calls (families that support
+    # an elision list it in ``elisions``; LKF is the dense-shift family's)
+    # ------------------------------------------------------------------
+
+    def rank_fusedmm_none_a(self, ctx, plan, local, **kw) -> None:
+        """Unoptimized FusedMMA: SDDMM call then SpMMA call on its output
+        (``kw`` carries ``sparse_plan=`` on sparse-comm sessions)."""
+        self.rank_kernel(ctx, plan, local, Mode.SDDMM, **kw)
+        self.rank_kernel(ctx, plan, local, Mode.SPMM_A, use_r_values=True, **kw)
+
+    def rank_fusedmm_none_b(self, ctx, plan, local, **kw) -> None:
+        """Unoptimized FusedMMB: SDDMM call then SpMMB call (re-gathers A)."""
+        self.rank_kernel(ctx, plan, local, Mode.SDDMM, **kw)
+        self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True, **kw)
+
+    def rank_fusedmm_reuse(
+        self, ctx, plan, local, use_values: bool = True, replicated=None, **kw
+    ) -> None:
+        """Replication reuse (native FusedMMB): one fiber gather of A feeds
+        both the SDDMM and the SpMMB, whose output accumulates where it
+        propagates, so there is no terminal reduction (word counts: the
+        families' module docstrings).  ``replicated`` hands in the panel
+        of an earlier :meth:`replicate` of an unchanged A (an iterative
+        solver's fixed operand) and saves the gather too;
+        ``use_values=False`` makes the SDDMM pattern-only.
+        """
+        T = replicated
+        if T is None:
+            T = self.replicate(ctx, plan, local, **kw)
+        self.rank_kernel(
+            ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T, **kw
+        )
+        self.rank_kernel(
+            ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T, **kw
+        )
 
     def build_comm_plans(self, plan, S) -> list:
         """Per-rank need-list plans for ``comm="sparse"``.

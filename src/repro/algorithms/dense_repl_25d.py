@@ -276,10 +276,12 @@ class DenseReplicate25D(DistributedAlgorithm):
         local: Local25DDense,
         mode: Mode,
         use_r_values: bool = False,
+        use_values: bool = True,
         replicated: Optional[np.ndarray] = None,
     ) -> None:
         """One unified kernel call (paper Algorithm 2).
 
+        ``use_values=False`` computes a pattern-only SDDMM (plain dots).
         ``replicated`` hands in an already-gathered coarse A panel
         (replication reuse shares one gather between its two rounds).
         """
@@ -334,7 +336,8 @@ class DenseReplicate25D(DistributedAlgorithm):
         )
 
         if mode == Mode.SDDMM:
-            local.R = dots * local.S_vals  # home after q shifts
+            # home after q shifts
+            local.R = dots * local.S_vals if use_values else dots
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
                 ctx.comm, "reduce-scatter-A"
@@ -344,31 +347,3 @@ class DenseReplicate25D(DistributedAlgorithm):
                 )
         else:
             local.B = B_end  # accumulated output, back at its skewed start
-
-    # -- FusedMM ---------------------------------------------------------
-
-    def rank_fusedmm_none_a(
-        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense
-    ) -> None:
-        """Unoptimized FusedMMA: SDDMM call then SpMMA call."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM)
-        self.rank_kernel(ctx, plan, local, Mode.SPMM_A, use_r_values=True)
-
-    def rank_fusedmm_none_b(
-        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense
-    ) -> None:
-        """Unoptimized FusedMMB: SDDMM call then SpMMB call (re-gathers A)."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM)
-        self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True)
-
-    def rank_fusedmm_reuse(
-        self, ctx: Ctx25D, plan: Plan25DDense, local: Local25DDense,
-        replicated: Optional[np.ndarray] = None,
-    ) -> None:
-        """Replication reuse (native FusedMMB): one all-gather — or the
-        caller's ``replicated`` panel of an unchanged A — and two rounds."""
-        T = replicated
-        if T is None:
-            T = self.replicate(ctx, plan, local)
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM, replicated=T)
-        self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T)

@@ -320,47 +320,7 @@ class DenseShift15D(DistributedAlgorithm):
                     ctx.fiber, T, self._fiber_sizes_a(plan, u), TAG_FIBER_RS
                 )
 
-    # -- FusedMM strategies (native roles; see fused.py for A/B mapping) --
-
-    def rank_fusedmm_none_a(
-        self, ctx: Ctx15D, plan: Plan15DDense, local: Local15DDense
-    ) -> None:
-        """Unoptimized FusedMMA: SDDMM call then SpMMA call."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM)
-        self.rank_kernel(ctx, plan, local, Mode.SPMM_A, use_r_values=True)
-
-    def rank_fusedmm_none_b(
-        self, ctx: Ctx15D, plan: Plan15DDense, local: Local15DDense
-    ) -> None:
-        """Unoptimized FusedMMB: SDDMM call then SpMMB call."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM)
-        self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True)
-
-    def rank_fusedmm_reuse(
-        self,
-        ctx: Ctx15D,
-        plan: Plan15DDense,
-        local: Local15DDense,
-        use_values: bool = True,
-        replicated: Optional[np.ndarray] = None,
-    ) -> None:
-        """Replication reuse (native FusedMMB).
-
-        A single all-gather of A feeds both the SDDMM and the SpMMB; the
-        output accumulates in the circulating buffer, so no terminal
-        reduce-scatter is needed.  Words: ``nr((c-1)/p + 2/c)``.
-        ``replicated`` hands in the panel of an earlier :meth:`replicate`
-        of an unchanged A, saving the ``nr(c-1)/p`` term.
-        """
-        T = replicated
-        if T is None:
-            T = self.replicate(ctx, plan, local)
-        self.rank_kernel(
-            ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T
-        )
-        self.rank_kernel(
-            ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T
-        )
+    # -- local kernel fusion (none / reuse derive from rank_kernel in base) --
 
     def rank_fusedmm_lkf(
         self,

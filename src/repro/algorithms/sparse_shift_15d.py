@@ -450,54 +450,3 @@ class SparseShift15D(DistributedAlgorithm):
                 else:
                     pieces = [T[plan.rows_a_of_fiber[w]] for w in range(self.c)]
                     local.A = ctx.fiber.reduce_scatter(pieces, tag=TAG_FIBER_RS)
-
-    # -- FusedMM ---------------------------------------------------------
-
-    def rank_fusedmm_none_a(
-        self, ctx: Ctx15DSparse, plan: Plan15DSparse, local: Local15DSparse,
-        sparse_plan: Optional[SparsePlan15D] = None,
-    ) -> None:
-        """Unoptimized FusedMMA: SDDMM call then SpMMA call."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM, sparse_plan=sparse_plan)
-        self.rank_kernel(
-            ctx, plan, local, Mode.SPMM_A, use_r_values=True, sparse_plan=sparse_plan
-        )
-
-    def rank_fusedmm_none_b(
-        self, ctx: Ctx15DSparse, plan: Plan15DSparse, local: Local15DSparse,
-        sparse_plan: Optional[SparsePlan15D] = None,
-    ) -> None:
-        """Unoptimized FusedMMB: SDDMM call then SpMMB call (re-gathers A)."""
-        self.rank_kernel(ctx, plan, local, Mode.SDDMM, sparse_plan=sparse_plan)
-        self.rank_kernel(
-            ctx, plan, local, Mode.SPMM_B, use_r_values=True, sparse_plan=sparse_plan
-        )
-
-    def rank_fusedmm_reuse(
-        self,
-        ctx: Ctx15DSparse,
-        plan: Plan15DSparse,
-        local: Local15DSparse,
-        use_values: bool = True,
-        sparse_plan: Optional[SparsePlan15D] = None,
-        replicated: Optional[np.ndarray] = None,
-    ) -> None:
-        """Replication reuse (native FusedMMB): one all-gather, two rounds.
-
-        Cost: ``6 nnz/c + n r (c-1)/p`` words (paper Eq. 2); with
-        ``sparse_plan`` the ``n r (c-1)/p`` term shrinks to the layer's
-        touched rows.  ``replicated`` hands in the panel of an earlier
-        :meth:`replicate` when A has not changed since (an iterative
-        solver's fixed operand), and the call costs ``6 nnz/c`` only.
-        """
-        T = replicated
-        if T is None:
-            T = self.replicate(ctx, plan, local, sparse_plan)
-        self.rank_kernel(
-            ctx, plan, local, Mode.SDDMM, use_values=use_values,
-            sparse_plan=sparse_plan, replicated=T,
-        )
-        self.rank_kernel(
-            ctx, plan, local, Mode.SPMM_B, use_r_values=True,
-            sparse_plan=sparse_plan, replicated=T,
-        )

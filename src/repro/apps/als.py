@@ -14,10 +14,13 @@ so 10 CG iterations for A and 10 for B cost 20 FusedMM invocations — the
 workload of the paper's Figure 9 (left).
 
 This driver is built on the session-handle API (:func:`repro.plan`):
-it plans **two resident distributions once** — one on the observed
-values (for the normal-equation right-hand sides) and one on the
-indicator pattern (for every CG matvec and the loss SDDMM) — and runs
-each half-sweep's entire batched CG **rank-side** on the sessions'
+it plans **one resident session** on the observations — one worker pool,
+``S`` plus its transposed sibling, the reference ``Distributed_Sparse``'s
+``S`` / ``ST`` — and passes "with or without the stored values" per call:
+the normal-equation right-hand sides are ``spmm_a`` / ``spmm_b`` on the
+observed values, while every CG matvec and the loss SDDMM run
+pattern-only (``use_values=False``) on the same distribution.  Each
+half-sweep's entire batched CG runs **rank-side** on the session's
 resident worker pool: one :meth:`~repro.session.Session.run_rank`
 dispatch performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG
 scalar recurrences on the warm ranks, so no factor matrix is gathered or
@@ -166,25 +169,11 @@ class DistributedALS:
 
     # ------------------------------------------------------------------
 
-    def _sessions(self, C_obs: CooMatrix, r: int) -> "tuple[Session, Session]":
-        """Plan the two resident distributions: observed values for the
-        right-hand sides, indicator pattern for matvecs and loss."""
-        pattern = C_obs.with_values(np.ones(C_obs.nnz))
-        sess_val = plan(
-            C_obs, r, p=self.p, c=self.c, algorithm=self.algorithm,
-            elision=self.elision, comm=self.comm, kernels=self.kernels,
-        )
-        sess_pat = plan(
-            pattern, r, p=self.p, c=self.c, algorithm=self.algorithm,
-            elision=self.elision, comm=self.comm, kernels=self.kernels,
-        )
-        return sess_val, sess_pat
-
     def _rank_cg(
         self, sess: Session, variant: FusedVariant, fixed: np.ndarray,
         rhs: np.ndarray, x0: np.ndarray,
     ) -> np.ndarray:
-        """Solve ``(FusedMM(pattern, ., fixed) + lam I) x = rhs`` rank-side.
+        """Solve ``(FusedMM(pattern(S), ., fixed) + lam I) x = rhs`` rank-side.
 
         The whole batched CG — ``cg_iters + 1`` fused matvecs plus the
         per-row scalar recurrences — runs in **one** dispatch to the
@@ -215,12 +204,10 @@ class DistributedALS:
         ori = sess.bind(*slots(rhs), transpose=transpose)
         rhs_blks = [loc.A if x_in_a else loc.B for loc in ori.locals_]
         sess.bind(*slots(x0), transpose=transpose)
-        r_full = sess.r
-
         reuse = self.elision == Elision.REPLICATION_REUSE
+        slot = "A" if x_in_a else "B"
 
-        def cg_body(ctx, plan_, local, sparse_plan=None):
-            kw = {"sparse_plan": sparse_plan} if sparse_plan is not None else {}
+        def cg_body(ctx, plan_, local, **kw):  # kw: sparse_plan= under sparse comm
             prof = ctx.comm.profile
             if reuse:
                 # replication reuse gathers the operand opposite its
@@ -228,47 +215,27 @@ class DistributedALS:
                 # gather serves all cg_iters + 1 matvecs of the half-sweep
                 kw["replicated"] = sess.alg.replicate(ctx, plan_, local, **kw)
 
-            def get():
-                return local.A if x_in_a else local.B
-
-            def put(blk):
-                if x_in_a:
-                    local.A = blk
-                else:
-                    local.B = blk
-
             def matvec(vblk):
-                put(vblk)
-                method(ctx, plan_, local, **kw)
-                return get() + lam * vblk
+                setattr(local, slot, vblk)
+                # pattern-only: the normal equations use S's indicator
+                method(ctx, plan_, local, use_values=False, **kw)
+                return getattr(local, slot) + lam * vblk
 
+            x0_blk = getattr(local, slot)
             # complete factor rows are rank-local on the dense-shifting
             # family; r-strips (sparse shift) reduce row dots over the
             # layer, whose ranks all own the same row set
-            full_rows = get().shape[1] == r_full
+            full_rows = x0_blk.shape[1] == sess.r
 
             def rowdot(y, z):
-                d = np.einsum("ij,ij->i", y, z)
+                d = _rowdot(y, z)
                 if not full_rows:
                     with prof.track(Phase.OTHER):
                         d = ctx.layer.allreduce(d, tag=TAG_APP)
                 return d
 
-            x = get()
-            rvec = rhs_blks[ctx.comm.rank] - matvec(x)
-            pvec = rvec.copy()
-            rs = rowdot(rvec, rvec)
-            for _ in range(iters):
-                q = matvec(pvec)
-                denom = rowdot(pvec, q)
-                alpha = np.where(denom > 1e-300, rs / np.maximum(denom, 1e-300), 0.0)
-                x = x + alpha[:, None] * pvec
-                rvec = rvec - alpha[:, None] * q
-                rs_new = rowdot(rvec, rvec)
-                beta = np.where(rs > 1e-300, rs_new / np.maximum(rs, 1e-300), 0.0)
-                pvec = rvec + beta[:, None] * pvec
-                rs = rs_new
-            put(x)  # final solution stays resident for the collect
+            x = _batched_cg(rhs_blks[ctx.comm.rank], matvec, rowdot, x0_blk, iters)
+            setattr(local, slot, x)  # the solution stays resident for the collect
 
         sess.run_rank(cg_body, transpose=transpose, label=f"als/cg/{variant.value}")
         collect = (
@@ -291,27 +258,29 @@ class DistributedALS:
         B = rng.standard_normal((n, r)) * 0.1
 
         loss_history: List[float] = []
-        sess_val, sess_pat = self._sessions(C_obs, r)
-        with sess_val, sess_pat:
+        with plan(
+            C_obs, r, p=self.p, c=self.c, algorithm=self.algorithm,
+            elision=self.elision, comm=self.comm, kernels=self.kernels,
+        ) as sess:
             for _ in range(outer_iters):
                 # solve for A with B fixed: rhs = SpMMA(C_obs, B); the CG
                 # (matvec = FusedMMA(pattern, X, B) + lam X, plus scalar
                 # recurrences) runs rank-side in one pool dispatch
-                rhs_a, _ = sess_val.spmm_a(B)
-                A = self._rank_cg(sess_pat, FusedVariant.FUSED_A, B, rhs_a, A)
+                rhs_a, _ = sess.spmm_a(B)
+                A = self._rank_cg(sess, FusedVariant.FUSED_A, B, rhs_a, A)
 
                 # solve for B with A fixed: rhs = SpMMB(C_obs, A); runs on
                 # the session's transposed sibling distribution when the
                 # elision's native procedure lives on the opposite side
-                rhs_b, _ = sess_val.spmm_b(A)
-                B = self._rank_cg(sess_pat, FusedVariant.FUSED_B, A, rhs_b, B)
+                rhs_b, _ = sess.spmm_b(A)
+                B = self._rank_cg(sess, FusedVariant.FUSED_B, A, rhs_b, B)
 
                 if track_loss:
                     # || C_obs - SDDMM(A, B, pattern) ||^2 over observations
-                    dots, _ = sess_pat.sddmm(A, B)
+                    dots, _ = sess.sddmm(A, B, use_values=False)
                     loss_history.append(float(np.sum((C_obs.vals - dots.vals) ** 2)))
 
-            report = sess_val.report().merged_with(sess_pat.report())
+            report = sess.report()
         report.label = f"als/{self.algorithm}/{self.elision.value}"
         return AlsResult(A=A, B=B, loss_history=loss_history, report=report)
 

@@ -13,26 +13,28 @@ edge softmax.  That softmax is also why the paper excludes the local
 kernel fusion strategy for GATs: rows must be normalized between the
 SDDMM and the SpMM, so the two local kernels cannot be fused.
 
-This implementation runs on the 1.5D dense-shifting algorithm with either
+This implementation runs on the 1.5D dense-shifting algorithm.  Both
+variants are rank-side procedures on **one** resident session
+(:func:`repro.plan`): the adjacency is distributed once, cached across
+forward passes / training epochs (re-invoking the layer never re-ships
+the graph, re-spawns a rank or rebuilds a context), and the session owns
+the worker pool, the profiles and the kernel backend.
 
-* ``Elision.NONE`` — built on the session-handle API (:func:`repro.plan`):
-  the adjacency is distributed **once** into a resident session (cached
-  across forward passes / training epochs, so re-invoking the layer never
-  re-ships the graph) whose resident worker pool runs each head as a
-  single rank-side dispatch: an SDDMM kernel (custom edge op), the edge
-  softmax — per-row max/sum all-reduced along the fiber, measured as
-  OTHER-phase communication — and an SpMMA aggregation directly on the
-  normalized scores.  No edge values round-trip through the driver
-  between the kernels;
-* ``Elision.REPLICATION_REUSE`` — a bespoke fused rank procedure on the
-  stored transposed adjacency: one all-gather of the node features serves
-  both the score round and the aggregation round *of every head* (the
-  aggregation accumulates into the circulating buffer — no terminal
-  reduce-scatter), with the softmax reductions running along the layer
-  between the rounds.  This cross-round, cross-head communication elision
-  cannot be expressed as independent per-kernel session calls, which is
-  exactly why the paper treats it as its own strategy; it stays a
-  rank-side procedure.
+* ``Elision.NONE`` — each head is a single
+  :meth:`~repro.session.Session.run_rank` dispatch: an SDDMM kernel
+  (custom edge op), the edge softmax — per-row max/sum all-reduced along
+  the fiber, measured as OTHER-phase communication — and an SpMMA
+  aggregation directly on the normalized scores.  No edge values
+  round-trip through the driver between the kernels;
+* ``Elision.REPLICATION_REUSE`` — one dispatch for the whole forward
+  pass, on the session's resident *transposed* adjacency: one all-gather
+  of the node features serves both the score round and the aggregation
+  round *of every head* (the aggregation accumulates into the circulating
+  buffer — no terminal reduce-scatter), with the softmax reductions
+  running along the layer between the rounds.  This cross-round,
+  cross-head communication elision cannot be expressed as independent
+  per-kernel session calls, which is exactly why the paper treats it as
+  its own strategy.
 
 Multi-head attention concatenates per-head outputs, each with its own
 ``W``, ``a_L``, ``a_R`` (random weights — the paper benchmarks the
@@ -54,13 +56,10 @@ from repro.algorithms.base import (
     concat_allgather,
     track,
 )
-from repro.algorithms.dense_shift_15d import DenseShift15D
 from repro.errors import ReproError
-from repro.kernels.registry import resolve_kernel_backend
 from repro.kernels.sddmm import GatScoreOp, sddmm_custom
 from repro.kernels.spmm import spmm_b_block
-from repro.runtime.profile import RankProfile, RunReport
-from repro.runtime.spmd import run_spmd
+from repro.runtime.profile import RunReport
 from repro.serve.model import ServeModel
 from repro.serve.request import GatEdgeScoreRequest, Request
 from repro.session import Session, SessionFuture, plan
@@ -133,6 +132,28 @@ def gat_forward_reference(
     return np.concatenate(outs, axis=1)
 
 
+def _edge_softmax(comm, scores: Dict[int, np.ndarray], seg, width: int) -> None:
+    """Softmax the edge ``scores`` in place over the rows of ``S``.
+
+    ``scores[j]`` holds one sparse block's edge scores and ``seg[j]`` the
+    softmax segment (row of ``S``) of each, numbered ``0..width`` alike on
+    every rank of ``comm`` — the ranks that between them hold a
+    segment's edges, so the per-segment max and sum are all-reduced there.
+    """
+    smax = np.full(width, -np.inf)
+    for j, e in scores.items():
+        np.maximum.at(smax, seg[j], e)
+    smax = comm.allreduce(smax, tag=TAG_APP, op=np.maximum)
+    smax = np.where(np.isfinite(smax), smax, 0.0)
+    ssum = np.zeros(width)
+    for j, e in scores.items():
+        scores[j] = np.exp(e - smax[seg[j]])
+        np.add.at(ssum, seg[j], scores[j])
+    ssum = comm.allreduce(ssum, tag=TAG_APP + 2)
+    for j in scores:
+        scores[j] = scores[j] / ssum[seg[j]]
+
+
 class DistributedGAT:
     """Distributed multi-head GAT forward pass (see module docstring)."""
 
@@ -160,15 +181,9 @@ class DistributedGAT:
         self.heads = make_heads(n_heads, r_in, r_head, seed)
         self.r_in = r_in
         self.r_head = r_head
-        self.alg = DenseShift15D(p, c)
-        # kernel backend: the NONE variant threads the knob through its
-        # resident session; the bespoke reuse procedure attaches the
-        # resolved backend to its own rank profiles (both spell the same
-        # ``profile.kernels`` dispatch inside the local kernels)
-        self._kern = resolve_kernel_backend(kernels)
-        self.kernels = self._kern.name
-        # resident adjacency session for the handle-based NONE variant,
-        # cached across forward passes (training epochs)
+        self.kernels = kernels
+        # the resident adjacency session both variants run on, cached
+        # across forward passes (training epochs)
         self._sess: Optional[Session] = None
 
     # ------------------------------------------------------------------
@@ -181,11 +196,15 @@ class DistributedGAT:
             raise ReproError("GAT needs a square adjacency matrix")
         if X.shape != (n, self.r_in):
             raise ReproError(f"X shape {X.shape} != ({n}, {self.r_in})")
+        sess = self._session(S_adj)
+        sess.reset_profile()
         if self.elision == Elision.NONE:
-            return self._forward_none(S_adj, X)
-        return self._forward_reuse(S_adj, X)
-
-    # -- variant 1: kernel sequence on a resident session ------------------
+            output = self._forward_none(sess, X)
+        else:
+            output = self._forward_reuse(sess, X)
+        return GatResult(
+            output=output, report=sess.report(f"gat/{self.elision.value}")
+        )
 
     def _session(self, S_adj: CooMatrix) -> Session:
         """The resident adjacency session, re-planned only when the graph
@@ -193,8 +212,7 @@ class DistributedGAT:
         sess = self._sess
         if sess is not None and not sess._closed and sess.S.same_structure(S_adj):
             return sess
-        if sess is not None:
-            sess.close()
+        self.close()
         self._sess = plan(
             S_adj, self.r_head, p=self.p, c=self.c,
             algorithm="1.5d-dense-shift", elision=Elision.NONE,
@@ -202,15 +220,29 @@ class DistributedGAT:
         )
         return self._sess
 
-    def _forward_none(self, S_adj: CooMatrix, X: np.ndarray) -> GatResult:
+    def close(self) -> None:
+        """Release the cached session (worker pool, resident adjacency).
+        Idempotent; a later :meth:`forward` plans a fresh one."""
+        if self._sess is not None:
+            self._sess.close()
+            self._sess = None
+
+    def __enter__(self) -> "DistributedGAT":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+    # -- variant 1: kernel sequence per head -------------------------------
+
+    def _forward_none(self, sess: Session, X: np.ndarray) -> np.ndarray:
         """One pool dispatch per head: SDDMM scores, **rank-side** edge
         softmax (fiber all-reductions of per-row max and sum, measured as
         OTHER-phase communication — the paper's "communication outside
         FusedMM"), then SpMMA aggregation on the normalized scores.  No
         edge values travel through the driver between the two kernels.
         """
-        sess = self._session(S_adj)
-        sess.reset_profile()
         slope = self.negative_slope
         alg = sess.alg
         outs: List[np.ndarray] = []
@@ -234,19 +266,8 @@ class DistributedGAT:
                 with prof.track(Phase.OTHER):
                     u = ctx.u
                     width = int(plan.row_coarse[u + 1] - plan.row_coarse[u])
-                    rmax = np.full(width, -np.inf)
-                    for j, e in local.R.items():
-                        np.maximum.at(rmax, local.S[j].rows, e)
-                    rmax = ctx.fiber.allreduce(rmax, tag=TAG_APP, op=np.maximum)
-                    rmax = np.where(np.isfinite(rmax), rmax, 0.0)
-                    rsum = np.zeros(width)
-                    for j, e in local.R.items():
-                        ex = np.exp(e - rmax[local.S[j].rows])
-                        local.R[j] = ex
-                        np.add.at(rsum, local.S[j].rows, ex)
-                    rsum = ctx.fiber.allreduce(rsum, tag=TAG_APP + 2)
-                    for j in local.R:
-                        local.R[j] = local.R[j] / rsum[local.S[j].rows]
+                    seg = {j: blk.rows for j, blk in local.S.items()}
+                    _edge_softmax(ctx.fiber, local.R, seg, width)
                 # 3) aggregation: SpMMA directly on the normalized scores
                 # (no driver gather / update_values round trip)
                 alg.rank_kernel(ctx, plan, local, Mode.SPMM_A, use_r_values=True)
@@ -254,49 +275,37 @@ class DistributedGAT:
             sess.run_rank(head_body, label="gat/none/head")
             agg = alg.collect_dense_a(ori.plan, ori.locals_)
             outs.append(elu(agg) if self.apply_elu else agg)
-        return GatResult(
-            output=np.concatenate(outs, axis=1), report=sess.report("gat/none")
-        )
+        return np.concatenate(outs, axis=1)
 
     # -- variant 2: replication reuse on the transposed adjacency ---------
 
-    def _forward_reuse(self, S_adj: CooMatrix, X: np.ndarray) -> GatResult:
-        alg = self.alg
-        n = S_adj.nrows
-        # transposed adjacency: rows of S (the softmax axis) are columns here
-        plan = alg.plan(n, n, self.r_head)
-        locals_ = alg.distribute(plan, S_adj.transposed(), None, None)
-        x_plan = alg.plan(n, n, self.r_in)
-        x_locals = alg.distribute(x_plan, None, X, X)
-        profiles = [RankProfile() for _ in range(self.p)]
-        if self._kern.backend is not None:
-            # bespoke rank procedure: no Session plans this run, so the
-            # JIT warmup and profile attachment happen here
-            self._kern.backend.warmup()
-            for prof in profiles:
-                prof.kernels = self._kern.backend
-        outs: List[List[np.ndarray]] = [[] for _ in range(self.p)]
-        heads, slope = self.heads, self.negative_slope
-        apply_elu = self.apply_elu
-        nl = plan.n_layer
-        c = self.c
+    def _forward_reuse(self, sess: Session, X: np.ndarray) -> np.ndarray:
+        """One pool dispatch for the whole forward pass, on the session's
+        transposed adjacency: rows of ``S`` (the softmax axis) are columns
+        there, block rows are ``j`` (the ``a_R`` side) and block columns
+        ``i`` (the ``a_L`` side)."""
+        alg = sess.alg
+        heads, slope, apply_elu = self.heads, self.negative_slope, self.apply_elu
+        p, c = self.p, self.c
 
-        def body(comm):
-            ctx = alg.make_context(comm)
-            prof = comm.profile
-            loc = locals_[comm.rank]
-            X_blk = x_locals[comm.rank].A
-            u, v = loc.u, loc.v
+        def reuse_body(ctx, plan, local):
+            prof = ctx.comm.profile
+            u, v = ctx.u, ctx.v
+            nl = plan.n_layer
+            X_blk = X[alg.dense_index(plan, local, "a")]
             # gather the replicated node features ONCE; per-head panels
             # derive locally (replication reuse across heads and rounds)
             with track(ctx.comm, Phase.REPLICATION):
                 T_X = concat_allgather(ctx.fiber, X_blk, TAG_FIBER_AG)
 
-            # the col blocks this rank owns (j % c == v), in ascending order
-            owned_j = list(range(v, self.p, c))
-            col_sizes = [int(plan.col_fine[j + 1] - plan.col_fine[j]) for j in owned_j]
-            col_starts = np.concatenate(([0], np.cumsum(col_sizes)))
-            j_pos = {j: k for k, j in enumerate(owned_j)}
+            # softmax segments: S rows are columns here, and this rank's
+            # column blocks (j % c == v) laid end to end number them
+            col_off, width = {}, 0
+            for j in range(v, p, c):
+                col_off[j] = width
+                width += int(plan.col_fine[j + 1] - plan.col_fine[j])
+            seg = {j: blk.cols + col_off[j] for j, blk in local.S.items()}
+            outs = []
 
             for head in heads:
                 with prof.track(Phase.OTHER):
@@ -304,15 +313,14 @@ class DistributedGAT:
                     H_blk = X_blk @ head.W  # circulating block (i-side rows)
                     prof.add_flops(2 * (T_X.size + X_blk.size) * head.W.shape[1])
 
-                # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>)
-                # on the transposed layout: block rows are j (a_R side),
-                # block cols are i (a_L side); H circulates read-only
+                # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>);
+                # H circulates read-only
                 scores = {}
                 score_op = GatScoreOp(head.a_right, head.a_left, slope)
 
                 def score_compute(t, B_cur):
                     j = plan.held_block(u, v, t)
-                    blk = loc.S.get(j)
+                    blk = local.S.get(j)
                     if blk is not None:
                         scores[j] = sddmm_custom(
                             T_H, B_cur, blk.rows, blk.cols, score_op, profile=prof
@@ -326,27 +334,13 @@ class DistributedGAT:
                 # softmax over S rows == columns of the transposed layout:
                 # reductions run across the LAYER (all coarse row blocks)
                 with prof.track(Phase.OTHER):
-                    width = int(col_starts[-1])
-                    cmax = np.full(width, -np.inf)
-                    for j, e in scores.items():
-                        np.maximum.at(cmax, loc.S[j].cols + col_starts[j_pos[j]], e)
-                    cmax = ctx.layer.allreduce(cmax, tag=92, op=np.maximum)
-                    cmax = np.where(np.isfinite(cmax), cmax, 0.0)
-                    csum = np.zeros(width)
-                    for j, e in scores.items():
-                        off = col_starts[j_pos[j]]
-                        scores[j] = np.exp(e - cmax[loc.S[j].cols + off])
-                        np.add.at(csum, loc.S[j].cols + off, scores[j])
-                    csum = ctx.layer.allreduce(csum, tag=94)
-                    for j in scores:
-                        off = col_starts[j_pos[j]]
-                        scores[j] = scores[j] / csum[loc.S[j].cols + off]
+                    _edge_softmax(ctx.layer, scores, seg, width)
 
                 # round 2: aggregation out_i = sum_j attn_ij H_j, accumulated
                 # in the circulating buffer (SpMMB on the transposed layout)
                 def agg_compute(t, out_cur):
                     j = plan.held_block(u, v, t)
-                    blk = loc.S.get(j)
+                    blk = local.S.get(j)
                     if blk is not None:
                         spmm_b_block(blk, T_H, out_cur, values=scores[j], profile=prof)
 
@@ -355,22 +349,15 @@ class DistributedGAT:
                 )
                 (out_acc,) = alg.ring_loop(ctx.comm, nl, [out_lane], agg_compute)
                 with prof.track(Phase.OTHER):
-                    outs[comm.rank].append(elu(out_acc) if apply_elu else out_acc)
+                    outs.append(elu(out_acc) if apply_elu else out_acc)
+            # the concatenated heads leave through the rank's n-side block
+            local.B = np.concatenate(outs, axis=1)
 
-        run_spmd(self.p, body, profiles=profiles, label="gat/reuse")
-        return self._collect(plan, locals_, outs, profiles, "replication-reuse")
-
-    # ------------------------------------------------------------------
-
-    def _collect(self, plan, locals_, outs, profiles, tag: str) -> GatResult:
-        n = plan.m
-        out = np.zeros((n, len(self.heads) * self.r_head))
-        for rank, loc in enumerate(locals_):
-            i = loc.u * self.c + loc.v
-            sl = plan.fine_rows_a(i)
-            out[sl] = np.concatenate(outs[rank], axis=1)
-        report = RunReport(per_rank=profiles, label=f"gat/{tag}")
-        return GatResult(output=out, report=report)
+        ori = sess.run_rank(reuse_body, transpose=True, label="gat/reuse")
+        out = np.empty((sess.n, len(heads) * self.r_head))
+        for loc in ori.locals_:
+            out[alg.dense_index(ori.plan, loc, "b")[0]] = loc.B
+        return out
 
 
 # ----------------------------------------------------------------------

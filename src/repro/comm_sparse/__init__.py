@@ -12,19 +12,14 @@ Layers:
 * :mod:`repro.comm_sparse.planner` — layout-aware need-list planners for
   the 1.5D sparse-shifting and 2.5D sparse-replicating algorithms, plus
   the structure-fingerprint plan cache;
-* :mod:`repro.comm_sparse.collectives` — ``sparse_allgatherv`` and
-  ``sparse_reduce_scatterv`` built on the point-to-point layer, with
+* :mod:`repro.comm_sparse.collectives` — the packed need-list
+  all-gather / reduce-scatter built on the point-to-point layer, with
   traffic attributed through the ordinary :class:`RankProfile` hooks.
 
 Selected via ``comm="sparse"`` (or ``comm="auto"``) on the public API.
 """
 
-from repro.comm_sparse.collectives import (
-    TAG_SPARSE_AG,
-    TAG_SPARSE_RS,
-    sparse_allgatherv,
-    sparse_reduce_scatterv,
-)
+from repro.comm_sparse.collectives import TAG_SPARSE_AG, TAG_SPARSE_RS
 from repro.comm_sparse.plan import (
     CommPlan,
     PackedIndex,
@@ -47,8 +42,6 @@ __all__ = [
     "PeerExchange",
     "SparsePlan15D",
     "SparsePlan25D",
-    "sparse_allgatherv",
-    "sparse_reduce_scatterv",
     "TAG_SPARSE_AG",
     "TAG_SPARSE_RS",
     "plan_sparse_shift_15d",

@@ -1,14 +1,14 @@
 """Sparse neighborhood collectives built on the point-to-point layer.
 
 These are the v-suffixed, need-list-driven counterparts of the dense ring
-collectives in :mod:`repro.runtime.comm`:
+collectives in :mod:`repro.runtime.comm`, over *packed* panels:
 
-===========================  ============================================
-collective                   words received per rank
-===========================  ============================================
-``sparse_allgatherv``        ``sum_k |recv_rows_k| * width_k``
-``sparse_reduce_scatterv``   ``sum_k |recv_rows_k| * width_k``
-===========================  ============================================
+==================================  =====================================
+collective                          words received per rank
+==================================  =====================================
+``isparse_allgatherv_packed``       ``sum_k |recv_rows_k| * width_k``
+``isparse_reduce_scatterv_packed``  ``sum_k |recv_rows_k| * width_k``
+==================================  =====================================
 
 i.e. exactly the rows the rank's resident sparsity structure *needs*
 (SpComm3D's observation), instead of the dense ring's ``(P-1)/P * W``.
@@ -21,7 +21,10 @@ Both endpoints hold the (cached) :class:`~repro.comm_sparse.plan.CommPlan`
 for the exchange, so payloads are value-only row blocks; index lists never
 travel during iteration.  Sends are buffered (non-blocking) in the thread
 backend, so posting every send before draining the receives is
-deadlock-free regardless of the neighborhood's shape.
+deadlock-free regardless of the neighborhood's shape.  Each collective
+returns a waitable :class:`PendingSparseExchange`; ``eager=True`` receives
+at post time (the synchronous schedule), so ``post(...).wait()`` is the
+blocking form.
 """
 
 from __future__ import annotations
@@ -71,52 +74,11 @@ def _post_sends(
         comm.send_owned(px.peer, block, tag)
 
 
-def sparse_allgatherv(
-    comm: Communicator,
-    plan: CommPlan,
-    sendbuf: np.ndarray,
-    out: np.ndarray,
-    tag: int = TAG_SPARSE_AG,
-) -> np.ndarray:
-    """Need-list all-gather: fill ``out``'s remotely-owned rows.
-
-    Each peer receives ``sendbuf[send_rows]`` (through its optional column
-    window); rows arriving from peer ``k`` are *placed* at
-    ``out[recv_rows_k]`` within ``recv_cols_k``.  Rows of ``out`` no peer
-    provides — rows nobody's nonzeros touch — are left untouched, so the
-    caller can keep them zero without ever paying to communicate them.
-    The caller fills its own locally-owned rows of ``out`` before or after
-    the call (ownership never moves).
-    """
-    return _post_exchange(comm, plan, sendbuf, out, tag, reduce=False).wait()
-
-
-def sparse_reduce_scatterv(
-    comm: Communicator,
-    plan: CommPlan,
-    contrib: np.ndarray,
-    base: np.ndarray,
-    tag: int = TAG_SPARSE_RS,
-) -> np.ndarray:
-    """Need-list reduce-scatter: sum remote contributions into ``base``.
-
-    ``contrib`` holds this rank's partial results for *every* owner's
-    rows; the rows destined to peer ``k`` (``send_rows_k``, through the
-    optional column window) are shipped to ``k``, and contributions
-    arriving from peer ``k`` are added into ``base[recv_rows_k]``.  The
-    caller seeds ``base`` with its own contribution, so the result equals
-    the dense reduce-scatter on the touched rows.  ``recv_rows`` are
-    unique per peer by construction, making the in-place ``+=`` exact.
-    """
-    return _post_exchange(comm, plan, contrib, base, tag, reduce=True).wait()
-
-
 class PendingSparseExchange:
     """Waitable handle for a posted need-list exchange.
 
     Created by :func:`isparse_allgatherv_packed` /
-    :func:`isparse_reduce_scatterv_packed` (and, waited on the spot, by
-    the blocking collectives above): every send leg is already posted
+    :func:`isparse_reduce_scatterv_packed`: every send leg is already posted
     (sends are buffered), the receive legs are held either as
     :class:`~repro.runtime.comm.PendingRecv` handles (*deferred*: the
     transfer flies behind whatever the caller does before the wait, and
@@ -204,8 +166,8 @@ def _post_exchange(
     target: np.ndarray,
     tag: int,
     reduce: bool,
-    pool: Optional[BufferPool] = None,
-    eager: bool = True,
+    pool: Optional[BufferPool],
+    eager: bool,
 ) -> PendingSparseExchange:
     """Post every send leg, then the receive legs — blocking receives
     when ``eager`` (plain ``recv`` accounting: nothing is ever hidden),
@@ -272,8 +234,14 @@ def isparse_reduce_scatterv_packed(
     ``plan`` must be the :meth:`CommPlan.packed_send` derivation whose
     ``send_rows`` are packed positions of ``index``; ``contrib`` is the
     ``len(union) x width`` partial-output panel holding exactly the rows
-    this rank's nonzeros touched.  ``base`` stays in the owner's local
-    (unpacked) row space, as in :func:`sparse_reduce_scatterv`.
+    this rank's nonzeros touched; the rows destined to peer ``k``
+    (``send_rows_k``, through the optional column window) are shipped to
+    ``k``, and contributions arriving from peer ``k`` are added into
+    ``base[recv_rows_k]``.  ``base`` stays in the owner's local (unpacked)
+    row space and is seeded by the caller with its own contribution, so
+    the result equals the dense reduce-scatter on the touched rows;
+    ``recv_rows`` are unique per peer by construction, making the
+    in-place ``+=`` exact.
 
     The outgoing contribution legs are posted (and deep-copied) up front,
     so the caller is free to build/seed ``base`` — or reuse ``contrib``

@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels.sddmm import sddmm_coo
+from repro.kernels.spmm import spmm_a_block
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 
@@ -33,8 +34,10 @@ def fusedmm_local(
 
     ``A_rep`` is the replicated dense input (full rows for this block's row
     range), ``B_cur`` the currently-held propagated block.  The SDDMM
-    values live only in a transient array that is fed straight into the
-    SpMM through the block's cached CSR structure.
+    values live only in a transient array that is fed straight into
+    :func:`~repro.kernels.spmm.spmm_a_block` on the block's cached CSR
+    structure, so both halves honour ``profile.kernels`` and emit their
+    kernel spans.
 
     With ``return_sddmm=True`` the intermediate values are also returned
     (used by tests and by callers that keep R).
@@ -49,9 +52,7 @@ def fusedmm_local(
         s_vals=block.vals if use_values else None,
         profile=profile,
     )
-    out += block.csr(r_vals) @ B_cur
-    if profile is not None:
-        profile.add_flops(2 * block.nnz * B_cur.shape[1])
+    spmm_a_block(block, B_cur, out, values=r_vals, profile=profile)
     return r_vals if return_sddmm else None
 
 

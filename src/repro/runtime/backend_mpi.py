@@ -223,9 +223,8 @@ class _SettledFuture:
     """Pre-settled stand-in for :class:`~repro.runtime.spmd.PoolFuture`.
 
     The MPI pool executes eagerly inside :meth:`MpiWorkerPool.run_async`
-    (cross-call pipelining is a thread-backend feature for now — see
-    ``ARCHITECTURE.md``), so its futures are born settled and
-    :meth:`wait` just replays the outcome.
+    (the local rank's body runs on the driver thread), so its futures
+    are born settled and :meth:`wait` just replays the outcome.
     """
 
     __slots__ = ("_results", "_report")

@@ -39,8 +39,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ReproError, SpmdAbort, SpmdTimeout
 from repro.runtime.backend import World, validate_backend_name
@@ -48,18 +47,6 @@ from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
-
-
-def _chained(error: BaseException, cause: BaseException) -> BaseException:
-    """Attach ``cause`` as the explicit chain of ``error``.
-
-    Driver-side wrappers (head failures *and* poisoned pipeline futures)
-    all chain the originating rank exception, so the root-cause traceback
-    — including the failing rank's own frames — survives into the caller
-    instead of being flattened into a ``repr`` string.
-    """
-    error.__cause__ = cause
-    return error
 
 
 def _format_dump(dump) -> str:
@@ -128,14 +115,12 @@ class _WorkItem:
 class PoolFuture:
     """Handle for a work item dispatched with :meth:`WorkerPool.run_async`.
 
-    :meth:`wait` blocks until the item (and, for correct failure recovery,
-    every item dispatched before it) has finished, then returns
-    ``(results, report)`` or raises.  If an *earlier* pipelined item
-    failed, the pool recovers once and every later in-flight future —
-    whose ranks unwound through the aborted world — raises a poisoned
-    error naming the original failure; results of aborted items are never
-    returned.  Waiting is idempotent: repeated calls return the cached
-    outcome (or re-raise the cached error).
+    :meth:`wait` blocks until every rank finished the item, then returns
+    ``(results, report)`` or raises the item's error (after which the
+    pool has recovered).  The pool holds one unsettled item at a time —
+    the next dispatch settles this one first — so an item never runs on a
+    world an earlier failure aborted.  Waiting is idempotent: repeated
+    calls return the cached outcome (or re-raise the cached error).
     """
 
     __slots__ = ("_pool", "_item", "_label", "_done", "_error", "_results", "_report")
@@ -236,7 +221,7 @@ class WorkerPool:
             queue.SimpleQueue() for _ in range(nranks)
         ]
         self._run_lock = threading.Lock()
-        self._pending: Deque[PoolFuture] = deque()  # dispatched, not yet settled
+        self._inflight: Optional[PoolFuture] = None  # dispatched, not yet settled
         self._closed = False
         self._threads: List[threading.Thread] = []
         if nranks > 1:
@@ -309,12 +294,6 @@ class WorkerPool:
         """The persistent communicator of ``rank`` (for introspection)."""
         return self._comms[rank]
 
-    #: in-flight pipeline depth: one running item plus one queued behind it
-    #: (the session's cross-call double buffer — the dense scatter of call
-    #: k+1 is staged while call k runs; deeper queues would only add
-    #: poisoning surface without more driver-side overlap to win)
-    MAX_INFLIGHT = 2
-
     def run(
         self,
         rank_fn: RankFn,
@@ -342,16 +321,15 @@ class WorkerPool:
         label: str = "",
         deadline_ms: Optional[float] = None,
     ) -> PoolFuture:
-        """Dispatch ``rank_fn(comm)`` without waiting: the second slot.
+        """Dispatch ``rank_fn(comm)`` without waiting.
 
-        The per-rank FIFO queues pipeline the item behind whatever is
-        currently running, so the driver is free to overlap its own work
-        (staging the next call's dense scatter, collecting the previous
-        output) with the in-flight SPMD run.  At most :data:`MAX_INFLIGHT`
-        items may be unsettled at once; dispatching beyond that first
-        waits out the oldest.  On a single-rank pool the item runs inline
-        immediately (no threads exist) and errors propagate raw, matching
-        the historical fast path.
+        The driver is free to overlap its own work (staging the next
+        call's dense scatter) with the in-flight SPMD run.  The pool holds
+        one unsettled item: dispatching on a busy pool first settles that
+        item, whose error (if any) still surfaces at *its* ``wait()``, not
+        here.  On a single-rank pool the item runs inline immediately (no
+        threads exist) and errors propagate raw, matching the historical
+        fast path.
         """
         if self._closed:
             raise ReproError("worker pool is closed; dispatch is not possible")
@@ -380,93 +358,57 @@ class WorkerPool:
                 future._settle_ok()
                 return future
 
-        while True:
-            with self._run_lock:
-                if len(self._pending) < self.MAX_INFLIGHT:
-                    item = _WorkItem(rank_fn, profiles, self.nranks, label)
-                    future = PoolFuture(self, item, label)
-                    if deadline_ms is not None:
-                        # one horizon for everything in flight: a later
-                        # pipelined item can only extend it (ranks check
-                        # the world's single deadline inside blocked
-                        # receives); it is cleared when the pipe drains
-                        horizon = time.perf_counter() + deadline_ms / 1e3
-                        cur = self.world.deadline
-                        self.world.deadline = (
-                            horizon if cur is None else max(cur, horizon)
-                        )
-                    self._pending.append(future)
-                    for q in self._queues:
-                        q.put(item)
-                    return future
-                oldest = self._pending[0]
-            # settle the oldest outside the dispatch lock, then retry;
-            # its error (if any) surfaces at *its* wait(), not here
+        busy = self._inflight
+        if busy is not None:
             try:
-                oldest.wait()
+                busy.wait()
             except Exception:
                 pass
+        with self._run_lock:
+            item = _WorkItem(rank_fn, profiles, self.nranks, label)
+            future = PoolFuture(self, item, label)
+            # ranks check the world's deadline inside blocked receives
+            self.world.deadline = (
+                time.perf_counter() + deadline_ms / 1e3
+                if deadline_ms is not None
+                else None
+            )
+            self._inflight = future
+            for q in self._queues:
+                q.put(item)
+        return future
 
     def _finish(self, future: PoolFuture) -> None:
-        """Settle ``future`` (and every item dispatched before it).
-
-        Ranks process their queues in FIFO order, so when ``future``'s
-        latch has counted down, every earlier item's latch has too —
-        settlement simply walks the pending deque in dispatch order.  On
-        the first failed item, every *later* in-flight item is drained and
-        poisoned as well (its ranks ran against the aborted world, so its
-        results are not trustworthy), and the world is recovered exactly
-        once, after every dispatched rank body has finished unwinding.
-        """
+        """Settle ``future`` once every rank finished its item; a failed
+        item recovers the world, after every rank body has unwound."""
         item = future._item
-        if item is not None:  # None: settled concurrently (under the lock)
-            item.latch.wait()
+        if item is None:  # settled concurrently (under the lock)
+            return
+        item.latch.wait()
         with self._run_lock:
             if future._done:  # settled by a concurrent waiter
                 return
-            while self._pending and not future._done:
-                head = self._pending[0]
-                head._item.latch.wait()  # done already; FIFO guarantees it
-                if head._item.errors:
-                    # drain everything dispatched behind the failure, then
-                    # recover the world exactly once
-                    for f in self._pending:
-                        f._item.latch.wait()
-                    rank, exc = min(head._item.errors, key=lambda e: e[0])
-                    if isinstance(exc, SpmdTimeout):
-                        # deadline expiries stay typed, carrying the
-                        # blocked-state dump taken at the moment the
-                        # watchdog fired
-                        error = _chained(
-                            SpmdTimeout(
-                                f"SPMD rank {rank} timed out: {exc}"
-                                + _format_dump(exc.dump),
-                                dump=exc.dump,
-                            ),
-                            exc,
-                        )
-                    else:
-                        error = _chained(
-                            RuntimeError(f"SPMD rank {rank} failed: {exc!r}"), exc
-                        )
-                    head._settle_error(error)
-                    for f in list(self._pending)[1:]:
-                        poisoned = _chained(
-                            RuntimeError(
-                                f"SPMD item {f._label or 'unnamed'!r} aborted: "
-                                f"an earlier pipelined item failed "
-                                f"(rank {rank}: {exc!r})"
-                            ),
-                            exc,
-                        )
-                        f._settle_error(poisoned)
-                    self._pending.clear()
-                    self._recover()
+            if item.errors:
+                rank, exc = min(item.errors, key=lambda e: e[0])
+                if isinstance(exc, SpmdTimeout):
+                    # deadline expiries stay typed, carrying the
+                    # blocked-state dump taken at the moment the
+                    # watchdog fired
+                    error = SpmdTimeout(
+                        f"SPMD rank {rank} timed out: {exc}" + _format_dump(exc.dump),
+                        dump=exc.dump,
+                    )
                 else:
-                    head._settle_ok()
-                    self._pending.popleft()
-            if not self._pending:
-                self.world.deadline = None  # the pipe drained; disarm
+                    error = RuntimeError(f"SPMD rank {rank} failed: {exc!r}")
+                # chain the rank's exception: its traceback, with the
+                # failing rank's own frames, survives into the caller
+                error.__cause__ = exc
+                future._settle_error(error)
+                self._recover()
+            else:
+                future._settle_ok()
+            self._inflight = None
+            self.world.deadline = None
 
     def _recover(self) -> None:
         """Return the pool to a clean state after a failed item.

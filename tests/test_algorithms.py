@@ -23,6 +23,7 @@ from repro.baselines.serial import (
 )
 from repro.errors import DistributionError
 from repro.sparse.generate import erdos_renyi
+from repro.types import Elision
 
 from tests.helpers import dist_fused, dist_sddmm, dist_spmm_a, dist_spmm_b
 
@@ -77,14 +78,14 @@ class TestUnifiedKernelModes:
 
 class TestElisionStrategies:
     def test_replication_reuse_matches_fused_b(self, alg, small_problem):
-        if not hasattr(alg, "rank_fusedmm_reuse"):
+        if Elision.REPLICATION_REUSE not in alg.elisions:
             pytest.skip("family does not support replication reuse")
         S, A, B = small_problem
         got = dist_fused(alg, S, A, B, "rank_fusedmm_reuse", "b")
         np.testing.assert_allclose(got, fusedmm_b_serial(S, A, B), rtol=1e-9, atol=1e-12)
 
     def test_local_kernel_fusion_matches_fused_a(self, alg, small_problem):
-        if not hasattr(alg, "rank_fusedmm_lkf"):
+        if Elision.LOCAL_KERNEL_FUSION not in alg.elisions:
             pytest.skip("family does not support local kernel fusion")
         S, A, B = small_problem
         got = dist_fused(alg, S, A, B, "rank_fusedmm_lkf", "a")

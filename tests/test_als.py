@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro
+from repro.apps import als as als_module
 from repro.apps.als import DistributedALS, _batched_cg
 from repro.errors import ReproError
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
-from repro.types import Elision, Phase
+from repro.types import Elision, FusedVariant, Phase
 
 
 @pytest.fixture
@@ -67,8 +71,8 @@ class TestConvergence:
 class TestCostAccounting:
     def test_sessions_amortize_sparse_distribution(self, completion_problem, monkeypatch):
         """The handle-based driver runs all CG FusedMM calls against
-        resident distributions: the sparse operand is partitioned at most
-        once per session orientation (2 sessions x {forward, transposed}),
+        resident distributions: the sparse operand is partitioned once per
+        orientation of its one session (forward + transposed sibling),
         never per matvec."""
         from repro.algorithms.sparse_shift_15d import SparseShift15D
 
@@ -86,8 +90,39 @@ class TestCostAccounting:
             elision=Elision.REPLICATION_REUSE, cg_iters=4,
         )
         als.run(C, r, outer_iters=2, seed=0, track_loss=False)
-        # 2 sweeps x (11 + 11) matvecs + 2 rhs queries, yet <= 4 distributions
-        assert calls["n"] <= 4
+        # 2 sweeps x (5 + 5) matvecs + 4 rhs queries, yet 2 distributions
+        assert calls["n"] == 2
+
+    @pytest.mark.parametrize(
+        "alg,el,p,c", VARIANTS, ids=[f"{a}/{e.value}" for a, e, p, c in VARIANTS]
+    )
+    def test_run_holds_one_session_and_one_pool(
+        self, alg, el, p, c, completion_problem, monkeypatch
+    ):
+        """One ``plan()`` per run: ``S`` and its transposed sibling on one
+        worker pool — ``p`` rank threads while it runs, none after."""
+        sessions, threads = [], []
+
+        def recording_plan(*args, **kw):
+            sessions.append(repro.plan(*args, **kw))
+            return sessions[-1]
+
+        rank_cg = DistributedALS._rank_cg
+
+        def watching_rank_cg(self, *args):
+            threads.append(threading.active_count())
+            return rank_cg(self, *args)
+
+        monkeypatch.setattr(als_module, "plan", recording_plan)
+        monkeypatch.setattr(DistributedALS, "_rank_cg", watching_rank_cg)
+        C, r, _ = completion_problem
+        base = threading.active_count()
+        als = DistributedALS(p=p, c=c, algorithm=alg, elision=el, cg_iters=3)
+        als.run(C, r, outer_iters=2, seed=0)
+        assert len(sessions) == 1
+        assert sessions[0].plan_builds == 2  # S and S^T, each built once
+        assert set(threads) == {base + p}
+        assert threading.active_count() == base
 
     def test_report_contains_fusedmm_phases(self, completion_problem):
         C, r, _ = completion_problem
@@ -96,6 +131,59 @@ class TestCostAccounting:
         assert rep.phase_words(Phase.REPLICATION) > 0
         assert rep.phase_words(Phase.PROPAGATION) > 0
         assert rep.phase_flops(Phase.COMPUTATION) > 0
+
+
+PATTERN_CASES = [
+    ("1.5d-sparse-shift", Elision.REPLICATION_REUSE, "dense"),
+    ("1.5d-sparse-shift", Elision.REPLICATION_REUSE, "sparse"),
+    ("1.5d-dense-shift", Elision.REPLICATION_REUSE, "dense"),
+    ("1.5d-dense-shift", Elision.LOCAL_KERNEL_FUSION, "dense"),
+    ("2.5d-dense-replicate", Elision.REPLICATION_REUSE, "dense"),
+]
+
+
+class TestPatternOnlyFusedMM:
+    """What lets ALS drop its ones-valued twin: ``use_values=False`` on
+    the valued ``S`` computes, bit for bit, what ``use_values=True``
+    computes on ``S.with_values(ones)`` (``x * 1.0 == x``) — on every
+    family with a fused elision, through the one shared
+    ``rank_fusedmm_reuse``."""
+
+    @pytest.mark.parametrize(
+        "name,el,comm", PATTERN_CASES,
+        ids=[f"{n}/{e.value}/{cm}" for n, e, cm in PATTERN_CASES],
+    )
+    @pytest.mark.parametrize("variant", list(FusedVariant), ids=lambda v: v.value)
+    def test_pattern_only_equals_ones_valued_twin(self, name, el, comm, variant, rng):
+        m, n, r = 96, 72, 8
+        S = erdos_renyi(m, n, 5, seed=3)
+        assert not np.all(S.vals == 1.0)
+        A, B = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+
+        def fused(S_run, use_values):
+            with repro.plan(S_run, r, p=8, c=2, algorithm=name, elision=el,
+                            comm=comm) as sess:
+                transpose, native, method = sess.fused_rank_method(variant)
+                ori = sess.bind(*((B, A) if transpose else (A, B)),
+                                transpose=transpose)
+
+                def body(ctx, plan, local, **kw):
+                    method(ctx, plan, local, use_values=use_values, **kw)
+
+                sess.run_rank(body, transpose=transpose)
+                alg = sess.alg
+                collect = alg.collect_dense_a if native == "a" else alg.collect_dense_b
+                out = collect(ori.plan, ori.locals_)
+                dots = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff).vals
+                return out, dots, sess.report().comm_words
+
+        twin = fused(S.with_values(np.ones(S.nnz)), True)
+        pattern = fused(S, False)
+        assert np.array_equal(pattern[0], twin[0])
+        assert np.array_equal(pattern[1], twin[1])
+        assert pattern[2] == twin[2]
+        # and the values do matter when asked for
+        assert not np.array_equal(fused(S, True)[0], twin[0])
 
 
 class TestValidation:

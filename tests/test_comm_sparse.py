@@ -15,13 +15,16 @@ import pytest
 from repro.algorithms.registry import make_algorithm
 from repro.comm_sparse import (
     CommPlan,
+    PackedIndex,
     PeerExchange,
     clear_plan_cache,
     plan_cache_stats,
     plan_sparse_replicate_25d,
     plan_sparse_shift_15d,
-    sparse_allgatherv,
-    sparse_reduce_scatterv,
+)
+from repro.comm_sparse.collectives import (
+    isparse_allgatherv_packed,
+    isparse_reduce_scatterv_packed,
 )
 from repro.errors import CommError
 from repro.runtime.spmd import run_spmd
@@ -139,7 +142,16 @@ def star_plans(p, width):
     return plans
 
 
+def whole(p):
+    """The identity packing: every one of ``p`` rows is in the union, so
+    packed positions are the plan's own row ids."""
+    return PackedIndex.from_rows(np.arange(p), p)
+
+
 class TestSparseCollectives:
+    """The packed collectives on hand-built star plans, blocking form
+    (``eager=True`` receives at post time, ``.wait()`` places)."""
+
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_allgatherv_places_needed_rows(self, p):
         width = 3
@@ -150,7 +162,9 @@ class TestSparseCollectives:
             mine = np.stack([np.full(width, 10.0 * r), np.full(width, 10.0 * r + 1)])
             out = np.zeros((p, width))
             out[r] = mine[r % 2]
-            sparse_allgatherv(comm, plans[r], mine, out)
+            isparse_allgatherv_packed(
+                comm, plans[r], whole(p), mine, out, eager=True
+            ).wait()
             return out
 
         results, _ = run_spmd(p, body)
@@ -171,7 +185,9 @@ class TestSparseCollectives:
             contrib = np.arange(p * width, dtype=float).reshape(p, width) + 100.0 * r
             out = np.zeros((2, width))
             out[r % 2] = contrib[r]
-            sparse_reduce_scatterv(comm, plans[r].reversed(), contrib, out)
+            isparse_reduce_scatterv_packed(
+                comm, plans[r].reversed(), whole(p), contrib, out, eager=True
+            ).wait()
             return out[r % 2]
 
         results, _ = run_spmd(p, body)
@@ -185,7 +201,10 @@ class TestSparseCollectives:
 
         def body(comm):
             with pytest.raises(CommError):
-                sparse_allgatherv(comm, plans[(comm.rank + 1) % 3], np.zeros((2, 1)), np.zeros((3, 1)))
+                isparse_allgatherv_packed(
+                    comm, plans[(comm.rank + 1) % 3], whole(3),
+                    np.zeros((2, 1)), np.zeros((3, 1)), eager=True,
+                )
 
         run_spmd(3, body)
 
@@ -207,7 +226,10 @@ class TestSparseCollectives:
 
         def body(comm):
             with comm.profile.track(Phase.REPLICATION):
-                sparse_allgatherv(comm, empty[comm.rank], np.zeros((1, 5)), np.zeros((3, 5)))
+                isparse_allgatherv_packed(
+                    comm, empty[comm.rank], whole(p),
+                    np.zeros((1, 5)), np.zeros((3, 5)), eager=True,
+                ).wait()
             return comm.profile.total().messages_received
 
         results, _ = run_spmd(p, body)

@@ -5,7 +5,7 @@ indices, sticky faults, chaos derivation), each fault class at the
 transport / phase / region / buffer-pool hook sites, the ``deadline_ms``
 watchdog (a blocked receive converts into :class:`SpmdTimeout` carrying a
 per-rank blocked-state dump, in bounded time), the parameterized
-``WorkerPool.close(timeout)`` diagnostics, and the poisoned-future error
+``WorkerPool.close(timeout)`` diagnostics, and the failed-item error
 chaining.  The end-to-end chaos matrix over the algorithm families lives
 in ``test_chaos.py``.
 """
@@ -367,26 +367,3 @@ class TestErrorChaining:
                 pool.run(bad)
             assert isinstance(err.value.__cause__, ValueError)
             assert err.value.__cause__.args == ("boom",)
-
-    def test_poisoned_future_chains_root_cause(self):
-        """A pipelined item aborted by an earlier failure carries the
-        originating rank's exception as its __cause__, so the root-cause
-        traceback survives into the driver."""
-        with WorkerPool(4) as pool:
-
-            def bad(comm):
-                if comm.rank == 1:
-                    time.sleep(0.05)
-                    raise ValueError("original failure")
-                comm.allreduce_scalar(1.0)
-
-            f1 = pool.run_async(bad, label="first")
-            f2 = pool.run_async(
-                lambda comm: comm.allreduce_scalar(1.0), label="second"
-            )
-            with pytest.raises(RuntimeError, match="aborted.*original failure") as err:
-                f2.wait()
-            assert isinstance(err.value.__cause__, ValueError)
-            assert err.value.__cause__.args == ("original failure",)
-            with pytest.raises(RuntimeError, match="rank 1 failed"):
-                f1.wait()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -128,10 +130,12 @@ class TestCommunicationBehavior:
         adj, X = graph
         results = {}
         for overlap in (False, True):
-            gat = DistributedGAT(p=p, c=c, n_heads=2, r_in=12, r_head=6,
-                                 elision=Elision.REPLICATION_REUSE, seed=5)
-            gat.alg.overlap = overlap
-            results[overlap] = gat.forward(adj, X)
+            with DistributedGAT(p=p, c=c, n_heads=2, r_in=12, r_head=6,
+                                elision=Elision.REPLICATION_REUSE, seed=5) as gat:
+                # no constructor knob: the schedule flag lives on the
+                # session's algorithm instance
+                gat._session(adj).alg.overlap = overlap
+                results[overlap] = gat.forward(adj, X)
         off, on = results[False], results[True]
         assert np.array_equal(off.output, on.output)
         for phase in Phase:
@@ -139,6 +143,62 @@ class TestCommunicationBehavior:
         assert off.report.comm_messages == on.report.comm_messages
         assert off.report.hidden_comm_seconds == 0.0
         assert on.report.hidden_comm_seconds > 0.0
+
+
+class TestResidentSession:
+    """Both variants reach ranks through one cached ``Session``."""
+
+    @pytest.mark.parametrize(
+        "el", [Elision.NONE, Elision.REPLICATION_REUSE], ids=lambda e: e.value
+    )
+    def test_second_forward_builds_nothing_and_spawns_nothing(self, el, graph):
+        adj, X = graph
+        p = 4
+        base = threading.active_count()
+        with DistributedGAT(p=p, c=2, n_heads=2, r_in=12, r_head=6,
+                            elision=el, seed=5) as gat:
+            first = gat.forward(adj, X)
+            sess = gat._sess
+            builds, ctx_builds = sess.plan_builds, sess.context_builds
+            assert builds == 1  # the orientation this variant runs on
+            assert threading.active_count() == base + p
+            second = gat.forward(adj, X)
+            assert gat._sess is sess
+            assert sess.plan_builds == builds
+            assert sess.context_builds == ctx_builds
+            assert threading.active_count() == base + p
+            assert np.array_equal(first.output, second.output)
+            # the report covers one forward pass, not the session's life
+            assert second.report.comm_words == first.report.comm_words
+        assert threading.active_count() == base
+
+    def test_both_variants_share_one_session(self, graph):
+        adj, X = graph
+        base = threading.active_count()
+        with DistributedGAT(p=4, c=2, n_heads=2, r_in=12, r_head=6,
+                            elision=Elision.NONE, seed=5) as gat:
+            none = gat.forward(adj, X)
+            sess = gat._sess
+            gat.elision = Elision.REPLICATION_REUSE
+            reuse = gat.forward(adj, X)
+            assert gat._sess is sess
+            # forward orientation for NONE + transposed sibling for reuse
+            assert sess.plan_builds == 2
+            assert threading.active_count() == base + 4
+            np.testing.assert_allclose(none.output, reuse.output, rtol=1e-9)
+            assert reuse.report.label == "gat/replication-reuse"
+        assert threading.active_count() == base
+
+    def test_close_is_idempotent_and_forward_replans(self, graph):
+        adj, X = graph
+        gat = DistributedGAT(p=4, c=2, n_heads=1, r_in=12, r_head=6, seed=5)
+        first = gat.forward(adj, X)
+        sess = gat._sess
+        gat.close()
+        gat.close()
+        assert sess._closed and gat._sess is None
+        assert np.array_equal(gat.forward(adj, X).output, first.output)
+        gat.close()
 
 
 class TestActivations:

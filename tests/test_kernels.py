@@ -312,6 +312,26 @@ class TestFusedLocal:
         r_vals = fusedmm_local(A, B, blk, out, use_values=False, return_sddmm=True)
         np.testing.assert_allclose(r_vals, ref_dots)
 
+    def test_is_the_unfused_kernel_pair(self, problem):
+        """Both halves are the public kernels: bitwise the ``sddmm_coo`` +
+        ``spmm_a_block`` pair, 4·nnz·r (+nnz) FLOPs, and the SpMM half
+        shows on the tracer (it used to bypass ``spmm_a_block``, and with
+        it ``profile.kernels`` and the ``spmm-a`` span)."""
+        from repro.runtime.trace import Tracer
+
+        S, A, B, blk, _ = problem
+        r = B.shape[1]
+        prof = RankProfile()
+        prof.tracer = Tracer(rank=0)
+        out = np.zeros((S.nrows, r))
+        r_vals = fusedmm_local(A, B, blk, out, return_sddmm=True, profile=prof)
+        ref_vals = sddmm_coo(A, B, blk.rows, blk.cols, s_vals=blk.vals)
+        ref = spmm_a_block(blk, B, np.zeros((S.nrows, r)), values=ref_vals)
+        assert np.array_equal(r_vals, ref_vals)
+        assert np.array_equal(out, ref)
+        assert prof.total().flops == 4 * blk.nnz * r + blk.nnz
+        assert [name for _, name, *_ in prof.tracer.events] == ["sddmm", "spmm-a"]
+
     def test_empty_block(self, rng):
         e = np.empty(0, np.int64)
         blk = SparseBlock(e, e, np.empty(0), (3, 3))

@@ -4,6 +4,9 @@
 the only code that knows whether a run is pipelined; the families and the
 GAT reuse forward state lanes and packed legs.  Covers:
 
+* the application guard — no module under ``apps/`` launches ranks,
+  builds rank profiles / kernel backends or distributes operands itself:
+  apps reach ranks only through ``Session``;
 * the ownership guard — no family module (nor ``apps/gat.py``) reads
   ``overlap``, and no per-phase ``compute`` closure sorts or translates
   indices (a circulating chunk arrives kernel-ready); every family's
@@ -158,6 +161,49 @@ class TestScheduleOwnership:
             }
             assert "dense_index" in defined, module
             assert not defined & {"bind_dense", "collect_dense_a", "collect_dense_b"}
+
+
+#: what an application must not touch: launching ranks, building rank
+#: profiles / kernel backends or distributing operands is the session's job
+APP_FORBIDDEN_NAMES = {"run_spmd", "RankProfile", "resolve_kernel_backend"}
+APP_FORBIDDEN_CALLS = {"distribute", "make_context"}
+
+
+def _session_bypasses(tree: ast.AST) -> list:
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hits += [
+                (node.lineno, alias.name) for alias in node.names
+                if alias.name.rsplit(".", 1)[-1] in APP_FORBIDDEN_NAMES
+            ]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in APP_FORBIDDEN_CALLS
+        ):
+            hits.append((node.lineno, f".{node.func.attr}("))
+    return hits
+
+
+class TestAppsReachRanksThroughSession:
+    @pytest.mark.parametrize(
+        "path", sorted((SRC / "apps").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_app_module_never_bypasses_the_session(self, path):
+        hits = _session_bypasses(ast.parse(path.read_text()))
+        assert not hits, f"apps/{path.name} bypasses Session: {hits}"
+
+    def test_the_guard_sees_a_bypass(self):
+        bad = ast.parse(
+            "from repro.runtime.spmd import run_spmd\n"
+            "from repro.runtime.profile import RankProfile, RunReport\n"
+            "locals_ = alg.distribute(plan, S, None, None)\n"
+            "ctx = alg.make_context(comm)\n"
+        )
+        assert [what for _, what in _session_bypasses(bad)] == [
+            "run_spmd", "RankProfile", ".distribute(", ".make_context(",
+        ]
 
 
 #: the p x c grids the equivalence suites run each family on

@@ -129,6 +129,26 @@ class TestWrapperSessionEquivalence:
         )
 
 
+    @pytest.mark.parametrize(
+        "name,p,c,comm", FAMILY_COMMS[:4], ids=FAMILY_IDS[:4]
+    )
+    def test_pattern_only_sddmm(self, name, p, c, comm, small_problem):
+        """``use_values=False`` on the resident (valued) S is the plain
+        dots — bitwise what the same session computes on S's ones-valued
+        twin, so a caller needs no second distribution for the pattern."""
+        S, A, B = small_problem
+        ones = S.with_values(np.ones(S.nnz))
+        with repro.plan(S, A.shape[1], p=p, c=c, algorithm=name, comm=comm) as sess:
+            dots, _ = sess.sddmm(A, B, use_values=False)
+        with repro.plan(ones, A.shape[1], p=p, c=c, algorithm=name,
+                        comm=comm) as sess:
+            twin, _ = sess.sddmm(A, B)
+        assert np.array_equal(dots.vals, twin.vals)
+        np.testing.assert_allclose(
+            dots.vals, sddmm_serial(ones, A, B).vals, rtol=1e-9
+        )
+
+
 def _count_method(monkeypatch, cls, method_name, counts):
     orig = getattr(cls, method_name)
 
