@@ -9,6 +9,13 @@ numba-over-numpy speedups.  The numpy path's own cost is an e2e metric
 (``kernels.*_ms``, ``benchmarks/e2e``); this script exists for the one
 thing only it can do — compare the two backends where both are installed.
 
+Next to that large shape (131 k nonzeros, r = 64: gather-bound, where
+per-call overhead is invisible) it prints three kernels at the size a
+rank actually runs them, ``<kernel>@8k,w<width>``: 8 192 nonzeros at
+width 8 (one ``als_sweep`` ring phase) and width 2
+(:func:`make_gat_operands`).  These rows carry no floor — no numba run
+has measured one.
+
 Floors (asserted here whenever numba is installed, i.e. in the CI
 ``kernel-backends`` lane): the compiled backend must beat numpy by >=
 1.2x on the fused :class:`GatScoreOp` scoring pass and must not lose on
@@ -16,13 +23,14 @@ Floors (asserted here whenever numba is installed, i.e. in the CI
 in bytes it is no longer the 2x-slow formulation the old 1.5x floor
 was cut against, and no numba run has re-measured the margin).
 ``spmm_a_block`` / ``spmm_b_block`` / ``spmm_scatter`` all run one CSR
-walk on both backends — SciPy's compiled sequential ``csr_matvecs``
-against the jitted row-partitioned loop (``spmm_scatter`` adds the same
-per-call segment scan, plus the same stable sort when its keys arrive
+walk over the same raw arrays on both backends — SciPy's compiled
+sequential ``csr_matvecs`` against the jitted row-partitioned loop
+(``spmm_scatter`` adds the same per-call run-head scan, plus the same
+stable sort when its keys arrive
 unsorted, on both sides: the ``_sorted`` / ``_unsorted`` rows time one
 column-keyed chunk both ways — as the families circulate it, prepared
 at its home rank, and as an unprepared caller hands it over) — and
-``gat_edge_scores`` competes against a pure memory-bound fancy-index
+``gat_edge_scores`` competes against a pure memory-bound ``np.take``
 gather, so those gate on near-parity floors (0.9x / 0.8x): the win there
 is parallelism, which small CI runners may not have.  On a numpy-only
 host the script prints the numpy column and asserts nothing.
@@ -36,7 +44,13 @@ import numpy as np
 
 from repro.harness.reporting import format_table
 from repro.kernels.registry import available_kernel_backends, get_kernel_backend
-from repro.kernels.sddmm import GatScoreOp, gat_edge_scores, sddmm_coo, sddmm_custom
+from repro.kernels.sddmm import (
+    GatScoreOp,
+    gat_edge_scores,
+    make_gat_operands,
+    sddmm_coo,
+    sddmm_custom,
+)
 from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_scatter
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
@@ -46,6 +60,12 @@ _N = 1 << 13
 _NNZ_PER_ROW = 16
 _R = 64
 _REPEATS = 5
+
+#: the rank-sized shape: nonzeros of one circulating chunk, and the calls
+#: timed per repeat (one call is tens of microseconds)
+_RANK_NNZ = 1 << 13
+_RANK_N = 1 << 11
+_RANK_CALLS = 50
 
 #: numba-over-numpy speedup floors gated in CI (see module docstring)
 SPEEDUP_FLOORS = {
@@ -60,22 +80,46 @@ SPEEDUP_FLOORS = {
 }
 
 
-def _best_of(fn) -> float:
+def _best_of(fn, calls: int = 1) -> float:
     best = float("inf")
     for _ in range(_REPEATS):
         t0 = time.perf_counter()
-        fn()
+        for _ in range(calls):
+            fn()
         best = min(best, time.perf_counter() - t0)
-    return best * 1e3  # ms
+    return best * 1e3 / calls  # ms per call
+
+
+def measure_rank_sized(prof: RankProfile) -> dict:
+    """``sddmm_coo`` / ``spmm_scatter`` / ``spmm_a_block`` on one rank's
+    chunk (row-sorted, as the families circulate it) at widths 8 and 2."""
+    rng = np.random.default_rng(2)
+    rows = np.sort(rng.integers(0, _RANK_N, _RANK_NNZ))
+    cols = rng.integers(0, _RANK_N, _RANK_NNZ)
+    vals = rng.standard_normal(_RANK_NNZ)
+    blk = SparseBlock(rows, cols, vals, (_RANK_N, _RANK_N))
+    blk.csr_arrays()  # warm the structure cache, as a resident session has
+    wide = (rng.standard_normal((_RANK_N, 8)), rng.standard_normal((_RANK_N, 8)))
+    gat = make_gat_operands(rng.standard_normal(_RANK_N), rng.standard_normal(_RANK_N))
+    record = {}
+    for width, (A, B) in ((8, wide), (2, gat)):
+        out = np.zeros_like(A)
+        kernels = {
+            "sddmm_coo": lambda: sddmm_coo(A, B, rows, cols, profile=prof),
+            "spmm_scatter": lambda: spmm_scatter(
+                rows, cols, vals, B, out, profile=prof
+            ),
+            "spmm_a_block": lambda: spmm_a_block(blk, B, out, profile=prof),
+        }
+        for kernel, fn in kernels.items():
+            record[f"{kernel}@8k,w{width}"] = _best_of(fn, _RANK_CALLS)
+    return record
 
 
 def measure_backend(name: str, workload) -> dict:
     S, A, B, blk, uL, uR, gat_op = workload
     prof = RankProfile()
-    backend = get_kernel_backend(name)
-    if backend is not None:
-        backend.warmup()
-    prof.kernels = backend
+    prof.kernels = get_kernel_backend(name).warmup()
     out_a = np.zeros_like(A)
     out_b = np.zeros_like(B)
     by_col = np.argsort(S.cols, kind="stable")  # the home rank's cached order
@@ -104,6 +148,7 @@ def measure_backend(name: str, workload) -> dict:
         "spmm_scatter_unsorted": _best_of(
             lambda: spmm_scatter(S.cols, S.rows, S.vals, A, out_b, profile=prof)
         ),
+        **measure_rank_sized(prof),
     }
 
 
@@ -127,6 +172,7 @@ def measure() -> dict:
             "nnz_per_row": _NNZ_PER_ROW,
             "r": _R,
             "repeats": _REPEATS,
+            "rank_nnz": _RANK_NNZ,
         },
         "backends": backends,
     }
@@ -166,7 +212,8 @@ def render(record) -> str:
     cfg = record["config"]
     return (
         f"Kernel backends (n={cfg['n']}, ~{cfg['nnz_per_row']} nnz/row, "
-        f"r={cfg['r']}, best of {cfg['repeats']}) — per-kernel ms under "
+        f"r={cfg['r']}, best of {cfg['repeats']}; @8k rows: "
+        f"{cfg['rank_nnz']} nnz at the named width) — per-kernel ms under "
         f"each available backend\n"
         + format_table(["kernel", "numpy ms", "numba ms", "speedup"], rows)
     )

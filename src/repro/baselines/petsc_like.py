@@ -14,6 +14,9 @@ libraries the paper surveyed.  Its defining properties, reproduced here:
 The paper benchmarks two back-to-back PETSc SpMM calls as the FusedMM
 surrogate (SDDMM and SpMM have identical FLOPs and communication);
 :func:`petsc_like_fusedmm_surrogate` does the same.
+
+The local product stays SciPy's public ``csr @ dense`` (an oracle
+independent of the rank kernels' raw CSR product).
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ paper's Section II exactly:
 * ``SpMMB(S, A) = S.T @ A``
 * ``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``
 * ``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``
+
+The SpMMs stay on ``SparseBlock.csr()`` / ``csr_t()`` and SciPy's public
+``@``: they are what the rank kernels' raw CSR product is compared with.
 """
 
 from __future__ import annotations

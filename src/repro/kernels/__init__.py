@@ -5,14 +5,14 @@ phase: SDDMM, SpMM (both orientations) and a fused SDDMM+SpMM that avoids
 materializing the intermediate sparse matrix (the paper's "optimized local
 FusedMM functions ... elide intermediate storage of the SDDMM result").
 
-They stand in for the paper's MKL SpMM and handwritten OpenMP SDDMM; the
-default implementations are fully vectorized NumPy/SciPy with explicit
-FLOP accounting so runs can be costed under the gamma model.  A second,
-numba-JIT'd implementation of the hot kernels lives behind the
-``kernels=`` registry (:mod:`repro.kernels.registry`); the wrappers here
-dispatch per call through the backend object carried by the rank
-profile, with ``kernels="numpy"`` (no backend attached) as the
-zero-overhead default.
+They stand in for the paper's MKL SpMM and handwritten OpenMP SDDMM.
+Each public kernel is bookkeeping (explicit FLOP accounting, so runs can
+be costed under the gamma model; tracer spans) around one hook of a
+kernel backend chosen by the ``kernels=`` registry
+(:mod:`repro.kernels.registry`): :mod:`repro.kernels.backend_numpy`
+(default: SciPy's CSR loop on raw arrays, ``np.take`` gathers) or the
+numba-JIT'd :mod:`repro.kernels.backend_numba`, carried to the ranks on
+their profiles.
 """
 
 from repro.kernels.fused import fusedmm_local
@@ -28,7 +28,6 @@ from repro.kernels.registry import (
 from repro.kernels.sddmm import (
     GatScoreOp,
     gat_edge_scores,
-    sddmm_block,
     sddmm_coo,
     sddmm_custom,
 )
@@ -36,7 +35,6 @@ from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_flops, spmm_scat
 
 __all__ = [
     "sddmm_coo",
-    "sddmm_block",
     "sddmm_custom",
     "GatScoreOp",
     "gat_edge_scores",

@@ -151,7 +151,8 @@ class NumbaKernels:
     :mod:`repro.kernels.spmm` keep all bookkeeping (FLOP accounting,
     tracer spans, ``s_vals`` scaling, ``col_range`` slicing, argsort /
     CSR-structure preparation) and delegate only the inner compute loop
-    here, so both backends share one contract and one accounting path.
+    here, so both backends share one contract and one accounting path
+    (:class:`~repro.kernels.backend_numpy.NumpyKernels` is the other).
     """
 
     name = "numba"
@@ -163,7 +164,16 @@ class NumbaKernels:
     sddmm_dots_add = staticmethod(_sddmm_dots_add)
     gat_edge_scores = staticmethod(_gat_edge_scores)
     sddmm_gat_score = staticmethod(_sddmm_gat_score)
-    spmm_csr_add = staticmethod(_spmm_csr_add)
+
+    @staticmethod
+    def spmm_csr_add(indptr, indices, data, B, out, rows=None):
+        """``out[rows] += csr @ B`` (all of ``out`` when ``rows`` is ``None``)."""
+        if rows is None:
+            _spmm_csr_add(indptr, indices, data, B, out)
+        else:
+            sums = np.zeros((len(rows), B.shape[1]))
+            _spmm_csr_add(indptr, indices, data, B, sums)
+            out[rows] += sums
 
     def warmup(self) -> "NumbaKernels":
         """Compile every kernel on tiny operands (idempotent).

@@ -68,6 +68,8 @@ def fusedmm_reference(
     """Serial reference for FusedMMA / FusedMMB (used by tests).
 
     ``FusedMMA = SpMMA(SDDMM(A,B,S), B)``; ``FusedMMB = SpMMB(SDDMM(A,B,S), A)``.
+    The SpMM half stays SciPy's public ``csr @ dense`` — the oracle the
+    kernels' raw CSR product is compared with.
     """
     block = SparseBlock(S_rows, S_cols, S_vals, shape)
     r_vals = sddmm_coo(A, B, S_rows, S_cols, s_vals=S_vals)

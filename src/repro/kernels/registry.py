@@ -7,10 +7,12 @@ The six hot local kernels — :func:`~repro.kernels.sddmm.sddmm_coo`,
 :func:`~repro.kernels.spmm.spmm_b_block` and
 :func:`~repro.kernels.spmm.spmm_scatter` — dispatch their inner compute
 loop through the backend object a :class:`~repro.session.Session`
-attaches to its rank profiles (``profile.kernels``).  ``None`` (the
-default, ``kernels="numpy"``) keeps the historical vectorized
-numpy/scipy paths at zero dispatch cost; ``"numba"`` swaps in the
-JIT'd ``prange`` kernels of :mod:`repro.kernels.backend_numba`.
+attaches to its rank profiles (``profile.kernels``):
+:data:`~repro.kernels.backend_numpy.NUMPY` (the default,
+``kernels="numpy"``: SciPy's CSR loop on raw arrays, ``np.take``
+gathers) or, for ``"numba"``, the JIT'd ``prange`` kernels of
+:mod:`repro.kernels.backend_numba`.  Calls without a profile, and calls
+on non-float64 operands, always run the numpy backend.
 
 Name resolution mirrors the execution-backend registry in
 :mod:`repro.runtime.backend`: :func:`validate_kernel_backend_name`
@@ -44,7 +46,7 @@ add an availability probe, and return an object from
 (``sddmm_dots_add``, ``gat_edge_scores``, ``sddmm_gat_score``,
 ``spmm_csr_add``), a ``name`` attribute and a
 ``warmup()`` method — the wrappers and the Session never special-case a
-backend beyond ``None``-means-numpy.
+backend.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import importlib.util
 from typing import NamedTuple, Optional
 
 from repro.errors import KernelBackendUnavailableError, UnknownKernelBackendError
+from repro.kernels.backend_numpy import NUMPY
 
 #: registered kernel backends, in default-preference order
 KERNEL_BACKENDS = ("numpy", "numba")
@@ -118,15 +121,14 @@ def ensure_kernel_backend_available(kernels: str) -> None:
 class KernelChoice(NamedTuple):
     """A fully resolved ``kernels=`` knob.
 
-    ``backend`` is the dispatch object rank profiles carry (``None`` for
-    numpy: the wrappers' inline paths need no indirection), and
+    ``backend`` is the dispatch object rank profiles carry, and
     ``compute_gamma`` is the calibrated seconds-per-FLOP of the chosen
     backend when the choice came from ``"auto"`` (``None`` for explicit
     choices: the cost model then keeps the machine's assumed gamma).
     """
 
     name: str
-    backend: Optional[object]
+    backend: object
     compute_gamma: Optional[float]
 
 
@@ -136,13 +138,11 @@ _NUMBA_SINGLETON = None
 def get_kernel_backend(kernels: str):
     """The dispatch object for a validated, available backend name.
 
-    Returns ``None`` for ``"numpy"`` — the kernel wrappers treat an
-    absent backend as the inline numpy path, so the default costs one
-    attribute read per call.  The numba backend is a process-wide
-    singleton (its JIT warmup is per-process, not per-session).
+    Both are process-wide singletons: the numpy backend is stateless,
+    and numba's JIT warmup is per-process, not per-session.
     """
     if kernels == "numpy":
-        return None
+        return NUMPY
     global _NUMBA_SINGLETON
     if _NUMBA_SINGLETON is None:
         ensure_kernel_backend_available(kernels)

@@ -8,14 +8,14 @@ bytes so the gathered row blocks ``A[rows]`` / ``B[cols]`` stay a few MB
 whatever the width — the same blocking consideration the paper discusses
 for shared-memory SDDMM (Section III-A).
 
-Each public kernel takes an optional ``profile``; when the profile
-carries a compiled kernel backend (``profile.kernels``, attached by the
-session for ``kernels="numba"``), the inner compute loop dispatches to
-it for float64 operands and the wrapper keeps all bookkeeping (FLOP
-accounting, tracer spans, ``s_vals`` scaling, ``col_range`` slicing).
-Non-float64 operands always take the numpy path — the compiled backend
-covers the library's working dtype only, so dtype edge cases behave
-identically under every backend.
+Each public kernel is bookkeeping (FLOP accounting, tracer spans,
+``s_vals`` scaling, ``col_range`` slicing) around one inner-compute hook
+of a kernel backend: the compiled one carried by the optional
+``profile`` (``profile.kernels``, attached by the session for
+``kernels="numba"``) when every operand is float64, else
+:data:`~repro.kernels.backend_numpy.NUMPY` — the compiled backends cover
+the library's working dtype only, so dtype edge cases behave identically
+under every backend.
 """
 
 from __future__ import annotations
@@ -25,39 +25,43 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.kernels.backend_numpy import NUMPY
 from repro.runtime.profile import RankProfile
-from repro.sparse.coo import SparseBlock
-
-#: Byte budget of one chunk's two gathered row blocks (``A[rows]`` and
-#: ``B[cols]``, ``2 * chunk * r * itemsize`` bytes): 8 MB, i.e. 8 192
-#: nonzeros at r = 64.  Large enough that a rank block's SDDMM is a few
-#: pieces at most (every extra chunk is another round of interpreter
-#: calls on the GIL the rank threads share — 1 MB chunks cost the
-#: ``er_compute`` benchmark workload +20 %); small enough that no gather
-#: reaches the tens of MB where every fresh block is page-fault bound —
-#: the former fixed 65 536 nonzeros were 64 MB at r = 64 and measured
-#: 1.4x (r = 64) to 2.1x (r = 128) slower at nnz 131 072.  Results do not
-#: depend on it: the row-wise dots are independent.
-_CHUNK_BYTES = 1 << 23
 
 
-def _chunk_nnz(A: np.ndarray) -> int:
-    """Nonzeros per chunk for width-``A.shape[1]`` gathers of A's dtype."""
-    return max(1, _CHUNK_BYTES // (2 * max(1, A.shape[1]) * A.itemsize))
+def _kernel_impl(profile: Optional[RankProfile], *operands: np.ndarray):
+    """The kernel backend for one call on ``operands``.
 
-
-def _kernel_impl(profile: Optional[RankProfile]):
-    """The compiled kernel backend carried by ``profile``, or ``None``.
-
-    ``None`` (no profile, or ``kernels="numpy"``) selects the inline
-    numpy paths — the default costs one attribute read per kernel call.
+    The backend ``profile`` carries when every operand is float64 (the
+    compiled backends' dtype); the numpy backend otherwise, and when
+    there is no profile or nothing is attached to it.
     """
-    return profile.kernels if profile is not None else None
+    impl = profile.kernels if profile is not None else None
+    if impl is None or impl is NUMPY:
+        return NUMPY  # no dtype scan on the default backend's hot path
+    return impl if all(a.dtype == np.float64 for a in operands) else NUMPY
 
 
-def _f64(*arrays: np.ndarray) -> bool:
-    """True when every array is float64 (the compiled backends' dtype)."""
-    return all(a.dtype == np.float64 for a in arrays)
+def _edge_operands(A, B, rows, cols) -> tuple:
+    """Dense operands C-contiguous, coordinates contiguous int64 (what the
+    compiled hooks index; a no-op for arrays that already are)."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    return np.ascontiguousarray(A), np.ascontiguousarray(B), rows, cols
+
+
+def _span_start(profile: Optional[RankProfile]) -> float:
+    """Start of a kernel span when ``profile`` is tracing (unused otherwise)."""
+    tracing = profile is not None and profile.tracer is not None
+    return time.perf_counter() if tracing else 0.0
+
+
+def _account(profile: Optional[RankProfile], flops: int, span: str, t0: float):
+    """Book ``flops`` and, when tracing, the kernel span begun at ``t0``."""
+    if profile is not None:
+        profile.add_flops(flops)
+        if profile.tracer is not None:
+            profile.tracer.span(span, "kernel", t0, time.perf_counter())
 
 
 def sddmm_coo(
@@ -97,8 +101,7 @@ def sddmm_coo(
 
     Returns the values array (length ``len(rows)``).
     """
-    tracer = profile.tracer if profile is not None else None
-    t0 = time.perf_counter() if tracer is not None else 0.0
+    t0 = _span_start(profile)
     nnz = len(rows)
     if out is None:
         out = np.zeros(nnz, dtype=np.float64)  # freshly zeroed
@@ -108,49 +111,13 @@ def sddmm_coo(
         k0, k1 = col_range
         A = A[:, k0:k1]
         B = B[:, k0:k1]
-    r = A.shape[1]
-    impl = _kernel_impl(profile)
-    if impl is not None and _f64(A, B, out):
-        impl.sddmm_dots_add(
-            np.ascontiguousarray(A),
-            np.ascontiguousarray(B),
-            np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(cols, dtype=np.int64),
-            out,
-        )
-    else:
-        chunk = _chunk_nnz(A)
-        for s in range(0, nnz, chunk):
-            e = min(s + chunk, nnz)
-            ga = A[rows[s:e]]
-            gb = B[cols[s:e]]
-            # einsum computes the row-wise dots without materializing ga*gb
-            out[s:e] += np.einsum("ij,ij->i", ga, gb)
+    impl = _kernel_impl(profile, A, B, out)
+    impl.sddmm_dots_add(*_edge_operands(A, B, rows, cols), out)
     if s_vals is not None:
         out *= s_vals
-    if profile is not None:
-        profile.add_flops(2 * nnz * r + (nnz if s_vals is not None else 0))
-        if tracer is not None:
-            tracer.span("sddmm", "kernel", t0, time.perf_counter())
+    flops = 2 * nnz * A.shape[1] + (nnz if s_vals is not None else 0)
+    _account(profile, flops, "sddmm", t0)
     return out
-
-
-def sddmm_block(
-    A: np.ndarray,
-    B: np.ndarray,
-    block: SparseBlock,
-    use_values: bool = True,
-    profile: Optional[RankProfile] = None,
-) -> np.ndarray:
-    """SDDMM against a :class:`SparseBlock`; returns new values for it."""
-    return sddmm_coo(
-        A,
-        B,
-        block.rows,
-        block.cols,
-        s_vals=block.vals if use_values else None,
-        profile=profile,
-    )
 
 
 def gat_edge_scores(
@@ -170,26 +137,11 @@ def gat_edge_scores(
     the local piece; distributed execution routes through the same
     machinery as :func:`sddmm_coo` with width-2 dense operands.
     """
-    tracer = profile.tracer if profile is not None else None
-    t0 = time.perf_counter() if tracer is not None else 0.0
-    impl = _kernel_impl(profile)
-    if impl is not None and _f64(uL, uR):
-        e = np.empty(len(rows), dtype=np.float64)
-        impl.gat_edge_scores(
-            np.ascontiguousarray(uL),
-            np.ascontiguousarray(uR),
-            np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(cols, dtype=np.int64),
-            float(negative_slope),
-            e,
-        )
-    else:
-        e = uL[rows] + uR[cols]
-        np.multiply(e, negative_slope, out=e, where=e < 0)
-    if profile is not None:
-        profile.add_flops(2 * len(rows))
-        if tracer is not None:
-            tracer.span("gat-edge-scores", "kernel", t0, time.perf_counter())
+    t0 = _span_start(profile)
+    e = np.empty(len(rows), dtype=np.result_type(uL, uR))
+    operands = _edge_operands(uL, uR, rows, cols)
+    _kernel_impl(profile, uL, uR).gat_edge_scores(*operands, float(negative_slope), e)
+    _account(profile, 2 * len(rows), "gat-edge-scores", t0)
     return e
 
 
@@ -261,41 +213,21 @@ def sddmm_custom(
     arbitrary Python, so every backend produces bitwise-identical output
     for them by construction).
     """
-    tracer = profile.tracer if profile is not None else None
-    t0 = time.perf_counter() if tracer is not None else 0.0
+    t0 = _span_start(profile)
     nnz = len(rows)
     if flops_per_edge is None:
         flops_per_edge = getattr(edge_op, "flops_per_edge", 2 * A.shape[1])
     out = np.empty(nnz, dtype=np.float64)
-    impl = _kernel_impl(profile)
-    if (
-        impl is not None
-        and isinstance(edge_op, GatScoreOp)
-        and _f64(A, B, edge_op.a_row, edge_op.a_col)
-    ):
-        impl.sddmm_gat_score(
-            np.ascontiguousarray(A),
-            np.ascontiguousarray(B),
-            np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(cols, dtype=np.int64),
-            np.ascontiguousarray(edge_op.a_row),
-            np.ascontiguousarray(edge_op.a_col),
+    if isinstance(edge_op, GatScoreOp):
+        a_row, a_col = edge_op.a_row, edge_op.a_col
+        _kernel_impl(profile, A, B, a_row, a_col).sddmm_gat_score(
+            *_edge_operands(A, B, rows, cols),
+            np.ascontiguousarray(a_row),
+            np.ascontiguousarray(a_col),
             float(edge_op.negative_slope),
             out,
         )
     else:
-        chunk = _chunk_nnz(A)
-        for s in range(0, nnz, chunk):
-            e = min(s + chunk, nnz)
-            # named, like sddmm_coo's, so the previous chunk's blocks are
-            # released one at a time as the next are bound: dropping both
-            # at once lets the allocator trim the heap and re-fault the
-            # pages on every chunk (measured 41 vs 19 ms at nnz 131 072)
-            ga = A[rows[s:e]]
-            gb = B[cols[s:e]]
-            out[s:e] = edge_op(ga, gb)
-    if profile is not None:
-        profile.add_flops(nnz * flops_per_edge)
-        if tracer is not None:
-            tracer.span("sddmm-custom", "kernel", t0, time.perf_counter())
+        NUMPY.sddmm_edge_op(A, B, rows, cols, edge_op, out)
+    _account(profile, nnz * flops_per_edge, "sddmm-custom", t0)
     return out

@@ -51,8 +51,10 @@ _REPEATS = 3
 #: Revision of the probed kernels' implementation.  Bump whenever
 #: ``sddmm_coo`` / ``spmm_scatter`` change speed class, so cached rates
 #: from the old code stop feeding the cost model.  (2: ``spmm_scatter``
-#: became a touched-rows CSR product, ``sddmm_coo`` byte-sized chunks.)
-KERNEL_REVISION = 2
+#: became a touched-rows CSR product, ``sddmm_coo`` byte-sized chunks;
+#: 3: numpy runs the raw CSR loop and ``np.take`` gathers — gammas of
+#: the slower kernels must not feed ``kernels="auto"``.)
+KERNEL_REVISION = 3
 
 #: in-memory memo: calibration runs at most once per process per cache
 _MEMO: Dict[str, dict] = {}
@@ -103,11 +105,8 @@ def _measure_backend(name: str) -> dict:
     from repro.kernels.sddmm import sddmm_coo
     from repro.kernels.spmm import spmm_scatter
 
-    backend = get_kernel_backend(name)
-    if backend is not None:
-        backend.warmup()
     profile = RankProfile()
-    profile.kernels = backend
+    profile.kernels = get_kernel_backend(name).warmup()
     rows, cols, vals, A, B = _workload()
     nnz = len(rows)
     flops_each = 2.0 * nnz * _R

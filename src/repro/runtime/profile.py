@@ -86,10 +86,9 @@ class RankProfile:
         #: this rank by the worker pool; ``None`` (faults off) keeps the
         #: hook sites on the same zero-cost disabled path as the tracer
         self.faults = None
-        #: optional compiled kernel backend (e.g.
+        #: kernel backend (e.g.
         #: :class:`repro.kernels.backend_numba.NumbaKernels`) attached by
-        #: the session when ``kernels != "numpy"``; ``None`` keeps every
-        #: local kernel on its inline numpy path at one attribute read
+        #: the session; ``None`` runs every local kernel on the numpy one
         self.kernels = None
 
     @contextmanager

@@ -415,10 +415,9 @@ class Session:
         self.kernels = kern.name
         self._kernel_backend = kern.backend
         self._compute_gamma = kern.compute_gamma
-        if self._kernel_backend is not None:
-            # plan-time JIT warmup: first-call latency must not be
-            # poisoned by compilation
-            self._kernel_backend.warmup()
+        # plan-time JIT warmup: first-call latency must not be poisoned
+        # by compilation
+        self._kernel_backend.warmup()
         self.overlap_mode = _resolve_overlap(
             overlap, self.algorithm, elision, S, r, self.p, self.c, comm_mode,
             machine, compute_gamma=self._compute_gamma,
@@ -545,9 +544,8 @@ class Session:
     def _new_profiles(self) -> List[RankProfile]:
         """Fresh per-rank profiles, with tracers attached when tracing."""
         profiles = [RankProfile() for _ in range(self.p)]
-        if self._kernel_backend is not None:
-            for prof in profiles:
-                prof.kernels = self._kernel_backend
+        for prof in profiles:
+            prof.kernels = self._kernel_backend
         if self.trace_mode == "on":
             for rank, prof in enumerate(profiles):
                 prof.tracer = Tracer(rank=rank)

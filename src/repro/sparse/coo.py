@@ -4,9 +4,10 @@ The distributed algorithms keep sparse blocks *stationary* across the
 phases of a kernel call (1.5D dense shift) or re-visit the same structure
 on every FusedMM invocation.  :class:`SparseBlock` therefore caches the
 CSR structure (indptr/indices plus the COO-to-CSR permutation) once and
-re-materializes a SciPy CSR for any values array in O(nnz) gather time —
-the Python analogue of the paper amortizing sparse-matrix preprocessing
-across repeated kernel calls.
+re-materializes the CSR data (raw arrays for the kernels, a SciPy CSR
+for the oracles) for any values array in O(nnz) gather time — the Python
+analogue of the paper amortizing sparse-matrix preprocessing across
+repeated kernel calls.
 """
 
 from __future__ import annotations
@@ -82,14 +83,12 @@ class SparseBlock:
 
     def csr(self, values: Optional[np.ndarray] = None) -> sp.csr_matrix:
         """CSR view of this block with the given (or stored) values."""
-        indptr, indices, perm = self._structure(transpose=False)
-        data = (self.vals if values is None else values)[perm]
+        indptr, indices, data = self.csr_arrays(values)
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
     def csr_t(self, values: Optional[np.ndarray] = None) -> sp.csr_matrix:
         """CSR view of this block's transpose with the given values."""
-        indptr, indices, perm = self._structure(transpose=True)
-        data = (self.vals if values is None else values)[perm]
+        indptr, indices, data = self.csr_arrays(values, transpose=True)
         return sp.csr_matrix((data, indices, indptr), shape=(self.ncols, self.nrows))
 
     def csr_arrays(
@@ -97,10 +96,10 @@ class SparseBlock:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw ``(indptr, indices, data)`` of the cached CSR structure.
 
-        The compiled kernel backends consume the arrays directly instead
-        of going through a SciPy matrix object; the structure cache and
+        What every kernel backend's ``spmm_csr_add`` consumes — the rank
+        kernels build no SciPy matrix object; the structure cache and
         the per-call ``values`` gather are shared with :meth:`csr` /
-        :meth:`csr_t`.
+        :meth:`csr_t`, which the serial oracles keep using.
         """
         indptr, indices, perm = self._structure(transpose=transpose)
         data = (self.vals if values is None else values)[perm]

@@ -30,6 +30,7 @@ from repro.errors import (
     ReproError,
     UnknownKernelBackendError,
 )
+from repro.kernels.backend_numpy import NUMPY
 from repro.kernels.registry import (
     DISPATCHED_KERNELS,
     KERNEL_BACKENDS,
@@ -55,10 +56,7 @@ TOL = dict(rtol=1e-11, atol=1e-12)
 def backend_profile(name: str) -> RankProfile:
     """A rank profile carrying backend ``name``, warmed for dispatch."""
     prof = RankProfile()
-    backend = get_kernel_backend(name)
-    if backend is not None:
-        backend.warmup()
-    prof.kernels = backend
+    prof.kernels = get_kernel_backend(name).warmup()
     return prof
 
 
@@ -98,7 +96,11 @@ class TestKernelRegistry:
         ensure_kernel_backend_available("numpy")
         choice = resolve_kernel_backend("numpy")
         assert choice.name == "numpy"
-        assert choice.backend is None  # wrappers' inline path
+        assert choice.backend is NUMPY  # the process-wide numpy backend
+        assert choice.backend.warmup() is choice.backend
+        for hook in ("sddmm_dots_add", "spmm_csr_add", "gat_edge_scores",
+                     "sddmm_gat_score"):
+            assert callable(getattr(choice.backend, hook))
         assert choice.compute_gamma is None  # model keeps assumed gamma
 
     def test_numba_availability_reflects_import(self):
@@ -348,23 +350,23 @@ class TestFlopAccounting:
 
 
 class TestScatterBackendRoute:
-    """``spmm_scatter`` hands a backend the same touched-rows CSR it
-    hands SciPy.  The hook under test is ``backend_numba._spmm_csr_add``
-    itself — jitted where numba is installed, the plain-Python function
+    """``spmm_scatter`` hands every backend the same touched-rows CSR.
+    The hook under test is ``NumbaKernels.spmm_csr_add`` itself — its
+    row loop jitted where numba is installed, the plain-Python function
     otherwise (the ``njit`` stub) — so the route is covered in tier-1."""
 
     @pytest.fixture
     def hook_profile(self):
-        from repro.kernels import backend_numba
+        from repro.kernels.backend_numba import NumbaKernels
 
         class CsrOnly:
-            spmm_csr_add = staticmethod(backend_numba._spmm_csr_add)
+            spmm_csr_add = staticmethod(NumbaKernels.spmm_csr_add)
 
         prof = RankProfile()
         prof.kernels = CsrOnly()
         return prof
 
-    def test_bitwise_with_scipy_route(self, hook_profile, rng):
+    def test_bitwise_with_numpy_route(self, hook_profile, rng):
         m, n, r, nnz = 30, 20, 6, 150
         rows = rng.integers(0, m, nnz)
         cols = rng.integers(0, n, nnz)
@@ -377,7 +379,7 @@ class TestScatterBackendRoute:
             np.testing.assert_array_equal(a, b)
         assert hook_profile.total().flops == 2 * 2 * nnz * r
 
-    def test_float32_takes_scipy_route(self, rng):
+    def test_float32_takes_numpy_route(self, rng):
         class Exploding:
             def spmm_csr_add(self, *args):
                 raise AssertionError("compiled hook called for float32")

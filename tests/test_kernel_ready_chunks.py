@@ -6,8 +6,8 @@ kernel-space coordinates, the mode's travel order — and the ring moves it
 as-is (ARCHITECTURE.md "Propagation schedule -> What travels").  Covers:
 
 * ``spmm_scatter``'s sorted-keys fast path: a chunk and its stable
-  row-sort are bitwise-equal on every CSR route, degenerate shapes
-  included, and the caller's arrays are never written;
+  row-sort are bitwise-equal on every backend's CSR loop, degenerate
+  shapes included, and the caller's arrays are never written;
 * travel order: SpMMB / FusedMMB with the prepared (column-major) chunk
   are bitwise-equal to the same call circulating the chunk in distributed
   order, across comm x overlap, before and after ``update_values``, with
@@ -61,12 +61,12 @@ def _scatter_case(rng, case):
 
 
 def _csr_hook_profile():
-    """The compiled route without numba: ``backend_numba._spmm_csr_add``
-    is the plain-Python function where numba is absent."""
-    from repro.kernels import backend_numba
+    """The compiled route without numba: ``NumbaKernels.spmm_csr_add``
+    runs the plain-Python row loop where numba is absent."""
+    from repro.kernels.backend_numba import NumbaKernels
 
     class CsrOnly:
-        spmm_csr_add = staticmethod(backend_numba._spmm_csr_add)
+        spmm_csr_add = staticmethod(NumbaKernels.spmm_csr_add)
 
     prof = RankProfile()
     prof.kernels = CsrOnly()
@@ -92,9 +92,9 @@ def _assert_sorted_equals_shuffled(rng, case, make_profile):
 
 class TestScatterSortedKeys:
     @pytest.mark.parametrize("case", SCATTER_CASES)
-    @pytest.mark.parametrize("route", ["scipy", "csr-hook"])
+    @pytest.mark.parametrize("route", ["numpy", "numba-loop"])
     def test_sorted_chunk_equals_its_shuffle_bitwise(self, rng, case, route):
-        make = (lambda: None) if route == "scipy" else _csr_hook_profile
+        make = (lambda: None) if route == "numpy" else _csr_hook_profile
         _assert_sorted_equals_shuffled(rng, case, make)
 
     @pytest.mark.parametrize("case", SCATTER_CASES)

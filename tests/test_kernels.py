@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.backend_numpy import NUMPY
 from repro.kernels.fused import fusedmm_local, fusedmm_reference
 from repro.kernels.sddmm import (
     gat_edge_scores,
@@ -65,7 +67,7 @@ class TestSddmm:
         np.testing.assert_allclose(acc, ref)
 
     def test_chunking_path(self, problem, monkeypatch):
-        import repro.kernels.sddmm as mod
+        import repro.kernels.backend_numpy as mod
 
         S, A, B, blk, ref = problem
         whole = sddmm_coo(A, B, S.rows, S.cols)
@@ -78,7 +80,7 @@ class TestSddmm:
         np.testing.assert_array_equal(got, whole)
 
     def test_chunk_sized_by_bytes(self):
-        import repro.kernels.sddmm as mod
+        import repro.kernels.backend_numpy as mod
 
         wide, narrow = np.zeros((1, 64)), np.zeros((1, 8))
         assert 2 * mod._chunk_nnz(wide) * 64 * 8 == mod._CHUNK_BYTES
@@ -290,6 +292,179 @@ class TestSpmmScatter:
             tracemalloc.stop()
         assert peak < 40 * nnz * r * 8  # a small multiple of nnz * r words
         assert peak < out.nbytes // 50
+
+
+CSR_CASES = [
+    "random", "empty_rows", "nnz0", "nnz1", "one_row", "duplicate_cols", "width1",
+    "strip_view", "fortran_B", "int32_indices", "float32", "float32_data",
+]
+
+
+def _csr_case(rng, case):
+    """``(indptr, indices, data, B, shape)`` of one raw-CSR product case."""
+    m, n, w = (1 if case == "one_row" else 9), 7, (1 if case == "width1" else 5)
+    counts = rng.integers(1, 6, m)
+    if case == "empty_rows":
+        counts[[0, 3, m - 1]] = 0
+    elif case in ("nnz0", "nnz1"):
+        counts[:] = 0
+        counts[4] = case == "nnz1"
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = rng.integers(0, n, indptr[-1])
+    if case == "duplicate_cols":
+        indices[:] = 2  # every row hits one column, repeatedly
+    data = rng.standard_normal(indptr[-1])
+    B = rng.standard_normal((n, w))
+    if case == "strip_view":
+        B = rng.standard_normal((n, 3 * w))[:, w:2 * w]
+        assert not B.flags["C_CONTIGUOUS"]
+    elif case == "fortran_B":
+        B = np.asfortranarray(B)
+    elif case == "int32_indices":
+        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    elif case == "float32":
+        data, B = data.astype(np.float32), B.astype(np.float32)
+    elif case == "float32_data":
+        data = data.astype(np.float32)
+    return indptr, indices, data, B, (m, n)
+
+
+def _sddmm_fancy(A, B, rows, cols, out, chunk=1 << 30):
+    """The fancy-index formulation ``np.take`` replaced (kept as oracle)."""
+    for s in range(0, len(rows), chunk):
+        e = s + chunk
+        out[s:e] += np.einsum("ij,ij->i", A[rows[s:e]], B[cols[s:e]])
+    return out
+
+
+class TestCsrProduct:
+    """The numpy backend's hooks against what they replaced, bit for bit:
+    the raw ``csr_matvecs`` walk vs SciPy's public ``csr @ dense``, and
+    ``np.take`` gathers vs fancy indexing.  ``scipy.sparse._sparsetools``
+    is private: this class is the tripwire for it changing under us."""
+
+    @pytest.mark.parametrize("case", CSR_CASES)
+    def test_spmm_csr_add_is_scipy_matmul_then_add(self, rng, case):
+        indptr, indices, data, B, shape = _csr_case(rng, case)
+        prod = sp.csr_matrix((data, indices, indptr), shape=shape) @ B
+        start = rng.standard_normal(prod.shape).astype(prod.dtype)
+        ref = start.copy()
+        ref += prod
+        frozen = [a.copy() for a in (indptr, indices, data, B)]
+        out = start.copy()
+        NUMPY.spmm_csr_add(indptr, indices, data, B, out)
+        assert out.dtype == prod.dtype and np.array_equal(out, ref)
+        # the scattered form: the same product into chosen rows of a taller out
+        rows = rng.permutation(2 * shape[0])[: shape[0]]
+        tall = np.zeros((2 * shape[0], B.shape[1]), dtype=prod.dtype)
+        NUMPY.spmm_csr_add(indptr, indices, data, B, tall, rows)
+        assert np.array_equal(tall[rows], prod)
+        assert not tall[np.setdiff1d(np.arange(len(tall)), rows)].any()
+        for a, b in zip((indptr, indices, data, B), frozen):  # read-only
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 12])
+    def test_take_sddmm_is_the_fancy_index_formulation(self, rng, width):
+        m, n, nnz = 30, 25, 200
+        rows, cols = rng.integers(0, m, nnz), rng.integers(0, n, nnz)
+        A, B = rng.standard_normal((m, 12)), rng.standard_normal((n, 12))
+        s_vals = rng.standard_normal(nnz)
+        start = rng.standard_normal(nnz)
+        for k0 in range(0, 12, width):
+            strip = (k0, k0 + width)
+            As, Bs = A[:, k0:k0 + width], B[:, k0:k0 + width]
+            got = sddmm_coo(A, B, rows, cols, col_range=strip)
+            assert np.array_equal(got, _sddmm_fancy(As, Bs, rows, cols, np.zeros(nnz)))
+            acc = sddmm_coo(A, B, rows, cols, s_vals=s_vals, out=start.copy(),
+                            accumulate=True, col_range=strip)
+            ref = _sddmm_fancy(As, Bs, rows, cols, start.copy()) * s_vals
+            assert np.array_equal(acc, ref)
+
+    def test_take_sddmm_chunked(self, rng, monkeypatch):
+        import repro.kernels.backend_numpy as mod
+
+        rows, cols = rng.integers(0, 30, 200), rng.integers(0, 25, 200)
+        A, B = rng.standard_normal((30, 2)), rng.standard_normal((25, 2))
+        monkeypatch.setattr(mod, "_CHUNK_BYTES", 7 * 2 * 2 * 8)
+        got = sddmm_coo(A, B, rows, cols)
+        assert np.array_equal(got, _sddmm_fancy(A, B, rows, cols, np.zeros(200), 7))
+
+    def test_take_edge_scores_and_gat_op(self, rng):
+        from repro.kernels.sddmm import GatScoreOp
+
+        rows, cols = rng.integers(0, 30, 200), rng.integers(0, 25, 200)
+        uL, uR = rng.standard_normal(30), rng.standard_normal(25)
+        e = uL[rows] + uR[cols]
+        ref = np.where(e < 0, e * 0.2, e)
+        assert np.array_equal(gat_edge_scores(uL, uR, rows, cols, 0.2), ref)
+        A, B = rng.standard_normal((30, 4)), rng.standard_normal((25, 4))
+        op = GatScoreOp(rng.standard_normal(4), rng.standard_normal(4), 0.2)
+        got = sddmm_custom(A, B, rows, cols, op)
+        assert np.array_equal(got, op(A[rows], B[cols]))
+        opaque = sddmm_custom(A, B, rows, cols, lambda ga, gb: op(ga, gb))
+        assert np.array_equal(opaque, got)
+
+
+class TestNoCsrMatrixOnRankPath:
+    """No ``scipy.sparse.csr_matrix`` object is built by a local kernel or
+    anywhere in a distributed call; the serial oracles still build one."""
+
+    @pytest.fixture
+    def forbid_csr_matrix(self, monkeypatch):
+        def boom(self, *args, **kwargs):
+            raise AssertionError("scipy.sparse.csr_matrix built")
+
+        return lambda: monkeypatch.setattr(sp.csr_matrix, "__init__", boom)
+
+    def test_six_kernels_run(self, problem, forbid_csr_matrix):
+        from repro.kernels.sddmm import GatScoreOp
+
+        S, A, B, blk, ref = problem
+        forbid_csr_matrix()
+        r = A.shape[1]
+        np.testing.assert_allclose(sddmm_coo(A, B, S.rows, S.cols), ref)
+        sddmm_custom(A, B, S.rows, S.cols, GatScoreOp(A[0], B[0]))
+        gat_edge_scores(A[:, 0], B[:, 0], S.rows, S.cols)
+        spmm_a_block(blk, B, np.zeros((S.nrows, r)))
+        spmm_b_block(blk, A, np.zeros((S.ncols, r)))
+        spmm_scatter(S.rows, S.cols, S.vals, B, np.zeros((S.nrows, r)))
+        fusedmm_local(A, B, blk, np.zeros((S.nrows, r)))
+
+    @pytest.mark.parametrize(
+        "algorithm,comm",
+        [
+            ("1.5d-dense-shift", "dense"),
+            ("1.5d-sparse-shift", "dense"), ("1.5d-sparse-shift", "sparse"),
+            ("2.5d-dense-replicate", "dense"),
+            ("2.5d-sparse-replicate", "dense"), ("2.5d-sparse-replicate", "sparse"),
+        ],
+    )
+    def test_distributed_fusedmm_runs(self, rng, forbid_csr_matrix, algorithm, comm):
+        import repro
+        from repro.baselines import serial
+
+        S = erdos_renyi(48, 40, 5, seed=3)
+        A, B = rng.standard_normal((48, 8)), rng.standard_normal((40, 8))
+        ref = serial.fusedmm_a_serial(S, A, B)  # the oracle does build one
+        forbid_csr_matrix()
+        with repro.plan(S, 8, p=8, c=2, algorithm=algorithm, comm=comm) as sess:
+            got, _ = sess.fusedmm_a(A, B)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_oracles_still_build_one(self, problem, forbid_csr_matrix):
+        from repro.baselines import serial
+        from repro.baselines.petsc_like import petsc_like_spmm
+
+        S, A, B, blk, _ = problem
+        forbid_csr_matrix()
+        with pytest.raises(AssertionError, match="csr_matrix built"):
+            serial.spmm_a_serial(S, B)
+        with pytest.raises(AssertionError, match="csr_matrix built"):
+            serial.spmm_b_serial(S, A)
+        with pytest.raises(AssertionError, match="csr_matrix built"):
+            fusedmm_reference(S.rows, S.cols, S.vals, A, B, S.shape, "a")
+        with pytest.raises(Exception, match="csr_matrix built"):
+            petsc_like_spmm(S, B, p=2)
 
 
 class TestFusedLocal:
