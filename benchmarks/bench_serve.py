@@ -15,24 +15,29 @@ micro-batching front-end two ways:
   server, reporting the request-latency percentiles and throughput a
   client actually observes, queue wait included.
 
-Used by ``python -m repro.cli serve-bench`` (the CI ``serve-smoke``
-lane); ``tests/test_serve.py`` asserts the batched-beats-unbatched
-headline on a small run.
+A script, not part of the package (it drives :mod:`repro.serve` *and*
+the app models, which sit above it): ``PYTHONPATH=src python
+benchmarks/bench_serve.py --help``.  The CI ``serve-smoke`` lane runs it
+and uploads the stats JSON; ``tests/test_serve.py`` loads it by path and
+asserts the batched-beats-unbatched headline on a small run.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.apps.als import AlsServeModel
+from repro.apps.gat import GatServeModel
 from repro.serve.request import AlsTopKRequest, GatEdgeScoreRequest, Request
 from repro.serve.server import Server
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import rmat
-
-__all__ = ["build_workloads", "run_closed_loop", "run_open_loop", "bench_serve"]
 
 
 def _degree_weighted_choice(
@@ -55,14 +60,7 @@ def build_workloads(
     seed: int = 0,
     workloads: Sequence[str] = ("als", "gat"),
 ) -> Dict[str, Tuple[Any, List[Request]]]:
-    """``{workload: (ServeModel, requests)}`` for the requested workloads.
-
-    Imports the app models lazily (apps depend on the serve package, not
-    the other way round).
-    """
-    from repro.apps.als import AlsServeModel
-    from repro.apps.gat import GatServeModel
-
+    """``{workload: (ServeModel, requests)}`` for the requested workloads."""
     rng = np.random.default_rng(seed)
     out: Dict[str, Tuple[Any, List[Request]]] = {}
 
@@ -241,3 +239,76 @@ def bench_serve(
             )
         record[name] = entry
     return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="micro-batched serving bench: batched vs unbatched, "
+        "R-MAT traffic",
+    )
+    parser.add_argument("--n-users", type=int, default=256)
+    parser.add_argument("--n-items", type=int, default=192)
+    parser.add_argument("--d", type=int, default=16, help="latent dim")
+    parser.add_argument("--p", type=int, default=4)
+    parser.add_argument("--batch-width", type=int, default=16)
+    parser.add_argument("--requests", type=int, default=64)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--open-loop-rps", type=float, default=None, metavar="RPS",
+        help="also run open-loop Poisson arrivals at this offered rate",
+    )
+    parser.add_argument(
+        "--workloads", default="als,gat",
+        help="comma-separated subset of als,gat",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="write the full stats record as JSON",
+    )
+    args = parser.parse_args(argv)
+
+    record = bench_serve(
+        n_users=args.n_users,
+        n_items=args.n_items,
+        d=args.d,
+        p=args.p,
+        batch_width=args.batch_width,
+        n_requests=args.requests,
+        seed=args.seed,
+        open_loop_rate_rps=args.open_loop_rps,
+        workloads=tuple(args.workloads.split(",")),
+    )
+    for name in ("als", "gat"):
+        if name not in record:
+            continue
+        entry = record[name]
+        b, u = entry["batched"], entry["unbatched"]
+        print(
+            f"{name}: batched {b['amortized_ms_per_request']:.3f} ms/req "
+            f"(p50 {b['latency_ms']['p50']:.2f} / p99 "
+            f"{b['latency_ms']['p99']:.2f} ms, {b['throughput_rps']:.1f} "
+            f"req/s, mean batch {b['batch_size_mean']:.1f})"
+        )
+        print(
+            f"{'':>{len(name)}}  unbatched {u['amortized_ms_per_request']:.3f} "
+            f"ms/req ({u['throughput_rps']:.1f} req/s) -> amortized speedup "
+            f"{entry['amortized_speedup']:.2f}x, throughput "
+            f"{entry['throughput_ratio']:.2f}x"
+        )
+        if "open_loop" in entry:
+            o = entry["open_loop"]
+            print(
+                f"{'':>{len(name)}}  open-loop @{o['offered_rps']:.0f} req/s: "
+                f"p50 {o['latency_ms']['p50']:.2f} / p99 "
+                f"{o['latency_ms']['p99']:.2f} ms, served "
+                f"{o['throughput_rps']:.1f} req/s"
+            )
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+        print(f"stats JSON written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

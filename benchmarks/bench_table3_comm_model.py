@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.fused import run_fusedmm
-from repro.algorithms.registry import make_algorithm
+import repro
 from repro.harness.reporting import format_table
 from repro.model.costs import fusedmm_cost
 from repro.sparse.generate import erdos_renyi
-from repro.types import Elision, FusedVariant, Phase
+from repro.types import Elision, Phase
 
 from conftest import write_result
 
@@ -43,10 +42,11 @@ def test_table3_comm_model(scale):
     def run():
         rows = []
         for name, el, p, c in CASES:
-            alg = make_algorithm(name, p, c)
-            rep = run_fusedmm(
-                alg, S, A, B, variant=FusedVariant.FUSED_B, elision=el
-            ).report
+            # overlap="off": Table III counts the synchronous schedule
+            with repro.plan(
+                S, r, p=p, c=c, algorithm=name, elision=el, overlap="off"
+            ) as sess:
+                _, rep = sess.fusedmm_b(A, B)
             meas_w = np.mean(
                 [
                     pr.counters[Phase.REPLICATION].words_received

@@ -18,7 +18,7 @@ drivers with the applicable elision strategies.
 
 from repro.algorithms.dense_repl_25d import DenseReplicate25D
 from repro.algorithms.dense_shift_15d import DenseShift15D
-from repro.algorithms.fused import FusedResult, resolve_orientation, run_fusedmm
+from repro.algorithms.fused import native_procedure
 from repro.algorithms.registry import (
     ALGORITHMS,
     feasible_replication_factors,
@@ -35,9 +35,7 @@ __all__ = [
     "SparseShift15D",
     "DenseReplicate25D",
     "SparseReplicate25D",
-    "FusedResult",
-    "run_fusedmm",
-    "resolve_orientation",
+    "native_procedure",
     "ALGORITHMS",
     "make_algorithm",
     "supported_elisions",

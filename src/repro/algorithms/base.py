@@ -17,8 +17,8 @@ formulation: ``A`` is the m-side matrix that is replicated (input) or
 reduced (output) along the fiber; ``B`` is the n-side matrix.  FusedMMA
 with strategies that are native to the B-side (or vice versa) is obtained
 by the paper's transposition trick — run the B-side procedure on
-``S.T`` with the dense operands swapped — implemented in
-:mod:`repro.algorithms.fused`.
+``S.T`` with the dense operands swapped — resolved by
+:func:`repro.algorithms.fused.native_procedure` and run by the session.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from repro.algorithms.base import (
 )
 from repro.errors import DistributionError
 from repro.kernels.fused import fusedmm_local
-from repro.kernels.sddmm import sddmm_coo
+from repro.kernels.sddmm import sddmm_coo, sddmm_custom
 from repro.kernels.spmm import spmm_a_block, spmm_b_block
 from repro.runtime.comm import Communicator
 from repro.runtime.grid import Grid15D
@@ -280,8 +280,6 @@ class DenseShift15D(DistributedAlgorithm):
                 return
             if mode == Mode.SDDMM:
                 if edge_op is not None:
-                    from repro.kernels.sddmm import sddmm_custom
-
                     dots = sddmm_custom(
                         T, B_cur, blk.rows, blk.cols, edge_op, profile=prof
                     )

@@ -14,9 +14,8 @@ from repro.algorithms.dense_repl_25d import DenseReplicate25D
 from repro.algorithms.dense_shift_15d import DenseShift15D
 from repro.algorithms.sparse_repl_25d import SparseReplicate25D
 from repro.algorithms.sparse_shift_15d import SparseShift15D
-from repro.errors import ReproError
 from repro.runtime.grid import feasible_c_15d, feasible_c_25d
-from repro.types import Elision
+from repro.types import Elision, NameRegistry
 
 ALGORITHMS: Dict[str, Type[DistributedAlgorithm]] = {
     DenseShift15D.name: DenseShift15D,
@@ -25,33 +24,32 @@ ALGORITHMS: Dict[str, Type[DistributedAlgorithm]] = {
     SparseReplicate25D.name: SparseReplicate25D,
 }
 
+_REGISTRY = NameRegistry("algorithm", tuple(sorted(ALGORITHMS)), fold_case=False)
+
+
+def _family(name: str) -> Type[DistributedAlgorithm]:
+    """The class registered under ``name`` (typed error for unknown names)."""
+    return ALGORITHMS[_REGISTRY.validate(name)]
+
 
 def make_algorithm(name: str, p: int, c: int) -> DistributedAlgorithm:
     """Instantiate an algorithm family by registry name."""
-    if name not in ALGORITHMS:
-        raise ReproError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name](p, c)
+    return _family(name)(p, c)
 
 
 def supported_elisions(name: str) -> Tuple[Elision, ...]:
-    if name not in ALGORITHMS:
-        raise ReproError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name].elisions
+    return _family(name).elisions
 
 
 def supports_sparse_comm(name: str) -> bool:
     """Whether algorithm ``name`` implements need-list sparse communication
     (``comm="sparse"``, :mod:`repro.comm_sparse`)."""
-    if name not in ALGORITHMS:
-        raise ReproError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name].supports_sparse_comm
+    return _family(name).supports_sparse_comm
 
 
 def feasible_replication_factors(name: str, p: int) -> Tuple[int, ...]:
     """Replication factors ``c`` admissible for algorithm ``name`` on ``p``
     ranks (1.5D: c | p; 2.5D: additionally p/c a perfect square)."""
-    if name not in ALGORITHMS:
-        raise ReproError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
-    if name.startswith("2.5d"):
+    if _REGISTRY.validate(name).startswith("2.5d"):
         return feasible_c_25d(p)
     return feasible_c_15d(p)

@@ -340,12 +340,11 @@ class SparseShift15D(DistributedAlgorithm):
         columns the layer-local B rows.  Every rank of a layer ring shares
         one row space and one B ownership, so a chunk translated at home
         is valid wherever it travels."""
-        if sparse_plan is not None:
-            # the plan's per-structure remap (same owner partition of S)
-            return sparse_plan.home_rows_packed, sparse_plan.home_cols_local
         lcols = local.loc_b[local.S_cols]
         if len(lcols) and lcols.min() < 0:
             raise DistributionError("nonzero column not owned by this layer")
+        if sparse_plan is not None:
+            return sparse_plan.index.positions(local.S_rows), lcols
         return local.S_rows, lcols
 
     def rank_kernel(

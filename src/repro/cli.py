@@ -12,11 +12,6 @@ Commands
 ``run``
     Execute a distributed FusedMM on a generated workload and report
     measured traffic and modeled time.
-``serve-bench``
-    Drive the micro-batched serving front-end (:mod:`repro.serve`) with
-    R-MAT power-law traffic: closed-loop batched vs unbatched amortized
-    per-request latency, optional open-loop Poisson arrivals, p50/p95/p99
-    + throughput; optionally writes the stats JSON.
 ``mpi-smoke``
     The ``mpirun`` entry point for the MPI execution backend: under
     ``mpirun -n p python -m repro.cli mpi-smoke`` every process runs each
@@ -213,54 +208,6 @@ def _cmd_mpi_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve.bench import bench_serve
-
-    record = bench_serve(
-        n_users=args.n_users,
-        n_items=args.n_items,
-        d=args.d,
-        p=args.p,
-        batch_width=args.batch_width,
-        n_requests=args.requests,
-        seed=args.seed,
-        open_loop_rate_rps=args.open_loop_rps,
-        workloads=tuple(args.workloads.split(",")),
-    )
-    for name in ("als", "gat"):
-        if name not in record:
-            continue
-        entry = record[name]
-        b, u = entry["batched"], entry["unbatched"]
-        print(
-            f"{name}: batched {b['amortized_ms_per_request']:.3f} ms/req "
-            f"(p50 {b['latency_ms']['p50']:.2f} / p99 "
-            f"{b['latency_ms']['p99']:.2f} ms, {b['throughput_rps']:.1f} "
-            f"req/s, mean batch {b['batch_size_mean']:.1f})"
-        )
-        print(
-            f"{'':>{len(name)}}  unbatched {u['amortized_ms_per_request']:.3f} "
-            f"ms/req ({u['throughput_rps']:.1f} req/s) -> amortized speedup "
-            f"{entry['amortized_speedup']:.2f}x, throughput "
-            f"{entry['throughput_ratio']:.2f}x"
-        )
-        if "open_loop" in entry:
-            o = entry["open_loop"]
-            print(
-                f"{'':>{len(name)}}  open-loop @{o['offered_rps']:.0f} req/s: "
-                f"p50 {o['latency_ms']['p50']:.2f} / p99 "
-                f"{o['latency_ms']['p99']:.2f} ms, served "
-                f"{o['throughput_rps']:.1f} req/s"
-            )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-        print(f"stats JSON written to {args.out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -348,31 +295,6 @@ def main(argv=None) -> int:
         help="comma-separated algorithm subset (default: full registry)",
     )
     p_mpi.set_defaults(func=_cmd_mpi_smoke)
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="micro-batched serving bench: batched vs unbatched, R-MAT traffic",
-    )
-    p_serve.add_argument("--n-users", type=int, default=256)
-    p_serve.add_argument("--n-items", type=int, default=192)
-    p_serve.add_argument("--d", type=int, default=16, help="latent dim")
-    p_serve.add_argument("--p", type=int, default=4)
-    p_serve.add_argument("--batch-width", type=int, default=16)
-    p_serve.add_argument("--requests", type=int, default=64)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--open-loop-rps", type=float, default=None, metavar="RPS",
-        help="also run open-loop Poisson arrivals at this offered rate",
-    )
-    p_serve.add_argument(
-        "--workloads", default="als,gat",
-        help="comma-separated subset of als,gat",
-    )
-    p_serve.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the full stats record as JSON",
-    )
-    p_serve.set_defaults(func=_cmd_serve_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -45,12 +45,19 @@ class PackedIndex:
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, domain: int) -> "PackedIndex":
-        union = np.unique(np.asarray(rows, dtype=np.int64))
+        return cls.from_union(np.unique(np.asarray(rows, dtype=np.int64)), domain)
+
+    @classmethod
+    def from_union(cls, union: np.ndarray, domain: int) -> "PackedIndex":
+        """Index over an already sorted, duplicate-free ``union`` (what a
+        planner holds after its own ``np.unique``); checked in O(n)."""
         if len(union) and (union[0] < 0 or union[-1] >= domain):
             raise CommError(
                 f"packed rows out of domain [0, {domain}): "
                 f"[{union[0]}, {union[-1]}]"
             )
+        if (union[1:] <= union[:-1]).any():
+            raise CommError("packed union must be sorted and duplicate-free")
         lookup = np.full(domain, -1, dtype=np.int64)
         lookup[union] = np.arange(len(union), dtype=np.int64)
         return cls(union=union, lookup=lookup)

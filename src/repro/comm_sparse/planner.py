@@ -35,12 +35,7 @@ import numpy as np
 
 from repro.comm_sparse.plan import CommPlan, PackedIndex, PeerExchange
 from repro.sparse.coo import CooMatrix, SparseBlock
-from repro.sparse.partition import (
-    block_of,
-    global_to_local_map,
-    partition_by_owner,
-    partition_coo_2d,
-)
+from repro.sparse.partition import block_of, partition_coo_2d
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -77,13 +72,6 @@ class SparsePlan15D:
     own_packed: np.ndarray = None  # packed positions of those same rows
     gather_packed: CommPlan = None  # gather with recv_rows in packed coords
     reduce_packed: CommPlan = None  # reduction with send_rows in packed coords
-    #: the rank's home chunk coordinates pre-translated once per structure
-    #: (rows into packed-panel space, cols into local-B space) so the
-    #: circulating payloads need no per-call index translation at all —
-    #: ordering matches ``Local15DSparse.S_rows``/``S_vals`` exactly
-    #: (both sides derive it from the same owner partition of S)
-    home_rows_packed: np.ndarray = None
-    home_cols_local: np.ndarray = None
 
     @property
     def kernel_recv_words(self) -> Dict[str, int]:
@@ -149,15 +137,10 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
     p, c = grid.p, grid.c
     rows_of = plan.rows_a_of_fiber  # sorted global rows owned per fiber coord
 
-    # rows each *layer* touches: union of S rows over the layer's chunks,
-    # plus the per-rank home-chunk partition (the same owner rule
-    # ``distribute`` applies, so coordinate orderings coincide)
-    home: Dict[int, tuple] = {}
+    # rows each *layer* touches: union of S rows over the layer's chunks
     if S.nnz:
         layer_v = block_of(S.cols, plan.col_fine) % c
         need = [np.unique(S.rows[layer_v == v]) for v in range(c)]
-        chunk = block_of(S.rows, plan.row_chunks)
-        home = partition_by_owner(S.rows, S.cols, S.vals, chunk * c + layer_v, p)
     else:
         need = [_EMPTY] * c
 
@@ -177,14 +160,12 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
     # packed index per *layer*: the union need[v] and its global->packed
     # remap are identical for every rank of layer v, so build them once
     # and share the (m-long) lookup across the layer's p/c plan bundles.
-    indexes = [PackedIndex.from_rows(need[v], plan.m) for v in range(c)]
+    indexes = [PackedIndex.from_union(need[v], plan.m) for v in range(c)]
     own_positions = []
-    loc_b = []
     for v in range(c):
         pos = indexes[v].lookup[rows_of[v]]
         own_local = np.flatnonzero(pos >= 0).astype(np.int64)
         own_positions.append((own_local, pos[own_local]))
-        loc_b.append(global_to_local_map(plan.n, plan.rows_b_of_fiber[v]))
 
     plans: List[SparsePlan15D] = []
     for rank in range(p):
@@ -204,7 +185,6 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
         gather = CommPlan(key="15d/fiber-gather", size=c, rank=v, peers=peers)
         reduce = gather.reversed("15d/fiber-reduce")
         own_local, own_packed = own_positions[v]
-        sr, sc = home.get(rank, (_EMPTY, _EMPTY))[:2]
         plans.append(
             SparsePlan15D(
                 gather=gather,
@@ -214,8 +194,6 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
                 own_packed=own_packed,
                 gather_packed=gather.packed_recv(indexes[v], "15d/fiber-gather/packed"),
                 reduce_packed=reduce.packed_send(indexes[v], "15d/fiber-reduce/packed"),
-                home_rows_packed=indexes[v].positions(sr),
-                home_cols_local=loc_b[v][sc],
             )
         )
     return plans
@@ -258,8 +236,8 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
             mb = int(plan.row_coarse[x + 1] - plan.row_coarse[x])
             nb = int(plan.col_coarse[y + 1] - plan.col_coarse[y])
             br, bc, bv, _ = parts.get((x, y), (_EMPTY, _EMPTY, _EMPTY_F, _EMPTY))
-            ia = PackedIndex.from_rows(br, mb)
-            ib = PackedIndex.from_rows(bc, nb)
+            ia = PackedIndex.from_union(u_rows.get((x, y), _EMPTY), mb)
+            ib = PackedIndex.from_union(u_cols.get((x, y), _EMPTY), nb)
             base = SparseBlock(br, bc, bv, (mb, nb))
             blk = base.remapped(
                 "packed-25d", ia.lookup, ib.lookup, (ia.size, ib.size), prebuild=True

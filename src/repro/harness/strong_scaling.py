@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.registry import feasible_replication_factors
 from repro.baselines.petsc_like import petsc_like_spmm
 from repro.harness.weak_scaling import FIG4_VARIANTS, VariantResult, run_variant
 from repro.runtime.cost import CORI_KNL, MachineParams
@@ -85,6 +86,4 @@ def strong_scaling_experiment(
 
 
 def _has_25d_grid(algorithm: str, p: int) -> bool:
-    from repro.algorithms.registry import feasible_replication_factors
-
     return bool(feasible_replication_factors(algorithm, p))

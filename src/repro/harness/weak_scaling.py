@@ -10,9 +10,13 @@ Two problem-growth regimes, scaled down from the paper's Cori runs:
   shifting algorithm decays while the dense-shifting one stays flat.
 
 Every FusedMM variant is executed for real at each feasible replication
-factor (optionally capped, as the paper caps c at 8); the reported time is
-the alpha-beta model on the *measured* traffic plus the gamma model on the
-measured FLOPs, at the best replication factor.
+factor (optionally capped, as the paper caps c at 8) — :func:`run_variant`
+plans one :func:`repro.session.plan` session per ``c`` and runs ``calls``
+fused calls on it; the reported time is the alpha-beta model on the
+*measured* traffic plus the gamma model on the measured FLOPs, at the best
+replication factor.  Sessions are planned with ``overlap="off"``: the
+paper's counts are those of the synchronous schedule (the pipelined one
+splits a circulating SDDMM chunk into two messages per phase).
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.fused import run_fusedmm
-from repro.algorithms.registry import feasible_replication_factors, make_algorithm
+from repro.algorithms.registry import feasible_replication_factors
 from repro.runtime.cost import CORI_KNL, MachineParams
+from repro.session import plan
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
-from repro.types import Elision, FusedVariant, Phase
+from repro.types import Elision, Phase
 
 #: The eight series of the paper's Figure 4.
 FIG4_VARIANTS: Tuple[Tuple[str, Elision], ...] = (
@@ -96,11 +100,9 @@ def run_variant(
     machine: MachineParams = CORI_KNL,
     calls: int = 1,
     max_c: Optional[int] = 8,
-    variant: FusedVariant = FusedVariant.FUSED_B,
     use_measured_compute: bool = False,
 ) -> VariantResult:
-    """Execute one FusedMM variant at every feasible c; keep the best."""
-    n = S.ncols
+    """Execute one FusedMMB variant at every feasible c; keep the best."""
     r = A.shape[1]
     feasible = [
         c
@@ -113,9 +115,11 @@ def run_variant(
     per_c: Dict[int, float] = {}
     best = None
     for c in feasible:
-        alg = make_algorithm(algorithm, p, c)
-        res = run_fusedmm(alg, S, A, B, variant=variant, elision=elision, calls=calls)
-        rep = res.report
+        with plan(
+            S, r, p=p, c=c, algorithm=algorithm, elision=elision, overlap="off"
+        ) as sess:
+            for _ in range(max(calls, 1)):
+                _, rep = sess.fusedmm_b(A, B)
         t = rep.modeled_total_seconds(machine, measured_compute=use_measured_compute)
         per_c[c] = t
         if best is None or t < best[1]:

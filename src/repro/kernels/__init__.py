@@ -22,7 +22,6 @@ from repro.kernels.registry import (
     ensure_kernel_backend_available,
     get_kernel_backend,
     numba_available,
-    resolve_kernel_backend,
     validate_kernel_backend_name,
 )
 from repro.kernels.sddmm import (
@@ -48,6 +47,5 @@ __all__ = [
     "ensure_kernel_backend_available",
     "get_kernel_backend",
     "numba_available",
-    "resolve_kernel_backend",
     "validate_kernel_backend_name",
 ]

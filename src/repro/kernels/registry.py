@@ -14,20 +14,20 @@ gathers) or, for ``"numba"``, the JIT'd ``prange`` kernels of
 :mod:`repro.kernels.backend_numba`.  Calls without a profile, and calls
 on non-float64 operands, always run the numpy backend.
 
-Name resolution mirrors the execution-backend registry in
-:mod:`repro.runtime.backend`: :func:`validate_kernel_backend_name`
-canonicalizes and raises a typed
+This module holds the names, their availability and the dispatch
+objects, on the same :class:`~repro.types.NameRegistry` the execution
+backends use (:mod:`repro.runtime.backend`):
+:func:`validate_kernel_backend_name` canonicalizes and raises a typed
 :class:`~repro.errors.UnknownKernelBackendError` for names outside
 :data:`KERNEL_BACKENDS`; :func:`ensure_kernel_backend_available` raises
 :class:`~repro.errors.KernelBackendUnavailableError` with the install
 hint when numba is missing.  Validation never checks availability, so
-feature guards (e.g. the thread-backend-only rule) can fire first — the
-same guard-ordering rule the execution backends established.
+feature guards (e.g. the thread-backend-only rule) can fire first.
 
-``kernels="auto"`` picks the backend with the highest *measured* flops
-ceiling from the per-host microbenchmark calibration in
-:mod:`repro.model.calibrate`; only available backends are considered, so
-``auto`` degrades to numpy (never raises) on hosts without numba.
+``kernels="auto"`` is not decided here: the measured per-host pick and
+the fully resolved knob (:func:`~repro.model.calibrate.resolve_kernel_backend`)
+live one layer up, in :mod:`repro.model.calibrate`, which imports this
+module — nothing under ``kernels/`` imports the model.
 
 **Bitwise policy** (gated in ``tests/test_kernel_backends.py``):
 ``spmm_a_block``, ``spmm_b_block``, ``spmm_scatter`` (all one CSR walk),
@@ -52,10 +52,10 @@ backend.
 from __future__ import annotations
 
 import importlib.util
-from typing import NamedTuple, Optional
 
 from repro.errors import KernelBackendUnavailableError, UnknownKernelBackendError
 from repro.kernels.backend_numpy import NUMPY
+from repro.types import NameRegistry
 
 #: registered kernel backends, in default-preference order
 KERNEL_BACKENDS = ("numpy", "numba")
@@ -71,6 +71,28 @@ DISPATCHED_KERNELS = (
 )
 
 
+def numba_available() -> bool:
+    """True when :mod:`numba` is importable (without importing it)."""
+    return importlib.util.find_spec("numba") is not None
+
+
+_REGISTRY = NameRegistry(
+    "kernel backend",
+    KERNEL_BACKENDS,
+    UnknownKernelBackendError,
+    KernelBackendUnavailableError,
+    {
+        "numba": (
+            lambda: numba_available(),  # looked up per call: tests patch it
+            "kernels='numba' needs numba, which is not installed. "
+            "Install it with `pip install numba`, or use the default "
+            "kernels='numpy' (always available) / kernels='auto' "
+            "(picks the fastest measured backend among those installed).",
+        )
+    },
+)
+
+
 def validate_kernel_backend_name(kernels: str, allow_auto: bool = True) -> str:
     """Canonicalize a kernel-backend name or raise a typed error.
 
@@ -82,54 +104,17 @@ def validate_kernel_backend_name(kernels: str, allow_auto: bool = True) -> str:
     knobs (and apply feature guards) before deciding whether the backend
     must actually run.
     """
-    name = str(kernels).strip().lower()
-    if name == "auto" and allow_auto:
-        return name
-    if name not in KERNEL_BACKENDS:
-        raise UnknownKernelBackendError(
-            f"unknown kernel backend {kernels!r}; registered backends: "
-            f"{', '.join(KERNEL_BACKENDS)}"
-            + (" (or 'auto' for the measured-calibration pick)" if allow_auto else "")
-        )
-    return name
+    return _REGISTRY.validate(kernels, also=("auto",) if allow_auto else ())
 
 
-def numba_available() -> bool:
-    """True when :mod:`numba` is importable (without importing it)."""
-    return importlib.util.find_spec("numba") is not None
+#: ``available_kernel_backends() -> tuple``: the registered backends that
+#: can actually run here, in registry order.
+available_kernel_backends = _REGISTRY.available
 
-
-def available_kernel_backends() -> tuple:
-    """The registered backends that can actually run here, in order."""
-    return tuple(
-        b for b in KERNEL_BACKENDS if b != "numba" or numba_available()
-    )
-
-
-def ensure_kernel_backend_available(kernels: str) -> None:
-    """Raise :class:`~repro.errors.KernelBackendUnavailableError` if
-    ``kernels`` (already validated, not ``"auto"``) cannot run here."""
-    if kernels == "numba" and not numba_available():
-        raise KernelBackendUnavailableError(
-            "kernels='numba' needs numba, which is not installed. "
-            "Install it with `pip install numba`, or use the default "
-            "kernels='numpy' (always available) / kernels='auto' "
-            "(picks the fastest measured backend among those installed)."
-        )
-
-
-class KernelChoice(NamedTuple):
-    """A fully resolved ``kernels=`` knob.
-
-    ``backend`` is the dispatch object rank profiles carry, and
-    ``compute_gamma`` is the calibrated seconds-per-FLOP of the chosen
-    backend when the choice came from ``"auto"`` (``None`` for explicit
-    choices: the cost model then keeps the machine's assumed gamma).
-    """
-
-    name: str
-    backend: object
-    compute_gamma: Optional[float]
+#: ``ensure_kernel_backend_available(kernels)`` raises
+#: :class:`~repro.errors.KernelBackendUnavailableError` with the install
+#: hint if ``kernels`` (already validated, not ``"auto"``) cannot run here.
+ensure_kernel_backend_available = _REGISTRY.ensure_available
 
 
 _NUMBA_SINGLETON = None
@@ -150,22 +135,3 @@ def get_kernel_backend(kernels: str):
 
         _NUMBA_SINGLETON = NumbaKernels()
     return _NUMBA_SINGLETON
-
-
-def resolve_kernel_backend(kernels: str) -> KernelChoice:
-    """Validate, availability-check and (for ``"auto"``) calibrate.
-
-    ``"auto"`` consults the cached per-host microbenchmark calibration
-    (:func:`repro.model.calibrate.choose_kernel_backend`) over the
-    *available* backends, so it never raises on a host without numba —
-    it measures what is installed and returns the fastest, together with
-    its measured seconds-per-FLOP for the cost model's compute terms.
-    """
-    name = validate_kernel_backend_name(kernels)
-    if name == "auto":
-        from repro.model.calibrate import choose_kernel_backend
-
-        picked, gamma = choose_kernel_backend()
-        return KernelChoice(picked, get_kernel_backend(picked), gamma)
-    ensure_kernel_backend_available(name)
-    return KernelChoice(name, get_kernel_backend(name), None)

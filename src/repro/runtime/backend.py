@@ -29,9 +29,10 @@ enforcement (:class:`~repro.errors.SpmdTimeout` carrying a blocked-state
 dump when a collect outlives :attr:`Transport.deadline`).
 
 Backend names are resolved here too (:func:`validate_backend_name`,
-:func:`ensure_backend_available`, :func:`resolve_backend`) so every entry
-point — :func:`repro.plan`, the one-shot wrappers, the CLI, the
-benchmarks — fails the same way: a typed
+:func:`ensure_backend_available`, :func:`resolve_backend`, all bound to
+one :class:`~repro.types.NameRegistry`) so every entry point —
+:func:`repro.plan`, the one-shot wrappers, the CLI, the benchmarks —
+fails the same way: a typed
 :class:`~repro.errors.UnknownBackendError` for a name outside
 :data:`BACKENDS`, a typed :class:`~repro.errors.BackendUnavailableError`
 with an install hint when ``mpi4py`` is missing.
@@ -52,6 +53,7 @@ from repro.errors import (
     SpmdTimeout,
     UnknownBackendError,
 )
+from repro.types import NameRegistry
 
 #: (communicator id tuple, source_rank, tag)
 MsgKey = Tuple[Tuple[int, ...], int, int]
@@ -60,40 +62,37 @@ MsgKey = Tuple[Tuple[int, ...], int, int]
 BACKENDS = ("threads", "mpi")
 
 
-def validate_backend_name(backend: str) -> str:
-    """Canonicalize a backend name or raise a typed error.
-
-    Accepts the names in :data:`BACKENDS` (case-insensitively); anything
-    else raises :class:`~repro.errors.UnknownBackendError` naming the
-    registered backends.  Availability is *not* checked here — see
-    :func:`ensure_backend_available` — so callers can validate knobs
-    before deciding whether the backend must actually run.
-    """
-    name = str(backend).strip().lower()
-    if name not in BACKENDS:
-        raise UnknownBackendError(
-            f"unknown execution backend {backend!r}; "
-            f"registered backends: {', '.join(BACKENDS)}"
-        )
-    return name
-
-
 def mpi_available() -> bool:
     """True when :mod:`mpi4py` is importable (without importing it)."""
     return importlib.util.find_spec("mpi4py") is not None
 
 
-def ensure_backend_available(backend: str) -> None:
-    """Raise :class:`~repro.errors.BackendUnavailableError` if ``backend``
-    (already validated) cannot run in this environment."""
-    if backend == "mpi" and not mpi_available():
-        raise BackendUnavailableError(
+_REGISTRY = NameRegistry(
+    "execution backend",
+    BACKENDS,
+    UnknownBackendError,
+    BackendUnavailableError,
+    {
+        "mpi": (
+            lambda: mpi_available(),  # looked up per call: tests patch it
             "backend='mpi' needs mpi4py, which is not installed. "
             "Install an MPI implementation plus the bindings — e.g. "
             "`apt-get install mpich && pip install mpi4py` — and launch "
             "with `mpirun -n <p> python ...`; or use the default "
-            "backend='threads', which needs nothing."
+            "backend='threads', which needs nothing.",
         )
+    },
+)
+
+#: ``validate_backend_name(backend) -> str``: the canonical name, or
+#: :class:`~repro.errors.UnknownBackendError` listing :data:`BACKENDS`;
+#: availability is *not* checked, so feature guards can run first
+validate_backend_name = _REGISTRY.validate
+
+#: ``ensure_backend_available(backend)``: typed
+#: :class:`~repro.errors.BackendUnavailableError` with the install hint if
+#: the (already validated) backend cannot run in this environment
+ensure_backend_available = _REGISTRY.ensure_available
 
 
 def resolve_backend(backend: str) -> str:
@@ -198,6 +197,24 @@ class Transport(ABC):
                     state["last_span"] = tracer.latest()
             dump.append(state)
         return dump
+
+
+def format_blocked_dump(dump) -> str:
+    """Render a :meth:`Transport.describe_blocked` dump as indented report
+    lines (or '')."""
+    if not dump:
+        return ""
+    lines = ["", "blocked ranks at expiry:"]
+    for entry in dump:
+        span = entry.get("last_span")
+        lines.append(
+            f"  rank {entry['rank']}: waiting {entry['waited_s']:.3f}s for "
+            f"comm rank {entry['waiting_for_comm_rank']} "
+            f"(tag {entry['tag']}, comm {entry['comm_id']}), "
+            f"phase={entry['phase']}"
+            + (f", last span={span!r}" if span else "")
+        )
+    return "\n".join(lines)
 
 
 class Mailbox:

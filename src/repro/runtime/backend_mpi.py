@@ -44,7 +44,12 @@ from collections import defaultdict, deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, SpmdAbort, SpmdTimeout
-from repro.runtime.backend import MsgKey, Transport, ensure_backend_available
+from repro.runtime.backend import (
+    MsgKey,
+    Transport,
+    ensure_backend_available,
+    format_blocked_dump,
+)
 from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
@@ -351,11 +356,9 @@ class MpiWorkerPool:
                     f"run {label}".rstrip(), "pool", start, time.perf_counter()
                 )
         except SpmdTimeout as exc:
-            from repro.runtime.spmd import _format_dump
-
             print(
                 f"[{self.name}] rank {r} deadline expired; aborting the "
-                f"MPI job: {exc}" + _format_dump(exc.dump),
+                f"MPI job: {exc}" + format_blocked_dump(exc.dump),
                 file=sys.stderr,
                 flush=True,
             )

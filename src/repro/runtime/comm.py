@@ -364,15 +364,17 @@ class Communicator:
     # collectives (ring algorithms)
     # ------------------------------------------------------------------
 
-    def allgather(self, obj: Any, tag: int = 101) -> List[Any]:
-        """Ring all-gather: returns the per-rank contributions, indexed by rank."""
+    def allgather(self, obj: Any, tag: int = 101, tracked: bool = True) -> List[Any]:
+        """Ring all-gather: returns the per-rank contributions, indexed by
+        rank.  ``tracked=False`` keeps the messages out of the traffic
+        counters (metadata exchanges), like :meth:`send` / :meth:`recv`."""
         P = self.size
         out: List[Any] = [None] * P
         out[self.rank] = _isolate(obj)
         cur = obj
         for step in range(P - 1):
-            self.send((self.rank + 1) % P, cur, tag)
-            cur = self.recv((self.rank - 1) % P, tag)
+            self.send((self.rank + 1) % P, cur, tag, tracked)
+            cur = self.recv((self.rank - 1) % P, tag, tracked)
             out[(self.rank - step - 1) % P] = cur
         return out
 
@@ -518,7 +520,7 @@ class Communicator:
         metadata is exchanged with untracked messages since communicator
         construction is not part of the paper's cost model.
         """
-        info = self.allgather_untracked((color, key, self.rank))
+        info = self.allgather((color, key, self.rank), tag=108, tracked=False)
         members = sorted(
             (k, r) for (c, k, r) in info if c == color
         )
@@ -529,15 +531,3 @@ class Communicator:
         return Communicator(
             self.world, group, child_id, my_index, profile_ref=self._profile_ref
         )
-
-    def allgather_untracked(self, obj: Any, tag: int = 108) -> List[Any]:
-        """Ring all-gather that does not count toward traffic (metadata)."""
-        P = self.size
-        out: List[Any] = [None] * P
-        out[self.rank] = _isolate(obj)
-        cur = obj
-        for step in range(P - 1):
-            self.send((self.rank + 1) % P, cur, tag, tracked=False)
-            cur = self.recv((self.rank - 1) % P, tag, tracked=False)
-            out[(self.rank - step - 1) % P] = cur
-        return out

@@ -449,30 +449,6 @@ class RunReport:
         """:meth:`to_dict` serialized with :func:`json.dumps`."""
         return json.dumps(self.to_dict(per_rank=per_rank), indent=indent)
 
-    # -- merging (for multi-call benchmarks, e.g. "5 FusedMM calls") ------
-
-    def merged_with(self, other: "RunReport") -> "RunReport":
-        if len(self.per_rank) != len(other.per_rank):
-            raise ValueError("cannot merge reports with different rank counts")
-        merged = RunReport(
-            per_rank=[RankProfile() for _ in self.per_rank],
-            label=self.label,
-            # keep the mode only when both reports agree; a dense+sparse
-            # merge has no single honest answer, so report none
-            comm_mode=self.comm_mode if self.comm_mode == other.comm_mode else "",
-            kernel_backend=(
-                self.kernel_backend
-                if self.kernel_backend == other.kernel_backend
-                else ""
-            ),
-        )
-        for dst, a, b in zip(merged.per_rank, self.per_rank, other.per_rank):
-            for ph in Phase:
-                dst.counters[ph].merge(a.counters[ph])
-                dst.counters[ph].merge(b.counters[ph])
-            dst.peak_buffer_bytes = max(a.peak_buffer_bytes, b.peak_buffer_bytes)
-        return merged
-
     def summary(self) -> str:
         """Human-readable per-phase summary table."""
         lines = [f"RunReport({self.label or 'unnamed'})"]

@@ -42,28 +42,11 @@ import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ReproError, SpmdAbort, SpmdTimeout
-from repro.runtime.backend import World, validate_backend_name
+from repro.runtime.backend import World, format_blocked_dump, validate_backend_name
 from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
-
-
-def _format_dump(dump) -> str:
-    """Render a blocked-state dump as indented report lines (or '')."""
-    if not dump:
-        return ""
-    lines = ["", "blocked ranks at expiry:"]
-    for entry in dump:
-        span = entry.get("last_span")
-        lines.append(
-            f"  rank {entry['rank']}: waiting {entry['waited_s']:.3f}s for "
-            f"comm rank {entry['waiting_for_comm_rank']} "
-            f"(tag {entry['tag']}, comm {entry['comm_id']}), "
-            f"phase={entry['phase']}"
-            + (f", last span={span!r}" if span else "")
-        )
-    return "\n".join(lines)
 
 
 class _Latch:
@@ -395,7 +378,8 @@ class WorkerPool:
                     # blocked-state dump taken at the moment the
                     # watchdog fired
                     error = SpmdTimeout(
-                        f"SPMD rank {rank} timed out: {exc}" + _format_dump(exc.dump),
+                        f"SPMD rank {rank} timed out: {exc}"
+                        + format_blocked_dump(exc.dump),
                         dump=exc.dump,
                     )
                 else:

@@ -19,6 +19,10 @@ Layers (each its own module):
 * :mod:`~repro.serve.stats` — latency percentiles, batch histograms,
   throughput, outcome counts
 * :mod:`~repro.serve.server` — the front door, :class:`Server`
+
+The package imports nothing from :mod:`repro.apps` (the concrete models
+build on it, not the other way round); the load generator that drives
+both is the script ``benchmarks/bench_serve.py``.
 """
 
 from repro.errors import ServeOverload, SessionBusyError

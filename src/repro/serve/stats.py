@@ -71,10 +71,6 @@ class ServeStats:
     def record_batch(self) -> None:
         self.batches += 1
 
-    def merge_session_records(self, records: List[dict]) -> None:
-        """Attach the fleet's per-call ``Session.metrics()`` records."""
-        self.session_records.extend(records)
-
     # -- reporting ------------------------------------------------------
 
     @property

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms.base import KEEP
-from repro.algorithms.fused import _native_method, resolve_orientation
+from repro.algorithms.fused import native_procedure
 from repro.algorithms.registry import (
     feasible_replication_factors,
     make_algorithm,
@@ -67,11 +67,8 @@ from repro.errors import (
     SpmdAbort,
     SpmdTimeout,
 )
-from repro.kernels.registry import (
-    KernelChoice,
-    resolve_kernel_backend,
-    validate_kernel_backend_name,
-)
+from repro.kernels.registry import validate_kernel_backend_name
+from repro.model.calibrate import KernelChoice, resolve_kernel_backend
 from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
 from repro.model.optimal import (
     best_feasible_c,
@@ -674,24 +671,6 @@ class Session:
         if self._closed:
             raise ReproError("session is closed; build a new one with repro.plan(...)")
 
-    def _check_same_s(self, S) -> None:
-        """Per-call ``S`` is only accepted when it *is* the planned matrix."""
-        if S is None:
-            return
-        S = _as_coo(S)
-        if S is self.S:
-            return
-        if not self.S.same_structure(S):
-            raise ReproError(
-                "session was planned for a different sparse matrix (structure "
-                "differs); re-plan with repro.plan(S, ...) to distribute a new S"
-            )
-        if not np.array_equal(S.vals, self.S.vals):
-            raise ReproError(
-                "sparse matrix has the planned structure but different values; "
-                "use Session.update_values(vals) to rebind values in place"
-            )
-
     def _check_dense(self, X, name: str, nrows: int) -> np.ndarray:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape != (nrows, self.r):
@@ -741,7 +720,7 @@ class Session:
     # dense-operand binding: dirty tracking + skip-rebind
     # ------------------------------------------------------------------
 
-    def _resolve_bind(self, transpose: bool, side: str, X):
+    def _resolve_bind(self, transpose: bool, side: str, X, overwritten: bool = False):
         """Decide whether one dense side actually needs scattering.
 
         An input side is *skipped* (returns :data:`KEEP`) exactly when its
@@ -756,6 +735,10 @@ class Session:
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
         in a row evidently changes every call, so its tracking is retired
         (plain scatters, zero upkeep) until a kernel dirties the side.
+        A side the call itself is about to overwrite (``overwritten``) is
+        still compared against a snapshot that exists, but gets no new
+        one: :meth:`_mark_dense_dirty` would drop it before any bind
+        could match it.
         """
         state = self._dense_state.setdefault(transpose, {"a": None, "b": None})
         misses = self._bind_miss.setdefault(transpose, {"a": 0, "b": 0})
@@ -763,18 +746,20 @@ class Session:
             state[side] = None
             return None
         snap = state[side]
-        if snap is not None and snap.shape == X.shape:
-            if np.array_equal(snap, X):
-                misses[side] = 0
-                self.dense_bind_skips[side] += 1
-                return KEEP
-            misses[side] += 1
-            if misses[side] >= self._BIND_MISS_LIMIT:
-                state[side] = None  # retire tracking: this side never repeats
-            else:
-                np.copyto(snap, X)  # reuse the snapshot buffer, no realloc
-        elif misses[side] < self._BIND_MISS_LIMIT:
-            state[side] = np.array(X, dtype=np.float64, copy=True)
+        comparable = snap is not None and snap.shape == X.shape
+        if comparable and np.array_equal(snap, X):
+            misses[side] = 0
+            self.dense_bind_skips[side] += 1
+            return KEEP
+        if not overwritten:
+            if comparable:
+                misses[side] += 1
+                if misses[side] >= self._BIND_MISS_LIMIT:
+                    state[side] = None  # retire tracking: this side never repeats
+                else:
+                    np.copyto(snap, X)  # reuse the snapshot buffer, no realloc
+            elif misses[side] < self._BIND_MISS_LIMIT:
+                state[side] = np.array(X, dtype=np.float64, copy=True)
         self.dense_bind_counts[side] += 1
         return X
 
@@ -795,7 +780,7 @@ class Session:
             for side in sides:
                 misses[side] = 0
 
-    def _stage_operands(self, ori: _Orientation, transpose: bool, A, B):
+    def _stage_operands(self, ori: _Orientation, transpose: bool, A, B, dirty: str):
         """Compute the dense scatter into *staged* shallow copies of the
         rank locals, without touching the resident blocks.
 
@@ -804,30 +789,33 @@ class Session:
         read/rebind the real locals' dense fields, which staging never
         writes).
         """
-        A_arg = self._resolve_bind(transpose, "a", A)
-        B_arg = self._resolve_bind(transpose, "b", B)
+        A_arg = self._resolve_bind(transpose, "a", A, "a" in dirty)
+        B_arg = self._resolve_bind(transpose, "b", B, "b" in dirty)
         if A_arg is KEEP and B_arg is KEEP:
             return None
         staged = [copy.copy(loc) for loc in ori.locals_]
         self._alg.bind_dense(ori.plan, staged, A_arg, B_arg)
         return staged, A_arg is not KEEP, B_arg is not KEEP
 
-    def _bind(self, ori: _Orientation, transpose: bool, A, B) -> None:
+    def _bind(
+        self, ori: _Orientation, transpose: bool, A, B, dirty: str = ""
+    ) -> None:
         """Scatter the dense operands, skipping bitwise-unchanged sides:
         stage against shallow copies → drain the in-flight call → swap
         the freshly sliced blocks in with ``p`` pointer assignments.
+        ``dirty`` names the plan sides the call about to run overwrites.
 
         Staging *before* the drain is the driver-side half of the overlap
         pipeline: call ``k+1``'s scatter is computed while call ``k``'s
         SPMD run is still in flight.
         """
         prev = self._inflight
-        staging = self._stage_operands(ori, transpose, A, B)
+        staging = self._stage_operands(ori, transpose, A, B, dirty)
         self._wait_inflight()  # drains the pool; raises call k's error
         if prev is not None and prev.metrics["outcome"] != "ok":
             # call k recovered from a fault: its re-execution dropped and
             # re-took the snapshots this staging was decided against
-            staging = self._stage_operands(ori, transpose, A, B)
+            staging = self._stage_operands(ori, transpose, A, B, dirty)
         if staging is None:
             return
         staged, bind_a, bind_b = staging
@@ -894,7 +882,7 @@ class Session:
         """
         transpose, A, B, call, label, dirty = future._bound
         ori = self._orientation(transpose)
-        self._bind(ori, transpose, A, B)
+        self._bind(ori, transpose, A, B, dirty)
         try:
             future._pool_future = self._dispatch(ori, call, label, degraded)
         except Exception as exc:  # noqa: BLE001 - raised at settle
@@ -1060,12 +1048,11 @@ class Session:
     # kernels
     # ------------------------------------------------------------------
 
-    def _submit_mode(self, mode: Mode, A, B, S, **kernel_kwargs) -> SessionFuture:
+    def _submit_mode(self, mode: Mode, A, B, **kernel_kwargs) -> SessionFuture:
         """Validate and submit one single-mode kernel call (``None``
         marks the output side)."""
         with self._exclusive():
             self._check_open()
-            self._check_same_s(S)
             if mode != Mode.SPMM_A:
                 A = self._check_dense(A, "A", self.m)
             if mode != Mode.SPMM_B:
@@ -1091,17 +1078,15 @@ class Session:
             )
 
     def _submit_fused(
-        self, variant: FusedVariant, A, B, S, collect_sddmm: bool
+        self, variant: FusedVariant, A, B, collect_sddmm: bool
     ) -> SessionFuture:
         """Validate, resolve and submit one fused kernel call."""
         with self._exclusive():
             self._check_open()
-            self._check_same_s(S)
             A = self._check_dense(A, "A", self.m)
             B = self._check_dense(B, "B", self.n)
             alg = self._alg
-            transpose, native = resolve_orientation(alg, variant, self.elision)
-            method = _native_method(alg, self.elision, native)
+            transpose, native, method = native_procedure(alg, variant, self.elision)
             A_eff, B_eff = (B, A) if transpose else (A, B)
             label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
 
@@ -1125,8 +1110,7 @@ class Session:
             )
 
     def sddmm_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
-        edge_op=None,
+        self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
     ) -> SessionFuture:
         """``SDDMM(A, B, S) = S * (A @ B.T)`` on the resident S, left in
         flight (see :meth:`fusedmm_a_async`); the serving path for GAT
@@ -1142,35 +1126,34 @@ class Session:
             kw["use_values"] = False
         if edge_op is not None:
             kw["edge_op"] = edge_op
-        return self._submit_mode(Mode.SDDMM, A, B, S, **kw)
+        return self._submit_mode(Mode.SDDMM, A, B, **kw)
 
     def sddmm(
-        self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
-        edge_op=None,
+        self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
     ) -> Tuple[CooMatrix, RunReport]:
         """Synchronous :meth:`sddmm_async`."""
         with self._exclusive():
-            return self.sddmm_async(A, B, S, use_values, edge_op).result()
+            return self.sddmm_async(A, B, use_values, edge_op).result()
 
-    def spmm_a_async(self, B: np.ndarray, S=None) -> SessionFuture:
+    def spmm_a_async(self, B: np.ndarray) -> SessionFuture:
         """``SpMMA(S, B) = S @ B`` on the resident S, left in flight (see
         :meth:`fusedmm_a_async`).  This is the serving fleet's dispatch
         primitive — the next micro-batch panel binds while the current
         one runs."""
-        return self._submit_mode(Mode.SPMM_A, None, B, S)
+        return self._submit_mode(Mode.SPMM_A, None, B)
 
-    def spmm_a(self, B: np.ndarray, S=None) -> Tuple[np.ndarray, RunReport]:
+    def spmm_a(self, B: np.ndarray) -> Tuple[np.ndarray, RunReport]:
         """Synchronous :meth:`spmm_a_async`."""
         with self._exclusive():
-            return self.spmm_a_async(B, S).result()
+            return self.spmm_a_async(B).result()
 
-    def spmm_b(self, A: np.ndarray, S=None) -> Tuple[np.ndarray, RunReport]:
+    def spmm_b(self, A: np.ndarray) -> Tuple[np.ndarray, RunReport]:
         """``SpMMB(S, A) = S.T @ A`` on the resident S."""
         with self._exclusive():
-            return self._submit_mode(Mode.SPMM_B, A, None, S).result()
+            return self._submit_mode(Mode.SPMM_B, A, None).result()
 
     def fusedmm_a_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
+        self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
     ) -> SessionFuture:
         """``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``, left in
         flight: returns a :class:`SessionFuture`.
@@ -1186,28 +1169,24 @@ class Session:
         ``result()`` returns ``(output, report)``; with
         ``collect_sddmm=True``, ``(output, sddmm_intermediate, report)``.
         """
-        return self._submit_fused(FusedVariant.FUSED_A, A, B, S, collect_sddmm)
+        return self._submit_fused(FusedVariant.FUSED_A, A, B, collect_sddmm)
 
-    def fusedmm_a(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ):
+    def fusedmm_a(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
         """Synchronous :meth:`fusedmm_a_async`."""
         with self._exclusive():
-            return self.fusedmm_a_async(A, B, S, collect_sddmm).result()
+            return self.fusedmm_a_async(A, B, collect_sddmm).result()
 
     def fusedmm_b_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
+        self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
     ) -> SessionFuture:
         """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``, left in
         flight (see :meth:`fusedmm_a_async`)."""
-        return self._submit_fused(FusedVariant.FUSED_B, A, B, S, collect_sddmm)
+        return self._submit_fused(FusedVariant.FUSED_B, A, B, collect_sddmm)
 
-    def fusedmm_b(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ):
+    def fusedmm_b(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
         """Synchronous :meth:`fusedmm_b_async`."""
         with self._exclusive():
-            return self.fusedmm_b_async(A, B, S, collect_sddmm).result()
+            return self.fusedmm_b_async(A, B, collect_sddmm).result()
 
     # ------------------------------------------------------------------
     # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
@@ -1223,8 +1202,7 @@ class Session:
         fixed operand.  This is the hook apps use to keep iterative
         solvers (ALS's batched CG) entirely rank-side on the warm pool.
         """
-        transpose, native = resolve_orientation(self._alg, variant, self.elision)
-        return transpose, native, _native_method(self._alg, self.elision, native)
+        return native_procedure(self._alg, variant, self.elision)
 
     def bind(self, A, B, transpose: bool = False) -> _Orientation:
         """(Re)bind the dense operands of one resident orientation.

@@ -8,11 +8,19 @@ The vocabulary follows the paper directly:
   (Section IV-B of the paper).
 * :class:`Phase` labels communication/computation for the time and traffic
   breakdowns reported in the paper's Figure 5 and Figure 9.
+
+:class:`NameRegistry` is the one name -> implementation registry: the
+execution backends, the kernel backends and the algorithm families each
+bind their public functions to an instance of it.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Tuple, Type
+
+from repro.errors import ReproError
 
 
 class Mode(enum.Enum):
@@ -104,3 +112,48 @@ ALGORITHM_FAMILIES = (
     "2.5d-dense-replicate",
     "2.5d-sparse-replicate",
 )
+
+
+@dataclass(frozen=True)
+class NameRegistry:
+    """The names one pluggable seam accepts, and the two checks every entry
+    point applies to them in the same order.
+
+    :meth:`validate` never looks at the environment, so a caller's feature
+    guards sit between it and :meth:`ensure_available` — every guard is
+    testable without the optional dependency installed.  ``requires`` maps
+    a name to ``(probe, hint)``: ``probe()`` says whether the name can run
+    here (names without an entry always can) and ``hint`` is the install
+    hint the ``unavailable`` error carries.  ``fold_case`` matches knob
+    values a user types (``" MPI "``) case-insensitively; algorithm names,
+    which also key the cost tables verbatim, match exactly.
+    """
+
+    what: str
+    names: Tuple[str, ...]
+    unknown: Type[ReproError] = ReproError
+    unavailable: Type[ReproError] = ReproError
+    requires: Dict[str, Tuple[Callable[[], bool], str]] = field(default_factory=dict)
+    fold_case: bool = True
+
+    def validate(self, name: str, also: Tuple[str, ...] = ()) -> str:
+        """Canonicalize ``name``; ``also`` admits a knob's extra spellings
+        (``"auto"``) that are not registry entries."""
+        key = str(name).strip().lower() if self.fold_case else name
+        if key not in self.names and key not in also:
+            raise self.unknown(
+                f"unknown {self.what} {name!r}; options: "
+                + ", ".join(self.names + also)
+            )
+        return key
+
+    def available(self) -> Tuple[str, ...]:
+        """The registered names that can run here, in registry order."""
+        return tuple(
+            n for n in self.names if n not in self.requires or self.requires[n][0]()
+        )
+
+    def ensure_available(self, name: str) -> None:
+        """Raise the ``unavailable`` error if validated ``name`` cannot run."""
+        if name not in self.available():
+            raise self.unavailable(self.requires[name][1])

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.registry import ALGORITHMS, make_algorithm
-from repro.algorithms.fused import run_fusedmm
+from repro.algorithms.registry import ALGORITHMS
 from repro.baselines.serial import fusedmm_b_serial, sddmm_serial, spmm_a_serial
 from repro.sparse.generate import erdos_renyi, realworld_standin
-from repro.types import Elision, FusedVariant
+from repro.types import Elision
 
 
 class TestRepeatedCallPattern:
@@ -48,11 +47,11 @@ class TestCrossAlgorithmConsistency:
         S, A, B = small_problem
         outs = []
         for name in sorted(ALGORITHMS):
-            p, c = (8, 2)
-            alg = make_algorithm(name, p, c)
-            res = run_fusedmm(alg, S, A, B, variant=FusedVariant.FUSED_B,
-                              elision=Elision.NONE)
-            outs.append((name, res.output))
+            out, _ = repro.fusedmm_b(
+                S, A, B, p=8, c=2, algorithm=name, elision=Elision.NONE,
+                overlap="off",
+            )
+            outs.append((name, out))
         base_name, base = outs[0]
         for name, out in outs[1:]:
             np.testing.assert_allclose(out, base, rtol=1e-9, atol=1e-12)

@@ -38,11 +38,11 @@ from repro.kernels.registry import (
     ensure_kernel_backend_available,
     get_kernel_backend,
     numba_available,
-    resolve_kernel_backend,
     validate_kernel_backend_name,
 )
 from repro.kernels.sddmm import GatScoreOp, gat_edge_scores, sddmm_coo, sddmm_custom
 from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_scatter
+from repro.model.calibrate import resolve_kernel_backend
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 

@@ -1,0 +1,132 @@
+"""The package imports downward only (ARCHITECTURE.md, "Layer map").
+
+Read from the source with ``ast``, like the guards in
+``test_schedule.py``: every ``repro.*`` import inside ``src/repro`` must
+point at the importing module's own layer or a lower one, and an import
+may hide inside a function only where it gates an optional dependency
+(or in ``cli.py``, whose subcommands import what they run).  A cycle
+"broken" by a function-level import is still a cycle — this is the test
+that keeps one from coming back.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).parent
+
+#: top-level modules / subpackages of ``repro``, lowest layer first; names
+#: in one tuple share a layer.  ``__init__`` is the package root, which
+#: re-exports the public surface and is importable only from ``cli``.
+LAYERS = (
+    ("errors", "types"),
+    ("sparse",),
+    ("runtime",),
+    ("kernels",),
+    ("comm_sparse",),
+    ("algorithms",),
+    ("model",),
+    ("baselines",),
+    ("session",),
+    ("serve",),
+    ("apps",),
+    ("harness",),
+    ("api",),
+    ("__init__",),
+    ("cli",),
+)
+RANK = {name: i for i, names in enumerate(LAYERS) for name in names}
+
+#: the only imports allowed inside a function outside ``cli.py``: each
+#: keeps a module importable without its optional dependency
+OPTIONAL_DEPENDENCY_GATES = {
+    ("runtime/spmd.py", "repro.runtime.backend_mpi"),  # mpi4py
+    ("kernels/registry.py", "repro.kernels.backend_numba"),  # numba
+}
+
+
+def _unit(module: str) -> str:
+    """Top-level unit of a dotted ``repro...`` module name."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else "__init__"
+
+
+def repro_imports(src: Path):
+    """Every ``repro`` import under ``src`` as ``(file, lineno, importing
+    unit, imported module, inside a function?)``."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        unit = rel.parts[0] if len(rel.parts) > 1 else rel.stem
+        tree = ast.parse(path.read_text())
+        nested = {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"{rel}:{node.lineno} relative import"
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                (rel.as_posix(), node.lineno, unit, module, id(node) in nested)
+                for module in modules
+                if module.split(".")[0] == "repro"
+            ]
+    return found
+
+
+def upward_edges(imports):
+    return [
+        f"{file}:{lineno} {unit} -> {module}"
+        for file, lineno, unit, module, _ in imports
+        if RANK[_unit(module)] > RANK[unit]
+    ]
+
+
+def function_level(imports):
+    return {
+        (file, module)
+        for file, _, _, module, nested in imports
+        if nested and file != "cli.py"
+    }
+
+
+class TestImportsPointDownward:
+    def test_every_unit_has_a_layer(self):
+        units = {
+            p.stem if p.is_file() else p.name
+            for p in SRC.iterdir()
+            if p.suffix == ".py" or (p / "__init__.py").is_file()
+        }
+        assert units == set(RANK)
+
+    def test_no_import_points_up(self):
+        assert upward_edges(repro_imports(SRC)) == []
+
+    def test_function_level_imports_are_the_optional_dependency_gates(self):
+        assert function_level(repro_imports(SRC)) == OPTIONAL_DEPENDENCY_GATES
+
+    def test_the_guard_sees_a_hidden_cycle(self, tmp_path):
+        (tmp_path / "kernels").mkdir()
+        (tmp_path / "kernels" / "registry.py").write_text(
+            "from repro.errors import ReproError\n"
+            "def resolve():\n"
+            "    from repro.model.calibrate import choose_kernel_backend\n"
+        )
+        (tmp_path / "session.py").write_text("import repro.kernels.registry\n")
+        imports = repro_imports(tmp_path)
+        assert upward_edges(imports) == [
+            "kernels/registry.py:3 kernels -> repro.model.calibrate"
+        ]
+        assert function_level(imports) == {
+            ("kernels/registry.py", "repro.model.calibrate")
+        }

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.fused import run_fusedmm
 from repro.algorithms.registry import make_algorithm
 from repro.errors import CommError, ReproError
 from repro.model.costs import fusedmm_cost, fusedmm_time_overlap, overlap_gain_seconds
 from repro.runtime.buffers import BufferLeaseError, BufferPool
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import WorkerPool, run_spmd
-from repro.types import Elision, FusedVariant, Mode, Phase
+from repro.types import Elision, Mode, Phase
 
 from tests.conftest import require_world_size
 from helpers import dist_sddmm, dist_spmm_a, dist_spmm_b
@@ -64,19 +63,19 @@ class TestBitwiseEquivalence:
         S, A, B = small_problem
         for comm in comms:
             for elision in elisions:
-                for variant in (FusedVariant.FUSED_A, FusedVariant.FUSED_B):
-                    res_off = run_fusedmm(
-                        make_algorithm(name, p, c), S, A, B, variant, elision,
-                        comm_mode=comm, overlap="off", collect_sddmm=True,
+                for fused in (repro.fusedmm_a, repro.fusedmm_b):
+                    out_off, R_off, _ = fused(
+                        S, A, B, p=p, c=c, algorithm=name, elision=elision,
+                        comm=comm, overlap="off", collect_sddmm=True,
                     )
-                    res_on = run_fusedmm(
-                        make_algorithm(name, p, c), S, A, B, variant, elision,
-                        comm_mode=comm, overlap="on", collect_sddmm=True,
+                    out_on, R_on, _ = fused(
+                        S, A, B, p=p, c=c, algorithm=name, elision=elision,
+                        comm=comm, overlap="on", collect_sddmm=True,
                     )
-                    assert np.array_equal(res_off.output, res_on.output), (
-                        name, comm, elision, variant,
+                    assert np.array_equal(out_off, out_on), (
+                        name, comm, elision, fused.__name__,
                     )
-                    assert np.array_equal(res_off.sddmm.vals, res_on.sddmm.vals)
+                    assert np.array_equal(R_off.vals, R_on.vals)
 
     @pytest.mark.parametrize("name,p,c", [
         ("1.5d-dense-shift", 8, 2),

@@ -78,6 +78,22 @@ class TestPackedIndex:
         idx = PackedIndex.from_rows(ix(0, 2, 4), domain=8)
         assert idx.panel_words(16) == 3 * 16
 
+    def test_from_union_is_from_rows_without_the_sort(self):
+        for rows in (ix(7, 2, 7, 4), ix(), ix(0), ix(9)):
+            ref = PackedIndex.from_rows(rows, domain=10)
+            idx = PackedIndex.from_union(np.unique(rows), domain=10)
+            np.testing.assert_array_equal(idx.union, ref.union)
+            np.testing.assert_array_equal(idx.lookup, ref.lookup)
+
+    @pytest.mark.parametrize("bad", [ix(4, 2), ix(2, 2), ix(1, 3, 3, 5)])
+    def test_from_union_rejects_unsorted_or_duplicated(self, bad):
+        with pytest.raises(CommError, match="sorted and duplicate-free"):
+            PackedIndex.from_union(bad, domain=10)
+
+    def test_from_union_out_of_domain_rejected(self):
+        with pytest.raises(CommError, match="out of domain"):
+            PackedIndex.from_union(ix(1, 12), domain=10)
+
 
 class TestPackedPlanDerivations:
     def make(self):
@@ -469,24 +485,6 @@ class TestObservability:
         B = rng.standard_normal((512, 64))
         _, rep = repro.spmm_a(S, B, p=8, c=4, algorithm="1.5d-sparse-shift", comm="auto")
         assert rep.comm_mode in ("dense", "sparse")
-
-    def test_merged_report_keeps_mode_and_peak(self):
-        from repro.runtime.profile import RunReport
-
-        a = RunReport(per_rank=[RankProfile()], label="x", comm_mode="sparse")
-        b = RunReport(per_rank=[RankProfile()], label="x", comm_mode="sparse")
-        a.per_rank[0].peak_buffer_bytes = 100
-        b.per_rank[0].peak_buffer_bytes = 300
-        merged = a.merged_with(b)
-        assert merged.comm_mode == "sparse"
-        assert merged.peak_buffer_bytes == 300
-
-    def test_merging_mismatched_modes_reports_none(self):
-        from repro.runtime.profile import RunReport
-
-        a = RunReport(per_rank=[RankProfile()], comm_mode="dense")
-        b = RunReport(per_rank=[RankProfile()], comm_mode="sparse")
-        assert a.merged_with(b).comm_mode == ""
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,18 @@ class TestCollectives:
         assert report.phase_words(Phase.PROPAGATION) == (p - 1) * W
         assert report.phase_messages(Phase.PROPAGATION) == p - 1
 
+    def test_untracked_allgather_counts_nothing(self):
+        """``tracked=False`` (communicator construction's metadata ring)
+        gathers the same values and leaves the traffic counters alone."""
+        def body(comm):
+            with comm.profile.track(Phase.PROPAGATION):
+                return comm.allgather(comm.rank * 10, tracked=False)
+
+        results, report = run_spmd(4, body)
+        assert all(res == [0, 10, 20, 30] for res in results)
+        assert report.phase_words(Phase.PROPAGATION) == 0
+        assert report.phase_messages(Phase.PROPAGATION) == 0
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_reduce_scatter_sums(self, p):
         def body(comm):

@@ -88,18 +88,6 @@ class TestRunReport:
         report = RunReport(per_rank=[p])
         assert report.modeled_compute_seconds(machine) == pytest.approx(2e-5)
 
-    def test_merged_with_accumulates(self):
-        a = RunReport(per_rank=[make_profile({Phase.PROPAGATION: (10, 1)})])
-        b = RunReport(per_rank=[make_profile({Phase.PROPAGATION: (20, 2)})])
-        merged = a.merged_with(b)
-        assert merged.phase_words(Phase.PROPAGATION) == 30
-
-    def test_merged_with_mismatched_ranks(self):
-        a = RunReport(per_rank=[RankProfile()])
-        b = RunReport(per_rank=[RankProfile(), RankProfile()])
-        with pytest.raises(ValueError):
-            a.merged_with(b)
-
     def test_summary_renders(self):
         report = RunReport(per_rank=[RankProfile()], label="demo")
         text = report.summary()

@@ -16,7 +16,9 @@ The acceptance properties of the micro-batched front-end:
 
 from __future__ import annotations
 
+import importlib.util
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ from repro.serve import (
     Server,
     ServeFuture,
 )
-from repro.serve.bench import bench_serve
 from repro.serve.request import Envelope, Request, batch_deadline_ms
 
 N_USERS, N_ITEMS, D = 48, 40, 6
@@ -378,13 +379,22 @@ class TestStats:
             assert models == {"als", "gat"}
 
 
+def _load_bench_serve():
+    """``benchmarks/bench_serve.py`` is a script outside the package."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_serve.py"
+    spec = importlib.util.spec_from_file_location("bench_serve", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestServeBench:
     def test_batching_amortizes_the_session_call(self):
-        """The headline `repro.cli serve-bench` reports: at a panel width
-        >= 8, micro-batching beats unbatched serving (every request pays
-        a full session call) on amortized per-request time, on both
+        """The headline `benchmarks/bench_serve.py` reports: at a panel
+        width >= 8, micro-batching beats unbatched serving (every request
+        pays a full session call) on amortized per-request time, on both
         workloads, and neither loop drops a request."""
-        record = bench_serve(
+        record = _load_bench_serve().bench_serve(
             n_users=128, n_items=96, d=8, p=2, batch_width=8,
             n_requests=32, rounds=2, open_loop_rate_rps=2000.0,
         )

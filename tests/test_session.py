@@ -275,25 +275,6 @@ class TestValidation:
         out, _ = sess.spmm_a(B)
         np.testing.assert_allclose(out, spmm_a_serial(S, B), rtol=1e-9)
 
-    def test_different_s_structure_rejected(self, small_problem):
-        S, A, B = small_problem
-        other = repro.erdos_renyi(S.nrows, S.ncols, 4, seed=99)
-        sess = repro.plan(S, A.shape[1], p=4, c=2, algorithm="1.5d-dense-shift")
-        with pytest.raises(ReproError, match="re-plan|different sparse"):
-            sess.sddmm(A, B, S=other)
-        with pytest.raises(ReproError, match="re-plan|different sparse"):
-            sess.spmm_a(B, S=repro.erdos_renyi(50, 60, 3, seed=1))
-
-    def test_same_structure_different_values_hinted(self, small_problem):
-        S, A, B = small_problem
-        sess = repro.plan(S, A.shape[1], p=4, c=2, algorithm="1.5d-dense-shift")
-        reweighted = S.with_values(S.vals * 2.0)
-        with pytest.raises(ReproError, match="update_values"):
-            sess.spmm_a(B, S=reweighted)
-        # the planned matrix itself is always accepted
-        out, _ = sess.spmm_a(B, S=S)
-        np.testing.assert_allclose(out, spmm_a_serial(S, B), rtol=1e-9)
-
     def test_unsupported_elision_rejected_at_plan(self, small_problem):
         S, A, B = small_problem
         with pytest.raises(ReproError):
@@ -458,6 +439,49 @@ class TestDenseBindSkipping:
             # A untouched -> bound once; B dirtied by call 1 -> bound twice
             assert sess.dense_bind_counts == {"a": 1, "b": 2}
             assert sess.dense_bind_skips["a"] == 1
+
+    def test_overwritten_side_is_never_snapshotted(self, small_problem, monkeypatch):
+        """The ``er_comm`` pattern — ``fusedmm_a(A_i, B)``, A fresh every
+        call, B fixed, native side = the cycling one: the call overwrites
+        the side it just bound, so a snapshot of it could never match and
+        none is taken; the fixed side still skips every rebind."""
+        S, A, B = small_problem
+        rng = np.random.default_rng(5)
+        with repro.plan(S, A.shape[1], p=4, c=2, algorithm="1.5d-sparse-shift",
+                        elision="replication-reuse", comm="sparse") as sess:
+            snapshots = []  # did a dirty event find a snapshot to drop?
+            mark = sess._mark_dense_dirty
+
+            def spy(transpose, sides):
+                snapshots.extend(
+                    sess._dense_state[transpose][s] is not None for s in sides
+                )
+                mark(transpose, sides)
+
+            monkeypatch.setattr(sess, "_mark_dense_dirty", spy)
+            for _ in range(5):
+                A_i = rng.standard_normal(A.shape)
+                out, _ = sess.fusedmm_a(A_i, B)
+            np.testing.assert_allclose(out, fusedmm_a_serial(S, A_i, B), rtol=1e-9)
+            assert snapshots == [False] * 5
+            # transposed sibling: plan side "a" holds the fixed B, "b" the A_i
+            assert sess.dense_bind_counts == {"a": 1, "b": 5}
+            assert sess.dense_bind_skips == {"a": 4, "b": 0}
+
+    def test_existing_snapshot_still_skips_an_overwritten_side(self, small_problem):
+        """A side the call will overwrite is still compared against a
+        snapshot an earlier call left: sddmm binds A, fusedmm_a (native a)
+        finds it resident and skips the scatter."""
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            sess.sddmm(A, B)
+            sess.fusedmm_a(A, B)
+            assert sess.dense_bind_counts == {"a": 1, "b": 1}
+            assert sess.dense_bind_skips == {"a": 1, "b": 1}
+            out, _ = sess.fusedmm_a(A, B)  # call 2 dirtied A: bound again
+            assert sess.dense_bind_counts == {"a": 2, "b": 1}
+            np.testing.assert_allclose(out, fusedmm_a_serial(S, A, B), rtol=1e-9)
 
     def test_als_fixed_factor_scattered_once_per_half_sweep(self, small_problem):
         """The ALS bind pattern: bind(rhs, fixed) then bind(x0, fixed) —
