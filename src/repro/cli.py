@@ -10,8 +10,9 @@ Commands
     Evaluate the Table III/IV model for a problem: best replication
     factor and modeled FusedMM time per algorithm, plus the winner.
 ``run``
-    Execute a distributed FusedMM on a generated workload and report
-    measured traffic and modeled time.
+    Execute a distributed FusedMM on a generated workload: print the
+    resolved plan (``Session.explain()``: every knob and why each
+    ``auto`` chose what it chose), then measured traffic and modeled time.
 ``mpi-smoke``
     The ``mpirun`` entry point for the MPI execution backend: under
     ``mpirun -n p python -m repro.cli mpi-smoke`` every process runs each
@@ -66,6 +67,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import json
     import time
 
     import repro
@@ -87,7 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend, kernels=args.kernels,
     ) as sess:
         plan_seconds = time.perf_counter() - t0
-        print(repr(sess))
+        print(json.dumps(sess.explain().as_dict(), indent=2))
         call_seconds = []
         for _ in range(max(args.calls, 1)):
             t1 = time.perf_counter()
@@ -111,7 +113,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"exposed={modeled.measured_exposed_seconds*1e3:.3f} ms "
             f"efficiency={modeled.overlap_efficiency:.1%} of the bound"
         )
-        print(f"comm mode: {report.comm_mode or args.comm} (requested: {args.comm})")
         # only the pooled (sparse-family) paths measure peak buffers
         if report.peak_buffer_bytes:
             print(f"peak panel buffers: {report.peak_buffer_bytes} bytes/rank")

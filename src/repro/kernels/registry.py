@@ -24,9 +24,9 @@ backends use (:mod:`repro.runtime.backend`):
 hint when numba is missing.  Validation never checks availability, so
 feature guards (e.g. the thread-backend-only rule) can fire first.
 
-``kernels="auto"`` is not decided here: the measured per-host pick and
-the fully resolved knob (:func:`~repro.model.calibrate.resolve_kernel_backend`)
-live one layer up, in :mod:`repro.model.calibrate`, which imports this
+``kernels="auto"`` is not decided here: the measured per-host pick
+(:mod:`repro.model.calibrate`) and the resolution of the knob
+(:func:`repro.model.resolve.resolve`) live one layer up and import this
 module — nothing under ``kernels/`` imports the model.
 
 **Bitwise policy** (gated in ``tests/test_kernel_backends.py``):

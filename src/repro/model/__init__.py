@@ -4,7 +4,10 @@
 every FusedMM algorithm; :mod:`repro.model.optimal` derives the optimal
 replication factors and the best-algorithm predictor behind Figures 6 and 7;
 :mod:`repro.model.calibrate` replaces the assumed compute flop rate with a
-measured, per-host, per-kernel-backend one (the ``kernels="auto"`` policy).
+measured, per-host, per-kernel-backend one (the ``kernels="auto"`` policy);
+:mod:`repro.model.resolve` is the one function that turns ``repro.plan``'s
+knobs into a frozen :class:`~repro.model.resolve.ResolvedPlan` with the
+candidates and model terms behind every ``auto`` on record.
 """
 
 # NOTE: only the policy function is lifted to the package namespace —

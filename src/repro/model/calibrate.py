@@ -13,10 +13,10 @@ host, so ``kernels="auto"``:
   ``choose_comm_mode`` / ``overlap_gain_seconds`` cost the compute term
   at the rate the chosen kernels really run, not the assumed one.
 
-:func:`resolve_kernel_backend` is the whole ``kernels=`` knob — name
-validation, the ``"auto"`` pick, availability — and lives here rather
-than in :mod:`repro.kernels.registry` because ``"auto"`` needs this
-module, which sits above the kernels.
+The ``kernels=`` knob itself — name validation, the thread-only guard,
+the ``"auto"`` pick, availability — is resolved with every other knob by
+:func:`repro.model.resolve.resolve`, which records the calibration it
+read in ``why["kernels"]``.
 
 The cache is a JSON file keyed by a host fingerprint (hostname, CPU
 architecture, core count, numpy/numba versions, and the revision of the
@@ -35,16 +35,11 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.registry import (
-    available_kernel_backends,
-    ensure_kernel_backend_available,
-    get_kernel_backend,
-    validate_kernel_backend_name,
-)
+from repro.kernels.registry import available_kernel_backends, get_kernel_backend
 from repro.kernels.sddmm import sddmm_coo
 from repro.kernels.spmm import spmm_scatter
 from repro.runtime.profile import RankProfile
@@ -188,34 +183,3 @@ def choose_kernel_backend(force: bool = False) -> Tuple[str, Optional[float]]:
     doc = calibrate(force=force)
     name, entry = min(doc["backends"].items(), key=lambda kv: kv[1]["gamma"])
     return name, entry["gamma"]
-
-
-class KernelChoice(NamedTuple):
-    """A fully resolved ``kernels=`` knob.
-
-    ``backend`` is the dispatch object rank profiles carry, and
-    ``compute_gamma`` is the calibrated seconds-per-FLOP of the chosen
-    backend when the choice came from ``"auto"`` (``None`` for explicit
-    choices: the cost model then keeps the machine's assumed gamma).
-    """
-
-    name: str
-    backend: object
-    compute_gamma: Optional[float]
-
-
-def resolve_kernel_backend(kernels: str) -> KernelChoice:
-    """Validate, availability-check and (for ``"auto"``) calibrate.
-
-    ``"auto"`` consults the cached per-host calibration
-    (:func:`choose_kernel_backend`) over the *available* backends, so it
-    never raises on a host without numba — it measures what is installed
-    and returns the fastest, together with its measured seconds-per-FLOP
-    for the cost model's compute terms.
-    """
-    name = validate_kernel_backend_name(kernels)
-    gamma = None
-    if name == "auto":
-        name, gamma = choose_kernel_backend()
-    ensure_kernel_backend_available(name)
-    return KernelChoice(name, get_kernel_backend(name), gamma)

@@ -17,7 +17,7 @@ fusion) vs 1.5D sparse-shift (replication reuse) boundary falls at
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.algorithms.registry import feasible_replication_factors, supports_sparse_comm
 from repro.errors import ReproError
@@ -95,6 +95,75 @@ def best_feasible_c(
     return best
 
 
+def comm_mode_scores(
+    algorithm: str,
+    n: int,
+    r: int,
+    nnz: int,
+    p: int,
+    c: int,
+    machine: MachineParams = CORI_KNL,
+    elision: Elision = Elision.NONE,
+    margin: float = 0.95,
+    memory_weight: float = 0.25,
+    compute_gamma: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The dense-vs-sparse communication decision with its terms on record.
+
+    Compares the Table III cost of the algorithm's FusedMM row against
+    its need-list sparse-communication variant
+    (:func:`repro.model.costs.fusedmm_cost_sparse`) at the run's actual
+    ``(p, c)``.  ``margin`` is hysteresis against the need-list planning
+    overhead: sparse must be predicted at least ``1 - margin`` cheaper to
+    win, so near-saturated inputs (every row touched) stay on the dense
+    ring collectives.
+
+    Each side is additionally charged a *memory term* — its peak panel
+    footprint (:func:`repro.model.costs.fusedmm_buffer_words`) billed at
+    ``memory_weight * beta`` per word, modeling the zero-fill/scatter
+    memory pass a resident panel costs (memory bandwidth is faster than
+    the wire, hence the fraction).  This matters mostly for the 2.5D
+    sparse-replicating family, whose sparse path swaps piece-sized ring
+    buffers for strip-wide packed panels: at high need-list coverage the
+    footprint can outgrow the traffic saving, and the memory term steers
+    ``comm="auto"`` back to dense.
+
+    ``compute_gamma`` adds the per-call local-compute time (at a
+    *measured* seconds-per-FLOP from the kernel calibration, see
+    :func:`repro.model.costs.compute_seconds`) to both scores.  Compute
+    is the same on both sides, but the ``margin`` hysteresis is
+    multiplicative, so a realistic compute floor shrinks the *relative*
+    gap between the variants: the faster the measured kernels, the more
+    the communication difference dominates the decision — exactly the
+    regime shift a compiled backend causes.
+
+    Returns ``{"dense": {"seconds", "buffer_words"}, "sparse": {...},
+    "margin", "picked"}``; raises :class:`~repro.errors.ReproError` for
+    a row the model cannot price (no sparse path, unprinted row,
+    infeasible ``c``).
+    """
+    phi = nnz / (float(n) * r) if n and r else 0.0
+    key = f"{algorithm}/{elision.value}"
+    costs = {
+        "dense": fusedmm_cost(key, n, r, p, c, phi),
+        "sparse": fusedmm_cost_sparse(key, n, r, p, c, phi),
+    }
+    mem_beta = memory_weight * machine.beta
+    t_comp = (
+        compute_gamma * fusedmm_flops(nnz, r, p) if compute_gamma is not None else 0.0
+    )
+    out: Dict[str, Any] = {}
+    for mode, cost in costs.items():
+        buf = fusedmm_buffer_words(key, n, r, p, c, phi, sparse_comm=mode == "sparse")
+        out[mode] = {
+            "seconds": cost.time(machine) + mem_beta * buf + t_comp,
+            "buffer_words": buf,
+        }
+    sparse_wins = out["sparse"]["seconds"] < margin * out["dense"]["seconds"]
+    out.update(margin=margin, picked="sparse" if sparse_wins else "dense")
+    return out
+
+
 def choose_comm_mode(
     algorithm: str,
     n: int,
@@ -108,55 +177,20 @@ def choose_comm_mode(
     memory_weight: float = 0.25,
     compute_gamma: Optional[float] = None,
 ) -> str:
-    """Pick ``"dense"`` or ``"sparse"`` communication for a kernel run.
-
-    Compares the Table III cost of the algorithm's FusedMM row against
-    its need-list sparse-communication variant
-    (:func:`repro.model.costs.fusedmm_cost_sparse`) at the run's actual
-    ``(p, c)``; families without a sparse path always answer dense.
-    ``margin`` is hysteresis against the need-list planning overhead:
-    sparse must be predicted at least ``1 - margin`` cheaper to win,
-    so near-saturated inputs (every row touched) stay on the dense ring
-    collectives.
-
-    Each side is additionally charged a *memory term* — its peak panel
-    footprint (:func:`repro.model.costs.fusedmm_buffer_words`) billed at
-    ``memory_weight * beta`` per word, modeling the zero-fill/scatter
-    memory pass a resident panel costs (memory bandwidth is faster than
-    the wire, hence the fraction).  This matters mostly for the 2.5D
-    sparse-replicating family, whose sparse path swaps piece-sized ring
-    buffers for strip-wide packed panels: at high need-list coverage the
-    footprint can outgrow the traffic saving, and the memory term steers
-    ``comm="auto"`` back to dense.  This is the ``comm="auto"`` policy
-    of the public API.
-
-    ``compute_gamma`` adds the per-call local-compute time (at a
-    *measured* seconds-per-FLOP from the kernel calibration, see
-    :func:`repro.model.costs.compute_seconds`) to both scores.  Compute
-    is the same on both sides, but the ``margin`` hysteresis is
-    multiplicative, so a realistic compute floor shrinks the *relative*
-    gap between the variants: the faster the measured kernels, the more
-    the communication difference dominates the decision — exactly the
-    regime shift a compiled backend causes.
+    """Pick ``"dense"`` or ``"sparse"`` communication for a kernel run:
+    :func:`comm_mode_scores`' pick, and ``"dense"`` wherever it cannot
+    price the row (families without a sparse path always answer dense).
     """
     if not supports_sparse_comm(algorithm):
         return "dense"
-    phi = nnz / (float(n) * r) if n and r else 0.0
-    key = f"{algorithm}/{elision.value}"
     try:
-        dense = fusedmm_cost(key, n, r, p, c, phi)
-        sparse = fusedmm_cost_sparse(key, n, r, p, c, phi)
-        dense_buf = fusedmm_buffer_words(key, n, r, p, c, phi, sparse_comm=False)
-        sparse_buf = fusedmm_buffer_words(key, n, r, p, c, phi, sparse_comm=True)
+        scores = comm_mode_scores(
+            algorithm, n, r, nnz, p, c, machine, elision, margin, memory_weight,
+            compute_gamma,
+        )
     except ReproError:
         return "dense"
-    mem_beta = memory_weight * machine.beta
-    t_comp = (
-        compute_gamma * fusedmm_flops(nnz, r, p) if compute_gamma is not None else 0.0
-    )
-    dense_score = dense.time(machine) + mem_beta * dense_buf + t_comp
-    sparse_score = sparse.time(machine) + mem_beta * sparse_buf + t_comp
-    return "sparse" if sparse_score < margin * dense_score else "dense"
+    return scores["picked"]
 
 
 def predicted_times(
@@ -187,6 +221,14 @@ def predicted_times(
     return out
 
 
+def cheapest_row(times: Dict[str, Tuple[int, float]]) -> str:
+    """The row of a :func:`predicted_times` table with the least seconds
+    (first in table order on a tie)."""
+    if not times:
+        raise ReproError("no algorithm is feasible for these parameters")
+    return min(times.items(), key=lambda kv: kv[1][1])[0]
+
+
 def predict_best_algorithm(
     n: int,
     r: int,
@@ -197,7 +239,4 @@ def predict_best_algorithm(
     max_c: Optional[int] = None,
 ) -> str:
     """The Figure 6 "Predicted" map: cheapest row at its best feasible c."""
-    times = predicted_times(n, r, nnz, p, machine, keys=keys, max_c=max_c)
-    if not times:
-        raise ReproError("no algorithm is feasible for these parameters")
-    return min(times.items(), key=lambda kv: kv[1][1])[0]
+    return cheapest_row(predicted_times(n, r, nnz, p, machine, keys=keys, max_c=max_c))

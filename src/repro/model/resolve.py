@@ -1,0 +1,300 @@
+"""Plan-time resolution: every knob check and every ``auto``, one pure function.
+
+:func:`resolve` is what :func:`repro.plan` runs before it builds
+anything.  It takes the sparse operand's *shape statistics* (``m``,
+``n``, ``nnz``) rather than the matrix, spawns no rank, and returns a
+frozen :class:`ResolvedPlan`: the resolved knobs plus ``why`` — per
+decision, the candidates that were compared and the model terms that
+drove the pick.  The decisions feed each other in one order:
+
+    kernels -> compute_gamma -> algorithm -> c -> comm -> overlap
+
+``kernels="auto"`` yields the one host-measured quantity (the calibrated
+seconds-per-FLOP); every other term prices the ``machine=`` argument.
+Whatever the model cannot price is a typed :class:`ReproError` or an
+entry in ``why`` — never a silent default.  See ARCHITECTURE.md,
+"Plan-time resolution".
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional
+
+from repro.algorithms.registry import (
+    feasible_replication_factors,
+    supported_elisions,
+    supports_sparse_comm,
+)
+from repro.errors import ReproError
+from repro.kernels.registry import (
+    ensure_kernel_backend_available,
+    validate_kernel_backend_name,
+)
+from repro.model.calibrate import calibrate, choose_kernel_backend
+from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
+from repro.model.optimal import (
+    best_feasible_c,
+    cheapest_row,
+    comm_mode_scores,
+    predicted_times,
+)
+from repro.runtime.backend import ensure_backend_available, validate_backend_name
+from repro.runtime.cost import MachineParams
+from repro.types import CommMode, Elision
+
+_OVERLAP = ("off", "on", "auto")
+#: span tracing is strictly opt-in — no "auto": the untraced hot path
+#: must stay untaxed by default
+_TRACE = ("off", "on")
+
+
+@dataclass(frozen=True)
+class ResolvedPlan:
+    """The frozen answer of :func:`resolve`; a session is built from it.
+
+    ``kernels`` is the resolved backend *name*; ``compute_gamma`` is its
+    calibrated seconds-per-FLOP when the choice came from ``"auto"``
+    (``None`` for explicit choices: the model then keeps the machine's
+    assumed gamma).  ``why`` maps each decision (``"kernels"``,
+    ``"algorithm"``, ``"c"``, ``"comm"``, ``"overlap"``) to what was
+    requested, what was compared and the model terms behind the pick.
+    """
+
+    m: int
+    n: int
+    r: int
+    algorithm: str
+    p: int
+    c: int
+    elision: Elision
+    comm_mode: CommMode
+    overlap: str
+    kernels: str
+    compute_gamma: Optional[float]
+    backend: str
+    trace: str
+    deadline_ms: Optional[float]
+    retries: int
+    faults: Any
+    machine: MachineParams
+    phi: float
+    why: Mapping[str, Any]
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-ready rendering (enums by value, the machine by its
+        parameters, an armed fault plan as ``True``)."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d.update(
+            elision=self.elision.value,
+            comm_mode=self.comm_mode.value,
+            machine=dataclasses.asdict(self.machine),
+            faults=self.faults is not None,
+            why=json.loads(json.dumps(self.why)),
+        )
+        return d
+
+
+def _host_cores() -> int:
+    """Cores this process may run on (what rank threads actually share)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_run(row: str, elision: Elision, comm: CommMode) -> bool:
+    """Whether a cost row's family runs the requested elision (on need
+    lists, under an explicit ``comm="sparse"``)."""
+    family = row.split("/", 1)[0]
+    return elision in supported_elisions(family) and (
+        comm != CommMode.SPARSE or supports_sparse_comm(family)
+    )
+
+
+def resolve(
+    m: int,
+    n: int,
+    nnz: int,
+    r: int,
+    *,
+    p: int,
+    c: Optional[int],
+    algorithm: str,
+    elision,
+    comm,
+    machine: MachineParams,
+    overlap: str,
+    trace: str,
+    deadline_ms: Optional[float],
+    retries: int,
+    faults,
+    backend: str,
+    kernels: str,
+) -> ResolvedPlan:
+    """Resolve every knob of :func:`repro.plan` (which declares and
+    documents them) for an ``m x n`` sparse operand with ``nnz`` nonzeros
+    and embedding width ``r``.
+
+    Guard order: unknown kernel / backend name, then the thread-only
+    feature guards, then availability, then the model — so the guidance
+    is the same whether or not numba / mpi4py is installed.
+    """
+    why: Dict[str, Any] = {}
+    elision = elision if isinstance(elision, Elision) else Elision(elision)
+    comm = comm if isinstance(comm, CommMode) else CommMode(comm)
+    r = int(r)
+    if r <= 0:
+        raise ReproError(f"r must be positive, got {r}")
+
+    # -- kernels.  The thread-only restriction is honest, not cosmetic:
+    # backend="mpi" ranks are separate processes whose profiles the driver
+    # cannot attach a backend object to, so a silently-ignored knob would
+    # report numba while running numpy.
+    kern = validate_kernel_backend_name(kernels)
+    if kern != "numpy" and validate_backend_name(backend) != "threads":
+        raise ReproError(
+            "compiled kernel backends are thread-backend-only: "
+            f"kernels={kern!r} cannot be attached to backend="
+            f"{backend!r} ranks (separate processes own their "
+            "profiles); use backend='threads' or the default "
+            "kernels='numpy'"
+        )
+    why["kernels"] = {"requested": kern}
+    gamma = None
+    if kern == "auto":
+        # measured over the *available* backends, so auto never raises on
+        # a host without numba
+        kern, gamma = choose_kernel_backend()
+        measured = calibrate()  # memoized: the document the pick was read from
+        why["kernels"].update(
+            host=measured["host"],
+            gamma={b: e["gamma"] for b, e in measured["backends"].items()},
+        )
+    ensure_kernel_backend_available(kern)
+
+    # -- algorithm: the cheapest Table III row among the families that
+    # can run what was asked (the requested elision; need lists under an
+    # explicit comm="sparse"), each row at its best feasible c
+    phi = nnz / (float(n) * r)
+    why["algorithm"] = {"requested": algorithm}
+    if algorithm == "auto":
+        rows = [row for row in PAPER_COST_ROWS if _can_run(row, elision, comm)]
+        if not rows:
+            raise ReproError(
+                f"no algorithm family supports elision={elision.value!r} "
+                f"with comm={comm.value!r}"
+            )
+        times = predicted_times(n, r, nnz, p, machine, keys=rows)
+        row = cheapest_row(times)
+        algorithm = row.split("/", 1)[0]
+        why["algorithm"].update(
+            row=row,
+            candidates={k: {"c": kc, "seconds": t} for k, (kc, t) in times.items()},
+        )
+    # -- replication factor: an explicit c must be feasible; c=None takes
+    # the feasible c that minimizes the (family, elision) row
+    feasible = feasible_replication_factors(algorithm, p)
+    why["c"] = {"requested": c, "feasible": list(feasible)}
+    if c is not None and c not in feasible:
+        raise ReproError(
+            f"replication factor c={c} infeasible for {algorithm} on p={p}; "
+            f"feasible: {feasible}"
+        )
+    supported = supported_elisions(algorithm)
+    if elision not in supported:
+        raise ReproError(
+            f"{algorithm} supports {[e.value for e in supported]}, not {elision.value}"
+        )
+    key = row_key(algorithm, elision)
+    if c is None:
+        c, cost = best_feasible_c(key, n, r, p, phi, machine)
+        why["c"].update(row=key, comm_seconds=cost.time(machine))
+
+    # -- communication mode (compute charged at the measured rate when
+    # the kernel calibration supplied one)
+    why["comm"] = {"requested": comm.value}
+    if comm == CommMode.AUTO:
+        if supports_sparse_comm(algorithm):
+            scores = comm_mode_scores(
+                algorithm, n, r, nnz, p, c, machine, elision, compute_gamma=gamma
+            )
+            why["comm"].update(scores)
+            comm = CommMode(scores["picked"])
+        else:
+            why["comm"]["reason"] = "family has no sparse-communication path"
+            comm = CommMode.DENSE
+    elif comm == CommMode.SPARSE and not supports_sparse_comm(algorithm):
+        raise ReproError(
+            f"{algorithm} has no sparse-communication path; "
+            f"use comm='dense' or comm='auto'"
+        )
+
+    # -- overlap: on exactly when the overlapped-time term predicts a
+    # positive saving.  Like every model knob it prices the target
+    # machine, not this host — ``why`` records p next to the host's cores
+    # so an oversubscribed simulation is visible.
+    if overlap not in _OVERLAP:
+        raise ReproError(f"overlap must be one of {_OVERLAP}, got {overlap!r}")
+    why["overlap"] = {"requested": overlap}
+    if overlap == "auto":
+        if p <= 1 or nnz == 0:
+            why["overlap"]["reason"] = "nothing to hide (one rank or empty operand)"
+            overlap = "off"
+        else:
+            sparse = comm == CommMode.SPARSE
+            gain = overlap_gain_seconds(
+                key, n, r, p, c, phi, machine, sparse_comm=sparse, compute_gamma=gamma
+            )
+            why["overlap"].update(gain_seconds=gain, p=p, host_cores=_host_cores())
+            overlap = "on" if gain > 0.0 else "off"
+
+    # -- tracing and the robustness knobs (all off by default)
+    if trace not in _TRACE:
+        raise ReproError(f"trace must be one of {_TRACE}, got {trace!r}")
+    if deadline_ms is not None and deadline_ms <= 0:
+        raise ReproError(f"deadline_ms must be positive, got {deadline_ms}")
+    retries = int(retries)
+    if retries < 0:
+        raise ReproError(f"retries must be non-negative, got {retries}")
+    backend = validate_backend_name(backend)
+    if backend != "threads":
+        if faults is not None:
+            raise ReproError(
+                "fault injection is thread-backend-only: a FaultPlan "
+                "cannot be armed on backend='mpi' (no sibling-abort "
+                "recovery across processes); chaos-test with "
+                "backend='threads'"
+            )
+        if retries:
+            raise ReproError(
+                "retries are thread-backend-only: backend='mpi' has no "
+                "cross-process recovery, so a failed call surfaces its "
+                "error (or aborts the job on a deadline expiry) "
+                "instead of re-executing"
+            )
+        ensure_backend_available(backend)
+
+    return ResolvedPlan(
+        m=m,
+        n=n,
+        r=r,
+        algorithm=algorithm,
+        p=p,
+        c=c,
+        elision=elision,
+        comm_mode=comm,
+        overlap=overlap,
+        kernels=kern,
+        compute_gamma=gamma,
+        backend=backend,
+        trace=trace,
+        deadline_ms=deadline_ms,
+        retries=retries,
+        faults=faults,
+        machine=machine,
+        phi=phi,
+        why=why,
+    )

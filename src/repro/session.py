@@ -5,11 +5,12 @@ sweep (§VI-E), GAT training re-invokes the same kernels every epoch — so
 the expensive driver work (knob resolution, layout planning, COO
 partitioning of S, need-list :class:`~repro.comm_sparse.plan.CommPlan`
 construction, packed-index remapping) must be paid **once**, not per
-call.  :func:`plan` resolves every knob (algorithm family, replication
-factor ``c``, communication mode, elision strategy) against the
-Table III/IV model; the returned :class:`Session` builds each resident
-distribution exactly once — on the first kernel call that needs it — and
-then runs any number of kernels against it:
+call.  :func:`plan` declares the knobs and hands them to
+:func:`repro.model.resolve.resolve`, the one place they are checked and
+every ``auto`` is decided; the :class:`Session` built from that frozen
+answer (:meth:`Session.explain`) builds each resident distribution
+exactly once — on the first kernel call that needs it — and then runs
+any number of kernels against it:
 
     >>> import numpy as np, repro
     >>> S = repro.erdos_renyi(4096, 4096, nnz_per_row=8, seed=0)
@@ -53,12 +54,7 @@ import numpy as np
 
 from repro.algorithms.base import KEEP
 from repro.algorithms.fused import native_procedure
-from repro.algorithms.registry import (
-    feasible_replication_factors,
-    make_algorithm,
-    supported_elisions,
-    supports_sparse_comm,
-)
+from repro.algorithms.registry import make_algorithm
 from repro.errors import (
     CommError,
     FaultInjected,
@@ -67,15 +63,8 @@ from repro.errors import (
     SpmdAbort,
     SpmdTimeout,
 )
-from repro.kernels.registry import validate_kernel_backend_name
-from repro.model.calibrate import KernelChoice, resolve_kernel_backend
-from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
-from repro.model.optimal import (
-    best_feasible_c,
-    choose_comm_mode,
-    predict_best_algorithm,
-)
-from repro.runtime.backend import ensure_backend_available, validate_backend_name
+from repro.kernels import get_kernel_backend
+from repro.model.resolve import ResolvedPlan, resolve
 from repro.runtime.buffers import BufferLeaseError
 from repro.runtime.cost import CORI_KNL, MachineParams
 from repro.runtime.profile import RankProfile, RunReport
@@ -87,13 +76,6 @@ from repro.types import CommMode, Elision, FusedVariant, Mode, Phase
 ElisionLike = Union[str, Elision]
 CommLike = Union[str, CommMode]
 
-#: valid values of the ``overlap`` knob
-OVERLAP_MODES = ("off", "on", "auto")
-
-#: valid values of the ``trace`` knob (span tracing is strictly opt-in —
-#: no "auto": the untraced hot path must stay untaxed by default)
-TRACE_MODES = ("off", "on")
-
 #: phases whose counters are communication (mirrors RunReport._COMM_PHASES)
 _COMM_PHASES = RunReport._COMM_PHASES
 
@@ -102,161 +84,6 @@ def _as_coo(S) -> CooMatrix:
     if isinstance(S, CooMatrix):
         return S
     return CooMatrix.from_scipy(S)
-
-
-def _as_elision(e: ElisionLike) -> Elision:
-    return e if isinstance(e, Elision) else Elision(e)
-
-
-def _resolve_comm(
-    comm: CommLike,
-    algorithm: str,
-    S: CooMatrix,
-    r: int,
-    p: int,
-    c: int,
-    elision: Elision,
-    machine: MachineParams,
-    compute_gamma: Optional[float] = None,
-) -> CommMode:
-    """Resolve the requested communication mode against the algorithm.
-
-    ``"auto"`` consults the extended alpha-beta model
-    (:func:`repro.model.optimal.choose_comm_mode`), charging the compute
-    term at the *measured* per-host rate when the kernel calibration
-    supplied one (``kernels="auto"``); an explicit ``"sparse"`` on a
-    family without need-list support is an error rather than a silent
-    fallback.
-    """
-    mode = comm if isinstance(comm, CommMode) else CommMode(comm)
-    if mode == CommMode.AUTO:
-        picked = choose_comm_mode(
-            algorithm, S.ncols, r, S.nnz, p, c, machine, elision=elision,
-            compute_gamma=compute_gamma,
-        )
-        return CommMode(picked)
-    if mode == CommMode.SPARSE and not supports_sparse_comm(algorithm):
-        raise ReproError(
-            f"{algorithm} has no sparse-communication path; "
-            f"use comm='dense' or comm='auto'"
-        )
-    return mode
-
-
-def _resolve_kernels(kernels: str, exec_backend: str) -> KernelChoice:
-    """Resolve the ``kernels`` knob against the execution backend.
-
-    Guard ordering follows the execution-backend rule: an unknown name
-    raises the typed :class:`~repro.errors.UnknownKernelBackendError`
-    first; the thread-backend-only guard fires next, *before* the
-    availability check, so the guidance is the same whether or not numba
-    is installed; only then does ``kernels="numba"`` probe availability
-    and ``kernels="auto"`` run (or load) the per-host calibration.  The
-    thread-only restriction is honest, not cosmetic: ``backend="mpi"``
-    ranks are separate processes whose profiles this driver cannot attach
-    a backend object to, so a silently-ignored knob would report numba
-    while running numpy.
-    """
-    name = validate_kernel_backend_name(kernels)
-    if name != "numpy" and validate_backend_name(exec_backend) != "threads":
-        raise ReproError(
-            "compiled kernel backends are thread-backend-only: "
-            f"kernels={name!r} cannot be attached to backend="
-            f"{exec_backend!r} ranks (separate processes own their "
-            "profiles); use backend='threads' or the default "
-            "kernels='numpy'"
-        )
-    return resolve_kernel_backend(name)
-
-
-def _resolve_overlap(
-    overlap: str,
-    algorithm: str,
-    elision: Elision,
-    S: CooMatrix,
-    r: int,
-    p: int,
-    c: int,
-    comm_mode: CommMode,
-    machine: MachineParams,
-    compute_gamma: Optional[float] = None,
-) -> str:
-    """Resolve the ``overlap`` knob to ``"on"`` or ``"off"``.
-
-    ``"auto"`` turns the software pipeline on exactly when the
-    overlapped-time term of the cost model
-    (:func:`repro.model.costs.overlap_gain_seconds`) predicts a positive
-    saving — i.e. whenever the run has both propagation traffic and local
-    computation to hide it behind.  Single-rank runs and empty operands
-    stay synchronous (there is nothing to hide).  The decision models the
-    *target machine* (one set of cores per rank, like every other model
-    knob), not the simulating host: on an oversubscribed host the
-    pipeline still measures its hidden/exposed split correctly but cannot
-    convert it into wall-time, so pass ``overlap="off"`` explicitly when
-    benchmarking wall-clock on such a machine.
-    """
-    if overlap not in OVERLAP_MODES:
-        raise ReproError(
-            f"overlap must be one of {OVERLAP_MODES}, got {overlap!r}"
-        )
-    if overlap != "auto":
-        return overlap
-    if p <= 1 or S.nnz == 0:
-        return "off"
-    phi = S.nnz / (float(S.ncols) * r)
-    key = row_key(algorithm, elision)
-    try:
-        gain = overlap_gain_seconds(
-            key, S.ncols, r, p, c, phi, machine,
-            sparse_comm=(comm_mode == CommMode.SPARSE),
-            compute_gamma=compute_gamma,
-        )
-    except ReproError:
-        # rows the closed-form table does not print (e.g. single-kernel
-        # use): the pipeline costs nothing when there is real compute, so
-        # default it on for any multi-rank run
-        return "on"
-    return "on" if gain > 0.0 else "off"
-
-
-def _resolve(
-    algorithm: str,
-    p: int,
-    c: Optional[int],
-    S: CooMatrix,
-    r: int,
-    elision: Elision,
-    machine: MachineParams,
-    comm: CommLike = CommMode.DENSE,
-) -> Tuple[str, int]:
-    """Resolve 'auto' algorithm and/or automatic replication factor.
-
-    An explicit ``comm="sparse"`` restricts the ``"auto"`` algorithm
-    search to the sparse-comm-capable families, so the two auto knobs
-    never contradict each other.
-    """
-    phi = S.nnz / (float(S.ncols) * r)
-    if algorithm == "auto":
-        keys = PAPER_COST_ROWS
-        if (comm if isinstance(comm, CommMode) else CommMode(comm)) == CommMode.SPARSE:
-            keys = tuple(
-                k for k in PAPER_COST_ROWS if supports_sparse_comm(k.split("/", 1)[0])
-            )
-        key = predict_best_algorithm(S.ncols, r, S.nnz, p, machine, keys=keys)
-        algorithm = key.split("/", 1)[0]
-    if c is None:
-        key = f"{algorithm}/{elision.value}"
-        try:
-            c, _ = best_feasible_c(key, S.ncols, r, p, phi, machine)
-        except ReproError:
-            c = 1
-    feas = feasible_replication_factors(algorithm, p)
-    if c not in feas:
-        raise ReproError(
-            f"replication factor c={c} infeasible for {algorithm} on p={p}; "
-            f"feasible: {feas}"
-        )
-    return algorithm, c
 
 
 @dataclass
@@ -343,7 +170,8 @@ class Session:
     """Resident distributed state for repeated kernel calls.
 
     Build via :func:`plan`, which documents every knob and the call
-    contract.  All knobs are resolved at construction; every kernel
+    contract, from the :class:`~repro.model.resolve.ResolvedPlan` it
+    resolved them to (:meth:`explain`); every kernel
     method scatters only its dense operands, runs the SPMD kernel on the
     resident sparse distribution, gathers the output and returns
     ``(output, RunReport)``.  Reports accumulate across calls until
@@ -360,105 +188,43 @@ class Session:
     drops the resident distributions.
     """
 
-    def __init__(
-        self,
-        S,
-        r: int,
-        p: int = 4,
-        c: Optional[int] = None,
-        algorithm: str = "auto",
-        elision: ElisionLike = Elision.NONE,
-        comm: CommLike = CommMode.DENSE,
-        machine: MachineParams = CORI_KNL,
-        overlap: str = "auto",
-        trace: str = "off",
-        deadline_ms: Optional[float] = None,
-        retries: int = 0,
-        faults=None,
-        backend: str = "threads",
-        kernels: str = "numpy",
-    ) -> None:
-        S = _as_coo(S)
-        elision = _as_elision(elision)
-        r = int(r)
-        if r <= 0:
-            raise ReproError(f"r must be positive, got {r}")
-        # resolve the kernel backend before the comm mode: kernels="auto"
-        # yields a *measured* compute rate that feeds the comm decision
-        kern = _resolve_kernels(kernels, backend)
-        algorithm, c = _resolve(algorithm, p, c, S, r, elision, machine, comm)
-        if elision not in supported_elisions(algorithm):
-            raise ReproError(
-                f"{algorithm} supports "
-                f"{[e.value for e in supported_elisions(algorithm)]}, "
-                f"not {elision.value}"
-            )
-        comm_mode = _resolve_comm(
-            comm, algorithm, S, r, p, c, elision, machine,
-            compute_gamma=kern.compute_gamma,
-        )
+    def __init__(self, S: CooMatrix, resolved: ResolvedPlan) -> None:
         self.S = S
         self.m, self.n = S.shape
-        self.r = r
-        self._alg = alg = make_algorithm(algorithm, p, c)
-        self.algorithm = alg.name
-        self.p, self.c = alg.p, alg.c
-        self.elision = elision
-        self.comm_mode = comm_mode
-        self.machine = machine
-        self.phi = S.nnz / (float(S.ncols) * r)
+        self._resolved = resolved
+        # the JSON-ready plan: what __repr__, reports and the per-call
+        # metrics records read their constant fields from
+        self._plan = plan = resolved.as_dict()
+        consts = ("algorithm", "comm_mode", "kernels", "overlap", "trace")
+        self._record_consts = {**{k: plan[k] for k in consts}, "nranks": resolved.p}
+        self._alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
+        self.algorithm, self.p, self.c = alg.name, alg.p, alg.c
+        self.r = resolved.r
+        self.elision = resolved.elision
+        self.comm_mode = resolved.comm_mode
+        self.machine = resolved.machine
+        self.phi = resolved.phi
         #: resolved kernel-backend name ("numpy" / "numba"), observable on
         #: reports and per-call metrics
-        self.kernels = kern.name
-        self._kernel_backend = kern.backend
-        self._compute_gamma = kern.compute_gamma
+        self.kernels = resolved.kernels
         # plan-time JIT warmup: first-call latency must not be poisoned
         # by compilation
-        self._kernel_backend.warmup()
-        self.overlap_mode = _resolve_overlap(
-            overlap, self.algorithm, elision, S, r, self.p, self.c, comm_mode,
-            machine, compute_gamma=self._compute_gamma,
-        )
+        self._kernel_backend = get_kernel_backend(resolved.kernels).warmup()
+        self.overlap_mode = resolved.overlap
         # the rank kernels read the flag off their context, which
         # snapshots it from the algorithm instance (owned by this session)
         alg.overlap = self.overlap_mode == "on"
-        if trace not in TRACE_MODES:
-            raise ReproError(f"trace must be one of {TRACE_MODES}, got {trace!r}")
-        self.trace_mode = trace
-        # -- robustness knobs (all off by default: zero hot-path cost) --
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ReproError(f"deadline_ms must be positive, got {deadline_ms}")
-        retries = int(retries)
-        if retries < 0:
-            raise ReproError(f"retries must be non-negative, got {retries}")
+        self.trace_mode = resolved.trace
         #: execution backend: ranks as threads ("threads", the default) or
         #: as mpirun-resident processes ("mpi"); see ARCHITECTURE.md
-        self.backend = validate_backend_name(backend)
-        if self.backend != "threads":
-            # thread-only features are guarded with typed errors *before*
-            # the availability check, so the guidance is the same whether
-            # or not mpi4py is installed
-            if faults is not None:
-                raise ReproError(
-                    "fault injection is thread-backend-only: a FaultPlan "
-                    "cannot be armed on backend='mpi' (no sibling-abort "
-                    "recovery across processes); chaos-test with "
-                    "backend='threads'"
-                )
-            if retries:
-                raise ReproError(
-                    "retries are thread-backend-only: backend='mpi' has no "
-                    "cross-process recovery, so a failed call surfaces its "
-                    "error (or aborts the job on a deadline expiry) "
-                    "instead of re-executing"
-                )
-            ensure_backend_available(self.backend)
+        self.backend = resolved.backend
+        # -- robustness knobs (all off by default: zero hot-path cost) --
         #: per-call watchdog horizon (ms); expiry raises SpmdTimeout with
         #: a per-rank blocked-state dump instead of hanging the driver
-        self.deadline_ms = deadline_ms
+        self.deadline_ms = resolved.deadline_ms
         #: runtime-fault re-executions before degradation is considered
-        self.retries = retries
-        self._faults = faults  # FaultPlan armed on the session's world
+        self.retries = resolved.retries
+        self._faults = resolved.faults  # FaultPlan armed on the session's world
         #: calls that succeeded only on a re-execution / degraded re-run
         self.retried_calls = 0
         self.degraded_calls = 0
@@ -594,12 +360,7 @@ class Session:
             "label": label,
             "outcome": outcome,
             "retries": retries,
-            "algorithm": self.algorithm,
-            "comm_mode": self.comm_mode.value,
-            "kernels": self.kernels,
-            "overlap": self.overlap_mode,
-            "trace": self.trace_mode,
-            "nranks": self.p,
+            **self._record_consts,
             "wall_ms": wall_ms,
             "comm_words": int(snap["comm_words"] - prev["comm_words"]),
             "comm_messages": int(snap["comm_messages"] - prev["comm_messages"]),
@@ -611,6 +372,9 @@ class Session:
                 (p.peak_buffer_bytes for p in self._profiles), default=0
             ),
         }
+        if not self._metrics:
+            # record 0 of a window says why it ran the way it did
+            record["plan"] = self._plan
         self._metrics.append(record)
         return record
 
@@ -720,7 +484,7 @@ class Session:
     # dense-operand binding: dirty tracking + skip-rebind
     # ------------------------------------------------------------------
 
-    def _resolve_bind(self, transpose: bool, side: str, X, overwritten: bool = False):
+    def _bind_arg(self, transpose: bool, side: str, X, overwritten: bool = False):
         """Decide whether one dense side actually needs scattering.
 
         An input side is *skipped* (returns :data:`KEEP`) exactly when its
@@ -789,8 +553,8 @@ class Session:
         read/rebind the real locals' dense fields, which staging never
         writes).
         """
-        A_arg = self._resolve_bind(transpose, "a", A, "a" in dirty)
-        B_arg = self._resolve_bind(transpose, "b", B, "b" in dirty)
+        A_arg = self._bind_arg(transpose, "a", A, "a" in dirty)
+        B_arg = self._bind_arg(transpose, "b", B, "b" in dirty)
         if A_arg is KEEP and B_arg is KEEP:
             return None
         staged = [copy.copy(loc) for loc in ori.locals_]
@@ -1281,8 +1045,8 @@ class Session:
         return RunReport(
             per_rank=self._profiles,
             label=label or f"session/{self.algorithm}{self._suffix}/x{self._ncalls}",
-            comm_mode=self.comm_mode.value,
-            kernel_backend=self.kernels,
+            comm_mode=self._plan["comm_mode"],
+            kernel_backend=self._plan["kernels"],
         )
 
     def reset_profile(self) -> None:
@@ -1297,7 +1061,15 @@ class Session:
             self._metrics = []
             self._last_snapshot = self._counter_snapshot()
 
-    # -- observability: per-call metrics, spans, timeline ----------------
+    # -- observability: the plan, per-call metrics, spans, timeline -------
+
+    def explain(self) -> ResolvedPlan:
+        """The frozen plan-time answer this session was built from: the
+        resolved knobs (which the session's attributes mirror) and, under
+        ``why``, the candidates and model terms behind every ``auto``.
+        ``explain().as_dict()`` is JSON-ready and rides on record 0 of
+        :meth:`metrics` as ``"plan"``."""
+        return self._resolved
 
     def metrics(self) -> List[Dict[str, Any]]:
         """Per-call structured metrics records (always on, one per kernel
@@ -1309,6 +1081,7 @@ class Session:
         bytes, and the call ``outcome`` (``"ok"``, ``"retried"``,
         ``"degraded"``, ``"timeout"`` or ``"failed"``) together with the
         number of ``retries`` it took.  Failed calls are recorded too.
+        Record 0 additionally carries ``"plan"``: :meth:`explain` as a dict.
         A still-pipelined async call is finalized first so its record
         exists by the time this returns.
         """
@@ -1389,11 +1162,10 @@ class Session:
         return False
 
     def __repr__(self) -> str:
+        shown = ("p", "c", "elision", "comm_mode", "overlap", "backend", "kernels")
+        knobs = ", ".join(f"{k}={self._plan[k]!r}" for k in shown)
         return (
-            f"Session({self.algorithm!r}, p={self.p}, c={self.c}, "
-            f"elision={self.elision.value!r}, comm={self.comm_mode.value!r}, "
-            f"overlap={self.overlap_mode!r}, backend={self.backend!r}, "
-            f"kernels={self.kernels!r}, "
+            f"Session({self.algorithm!r}, {knobs}, "
             f"shape=({self.m}, {self.n}), r={self.r}, phi={self.phi:.4g}, "
             f"resident_orientations="
             f"{sorted('T' if t else 'S' for t in self._orients)}, "
@@ -1518,8 +1290,24 @@ def plan(
     ``Session.kernels``, in every per-call metrics record (``"kernels"``)
     and on reports (``RunReport.kernel_backend``).
     """
-    return Session(
-        S, r, p=p, c=c, algorithm=algorithm, elision=elision, comm=comm,
-        machine=machine, overlap=overlap, trace=trace, deadline_ms=deadline_ms,
-        retries=retries, faults=faults, backend=backend, kernels=kernels,
+    S = _as_coo(S)
+    resolved = resolve(
+        S.nrows,
+        S.ncols,
+        S.nnz,
+        r,
+        p=p,
+        c=c,
+        algorithm=algorithm,
+        elision=elision,
+        comm=comm,
+        machine=machine,
+        overlap=overlap,
+        trace=trace,
+        deadline_ms=deadline_ms,
+        retries=retries,
+        faults=faults,
+        backend=backend,
+        kernels=kernels,
     )
+    return Session(S, resolved)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 import repro
+from repro.model.resolve import resolve
 from repro.runtime.spmd import run_spmd
 from repro.sparse.generate import erdos_renyi
 from repro.types import Mode
@@ -15,6 +18,20 @@ from repro.types import Mode
 SWEEP_NNZ_PER_ROW = [1, 2, 4, 8, 16, 32]
 SWEEP_SPARSE_SHIFT = ("1.5d-sparse-shift", "replication-reuse", 8, 4)
 SWEEP_SPARSE_REPLICATE = ("2.5d-sparse-replicate", "none", 8, 2)
+
+
+#: ``repro.plan``'s own defaults — the one place the knobs are declared
+PLAN_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(repro.plan).parameters.items()
+    if param.default is not inspect.Parameter.empty
+}
+
+
+def resolve_plan(n, nnz, r, m=None, **knobs):
+    """:func:`repro.model.resolve.resolve` on shape statistics alone, every
+    knob not given at ``repro.plan``'s default (no matrix, no rank)."""
+    return resolve(n if m is None else m, n, nnz, r, **{**PLAN_DEFAULTS, **knobs})
 
 
 def sweep_dense_vs_sparse(nnz_per_row, name, elision, p, c):

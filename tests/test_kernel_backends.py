@@ -42,9 +42,10 @@ from repro.kernels.registry import (
 )
 from repro.kernels.sddmm import GatScoreOp, gat_edge_scores, sddmm_coo, sddmm_custom
 from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_scatter
-from repro.model.calibrate import resolve_kernel_backend
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
+
+from helpers import resolve_plan
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
@@ -94,13 +95,14 @@ class TestKernelRegistry:
 
     def test_numpy_always_available(self):
         ensure_kernel_backend_available("numpy")
-        choice = resolve_kernel_backend("numpy")
-        assert choice.name == "numpy"
-        assert choice.backend is NUMPY  # the process-wide numpy backend
-        assert choice.backend.warmup() is choice.backend
+        choice = resolve_plan(64, 256, 16, kernels="numpy")
+        assert choice.kernels == "numpy"
+        backend = get_kernel_backend(choice.kernels)
+        assert backend is NUMPY  # the process-wide numpy backend
+        assert backend.warmup() is backend
         for hook in ("sddmm_dots_add", "spmm_csr_add", "gat_edge_scores",
                      "sddmm_gat_score"):
-            assert callable(getattr(choice.backend, hook))
+            assert callable(getattr(backend, hook))
         assert choice.compute_gamma is None  # model keeps assumed gamma
 
     def test_numba_availability_reflects_import(self):
@@ -121,7 +123,7 @@ class TestKernelRegistry:
     @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
     def test_missing_numba_install_hint_real(self):
         with pytest.raises(KernelBackendUnavailableError, match="numba"):
-            resolve_kernel_backend("numba")
+            resolve_plan(64, 256, 16, kernels="numba")
 
     def test_backend_numba_imports_without_numba(self):
         # The module must import cleanly so guards raise typed errors,
@@ -288,7 +290,10 @@ class TestAutoCalibration:
             comm="auto", kernels="auto",
         ) as sess:
             assert sess.comm_mode.value in ("dense", "sparse")
-            assert sess._compute_gamma is not None and sess._compute_gamma > 0
+            plan = sess.explain()
+            assert plan.compute_gamma is not None and plan.compute_gamma > 0
+            assert plan.why["kernels"]["gamma"][plan.kernels] == plan.compute_gamma
+            assert set(plan.why["comm"]) >= {"dense", "sparse", "picked"}
 
 
 # ----------------------------------------------------------------------

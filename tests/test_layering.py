@@ -100,6 +100,51 @@ def function_level(imports):
     }
 
 
+def imported_names(path: Path):
+    """``{module: {names}}`` over a file's ``repro`` imports (a plain
+    ``import repro.x`` lists the module with no names)."""
+    names = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.setdefault(alias.name, set())
+    return {mod: got for mod, got in names.items() if mod.split(".")[0] == "repro"}
+
+
+class TestOneResolver:
+    """Plan-time decisions live in ``model/resolve.py`` and nowhere else:
+    the resolver reaches nothing that can spawn a rank, and the session
+    cannot re-derive a knob because it imports none of the model."""
+
+    RESOLVER_MAY_IMPORT = {
+        "repro.errors",
+        "repro.types",
+        "repro.runtime.backend",
+        "repro.runtime.cost",
+        "repro.kernels.registry",
+        "repro.algorithms.registry",
+    }
+    SESSION_MUST_NOT_IMPORT = {
+        "repro.model.optimal",
+        "repro.model.costs",
+        "repro.model.calibrate",
+        "repro.kernels.registry",
+    }
+
+    def test_resolver_imports_only_registries_and_the_model(self):
+        modules = set(imported_names(SRC / "model" / "resolve.py"))
+        outside = {m for m in modules if not m.startswith("repro.model.")}
+        assert outside <= self.RESOLVER_MAY_IMPORT, outside - self.RESOLVER_MAY_IMPORT
+
+    def test_session_builds_from_the_resolved_plan(self):
+        names = imported_names(SRC / "session.py")
+        assert not self.SESSION_MUST_NOT_IMPORT & set(names)
+        assert names["repro.algorithms.registry"] == {"make_algorithm"}
+        assert names["repro.model.resolve"] == {"ResolvedPlan", "resolve"}
+
+
 class TestImportsPointDownward:
     def test_every_unit_has_a_layer(self):
         units = {

@@ -165,7 +165,7 @@ class TestScheduleOwnership:
 
 #: what an application must not touch: launching ranks, building rank
 #: profiles / kernel backends or distributing operands is the session's job
-APP_FORBIDDEN_NAMES = {"run_spmd", "RankProfile", "resolve_kernel_backend"}
+APP_FORBIDDEN_NAMES = {"run_spmd", "RankProfile", "get_kernel_backend"}
 APP_FORBIDDEN_CALLS = {"distribute", "make_context"}
 
 
