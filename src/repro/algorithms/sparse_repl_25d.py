@@ -47,6 +47,11 @@ gather (and pushes back only touched output rows), turning the
 ``2 nr/sqrt(pc)`` propagation term into
 ``(|unique rows| + |unique cols|) r (q-1)/(c q)`` words per kernel.  The
 fiber value collectives were already sparse (1 word/nnz) and are kept.
+The paper gives this family no elision because Cannon *propagates* pieces
+instead of holding them; a gathered panel is held, so the need-list
+FusedMM hands the SDDMM round's panel of the SpMM's input side (B for
+FusedMMA, A for FusedMMB) to the SpMM round: one gather per operand per
+fused call plus the output reduction — three exchanges, not four.
 
 Packed buffers: the strip-wide gather targets and partial-output
 accumulators are packed to exactly those unique-row unions
@@ -55,7 +60,11 @@ the resident block's coordinates are rewritten into packed-panel space
 once per structure (:meth:`~repro.sparse.coo.SparseBlock.remapped`, with
 the CSR caches prebuilt driver-side) so the local kernels run as plain
 ``spmm_a_block``/``spmm_b_block`` CSR products and coordinate SDDMMs on
-compact panels with zero per-call index translation.
+compact panels with zero per-call index translation.  There are two panel
+slots, one per dense side (``gather-a`` / ``gather-b``): an SpMM's packed
+output panel has exactly the shape of its own side's gather panel, which
+no SpMM reads, and leases that slot — a rank never holds more than two
+strip panels, fused or not.
 
 The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
 (A pieces on the grid row, B pieces on the grid column; an SpMM's output
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -338,11 +347,12 @@ class SparseReplicate25D(DistributedAlgorithm):
 
         A panel is ``len(unique(S_rows or S_cols)) x strip_width``: the
         own chunk's needed rows are copied into its column window with
-        one fancy-indexed gather, and every peer's column window is filled
+        one ``take``, and every peer's column window is filled
         row-complete by that peer's leg (the need list is identical for
-        every chunk of the strip), so the pool hands back uninitialized
-        leased panels — no block-tall buffer, no zero fill.  Both
-        exchanges of an ``"ab"`` gather are posted before either is
+        every chunk of the strip; the plan marks those legs
+        ``recv_whole``, so they land by slice), so the pool hands back
+        uninitialized leased panels — no block-tall buffer, no zero fill.
+        Both exchanges of an ``"ab"`` gather are posted before either is
         waited, so pipelined they are in flight concurrently.
         """
         w0, w1 = sp.my_window
@@ -366,7 +376,7 @@ class SparseReplicate25D(DistributedAlgorithm):
 
             def own():
                 for panel, block, index in copies:
-                    panel[:, w0:w1] = block[index.union]
+                    panel[:, w0:w1] = block.take(index.union, axis=0)
 
             return self.exchange(posts, own)
 
@@ -383,21 +393,37 @@ class SparseReplicate25D(DistributedAlgorithm):
     ) -> None:
         """One unified kernel call.
 
-        ``values_full`` lets FusedMM pass pre-gathered values into the SpMM
-        round (the all-reduce between the calls already produced them).
-        With ``sparse_plan`` the dense Cannon propagation is replaced by
+        ``values_full`` hands pre-gathered values to an SpMM (what the
+        all-reduce between the two rounds of a FusedMM produces).  With
+        ``sparse_plan`` the dense Cannon propagation is replaced by
         need-list neighborhood exchanges (see module docstring).
         """
         if mode == Mode.SDDMM:
-            partial_vals = self._sddmm_round(ctx, plan, local, sparse_plan)
+            partial_vals, _ = self._sddmm_round(ctx, plan, local, sparse_plan)
             with track(ctx.comm, Phase.REPLICATION):
                 local.R_chunk = self._reduce_scatter_values(ctx, local, partial_vals)
             return
-
         with track(ctx.comm, Phase.REPLICATION):
             if values_full is None:
                 values_full = self._gather_values(ctx, local)
+        self._spmm_round(ctx, plan, local, mode, values_full, sparse_plan)
 
+    def _spmm_round(
+        self,
+        ctx: Ctx25DSparse,
+        plan: Plan25DSparse,
+        local: Local25DSparse,
+        mode: Mode,
+        values_full: np.ndarray,
+        sparse_plan: Optional[SparsePlan25D] = None,
+        held: Optional[np.ndarray] = None,
+    ) -> None:
+        """The SpMM propagation round on already-gathered values.
+
+        ``held`` is the packed panel of the *input* side when the caller
+        still has it from an SDDMM round of the same call (FusedMM): its
+        rows cannot have changed, so they are not fetched again.
+        """
         # SpMMA accumulates in A's layout out of B's pieces; SpMMB mirrors it
         out, inp = ("a", "b") if mode == Mode.SPMM_A else ("b", "a")
         kernel = spmm_a_block if mode == Mode.SPMM_A else spmm_b_block
@@ -407,13 +433,15 @@ class SparseReplicate25D(DistributedAlgorithm):
 
         if sparse_plan is not None:
             # need-list propagation over packed panels: one gather of the
-            # stationary operand's needed rows into a packed strip panel,
-            # one local CSR product through the structure-cached packed
-            # block (its coordinates already live in packed-panel space),
-            # then a need-list reduction of the packed partial-output
-            # panel back to the chunk owners.  Every row of the packed
-            # output panel is a touched row, so the reduction ships it
-            # densely — the packing *is* the need list.
+            # stationary operand's needed rows into a packed strip panel
+            # (unless the caller holds it), one local CSR product through
+            # the structure-cached packed block (its coordinates already
+            # live in packed-panel space), then a need-list reduction of
+            # the packed partial-output panel back to the chunk owners.
+            # Every row of the packed output panel is a touched row, so
+            # the reduction ships it densely — the packing *is* the need
+            # list.  The output panel leases the output side's (idle)
+            # gather slot: two strip panels per rank, never three.
             sp = sparse_plan
             w0, w1 = sp.my_window
             index, reduce = (
@@ -421,12 +449,18 @@ class SparseReplicate25D(DistributedAlgorithm):
                 if out == "a"
                 else (sp.index_b, sp.reduce_b_packed)
             )
-            with track(ctx.comm, Phase.PROPAGATION):
-                (in_p,) = self._gather_packed(ctx, local, sp, inp)
-            out_p = ctx.pool.zeros("out-panel", (index.size, sp.strip_width))
+            in_p = held
+            if in_p is None:
+                with track(ctx.comm, Phase.PROPAGATION):
+                    (in_p,) = self._gather_packed(ctx, local, sp, inp)
+            out_p = ctx.pool.lease_zeros(
+                f"gather-{out}", (index.size, sp.strip_width)
+            )
             with track(ctx.comm, Phase.COMPUTATION):
                 kernel(sp.block_packed, in_p, out_p, values=values_full, profile=prof)
-            with track(ctx.comm, Phase.PROPAGATION):
+            with track(ctx.comm, Phase.PROPAGATION), region(
+                ctx.comm, f"reduce-{out.upper()}-packed"
+            ):
                 result = np.zeros_like(out_home)
 
                 def own():
@@ -469,12 +503,14 @@ class SparseReplicate25D(DistributedAlgorithm):
         plan: Plan25DSparse,
         local: Local25DSparse,
         sparse_plan: Optional[SparsePlan25D] = None,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """The SDDMM propagation round.
 
         Returns the *full-length* partial R values of this layer's strip,
-        already multiplied by the gathered S values; the caller reduces
-        them along the fiber.
+        already multiplied by the gathered S values (the caller reduces
+        them along the fiber), and the packed panels the need-list path
+        gathered, by side (empty on the Cannon path) — valid until the
+        pool slots are leased again, i.e. for the rest of this call.
         """
         prof = ctx.comm.profile
         # the gathered values are consumed only by the final multiply, so
@@ -487,12 +523,14 @@ class SparseReplicate25D(DistributedAlgorithm):
             )
 
         acc = np.zeros(len(local.S_rows))
+        panels: Dict[str, np.ndarray] = {}
         if sparse_plan is not None:
             # gather every needed row across the strip once into packed
             # panels and take the full-width dots in a single local kernel
             # call, addressed through the structure-cached packed block
             with track(ctx.comm, Phase.PROPAGATION):
                 a_p, b_p = self._gather_packed(ctx, local, sparse_plan, "ab")
+            panels = {"a": a_p, "b": b_p}
             with track(ctx.comm, Phase.COMPUTATION):
                 if len(local.S_rows):
                     blk = sparse_plan.block_packed
@@ -531,7 +569,7 @@ class SparseReplicate25D(DistributedAlgorithm):
         with track(ctx.comm, Phase.COMPUTATION):
             partial_vals = acc * s_vals
             prof.add_flops(len(acc))
-        return partial_vals
+        return partial_vals, panels
 
     # -- FusedMM -----------------------------------------------------------
 
@@ -544,14 +582,18 @@ class SparseReplicate25D(DistributedAlgorithm):
         sparse_plan: Optional[SparsePlan25D] = None,
     ) -> None:
         """FusedMM per the paper: value all-gather, SDDMM round, value
-        all-reduce (reduce-scatter + all-gather), SpMM round."""
-        partial_vals = self._sddmm_round(ctx, plan, local, sparse_plan)
+        all-reduce (reduce-scatter + all-gather), SpMM round.  On the
+        need-list path the SDDMM round's packed panel of the SpMM's input
+        side (B for FusedMMA, A for FusedMMB) feeds the SpMM round — each
+        dense operand is gathered once per call."""
+        partial_vals, panels = self._sddmm_round(ctx, plan, local, sparse_plan)
         with track(ctx.comm, Phase.REPLICATION):
             local.R_chunk = self._reduce_scatter_values(ctx, local, partial_vals)
             parts = ctx.fiber.allgather(local.R_chunk, tag=TAG_FIBER_AG)
             r_full = np.concatenate(parts) if parts else np.empty(0)
-        self.rank_kernel(
-            ctx, plan, local, spmm_mode, values_full=r_full, sparse_plan=sparse_plan
+        inp = "b" if spmm_mode == Mode.SPMM_A else "a"
+        self._spmm_round(
+            ctx, plan, local, spmm_mode, r_full, sparse_plan, held=panels.get(inp)
         )
 
     def rank_fusedmm_none_a(

@@ -63,14 +63,23 @@ def _post_sends(
     for px in plan.peers:
         if not len(px.send_rows):
             continue
-        # ``send_rows`` is an integer array, so the gather is a fresh
-        # C-ordered block nothing else references: hand it over as-is
-        block = _window(sendbuf, px.send_cols)[px.send_rows]
-        if block.shape[1] != px.send_width:
+        window = _window(sendbuf, px.send_cols)
+        if window.shape[1] != px.send_width:
             raise CommError(
-                f"plan {plan.key!r}: send width {block.shape[1]} != planned "
+                f"plan {plan.key!r}: send width {window.shape[1]} != planned "
                 f"{px.send_width} for peer {px.peer}"
             )
+        # every branch builds a fresh C-ordered block nothing else
+        # references, handed over as-is: a whole-panel leg copies its
+        # column window; the rest gather their rows — with ``take`` off a
+        # full-width buffer (faster than the fancy index on contiguous
+        # rows, slower on a strided window, which it first compacts)
+        if px.send_whole:
+            block = window.copy()
+        elif window is sendbuf:
+            block = sendbuf.take(px.send_rows, axis=0)
+        else:
+            block = window[px.send_rows]
         comm.send_owned(px.peer, block, tag)
 
 
@@ -135,10 +144,13 @@ class PendingSparseExchange:
                         f"peer {px.peer}, expected "
                         f"({len(px.recv_rows)}, {px.recv_width})"
                     )
+                window = _window(self._target, px.recv_cols)
+                # a leg the plan knows to be the whole panel moves by slice
+                rows = slice(None) if px.recv_whole else px.recv_rows
                 if self._reduce:
-                    _window(self._target, px.recv_cols)[px.recv_rows] += block
+                    window[rows] += block
                 else:
-                    _window(self._target, px.recv_cols)[px.recv_rows] = block
+                    window[rows] = block
         finally:
             self._legs = []
             if self._pool is not None:

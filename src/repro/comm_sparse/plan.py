@@ -94,6 +94,12 @@ class PeerExchange:
     with no rows in a direction is skipped entirely — no message is sent,
     matching the sparse-collective contract that empty exchanges cost
     neither latency nor bandwidth.
+
+    ``send_whole`` / ``recv_whole`` are set by the packed derivations
+    (:meth:`CommPlan.packed_send` / :meth:`CommPlan.packed_recv`) when the
+    leg's rows are the *whole* packed panel in panel order, which the
+    collectives then move as one column-window slice instead of a
+    fancy-indexed gather / scatter.
     """
 
     peer: int
@@ -103,6 +109,8 @@ class PeerExchange:
     recv_width: int
     send_cols: Optional[Tuple[int, int]] = None  # column window of the send buffer
     recv_cols: Optional[Tuple[int, int]] = None  # column window of the recv buffer
+    send_whole: bool = False  # send_rows == arange(height of the send panel)
+    recv_whole: bool = False  # recv_rows == arange(height of the recv panel)
 
     @property
     def send_words(self) -> int:
@@ -122,6 +130,8 @@ class PeerExchange:
             recv_width=self.send_width,
             send_cols=self.recv_cols,
             recv_cols=self.send_cols,
+            send_whole=self.recv_whole,
+            recv_whole=self.send_whole,
         )
 
 
@@ -177,6 +187,27 @@ class CommPlan:
 
     # -- packed-panel derivations -----------------------------------------
 
+    def _packed(
+        self, side: str, index: "PackedIndex", key: Optional[str]
+    ) -> "CommPlan":
+        """Every leg's ``<side>_rows`` renamed to packed positions of
+        ``index``, flagged ``<side>_whole`` when they are the whole panel
+        in panel order."""
+        panel = np.arange(index.size)
+        peers = []
+        for px in self.peers:
+            pos = index.positions(getattr(px, f"{side}_rows"))
+            whole = len(pos) == index.size and bool((pos == panel).all())
+            peers.append(
+                replace(px, **{f"{side}_rows": pos, f"{side}_whole": whole})
+            )
+        return CommPlan(
+            key=key if key is not None else self.key + "/packed",
+            size=self.size,
+            rank=self.rank,
+            peers=tuple(peers),
+        )
+
     def packed_recv(
         self, index: "PackedIndex", key: Optional[str] = None
     ) -> "CommPlan":
@@ -185,17 +216,10 @@ class CommPlan:
         The derived plan drives a gather whose receive buffer is a
         ``index.size``-tall packed panel instead of a full-height one;
         word and message counts are identical (rows are renamed, never
-        added or dropped), so all traffic accounting carries over.
+        added or dropped), so all traffic accounting carries over.  A leg
+        that fills the whole panel is recorded ``recv_whole``.
         """
-        return CommPlan(
-            key=key if key is not None else self.key + "/packed",
-            size=self.size,
-            rank=self.rank,
-            peers=tuple(
-                replace(px, recv_rows=index.positions(px.recv_rows))
-                for px in self.peers
-            ),
-        )
+        return self._packed("recv", index, key)
 
     def packed_send(
         self, index: "PackedIndex", key: Optional[str] = None
@@ -204,17 +228,9 @@ class CommPlan:
 
         The mirror of :meth:`packed_recv` for reductions: contributions
         are read out of a packed partial-output panel rather than a
-        full-height one.
+        full-height one (``send_whole`` when a leg ships all of it).
         """
-        return CommPlan(
-            key=key if key is not None else self.key + "/packed",
-            size=self.size,
-            rank=self.rank,
-            peers=tuple(
-                replace(px, send_rows=index.positions(px.send_rows))
-                for px in self.peers
-            ),
-        )
+        return self._packed("send", index, key)
 
 
 def dense_rows_moved(plans) -> int:

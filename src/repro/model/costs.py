@@ -260,9 +260,13 @@ def fusedmm_cost_sparse(
     if algorithm == "2.5d-sparse-replicate":
         q = math.isqrt(p // c)
         # one neighborhood gather replaces q ring shifts: (q-1)/q of the
-        # strip-wide rows arrive, from q-1 direct messages per exchange
-        prop = dense.propagation_words * disc * (q - 1) / max(q, 1)
-        prop_m = dense.propagation_messages * (q - 1) / max(q, 1)
+        # strip-wide rows arrive, from q-1 direct messages per exchange —
+        # and a fused call makes three exchanges, not the table's four
+        # panel moves: the SDDMM round's panel of the SpMM's input side
+        # feeds the SpMM round (gather A, gather B, reduce the output)
+        moved = 0.75 * (q - 1) / max(q, 1)
+        prop = dense.propagation_words * disc * moved
+        prop_m = dense.propagation_messages * moved
         return CostBreakdown(
             replication_words=dense.replication_words,
             propagation_words=prop,

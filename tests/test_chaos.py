@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.algorithms.base import TAG_SHIFT_B, TAG_SHIFT_S, TAG_SHIFT_SV
-from repro.comm_sparse import TAG_SPARSE_AG
+from repro.comm_sparse import TAG_SPARSE_AG, TAG_SPARSE_RS
 from repro.errors import CommError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
 
@@ -150,6 +150,44 @@ class TestGracefulDegradation:
             np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
             assert sess.metrics()[-1]["outcome"] == "degraded"
             assert sess.degraded_calls == 1
+            assert sess.plan_builds == 1
+
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            # the reduction is the only exchange of a fused SpMM round
+            FaultSpec("drop", tag=TAG_SPARSE_RS),
+            FaultSpec("crash", rank=5, site="reduce-A-packed"),
+        ],
+        ids=["drop", "abort"],
+    )
+    def test_fault_in_the_spmm_round_of_a_need_list_fused_call(
+        self, workload, fault, overlap
+    ):
+        """The need-list 2.5D FusedMM carries the SDDMM round's packed
+        panel into its SpMM round.  A fault there unwinds the call with
+        the panel held and the output panel in its sibling's slot; the
+        retry and the next call on the same session lease both slots
+        again (no ``BufferLeaseError``) and return the clean bits —
+        nothing of the held panel survives a dispatch."""
+        S, A, B = workload
+        kw = dict(
+            p=P, c=2, algorithm="2.5d-sparse-replicate", comm="sparse",
+            overlap=overlap,
+        )
+        with repro.plan(S, R, **kw) as clean:
+            ref, _ = clean.fusedmm_a(A, B)
+            ref2, _ = clean.fusedmm_a(B, A)
+        plan = FaultPlan([fault])
+        with repro.plan(S, R, deadline_ms=700, retries=1, faults=plan, **kw) as sess:
+            out, _ = sess.fusedmm_a(A, B)
+            np.testing.assert_array_equal(out, ref)
+            assert sess.metrics()[-1]["outcome"] == "retried"
+            assert len(plan.fired_log) == 1
+            out2, _ = sess.fusedmm_a(B, A)  # both operands rebound
+            np.testing.assert_array_equal(out2, ref2)
+            assert sess.metrics()[-1]["outcome"] == "ok"
             assert sess.plan_builds == 1
 
     @pytest.mark.parametrize("entry", ENTRIES)

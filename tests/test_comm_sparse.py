@@ -9,9 +9,13 @@ neighborhood collectives, need-list planners — plus the generic
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro
+from repro.algorithms.base import TAG_FIBER_AG
 from repro.algorithms.registry import make_algorithm
 from repro.comm_sparse import (
     CommPlan,
@@ -207,6 +211,75 @@ class TestSparseCollectives:
                 )
 
         run_spmd(3, body)
+
+    def test_send_width_is_checked_before_the_rows_are_gathered(self):
+        """A plan whose width disagrees with the send window is refused
+        before any block is built: the leg's rows are out of range here,
+        so gathering first would die of an IndexError instead."""
+        px = PeerExchange(
+            peer=1, send_rows=ix(7), recv_rows=ix(), send_width=3, recv_width=3
+        )
+        plan = CommPlan(key="narrow", size=2, rank=0, peers=(px,))
+
+        def body(comm):
+            if comm.rank == 0:
+                with pytest.raises(CommError, match="send width 2 != planned 3"):
+                    isparse_allgatherv_packed(
+                        comm, plan, whole(2), np.zeros((2, 2)), np.zeros((2, 2)),
+                        eager=True,
+                    )
+
+        run_spmd(2, body)
+
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_whole_panel_legs_move_by_slice_bitwise(self, eager):
+        """Legs the packed derivations flag as the whole panel (sliced
+        column-window moves) fill and reduce exactly as the same plans
+        with the flags cleared (fancy-indexed moves)."""
+        h, w = 5, 3  # panel height; per-rank column window width
+        idx = whole(h)
+
+        def gather_plan(rank):
+            peer = 1 - rank
+            px = PeerExchange(
+                peer=peer, send_rows=np.arange(h), recv_rows=np.arange(h),
+                send_width=w, recv_width=w, recv_cols=(peer * w, (peer + 1) * w),
+            )
+            return CommPlan(key="g", size=2, rank=rank, peers=(px,))
+
+        def unflagged(plan):
+            return replace(
+                plan,
+                peers=tuple(
+                    replace(px, send_whole=False, recv_whole=False)
+                    for px in plan.peers
+                ),
+            )
+
+        def body(comm, flagged):
+            r = comm.rank
+            gather = gather_plan(r).packed_recv(idx)
+            reduce = gather_plan(r).reversed().packed_send(idx)
+            assert gather.peers[0].recv_whole and reduce.peers[0].send_whole
+            if not flagged:
+                gather, reduce = unflagged(gather), unflagged(reduce)
+            mine = np.random.default_rng(r).standard_normal((h, w))
+            panel = np.empty((h, 2 * w))
+            panel[:, r * w : (r + 1) * w] = mine
+            isparse_allgatherv_packed(
+                comm, gather, idx, mine, panel, eager=eager
+            ).wait()
+            base = mine.copy()
+            isparse_reduce_scatterv_packed(
+                comm, reduce, idx, panel * (r + 2), base, eager=eager
+            ).wait()
+            return panel, base
+
+        sliced, _ = run_spmd(2, lambda comm: body(comm, True))
+        fancy, _ = run_spmd(2, lambda comm: body(comm, False))
+        for (p_s, b_s), (p_f, b_f) in zip(sliced, fancy):
+            np.testing.assert_array_equal(p_s, p_f)
+            np.testing.assert_array_equal(b_s, b_f)
 
     def test_empty_legs_send_no_messages(self):
         p = 3
@@ -406,3 +479,143 @@ class TestPlanMatchesMeasuredTraffic:
         for rank, prof in enumerate(report.per_rank):
             ctr = prof.counters[Phase.PROPAGATION]
             assert ctr.words_received == cplans[rank].kernel_recv_words[mode.value]
+
+
+# ----------------------------------------------------------------------
+# need-list 2.5D FusedMM: each dense operand is gathered once per call
+# ----------------------------------------------------------------------
+
+FUSED_25D = "2.5d-sparse-replicate"
+
+
+def _fused_25d_problem(seed=21, m=38, n=46, r=8):
+    S = erdos_renyi(m, n, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    return S, rng.standard_normal((m, r)), rng.standard_normal((n, r))
+
+
+class TestFused25DGathersOnce:
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_fused_traffic_is_two_gathers_and_one_reduce(self, side):
+        """Per rank, a need-list FusedMM receives exactly the A gather, the
+        B gather and the output side's reduction — the SpMM round does not
+        fetch its input side again — while the standalone kernels on the
+        same session still move what their plans say."""
+        S, A, B = _fused_25d_problem()
+        p, c = 18, 2
+        alg = make_algorithm(FUSED_25D, p, c)
+        cplans = alg.build_comm_plans(alg.plan(*S.shape, A.shape[1]), S)
+        with repro.plan(
+            S, A.shape[1], p=p, c=c, algorithm=FUSED_25D, comm="sparse",
+            overlap="off",
+        ) as sess:
+            # a report is a live view of the window since reset_profile
+            fused = sess.fusedmm_a if side == "a" else sess.fusedmm_b
+            _, rep_fused = fused(A, B)
+            sess.reset_profile()
+            _, rep_sddmm = sess.sddmm(A, B)
+            sess.reset_profile()
+            _, rep_spmm = sess.spmm_a(B) if side == "a" else sess.spmm_b(A)
+
+        def propagation(rep, rank):
+            return rep.per_rank[rank].counters[Phase.PROPAGATION]
+
+        for rank, cp in enumerate(cplans):
+            reduce = cp.reduce_a_packed if side == "a" else cp.reduce_b_packed
+            legs = (cp.gather_a_packed, cp.gather_b_packed, reduce)
+            ctr = propagation(rep_fused, rank)
+            assert ctr.words_received == sum(leg.recv_words() for leg in legs)
+            assert ctr.messages_received == sum(leg.recv_messages() for leg in legs)
+            # the un-fused pair gathers the SpMM's input side twice
+            words = cp.kernel_recv_words
+            assert propagation(rep_sddmm, rank).words_received == words["sddmm"]
+            assert (
+                propagation(rep_spmm, rank).words_received == words[f"spmm_{side}"]
+            )
+
+    @pytest.mark.parametrize("p,c", [(8, 2), (4, 1), (9, 1)])
+    @pytest.mark.parametrize("overlap", [False, True], ids=["sync", "pipelined"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_fused_is_bitwise_the_unelided_sequence(self, side, overlap, p, c):
+        """Reusing the SDDMM round's panel changes no bit: the fused call
+        equals ``rank_kernel(SDDMM)`` -> value all-gather ->
+        ``rank_kernel(SPMM_*, values_full=...)``, which gathers the input
+        side again, on the same locals.  q = 3 gives multi-peer legs whose
+        send side is not the whole panel."""
+        S, A, B = _fused_25d_problem(seed=5 + p)
+        mode = Mode.SPMM_A if side == "a" else Mode.SPMM_B
+
+        def run(fused):
+            alg = make_algorithm(FUSED_25D, p, c)
+            alg.overlap = overlap
+            plan = alg.plan(*S.shape, A.shape[1])
+            locals_ = alg.distribute(plan, S, A, B)
+            cplans = alg.build_comm_plans(plan, S)
+
+            def body(comm):
+                ctx = alg.make_context(comm)
+                local, sp = locals_[comm.rank], cplans[comm.rank]
+                if fused:
+                    getattr(alg, f"rank_fusedmm_none_{side}")(
+                        ctx, plan, local, sparse_plan=sp
+                    )
+                    return
+                alg.rank_kernel(ctx, plan, local, Mode.SDDMM, sparse_plan=sp)
+                parts = ctx.fiber.allgather(local.R_chunk, tag=TAG_FIBER_AG)
+                alg.rank_kernel(
+                    ctx, plan, local, mode, values_full=np.concatenate(parts),
+                    sparse_plan=sp,
+                )
+
+            run_spmd(p, body)
+            collect = alg.collect_dense_a if side == "a" else alg.collect_dense_b
+            return collect(plan, locals_), alg.collect_sddmm(plan, locals_, S).vals
+
+        (out_f, vals_f), (out_u, vals_u) = run(True), run(False)
+        np.testing.assert_array_equal(out_f, out_u)
+        np.testing.assert_array_equal(vals_f, vals_u)
+
+    def test_held_panel_does_not_outlive_its_call(self, rng):
+        """New values and a rebound operand between two fused calls on one
+        session: the second call equals a fresh session's, bit for bit —
+        nothing gathered by the first call is read by the second."""
+        S, A, B = _fused_25d_problem(seed=13)
+        vals2 = rng.standard_normal(S.nnz)
+        A2, B2 = rng.standard_normal(A.shape), rng.standard_normal(B.shape)
+        kw = dict(p=8, c=2, algorithm=FUSED_25D, comm="sparse")
+        with repro.plan(S, A.shape[1], **kw) as sess:
+            sess.fusedmm_a(A, B)
+            sess.update_values(vals2)
+            got_a, _ = sess.fusedmm_a(A, B2)
+            got_b, _ = sess.fusedmm_b(A2, B2)
+        with repro.plan(S.with_values(vals2), A.shape[1], **kw) as fresh:
+            want_a, _ = fresh.fusedmm_a(A, B2)
+        with repro.plan(S.with_values(vals2), A.shape[1], **kw) as fresh:
+            want_b, _ = fresh.fusedmm_b(A2, B2)
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_array_equal(got_b, want_b)
+
+    def test_held_panel_is_call_local(self):
+        """The panel travels as a local of the fused procedure: after the
+        call neither the algorithm object nor the rank context holds an
+        array (the pool keeps its slots, unguarded)."""
+        S, A, B = _fused_25d_problem()
+        alg = make_algorithm(FUSED_25D, 8, 2)
+        plan = alg.plan(*S.shape, A.shape[1])
+        locals_ = alg.distribute(plan, S, A, B)
+        cplans = alg.build_comm_plans(plan, S)
+        before = set(vars(alg))
+
+        def body(comm):
+            ctx = alg.make_context(comm)
+            alg.rank_fusedmm_none_a(
+                ctx, plan, locals_[comm.rank], sparse_plan=cplans[comm.rank]
+            )
+            assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
+            assert not ctx.pool._in_flight
+            return sorted(ctx.pool._slots)
+
+        slots, _ = run_spmd(8, body)
+        assert set(vars(alg)) == before
+        assert not any(isinstance(v, np.ndarray) for v in vars(alg).values())
+        assert all(s == ["gather-a@0", "gather-b@0"] for s in slots)

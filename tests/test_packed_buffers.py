@@ -118,6 +118,27 @@ class TestPackedPlanDerivations:
         np.testing.assert_array_equal(packed.peers[0].send_rows, ix(0, 2))
         np.testing.assert_array_equal(packed.peers[0].recv_rows, ix(0))
 
+    def test_whole_panel_legs_are_recorded_at_plan_time(self):
+        """A leg whose rows are the whole packed panel, in panel order, is
+        flagged once by the derivation (the collectives then move it by
+        slice); a partial or permuted leg is not, and ``reversed`` swaps
+        the flags with the roles."""
+        idx = PackedIndex.from_rows(ix(3, 5, 8), domain=10)
+
+        def leg(rows):
+            px = PeerExchange(
+                peer=1, send_rows=ix(0), recv_rows=rows, send_width=2, recv_width=2
+            )
+            return CommPlan(key="t", size=2, rank=0, peers=(px,))
+
+        whole = leg(ix(3, 5, 8)).packed_recv(idx).peers[0]
+        assert whole.recv_whole and not whole.send_whole
+        assert not leg(ix(3, 8)).packed_recv(idx).peers[0].recv_whole
+        assert not leg(ix(5, 3, 8)).packed_recv(idx).peers[0].recv_whole
+        back = leg(ix(3, 5, 8)).reversed().packed_send(idx).peers[0]
+        assert back.send_whole and not back.recv_whole
+        assert whole.reversed().send_whole and not whole.reversed().recv_whole
+
     def test_packed_recv_rejects_uncovered_rows(self):
         plan, _ = self.make()
         bad = PackedIndex.from_rows(ix(3), domain=10)  # row 8 missing
@@ -250,6 +271,8 @@ GRIDS = {
 
 
 def run_mode(alg, S, A, B, mode, sparse):
+    """Run one unified kernel (``mode`` a :class:`Mode`) or one rank
+    procedure (``mode`` its method name, e.g. ``"rank_fusedmm_none_a"``)."""
     r = (A if A is not None else B).shape[1]
     plan = alg.plan(S.nrows, S.ncols, r)
     locals_ = alg.distribute(plan, S, A, B)
@@ -258,7 +281,10 @@ def run_mode(alg, S, A, B, mode, sparse):
     def body(comm):
         ctx = alg.make_context(comm)
         kw = {"sparse_plan": cplans[comm.rank]} if cplans is not None else {}
-        alg.rank_kernel(ctx, plan, locals_[comm.rank], mode, **kw)
+        if isinstance(mode, Mode):
+            alg.rank_kernel(ctx, plan, locals_[comm.rank], mode, **kw)
+        else:
+            getattr(alg, mode)(ctx, plan, locals_[comm.rank], **kw)
 
     _, report = run_spmd(alg.p, body)
     return plan, locals_, report
@@ -385,15 +411,26 @@ class TestPeakBufferRegression:
             sw = plan.strip_width(alg.grid.coords(rank)[0])
             assert prof.peak_buffer_bytes >= plan.m * sw * 8
 
-    @pytest.mark.parametrize("mode", [Mode.SDDMM, Mode.SPMM_A, Mode.SPMM_B])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            Mode.SDDMM, Mode.SPMM_A, Mode.SPMM_B,
+            "rank_fusedmm_none_a", "rank_fusedmm_none_b",
+        ],
+    )
     def test_25d_sparse_peak_bounded_by_unions(self, mode):
+        """A rank holds exactly two strip panels — the A-side and the
+        B-side one — whatever the kernel: an SDDMM gathers both, an SpMM
+        gathers its input side and accumulates in the output side's slot,
+        and a FusedMM keeps the SDDMM round's input-side panel for its
+        SpMM round instead of leasing a third."""
         alg, plan, cplans, _, rep_s = self._measure(
             "2.5d-sparse-replicate", 8, 2, mode, nnz_per_row=2
         )
         for rank, prof in enumerate(rep_s.per_rank):
             cp = cplans[rank]
-            bound = (cp.index_a.size + cp.index_b.size) * cp.strip_width * 8
-            assert prof.peak_buffer_bytes <= bound
+            panels = (cp.index_a.size + cp.index_b.size) * cp.strip_width * 8
+            assert prof.peak_buffer_bytes == panels
 
     @pytest.mark.parametrize("nnz_per_row", [1, 2])
     def test_15d_sparse_peak_halves_dense_at_low_phi(self, nnz_per_row):
@@ -411,17 +448,20 @@ class TestPeakBufferRegression:
 
     @pytest.mark.parametrize(
         "nnz_per_row",
-        SWEEP_NNZ_PER_ROW[:1]
+        SWEEP_NNZ_PER_ROW[:2]
         + [
             pytest.param(k, marks=pytest.mark.xfail(strict=True, reason="ROADMAP 3(b)"))
-            for k in SWEEP_NNZ_PER_ROW[1:]
+            for k in SWEEP_NNZ_PER_ROW[2:]
         ],
     )
     def test_25d_sparse_peak_never_exceeds_dense(self, nnz_per_row):
-        """Known defect, pinned strict so its fix must flip it: the 2.5D
-        strip-panel fiber gathers are union-sized and held together, so
-        from phi ~ 0.03 up the packed path holds 31% ... 100% *more*
-        panel bytes than the dense one."""
+        """Known defect, pinned strict so its fix must flip it.  The
+        packed path holds two ``r/c``-wide panels of union height, the
+        dense path three ``r/(cq)``-wide block-tall pieces: with q = 2
+        the ratio is 4/3 of the coverage, so it passes while the unions
+        stay under 3/4 of their blocks (phi <= 0.03 here) and tops out at
+        4/3 once every row is needed.  What is left is staging the
+        non-held side in ``r/(cq)`` chunks."""
         _, rep_d, rep_s = sweep_dense_vs_sparse(
             nnz_per_row, *SWEEP_SPARSE_REPLICATE
         )
