@@ -7,8 +7,11 @@ Commands
     Print the algorithm registry, supported elisions and feasible
     replication factors for a processor count.
 ``predict``
-    Evaluate the Table III/IV model for a problem: best replication
-    factor and modeled FusedMM time per algorithm, plus the winner.
+    What ``repro.plan(algorithm="auto", ...)`` would resolve to for a
+    problem's shape statistics, without generating it: every
+    ``(row, c, comm)`` candidate of the joint decision with its modeled
+    FusedMM time, words, messages and buffer words, plus the winner —
+    the same table ``run`` prints under ``why``.
 ``run``
     Execute a distributed FusedMM on a generated workload: print the
     resolved plan (``Session.explain()``: every knob and why each
@@ -48,21 +51,45 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from repro.model.optimal import predicted_times
-    from repro.runtime.cost import CORI_KNL
+    import inspect
 
+    import repro
+    from repro.model.resolve import resolve
+
+    # the session's own decision on shape statistics alone: every knob not
+    # given here at repro.plan's default, no matrix generated, no rank
+    knobs = {
+        name: param.default
+        for name, param in inspect.signature(repro.plan).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+    knobs.update(p=args.p, elision=args.elision, comm=args.comm)
     nnz = int(args.n * args.nnz_per_row)
-    phi = nnz / (args.n * args.r)
+    plan = resolve(args.n, args.n, nnz, args.r, **knobs)
     print(
-        f"n={args.n:,}  r={args.r}  nnz/row={args.nnz_per_row}  "
-        f"p={args.p}  phi={phi:.4f}\n"
+        f"n={args.n:,}  r={args.r}  nnz/row={args.nnz_per_row}  p={args.p}  "
+        f"phi={plan.phi:.4f}  elision={args.elision}  comm={args.comm}\n"
     )
-    times = predicted_times(args.n, args.r, nnz, args.p, CORI_KNL, max_c=args.max_c)
-    print(f"{'variant':<42} {'c*':>4} {'modeled FusedMM':>16}")
-    for key, (c, t) in sorted(times.items(), key=lambda kv: kv[1][1]):
-        print(f"{key:<42} {c:>4} {t*1e3:>13.3f} ms")
-    winner = min(times.items(), key=lambda kv: kv[1][1])[0]
-    print(f"\npredicted winner: {winner}")
+    table = plan.why["algorithm"]["candidates"]
+    print(
+        f"cheapest first; a dense candidate competes at "
+        f"{plan.why['algorithm']['margin']} x its modeled time\n"
+        f"{'variant':<40} {'c':>4} {'comm':<7} {'modeled':>11} {'words':>13} "
+        f"{'msgs':>5} {'buffer words':>13}"
+    )
+    for rec in sorted(table, key=lambda rec: rec["score"]):
+        print(
+            f"{rec['row']:<40} {rec['c']:>4} {rec['comm']:<7} "
+            f"{rec['seconds']*1e3:>8.3f} ms {rec['words']:>13,.0f} "
+            f"{rec['messages']:>5.0f} {rec['buffer_words']:>13,.0f}"
+            + ("  (*)" if "caveat" in rec else "")
+        )
+    for caveat in sorted({rec["caveat"] for rec in table if "caveat" in rec}):
+        print(f"(*) {caveat}")
+    print(
+        f"\npredicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
+        f"comm={plan.comm_mode.value}  overlap={plan.overlap}"
+    )
     return 0
 
 
@@ -227,7 +254,8 @@ def main(argv=None) -> int:
     p_pred.add_argument("--r", type=int, default=128)
     p_pred.add_argument("--nnz-per-row", type=float, default=16.0)
     p_pred.add_argument("--p", type=int, default=256)
-    p_pred.add_argument("--max-c", type=int, default=16)
+    p_pred.add_argument("--elision", default="replication-reuse")
+    p_pred.add_argument("--comm", default="dense", choices=["dense", "sparse", "auto"])
     p_pred.set_defaults(func=_cmd_predict)
 
     p_run = sub.add_parser("run", help="execute a distributed FusedMM")

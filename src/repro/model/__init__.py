@@ -2,7 +2,9 @@
 
 :mod:`repro.model.costs` encodes the paper's closed-form words/messages for
 every FusedMM algorithm; :mod:`repro.model.optimal` derives the optimal
-replication factors and the best-algorithm predictor behind Figures 6 and 7;
+replication factors, the best-algorithm predictor behind Figures 6 and 7 and
+the joint ``(row, c, comm)`` candidate table a session's ``auto`` knobs are
+decided from;
 :mod:`repro.model.calibrate` replaces the assumed compute flop rate with a
 measured, per-host, per-kernel-backend one (the ``kernels="auto"`` policy);
 :mod:`repro.model.resolve` is the one function that turns ``repro.plan``'s
@@ -26,7 +28,9 @@ from repro.model.costs import (
 from repro.model.optimal import (
     optimal_c_continuous,
     best_feasible_c,
+    cheapest_candidate,
     choose_comm_mode,
+    joint_candidates,
     predict_best_algorithm,
     predicted_times,
 )
@@ -43,7 +47,9 @@ __all__ = [
     "PAPER_COST_ROWS",
     "optimal_c_continuous",
     "best_feasible_c",
+    "cheapest_candidate",
     "choose_comm_mode",
+    "joint_candidates",
     "predict_best_algorithm",
     "predicted_times",
 ]

@@ -12,12 +12,19 @@ every algorithm at its best feasible replication factor and pick the
 cheapest.  With the paper's formulas, the 1.5D dense-shift (local kernel
 fusion) vs 1.5D sparse-shift (replication reuse) boundary falls at
 ``phi = 1/3`` — the paper's "3 nnz(S)/r = 1" line.
+
+``joint_candidates`` is what a session's ``auto`` knobs are decided from:
+every ``(row, c, comm)`` priced as that communication mode moves data
+(Table III for the ring collectives, its need-list variant for
+``comm="sparse"``), so family, replication factor and mode are one
+arg-min (``cheapest_candidate``) instead of three sequential ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import feasible_replication_factors, supports_sparse_comm
 from repro.errors import ReproError
@@ -28,9 +35,20 @@ from repro.model.costs import (
     fusedmm_cost,
     fusedmm_cost_sparse,
     fusedmm_flops,
+    row_key,
 )
 from repro.runtime.cost import CORI_KNL, MachineParams
 from repro.types import Elision
+
+#: a need-list candidate must be predicted this fraction of a dense one's
+#: seconds (or less) to win — hysteresis against need-list planning
+SPARSE_MARGIN = 0.95
+
+#: what a 2.5D ``comm="dense"`` candidate at q = 1 says about its price
+Q1_DENSE_CAVEAT = (
+    "q = 1: the dense Table III row charges the one-rank ring's self-shift, "
+    "which the run does not move; measured words are lower"
+)
 
 
 def optimal_c_continuous(key: str, p: int, phi: float) -> float:
@@ -62,6 +80,25 @@ def _algorithm_of(key: str) -> str:
     return key.split("/", 1)[0]
 
 
+def _feasible_c(
+    algorithm: str, p: int, r: int, max_c: Optional[int] = None
+) -> List[int]:
+    """The replication factors the model may pick for ``algorithm``.
+
+    For the 1.5D sparse-shifting layout, ``c`` is additionally capped so
+    the r-strips stay non-degenerate (``p/c <= r``) — the constraint that
+    forced the paper's minimum replication factor of 2 at 256 nodes with
+    r = 128.
+    """
+    feasible = list(feasible_replication_factors(algorithm, p))
+    if max_c is not None:
+        feasible = [c for c in feasible if c <= max_c]
+    if algorithm == "1.5d-sparse-shift":
+        ok = [c for c in feasible if p // c <= max(r, 1)]
+        feasible = ok or feasible[-1:]  # degenerate fallback
+    return feasible
+
+
 def best_feasible_c(
     key: str,
     n: int,
@@ -71,22 +108,10 @@ def best_feasible_c(
     machine: MachineParams = CORI_KNL,
     max_c: Optional[int] = None,
 ) -> Tuple[int, CostBreakdown]:
-    """Minimize the Table III cost over the feasible replication factors.
-
-    For the 1.5D sparse-shifting layout, ``c`` is additionally capped so
-    the r-strips stay non-degenerate (``p/c <= r``) — the constraint that
-    forced the paper's minimum replication factor of 2 at 256 nodes with
-    r = 128.
-    """
-    algorithm = _algorithm_of(key)
-    feasible: Iterable[int] = feasible_replication_factors(algorithm, p)
-    if max_c is not None:
-        feasible = [c for c in feasible if c <= max_c]
-    if algorithm == "1.5d-sparse-shift":
-        ok = [c for c in feasible if p // c <= max(r, 1)]
-        feasible = ok or list(feasible)[-1:]  # degenerate fallback
+    """Minimize the Table III cost over the feasible replication factors
+    (:func:`_feasible_c`: the sparse-shifting strip cap applies)."""
     best: Optional[Tuple[int, CostBreakdown]] = None
-    for c in feasible:
+    for c in _feasible_c(_algorithm_of(key), p, r, max_c):
         cost = fusedmm_cost(key, n, r, p, c, phi)
         if best is None or cost.time(machine) < best[1].time(machine):
             best = (c, cost)
@@ -95,73 +120,98 @@ def best_feasible_c(
     return best
 
 
-def comm_mode_scores(
-    algorithm: str,
+def joint_candidates(
+    rows: Iterable[str],
     n: int,
     r: int,
     nnz: int,
     p: int,
-    c: int,
     machine: MachineParams = CORI_KNL,
-    elision: Elision = Elision.NONE,
-    margin: float = 0.95,
+    c: Optional[int] = None,
+    comm: Optional[Sequence[str]] = None,
+    margin: float = SPARSE_MARGIN,
     memory_weight: float = 0.25,
     compute_gamma: Optional[float] = None,
-) -> Dict[str, Any]:
-    """The dense-vs-sparse communication decision with its terms on record.
+) -> List[Dict[str, Any]]:
+    """Every ``(row, c, comm)`` a plan could resolve to, priced — the one
+    table behind ``algorithm="auto"``, ``c=None`` and ``comm="auto"``.
 
-    Compares the Table III cost of the algorithm's FusedMM row against
-    its need-list sparse-communication variant
-    (:func:`repro.model.costs.fusedmm_cost_sparse`) at the run's actual
-    ``(p, c)``.  ``margin`` is hysteresis against the need-list planning
-    overhead: sparse must be predicted at least ``1 - margin`` cheaper to
-    win, so near-saturated inputs (every row touched) stay on the dense
-    ring collectives.
+    One record per cost row of ``rows`` x replication factor (``c``, or
+    every :func:`_feasible_c` when ``None``) x communication mode
+    (``comm``, or dense plus — where the family has need lists — sparse
+    when ``None``), in that order.  ``seconds`` is the row as the mode
+    moves data — Table III (:func:`~repro.model.costs.fusedmm_cost`) for
+    dense ring collectives, its need-list variant
+    (:func:`~repro.model.costs.fusedmm_cost_sparse`) for sparse — plus
+    two terms:
 
-    Each side is additionally charged a *memory term* — its peak panel
-    footprint (:func:`repro.model.costs.fusedmm_buffer_words`) billed at
-    ``memory_weight * beta`` per word, modeling the zero-fill/scatter
-    memory pass a resident panel costs (memory bandwidth is faster than
-    the wire, hence the fraction).  This matters mostly for the 2.5D
-    sparse-replicating family, whose sparse path swaps piece-sized ring
-    buffers for strip-wide packed panels: at high need-list coverage the
-    footprint can outgrow the traffic saving, and the memory term steers
-    ``comm="auto"`` back to dense.
+    * a *memory term*: the peak panel footprint
+      (:func:`~repro.model.costs.fusedmm_buffer_words`) billed at
+      ``memory_weight * beta`` per word, modeling the zero-fill/scatter
+      memory pass a resident panel costs (memory bandwidth is faster than
+      the wire, hence the fraction).  It matters mostly for the 2.5D
+      sparse-replicating family, whose sparse path swaps piece-sized ring
+      buffers for strip-wide packed panels: at high need-list coverage
+      the footprint can outgrow the traffic saving.
+    * with ``compute_gamma``, the per-call local-compute time at a
+      *measured* seconds-per-FLOP (the kernel calibration, see
+      :func:`~repro.model.costs.compute_seconds`).  It is the same for
+      every candidate, but the margin below is multiplicative, so a
+      realistic compute floor shrinks the *relative* gap: the faster the
+      measured kernels, the more communication dominates the decision.
 
-    ``compute_gamma`` adds the per-call local-compute time (at a
-    *measured* seconds-per-FLOP from the kernel calibration, see
-    :func:`repro.model.costs.compute_seconds`) to both scores.  Compute
-    is the same on both sides, but the ``margin`` hysteresis is
-    multiplicative, so a realistic compute floor shrinks the *relative*
-    gap between the variants: the faster the measured kernels, the more
-    the communication difference dominates the decision — exactly the
-    regime shift a compiled backend causes.
+    ``score`` is what :func:`cheapest_candidate` minimizes: ``seconds``
+    for a sparse candidate, ``margin * seconds`` for a dense one —
+    hysteresis against the need-list planning overhead, so sparse must be
+    predicted at least ``1 - margin`` cheaper than a dense candidate to
+    beat it and near-saturated inputs stay on the ring collectives.
 
-    Returns ``{"dense": {"seconds", "buffer_words"}, "sparse": {...},
-    "margin", "picked"}``; raises :class:`~repro.errors.ReproError` for
-    a row the model cannot price (no sparse path, unprinted row,
-    infeasible ``c``).
+    A 2.5D dense candidate at ``q = 1`` carries a ``caveat``: Table III
+    charges the one-rank ring's self-shift, which the run does not move.
+
+    Raises :class:`~repro.errors.ReproError` for a candidate the model
+    cannot price (an infeasible explicit ``c``, ``"sparse"`` for a family
+    without need lists, an unprinted row).
     """
     phi = nnz / (float(n) * r) if n and r else 0.0
-    key = f"{algorithm}/{elision.value}"
-    costs = {
-        "dense": fusedmm_cost(key, n, r, p, c, phi),
-        "sparse": fusedmm_cost_sparse(key, n, r, p, c, phi),
-    }
     mem_beta = memory_weight * machine.beta
     t_comp = (
         compute_gamma * fusedmm_flops(nnz, r, p) if compute_gamma is not None else 0.0
     )
-    out: Dict[str, Any] = {}
-    for mode, cost in costs.items():
-        buf = fusedmm_buffer_words(key, n, r, p, c, phi, sparse_comm=mode == "sparse")
-        out[mode] = {
-            "seconds": cost.time(machine) + mem_beta * buf + t_comp,
-            "buffer_words": buf,
-        }
-    sparse_wins = out["sparse"]["seconds"] < margin * out["dense"]["seconds"]
-    out.update(margin=margin, picked="sparse" if sparse_wins else "dense")
-    return out
+    table: List[Dict[str, Any]] = []
+    for key in rows:
+        algorithm = _algorithm_of(key)
+        factors = _feasible_c(algorithm, p, r) if c is None else [c]
+        modes = comm or ("dense", "sparse")[: 1 + supports_sparse_comm(algorithm)]
+        for kc, mode in itertools.product(factors, modes):
+            sparse = mode == "sparse"
+            cost = (fusedmm_cost_sparse if sparse else fusedmm_cost)(
+                key, n, r, p, kc, phi
+            )
+            buf = fusedmm_buffer_words(key, n, r, p, kc, phi, sparse_comm=sparse)
+            seconds = cost.time(machine) + mem_beta * buf + t_comp
+            record = {
+                "row": key,
+                "c": kc,
+                "comm": mode,
+                "seconds": seconds,
+                "score": seconds if sparse else margin * seconds,
+                "words": cost.words,
+                "messages": cost.messages,
+                "buffer_words": buf,
+            }
+            if not sparse and algorithm.startswith("2.5d") and kc == p:
+                record["caveat"] = Q1_DENSE_CAVEAT
+            table.append(record)
+    return table
+
+
+def cheapest_candidate(table: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The record of a :func:`joint_candidates` table with the least
+    ``score`` (first in table order on a tie, so dense beats sparse)."""
+    if not table:
+        raise ReproError("no (algorithm, c, comm) candidate for these parameters")
+    return min(table, key=lambda record: record["score"])
 
 
 def choose_comm_mode(
@@ -173,24 +223,25 @@ def choose_comm_mode(
     c: int,
     machine: MachineParams = CORI_KNL,
     elision: Elision = Elision.NONE,
-    margin: float = 0.95,
+    margin: float = SPARSE_MARGIN,
     memory_weight: float = 0.25,
     compute_gamma: Optional[float] = None,
 ) -> str:
-    """Pick ``"dense"`` or ``"sparse"`` communication for a kernel run:
-    :func:`comm_mode_scores`' pick, and ``"dense"`` wherever it cannot
+    """Pick ``"dense"`` or ``"sparse"`` communication for a kernel run at
+    a fixed ``(algorithm, c)``: the cheapest of the two
+    :func:`joint_candidates`, and ``"dense"`` wherever the model cannot
     price the row (families without a sparse path always answer dense).
     """
     if not supports_sparse_comm(algorithm):
         return "dense"
     try:
-        scores = comm_mode_scores(
-            algorithm, n, r, nnz, p, c, machine, elision, margin, memory_weight,
-            compute_gamma,
+        table = joint_candidates(
+            [row_key(algorithm, elision)], n, r, nnz, p, machine, c=c,
+            margin=margin, memory_weight=memory_weight, compute_gamma=compute_gamma,
         )
     except ReproError:
         return "dense"
-    return scores["picked"]
+    return cheapest_candidate(table)["comm"]
 
 
 def predicted_times(

@@ -7,7 +7,10 @@ frozen :class:`ResolvedPlan`: the resolved knobs plus ``why`` — per
 decision, the candidates that were compared and the model terms that
 drove the pick.  The decisions feed each other in one order:
 
-    kernels -> compute_gamma -> algorithm -> c -> comm -> overlap
+    kernels -> compute_gamma -> (algorithm, c, comm) -> overlap
+
+Family, replication factor and communication mode are *one* decision:
+the arg-min of :func:`repro.model.optimal.joint_candidates`' table.
 
 ``kernels="auto"`` yields the one host-measured quantity (the calibrated
 seconds-per-FLOP); every other term prices the ``machine=`` argument.
@@ -37,10 +40,9 @@ from repro.kernels.registry import (
 from repro.model.calibrate import calibrate, choose_kernel_backend
 from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
 from repro.model.optimal import (
-    best_feasible_c,
-    cheapest_row,
-    comm_mode_scores,
-    predicted_times,
+    SPARSE_MARGIN,
+    cheapest_candidate,
+    joint_candidates,
 )
 from repro.runtime.backend import ensure_backend_available, validate_backend_name
 from repro.runtime.cost import MachineParams
@@ -106,10 +108,10 @@ def _host_cores() -> int:
 
 
 def _can_run(row: str, elision: Elision, comm: CommMode) -> bool:
-    """Whether a cost row's family runs the requested elision (on need
-    lists, under an explicit ``comm="sparse"``)."""
-    family = row.split("/", 1)[0]
-    return elision in supported_elisions(family) and (
+    """Whether ``row`` is a row of the requested elision (whose family has
+    need lists, under an explicit ``comm="sparse"``)."""
+    family, row_elision = row.split("/", 1)
+    return row_elision == elision.value and (
         comm != CommMode.SPARSE or supports_sparse_comm(family)
     )
 
@@ -175,11 +177,16 @@ def resolve(
         )
     ensure_kernel_backend_available(kern)
 
-    # -- algorithm: the cheapest Table III row among the families that
-    # can run what was asked (the requested elision; need lists under an
-    # explicit comm="sparse"), each row at its best feasible c
+    # -- (algorithm, c, comm): one joint decision.  Every candidate
+    # triple the request leaves open — rows of the requested elision only,
+    # every feasible c unless one is given, dense plus (where the family
+    # has need lists) sparse unless a mode is given — is priced as that
+    # mode moves data, and the cheapest wins.  Explicit knobs restrict the
+    # table; they never take a second path.
     phi = nnz / (float(n) * r)
     why["algorithm"] = {"requested": algorithm}
+    why["c"] = {"requested": c}
+    why["comm"] = {"requested": comm.value}
     if algorithm == "auto":
         rows = [row for row in PAPER_COST_ROWS if _can_run(row, elision, comm)]
         if not rows:
@@ -187,50 +194,65 @@ def resolve(
                 f"no algorithm family supports elision={elision.value!r} "
                 f"with comm={comm.value!r}"
             )
-        times = predicted_times(n, r, nnz, p, machine, keys=rows)
-        row = cheapest_row(times)
-        algorithm = row.split("/", 1)[0]
-        why["algorithm"].update(
-            row=row,
-            candidates={k: {"c": kc, "seconds": t} for k, (kc, t) in times.items()},
-        )
-    # -- replication factor: an explicit c must be feasible; c=None takes
-    # the feasible c that minimizes the (family, elision) row
-    feasible = feasible_replication_factors(algorithm, p)
-    why["c"] = {"requested": c, "feasible": list(feasible)}
-    if c is not None and c not in feasible:
-        raise ReproError(
-            f"replication factor c={c} infeasible for {algorithm} on p={p}; "
-            f"feasible: {feasible}"
-        )
-    supported = supported_elisions(algorithm)
-    if elision not in supported:
-        raise ReproError(
-            f"{algorithm} supports {[e.value for e in supported]}, not {elision.value}"
-        )
-    key = row_key(algorithm, elision)
-    if c is None:
-        c, cost = best_feasible_c(key, n, r, p, phi, machine)
-        why["c"].update(row=key, comm_seconds=cost.time(machine))
-
-    # -- communication mode (compute charged at the measured rate when
-    # the kernel calibration supplied one)
-    why["comm"] = {"requested": comm.value}
-    if comm == CommMode.AUTO:
-        if supports_sparse_comm(algorithm):
-            scores = comm_mode_scores(
-                algorithm, n, r, nnz, p, c, machine, elision, compute_gamma=gamma
+        if c is not None:
+            rows = [
+                row for row in rows
+                if c in feasible_replication_factors(row.split("/", 1)[0], p)
+            ]
+            if not rows:
+                raise ReproError(
+                    f"replication factor c={c} infeasible on p={p} for every "
+                    f"family that runs elision={elision.value!r} with "
+                    f"comm={comm.value!r}"
+                )
+    else:
+        feasible = feasible_replication_factors(algorithm, p)
+        if c is not None and c not in feasible:
+            raise ReproError(
+                f"replication factor c={c} infeasible for {algorithm} on p={p}; "
+                f"feasible: {feasible}"
             )
-            why["comm"].update(scores)
-            comm = CommMode(scores["picked"])
-        else:
-            why["comm"]["reason"] = "family has no sparse-communication path"
-            comm = CommMode.DENSE
-    elif comm == CommMode.SPARSE and not supports_sparse_comm(algorithm):
-        raise ReproError(
-            f"{algorithm} has no sparse-communication path; "
-            f"use comm='dense' or comm='auto'"
-        )
+        supported = supported_elisions(algorithm)
+        if elision not in supported:
+            raise ReproError(
+                f"{algorithm} supports {[e.value for e in supported]}, "
+                f"not {elision.value}"
+            )
+        if comm == CommMode.SPARSE and not supports_sparse_comm(algorithm):
+            raise ReproError(
+                f"{algorithm} has no sparse-communication path; "
+                f"use comm='dense' or comm='auto'"
+            )
+        rows = [row_key(algorithm, elision)]
+    # compute is charged at the measured rate when the kernel calibration
+    # supplied one
+    table = joint_candidates(
+        rows, n, r, nnz, p, machine, c=c,
+        comm=None if comm == CommMode.AUTO else (comm.value,),
+        compute_gamma=gamma,
+    )
+    best = cheapest_candidate(table)
+    picked = table.index(best)
+    key, c = best["row"], best["c"]
+    algorithm = key.split("/", 1)[0]
+    why["algorithm"].update(
+        row=key, margin=SPARSE_MARGIN, picked=picked, candidates=table
+    )
+    why["c"].update(
+        feasible=list(feasible_replication_factors(algorithm, p)), candidate=picked
+    )
+    # both modes of the picked (row, c), by their index in the table
+    why["comm"].update(
+        {
+            record["comm"]: i
+            for i, record in enumerate(table)
+            if (record["row"], record["c"]) == (key, c)
+        },
+        picked=best["comm"],
+    )
+    if comm == CommMode.AUTO and not supports_sparse_comm(algorithm):
+        why["comm"]["reason"] = "family has no sparse-communication path"
+    comm = CommMode(best["comm"])
 
     # -- overlap: on exactly when the overlapped-time term predicts a
     # positive saving.  Like every model knob it prices the target

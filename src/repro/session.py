@@ -1192,12 +1192,14 @@ def plan(
 ) -> Session:
     """Resolve all knobs once and capture S; returns a :class:`Session`.
 
-    Parameters mirror the one-shot kernels: ``algorithm="auto"`` picks the
-    Table III/IV winner for ``phi = nnz/(n r)``; ``c=None`` picks the
-    model-optimal feasible replication factor; ``comm="auto"`` lets the
-    extended alpha-beta model choose dense ring collectives versus
-    need-list neighborhood collectives.  ``elision`` selects the FusedMM
-    strategy used by :meth:`Session.fusedmm_a` / :meth:`Session.fusedmm_b`.
+    Parameters mirror the one-shot kernels.  ``algorithm="auto"``,
+    ``c=None`` and ``comm="auto"`` are one joint decision: every
+    ``(family, c, comm)`` the explicit knobs leave open is priced as that
+    communication mode moves data (Table III for dense ring collectives,
+    its need-list variant for ``comm="sparse"``) and the cheapest triple
+    wins — :meth:`Session.explain` lists the candidates.  ``elision``
+    selects the FusedMM strategy used by :meth:`Session.fusedmm_a` /
+    :meth:`Session.fusedmm_b`; only families that run it compete.
 
     Each resident distribution (forward, and the transposed sibling for
     opposite-native fused variants) is built exactly once, on the first

@@ -31,6 +31,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "predicted winner: 1.5d-sparse-shift" in out
 
+    def test_predict_agrees_with_the_session(self, capsys):
+        """``predict`` prints the joint candidate table and the triple
+        ``plan(algorithm="auto", ...)`` resolves to (its dense-rows-only
+        winner used to contradict ``run`` on this shape)."""
+        import repro
+
+        flags = ["--n", "2048", "--r", "64", "--nnz-per-row", "8", "--p", "4",
+                 "--elision", "none", "--comm", "auto"]
+        assert main(["predict", *flags]) == 0
+        out = capsys.readouterr().out
+        S = repro.erdos_renyi(2048, 2048, 8, seed=0)
+        with repro.plan(S, 64, p=4, elision="none", comm="auto") as sess:
+            plan = sess.explain()
+        assert (
+            f"predicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
+            f"comm={plan.comm_mode.value}  overlap={plan.overlap}"
+        ) in out
+        assert "2.5d-sparse-replicate/none  c=4  comm=sparse  overlap=off" in out
+        # one line per (row, c, comm) candidate
+        table = plan.why["algorithm"]["candidates"]
+        assert sum(" ms " in line for line in out.splitlines()) == len(table)
+
     def test_run_executes(self, capsys):
         assert main(["run", "--n", "256", "--r", "16", "--p", "4",
                      "--algorithm", "1.5d-dense-shift",

@@ -29,7 +29,13 @@ from repro.algorithms.registry import (
     make_algorithm,
     supports_sparse_comm,
 )
-from repro.baselines.serial import sddmm_serial, spmm_a_serial, spmm_b_serial
+from repro.baselines.serial import (
+    fusedmm_a_serial,
+    fusedmm_b_serial,
+    sddmm_serial,
+    spmm_a_serial,
+    spmm_b_serial,
+)
 from repro.errors import ReproError
 from repro.model.optimal import choose_comm_mode
 from repro.runtime.spmd import run_spmd
@@ -41,7 +47,7 @@ SPARSE_CAPABLE = sorted(n for n in ALGORITHMS if supports_sparse_comm(n))
 
 GRIDS = {
     "1.5d-sparse-shift": [(4, 1), (8, 2), (8, 4), (8, 8)],
-    "2.5d-sparse-replicate": [(4, 1), (8, 2), (16, 4), (18, 2)],
+    "2.5d-sparse-replicate": [(4, 1), (8, 2), (16, 4), (18, 2), (4, 4), (8, 8)],
 }
 
 
@@ -99,7 +105,9 @@ def test_fused_sparse_comm_matches_dense(name, elision, fused, rng, exec_backend
     S = erdos_renyi(m, n, 3, seed=23)
     A = rng.standard_normal((m, r))
     B = rng.standard_normal((n, r))
-    grids = [(8, 2), (8, 4)] if name.startswith("1.5d") else [(8, 2)]
+    grids = (
+        [(8, 2), (8, 4)] if name.startswith("1.5d") else [(8, 2), (4, 4), (8, 8)]
+    )
     for p, c in grids:
         require_world_size(exec_backend, p)
         out_d, _ = fused(S, A, B, p=p, c=c, algorithm=name, elision=elision,
@@ -107,6 +115,39 @@ def test_fused_sparse_comm_matches_dense(name, elision, fused, rng, exec_backend
         out_s, _ = fused(S, A, B, p=p, c=c, algorithm=name, elision=elision,
                          comm="sparse", backend=exec_backend)
         np.testing.assert_allclose(out_s, out_d, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("p", [4, 8])
+@pytest.mark.parametrize("shape", [(52, 61, 10), (64, 64, 16)])
+def test_q1_grid_conformance(p, shape, rng):
+    """The 2.5D sparse-replicating family at c = p (a 1 x 1 x c grid: the
+    pattern on every rank, the dense operands split by columns, no
+    propagation) — what ``auto`` resolves to on small sparse problems.
+    Every kernel and both fused variants against ``baselines/serial.py``;
+    dense == sparse and overlap on == off bitwise."""
+    m, n, r = shape
+    S = erdos_renyi(m, n, 3, seed=17)
+    A = rng.standard_normal((m, r))
+    B = rng.standard_normal((n, r))
+    ref = (
+        sddmm_serial(S, A, B).vals, spmm_a_serial(S, B), spmm_b_serial(S, A),
+        fusedmm_a_serial(S, A, B), fusedmm_b_serial(S, A, B),
+    )
+    first = None
+    for comm in ("dense", "sparse"):
+        for overlap in ("off", "on"):
+            with repro.plan(
+                S, r, p=p, c=p, algorithm="2.5d-sparse-replicate", comm=comm,
+                overlap=overlap,
+            ) as sess:
+                got = (
+                    sess.sddmm(A, B)[0].vals, sess.spmm_a(B)[0], sess.spmm_b(A)[0],
+                    sess.fusedmm_a(A, B)[0], sess.fusedmm_b(A, B)[0],
+                )
+            first = first or got
+            for out, same, want in zip(got, first, ref):
+                assert np.array_equal(out, same), (comm, overlap)
+                np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-12)
 
 
 @st.composite

@@ -197,6 +197,30 @@ class TestNeedList25DRow:
         }
 
 
+class TestNeedListQ1:
+    """The row the ``small_auto`` pick rests on: at c = p (q = 1) a
+    need-list FusedMM moves the value fibers and nothing else — the model
+    and the run agree to within one word per fiber collective (three of
+    them; an uneven ``nnz / c`` split rounds up)."""
+
+    @pytest.mark.parametrize("p,words,messages", [(4, 36791, 9), (8, 42923, 21)])
+    def test_measured_equals_modelled(self, p, words, messages):
+        n, r = 2048, 64
+        S = erdos_renyi(n, n, 8, seed=7)
+        rng = np.random.default_rng(8)
+        _, rep = repro.fusedmm_a(
+            S, rng.standard_normal((n, r)), rng.standard_normal((n, r)), p=p, c=p,
+            algorithm="2.5d-sparse-replicate", comm="sparse",
+        )
+        model = fusedmm_cost_sparse(
+            "2.5d-sparse-replicate/none", n, r, p, p, S.nnz / (n * r)
+        )
+        assert (rep.comm_words, rep.comm_messages) == (words, messages)
+        assert 0 <= rep.comm_words - model.words < 3
+        assert rep.comm_messages == model.messages
+        assert model.propagation_words == model.propagation_messages == 0
+
+
 class TestCommunicationSavingsClaims:
     """The paper's headline numbers, at model scale (p = 256).
 

@@ -41,6 +41,9 @@ FAMILIES = [
      (Elision.NONE, Elision.REPLICATION_REUSE)),
     ("2.5d-sparse-replicate", 8, 2, ("dense", "sparse"), (Elision.NONE,)),
     ("2.5d-sparse-replicate", 16, 4, ("sparse",), (Elision.NONE,)),
+    # q = 1 (what `auto` picks on small sparse problems): no propagation
+    ("2.5d-sparse-replicate", 4, 4, ("dense", "sparse"), (Elision.NONE,)),
+    ("2.5d-sparse-replicate", 8, 8, ("dense", "sparse"), (Elision.NONE,)),
 ]
 
 
@@ -82,6 +85,8 @@ class TestBitwiseEquivalence:
         ("1.5d-sparse-shift", 8, 4),
         ("2.5d-dense-replicate", 8, 2),
         ("2.5d-sparse-replicate", 8, 2),
+        ("2.5d-sparse-replicate", 4, 4),
+        ("2.5d-sparse-replicate", 8, 8),
     ])
     def test_single_kernels_bitwise(self, name, p, c, small_problem):
         S, A, B = small_problem
@@ -108,7 +113,9 @@ class TestBitwiseEquivalence:
         """Packed-plan kernels: async exchanges must place identically."""
         S, A, B = small_problem
         for name, p, c in (("1.5d-sparse-shift", 8, 4),
-                           ("2.5d-sparse-replicate", 8, 2)):
+                           ("2.5d-sparse-replicate", 8, 2),
+                           ("2.5d-sparse-replicate", 4, 4),
+                           ("2.5d-sparse-replicate", 8, 8)):
             ref = {}
             for ov in (False, True):
                 alg = _alg(name, p, c, ov)

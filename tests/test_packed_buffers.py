@@ -266,7 +266,7 @@ class TestPlannerPacked25D:
 
 GRIDS = {
     "1.5d-sparse-shift": [(4, 2), (8, 4), (6, 3)],
-    "2.5d-sparse-replicate": [(8, 2), (16, 4), (18, 2)],
+    "2.5d-sparse-replicate": [(8, 2), (16, 4), (18, 2), (4, 4), (8, 8)],
 }
 
 
@@ -314,7 +314,7 @@ def packed_problems(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(problem=packed_problems(), pick=st.integers(0, 2))
+@given(problem=packed_problems(), pick=st.integers(0, 4))
 def test_packed_matches_dense_random(name, mode, problem, pick):
     S, A, B = problem
     p, c = GRIDS[name][pick % len(GRIDS[name])]

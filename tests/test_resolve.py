@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,9 +34,11 @@ from repro.errors import (
 )
 from repro.kernels.registry import numba_available
 from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
+from repro.model.optimal import choose_comm_mode
 from repro.model.resolve import ResolvedPlan
 from repro.runtime.backend import mpi_available
 from repro.runtime.cost import CORI_KNL
+from repro.sparse.generate import rmat
 from repro.types import CommMode, Elision
 
 from helpers import resolve_plan
@@ -68,10 +72,11 @@ class TestDecisionPins:
     (seed 7; ``nnz`` as generated), read from the commit before the
     resolver existed.  A PR that changes a decision changes this table.
 
-    ``small_auto``'s pick is the known-regretful one: the e2e record's
-    ``model.auto_regret`` is 1.5-2.75 there (``2.5d-sparse-replicate`` /
-    ``1.5d-dense-shift`` run in about half the time on the benchmark
-    host), so the PR that fixes ROADMAP direction 1(b) edits that row.
+    ``small_auto`` moved once: the sequential ``algorithm -> c -> comm``
+    resolver picked ``("1.5d-sparse-shift", 1, "dense", "on")`` from the
+    dense rows alone (``model.auto_regret`` 2.3-2.75); the joint decision
+    prices the need-list row and takes the 2.5D q = 1 grid.  The whole
+    grid's decisions are pinned by :class:`TestGoldenDecisions`.
     """
 
     PINS = {
@@ -93,7 +98,7 @@ class TestDecisionPins:
         "small_auto": (
             dict(n=2048, nnz=16351, r=64, p=4, c=None, algorithm="auto",
                  elision="none", comm="auto", overlap="auto"),
-            ("1.5d-sparse-shift", 1, "dense", "on"),
+            ("2.5d-sparse-replicate", 4, "sparse", "off"),
         ),
         "als_sweep": (
             dict(n=4096, nnz=65423, r=32, p=8, c=2, algorithm="1.5d-sparse-shift",
@@ -108,22 +113,83 @@ class TestDecisionPins:
         assert decision(resolve_plan(**knobs)) == expected
 
 
+GOLDEN = pathlib.Path(__file__).with_name("golden_decisions.json")
+
+
+def grid_decisions():
+    """``{"<elision>/<comm>": {"n,nnz/row,r,p": "<family> c=<c> <comm>
+    overlap=<overlap>"}}`` over ``GRID``, every other knob on auto."""
+    doc = {}
+    for elision, comm in itertools.product(ELISIONS, ("dense", "auto", "sparse")):
+        points = doc[f"{elision}/{comm}"] = {}
+        for n, per_row, r, p in GRID:
+            try:
+                plan = resolve_plan(n, n * per_row, r, p=p, elision=elision, comm=comm)
+            except ReproError:
+                resolved = "ReproError"
+            else:
+                resolved = "{} c={} {} overlap={}".format(*decision(plan))
+            points[f"{n},{per_row},{r},{p}"] = resolved
+    return doc
+
+
+class TestGoldenDecisions:
+    """Every ``auto`` decision over ``GRID`` x elision x comm is committed
+    in ``tests/golden_decisions.json``: a PR that moves one shows it as a
+    reviewed diff.  Regenerate with
+    ``REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest
+    tests/test_resolve.py -k golden``."""
+
+    def test_decisions_match_the_committed_table(self):
+        doc = grid_decisions()
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            GOLDEN.write_text(json.dumps(doc, indent=0, sort_keys=True) + "\n")
+        golden = json.loads(GOLDEN.read_text())
+        moved = {
+            f"{block} @ {point}": (golden.get(block, {}).get(point), resolved)
+            for block, points in doc.items()
+            for point, resolved in points.items()
+            if golden.get(block, {}).get(point) != resolved
+        }
+        assert not moved, f"{len(moved)} decision(s) moved (committed, now): {moved}"
+        assert {b: sorted(pts) for b, pts in golden.items()} == {
+            b: sorted(pts) for b, pts in doc.items()
+        }
+
+
 class TestAutoHonoursTheElision:
     """``algorithm="auto"`` only considers families that can run the
     requested elision (at the parent it picked the overall winner and
     ``plan()`` then rejected 66 of the grid's 432 points)."""
 
     def test_never_a_family_outside_supported_elisions(self):
+        """...nor through the row of an elision the session will not run
+        (the sequential resolver let ``1.5d-sparse-shift`` win
+        ``elision="none"`` by its ``replication-reuse`` row)."""
         for (n, per_row, r, p), elision in itertools.product(GRID, Elision):
             plan = resolve_plan(n, n * per_row, r, p=p, elision=elision)
             assert elision in supported_elisions(plan.algorithm), (n, per_row, r, p)
+            row = plan.why["algorithm"]["row"]
+            assert row.split("/")[1] == elision.value, (n, per_row, r, p)
+            assert row.split("/")[0] == plan.algorithm
 
-    def test_candidates_are_the_rows_of_supporting_families(self):
+    def test_candidates_are_the_rows_of_the_requested_elision(self):
         plan = resolve_plan(2048, 16351, 64, p=4, elision="local-kernel-fusion")
         assert plan.algorithm == "1.5d-dense-shift"
-        assert set(plan.why["algorithm"]["candidates"]) == {
-            key for key in PAPER_COST_ROWS if key.startswith("1.5d-dense-shift/")
+        table = plan.why["algorithm"]["candidates"]
+        assert {rec["row"] for rec in table} == {"1.5d-dense-shift/local-kernel-fusion"}
+        assert [rec["c"] for rec in table] == [1, 2, 4]
+
+    def test_explicit_c_restricts_the_families(self):
+        # c=2 is no 2.5D grid at p=4: only the 1.5D rows compete
+        plan = resolve_plan(2048, 16351, 64, p=4, c=2, comm="auto")
+        table = plan.why["algorithm"]["candidates"]
+        assert {rec["row"] for rec in table} == {
+            "1.5d-dense-shift/none", "1.5d-sparse-shift/none"
         }
+        assert {rec["c"] for rec in table} == {2} and plan.c == 2
+        with pytest.raises(ReproError, match="c=3 infeasible on p=4 for every"):
+            resolve_plan(2048, 16351, 64, p=4, c=3)
 
     def test_explicit_family_keeps_its_typed_error(self):
         with pytest.raises(ReproError, match="supports .* not local-kernel-fusion"):
@@ -279,34 +345,95 @@ class TestResolveProperty:
 
 
 class TestWhy:
+    RECORD = {
+        "row", "c", "comm", "seconds", "score", "words", "messages", "buffer_words"
+    }
+
     def test_records_every_candidate_and_round_trips(self):
         plan = resolve_plan(2048, 16351, 64, p=4, comm="auto")
         why = plan.why
         assert set(why) == {"kernels", "algorithm", "c", "comm", "overlap"}
-        # all rows compete under elision="none"; each at its best feasible c
-        assert set(why["algorithm"]["candidates"]) == set(PAPER_COST_ROWS)
-        picked = why["algorithm"]["row"]
-        seconds = {k: v["seconds"] for k, v in why["algorithm"]["candidates"].items()}
-        assert seconds[picked] == min(seconds.values())
-        assert picked.split("/")[0] == plan.algorithm
+        # every (row, c, comm) of elision="none": each family's feasible
+        # c, dense everywhere, sparse where the family has need lists
+        table = why["algorithm"]["candidates"]
+        expected = [
+            (row_key(name, Elision.NONE), c, mode)
+            for name in sorted(ALGORITHMS)
+            for c in feasible_replication_factors(name, 4)
+            for mode in ("dense", "sparse")[: 1 + supports_sparse_comm(name)]
+        ]
+        assert [(rec["row"], rec["c"], rec["comm"]) for rec in table] == expected
+        assert all(set(rec) - {"caveat"} == self.RECORD for rec in table)
+        # a dense candidate competes at margin x its seconds, a sparse one
+        # at its seconds; the picked triple is the arg-min
+        margin = why["algorithm"]["margin"]
+        for rec in table:
+            handicap = margin if rec["comm"] == "dense" else 1.0
+            assert rec["score"] == handicap * rec["seconds"]
+        best = table[why["algorithm"]["picked"]]
+        assert best["score"] == min(rec["score"] for rec in table)
+        assert (best["row"], best["c"], best["comm"]) == (
+            why["algorithm"]["row"], plan.c, plan.comm_mode.value
+        )
+        assert best["row"].split("/")[0] == plan.algorithm
+        # why["c"] / why["comm"] point into the table
         assert plan.c in why["c"]["feasible"] and why["c"]["requested"] is None
+        assert why["c"]["candidate"] == why["algorithm"]["picked"]
         assert why["comm"]["picked"] == plan.comm_mode.value
-        for side in ("dense", "sparse"):
-            assert set(why["comm"][side]) == {"seconds", "buffer_words"}
-        assert why["overlap"]["gain_seconds"] > 0 and why["overlap"]["p"] == 4
-        assert why["overlap"]["host_cores"] >= 1
+        for mode in ("dense", "sparse"):
+            rec = table[why["comm"][mode]]
+            assert (rec["row"], rec["c"], rec["comm"]) == (best["row"], plan.c, mode)
+        assert why["overlap"]["p"] == 4 and why["overlap"]["host_cores"] >= 1
         doc = plan.as_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["machine"]["name"] == "cori-knl" and doc["faults"] is False
 
-    def test_explicit_knobs_record_the_request_only(self):
+    def test_the_need_list_row_is_what_picks_small_auto(self):
+        """36 790 modelled words (36 791 measured,
+        ``test_comm_model.py::TestNeedListQ1``) against the 98 106 of the
+        sequential resolver's pick."""
+        plan = resolve_plan(2048, 16351, 64, p=4, comm="auto")
+        table = plan.why["algorithm"]["candidates"]
+        best = table[plan.why["algorithm"]["picked"]]
+        assert (best["row"], best["c"], best["comm"]) == (
+            "2.5d-sparse-replicate/none", 4, "sparse"
+        )
+        assert round(best["words"]) == 36790 and best["messages"] == 9
+        assert plan.why["overlap"]["gain_seconds"] == 0.0  # no propagation left
+        # the dense row at q = 1 still charges the ring's self-shift — and
+        # says so (ROADMAP 1(b): the as-implemented dense cost)
+        dense = table[plan.why["comm"]["dense"]]
+        assert round(dense["words"]) == 167862 and "self-shift" in dense["caveat"]
+        assert [rec["c"] for rec in table if "caveat" in rec] == [4, 4]
+
+    def test_explicit_knobs_price_the_one_candidate(self):
+        """No second path: explicit knobs are the same table, restricted."""
         plan = resolve_plan(
             2048, 16351, 64, p=4, c=2, algorithm="1.5d-dense-shift", overlap="off"
         )
-        assert plan.why["algorithm"] == {"requested": "1.5d-dense-shift"}
-        assert plan.why["c"] == {"requested": 2, "feasible": [1, 2, 4]}
-        assert plan.why["comm"] == {"requested": "dense"}
-        assert plan.why["overlap"] == {"requested": "off"}
+        why = plan.why
+        (only,) = why["algorithm"]["candidates"]
+        assert (only["row"], only["c"], only["comm"]) == (
+            "1.5d-dense-shift/none", 2, "dense"
+        )
+        assert why["algorithm"]["requested"] == "1.5d-dense-shift"
+        assert why["algorithm"]["picked"] == 0
+        assert why["c"] == {"requested": 2, "feasible": [1, 2, 4], "candidate": 0}
+        assert why["comm"] == {"requested": "dense", "dense": 0, "picked": "dense"}
+        assert why["overlap"] == {"requested": "off"}
+
+    def test_fixed_family_and_c_reproduce_choose_comm_mode(self):
+        """``choose_comm_mode`` is a view of the same table."""
+        for (n, per_row, r, p), name in itertools.product(
+            GRID[::7], ("1.5d-sparse-shift", "2.5d-sparse-replicate")
+        ):
+            for c in feasible_replication_factors(name, p):
+                plan = resolve_plan(
+                    n, n * per_row, r, p=p, c=c, algorithm=name, comm="auto"
+                )
+                assert plan.comm_mode.value == choose_comm_mode(
+                    name, n, r, n * per_row, p, c
+                )
 
     def test_auto_overlap_with_nothing_to_hide_says_so(self):
         plan = resolve_plan(2048, 16351, 64, p=1, algorithm="1.5d-dense-shift")
@@ -364,3 +491,58 @@ class TestThroughPlanWithRanks:
             assert sess.algorithm == "1.5d-dense-shift"
             out, _ = sess.fusedmm_a(A, B)
         np.testing.assert_allclose(out, fusedmm_a_serial(S, A, B), rtol=1e-9)
+
+
+class TestMeasuredRegret:
+    """ROADMAP 1(d), counts not clocks: one ``fusedmm_a`` on every feasible
+    ``(family, c, comm)`` of ``elision="none"``; the all-``auto`` session
+    must move at most 1.25x the words of the best of them.  (The
+    sequential resolver's regret on these three: 2.67, 2.22, 2.78.)"""
+
+    @pytest.fixture(autouse=True)
+    def no_ranks(self):
+        """These tests run kernels: the module-wide guard is lifted."""
+
+    CONFIGS = {
+        "er-p4-low-phi": (
+            lambda: repro.erdos_renyi(2048, 2048, 8, seed=7), 64, 4,
+            ("2.5d-sparse-replicate", 4, "sparse", "off"),
+        ),
+        "er-p8-phi-half": (
+            lambda: repro.erdos_renyi(1024, 1024, 16, seed=2), 32, 8,
+            ("2.5d-sparse-replicate", 2, "sparse", "on"),
+        ),
+        "rmat-p8": (
+            lambda: rmat(10, 8, seed=3), 32, 8,
+            ("2.5d-sparse-replicate", 2, "sparse", "on"),
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_auto_moves_at_most_a_quarter_more_than_the_best(self, config):
+        make, r, p, picked = self.CONFIGS[config]
+        S = make()
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((S.nrows, r))
+        B = rng.standard_normal((S.ncols, r))
+        words = {}
+        for name in sorted(ALGORITHMS):
+            modes = ("dense", "sparse")[: 1 + supports_sparse_comm(name)]
+            for c, comm in itertools.product(
+                feasible_replication_factors(name, p), modes
+            ):
+                _, report = repro.fusedmm_a(
+                    S, A, B, p=p, c=c, algorithm=name, comm=comm
+                )
+                words[name, c, comm] = report.comm_words
+        with repro.plan(S, r, p=p, comm="auto") as sess:
+            _, report = sess.fusedmm_a(A, B)
+            plan = sess.explain()
+        assert decision(plan) == picked
+        best = plan.why["algorithm"]["candidates"][plan.why["algorithm"]["picked"]]
+        assert (best["row"], best["c"], best["comm"]) == (
+            f"{picked[0]}/none", picked[1], picked[2]
+        )
+        assert report.comm_words == words[picked[:3]]
+        assert report.comm_words <= 1.25 * min(words.values()), words
+

@@ -216,6 +216,7 @@ TILING_GRIDS = [
     ("2.5d-dense-replicate", 9, 1), ("2.5d-dense-replicate", 16, 4),
     ("2.5d-sparse-replicate", 4, 1), ("2.5d-sparse-replicate", 8, 2),
     ("2.5d-sparse-replicate", 9, 1), ("2.5d-sparse-replicate", 16, 4),
+    ("2.5d-sparse-replicate", 4, 4),
 ]
 
 
