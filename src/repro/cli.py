@@ -50,6 +50,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _placement_line(plan) -> str:
+    """``placement`` with the grain it was decided from (and, once a pool
+    exists, the core it took)."""
+    why = plan.why["placement"]
+    where = "" if plan.core is None else f" on core {plan.core}"
+    return (
+        f"placement={plan.placement}{where}  (grain {why['grain_flops']:,.0f} "
+        f"FLOPs per local kernel call over {why['phases']} phase(s), packed "
+        f"below {why['threshold_flops']:,}: {why['reason']})"
+    )
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     import inspect
 
@@ -88,7 +100,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(f"(*) {caveat}")
     print(
         f"\npredicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
-        f"comm={plan.comm_mode.value}  overlap={plan.overlap}"
+        f"comm={plan.comm_mode.value}  overlap={plan.overlap}\n"
+        + _placement_line(plan)
     )
     return 0
 
@@ -140,6 +153,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"exposed={modeled.measured_exposed_seconds*1e3:.3f} ms "
             f"efficiency={modeled.overlap_efficiency:.1%} of the bound"
         )
+        print(_placement_line(sess.explain()))
         # only the pooled (sparse-family) paths measure peak buffers
         if report.peak_buffer_bytes:
             print(f"peak panel buffers: {report.peak_buffer_bytes} bytes/rank")

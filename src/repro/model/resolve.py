@@ -7,10 +7,14 @@ frozen :class:`ResolvedPlan`: the resolved knobs plus ``why`` — per
 decision, the candidates that were compared and the model terms that
 drove the pick.  The decisions feed each other in one order:
 
-    kernels -> compute_gamma -> (algorithm, c, comm) -> overlap
+    kernels -> compute_gamma -> (algorithm, c, comm) -> placement -> overlap
 
 Family, replication factor and communication mode are *one* decision:
 the arg-min of :func:`repro.model.optimal.joint_candidates`' table.
+``placement`` says whether the thread pool keeps the session's rank
+threads on one core (``"packed"``) or leaves them to the scheduler
+(``"spread"``), from the FLOPs of one local kernel call
+(:data:`PACK_GRAIN_FLOPS`).
 
 ``kernels="auto"`` yields the one host-measured quantity (the calibrated
 seconds-per-FLOP); every other term prices the ``machine=`` argument.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
@@ -53,6 +58,20 @@ _OVERLAP = ("off", "on", "auto")
 #: must stay untaxed by default
 _TRACE = ("off", "on")
 
+#: FLOPs of one local kernel call below which a thread-backend session's
+#: ranks share one core.  Rank threads hand the GIL over at every
+#: GIL-releasing numpy call; when a call is ~100 us of work, two cores spend
+#: the time on that hand-over (47 600 voluntary context switches and 0.40 s
+#: of system time per ALS sweep on two cores against 1 800 and 0.01 s on
+#: one).  Measured with ``benchmarks/bench_placement.py`` (numpy kernels, 2
+#: cores, 70 points over four families and p = 2..16; table in CHANGES.md,
+#: PR 24) as packed / spread ms per ``fusedmm_a``: 0.26-0.98 at 38 of the 40
+#: points under 2**18 (1.01 at the other two), 0.82-1.59 (median 1.06) at
+#: 2**19, 1.06-1.87 at every point from 2**20 up.  Compiled kernels are
+#: faster per call, so their crossover sits higher; not measured (no numba
+#: on the sizing host).
+PACK_GRAIN_FLOPS = 2**18
+
 
 @dataclass(frozen=True)
 class ResolvedPlan:
@@ -62,8 +81,12 @@ class ResolvedPlan:
     calibrated seconds-per-FLOP when the choice came from ``"auto"``
     (``None`` for explicit choices: the model then keeps the machine's
     assumed gamma).  ``why`` maps each decision (``"kernels"``,
-    ``"algorithm"``, ``"c"``, ``"comm"``, ``"overlap"``) to what was
-    requested, what was compared and the model terms behind the pick.
+    ``"algorithm"``, ``"c"``, ``"comm"``, ``"placement"``, ``"overlap"``)
+    to what was requested, what was compared and the model terms behind
+    the pick.  ``placement`` is decided from shape statistics alone;
+    ``core`` is the one field :func:`resolve` never sets — the session
+    fills in the core its pool actually pinned its ranks to (``None``:
+    nothing was pinned).
     """
 
     m: int
@@ -74,6 +97,7 @@ class ResolvedPlan:
     c: int
     elision: Elision
     comm_mode: CommMode
+    placement: str
     overlap: str
     kernels: str
     compute_gamma: Optional[float]
@@ -85,6 +109,7 @@ class ResolvedPlan:
     machine: MachineParams
     phi: float
     why: Mapping[str, Any]
+    core: Optional[int] = None
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering (enums by value, the machine by its
@@ -254,10 +279,35 @@ def resolve(
         why["comm"]["reason"] = "family has no sparse-communication path"
     comm = CommMode(best["comm"])
 
+    # -- placement: the grain is the FLOPs of one local kernel call of a
+    # propagation phase.  A pure function of the shape statistics — the
+    # host's cores are recorded, never consulted — so a decision means the
+    # same on every machine; the pool applies it where it can.
+    backend = validate_backend_name(backend)
+    phases = p // c if algorithm.startswith("1.5d") else math.isqrt(p // c)
+    grain = 2.0 * nnz * r / (p * phases)
+    if backend != "threads":
+        placement, reason = "spread", "process backend: placement is the launcher's"
+    elif p <= 1:
+        placement, reason = "spread", "one rank runs inline on the driver thread"
+    elif grain < PACK_GRAIN_FLOPS:
+        placement, reason = "packed", "fine grain: GIL hand-over outweighs a core"
+    else:
+        placement, reason = "spread", "coarse grain: kernels run in parallel"
+    host_cores = _host_cores()
+    why["placement"] = {
+        "grain_flops": grain,
+        "phases": phases,
+        "threshold_flops": PACK_GRAIN_FLOPS,
+        "host_cores": host_cores,
+        "reason": reason,
+    }
+
     # -- overlap: on exactly when the overlapped-time term predicts a
-    # positive saving.  Like every model knob it prices the target
-    # machine, not this host — ``why`` records p next to the host's cores
-    # so an oversubscribed simulation is visible.
+    # positive saving and the ranks have a second core to hide it on.  Like
+    # every model knob it prices the target machine, not this host —
+    # ``why`` records p next to the host's cores so an oversubscribed
+    # simulation is visible.
     if overlap not in _OVERLAP:
         raise ReproError(f"overlap must be one of {_OVERLAP}, got {overlap!r}")
     why["overlap"] = {"requested": overlap}
@@ -270,8 +320,15 @@ def resolve(
             gain = overlap_gain_seconds(
                 key, n, r, p, c, phi, machine, sparse_comm=sparse, compute_gamma=gamma
             )
-            why["overlap"].update(gain_seconds=gain, p=p, host_cores=_host_cores())
+            why["overlap"].update(gain_seconds=gain, p=p, host_cores=host_cores)
             overlap = "on" if gain > 0.0 else "off"
+            if placement == "packed":
+                # the modelled gain assumes the transfer progresses while
+                # the kernel runs; ranks that share a core take turns
+                why["overlap"]["reason"] = (
+                    "packed placement: one core, nothing runs behind a kernel"
+                )
+                overlap = "off"
 
     # -- tracing and the robustness knobs (all off by default)
     if trace not in _TRACE:
@@ -281,7 +338,6 @@ def resolve(
     retries = int(retries)
     if retries < 0:
         raise ReproError(f"retries must be non-negative, got {retries}")
-    backend = validate_backend_name(backend)
     if backend != "threads":
         if faults is not None:
             raise ReproError(
@@ -308,6 +364,7 @@ def resolve(
         c=c,
         elision=elision,
         comm_mode=comm,
+        placement=placement,
         overlap=overlap,
         kernels=kern,
         compute_gamma=gamma,

@@ -260,6 +260,8 @@ class MpiWorkerPool:
 
     #: session dispatch must sync rank-local state across processes
     spans_processes = True
+    #: where a process runs is ``mpirun``'s placement: nothing is pinned here
+    core = None
 
     def __init__(
         self,

@@ -26,6 +26,15 @@ Launch shapes on the thread backend:
 * :func:`run_spmd` — the historical one-shot launcher, now a thin
   spawn-once wrapper over a throwaway pool (of either backend).
 
+Placement: a pool built with ``placement="packed"`` (the plan-time answer
+for fine-grained sessions, :mod:`repro.model.resolve`) keeps all its rank
+threads on **one** core — each rank thread pins itself, once, when it
+starts.  Ranks whose kernels are ~100 us of work spend a second core on
+handing the GIL back and forth, not on computing.  The driver thread and
+the process mask are never touched, and where nothing can be pinned (no
+``os.sched_setaffinity``, a one-core mask, one rank) a packed pool runs
+exactly like a spread one.
+
 Failure handling on the thread pool: if any rank raises, the world is
 aborted so sibling ranks blocked on receives unwind promptly
 (:class:`SpmdAbort`), the first error is re-raised in the caller, and the
@@ -36,6 +45,8 @@ work item.  The MPI pool has no cross-process recovery — see
 
 from __future__ import annotations
 
+import itertools
+import os
 import queue
 import threading
 import time
@@ -47,6 +58,22 @@ from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
+
+#: packed pools built so far in this process: successive pools (a serve
+#: fleet's sessions) take successive cores, and the pid spreads the
+#: processes of one host (xdist workers) the same way
+_PACKED_POOLS = itertools.count()
+
+
+def _pick_core(nranks: int) -> Optional[int]:
+    """The core a packed pool's rank threads share, or ``None`` where there
+    is nothing to pin (one rank, no ``sched_setaffinity``, one core)."""
+    if nranks == 1 or not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = sorted(os.sched_getaffinity(0))  # the driver thread's mask
+    if len(allowed) < 2:
+        return None
+    return allowed[(os.getpid() + next(_PACKED_POOLS)) % len(allowed)]
 
 
 class _Latch:
@@ -180,11 +207,19 @@ class WorkerPool:
         name: str = "spmd-pool",
         faults=None,
         deadline_ms: Optional[float] = None,
+        placement: str = "spread",
     ) -> None:
         if nranks < 1:
             raise ValueError(f"worker pool needs at least one rank, got {nranks}")
+        if placement not in ("packed", "spread"):
+            raise ValueError(
+                f"placement must be 'packed' or 'spread', got {placement!r}"
+            )
         self.nranks = nranks
         self.name = name
+        self.placement = placement
+        #: the core every rank thread pinned itself to (``None``: unpinned)
+        self.core = _pick_core(nranks) if placement == "packed" else None
         #: default per-item deadline (:meth:`run`/:meth:`run_async` may
         #: override per call); ``None`` disables the watchdog
         self.deadline_ms = deadline_ms
@@ -208,10 +243,11 @@ class WorkerPool:
         self._closed = False
         self._threads: List[threading.Thread] = []
         if nranks > 1:
+            started = _Latch(nranks)
             self._threads = [
                 threading.Thread(
                     target=self._worker,
-                    args=(r,),
+                    args=(r, started),
                     name=f"{name}-rank-{r}",
                     daemon=True,
                 )
@@ -219,12 +255,21 @@ class WorkerPool:
             ]
             for t in self._threads:
                 t.start()
+            if self.core is not None:
+                started.wait()  # ``core`` is settled when the constructor returns
 
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
 
-    def _worker(self, r: int) -> None:
+    def _worker(self, r: int, started: _Latch) -> None:
+        if self.core is not None:
+            # pid 0 is the calling *thread*: the driver keeps its mask
+            try:
+                os.sched_setaffinity(0, {self.core})
+            except OSError:  # a sandbox that refuses the call: run unpinned
+                self.core = None
+        started.count_down()
         comm = self._comms[r]
         while True:
             item = self._queues[r].get()
@@ -476,7 +521,8 @@ class WorkerPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"
-        return f"WorkerPool(nranks={self.nranks}, {state})"
+        where = self.placement + ("" if self.core is None else f" on core {self.core}")
+        return f"WorkerPool(nranks={self.nranks}, {where}, {state})"
 
 
 def make_worker_pool(
@@ -485,6 +531,8 @@ def make_worker_pool(
     name: str = "spmd-pool",
     faults=None,
     deadline_ms: Optional[float] = None,
+    *,
+    placement: str = "spread",
 ):
     """Construct the worker pool for a (validated or raw) backend name.
 
@@ -494,7 +542,8 @@ def make_worker_pool(
     :class:`~repro.runtime.backend_mpi.MpiWorkerPool` (raising the typed
     :class:`~repro.errors.BackendUnavailableError` when mpi4py is
     missing).  Unknown names raise
-    :class:`~repro.errors.UnknownBackendError`.
+    :class:`~repro.errors.UnknownBackendError`.  ``placement`` reaches the
+    thread pool only: where an mpi rank runs is ``mpirun``'s decision.
     """
     backend = validate_backend_name(backend)
     if backend == "mpi":
@@ -503,7 +552,9 @@ def make_worker_pool(
         return MpiWorkerPool(
             nranks, name=name, faults=faults, deadline_ms=deadline_ms
         )
-    return WorkerPool(nranks, name=name, faults=faults, deadline_ms=deadline_ms)
+    return WorkerPool(
+        nranks, name=name, faults=faults, deadline_ms=deadline_ms, placement=placement
+    )
 
 
 def run_spmd(

@@ -43,6 +43,7 @@ build a throwaway session per call.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import threading
 import time
@@ -473,7 +474,12 @@ class Session:
                 name=f"sess-{self.algorithm}",
                 faults=self._faults,
                 deadline_ms=self.deadline_ms,
+                placement=self._resolved.placement,
             )
+            # the plan says where the ranks actually sit (None: unpinned)
+            core = self._pool.core
+            self._resolved = dataclasses.replace(self._resolved, core=core)
+            self._plan["core"] = core
         return self._pool
 
     def _note_context_build(self, transpose: bool) -> None:
@@ -1162,7 +1168,16 @@ class Session:
         return False
 
     def __repr__(self) -> str:
-        shown = ("p", "c", "elision", "comm_mode", "overlap", "backend", "kernels")
+        shown = (
+            "p",
+            "c",
+            "elision",
+            "comm_mode",
+            "placement",
+            "overlap",
+            "backend",
+            "kernels",
+        )
         knobs = ", ".join(f"{k}={self._plan[k]!r}" for k in shown)
         return (
             f"Session({self.algorithm!r}, {knobs}, "
@@ -1209,7 +1224,12 @@ def plan(
     threads on the first kernel call and keeps them warm — with their
     communicators, grid contexts and panel-buffer pools — until
     :meth:`Session.close`, so steady-state calls pay no thread spawn, no
-    communicator splits and no context rebuild.
+    communicator splits and no context rebuild.  Where those threads sit
+    is decided at plan time, not by a knob: a fine-grained session (few
+    FLOPs per local kernel call) is ``placement="packed"`` and its rank
+    threads share one core, a coarse one is ``"spread"`` —
+    :meth:`Session.explain` carries the decision, its grain and the core
+    taken (ARCHITECTURE.md, "Plan-time resolution").
 
     **One call pipeline.**  Every kernel call is a
     :class:`SessionFuture`: the dense operands are staged against shallow
@@ -1233,8 +1253,9 @@ def plan(
     ``"off"`` runs the same schedule synchronously (every transfer is
     waited where it is posted; nothing is hidden), and ``"auto"`` (the
     default) consults the cost model's overlapped-time term and enables
-    the pipeline whenever it predicts a positive saving — default-on
-    where profitable.
+    the pipeline whenever it predicts a positive saving and the ranks are
+    spread (ranks packed onto one core have nothing to run behind a
+    kernel) — default-on where profitable.
 
     ``trace="on"`` attaches a per-rank
     :class:`~repro.runtime.trace.Tracer` to every profile: tracked phases,

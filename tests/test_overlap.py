@@ -367,12 +367,19 @@ class TestPoolAsyncDispatch:
 
 class TestSessionOverlap:
     def test_auto_resolves_on_for_multirank(self, small_problem):
-        S, A, B = small_problem
-        with repro.plan(S, A.shape[1], p=8, c=4,
-                        algorithm="1.5d-sparse-shift",
-                        elision="replication-reuse") as sess:
+        """...where the ranks are spread: a packed session (fine grain,
+        all rank threads on one core) has nothing to run behind a kernel."""
+        knobs = dict(p=8, c=4, algorithm="1.5d-sparse-shift",
+                     elision="replication-reuse")
+        S = repro.erdos_renyi(4096, 4096, 8, seed=7)
+        with repro.plan(S, 128, **knobs) as sess:  # grain 2**19 FLOPs
+            assert sess.explain().placement == "spread"
             assert sess.overlap_mode == "on"
             assert "overlap='on'" in repr(sess)
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], **knobs) as sess:
+            assert sess.explain().placement == "packed"
+            assert sess.overlap_mode == "off"
 
     def test_auto_resolves_off_for_single_rank(self, small_problem):
         S, A, B = small_problem

@@ -56,7 +56,9 @@ def no_ranks(monkeypatch):
 
 
 def decision(plan: ResolvedPlan):
-    return plan.algorithm, plan.c, plan.comm_mode.value, plan.overlap
+    return (
+        plan.algorithm, plan.c, plan.comm_mode.value, plan.overlap, plan.placement
+    )
 
 
 #: the Motivation's grid: n x nnz/row x r x p
@@ -75,35 +77,38 @@ class TestDecisionPins:
     ``small_auto`` moved once: the sequential ``algorithm -> c -> comm``
     resolver picked ``("1.5d-sparse-shift", 1, "dense", "on")`` from the
     dense rows alone (``model.auto_regret`` 2.3-2.75); the joint decision
-    prices the need-list row and takes the 2.5D q = 1 grid.  The whole
-    grid's decisions are pinned by :class:`TestGoldenDecisions`.
+    prices the need-list row and takes the 2.5D q = 1 grid.  ``als_sweep``
+    moved once: its grain (131 k FLOPs per local kernel call) is under
+    ``PACK_GRAIN_FLOPS``, so its ranks share a core and ``overlap="auto"``
+    has nothing to hide behind (was ``"on"``).  The whole grid's decisions
+    are pinned by :class:`TestGoldenDecisions`.
     """
 
     PINS = {
         "er_comm": (
             dict(n=16384, nnz=65525, r=128, p=8, c=4, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="sparse"),
-            ("1.5d-sparse-shift", 4, "sparse", "on"),
+            ("1.5d-sparse-shift", 4, "sparse", "on", "spread"),
         ),
         "er_compute": (
             dict(n=8192, nnz=261654, r=32, p=8, c=2, algorithm="1.5d-dense-shift",
                  elision="local-kernel-fusion", comm="dense"),
-            ("1.5d-dense-shift", 2, "dense", "on"),
+            ("1.5d-dense-shift", 2, "dense", "on", "spread"),
         ),
         "rmat_25d": (
             dict(n=16384, nnz=119961, r=64, p=8, c=2,
                  algorithm="2.5d-sparse-replicate", elision="none", comm="auto"),
-            ("2.5d-sparse-replicate", 2, "sparse", "on"),
+            ("2.5d-sparse-replicate", 2, "sparse", "on", "spread"),
         ),
         "small_auto": (
             dict(n=2048, nnz=16351, r=64, p=4, c=None, algorithm="auto",
                  elision="none", comm="auto", overlap="auto"),
-            ("2.5d-sparse-replicate", 4, "sparse", "off"),
+            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread"),
         ),
         "als_sweep": (
             dict(n=4096, nnz=65423, r=32, p=8, c=2, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="dense"),
-            ("1.5d-sparse-shift", 2, "dense", "on"),
+            ("1.5d-sparse-shift", 2, "dense", "off", "packed"),
         ),
     }
 
@@ -118,7 +123,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_decisions.json")
 
 def grid_decisions():
     """``{"<elision>/<comm>": {"n,nnz/row,r,p": "<family> c=<c> <comm>
-    overlap=<overlap>"}}`` over ``GRID``, every other knob on auto."""
+    overlap=<overlap> <placement>"}}`` over ``GRID``, every other knob on
+    auto."""
     doc = {}
     for elision, comm in itertools.product(ELISIONS, ("dense", "auto", "sparse")):
         points = doc[f"{elision}/{comm}"] = {}
@@ -128,7 +134,7 @@ def grid_decisions():
             except ReproError:
                 resolved = "ReproError"
             else:
-                resolved = "{} c={} {} overlap={}".format(*decision(plan))
+                resolved = "{} c={} {} overlap={} {}".format(*decision(plan))
             points[f"{n},{per_row},{r},{p}"] = resolved
     return doc
 
@@ -352,7 +358,9 @@ class TestWhy:
     def test_records_every_candidate_and_round_trips(self):
         plan = resolve_plan(2048, 16351, 64, p=4, comm="auto")
         why = plan.why
-        assert set(why) == {"kernels", "algorithm", "c", "comm", "overlap"}
+        assert set(why) == {
+            "kernels", "algorithm", "c", "comm", "placement", "overlap"
+        }
         # every (row, c, comm) of elision="none": each family's feasible
         # c, dense everywhere, sparse where the family has need lists
         table = why["algorithm"]["candidates"]
@@ -384,6 +392,12 @@ class TestWhy:
             rec = table[why["comm"][mode]]
             assert (rec["row"], rec["c"], rec["comm"]) == (best["row"], plan.c, mode)
         assert why["overlap"]["p"] == 4 and why["overlap"]["host_cores"] >= 1
+        # 2.5D at q = 1: one phase, 2 * 16351 * 64 / 4 FLOPs per kernel call
+        assert why["placement"] == {
+            "grain_flops": 523232.0, "phases": 1, "threshold_flops": 2**18,
+            "host_cores": why["overlap"]["host_cores"],
+            "reason": "coarse grain: kernels run in parallel",
+        }
         doc = plan.as_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["machine"]["name"] == "cori-knl" and doc["faults"] is False
@@ -506,15 +520,15 @@ class TestMeasuredRegret:
     CONFIGS = {
         "er-p4-low-phi": (
             lambda: repro.erdos_renyi(2048, 2048, 8, seed=7), 64, 4,
-            ("2.5d-sparse-replicate", 4, "sparse", "off"),
+            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread"),
         ),
         "er-p8-phi-half": (
             lambda: repro.erdos_renyi(1024, 1024, 16, seed=2), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "on"),
+            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed"),
         ),
         "rmat-p8": (
             lambda: rmat(10, 8, seed=3), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "on"),
+            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed"),
         ),
     }
 
