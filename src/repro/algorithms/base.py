@@ -164,7 +164,8 @@ class DistributedAlgorithm:
     * ``plan(m, n, r)``
     * ``distribute_sparse(plan, S)`` / ``collect_sddmm`` and the one
       statement of the family's Table II dense layout,
-      ``dense_index(plan, loc, side)`` (driver side); :meth:`bind_dense`
+      ``piece_index(plan, loc, side)`` (driver side); :meth:`dense_index`
+      (which composes a declared row order into it), :meth:`bind_dense`
       / :meth:`collect_dense_a` / :meth:`collect_dense_b` are derived
       from it here.  The split mirrors the session API: the sparse
       operand is partitioned **once** per resident distribution (it owns
@@ -213,6 +214,9 @@ class DistributedAlgorithm:
         # steady-state runs (the paper's "5 FusedMM calls") allocate no
         # panels after the first call; see repro.runtime.buffers
         self._pools: Dict[int, BufferPool] = {}
+        # id(plan) -> (plan, {"a": rows, "b": rows}), see order_rows; the
+        # plan rides along so a recycled id never matches
+        self._row_orders: Dict[int, Tuple[Any, Dict[str, np.ndarray]]] = {}
 
     def pool_for(self, comm: Communicator) -> BufferPool:
         """The calling rank's buffer pool, following the comm's profile.
@@ -247,15 +251,38 @@ class DistributedAlgorithm:
         """
         raise NotImplementedError
 
-    def dense_index(self, plan, loc, side: str) -> Tuple[Any, Any]:
+    def piece_index(self, plan, loc, side: str) -> Tuple[Any, Any]:
         """The family's dense layout (paper Table II), stated once.
 
         Returns the ``(rows, cols)`` index — slices or an integer row
-        array plus a column slice — of the piece of the global ``m x r``
-        (``side="a"``) or ``n x r`` (``side="b"``) matrix that
+        array plus a column slice — of the piece of the distributed
+        ``m x r`` (``side="a"``) or ``n x r`` (``side="b"``) matrix that
         ``loc``'s rank holds at the start of a kernel call.
         """
         raise NotImplementedError
+
+    def dense_index(self, plan, loc, side: str) -> Tuple[Any, Any]:
+        """Where :meth:`piece_index` lives in the *caller's* operand.
+
+        The distributed matrix's dense row ``i`` is the caller's row
+        ``order[i]`` when :meth:`order_rows` declared an order for
+        ``plan`` (a session distributing a permuted operand); the order is
+        composed into the rows here, so :meth:`bind_dense` gathers each
+        piece straight from the caller's array and the collects scatter
+        straight into the output — no pass over a dense operand of its
+        own.  Without an order this is :meth:`piece_index`.
+        """
+        rows, cols = self.piece_index(plan, loc, side)
+        entry = self._row_orders.get(id(plan))
+        if entry is not None and entry[0] is plan:
+            rows = entry[1][side][rows]
+        return rows, cols
+
+    def order_rows(self, plan, a: np.ndarray, b: np.ndarray) -> None:
+        """Declare that row ``i`` of ``plan``'s distributed A (B) is row
+        ``a[i]`` (``b[i]``) of the caller's operand (see
+        :meth:`dense_index`)."""
+        self._row_orders[id(plan)] = (plan, {"a": a, "b": b})
 
     def bind_dense(self, plan, locals_, A, B) -> None:
         """(Re)scatter the dense operands into ``locals_`` in place.

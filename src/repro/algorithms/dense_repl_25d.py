@@ -219,7 +219,7 @@ class DenseReplicate25D(DistributedAlgorithm):
             )
         return locals_
 
-    def dense_index(self, plan: Plan25DDense, loc: Local25DDense, side: str):
+    def piece_index(self, plan: Plan25DDense, loc: Local25DDense, side: str):
         """Fine row block (``x*c + z`` of A; the skewed start
         ``sigma0*c + z`` of B) x r-strip ``y``."""
         if side == "a":

@@ -182,7 +182,7 @@ class DenseShift15D(DistributedAlgorithm):
             loc.gidx[j] = gi
         return locals_
 
-    def dense_index(self, plan: Plan15DDense, loc: Local15DDense, side: str):
+    def piece_index(self, plan: Plan15DDense, loc: Local15DDense, side: str):
         """Fine row block ``u*c + v``, full width."""
         i = loc.u * self.c + loc.v
         rows = plan.fine_rows_a(i) if side == "a" else plan.fine_rows_b(i)

@@ -270,7 +270,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             )
         return locals_
 
-    def dense_index(self, plan: Plan25DSparse, loc: Local25DSparse, side: str):
+    def piece_index(self, plan: Plan25DSparse, loc: Local25DSparse, side: str):
         """Coarse row block (``x`` for A, ``y`` for B) x the phase-0 column
         chunk of layer strip ``z``."""
         rows = plan.rows_a(loc.x) if side == "a" else plan.rows_b(loc.y)

@@ -241,7 +241,7 @@ class SparseShift15D(DistributedAlgorithm):
             )
         return locals_
 
-    def dense_index(self, plan: Plan15DSparse, loc: Local15DSparse, side: str):
+    def piece_index(self, plan: Plan15DSparse, loc: Local15DSparse, side: str):
         """Block-row cyclic fine rows of fiber position ``v`` x r-strip ``u``."""
         rows = plan.rows_a_of_fiber if side == "a" else plan.rows_b_of_fiber
         return rows[loc.v], plan.strip_slice(loc.u)

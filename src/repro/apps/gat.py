@@ -293,6 +293,9 @@ class DistributedGAT:
             u, v = ctx.u, ctx.v
             nl = plan.n_layer
             X_blk = X[alg.dense_index(plan, local, "a")]
+            # the circulating block's rows are the B side's (the i side): the
+            # A side's only while S's rows and columns share one order
+            X_own = X[alg.dense_index(plan, local, "b")]
             # gather the replicated node features ONCE; per-head panels
             # derive locally (replication reuse across heads and rounds)
             with track(ctx.comm, Phase.REPLICATION):
@@ -310,8 +313,8 @@ class DistributedGAT:
             for head in heads:
                 with prof.track(Phase.OTHER):
                     T_H = T_X @ head.W  # coarse panel of H (j-side rows)
-                    H_blk = X_blk @ head.W  # circulating block (i-side rows)
-                    prof.add_flops(2 * (T_X.size + X_blk.size) * head.W.shape[1])
+                    H_blk = X_own @ head.W  # circulating block (i-side rows)
+                    prof.add_flops(2 * (T_X.size + X_own.size) * head.W.shape[1])
 
                 # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>);
                 # H circulates read-only

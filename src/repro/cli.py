@@ -62,6 +62,19 @@ def _placement_line(plan) -> str:
     )
 
 
+def _layout_line(plan) -> str:
+    """``layout`` with the two statistics it was decided from."""
+    why = plan.why["layout"]
+    if why["row_imbalance"] is None:
+        return f"layout={plan.layout}  ({why['reason']})"
+    imbalance = max(why["row_imbalance"], why["col_imbalance"])
+    return (
+        f"layout={plan.layout}  (block imbalance {imbalance:.3g}, permuted above "
+        f"{why['threshold']}; union proxy {why['union_natural']:,} natural, "
+        f"{why['union_permuted']:,} permuted: {why['reason']})"
+    )
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     import inspect
 
@@ -102,6 +115,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         f"\npredicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
         f"comm={plan.comm_mode.value}  overlap={plan.overlap}\n"
         + _placement_line(plan)
+        + "\n"
+        + _layout_line(plan)
     )
     return 0
 
@@ -154,6 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"efficiency={modeled.overlap_efficiency:.1%} of the bound"
         )
         print(_placement_line(sess.explain()))
+        print(_layout_line(sess.explain()))
         # only the pooled (sparse-family) paths measure peak buffers
         if report.peak_buffer_bytes:
             print(f"peak panel buffers: {report.peak_buffer_bytes} bytes/rank")

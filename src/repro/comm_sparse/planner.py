@@ -41,6 +41,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
+def _touched(index: np.ndarray, extent: int) -> np.ndarray:
+    """``np.unique(index)`` for indices in ``[0, extent)``, by counting."""
+    return np.flatnonzero(np.bincount(index, minlength=extent))
+
+
 # ----------------------------------------------------------------------
 # per-rank plan bundles
 # ----------------------------------------------------------------------
@@ -140,7 +145,7 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
     # rows each *layer* touches: union of S rows over the layer's chunks
     if S.nnz:
         layer_v = block_of(S.cols, plan.col_fine) % c
-        need = [np.unique(S.rows[layer_v == v]) for v in range(c)]
+        need = [_touched(S.rows[layer_v == v], plan.m) for v in range(c)]
     else:
         need = [_EMPTY] * c
 
@@ -221,9 +226,10 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
         parts = partition_coo_2d(
             S.rows, S.cols, S.vals, plan.row_coarse, plan.col_coarse
         )
-        for key, (br, bc, _, _) in parts.items():
-            u_rows[key] = np.unique(br)
-            u_cols[key] = np.unique(bc)
+        heights, widths = np.diff(plan.row_coarse), np.diff(plan.col_coarse)
+        for (x, y), (br, bc, _, _) in parts.items():
+            u_rows[x, y] = _touched(br, heights[x])
+            u_cols[x, y] = _touched(bc, widths[y])
 
     # packed indexes + coordinate-remapped block, shared across the fiber
     # (block coordinates are replicated over z, so all c fiber ranks of a

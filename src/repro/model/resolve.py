@@ -2,13 +2,19 @@
 
 :func:`resolve` is what :func:`repro.plan` runs before it builds
 anything.  It takes the sparse operand's *shape statistics* (``m``,
-``n``, ``nnz``) rather than the matrix, spawns no rank, and returns a
-frozen :class:`ResolvedPlan`: the resolved knobs plus ``why`` — per
-decision, the candidates that were compared and the model terms that
-drove the pick.  The decisions feed each other in one order:
+``n``, ``nnz``, plus the structural numbers ``plan()`` measures) rather
+than the matrix, spawns no rank, and returns a frozen
+:class:`ResolvedPlan`: the resolved knobs plus ``why`` — per decision,
+the candidates that were compared and the model terms that drove the
+pick.  The decisions feed each other in one order:
 
-    kernels -> compute_gamma -> (algorithm, c, comm) -> placement -> overlap
+    layout -> kernels -> compute_gamma -> (algorithm, c, comm) -> placement
+    -> overlap
 
+``layout`` says whether the session distributes the operand as given
+(``"natural"``) or under the paper's fixed random row / column
+permutation (``"permuted"``, §VI), from block statistics of the structure
+(:data:`LAYOUT_IMBALANCE`) — never from a knob.
 Family, replication factor and communication mode are *one* decision:
 the arg-min of :func:`repro.model.optimal.joint_candidates`' table.
 ``placement`` says whether the thread pool keeps the session's rank
@@ -72,6 +78,20 @@ _TRACE = ("off", "on")
 #: on the sizing host).
 PACK_GRAIN_FLOPS = 2**18
 
+#: max / mean nonzeros over ``p`` equal row (or column) blocks above which
+#: the operand is skewed enough to consider the random permutation.  The
+#: e2e ER inputs sit at <= 1.017, ``rmat(14)`` at 3.36; a banded matrix
+#: with hub rows (1.63) is skewed too, and there the permutation *widens*
+#: the union proxy (9 742 -> 17 418), which is why the rule also compares
+#: it (``benchmarks/bench_layout.py``).
+LAYOUT_IMBALANCE = 1.25
+
+#: the structural statistics ``why["layout"]`` records (``plan()`` passes
+#: them in; ``None`` each for a shape-only request)
+_STRUCTURE = (
+    "row_imbalance", "col_imbalance", "union_natural", "union_permuted", "seed"
+)
+
 
 @dataclass(frozen=True)
 class ResolvedPlan:
@@ -80,10 +100,11 @@ class ResolvedPlan:
     ``kernels`` is the resolved backend *name*; ``compute_gamma`` is its
     calibrated seconds-per-FLOP when the choice came from ``"auto"``
     (``None`` for explicit choices: the model then keeps the machine's
-    assumed gamma).  ``why`` maps each decision (``"kernels"``,
-    ``"algorithm"``, ``"c"``, ``"comm"``, ``"placement"``, ``"overlap"``)
-    to what was requested, what was compared and the model terms behind
-    the pick.  ``placement`` is decided from shape statistics alone;
+    assumed gamma).  ``why`` maps each decision (``"layout"``,
+    ``"kernels"``, ``"algorithm"``, ``"c"``, ``"comm"``, ``"placement"``,
+    ``"overlap"``) to what was requested, what was compared and the model
+    terms behind the pick.  ``layout`` is decided from structural
+    statistics alone, ``placement`` from shape statistics alone;
     ``core`` is the one field :func:`resolve` never sets — the session
     fills in the core its pool actually pinned its ranks to (``None``:
     nothing was pinned).
@@ -92,6 +113,7 @@ class ResolvedPlan:
     m: int
     n: int
     r: int
+    layout: str
     algorithm: str
     p: int
     c: int
@@ -160,10 +182,13 @@ def resolve(
     faults,
     backend: str,
     kernels: str,
+    structure: Optional[Mapping[str, float]] = None,
 ) -> ResolvedPlan:
     """Resolve every knob of :func:`repro.plan` (which declares and
     documents them) for an ``m x n`` sparse operand with ``nnz`` nonzeros
-    and embedding width ``r``.
+    and embedding width ``r``.  ``structure`` holds the operand's block
+    statistics (:func:`repro.sparse.stats.layout_statistics`); without
+    them the operand keeps its natural layout.
 
     Guard order: unknown kernel / backend name, then the thread-only
     feature guards, then availability, then the model — so the guidance
@@ -175,6 +200,23 @@ def resolve(
     r = int(r)
     if r <= 0:
         raise ReproError(f"r must be positive, got {r}")
+
+    # -- layout: the random permutation balances a skewed operand's blocks,
+    # and is taken where it also narrows the rows / columns a block touches
+    # (the union proxy the need lists grow with).  It reads no knob, so a
+    # given operand is distributed the same way under every family, comm,
+    # overlap and placement.
+    stats = {key: (structure or {}).get(key) for key in _STRUCTURE}
+    layout = "natural"
+    if structure is None:
+        reason = "shape statistics only: no structure to balance"
+    elif max(stats["row_imbalance"], stats["col_imbalance"]) <= LAYOUT_IMBALANCE:
+        reason = "balanced blocks"
+    elif stats["union_permuted"] < stats["union_natural"]:
+        layout, reason = "permuted", "skewed blocks: the permutation narrows the unions"
+    else:
+        reason = "skewed blocks, but the permutation widens the unions"
+    why["layout"] = {**stats, "threshold": LAYOUT_IMBALANCE, "reason": reason}
 
     # -- kernels.  The thread-only restriction is honest, not cosmetic:
     # backend="mpi" ranks are separate processes whose profiles the driver
@@ -359,6 +401,7 @@ def resolve(
         m=m,
         n=n,
         r=r,
+        layout=layout,
         algorithm=algorithm,
         p=p,
         c=c,

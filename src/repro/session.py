@@ -72,6 +72,7 @@ from repro.runtime.profile import RankProfile, RunReport
 from repro.runtime.spmd import WorkerPool, make_worker_pool
 from repro.runtime.trace import TimelineStats, Tracer, export_chrome_trace
 from repro.sparse.coo import CooMatrix
+from repro.sparse.stats import layout_permutations, layout_statistics
 from repro.types import CommMode, Elision, FusedVariant, Mode, Phase
 
 ElisionLike = Union[str, Elision]
@@ -87,13 +88,22 @@ def _as_coo(S) -> CooMatrix:
     return CooMatrix.from_scipy(S)
 
 
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
+    return inv
+
+
 @dataclass
 class _Orientation:
     """One resident distribution of the sparse operand.
 
     ``transpose=False`` is the operands' own orientation; ``True`` is the
     transposed sibling used by fused variants whose native procedure lives
-    on the opposite side (the paper's transposition trick).
+    on the opposite side (the paper's transposition trick).  ``S_eff`` is
+    the orientation in the caller's coordinates (what SDDMM outputs are
+    reassembled into); what ``plan`` / ``locals_`` distribute is the
+    session's layout of it, with the same nonzero order.
 
     ``contexts[rank]`` is the rank's resident algorithm context (grid
     subcommunicators, buffer pool) — built by the worker-pool ranks on the
@@ -201,6 +211,15 @@ class Session:
         self._alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
         self.algorithm, self.p, self.c = alg.name, alg.p, alg.c
         self.r = resolved.r
+        #: "natural", or "permuted": every orientation distributes
+        #: ``S.permuted(row_perm, col_perm)`` (fixed seed) and the algorithm
+        #: composes the inverse permutations into its dense indexes
+        self.layout = resolved.layout
+        self._perms: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._inverses: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if self.layout == "permuted":
+            self._perms = layout_permutations(self.m, self.n, self.p)
+            self._inverses = tuple(_inverse(perm) for perm in self._perms)
         self.elision = resolved.elision
         self.comm_mode = resolved.comm_mode
         self.machine = resolved.machine
@@ -392,11 +411,19 @@ class Session:
         ori = self._orients.get(transpose)
         if ori is None:
             self.plan_builds += 1
+            alg = self._alg
             S_eff = self.S.transposed() if transpose else self.S
-            plan = self._alg.plan(S_eff.nrows, S_eff.ncols, self.r)
-            locals_ = self._alg.distribute_sparse(plan, S_eff)
+            S_dist = S_eff
+            if self._perms is not None:
+                S_dist = self.S.permuted(*self._perms)
+                S_dist = S_dist.transposed() if transpose else S_dist
+            plan = alg.plan(S_dist.nrows, S_dist.ncols, self.r)
+            locals_ = alg.distribute_sparse(plan, S_dist)
+            if self._inverses is not None:
+                rows, cols = self._inverses
+                alg.order_rows(plan, *((cols, rows) if transpose else (rows, cols)))
             sparse_plans = (
-                self._alg.build_comm_plans(plan, S_eff)
+                alg.build_comm_plans(plan, S_dist)
                 if self.comm_mode == CommMode.SPARSE
                 else None
             )
@@ -1171,6 +1198,7 @@ class Session:
         shown = (
             "p",
             "c",
+            "layout",
             "elision",
             "comm_mode",
             "placement",
@@ -1229,7 +1257,11 @@ def plan(
     FLOPs per local kernel call) is ``placement="packed"`` and its rank
     threads share one core, a coarse one is ``"spread"`` —
     :meth:`Session.explain` carries the decision, its grain and the core
-    taken (ARCHITECTURE.md, "Plan-time resolution").
+    taken (ARCHITECTURE.md, "Plan-time resolution").  Nor is the layout a
+    knob: a skewed operand (busiest of ``p`` equal row or column blocks
+    over 1.25x the mean) whose need-list unions the paper's random row /
+    column permutation narrows is distributed permuted, under one fixed
+    seed; outputs come back in the caller's order.
 
     **One call pipeline.**  Every kernel call is a
     :class:`SessionFuture`: the dense operands are staged against shallow
@@ -1332,5 +1364,6 @@ def plan(
         faults=faults,
         backend=backend,
         kernels=kernels,
+        structure=layout_statistics(S, max(p, 1)),
     )
     return Session(S, resolved)

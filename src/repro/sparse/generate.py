@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -94,12 +94,21 @@ def rmat(
     return CooMatrix(rows, cols, vals, (n, n), dedupe=True)
 
 
+def random_permutations(
+    nrows: int, ncols: int, seed=0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(row_perm, col_perm)`` pair :func:`random_permutation` applies
+    (``new_index = perm[old_index]``)."""
+    rng = _rng(seed)
+    return (
+        rng.permutation(nrows).astype(np.int64),
+        rng.permutation(ncols).astype(np.int64),
+    )
+
+
 def random_permutation(mat: CooMatrix, seed=0) -> CooMatrix:
     """Random row+column permutation for load balance (paper Section VI)."""
-    rng = _rng(seed)
-    row_perm = rng.permutation(mat.nrows).astype(np.int64)
-    col_perm = rng.permutation(mat.ncols).astype(np.int64)
-    return mat.permuted(row_perm, col_perm)
+    return mat.permuted(*random_permutations(mat.nrows, mat.ncols, seed))
 
 
 def _make_values(rng: np.random.Generator, total: int, kind: str) -> np.ndarray:
@@ -152,13 +161,16 @@ REALWORLD_PROFILES: Dict[str, RealWorldProfile] = {
 }
 
 
-def realworld_standin(name: str, scale: int = 13, seed=0) -> CooMatrix:
+def realworld_standin(
+    name: str, scale: int = 13, seed=0, permute: bool = True
+) -> CooMatrix:
     """Scaled-down stand-in for a Table V matrix.
 
     ``scale`` gives the side length ``2**scale``; the nonzeros-per-row
     profile (and therefore ``phi = nnz / (n r)`` at any embedding width)
     matches the original matrix.  A random permutation is applied, as the
-    paper does for load balance.
+    paper does for load balance (``permute=False``: the skewed R-MAT
+    matrix as generated).
     """
     if name not in REALWORLD_PROFILES:
         raise KeyError(
@@ -180,4 +192,6 @@ def realworld_standin(name: str, scale: int = 13, seed=0) -> CooMatrix:
             scale, edge_factor=factor, a=prof.rmat_a, b=prof.rmat_b, c=prof.rmat_c,
             seed=seed,
         )
+    if not permute:
+        return mat
     return random_permutation(mat, seed=_rng(seed).integers(1 << 31))

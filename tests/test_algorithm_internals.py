@@ -236,8 +236,9 @@ class TestResidentBlock25DSparse:
 
 
 class TestDenseIndex:
-    """Each family states its Table II dense layout once (``dense_index``);
-    ``bind_dense`` / ``collect_dense_*`` are the base class's."""
+    """Each family states its Table II dense layout once (``piece_index``);
+    ``dense_index`` / ``bind_dense`` / ``collect_dense_*`` are the base
+    class's."""
 
     FAMILIES = [
         (DenseShift15D, 8, 2),

@@ -50,6 +50,7 @@ class TestCli:
         ) in out
         assert "2.5d-sparse-replicate/none  c=4  comm=sparse  overlap=off" in out
         assert "placement=spread  (grain 524,288 FLOPs per local kernel call" in out
+        assert "layout=natural  (shape statistics only" in out
         # one line per (row, c, comm) candidate
         table = plan.why["algorithm"]["candidates"]
         assert sum(" ms " in line for line in out.splitlines()) == len(table)
@@ -62,6 +63,9 @@ class TestCli:
         assert "output shape: (256, 16)" in out
         assert "modeled time" in out
         assert "placement=packed" in out and '"placement": "packed"' in out
+        # an ER operand's blocks are balanced: both statistics, one line
+        assert "layout=natural  (block imbalance 1." in out
+        assert "union proxy" in out and '"layout": "natural"' in out
 
     def test_run_trace_out_writes_phase_spans_for_every_rank(self, tmp_path, capsys):
         """`run --trace-out` end to end: the file the CLI leaves behind is

@@ -34,7 +34,7 @@ from repro.errors import CommError
 from repro.runtime.spmd import run_spmd
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
-from repro.sparse.partition import block_of
+from repro.sparse.partition import block_of, partition_coo_2d
 from repro.types import Mode, Phase
 
 
@@ -402,6 +402,20 @@ class TestPlanner25D:
                 r1 = g.rank_of(x, y, 1)
                 for a, b in zip(self.cplans[r0].gather_a.peers, self.cplans[r1].gather_a.peers):
                     np.testing.assert_array_equal(a.recv_rows, b.recv_rows)
+
+    def test_need_lists_are_each_blocks_unique_coordinates(self):
+        """Counted (``bincount``), not sorted: the same arrays ``np.unique``
+        gives, dtype included."""
+        parts = partition_coo_2d(
+            self.S.rows, self.S.cols, self.S.vals,
+            self.plan.row_coarse, self.plan.col_coarse,
+        )
+        for rank, cp in enumerate(self.cplans):
+            x, y, _ = self.alg.grid.coords(rank)
+            br, bc, _, _ = parts.get((x, y), (ix(), ix(), None, None))
+            for index, coords in ((cp.index_a, br), (cp.index_b, bc)):
+                assert index.union.dtype == np.unique(coords).dtype
+                np.testing.assert_array_equal(index.union, np.unique(coords))
 
 
 class TestPlanCache:

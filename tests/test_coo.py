@@ -95,6 +95,58 @@ class TestSparseBlock:
         np.testing.assert_allclose(blk.csr().toarray(), dense, atol=1e-12)
 
 
+def lexsort_structure(blk, transpose):
+    """The CSR structure as it was built before the single-key sort:
+    ``lexsort((c, r))`` and an ``add.at`` row count."""
+    r, c = (blk.cols, blk.rows) if transpose else (blk.rows, blk.cols)
+    nr = blk.ncols if transpose else blk.nrows
+    order = np.lexsort((c, r))
+    indptr = np.zeros(nr + 1, dtype=np.int64)
+    np.add.at(indptr, r + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, c[order].astype(np.int64), order.astype(np.int64)
+
+
+class TestStructureIdentity:
+    """The stable single-key ``argsort`` + ``bincount`` build yields the
+    very arrays the two-key ``lexsort`` did — duplicates keep their COO
+    order, so every CSR product sums in the same order."""
+
+    CASES = {
+        "duplicates": ([2, 0, 2, 2, 1, 0], [1, 3, 1, 0, 3, 3], (3, 4)),
+        "empty": ([], [], (4, 5)),
+        "empty-rows": ([0, 0, 5], [2, 1, 2], (6, 3)),
+        "non-square": ([0, 6, 3, 3], [999, 0, 500, 499], (7, 1000)),
+    }
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_arrays(self, case, transpose):
+        rows, cols, shape = self.CASES[case]
+        blk = SparseBlock(
+            np.array(rows, np.int64), np.array(cols, np.int64),
+            np.ones(len(rows)), shape,
+        )
+        built = blk._structure(transpose)
+        for got, want in zip(built, lexsort_structure(blk, transpose)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @given(
+        m=st.integers(1, 30), n=st.integers(1, 30),
+        nnz=st.integers(0, 200), seed=st.integers(0, 1 << 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_same_arrays(self, m, n, nnz, seed):
+        rows, cols, vals = random_coo(np.random.default_rng(seed), m, n, nnz)
+        blk = SparseBlock(rows, cols, vals, (m, n))
+        for transpose in (False, True):
+            for got, want in zip(
+                blk._structure(transpose), lexsort_structure(blk, transpose)
+            ):
+                assert np.array_equal(got, want)
+
+
 class TestCooMatrix:
     def test_dedupe_keeps_first_occurrence(self):
         mat = CooMatrix(

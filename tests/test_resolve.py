@@ -39,6 +39,7 @@ from repro.model.resolve import ResolvedPlan
 from repro.runtime.backend import mpi_available
 from repro.runtime.cost import CORI_KNL
 from repro.sparse.generate import rmat
+from repro.sparse.stats import layout_statistics
 from repro.types import CommMode, Elision
 
 from helpers import resolve_plan
@@ -57,7 +58,8 @@ def no_ranks(monkeypatch):
 
 def decision(plan: ResolvedPlan):
     return (
-        plan.algorithm, plan.c, plan.comm_mode.value, plan.overlap, plan.placement
+        plan.algorithm, plan.c, plan.comm_mode.value, plan.overlap, plan.placement,
+        plan.layout,
     )
 
 
@@ -71,8 +73,9 @@ GRID = list(
 
 class TestDecisionPins:
     """The resolved tuple of the five ``benchmarks/e2e`` configurations
-    (seed 7; ``nnz`` as generated), read from the commit before the
-    resolver existed.  A PR that changes a decision changes this table.
+    (seed 7; ``nnz`` and the layout statistics as generated), read from
+    the commit before the resolver existed.  A PR that changes a decision
+    changes this table.
 
     ``small_auto`` moved once: the sequential ``algorithm -> c -> comm``
     resolver picked ``("1.5d-sparse-shift", 1, "dense", "on")`` from the
@@ -80,42 +83,52 @@ class TestDecisionPins:
     prices the need-list row and takes the 2.5D q = 1 grid.  ``als_sweep``
     moved once: its grain (131 k FLOPs per local kernel call) is under
     ``PACK_GRAIN_FLOPS``, so its ranks share a core and ``overlap="auto"``
-    has nothing to hide behind (was ``"on"``).  The whole grid's decisions
-    are pinned by :class:`TestGoldenDecisions`.
+    has nothing to hide behind (was ``"on"``).  ``rmat_25d`` is the one
+    skewed input (block imbalance 3.36, union proxy 14 377 -> 8 798): it
+    is distributed permuted; the four ER inputs (<= 1.017) stay natural.
+    The whole grid's decisions are pinned by :class:`TestGoldenDecisions`.
     """
 
     PINS = {
         "er_comm": (
             dict(n=16384, nnz=65525, r=128, p=8, c=4, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="sparse"),
-            ("1.5d-sparse-shift", 4, "sparse", "on", "spread"),
+            lambda: repro.erdos_renyi(16384, 16384, 4, seed=7),
+            ("1.5d-sparse-shift", 4, "sparse", "on", "spread", "natural"),
         ),
         "er_compute": (
             dict(n=8192, nnz=261654, r=32, p=8, c=2, algorithm="1.5d-dense-shift",
                  elision="local-kernel-fusion", comm="dense"),
-            ("1.5d-dense-shift", 2, "dense", "on", "spread"),
+            lambda: repro.erdos_renyi(8192, 8192, 32, seed=7),
+            ("1.5d-dense-shift", 2, "dense", "on", "spread", "natural"),
         ),
         "rmat_25d": (
             dict(n=16384, nnz=119961, r=64, p=8, c=2,
                  algorithm="2.5d-sparse-replicate", elision="none", comm="auto"),
-            ("2.5d-sparse-replicate", 2, "sparse", "on", "spread"),
+            lambda: rmat(14, 8, seed=7),
+            ("2.5d-sparse-replicate", 2, "sparse", "on", "spread", "permuted"),
         ),
         "small_auto": (
             dict(n=2048, nnz=16351, r=64, p=4, c=None, algorithm="auto",
                  elision="none", comm="auto", overlap="auto"),
-            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread"),
+            lambda: repro.erdos_renyi(2048, 2048, 8, seed=7),
+            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread", "natural"),
         ),
         "als_sweep": (
             dict(n=4096, nnz=65423, r=32, p=8, c=2, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="dense"),
-            ("1.5d-sparse-shift", 2, "dense", "off", "packed"),
+            lambda: repro.erdos_renyi(4096, 4096, 16, seed=7, values="ones"),
+            ("1.5d-sparse-shift", 2, "dense", "off", "packed", "natural"),
         ),
     }
 
     @pytest.mark.parametrize("workload", sorted(PINS))
     def test_e2e_configuration(self, workload):
-        knobs, expected = self.PINS[workload]
-        assert decision(resolve_plan(**knobs)) == expected
+        knobs, make, expected = self.PINS[workload]
+        S = make()
+        assert S.nnz == knobs["nnz"]
+        structure = layout_statistics(S, knobs["p"])
+        assert decision(resolve_plan(**knobs, structure=structure)) == expected
 
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_decisions.json")
@@ -123,8 +136,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_decisions.json")
 
 def grid_decisions():
     """``{"<elision>/<comm>": {"n,nnz/row,r,p": "<family> c=<c> <comm>
-    overlap=<overlap> <placement>"}}`` over ``GRID``, every other knob on
-    auto."""
+    overlap=<overlap> <placement> <layout>"}}`` over ``GRID``, every other
+    knob on auto (shape statistics only, so every layout is natural)."""
     doc = {}
     for elision, comm in itertools.product(ELISIONS, ("dense", "auto", "sparse")):
         points = doc[f"{elision}/{comm}"] = {}
@@ -134,7 +147,7 @@ def grid_decisions():
             except ReproError:
                 resolved = "ReproError"
             else:
-                resolved = "{} c={} {} overlap={} {}".format(*decision(plan))
+                resolved = "{} c={} {} overlap={} {} {}".format(*decision(plan))
             points[f"{n},{per_row},{r},{p}"] = resolved
     return doc
 
@@ -359,7 +372,12 @@ class TestWhy:
         plan = resolve_plan(2048, 16351, 64, p=4, comm="auto")
         why = plan.why
         assert set(why) == {
-            "kernels", "algorithm", "c", "comm", "placement", "overlap"
+            "layout", "kernels", "algorithm", "c", "comm", "placement", "overlap"
+        }
+        assert why["layout"] == {
+            "row_imbalance": None, "col_imbalance": None, "union_natural": None,
+            "union_permuted": None, "seed": None, "threshold": 1.25,
+            "reason": "shape statistics only: no structure to balance",
         }
         # every (row, c, comm) of elision="none": each family's feasible
         # c, dense everywhere, sparse where the family has need lists
@@ -466,7 +484,10 @@ class TestThroughPlan:
         with repro.plan(S, 16, p=4, comm="auto") as sess:
             plan = sess.explain()
             assert plan is sess.explain()
-            assert plan == resolve_plan(256, S.nnz, 16, p=4, comm="auto")
+            assert plan == resolve_plan(
+                256, S.nnz, 16, p=4, comm="auto", structure=layout_statistics(S, 4)
+            )
+            assert sess.layout == plan.layout == "natural"
             assert (sess.algorithm, sess.p, sess.c) == (plan.algorithm, 4, plan.c)
             assert (sess.elision, sess.comm_mode) == (plan.elision, plan.comm_mode)
             assert (sess.overlap_mode, sess.trace_mode) == (plan.overlap, plan.trace)
@@ -511,7 +532,10 @@ class TestMeasuredRegret:
     """ROADMAP 1(d), counts not clocks: one ``fusedmm_a`` on every feasible
     ``(family, c, comm)`` of ``elision="none"``; the all-``auto`` session
     must move at most 1.25x the words of the best of them.  (The
-    sequential resolver's regret on these three: 2.67, 2.22, 2.78.)"""
+    sequential resolver's regret on these three: 2.67, 2.22, 2.78.)  Every
+    session of one operand shares its layout, so the skewed ``rmat(10)``
+    input runs permuted on every candidate: the pick's words went
+    13 439 -> 9 621, still the best of the table (regret 1.00)."""
 
     @pytest.fixture(autouse=True)
     def no_ranks(self):
@@ -520,21 +544,24 @@ class TestMeasuredRegret:
     CONFIGS = {
         "er-p4-low-phi": (
             lambda: repro.erdos_renyi(2048, 2048, 8, seed=7), 64, 4,
-            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread"),
+            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread", "natural"),
+            36791,
         ),
         "er-p8-phi-half": (
             lambda: repro.erdos_renyi(1024, 1024, 16, seed=2), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed"),
+            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed", "natural"),
+            18471,
         ),
         "rmat-p8": (
             lambda: rmat(10, 8, seed=3), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed"),
+            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed", "permuted"),
+            9621,
         ),
     }
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_auto_moves_at_most_a_quarter_more_than_the_best(self, config):
-        make, r, p, picked = self.CONFIGS[config]
+        make, r, p, picked, picked_words = self.CONFIGS[config]
         S = make()
         rng = np.random.default_rng(1)
         A = rng.standard_normal((S.nrows, r))
@@ -557,6 +584,6 @@ class TestMeasuredRegret:
         assert (best["row"], best["c"], best["comm"]) == (
             f"{picked[0]}/none", picked[1], picked[2]
         )
-        assert report.comm_words == words[picked[:3]]
+        assert report.comm_words == words[picked[:3]] == picked_words
         assert report.comm_words <= 1.25 * min(words.values()), words
 

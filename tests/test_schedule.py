@@ -159,8 +159,10 @@ class TestScheduleOwnership:
                 for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
             }
-            assert "dense_index" in defined, module
-            assert not defined & {"bind_dense", "collect_dense_a", "collect_dense_b"}
+            assert "piece_index" in defined, module
+            assert not defined & {
+                "dense_index", "bind_dense", "collect_dense_a", "collect_dense_b"
+            }
 
 
 #: what an application must not touch: launching ranks, building rank
