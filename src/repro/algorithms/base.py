@@ -125,12 +125,11 @@ def region(comm: Communicator, name: str, cat: str = "algorithm"):
     Use inside ``track`` blocks to label *what* a phase was doing (which
     gather, which pipeline stage) on the exported timeline — counters are
     untouched, so this never changes a report.  Region entry is also a
-    fault-injection site (``crash``/``straggler`` triggers naming the
-    region fire here, tracing on or off).
+    named site (``RankProfile.site``), tracing on or off.
     """
     profile = comm.profile
-    if profile.faults is not None:
-        profile.faults.on_region(name)
+    if profile.site is not None:
+        profile.site("region", name)
     tracer = profile.tracer
     if tracer is None:
         return _NULL_REGION

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.registry import feasible_replication_factors
 from repro.baselines.petsc_like import petsc_like_spmm
 from repro.harness.weak_scaling import FIG4_VARIANTS, VariantResult, run_variant
 from repro.runtime.cost import CORI_KNL, MachineParams
@@ -67,11 +66,11 @@ def strong_scaling_experiment(
         A = rng.standard_normal((S.nrows, r))
         B = rng.standard_normal((S.ncols, r))
         for p in p_list:
-            vres = [
+            runs = (
                 run_variant(a, e, S, A, B, p, machine=machine, calls=calls, max_c=max_c)
                 for (a, e) in variants
-                if not (a.startswith("2.5d") and not _has_25d_grid(a, p))
-            ]
+            )
+            vres = [v for v in runs if v is not None]
             petsc = (
                 petsc_baseline_seconds(S, B, p, machine, calls)
                 if include_petsc
@@ -83,7 +82,3 @@ def strong_scaling_experiment(
                 )
             )
     return out
-
-
-def _has_25d_grid(algorithm: str, p: int) -> bool:
-    return bool(feasible_replication_factors(algorithm, p))

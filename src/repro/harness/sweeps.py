@@ -61,12 +61,12 @@ def best_algorithm_map(
             predicted = predict_best_algorithm(
                 m, r, S.nnz, p, machine, keys=keys, max_c=max_c
             )
+            runs = (
+                run_variant(a, e, S, A, B, p, machine=machine, max_c=max_c)
+                for (a, e) in variants
+            )
             observed = min(
-                (
-                    run_variant(a, e, S, A, B, p, machine=machine, max_c=max_c)
-                    for (a, e) in variants
-                ),
-                key=lambda v: v.modeled_seconds,
+                (v for v in runs if v is not None), key=lambda v: v.modeled_seconds
             )
             cells.append(
                 BestAlgorithmCell(

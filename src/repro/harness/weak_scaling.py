@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.registry import feasible_replication_factors
+from repro.model.optimal import feasible_c
 from repro.runtime.cost import CORI_KNL, MachineParams
 from repro.session import plan
 from repro.sparse.coo import CooMatrix
@@ -101,17 +101,13 @@ def run_variant(
     calls: int = 1,
     max_c: Optional[int] = 8,
     use_measured_compute: bool = False,
-) -> VariantResult:
-    """Execute one FusedMMB variant at every feasible c; keep the best."""
+) -> Optional[VariantResult]:
+    """Execute one FusedMMB variant at every c the model may pick; keep the
+    best (``None`` where there is no such c, as the model skips the row)."""
     r = A.shape[1]
-    feasible = [
-        c
-        for c in feasible_replication_factors(algorithm, p)
-        if (max_c is None or c <= max_c)
-        and not (algorithm == "1.5d-sparse-shift" and p // c > r)
-    ]
+    feasible = feasible_c(algorithm, p, r, max_c)
     if not feasible:
-        feasible = [max(feasible_replication_factors(algorithm, p))]
+        return None
     per_c: Dict[int, float] = {}
     best = None
     for c in feasible:
@@ -166,13 +162,10 @@ def weak_scaling_experiment(
         A = rng.standard_normal((n, r))
         B = rng.standard_normal((n, r))
         for (alg_name, elision) in variants:
-            feasible = feasible_replication_factors(alg_name, p)
-            if alg_name.startswith("2.5d") and not feasible:
-                continue
-            results.append(
-                run_variant(
-                    alg_name, elision, S, A, B, p,
-                    machine=machine, calls=calls, max_c=max_c,
-                )
+            res = run_variant(
+                alg_name, elision, S, A, B, p,
+                machine=machine, calls=calls, max_c=max_c,
             )
+            if res is not None:
+                results.append(res)
     return results

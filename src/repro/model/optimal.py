@@ -80,10 +80,11 @@ def _algorithm_of(key: str) -> str:
     return key.split("/", 1)[0]
 
 
-def _feasible_c(
+def feasible_c(
     algorithm: str, p: int, r: int, max_c: Optional[int] = None
 ) -> List[int]:
-    """The replication factors the model may pick for ``algorithm``.
+    """The replication factors the model may pick for ``algorithm`` (none
+    when ``max_c`` is below every feasible one).
 
     For the 1.5D sparse-shifting layout, ``c`` is additionally capped so
     the r-strips stay non-degenerate (``p/c <= r``) — the constraint that
@@ -109,9 +110,9 @@ def best_feasible_c(
     max_c: Optional[int] = None,
 ) -> Tuple[int, CostBreakdown]:
     """Minimize the Table III cost over the feasible replication factors
-    (:func:`_feasible_c`: the sparse-shifting strip cap applies)."""
+    (:func:`feasible_c`: the sparse-shifting strip cap applies)."""
     best: Optional[Tuple[int, CostBreakdown]] = None
-    for c in _feasible_c(_algorithm_of(key), p, r, max_c):
+    for c in feasible_c(_algorithm_of(key), p, r, max_c):
         cost = fusedmm_cost(key, n, r, p, c, phi)
         if best is None or cost.time(machine) < best[1].time(machine):
             best = (c, cost)
@@ -137,7 +138,7 @@ def joint_candidates(
     table behind ``algorithm="auto"``, ``c=None`` and ``comm="auto"``.
 
     One record per cost row of ``rows`` x replication factor (``c``, or
-    every :func:`_feasible_c` when ``None``) x communication mode
+    every :func:`feasible_c` when ``None``) x communication mode
     (``comm``, or dense plus — where the family has need lists — sparse
     when ``None``), in that order.  ``seconds`` is the row as the mode
     moves data — Table III (:func:`~repro.model.costs.fusedmm_cost`) for
@@ -181,7 +182,7 @@ def joint_candidates(
     table: List[Dict[str, Any]] = []
     for key in rows:
         algorithm = _algorithm_of(key)
-        factors = _feasible_c(algorithm, p, r) if c is None else [c]
+        factors = feasible_c(algorithm, p, r) if c is None else [c]
         modes = comm or ("dense", "sparse")[: 1 + supports_sparse_comm(algorithm)]
         for kc, mode in itertools.product(factors, modes):
             sparse = mode == "sparse"

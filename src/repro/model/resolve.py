@@ -218,18 +218,18 @@ def resolve(
         reason = "skewed blocks, but the permutation widens the unions"
     why["layout"] = {**stats, "threshold": LAYOUT_IMBALANCE, "reason": reason}
 
-    # -- kernels.  The thread-only restriction is honest, not cosmetic:
-    # backend="mpi" ranks are separate processes whose profiles the driver
-    # cannot attach a backend object to, so a silently-ignored knob would
-    # report numba while running numpy.
+    # -- kernels: thread-only for agreement and coverage, not wiring (an
+    # mpi rank runs on the profile the session attached the backend to)
     kern = validate_kernel_backend_name(kernels)
     if kern != "numpy" and validate_backend_name(backend) != "threads":
         raise ReproError(
             "compiled kernel backends are thread-backend-only: "
-            f"kernels={kern!r} cannot be attached to backend="
-            f"{backend!r} ranks (separate processes own their "
-            "profiles); use backend='threads' or the default "
-            "kernels='numpy'"
+            f"kernels={kern!r} is not resolved for backend={backend!r}, "
+            "since kernels='auto' calibrates per host and per process: "
+            "the processes of one job can read different gammas and "
+            "resolve different plans (mismatched collectives), and no CI "
+            "lane runs numba next to mpi4py; use backend='threads' or "
+            "the default kernels='numpy'"
         )
     why["kernels"] = {"requested": kern}
     gamma = None
@@ -383,9 +383,9 @@ def resolve(
     if backend != "threads":
         if faults is not None:
             raise ReproError(
-                "fault injection is thread-backend-only: a FaultPlan "
-                "cannot be armed on backend='mpi' (no sibling-abort "
-                "recovery across processes); chaos-test with "
+                "fault injection is thread-backend-only: backend='mpi' "
+                "has no sibling-abort recovery across processes, so an "
+                "injected fault ends the job; chaos-test with "
                 "backend='threads'"
             )
         if retries:

@@ -113,10 +113,6 @@ class Transport(ABC):
     ``abort_event``
         A :class:`threading.Event`-like flag; once set, blocked and new
         transport calls raise :class:`~repro.errors.SpmdAbort`.
-    ``faults``
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted by
-        the communicator's send/recv hook sites (``None`` disables the
-        fault plane; process backends keep it ``None``).
     ``deadline``
         Optional ``time.perf_counter`` horizon: a :meth:`collect` still
         empty past it raises :class:`~repro.errors.SpmdTimeout`.
@@ -126,7 +122,6 @@ class Transport(ABC):
     """
 
     nranks: int
-    faults: Any
     deadline: Optional[float]
     blocked: Dict[int, Tuple[MsgKey, float]]
     active_profiles: Dict[int, Any]
@@ -288,15 +283,12 @@ class World(Transport):
     coordination).
     """
 
-    def __init__(self, nranks: int, faults=None) -> None:
+    def __init__(self, nranks: int) -> None:
         if nranks < 1:
             raise ValueError(f"world needs at least one rank, got {nranks}")
         self.nranks = nranks
         self.mailboxes = [Mailbox() for _ in range(nranks)]
         self.abort_event = threading.Event()
-        #: optional :class:`~repro.runtime.faults.FaultPlan`; ``None``
-        #: keeps every hook site on its zero-cost disabled path
-        self.faults = faults
         #: ``time.perf_counter`` horizon enforced in :meth:`collect`
         #: while work is in flight (set by the worker pool per item)
         self.deadline: Optional[float] = None

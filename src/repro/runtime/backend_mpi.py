@@ -25,8 +25,10 @@ queue, so the overlap pipeline's hidden-communication accounting is a
 (documented) lower bound: a transfer that completed inside MPI before
 the drain is credited from the drain, not from wire arrival.
 
-Deliberately thread-only for now (typed errors enforce it): fault
-injection, ``retries``/graceful degradation and serve fleets.  A
+Deliberately thread-only for now (``repro.plan`` rejects them with
+typed errors): fault injection, ``retries``/graceful degradation and
+serve fleets.  A fault plan handed to :class:`MpiWorkerPool` directly
+arms the local rank, as the thread pool arms each of its ranks.  A
 deadline expiry under this backend is a job-level circuit breaker — the
 blocked-state dump is printed and the MPI job is aborted — because
 there is no sibling-abort recovery across processes.
@@ -114,7 +116,6 @@ class MpiTransport(Transport):
         self._comm = MPI.COMM_WORLD.Dup()
         self.nranks = self._comm.Get_size()
         self.rank = self._comm.Get_rank()
-        self.faults = None  # fault injection is thread-backend-only
         self.deadline: Optional[float] = None
         self.blocked: Dict[int, Tuple[MsgKey, float]] = {}
         self.active_profiles: Dict[int, Any] = {}
@@ -271,13 +272,6 @@ class MpiWorkerPool:
         deadline_ms: Optional[float] = None,
     ) -> None:
         MPI = _mpi()
-        if faults is not None:
-            raise ReproError(
-                "fault injection is thread-backend-only: a FaultPlan "
-                "cannot be armed on backend='mpi' (crashed processes have "
-                "no sibling-abort recovery); use backend='threads' for "
-                "chaos testing"
-            )
         world_size = MPI.COMM_WORLD.Get_size()
         if nranks != world_size:
             raise ReproError(
@@ -296,7 +290,13 @@ class MpiWorkerPool:
         #: point-to-point runtime messages
         self._control = MPI.COMM_WORLD.Dup()
         self.local_rank = self._control.Get_rank()
-        self._local_comm = Communicator.world_comm(self.world, self.local_rank)
+        # with a plan, the local rank armed by it, as the thread pool arms each rank
+        self._armed = (
+            None if faults is None else faults.rank_view(self.local_rank, self.world)
+        )
+        self._local_comm = Communicator.world_comm(
+            self._armed or self.world, self.local_rank
+        )
         self._closed = False
 
     # -- driver side -----------------------------------------------------
@@ -342,6 +342,8 @@ class MpiWorkerPool:
         r = self.local_rank
         comm = self._local_comm
         profile = profiles[r]
+        if self._armed is not None:
+            profile.site = self._armed
         comm.profile = profile
         self.world.active_profiles[r] = profile
         self.world.deadline = (

@@ -80,10 +80,8 @@ class BufferPool:
 
     def _acquire(self, label: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         profile = self.profile
-        if profile is not None and profile.faults is not None:
-            # fault-injection site: an armed ``exhaust`` trigger fails
-            # this acquisition like an allocation failure would
-            profile.faults.on_buffer(label)
+        if profile is not None and profile.site is not None:
+            profile.site("buffer", label)  # a named site, before any allocation
         buf = self._slots.get(label)
         if buf is not None and id(buf) in self._in_flight:
             raise BufferLeaseError(

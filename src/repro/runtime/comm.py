@@ -2,7 +2,7 @@
 
 A :class:`Communicator` talks to the network exclusively through the
 :class:`~repro.runtime.backend.Transport` interface (``deliver`` /
-``collect`` plus the abort/deadline/fault attribute surface), so the same
+``collect`` plus the abort/deadline attribute surface), so the same
 communicator — and every collective, split-derived subcommunicator and
 need-list neighborhood exchange built on it — runs unchanged over the
 thread :class:`~repro.runtime.backend.World` (``backend="threads"``) and
@@ -260,12 +260,6 @@ class Communicator:
         as-is, so the caller must hold no other reference into it and
         never touch it again (the exchange layers give up the temporaries
         they gathered for a leg this way instead of copying them twice).
-
-        When a :class:`~repro.runtime.faults.FaultPlan` is threaded into
-        the world, a matching trigger may drop the message after the
-        accounting (lost on the wire — the receiver blocks until abort or
-        deadline), delay its delivery, or deliver it twice (the second
-        delivery is its own copy).
         """
         if not 0 <= dest < self.size:
             raise CommError(f"destination {dest} out of range for size {self.size}")
@@ -274,19 +268,6 @@ class Communicator:
             profile.on_send(payload_words(data))
             if profile.tracer is not None:
                 profile.tracer.instant(f"send->r{dest}", "comm")
-        faults = self.world.faults
-        if faults is not None:
-            spec = faults.on_send(self.group[self.rank], tag)
-            if spec is not None:
-                if spec.action == "drop":
-                    return
-                if spec.action == "delay":
-                    time.sleep(spec.delay_s)
-                elif spec.action == "dup":
-                    self.world.deliver(
-                        self.group[dest], (self.comm_id, self.rank, tag), data
-                    )
-                    data = _isolate(data)
         self.world.deliver(self.group[dest], (self.comm_id, self.rank, tag), data)
 
     def recv(self, source: int, tag: int = 0, tracked: bool = True) -> Any:

@@ -1,13 +1,12 @@
 """Deterministic fault injection for the SPMD runtime.
 
-A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers threaded
-into the transport (:class:`~repro.runtime.backend.World`), the
-communicator send path, the phase tracker
-(:meth:`~repro.runtime.profile.RankProfile.track`), the named algorithm
-regions (:func:`repro.algorithms.base.region`) and the
-:class:`~repro.runtime.buffers.BufferPool`.  Every hook follows the
-tracer's zero-cost idiom: the plan is ``None`` by default and each site
-pays exactly one ``is not None`` check when faults are off.
+A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers; this is
+the only module that knows what a fault does.  A worker pool handed a
+plan arms each rank with :meth:`FaultPlan.rank_view` — a
+:class:`RankFaults`, the transport decorator the rank sends through and
+the site hook its profiles call (ARCHITECTURE.md, "Robustness").  No
+transport or communicator holds a plan, so the plane works over any
+backend; unarmed, each site pays one ``is not None`` check.
 
 Supported fault classes (``FaultSpec.action``):
 
@@ -48,11 +47,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InjectedCrash, InjectedExhaustion, ReproError
+from repro.runtime.backend import MsgKey, Transport
+from repro.runtime.comm import _isolate
 
-#: message-plane actions (matched in Communicator.send)
+#: message-plane actions (matched in RankFaults.deliver)
 _MESSAGE_ACTIONS = ("drop", "delay", "dup")
 #: site-plane actions (matched at phase entry / named regions / buffers)
 _SITE_ACTIONS = ("crash", "straggler", "exhaust")
@@ -107,37 +108,69 @@ class FaultSpec:
         return self.site is None or self.site == name
 
 
-class RankFaults:
-    """A :class:`FaultPlan` view bound to one rank.
+class RankFaults(Transport):
+    """One world rank armed with a :class:`FaultPlan`.
 
-    Attached to the rank's :class:`~repro.runtime.profile.RankProfile`
-    (``profile.faults``) by the worker pool, so rank-agnostic hook sites
-    — phase tracking, buffer pools — fire rank-scoped faults without
-    knowing their rank.
+    A decorator of the pool's transport that the rank's communicators
+    send through: :meth:`deliver` applies the rank's message faults and
+    every other member forwards, so deadlines, abort and recovery act on
+    the pool's transport.  Called as ``armed(kind, name)``, it is the
+    site hook the pool attaches to each item's profile.  Built without a
+    transport, it arms the sites only.
     """
 
-    __slots__ = ("_plan", "_rank")
+    _transport: Optional[Transport] = None  # never recurse in __getattr__
 
-    def __init__(self, plan: "FaultPlan", rank: int) -> None:
+    def __init__(self, plan: "FaultPlan", rank: int, transport=None) -> None:
         self._plan = plan
         self._rank = rank
+        self._transport = transport
 
-    def on_phase(self, name: str) -> None:
-        self._plan.on_site(self._rank, "phase", name)
+    def __call__(self, kind: str, name: str) -> None:
+        self._plan.on_site(self._rank, kind, name)
 
-    def on_region(self, name: str) -> None:
-        self._plan.on_site(self._rank, "region", name)
+    def deliver(self, dest: int, key: MsgKey, payload: Any) -> None:
+        # the send was already counted: a dropped message is lost on the
+        # wire, and dup's second delivery is its own copy
+        spec = self._plan.on_send(self._rank, key[2])
+        if spec is not None:
+            if spec.action == "drop":
+                return
+            if spec.action == "delay":
+                time.sleep(spec.delay_s)
+            elif spec.action == "dup":
+                self._transport.deliver(dest, key, payload)
+                payload = _isolate(payload)
+        self._transport.deliver(dest, key, payload)
 
-    def on_buffer(self, label: str) -> None:
-        self._plan.on_site(self._rank, "buffer", label)
+    def collect(self, rank: int, key: MsgKey) -> Tuple[Any, float]:
+        return self._transport.collect(rank, key)
+
+    def abort(self) -> None:
+        self._transport.abort()
+
+    def reset(self) -> None:
+        self._transport.reset()
+
+    def __getattr__(self, name: str) -> Any:
+        # nranks, abort_event, blocked, active_profiles: the pool's
+        return getattr(self._transport, name)
+
+    @property
+    def deadline(self) -> Optional[float]:
+        return self._transport.deadline
+
+    @deadline.setter
+    def deadline(self, horizon: Optional[float]) -> None:
+        self._transport.deadline = horizon
 
 
 class FaultPlan:
     """A deterministic, seeded set of fault triggers (see module doc).
 
     Thread safe: per-``(spec, rank)`` match counters and fired counts
-    are updated under one lock — the lock is only ever taken when a plan
-    is threaded in, so fault-off runs pay nothing.
+    are updated under one lock — the lock is only ever taken by an armed
+    rank, so fault-off runs pay nothing.
     """
 
     def __init__(self, specs: List[FaultSpec], seed: Optional[int] = None) -> None:
@@ -244,8 +277,9 @@ class FaultPlan:
 
     # -- rank binding --------------------------------------------------
 
-    def rank_view(self, rank: int) -> RankFaults:
-        return RankFaults(self, rank)
+    def rank_view(self, rank: int, transport=None) -> RankFaults:
+        """World rank ``rank`` armed with this plan, over ``transport``."""
+        return RankFaults(self, rank, transport)
 
     # -- trigger machinery ---------------------------------------------
 
@@ -267,11 +301,8 @@ class FaultPlan:
             self.fired_log.append((rank, action, detail))
 
     def on_send(self, rank: int, tag: int) -> Optional[FaultSpec]:
-        """Message-plane hook: the armed spec for this send, if any.
-
-        The caller (``Communicator.send``) applies the action; returning
-        the spec keeps the transport free of per-action branching here.
-        """
+        """Message-plane hook: the armed spec for this send, if any
+        (:meth:`RankFaults.deliver` applies its action)."""
         for i, spec in enumerate(self.specs):
             if spec.matches_message(rank, tag) and self._arm(i, spec, rank):
                 self._log(rank, spec.action, f"tag={tag}")

@@ -82,24 +82,28 @@ class RankProfile:
         #: optional :class:`repro.runtime.trace.Tracer`; ``None`` (tracing
         #: off) keeps every instrumentation site a single attribute check
         self.tracer = None
-        #: optional :class:`repro.runtime.faults.RankFaults` view bound to
-        #: this rank by the worker pool; ``None`` (faults off) keeps the
-        #: hook sites on the same zero-cost disabled path as the tracer
-        self.faults = None
+        #: optional rank hook ``site(kind, name)`` the worker pool attaches:
+        #: ``"phase"`` entry, algorithm ``"region"``, ``"buffer"``
+        #: acquisition; ``None`` keeps each site one attribute check
+        self.site = None
         #: kernel backend (e.g.
         #: :class:`repro.kernels.backend_numba.NumbaKernels`) attached by
         #: the session; ``None`` runs every local kernel on the numpy one
         self.kernels = None
 
+    #: :attr:`site` under the name it had while faults were its only user
+    faults = property(
+        lambda self: self.site, lambda self, hook: setattr(self, "site", hook)
+    )
+
     @contextmanager
     def track(self, phase: Phase) -> Iterator[None]:
         """Attribute wall time and traffic inside the block to ``phase``.
 
-        Phase entry is a fault-injection site: an armed ``crash`` or
-        ``straggler`` trigger naming this phase fires here.
+        Phase entry is a named site (:attr:`site`).
         """
-        if self.faults is not None:
-            self.faults.on_phase(phase.value)
+        if self.site is not None:
+            self.site("phase", phase.value)
         previous = self.phase
         self.phase = phase
         start = time.perf_counter()

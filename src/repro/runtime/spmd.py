@@ -223,17 +223,17 @@ class WorkerPool:
         #: default per-item deadline (:meth:`run`/:meth:`run_async` may
         #: override per call); ``None`` disables the watchdog
         self.deadline_ms = deadline_ms
-        self.world = World(nranks, faults=faults)
-        # one rank-bound fault view per rank, attached to each item's
-        # profile at dispatch so rank-agnostic sites (phase tracking,
-        # buffer pools) can fire rank-scoped faults
-        self._rank_faults = (
-            [faults.rank_view(r) for r in range(nranks)]
+        self.world = World(nranks)
+        # with a plan, each rank armed by it: the transport its
+        # communicators send through, and its items' profiles' site hook
+        self._armed = (
+            [faults.rank_view(r, self.world) for r in range(nranks)]
             if faults is not None
             else None
         )
         self._comms = [
-            Communicator.world_comm(self.world, r) for r in range(nranks)
+            Communicator.world_comm(self._armed[r] if self._armed else self.world, r)
+            for r in range(nranks)
         ]
         self._queues: List[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(nranks)
@@ -276,8 +276,8 @@ class WorkerPool:
             if item is None:  # shutdown sentinel
                 return
             profile = item.profiles[r]
-            if self._rank_faults is not None:
-                profile.faults = self._rank_faults[r]
+            if self._armed is not None:
+                profile.site = self._armed[r]
             comm.profile = profile
             self.world.active_profiles[r] = profile
             tracer = profile.tracer
@@ -372,8 +372,8 @@ class WorkerPool:
             with self._run_lock:
                 comm = self._comms[0]
                 comm.profile = profiles[0]
-                if self._rank_faults is not None:
-                    profiles[0].faults = self._rank_faults[0]
+                if self._armed is not None:
+                    profiles[0].site = self._armed[0]
                 self.world.active_profiles[0] = profiles[0]
                 item = _WorkItem(rank_fn, profiles, 1, label)
                 future = PoolFuture(self, item, label)
@@ -588,8 +588,8 @@ def run_spmd(
         Optional watchdog horizon for the launch; expiry raises
         :class:`~repro.errors.SpmdTimeout` with a blocked-state dump.
     faults:
-        Optional :class:`~repro.runtime.faults.FaultPlan` armed on the
-        throwaway world (thread backend only).
+        Optional :class:`~repro.runtime.faults.FaultPlan` armed on every
+        rank the throwaway pool runs (under ``"mpi"``, the local one).
     backend:
         Execution backend (``"threads"``, the default, or ``"mpi"``).
         Under ``"mpi"`` the body runs for the calling process's resident

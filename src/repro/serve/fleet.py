@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.errors import ReproError, SpmdTimeout
+from repro.errors import ReproError
 from repro.serve.model import ServeModel
 from repro.serve.request import Completion, Envelope, batch_deadline_ms
 from repro.session import Session, SessionFuture
@@ -140,23 +140,18 @@ class SessionFleet:
         requests = [env.request for env in ticket.envelopes]
         error: Optional[BaseException] = None
         results: List = []
-        retries = 0
         try:
             raw, _report = ticket.future.result()
             results = self.model.decode(raw, requests)
         except Exception as exc:  # noqa: BLE001 - classified below
             error = exc
         now = time.perf_counter()
-        batch_outcome = "ok"
-        if error is not None:
-            batch_outcome = (
-                "timeout" if isinstance(error, SpmdTimeout) else "failed"
-            )
-        else:
-            # the settled future carries its call's own metrics record,
-            # with the retry / degradation outcome
-            batch_outcome = ticket.future.metrics["outcome"]
-            retries = ticket.future.metrics["retries"]
+        # the settled future carries its call's own metrics record — failed
+        # calls included — with the session's outcome for it
+        record = ticket.future.metrics
+        batch_outcome, retries = record["outcome"], record["retries"]
+        if error is not None and batch_outcome not in ("timeout", "failed"):
+            batch_outcome = "failed"  # the call ran; decoding its output raised
         for i, env in enumerate(ticket.envelopes):
             if error is None and env.expired(now):
                 outcome = "timeout"
@@ -175,7 +170,7 @@ class SessionFleet:
         self, batch: List[Envelope], idx: int, exc: BaseException
     ) -> None:
         now = time.perf_counter()
-        outcome = "timeout" if isinstance(exc, SpmdTimeout) else "failed"
+        outcome = Session.failure_outcome(exc)
         ticket = Ticket(
             envelopes=batch, future=None, session_index=idx,  # type: ignore[arg-type]
             tenant_id=batch[0].request.tenant_id,

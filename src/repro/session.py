@@ -244,7 +244,6 @@ class Session:
         self.deadline_ms = resolved.deadline_ms
         #: runtime-fault re-executions before degradation is considered
         self.retries = resolved.retries
-        self._faults = resolved.faults  # FaultPlan armed on the session's world
         #: calls that succeeded only on a re-execution / degraded re-run
         self.retried_calls = 0
         self.degraded_calls = 0
@@ -499,7 +498,7 @@ class Session:
                 self.backend,
                 self.p,
                 name=f"sess-{self.algorithm}",
-                faults=self._faults,
+                faults=self._resolved.faults,
                 deadline_ms=self.deadline_ms,
                 placement=self._resolved.placement,
             )
@@ -716,7 +715,7 @@ class Session:
             future._value = future._collect(self._orients[transpose])
         except BaseException as exc:  # noqa: BLE001 - stored and re-raised
             future._error = exc
-            outcome = self._failure_outcome(exc)
+            outcome = self.failure_outcome(exc)
             raise
         finally:
             # exactly one record per call, once its counters stopped
@@ -764,7 +763,8 @@ class Session:
         )
 
     @staticmethod
-    def _failure_outcome(exc: BaseException) -> str:
+    def failure_outcome(exc: BaseException) -> str:
+        """The ``outcome`` a call that raised ``exc`` is recorded with."""
         if isinstance(exc, SpmdTimeout) or isinstance(exc.__cause__, SpmdTimeout):
             return "timeout"
         return "failed"
@@ -1048,7 +1048,7 @@ class Session:
                 self._dispatch(ori, proc, label).wait()
             except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
                 self._drop_contexts()
-                self._record_call(label, t0, outcome=self._failure_outcome(exc))
+                self._record_call(label, t0, outcome=self.failure_outcome(exc))
                 raise
             self._ncalls += 1
             self._record_call(label, t0)

@@ -14,6 +14,7 @@ from repro.harness.weak_scaling import (
     weak_scaling_experiment,
     weak_scaling_problem,
 )
+from repro.model.optimal import predicted_times
 from repro.sparse.generate import erdos_renyi
 from repro.types import Elision
 
@@ -55,6 +56,34 @@ class TestRunVariant:
         total_comm = res.replication_seconds + res.propagation_seconds
         assert res.modeled_seconds == pytest.approx(
             total_comm + res.computation_seconds, rel=1e-6
+        )
+
+
+class TestFeasibleC:
+    """``run_variant`` runs exactly the c set ``model.optimal.feasible_c``
+    prices, at the two kinds of point where no allowed c is ideal."""
+
+    def test_degenerate_strips_keep_the_largest_allowed_c(self, rng):
+        # p // c > r at every c <= max_c: the model keeps c = 2, not the
+        # uncapped c = 4
+        S = erdos_renyi(64, 64, 4, seed=0)
+        A, B = rng.standard_normal((64, 1)), rng.standard_normal((64, 1))
+        res = run_variant(
+            "1.5d-sparse-shift", Elision.REPLICATION_REUSE, S, A, B, 4, max_c=2
+        )
+        assert list(res.per_c) == [2]
+
+    def test_cap_below_every_feasible_c_skips_the_variant(self, rng):
+        # 2.5D at p = 8 runs c in {2, 8}: none survives max_c = 1, the
+        # variant is skipped the way predicted_times skips the row
+        S = erdos_renyi(64, 64, 4, seed=0)
+        A, B = rng.standard_normal((64, 8)), rng.standard_normal((64, 8))
+        assert (
+            run_variant("2.5d-sparse-replicate", Elision.NONE, S, A, B, 8, max_c=1)
+            is None
+        )
+        assert "2.5d-sparse-replicate/none" not in predicted_times(
+            64, 8, S.nnz, 8, max_c=1
         )
 
 

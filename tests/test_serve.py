@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.util
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ import pytest
 import repro
 from repro.apps.als import AlsServeModel, recommend_topk
 from repro.apps.gat import GatServeModel
-from repro.errors import ReproError, ServeOverload
+from repro.errors import ReproError, ServeOverload, SpmdTimeout
+from repro.runtime.faults import FaultPlan
 from repro.serve import (
     AlsTopKRequest,
     GatEdgeScoreRequest,
@@ -34,6 +36,7 @@ from repro.serve import (
     Server,
     ServeFuture,
 )
+from repro.serve.fleet import SessionFleet
 from repro.serve.request import Envelope, Request, batch_deadline_ms
 
 N_USERS, N_ITEMS, D = 48, 40, 6
@@ -261,6 +264,69 @@ class TestRetries:
         for got, want in zip(completions, clean):
             assert np.array_equal(got.value[0], want.value[0])
             assert np.array_equal(got.value[1], want.value[1])
+
+
+def _one_batch(model, deadline_ms=None):
+    """Serve one single-request batch on a bare fleet; return its
+    completion and its session call's metrics record."""
+    got = []
+    fleet = SessionFleet(model, on_complete=got.append)
+    try:
+        req = AlsTopKRequest(model_id="als", user=1, k=5, deadline_ms=deadline_ms)
+        env = Envelope(request=req, future=ServeFuture(req), t_submit=time.perf_counter())
+        fleet.dispatch([env])
+        fleet.settle_all()
+        records = fleet.session_metrics()
+    finally:
+        fleet.close()
+    [completion] = got
+    return completion, records
+
+
+class TestOneOutcomeRule:
+    """A batch's completions carry the outcome its session call recorded."""
+
+    #: outcome -> (fault plan factory, retries, request deadline_ms)
+    CASES = {
+        "ok": (None, 0, None),
+        "retried": (lambda: FaultPlan.crash_at(site="computation", rank=0), 1, None),
+        "timeout": (lambda: FaultPlan.drop_message(rank=0, times=None), 0, 300.0),
+        "failed": (
+            lambda: FaultPlan.crash_at(site="computation", rank=0, times=None), 0, None
+        ),
+    }
+
+    @pytest.mark.parametrize("outcome", list(CASES))
+    def test_completion_outcome_is_the_session_record(
+        self, als_parts, monkeypatch, outcome
+    ):
+        import repro.apps.als as als_app
+
+        faults, retries, deadline_ms = self.CASES[outcome]
+        if faults is not None:
+            monkeypatch.setattr(
+                als_app, "plan",
+                lambda *a, **kw: repro.plan(*a, faults=faults(), **kw),
+            )
+        completion, [record] = _one_batch(
+            _als_model(als_parts, retries=retries), deadline_ms
+        )
+        assert completion.outcome == record["outcome"] == outcome
+        assert completion.retries == record["retries"]
+
+    def test_launch_failure_goes_through_the_session_classifier(
+        self, als_parts, monkeypatch
+    ):
+        """A chained timeout is a timeout, as ``Session.failure_outcome``
+        says, even when it surfaces before a session call exists."""
+        model = _als_model(als_parts)
+
+        def encode(requests):
+            raise RuntimeError("launch failed") from SpmdTimeout("expired")
+
+        monkeypatch.setattr(model, "encode", encode)
+        completion, records = _one_batch(model)
+        assert completion.outcome == "timeout" and records == []
 
 
 class TestTenants:
