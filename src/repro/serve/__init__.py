@@ -1,11 +1,11 @@
 """repro.serve — micro-batched multi-tenant inference front-end.
 
 The serving subsystem turns per-user requests into the dense operand
-panels the resident kernels already eat (ROADMAP item 3): requests for
-the same model coalesce into one panel and **one** ``Session`` call, run
-on a fleet of resident sessions with pipelined (async) dispatch,
-admission control, per-request deadlines on PR 7's watchdog/outcome
-machinery, and p50/p95/p99 + throughput reporting.
+panels the resident kernels already eat: requests for the same model
+coalesce into one panel and **one** ``Session`` call, run on the model's
+resident session with pipelined (async) dispatch, admission control,
+per-request deadlines on the session's watchdog/outcome machinery, and
+p50/p95/p99 + throughput reporting.
 
 Layers (each its own module):
 
@@ -14,7 +14,7 @@ Layers (each its own module):
   (concrete models: :class:`repro.apps.als.AlsServeModel`,
   :class:`repro.apps.gat.GatServeModel`)
 * :mod:`~repro.serve.batcher` — coalescing windows + admission control
-* :mod:`~repro.serve.fleet` — session replicas, round-robin pipelined
+* :mod:`~repro.serve.fleet` — one resident session per model, pipelined
   dispatch, per-tenant value rebinding
 * :mod:`~repro.serve.stats` — latency percentiles, batch histograms,
   throughput, outcome counts

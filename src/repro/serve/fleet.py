@@ -1,21 +1,20 @@
-"""Session fleet: resident replicas per model with pipelined dispatch.
+"""Session fleet: one resident session per model with pipelined dispatch.
 
-One :class:`SessionFleet` owns ``replicas`` resident
-:class:`~repro.session.Session`\\ s for a single model.  Batches are
-dispatched round-robin with the sessions' *async* entry points
-(``spmm_a_async`` / ``sddmm_async`` — PR 5's pipelining), and the
-previous batch on a session is settled only **after** the next one is
-launched: the launch path stages the new panel's dense scatter while the
-old batch's SPMD ranks are still computing, so even a single-replica
-fleet double-buffers (driver scatter of batch ``k+1`` hidden under batch
-``k``'s run).
+A :class:`SessionFleet` owns one resident :class:`~repro.session.Session`
+for a single model.  Batches are dispatched with the session's *async*
+entry points (``spmm_a_async`` / ``sddmm_async``), and the previous batch
+is settled only **after** the next one is launched: the launch path stages
+the new panel's dense scatter while the old batch's SPMD ranks are still
+computing, so the fleet double-buffers (driver scatter of batch ``k+1``
+hidden under batch ``k``'s run).  A second round-robin session per model
+was measured slower, closed and open loop, and is not offered.
 
 Multi-tenancy rides on ``Session.update_values``: all tenants of a model
 share one planned sparse *structure* (comm plans and packed indexes stay
 valid); when the dispatched batch's tenant differs from the session's
 currently-bound tenant, only the values are rebound in place.
 
-Per-request deadlines propagate onto PR 7's machinery: the batch's
+Per-request deadlines propagate onto the session's watchdog: the batch's
 session call is armed with the largest remaining member budget
 (``Session.set_deadline`` → pool watchdog), and members whose own budget
 lapsed by settle time are completed with outcome ``"timeout"`` — the
@@ -42,57 +41,47 @@ class Ticket:
 
     envelopes: List[Envelope]
     future: SessionFuture
-    session_index: int
     tenant_id: str
     deadline_ms: Optional[float] = None
     settled: bool = field(default=False)
 
 
 class SessionFleet:
-    """Round-robin fleet of resident sessions for one model."""
+    """The resident session of one model and its in-flight batch."""
 
     def __init__(
         self,
         model: ServeModel,
-        replicas: int = 1,
         on_complete: Optional[Callable[[Completion], None]] = None,
     ) -> None:
-        if replicas < 1:
-            raise ReproError("a fleet needs at least one session replica")
         self.model = model
         self.on_complete = on_complete or (lambda completion: None)
-        self.sessions: List[Session] = [
-            model.make_session() for _ in range(replicas)
-        ]
-        self._bound_tenant = ["default"] * replicas
-        self._tickets: List[Optional[Ticket]] = [None] * replicas
-        self._rr = 0
+        self.session: Session = model.make_session()
+        self._bound_tenant = "default"
+        self._ticket: Optional[Ticket] = None
         self._closed = False
 
     # -- dispatch -------------------------------------------------------
 
     def dispatch(self, batch: List[Envelope]) -> None:
-        """Launch one coalesced batch on the next round-robin session.
+        """Launch one coalesced batch on the session.
 
-        Any previously in-flight batch on that session is settled *after*
-        the new launch (see module docstring), and every settlement is
-        delivered through ``on_complete``.
+        Any previously in-flight batch is settled *after* the new launch
+        (see module docstring), and every settlement is delivered through
+        ``on_complete``.
         """
         if self._closed:
             raise ReproError("fleet is closed")
         if not batch:
             return
-        idx = self._rr
-        self._rr = (self._rr + 1) % len(self.sessions)
-        prev = self._tickets[idx]
-        self._tickets[idx] = None
+        prev, self._ticket = self._ticket, None
         now = time.perf_counter()
         for env in batch:
             env.t_dispatch = now
         deadline = batch_deadline_ms(batch, now)
 
         try:
-            ticket = self._launch(idx, batch, deadline)
+            ticket = self._launch(batch, deadline)
         except Exception:
             # the raised error belongs to the *previous* in-flight batch
             # (launching waits it out internally): settle it as failed,
@@ -102,32 +91,29 @@ class SessionFleet:
                 self._settle(prev)
                 prev = None
             try:
-                ticket = self._launch(idx, batch, deadline)
+                ticket = self._launch(batch, deadline)
             except Exception as exc:  # noqa: BLE001 - terminal for batch
-                self._fail_batch(batch, idx, exc)
+                self._fail_batch(batch, exc)
                 return
-        self._tickets[idx] = ticket
+        self._ticket = ticket
         if prev is not None:
             # already finalized inside the launch's pipeline wait; this
             # just classifies and delivers — it does not block the pipe
             self._settle(prev)
 
-    def _launch(
-        self, idx: int, batch: List[Envelope], deadline: Optional[float]
-    ) -> Ticket:
-        sess = self.sessions[idx]
+    def _launch(self, batch: List[Envelope], deadline: Optional[float]) -> Ticket:
+        sess = self.session
         tenant = batch[0].request.tenant_id
-        if tenant != self._bound_tenant[idx]:
+        if tenant != self._bound_tenant:
             vals = self.model.tenant_values(tenant)
             if vals is not None:
                 sess.update_values(vals)
-            self._bound_tenant[idx] = tenant
+            self._bound_tenant = tenant
         sess.set_deadline(deadline)
         panel = self.model.encode([env.request for env in batch])
         future = self.model.dispatch(sess, panel)
         return Ticket(
-            envelopes=batch, future=future, session_index=idx,
-            tenant_id=tenant, deadline_ms=deadline,
+            envelopes=batch, future=future, tenant_id=tenant, deadline_ms=deadline
         )
 
     # -- settlement -----------------------------------------------------
@@ -166,13 +152,11 @@ class SessionFleet:
                 err_msg = repr(error) if error is not None else None
             self._deliver(env, outcome, value, err_msg, ticket, now, retries)
 
-    def _fail_batch(
-        self, batch: List[Envelope], idx: int, exc: BaseException
-    ) -> None:
+    def _fail_batch(self, batch: List[Envelope], exc: BaseException) -> None:
         now = time.perf_counter()
         outcome = Session.failure_outcome(exc)
         ticket = Ticket(
-            envelopes=batch, future=None, session_index=idx,  # type: ignore[arg-type]
+            envelopes=batch, future=None,  # type: ignore[arg-type]
             tenant_id=batch[0].request.tenant_id,
         )
         for env in batch:
@@ -197,7 +181,6 @@ class SessionFleet:
             service_ms=(now - env.t_dispatch) * 1e3,
             latency_ms=(now - env.t_submit) * 1e3,
             batch_size=len(ticket.envelopes),
-            session_index=ticket.session_index,
             retries=retries,
         )
         env.future._settle(completion)
@@ -206,28 +189,21 @@ class SessionFleet:
     # -- draining / lifecycle -------------------------------------------
 
     def settle_all(self) -> None:
-        """Settle every in-flight batch (the fleet goes quiescent)."""
-        for idx, ticket in enumerate(self._tickets):
-            if ticket is not None:
-                self._tickets[idx] = None
-                self._settle(ticket)
+        """Settle the in-flight batch, if any (the fleet goes quiescent)."""
+        ticket, self._ticket = self._ticket, None
+        if ticket is not None:
+            self._settle(ticket)
 
     def session_metrics(self) -> List[dict]:
-        """Per-call metrics records of every replica, tagged with the
-        session index (PR 6/7 observability).  Finalizes in-flight calls,
-        so call on a quiescent fleet (after :meth:`settle_all`)."""
-        records: List[dict] = []
-        for idx, sess in enumerate(self.sessions):
-            for rec in sess.metrics():
-                records.append({**rec, "session_index": idx})
-        return records
+        """The session's per-call metrics records.  Finalizes an in-flight
+        call, so call on a quiescent fleet (after :meth:`settle_all`)."""
+        return self.session.metrics()
 
     def close(self) -> None:
-        """Settle outstanding batches, then drain and join every session
-        (thread-leak gated by the sessions' counter-asserted pool join)."""
+        """Settle the outstanding batch, then drain and join the session
+        (thread-leak gated by its counter-asserted pool join)."""
         if self._closed:
             return
         self.settle_all()
-        for sess in self.sessions:
-            sess.close()
+        self.session.close()
         self._closed = True

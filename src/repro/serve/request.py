@@ -97,9 +97,7 @@ class Completion:
     latency_ms: float = 0.0
     #: how many requests shared this request's panel
     batch_size: int = 0
-    #: which fleet session served the batch (-1 for rejected requests)
-    session_index: int = -1
-    #: retries the underlying session call used (PR 7 machinery)
+    #: retries the underlying session call used
     retries: int = 0
 
     @property

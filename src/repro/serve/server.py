@@ -2,7 +2,7 @@
 
 Glues the layers together: typed requests (:mod:`repro.serve.request`)
 are admitted into per-model micro-batchers (:mod:`repro.serve.batcher`),
-released batches run on fleets of resident sessions
+released batches run on each model's resident session
 (:mod:`repro.serve.fleet`), and every settlement feeds the stats layer
 (:mod:`repro.serve.stats`).
 
@@ -50,10 +50,8 @@ class Server:
     ----------
     models:
         One :class:`~repro.serve.model.ServeModel` or an iterable of them
-        (one batcher + one session fleet per model id).
-    replicas:
-        Resident sessions per model.  Even one replica double-buffers
-        (async dispatch); more overlap independent batches further.
+        (one batcher + one resident session per model id; the session
+        double-buffers through its async dispatch).
     window_ms:
         Coalescing window: a pending request waits at most this long for
         batch-mates before its batch is released.
@@ -70,7 +68,6 @@ class Server:
     def __init__(
         self,
         models: Union[ServeModel, Iterable[ServeModel]],
-        replicas: int = 1,
         window_ms: float = 2.0,
         max_queue: int = 64,
         default_deadline_ms: Optional[float] = None,
@@ -95,7 +92,7 @@ class Server:
                 model, window_ms=window_ms, max_queue=max_queue
             )
             self._fleets[model.model_id] = SessionFleet(
-                model, replicas=replicas, on_complete=self._on_complete
+                model, on_complete=self._on_complete
             )
         self._closed = False
         self._stop = False

@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -234,6 +236,8 @@ class Session:
         # the rank kernels read the flag off their context, which
         # snapshots it from the algorithm instance (owned by this session)
         alg.overlap = self.overlap_mode == "on"
+        # the keywords a kernel call may hand the family's rank_kernel
+        self._rank_kernel_keywords = inspect.signature(alg.rank_kernel).parameters
         self.trace_mode = resolved.trace
         #: execution backend: ranks as threads ("threads", the default) or
         #: as mpirun-resident processes ("mpi"); see ARCHITECTURE.md
@@ -845,66 +849,49 @@ class Session:
     # kernels
     # ------------------------------------------------------------------
 
-    def _submit_mode(self, mode: Mode, A, B, **kernel_kwargs) -> SessionFuture:
-        """Validate and submit one single-mode kernel call (``None``
-        marks the output side)."""
-        with self._exclusive():
-            self._check_open()
-            if mode != Mode.SPMM_A:
-                A = self._check_dense(A, "A", self.m)
-            if mode != Mode.SPMM_B:
-                B = self._check_dense(B, "B", self.n)
-            alg = self._alg
-
-            def call(ctx, plan, local, **kw):
-                alg.rank_kernel(ctx, plan, local, mode, **kernel_kwargs, **kw)
-
-            def collect(ori):
-                if mode == Mode.SDDMM:
-                    out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-                elif mode == Mode.SPMM_A:
-                    out = alg.collect_dense_a(ori.plan, ori.locals_)
-                else:
-                    out = alg.collect_dense_b(ori.plan, ori.locals_)
-                return out, self.report(self._window_label(mode.value))
-
-            label = f"{self.algorithm}/{mode.value}{self._suffix}"
-            dirty = {Mode.SPMM_A: "a", Mode.SPMM_B: "b"}.get(mode, "")
-            return self._submit(
-                SessionFuture(self, (False, A, B, call, label, dirty), collect)
-            )
-
-    def _submit_fused(
-        self, variant: FusedVariant, A, B, collect_sddmm: bool
+    def _submit_kernel(
+        self, kernel: Union[Mode, FusedVariant], A, B, collect_sddmm: bool = False,
+        **kernel_kwargs,
     ) -> SessionFuture:
-        """Validate, resolve and submit one fused kernel call."""
+        """Validate and submit one call of any of the five kernels, run as
+        :func:`~repro.algorithms.fused.native_procedure` resolves it
+        (``None`` marks a single mode's output side)."""
         with self._exclusive():
             self._check_open()
-            A = self._check_dense(A, "A", self.m)
-            B = self._check_dense(B, "B", self.n)
+            unknown = kernel_kwargs.keys() - self._rank_kernel_keywords
+            if unknown:
+                raise ReproError(f"{self.algorithm} takes no {min(unknown)}= option")
             alg = self._alg
-            transpose, native, method = native_procedure(alg, variant, self.elision)
-            A_eff, B_eff = (B, A) if transpose else (A, B)
-            label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
+            transpose, side, method = native_procedure(alg, kernel, self.elision)
+            single = isinstance(kernel, Mode)
+            if not (single and side == "a"):
+                A = self._check_dense(A, "A", self.m)
+            if not (single and side == "b"):
+                B = self._check_dense(B, "B", self.n)
+            if transpose:
+                A, B = B, A
+            what = kernel if single else self.elision
+            label = f"{self.algorithm}/{what.value}{self._suffix}"
 
             def collect(ori):
-                if native == "a":
-                    out = alg.collect_dense_a(ori.plan, ori.locals_)
-                else:
-                    out = alg.collect_dense_b(ori.plan, ori.locals_)
-                report = self.report(f"{label}/x{self._ncalls}")
-                if not collect_sddmm:
-                    return out, report
-                sddmm_out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-                if transpose:
-                    sddmm_out = sddmm_out.transposed()
-                return out, sddmm_out, report
+                outs = []
+                if side:
+                    collect_dense = getattr(alg, f"collect_dense_{side}")
+                    outs.append(collect_dense(ori.plan, ori.locals_))
+                if collect_sddmm or not side:
+                    R = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
+                    outs.append(R.transposed() if transpose else R)
+                return (*outs, self.report(f"{label}/x{self._ncalls}"))
 
-            return self._submit(
-                SessionFuture(
-                    self, (transpose, A_eff, B_eff, method, label, native), collect
-                )
-            )
+            call = partial(method, **kernel_kwargs)
+            bound = (transpose, A, B, call, label, side)
+            return self._submit(SessionFuture(self, bound, collect))
+
+    def _wait(self, submit: Callable[..., SessionFuture], *args):
+        """The synchronous form of an entry point: submit and settle under
+        one hold of the call gate."""
+        with self._exclusive():
+            return submit(*args).result()
 
     def sddmm_async(
         self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
@@ -916,38 +903,36 @@ class Session:
         ``use_values=False`` computes pattern-only dots; ``edge_op``
         replaces the dot products with a custom per-edge function (both
         on the families whose kernels support them, e.g. the 1.5D
-        dense-shifting family used by the GAT app).
+        dense-shifting family used by the GAT app; elsewhere either raises
+        :class:`~repro.errors.ReproError` before any rank runs).
         """
         kw: Dict[str, Any] = {}
         if not use_values:
             kw["use_values"] = False
         if edge_op is not None:
             kw["edge_op"] = edge_op
-        return self._submit_mode(Mode.SDDMM, A, B, **kw)
+        return self._submit_kernel(Mode.SDDMM, A, B, **kw)
 
     def sddmm(
         self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
     ) -> Tuple[CooMatrix, RunReport]:
         """Synchronous :meth:`sddmm_async`."""
-        with self._exclusive():
-            return self.sddmm_async(A, B, use_values, edge_op).result()
+        return self._wait(self.sddmm_async, A, B, use_values, edge_op)
 
     def spmm_a_async(self, B: np.ndarray) -> SessionFuture:
         """``SpMMA(S, B) = S @ B`` on the resident S, left in flight (see
         :meth:`fusedmm_a_async`).  This is the serving fleet's dispatch
         primitive — the next micro-batch panel binds while the current
         one runs."""
-        return self._submit_mode(Mode.SPMM_A, None, B)
+        return self._submit_kernel(Mode.SPMM_A, None, B)
 
     def spmm_a(self, B: np.ndarray) -> Tuple[np.ndarray, RunReport]:
         """Synchronous :meth:`spmm_a_async`."""
-        with self._exclusive():
-            return self.spmm_a_async(B).result()
+        return self._wait(self.spmm_a_async, B)
 
     def spmm_b(self, A: np.ndarray) -> Tuple[np.ndarray, RunReport]:
         """``SpMMB(S, A) = S.T @ A`` on the resident S."""
-        with self._exclusive():
-            return self._submit_mode(Mode.SPMM_B, A, None).result()
+        return self._wait(self._submit_kernel, Mode.SPMM_B, A, None)
 
     def fusedmm_a_async(
         self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
@@ -966,24 +951,22 @@ class Session:
         ``result()`` returns ``(output, report)``; with
         ``collect_sddmm=True``, ``(output, sddmm_intermediate, report)``.
         """
-        return self._submit_fused(FusedVariant.FUSED_A, A, B, collect_sddmm)
+        return self._submit_kernel(FusedVariant.FUSED_A, A, B, collect_sddmm)
 
     def fusedmm_a(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
         """Synchronous :meth:`fusedmm_a_async`."""
-        with self._exclusive():
-            return self.fusedmm_a_async(A, B, collect_sddmm).result()
+        return self._wait(self.fusedmm_a_async, A, B, collect_sddmm)
 
     def fusedmm_b_async(
         self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
     ) -> SessionFuture:
         """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``, left in
         flight (see :meth:`fusedmm_a_async`)."""
-        return self._submit_fused(FusedVariant.FUSED_B, A, B, collect_sddmm)
+        return self._submit_kernel(FusedVariant.FUSED_B, A, B, collect_sddmm)
 
     def fusedmm_b(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
         """Synchronous :meth:`fusedmm_b_async`."""
-        with self._exclusive():
-            return self.fusedmm_b_async(A, B, collect_sddmm).result()
+        return self._wait(self.fusedmm_b_async, A, B, collect_sddmm)
 
     # ------------------------------------------------------------------
     # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
@@ -1059,11 +1042,6 @@ class Session:
     # ------------------------------------------------------------------
     # profiling / lifecycle
     # ------------------------------------------------------------------
-
-    def _window_label(self, kernel: str) -> str:
-        """Label naming the last kernel and the window's call count — the
-        counters cover *all* calls in the window, not just the last one."""
-        return f"{self.algorithm}/{kernel}{self._suffix}/x{self._ncalls}"
 
     def report(self, label: Optional[str] = None) -> RunReport:
         """The accumulated cost report over every call since the last
@@ -1340,8 +1318,10 @@ def plan(
     :class:`~repro.errors.UnknownKernelBackendError`; ``"numba"`` without
     numba raises :class:`~repro.errors.KernelBackendUnavailableError`
     with the install hint.  Compiled backends are thread-backend-only
-    (mpi ranks are separate processes) and raise a typed error with
-    ``backend="mpi"``.  The resolved choice is observable as
+    (``"auto"`` calibrates per process, so one job's processes could
+    resolve different plans, and no CI lane runs numba next to mpi4py)
+    and raise a typed error with ``backend="mpi"``.  The resolved choice
+    is observable as
     ``Session.kernels``, in every per-call metrics record (``"kernels"``)
     and on reports (``RunReport.kernel_backend``).
     """

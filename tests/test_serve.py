@@ -372,8 +372,7 @@ class TestFleetLifecycle:
     def test_background_server_drains_without_leaking_threads(self, als_parts):
         baseline = threading.active_count()
         with Server(
-            _als_model(als_parts), replicas=2, window_ms=0.5, max_queue=64,
-            background=True,
+            _als_model(als_parts), window_ms=0.5, max_queue=64, background=True,
         ) as srv:
             futures = [
                 srv.submit(AlsTopKRequest(model_id="als", user=u % N_USERS, k=4))
@@ -384,7 +383,6 @@ class TestFleetLifecycle:
             srv.drain()
             completions = [f.result(timeout=60.0) for f in futures]
         assert all(c.ok for c in completions)
-        assert {c.session_index for c in completions} == {0, 1}  # both replicas
         assert threading.active_count() == baseline  # thread-leak gate
 
     def test_inline_server_leaves_no_threads(self, gat_parts):
