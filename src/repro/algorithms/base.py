@@ -224,7 +224,9 @@ class DistributedAlgorithm:
         the GIL, and each rank only ever touches its own entry afterward).
         The pool *follows* the communicator rather than snapshotting its
         profile: resident contexts keep one pool across many kernel calls,
-        and each call may run under a different accumulation window.
+        and each call may run under a different accumulation window.  One
+        pool serves both orientations of a session, so the replica memo
+        it owns (``BufferPool.replica``) sees every acquisition of a slot.
         """
         pool = self._pools.setdefault(comm.rank, BufferPool())
         pool.follow(comm)
@@ -339,13 +341,15 @@ class DistributedAlgorithm:
         return locals_
 
     def update_values(self, plan, locals_, vals: np.ndarray) -> None:
-        """Rebind the resident sparse *values* in place (structure fixed).
+        """Rebind the resident sparse *values* (structure fixed).
 
         ``vals`` is the new global value array in the distributed COO's
         ordering.  This is the cheap path for workloads that re-weight a
         fixed sparsity pattern between kernel calls (GAT attention, SDDMM
         outputs): no partitioning, no need-list replanning — the cached
-        comm plans key on structure only and stay valid.
+        comm plans key on structure only and stay valid.  Value arrays are
+        replaced, never written in place: a fiber replica of them keys on
+        the array object (``BufferPool.replica``).
         """
         raise NotImplementedError
 
@@ -354,6 +358,11 @@ class DistributedAlgorithm:
         for pool in self._pools.values():
             pool.clear()
         self._pools.clear()
+
+    def drop_replicas(self) -> None:
+        """Forget every rank's stored fiber replicas (failure recovery)."""
+        for pool in self._pools.values():
+            pool.drop_replicas()
 
     # ------------------------------------------------------------------
     # rank-side context lifecycle (split for the resident worker pool)
@@ -384,12 +393,11 @@ class DistributedAlgorithm:
         carry is the buffer pool's profile source, which must follow the
         communicator that the current work item runs under.
         """
-        pool = getattr(ctx, "pool", None)
-        if pool is not None:
-            pool.follow(comm)
-            # dispatch boundary: release lease guards an aborted item's
-            # in-flight exchanges never got to wait (see release_all)
-            pool.release_all()
+        ctx.pool.follow(comm)
+        # dispatch boundary: release lease guards an aborted item's
+        # in-flight exchanges never got to wait (see release_all), and
+        # advance the replica memo's epoch
+        ctx.pool.release_all()
 
     # ------------------------------------------------------------------
     # the propagation schedule (the only readers of ``overlap``)

@@ -56,6 +56,7 @@ from repro.algorithms.base import (
     TAG_SHIFT_B,
     DistributedAlgorithm,
     Lane,
+    concat_allgather,
     reduce_scatter_rows,
     region,
     track,
@@ -63,6 +64,7 @@ from repro.algorithms.base import (
 from repro.errors import DistributionError
 from repro.kernels.sddmm import sddmm_coo
 from repro.kernels.spmm import spmm_scatter
+from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator
 from repro.runtime.grid import Grid25D
 from repro.sparse.coo import CooMatrix
@@ -144,6 +146,7 @@ class Ctx25D:
     x: int
     y: int
     z: int
+    pool: BufferPool = field(default_factory=BufferPool)  # the replica memo
 
 
 class DenseReplicate25D(DistributedAlgorithm):
@@ -233,7 +236,7 @@ class DenseReplicate25D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             if len(loc.gidx):
-                loc.S_vals[:] = vals[loc.gidx]
+                loc.S_vals = vals[loc.gidx]  # rebound, never written in place
 
     def collect_sddmm(
         self, plan: Plan25DDense, locals_: List[Local25DDense], S: CooMatrix
@@ -251,7 +254,10 @@ class DenseReplicate25D(DistributedAlgorithm):
     def make_context(self, comm: Communicator) -> Ctx25D:
         row, col, fiber = self.grid.make_comms(comm)
         x, y, z = self.grid.coords(comm.rank)
-        return Ctx25D(comm=comm, row=row, col=col, fiber=fiber, x=x, y=y, z=z)
+        return Ctx25D(
+            comm=comm, row=row, col=col, fiber=fiber, x=x, y=y, z=z,
+            pool=self.pool_for(comm),
+        )
 
     def _fiber_sizes_a(self, plan: Plan25DDense, x: int) -> List[int]:
         return [
@@ -264,10 +270,13 @@ class DenseReplicate25D(DistributedAlgorithm):
     ) -> np.ndarray:
         """The replication step: A's fine blocks all-gathered along the
         fiber into the coarse panel ``rank_kernel`` / ``rank_fusedmm_reuse``
-        accept as ``replicated=``."""
+        accept as ``replicated=`` (an earlier dispatch's panel while A's
+        block is unchanged, see ``BufferPool.replica``)."""
         with track(ctx.comm, Phase.REPLICATION), region(ctx.comm, "gather-A"):
-            parts = ctx.fiber.allgather(local.A, tag=TAG_FIBER_AG)
-            return np.concatenate(parts, axis=0)
+            return ctx.pool.replica(
+                "replica-A", local.A,
+                lambda: concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG),
+            )
 
     def rank_kernel(
         self,

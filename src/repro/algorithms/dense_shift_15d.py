@@ -55,6 +55,7 @@ from repro.errors import DistributionError
 from repro.kernels.fused import fusedmm_local
 from repro.kernels.sddmm import sddmm_coo, sddmm_custom
 from repro.kernels.spmm import spmm_a_block, spmm_b_block
+from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator
 from repro.runtime.grid import Grid15D
 from repro.sparse.coo import CooMatrix, SparseBlock
@@ -119,6 +120,7 @@ class Ctx15D:
     fiber: Communicator  # the c ranks sharing u (replication happens here)
     u: int
     v: int
+    pool: BufferPool = field(default_factory=BufferPool)  # the replica memo
 
 
 class DenseShift15D(DistributedAlgorithm):
@@ -193,7 +195,7 @@ class DenseShift15D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             for j, gi in loc.gidx.items():
-                loc.S[j].vals[:] = vals[gi]
+                loc.S[j].vals = vals[gi]  # rebound, never written in place
 
     def collect_sddmm(
         self, plan: Plan15DDense, locals_: List[Local15DDense], S: CooMatrix
@@ -212,7 +214,9 @@ class DenseShift15D(DistributedAlgorithm):
     def make_context(self, comm: Communicator) -> Ctx15D:
         layer, fiber = self.grid.make_comms(comm)
         u, v = self.grid.coords(comm.rank)
-        return Ctx15D(comm=comm, layer=layer, fiber=fiber, u=u, v=v)
+        return Ctx15D(
+            comm=comm, layer=layer, fiber=fiber, u=u, v=v, pool=self.pool_for(comm)
+        )
 
     def _fiber_sizes_a(self, plan: Plan15DDense, u: int) -> List[int]:
         """Row counts of the fine A blocks inside coarse block ``u``."""
@@ -226,9 +230,13 @@ class DenseShift15D(DistributedAlgorithm):
     ) -> np.ndarray:
         """The replication step: A's fine blocks all-gathered along the
         fiber into the coarse panel ``rank_kernel`` / ``rank_fusedmm_reuse``
-        accept as ``replicated=``."""
+        accept as ``replicated=`` (an earlier dispatch's panel while A's
+        block is unchanged, see ``BufferPool.replica``)."""
         with track(ctx.comm, Phase.REPLICATION), region(ctx.comm, "gather-A"):
-            return concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG)
+            return ctx.pool.replica(
+                "replica-A", local.A,
+                lambda: concat_allgather(ctx.fiber, local.A, TAG_FIBER_AG),
+            )
 
     def rank_kernel(
         self,

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -284,7 +284,9 @@ class SparseReplicate25D(DistributedAlgorithm):
                 vb = loc.val_bounds
                 # gather only this layer's chunk, not the whole replicated block
                 chunk = loc.gidx[int(vb[loc.z]) : int(vb[loc.z + 1])]
-                loc.S_vals_chunk[:] = vals[chunk]
+                # rebound, never written in place: the value replica keys
+                # on this object
+                loc.S_vals_chunk = vals[chunk]
 
     def collect_sddmm(
         self, plan: Plan25DSparse, locals_: List[Local25DSparse], S: CooMatrix
@@ -318,9 +320,32 @@ class SparseReplicate25D(DistributedAlgorithm):
     # -- fiber value collectives ------------------------------------------
 
     def _gather_values(self, ctx: Ctx25DSparse, local: Local25DSparse) -> np.ndarray:
-        """All-gather the value chunks along the fiber (1 word/nnz)."""
-        parts = ctx.fiber.allgather(local.S_vals_chunk, tag=TAG_FIBER_AG)
-        return np.concatenate(parts) if parts else np.empty(0)
+        """All-gather the value chunks along the fiber (1 word/nnz), or
+        hand back an earlier dispatch's (see :meth:`_values_behind`)."""
+        source = local.S_vals_chunk
+        return ctx.pool.replica(
+            "values", source,
+            lambda: np.concatenate(ctx.fiber.allgather(source, tag=TAG_FIBER_AG)),
+        )
+
+    def _values_behind(
+        self, ctx: Ctx25DSparse, local: Local25DSparse
+    ) -> Callable[[], np.ndarray]:
+        """The S-value all-gather for a consumer that runs later (see
+        ``allgather_behind``); returns the zero-argument wait yielding the
+        full-length values.  While the resident value chunk is the block an
+        earlier dispatch gathered, its replica is handed back and nothing
+        is posted (see ``BufferPool.replica``)."""
+        source = local.S_vals_chunk
+        held = ctx.pool.held_replica("values", source)
+        if held is not None:
+            return lambda: held
+        wait = self.allgather_behind(ctx.fiber, source, TAG_FIBER_AG)
+
+        def finish() -> np.ndarray:
+            return ctx.pool.keep_replica("values", source, np.concatenate(wait()))
+
+        return finish
 
     def _reduce_scatter_values(
         self, ctx: Ctx25DSparse, local: Local25DSparse, full: np.ndarray
@@ -518,9 +543,7 @@ class SparseReplicate25D(DistributedAlgorithm):
         # kernel — the whole value replication hides behind the dominant
         # compute of this round
         with track(ctx.comm, Phase.REPLICATION):
-            wait_vals = self.allgather_behind(
-                ctx.fiber, local.S_vals_chunk, TAG_FIBER_AG
-            )
+            wait_vals = self._values_behind(ctx, local)
 
         acc = np.zeros(len(local.S_rows))
         panels: Dict[str, np.ndarray] = {}
@@ -564,8 +587,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             )
 
         with track(ctx.comm, Phase.REPLICATION):
-            parts = wait_vals()
-            s_vals = np.concatenate(parts) if parts else np.empty(0)
+            s_vals = wait_vals()
         with track(ctx.comm, Phase.COMPUTATION):
             partial_vals = acc * s_vals
             prof.add_flops(len(acc))

@@ -251,7 +251,7 @@ class SparseShift15D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             if len(loc.gidx):
-                loc.S_vals[:] = vals[loc.gidx]
+                loc.S_vals = vals[loc.gidx]  # rebound, never written in place
 
     def collect_sddmm(
         self, plan: Plan15DSparse, locals_: List[Local15DSparse], S: CooMatrix
@@ -304,7 +304,7 @@ class SparseShift15D(DistributedAlgorithm):
         exchange's post and its wait (see ``exchange``).
         """
         with region(ctx.comm, "gather-strip-packed"):
-            P = ctx.pool.lease("panel", (sparse_plan.index.size, local.A.shape[1]))
+            P = ctx.pool.lease("packed", (sparse_plan.index.size, local.A.shape[1]))
 
             def own():
                 P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
@@ -323,13 +323,21 @@ class SparseShift15D(DistributedAlgorithm):
         """The replication step: A's strip gathered along the fiber.
 
         The panel is what ``rank_kernel`` / ``rank_fusedmm_reuse`` accept
-        as ``replicated=``; it stays valid until the next replication on
-        this rank (it lives in the rank's buffer pool).
+        as ``replicated=``; it lives in the rank's buffer pool, stays valid
+        until its slot (``"panel"``, or ``"packed"`` on the need-list path)
+        is acquired again, and is handed back to a later dispatch while
+        A's block is unchanged (see ``BufferPool.replica``).
         """
         with track(ctx.comm, Phase.REPLICATION):
             if sparse_plan is not None:
-                return self._gather_strip_packed(ctx, local, sparse_plan)
-            return self._gather_strip(ctx, plan, local.A, plan.rows_a_of_fiber)
+                return ctx.pool.replica(
+                    "packed", local.A,
+                    partial(self._gather_strip_packed, ctx, local, sparse_plan),
+                )
+            return ctx.pool.replica(
+                "panel", local.A,
+                partial(self._gather_strip, ctx, plan, local.A, plan.rows_a_of_fiber),
+            )
 
     @staticmethod
     def _kernel_coords(
@@ -380,7 +388,7 @@ class SparseShift15D(DistributedAlgorithm):
                 if packed:
                     # SpMMA partial-output accumulator, packed to the layer's
                     # row union (leased: same slot as the gather panel)
-                    T = ctx.pool.lease_zeros("panel", (sparse_plan.index.size, sw))
+                    T = ctx.pool.lease_zeros("packed", (sparse_plan.index.size, sw))
                 else:
                     T = ctx.pool.zeros("panel", (plan.m, sw))
 

@@ -20,12 +20,20 @@ its ``len(union) x sw`` packed replacement.  Arrays materialized by the
 message layer itself (ring-shift receives re-bind the circulating
 reference to a fresh recv copy each phase) are transient per-message
 storage and are deliberately outside the metric on every mode.
+
+The pool also owns the rank's **replica memo** (:meth:`replica`): a
+fiber-replicated panel built in an earlier dispatch is handed back
+without its collective while its source block is the very same object
+and nothing has re-acquired its slot since.  It is pool-owned because
+both orientations of a session share one pool per rank, so a sibling's
+acquisition of the same slot invalidates the memo it would overwrite.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set, Tuple
+import weakref
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -54,6 +62,9 @@ class BufferPool:
         self._source = None  # live profile provider (e.g. a Communicator)
         self._in_flight: Set[int] = set()  # ids of guarded (leased) buffers
         self._guard_ts: Dict[int, float] = {}  # guard timestamps (traced runs)
+        # label -> (weakref to the source block, read-only panel, epoch)
+        self._replicas: Dict[str, Tuple[weakref.ref, np.ndarray, int]] = {}
+        self._epoch = 0  # dispatches seen (advanced by release_all)
 
     @property
     def profile(self) -> Optional[RankProfile]:
@@ -88,9 +99,14 @@ class BufferPool:
                 f"buffer slot {label!r} is leased to an in-flight exchange; "
                 f"wait the exchange (or lease the sibling slot) before reuse"
             )
+        # the slot (or a lease sibling of it) is about to be overwritten:
+        # a replica it holds is no longer what was gathered
+        self._replicas.pop(label.partition("@")[0], None)
         if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
             buf = np.empty(shape, dtype=dtype)
             self._slots[label] = buf
+        else:
+            buf.flags.writeable = True  # a stored replica was read-only
         if profile is not None:
             profile.note_buffer_bytes(self.total_bytes)
             if profile.tracer is not None:
@@ -115,6 +131,63 @@ class BufferPool:
         buf = self._acquire(label, template.shape, template.dtype)
         np.copyto(buf, template)
         return buf
+
+    # -- cross-call replica reuse -----------------------------------------
+
+    def replica(
+        self, label: str, source: np.ndarray, gather: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """The fiber replica of ``source``: ``gather()``'s panel, or the
+        one an *earlier dispatch* stored under ``label``.
+
+        A stored panel is handed back, without running ``gather`` (and so
+        without its collective), when its source is the very same object
+        as ``source`` and no acquisition of ``label`` (or of a lease
+        sibling ``label@k``) has happened since.  Resident inputs are
+        replaced, never written in place, so the same object means the
+        same values.  Within one dispatch nothing hits — reuse inside a
+        call is the elision strategy's job.  ``label`` is the pool slot
+        ``gather`` fills, or a label nothing acquires for an unpooled
+        panel.  The decision is collective-consistent: every rank of a
+        fiber rebinds its sources together and advances its epoch once
+        per dispatch.
+        """
+        panel = self.held_replica(label, source)
+        if panel is None:
+            panel = self.keep_replica(label, source, gather())
+        return panel
+
+    def held_replica(self, label: str, source: np.ndarray) -> Optional[np.ndarray]:
+        """The :meth:`replica` hit alone: the stored panel, or ``None``.
+
+        A hit reports the pool's resident bytes to the profile exactly as
+        an acquisition does, and counts one ``replica_hits``."""
+        entry = self._replicas.get(label)
+        if entry is None:
+            return None
+        if entry[2] == self._epoch or entry[0]() is not source:
+            del self._replicas[label]  # the caller gathers afresh: free it first
+            return None
+        profile = self.profile
+        if profile is not None:
+            profile.replica_hits += 1
+            profile.note_buffer_bytes(self.total_bytes)
+        return entry[1]
+
+    def keep_replica(
+        self, label: str, source: np.ndarray, panel: np.ndarray
+    ) -> np.ndarray:
+        """Store ``panel`` as ``source``'s replica under ``label``, marked
+        read-only (the slot turns writeable again on its next acquisition);
+        returns it."""
+        panel.flags.writeable = False
+        self._replicas[label] = (weakref.ref(source), panel, self._epoch)
+        return panel
+
+    def drop_replicas(self) -> None:
+        """Forget every stored replica (failure recovery: a fault may have
+        left some ranks of a fiber with a replica and others without)."""
+        self._replicas.clear()
 
     # -- double-buffer leases (overlap pipeline) --------------------------
 
@@ -184,10 +257,12 @@ class BufferPool:
         belongs to an exchange an abort unwound mid-wait — without this,
         one aborted dual-gather would pin its panel slots forever and
         eventually wedge the recovered session in
-        :class:`BufferLeaseError`.
+        :class:`BufferLeaseError`.  It also advances the dispatch epoch
+        the replica memo's "earlier dispatch" rule reads.
         """
         self._in_flight.clear()
         self._guard_ts.clear()
+        self._epoch += 1
 
     @property
     def total_bytes(self) -> int:
@@ -198,6 +273,7 @@ class BufferPool:
         self._slots.clear()
         self._in_flight.clear()
         self._guard_ts.clear()
+        self._replicas.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BufferPool(slots={len(self._slots)}, bytes={self.total_bytes})"

@@ -79,6 +79,9 @@ class RankProfile:
         #: high-water mark of resident panel-buffer bytes (gather panels,
         #: partial-output accumulators) reported by the rank's BufferPool
         self.peak_buffer_bytes: int = 0
+        #: fiber replications served from the BufferPool's replica memo
+        #: (an earlier dispatch's panel of an unchanged source block)
+        self.replica_hits: int = 0
         #: optional :class:`repro.runtime.trace.Tracer`; ``None`` (tracing
         #: off) keeps every instrumentation site a single attribute check
         self.tracer = None
@@ -154,17 +157,19 @@ class RankProfile:
         return (
             {ph.value: astuple(ctr) for ph, ctr in self.counters.items()},
             self.peak_buffer_bytes,
+            self.replica_hits,
         )
 
     def set_counter_state(self, state) -> None:
         """Overwrite the counters with a :meth:`counter_state` snapshot
         taken by this rank's authoritative process."""
-        phase_state, peak = state
+        phase_state, peak, hits = state
         for ph in Phase:
             values = phase_state.get(ph.value)
             if values is not None:
                 self.counters[ph] = PhaseCounters(*values)
         self.peak_buffer_bytes = int(peak)
+        self.replica_hits = int(hits)
 
     # -- convenience ------------------------------------------------------
 

@@ -33,7 +33,7 @@ matrix, one transposed".
 
 For sparsity patterns whose *values* change between calls while the
 structure is fixed (GAT attention weights, SDDMM outputs),
-:meth:`Session.update_values` rebinds the resident values in place — no
+:meth:`Session.update_values` rebinds the resident values — no
 repartitioning, and the structure-keyed comm-plan caches stay valid.
 
 The legacy one-shot functions in :mod:`repro.api` are thin wrappers that
@@ -343,7 +343,7 @@ class Session:
         Sums (unlike the report's per-rank maxima) are additive across
         calls, so the difference of two snapshots is exactly what the
         calls in between cost — even when the busiest rank changes."""
-        words = msgs = flops = 0
+        words = msgs = flops = hits = 0
         exposed = hidden = compute = 0.0
         for prof in self._profiles:
             for ph in _COMM_PHASES:
@@ -354,10 +354,12 @@ class Session:
                 hidden += ctr.hidden_seconds
             compute += prof.counters[Phase.COMPUTATION].seconds
             flops += prof.total().flops
+            hits += prof.replica_hits
         return {
             "comm_words": float(words),
             "comm_messages": float(msgs),
             "flops": float(flops),
+            "replica_hits": float(hits),
             "exposed_comm_s": exposed,
             "hidden_comm_s": hidden,
             "compute_s": compute,
@@ -388,6 +390,7 @@ class Session:
             "comm_words": int(snap["comm_words"] - prev["comm_words"]),
             "comm_messages": int(snap["comm_messages"] - prev["comm_messages"]),
             "flops": int(snap["flops"] - prev["flops"]),
+            "replica_hits": int(snap["replica_hits"] - prev["replica_hits"]),
             "compute_ms": (snap["compute_s"] - prev["compute_s"]) * 1e3,
             "exposed_comm_ms": (snap["exposed_comm_s"] - prev["exposed_comm_s"]) * 1e3,
             "hidden_comm_ms": (snap["hidden_comm_s"] - prev["hidden_comm_s"]) * 1e3,
@@ -441,7 +444,8 @@ class Session:
         """Rebind the resident sparse *values* (structure unchanged).
 
         ``vals`` follows the planned matrix's nonzero ordering.  All
-        resident orientations are updated in place; comm plans and packed
+        resident orientations are updated (each rank's value arrays are
+        replaced, never written in place); comm plans and packed
         indexes (structure-keyed) stay valid.
         """
         with self._exclusive():
@@ -736,15 +740,19 @@ class Session:
     def _drop_contexts(self) -> None:
         """Failure recovery: force full rebuilds on the next call.
 
-        Clears the resident contexts *and* the dense-operand snapshots — a
-        failed item may have overwritten resident blocks mid-kernel (or
-        died before a staged bind was promoted), so no side may claim to
-        still hold its last-bound operand.
+        Clears the resident contexts, the dense-operand snapshots and every
+        rank's stored fiber replicas — a failed item may have overwritten
+        resident blocks mid-kernel (or died before a staged bind was
+        promoted), so no side may claim to still hold its last-bound
+        operand, and it may have left some ranks of a fiber with a stored
+        replica and others without, whose next gather would then wait on a
+        peer that skips it.
         """
         for o in self._orients.values():
             o.contexts = [None] * self.p
         self._dense_state.clear()
         self._bind_miss.clear()
+        self._alg.drop_replicas()
 
     #: root-cause classes that justify a re-execution: runtime-shaped
     #: failures (expired deadlines, transport errors, leases wedged by an
@@ -1087,11 +1095,13 @@ class Session:
         call since the last :meth:`reset_profile`).
 
         Each record is a JSON-ready dict: wall ms of the call, the delta
-        of rank-summed communication words/messages, FLOPs, compute /
-        exposed-comm / hidden-comm ms, the current peak panel-buffer
-        bytes, and the call ``outcome`` (``"ok"``, ``"retried"``,
-        ``"degraded"``, ``"timeout"`` or ``"failed"``) together with the
-        number of ``retries`` it took.  Failed calls are recorded too.
+        of rank-summed communication words/messages, FLOPs, fiber
+        replications served from an earlier call's panel
+        (``replica_hits``), compute / exposed-comm / hidden-comm ms, the
+        current peak panel-buffer bytes, and the call ``outcome``
+        (``"ok"``, ``"retried"``, ``"degraded"``, ``"timeout"`` or
+        ``"failed"``) together with the number of ``retries`` it took.
+        Failed calls are recorded too.
         Record 0 additionally carries ``"plan"``: :meth:`explain` as a dict.
         A still-pipelined async call is finalized first so its record
         exists by the time this returns.

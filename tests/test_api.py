@@ -126,10 +126,20 @@ class TestAutoSelection:
 
 class TestReports:
     def test_calls_scale_traffic(self, small_problem):
+        """Every call pays its propagation; the fiber replication of the
+        unchanged A is paid by the first call only (cross-call replica
+        reuse)."""
         S, A, B = small_problem
         _, rep1 = repro.sddmm(S, A, B, p=4, c=2, calls=1)
         _, rep3 = repro.sddmm(S, A, B, p=4, c=2, calls=3)
-        assert rep3.comm_words == 3 * rep1.comm_words
+        cold = [
+            (p.counters[Phase.REPLICATION].words_received,
+             p.counters[Phase.PROPAGATION].words_received)
+            for p in rep1.per_rank
+        ]
+        assert all(repl > 0 for repl, _ in cold)
+        assert rep3.comm_words == max(repl + 3 * prop for repl, prop in cold)
+        assert rep1.comm_words < rep3.comm_words < 3 * rep1.comm_words
 
     def test_report_has_computation_time(self, small_problem):
         S, A, B = small_problem

@@ -29,7 +29,7 @@ from repro.baselines.serial import (
     spmm_b_serial,
 )
 from repro.errors import ReproError
-from repro.types import FusedVariant
+from repro.types import FusedVariant, Phase
 
 # (algorithm, p, c, comm) — every family, plus the sparse-comm path on the
 # two families that support it
@@ -229,14 +229,24 @@ class TestReports:
         _, rep1 = sess.sddmm(A, B)
         words1 = rep1.comm_words
         assert words1 > 0
+        # per rank: the first call's fiber replication and its propagation;
+        # the later calls on the unchanged A reuse the replica
+        cold = [
+            (p.counters[Phase.REPLICATION].words_received,
+             p.counters[Phase.PROPAGATION].words_received)
+            for p in rep1.per_rank
+        ]
         for _ in range(2):
             _, rep = sess.sddmm(A, B)
-        assert rep.comm_words == 3 * words1
+        words3 = max(repl + 3 * prop for repl, prop in cold)
+        assert words1 < words3 < 3 * words1
+        assert rep.comm_words == words3
         # the report is a live view of the session's accumulation window
-        assert rep1.comm_words == 3 * words1
+        assert rep1.comm_words == words3
         sess.reset_profile()
         _, rep_fresh = sess.sddmm(A, B)
-        assert rep_fresh.comm_words == words1
+        assert rep_fresh.comm_words == max(prop for _, prop in cold)
+        assert rep_fresh.phase_words(Phase.REPLICATION) == 0
 
     def test_report_carries_comm_mode_and_label(self, small_problem):
         S, A, B = small_problem
