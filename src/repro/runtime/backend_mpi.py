@@ -235,6 +235,9 @@ class _SettledFuture:
 
     __slots__ = ("_results", "_report")
 
+    #: an eager item is never re-run
+    retries = 0
+
     def __init__(self, results: List[Any], report: RunReport) -> None:
         self._results = results
         self._report = report
@@ -386,12 +389,23 @@ class MpiWorkerPool:
         profiles: Optional[List[RankProfile]] = None,
         label: str = "",
         deadline_ms: Optional[float] = None,
+        retries: int = 0,
+        on_failure=None,
     ) -> _SettledFuture:
         """Eager dispatch: runs the item to completion and returns a
-        pre-settled future (errors raise here, not at ``wait``)."""
-        results, report = self.run(
-            rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
-        )
+        pre-settled future (errors raise here, not at ``wait``).  A rank
+        error calls ``on_failure()`` before it propagates; a re-run needs
+        the processes to agree to retry, so ``retries`` must be 0."""
+        if retries:
+            raise ReproError("backend='mpi' cannot re-run a work item (retries=0)")
+        try:
+            results, report = self.run(
+                rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
+            )
+        except Exception:
+            if on_failure is not None:
+                on_failure()
+            raise
         return _SettledFuture(results, report)
 
     def close(self, timeout: float = 30.0) -> None:

@@ -94,11 +94,6 @@ class RankProfile:
         #: the session; ``None`` runs every local kernel on the numpy one
         self.kernels = None
 
-    #: :attr:`site` under the name it had while faults were its only user
-    faults = property(
-        lambda self: self.site, lambda self, hook: setattr(self, "site", hook)
-    )
-
     @contextmanager
     def track(self, phase: Phase) -> Iterator[None]:
         """Attribute wall time and traffic inside the block to ``phase``.

@@ -37,10 +37,11 @@ exactly like a spread one.
 
 Failure handling on the thread pool: if any rank raises, the world is
 aborted so sibling ranks blocked on receives unwind promptly
-(:class:`SpmdAbort`), the first error is re-raised in the caller, and the
-world is reset afterwards so the resident ranks stay usable for the next
-work item.  The MPI pool has no cross-process recovery — see
-:mod:`repro.runtime.backend_mpi` for its (stricter) semantics.
+(:class:`SpmdAbort`), the world is reset so the resident ranks stay
+usable, and the item's ``on_failure`` hook runs; a :func:`retryable`
+error re-runs the item while its ``retries`` last, any other is
+re-raised in the caller.  The MPI pool has no cross-process recovery —
+see :mod:`repro.runtime.backend_mpi` for its (stricter) semantics.
 """
 
 from __future__ import annotations
@@ -52,12 +53,31 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import ReproError, SpmdAbort, SpmdTimeout
+from repro.errors import CommError, FaultInjected, ReproError, SpmdAbort, SpmdTimeout
 from repro.runtime.backend import World, format_blocked_dump, validate_backend_name
+from repro.runtime.buffers import BufferLeaseError
 from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
+
+#: root-cause classes that justify re-running a work item: runtime-shaped
+#: failures (expired deadlines, transport errors, leases wedged by an
+#: abort, injected faults, sibling-abort unwinds).  Deterministic user
+#: errors (a ValueError out of an edge_op, a shape mismatch) are NOT
+#: here — re-running them would fail identically, so they surface
+#: unchanged on the first attempt.
+_RETRYABLE_ERRORS = (
+    SpmdTimeout, CommError, BufferLeaseError, FaultInjected, SpmdAbort
+)
+
+
+def retryable(exc: BaseException) -> bool:
+    """Is ``exc`` (or its chained root cause) a runtime fault?"""
+    return isinstance(exc, _RETRYABLE_ERRORS) or isinstance(
+        exc.__cause__, _RETRYABLE_ERRORS
+    )
+
 
 #: packed pools built so far in this process: successive pools (a serve
 #: fleet's sessions) take successive cores, and the pid spreads the
@@ -96,30 +116,43 @@ class _Latch:
 
 
 class _WorkItem:
-    """One dispatched SPMD body plus its completion/error state."""
+    """One dispatched SPMD body plus its completion/error state, and its
+    re-execution policy: up to ``retries`` re-runs of a retryable failure,
+    each after ``on_failure()`` restored what the body runs from."""
 
-    __slots__ = (
-        "fn",
-        "profiles",
-        "results",
-        "errors",
-        "errors_lock",
-        "latch",
-        "label",
-        "post_ts",
-    )
+    __slots__ = ("fn", "profiles", "results", "errors", "errors_lock", "latch",
+                 "label", "post_ts", "deadline_ms", "retries", "on_failure")
 
     def __init__(
-        self, fn: RankFn, profiles: List[RankProfile], nranks: int, label: str = ""
+        self, fn: RankFn, profiles: List[RankProfile], label: str = "",
+        deadline_ms: Optional[float] = None, retries: int = 0, on_failure=None,
     ) -> None:
         self.fn = fn
         self.profiles = profiles
-        self.results: List[Any] = [None] * nranks
-        self.errors: List[Tuple[int, BaseException]] = []
         self.errors_lock = threading.Lock()
-        self.latch = _Latch(nranks)
         self.label = label
-        self.post_ts = time.perf_counter()
+        self.deadline_ms = deadline_ms
+        self.retries = retries
+        self.on_failure = on_failure
+
+
+def _rank_error(item: _WorkItem) -> BaseException:
+    """The lowest failing rank's error, chained so its traceback survives
+    (raw on a single-rank pool)."""
+    rank, exc = min(item.errors, key=lambda e: e[0])
+    if len(item.results) == 1:
+        return exc
+    if isinstance(exc, SpmdTimeout):
+        # deadline expiries stay typed, carrying the blocked-state dump
+        # taken at the moment the watchdog fired
+        error = SpmdTimeout(
+            f"SPMD rank {rank} timed out: {exc}" + format_blocked_dump(exc.dump),
+            dump=exc.dump,
+        )
+    else:
+        error = RuntimeError(f"SPMD rank {rank} failed: {exc!r}")
+    error.__cause__ = exc
+    return error
 
 
 class PoolFuture:
@@ -131,18 +164,24 @@ class PoolFuture:
     the next dispatch settles this one first — so an item never runs on a
     world an earlier failure aborted.  Waiting is idempotent: repeated
     calls return the cached outcome (or re-raise the cached error).
+    :attr:`retries` counts the re-runs the pool made of the item.
     """
 
-    __slots__ = ("_pool", "_item", "_label", "_done", "_error", "_results", "_report")
+    __slots__ = (
+        "_pool", "_item", "_done", "_error", "_results", "_report", "retries"
+    )
 
-    def __init__(self, pool: "WorkerPool", item: _WorkItem, label: str) -> None:
+    def __init__(self, pool: "WorkerPool", item: _WorkItem) -> None:
         self._pool = pool
         self._item = item
-        self._label = label
         self._done = False
+        # before settling, the first retryable error (what surfaces once
+        # the re-runs are spent)
         self._error: Optional[BaseException] = None
         self._results: Optional[List[Any]] = None
         self._report: Optional[RunReport] = None
+        #: re-runs of the item used before it settled
+        self.retries = 0
 
     @property
     def done(self) -> bool:
@@ -165,8 +204,8 @@ class PoolFuture:
         # the same GC discipline as the worker loop's `del item` — so a
         # caller retaining consumed futures pins no per-call closures.
         self._results = self._item.results
-        self._report = RunReport(per_rank=self._item.profiles, label=self._label)
-        self._item = None
+        self._report = RunReport(per_rank=self._item.profiles, label=self._item.label)
+        self._item = self._error = None
         self._done = True
 
     def _settle_error(self, error: BaseException) -> None:
@@ -270,45 +309,50 @@ class WorkerPool:
             except OSError:  # a sandbox that refuses the call: run unpinned
                 self.core = None
         started.count_down()
-        comm = self._comms[r]
         while True:
             item = self._queues[r].get()
             if item is None:  # shutdown sentinel
                 return
-            profile = item.profiles[r]
-            if self._armed is not None:
-                profile.site = self._armed[r]
-            comm.profile = profile
-            self.world.active_profiles[r] = profile
-            tracer = profile.tracer
+            latch = self._run_item(r, item)
+            # Drop the item reference *before* counting down and blocking
+            # on the next get(): the worker's frame is a GC root, and the
+            # item's rank_fn closure typically references the owning
+            # session — holding it would keep an abandoned session (and
+            # this pool's threads) alive forever, defeating __del__.
+            del item
+            latch.count_down()
+            del latch
+
+    def _run_item(self, r: int, item: _WorkItem) -> _Latch:
+        """Run rank ``r``'s share of ``item``; returns the latch to count
+        down.  A raising rank records its error and aborts the world so
+        its siblings unwind."""
+        comm = self._comms[r]
+        profile = comm.profile = item.profiles[r]
+        if self._armed is not None:
+            profile.site = self._armed[r]
+        self.world.active_profiles[r] = profile
+        tracer = profile.tracer
+        if tracer is not None:
+            run_start = time.perf_counter()
+            tracer.span(
+                f"queue-wait {item.label}".rstrip(), "pool", item.post_ts, run_start
+            )
+        try:
+            item.results[r] = item.fn(comm)
+        except SpmdAbort:
+            pass  # a sibling failed first; its error is reported instead
+        except BaseException as exc:  # noqa: BLE001 - must not hang siblings
+            with item.errors_lock:
+                item.errors.append((r, exc))
+            self.world.abort()
+        finally:
             if tracer is not None:
-                run_start = time.perf_counter()
                 tracer.span(
-                    f"queue-wait {item.label}".rstrip(), "pool", item.post_ts, run_start
+                    f"run {item.label}".rstrip(), "pool", run_start,
+                    time.perf_counter(),
                 )
-            try:
-                item.results[r] = item.fn(comm)
-            except SpmdAbort:
-                pass  # a sibling failed first; its error is reported instead
-            except BaseException as exc:  # noqa: BLE001 - must not hang siblings
-                with item.errors_lock:
-                    item.errors.append((r, exc))
-                self.world.abort()
-            finally:
-                if tracer is not None:
-                    tracer.span(
-                        f"run {item.label}".rstrip(), "pool", run_start,
-                        time.perf_counter(),
-                    )
-                # Drop the item reference *before* blocking on the next
-                # get(): the worker's frame is a GC root, and the item's
-                # rank_fn closure typically references the owning session
-                # — holding it would keep an abandoned session (and this
-                # pool's threads) alive forever, defeating __del__.
-                latch = item.latch
-                del item, profile, tracer
-                latch.count_down()
-                del latch
+        return item.latch
 
     # ------------------------------------------------------------------
     # driver side
@@ -348,6 +392,8 @@ class WorkerPool:
         profiles: Optional[List[RankProfile]] = None,
         label: str = "",
         deadline_ms: Optional[float] = None,
+        retries: int = 0,
+        on_failure: Optional[Callable[[], None]] = None,
     ) -> PoolFuture:
         """Dispatch ``rank_fn(comm)`` without waiting.
 
@@ -357,7 +403,9 @@ class WorkerPool:
         item, whose error (if any) still surfaces at *its* ``wait()``, not
         here.  On a single-rank pool the item runs inline immediately (no
         threads exist) and errors propagate raw, matching the historical
-        fast path.
+        fast path.  A failed attempt calls ``on_failure()`` on the driver
+        (the hook that puts back what ``rank_fn`` runs from) and is re-run
+        up to ``retries`` times while its error is :func:`retryable`.
         """
         if self._closed:
             raise ReproError("worker pool is closed; dispatch is not possible")
@@ -367,25 +415,7 @@ class WorkerPool:
             raise ValueError("profiles must have one entry per rank")
         if deadline_ms is None:
             deadline_ms = self.deadline_ms
-
-        if self.nranks == 1:
-            with self._run_lock:
-                comm = self._comms[0]
-                comm.profile = profiles[0]
-                if self._armed is not None:
-                    profiles[0].site = self._armed[0]
-                self.world.active_profiles[0] = profiles[0]
-                item = _WorkItem(rank_fn, profiles, 1, label)
-                future = PoolFuture(self, item, label)
-                tracer = profiles[0].tracer
-                if tracer is not None:
-                    with tracer.region(f"run {label}".rstrip(), "pool"):
-                        item.results[0] = rank_fn(comm)  # errors propagate raw
-                else:
-                    item.results[0] = rank_fn(comm)  # errors propagate raw
-                future._settle_ok()
-                return future
-
+        item = _WorkItem(rank_fn, profiles, label, deadline_ms, retries, on_failure)
         busy = self._inflight
         if busy is not None:
             try:
@@ -393,51 +423,67 @@ class WorkerPool:
             except Exception:
                 pass
         with self._run_lock:
-            item = _WorkItem(rank_fn, profiles, self.nranks, label)
-            future = PoolFuture(self, item, label)
-            # ranks check the world's deadline inside blocked receives
-            self.world.deadline = (
-                time.perf_counter() + deadline_ms / 1e3
-                if deadline_ms is not None
-                else None
-            )
+            future = PoolFuture(self, item)
             self._inflight = future
-            for q in self._queues:
-                q.put(item)
+            self._post(item)
+        if self.nranks == 1:
+            future.wait()  # the one rank ran inline: its error propagates here
         return future
 
+    def _post(self, item: _WorkItem) -> None:
+        """Hand ``item`` to every rank as a fresh attempt (under the run
+        lock); a single-rank pool has no threads and runs it inline."""
+        item.results = [None] * self.nranks
+        item.errors = []
+        item.latch = _Latch(self.nranks)
+        item.post_ts = time.perf_counter()
+        # ranks check the world's deadline inside blocked receives
+        self.world.deadline = (
+            time.perf_counter() + item.deadline_ms / 1e3
+            if item.deadline_ms is not None
+            else None
+        )
+        if self.nranks == 1:
+            self._run_item(0, item).count_down()
+        else:
+            for q in self._queues:
+                q.put(item)
+
     def _finish(self, future: PoolFuture) -> None:
-        """Settle ``future`` once every rank finished its item; a failed
-        item recovers the world, after every rank body has unwound."""
-        item = future._item
-        if item is None:  # settled concurrently (under the lock)
-            return
-        item.latch.wait()
-        with self._run_lock:
-            if future._done:  # settled by a concurrent waiter
+        """Settle ``future`` once every rank finished its item.
+
+        A failed attempt recovers the world (every rank body has unwound)
+        and runs the item's ``on_failure`` hook; then a retryable error
+        posts the item again while re-runs remain.  Otherwise the error
+        settles: a non-retryable one at once, the *first* one once the
+        re-runs are spent.
+        """
+        while True:
+            item = future._item
+            if item is None:  # settled concurrently (under the lock)
                 return
-            if item.errors:
-                rank, exc = min(item.errors, key=lambda e: e[0])
-                if isinstance(exc, SpmdTimeout):
-                    # deadline expiries stay typed, carrying the
-                    # blocked-state dump taken at the moment the
-                    # watchdog fired
-                    error = SpmdTimeout(
-                        f"SPMD rank {rank} timed out: {exc}"
-                        + format_blocked_dump(exc.dump),
-                        dump=exc.dump,
-                    )
+            latch = item.latch
+            latch.wait()
+            with self._run_lock:
+                if future._done or item.latch is not latch:  # settled / re-posted
+                    continue
+                if not item.errors:
+                    future._settle_ok()
                 else:
-                    error = RuntimeError(f"SPMD rank {rank} failed: {exc!r}")
-                # chain the rank's exception: its traceback, with the
-                # failing rank's own frames, survives into the caller
-                error.__cause__ = exc
-                future._settle_error(error)
-                self._recover()
-            else:
-                future._settle_ok()
-            self._inflight = None
-            self.world.deadline = None
+                    self._recover()
+                    if item.on_failure is not None:
+                        item.on_failure()
+                    error = _rank_error(item)
+                    if retryable(error):
+                        error = future._error = future._error or error
+                        if future.retries < item.retries:
+                            future.retries += 1
+                            self._post(item)
+                            continue
+                    future._settle_error(error)
+                self._inflight = None
+                self.world.deadline = None
+                return
 
     def _recover(self) -> None:
         """Return the pool to a clean state after a failed item.

@@ -58,20 +58,12 @@ import numpy as np
 from repro.algorithms.base import KEEP
 from repro.algorithms.fused import native_procedure
 from repro.algorithms.registry import make_algorithm
-from repro.errors import (
-    CommError,
-    FaultInjected,
-    ReproError,
-    SessionBusyError,
-    SpmdAbort,
-    SpmdTimeout,
-)
+from repro.errors import ReproError, SessionBusyError, SpmdTimeout
 from repro.kernels import get_kernel_backend
 from repro.model.resolve import ResolvedPlan, resolve
-from repro.runtime.buffers import BufferLeaseError
 from repro.runtime.cost import CORI_KNL, MachineParams
 from repro.runtime.profile import RankProfile, RunReport
-from repro.runtime.spmd import WorkerPool, make_worker_pool
+from repro.runtime.spmd import WorkerPool, make_worker_pool, retryable
 from repro.runtime.trace import TimelineStats, Tracer, export_chrome_trace
 from repro.sparse.coo import CooMatrix
 from repro.sparse.stats import layout_permutations, layout_statistics
@@ -126,10 +118,11 @@ class SessionFuture:
 
     Every kernel call is a future: the ``*_async`` methods return it, the
     synchronous methods are ``*_async(...).result()``.  :meth:`result`
-    blocks until the SPMD run finished — re-executing it under the
-    session's ``retries`` / degrade policy if it died of a runtime fault —
-    gathers the output from the resident blocks, and returns ``(output,
-    RunReport)`` (plus the reassembled SDDMM intermediate when requested).
+    blocks until the SPMD run finished — re-run by the worker pool under
+    the session's ``retries``, then degraded once, if it died of a runtime
+    fault — gathers the output from the resident blocks, and returns
+    ``(output, RunReport)`` (plus the reassembled SDDMM intermediate when
+    requested).
     The session settles a future automatically before any later call
     touches the resident state, so outputs are never clobbered by the next
     call's dense scatter; ``result()`` then simply returns the cached
@@ -155,14 +148,14 @@ class SessionFuture:
 
     def __init__(self, session: "Session", bound: Tuple, collect: Callable) -> None:
         self._session = session
-        # (transpose, A, B, call, label, dirty): everything a re-execution
-        # needs to re-bind from scratch; dropped at settle
+        # (transpose, call, label): what a degraded re-run dispatches (no
+        # operands: a re-run starts from the dispatched blocks); dropped at settle
         self._bound = bound
         self._collect = collect
         self._pool_future = None
         self._t0 = time.perf_counter()
         self._done = False
-        # the latest attempt's failure; after settle, the surfaced error
+        # a failure at dispatch; after settle, the surfaced error
         self._error: Optional[BaseException] = None
         self._value = None
         #: the call's per-call metrics record, set when the call settles
@@ -611,15 +604,17 @@ class Session:
 
         Staging *before* the drain is the driver-side half of the overlap
         pipeline: call ``k+1``'s scatter is computed while call ``k``'s
-        SPMD run is still in flight.
+        SPMD run is still in flight.  A re-run of call ``k`` restores only
+        ``k``'s own blocks, so the staging stays valid through it.
         """
-        prev = self._inflight
         staging = self._stage_operands(ori, transpose, A, B, dirty)
-        self._wait_inflight()  # drains the pool; raises call k's error
-        if prev is not None and prev.metrics["outcome"] != "ok":
-            # call k recovered from a fault: its re-execution dropped and
-            # re-took the snapshots this staging was decided against
-            staging = self._stage_operands(ori, transpose, A, B, dirty)
+        try:
+            self._wait_inflight()  # drains the pool; raises call k's error
+        except BaseException:
+            # the staged blocks never land: forget the snapshots staging
+            # may have taken of their operands
+            self._mark_dense_dirty(transpose, "ab")
+            raise
         if staging is None:
             return
         staged, bind_a, bind_b = staging
@@ -633,10 +628,18 @@ class Session:
     # SPMD dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch(self, ori: _Orientation, call, label: str, degraded: bool = False):
+    def _dispatch(
+        self, ori: _Orientation, call, label: str, retries=0, degraded=False
+    ):
         """Send one rank procedure to the worker pool (without waiting).
 
-        Returns a :class:`~repro.runtime.spmd.PoolFuture`.
+        Returns a :class:`~repro.runtime.spmd.PoolFuture`; the pool re-runs
+        a runtime-fault death up to ``retries`` times.  After each failed
+        attempt ``restore`` puts the dispatched blocks back into every
+        rank's local (resident blocks are replaced, never written in place,
+        so the skip-rebind snapshots stay true) and drops every context (a
+        failed item may have interrupted a collective build) and every
+        rank's fiber replicas (some ranks of a fiber may hold one, some not).
         ``degraded=True`` forces the dense communication path even on a
         sparse-comm session (the graceful degradation re-run — see
         :meth:`_await_recovering`).
@@ -644,6 +647,14 @@ class Session:
         alg = self._alg
         transpose = ori is self._orients.get(True)
         pool = self._ensure_pool()
+        dispatched = [(loc.A, loc.B) for loc in ori.locals_]
+
+        def restore():
+            for loc, (A, B) in zip(ori.locals_, dispatched):
+                loc.A, loc.B = A, B
+            for o in self._orients.values():
+                o.contexts = [None] * self.p
+            alg.drop_replicas()
 
         def body(comm):
             if ori.contexts[comm.rank] is None:
@@ -656,7 +667,10 @@ class Session:
                 call(ctx, ori.plan, local, sparse_plan=ori.sparse_plans[comm.rank])
             return local
 
-        future = pool.run_async(body, profiles=self._profiles, label=label)
+        future = pool.run_async(
+            body, profiles=self._profiles, label=label, retries=retries,
+            on_failure=restore,
+        )
         if pool.spans_processes:
             # replicated-driver mode (backend="mpi"): only the local
             # rank's body runs in this process and only its entry of
@@ -672,32 +686,8 @@ class Session:
         return future
 
     # ------------------------------------------------------------------
-    # the call pipeline: submit -> settle (retry + graceful degradation)
+    # the call pipeline: settle (graceful degradation)
     # ------------------------------------------------------------------
-
-    def _submit(self, future: SessionFuture, degraded: bool = False) -> SessionFuture:
-        """Start (or, from :meth:`_await_recovering`, re-start) a kernel
-        call: bind the dense operands through the staged pipeline, then
-        dispatch to the pool and leave the run in flight.
-
-        Every kernel entry point goes through here, and so does every
-        re-execution — a retry re-binds from the operands the future
-        keeps, exactly like a fresh call.
-        """
-        transpose, A, B, call, label, dirty = future._bound
-        ori = self._orientation(transpose)
-        self._bind(ori, transpose, A, B, dirty)
-        try:
-            future._pool_future = self._dispatch(ori, call, label, degraded)
-        except Exception as exc:  # noqa: BLE001 - raised at settle
-            # single-rank and mpi pools run the body at dispatch: park the
-            # failure so settle classifies, retries and records it exactly
-            # like a waited one
-            future._pool_future, future._error = None, exc
-        # the kernel overwrites its output side(s)
-        self._mark_dense_dirty(transpose, dirty)
-        self._inflight = future
-        return future
 
     def _finalize(self, future: SessionFuture) -> None:
         """Settle a call: wait its SPMD run and collect its output before
@@ -709,70 +699,32 @@ class Session:
         :class:`~repro.errors.SessionBusyError` like any other call.
         """
         with self._exclusive():
-            self._settle(future)
-
-    def _settle(self, future: SessionFuture) -> None:
-        if future._done:
-            return
-        future._done = True
-        transpose, _A, _B, _call, label, _dirty = future._bound
-        outcome, nretries = "failed", 0
-        try:
-            outcome, nretries = self._await_recovering(future)
-            self._ncalls += 1
-            future._value = future._collect(self._orients[transpose])
-        except BaseException as exc:  # noqa: BLE001 - stored and re-raised
-            future._error = exc
-            outcome = self.failure_outcome(exc)
-            raise
-        finally:
-            # exactly one record per call, once its counters stopped
-            # moving; wall_ms spans stage -> collect
-            future.metrics = self._record_call(label, future._t0, outcome, nretries)
-            # consumed futures pin no operands, staging state or rank_fn
-            # closures
-            future._bound = future._collect = future._pool_future = None
+            if future._done:
+                return
+            future._done = True
+            self._inflight = None  # once waited, no longer in flight
+            transpose, _call, label = future._bound
+            outcome, nretries = "failed", 0
+            try:
+                outcome, nretries = self._await_recovering(future)
+                self._ncalls += 1
+                future._value = future._collect(self._orients[transpose])
+            except BaseException as exc:  # noqa: BLE001 - stored and re-raised
+                future._error = exc
+                outcome = self.failure_outcome(exc)
+                raise
+            finally:
+                # exactly one record per call, once its counters stopped
+                # moving; wall_ms spans stage -> collect
+                future.metrics = self._record_call(
+                    label, future._t0, outcome, nretries
+                )
+                # consumed futures pin no staging state or rank_fn closures
+                future._bound = future._collect = future._pool_future = None
 
     def _wait_inflight(self) -> None:
         if self._inflight is not None:
             self._finalize(self._inflight)
-
-    def _drop_contexts(self) -> None:
-        """Failure recovery: force full rebuilds on the next call.
-
-        Clears the resident contexts, the dense-operand snapshots and every
-        rank's stored fiber replicas — a failed item may have overwritten
-        resident blocks mid-kernel (or died before a staged bind was
-        promoted), so no side may claim to still hold its last-bound
-        operand, and it may have left some ranks of a fiber with a stored
-        replica and others without, whose next gather would then wait on a
-        peer that skips it.
-        """
-        for o in self._orients.values():
-            o.contexts = [None] * self.p
-        self._dense_state.clear()
-        self._bind_miss.clear()
-        self._alg.drop_replicas()
-
-    #: root-cause classes that justify a re-execution: runtime-shaped
-    #: failures (expired deadlines, transport errors, leases wedged by an
-    #: abort, injected faults, sibling-abort unwinds).  Deterministic user
-    #: errors (a ValueError out of an edge_op, a shape mismatch) are NOT
-    #: here — re-running them would fail identically, so they surface
-    #: unchanged on the first attempt.
-    _RETRYABLE_ERRORS = (
-        SpmdTimeout,
-        CommError,
-        BufferLeaseError,
-        FaultInjected,
-        SpmdAbort,
-    )
-
-    def _retryable(self, exc: BaseException) -> bool:
-        """Is ``exc`` (or its chained root cause) a runtime fault?"""
-        return isinstance(exc, self._RETRYABLE_ERRORS) or isinstance(
-            exc.__cause__, self._RETRYABLE_ERRORS
-        )
 
     @staticmethod
     def failure_outcome(exc: BaseException) -> str:
@@ -781,77 +733,50 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _wait_attempt(self, future: SessionFuture) -> None:
-        # once waited the attempt is no longer in flight: a re-execution
-        # must not drain itself
-        self._inflight = None
-        if future._pool_future is None:
-            raise future._error  # parked by _submit: failed at dispatch
-        future._pool_future.wait()
-
     def _await_recovering(self, future: SessionFuture) -> Tuple[str, int]:
-        """Wait the call's SPMD run, with retry and graceful degradation.
+        """Wait the call's SPMD run, degrading it once if it still failed.
 
-        Each re-execution goes back through :meth:`_submit`, so it
-        re-binds the dense operands from scratch — a failed kernel may
-        have half-overwritten resident blocks, and every failure drops the
-        contexts and the skip-rebind snapshots, so a re-execution starts
-        from the same bitwise state as a clean call (the resident *sparse*
-        distribution and its comm plans are reused as-is: retries never
-        re-plan, which :attr:`plan_builds` asserts).
-
-        After ``retries`` runtime-fault failures, sessions running with
-        aggressive knobs (``overlap="on"`` / ``comm="sparse"``) make one
-        final *degraded* attempt on the conservative path — synchronous
-        schedule, dense ring collectives — before surfacing the **first**
-        error.  Returns ``(outcome, retries_used)``.
+        The pool re-ran a runtime-fault death up to ``retries`` times from
+        the dispatched blocks (:meth:`_dispatch`) — never re-binding, never
+        re-planning (:attr:`plan_builds`).  If it still failed of a runtime
+        fault, a session with aggressive knobs (``overlap="on"`` /
+        ``comm="sparse"``) makes one *degraded* re-run on the conservative
+        path — synchronous schedule, dense ring collectives — before the
+        pool's error, the **first** one, surfaces.  Returns ``(outcome,
+        retries_used)``.
         """
-        first_error: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            try:
-                if attempt:
-                    self._submit(future)
-                self._wait_attempt(future)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                # a failed item may have interrupted a collective context
-                # build; drop all resident contexts so the next attempt
-                # rebuilds them consistently on the recovered pool (the
-                # realigned split counters guarantee fresh communicator
-                # ids)
-                self._drop_contexts()
-                if not self._retryable(exc):
-                    raise
-                if first_error is None:
-                    first_error = exc
-                continue
-            if attempt == 0:
-                return "ok", 0
-            self.retried_calls += 1
-            return "retried", attempt
-        assert first_error is not None
-        alg = self._alg
-        transpose = future._bound[0]
-        if self._orients[transpose].sparse_plans is None and not alg.overlap:
-            raise first_error
-        # graceful degradation: one conservative re-run.  The overlap
-        # flag is flipped on the algorithm instance — the propagation
-        # schedule reads it live and nothing else is in flight — and
-        # restored afterwards; the dense comm path is forced by the
-        # degraded dispatch.  Contexts and bind snapshots carry neither
-        # knob, so a successful re-run leaves them resident for the next
-        # clean call.
-        saved_overlap = alg.overlap
-        alg.overlap = False
+        transpose, call, label = future._bound
         try:
-            self._submit(future, degraded=True)
-            self._wait_attempt(future)
-        except Exception:  # noqa: BLE001 - degraded run failed too
-            self._drop_contexts()
-            raise first_error
-        finally:
-            alg.overlap = saved_overlap
-        self.degraded_calls += 1
-        return "degraded", self.retries
+            if future._pool_future is None:
+                raise future._error  # single-rank / mpi: failed at dispatch
+            future._pool_future.wait()
+        except Exception as first_error:  # noqa: BLE001 - classified below
+            ori, alg = self._orients[transpose], self._alg
+            aggressive = ori.sparse_plans is not None or alg.overlap
+            if not (aggressive and retryable(first_error)):
+                raise
+            # graceful degradation: one conservative re-run.  The overlap
+            # flag is flipped on the algorithm instance — the propagation
+            # schedule reads it live and nothing else is in flight — and
+            # restored afterwards; the dense comm path is forced by the
+            # degraded dispatch.  Contexts and bind snapshots carry neither
+            # knob, so a successful re-run leaves them resident for the
+            # next clean call.
+            saved_overlap = alg.overlap
+            alg.overlap = False
+            try:
+                self._dispatch(ori, call, label, degraded=True).wait()
+            except Exception:  # noqa: BLE001 - degraded run failed too
+                raise first_error
+            finally:
+                alg.overlap = saved_overlap
+            self.degraded_calls += 1
+            return "degraded", self.retries
+        retries = future._pool_future.retries
+        if not retries:
+            return "ok", 0
+        self.retried_calls += 1
+        return "retried", retries
 
     # ------------------------------------------------------------------
     # kernels
@@ -892,8 +817,19 @@ class Session:
                 return (*outs, self.report(f"{label}/x{self._ncalls}"))
 
             call = partial(method, **kernel_kwargs)
-            bound = (transpose, A, B, call, label, side)
-            return self._submit(SessionFuture(self, bound, collect))
+            future = SessionFuture(self, (transpose, call, label), collect)
+            ori = self._orientation(transpose)
+            self._bind(ori, transpose, A, B, side)
+            try:
+                future._pool_future = self._dispatch(ori, call, label, self.retries)
+            except Exception as exc:  # noqa: BLE001 - raised at settle
+                # single-rank and mpi pools run the body at dispatch: park
+                # the failure for settle to degrade and record
+                future._error = exc
+            # the kernel overwrites its output side(s)
+            self._mark_dense_dirty(transpose, side)
+            self._inflight = future
+            return future
 
     def _wait(self, submit: Callable[..., SessionFuture], *args):
         """The synchronous form of an entry point: submit and settle under
@@ -1031,20 +967,20 @@ class Session:
             self._check_open()
             self._wait_inflight()
             ori = self._orientation(transpose)
+            # a custom rank procedure may overwrite either resident dense
+            # side, in place too, whether or not it then fails
+            self._mark_dense_dirty(transpose, "ab")
             try:
-                # no retry here: custom rank procedures (the apps' CG loops,
+                # no retries: custom rank procedures (the apps' CG loops,
                 # edge softmax) mutate rank-resident state as they go, so a
-                # re-execution would not start from the pre-call state —
-                # fail fast and let the app re-drive from its own checkpoint
+                # re-run would not start from the pre-call state — fail fast
+                # and let the app re-drive from its own checkpoint
                 self._dispatch(ori, proc, label).wait()
             except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-                self._drop_contexts()
                 self._record_call(label, t0, outcome=self.failure_outcome(exc))
                 raise
             self._ncalls += 1
             self._record_call(label, t0)
-            # a custom rank procedure may overwrite either resident dense side
-            self._mark_dense_dirty(transpose, "ab")
             return ori
 
     # ------------------------------------------------------------------
@@ -1291,14 +1227,13 @@ def plan(
     :class:`~repro.errors.SpmdTimeout` carrying a per-rank blocked-state
     dump (who waits on whom, which tag, which phase), so mismatched
     collectives and lost messages fail in bounded time instead of hanging.
-    ``retries=N`` re-executes a call that died of a *runtime* fault (not a
-    deterministic user error) up to N times against the resident
-    distribution — never re-planning — and, when the knobs were
-    aggressive (``overlap="on"``/``comm="sparse"``), falls back to one
-    conservative re-run (synchronous schedule, dense collectives) before
-    surfacing the first error; outputs after retry or degradation are
-    bitwise-identical to a clean run.  (:meth:`Session.run_rank` stays
-    fail-fast: custom rank procedures mutate rank state.)  ``faults`` arms
+    ``retries=N`` has the worker pool re-run a call that died of a
+    *runtime* fault (not a deterministic user error) up to N times, from
+    the blocks it was dispatched with — no re-scatter, no re-plan; with
+    aggressive knobs (``overlap="on"``/``comm="sparse"``) one conservative
+    re-run (synchronous schedule, dense collectives) follows before the
+    first error surfaces.  Outputs after retry or degradation are bitwise
+    those of a clean run; :meth:`Session.run_rank` fails fast.  ``faults`` arms
     a deterministic :class:`~repro.runtime.faults.FaultPlan` (chaos
     testing).  All three default to off and cost nothing when off.
 

@@ -235,7 +235,7 @@ class TestSiteFaults:
 
         plan = FaultPlan.exhaust_buffers(label="panel")
         profile = RankProfile()
-        profile.faults = plan.rank_view(0)
+        profile.site = plan.rank_view(0)
         pool = BufferPool(profile=profile)
         with pytest.raises(InjectedExhaustion, match="panel"):
             pool.empty("panel", (4, 4))

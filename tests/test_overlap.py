@@ -463,9 +463,9 @@ class TestSessionOverlap:
             assert np.array_equal(want2, out2)
 
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
-        """A failed item must clear the dense-operand snapshots: a bind
-        staged (or marked bound) around the failure may never be skipped
-        against resident blocks the aborted kernels half-overwrote."""
+        """A custom rank procedure dirties both dense sides, failing or
+        not: a bind may never be skipped against resident blocks a failed
+        ``run_rank`` half-overwrote in place."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift") as sess:
@@ -483,7 +483,7 @@ class TestSessionOverlap:
             with pytest.raises(RuntimeError):
                 sess.run_rank(bad, label="clobber")
             f1.result()  # finalized before the failing dispatch; still good
-            # the failure cleared every snapshot: rebinding the *same*
+            # the failed run_rank dirtied both sides: rebinding the *same*
             # operands must NOT be skipped against the NaN-filled blocks
             out, _ = sess.fusedmm_a(A, B)
             assert np.isfinite(out).all()
@@ -491,7 +491,7 @@ class TestSessionOverlap:
 
     def test_single_rank_failure_invalidates_snapshots_too(self, small_problem):
         """p=1 pools run the body inline, so the failure surfaces at
-        dispatch time — it must still clear the skip-rebind snapshots."""
+        dispatch time — the procedure must still dirty both sides."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=1, c=1,
                         algorithm="1.5d-dense-shift") as sess:

@@ -588,6 +588,46 @@ class TestDenseBindSkipping:
             assert sess.dense_bind_counts["a"] >= 2  # both orientations
 
 
+class TestFailedCallKeepsResidentBlocks:
+    """A failed call leaves every rank holding the blocks it was
+    dispatched with (the pool's failure hook puts them back), so the
+    skip-rebind snapshots survive it."""
+
+    KW = dict(p=4, c=2, algorithm="1.5d-dense-shift", comm="dense", overlap="off")
+
+    def test_next_clean_call_skips_the_unchanged_side(self, small_problem):
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], **self.KW) as sess:
+            want, _ = sess.spmm_a(B)
+        plan = repro.FaultPlan.crash_at(site="computation", rank=1)
+        with repro.plan(S, A.shape[1], faults=plan, **self.KW) as sess:
+            with pytest.raises(RuntimeError, match="injected crash"):
+                sess.spmm_a(B)
+            counts, skips = dict(sess.dense_bind_counts), dict(sess.dense_bind_skips)
+            out, _ = sess.spmm_a(B)
+            np.testing.assert_array_equal(out, want)
+            assert sess.dense_bind_counts == counts
+            assert sess.dense_bind_skips["b"] == skips["b"] + 1
+
+    def test_a_call_whose_drain_raises_forgets_its_staged_operand(
+        self, small_problem
+    ):
+        """Call 2 stages ``B2`` (re-taking the b-side snapshot) behind call
+        1, whose settle then raises: ``B2`` never reaches the ranks, so a
+        third call with ``B2`` must scatter it, not skip it."""
+        S, A, B = small_problem
+        B2 = np.random.default_rng(8).standard_normal(B.shape)
+        with repro.plan(S, A.shape[1], **self.KW) as sess:
+            want, _ = sess.fusedmm_a(A, B2)
+        plan = repro.FaultPlan.crash_at(site="computation", rank=1)
+        with repro.plan(S, A.shape[1], faults=plan, **self.KW) as sess:
+            sess.fusedmm_a_async(A, B)  # crashes
+            with pytest.raises(RuntimeError, match="injected crash"):
+                sess.fusedmm_a(A, B2)  # drains call 1, never launches
+            out, _ = sess.fusedmm_a(A, B2)
+            np.testing.assert_array_equal(out, want)
+
+
 class TestThreadSafety:
     """Sessions are single-caller: a second driver thread gets a typed
     :class:`~repro.errors.SessionBusyError` immediately — never a silent

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import ReproError
+from repro.errors import CommError, ReproError
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import WorkerPool, run_spmd
 from repro.types import Phase
@@ -145,6 +145,151 @@ class TestPoolFailure:
         results, _ = pool.run(good)
         assert results[1] == 1.0
         pool.close()
+
+
+@pytest.mark.parametrize("p", [4, 1], ids=["threads", "inline"])
+class TestPoolRetry:
+    """The pool's re-execution contract: ``run_async(..., retries=,
+    on_failure=)`` re-runs the same item after a retryable failure, with
+    the hook run on the driver once the world has recovered."""
+
+    def _flaky(self, pool, errors, hook_log):
+        """An item whose ``k``-th attempt raises ``errors[k]`` on rank 0
+        (siblings wait on a collective) and succeeds past the list."""
+        attempts = []
+
+        def body(comm):
+            if comm.rank == 0:
+                attempts.append(len(attempts))
+                if attempts[-1] < len(errors):
+                    raise errors[attempts[-1]]
+            return comm.allreduce_scalar(1.0)
+
+        def on_failure():
+            world = pool.world
+            hook_log.append(
+                (world.abort_event.is_set(), any(mb._queues for mb in world.mailboxes))
+            )
+
+        return body, on_failure, attempts
+
+    def _settle(self, pool, body, **kw):
+        future = pool.run_async(body, **kw)  # an inline pool raises here
+        return future, future.wait()[0]
+
+    def test_retryable_failure_fired_once_settles_ok(self, p):
+        hooks = []
+        with WorkerPool(p) as pool:
+            body, hook, attempts = self._flaky(pool, [CommError("hiccup")], hooks)
+            future, results = self._settle(pool, body, retries=2, on_failure=hook)
+            assert results == [float(p)] * p
+            assert future.retries == 1 and len(attempts) == 2
+            # the hook ran once, on a recovered world: no abort flag, no
+            # message of the failed attempt left undelivered
+            assert hooks == [(False, False)]
+
+    def test_non_retryable_error_surfaces_on_first_attempt(self, p):
+        hooks = []
+        with WorkerPool(p) as pool:
+            body, hook, attempts = self._flaky(pool, [ValueError("boom")], hooks)
+            with pytest.raises((RuntimeError, ValueError), match="boom") as err:
+                self._settle(pool, body, retries=3, on_failure=hook)
+            assert (err.type is ValueError) == (p == 1)  # inline: raw error
+            assert len(attempts) == 1 and len(hooks) == 1
+            # ...also after a retryable one: it is not the *first* error
+            body, hook, attempts = self._flaky(
+                pool, [CommError("hiccup"), ValueError("boom")], hooks
+            )
+            with pytest.raises((RuntimeError, ValueError), match="boom"):
+                self._settle(pool, body, retries=3, on_failure=hook)
+            assert len(attempts) == 2
+            # the pool stays usable
+            assert pool.run(lambda comm: comm.allreduce_scalar(1.0))[0] == [p] * p
+
+    def test_exhausted_retries_surface_the_first_error(self, p):
+        hooks = []
+        errors = [CommError(f"attempt {k}") for k in range(5)]
+        with WorkerPool(p) as pool:
+            body, hook, attempts = self._flaky(pool, errors, hooks)
+            with pytest.raises((RuntimeError, CommError), match="attempt 0"):
+                self._settle(pool, body, retries=2, on_failure=hook)
+            assert len(attempts) == 3 and len(hooks) == 3
+
+
+def test_reruns_under_thread_churn():
+    """Eight ranks on two cores, a tiny switch interval, a different rank
+    failing once per item: every item re-runs exactly once and settles
+    with the right results (the deadline bounds a hang)."""
+    import sys
+
+    p, interval = 8, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkerPool(p, deadline_ms=10_000) as pool:
+            for k in range(20):
+                failed = []
+
+                def body(comm, k=k, failed=failed):
+                    if comm.rank == k % p and not failed:
+                        failed.append(k)
+                        raise CommError("hiccup")
+                    return comm.allreduce_scalar(float(comm.rank))
+
+                future = pool.run_async(body, retries=1, on_failure=lambda: None)
+                assert future.wait()[0] == [float(sum(range(p)))] * p
+                assert future.retries == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mpi_pool_runs_the_hook_and_rejects_reruns():
+    """``MpiWorkerPool.run_async`` takes the same two parameters: it calls
+    ``on_failure`` before a rank error propagates and refuses re-runs
+    (its processes cannot agree to retry).  Exercised without mpi4py by
+    standing in for the local run."""
+    from repro.runtime.backend_mpi import MpiWorkerPool
+
+    pool = MpiWorkerPool.__new__(MpiWorkerPool)
+    with pytest.raises(ReproError, match="retries=0"):
+        pool.run_async(lambda comm: None, retries=1)
+
+    def failing_run(rank_fn, **kw):
+        raise ValueError("rank error")
+
+    pool.run = failing_run
+    hooks = []
+    with pytest.raises(ValueError, match="rank error"):
+        pool.run_async(lambda comm: None, on_failure=lambda: hooks.append(1))
+    assert hooks == [1]
+
+
+def test_retry_lives_at_the_pool_seam():
+    """One definition of what is retryable, in ``runtime/spmd.py``, and no
+    retry loop above the pool: ``session.py`` holds neither a tuple of the
+    runtime-fault classes nor a loop over ``retries``."""
+    import ast
+    import inspect
+
+    import repro.runtime.spmd as spmd
+    import repro.session as session
+
+    fault_classes = {"SpmdTimeout", "CommError", "BufferLeaseError", "FaultInjected"}
+
+    def fault_tuples(module):
+        tree = ast.parse(inspect.getsource(module))
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple)
+            and len(fault_classes & {getattr(e, "id", None) for e in node.elts}) > 1
+        ]
+
+    assert len(fault_tuples(spmd)) == 1
+    assert fault_tuples(session) == []
+    tree = ast.parse(inspect.getsource(session))
+    heads = [n.iter for n in ast.walk(tree) if isinstance(n, ast.For)]
+    heads += [n.test for n in ast.walk(tree) if isinstance(n, ast.While)]
+    assert not any("retries" in ast.unparse(head) for head in heads)
+    assert not hasattr(session.Session, "_RETRYABLE_ERRORS")
 
 
 class TestPoolClose:
