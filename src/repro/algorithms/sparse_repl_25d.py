@@ -51,7 +51,11 @@ The paper gives this family no elision because Cannon *propagates* pieces
 instead of holding them; a gathered panel is held, so the need-list
 FusedMM hands the SDDMM round's panel of the SpMM's input side (B for
 FusedMMA, A for FusedMMB) to the SpMM round: one gather per operand per
-fused call plus the output reduction — three exchanges, not four.
+fused call plus the output reduction — three exchanges, not four.  A
+gathered panel is also held *across* calls, per side, while its source
+block is unchanged (``BufferPool.replica``): a FusedMMA / FusedMMB
+alternation on the same operands rebinds only the side the previous
+call wrote, so a warm call makes two exchanges.
 
 Packed buffers: the strip-wide gather targets and partial-output
 accumulators are packed to exactly those unique-row unions
@@ -64,7 +68,8 @@ compact panels with zero per-call index translation.  There are two panel
 slots, one per dense side (``gather-a`` / ``gather-b``): an SpMM's packed
 output panel has exactly the shape of its own side's gather panel, which
 no SpMM reads, and leases that slot — a rank never holds more than two
-strip panels, fused or not.
+strip panels, fused or not, and a panel held across calls lives in its
+slot, so it adds none.
 
 The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
 (A pieces on the grid row, B pieces on the grid column; an SpMM's output
@@ -379,31 +384,48 @@ class SparseReplicate25D(DistributedAlgorithm):
         uninitialized leased panels — no block-tall buffer, no zero fill.
         Both exchanges of an ``"ab"`` gather are posted before either is
         waited, so pipelined they are in flight concurrently.
+
+        Each side's panel is its source block's ring replica (see
+        ``BufferPool.replica``): while ``local.A`` / ``local.B`` is the
+        block an earlier dispatch gathered and nothing has leased the
+        side's slot since, the stored read-only panel comes back and that
+        side posts no exchange and copies no own rows.  Every rank of a
+        grid row (column) rebinds A (B) with the others and leases the
+        same slots in the same calls, so a ring decides hit or miss as one.
         """
         w0, w1 = sp.my_window
         legs = {
             "a": (sp.gather_a_packed, sp.index_a, local.A),
             "b": (sp.gather_b_packed, sp.index_b, local.B),
         }
-        with region(ctx.comm, f"gather-{sides.upper()}-packed"):
-            posts, copies = [], []
-            for side in sides:
-                gather, index, block = legs[side]
-                ring, _ = self._piece_ring(ctx, side)
-                panel = ctx.pool.lease(f"gather-{side}", (index.size, sp.strip_width))
-                posts.append(
-                    partial(
-                        isparse_allgatherv_packed, ring, gather, index, block,
-                        panel, pool=ctx.pool,
+        panels = {s: ctx.pool.held_replica(f"gather-{s}", legs[s][2]) for s in sides}
+        missing = "".join(s for s in sides if panels[s] is None)
+        if missing:
+            with region(ctx.comm, f"gather-{missing.upper()}-packed"):
+                posts, copies = [], []
+                for side in missing:
+                    gather, index, block = legs[side]
+                    ring, _ = self._piece_ring(ctx, side)
+                    panel = ctx.pool.lease(
+                        f"gather-{side}", (index.size, sp.strip_width)
                     )
-                )
-                copies.append((panel, block, index))
+                    posts.append(
+                        partial(
+                            isparse_allgatherv_packed, ring, gather, index, block,
+                            panel, pool=ctx.pool,
+                        )
+                    )
+                    copies.append((panel, block, index))
 
-            def own():
-                for panel, block, index in copies:
-                    panel[:, w0:w1] = block.take(index.union, axis=0)
+                def own():
+                    for panel, block, index in copies:
+                        panel[:, w0:w1] = block.take(index.union, axis=0)
 
-            return self.exchange(posts, own)
+                filled = self.exchange(posts, own)
+            for side, panel in zip(missing, filled):
+                label, source = f"gather-{side}", legs[side][2]
+                panels[side] = ctx.pool.keep_replica(label, source, panel)
+        return [panels[side] for side in sides]
 
     # -- unified kernel ----------------------------------------------------
 

@@ -169,8 +169,9 @@ class TestGracefulDegradation:
         panel into its SpMM round.  A fault there unwinds the call with
         the panel held and the output panel in its sibling's slot; the
         retry and the next call on the same session lease both slots
-        again (no ``BufferLeaseError``) and return the clean bits —
-        nothing of the held panel survives a dispatch."""
+        again (no ``BufferLeaseError``) and return the clean bits — the
+        failure dropped every stored panel, so nothing gathered before it
+        is read after it."""
         S, A, B = workload
         kw = dict(
             p=P, c=2, algorithm="2.5d-sparse-replicate", comm="sparse",

@@ -513,23 +513,34 @@ class TestFused25DGathersOnce:
     def test_fused_traffic_is_two_gathers_and_one_reduce(self, side):
         """Per rank, a need-list FusedMM receives exactly the A gather, the
         B gather and the output side's reduction — the SpMM round does not
-        fetch its input side again — while the standalone kernels on the
-        same session still move what their plans say."""
+        fetch its input side again.  The standalone kernels move what
+        their plans say on a fresh session; on the fused call's session
+        they skip the gather of the side it left unchanged, whose panel an
+        earlier dispatch stored (``BufferPool.replica``)."""
         S, A, B = _fused_25d_problem()
         p, c = 18, 2
         alg = make_algorithm(FUSED_25D, p, c)
         cplans = alg.build_comm_plans(alg.plan(*S.shape, A.shape[1]), S)
-        with repro.plan(
-            S, A.shape[1], p=p, c=c, algorithm=FUSED_25D, comm="sparse",
-            overlap="off",
-        ) as sess:
-            # a report is a live view of the window since reset_profile
+        kw = dict(p=p, c=c, algorithm=FUSED_25D, comm="sparse", overlap="off")
+
+        def sddmm(sess):
+            return sess.sddmm(A, B)[1]
+
+        def spmm(sess):
+            return (sess.spmm_a(B) if side == "a" else sess.spmm_b(A))[1]
+
+        with repro.plan(S, A.shape[1], **kw) as sess:
             fused = sess.fusedmm_a if side == "a" else sess.fusedmm_b
             _, rep_fused = fused(A, B)
-            sess.reset_profile()
-            _, rep_sddmm = sess.sddmm(A, B)
-            sess.reset_profile()
-            _, rep_spmm = sess.spmm_a(B) if side == "a" else sess.spmm_b(A)
+            warm = []
+            for kernel in (sddmm, spmm):
+                # a report is a live view of the window since reset_profile
+                sess.reset_profile()
+                warm.append(kernel(sess))
+        cold = []
+        for kernel in (sddmm, spmm):
+            with repro.plan(S, A.shape[1], **kw) as fresh:
+                cold.append(kernel(fresh))
 
         def propagation(rep, rank):
             return rep.per_rank[rank].counters[Phase.PROPAGATION]
@@ -542,10 +553,17 @@ class TestFused25DGathersOnce:
             assert ctr.messages_received == sum(leg.recv_messages() for leg in legs)
             # the un-fused pair gathers the SpMM's input side twice
             words = cp.kernel_recv_words
-            assert propagation(rep_sddmm, rank).words_received == words["sddmm"]
-            assert (
-                propagation(rep_spmm, rank).words_received == words[f"spmm_{side}"]
-            )
+            kernels = ("sddmm", f"spmm_{side}")
+            for kernel, rep in zip(kernels, cold):
+                assert propagation(rep, rank).words_received == words[kernel]
+            # the fused call wrote its output side, so the next call
+            # rebinds it; the other side's panel serves both later calls
+            kept = cp.gather_b_packed if side == "a" else cp.gather_a_packed
+            for kernel, rep in zip(kernels, warm):
+                assert (
+                    propagation(rep, rank).words_received
+                    == words[kernel] - kept.recv_words()
+                )
 
     @pytest.mark.parametrize("p,c", [(8, 2), (4, 1), (9, 1)])
     @pytest.mark.parametrize("overlap", [False, True], ids=["sync", "pipelined"])

@@ -1,5 +1,6 @@
-"""Cross-call replica reuse: a fiber-replicated input whose source block is
-unchanged since an earlier call is not gathered again.
+"""Cross-call replica reuse: a fiber-replicated input, or a ring-gathered
+2.5D need-list panel, whose source block is unchanged since an earlier
+call is not gathered again.
 
 The rule (ARCHITECTURE.md, "Cross-call replica reuse"): a replication step
 returns the panel an *earlier dispatch* built when its source is the very
@@ -7,12 +8,18 @@ same resident block object and nothing has re-acquired the panel's pool
 slot since.  Covered here:
 
 * warm calls on every family x comm x overlap move exactly the cold words
-  minus the replication words, in fewer messages, bitwise equal to the
-  cold call, with one ``replica_hits`` per rank in ``Session.metrics()``;
+  minus the replication words minus each unchanged side's need-list
+  gather (2.5D sparse-replicate, ``comm="sparse"``), in fewer messages,
+  bitwise equal to the cold call, with one ``replica_hits`` per rank per
+  reused replica or panel in ``Session.metrics()``;
+* ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB gathers
+  only the side the previous call wrote;
 * a single ``elision="none"`` call still pays both of its replications;
 * the misses: an operand mutated in place, the two orientations sharing
   one slot, an SpMMA between two SDDMMs, ``update_values``;
 * ranks whose blocks are empty hit while the others miss, without a hang;
+* seeded call sequences on a q = 3 grid, bitwise equal to fresh sessions
+  and never timing out;
 * failure recovery drops every rank's memo, and ``peak_buffer_bytes``
   counts a hit like an acquisition;
 * the :class:`~repro.runtime.buffers.BufferPool` rule itself.
@@ -21,18 +28,20 @@ slot since.  Covered here:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 import repro
 from repro.algorithms.base import TAG_FIBER_AG, TAG_SHIFT_S
+from repro.comm_sparse.collectives import TAG_SPARSE_AG
 from repro.runtime.buffers import BufferPool
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.session import Session
 from repro.sparse.coo import CooMatrix
-from repro.types import Phase
+from repro.types import Mode, Phase
 
 P, C = 8, 2
 N, R = 96, 8
@@ -46,17 +55,19 @@ KERNELS = {
     "fusedmm_b_async": lambda sess, A, B: sess.fusedmm_b_async(A, B).result()[0],
 }
 
-#: (family, comm, elision, kernel): calls whose replication phase is the
-#: reusable fiber gather alone (no output reduction rides in it)
+#: (family, comm, elision, kernel, panels): calls whose replication phase is
+#: the reusable fiber gather alone (no output reduction rides in it);
+#: ``panels`` names the need-list panels a warm call also skips — the input
+#: sides of a 2.5D sparse-replicating call under ``comm="sparse"``
 WARM_CASES = [
-    ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b"),
-    ("1.5d-dense-shift", "dense", "none", "sddmm"),
-    ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_b_async"),
-    ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b"),
-    ("1.5d-sparse-shift", "sparse", "none", "sddmm"),
-    ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b"),
-    ("2.5d-sparse-replicate", "dense", "none", "spmm_b"),
-    ("2.5d-sparse-replicate", "sparse", "none", "spmm_a"),
+    ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b", ""),
+    ("1.5d-dense-shift", "dense", "none", "sddmm", ""),
+    ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_b_async", ""),
+    ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b", ""),
+    ("1.5d-sparse-shift", "sparse", "none", "sddmm", ""),
+    ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b", ""),
+    ("2.5d-sparse-replicate", "dense", "none", "spmm_b", ""),
+    ("2.5d-sparse-replicate", "sparse", "none", "spmm_a", "b"),
 ]
 
 
@@ -67,9 +78,9 @@ def problem():
     return S, rng.standard_normal((N, R)), rng.standard_normal((N, R))
 
 
-def _plan(S, family, comm="dense", elision="none", overlap="off", **kw):
+def _plan(S, family, comm="dense", elision="none", overlap="off", p=P, c=C, **kw):
     return repro.plan(
-        S, R, p=P, c=C, algorithm=family, comm=comm, elision=elision,
+        S, R, p=p, c=c, algorithm=family, comm=comm, elision=elision,
         overlap=overlap, **kw,
     )
 
@@ -93,24 +104,63 @@ def _call(sess, kernel, A, B):
     return out, rec, repl
 
 
+SIBLING_MODES = (Mode.SDDMM, Mode.SPMM_A, Mode.SPMM_B)
+
+
+def _sibling(sess, mode, A, B):
+    """One single-mode call on the transposed sibling ``(S.T, B, A)``
+    through ``run_rank``: ``(output, metrics record)``."""
+    sess.bind(B, A, transpose=True)
+    alg = sess.alg
+    ori = sess.run_rank(partial(alg.rank_kernel, mode=mode), transpose=True)
+    if mode == Mode.SDDMM:
+        out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff).vals
+    else:
+        collect = alg.collect_dense_a if mode == Mode.SPMM_A else alg.collect_dense_b
+        out = collect(ori.plan, ori.locals_)
+    return out, sess.metrics()[-1]
+
+
+def _comm_plans(sess, S):
+    """The per-rank need-list plans of a 2.5D sparse-replicating session
+    on the natural layout (the plan cache hands back the session's own)."""
+    assert sess.explain().layout == "natural"
+    alg = sess.alg
+    return alg.build_comm_plans(alg.plan(*S.shape, R), S)
+
+
+def _panel_words(sess, S, sides):
+    """Rank-summed words of the need-list gathers of ``sides`` — what a
+    warm call saves on each panel it reuses."""
+    if not sides:
+        return 0
+    return sum(
+        getattr(cp, f"gather_{side}_packed").recv_words()
+        for cp in _comm_plans(sess, S)
+        for side in sides
+    )
+
+
 class TestWarmCalls:
     @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize(
-        "family,comm,elision,kernel", WARM_CASES,
-        ids=[f"{f}/{c}/{e}/{k}" for f, c, e, k in WARM_CASES],
+        "family,comm,elision,kernel,panels", WARM_CASES,
+        ids=[f"{f}/{c}/{e}/{k}" for f, c, e, k, _ in WARM_CASES],
     )
     def test_warm_call_skips_exactly_the_replication(
-        self, problem, family, comm, elision, kernel, overlap
+        self, problem, family, comm, elision, kernel, panels, overlap
     ):
         S, A, B = problem
         with _plan(S, family, comm, elision, overlap) as sess:
+            skipped = _panel_words(sess, S, panels)
             cold_out, cold, cold_repl = _call(sess, kernel, A, B)
             for _ in range(2):
                 warm_out, warm, warm_repl = _call(sess, kernel, A, B)
                 assert cold["replica_hits"] == 0 and cold_repl > 0
-                assert warm["replica_hits"] == P  # one replication per rank
+                # one replication per rank, plus one per reused panel
+                assert warm["replica_hits"] == P * (1 + len(panels))
                 assert warm_repl == 0
-                assert warm["comm_words"] == cold["comm_words"] - cold_repl
+                assert warm["comm_words"] == cold["comm_words"] - cold_repl - skipped
                 assert warm["comm_messages"] < cold["comm_messages"]
                 assert np.array_equal(warm_out, cold_out)
 
@@ -119,17 +169,59 @@ class TestWarmCalls:
     def test_sddmm_value_gather_behind_the_kernel(self, problem, comm, overlap):
         """The 2.5D sparse-replicating SDDMM's value all-gather completes
         behind its kernel (``allgather_behind``); warm, it is not posted,
-        and it saves exactly the gather an SpMM's replication moves."""
+        and it saves exactly the gather an SpMM's replication moves — plus,
+        under ``comm="sparse"``, both need-list panels."""
         S, A, B = problem
         family = "2.5d-sparse-replicate"
+        panels = "ab" if comm == "sparse" else ""
         with _plan(S, family, comm, overlap=overlap) as sess:
             _, _, gather = _call(sess, "spmm_b", A, B)
         with _plan(S, family, comm, overlap=overlap) as sess:
+            skipped = _panel_words(sess, S, panels)
             cold_out, cold, _ = _call(sess, "sddmm", A, B)
             warm_out, warm, _ = _call(sess, "sddmm", A, B)
-        assert warm["replica_hits"] == P
-        assert warm["comm_words"] == cold["comm_words"] - gather
+        assert warm["replica_hits"] == P * (1 + len(panels))
+        assert warm["comm_words"] == cold["comm_words"] - gather - skipped
         assert np.array_equal(warm_out, cold_out)
+
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    def test_rmat_25d_steady_state(self, problem, overlap):
+        """``rmat_25d``'s op shape — FusedMMA then FusedMMB on the same
+        operands — on a q = 3 grid.  Each call writes one side, so the
+        next call rebinds that side and gathers it; the other side's
+        panel survives (the SpMM output leases only its own side's slot).
+        Every call after the first is steady: per rank it receives the
+        output reduction and the rebound side's gather, nothing else, and
+        hits twice — the S values and the kept panel.  Outputs equal a
+        fresh session's."""
+        S, A, B = problem
+        p = 18
+        kw = dict(comm="sparse", p=p, c=2)
+        kernels = ("fusedmm_a", "fusedmm_b")
+        refs = {}
+        for kernel in kernels:
+            with _natural(S, overlap, **kw) as fresh:
+                refs[kernel] = KERNELS[kernel](fresh, A, B)
+        with _natural(S, overlap, **kw) as sess:
+            cplans = _comm_plans(sess, S)
+            for i in range(6):
+                kernel = kernels[i % 2]
+                out, rec, _ = _call(sess, kernel, A, B)
+                assert np.array_equal(out, refs[kernel])
+                if i == 0:
+                    continue
+                written, rebound = ("a", "b") if kernel == "fusedmm_a" else ("b", "a")
+                assert rec["replica_hits"] == 2 * p
+                for prof, cp in zip(sess.report().per_rank, cplans):
+                    legs = (
+                        getattr(cp, f"reduce_{written}_packed"),
+                        getattr(cp, f"gather_{rebound}_packed"),
+                    )
+                    ctr = prof.counters[Phase.PROPAGATION]
+                    assert ctr.words_received == sum(g.recv_words() for g in legs)
+                    assert ctr.messages_received == sum(
+                        g.recv_messages() for g in legs
+                    )
 
     def test_fixed_b_pattern(self, problem):
         """``er_comm``'s shape: FusedMMA under replication reuse runs on
@@ -188,24 +280,55 @@ class TestMisses:
         assert rec["replica_hits"] == 0 and repl > 0
         assert np.array_equal(out, ref)
 
-    @pytest.mark.parametrize("comm", ["dense", "sparse"])
-    def test_orientations_alternate_on_one_slot(self, problem, comm):
-        """FusedMMA under replication reuse runs on the transposed sibling,
-        FusedMMB on the forward orientation; both gather into the rank's
-        one panel slot, so each acquisition invalidates the other's
-        replica even though neither source changed."""
+    @pytest.mark.parametrize(
+        "family,comm",
+        [
+            ("1.5d-sparse-shift", "dense"),
+            ("1.5d-sparse-shift", "sparse"),
+            ("2.5d-sparse-replicate", "sparse"),
+        ],
+        ids=["dense", "sparse", "2.5d-sparse-replicate/sparse"],
+    )
+    def test_orientations_alternate_on_one_slot(self, problem, family, comm):
+        """Both orientations of a session gather into the rank's same pool
+        slots, so each acquisition invalidates the other's replica even
+        though neither source changed.  On 1.5D sparse-shift, FusedMMA
+        under replication reuse runs on the transposed sibling and
+        FusedMMB on the forward orientation.  2.5D sparse-replicate has
+        no transposed FusedMM; here the sibling runs each single mode on
+        ``(S.T, B, A)`` between forward SDDMMs.  A sibling is never
+        handed a panel built for the forward need lists (nor the reverse):
+        each orientation binds its own block objects (source identity),
+        and both lease the same two slots ``gather-a`` / ``gather-b``, so
+        each gather — or SpMM output panel, which looks nothing up —
+        drops the other orientation's stored panel (the slot rule)."""
         S, A, B = problem
-        kw = dict(p=P, c=C, algorithm="1.5d-sparse-shift", comm=comm,
-                  elision="replication-reuse")
-        ref_a, _ = repro.fusedmm_a(S, A, B, **kw)
-        ref_b, _ = repro.fusedmm_b(S, A, B, **kw)
-        with _plan(S, "1.5d-sparse-shift", comm, "replication-reuse") as sess:
-            for _ in range(3):
-                out_a, rec_a, _ = _call(sess, "fusedmm_a", A, B)
-                out_b, rec_b, _ = _call(sess, "fusedmm_b", A, B)
-                assert rec_a["replica_hits"] == rec_b["replica_hits"] == 0
-                assert np.array_equal(out_a, ref_a)
-                assert np.array_equal(out_b, ref_b)
+        if family == "1.5d-sparse-shift":
+            kw = dict(p=P, c=C, algorithm=family, comm=comm,
+                      elision="replication-reuse")
+            ref_a, _ = repro.fusedmm_a(S, A, B, **kw)
+            ref_b, _ = repro.fusedmm_b(S, A, B, **kw)
+            with _plan(S, family, comm, "replication-reuse") as sess:
+                for _ in range(3):
+                    out_a, rec_a, _ = _call(sess, "fusedmm_a", A, B)
+                    out_b, rec_b, _ = _call(sess, "fusedmm_b", A, B)
+                    assert rec_a["replica_hits"] == rec_b["replica_hits"] == 0
+                    assert np.array_equal(out_a, ref_a)
+                    assert np.array_equal(out_b, ref_b)
+            return
+        refs_t = []
+        for mode in SIBLING_MODES:
+            with _plan(S, family, comm) as fresh:
+                refs_t.append(_sibling(fresh, mode, A, B)[0])
+        ref, _ = repro.sddmm(S, A, B, p=P, c=C, algorithm=family, comm=comm)
+        with _plan(S, family, comm) as sess:
+            _call(sess, "sddmm", A, B)
+            for mode, ref_t in zip(SIBLING_MODES, refs_t):
+                out_t, rec_t = _sibling(sess, mode, A, B)
+                out, rec, _ = _call(sess, "sddmm", A, B)
+                assert rec_t["replica_hits"] == rec["replica_hits"] == 0
+                assert np.array_equal(out_t, ref_t)
+                assert np.array_equal(out, ref.vals)
 
     @pytest.mark.parametrize("comm", ["dense", "sparse"])
     def test_spmm_a_between_two_sddmms(self, problem, comm):
@@ -225,9 +348,12 @@ class TestMisses:
 
     @pytest.mark.parametrize("comm", ["dense", "sparse"])
     def test_update_values_invalidates_the_value_replica(self, problem, comm):
+        """New values miss the value replica only: the need-list panel of
+        A (``comm="sparse"``) depends on A alone and still hits."""
         S, A, B = problem
         vals = np.random.default_rng(11).standard_normal(S.nnz)
         S2 = S.with_values(vals)
+        panels = 1 if comm == "sparse" else 0
         with _plan(S2, "2.5d-sparse-replicate", comm) as fresh:
             ref, _, _ = _call(fresh, "spmm_b", A, B)
         with _plan(S, "2.5d-sparse-replicate", comm) as sess:
@@ -236,9 +362,9 @@ class TestMisses:
             sess.update_values(vals)
             out, rec, repl = _call(sess, "spmm_b", A, B)
             again, rec2, _ = _call(sess, "spmm_b", A, B)
-        assert warm["replica_hits"] == P
-        assert rec["replica_hits"] == 0 and repl > 0
-        assert rec2["replica_hits"] == P
+        assert warm["replica_hits"] == P * (1 + panels)
+        assert rec["replica_hits"] == P * panels and repl > 0
+        assert rec2["replica_hits"] == P * (1 + panels)
         assert np.array_equal(out, ref) and np.array_equal(again, ref)
 
     @pytest.mark.parametrize("overlap", ["off", "on"])
@@ -264,6 +390,55 @@ class TestMisses:
         q = sess.alg.grid.q
         assert rec["replica_hits"] == P - P // (q * q)  # one block of q*q full
         assert np.array_equal(out, ref)
+
+
+#: what a drawn step of a call sequence does: a kernel call, an in-place
+#: mutation of A or B, new S values, or a single mode on the transposed
+#: sibling
+SEQUENCE_STEPS = (
+    "sddmm", "spmm_a", "spmm_b", "fusedmm_a", "fusedmm_b",
+    "mutate", "update_values", *SIBLING_MODES,
+)
+
+
+def _step(sess, step, A, B):
+    if isinstance(step, Mode):
+        return _sibling(sess, step, A, B)[0]
+    return KERNELS[step](sess, A, B)
+
+
+class TestCallSequences:
+    @pytest.mark.parametrize(
+        "seed,overlap", [(0, "off"), (1, "on"), (2, "off"), (3, "on")]
+    )
+    def test_random_sequence_matches_fresh_sessions(self, problem, seed, overlap):
+        """Seeded call sequences on 2.5D sparse-replicate, q = 3: every
+        output is bitwise the same call's on a fresh session, and every
+        call ends ``"ok"``.  Within one ring the ranks must agree on hit
+        or miss — a rank that skipped a gather its peer posted would leave
+        the peer waiting — so under ``deadline_ms`` a disagreement shows
+        as an ``SpmdTimeout`` (or a degraded re-run), not a hang."""
+        S, A, B = problem
+        A, B = A.copy(), B.copy()  # mutated in place below
+        rng = np.random.default_rng(seed)
+        family, vals = "2.5d-sparse-replicate", S.vals
+        kw = dict(overlap=overlap, p=18, c=2)
+        with _plan(S, family, "sparse", deadline_ms=5000, **kw) as sess:
+            for _ in range(20):
+                step = SEQUENCE_STEPS[rng.integers(len(SEQUENCE_STEPS))]
+                if step == "mutate":
+                    (A, B)[rng.integers(2)][rng.integers(N)] += 1.0
+                elif step == "update_values":
+                    vals = rng.standard_normal(S.nnz)
+                    sess.update_values(vals)
+                else:
+                    got = _step(sess, step, A, B)
+                    with _plan(S.with_values(vals), family, "sparse", **kw) as fresh:
+                        want = _step(fresh, step, A, B)
+                    assert np.array_equal(got, want), step
+            records = sess.metrics()
+        assert all(rec["outcome"] == "ok" for rec in records)
+        assert sum(rec["replica_hits"] for rec in records) > 0
 
 
 class TestRecovery:
@@ -316,6 +491,54 @@ class TestRecovery:
             # the call after a recovery reuses the retry's replicas again
             assert rec["replica_hits"] == P
             assert sess.plan_builds == 1
+
+    def test_drop_mid_panel_gather(self, problem, monkeypatch):
+        """``rmat_25d``'s shape on the need-list path.  Call 2 (FusedMMB)
+        gathers only A, which call 1 wrote, and reuses B's panel.  Rank 1
+        sends 2 packed-gather legs in call 1 (A and B), so index 2 is its
+        A leg of call 2: its row peer times out while the other ranks
+        store the new A panel.  The failure hook drops every rank's memo,
+        so on the retry every rank misses on the values and both panels —
+        a rank that kept one would skip the gather its peer waits on — and
+        the next call hits again."""
+        S, A, B = problem
+        family = "2.5d-sparse-replicate"
+        lookups = []  # True / False per held_replica, "drop" per pool
+        held, drop = BufferPool.held_replica, BufferPool.drop_replicas
+
+        def spy_held(pool, label, source):
+            panel = held(pool, label, source)
+            lookups.append(panel is not None)
+            return panel
+
+        def spy_drop(pool):
+            lookups.append("drop")
+            drop(pool)
+
+        monkeypatch.setattr(BufferPool, "held_replica", spy_held)
+        monkeypatch.setattr(BufferPool, "drop_replicas", spy_drop)
+        kernels = ("fusedmm_a", "fusedmm_b", "fusedmm_a")
+        with _plan(S, family, "sparse") as clean:
+            refs = [KERNELS[k](clean, A, B) for k in kernels]
+        plan = FaultPlan([FaultSpec("drop", rank=1, tag=TAG_SPARSE_AG, index=2)])
+        with _plan(
+            S, family, "sparse", deadline_ms=700, retries=1, faults=plan,
+        ) as sess:
+            records, spans = [], []
+            for kernel, ref in zip(kernels, refs):
+                start = len(lookups)
+                out, rec, _ = _call(sess, kernel, A, B)
+                assert np.array_equal(out, ref)
+                records.append(rec)
+                spans.append(lookups[start:])
+        assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
+        assert len(plan.fired_log) == 1
+        failed = spans[1]
+        first, last = failed.index("drop"), len(failed) - failed[::-1].index("drop")
+        assert any(hit is True for hit in failed[:first])  # B's panel, values
+        assert failed[first:last] == ["drop"] * P
+        assert failed[last:] == [False] * (3 * P)  # values, A, B on every rank
+        assert records[2]["replica_hits"] == 2 * P
 
 
 class TestPoolRule:
