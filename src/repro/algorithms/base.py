@@ -93,13 +93,20 @@ class Lane:
     """One operand circulating around ``ring`` during a propagation round.
 
     ``payload`` is an array or a tuple of arrays (a sparse chunk travels
-    as its ``(rows, cols, vals)`` triple — the paper's three words per
-    nonzero); each phase it moves ``displacement`` positions on channel
-    ``tag``.  ``read_only`` says the local kernel only *reads* the
-    payload, which is what lets :meth:`DistributedAlgorithm.ring_loop`
+    cold as its ``(rows, cols, vals)`` triple — the paper's three words
+    per nonzero); each phase it moves ``displacement`` positions on
+    channel ``tag``.  ``read_only`` says the local kernel only *reads*
+    the payload, which is what lets :meth:`DistributedAlgorithm.ring_loop`
     put its transfer in flight behind the kernel.  ``rides_with`` marks
-    the value half of a split sparse chunk: its payload must stay as long
-    as the coordinate lane's (see :meth:`DistributedAlgorithm.chunk_lanes`).
+    the values of a chunk whose coordinates form another lane (a split or
+    a warm chunk): its payload must stay as long as the coordinate lane's
+    (see :meth:`DistributedAlgorithm.chunk_lanes`).
+
+    The coordinate lane of a chunk ring carries :class:`CarriedCoords`
+    state, set by ``chunk_lanes``: ``trail`` is handed every payload the
+    lane receives on a cold round (the memo fill), and ``stays`` — on a
+    warm round — is that memo entry itself: the lane does not move, and
+    after ``k`` phases its payload is ``stays[k % len(stays)]``.
     """
 
     ring: Communicator
@@ -108,6 +115,77 @@ class Lane:
     displacement: int = -1
     read_only: bool = True
     rides_with: Optional["Lane"] = None
+    trail: Optional[Callable[[Any], None]] = None
+    stays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+
+
+class CarriedCoords:
+    """The coordinates of the sparse chunks one rank's rings carried.
+
+    A chunk's structure is fixed for the life of a resident distribution,
+    so once a ring has carried a chunk's ``(rows, cols)`` every later
+    round of the same chunk ring needs only its values.  An entry is
+    keyed by the chunk's kernel space and travel order (the ``space`` and
+    ``mode`` of :meth:`DistributedAlgorithm.home_chunk`) and lists the
+    coordinates this rank holds at each ring position: position 0 is its
+    own home chunk (the very arrays the home rank prepared — a changed
+    structure never matches), position ``k`` the pair it received after
+    ``k`` shifts of the cold round, kept as the transport delivered it
+    and marked read-only — nothing kernel-derived.  That is 2 words per
+    nonzero of the ring's other chunks (``2·(L−1)/L`` per nonzero of the
+    ring on average) per distinct travel order: a received pair bitwise
+    equal to another entry's pair at the same position shares that
+    entry's arrays (an SDDMM and an SpMMA of a row-major chunk travel in
+    one order).
+
+    It lives on the rank's resident context, which the session's failure
+    hook drops on every rank, so the ranks of a ring — which run the same
+    rounds — always agree whether an entry is complete.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Any, List[Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def held(
+        self, key: Any, rows: np.ndarray, cols: np.ndarray, size: int
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+        """The complete entry of ``key`` for home chunk ``(rows, cols)``
+        on a ring of ``size`` ranks, or ``None`` (a cold round)."""
+        entry = self._entries.get(key)
+        if entry is None or len(entry) != size:
+            return None
+        home_rows, home_cols = entry[0]
+        if home_rows is not rows or home_cols is not cols:
+            return None
+        return entry
+
+    def start(
+        self, key: Any, rows: np.ndarray, cols: np.ndarray, size: int
+    ) -> Callable[[Any], None]:
+        """Open ``key``'s entry at home chunk ``(rows, cols)``; returns the
+        cold round's ``trail``, which keeps each received pair until the
+        entry holds all ``size`` ring positions."""
+        entry = [(rows, cols)]
+        self._entries[key] = entry
+
+        def trail(payload) -> None:
+            if len(entry) == size:
+                return  # back home
+            got = payload[0], payload[1]
+            k = len(entry)
+            for other in self._entries.values():
+                if other is not entry and len(other) > k and all(
+                    a.dtype == b.dtype and np.array_equal(a, b)
+                    for a, b in zip(other[k], got)
+                ):
+                    got = other[k]
+                    break
+            else:
+                for arr in got:
+                    arr.flags.writeable = False
+            entry.append(got)
+
+        return trail
 
 
 def track(comm: Communicator, phase: Phase):
@@ -410,25 +488,51 @@ class DistributedAlgorithm:
         cols: np.ndarray,
         vals: np.ndarray,
         accumulating: bool,
+        carried: Optional[CarriedCoords] = None,
+        key: Any = None,
     ) -> List[Lane]:
         """The lane(s) of a sparse chunk circulating around ``ring``.
 
-        A chunk normally travels whole, as one ``(rows, cols, vals)``
-        message per phase.  When the kernel *accumulates* into the values
-        (the SDDMM rounds) the pipelined schedule cannot pre-post them, so
-        the chunk splits: the read-only coordinates — two of the three
-        words per nonzero — fly behind the kernel on :data:`TAG_SHIFT_S`
-        and the just-accumulated values follow it on
+        Cold, a chunk normally travels whole, as one ``(rows, cols,
+        vals)`` message per phase.  When the kernel *accumulates* into
+        the values (the SDDMM rounds) the pipelined schedule cannot
+        pre-post them, so the chunk splits: the read-only coordinates —
+        two of the three words per nonzero — fly behind the kernel on
+        :data:`TAG_SHIFT_S` and the just-accumulated values follow it on
         :data:`TAG_SHIFT_SV`, one extra message per phase for the same
         words.  Either way the kernel sees ``rows, cols, vals``.
+
+        With ``carried`` (the rank's :class:`CarriedCoords`) the cold
+        round fills the entry ``key``, and a later round of the same
+        ``key`` is *warm*: the coordinate lane stays put, reading each
+        ring position's pair from the entry, and only the values move, on
+        :data:`TAG_SHIFT_SV` — one message and one word per nonzero per
+        phase.  ``ring_loop`` checks every warm value array against the
+        entry's length at its position.
         """
+        trail = None
+        if carried is not None:
+            stays = carried.held(key, rows, cols, ring.size)
+            if stays is not None:
+                coords = Lane(ring, (rows, cols), TAG_SHIFT_S, stays=stays)
+                values = Lane(
+                    ring, vals, TAG_SHIFT_SV, read_only=not accumulating,
+                    rides_with=coords,
+                )
+                return [coords, values]
+            trail = carried.start(key, rows, cols, ring.size)
         if accumulating and self.overlap:
-            coords = Lane(ring, (rows, cols), TAG_SHIFT_S)
+            coords = Lane(ring, (rows, cols), TAG_SHIFT_S, trail=trail)
             return [
                 coords,
                 Lane(ring, vals, TAG_SHIFT_SV, read_only=False, rides_with=coords),
             ]
-        return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, read_only=not accumulating)]
+        return [
+            Lane(
+                ring, (rows, cols, vals), TAG_SHIFT_S, read_only=not accumulating,
+                trail=trail,
+            )
+        ]
 
     def home_chunk(
         self,
@@ -458,7 +562,10 @@ class DistributedAlgorithm:
         ``cache`` is the home rank's own dict (it lives with the local
         sparse state: built lazily, once per resident structure, surviving
         ``update_values``); it holds at most ~3 words per home nonzero per
-        mode, and receivers cache nothing.
+        mode.  A *receiver* keeps nothing prepared of a visiting chunk:
+        only the coordinates the transport delivered on the first round
+        (:class:`CarriedCoords`, on its resident context), so a later
+        round of the same ``(space, mode)`` ships the values alone.
         """
         entry = cache.get((space, mode))
         if entry is None:
@@ -498,15 +605,18 @@ class DistributedAlgorithm:
         mutates (a circulating output or accumulator) still shifts after
         it; those sends go out before the waits on the pre-posted lanes,
         so a neighbor is never kept waiting on data this rank already
-        holds.  ``root`` is the communicator whose profile the phases are
+        holds.  A lane that ``stays`` (warm chunk coordinates) never
+        moves: after each phase its payload is the next ring position's
+        entry.  ``root`` is the communicator whose profile the phases are
         tracked on.
         """
         pipelined = self.overlap
+        moving = [lane for lane in lanes if lane.stays is None]
         for t in range(steps):
-            pending = [None] * len(lanes)
+            pending = [None] * len(moving)
             if pipelined:
                 with track(root, Phase.PROPAGATION):
-                    for k, lane in enumerate(lanes):
+                    for k, lane in enumerate(moving):
                         if lane.read_only:
                             pending[k] = lane.ring.ishift(
                                 lane.payload, lane.displacement, lane.tag
@@ -514,22 +624,29 @@ class DistributedAlgorithm:
             with track(root, Phase.COMPUTATION):
                 compute(t, *_operands(lanes))
             with track(root, Phase.PROPAGATION):
-                for lane, pend in zip(lanes, pending):
+                for lane, pend in zip(moving, pending):
                     if pend is None:
                         lane.payload = lane.ring.shift(
                             lane.payload, lane.displacement, lane.tag
                         )
-                for lane, pend in zip(lanes, pending):
+                for lane, pend in zip(moving, pending):
                     if pend is not None:
                         lane.payload = pend.wait()
                 for lane in lanes:
+                    if lane.stays is not None:
+                        lane.payload = lane.stays[(t + 1) % len(lane.stays)]
+                    elif lane.trail is not None:
+                        lane.trail(lane.payload)
+                for lane in lanes:
                     head = lane.rides_with
                     if head is not None and len(lane.payload) != len(head.payload[0]):
-                        # the two halves of a split chunk fell out of step:
-                        # a message was lost on one channel (a transport
-                        # fault the session may retry, not a user error)
+                        # the values fell out of step with their coordinates
+                        # (the split half's, or a warm round's carried
+                        # ones): a message was lost or duplicated on one
+                        # channel — a transport fault the session may
+                        # retry, not a user error
                         raise CommError(
-                            f"split chunk out of step on tag {lane.tag}: "
+                            f"chunk values out of step on tag {lane.tag}: "
                             f"{len(lane.payload)} values for "
                             f"{len(head.payload[0])} coordinates"
                         )

@@ -31,7 +31,10 @@ circulating B buffer (ends complete, no reduction).
 FusedMM supports *no elision* and *replication reuse* (one all-gather for
 both rounds; native FusedMMB), at the Table III cost
 ``nr/sqrt(pc) * (6 phi + 2 + (c^1.5 - sqrt(c))/sqrt(p))`` with
-``4 sqrt(p/c) + (c-1)`` messages.  Local kernel fusion is impossible
+``4 sqrt(p/c) + (c-1)`` messages for a *cold* call.  A warm call of a
+session moves the S chunks' values alone (``6 phi`` becomes ``2 phi``):
+the grid row already carried their coordinates, which each rank kept
+(``CarriedCoords`` on its context).  Local kernel fusion is impossible
 (dense operands are split along r), as the paper notes.
 
 Propagation is stated as :class:`~repro.algorithms.base.Lane` s — the S
@@ -54,6 +57,7 @@ from repro.algorithms.base import (
     TAG_FIBER_AG,
     TAG_FIBER_RS,
     TAG_SHIFT_B,
+    CarriedCoords,
     DistributedAlgorithm,
     Lane,
     concat_allgather,
@@ -147,6 +151,8 @@ class Ctx25D:
     y: int
     z: int
     pool: BufferPool = field(default_factory=BufferPool)  # the replica memo
+    #: the coordinates the grid row carried (``chunk_lanes``)
+    carried: CarriedCoords = field(default_factory=CarriedCoords)
 
 
 class DenseReplicate25D(DistributedAlgorithm):
@@ -337,7 +343,8 @@ class DenseReplicate25D(DistributedAlgorithm):
             ctx.comm, plan.q,
             [
                 *self.chunk_lanes(
-                    ctx.row, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM)
+                    ctx.row, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM),
+                    carried=ctx.carried, key=("block", mode),
                 ),
                 Lane(ctx.col, B_start, TAG_SHIFT_B, read_only=(mode != Mode.SPMM_B)),
             ],

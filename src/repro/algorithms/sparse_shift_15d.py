@@ -30,9 +30,13 @@ Unified kernel (Mode):
 FusedMM: *replication reuse* (native FusedMMB) shares the single
 all-gather between the SDDMM and SpMMB rounds, reproducing the paper's
 Eq. (2) cost ``6 nnz/c + n r (c-1)/p`` with ``2p/c + (c-1)`` messages and
-optimal ``c = sqrt(6 p phi)``.  Local kernel fusion is impossible here
-(dense matrices are split along r, so local dots are partial — paper
-Section IV-B), matching the paper.
+optimal ``c = sqrt(6 p phi)`` — for a *cold* call.  A warm call of a
+session moves the values alone: the layer ring already carried every
+chunk's coordinates, which each rank kept (``CarriedCoords`` on its
+context), so propagation falls to ``2 nnz/c`` words, and the fiber
+gather of an unchanged A is skipped too (``BufferPool.replica``).
+Local kernel fusion is impossible here (dense matrices are split along
+r, so local dots are partial — paper Section IV-B), matching the paper.
 
 Sparse communication (``comm="sparse"``): the gathered panel ``T`` is
 only ever indexed at the union of S rows of this rank's *layer* (every
@@ -61,7 +65,8 @@ state): coordinates in kernel space — panel rows (global, or packed) and
 layer-local B rows, one translation every rank of the layer ring shares
 — and in the mode's travel order (column-major for SpMMB, whose output
 index is the column).  A ring phase therefore runs the local kernel and
-nothing else; per call only the values are gathered into travel order.
+nothing else; per call only the values are gathered into travel order,
+and — once the layer ring carried a mode's chunks — only they travel.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ import numpy as np
 from repro.algorithms.base import (
     TAG_FIBER_AG,
     TAG_FIBER_RS,
+    CarriedCoords,
     DistributedAlgorithm,
     region,
     track,
@@ -165,6 +171,8 @@ class Ctx15DSparse:
     u: int
     v: int
     pool: BufferPool = field(default_factory=BufferPool)
+    #: the coordinates the layer ring carried (``chunk_lanes``)
+    carried: CarriedCoords = field(default_factory=CarriedCoords)
 
 
 class SparseShift15D(DistributedAlgorithm):
@@ -394,9 +402,10 @@ class SparseShift15D(DistributedAlgorithm):
 
         # the chunk leaves home kernel-ready — translated, in the mode's
         # travel order — so no phase sorts, gathers or translates an index
+        space = "packed" if packed else "panel"
         rows0, cols0, perm = self.home_chunk(
-            local.travel, "packed" if packed else "panel",
-            partial(self._kernel_coords, local, sparse_plan), mode,
+            local.travel, space, partial(self._kernel_coords, local, sparse_plan),
+            mode,
         )
         if mode == Mode.SDDMM:
             vals0 = np.zeros(len(local.S_rows))
@@ -428,7 +437,8 @@ class SparseShift15D(DistributedAlgorithm):
         _, _, dots = self.ring_loop(
             ctx.comm, plan.n_layer,
             self.chunk_lanes(
-                ctx.layer, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM)
+                ctx.layer, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM),
+                carried=ctx.carried, key=(space, mode),
             ),
             compute,
         )

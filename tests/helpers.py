@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 
 import numpy as np
 
@@ -88,3 +89,34 @@ def dist_fused(alg, S, A, B, method_name, out_side):
     if out_side == "a":
         return alg.collect_dense_a(plan, locals_)
     return alg.collect_dense_b(plan, locals_)
+
+
+#: the families whose sparse chunks circulate, and the grid coordinates
+#: naming the ring a rank's chunk travels (1.5D: the layer; 2.5D: the
+#: grid row)
+CHUNK_RINGS = {
+    "1.5d-sparse-shift": lambda u, v: v,
+    "2.5d-dense-replicate": lambda x, y, z: (x, z),
+}
+
+
+def chunk_round_traffic(alg, S, r):
+    """What one chunk round of ``alg`` on ``S`` (natural layout) receives,
+    rank-summed: ``(nonzeros, phases)``.  Every rank receives each chunk
+    of its ring once per round, one message per phase (a ring of one
+    rank moves nothing); a cold round moves 3 words per nonzero, a warm
+    one 1.  ``(0, 0)`` where S does not circulate."""
+    ring_of = CHUNK_RINGS.get(alg.name)
+    if ring_of is None:
+        return 0, 0
+    locals_ = alg.distribute_sparse(alg.plan(S.nrows, S.ncols, r), S)
+    nnz, size = Counter(), Counter()
+    for rank, loc in enumerate(locals_):
+        ring = ring_of(*alg.grid.coords(rank))
+        nnz[ring] += len(loc.S_rows)
+        size[ring] += 1
+    rings = [ring for ring in size if size[ring] > 1]
+    return (
+        sum(size[ring] * nnz[ring] for ring in rings),
+        sum(size[ring] ** 2 for ring in rings),
+    )

@@ -1,0 +1,407 @@
+"""Warm-call reuse of circulating chunk coordinates: a chunk ring that
+already carried a chunk's structure moves only its values.
+
+The rule (ARCHITECTURE.md, "What travels"): a sparse chunk's ``(rows,
+cols)`` are fixed for the life of a resident distribution, so each rank
+keeps the coordinates it received at each ring position, per kernel
+space and travel order, on its resident context
+(:class:`~repro.algorithms.base.CarriedCoords`), and a later round of the
+same chunk ring ships values alone.  Covered here, for each
+chunk-circulating family x comm x overlap:
+
+* a warm round moves exactly one third of the cold round's chunk words
+  — all of a 1.5D sparse-shift call's PROPAGATION words — and, under
+  ``overlap="on"``, one message per phase fewer in an SDDMM round (the
+  split coordinate lane);
+* outputs are bitwise the cold call's and a fresh session's, also after
+  ``update_values`` (the memo survives it) and on the transposed sibling;
+* a warm call's value message dropped or duplicated ends in a retryable
+  error — the length check against the memo, or the deadline — and a
+  bitwise retry that rebuilds the memo on every rank, as does a fault
+  that leaves a cold round's entries complete on some ranks only;
+* the memo rule itself, on ``ring_loop`` and on ``CarriedCoords``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro
+from repro.algorithms.base import (
+    TAG_SHIFT_B,
+    TAG_SHIFT_S,
+    TAG_SHIFT_SV,
+    CarriedCoords,
+    DistributedAlgorithm,
+    Lane,
+)
+from repro.errors import CommError, SpmdTimeout
+from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.profile import RankProfile
+from repro.runtime.spmd import retryable, run_spmd
+from repro.types import Phase
+from tests.helpers import chunk_round_traffic
+
+P, C = 8, 2
+N, R = 96, 8
+
+#: (family, comm) of every chunk-circulating path
+CHUNK_PATHS = [
+    ("1.5d-sparse-shift", "dense"),
+    ("1.5d-sparse-shift", "sparse"),
+    ("2.5d-dense-replicate", "dense"),
+]
+PATH_IDS = [f"{f}/{c}" for f, c in CHUNK_PATHS]
+
+KERNELS = {
+    "sddmm": lambda sess, A, B: sess.sddmm(A, B)[0].vals,
+    "spmm_a": lambda sess, A, B: sess.spmm_a(B)[0],
+    "spmm_b": lambda sess, A, B: sess.spmm_b(A)[0],
+    "fusedmm_a": lambda sess, A, B: sess.fusedmm_a(A, B)[0],
+    "fusedmm_b": lambda sess, A, B: sess.fusedmm_b(A, B)[0],
+}
+#: (chunk rounds, SDDMM rounds) per call; FusedMMA under replication
+#: reuse runs on the transposed sibling
+ROUNDS = {
+    "sddmm": (1, 1), "spmm_a": (1, 0), "spmm_b": (1, 0),
+    "fusedmm_a": (2, 1), "fusedmm_b": (2, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def problem():
+    S = repro.erdos_renyi(N, N, nnz_per_row=5, seed=3)
+    rng = np.random.default_rng(4)
+    return S, rng.standard_normal((N, R)), rng.standard_normal((N, R))
+
+
+def _plan(S, family, comm, overlap, elision="none", **kw):
+    return repro.plan(
+        S, R, p=P, c=C, algorithm=family, comm=comm, elision=elision,
+        overlap=overlap, **kw,
+    )
+
+
+def _call(sess, kernel, A, B):
+    """One call in its own accumulation window: ``(output, rank-summed
+    PROPAGATION words, messages, metrics record)``."""
+    sess.reset_profile()
+    out = KERNELS[kernel](sess, A, B)
+    [rec] = sess.metrics()
+    ctrs = [p.counters[Phase.PROPAGATION] for p in sess.report().per_rank]
+    words = sum(c.words_received for c in ctrs)
+    msgs = sum(c.messages_received for c in ctrs)
+    return out, words, msgs, rec
+
+
+def _fresh(S, family, comm, overlap, kernel, A, B, elision="none"):
+    with _plan(S, family, comm, overlap, elision) as sess:
+        return KERNELS[kernel](sess, A, B)
+
+
+def _traffic(sess, S, kernel, transpose=False):
+    """``(nonzeros the call's chunk rounds receive, SDDMM-round phases)``,
+    rank-summed, for ``kernel`` on its orientation of ``S``."""
+    assert sess.explain().layout == "natural"
+    nnz, phases = chunk_round_traffic(
+        sess.alg, S.transposed() if transpose else S, R
+    )
+    rounds, sddmm_rounds = ROUNDS[kernel]
+    return nnz * rounds, phases * sddmm_rounds
+
+
+class TestWarmRounds:
+    @pytest.mark.parametrize("kernel", ["sddmm", "spmm_a", "spmm_b", "fusedmm_b"])
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    def test_warm_round_moves_values_only(
+        self, problem, family, comm, overlap, kernel
+    ):
+        """Cold, every chunk a rank receives is 3 words per nonzero; warm,
+        1 — exactly a third.  The other lanes (2.5D's B block) move what
+        they moved, and only the SDDMM split's coordinate messages go."""
+        S, A, B = problem
+        with _plan(S, family, comm, overlap) as sess:
+            nnz, split = _traffic(sess, S, kernel)
+            cold_out, cold_words, cold_msgs, _ = _call(sess, kernel, A, B)
+            for _ in range(2):
+                out, words, msgs, _ = _call(sess, kernel, A, B)
+                assert nnz > 0
+                rest = cold_words - 3 * nnz  # the lanes that are not S
+                assert words - rest == nnz  # a third of the chunk words
+                if family.startswith("1.5d"):
+                    assert rest == 0 and 3 * words == cold_words
+                assert cold_msgs - msgs == (split if overlap == "on" else 0)
+                assert np.array_equal(out, cold_out)
+        assert np.array_equal(
+            cold_out, _fresh(S, family, comm, overlap, kernel, A, B)
+        )
+
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    def test_memo_survives_update_values_and_serves_each_orientation(
+        self, problem, family, comm, overlap
+    ):
+        """New values leave the structure, so the next round is still
+        warm and equals a fresh session on the new values.  FusedMMA under
+        replication reuse runs on the transposed sibling, whose rings
+        carry the chunks of ``S.T``: its first call is cold, its second
+        warm, and neither disturbs the forward orientation's memo."""
+        S, A, B = problem
+        vals = np.random.default_rng(11).standard_normal(S.nnz)
+        S2 = S.with_values(vals)
+        args = (family, comm, overlap)
+        kw = dict(elision="replication-reuse")
+        with _plan(S, *args, **kw) as sess:
+            nnz_b, _ = _traffic(sess, S, "fusedmm_b")
+            nnz_a, _ = _traffic(sess, S, "fusedmm_a", transpose=True)
+            cold_b, cold_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
+            warm_b, warm_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
+            assert cold_words_b - warm_words_b == 2 * nnz_b
+            assert np.array_equal(warm_b, cold_b)
+            assert np.array_equal(cold_b, _fresh(S, *args, "fusedmm_b", A, B, **kw))
+
+            sess.update_values(vals)
+            new_b, words, _, _ = _call(sess, "fusedmm_b", A, B)
+            assert words == warm_words_b
+            assert np.array_equal(new_b, _fresh(S2, *args, "fusedmm_b", A, B, **kw))
+
+            ref_a = _fresh(S2, *args, "fusedmm_a", A, B, **kw)
+            cold_a, cold_words_a, _, _ = _call(sess, "fusedmm_a", A, B)
+            warm_a, warm_words_a, _, _ = _call(sess, "fusedmm_a", A, B)
+            assert cold_words_a - warm_words_a == 2 * nnz_a > 0
+            assert np.array_equal(cold_a, ref_a) and np.array_equal(warm_a, ref_a)
+
+            again_b, words, _, _ = _call(sess, "fusedmm_b", A, B)
+            assert words == warm_words_b
+            assert np.array_equal(again_b, new_b)
+
+
+class TestWarmFaults:
+    @pytest.mark.parametrize(
+        "action,where",
+        [("drop", "first"), ("drop", "last"), ("dup", "first")],
+        ids=["drop-first", "drop-last", "dup-first"],
+    )
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    def test_warm_value_message_fault_retries_clean(
+        self, problem, family, comm, overlap, action, where
+    ):
+        """Rank 0's first or last value message of call 2 (its first warm
+        call) is lost or delivered twice.  A lost one hands the receiver
+        the next phase's values — their length disagrees with the carried
+        coordinates, a ``CommError`` — or, the last one, leaves it waiting
+        out the deadline; a duplicate puts the receiver one phase behind,
+        the same length check.  Both are retryable: the failure hook drops
+        every rank's context, so the retry is a cold round on every rank
+        (bitwise the clean output) that fills the memo again, and call 3
+        is warm everywhere — a rank without an entry would ship whole
+        chunks its peers do not wait for."""
+        S, A, B = problem
+        kernel = "fusedmm_b"
+        with _plan(S, family, comm, overlap) as clean:
+            ref = KERNELS[kernel](clean, A, B)
+            _call(clean, kernel, A, B)
+            _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
+        grid = clean.alg.grid
+        ring = grid.layer_size if family.startswith("1.5d") else grid.q
+        # rank 0's value messages: one per phase of each round; the cold
+        # call's SDDMM round sends its values apart only when pipelined
+        cold_sends = ring if overlap == "on" else 0
+        index = cold_sends + (0 if where == "first" else 2 * ring - 1)
+        plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
+        with _plan(
+            S, family, comm, overlap, deadline_ms=700, retries=1, faults=plan,
+        ) as sess:
+            records = []
+            for _ in range(3):
+                out, words, msgs, rec = _call(sess, kernel, A, B)
+                assert np.array_equal(out, ref)
+                records.append(rec)
+            assert (words, msgs) == (warm_words, warm_msgs)
+            assert sess.plan_builds == 1
+        assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
+        assert len(plan.fired_log) == 1
+
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    def test_fault_in_the_cold_round_refills_every_rank(
+        self, problem, family, comm, overlap
+    ):
+        """Rank 0's second-to-last chunk message of call 1 (in the cold
+        SpMMB round) is lost: its receiver takes the last one — its own
+        home chunk coming back — for the position before, keeps those
+        coordinates, and waits out the deadline for one more message.
+        Every other rank's entry is right.  Were the memo to survive the
+        failure, that receiver's retry would read the wrong coordinates;
+        the hook drops it on every rank, so the retry fills it again
+        everywhere and the next calls are warm."""
+        S, A, B = problem
+        kernel = "fusedmm_b"
+        with _plan(S, family, comm, overlap) as clean:
+            ref = KERNELS[kernel](clean, A, B)
+            _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
+        grid = clean.alg.grid
+        ring = grid.layer_size if family.startswith("1.5d") else grid.q
+        # one coordinate-carrying message per phase of both cold rounds
+        lost = FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=2 * ring - 2)
+        plan = FaultPlan([lost])
+        with _plan(
+            S, family, comm, overlap, deadline_ms=700, retries=1, faults=plan,
+        ) as sess:
+            records = []
+            for _ in range(3):
+                out, words, msgs, rec = _call(sess, kernel, A, B)
+                assert np.array_equal(out, ref)
+                records.append(rec)
+            assert (words, msgs) == (warm_words, warm_msgs)
+        assert [rec["outcome"] for rec in records] == ["retried", "ok", "ok"]
+        assert len(plan.fired_log) == 1
+
+    @pytest.mark.parametrize(
+        "action,where,error",
+        [("drop", "first", CommError), ("dup", "first", CommError),
+         ("drop", "last", SpmdTimeout)],
+        ids=["drop-first", "dup-first", "drop-last"],
+    )
+    def test_unretried_fault_surfaces_a_retryable_error(
+        self, problem, action, where, error
+    ):
+        """Without re-runs (and, on dense comm with the pipeline off,
+        nothing to degrade to) the warm call's fault surfaces as the
+        error the retry policy would have re-run; the next clean call
+        starts cold on every rank and is bitwise."""
+        S, A, B = problem
+        family, comm = "1.5d-sparse-shift", "dense"
+        with _plan(S, family, comm, "off") as clean:
+            ref = KERNELS["fusedmm_b"](clean, A, B)
+        ring = P // C
+        index = 0 if where == "first" else 2 * ring - 1
+        plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
+        with _plan(
+            S, family, comm, "off", deadline_ms=700, retries=0, faults=plan,
+        ) as sess:
+            _, cold_words, _, _ = _call(sess, "fusedmm_b", A, B)
+            with pytest.raises((error, RuntimeError)) as err:
+                sess.fusedmm_b(A, B)
+            # a rank's error surfaces chained (a timeout stays typed)
+            assert isinstance(err.value, error) or isinstance(
+                err.value.__cause__, error
+            )
+            assert retryable(err.value)
+            out, words, _, _ = _call(sess, "fusedmm_b", A, B)
+            assert words == cold_words  # the memo went with the contexts
+            assert np.array_equal(out, ref)
+
+
+# ----------------------------------------------------------------------
+# the rule itself
+# ----------------------------------------------------------------------
+
+RING = 4
+
+
+def _rounds(values_at, rounds=2):
+    """``rounds`` SpMM-like rounds of one chunk lane on a ring of RING
+    ranks sharing one :class:`CarriedCoords` per rank; ``values_at(rank,
+    round)`` makes the home values.  Returns per rank the operands each
+    round's kernel saw at each phase, and the profiles."""
+    alg = DistributedAlgorithm(RING, 1)
+    profiles = [RankProfile() for _ in range(RING)]
+
+    def body(comm):
+        carried = CarriedCoords()
+        nnz = 3 + 2 * comm.rank  # every chunk has its own length
+        rows = np.arange(nnz) + 100 * comm.rank
+        cols = np.arange(nnz)[::-1].copy()
+        seen = []
+        for k in range(rounds):
+            vals = values_at(comm.rank, k)[:nnz]
+            block = np.full((2, 2), float(comm.rank))
+
+            def compute(t, r, c, v, blk):
+                seen.append((k, t, r.tolist(), c.tolist(), v.tolist()))
+
+            lanes = [
+                *alg.chunk_lanes(
+                    comm, rows, cols, vals, accumulating=False,
+                    carried=carried, key="chunk",
+                ),
+                Lane(comm, block, TAG_SHIFT_B),
+            ]
+            out = alg.ring_loop(comm, RING, lanes, compute)
+            assert np.array_equal(out[0], rows)  # home again
+        return seen
+
+    results, _ = run_spmd(RING, body, profiles=profiles)
+    return results, profiles
+
+
+class TestRule:
+    def test_warm_round_sees_what_the_cold_round_saw(self):
+        results, profiles = _rounds(lambda rank, k: np.full(16, 10.0 * rank + k))
+        for seen in results:
+            cold = [s for s in seen if s[0] == 0]
+            warm = [s for s in seen if s[0] == 1]
+            for c, w in zip(cold, warm):
+                assert c[1:4] == w[1:4]  # the same coordinates at each phase
+                assert [v - 1 for v in w[4]] == c[4]  # this round's values
+        chunk = sum(3 + 2 * rank for rank in range(RING))
+        for prof in profiles:
+            ctr = prof.counters[Phase.PROPAGATION]
+            # the B lane (4 words a phase) both rounds; the chunk 3 words
+            # per nonzero cold, 1 warm; one message per lane per phase
+            assert ctr.words_received == 2 * 4 * RING + 4 * chunk
+            assert ctr.messages_received == 2 * 2 * RING
+
+    def test_entry_is_warm_once_complete_for_its_own_home_chunk(self):
+        memo = CarriedCoords()
+        rows, cols = np.arange(3), np.arange(3)
+        trail = memo.start("k", rows, cols, 3)
+        assert memo.held("k", rows, cols, 3) is None
+        trail((np.arange(2), np.arange(2), np.zeros(2)))
+        assert memo.held("k", rows, cols, 3) is None
+        trail((np.arange(4), np.arange(4)))
+        entry = memo.held("k", rows, cols, 3)
+        assert [len(r) for r, _ in entry] == [3, 2, 4]
+        trail((rows.copy(), cols.copy()))  # the return home is not kept
+        assert len(entry) == 3
+        # received arrays are kept as delivered, read-only; the home
+        # chunk's are the home rank's own
+        assert not entry[1][0].flags.writeable and rows.flags.writeable
+        # another structure (new home arrays) is cold again
+        assert memo.held("k", rows.copy(), cols, 3) is None
+        assert memo.held("other", rows, cols, 3) is None
+
+    def test_equal_entries_of_two_travel_orders_share_arrays(self):
+        memo = CarriedCoords()
+        home = np.arange(3), np.arange(3)
+        first = memo.start("sddmm", *home, 3)
+        second = memo.start("spmm_a", *home, 3)
+        a, b = (np.array([5, 6]), np.array([7, 8])), (np.array([1]), np.array([2]))
+        first(a)
+        first(b)
+        second((a[0].copy(), a[1].copy()))  # bitwise equal: shared
+        second((b[0] + 1, b[1]))  # different: kept on its own
+        one = memo.held("sddmm", *home, 3)
+        two = memo.held("spmm_a", *home, 3)
+        assert two[1][0] is one[1][0] and two[1][1] is one[1][1]
+        assert two[2][0] is not one[2][0]
+        assert np.array_equal(two[2][0], [2])
+
+    def test_warm_values_of_the_wrong_length_are_a_comm_error(self):
+        """A value array that does not fit the carried coordinates of its
+        ring position — what a lost or duplicated value message leaves —
+        raises the retryable ``CommError`` where the lanes meet."""
+
+        def values_at(rank, k):
+            # warm, rank 1 ships one value too few
+            n = 16 if not (k == 1 and rank == 1) else 3 + 2 * rank - 1
+            return np.ones(n)
+
+        with pytest.raises(RuntimeError) as err:
+            _rounds(values_at)
+        assert isinstance(err.value.__cause__, CommError)
+        assert "out of step" in str(err.value.__cause__)

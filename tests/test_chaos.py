@@ -244,7 +244,8 @@ class TestGracefulDegradation:
         """An SpMMB round circulates the chunk in its prepared
         column-major travel order; losing one on the wire is an ordinary
         transport fault.  The re-run reads the home rank's cached
-        preparation (nothing about a visiting chunk is kept anywhere), so
+        preparation (what a rank keeps of a visiting chunk — its carried
+        coordinates — goes with the contexts the failure hook drops), so
         it is bitwise — or, when the channel stays dead, a typed timeout."""
         S, A, _ = workload
         with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense",

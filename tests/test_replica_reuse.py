@@ -9,7 +9,9 @@ slot since.  Covered here:
 
 * warm calls on every family x comm x overlap move exactly the cold words
   minus the replication words minus each unchanged side's need-list
-  gather (2.5D sparse-replicate, ``comm="sparse"``), in fewer messages,
+  gather (2.5D sparse-replicate, ``comm="sparse"``) minus the coordinates
+  of every circulating chunk (tests/test_carried_coords.py), in fewer
+  messages,
   bitwise equal to the cold call, with one ``replica_hits`` per rank per
   reused replica or panel in ``Session.metrics()``;
 * ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB gathers
@@ -34,7 +36,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.base import TAG_FIBER_AG, TAG_SHIFT_S
+from repro.algorithms.base import TAG_FIBER_AG, TAG_SHIFT_SV
 from repro.comm_sparse.collectives import TAG_SPARSE_AG
 from repro.runtime.buffers import BufferPool
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -42,6 +44,7 @@ from repro.runtime.profile import RankProfile
 from repro.session import Session
 from repro.sparse.coo import CooMatrix
 from repro.types import Mode, Phase
+from tests.helpers import chunk_round_traffic
 
 P, C = 8, 2
 N, R = 96, 8
@@ -129,6 +132,22 @@ def _comm_plans(sess, S):
     return alg.build_comm_plans(alg.plan(*S.shape, R), S)
 
 
+#: chunk rounds (ring cycles of S) per call of each kernel
+ROUNDS = {
+    "sddmm": 1, "spmm_a": 1, "spmm_b": 1,
+    "fusedmm_a": 2, "fusedmm_b": 2, "fusedmm_b_async": 2,
+}
+
+
+def _coordinate_words(sess, S, kernel):
+    """Rank-summed coordinate words a cold call of ``kernel`` moves — two
+    per nonzero of every chunk a rank receives — and a warm one does not
+    (``CarriedCoords``); zero where S does not circulate."""
+    assert sess.explain().layout == "natural"
+    nnz, _ = chunk_round_traffic(sess.alg, S, R)
+    return 2 * nnz * ROUNDS[kernel]
+
+
 def _panel_words(sess, S, sides):
     """Rank-summed words of the need-list gathers of ``sides`` — what a
     warm call saves on each panel it reuses."""
@@ -153,6 +172,7 @@ class TestWarmCalls:
         S, A, B = problem
         with _plan(S, family, comm, elision, overlap) as sess:
             skipped = _panel_words(sess, S, panels)
+            skipped += _coordinate_words(sess, S, kernel)
             cold_out, cold, cold_repl = _call(sess, kernel, A, B)
             for _ in range(2):
                 warm_out, warm, warm_repl = _call(sess, kernel, A, B)
@@ -407,50 +427,82 @@ def _step(sess, step, A, B):
     return KERNELS[step](sess, A, B)
 
 
+def _random_sequence(problem, family, comm, seed, overlap):
+    """20 seeded steps on one session of ``family`` on a p = 18 grid:
+    every output is bitwise the same call's on a fresh session, and every
+    call ends ``"ok"``.  Returns the session's metrics records."""
+    S, A, B = problem
+    A, B = A.copy(), B.copy()  # mutated in place below
+    rng = np.random.default_rng(seed)
+    vals = S.vals
+    kw = dict(overlap=overlap, p=18, c=2)
+    with _plan(S, family, comm, deadline_ms=5000, **kw) as sess:
+        for _ in range(20):
+            step = SEQUENCE_STEPS[rng.integers(len(SEQUENCE_STEPS))]
+            if step == "mutate":
+                (A, B)[rng.integers(2)][rng.integers(N)] += 1.0
+            elif step == "update_values":
+                vals = rng.standard_normal(S.nnz)
+                sess.update_values(vals)
+            else:
+                got = _step(sess, step, A, B)
+                with _plan(S.with_values(vals), family, comm, **kw) as fresh:
+                    want = _step(fresh, step, A, B)
+                assert np.array_equal(got, want), step
+        records = sess.metrics()
+    assert all(rec["outcome"] == "ok" for rec in records)
+    return records
+
+
 class TestCallSequences:
     @pytest.mark.parametrize(
         "seed,overlap", [(0, "off"), (1, "on"), (2, "off"), (3, "on")]
     )
     def test_random_sequence_matches_fresh_sessions(self, problem, seed, overlap):
-        """Seeded call sequences on 2.5D sparse-replicate, q = 3: every
-        output is bitwise the same call's on a fresh session, and every
-        call ends ``"ok"``.  Within one ring the ranks must agree on hit
-        or miss — a rank that skipped a gather its peer posted would leave
-        the peer waiting — so under ``deadline_ms`` a disagreement shows
-        as an ``SpmdTimeout`` (or a degraded re-run), not a hang."""
-        S, A, B = problem
-        A, B = A.copy(), B.copy()  # mutated in place below
-        rng = np.random.default_rng(seed)
-        family, vals = "2.5d-sparse-replicate", S.vals
-        kw = dict(overlap=overlap, p=18, c=2)
-        with _plan(S, family, "sparse", deadline_ms=5000, **kw) as sess:
-            for _ in range(20):
-                step = SEQUENCE_STEPS[rng.integers(len(SEQUENCE_STEPS))]
-                if step == "mutate":
-                    (A, B)[rng.integers(2)][rng.integers(N)] += 1.0
-                elif step == "update_values":
-                    vals = rng.standard_normal(S.nnz)
-                    sess.update_values(vals)
-                else:
-                    got = _step(sess, step, A, B)
-                    with _plan(S.with_values(vals), family, "sparse", **kw) as fresh:
-                        want = _step(fresh, step, A, B)
-                    assert np.array_equal(got, want), step
-            records = sess.metrics()
-        assert all(rec["outcome"] == "ok" for rec in records)
+        """Seeded call sequences on 2.5D sparse-replicate, q = 3.  Within
+        one ring the ranks must agree on hit or miss — a rank that skipped
+        a gather its peer posted would leave the peer waiting — so under
+        ``deadline_ms`` a disagreement shows as an ``SpmdTimeout`` (or a
+        degraded re-run), not a hang."""
+        records = _random_sequence(
+            problem, "2.5d-sparse-replicate", "sparse", seed, overlap
+        )
         assert sum(rec["replica_hits"] for rec in records) > 0
+
+    @pytest.mark.parametrize("seed,overlap", [(0, "off"), (1, "on")])
+    @pytest.mark.parametrize(
+        "family,comm",
+        [
+            ("1.5d-sparse-shift", "dense"),
+            ("1.5d-sparse-shift", "sparse"),
+            ("2.5d-dense-replicate", "dense"),
+        ],
+        ids=["1.5d-sparse-shift/dense", "1.5d-sparse-shift/sparse",
+             "2.5d-dense-replicate/dense"],
+    )
+    def test_chunk_ring_sequence_matches_fresh_sessions(
+        self, problem, family, comm, seed, overlap
+    ):
+        """The same on the chunk-circulating families (layer ring of 9;
+        q = 3 grid rows): every rank of a ring must agree whether a round
+        is warm — one that shipped whole chunks to a peer expecting values
+        alone would leave it waiting — so a disagreement shows as an
+        ``SpmdTimeout``, not a hang."""
+        _random_sequence(problem, family, comm, seed, overlap)
 
 
 class TestRecovery:
     @pytest.mark.parametrize(
         "family,kernel,fault,failing_call",
         [
-            # each rank ships its chunk n_layer = 4 times per round, two
-            # rounds per call: index 15 is call 2's last shift (its
-            # receiver waits out the deadline; an earlier one would hand
-            # it the next phase's chunk instead)
+            # call 1 ships whole chunks; from call 2 on only their values
+            # travel, on their own channel: each rank sends n_layer = 4
+            # value arrays per round, two rounds per call, so index 7 is
+            # call 2's last value shift (its receiver waits out the
+            # deadline; an earlier one would hand it the next phase's
+            # values, which the carried coordinates' length check catches)
             ("1.5d-sparse-shift", "fusedmm_b",
-             FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=15), 1),
+             FaultSpec("drop", rank=0, tag=TAG_SHIFT_SV, index=7), 1),
             # call 1's fiber gather of A: one fiber stores, the other
             # times out; the retry rebinds A, so every source is new
             ("1.5d-sparse-shift", "fusedmm_b",
