@@ -11,10 +11,8 @@ where that constant was measured:
 
 * **grid**: family x (n, nnz/row, r) x p — one resident session per
   placement, ``fusedmm_a`` timed over ``--ops`` calls (best of
-  ``--repeats`` medians), ``packed / spread`` against the grain.  Each
-  side runs what ``auto`` runs there: packed with the synchronous
-  schedule, spread with the model's overlap answer.  Outputs are checked
-  bitwise equal.
+  ``--repeats`` medians), ``packed / spread`` against the grain.  Outputs
+  are checked bitwise equal.
 * **ALS**: ``getrusage`` per sweep of the ``als_sweep`` shape in both
   placements — voluntary context switches (``ru_nvcsw``), system and user
   seconds — the mechanism behind the ratio.
@@ -80,15 +78,10 @@ QUICK_SHAPES = [(1024, 8, 16), (2048, 8, 32), (2048, 16, 64)]
 
 def placed(S, r, placement, **knobs) -> Session:
     """The session ``auto`` would build if the threshold put it on
-    ``placement``'s side: packed runs synchronously, spread runs the
-    model's overlap answer."""
+    ``placement``'s side."""
     with repro.plan(S, r, **knobs) as planned:  # resolves only: no rank spawned
         resolved = planned.explain()
-    gain = resolved.why["overlap"].get("gain_seconds", 0.0)
-    overlap = "on" if placement == "spread" and gain > 0.0 else "off"
-    return Session(
-        S, dataclasses.replace(resolved, placement=placement, overlap=overlap)
-    )
+    return Session(S, dataclasses.replace(resolved, placement=placement))
 
 
 def host_block() -> str:

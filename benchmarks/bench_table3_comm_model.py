@@ -42,10 +42,7 @@ def test_table3_comm_model(scale):
     def run():
         rows = []
         for name, el, p, c in CASES:
-            # overlap="off": Table III counts the synchronous schedule
-            with repro.plan(
-                S, r, p=p, c=c, algorithm=name, elision=el, overlap="off"
-            ) as sess:
+            with repro.plan(S, r, p=p, c=c, algorithm=name, elision=el) as sess:
                 _, rep = sess.fusedmm_b(A, B)
             meas_w = np.mean(
                 [

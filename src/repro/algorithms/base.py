@@ -38,10 +38,8 @@ from repro.types import Mode, Phase
 TAG_SHIFT_B = 10
 TAG_SHIFT_S = 11
 TAG_SHIFT_A = 12
-#: value half of a split sparse-chunk shift: under the overlap pipeline a
-#: circulating SDDMM accumulator splits into a read-only coordinate part
-#: (pre-posted behind the local kernel on TAG_SHIFT_S) and the
-#: just-accumulated values (sent after the kernel on this channel)
+#: the values of a warm sparse-chunk round: once a ring carried a chunk's
+#: coordinates (CarriedCoords) only its values move, on this channel
 TAG_SHIFT_SV = 13
 TAG_FIBER_AG = 20
 TAG_FIBER_RS = 21
@@ -95,12 +93,9 @@ class Lane:
     ``payload`` is an array or a tuple of arrays (a sparse chunk travels
     cold as its ``(rows, cols, vals)`` triple — the paper's three words
     per nonzero); each phase it moves ``displacement`` positions on
-    channel ``tag``.  ``read_only`` says the local kernel only *reads*
-    the payload, which is what lets :meth:`DistributedAlgorithm.ring_loop`
-    put its transfer in flight behind the kernel.  ``rides_with`` marks
-    the values of a chunk whose coordinates form another lane (a split or
-    a warm chunk): its payload must stay as long as the coordinate lane's
-    (see :meth:`DistributedAlgorithm.chunk_lanes`).
+    channel ``tag``.  ``rides_with`` marks the values of a warm chunk,
+    whose coordinates form another lane: its payload must stay as long
+    as the coordinate lane's (see :meth:`DistributedAlgorithm.chunk_lanes`).
 
     The coordinate lane of a chunk ring carries :class:`CarriedCoords`
     state, set by ``chunk_lanes``: ``trail`` is handed every payload the
@@ -113,7 +108,6 @@ class Lane:
     payload: Any
     tag: int
     displacement: int = -1
-    read_only: bool = True
     rides_with: Optional["Lane"] = None
     trail: Optional[Callable[[Any], None]] = None
     stays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
@@ -201,7 +195,7 @@ def region(comm: Communicator, name: str, cat: str = "algorithm"):
     """Named sub-phase span on the rank's tracer; no-op when tracing is off.
 
     Use inside ``track`` blocks to label *what* a phase was doing (which
-    gather, which pipeline stage) on the exported timeline — counters are
+    gather, which exchange) on the exported timeline — counters are
     untouched, so this never changes a report.  Region entry is also a
     named site (``RankProfile.site``), tracing on or off.
     """
@@ -264,9 +258,9 @@ class DistributedAlgorithm:
       fusion (``rank_fusedmm_lkf``) is a family's own procedure
 
     The propagation *schedule* is not the families' business: they state
-    which operands circulate (:class:`Lane`) and which packed legs an
-    exchange posts, and :meth:`ring_loop` / :meth:`exchange` below — the
-    only readers of :attr:`overlap` — decide where the waits sit.
+    which operands circulate (:class:`Lane`) and :meth:`ring_loop` below
+    runs the one synchronous schedule — every shift is waited where it is
+    posted.
     """
 
     #: registry name, e.g. "1.5d-dense-shift"
@@ -280,13 +274,6 @@ class DistributedAlgorithm:
     def __init__(self, p: int, c: int) -> None:
         self.p = p
         self.c = c
-        # communication/compute overlap: when True ring_loop / exchange
-        # run as a software pipeline (post the next shift / exchange,
-        # compute on the current panel, then wait).  Set by the session
-        # from the resolved overlap knob, and flipped only between SPMD
-        # runs (the degraded re-run), so every rank of a run reads the
-        # same value.
-        self.overlap: bool = False
         # per-rank panel-buffer pools, persistent across kernel calls so
         # steady-state runs (the paper's "5 FusedMM calls") allocate no
         # panels after the first call; see repro.runtime.buffers
@@ -308,8 +295,7 @@ class DistributedAlgorithm:
         """
         pool = self._pools.setdefault(comm.rank, BufferPool())
         pool.follow(comm)
-        # a fresh context build is a work-item boundary: no exchange spans
-        # it, so any surviving lease guard is an abort leftover
+        # a fresh context build is a work-item boundary (replica epoch)
         pool.release_all()
         return pool
 
@@ -472,13 +458,11 @@ class DistributedAlgorithm:
         communicator that the current work item runs under.
         """
         ctx.pool.follow(comm)
-        # dispatch boundary: release lease guards an aborted item's
-        # in-flight exchanges never got to wait (see release_all), and
-        # advance the replica memo's epoch
+        # dispatch boundary: advance the replica memo's epoch
         ctx.pool.release_all()
 
     # ------------------------------------------------------------------
-    # the propagation schedule (the only readers of ``overlap``)
+    # the propagation schedule
     # ------------------------------------------------------------------
 
     def chunk_lanes(
@@ -487,52 +471,29 @@ class DistributedAlgorithm:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        accumulating: bool,
         carried: Optional[CarriedCoords] = None,
         key: Any = None,
     ) -> List[Lane]:
-        """The lane(s) of a sparse chunk circulating around ``ring``.
+        """The lane(s) of a sparse chunk circulating around ``ring``; the
+        kernel sees ``rows, cols, vals`` either way.
 
-        Cold, a chunk normally travels whole, as one ``(rows, cols,
-        vals)`` message per phase.  When the kernel *accumulates* into
-        the values (the SDDMM rounds) the pipelined schedule cannot
-        pre-post them, so the chunk splits: the read-only coordinates —
-        two of the three words per nonzero — fly behind the kernel on
-        :data:`TAG_SHIFT_S` and the just-accumulated values follow it on
-        :data:`TAG_SHIFT_SV`, one extra message per phase for the same
-        words.  Either way the kernel sees ``rows, cols, vals``.
-
-        With ``carried`` (the rank's :class:`CarriedCoords`) the cold
-        round fills the entry ``key``, and a later round of the same
-        ``key`` is *warm*: the coordinate lane stays put, reading each
-        ring position's pair from the entry, and only the values move, on
-        :data:`TAG_SHIFT_SV` — one message and one word per nonzero per
-        phase.  ``ring_loop`` checks every warm value array against the
-        entry's length at its position.
+        Cold, a chunk travels whole, as one ``(rows, cols, vals)`` message
+        per phase on :data:`TAG_SHIFT_S`.  With ``carried`` (the rank's
+        :class:`CarriedCoords`) the cold round fills the entry ``key``,
+        and a later round of the same ``key`` is *warm*: the coordinate
+        lane stays put, reading each ring position's pair from the entry,
+        and only the values move, on :data:`TAG_SHIFT_SV` — one message
+        and one word per nonzero per phase.  ``ring_loop`` checks every
+        warm value array against the entry's length at its position.
         """
         trail = None
         if carried is not None:
             stays = carried.held(key, rows, cols, ring.size)
             if stays is not None:
                 coords = Lane(ring, (rows, cols), TAG_SHIFT_S, stays=stays)
-                values = Lane(
-                    ring, vals, TAG_SHIFT_SV, read_only=not accumulating,
-                    rides_with=coords,
-                )
-                return [coords, values]
+                return [coords, Lane(ring, vals, TAG_SHIFT_SV, rides_with=coords)]
             trail = carried.start(key, rows, cols, ring.size)
-        if accumulating and self.overlap:
-            coords = Lane(ring, (rows, cols), TAG_SHIFT_S, trail=trail)
-            return [
-                coords,
-                Lane(ring, vals, TAG_SHIFT_SV, read_only=False, rides_with=coords),
-            ]
-        return [
-            Lane(
-                ring, (rows, cols, vals), TAG_SHIFT_S, read_only=not accumulating,
-                trail=trail,
-            )
-        ]
+        return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, trail=trail)]
 
     def home_chunk(
         self,
@@ -596,97 +557,38 @@ class DistributedAlgorithm:
         full cycle — back at their home ranks when ``steps`` is the ring
         size.
 
-        Synchronous and pipelined runs move the same payloads in the same
-        kernel order, so outputs are bitwise identical; the only
-        difference is where the wait sits.  Synchronously every lane
-        shifts (blocking) after the kernel.  Pipelined, a ``read_only``
-        lane is posted *before* the kernel and waited after it — the
-        transfer hides behind the compute — while a lane the kernel
-        mutates (a circulating output or accumulator) still shifts after
-        it; those sends go out before the waits on the pre-posted lanes,
-        so a neighbor is never kept waiting on data this rank already
-        holds.  A lane that ``stays`` (warm chunk coordinates) never
-        moves: after each phase its payload is the next ring position's
-        entry.  ``root`` is the communicator whose profile the phases are
-        tracked on.
+        Every lane shifts (blocking) after the kernel, in lane order.  A
+        lane that ``stays`` (warm chunk coordinates) never moves: after
+        each phase its payload is the next ring position's entry.
+        ``root`` is the communicator whose profile the phases are tracked
+        on.
         """
-        pipelined = self.overlap
-        moving = [lane for lane in lanes if lane.stays is None]
         for t in range(steps):
-            pending = [None] * len(moving)
-            if pipelined:
-                with track(root, Phase.PROPAGATION):
-                    for k, lane in enumerate(moving):
-                        if lane.read_only:
-                            pending[k] = lane.ring.ishift(
-                                lane.payload, lane.displacement, lane.tag
-                            )
             with track(root, Phase.COMPUTATION):
                 compute(t, *_operands(lanes))
             with track(root, Phase.PROPAGATION):
-                for lane, pend in zip(moving, pending):
-                    if pend is None:
-                        lane.payload = lane.ring.shift(
-                            lane.payload, lane.displacement, lane.tag
-                        )
-                for lane, pend in zip(moving, pending):
-                    if pend is not None:
-                        lane.payload = pend.wait()
                 for lane in lanes:
                     if lane.stays is not None:
                         lane.payload = lane.stays[(t + 1) % len(lane.stays)]
-                    elif lane.trail is not None:
+                        continue
+                    lane.payload = lane.ring.shift(
+                        lane.payload, lane.displacement, lane.tag
+                    )
+                    if lane.trail is not None:
                         lane.trail(lane.payload)
                 for lane in lanes:
                     head = lane.rides_with
                     if head is not None and len(lane.payload) != len(head.payload[0]):
-                        # the values fell out of step with their coordinates
-                        # (the split half's, or a warm round's carried
-                        # ones): a message was lost or duplicated on one
-                        # channel — a transport fault the session may
-                        # retry, not a user error
+                        # the values fell out of step with a warm round's
+                        # carried coordinates: a message was lost or
+                        # duplicated on one channel — a transport fault
+                        # the session may retry, not a user error
                         raise CommError(
                             f"chunk values out of step on tag {lane.tag}: "
                             f"{len(lane.payload)} values for "
                             f"{len(head.payload[0])} coordinates"
                         )
         return _operands(lanes)
-
-    def allgather_behind(
-        self, comm: Communicator, obj: Any, tag: int
-    ) -> Callable[[], List[Any]]:
-        """All-gather ``obj`` along ``comm`` for a consumer that runs
-        *later*; returns the zero-argument wait yielding the per-rank list.
-
-        Pipelined, the contributions are posted now as a direct exchange
-        (:meth:`~repro.runtime.comm.Communicator.iallgather` — same
-        received words and message count as the ring) and land behind
-        whatever runs before the wait; synchronously the blocking ring
-        all-gather runs here and the wait is free.
-        """
-        if self.overlap:
-            return comm.iallgather(obj, tag=tag).wait
-        parts = comm.allgather(obj, tag=tag)
-        return lambda: parts
-
-    def exchange(self, posts: Sequence[Callable], own: Callable[[], None]) -> list:
-        """Run packed need-list exchanges around the own-rows copy.
-
-        Each of ``posts`` is one of the packed collectives of
-        :mod:`repro.comm_sparse.collectives` with everything but
-        ``eager`` bound; ``own()`` copies the locally-owned rows.  All
-        legs are posted, then the own copy runs, then every exchange is
-        waited (placing / accumulating in plan order) — several posts fly
-        concurrently.  Synchronously the legs are *received eagerly* at
-        post time with plain blocking receives, so nothing is accounted as
-        hidden and message and word counts are those of the blocking
-        collectives; pipelined, the receives complete behind ``own()``.
-        Returns the filled targets in post order.
-        """
-        eager = not self.overlap
-        pending = [post(eager=eager) for post in posts]
-        own()
-        return [p.wait() for p in pending]
 
     # ------------------------------------------------------------------
     # FusedMM as a sequence of unified kernel calls (families that support

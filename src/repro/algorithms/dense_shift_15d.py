@@ -310,7 +310,7 @@ class DenseShift15D(DistributedAlgorithm):
 
         (B_end,) = self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, B_start, TAG_SHIFT_B, read_only=(mode != Mode.SPMM_B))],
+            [Lane(ctx.layer, B_start, TAG_SHIFT_B)],
             compute,
         )
 

@@ -67,24 +67,21 @@ the CSR caches prebuilt driver-side) so the local kernels run as plain
 compact panels with zero per-call index translation.  There are two panel
 slots, one per dense side (``gather-a`` / ``gather-b``): an SpMM's packed
 output panel has exactly the shape of its own side's gather panel, which
-no SpMM reads, and leases that slot — a rank never holds more than two
+no SpMM reads, and takes that slot — a rank never holds more than two
 strip panels, fused or not, and a panel held across calls lives in its
 slot, so it adds none.
 
 The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
 (A pieces on the grid row, B pieces on the grid column; an SpMM's output
 lane is the accumulator the kernel mutates) handed to the shared
-``ring_loop``; the packed neighborhood gathers / reductions go through
-the shared ``exchange`` and the value all-gather of an SDDMM round
-through ``allgather_behind``.  Those three own the schedule — nothing
-here knows whether a run is pipelined.
+``ring_loop``; the packed neighborhood gathers / reductions are the
+blocking collectives of :mod:`repro.comm_sparse.collectives`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,8 +96,8 @@ from repro.algorithms.base import (
     track,
 )
 from repro.comm_sparse.collectives import (
-    isparse_allgatherv_packed,
-    isparse_reduce_scatterv_packed,
+    sparse_allgatherv_packed,
+    sparse_reduce_scatterv_packed,
 )
 from repro.comm_sparse.planner import (
     SparsePlan25D,
@@ -326,31 +323,13 @@ class SparseReplicate25D(DistributedAlgorithm):
 
     def _gather_values(self, ctx: Ctx25DSparse, local: Local25DSparse) -> np.ndarray:
         """All-gather the value chunks along the fiber (1 word/nnz), or
-        hand back an earlier dispatch's (see :meth:`_values_behind`)."""
+        hand back an earlier dispatch's while the resident value chunk is
+        the block it gathered (see ``BufferPool.replica``)."""
         source = local.S_vals_chunk
         return ctx.pool.replica(
             "values", source,
             lambda: np.concatenate(ctx.fiber.allgather(source, tag=TAG_FIBER_AG)),
         )
-
-    def _values_behind(
-        self, ctx: Ctx25DSparse, local: Local25DSparse
-    ) -> Callable[[], np.ndarray]:
-        """The S-value all-gather for a consumer that runs later (see
-        ``allgather_behind``); returns the zero-argument wait yielding the
-        full-length values.  While the resident value chunk is the block an
-        earlier dispatch gathered, its replica is handed back and nothing
-        is posted (see ``BufferPool.replica``)."""
-        source = local.S_vals_chunk
-        held = ctx.pool.held_replica("values", source)
-        if held is not None:
-            return lambda: held
-        wait = self.allgather_behind(ctx.fiber, source, TAG_FIBER_AG)
-
-        def finish() -> np.ndarray:
-            return ctx.pool.keep_replica("values", source, np.concatenate(wait()))
-
-        return finish
 
     def _reduce_scatter_values(
         self, ctx: Ctx25DSparse, local: Local25DSparse, full: np.ndarray
@@ -381,16 +360,14 @@ class SparseReplicate25D(DistributedAlgorithm):
         row-complete by that peer's leg (the need list is identical for
         every chunk of the strip; the plan marks those legs
         ``recv_whole``, so they land by slice), so the pool hands back
-        uninitialized leased panels — no block-tall buffer, no zero fill.
-        Both exchanges of an ``"ab"`` gather are posted before either is
-        waited, so pipelined they are in flight concurrently.
+        uninitialized panels — no block-tall buffer, no zero fill.
 
         Each side's panel is its source block's ring replica (see
         ``BufferPool.replica``): while ``local.A`` / ``local.B`` is the
-        block an earlier dispatch gathered and nothing has leased the
+        block an earlier dispatch gathered and nothing has acquired the
         side's slot since, the stored read-only panel comes back and that
         side posts no exchange and copies no own rows.  Every rank of a
-        grid row (column) rebinds A (B) with the others and leases the
+        grid row (column) rebinds A (B) with the others and acquires the
         same slots in the same calls, so a ring decides hit or miss as one.
         """
         w0, w1 = sp.my_window
@@ -402,29 +379,14 @@ class SparseReplicate25D(DistributedAlgorithm):
         missing = "".join(s for s in sides if panels[s] is None)
         if missing:
             with region(ctx.comm, f"gather-{missing.upper()}-packed"):
-                posts, copies = [], []
                 for side in missing:
                     gather, index, block = legs[side]
                     ring, _ = self._piece_ring(ctx, side)
-                    panel = ctx.pool.lease(
-                        f"gather-{side}", (index.size, sp.strip_width)
-                    )
-                    posts.append(
-                        partial(
-                            isparse_allgatherv_packed, ring, gather, index, block,
-                            panel, pool=ctx.pool,
-                        )
-                    )
-                    copies.append((panel, block, index))
-
-                def own():
-                    for panel, block, index in copies:
-                        panel[:, w0:w1] = block.take(index.union, axis=0)
-
-                filled = self.exchange(posts, own)
-            for side, panel in zip(missing, filled):
-                label, source = f"gather-{side}", legs[side][2]
-                panels[side] = ctx.pool.keep_replica(label, source, panel)
+                    label = f"gather-{side}"
+                    panel = ctx.pool.empty(label, (index.size, sp.strip_width))
+                    panel[:, w0:w1] = block.take(index.union, axis=0)
+                    sparse_allgatherv_packed(ring, gather, index, block, panel)
+                    panels[side] = ctx.pool.keep_replica(label, block, panel)
         return [panels[side] for side in sides]
 
     # -- unified kernel ----------------------------------------------------
@@ -487,7 +449,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             # the packed partial-output panel back to the chunk owners.
             # Every row of the packed output panel is a touched row, so
             # the reduction ships it densely — the packing *is* the need
-            # list.  The output panel leases the output side's (idle)
+            # list.  The output panel takes the output side's (idle)
             # gather slot: two strip panels per rank, never three.
             sp = sparse_plan
             w0, w1 = sp.my_window
@@ -500,24 +462,15 @@ class SparseReplicate25D(DistributedAlgorithm):
             if in_p is None:
                 with track(ctx.comm, Phase.PROPAGATION):
                     (in_p,) = self._gather_packed(ctx, local, sp, inp)
-            out_p = ctx.pool.lease_zeros(
-                f"gather-{out}", (index.size, sp.strip_width)
-            )
+            out_p = ctx.pool.zeros(f"gather-{out}", (index.size, sp.strip_width))
             with track(ctx.comm, Phase.COMPUTATION):
                 kernel(sp.block_packed, in_p, out_p, values=values_full, profile=prof)
             with track(ctx.comm, Phase.PROPAGATION), region(
                 ctx.comm, f"reduce-{out.upper()}-packed"
             ):
                 result = np.zeros_like(out_home)
-
-                def own():
-                    result[index.union] = out_p[:, w0:w1]
-
-                post = partial(
-                    isparse_reduce_scatterv_packed, out_ring, reduce, index,
-                    out_p, result,
-                )
-                self.exchange([post], own)
+                result[index.union] = out_p[:, w0:w1]
+                sparse_reduce_scatterv_packed(out_ring, reduce, index, out_p, result)
         else:
             # Cannon propagation: the input pieces circulate read-only, the
             # output circulates as the accumulator the kernel mutates
@@ -534,7 +487,7 @@ class SparseReplicate25D(DistributedAlgorithm):
                     ),
                     Lane(
                         out_ring, ctx.pool.zeros("piece-out", out_home.shape),
-                        out_tag, displacement=1, read_only=False,
+                        out_tag, displacement=1,
                     ),
                 ],
                 compute,
@@ -557,15 +510,11 @@ class SparseReplicate25D(DistributedAlgorithm):
         already multiplied by the gathered S values (the caller reduces
         them along the fiber), and the packed panels the need-list path
         gathered, by side (empty on the Cannon path) — valid until the
-        pool slots are leased again, i.e. for the rest of this call.
+        pool slots are acquired again, i.e. for the rest of this call.
         """
         prof = ctx.comm.profile
-        # the gathered values are consumed only by the final multiply, so
-        # the fiber all-gather may complete *behind* the local SDDMM
-        # kernel — the whole value replication hides behind the dominant
-        # compute of this round
         with track(ctx.comm, Phase.REPLICATION):
-            wait_vals = self._values_behind(ctx, local)
+            s_vals = self._gather_values(ctx, local)
 
         acc = np.zeros(len(local.S_rows))
         panels: Dict[str, np.ndarray] = {}
@@ -608,8 +557,6 @@ class SparseReplicate25D(DistributedAlgorithm):
                 compute,
             )
 
-        with track(ctx.comm, Phase.REPLICATION):
-            s_vals = wait_vals()
         with track(ctx.comm, Phase.COMPUTATION):
             partial_vals = acc * s_vals
             prof.add_flops(len(acc))

@@ -56,8 +56,8 @@ nothing and the rank profiles record true peak buffer footprints.
 
 Propagation is the S chunk's :class:`~repro.algorithms.base.Lane` s on the
 layer ring (``chunk_lanes``) handed to the shared ``ring_loop``; the
-packed fiber collectives go through the shared ``exchange``.  Both own
-the schedule — nothing here knows whether a run is pipelined.
+packed fiber collectives are the blocking ones of
+:mod:`repro.comm_sparse.collectives`.
 
 The chunk leaves home *kernel-ready* on both communication paths
 (``home_chunk``, cached per resident structure with the rank's local
@@ -86,8 +86,8 @@ from repro.algorithms.base import (
     track,
 )
 from repro.comm_sparse.collectives import (
-    isparse_allgatherv_packed,
-    isparse_reduce_scatterv_packed,
+    sparse_allgatherv_packed,
+    sparse_reduce_scatterv_packed,
 )
 from repro.comm_sparse.planner import (
     SparsePlan15D,
@@ -307,22 +307,14 @@ class SparseShift15D(DistributedAlgorithm):
         in with one fancy-indexed assignment and every remaining packed
         row is covered by exactly one peer leg of the packed plan, so the
         pool hands back an uninitialized panel and no zero-fill or
-        full-height scatter bandwidth is ever paid.  The panel comes from
-        the pool's double-buffer lease; the own-rows copy runs between the
-        exchange's post and its wait (see ``exchange``).
+        full-height scatter bandwidth is ever paid.
         """
         with region(ctx.comm, "gather-strip-packed"):
-            P = ctx.pool.lease("packed", (sparse_plan.index.size, local.A.shape[1]))
-
-            def own():
-                P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
-
-            post = partial(
-                isparse_allgatherv_packed, ctx.fiber, sparse_plan.gather_packed,
-                sparse_plan.index, local.A, P, pool=ctx.pool,
+            P = ctx.pool.empty("packed", (sparse_plan.index.size, local.A.shape[1]))
+            P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
+            return sparse_allgatherv_packed(
+                ctx.fiber, sparse_plan.gather_packed, sparse_plan.index, local.A, P
             )
-            self.exchange([post], own)
-            return P
 
     def replicate(
         self, ctx: Ctx15DSparse, plan: Plan15DSparse, local: Local15DSparse,
@@ -395,8 +387,8 @@ class SparseShift15D(DistributedAlgorithm):
             with track(ctx.comm, Phase.REPLICATION):
                 if packed:
                     # SpMMA partial-output accumulator, packed to the layer's
-                    # row union (leased: same slot as the gather panel)
-                    T = ctx.pool.lease_zeros("packed", (sparse_plan.index.size, sw))
+                    # row union (the same slot as the gather panel)
+                    T = ctx.pool.zeros("packed", (sparse_plan.index.size, sw))
                 else:
                     T = ctx.pool.zeros("panel", (plan.m, sw))
 
@@ -437,8 +429,8 @@ class SparseShift15D(DistributedAlgorithm):
         _, _, dots = self.ring_loop(
             ctx.comm, plan.n_layer,
             self.chunk_lanes(
-                ctx.layer, rows0, cols0, vals0, accumulating=(mode == Mode.SDDMM),
-                carried=ctx.carried, key=(space, mode),
+                ctx.layer, rows0, cols0, vals0, carried=ctx.carried,
+                key=(space, mode),
             ),
             compute,
         )
@@ -455,15 +447,11 @@ class SparseShift15D(DistributedAlgorithm):
                     # stays zero), then pull in each fiber peer's
                     # contributions straight out of their packed panels
                     base = np.zeros_like(local.A)
-
-                    def own():
-                        base[sparse_plan.own_local] = T[sparse_plan.own_packed]
-
-                    post = partial(
-                        isparse_reduce_scatterv_packed, ctx.fiber,
-                        sparse_plan.reduce_packed, sparse_plan.index, T, base,
+                    base[sparse_plan.own_local] = T[sparse_plan.own_packed]
+                    local.A = sparse_reduce_scatterv_packed(
+                        ctx.fiber, sparse_plan.reduce_packed, sparse_plan.index,
+                        T, base,
                     )
-                    (local.A,) = self.exchange([post], own)
                 else:
                     pieces = [T[plan.rows_a_of_fiber[w]] for w in range(self.c)]
                     local.A = ctx.fiber.reduce_scatter(pieces, tag=TAG_FIBER_RS)

@@ -93,7 +93,7 @@ def sddmm(
 
     Returns the sampled output (same pattern as S) and the run report
     accumulated over ``calls`` invocations.  ``knobs`` are forwarded to
-    :func:`repro.plan` (``p``, ``c``, ``comm``, ``overlap``, ``trace``,
+    :func:`repro.plan` (``p``, ``c``, ``comm``, ``trace``,
     ``deadline_ms``, ``retries``, ``backend``, ``kernels``, ...).  With
     ``trace="on"`` the report's profiles carry span tracers — feed the
     report to :func:`repro.export_chrome_trace` /

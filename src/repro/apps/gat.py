@@ -347,9 +347,7 @@ class DistributedGAT:
                     if blk is not None:
                         spmm_b_block(blk, T_H, out_cur, values=scores[j], profile=prof)
 
-                out_lane = Lane(
-                    ctx.layer, np.zeros_like(H_blk), TAG_SHIFT_B, read_only=False
-                )
+                out_lane = Lane(ctx.layer, np.zeros_like(H_blk), TAG_SHIFT_B)
                 (out_acc,) = alg.ring_loop(ctx.comm, nl, [out_lane], agg_compute)
                 with prof.track(Phase.OTHER):
                     outs.append(elu(out_acc) if apply_elu else out_acc)

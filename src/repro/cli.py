@@ -19,9 +19,9 @@ Commands
 ``mpi-smoke``
     The ``mpirun`` entry point for the MPI execution backend: under
     ``mpirun -n p python -m repro.cli mpi-smoke`` every process runs each
-    algorithm family (each supported comm mode, plus an overlap-on case)
-    twice — once on the in-process thread backend as the reference, once
-    on ``backend="mpi"`` — and asserts the outputs are **bitwise**
+    algorithm family (every elision, each supported comm mode) twice —
+    once on the in-process thread backend as the reference, once on
+    ``backend="mpi"`` — and asserts the outputs are **bitwise**
     identical.  Self-contained by design (the reference is deterministic,
     so every process computes it locally); this is what the CI mpi lane
     runs.
@@ -113,7 +113,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(f"(*) {caveat}")
     print(
         f"\npredicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
-        f"comm={plan.comm_mode.value}  overlap={plan.overlap}\n"
+        f"comm={plan.comm_mode.value}\n"
         + _placement_line(plan)
         + "\n"
         + _layout_line(plan)
@@ -139,8 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     with repro.plan(
         S, args.r, p=args.p, c=args.c, algorithm=args.algorithm,
-        elision=args.elision, comm=args.comm, overlap=args.overlap,
-        trace=trace, deadline_ms=args.deadline_ms, retries=args.retries,
+        elision=args.elision, comm=args.comm, trace=trace,
+        deadline_ms=args.deadline_ms, retries=args.retries,
         backend=args.backend, kernels=args.kernels,
     ) as sess:
         plan_seconds = time.perf_counter() - t0
@@ -152,21 +152,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             call_seconds.append(time.perf_counter() - t1)
 
         print(report.summary())
-        modeled = report.with_model(repro.CORI_KNL)
-        # both bounds, side by side with the measured overlap split: the
-        # optimistic perfect-overlap model no longer silently replaces the
-        # synchronous total
         print(
             f"\nmodeled time on cori-knl for {args.calls} call(s): "
-            f"{modeled.synchronous_seconds*1e3:.3f} ms synchronous, "
-            f"{modeled.overlap_bound_seconds*1e3:.3f} ms optimistic-overlap "
-            f"bound ({modeled.modeled_hideable_seconds*1e3:.3f} ms hideable)"
-        )
-        print(
-            f"measured overlap: mode={sess.overlap_mode} "
-            f"hidden={modeled.measured_hidden_seconds*1e3:.3f} ms "
-            f"exposed={modeled.measured_exposed_seconds*1e3:.3f} ms "
-            f"efficiency={modeled.overlap_efficiency:.1%} of the bound"
+            f"{report.modeled_total_seconds(repro.CORI_KNL)*1e3:.3f} ms"
         )
         print(_placement_line(sess.explain()))
         print(_layout_line(sess.explain()))
@@ -212,12 +200,12 @@ def _cmd_mpi_smoke(args: argparse.Namespace) -> int:
     A = rng.standard_normal((n, r))
     B = rng.standard_normal((n, r))
 
-    def run_case(name, elision, comm, overlap, backend):
+    def run_case(name, elision, comm, backend):
         # two calls per session: the second exercises the resident
         # distribution, skip-rebind tracking and repeated pool dispatch
         with repro.plan(
             S, r, p=p, algorithm=name, elision=elision, comm=comm,
-            overlap=overlap, backend=backend,
+            backend=backend,
         ) as sess:
             for _ in range(max(args.calls, 1)):
                 out, _ = sess.fusedmm_a(A, B)
@@ -235,25 +223,23 @@ def _cmd_mpi_smoke(args: argparse.Namespace) -> int:
         comm_modes = ["dense"]
         if supports_sparse_comm(name):
             comm_modes.append("sparse")
-        # every elision: between them the family's rounds cover read-only,
+        # every elision: between them the family's rounds cover input,
         # accumulating and output-circulating lanes (and, with
-        # comm="sparse", eager and deferred packed exchanges)
+        # comm="sparse", the packed gathers and reductions)
         for elision in supported_elisions(name):
             for comm in comm_modes:
-                for overlap in ("off", "on"):
-                    ref = run_case(name, elision, comm, overlap, "threads")
-                    out = run_case(name, elision, comm, overlap, "mpi")
-                    ok = np.array_equal(ref, out)
-                    checked += 1
-                    if not ok:
-                        failures.append((name, elision.value, comm, overlap))
-                    if root:
-                        verdict = "OK " if ok else "FAIL"
-                        print(
-                            f"{verdict} {name:<24} elision={elision.value:<20} "
-                            f"comm={comm:<6} overlap={overlap:<3} "
-                            f"thread-vs-mpi bitwise"
-                        )
+                ref = run_case(name, elision, comm, "threads")
+                out = run_case(name, elision, comm, "mpi")
+                ok = np.array_equal(ref, out)
+                checked += 1
+                if not ok:
+                    failures.append((name, elision.value, comm))
+                if root:
+                    verdict = "OK " if ok else "FAIL"
+                    print(
+                        f"{verdict} {name:<24} elision={elision.value:<20} "
+                        f"comm={comm:<6} thread-vs-mpi bitwise"
+                    )
     if failures:
         if root:
             print(f"\n{len(failures)}/{checked} case(s) diverged: {failures}")
@@ -301,12 +287,6 @@ def main(argv=None) -> int:
         help="communication layer: dense ring collectives, need-list "
         "sparse collectives, or model-driven choice",
     )
-    p_run.add_argument(
-        "--overlap", default="auto", choices=["off", "on", "auto"],
-        help="communication/compute software pipeline in the rank kernels: "
-        "post shifts/exchanges behind the local kernels (bitwise-identical "
-        "outputs); auto consults the cost model's overlapped-time term",
-    )
     p_run.add_argument("--calls", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
@@ -317,8 +297,8 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--retries", type=int, default=0,
         help="re-execute a call that died of a runtime fault up to N times "
-        "(never re-plans); aggressive knobs degrade to the conservative "
-        "path before surfacing the error",
+        "(never re-plans); a comm=sparse run degrades to the dense "
+        "collectives before surfacing the error",
     )
     p_run.add_argument(
         "--backend", default="threads", choices=["threads", "mpi"],
@@ -336,7 +316,7 @@ def main(argv=None) -> int:
         "--trace-out", default=None, metavar="PATH",
         help="enable span tracing (trace='on') and write a Chrome "
         "trace-event JSON loadable in Perfetto; also prints the derived "
-        "per-rank occupancy / overlap-window analysis",
+        "per-rank occupancy analysis",
     )
     p_run.set_defaults(func=_cmd_run)
 

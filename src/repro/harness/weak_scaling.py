@@ -14,9 +14,7 @@ factor (optionally capped, as the paper caps c at 8) — :func:`run_variant`
 plans one :func:`repro.session.plan` session per ``c`` and runs ``calls``
 fused calls on it; the reported time is the alpha-beta model on the
 *measured* traffic plus the gamma model on the measured FLOPs, at the best
-replication factor.  Sessions are planned with ``overlap="off"``: the
-paper's counts are those of the synchronous schedule (the pipelined one
-splits a circulating SDDMM chunk into two messages per phase).
+replication factor.
 """
 
 from __future__ import annotations
@@ -111,9 +109,7 @@ def run_variant(
     per_c: Dict[int, float] = {}
     best = None
     for c in feasible:
-        with plan(
-            S, r, p=p, c=c, algorithm=algorithm, elision=elision, overlap="off"
-        ) as sess:
+        with plan(S, r, p=p, c=c, algorithm=algorithm, elision=elision) as sess:
             for _ in range(max(calls, 1)):
                 _, rep = sess.fusedmm_b(A, B)
         t = rep.modeled_total_seconds(machine, measured_compute=use_measured_compute)

@@ -17,7 +17,6 @@ candidates and model terms behind every ``auto`` on record.
 from repro.model.calibrate import choose_kernel_backend
 from repro.model.costs import (
     CostBreakdown,
-    compute_seconds,
     expected_unique,
     fusedmm_cost,
     fusedmm_cost_paper,
@@ -37,7 +36,6 @@ from repro.model.optimal import (
 
 __all__ = [
     "choose_kernel_backend",
-    "compute_seconds",
     "CostBreakdown",
     "expected_unique",
     "fusedmm_cost",

@@ -10,7 +10,7 @@ host, so ``kernels="auto"``:
 
 * picks the backend with the lowest measured seconds-per-FLOP, and
 * hands that measured rate to the model as ``compute_gamma``, so
-  ``choose_comm_mode`` / ``overlap_gain_seconds`` cost the compute term
+  ``choose_comm_mode`` costs the compute term
   at the rate the chosen kernels really run, not the assumed one.
 
 The ``kernels=`` knob itself — name validation, the thread-only guard,

@@ -279,102 +279,6 @@ def fusedmm_cost_sparse(
     )
 
 
-# ----------------------------------------------------------------------
-# communication/compute overlap (the software-pipelined phase loops)
-# ----------------------------------------------------------------------
-
-
-def compute_seconds(flops: float, machine, compute_gamma: float = None) -> float:
-    """Seconds of local compute under the model's compute term.
-
-    ``compute_gamma`` (seconds per FLOP) overrides the machine's assumed
-    ``gamma`` when a *measured* rate is available — the per-host kernel
-    calibration of :mod:`repro.model.calibrate` feeds it through here so
-    ``kernels="auto"`` sessions cost compute at the rate the chosen
-    backend actually sustains on this host, not at the paper machine's
-    assumed flop rate.
-    """
-    if compute_gamma is not None:
-        return compute_gamma * flops
-    return machine.time(0.0, 0.0, flops)
-
-
-def _overlap_terms(
-    key: str, n: int, r: int, p: int, c: int, phi: float, machine,
-    sparse_comm: bool, compute_gamma: float = None,
-):
-    """(cost row, propagation seconds, compute seconds) for the pipeline."""
-    cost = (
-        fusedmm_cost_sparse(key, n, r, p, c, phi)
-        if sparse_comm
-        else fusedmm_cost(key, n, r, p, c, phi)
-    )
-    t_prop = machine.time(cost.propagation_words, cost.propagation_messages)
-    t_comp = compute_seconds(fusedmm_flops(phi * n * r, r, p), machine, compute_gamma)
-    return cost, t_prop, t_comp
-
-
-def overlap_gain_seconds(
-    key: str,
-    n: int,
-    r: int,
-    p: int,
-    c: int,
-    phi: float,
-    machine,
-    sparse_comm: bool = False,
-    efficiency: float = 1.0,
-    compute_gamma: float = None,
-) -> float:
-    """Modeled seconds the overlap pipeline can hide on one FusedMM call.
-
-    The pipeline posts each propagation shift / packed exchange behind the
-    local kernel, so at best ``min(propagation, computation)`` of the
-    per-call time disappears (replication collectives stay synchronous).
-    ``efficiency`` discounts the bound for imperfect capture; 1.0 is the
-    optimistic perfect-overlap limit that
-    ``RunReport.modeled_total_seconds(overlap=True)`` has always assumed.
-    ``compute_gamma`` substitutes a *measured* seconds-per-FLOP for the
-    compute side of the ``min`` (see :func:`compute_seconds`): a faster
-    compiled backend shrinks the computation window and therefore how
-    much propagation can hide behind it.
-    """
-    _, t_prop, t_comp = _overlap_terms(
-        key, n, r, p, c, phi, machine, sparse_comm, compute_gamma
-    )
-    return efficiency * min(t_prop, t_comp)
-
-
-def fusedmm_time_overlap(
-    key: str,
-    n: int,
-    r: int,
-    p: int,
-    c: int,
-    phi: float,
-    machine,
-    sparse_comm: bool = False,
-    efficiency: float = 1.0,
-    compute_gamma: float = None,
-) -> float:
-    """Modeled FusedMM time under the overlap pipeline.
-
-    This is the *overlapped-time term* of the model: the synchronous
-    Table III total minus :func:`overlap_gain_seconds`.  At
-    ``efficiency=1.0`` it equals the optimistic
-    ``replication + max(propagation, computation)`` bound; a measured
-    ``RunReport.overlap_efficiency`` can be substituted to model what the
-    executed pipeline actually achieves instead of the pure bound, and a
-    measured ``compute_gamma`` (per-host kernel calibration) replaces the
-    assumed flop rate in both the synchronous total and the hidden term.
-    """
-    cost, t_prop, t_comp = _overlap_terms(
-        key, n, r, p, c, phi, machine, sparse_comm, compute_gamma
-    )
-    sync = cost.time(machine) + t_comp
-    return sync - efficiency * min(t_prop, t_comp)
-
-
 def kernel_cost(
     algorithm: str, mode: str, n: int, r: int, p: int, c: int, phi: float
 ) -> CostBreakdown:

@@ -155,8 +155,8 @@ def joint_candidates(
       buffers for strip-wide packed panels: at high need-list coverage
       the footprint can outgrow the traffic saving.
     * with ``compute_gamma``, the per-call local-compute time at a
-      *measured* seconds-per-FLOP (the kernel calibration, see
-      :func:`~repro.model.costs.compute_seconds`).  It is the same for
+      *measured* seconds-per-FLOP (the kernel calibration of
+      :mod:`repro.model.calibrate`).  It is the same for
       every candidate, but the margin below is multiplicative, so a
       realistic compute floor shrinks the *relative* gap: the faster the
       measured kernels, the more communication dominates the decision.

@@ -9,7 +9,6 @@ the candidates that were compared and the model terms that drove the
 pick.  The decisions feed each other in one order:
 
     layout -> kernels -> compute_gamma -> (algorithm, c, comm) -> placement
-    -> overlap
 
 ``layout`` says whether the session distributes the operand as given
 (``"natural"``) or under the paper's fixed random row / column
@@ -20,7 +19,8 @@ the arg-min of :func:`repro.model.optimal.joint_candidates`' table.
 ``placement`` says whether the thread pool keeps the session's rank
 threads on one core (``"packed"``) or leaves them to the scheduler
 (``"spread"``), from the FLOPs of one local kernel call
-(:data:`PACK_GRAIN_FLOPS`).
+(:data:`PACK_GRAIN_FLOPS`).  ``overlap`` is validated and recorded in
+``why``, and decides nothing: there is one synchronous schedule.
 
 ``kernels="auto"`` yields the one host-measured quantity (the calibrated
 seconds-per-FLOP); every other term prices the ``machine=`` argument.
@@ -49,7 +49,7 @@ from repro.kernels.registry import (
     validate_kernel_backend_name,
 )
 from repro.model.calibrate import calibrate, choose_kernel_backend
-from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
+from repro.model.costs import PAPER_COST_ROWS, row_key
 from repro.model.optimal import (
     SPARSE_MARGIN,
     cheapest_candidate,
@@ -101,13 +101,13 @@ class ResolvedPlan:
     calibrated seconds-per-FLOP when the choice came from ``"auto"``
     (``None`` for explicit choices: the model then keeps the machine's
     assumed gamma).  ``why`` maps each decision (``"layout"``,
-    ``"kernels"``, ``"algorithm"``, ``"c"``, ``"comm"``, ``"placement"``,
-    ``"overlap"``) to what was requested, what was compared and the model
-    terms behind the pick.  ``layout`` is decided from structural
-    statistics alone, ``placement`` from shape statistics alone;
-    ``core`` is the one field :func:`resolve` never sets — the session
-    fills in the core its pool actually pinned its ranks to (``None``:
-    nothing was pinned).
+    ``"kernels"``, ``"algorithm"``, ``"c"``, ``"comm"``, ``"placement"``)
+    to what was requested, what was compared and the model terms behind
+    the pick; ``why["overlap"]`` records the (ignored) request.
+    ``layout`` is decided from structural statistics alone,
+    ``placement`` from shape statistics alone; ``core`` is the one field
+    :func:`resolve` never sets — the session fills in the core its pool
+    actually pinned its ranks to (``None``: nothing was pinned).
     """
 
     m: int
@@ -120,7 +120,6 @@ class ResolvedPlan:
     elision: Elision
     comm_mode: CommMode
     placement: str
-    overlap: str
     kernels: str
     compute_gamma: Optional[float]
     backend: str
@@ -204,8 +203,8 @@ def resolve(
     # -- layout: the random permutation balances a skewed operand's blocks,
     # and is taken where it also narrows the rows / columns a block touches
     # (the union proxy the need lists grow with).  It reads no knob, so a
-    # given operand is distributed the same way under every family, comm,
-    # overlap and placement.
+    # given operand is distributed the same way under every family, comm
+    # and placement.
     stats = {key: (structure or {}).get(key) for key in _STRUCTURE}
     layout = "natural"
     if structure is None:
@@ -336,41 +335,18 @@ def resolve(
         placement, reason = "packed", "fine grain: GIL hand-over outweighs a core"
     else:
         placement, reason = "spread", "coarse grain: kernels run in parallel"
-    host_cores = _host_cores()
     why["placement"] = {
         "grain_flops": grain,
         "phases": phases,
         "threshold_flops": PACK_GRAIN_FLOPS,
-        "host_cores": host_cores,
+        "host_cores": _host_cores(),
         "reason": reason,
     }
 
-    # -- overlap: on exactly when the overlapped-time term predicts a
-    # positive saving and the ranks have a second core to hide it on.  Like
-    # every model knob it prices the target machine, not this host —
-    # ``why`` records p next to the host's cores so an oversubscribed
-    # simulation is visible.
+    # -- overlap: accepted for compatibility, decides nothing
     if overlap not in _OVERLAP:
         raise ReproError(f"overlap must be one of {_OVERLAP}, got {overlap!r}")
-    why["overlap"] = {"requested": overlap}
-    if overlap == "auto":
-        if p <= 1 or nnz == 0:
-            why["overlap"]["reason"] = "nothing to hide (one rank or empty operand)"
-            overlap = "off"
-        else:
-            sparse = comm == CommMode.SPARSE
-            gain = overlap_gain_seconds(
-                key, n, r, p, c, phi, machine, sparse_comm=sparse, compute_gamma=gamma
-            )
-            why["overlap"].update(gain_seconds=gain, p=p, host_cores=host_cores)
-            overlap = "on" if gain > 0.0 else "off"
-            if placement == "packed":
-                # the modelled gain assumes the transfer progresses while
-                # the kernel runs; ranks that share a core take turns
-                why["overlap"]["reason"] = (
-                    "packed placement: one core, nothing runs behind a kernel"
-                )
-                overlap = "off"
+    why["overlap"] = {"requested": overlap, "reason": "one synchronous schedule"}
 
     # -- tracing and the robustness knobs (all off by default)
     if trace not in _TRACE:
@@ -408,7 +384,6 @@ def resolve(
         elision=elision,
         comm_mode=comm,
         placement=placement,
-        overlap=overlap,
         kernels=kern,
         compute_gamma=gamma,
         backend=backend,

@@ -20,13 +20,12 @@ MPI's non-overtaking guarantee for point-to-point messages on a single
   drain and demultiplex into per-key local queues.
 
 The contract both must honor (see ``ARCHITECTURE.md`` for the full
-normative text): per-key FIFO delivery, arrival timestamps on every
-collected message (feeding the overlap pipeline's hidden-communication
-accounting), payload isolation (a delivered object never aliases the
-sender's buffers), abort propagation (:class:`~repro.errors.SpmdAbort`
-out of blocked calls once :meth:`Transport.abort` ran) and deadline
-enforcement (:class:`~repro.errors.SpmdTimeout` carrying a blocked-state
-dump when a collect outlives :attr:`Transport.deadline`).
+normative text): per-key FIFO delivery, payload isolation (a delivered
+object never aliases the sender's buffers), abort propagation
+(:class:`~repro.errors.SpmdAbort` out of blocked calls once
+:meth:`Transport.abort` ran) and deadline enforcement
+(:class:`~repro.errors.SpmdTimeout` carrying a blocked-state dump when a
+collect outlives :attr:`Transport.deadline`).
 
 Backend names are resolved here too (:func:`validate_backend_name`,
 :func:`ensure_backend_available`, :func:`resolve_backend`, all bound to
@@ -137,14 +136,10 @@ class Transport(ABC):
         """
 
     @abstractmethod
-    def collect(self, rank: int, key: MsgKey) -> Tuple[Any, float]:
-        """Blocking receive for world rank ``rank``.
+    def collect(self, rank: int, key: MsgKey) -> Any:
+        """Blocking receive for world rank ``rank``: returns the payload.
 
-        Returns ``(payload, arrival_timestamp)`` where the timestamp is
-        the local ``time.perf_counter`` at which the message became
-        available (not when the caller asked) — the overlap pipeline
-        subtracts it from the wait window to measure hidden transfer
-        time.  Messages with equal ``key`` arrive in send order
+        Messages with equal ``key`` arrive in send order
         (non-overtaking).  Raises :class:`~repro.errors.SpmdAbort` on
         abort and :class:`~repro.errors.SpmdTimeout` (with a
         :meth:`describe_blocked` dump attached) past ``deadline``.
@@ -213,21 +208,15 @@ def format_blocked_dump(dump) -> str:
 
 
 class Mailbox:
-    """Inbox of a single rank: per-(comm, src, tag) FIFO queues.
-
-    Entries carry their arrival timestamp (``time.perf_counter``), so a
-    receiver that deferred its wait behind local computation can tell how
-    much of the transfer completed while it was busy — the measured
-    *hidden* communication time of the overlap pipeline.
-    """
+    """Inbox of a single rank: per-(comm, src, tag) FIFO queues."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._queues: Dict[MsgKey, Deque[Tuple[Any, float]]] = defaultdict(deque)
+        self._queues: Dict[MsgKey, Deque[Any]] = defaultdict(deque)
 
     def put(self, key: MsgKey, payload: Any) -> None:
         with self._cond:
-            self._queues[key].append((payload, time.perf_counter()))
+            self._queues[key].append(payload)
             self._cond.notify_all()
 
     def get(
@@ -236,10 +225,11 @@ class Mailbox:
         abort: threading.Event,
         timeout: float = 0.05,
         deadline: Optional[float] = None,
-    ) -> Tuple[Any, float]:
-        """Block until a message with ``key`` is available (or abort).
+    ) -> Any:
+        """Block until a message with ``key`` is available (or abort) and
+        return its payload.
 
-        Returns ``(payload, arrival_timestamp)``.  With a ``deadline``
+        With a ``deadline
         (``time.perf_counter`` horizon), an empty wait past it raises
         :class:`~repro.errors.SpmdTimeout` — the watchdog that turns a
         mismatched collective into a typed error within one poll period
@@ -305,8 +295,8 @@ class World(Transport):
             raise SpmdAbort("SPMD world aborted while sending a message")
         self.mailboxes[dest].put(key, payload)
 
-    def collect(self, rank: int, key: MsgKey) -> Tuple[Any, float]:
-        """Blocking receive; returns ``(payload, arrival_timestamp)``.
+    def collect(self, rank: int, key: MsgKey) -> Any:
+        """Blocking receive; returns the payload.
 
         Registers the caller in the blocked-state registry for the wait's
         duration; on deadline expiry the raised

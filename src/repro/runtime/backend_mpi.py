@@ -20,10 +20,6 @@ MPI tag, and ``collect`` drains arrivals (``iprobe`` on
 non-overtaking per (source, communicator, tag) and all traffic rides one
 tag on one communicator, per-key FIFO order is preserved end to end —
 the same matching semantics as the thread :class:`~repro.runtime.backend.World`.
-Arrival timestamps are taken when a message is drained into its local
-queue, so the overlap pipeline's hidden-communication accounting is a
-(documented) lower bound: a transfer that completed inside MPI before
-the drain is credited from the drain, not from wire arrival.
 
 Deliberately thread-only for now (``repro.plan`` rejects them with
 typed errors): fault injection, ``retries``/graceful degradation and
@@ -120,7 +116,7 @@ class MpiTransport(Transport):
         self.blocked: Dict[int, Tuple[MsgKey, float]] = {}
         self.active_profiles: Dict[int, Any] = {}
         self.abort_event = _ThreadLikeEvent()
-        self._inbox: Dict[MsgKey, Deque[Tuple[Any, float]]] = defaultdict(deque)
+        self._inbox: Dict[MsgKey, Deque[Any]] = defaultdict(deque)
         self._sends: List[Any] = []
 
     # -- internals ------------------------------------------------------
@@ -143,7 +139,7 @@ class MpiTransport(Transport):
             key, payload = self._comm.recv(
                 source=status.Get_source(), tag=self.MPI_TAG
             )
-            self._inbox[key].append((payload, time.perf_counter()))
+            self._inbox[key].append(payload)
             status = MPI.Status()
 
     # -- Transport contract ---------------------------------------------
@@ -155,14 +151,14 @@ class MpiTransport(Transport):
             # self-delivery short-circuit: the communicator layer already
             # isolated the payload, so local enqueue preserves the
             # no-aliasing guarantee without a pickle round trip
-            self._inbox[key].append((payload, time.perf_counter()))
+            self._inbox[key].append(payload)
         else:
             self._sends.append(
                 self._comm.isend((key, payload), dest=dest, tag=self.MPI_TAG)
             )
         self._progress()
 
-    def collect(self, rank: int, key: MsgKey) -> Tuple[Any, float]:
+    def collect(self, rank: int, key: MsgKey) -> Any:
         self.blocked[rank] = (key, time.perf_counter())
         try:
             pause = 0.0

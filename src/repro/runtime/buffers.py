@@ -31,19 +31,12 @@ acquisition of the same slot invalidates the memo it would overwrite.
 
 from __future__ import annotations
 
-import time
 import weakref
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.runtime.profile import RankProfile
-
-
-class BufferLeaseError(ReproError):
-    """A pool buffer was acquired while still leased to an in-flight
-    exchange (the double-buffer no-aliasing invariant was violated)."""
 
 
 class BufferPool:
@@ -60,8 +53,6 @@ class BufferPool:
         self._slots: Dict[str, np.ndarray] = {}
         self._profile = profile
         self._source = None  # live profile provider (e.g. a Communicator)
-        self._in_flight: Set[int] = set()  # ids of guarded (leased) buffers
-        self._guard_ts: Dict[int, float] = {}  # guard timestamps (traced runs)
         # label -> (weakref to the source block, read-only panel, epoch)
         self._replicas: Dict[str, Tuple[weakref.ref, np.ndarray, int]] = {}
         self._epoch = 0  # dispatches seen (advanced by release_all)
@@ -94,14 +85,9 @@ class BufferPool:
         if profile is not None and profile.site is not None:
             profile.site("buffer", label)  # a named site, before any allocation
         buf = self._slots.get(label)
-        if buf is not None and id(buf) in self._in_flight:
-            raise BufferLeaseError(
-                f"buffer slot {label!r} is leased to an in-flight exchange; "
-                f"wait the exchange (or lease the sibling slot) before reuse"
-            )
-        # the slot (or a lease sibling of it) is about to be overwritten:
-        # a replica it holds is no longer what was gathered
-        self._replicas.pop(label.partition("@")[0], None)
+        # the slot is about to be overwritten: a replica it holds is no
+        # longer what was gathered
+        self._replicas.pop(label, None)
         if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
             buf = np.empty(shape, dtype=dtype)
             self._slots[label] = buf
@@ -142,15 +128,14 @@ class BufferPool:
 
         A stored panel is handed back, without running ``gather`` (and so
         without its collective), when its source is the very same object
-        as ``source`` and no acquisition of ``label`` (or of a lease
-        sibling ``label@k``) has happened since.  Resident inputs are
-        replaced, never written in place, so the same object means the
-        same values.  Within one dispatch nothing hits — reuse inside a
-        call is the elision strategy's job.  ``label`` is the pool slot
-        ``gather`` fills, or a label nothing acquires for an unpooled
-        panel.  The decision is collective-consistent: every rank of a
-        fiber rebinds its sources together and advances its epoch once
-        per dispatch.
+        as ``source`` and no acquisition of ``label`` has happened since.
+        Resident inputs are replaced, never written in place, so the same
+        object means the same values.  Within one dispatch nothing hits —
+        reuse inside a call is the elision strategy's job.  ``label`` is
+        the pool slot ``gather`` fills, or a label nothing acquires for an
+        unpooled panel.  The decision is collective-consistent: every rank
+        of a fiber rebinds its sources together and advances its epoch
+        once per dispatch.
         """
         panel = self.held_replica(label, source)
         if panel is None:
@@ -189,79 +174,10 @@ class BufferPool:
         left some ranks of a fiber with a replica and others without)."""
         self._replicas.clear()
 
-    # -- double-buffer leases (overlap pipeline) --------------------------
-
-    def lease(
-        self, label: str, shape: Tuple[int, ...], dtype=np.float64
-    ) -> np.ndarray:
-        """Acquire a panel from a *pair* of rotating slots under ``label``.
-
-        The overlap pipeline posts an exchange into one panel while the
-        local kernel computes on another; a lease hands back whichever of
-        the two sibling slots (``label@0`` / ``label@1``) is not currently
-        :meth:`guard`-ed, so the in-flight panel and the compute panel can
-        never alias.  When nothing is in flight the first slot is reused
-        every time (steady-state footprint identical to a plain
-        :meth:`empty` acquisition); leasing while *both* siblings are in
-        flight raises :class:`BufferLeaseError`.  The buffer is returned
-        uninitialized.
-        """
-        last_err: Optional[BufferLeaseError] = None
-        for k in (0, 1):
-            try:
-                return self._acquire(f"{label}@{k}", shape, dtype)
-            except BufferLeaseError as err:
-                last_err = err
-        raise BufferLeaseError(
-            f"both double-buffer slots of {label!r} are leased to in-flight "
-            f"exchanges; wait one before leasing again"
-        ) from last_err
-
-    def lease_zeros(
-        self, label: str, shape: Tuple[int, ...], dtype=np.float64
-    ) -> np.ndarray:
-        """:meth:`lease`, zero-filled (accumulator panels)."""
-        buf = self.lease(label, shape, dtype)
-        buf.fill(0.0)
-        return buf
-
-    def guard(self, buf: np.ndarray) -> np.ndarray:
-        """Mark ``buf`` as the target of an in-flight exchange.
-
-        Until :meth:`release`, any pool acquisition that would hand the
-        same storage back raises :class:`BufferLeaseError`.  Returns the
-        buffer for fluent use.
-        """
-        self._in_flight.add(id(buf))
-        profile = self.profile
-        if profile is not None and profile.tracer is not None:
-            self._guard_ts[id(buf)] = time.perf_counter()
-        return buf
-
-    def release(self, buf: np.ndarray) -> None:
-        """Clear the in-flight mark set by :meth:`guard` (idempotent)."""
-        self._in_flight.discard(id(buf))
-        t0 = self._guard_ts.pop(id(buf), None)
-        if t0 is not None:
-            profile = self.profile
-            if profile is not None and profile.tracer is not None:
-                profile.tracer.async_span(
-                    "panel-lease", "buffer", t0, time.perf_counter()
-                )
-
     def release_all(self) -> None:
-        """Drop every in-flight mark.
-
-        Called at work-item boundaries (context build / refresh): no
-        exchange ever spans two SPMD dispatches, so any surviving guard
-        belongs to an exchange an abort unwound mid-wait — without this,
-        one aborted dual-gather would pin its panel slots forever and
-        eventually wedge the recovered session in
-        :class:`BufferLeaseError`.  It also advances the dispatch epoch
-        the replica memo's "earlier dispatch" rule reads.
-        """
-        self._in_flight.clear()
-        self._guard_ts.clear()
+        """Mark a work-item boundary (context build / refresh): advances
+        the dispatch epoch the replica memo's "earlier dispatch" rule
+        reads."""
         self._epoch += 1
 
     @property
@@ -271,8 +187,6 @@ class BufferPool:
 
     def clear(self) -> None:
         self._slots.clear()
-        self._in_flight.clear()
-        self._guard_ts.clear()
         self._replicas.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

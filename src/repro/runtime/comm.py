@@ -13,7 +13,7 @@ identical: the collective algorithms, and hence reduction orders, are
 the same code either way.
 
 Implements the primitives the paper's algorithms use — point-to-point
-send/recv (``MPI_Isend``/``MPI_Irecv`` in the paper's implementation),
+send/recv (buffered sends, blocking receives),
 ``allgather`` and ``reduce_scatter`` collectives, and communicator
 ``split`` for the layer/fiber subgrids — with *ring* collective algorithms
 so that the measured per-rank traffic matches the textbook collective costs
@@ -81,109 +81,6 @@ def _isolate(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {k: _isolate(v) for k, v in obj.items()}
     return obj
-
-
-class PendingRecv:
-    """Waitable handle for a posted nonblocking receive.
-
-    Produced by :meth:`Communicator.irecv` / :meth:`Communicator.ishift` /
-    :meth:`Communicator.isendrecv`.  :meth:`wait` blocks until the message
-    is available, performs the usual word/message accounting, and
-    additionally attributes to the active phase the *hidden* transfer time
-    — the part of the ``[post, arrival]`` interval that elapsed before the
-    caller started waiting, i.e. communication that completed behind
-    whatever the rank computed in between.  Handles must be waited by the
-    posting rank (they are not thread safe) and exactly once.
-    """
-
-    __slots__ = ("_comm", "_source", "_tag", "_tracked", "_post_ts", "_done")
-
-    def __init__(
-        self, comm: "Communicator", source: int, tag: int, tracked: bool = True
-    ) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._tracked = tracked
-        self._post_ts = time.perf_counter()
-        self._done = False
-
-    def wait(self) -> Any:
-        """Block until the message arrives and return its payload.
-
-        The wait funnels through :meth:`Transport.collect`, so an active
-        ``deadline_ms`` watchdog covers posted-but-never-satisfied
-        receives exactly like blocking ones: the wait registers in the
-        blocked-state registry and raises
-        :class:`~repro.errors.SpmdTimeout` past the horizon.
-        """
-        if self._done:
-            raise CommError("nonblocking receive waited more than once")
-        self._done = True
-        comm = self._comm
-        wait_start = time.perf_counter()
-        payload, arrival = comm.world.collect(
-            comm.group[comm.rank], (comm.comm_id, self._source, self._tag)
-        )
-        if self._tracked:
-            profile = comm.profile
-            profile.on_recv(payload_words(payload))
-            profile.on_hidden(min(arrival, wait_start) - self._post_ts)
-            tracer = profile.tracer
-            if tracer is not None:
-                end = time.perf_counter()
-                tracer.span(f"wait<-r{self._source}", "comm", wait_start, end)
-                # the window the transfer was actually in flight on this
-                # rank's timeline: post until arrival (or until now for a
-                # message that was still pending when the wait began)
-                tracer.async_span(
-                    f"recv<-r{self._source}",
-                    "comm",
-                    self._post_ts,
-                    max(self._post_ts, min(arrival, end)),
-                )
-        return payload
-
-
-class _ReadyRecv:
-    """A completed handle (self-shift on a single-rank communicator)."""
-
-    __slots__ = ("_payload", "_done")
-
-    def __init__(self, payload: Any) -> None:
-        self._payload = payload
-        self._done = False
-
-    def wait(self) -> Any:
-        if self._done:
-            raise CommError("nonblocking receive waited more than once")
-        self._done = True
-        return self._payload
-
-
-class PendingAllgather:
-    """Waitable handle for a posted nonblocking all-gather.
-
-    Wraps one :class:`PendingRecv` per peer; :meth:`wait` drains them and
-    returns the per-rank contributions indexed by rank, exactly like the
-    blocking :meth:`Communicator.allgather`.
-    """
-
-    __slots__ = ("_out", "_legs", "_done")
-
-    def __init__(self, out: List[Any], legs: List[Tuple[int, PendingRecv]]) -> None:
-        self._out = out
-        self._legs = legs
-        self._done = False
-
-    def wait(self) -> List[Any]:
-        if self._done:
-            raise CommError("nonblocking all-gather waited more than once")
-        self._done = True
-        for src, pending in self._legs:
-            self._out[src] = pending.wait()
-        self._legs = []
-        return self._out
 
 
 class Communicator:
@@ -277,9 +174,8 @@ class Communicator:
         profile = self.profile if tracked else None
         tracer = profile.tracer if profile is not None else None
         t0 = time.perf_counter() if tracer is not None else 0.0
-        payload, _ = self.world.collect(
-            self.group[self.rank], (self.comm_id, source, tag)
-        )
+        key = (self.comm_id, source, tag)
+        payload = self.world.collect(self.group[self.rank], key)
         if profile is not None:
             profile.on_recv(payload_words(payload))
             if tracer is not None:
@@ -305,43 +201,6 @@ class Communicator:
         return self.sendrecv(dest, payload, src, tag)
 
     # ------------------------------------------------------------------
-    # nonblocking point to point (the overlap pipeline's primitives)
-    # ------------------------------------------------------------------
-
-    def irecv(self, source: int, tag: int = 0, tracked: bool = True) -> PendingRecv:
-        """Post a nonblocking receive; ``.wait()`` blocks and accounts.
-
-        The interval between this call and the wait is where the overlap
-        pipeline runs the local kernel; transfer time that elapses inside
-        it is attributed to the active phase as *hidden* communication.
-        """
-        if not 0 <= source < self.size:
-            raise CommError(f"source {source} out of range for size {self.size}")
-        return PendingRecv(self, source, tag, tracked)
-
-    def isendrecv(self, dest: int, payload: Any, source: int, tag: int = 0):
-        """Nonblocking exchange: post the (buffered) send and the receive,
-        return the receive's waitable handle."""
-        self.send(dest, payload, tag)
-        return self.irecv(source, tag)
-
-    def ishift(self, payload: Any, displacement: int = 1, tag: int = 0):
-        """Nonblocking cyclic shift: the software-pipelined counterpart of
-        :meth:`shift`.
-
-        The send is posted immediately (deep-copying the payload, so the
-        caller may keep *reading* it — the pipelined loops circulate
-        read-only operands); ``.wait()`` yields the incoming payload.
-        Waiting immediately is exactly :meth:`shift`; computing between
-        post and wait hides the transfer behind the local kernel.
-        """
-        if self.size == 1:
-            return _ReadyRecv(_isolate(payload))
-        dest = (self.rank + displacement) % self.size
-        src = (self.rank - displacement) % self.size
-        return self.isendrecv(dest, payload, src, tag)
-
-    # ------------------------------------------------------------------
     # collectives (ring algorithms)
     # ------------------------------------------------------------------
 
@@ -358,33 +217,6 @@ class Communicator:
             cur = self.recv((self.rank - 1) % P, tag, tracked)
             out[(self.rank - step - 1) % P] = cur
         return out
-
-    def iallgather(self, obj: Any, tag: int = 101) -> PendingAllgather:
-        """Nonblocking all-gather: post now, collect at ``.wait()``.
-
-        Uses a *direct* (personalized) exchange — every rank posts its
-        contribution straight to each peer — instead of the blocking
-        ring, because a ring's step ``k`` depends on step ``k-1`` and
-        cannot be deferred behind computation.  Per-rank *received* words
-        are identical to the ring's (each rank receives every other
-        contribution exactly once) and the message count is the same
-        ``P - 1``, so the received-side accounting — what
-        :class:`~repro.runtime.profile.RunReport` and the cost model
-        charge — is unchanged; *sent* words can differ when contributions
-        are unequal (a rank ships its own block ``P - 1`` times instead
-        of forwarding its neighbors' blocks).  The result list is indexed
-        by rank, bitwise identical to :meth:`allgather`'s.
-        """
-        P = self.size
-        out: List[Any] = [None] * P
-        out[self.rank] = _isolate(obj)
-        legs: List[Tuple[int, PendingRecv]] = []
-        for off in range(1, P):
-            self.send((self.rank + off) % P, obj, tag)
-        for off in range(1, P):
-            src = (self.rank - off) % P
-            legs.append((src, self.irecv(src, tag)))
-        return PendingAllgather(out, legs)
 
     def reduce_scatter(
         self,

@@ -143,7 +143,7 @@ class RankFaults(Transport):
                 payload = _isolate(payload)
         self._transport.deliver(dest, key, payload)
 
-    def collect(self, rank: int, key: MsgKey) -> Tuple[Any, float]:
+    def collect(self, rank: int, key: MsgKey) -> Any:
         return self._transport.collect(rank, key)
 
     def abort(self) -> None:

@@ -9,7 +9,7 @@ and word counts to whichever phase is active on the calling rank.
 
 Two complementary views hang off the same tracked regions: **counters**
 (this module) accumulate per-phase totals — seconds, words, messages,
-FLOPs, the hidden/exposed overlap split — while **spans** (an optional
+FLOPs — while **spans** (an optional
 :class:`~repro.runtime.trace.Tracer` attached to the profile when the
 ``trace="on"`` knob is set) record each region's begin/end timestamps for
 timeline export and occupancy analysis.  Counters are always on and feed
@@ -40,12 +40,7 @@ class PhaseCounters:
     """Accumulated cost of a single phase on a single rank.
 
     ``seconds`` is wall time spent *inside* the phase's tracked blocks —
-    for communication phases under the overlap pipeline that is the
-    **exposed** time (blocking waits).  ``hidden_seconds`` is transfer
-    time that completed while the rank was computing (a nonblocking
-    exchange was in flight behind a local kernel); it is accounted by the
-    waitable handles in :mod:`repro.runtime.comm` and never overlaps with
-    ``seconds``.
+    for communication phases that is the time blocked on the transfer.
     """
 
     seconds: float = 0.0
@@ -54,7 +49,6 @@ class PhaseCounters:
     messages_sent: int = 0
     messages_received: int = 0
     flops: int = 0
-    hidden_seconds: float = 0.0
 
     def merge(self, other: "PhaseCounters") -> None:
         self.seconds += other.seconds
@@ -63,7 +57,6 @@ class PhaseCounters:
         self.messages_sent += other.messages_sent
         self.messages_received += other.messages_received
         self.flops += other.flops
-        self.hidden_seconds += other.hidden_seconds
 
 
 class RankProfile:
@@ -128,11 +121,6 @@ class RankProfile:
 
     def add_flops(self, flops: int) -> None:
         self.counters[self.phase].flops += flops
-
-    def on_hidden(self, seconds: float) -> None:
-        """Record transfer time hidden behind computation (overlap)."""
-        if seconds > 0.0:
-            self.counters[self.phase].hidden_seconds += seconds
 
     def note_buffer_bytes(self, resident_bytes: int) -> None:
         """Record the current resident panel-buffer footprint; keeps the max."""
@@ -253,62 +241,18 @@ class RunReport:
     def compute_seconds(self) -> float:
         return self.phase_seconds(Phase.COMPUTATION)
 
-    # -- exposed/hidden communication split (overlap pipeline) ------------
-
     _COMM_PHASES = (Phase.REPLICATION, Phase.PROPAGATION, Phase.OTHER)
 
     @property
     def exposed_comm_seconds(self) -> float:
-        """Max per-rank wall time spent *blocked* on communication.
-
-        Under ``overlap="off"`` this is the whole communication time; under
-        the overlap pipeline it is what the pipeline failed to hide.
-        """
+        """Max per-rank wall time spent *blocked* on communication (every
+        transfer is waited where it is posted, so this is all of it)."""
         if not self.per_rank:
             return 0.0
         return max(
             sum(p.counters[ph].seconds for ph in self._COMM_PHASES)
             for p in self.per_rank
         )
-
-    @property
-    def hidden_comm_seconds(self) -> float:
-        """Max per-rank transfer time that completed behind local compute."""
-        if not self.per_rank:
-            return 0.0
-        return max(
-            sum(p.counters[ph].hidden_seconds for ph in self._COMM_PHASES)
-            for p in self.per_rank
-        )
-
-    @property
-    def overlap_efficiency(self) -> float:
-        """Fraction of the perfectly-hideable communication actually hidden.
-
-        The optimistic overlap model bounds the saving by
-        ``min(comm, compute)`` (communication cannot hide more than the
-        computation running beside it); this property measures how much of
-        that bound the executed pipeline captured:
-        ``hidden / min(exposed + hidden, compute)``, clipped to [0, 1].
-        Zero for synchronous runs (nothing was hidden).
-
-        This is a *per-rank concurrency* measure — the fraction of each
-        exchange's post-to-completion lifetime that ran behind the rank's
-        own kernels — matching the per-rank convention of every other
-        report metric.  Turning hidden per-rank time into end-to-end
-        speedup additionally requires hardware parallelism: a simulator
-        host time-slicing all ranks on one core can capture the full
-        bound here while total wall time, pinned by serialized compute,
-        does not improve.
-        """
-        hidden = self.hidden_comm_seconds
-        if hidden <= 0.0:
-            return 0.0
-        comm = self.exposed_comm_seconds + hidden
-        bound = min(comm, self.compute_seconds)
-        if bound <= 0.0:
-            return 0.0
-        return min(1.0, hidden / bound)
 
     @property
     def flops(self) -> int:
@@ -344,54 +288,18 @@ class RunReport:
         """gamma time of the FLOPs measured in this run."""
         return max(p.total().flops for p in self.per_rank) * machine.gamma
 
-    def modeled_total_seconds(
-        self, machine, measured_compute: bool = False, overlap: bool = False
-    ) -> float:
+    def modeled_total_seconds(self, machine, measured_compute: bool = False) -> float:
         """Total modeled runtime: communication (alpha-beta) + computation.
 
         With ``measured_compute=True``, wall-clock local-kernel time from
         this process is used instead of ``gamma * flops``.
-
-        ``overlap=True`` models the paper's future-work optimization of
-        overlapping the *propagation* phase with local computation (e.g.
-        via one-sided MPI / RDMA): the propagation and computation terms
-        contribute ``max`` instead of sum, while replication collectives
-        remain synchronous.  This is an optimistic bound — perfect overlap
-        with no interference.
         """
         compute = (
             self.compute_seconds
             if measured_compute
             else self.modeled_compute_seconds(machine)
         )
-        if not overlap:
-            return self.modeled_comm_seconds(machine) + compute
-        repl = self.modeled_comm_seconds(machine, Phase.REPLICATION)
-        other = self.modeled_comm_seconds(machine, Phase.OTHER)
-        prop = self.modeled_comm_seconds(machine, Phase.PROPAGATION)
-        return repl + other + max(prop, compute)
-
-    def with_model(self, machine, measured_compute: bool = False) -> "ModeledTimes":
-        """Model view of this run: synchronous total, optimistic overlap
-        bound, *and* the measured exposed/hidden communication split.
-
-        Historically ``modeled_total_seconds(overlap=True)`` silently
-        *replaced* the synchronous total with the optimistic perfect-overlap
-        bound; this view reports both, next to what the executed pipeline
-        actually achieved, so "modeled if we overlapped" and "measured how
-        much we overlapped" can no longer be conflated.
-        """
-        return ModeledTimes(
-            synchronous_seconds=self.modeled_total_seconds(
-                machine, measured_compute=measured_compute
-            ),
-            overlap_bound_seconds=self.modeled_total_seconds(
-                machine, measured_compute=measured_compute, overlap=True
-            ),
-            measured_exposed_seconds=self.exposed_comm_seconds,
-            measured_hidden_seconds=self.hidden_comm_seconds,
-            overlap_efficiency=self.overlap_efficiency,
-        )
+        return self.modeled_comm_seconds(machine) + compute
 
     # -- structured export -------------------------------------------------
 
@@ -414,7 +322,6 @@ class RunReport:
                     "words": self.phase_words(ph),
                     "messages": self.phase_messages(ph),
                     "flops": self.phase_flops(ph),
-                    "hidden_seconds": self.max_over_ranks(ph, "hidden_seconds"),
                 }
                 for ph in Phase
             },
@@ -422,8 +329,6 @@ class RunReport:
             "comm_messages": self.comm_messages,
             "compute_seconds": self.compute_seconds,
             "exposed_comm_seconds": self.exposed_comm_seconds,
-            "hidden_comm_seconds": self.hidden_comm_seconds,
-            "overlap_efficiency": self.overlap_efficiency,
             "peak_buffer_bytes": self.peak_buffer_bytes,
             "flops": self.flops,
         }
@@ -440,7 +345,6 @@ class RunReport:
                             "messages_sent": p.counters[ph].messages_sent,
                             "messages_received": p.counters[ph].messages_received,
                             "flops": p.counters[ph].flops,
-                            "hidden_seconds": p.counters[ph].hidden_seconds,
                         }
                         for ph in Phase
                     },
@@ -467,34 +371,6 @@ class RunReport:
             lines.append(f"  comm mode    {self.comm_mode}")
         if self.kernel_backend:
             lines.append(f"  kernels      {self.kernel_backend}")
-        if self.hidden_comm_seconds > 0.0:
-            lines.append(
-                f"  overlap      hidden={self.hidden_comm_seconds:.4f}s"
-                f" exposed={self.exposed_comm_seconds:.4f}s"
-                f" efficiency={self.overlap_efficiency:.1%}"
-            )
         if self.peak_buffer_bytes:
             lines.append(f"  peak buffers {self.peak_buffer_bytes} bytes/rank")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ModeledTimes:
-    """Modeled totals of a run next to its measured overlap split.
-
-    ``synchronous_seconds`` is the plain alpha-beta + gamma total;
-    ``overlap_bound_seconds`` is the optimistic perfect-overlap bound
-    (propagation and computation contribute ``max`` instead of sum);
-    the ``measured_*`` fields are what the executed pipeline achieved.
-    """
-
-    synchronous_seconds: float
-    overlap_bound_seconds: float
-    measured_exposed_seconds: float
-    measured_hidden_seconds: float
-    overlap_efficiency: float
-
-    @property
-    def modeled_hideable_seconds(self) -> float:
-        """What perfect overlap would save on the modeled machine."""
-        return self.synchronous_seconds - self.overlap_bound_seconds

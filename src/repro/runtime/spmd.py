@@ -55,21 +55,17 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import CommError, FaultInjected, ReproError, SpmdAbort, SpmdTimeout
 from repro.runtime.backend import World, format_blocked_dump, validate_backend_name
-from repro.runtime.buffers import BufferLeaseError
 from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
 
 #: root-cause classes that justify re-running a work item: runtime-shaped
-#: failures (expired deadlines, transport errors, leases wedged by an
-#: abort, injected faults, sibling-abort unwinds).  Deterministic user
-#: errors (a ValueError out of an edge_op, a shape mismatch) are NOT
-#: here — re-running them would fail identically, so they surface
-#: unchanged on the first attempt.
-_RETRYABLE_ERRORS = (
-    SpmdTimeout, CommError, BufferLeaseError, FaultInjected, SpmdAbort
-)
+#: failures (expired deadlines, transport errors, injected faults,
+#: sibling-abort unwinds).  Deterministic user errors (a ValueError out of
+#: an edge_op, a shape mismatch) are NOT here — re-running them would fail
+#: identically, so they surface unchanged on the first attempt.
+_RETRYABLE_ERRORS = (SpmdTimeout, CommError, FaultInjected, SpmdAbort)
 
 
 def retryable(exc: BaseException) -> bool:

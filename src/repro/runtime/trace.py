@@ -1,9 +1,8 @@
 """Per-rank span tracing: Chrome trace-event export and timeline analysis.
 
 The counters in :mod:`repro.runtime.profile` answer *how much* time and
-traffic each paper phase cost; they cannot answer *when* — whether a
-nonblocking exchange was actually in flight while the local kernel ran, or
-whether a rank sat idle in the pool queue.  This module adds the missing
+traffic each paper phase cost; they cannot answer *when* — which receive a
+rank waited on, or whether it sat idle in the pool queue.  This module adds the missing
 time axis:
 
 * :class:`Tracer` — a per-rank ring buffer of timestamped events.  Each
@@ -13,13 +12,10 @@ time axis:
   ``is not None`` check, so the untraced hot path stays untaxed.
 * :func:`export_chrome_trace` — serializes tracers to Chrome trace-event
   JSON (one "thread" per rank) loadable in Perfetto / ``chrome://tracing``.
-* :class:`TimelineStats` — derived occupancy analysis: per-rank
-  idle/compute/exposed-communication split and the **overlap-window
-  occupancy** (the fraction of kernel time with a transfer actually in
-  flight), the number that explains an overlap pipeline's end-to-end
-  speedup — or the lack of it.
+* :class:`TimelineStats` — derived occupancy analysis: the per-rank
+  idle / compute / exposed-communication split.
 
-Event model: three kinds of tuple events, ``(kind, name, cat, t0, t1)``
+Event model: two kinds of tuple events, ``(kind, name, cat, t0, t1)``
 with ``perf_counter`` timestamps.
 
 ``"span"``
@@ -28,10 +24,6 @@ with ``perf_counter`` timestamps.
     *end*, so within one tracer they appear in end-time order and properly
     nested spans can be reconstructed by a tail scan (see
     :meth:`RankTimeline.from_events`).
-``"async"``
-    A post→complete window of an in-flight nonblocking exchange.  These
-    overlap the rank's spans by design — that overlap is the thing being
-    measured — and are exported as Chrome *async* events.
 ``"inst"``
     A zero-duration marker (sends, buffer acquisitions); ``t1`` is unused.
 """
@@ -93,10 +85,6 @@ class Tracer:
     def span(self, name: str, cat: str, t0: float, t1: float) -> None:
         """Record a closed interval on this rank's timeline."""
         self._append(("span", name, cat, t0, t1))
-
-    def async_span(self, name: str, cat: str, t0: float, t1: float) -> None:
-        """Record an in-flight window (post→complete of an exchange)."""
-        self._append(("async", name, cat, t0, t1))
 
     def instant(self, name: str, cat: str, ts: Optional[float] = None) -> None:
         """Record a zero-duration marker."""
@@ -166,9 +154,7 @@ def export_chrome_trace(
 
     Layout: every rank becomes a thread (``pid`` 0, ``tid`` = rank) with a
     ``thread_name`` metadata record.  Spans become complete events
-    (``ph: "X"``), in-flight exchange windows become async begin/end pairs
-    (``ph: "b"``/``"e"``) so Perfetto draws them on separate async tracks
-    overlapping the rank's own spans, and markers become instant events.
+    (``ph: "X"``) and markers become instant events.
     Timestamps are microseconds relative to the earliest recorded event.
     """
     tracers = _coerce_tracers(source)
@@ -187,7 +173,6 @@ def export_chrome_trace(
         return round((ts - t_zero) * 1e6, 3)
 
     events: List[Dict[str, Any]] = []
-    next_async_id = 1
     for tr in tracers:
         tid = tr.rank
         events.append(
@@ -212,12 +197,6 @@ def export_chrome_trace(
                         "dur": round(max(0.0, t1 - t0) * 1e6, 3),
                     }
                 )
-            elif kind == "async":
-                aid = f"0x{next_async_id:x}"
-                next_async_id += 1
-                base = {"cat": cat, "pid": 0, "tid": tid, "id": aid}
-                events.append({"ph": "b", "name": name, "ts": us(t0), **base})
-                events.append({"ph": "e", "name": name, "ts": us(t1), **base})
             else:  # "inst"
                 events.append(
                     {
@@ -248,40 +227,6 @@ def export_chrome_trace(
 # ---------------------------------------------------------------------------
 
 
-def _union(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Union of intervals as a sorted list of disjoint intervals."""
-    out: List[Tuple[float, float]] = []
-    for lo, hi in sorted(i for i in intervals if i[1] > i[0]):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _measure(intervals: List[Tuple[float, float]]) -> float:
-    return sum(hi - lo for lo, hi in intervals)
-
-
-def _intersect(
-    a: List[Tuple[float, float]], b: List[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    """Intersection of two disjoint-sorted interval lists."""
-    out: List[Tuple[float, float]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 _COMM_PHASE_NAMES = (
     Phase.REPLICATION.value,
     Phase.PROPAGATION.value,
@@ -306,16 +251,11 @@ class RankTimeline:
     exposed_comm_seconds: float
     other_seconds: float
     idle_seconds: float
-    #: fraction of kernel (COMPUTATION-span) time with >= 1 transfer in flight
-    overlap_window_occupancy: float
-    #: absolute kernel-window time covered by in-flight transfers
-    overlap_covered_seconds: float
-    kernel_seconds: float
 
     @classmethod
     def from_events(cls, rank: int, events: Sequence[Event]) -> "RankTimeline":
         if not events:
-            return cls(rank, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            return cls(rank, 0.0, 0.0, 0.0, 0.0, 0.0)
 
         # Phase spans are recorded at their *end* and are properly nested,
         # so a span's children (if any) are the contiguous tail of the
@@ -325,21 +265,12 @@ class RankTimeline:
         # yields exact self times.
         self_time: Dict[str, float] = {}
         pending: List[Tuple[float, float, float]] = []  # (t0, t1, child_time)
-        phase_raw: Dict[str, List[Tuple[float, float]]] = {}
-        async_windows: List[Tuple[float, float]] = []
         t_min = min(ev[3] for ev in events)
         t_max = max(max(ev[3], ev[4]) for ev in events)
 
         for kind, name, cat, t0, t1 in events:
-            if kind == "async":
-                # only transfer windows count toward overlap occupancy;
-                # buffer-lease windows overlap kernels by design
-                if cat == "comm":
-                    async_windows.append((t0, t1))
-                continue
             if kind != "span" or cat != "phase":
                 continue
-            phase_raw.setdefault(name, []).append((t0, t1))
             child = 0.0
             while pending and pending[-1][0] >= t0:
                 c0, c1, _ = pending.pop()
@@ -357,11 +288,6 @@ class RankTimeline:
         )
         idle = max(0.0, span_seconds - compute - exposed - other)
 
-        kernel_windows = _union(phase_raw.get(Phase.COMPUTATION.value, []))
-        kernel_seconds = _measure(kernel_windows)
-        covered = _measure(_intersect(_union(async_windows), kernel_windows))
-        occupancy = covered / kernel_seconds if kernel_seconds > 0.0 else 0.0
-
         return cls(
             rank=rank,
             span_seconds=span_seconds,
@@ -369,25 +295,14 @@ class RankTimeline:
             exposed_comm_seconds=exposed,
             other_seconds=other,
             idle_seconds=idle,
-            overlap_window_occupancy=occupancy,
-            overlap_covered_seconds=covered,
-            kernel_seconds=kernel_seconds,
         )
 
 
 @dataclass
 class TimelineStats:
-    """Occupancy analysis over all traced ranks of a run.
-
-    :attr:`overlap_window_occupancy` is the headline number: over all
-    ranks, the fraction of local-kernel wall time during which at least
-    one nonblocking exchange was in flight on the same rank.  An overlap
-    pipeline can only buy end-to-end time inside that window — a high
-    ``hidden_comm_seconds`` with a *low* window occupancy means transfers
-    completed in bursts between kernels rather than behind them (the
-    GIL'd thread backend's signature), which is exactly what the flat
-    ``overlap_speedup`` benchmark numbers look like from the outside.
-    """
+    """Occupancy analysis over all traced ranks of a run: the fractions
+    of the ranks' summed span time spent computing, blocked on
+    communication and idle."""
 
     per_rank: List[RankTimeline]
 
@@ -403,13 +318,6 @@ class TimelineStats:
         if not tracers:
             raise ReproError("report has no traced ranks — run with trace='on'")
         return cls.from_tracers(tracers)
-
-    @property
-    def overlap_window_occupancy(self) -> float:
-        kernel = sum(r.kernel_seconds for r in self.per_rank)
-        if kernel <= 0.0:
-            return 0.0
-        return sum(r.overlap_covered_seconds for r in self.per_rank) / kernel
 
     @property
     def idle_fraction(self) -> float:
@@ -434,7 +342,6 @@ class TimelineStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "overlap_window_occupancy": self.overlap_window_occupancy,
             "compute_fraction": self.compute_fraction,
             "exposed_comm_fraction": self.exposed_comm_fraction,
             "idle_fraction": self.idle_fraction,
@@ -446,9 +353,6 @@ class TimelineStats:
                     "exposed_comm_seconds": r.exposed_comm_seconds,
                     "other_seconds": r.other_seconds,
                     "idle_seconds": r.idle_seconds,
-                    "kernel_seconds": r.kernel_seconds,
-                    "overlap_covered_seconds": r.overlap_covered_seconds,
-                    "overlap_window_occupancy": r.overlap_window_occupancy,
                 }
                 for r in self.per_rank
             ],
@@ -457,7 +361,6 @@ class TimelineStats:
     def summary(self) -> str:
         lines = [
             "TimelineStats"
-            f" overlap_window_occupancy={self.overlap_window_occupancy:.1%}"
             f" compute={self.compute_fraction:.1%}"
             f" exposed_comm={self.exposed_comm_fraction:.1%}"
             f" idle={self.idle_fraction:.1%}"
@@ -468,6 +371,5 @@ class TimelineStats:
                 f" compute={r.compute_seconds:.4f}s"
                 f" exposed={r.exposed_comm_seconds:.4f}s"
                 f" idle={r.idle_seconds:.4f}s"
-                f" overlap_window={r.overlap_window_occupancy:.1%}"
             )
         return "\n".join(lines)

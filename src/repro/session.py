@@ -201,7 +201,7 @@ class Session:
         # the JSON-ready plan: what __repr__, reports and the per-call
         # metrics records read their constant fields from
         self._plan = plan = resolved.as_dict()
-        consts = ("algorithm", "comm_mode", "kernels", "overlap", "trace")
+        consts = ("algorithm", "comm_mode", "kernels", "trace")
         self._record_consts = {**{k: plan[k] for k in consts}, "nranks": resolved.p}
         self._alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
         self.algorithm, self.p, self.c = alg.name, alg.p, alg.c
@@ -225,10 +225,9 @@ class Session:
         # plan-time JIT warmup: first-call latency must not be poisoned
         # by compilation
         self._kernel_backend = get_kernel_backend(resolved.kernels).warmup()
-        self.overlap_mode = resolved.overlap
-        # the rank kernels read the flag off their context, which
-        # snapshots it from the algorithm instance (owned by this session)
-        alg.overlap = self.overlap_mode == "on"
+        #: always "off": every transfer is waited where it is posted
+        #: (``plan(overlap=)`` is accepted and ignored)
+        self.overlap_mode = "off"
         # the keywords a kernel call may hand the family's rank_kernel
         self._rank_kernel_keywords = inspect.signature(alg.rank_kernel).parameters
         self.trace_mode = resolved.trace
@@ -337,14 +336,13 @@ class Session:
         calls, so the difference of two snapshots is exactly what the
         calls in between cost — even when the busiest rank changes."""
         words = msgs = flops = hits = 0
-        exposed = hidden = compute = 0.0
+        exposed = compute = 0.0
         for prof in self._profiles:
             for ph in _COMM_PHASES:
                 ctr = prof.counters[ph]
                 words += ctr.words_received
                 msgs += ctr.messages_received
                 exposed += ctr.seconds
-                hidden += ctr.hidden_seconds
             compute += prof.counters[Phase.COMPUTATION].seconds
             flops += prof.total().flops
             hits += prof.replica_hits
@@ -354,7 +352,6 @@ class Session:
             "flops": float(flops),
             "replica_hits": float(hits),
             "exposed_comm_s": exposed,
-            "hidden_comm_s": hidden,
             "compute_s": compute,
         }
 
@@ -386,7 +383,8 @@ class Session:
             "replica_hits": int(snap["replica_hits"] - prev["replica_hits"]),
             "compute_ms": (snap["compute_s"] - prev["compute_s"]) * 1e3,
             "exposed_comm_ms": (snap["exposed_comm_s"] - prev["exposed_comm_s"]) * 1e3,
-            "hidden_comm_ms": (snap["hidden_comm_s"] - prev["hidden_comm_s"]) * 1e3,
+            # nothing is hidden: every transfer is waited where it is posted
+            "hidden_comm_ms": 0.0,
             "peak_buffer_bytes": max(
                 (p.peak_buffer_bytes for p in self._profiles), default=0
             ),
@@ -602,7 +600,7 @@ class Session:
         the freshly sliced blocks in with ``p`` pointer assignments.
         ``dirty`` names the plan sides the call about to run overwrites.
 
-        Staging *before* the drain is the driver-side half of the overlap
+        Staging *before* the drain is the driver-side half of the call
         pipeline: call ``k+1``'s scatter is computed while call ``k``'s
         SPMD run is still in flight.  A re-run of call ``k`` restores only
         ``k``'s own blocks, so the staging stays valid through it.
@@ -739,10 +737,9 @@ class Session:
         The pool re-ran a runtime-fault death up to ``retries`` times from
         the dispatched blocks (:meth:`_dispatch`) — never re-binding, never
         re-planning (:attr:`plan_builds`).  If it still failed of a runtime
-        fault, a session with aggressive knobs (``overlap="on"`` /
-        ``comm="sparse"``) makes one *degraded* re-run on the conservative
-        path — synchronous schedule, dense ring collectives — before the
-        pool's error, the **first** one, surfaces.  Returns ``(outcome,
+        fault, a ``comm="sparse"`` session makes one *degraded* re-run on
+        the dense ring collectives before the pool's error, the **first**
+        one, surfaces.  Returns ``(outcome,
         retries_used)``.
         """
         transpose, call, label = future._bound
@@ -751,25 +748,17 @@ class Session:
                 raise future._error  # single-rank / mpi: failed at dispatch
             future._pool_future.wait()
         except Exception as first_error:  # noqa: BLE001 - classified below
-            ori, alg = self._orients[transpose], self._alg
-            aggressive = ori.sparse_plans is not None or alg.overlap
-            if not (aggressive and retryable(first_error)):
+            ori = self._orients[transpose]
+            if not (ori.sparse_plans is not None and retryable(first_error)):
                 raise
-            # graceful degradation: one conservative re-run.  The overlap
-            # flag is flipped on the algorithm instance — the propagation
-            # schedule reads it live and nothing else is in flight — and
-            # restored afterwards; the dense comm path is forced by the
-            # degraded dispatch.  Contexts and bind snapshots carry neither
-            # knob, so a successful re-run leaves them resident for the
-            # next clean call.
-            saved_overlap = alg.overlap
-            alg.overlap = False
+            # graceful degradation: one re-run on the dense comm path,
+            # forced by the degraded dispatch.  Contexts and bind snapshots
+            # do not carry the comm mode, so a successful re-run leaves
+            # them resident for the next clean call.
             try:
                 self._dispatch(ori, call, label, degraded=True).wait()
             except Exception:  # noqa: BLE001 - degraded run failed too
                 raise first_error
-            finally:
-                alg.overlap = saved_overlap
             self.degraded_calls += 1
             return "degraded", self.retries
         retries = future._pool_future.retries
@@ -886,7 +875,7 @@ class Session:
 
         Submitting call ``k+1`` while call ``k`` is still running overlaps
         the driver-side dense scatter of ``k+1`` (computed against staged
-        blocks) with ``k``'s SPMD run — the cross-call half of the overlap
+        blocks) with ``k``'s SPMD run — the cross-call half of the call
         pipeline::
 
             futures = [sess.fusedmm_a_async(A, Bs[i]) for i in range(5)]
@@ -1033,8 +1022,9 @@ class Session:
         Each record is a JSON-ready dict: wall ms of the call, the delta
         of rank-summed communication words/messages, FLOPs, fiber
         replications served from an earlier call's panel
-        (``replica_hits``), compute / exposed-comm / hidden-comm ms, the
-        current peak panel-buffer bytes, and the call ``outcome``
+        (``replica_hits``), compute / exposed-comm ms (``hidden_comm_ms``
+        stays 0.0: nothing is hidden), the current peak panel-buffer
+        bytes, and the call ``outcome``
         (``"ok"``, ``"retried"``, ``"degraded"``, ``"timeout"`` or
         ``"failed"``) together with the number of ``retries`` it took.
         Failed calls are recorded too.
@@ -1126,7 +1116,6 @@ class Session:
             "elision",
             "comm_mode",
             "placement",
-            "overlap",
             "backend",
             "kernels",
         )
@@ -1199,28 +1188,20 @@ def plan(
     or at the next session call if the future was left unconsumed — and
     therefore to sync and async calls alike.
 
-    ``overlap`` selects where the one propagation schedule puts its waits
-    (:meth:`~repro.algorithms.base.DistributedAlgorithm.ring_loop` /
-    ``exchange``): ``"on"`` posts every read-only shift / packed exchange
-    *behind* the local kernel (bitwise-identical outputs, hidden transfer
-    time measured on the report as
-    :attr:`~repro.runtime.profile.RunReport.hidden_comm_seconds` /
-    :attr:`~repro.runtime.profile.RunReport.overlap_efficiency`),
-    ``"off"`` runs the same schedule synchronously (every transfer is
-    waited where it is posted; nothing is hidden), and ``"auto"`` (the
-    default) consults the cost model's overlapped-time term and enables
-    the pipeline whenever it predicts a positive saving and the ranks are
-    spread (ranks packed onto one core have nothing to run behind a
-    kernel) — default-on where profitable.
+    ``overlap`` is accepted for compatibility and ignored: there is one
+    synchronous propagation schedule, every shift, all-gather and
+    need-list exchange is waited where it is posted.  Any of ``"auto"``
+    (the default), ``"on"`` and ``"off"`` is valid; another value is a
+    :class:`~repro.errors.ReproError`.  ``why["overlap"]`` records the
+    request and :attr:`Session.overlap_mode` reads ``"off"``.
 
     ``trace="on"`` attaches a per-rank
     :class:`~repro.runtime.trace.Tracer` to every profile: tracked phases,
     communication waits, pool dispatch and local kernels record begin/end
-    spans, and in-flight exchanges record post→complete windows.  Export
-    with :meth:`Session.export_trace` (Chrome trace-event JSON, loadable
-    in Perfetto) and analyze with :meth:`Session.timeline` (per-rank
-    occupancy and the overlap-window occupancy).  The default ``"off"``
-    records nothing and costs nothing on the hot path.
+    spans.  Export with :meth:`Session.export_trace` (Chrome trace-event
+    JSON, loadable in Perfetto) and analyze with :meth:`Session.timeline`
+    (per-rank occupancy).  The default ``"off"`` records nothing and costs
+    nothing on the hot path.
 
     ``deadline_ms`` arms a per-call watchdog: a rank whose blocking
     receive outlives the horizon raises
@@ -1229,13 +1210,13 @@ def plan(
     collectives and lost messages fail in bounded time instead of hanging.
     ``retries=N`` has the worker pool re-run a call that died of a
     *runtime* fault (not a deterministic user error) up to N times, from
-    the blocks it was dispatched with — no re-scatter, no re-plan; with
-    aggressive knobs (``overlap="on"``/``comm="sparse"``) one conservative
-    re-run (synchronous schedule, dense collectives) follows before the
-    first error surfaces.  Outputs after retry or degradation are bitwise
-    those of a clean run; :meth:`Session.run_rank` fails fast.  ``faults`` arms
-    a deterministic :class:`~repro.runtime.faults.FaultPlan` (chaos
-    testing).  All three default to off and cost nothing when off.
+    the blocks it was dispatched with — no re-scatter, no re-plan; under
+    ``comm="sparse"`` one conservative re-run on the dense collectives
+    follows before the first error surfaces.  Outputs after retry or
+    degradation are bitwise those of a clean run; :meth:`Session.run_rank`
+    fails fast.  ``faults`` arms a deterministic
+    :class:`~repro.runtime.faults.FaultPlan` (chaos testing).  All three
+    default to off and cost nothing when off.
 
     ``backend`` selects the execution substrate (see ``ARCHITECTURE.md``):
     ``"threads"`` (the default) simulates the ranks as threads in this
@@ -1258,8 +1239,7 @@ def plan(
     the per-host cache — a microbenchmark calibration
     (:mod:`repro.model.calibrate`), picks the fastest *measured* backend
     among those installed, and feeds its measured seconds-per-FLOP into
-    the ``comm="auto"`` / ``overlap="auto"`` model decisions as the
-    compute term.  Unknown names raise
+    the ``comm="auto"`` model decision as the compute term.  Unknown names raise
     :class:`~repro.errors.UnknownKernelBackendError`; ``"numba"`` without
     numba raises :class:`~repro.errors.KernelBackendUnavailableError`
     with the install hint.  Compiled backends are thread-backend-only

@@ -101,22 +101,18 @@ CHUNK_RINGS = {
 
 
 def chunk_round_traffic(alg, S, r):
-    """What one chunk round of ``alg`` on ``S`` (natural layout) receives,
-    rank-summed: ``(nonzeros, phases)``.  Every rank receives each chunk
-    of its ring once per round, one message per phase (a ring of one
-    rank moves nothing); a cold round moves 3 words per nonzero, a warm
-    one 1.  ``(0, 0)`` where S does not circulate."""
+    """The nonzeros one chunk round of ``alg`` on ``S`` (natural layout)
+    receives, rank-summed.  Every rank receives each chunk of its ring
+    once per round, one message per phase (a ring of one rank moves
+    nothing); a cold round moves 3 words per nonzero, a warm one 1.  0
+    where S does not circulate."""
     ring_of = CHUNK_RINGS.get(alg.name)
     if ring_of is None:
-        return 0, 0
+        return 0
     locals_ = alg.distribute_sparse(alg.plan(S.nrows, S.ncols, r), S)
     nnz, size = Counter(), Counter()
     for rank, loc in enumerate(locals_):
         ring = ring_of(*alg.grid.coords(rank))
         nnz[ring] += len(loc.S_rows)
         size[ring] += 1
-    rings = [ring for ring in size if size[ring] > 1]
-    return (
-        sum(size[ring] * nnz[ring] for ring in rings),
-        sum(size[ring] ** 2 for ring in rings),
-    )
+    return sum(size[ring] * nnz[ring] for ring in size if size[ring] > 1)

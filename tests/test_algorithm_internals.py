@@ -183,15 +183,13 @@ class TestResidentBlock25DSparse:
             assert len(group) == plan.c
             assert all(loc.S is group[0].S for loc in group)
 
-    @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("p,c", [(4, 1), (8, 2), (18, 2)])
-    def test_dense_comm_spmm_matches_serial(self, rng, p, c, overlap):
+    def test_dense_comm_spmm_matches_serial(self, rng, p, c):
         from repro.baselines.serial import spmm_a_serial, spmm_b_serial
         from repro.types import Mode
         from tests.helpers import run_rank_method
 
         alg, S, plan, locals_ = self._setup(p, c)
-        alg.overlap = overlap
         A = rng.standard_normal((self.M, self.R))
         B = rng.standard_normal((self.N, self.R))
 

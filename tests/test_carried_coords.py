@@ -7,12 +7,11 @@ keeps the coordinates it received at each ring position, per kernel
 space and travel order, on its resident context
 (:class:`~repro.algorithms.base.CarriedCoords`), and a later round of the
 same chunk ring ships values alone.  Covered here, for each
-chunk-circulating family x comm x overlap:
+chunk-circulating family x comm:
 
 * a warm round moves exactly one third of the cold round's chunk words
-  — all of a 1.5D sparse-shift call's PROPAGATION words — and, under
-  ``overlap="on"``, one message per phase fewer in an SDDMM round (the
-  split coordinate lane);
+  — all of a 1.5D sparse-shift call's PROPAGATION words — in as many
+  messages;
 * outputs are bitwise the cold call's and a fresh session's, also after
   ``update_values`` (the memo survives it) and on the transposed sibling;
 * a warm call's value message dropped or duplicated ends in a retryable
@@ -61,12 +60,9 @@ KERNELS = {
     "fusedmm_a": lambda sess, A, B: sess.fusedmm_a(A, B)[0],
     "fusedmm_b": lambda sess, A, B: sess.fusedmm_b(A, B)[0],
 }
-#: (chunk rounds, SDDMM rounds) per call; FusedMMA under replication
-#: reuse runs on the transposed sibling
-ROUNDS = {
-    "sddmm": (1, 1), "spmm_a": (1, 0), "spmm_b": (1, 0),
-    "fusedmm_a": (2, 1), "fusedmm_b": (2, 1),
-}
+#: chunk rounds per call; FusedMMA under replication reuse runs on the
+#: transposed sibling
+ROUNDS = {"sddmm": 1, "spmm_a": 1, "spmm_b": 1, "fusedmm_a": 2, "fusedmm_b": 2}
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +72,9 @@ def problem():
     return S, rng.standard_normal((N, R)), rng.standard_normal((N, R))
 
 
-def _plan(S, family, comm, overlap, elision="none", **kw):
+def _plan(S, family, comm, elision="none", **kw):
     return repro.plan(
-        S, R, p=P, c=C, algorithm=family, comm=comm, elision=elision,
-        overlap=overlap, **kw,
+        S, R, p=P, c=C, algorithm=family, comm=comm, elision=elision, **kw,
     )
 
 
@@ -95,35 +90,29 @@ def _call(sess, kernel, A, B):
     return out, words, msgs, rec
 
 
-def _fresh(S, family, comm, overlap, kernel, A, B, elision="none"):
-    with _plan(S, family, comm, overlap, elision) as sess:
+def _fresh(S, family, comm, kernel, A, B, elision="none"):
+    with _plan(S, family, comm, elision) as sess:
         return KERNELS[kernel](sess, A, B)
 
 
 def _traffic(sess, S, kernel, transpose=False):
-    """``(nonzeros the call's chunk rounds receive, SDDMM-round phases)``,
-    rank-summed, for ``kernel`` on its orientation of ``S``."""
+    """The nonzeros the call's chunk rounds receive, rank-summed, for
+    ``kernel`` on its orientation of ``S``."""
     assert sess.explain().layout == "natural"
-    nnz, phases = chunk_round_traffic(
-        sess.alg, S.transposed() if transpose else S, R
-    )
-    rounds, sddmm_rounds = ROUNDS[kernel]
-    return nnz * rounds, phases * sddmm_rounds
+    nnz = chunk_round_traffic(sess.alg, S.transposed() if transpose else S, R)
+    return nnz * ROUNDS[kernel]
 
 
 class TestWarmRounds:
     @pytest.mark.parametrize("kernel", ["sddmm", "spmm_a", "spmm_b", "fusedmm_b"])
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
-    def test_warm_round_moves_values_only(
-        self, problem, family, comm, overlap, kernel
-    ):
+    def test_warm_round_moves_values_only(self, problem, family, comm, kernel):
         """Cold, every chunk a rank receives is 3 words per nonzero; warm,
-        1 — exactly a third.  The other lanes (2.5D's B block) move what
-        they moved, and only the SDDMM split's coordinate messages go."""
+        1 — exactly a third, in as many messages.  The other lanes (2.5D's
+        B block) move what they moved."""
         S, A, B = problem
-        with _plan(S, family, comm, overlap) as sess:
-            nnz, split = _traffic(sess, S, kernel)
+        with _plan(S, family, comm) as sess:
+            nnz = _traffic(sess, S, kernel)
             cold_out, cold_words, cold_msgs, _ = _call(sess, kernel, A, B)
             for _ in range(2):
                 out, words, msgs, _ = _call(sess, kernel, A, B)
@@ -132,16 +121,13 @@ class TestWarmRounds:
                 assert words - rest == nnz  # a third of the chunk words
                 if family.startswith("1.5d"):
                     assert rest == 0 and 3 * words == cold_words
-                assert cold_msgs - msgs == (split if overlap == "on" else 0)
+                assert msgs == cold_msgs
                 assert np.array_equal(out, cold_out)
-        assert np.array_equal(
-            cold_out, _fresh(S, family, comm, overlap, kernel, A, B)
-        )
+        assert np.array_equal(cold_out, _fresh(S, family, comm, kernel, A, B))
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
     def test_memo_survives_update_values_and_serves_each_orientation(
-        self, problem, family, comm, overlap
+        self, problem, family, comm
     ):
         """New values leave the structure, so the next round is still
         warm and equals a fresh session on the new values.  FusedMMA under
@@ -151,11 +137,11 @@ class TestWarmRounds:
         S, A, B = problem
         vals = np.random.default_rng(11).standard_normal(S.nnz)
         S2 = S.with_values(vals)
-        args = (family, comm, overlap)
+        args = (family, comm)
         kw = dict(elision="replication-reuse")
         with _plan(S, *args, **kw) as sess:
-            nnz_b, _ = _traffic(sess, S, "fusedmm_b")
-            nnz_a, _ = _traffic(sess, S, "fusedmm_a", transpose=True)
+            nnz_b = _traffic(sess, S, "fusedmm_b")
+            nnz_a = _traffic(sess, S, "fusedmm_a", transpose=True)
             cold_b, cold_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
             warm_b, warm_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
             assert cold_words_b - warm_words_b == 2 * nnz_b
@@ -184,10 +170,9 @@ class TestWarmFaults:
         [("drop", "first"), ("drop", "last"), ("dup", "first")],
         ids=["drop-first", "drop-last", "dup-first"],
     )
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
     def test_warm_value_message_fault_retries_clean(
-        self, problem, family, comm, overlap, action, where
+        self, problem, family, comm, action, where
     ):
         """Rank 0's first or last value message of call 2 (its first warm
         call) is lost or delivered twice.  A lost one hands the receiver
@@ -201,19 +186,18 @@ class TestWarmFaults:
         chunks its peers do not wait for."""
         S, A, B = problem
         kernel = "fusedmm_b"
-        with _plan(S, family, comm, overlap) as clean:
+        with _plan(S, family, comm) as clean:
             ref = KERNELS[kernel](clean, A, B)
             _call(clean, kernel, A, B)
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
         grid = clean.alg.grid
         ring = grid.layer_size if family.startswith("1.5d") else grid.q
-        # rank 0's value messages: one per phase of each round; the cold
-        # call's SDDMM round sends its values apart only when pipelined
-        cold_sends = ring if overlap == "on" else 0
-        index = cold_sends + (0 if where == "first" else 2 * ring - 1)
+        # rank 0's value messages: one per phase of each warm round (a
+        # cold round ships its chunks whole, on TAG_SHIFT_S)
+        index = 0 if where == "first" else 2 * ring - 1
         plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
         with _plan(
-            S, family, comm, overlap, deadline_ms=700, retries=1, faults=plan,
+            S, family, comm, deadline_ms=700, retries=1, faults=plan,
         ) as sess:
             records = []
             for _ in range(3):
@@ -225,11 +209,8 @@ class TestWarmFaults:
         assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
         assert len(plan.fired_log) == 1
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
-    def test_fault_in_the_cold_round_refills_every_rank(
-        self, problem, family, comm, overlap
-    ):
+    def test_fault_in_the_cold_round_refills_every_rank(self, problem, family, comm):
         """Rank 0's second-to-last chunk message of call 1 (in the cold
         SpMMB round) is lost: its receiver takes the last one — its own
         home chunk coming back — for the position before, keeps those
@@ -240,7 +221,7 @@ class TestWarmFaults:
         everywhere and the next calls are warm."""
         S, A, B = problem
         kernel = "fusedmm_b"
-        with _plan(S, family, comm, overlap) as clean:
+        with _plan(S, family, comm) as clean:
             ref = KERNELS[kernel](clean, A, B)
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
         grid = clean.alg.grid
@@ -249,7 +230,7 @@ class TestWarmFaults:
         lost = FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=2 * ring - 2)
         plan = FaultPlan([lost])
         with _plan(
-            S, family, comm, overlap, deadline_ms=700, retries=1, faults=plan,
+            S, family, comm, deadline_ms=700, retries=1, faults=plan,
         ) as sess:
             records = []
             for _ in range(3):
@@ -269,19 +250,19 @@ class TestWarmFaults:
     def test_unretried_fault_surfaces_a_retryable_error(
         self, problem, action, where, error
     ):
-        """Without re-runs (and, on dense comm with the pipeline off,
-        nothing to degrade to) the warm call's fault surfaces as the
+        """Without re-runs (and, on dense comm, nothing to degrade to)
+        the warm call's fault surfaces as the
         error the retry policy would have re-run; the next clean call
         starts cold on every rank and is bitwise."""
         S, A, B = problem
         family, comm = "1.5d-sparse-shift", "dense"
-        with _plan(S, family, comm, "off") as clean:
+        with _plan(S, family, comm) as clean:
             ref = KERNELS["fusedmm_b"](clean, A, B)
         ring = P // C
         index = 0 if where == "first" else 2 * ring - 1
         plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
         with _plan(
-            S, family, comm, "off", deadline_ms=700, retries=0, faults=plan,
+            S, family, comm, deadline_ms=700, retries=0, faults=plan,
         ) as sess:
             _, cold_words, _, _ = _call(sess, "fusedmm_b", A, B)
             with pytest.raises((error, RuntimeError)) as err:
@@ -325,10 +306,7 @@ def _rounds(values_at, rounds=2):
                 seen.append((k, t, r.tolist(), c.tolist(), v.tolist()))
 
             lanes = [
-                *alg.chunk_lanes(
-                    comm, rows, cols, vals, accumulating=False,
-                    carried=carried, key="chunk",
-                ),
+                *alg.chunk_lanes(comm, rows, cols, vals, carried=carried, key="chunk"),
                 Lane(comm, block, TAG_SHIFT_B),
             ]
             out = alg.ring_loop(comm, RING, lanes, compute)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.base import TAG_SHIFT_B, TAG_SHIFT_S, TAG_SHIFT_SV
+from repro.algorithms.base import TAG_SHIFT_S
 from repro.comm_sparse import TAG_SPARSE_AG, TAG_SPARSE_RS
 from repro.errors import CommError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -78,9 +78,7 @@ def references(workload):
     S, A, B = workload
     refs = {}
     for family in FAMILIES:
-        with repro.plan(
-            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="off"
-        ) as sess:
+        with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense") as sess:
             refs[family], _ = sess.fusedmm_a(A, B)
     return refs
 
@@ -99,7 +97,7 @@ class TestChaosMatrix:
         plan = repro.FaultPlan.chaos(seed, P)
         baseline = threading.active_count()
         with repro.plan(
-            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="off",
+            S, R, p=P, c=2, algorithm=family, comm="dense",
             deadline_ms=1200, retries=2, faults=plan,
         ) as sess:
             out, _ = _fused_a(sess, entry, A, B)
@@ -124,7 +122,7 @@ class TestChaosMatrix:
         S, A, B = workload
         plan = FaultPlan.exhaust_buffers(rank=0)  # first acquisition fails
         with repro.plan(
-            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="off",
+            S, R, p=P, c=2, algorithm=family, comm="dense",
             retries=1, faults=plan,
         ) as sess:
             out, _ = sess.fusedmm_a(A, B)
@@ -144,7 +142,7 @@ class TestGracefulDegradation:
         sticky = FaultPlan([FaultSpec("drop", tag=TAG_SPARSE_AG, times=None)])
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
-            overlap="off", deadline_ms=700, retries=1, faults=sticky,
+            deadline_ms=700, retries=1, faults=sticky,
         ) as sess:
             out, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
@@ -152,7 +150,6 @@ class TestGracefulDegradation:
             assert sess.degraded_calls == 1
             assert sess.plan_builds == 1
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize(
         "fault",
         [
@@ -162,21 +159,15 @@ class TestGracefulDegradation:
         ],
         ids=["drop", "abort"],
     )
-    def test_fault_in_the_spmm_round_of_a_need_list_fused_call(
-        self, workload, fault, overlap
-    ):
+    def test_fault_in_the_spmm_round_of_a_need_list_fused_call(self, workload, fault):
         """The need-list 2.5D FusedMM carries the SDDMM round's packed
         panel into its SpMM round.  A fault there unwinds the call with
         the panel held and the output panel in its sibling's slot; the
-        retry and the next call on the same session lease both slots
-        again (no ``BufferLeaseError``) and return the clean bits — the
-        failure dropped every stored panel, so nothing gathered before it
-        is read after it."""
+        retry and the next call on the same session acquire both slots
+        again and return the clean bits — the failure dropped every stored
+        panel, so nothing gathered before it is read after it."""
         S, A, B = workload
-        kw = dict(
-            p=P, c=2, algorithm="2.5d-sparse-replicate", comm="sparse",
-            overlap=overlap,
-        )
+        kw = dict(p=P, c=2, algorithm="2.5d-sparse-replicate", comm="sparse")
         with repro.plan(S, R, **kw) as clean:
             ref, _ = clean.fusedmm_a(A, B)
             ref2, _ = clean.fusedmm_a(B, A)
@@ -191,51 +182,9 @@ class TestGracefulDegradation:
             assert sess.metrics()[-1]["outcome"] == "ok"
             assert sess.plan_builds == 1
 
-    @pytest.mark.parametrize("entry", ENTRIES)
-    def test_overlap_degrades_to_synchronous(self, workload, references, entry):
-        """A sticky fault on the overlap pipeline's value-shift channel
-        (used only by the software pipeline) forces the degraded
-        synchronous re-run."""
-        S, A, B = workload
-        sticky = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_SV, times=None)])
-        with repro.plan(
-            S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="dense",
-            overlap="on", deadline_ms=700, retries=0, faults=sticky,
-        ) as sess:
-            out, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
-            assert sess.metrics()[-1]["outcome"] == "degraded"
-            # the degraded run is one-off: the session's own overlap knob
-            # is untouched for later calls
-            assert sess.overlap_mode == "on"
-            assert sess.alg.overlap is True
-
-    @pytest.mark.parametrize("entry", ENTRIES)
-    @pytest.mark.parametrize("retries,outcome", [(1, "retried"), (0, "degraded")])
-    @pytest.mark.parametrize("family", ["1.5d-sparse-shift", "2.5d-dense-replicate"])
-    def test_lost_value_half_of_a_split_chunk_is_a_transport_fault(
-        self, workload, references, family, retries, outcome, entry
-    ):
-        """One message lost on the split value channel leaves a rank with
-        the coordinates of one chunk and the values of the next.  Where
-        the lanes re-join that is a CommError — retried (or degraded)
-        bitwise — not a broadcasting ValueError out of the local kernel
-        that no policy would ever re-run."""
-        S, A, B = workload
-        lost = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_SV, times=1)])
-        with repro.plan(
-            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="on",
-            deadline_ms=1500, retries=retries, faults=lost,
-        ) as sess:
-            out, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out, references[family])
-            assert sess.metrics()[-1]["outcome"] == outcome
-            assert sess.plan_builds == 1
-            assert len(lost.fired_log) == 1
-
     @pytest.mark.parametrize(
         "times,retries,outcome",
-        [(1, 1, "retried"), (1, 0, "degraded"), (None, 1, "timeout")],
+        [(1, 1, "retried"), (None, 1, "timeout")],
     )
     @pytest.mark.parametrize("family", ["1.5d-sparse-shift", "2.5d-dense-replicate"])
     def test_lost_column_major_chunk_recovers_bitwise_or_typed(
@@ -248,12 +197,11 @@ class TestGracefulDegradation:
         coordinates — goes with the contexts the failure hook drops), so
         it is bitwise — or, when the channel stays dead, a typed timeout."""
         S, A, _ = workload
-        with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense",
-                        overlap="off") as clean:
+        with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense") as clean:
             ref, _ = clean.spmm_b(A)
         lost = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_S, times=times)])
         with repro.plan(
-            S, R, p=P, c=2, algorithm=family, comm="dense", overlap="on",
+            S, R, p=P, c=2, algorithm=family, comm="dense",
             deadline_ms=700, retries=retries, faults=lost,
         ) as sess:
             if outcome == "timeout":
@@ -271,14 +219,14 @@ class TestGracefulDegradation:
     def test_successful_degrade_keeps_contexts_and_bind_snapshots(
         self, workload, references, entry
     ):
-        """Contexts carry no schedule knob, so the degraded re-run's
+        """Contexts do not carry the comm mode, so the degraded re-run's
         contexts and skip-rebind snapshots serve the next clean call: no
         context rebuild, and the unchanged input side is not re-scattered."""
         S, A, B = workload
         once = FaultPlan([FaultSpec("drop", tag=TAG_SPARSE_AG, times=1)])
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
-            overlap="on", deadline_ms=700, retries=0, faults=once,
+            deadline_ms=700, retries=0, faults=once,
         ) as sess:
             out, _ = _fused_a(sess, entry, A, B)
             np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
@@ -298,12 +246,12 @@ class TestGracefulDegradation:
         *first* error (with its dump) surfaces — not the degraded
         attempt's — and the outcome records the timeout."""
         S, A, B = workload
-        # TAG_SHIFT_B is the propagation channel of both the overlap and
-        # the synchronous dense path: degradation cannot dodge it
-        sticky = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_B, times=None)])
+        # TAG_SHIFT_S carries the circulating chunks on the need-list and
+        # the dense comm path alike: degradation cannot dodge it
+        sticky = FaultPlan([FaultSpec("drop", tag=TAG_SHIFT_S, times=None)])
         with repro.plan(
-            S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="on", deadline_ms=500, retries=0, faults=sticky,
+            S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
+            deadline_ms=500, retries=0, faults=sticky,
         ) as sess:
             with pytest.raises(SpmdTimeout) as err:
                 _fused_a(sess, entry, A, B)
@@ -321,7 +269,7 @@ class TestGracefulDegradation:
 
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=3,
+            retries=3,
         ) as sess:
             with pytest.raises(RuntimeError, match="edge explosion"):
                 sess.sddmm(A, B, edge_op=bad_edge)
@@ -343,7 +291,7 @@ class TestRetrySemantics:
             plan = FaultPlan.crash_at(site="computation", rank=3, index=1)
             with repro.plan(
                 S, R, p=P, c=2, algorithm="2.5d-dense-replicate", comm="dense",
-                overlap="off", retries=1, faults=plan,
+                retries=1, faults=plan,
             ) as sess:
                 out, _ = sess.fusedmm_a(A, B)
                 return out, tuple(plan.fired_log)
@@ -360,7 +308,7 @@ class TestRetrySemantics:
         plan = FaultPlan([FaultSpec("crash", rank=1, site="computation", times=3)])
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=1, faults=plan,
+            retries=1, faults=plan,
         ) as sess:
             with pytest.raises(RuntimeError, match="injected crash"):
                 _fused_a(sess, entry, A, B)
@@ -372,8 +320,7 @@ class TestRetrySemantics:
         output matches the clean synchronous call bitwise, and the future
         carries its own ``retried`` metrics record."""
         S, A, B = workload
-        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-                  overlap="off")
+        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense")
         with repro.plan(S, R, **kw) as sess:
             want, _ = sess.spmm_a(B)
         plan = FaultPlan.crash_at(site="computation", rank=2)
@@ -393,8 +340,7 @@ class TestRetrySemantics:
         still sees the right resident blocks."""
         S, A, B = workload
         B2 = np.random.default_rng(9).standard_normal(B.shape)
-        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-                  overlap="off")
+        kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense")
         with repro.plan(S, R, **kw) as sess:
             want = [sess.fusedmm_a(A, b)[0] for b in (B, B2, B)]
         plan = FaultPlan.crash_at(site="computation", rank=1)
@@ -417,7 +363,7 @@ class TestRetrySemantics:
         plan = FaultPlan([FaultSpec("crash", rank=1, site="computation", times=2)])
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=1, faults=plan,
+            retries=1, faults=plan,
         ) as sess:
             future = sess.fusedmm_a_async(A, B)
             with pytest.raises(RuntimeError, match="injected crash"):
@@ -441,7 +387,7 @@ class TestRetrySemantics:
 
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=3,
+            retries=3,
         ) as sess:
             with pytest.raises(RuntimeError, match="transport hiccup"):
                 sess.run_rank(flaky, label="flaky")
@@ -456,7 +402,7 @@ class TestRetrySemantics:
         plan = FaultPlan.crash_at(site="computation", rank=0)
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=1, faults=plan,
+            retries=1, faults=plan,
         ) as sess:
             sess.fusedmm_a(A, B)  # retried (crash fires once)
             sess.fusedmm_a(A, B)  # clean
@@ -501,7 +447,7 @@ class TestMetricsJsonl:
         plan = FaultPlan.crash_at(site="computation", rank=0)
         with repro.plan(
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            overlap="off", retries=1, faults=plan,
+            retries=1, faults=plan,
         ) as sess:
             sess.fusedmm_a(A, B)  # crash fires once -> retried
             sess.fusedmm_a(A, B)  # clean

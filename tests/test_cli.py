@@ -46,9 +46,9 @@ class TestCli:
             plan = sess.explain()
         assert (
             f"predicted winner: {plan.why['algorithm']['row']}  c={plan.c}  "
-            f"comm={plan.comm_mode.value}  overlap={plan.overlap}"
+            f"comm={plan.comm_mode.value}\n"
         ) in out
-        assert "2.5d-sparse-replicate/none  c=4  comm=sparse  overlap=off" in out
+        assert "2.5d-sparse-replicate/none  c=4  comm=sparse\n" in out
         assert "placement=spread  (grain 524,288 FLOPs per local kernel call" in out
         assert "layout=natural  (shape statistics only" in out
         # one line per (row, c, comm) candidate
@@ -74,7 +74,7 @@ class TestCli:
         out = tmp_path / "trace.json"
         assert main(["run", "--n", "256", "--r", "16", "--p", "4",
                      "--algorithm", "1.5d-sparse-shift", "--comm", "sparse",
-                     "--overlap", "on", "--calls", "2",
+                     "--calls", "2",
                      "--trace-out", str(out)]) == 0
         assert str(out) in capsys.readouterr().out
         events = json.loads(out.read_text())["traceEvents"]

@@ -124,7 +124,7 @@ def test_q1_grid_conformance(p, shape, rng):
     pattern on every rank, the dense operands split by columns, no
     propagation) — what ``auto`` resolves to on small sparse problems.
     Every kernel and both fused variants against ``baselines/serial.py``;
-    dense == sparse and overlap on == off bitwise."""
+    dense == sparse bitwise."""
     m, n, r = shape
     S = erdos_renyi(m, n, 3, seed=17)
     A = rng.standard_normal((m, r))
@@ -135,19 +135,17 @@ def test_q1_grid_conformance(p, shape, rng):
     )
     first = None
     for comm in ("dense", "sparse"):
-        for overlap in ("off", "on"):
-            with repro.plan(
-                S, r, p=p, c=p, algorithm="2.5d-sparse-replicate", comm=comm,
-                overlap=overlap,
-            ) as sess:
-                got = (
-                    sess.sddmm(A, B)[0].vals, sess.spmm_a(B)[0], sess.spmm_b(A)[0],
-                    sess.fusedmm_a(A, B)[0], sess.fusedmm_b(A, B)[0],
-                )
-            first = first or got
-            for out, same, want in zip(got, first, ref):
-                assert np.array_equal(out, same), (comm, overlap)
-                np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-12)
+        with repro.plan(
+            S, r, p=p, c=p, algorithm="2.5d-sparse-replicate", comm=comm,
+        ) as sess:
+            got = (
+                sess.sddmm(A, B)[0].vals, sess.spmm_a(B)[0], sess.spmm_b(A)[0],
+                sess.fusedmm_a(A, B)[0], sess.fusedmm_b(A, B)[0],
+            )
+        first = first or got
+        for out, same, want in zip(got, first, ref):
+            assert np.array_equal(out, same), comm
+            np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-12)
 
 
 @st.composite

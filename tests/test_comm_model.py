@@ -51,11 +51,7 @@ CASES = [
 
 
 def _measure(name, elision, p, c):
-    # overlap="off": Table III counts the synchronous schedule (pipelined,
-    # a circulating SDDMM chunk is two messages per phase)
-    _, rep = repro.fusedmm_b(
-        S, A, B, p=p, c=c, algorithm=name, elision=elision, overlap="off"
-    )
+    _, rep = repro.fusedmm_b(S, A, B, p=p, c=c, algorithm=name, elision=elision)
     repl_w = np.mean(
         [pr.counters[Phase.REPLICATION].words_received for pr in rep.per_rank]
     )
@@ -185,7 +181,6 @@ class TestNeedList25DRow:
         maximum (the paper's convention) within 6 %; messages are exact."""
         _, rep = fused(
             S, A, B, p=p, c=c, algorithm="2.5d-sparse-replicate", comm="sparse",
-            overlap="off",
         )
         model = fusedmm_cost_sparse(self.KEY, N, R, p, c, PHI)
         prop = [pr.counters[Phase.PROPAGATION] for pr in rep.per_rank]

@@ -27,8 +27,8 @@ from repro.comm_sparse import (
     plan_sparse_shift_15d,
 )
 from repro.comm_sparse.collectives import (
-    isparse_allgatherv_packed,
-    isparse_reduce_scatterv_packed,
+    sparse_allgatherv_packed,
+    sparse_reduce_scatterv_packed,
 )
 from repro.errors import CommError
 from repro.runtime.spmd import run_spmd
@@ -153,8 +153,7 @@ def whole(p):
 
 
 class TestSparseCollectives:
-    """The packed collectives on hand-built star plans, blocking form
-    (``eager=True`` receives at post time, ``.wait()`` places)."""
+    """The packed collectives on hand-built star plans."""
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_allgatherv_places_needed_rows(self, p):
@@ -166,9 +165,7 @@ class TestSparseCollectives:
             mine = np.stack([np.full(width, 10.0 * r), np.full(width, 10.0 * r + 1)])
             out = np.zeros((p, width))
             out[r] = mine[r % 2]
-            isparse_allgatherv_packed(
-                comm, plans[r], whole(p), mine, out, eager=True
-            ).wait()
+            sparse_allgatherv_packed(comm, plans[r], whole(p), mine, out)
             return out
 
         results, _ = run_spmd(p, body)
@@ -189,9 +186,9 @@ class TestSparseCollectives:
             contrib = np.arange(p * width, dtype=float).reshape(p, width) + 100.0 * r
             out = np.zeros((2, width))
             out[r % 2] = contrib[r]
-            isparse_reduce_scatterv_packed(
-                comm, plans[r].reversed(), whole(p), contrib, out, eager=True
-            ).wait()
+            sparse_reduce_scatterv_packed(
+                comm, plans[r].reversed(), whole(p), contrib, out
+            )
             return out[r % 2]
 
         results, _ = run_spmd(p, body)
@@ -205,9 +202,9 @@ class TestSparseCollectives:
 
         def body(comm):
             with pytest.raises(CommError):
-                isparse_allgatherv_packed(
+                sparse_allgatherv_packed(
                     comm, plans[(comm.rank + 1) % 3], whole(3),
-                    np.zeros((2, 1)), np.zeros((3, 1)), eager=True,
+                    np.zeros((2, 1)), np.zeros((3, 1)),
                 )
 
         run_spmd(3, body)
@@ -224,15 +221,13 @@ class TestSparseCollectives:
         def body(comm):
             if comm.rank == 0:
                 with pytest.raises(CommError, match="send width 2 != planned 3"):
-                    isparse_allgatherv_packed(
-                        comm, plan, whole(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                        eager=True,
+                    sparse_allgatherv_packed(
+                        comm, plan, whole(2), np.zeros((2, 2)), np.zeros((2, 2))
                     )
 
         run_spmd(2, body)
 
-    @pytest.mark.parametrize("eager", [True, False])
-    def test_whole_panel_legs_move_by_slice_bitwise(self, eager):
+    def test_whole_panel_legs_move_by_slice_bitwise(self):
         """Legs the packed derivations flag as the whole panel (sliced
         column-window moves) fill and reduce exactly as the same plans
         with the flags cleared (fancy-indexed moves)."""
@@ -266,13 +261,9 @@ class TestSparseCollectives:
             mine = np.random.default_rng(r).standard_normal((h, w))
             panel = np.empty((h, 2 * w))
             panel[:, r * w : (r + 1) * w] = mine
-            isparse_allgatherv_packed(
-                comm, gather, idx, mine, panel, eager=eager
-            ).wait()
+            sparse_allgatherv_packed(comm, gather, idx, mine, panel)
             base = mine.copy()
-            isparse_reduce_scatterv_packed(
-                comm, reduce, idx, panel * (r + 2), base, eager=eager
-            ).wait()
+            sparse_reduce_scatterv_packed(comm, reduce, idx, panel * (r + 2), base)
             return panel, base
 
         sliced, _ = run_spmd(2, lambda comm: body(comm, True))
@@ -299,10 +290,10 @@ class TestSparseCollectives:
 
         def body(comm):
             with comm.profile.track(Phase.REPLICATION):
-                isparse_allgatherv_packed(
+                sparse_allgatherv_packed(
                     comm, empty[comm.rank], whole(p),
-                    np.zeros((1, 5)), np.zeros((3, 5)), eager=True,
-                ).wait()
+                    np.zeros((1, 5)), np.zeros((3, 5)),
+                )
             return comm.profile.total().messages_received
 
         results, _ = run_spmd(p, body)
@@ -521,7 +512,7 @@ class TestFused25DGathersOnce:
         p, c = 18, 2
         alg = make_algorithm(FUSED_25D, p, c)
         cplans = alg.build_comm_plans(alg.plan(*S.shape, A.shape[1]), S)
-        kw = dict(p=p, c=c, algorithm=FUSED_25D, comm="sparse", overlap="off")
+        kw = dict(p=p, c=c, algorithm=FUSED_25D, comm="sparse")
 
         def sddmm(sess):
             return sess.sddmm(A, B)[1]
@@ -566,9 +557,8 @@ class TestFused25DGathersOnce:
                 )
 
     @pytest.mark.parametrize("p,c", [(8, 2), (4, 1), (9, 1)])
-    @pytest.mark.parametrize("overlap", [False, True], ids=["sync", "pipelined"])
     @pytest.mark.parametrize("side", ["a", "b"])
-    def test_fused_is_bitwise_the_unelided_sequence(self, side, overlap, p, c):
+    def test_fused_is_bitwise_the_unelided_sequence(self, side, p, c):
         """Reusing the SDDMM round's panel changes no bit: the fused call
         equals ``rank_kernel(SDDMM)`` -> value all-gather ->
         ``rank_kernel(SPMM_*, values_full=...)``, which gathers the input
@@ -579,7 +569,6 @@ class TestFused25DGathersOnce:
 
         def run(fused):
             alg = make_algorithm(FUSED_25D, p, c)
-            alg.overlap = overlap
             plan = alg.plan(*S.shape, A.shape[1])
             locals_ = alg.distribute(plan, S, A, B)
             cplans = alg.build_comm_plans(plan, S)
@@ -630,7 +619,7 @@ class TestFused25DGathersOnce:
     def test_held_panel_is_call_local(self):
         """The panel travels as a local of the fused procedure: after the
         call neither the algorithm object nor the rank context holds an
-        array (the pool keeps its slots, unguarded)."""
+        array (the pool keeps its two slots)."""
         S, A, B = _fused_25d_problem()
         alg = make_algorithm(FUSED_25D, 8, 2)
         plan = alg.plan(*S.shape, A.shape[1])
@@ -644,10 +633,9 @@ class TestFused25DGathersOnce:
                 ctx, plan, locals_[comm.rank], sparse_plan=cplans[comm.rank]
             )
             assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
-            assert not ctx.pool._in_flight
             return sorted(ctx.pool._slots)
 
         slots, _ = run_spmd(8, body)
         assert set(vars(alg)) == before
         assert not any(isinstance(v, np.ndarray) for v in vars(alg).values())
-        assert all(s == ["gather-a@0", "gather-b@0"] for s in slots)
+        assert all(s == ["gather-a", "gather-b"] for s in slots)

@@ -26,7 +26,7 @@ import pytest
 
 import repro
 from repro.comm_sparse import TAG_SPARSE_AG, CommPlan, PackedIndex, PeerExchange
-from repro.comm_sparse.collectives import isparse_allgatherv_packed
+from repro.comm_sparse.collectives import sparse_allgatherv_packed
 from repro.errors import SpmdAbort, SpmdTimeout
 from repro.runtime.backend import Transport, World
 from repro.runtime.faults import FaultPlan, RankFaults
@@ -56,9 +56,9 @@ class TestArmedTransportContract:
         for i in range(4):
             armed.deliver(1, KEY, np.array([float(i)]))
             armed.deliver(1, OTHER, np.array([-1.0]))
-        got = [float(armed.collect(1, KEY)[0][0]) for _ in range(4)]
+        got = [float(armed.collect(1, KEY)[0]) for _ in range(4)]
         assert got == [0.0, 1.0, 2.0, 3.0]
-        assert float(armed.collect(1, OTHER)[0][0]) == -1.0
+        assert float(armed.collect(1, OTHER)[0]) == -1.0
 
     def test_abort_wakes_a_blocked_collect(self):
         world, armed = armed_world()
@@ -99,7 +99,7 @@ class TestArmedTransportContract:
         armed.reset()
         assert not world.abort_event.is_set() and armed.deadline is None
         armed.deliver(1, KEY, np.array([2.0]))
-        assert float(armed.collect(1, KEY)[0][0]) == 2.0
+        assert float(armed.collect(1, KEY)[0]) == 2.0
 
 
 class TestPoolsArmRanks:
@@ -127,11 +127,10 @@ def _need_list_gather(comm):
     )
     plan = CommPlan(key="pair", size=2, rank=r, peers=(peer,))
     out = np.zeros((2, width))
-    isparse_allgatherv_packed(
+    return sparse_allgatherv_packed(
         comm, plan, PackedIndex.from_rows(np.arange(2), 2),
-        np.full((1, width), float(r)), out, eager=True,
-    ).wait()
-    return out
+        np.full((1, width), float(r)), out,
+    )
 
 
 #: (send path, tag rank 0 sends it on, SPMD body on two ranks)
@@ -141,8 +140,8 @@ SEND_PATHS = [
         lambda comm: comm.send(1, np.ones(2), tag=7)
         if comm.rank == 0 else comm.recv(0, tag=7),
     ),
-    ("ishift", 5, lambda comm: comm.ishift(np.ones(2), tag=5).wait()),
-    ("iallgather", 101, lambda comm: comm.iallgather(np.ones(2), tag=101).wait()),
+    ("shift", 5, lambda comm: comm.shift(np.ones(2), tag=5)),
+    ("allgather", 101, lambda comm: comm.allgather(np.ones(2), tag=101)),
     ("alltoallv", 109, lambda comm: comm.alltoallv([np.ones(1)] * 2, tag=109)),
     ("untracked split metadata", 108, lambda comm: comm.split(0, comm.rank).rank),
     ("packed need-list exchange", TAG_SPARSE_AG, _need_list_gather),

@@ -21,9 +21,9 @@ from repro.types import Elision, FusedVariant, Mode
 
 
 def fused(variant, S, A, B, **knobs):
-    """One-shot FusedMM on the synchronous schedule."""
+    """One-shot FusedMM."""
     run = repro.fusedmm_a if variant == FusedVariant.FUSED_A else repro.fusedmm_b
-    return run(S, A, B, overlap="off", **knobs)
+    return run(S, A, B, **knobs)
 
 
 ALL_COMBOS = [

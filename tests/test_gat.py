@@ -121,30 +121,6 @@ class TestCommunicationBehavior:
         assert rep.phase_words(Phase.OTHER) > 0  # softmax allreduces
 
 
-    @pytest.mark.parametrize("p,c", [(4, 2), (8, 2)])
-    def test_reuse_forward_bitwise_across_schedules(self, graph, p, c):
-        """The reuse forward states lanes on the shared ring_loop: the
-        pipelined schedule (score round pre-posted behind the kernel, the
-        aggregation accumulator shifted after it) moves the same words to
-        the same bits and really hides transfer time."""
-        adj, X = graph
-        results = {}
-        for overlap in (False, True):
-            with DistributedGAT(p=p, c=c, n_heads=2, r_in=12, r_head=6,
-                                elision=Elision.REPLICATION_REUSE, seed=5) as gat:
-                # no constructor knob: the schedule flag lives on the
-                # session's algorithm instance
-                gat._session(adj).alg.overlap = overlap
-                results[overlap] = gat.forward(adj, X)
-        off, on = results[False], results[True]
-        assert np.array_equal(off.output, on.output)
-        for phase in Phase:
-            assert off.report.phase_words(phase) == on.report.phase_words(phase)
-        assert off.report.comm_messages == on.report.comm_messages
-        assert off.report.hidden_comm_seconds == 0.0
-        assert on.report.hidden_comm_seconds > 0.0
-
-
 class TestResidentSession:
     """Both variants reach ranks through one cached ``Session``."""
 

@@ -5,19 +5,23 @@ Each cell runs one resident session through the same sequence of calls —
 repeats, alternating FusedMMA / FusedMMB, ``update_values``, a changed
 operand and single-mode calls on the transposed sibling — and records each
 call's rank-summed ``comm_words`` and ``comm_messages`` from
-``Session.metrics()``.  ``tests/identity_counts.json`` holds those integers;
-a change that moves one shows it as a reviewed diff.  Outputs are not
-stored (einsum's SIMD order may differ across CPUs): the two ``overlap``
-settings of a cell are compared bitwise in-run instead.
+``Session.metrics()``.  ``tests/identity_counts.json`` holds those integers
+as the software-pipelined schedule's last commit measured them, with
+``overlap="on"`` and ``"off"`` cells: the gate that deleting the pipeline
+moved no word.
 
-Regenerate with ``REPRO_REGEN_IDENTITY=1 PYTHONPATH=src python -m pytest
-tests/test_identity_counts.py``.
+Since then ``overlap=`` is accepted and ignored, so every cell must move
+exactly its committed words, and exactly the messages of its committed
+``overlap="off"`` cell (the pipelined schedule split a cold circulating
+SDDMM chunk into two messages per phase; the one synchronous schedule
+sends it whole).  Outputs are not stored (einsum's SIMD order may differ
+across CPUs): the two ``overlap`` values of a cell are compared bitwise
+in-run instead.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from functools import partial
 
@@ -90,13 +94,6 @@ def _key(family, elision, comm, overlap):
 
 @pytest.fixture(scope="module")
 def committed():
-    if os.environ.get("REPRO_REGEN_IDENTITY"):
-        doc = {}
-        for cell in CELLS:
-            for overlap in OVERLAPS:
-                doc[_key(*cell, overlap)] = run_cell(*cell, overlap)[1]
-        lines = [f"{json.dumps(k)}: {json.dumps(doc[k])}" for k in sorted(doc)]
-        IDENTITY.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     return json.loads(IDENTITY.read_text())
 
 
@@ -114,7 +111,10 @@ def test_matrix_covers_every_cell(committed):
 )
 def test_cell_matches_committed_counts(committed, family, elision, comm):
     runs = {overlap: run_cell(family, elision, comm, overlap) for overlap in OVERLAPS}
+    messages = [m for _, m in committed[_key(family, elision, comm, "off")]]
     for overlap, (_, counts) in runs.items():
-        assert counts == committed[_key(family, elision, comm, overlap)], overlap
+        words = [w for w, _ in committed[_key(family, elision, comm, overlap)]]
+        assert [w for w, _ in counts] == words, overlap
+        assert [m for _, m in counts] == messages, overlap
     for got, want in zip(runs["on"][0], runs["off"][0]):
         assert np.array_equal(got, want)

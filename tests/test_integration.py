@@ -49,7 +49,6 @@ class TestCrossAlgorithmConsistency:
         for name in sorted(ALGORITHMS):
             out, _ = repro.fusedmm_b(
                 S, A, B, p=8, c=2, algorithm=name, elision=Elision.NONE,
-                overlap="off",
             )
             outs.append((name, out))
         base_name, base = outs[0]

@@ -10,7 +10,7 @@ as-is (ARCHITECTURE.md "Propagation schedule -> What travels").  Covers:
   shapes included, and the caller's arrays are never written;
 * travel order: SpMMB / FusedMMB with the prepared (column-major) chunk
   are bitwise-equal to the same call circulating the chunk in distributed
-  order, across comm x overlap, before and after ``update_values``, with
+  order, across comm, before and after ``update_values``, with
   equal word and message counts; SDDMM values still come home in
   distributed order;
 * the home-side cache: built once per resident structure, reused across
@@ -165,14 +165,13 @@ def distributed_order(monkeypatch):
     )
 
 
-def _run_kernels(S, A, B, name, p, c, comm, overlap, elision):
+def _run_kernels(S, A, B, name, p, c, comm, elision):
     """spmm_b / fusedmm_b / sddmm before and after update_values, with
     the per-call (words, messages)."""
     new_vals = np.linspace(0.5, 1.5, S.nnz)
     out = []
     with repro.plan(
         S, A.shape[1], p=p, c=c, algorithm=name, elision=elision, comm=comm,
-        overlap=overlap,
     ) as sess:
         for _ in range(2):
             for call in (
@@ -189,16 +188,15 @@ def _run_kernels(S, A, B, name, p, c, comm, overlap, elision):
 
 
 class TestTravelOrder:
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("elision", ["none", "replication-reuse"])
     @pytest.mark.parametrize("name,p,c,comm", CHUNK_PATHS)
     def test_prepared_equals_distributed_order_bitwise(
-        self, small_problem, distributed_order, name, p, c, comm, overlap, elision
+        self, small_problem, distributed_order, name, p, c, comm, elision
     ):
         S, A, B = small_problem
-        got = _run_kernels(S, A, B, name, p, c, comm, overlap, elision)
+        got = _run_kernels(S, A, B, name, p, c, comm, elision)
         distributed_order()
-        ref = _run_kernels(S, A, B, name, p, c, comm, overlap, elision)
+        ref = _run_kernels(S, A, B, name, p, c, comm, elision)
         assert len(got) == len(ref) == 8
         for (a, words_a, msgs_a), (b, words_b, msgs_b) in zip(got, ref):
             assert np.array_equal(a, b)

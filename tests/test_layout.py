@@ -10,7 +10,7 @@ scattered into, the caller's arrays directly.  Covers:
 
 * permuted == natural to rounding for the five kernels on every family x
   comm mode, plus ``update_values``, ``use_values=False``, ALS and GAT;
-* a permuted session is bitwise across overlap x placement x sync /
+* a permuted session is bitwise across placement x sync /
   ``_async`` / one-shot, and across comm modes exactly where the natural
   layout is;
 * the resolver: which inputs permute, independence from every knob,
@@ -219,13 +219,13 @@ def five_serial(S, A, B):
 
 class TestPermutedIsBitwise:
     @pytest.mark.parametrize("name,comm", CASES)
-    def test_across_overlap_placement_and_entry_points(self, name, comm, skewed):
+    def test_across_placement_and_entry_points(self, name, comm, skewed):
         S, A, B = skewed
         p, c, elision = GRIDS[name]
         knobs = dict(p=p, c=c, algorithm=name, elision=elision, comm=comm)
         first = None
-        for overlap, placement in itertools.product(("off", "on"), ("spread", "packed")):
-            with laid_out(S, R, "permuted", placement, overlap=overlap, **knobs) as sess:
+        for placement in ("spread", "packed"):
+            with laid_out(S, R, "permuted", placement, **knobs) as sess:
                 sync = five(sess, A, B)
                 pending = [
                     sess.sddmm_async(A, B), sess.spmm_a_async(B),
@@ -235,11 +235,11 @@ class TestPermutedIsBitwise:
             later[0] = later[0].vals
             first = first or sync
             for got, want in zip(sync + later, first + [first[i] for i in (0, 1, 3, 4)]):
-                assert np.array_equal(got, want), (overlap, placement)
+                assert np.array_equal(got, want), placement
             # the one-shot wrappers plan the same permuted layout
             one_shot = [
-                repro.sddmm(S, A, B, overlap=overlap, **knobs)[0].vals,
-                repro.fusedmm_a(S, A, B, overlap=overlap, **knobs)[0],
+                repro.sddmm(S, A, B, **knobs)[0].vals,
+                repro.fusedmm_a(S, A, B, **knobs)[0],
             ]
             assert np.array_equal(one_shot[0], first[0])
             assert np.array_equal(one_shot[1], first[3])
@@ -311,12 +311,12 @@ class TestResolver:
         stats = layout_statistics(rmat(10, 8, seed=3), 8)
         layouts = {
             resolve_plan(
-                1024, 6703, 32, p=8, comm=comm, overlap=overlap, backend=backend,
+                1024, 6703, 32, p=8, comm=comm, backend=backend,
                 algorithm=algorithm, structure=stats,
             ).layout
-            for comm, overlap, backend, algorithm in itertools.product(
-                ("dense", "sparse", "auto"), ("off", "on", "auto"),
-                ("threads", "mpi"), ("auto", "2.5d-sparse-replicate"),
+            for comm, backend, algorithm in itertools.product(
+                ("dense", "sparse", "auto"), ("threads", "mpi"),
+                ("auto", "2.5d-sparse-replicate"),
             )
         }
         assert layouts == {"permuted"}

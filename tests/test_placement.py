@@ -84,13 +84,11 @@ class TestBitwise:
         p, c, elision = GRIDS[name]
         outs = {}
         for placement in ("spread", "packed"):
-            # overlap="on": the pipelined schedule, honoured when packed too
             with placed(
                 S, 8, placement, p=p, c=c, algorithm=name, elision=elision,
-                comm=comm, overlap="on",
+                comm=comm,
             ) as sess:
                 assert sess.explain().placement == placement
-                assert sess.overlap_mode == "on"
                 outs[placement] = [
                     sess.sddmm(A, B)[0].vals,
                     sess.spmm_a(B)[0],
@@ -228,17 +226,12 @@ class TestResolver:
         why = plan.why["placement"]
         assert why["phases"] == 4 and why["grain_flops"] == 2 * 65423 * 32 / (8 * 4)
         assert why["threshold_flops"] == PACK_GRAIN_FLOPS == 2**18
-        assert (plan.placement, plan.overlap) == ("packed", "off")
-        assert "packed placement" in plan.why["overlap"]["reason"]
+        assert plan.placement == "packed"
         plan = resolve_plan(
             16384, 119961, 64, p=8, c=2, algorithm="2.5d-sparse-replicate"
         )
         assert plan.why["placement"]["phases"] == 2 and plan.placement == "spread"
         assert plan.core is None  # resolve() never looks for a core
-
-    def test_explicit_overlap_on_is_honoured_when_packed(self):
-        plan = resolve_plan(1024, 8192, 16, p=4, overlap="on")
-        assert (plan.placement, plan.overlap) == ("packed", "on")
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_monotone_in_nnz_and_r(self, name):
@@ -262,7 +255,7 @@ class TestResolver:
     def test_the_host_is_recorded_never_consulted(self, monkeypatch):
         def decisions():
             return [
-                (plan.placement, plan.overlap, plan.algorithm, plan.c)
+                (plan.placement, plan.algorithm, plan.c)
                 for n, per_row, p in self.SHAPES
                 for plan in [resolve_plan(n, n * per_row, 64, p=p, comm="auto")]
             ]
@@ -281,4 +274,3 @@ class TestResolver:
         plan = resolve_plan(1024, 8192, 16, p=4, backend="mpi")
         assert plan.placement == "spread"
         assert "launcher" in plan.why["placement"]["reason"]
-        assert plan.overlap == "on"  # the model's answer, not the packed rule

@@ -7,7 +7,7 @@ returns the panel an *earlier dispatch* built when its source is the very
 same resident block object and nothing has re-acquired the panel's pool
 slot since.  Covered here:
 
-* warm calls on every family x comm x overlap move exactly the cold words
+* warm calls on every family x comm move exactly the cold words
   minus the replication words minus each unchanged side's need-list
   gather (2.5D sparse-replicate, ``comm="sparse"``) minus the coordinates
   of every circulating chunk (tests/test_carried_coords.py), in fewer
@@ -81,17 +81,16 @@ def problem():
     return S, rng.standard_normal((N, R)), rng.standard_normal((N, R))
 
 
-def _plan(S, family, comm="dense", elision="none", overlap="off", p=P, c=C, **kw):
+def _plan(S, family, comm="dense", elision="none", p=P, c=C, **kw):
     return repro.plan(
-        S, R, p=p, c=c, algorithm=family, comm=comm, elision=elision,
-        overlap=overlap, **kw,
+        S, R, p=p, c=c, algorithm=family, comm=comm, elision=elision, **kw,
     )
 
 
-def _natural(S, overlap, **kw):
+def _natural(S, **kw):
     """A 2.5D sparse-replicating session on the natural layout (a skewed
     operand would otherwise be permuted, filling every block)."""
-    resolved = _plan(S, "2.5d-sparse-replicate", overlap=overlap, **kw).explain()
+    resolved = _plan(S, "2.5d-sparse-replicate", **kw).explain()
     return Session(S, dataclasses.replace(resolved, layout="natural"))
 
 
@@ -144,7 +143,7 @@ def _coordinate_words(sess, S, kernel):
     per nonzero of every chunk a rank receives — and a warm one does not
     (``CarriedCoords``); zero where S does not circulate."""
     assert sess.explain().layout == "natural"
-    nnz, _ = chunk_round_traffic(sess.alg, S, R)
+    nnz = chunk_round_traffic(sess.alg, S, R)
     return 2 * nnz * ROUNDS[kernel]
 
 
@@ -161,16 +160,15 @@ def _panel_words(sess, S, sides):
 
 
 class TestWarmCalls:
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize(
         "family,comm,elision,kernel,panels", WARM_CASES,
         ids=[f"{f}/{c}/{e}/{k}" for f, c, e, k, _ in WARM_CASES],
     )
     def test_warm_call_skips_exactly_the_replication(
-        self, problem, family, comm, elision, kernel, panels, overlap
+        self, problem, family, comm, elision, kernel, panels
     ):
         S, A, B = problem
-        with _plan(S, family, comm, elision, overlap) as sess:
+        with _plan(S, family, comm, elision) as sess:
             skipped = _panel_words(sess, S, panels)
             skipped += _coordinate_words(sess, S, kernel)
             cold_out, cold, cold_repl = _call(sess, kernel, A, B)
@@ -184,19 +182,18 @@ class TestWarmCalls:
                 assert warm["comm_messages"] < cold["comm_messages"]
                 assert np.array_equal(warm_out, cold_out)
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
     @pytest.mark.parametrize("comm", ["dense", "sparse"])
-    def test_sddmm_value_gather_behind_the_kernel(self, problem, comm, overlap):
-        """The 2.5D sparse-replicating SDDMM's value all-gather completes
-        behind its kernel (``allgather_behind``); warm, it is not posted,
-        and it saves exactly the gather an SpMM's replication moves — plus,
-        under ``comm="sparse"``, both need-list panels."""
+    def test_sddmm_value_gather(self, problem, comm):
+        """The 2.5D sparse-replicating SDDMM's value all-gather: warm, it
+        is not posted, and it saves exactly the gather an SpMM's
+        replication moves — plus, under ``comm="sparse"``, both need-list
+        panels."""
         S, A, B = problem
         family = "2.5d-sparse-replicate"
         panels = "ab" if comm == "sparse" else ""
-        with _plan(S, family, comm, overlap=overlap) as sess:
+        with _plan(S, family, comm) as sess:
             _, _, gather = _call(sess, "spmm_b", A, B)
-        with _plan(S, family, comm, overlap=overlap) as sess:
+        with _plan(S, family, comm) as sess:
             skipped = _panel_words(sess, S, panels)
             cold_out, cold, _ = _call(sess, "sddmm", A, B)
             warm_out, warm, _ = _call(sess, "sddmm", A, B)
@@ -204,12 +201,11 @@ class TestWarmCalls:
         assert warm["comm_words"] == cold["comm_words"] - gather - skipped
         assert np.array_equal(warm_out, cold_out)
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
-    def test_rmat_25d_steady_state(self, problem, overlap):
+    def test_rmat_25d_steady_state(self, problem):
         """``rmat_25d``'s op shape — FusedMMA then FusedMMB on the same
         operands — on a q = 3 grid.  Each call writes one side, so the
         next call rebinds that side and gathers it; the other side's
-        panel survives (the SpMM output leases only its own side's slot).
+        panel survives (the SpMM output takes only its own side's slot).
         Every call after the first is steady: per rank it receives the
         output reduction and the rebound side's gather, nothing else, and
         hits twice — the S values and the kept panel.  Outputs equal a
@@ -220,9 +216,9 @@ class TestWarmCalls:
         kernels = ("fusedmm_a", "fusedmm_b")
         refs = {}
         for kernel in kernels:
-            with _natural(S, overlap, **kw) as fresh:
+            with _natural(S, **kw) as fresh:
                 refs[kernel] = KERNELS[kernel](fresh, A, B)
-        with _natural(S, overlap, **kw) as sess:
+        with _natural(S, **kw) as sess:
             cplans = _comm_plans(sess, S)
             for i in range(6):
                 kernel = kernels[i % 2]
@@ -319,7 +315,7 @@ class TestMisses:
         ``(S.T, B, A)`` between forward SDDMMs.  A sibling is never
         handed a panel built for the forward need lists (nor the reverse):
         each orientation binds its own block objects (source identity),
-        and both lease the same two slots ``gather-a`` / ``gather-b``, so
+        and both acquire the same two slots ``gather-a`` / ``gather-b``, so
         each gather — or SpMM output panel, which looks nothing up —
         drops the other orientation's stored panel (the slot rule)."""
         S, A, B = problem
@@ -387,8 +383,7 @@ class TestMisses:
         assert rec2["replica_hits"] == P * (1 + panels)
         assert np.array_equal(out, ref) and np.array_equal(again, ref)
 
-    @pytest.mark.parametrize("overlap", ["off", "on"])
-    def test_empty_blocks_hit_while_others_miss(self, problem, overlap):
+    def test_empty_blocks_hit_while_others_miss(self, problem):
         """Nonzeros only in the top-left coarse block: ``update_values``
         rebinds the value chunks of that block's fiber alone, so after it
         those ranks miss and the ranks of the three empty blocks hit.
@@ -401,9 +396,9 @@ class TestMisses:
         rows, cols = np.nonzero(D)
         S = CooMatrix(rows, cols, D[rows, cols], D.shape)
         vals = rng.standard_normal(S.nnz)
-        with _natural(S.with_values(vals), overlap) as fresh:
+        with _natural(S.with_values(vals)) as fresh:
             ref, _, _ = _call(fresh, "sddmm", A, B)
-        with _natural(S, overlap, deadline_ms=5000) as sess:
+        with _natural(S, deadline_ms=5000) as sess:
             _call(sess, "sddmm", A, B)
             sess.update_values(vals)
             out, rec, _ = _call(sess, "sddmm", A, B)
@@ -427,7 +422,7 @@ def _step(sess, step, A, B):
     return KERNELS[step](sess, A, B)
 
 
-def _random_sequence(problem, family, comm, seed, overlap):
+def _random_sequence(problem, family, comm, seed):
     """20 seeded steps on one session of ``family`` on a p = 18 grid:
     every output is bitwise the same call's on a fresh session, and every
     call ends ``"ok"``.  Returns the session's metrics records."""
@@ -435,7 +430,7 @@ def _random_sequence(problem, family, comm, seed, overlap):
     A, B = A.copy(), B.copy()  # mutated in place below
     rng = np.random.default_rng(seed)
     vals = S.vals
-    kw = dict(overlap=overlap, p=18, c=2)
+    kw = dict(p=18, c=2)
     with _plan(S, family, comm, deadline_ms=5000, **kw) as sess:
         for _ in range(20):
             step = SEQUENCE_STEPS[rng.integers(len(SEQUENCE_STEPS))]
@@ -455,21 +450,19 @@ def _random_sequence(problem, family, comm, seed, overlap):
 
 
 class TestCallSequences:
-    @pytest.mark.parametrize(
-        "seed,overlap", [(0, "off"), (1, "on"), (2, "off"), (3, "on")]
-    )
-    def test_random_sequence_matches_fresh_sessions(self, problem, seed, overlap):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_sequence_matches_fresh_sessions(self, problem, seed):
         """Seeded call sequences on 2.5D sparse-replicate, q = 3.  Within
         one ring the ranks must agree on hit or miss — a rank that skipped
         a gather its peer posted would leave the peer waiting — so under
         ``deadline_ms`` a disagreement shows as an ``SpmdTimeout`` (or a
         degraded re-run), not a hang."""
         records = _random_sequence(
-            problem, "2.5d-sparse-replicate", "sparse", seed, overlap
+            problem, "2.5d-sparse-replicate", "sparse", seed
         )
         assert sum(rec["replica_hits"] for rec in records) > 0
 
-    @pytest.mark.parametrize("seed,overlap", [(0, "off"), (1, "on")])
+    @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
         "family,comm",
         [
@@ -481,14 +474,14 @@ class TestCallSequences:
              "2.5d-dense-replicate/dense"],
     )
     def test_chunk_ring_sequence_matches_fresh_sessions(
-        self, problem, family, comm, seed, overlap
+        self, problem, family, comm, seed
     ):
         """The same on the chunk-circulating families (layer ring of 9;
         q = 3 grid rows): every rank of a ring must agree whether a round
         is warm — one that shipped whole chunks to a peer expecting values
         alone would leave it waiting — so a disagreement shows as an
         ``SpmdTimeout``, not a hang."""
-        _random_sequence(problem, family, comm, seed, overlap)
+        _random_sequence(problem, family, comm, seed)
 
 
 class TestRecovery:
@@ -626,7 +619,7 @@ class TestPoolRule:
         pool.replica("panel", np.ones(3), gather)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("acquire", ["empty", "zeros", "lease"])
+    @pytest.mark.parametrize("acquire", ["empty", "zeros"])
     def test_acquiring_the_slot_drops_the_memo(self, acquire):
         pool = BufferPool()
         src = np.ones(3)
@@ -634,8 +627,7 @@ class TestPoolRule:
         panel = pool.replica("panel", src, gather)
         pool.release_all()
         buf = getattr(pool, acquire)("panel", (2, 2))
-        if acquire != "lease":  # a lease takes the sibling slot panel@0
-            assert buf is panel
+        assert buf is panel
         assert buf.flags.writeable  # the slot is writeable again
         pool.replica("panel", src, gather)
         assert len(calls) == 2

@@ -6,8 +6,7 @@ pool's failure hook puts each rank's ``A`` / ``B`` references back
 only right while no kernel writes into a bound block, so here every block
 ``bind_dense`` binds is marked read-only — an in-place write raises — and
 the outputs must be bitwise those of the unwrapped run: all five kernels
-on every family x comm with the overlap pipeline on, one ALS run and one
-GAT forward pass.
+on every family x comm, one ALS run and one GAT forward pass.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ def _five_kernels(name, comm, elision, S, A, B, A2):
     outs = []
     with repro.plan(
         S, A.shape[1], p=8, c=2, algorithm=name, comm=comm, elision=elision,
-        overlap="on",
     ) as sess:
         # a repeat (skip-rebind, replica reuse), then a changed operand
         for X in (A, A, A2):

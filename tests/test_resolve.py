@@ -33,7 +33,7 @@ from repro.errors import (
     UnknownKernelBackendError,
 )
 from repro.kernels.registry import numba_available
-from repro.model.costs import PAPER_COST_ROWS, overlap_gain_seconds, row_key
+from repro.model.costs import PAPER_COST_ROWS, row_key
 from repro.model.optimal import choose_comm_mode
 from repro.model.resolve import ResolvedPlan
 from repro.runtime.backend import mpi_available
@@ -58,8 +58,7 @@ def no_ranks(monkeypatch):
 
 def decision(plan: ResolvedPlan):
     return (
-        plan.algorithm, plan.c, plan.comm_mode.value, plan.overlap, plan.placement,
-        plan.layout,
+        plan.algorithm, plan.c, plan.comm_mode.value, plan.placement, plan.layout,
     )
 
 
@@ -82,8 +81,7 @@ class TestDecisionPins:
     dense rows alone (``model.auto_regret`` 2.3-2.75); the joint decision
     prices the need-list row and takes the 2.5D q = 1 grid.  ``als_sweep``
     moved once: its grain (131 k FLOPs per local kernel call) is under
-    ``PACK_GRAIN_FLOPS``, so its ranks share a core and ``overlap="auto"``
-    has nothing to hide behind (was ``"on"``).  ``rmat_25d`` is the one
+    ``PACK_GRAIN_FLOPS``, so its ranks share a core.  ``rmat_25d`` is the one
     skewed input (block imbalance 3.36, union proxy 14 377 -> 8 798): it
     is distributed permuted; the four ER inputs (<= 1.017) stay natural.
     The whole grid's decisions are pinned by :class:`TestGoldenDecisions`.
@@ -94,31 +92,31 @@ class TestDecisionPins:
             dict(n=16384, nnz=65525, r=128, p=8, c=4, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="sparse"),
             lambda: repro.erdos_renyi(16384, 16384, 4, seed=7),
-            ("1.5d-sparse-shift", 4, "sparse", "on", "spread", "natural"),
+            ("1.5d-sparse-shift", 4, "sparse", "spread", "natural"),
         ),
         "er_compute": (
             dict(n=8192, nnz=261654, r=32, p=8, c=2, algorithm="1.5d-dense-shift",
                  elision="local-kernel-fusion", comm="dense"),
             lambda: repro.erdos_renyi(8192, 8192, 32, seed=7),
-            ("1.5d-dense-shift", 2, "dense", "on", "spread", "natural"),
+            ("1.5d-dense-shift", 2, "dense", "spread", "natural"),
         ),
         "rmat_25d": (
             dict(n=16384, nnz=119961, r=64, p=8, c=2,
                  algorithm="2.5d-sparse-replicate", elision="none", comm="auto"),
             lambda: rmat(14, 8, seed=7),
-            ("2.5d-sparse-replicate", 2, "sparse", "on", "spread", "permuted"),
+            ("2.5d-sparse-replicate", 2, "sparse", "spread", "permuted"),
         ),
         "small_auto": (
             dict(n=2048, nnz=16351, r=64, p=4, c=None, algorithm="auto",
                  elision="none", comm="auto", overlap="auto"),
             lambda: repro.erdos_renyi(2048, 2048, 8, seed=7),
-            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread", "natural"),
+            ("2.5d-sparse-replicate", 4, "sparse", "spread", "natural"),
         ),
         "als_sweep": (
             dict(n=4096, nnz=65423, r=32, p=8, c=2, algorithm="1.5d-sparse-shift",
                  elision="replication-reuse", comm="dense"),
             lambda: repro.erdos_renyi(4096, 4096, 16, seed=7, values="ones"),
-            ("1.5d-sparse-shift", 2, "dense", "off", "packed", "natural"),
+            ("1.5d-sparse-shift", 2, "dense", "packed", "natural"),
         ),
     }
 
@@ -136,7 +134,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_decisions.json")
 
 def grid_decisions():
     """``{"<elision>/<comm>": {"n,nnz/row,r,p": "<family> c=<c> <comm>
-    overlap=<overlap> <placement> <layout>"}}`` over ``GRID``, every other
+    <placement> <layout>"}}`` over ``GRID``, every other
     knob on auto (shape statistics only, so every layout is natural)."""
     doc = {}
     for elision, comm in itertools.product(ELISIONS, ("dense", "auto", "sparse")):
@@ -147,7 +145,7 @@ def grid_decisions():
             except ReproError:
                 resolved = "ReproError"
             else:
-                resolved = "{} c={} {} overlap={} {} {}".format(*decision(plan))
+                resolved = "{} c={} {} {} {}".format(*decision(plan))
             points[f"{n},{per_row},{r},{p}"] = resolved
     return doc
 
@@ -226,25 +224,6 @@ class TestAutoHonoursTheElision:
 
 class TestNoSilentFallback:
     """What the model cannot price is a typed error, never a default."""
-
-    def test_overlap_gain_answers_for_every_supported_configuration(self):
-        """The parent's ``except ReproError: return "on"`` was unreachable:
-        the overlapped-time term prices every family x supported elision x
-        feasible c x comm mode the resolver can hand it."""
-        priced = 0
-        ranks = (1, 2, 4, 6, 8, 9, 12, 16)
-        for name, p in itertools.product(sorted(ALGORITHMS), ranks):
-            modes = (False, True) if supports_sparse_comm(name) else (False,)
-            for elision, c, sparse in itertools.product(
-                supported_elisions(name), feasible_replication_factors(name, p), modes
-            ):
-                gain = overlap_gain_seconds(
-                    row_key(name, elision), 4096, 64, p, c, 0.125, CORI_KNL,
-                    sparse_comm=sparse,
-                )
-                assert gain >= 0.0
-                priced += 1
-        assert priced > 200
 
     def test_every_supported_configuration_has_a_cost_row(self):
         rows = {
@@ -353,9 +332,9 @@ class TestResolveProperty:
         assert plan.comm_mode in (CommMode.DENSE, CommMode.SPARSE)
         if plan.comm_mode == CommMode.SPARSE:
             assert supports_sparse_comm(plan.algorithm)
-        assert plan.overlap in ("off", "on")
+        assert plan.why["overlap"]["requested"] == knobs["overlap"]
         # an explicit knob is never overridden
-        for knob, got in zip(("algorithm", "c", "comm", "overlap"), decision(plan)):
+        for knob, got in zip(("algorithm", "c", "comm"), decision(plan)):
             assert knobs[knob] in ("auto", None, got)
         # pure: equal inputs, equal frozen plans
         assert resolve_plan(**knobs) == plan
@@ -409,11 +388,14 @@ class TestWhy:
         for mode in ("dense", "sparse"):
             rec = table[why["comm"][mode]]
             assert (rec["row"], rec["c"], rec["comm"]) == (best["row"], plan.c, mode)
-        assert why["overlap"]["p"] == 4 and why["overlap"]["host_cores"] >= 1
+        assert why["overlap"] == {
+            "requested": "auto", "reason": "one synchronous schedule"
+        }
         # 2.5D at q = 1: one phase, 2 * 16351 * 64 / 4 FLOPs per kernel call
+        assert why["placement"]["host_cores"] >= 1
         assert why["placement"] == {
             "grain_flops": 523232.0, "phases": 1, "threshold_flops": 2**18,
-            "host_cores": why["overlap"]["host_cores"],
+            "host_cores": why["placement"]["host_cores"],
             "reason": "coarse grain: kernels run in parallel",
         }
         doc = plan.as_dict()
@@ -431,7 +413,6 @@ class TestWhy:
             "2.5d-sparse-replicate/none", 4, "sparse"
         )
         assert round(best["words"]) == 36790 and best["messages"] == 9
-        assert plan.why["overlap"]["gain_seconds"] == 0.0  # no propagation left
         # the dense row at q = 1 still charges the ring's self-shift — and
         # says so (ROADMAP 1(b): the as-implemented dense cost)
         dense = table[plan.why["comm"]["dense"]]
@@ -452,7 +433,9 @@ class TestWhy:
         assert why["algorithm"]["picked"] == 0
         assert why["c"] == {"requested": 2, "feasible": [1, 2, 4], "candidate": 0}
         assert why["comm"] == {"requested": "dense", "dense": 0, "picked": "dense"}
-        assert why["overlap"] == {"requested": "off"}
+        assert why["overlap"] == {
+            "requested": "off", "reason": "one synchronous schedule"
+        }
 
     def test_fixed_family_and_c_reproduce_choose_comm_mode(self):
         """``choose_comm_mode`` is a view of the same table."""
@@ -466,10 +449,6 @@ class TestWhy:
                 assert plan.comm_mode.value == choose_comm_mode(
                     name, n, r, n * per_row, p, c
                 )
-
-    def test_auto_overlap_with_nothing_to_hide_says_so(self):
-        plan = resolve_plan(2048, 16351, 64, p=1, algorithm="1.5d-dense-shift")
-        assert plan.overlap == "off" and "reason" in plan.why["overlap"]
 
     def test_dense_only_family_answers_comm_auto_with_a_reason(self):
         plan = resolve_plan(
@@ -490,7 +469,7 @@ class TestThroughPlan:
             assert sess.layout == plan.layout == "natural"
             assert (sess.algorithm, sess.p, sess.c) == (plan.algorithm, 4, plan.c)
             assert (sess.elision, sess.comm_mode) == (plan.elision, plan.comm_mode)
-            assert (sess.overlap_mode, sess.trace_mode) == (plan.overlap, plan.trace)
+            assert (sess.overlap_mode, sess.trace_mode) == ("off", plan.trace)
             assert (sess.kernels, sess.backend) == (plan.kernels, plan.backend)
             assert (sess.r, sess.phi, sess.machine) == (16, plan.phi, plan.machine)
 
@@ -544,17 +523,17 @@ class TestMeasuredRegret:
     CONFIGS = {
         "er-p4-low-phi": (
             lambda: repro.erdos_renyi(2048, 2048, 8, seed=7), 64, 4,
-            ("2.5d-sparse-replicate", 4, "sparse", "off", "spread", "natural"),
+            ("2.5d-sparse-replicate", 4, "sparse", "spread", "natural"),
             36791,
         ),
         "er-p8-phi-half": (
             lambda: repro.erdos_renyi(1024, 1024, 16, seed=2), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed", "natural"),
+            ("2.5d-sparse-replicate", 2, "sparse", "packed", "natural"),
             18471,
         ),
         "rmat-p8": (
             lambda: rmat(10, 8, seed=3), 32, 8,
-            ("2.5d-sparse-replicate", 2, "sparse", "off", "packed", "permuted"),
+            ("2.5d-sparse-replicate", 2, "sparse", "packed", "permuted"),
             9621,
         ),
     }

@@ -88,6 +88,15 @@ class TestRunReport:
         report = RunReport(per_rank=[p])
         assert report.modeled_compute_seconds(machine) == pytest.approx(2e-5)
 
+    def test_modeled_total_is_comm_plus_compute(self):
+        """Replication, propagation and computation add up: there is no
+        overlap term."""
+        machine = MachineParams(alpha=0.0, beta=1e-9, gamma=1e-9, name="unit")
+        p = make_profile({Phase.REPLICATION: (100, 0), Phase.PROPAGATION: (500, 0)})
+        p.counters[Phase.COMPUTATION].flops = 2000
+        report = RunReport(per_rank=[p])
+        assert report.modeled_total_seconds(machine) == pytest.approx(2600e-9)
+
     def test_summary_renders(self):
         report = RunReport(per_rank=[RankProfile()], label="demo")
         text = report.summary()

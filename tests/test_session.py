@@ -10,7 +10,11 @@ Covers the session redesign's contract:
 * report accumulation across calls and ``reset_profile``;
 * validation: dense-operand shape drift, re-plan error on a different S,
   value rebinding via ``update_values``, closed-session errors;
-* context-manager lifecycle and the debugging ``repr``.
+* context-manager lifecycle and the debugging ``repr``;
+* ``*_async`` calls: bitwise the synchronous outputs, and an unconsumed
+  future is never clobbered by the next call;
+* skip-rebind after a failed ``run_rank``, and pool recovery after a
+  rank dies while its siblings are blocked in a shift.
 """
 
 from __future__ import annotations
@@ -112,6 +116,24 @@ class TestWrapperSessionEquivalence:
             assert np.array_equal(out, ref)
         serial = fusedmm_a_serial if variant == FusedVariant.FUSED_A else fusedmm_b_serial
         np.testing.assert_allclose(out, serial(S, A, B), rtol=1e-9, atol=1e-12)
+
+    def test_overlap_knob_is_inert(self, small_problem, exec_backend):
+        """``overlap=`` is accepted and ignored: warm need-list calls under
+        ``"on"`` and ``"off"`` are bitwise one run (parameterized by
+        ``--exec-backend``, so the mpi lane checks it over processes)."""
+        require_world_size(exec_backend, 8)
+        S, A, B = small_problem
+        outs = {}
+        for ov in ("off", "on"):
+            with repro.plan(
+                S, A.shape[1], p=8, c=4, algorithm="1.5d-sparse-shift",
+                elision="replication-reuse", comm="sparse", overlap=ov,
+                backend=exec_backend,
+            ) as sess:
+                assert sess.overlap_mode == "off"
+                outs[ov] = [sess.fusedmm_b(A, B)[0] for _ in range(3)]
+        for x, y in zip(outs["off"], outs["on"]):
+            assert np.array_equal(x, y)
 
     def test_collect_sddmm_intermediate(self, small_problem):
         S, A, B = small_problem
@@ -298,6 +320,13 @@ class TestValidation:
         with pytest.raises(ReproError):
             repro.plan(S, A.shape[1], p=8, c=3, algorithm="1.5d-dense-shift")
 
+    def test_invalid_overlap_rejected(self, small_problem):
+        """``overlap=`` decides nothing, but a value outside
+        ``"auto" | "on" | "off"`` is still refused."""
+        S, A, B = small_problem
+        with pytest.raises(ReproError, match="overlap"):
+            repro.plan(S, A.shape[1], p=4, overlap="maybe")
+
 
 class TestUpdateValues:
     @pytest.mark.parametrize("name,p,c,comm", FAMILY_COMMS, ids=FAMILY_IDS)
@@ -400,7 +429,7 @@ class TestDenseBindSkipping:
     def test_repeated_sddmm_binds_each_side_once(self, small_problem):
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift", overlap="off") as sess:
+                        algorithm="1.5d-dense-shift") as sess:
             for _ in range(4):
                 sess.sddmm(A, B)
             assert sess.dense_bind_counts == {"a": 1, "b": 1}
@@ -593,7 +622,7 @@ class TestFailedCallKeepsResidentBlocks:
     dispatched with (the pool's failure hook puts them back), so the
     skip-rebind snapshots survive it."""
 
-    KW = dict(p=4, c=2, algorithm="1.5d-dense-shift", comm="dense", overlap="off")
+    KW = dict(p=4, c=2, algorithm="1.5d-dense-shift", comm="dense")
 
     def test_next_clean_call_skips_the_unchanged_side(self, small_problem):
         S, A, B = small_problem
@@ -681,3 +710,131 @@ class TestThreadSafety:
             out, report = sess.fusedmm_a(A, B)
             assert out.shape == A.shape
             assert sess.metrics()[-1]["outcome"] == "ok"
+
+
+class TestAsyncCalls:
+    def test_async_pipeline_bitwise_and_reports(self, small_problem):
+        S, A, B = small_problem
+        rng = np.random.default_rng(3)
+        Bs = [rng.standard_normal(B.shape) for _ in range(4)]
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift",
+                        elision="replication-reuse") as sess:
+            sync_outs = [sess.fusedmm_a(A, b)[0] for b in Bs]
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift",
+                        elision="replication-reuse") as sess:
+            futures = [sess.fusedmm_a_async(A, b) for b in Bs]
+            outs = [f.result() for f in futures]
+        for want, (got, report) in zip(sync_outs, outs):
+            assert np.array_equal(want, got)
+            assert report.comm_mode == "dense"
+
+    def test_async_result_is_idempotent_and_unclobbered(self, small_problem):
+        """A later pipelined call must not clobber an unconsumed output."""
+        S, A, B = small_problem
+        rng = np.random.default_rng(4)
+        B2 = rng.standard_normal(B.shape)
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            want1 = sess.fusedmm_a(A, B)[0]
+            want2 = sess.fusedmm_a(A, B2)[0]
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            f1 = sess.fusedmm_a_async(A, B)
+            f2 = sess.fusedmm_a_async(A, B2)  # stages while f1 runs
+            out2 = f2.result()[0]
+            out1 = f1.result()[0]  # finalized before f2 promoted; cached
+            assert np.array_equal(want1, out1)
+            assert np.array_equal(want2, out2)
+
+
+class TestSkipRebindAfterFailure:
+    def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
+        """A custom rank procedure dirties both dense sides, failing or
+        not: a bind may never be skipped against resident blocks a failed
+        ``run_rank`` half-overwrote in place."""
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            want = sess.fusedmm_a(A, B)[0]
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            f1 = sess.fusedmm_a_async(A, B)  # snapshots both sides
+
+            def bad(ctx, plan_, local, sparse_plan=None):
+                local.A[:] = np.nan  # clobber resident blocks, then die
+                local.B[:] = np.nan
+                ctx.comm.barrier(tag=77)
+                raise ValueError("post-clobber failure")
+
+            with pytest.raises(RuntimeError):
+                sess.run_rank(bad, label="clobber")
+            f1.result()  # finalized before the failing dispatch; still good
+            # the failed run_rank dirtied both sides: rebinding the *same*
+            # operands must NOT be skipped against the NaN-filled blocks
+            out, _ = sess.fusedmm_a(A, B)
+            assert np.isfinite(out).all()
+            assert np.array_equal(want, out)
+
+    def test_single_rank_failure_invalidates_snapshots_too(self, small_problem):
+        """p=1 pools run the body inline, so the failure surfaces at
+        dispatch time — the procedure must still dirty both sides."""
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=1, c=1,
+                        algorithm="1.5d-dense-shift") as sess:
+            want = sess.fusedmm_a(A, B)[0]
+        with repro.plan(S, A.shape[1], p=1, c=1,
+                        algorithm="1.5d-dense-shift") as sess:
+            sess.fusedmm_a(A, B)
+
+            def bad(ctx, plan_, local, sparse_plan=None):
+                local.A[:] = np.nan
+                local.B[:] = np.nan
+                raise ValueError("inline failure")
+
+            with pytest.raises(ValueError):
+                sess.run_rank(bad, label="clobber")
+            out, _ = sess.fusedmm_a(A, B)  # must rebind, not skip
+            assert np.isfinite(out).all()
+            assert np.array_equal(want, out)
+
+    def test_changing_operand_retires_tracking(self, small_problem):
+        """A side that misses the snapshot compare on every bind stops
+        being tracked until a kernel dirties it (no permanent upkeep for
+        always-fresh operands) — and correctness is unaffected."""
+        S, A, B = small_problem
+        rng = np.random.default_rng(11)
+        limit = repro.Session._BIND_MISS_LIMIT
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            for _ in range(limit + 2):
+                sess.sddmm(A, rng.standard_normal(B.shape))
+            # after `limit` misses the b-side snapshot is retired
+            assert sess._dense_state[False]["b"] is None
+            # ...while the repeating a-side still skips
+            assert sess.dense_bind_counts["a"] == 1
+            out, _ = sess.sddmm(A, B)
+            from repro.baselines.serial import sddmm_serial
+
+            np.testing.assert_allclose(out.vals, sddmm_serial(S, A, B).vals,
+                                       rtol=1e-9)
+
+    def test_abort_and_recovery(self, small_problem):
+        """A rank failure while its siblings are blocked in a shift leaves
+        the session's pool reusable and later calls correct."""
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=8, c=4,
+                        algorithm="1.5d-sparse-shift",
+                        elision="replication-reuse", comm="sparse") as sess:
+            want, _ = sess.fusedmm_b(A, B)
+
+            def bad(ctx, plan_, local, sparse_plan=None):
+                if ctx.comm.rank == 3:
+                    raise ValueError("mid-shift failure")
+                ctx.comm.shift(np.ones(4), displacement=1, tag=9)
+
+            with pytest.raises(RuntimeError):
+                sess.run_rank(bad, label="doomed")
+            got, _ = sess.fusedmm_b(A, B)
+            assert np.array_equal(want, got)

@@ -213,15 +213,15 @@ class TestPoolStress:
         for one_shot in (repro.sddmm, repro.fusedmm_a):
             with pytest.raises(RuntimeError, match="injected crash"):
                 one_shot(
-                    S, A, B, p=4, c=2, overlap="off",  # no degraded re-run
+                    S, A, B, p=4, c=2,
                     faults=FaultPlan.crash_at(site="computation", rank=1),
                 )
             assert threading.active_count() == baseline
 
-    def test_overlap_session_thread_count_returns_to_baseline(self):
-        """Overlap-mode case of the thread-leak gate: pipelined shifts,
-        async packed exchanges and cross-call futures (including an
-        unconsumed one at close time) must not strand a single thread."""
+    def test_sparse_session_thread_count_returns_to_baseline(self):
+        """Need-list case of the thread-leak gate: packed exchanges and
+        cross-call futures (including an unconsumed one at close time)
+        must not strand a single thread."""
         from repro.sparse.generate import erdos_renyi
 
         rng = np.random.default_rng(2)
@@ -231,7 +231,7 @@ class TestPoolStress:
         baseline = threading.active_count()
         sess = repro.plan(
             S, 8, p=8, c=4, algorithm="1.5d-sparse-shift",
-            elision="replication-reuse", comm="sparse", overlap="on",
+            elision="replication-reuse", comm="sparse",
         )
         for _ in range(3):
             sess.fusedmm_b(A, B)
@@ -244,21 +244,21 @@ class TestPoolStress:
         # the finalized future is still consumable after close
         out, report = future.result()
         assert out.shape == (96, 8)
-        assert report.hidden_comm_seconds > 0.0
+        assert report.comm_words > 0
 
 
 class TestFaultStress:
-    """Injected faults against the overlap/sparse machinery under load:
-    a crash while sibling ranks sit inside ``PendingSparseExchange.wait``,
-    and a straggler stalling one leg of the 2.5D dual gather.  Each case
+    """Injected faults against the need-list machinery under load: a
+    crash while sibling ranks sit in a packed exchange's receives, and a
+    straggler stalling one leg of the 2.5D dual gather.  Each case
     re-runs the thread-leak gate — a fault must never strand a rank
     thread."""
 
     def test_crash_while_siblings_wait_packed_exchange(self):
-        """Crash one rank mid-pipeline on an overlap sparse-comm session:
-        its siblings are blocked in PendingSparseExchange.wait on the
-        posted packed exchange and must unwind via the abort, recover,
-        and produce bitwise-clean results on the retry."""
+        """Crash one rank mid-call on a sparse-comm session: its siblings
+        are blocked in the packed exchange's receives and must unwind via
+        the abort, recover, and produce bitwise-clean results on the
+        retry."""
         from repro.runtime.faults import FaultPlan
         from repro.sparse.generate import erdos_renyi
 
@@ -268,7 +268,6 @@ class TestFaultStress:
         B = rng.standard_normal((96, 8))
         with repro.plan(
             S, 8, p=8, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
-            overlap="on",
         ) as clean:
             ref, _ = clean.fusedmm_a(A, B)
 
@@ -276,7 +275,7 @@ class TestFaultStress:
         plan = FaultPlan.crash_at(site="computation", rank=5, index=1)
         sess = repro.plan(
             S, 8, p=8, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
-            overlap="on", retries=1, faults=plan,
+            retries=1, faults=plan,
         )
         out, _ = sess.fusedmm_a(A, B)
         np.testing.assert_array_equal(out, ref)
@@ -297,7 +296,6 @@ class TestFaultStress:
         B = rng.standard_normal((96, 8))
         with repro.plan(
             S, 8, p=8, c=2, algorithm="2.5d-sparse-replicate", comm="sparse",
-            overlap="on",
         ) as clean:
             ref, _ = clean.fusedmm_a(A, B)
 
@@ -305,7 +303,7 @@ class TestFaultStress:
         plan = FaultPlan.straggler(0.1, site="gather-AB-packed", rank=2)
         sess = repro.plan(
             S, 8, p=8, c=2, algorithm="2.5d-sparse-replicate", comm="sparse",
-            overlap="on", faults=plan,
+            faults=plan,
         )
         out, _ = sess.fusedmm_a(A, B)
         np.testing.assert_array_equal(out, ref)

@@ -9,11 +9,10 @@ Covers the observability contract:
   (both sides read the same ``perf_counter`` value), and nested tracked
   regions produce properly nested spans;
 * Chrome trace-event export emits schema-valid JSON: per-rank thread
-  metadata, complete/async/instant events with microsecond timestamps,
-  and async begin/end pairs that match up by id;
-* a traced overlapped FusedMM run contains duration spans for all three
-  paper phases and async spans for the in-flight exchanges, and the
-  derived :class:`TimelineStats` occupancies are valid fractions;
+  metadata, complete/instant events with microsecond timestamps;
+* a traced FusedMM run contains duration spans for all three paper
+  phases, and the derived :class:`TimelineStats` occupancies are valid
+  fractions;
 * the ring buffer bounds memory (old events evicted, ``dropped`` counts);
 * ``RunReport.to_dict``/``to_json`` round-trip through ``json.loads``,
   and the empty-report reductions (``flops`` etc.) return 0 instead of
@@ -69,7 +68,7 @@ class TestDisabledPath:
         monkeypatch.setattr(Tracer, "_append", counting_append)
         S, A, B = _problem()
         with repro.plan(S, 16, p=4, algorithm="1.5d-sparse-shift",
-                        comm="sparse", overlap="on", trace="off") as sess:
+                        comm="sparse", trace="off") as sess:
             sess.fusedmm_a(A, B)
             sess.fusedmm_a_async(A, B).result()
         assert calls["n"] == 0
@@ -137,16 +136,6 @@ class TestSpanCounterAgreement:
         assert tl.exposed_comm_seconds == pytest.approx(1.0 + 1.0)
         assert tl.idle_seconds == pytest.approx(0.0)
 
-    def test_overlap_window_occupancy(self):
-        tr = Tracer(rank=0)
-        tr.span(Phase.COMPUTATION.value, "phase", 0.0, 2.0)
-        tr.async_span("recv<-r1", "comm", 1.0, 3.0)  # covers half the kernel
-        tr.async_span("panel-lease", "buffer", 0.0, 2.0)  # must not count
-        tl = RankTimeline.from_events(0, tr.events)
-        assert tl.kernel_seconds == pytest.approx(2.0)
-        assert tl.overlap_covered_seconds == pytest.approx(1.0)
-        assert tl.overlap_window_occupancy == pytest.approx(0.5)
-
 
 class TestRingBuffer:
     def test_capacity_bounds_memory_and_counts_drops(self):
@@ -170,7 +159,7 @@ class TestChromeExport:
         S, A, B = _problem()
         out = tmp_path / "trace.json"
         with repro.plan(S, 16, p=4, algorithm="1.5d-sparse-shift",
-                        comm="sparse", overlap="on", trace="on") as sess:
+                        comm="sparse", trace="on") as sess:
             sess.fusedmm_a(A, B)
             doc = sess.export_trace(str(out))
 
@@ -184,37 +173,26 @@ class TestChromeExport:
         assert {e["tid"] for e in thread_names} == {0, 1, 2, 3}
         assert all(e["name"] == "thread_name" for e in thread_names)
 
-        begins, ends = {}, {}
         for e in events:
             assert e["pid"] == 0
             ph = e["ph"]
-            assert ph in ("M", "X", "b", "e", "i")
+            assert ph in ("M", "X", "i")
             if ph == "M":
                 continue
             assert isinstance(e["ts"], (int, float)) and e["ts"] >= 0
             assert isinstance(e["cat"], str) and e["cat"]
             if ph == "X":
                 assert e["dur"] >= 0
-            elif ph == "b":
-                begins[e["id"]] = e
-            elif ph == "e":
-                ends[e["id"]] = e
             else:  # instant
                 assert e["s"] == "t"
-        # every async begin has a matching end with the same name/cat
-        assert set(begins) == set(ends) and begins
-        for aid, b in begins.items():
-            assert ends[aid]["name"] == b["name"]
-            assert ends[aid]["cat"] == b["cat"]
-            assert ends[aid]["ts"] >= b["ts"]
 
-    def test_traced_fusedmm_has_phase_and_async_spans(self):
-        """Acceptance shape: a traced overlapped fused run shows all three
-        paper phases as duration spans on every rank, plus in-flight
-        exchange windows as async spans."""
+    def test_traced_fusedmm_has_phase_spans(self):
+        """Acceptance shape: a traced fused run shows all three paper
+        phases as duration spans on every rank, and its receives as
+        ``comm`` spans."""
         S, A, B = _problem()
         with repro.plan(S, 16, p=4, algorithm="1.5d-sparse-shift",
-                        comm="sparse", overlap="on", trace="on") as sess:
+                        comm="sparse", trace="on") as sess:
             sess.fusedmm_a(A, B)
             doc = sess.export_trace()
             stats = sess.timeline()
@@ -228,17 +206,16 @@ class TestChromeExport:
                 Phase.PROPAGATION.value,
                 Phase.COMPUTATION.value,
             } <= names, f"rank {rank} is missing phase spans: {names}"
-        assert any(e["ph"] == "b" and e["cat"] == "comm"
+        assert any(e["ph"] == "X" and e["cat"] == "comm"
                    for e in doc["traceEvents"])
 
         assert len(stats.per_rank) == 4
-        assert 0.0 <= stats.overlap_window_occupancy <= 1.0
         for frac in (stats.idle_fraction, stats.compute_fraction,
                      stats.exposed_comm_fraction):
             assert 0.0 <= frac <= 1.0
-        # the summary and dict views agree on the headline number
+        # the summary and dict views agree
         d = stats.to_dict()
-        assert d["overlap_window_occupancy"] == stats.overlap_window_occupancy
+        assert d["compute_fraction"] == stats.compute_fraction
         assert len(d["per_rank"]) == 4
 
     def test_timeline_stats_from_report(self):

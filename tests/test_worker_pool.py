@@ -6,6 +6,8 @@ The pool's guarantees, each asserted here:
   driver, and the pool stays **reusable** afterwards;
 * ``close()`` joins every rank thread (no leaks) and is idempotent;
 * dispatch after close raises;
+* ``run_async`` holds one unsettled item: a second dispatch settles the
+  first, whose error surfaces at its own ``wait()``;
 * a warm session produces **bitwise** the same kernel outputs as a
   fresh session per call across families x comm modes, while building
   its contexts exactly once per orientation.
@@ -273,7 +275,7 @@ def test_retry_lives_at_the_pool_seam():
     import repro.runtime.spmd as spmd
     import repro.session as session
 
-    fault_classes = {"SpmdTimeout", "CommError", "BufferLeaseError", "FaultInjected"}
+    fault_classes = {"SpmdTimeout", "CommError", "FaultInjected", "SpmdAbort"}
 
     def fault_tuples(module):
         tree = ast.parse(inspect.getsource(module))
@@ -290,6 +292,73 @@ def test_retry_lives_at_the_pool_seam():
     heads += [n.test for n in ast.walk(tree) if isinstance(n, ast.While)]
     assert not any("retries" in ast.unparse(head) for head in heads)
     assert not hasattr(session.Session, "_RETRYABLE_ERRORS")
+
+
+class TestPoolAsyncDispatch:
+    def test_run_async_basic(self):
+        with WorkerPool(4) as pool:
+            fut = pool.run_async(lambda comm: comm.rank * 2)
+            results, report = fut.wait()
+            assert results == [0, 2, 4, 6]
+            assert fut.done
+            # idempotent wait
+            assert fut.wait()[0] == results
+
+    def test_dispatch_on_busy_pool_settles_the_unsettled_item(self):
+        with WorkerPool(3) as pool:
+            f1 = pool.run_async(lambda comm: comm.shift(comm.rank, 1), label="one")
+            f2 = pool.run_async(lambda comm: comm.shift(comm.rank, -1), label="two")
+            assert f1.done  # one slot: the second dispatch settled the first
+            assert f2.wait()[0] == [(r + 1) % 3 for r in range(3)]
+            assert f1.wait()[0] == [(r - 1) % 3 for r in range(3)]
+
+    def test_abort_with_a_sibling_blocked_in_a_shift_recovers(self):
+        """One rank dies while a sibling is blocked in a shift's receive;
+        the pool must unwind and recover."""
+
+        def bad(comm):
+            if comm.rank == 0:
+                raise ValueError("boom mid-shift")
+            # rank 1 sends, then blocks receiving rank 0's message, which
+            # never comes — only the abort can release this wait
+            return comm.shift(np.ones(16), displacement=1, tag=9)
+
+        with WorkerPool(4) as pool:
+            fut = pool.run_async(bad, label="doomed")
+            with pytest.raises(RuntimeError, match="rank 0 failed"):
+                fut.wait()
+            # recovered: the same resident ranks serve the next item
+            results, _ = pool.run(lambda comm: comm.shift(comm.rank, 1))
+            assert results == [(r - 1) % 4 for r in range(4)]
+
+    def test_item_dispatched_behind_a_failure_runs_on_recovered_world(self):
+        """``run_async`` with an unsettled failing item: the failure
+        surfaces at the *first* future's ``wait()`` (not at the second
+        dispatch), and the second item runs clean on the recovered
+        world instead of unwinding through the aborted one."""
+
+        def bad(comm):
+            comm.barrier(tag=60)
+            if comm.rank == 1:
+                raise ValueError("first item dies")
+            comm.recv(comm.rank, tag=61)  # blocks until abort
+
+        def innocent(comm):
+            return comm.shift(comm.rank, displacement=1)
+
+        with WorkerPool(3) as pool:
+            f1 = pool.run_async(bad, label="bad")
+            f2 = pool.run_async(innocent, label="innocent")  # does not raise
+            assert f2.wait()[0] == [(r - 1) % 3 for r in range(3)]
+            with pytest.raises(RuntimeError, match="rank 1 failed") as err:
+                f1.wait()
+            assert isinstance(err.value.__cause__, ValueError)
+
+    def test_single_rank_pool_runs_inline(self):
+        with WorkerPool(1) as pool:
+            fut = pool.run_async(lambda comm: 42)
+            assert fut.done
+            assert fut.wait()[0] == [42]
 
 
 class TestPoolClose:
