@@ -229,11 +229,10 @@ class Mailbox:
         """Block until a message with ``key`` is available (or abort) and
         return its payload.
 
-        With a ``deadline
-        (``time.perf_counter`` horizon), an empty wait past it raises
-        :class:`~repro.errors.SpmdTimeout` — the watchdog that turns a
-        mismatched collective into a typed error within one poll period
-        of the deadline instead of a silent hang.
+        With a ``deadline`` (``time.perf_counter`` horizon), an empty
+        wait past it raises :class:`~repro.errors.SpmdTimeout` — the
+        watchdog that turns a mismatched collective into a typed error
+        within one poll period of the deadline instead of a silent hang.
         """
         with self._cond:
             while True:

@@ -1,9 +1,9 @@
 """Per-rank span tracing: Chrome trace-event export and timeline analysis.
 
 The counters in :mod:`repro.runtime.profile` answer *how much* time and
-traffic each paper phase cost; they cannot answer *when* — which receive a
-rank waited on, or whether it sat idle in the pool queue.  This module adds the missing
-time axis:
+traffic each paper phase cost; they cannot answer *when* — which receive
+a rank waited on, or whether it sat idle in the pool queue.  This module
+adds the missing time axis:
 
 * :class:`Tracer` — a per-rank ring buffer of timestamped events.  Each
   SPMD rank owns at most one tracer (attached to its
