@@ -183,7 +183,9 @@ class TestResidentBlock25DSparse:
             assert len(group) == plan.c
             assert all(loc.S is group[0].S for loc in group)
 
-    @pytest.mark.parametrize("p,c", [(4, 1), (8, 2), (18, 2)])
+    @pytest.mark.parametrize(
+        "p,c", [(4, 1), (8, 2), (18, 2), (9, 1), (12, 3), (16, 4)]
+    )
     def test_dense_comm_spmm_matches_serial(self, rng, p, c):
         from repro.baselines.serial import spmm_a_serial, spmm_b_serial
         from repro.types import Mode

@@ -7,7 +7,7 @@ keeps the coordinates it received at each ring position, per kernel
 space and travel order, on its resident context
 (:class:`~repro.algorithms.base.CarriedCoords`), and a later round of the
 same chunk ring ships values alone.  Covered here, for each
-chunk-circulating family x comm:
+chunk-circulating family x comm x grid:
 
 * a warm round moves exactly one third of the cold round's chunk words
   — all of a 1.5D sparse-shift call's PROPAGATION words — in as many
@@ -44,6 +44,9 @@ from tests.helpers import chunk_round_traffic
 
 P, C = 8, 2
 N, R = 96, 8
+#: (p, c) grids: rings of 4 (1.5D) and 2 (2.5D) on two layers, and odd
+#: rings of 9 and 3 on one layer, which replicates nothing
+GRIDS = [(P, C), (9, 1)]
 
 #: (family, comm) of every chunk-circulating path
 CHUNK_PATHS = [
@@ -51,7 +54,13 @@ CHUNK_PATHS = [
     ("1.5d-sparse-shift", "sparse"),
     ("2.5d-dense-replicate", "dense"),
 ]
-PATH_IDS = [f"{f}/{c}" for f, c in CHUNK_PATHS]
+#: (family, comm, grid) of every chunk-circulating path on each of GRIDS;
+#: the default grid keeps the bare path as its id
+GRID_PATHS = [(f, c, grid) for grid in GRIDS for f, c in CHUNK_PATHS]
+GRID_PATH_IDS = [
+    f"{f}/{c}" + ("" if grid == (P, C) else "/p{}c{}".format(*grid))
+    for f, c, grid in GRID_PATHS
+]
 
 KERNELS = {
     "sddmm": lambda sess, A, B: sess.sddmm(A, B)[0].vals,
@@ -72,9 +81,10 @@ def problem():
     return S, rng.standard_normal((N, R)), rng.standard_normal((N, R))
 
 
-def _plan(S, family, comm, elision="none", **kw):
+def _plan(S, family, comm, elision="none", grid=(P, C), **kw):
+    p, c = grid
     return repro.plan(
-        S, R, p=P, c=C, algorithm=family, comm=comm, elision=elision, **kw,
+        S, R, p=p, c=c, algorithm=family, comm=comm, elision=elision, **kw,
     )
 
 
@@ -90,8 +100,8 @@ def _call(sess, kernel, A, B):
     return out, words, msgs, rec
 
 
-def _fresh(S, family, comm, kernel, A, B, elision="none"):
-    with _plan(S, family, comm, elision) as sess:
+def _fresh(S, family, comm, kernel, A, B, elision="none", grid=(P, C)):
+    with _plan(S, family, comm, elision, grid) as sess:
         return KERNELS[kernel](sess, A, B)
 
 
@@ -104,14 +114,16 @@ def _traffic(sess, S, kernel, transpose=False):
 
 
 class TestWarmRounds:
-    @pytest.mark.parametrize("kernel", ["sddmm", "spmm_a", "spmm_b", "fusedmm_b"])
-    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
-    def test_warm_round_moves_values_only(self, problem, family, comm, kernel):
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("family,comm,grid", GRID_PATHS, ids=GRID_PATH_IDS)
+    def test_warm_round_moves_values_only(
+        self, problem, family, comm, grid, kernel
+    ):
         """Cold, every chunk a rank receives is 3 words per nonzero; warm,
         1 — exactly a third, in as many messages.  The other lanes (2.5D's
         B block) move what they moved."""
         S, A, B = problem
-        with _plan(S, family, comm) as sess:
+        with _plan(S, family, comm, grid=grid) as sess:
             nnz = _traffic(sess, S, kernel)
             cold_out, cold_words, cold_msgs, _ = _call(sess, kernel, A, B)
             for _ in range(2):
@@ -123,11 +135,12 @@ class TestWarmRounds:
                     assert rest == 0 and 3 * words == cold_words
                 assert msgs == cold_msgs
                 assert np.array_equal(out, cold_out)
-        assert np.array_equal(cold_out, _fresh(S, family, comm, kernel, A, B))
+        fresh = _fresh(S, family, comm, kernel, A, B, grid=grid)
+        assert np.array_equal(cold_out, fresh)
 
-    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("family,comm,grid", GRID_PATHS, ids=GRID_PATH_IDS)
     def test_memo_survives_update_values_and_serves_each_orientation(
-        self, problem, family, comm
+        self, problem, family, comm, grid
     ):
         """New values leave the structure, so the next round is still
         warm and equals a fresh session on the new values.  FusedMMA under
@@ -138,7 +151,7 @@ class TestWarmRounds:
         vals = np.random.default_rng(11).standard_normal(S.nnz)
         S2 = S.with_values(vals)
         args = (family, comm)
-        kw = dict(elision="replication-reuse")
+        kw = dict(elision="replication-reuse", grid=grid)
         with _plan(S, *args, **kw) as sess:
             nnz_b = _traffic(sess, S, "fusedmm_b")
             nnz_a = _traffic(sess, S, "fusedmm_a", transpose=True)
@@ -170,9 +183,9 @@ class TestWarmFaults:
         [("drop", "first"), ("drop", "last"), ("dup", "first")],
         ids=["drop-first", "drop-last", "dup-first"],
     )
-    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("family,comm,grid", GRID_PATHS, ids=GRID_PATH_IDS)
     def test_warm_value_message_fault_retries_clean(
-        self, problem, family, comm, action, where
+        self, problem, family, comm, grid, action, where
     ):
         """Rank 0's first or last value message of call 2 (its first warm
         call) is lost or delivered twice.  A lost one hands the receiver
@@ -186,18 +199,18 @@ class TestWarmFaults:
         chunks its peers do not wait for."""
         S, A, B = problem
         kernel = "fusedmm_b"
-        with _plan(S, family, comm) as clean:
+        with _plan(S, family, comm, grid=grid) as clean:
             ref = KERNELS[kernel](clean, A, B)
             _call(clean, kernel, A, B)
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
-        grid = clean.alg.grid
-        ring = grid.layer_size if family.startswith("1.5d") else grid.q
+        layout = clean.alg.grid
+        ring = layout.layer_size if family.startswith("1.5d") else layout.q
         # rank 0's value messages: one per phase of each warm round (a
         # cold round ships its chunks whole, on TAG_SHIFT_S)
         index = 0 if where == "first" else 2 * ring - 1
         plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
         with _plan(
-            S, family, comm, deadline_ms=700, retries=1, faults=plan,
+            S, family, comm, grid=grid, deadline_ms=700, retries=1, faults=plan,
         ) as sess:
             records = []
             for _ in range(3):
@@ -209,8 +222,10 @@ class TestWarmFaults:
         assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
         assert len(plan.fired_log) == 1
 
-    @pytest.mark.parametrize("family,comm", CHUNK_PATHS, ids=PATH_IDS)
-    def test_fault_in_the_cold_round_refills_every_rank(self, problem, family, comm):
+    @pytest.mark.parametrize("family,comm,grid", GRID_PATHS, ids=GRID_PATH_IDS)
+    def test_fault_in_the_cold_round_refills_every_rank(
+        self, problem, family, comm, grid
+    ):
         """Rank 0's second-to-last chunk message of call 1 (in the cold
         SpMMB round) is lost: its receiver takes the last one — its own
         home chunk coming back — for the position before, keeps those
@@ -221,16 +236,16 @@ class TestWarmFaults:
         everywhere and the next calls are warm."""
         S, A, B = problem
         kernel = "fusedmm_b"
-        with _plan(S, family, comm) as clean:
+        with _plan(S, family, comm, grid=grid) as clean:
             ref = KERNELS[kernel](clean, A, B)
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
-        grid = clean.alg.grid
-        ring = grid.layer_size if family.startswith("1.5d") else grid.q
+        layout = clean.alg.grid
+        ring = layout.layer_size if family.startswith("1.5d") else layout.q
         # one coordinate-carrying message per phase of both cold rounds
         lost = FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=2 * ring - 2)
         plan = FaultPlan([lost])
         with _plan(
-            S, family, comm, deadline_ms=700, retries=1, faults=plan,
+            S, family, comm, grid=grid, deadline_ms=700, retries=1, faults=plan,
         ) as sess:
             records = []
             for _ in range(3):

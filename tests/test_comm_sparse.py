@@ -556,14 +556,17 @@ class TestFused25DGathersOnce:
                     == words[kernel] - kept.recv_words()
                 )
 
-    @pytest.mark.parametrize("p,c", [(8, 2), (4, 1), (9, 1)])
+    @pytest.mark.parametrize(
+        "p,c", [(8, 2), (4, 1), (9, 1), (18, 2), (16, 1), (12, 3)]
+    )
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_fused_is_bitwise_the_unelided_sequence(self, side, p, c):
         """Reusing the SDDMM round's panel changes no bit: the fused call
         equals ``rank_kernel(SDDMM)`` -> value all-gather ->
         ``rank_kernel(SPMM_*, values_full=...)``, which gathers the input
         side again, on the same locals.  q = 3 gives multi-peer legs whose
-        send side is not the whole panel."""
+        send side is not the whole panel; c > 1 all-gathers the values
+        over a fiber between the two rounds."""
         S, A, B = _fused_25d_problem(seed=5 + p)
         mode = Mode.SPMM_A if side == "a" else Mode.SPMM_B
 

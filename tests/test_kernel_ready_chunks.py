@@ -146,7 +146,10 @@ CHUNK_PATHS = [
     ("1.5d-sparse-shift", 8, 2, "dense"),
     ("1.5d-sparse-shift", 8, 2, "sparse"),
     ("1.5d-sparse-shift", 8, 4, "sparse"),
+    ("1.5d-sparse-shift", 9, 1, "dense"),
     ("2.5d-dense-replicate", 8, 2, "dense"),
+    ("2.5d-dense-replicate", 9, 1, "dense"),
+    ("2.5d-dense-replicate", 18, 2, "dense"),
 ]
 
 

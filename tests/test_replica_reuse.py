@@ -64,13 +64,25 @@ KERNELS = {
 #: sides of a 2.5D sparse-replicating call under ``comm="sparse"``
 WARM_CASES = [
     ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b", ""),
+    ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b_async", ""),
+    ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_a", ""),
     ("1.5d-dense-shift", "dense", "none", "sddmm", ""),
+    ("1.5d-dense-shift", "dense", "none", "spmm_b", ""),
     ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_b_async", ""),
+    ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_a", ""),
+    ("1.5d-sparse-shift", "dense", "none", "sddmm", ""),
+    ("1.5d-sparse-shift", "dense", "none", "spmm_b", ""),
     ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b", ""),
+    ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b_async", ""),
     ("1.5d-sparse-shift", "sparse", "none", "sddmm", ""),
     ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b", ""),
+    ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b_async", ""),
+    ("2.5d-dense-replicate", "dense", "none", "sddmm", ""),
+    ("2.5d-dense-replicate", "dense", "none", "spmm_b", ""),
+    ("2.5d-sparse-replicate", "dense", "none", "spmm_a", ""),
     ("2.5d-sparse-replicate", "dense", "none", "spmm_b", ""),
     ("2.5d-sparse-replicate", "sparse", "none", "spmm_a", "b"),
+    ("2.5d-sparse-replicate", "sparse", "none", "spmm_b", "a"),
 ]
 
 
