@@ -59,7 +59,7 @@ from repro.errors import ReproError
 from repro.runtime.profile import RunReport
 from repro.serve.model import ServeModel
 from repro.serve.request import AlsTopKRequest, Request
-from repro.session import Session, SessionFuture, plan
+from repro.session import Session, plan
 from repro.sparse.coo import CooMatrix
 from repro.types import CommMode, Elision, FusedVariant, Phase
 
@@ -457,8 +457,8 @@ class AlsServeModel(ServeModel):
             panel[:, i] = self.user_factors[req.user]
         return panel
 
-    def dispatch(self, sess: Session, panel: np.ndarray) -> SessionFuture:
-        return sess.spmm_a_async(panel)
+    def dispatch(self, sess: Session, panel: np.ndarray) -> np.ndarray:
+        return sess.spmm_a(panel)[0]
 
     def decode(self, raw: np.ndarray, requests: Sequence[Request]) -> List:
         results: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -62,7 +62,7 @@ from repro.kernels.spmm import spmm_b_block
 from repro.runtime.profile import RunReport
 from repro.serve.model import ServeModel
 from repro.serve.request import GatEdgeScoreRequest, Request
-from repro.session import Session, SessionFuture, plan
+from repro.session import Session, plan
 from repro.sparse.coo import CooMatrix
 from repro.types import Elision, Mode, Phase
 
@@ -466,13 +466,13 @@ class GatServeModel(ServeModel):
                 panel[req.node] = self.H[req.node]
         return panel
 
-    def dispatch(self, sess: Session, panel: np.ndarray) -> SessionFuture:
+    def dispatch(self, sess: Session, panel: np.ndarray) -> CooMatrix:
         edge_op = GatScoreOp(
             self.head.a_left, self.head.a_right, self.negative_slope
         )
-        return sess.sddmm_async(
+        return sess.sddmm(
             panel, self.H, use_values=self.use_values, edge_op=edge_op
-        )
+        )[0]
 
     def decode(self, raw: CooMatrix, requests: Sequence[Request]) -> List:
         results: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -88,7 +88,7 @@ class KernelBackendUnavailableError(ReproError):
 class SessionBusyError(ReproError):
     """Two driver threads called into one :class:`~repro.session.Session`
     concurrently.  Sessions hold resident per-rank state (dense blocks,
-    skip-rebind snapshots, the in-flight pipeline slot) that a second
+    skip-rebind snapshots, per-rank profiles) that a second
     concurrent caller would silently corrupt, so genuinely concurrent
     calls fail fast with this typed error instead.  Serialize callers —
     e.g. behind a queue, the way :class:`repro.serve.Server` does — or

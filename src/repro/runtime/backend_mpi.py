@@ -221,31 +221,6 @@ class MpiTransport(Transport):
         self._sends = []
 
 
-class _SettledFuture:
-    """Pre-settled stand-in for :class:`~repro.runtime.spmd.PoolFuture`.
-
-    The MPI pool executes eagerly inside :meth:`MpiWorkerPool.run_async`
-    (the local rank's body runs on the driver thread), so its futures
-    are born settled and :meth:`wait` just replays the outcome.
-    """
-
-    __slots__ = ("_results", "_report")
-
-    #: an eager item is never re-run
-    retries = 0
-
-    def __init__(self, results: List[Any], report: RunReport) -> None:
-        self._results = results
-        self._report = report
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def wait(self) -> Tuple[List[Any], RunReport]:
-        return self._results, self._report
-
-
 class MpiWorkerPool:
     """Rank-resident process pool: the ``backend="mpi"`` WorkerPool.
 
@@ -321,15 +296,21 @@ class MpiWorkerPool:
         profiles: Optional[List[RankProfile]] = None,
         label: str = "",
         deadline_ms: Optional[float] = None,
+        retries: int = 0,
+        on_failure=None,
     ) -> Tuple[List[Any], RunReport]:
         """Run ``rank_fn(comm)`` for the local rank, then sync all ranks.
 
         Every process must call this with the same sequence of bodies
         (normal replicated-driver discipline).  Deterministic rank
-        errors raise identically in every process; a deadline expiry
-        prints the blocked-state dump and aborts the MPI job, because a
-        one-sided hang cannot be recovered across processes.
+        errors raise identically in every process, after ``on_failure()``
+        ran; a re-run needs the processes to agree to retry, so
+        ``retries`` must be 0.  A deadline expiry prints the
+        blocked-state dump and aborts the MPI job, because a one-sided
+        hang cannot be recovered across processes.
         """
+        if retries:
+            raise ReproError("backend='mpi' cannot re-run a work item (retries=0)")
         if self._closed:
             raise ReproError("worker pool is closed; dispatch is not possible")
         if profiles is None:
@@ -367,6 +348,10 @@ class MpiWorkerPool:
             )
             self.world.hard_abort()
             raise  # pragma: no cover - Abort does not return
+        except Exception:
+            if on_failure is not None:
+                on_failure()
+            raise
         finally:
             self.world.deadline = None
         # control-plane sync: ship the local result and the authoritative
@@ -378,31 +363,6 @@ class MpiWorkerPool:
             if rr != r:
                 profiles[rr].set_counter_state(counter_state)
         return results, RunReport(per_rank=profiles, label=label)
-
-    def run_async(
-        self,
-        rank_fn,
-        profiles: Optional[List[RankProfile]] = None,
-        label: str = "",
-        deadline_ms: Optional[float] = None,
-        retries: int = 0,
-        on_failure=None,
-    ) -> _SettledFuture:
-        """Eager dispatch: runs the item to completion and returns a
-        pre-settled future (errors raise here, not at ``wait``).  A rank
-        error calls ``on_failure()`` before it propagates; a re-run needs
-        the processes to agree to retry, so ``retries`` must be 0."""
-        if retries:
-            raise ReproError("backend='mpi' cannot re-run a work item (retries=0)")
-        try:
-            results, report = self.run(
-                rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
-            )
-        except Exception:
-            if on_failure is not None:
-                on_failure()
-            raise
-        return _SettledFuture(results, report)
 
     def close(self, timeout: float = 30.0) -> None:
         """Seal the pool and complete in-flight sends.  Idempotent.

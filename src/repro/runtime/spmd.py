@@ -112,24 +112,20 @@ class _Latch:
 
 
 class _WorkItem:
-    """One dispatched SPMD body plus its completion/error state, and its
-    re-execution policy: up to ``retries`` re-runs of a retryable failure,
-    each after ``on_failure()`` restored what the body runs from."""
+    """One dispatched SPMD body plus its completion/error state."""
 
     __slots__ = ("fn", "profiles", "results", "errors", "errors_lock", "latch",
-                 "label", "post_ts", "deadline_ms", "retries", "on_failure")
+                 "label", "post_ts", "deadline_ms")
 
     def __init__(
         self, fn: RankFn, profiles: List[RankProfile], label: str = "",
-        deadline_ms: Optional[float] = None, retries: int = 0, on_failure=None,
+        deadline_ms: Optional[float] = None,
     ) -> None:
         self.fn = fn
         self.profiles = profiles
         self.errors_lock = threading.Lock()
         self.label = label
         self.deadline_ms = deadline_ms
-        self.retries = retries
-        self.on_failure = on_failure
 
 
 def _rank_error(item: _WorkItem) -> BaseException:
@@ -149,65 +145,6 @@ def _rank_error(item: _WorkItem) -> BaseException:
         error = RuntimeError(f"SPMD rank {rank} failed: {exc!r}")
     error.__cause__ = exc
     return error
-
-
-class PoolFuture:
-    """Handle for a work item dispatched with :meth:`WorkerPool.run_async`.
-
-    :meth:`wait` blocks until every rank finished the item, then returns
-    ``(results, report)`` or raises the item's error (after which the
-    pool has recovered).  The pool holds one unsettled item at a time —
-    the next dispatch settles this one first — so an item never runs on a
-    world an earlier failure aborted.  Waiting is idempotent: repeated
-    calls return the cached outcome (or re-raise the cached error).
-    :attr:`retries` counts the re-runs the pool made of the item.
-    """
-
-    __slots__ = (
-        "_pool", "_item", "_done", "_error", "_results", "_report", "retries"
-    )
-
-    def __init__(self, pool: "WorkerPool", item: _WorkItem) -> None:
-        self._pool = pool
-        self._item = item
-        self._done = False
-        # before settling, the first retryable error (what surfaces once
-        # the re-runs are spent)
-        self._error: Optional[BaseException] = None
-        self._results: Optional[List[Any]] = None
-        self._report: Optional[RunReport] = None
-        #: re-runs of the item used before it settled
-        self.retries = 0
-
-    @property
-    def done(self) -> bool:
-        """True once the outcome (success or failure) is settled."""
-        return self._done
-
-    def wait(self) -> Tuple[List[Any], RunReport]:
-        if not self._done:
-            self._pool._finish(self)
-        if self._error is not None:
-            raise self._error
-        assert self._results is not None and self._report is not None
-        return self._results, self._report
-
-    def _settle_ok(self) -> None:
-        # outcome fields are published BEFORE the done flag: wait() reads
-        # _done without the pool lock, so a concurrent waiter that sees it
-        # set must already see the settled results/error.  The work item
-        # (and with it the rank_fn closure) is dropped on settlement —
-        # the same GC discipline as the worker loop's `del item` — so a
-        # caller retaining consumed futures pins no per-call closures.
-        self._results = self._item.results
-        self._report = RunReport(per_rank=self._item.profiles, label=self._item.label)
-        self._item = self._error = None
-        self._done = True
-
-    def _settle_error(self, error: BaseException) -> None:
-        self._error = error
-        self._item = None
-        self._done = True
 
 
 class WorkerPool:
@@ -255,8 +192,8 @@ class WorkerPool:
         self.placement = placement
         #: the core every rank thread pinned itself to (``None``: unpinned)
         self.core = _pick_core(nranks) if placement == "packed" else None
-        #: default per-item deadline (:meth:`run`/:meth:`run_async` may
-        #: override per call); ``None`` disables the watchdog
+        #: default per-item deadline (:meth:`run` may override per call);
+        #: ``None`` disables the watchdog
         self.deadline_ms = deadline_ms
         self.world = World(nranks)
         # with a plan, each rank armed by it: the transport its
@@ -274,7 +211,6 @@ class WorkerPool:
             queue.SimpleQueue() for _ in range(nranks)
         ]
         self._run_lock = threading.Lock()
-        self._inflight: Optional[PoolFuture] = None  # dispatched, not yet settled
         self._closed = False
         self._threads: List[threading.Thread] = []
         if nranks > 1:
@@ -368,6 +304,8 @@ class WorkerPool:
         profiles: Optional[List[RankProfile]] = None,
         label: str = "",
         deadline_ms: Optional[float] = None,
+        retries: int = 0,
+        on_failure: Optional[Callable[[], None]] = None,
     ) -> Tuple[List[Any], RunReport]:
         """Dispatch ``rank_fn(comm)`` to every resident rank and wait.
 
@@ -375,33 +313,17 @@ class WorkerPool:
         re-raises the lowest-rank error as ``RuntimeError`` after all
         ranks finished unwinding — except deadline expiries, which
         re-raise as :class:`~repro.errors.SpmdTimeout` carrying the
-        per-rank blocked-state dump.  ``deadline_ms`` overrides the
-        pool's default watchdog horizon for this item.
-        """
-        return self.run_async(
-            rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
-        ).wait()
+        per-rank blocked-state dump.  On a single-rank pool the item runs
+        inline (no threads exist) and errors propagate raw.
+        ``deadline_ms`` overrides the pool's default watchdog horizon for
+        this item.
 
-    def run_async(
-        self,
-        rank_fn: RankFn,
-        profiles: Optional[List[RankProfile]] = None,
-        label: str = "",
-        deadline_ms: Optional[float] = None,
-        retries: int = 0,
-        on_failure: Optional[Callable[[], None]] = None,
-    ) -> PoolFuture:
-        """Dispatch ``rank_fn(comm)`` without waiting.
-
-        The driver is free to overlap its own work (staging the next
-        call's dense scatter) with the in-flight SPMD run.  The pool holds
-        one unsettled item: dispatching on a busy pool first settles that
-        item, whose error (if any) still surfaces at *its* ``wait()``, not
-        here.  On a single-rank pool the item runs inline immediately (no
-        threads exist) and errors propagate raw, matching the historical
-        fast path.  A failed attempt calls ``on_failure()`` on the driver
-        (the hook that puts back what ``rank_fn`` runs from) and is re-run
-        up to ``retries`` times while its error is :func:`retryable`.
+        A failed attempt recovers the world (every rank body has unwound)
+        and calls ``on_failure()`` on the driver — the hook that puts back
+        what ``rank_fn`` runs from; a :func:`retryable` error then re-runs
+        the item while ``retries`` last.  Otherwise the error surfaces: a
+        non-retryable one at once, the *first* one once the re-runs are
+        spent.
         """
         if self._closed:
             raise ReproError("worker pool is closed; dispatch is not possible")
@@ -411,20 +333,27 @@ class WorkerPool:
             raise ValueError("profiles must have one entry per rank")
         if deadline_ms is None:
             deadline_ms = self.deadline_ms
-        item = _WorkItem(rank_fn, profiles, label, deadline_ms, retries, on_failure)
-        busy = self._inflight
-        if busy is not None:
-            try:
-                busy.wait()
-            except Exception:
-                pass
+        item = _WorkItem(rank_fn, profiles, label, deadline_ms)
+        first_error: Optional[BaseException] = None
         with self._run_lock:
-            future = PoolFuture(self, item)
-            self._inflight = future
-            self._post(item)
-        if self.nranks == 1:
-            future.wait()  # the one rank ran inline: its error propagates here
-        return future
+            try:
+                while True:
+                    self._post(item)
+                    item.latch.wait()
+                    if not item.errors:
+                        return item.results, RunReport(per_rank=profiles, label=label)
+                    self._recover()
+                    if on_failure is not None:
+                        on_failure()
+                    error = _rank_error(item)
+                    if not retryable(error):
+                        raise error
+                    first_error = first_error or error
+                    if retries <= 0:
+                        raise first_error
+                    retries -= 1
+            finally:
+                self.world.deadline = None
 
     def _post(self, item: _WorkItem) -> None:
         """Hand ``item`` to every rank as a fresh attempt (under the run
@@ -444,42 +373,6 @@ class WorkerPool:
         else:
             for q in self._queues:
                 q.put(item)
-
-    def _finish(self, future: PoolFuture) -> None:
-        """Settle ``future`` once every rank finished its item.
-
-        A failed attempt recovers the world (every rank body has unwound)
-        and runs the item's ``on_failure`` hook; then a retryable error
-        posts the item again while re-runs remain.  Otherwise the error
-        settles: a non-retryable one at once, the *first* one once the
-        re-runs are spent.
-        """
-        while True:
-            item = future._item
-            if item is None:  # settled concurrently (under the lock)
-                return
-            latch = item.latch
-            latch.wait()
-            with self._run_lock:
-                if future._done or item.latch is not latch:  # settled / re-posted
-                    continue
-                if not item.errors:
-                    future._settle_ok()
-                else:
-                    self._recover()
-                    if item.on_failure is not None:
-                        item.on_failure()
-                    error = _rank_error(item)
-                    if retryable(error):
-                        error = future._error = future._error or error
-                        if future.retries < item.retries:
-                            future.retries += 1
-                            self._post(item)
-                            continue
-                    future._settle_error(error)
-                self._inflight = None
-                self.world.deadline = None
-                return
 
     def _recover(self) -> None:
         """Return the pool to a clean state after a failed item.

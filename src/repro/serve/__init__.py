@@ -3,7 +3,7 @@
 The serving subsystem turns per-user requests into the dense operand
 panels the resident kernels already eat: requests for the same model
 coalesce into one panel and **one** ``Session`` call, run on the model's
-resident session with pipelined (async) dispatch, admission control,
+resident session, one synchronous call per batch, admission control,
 per-request deadlines on the session's watchdog/outcome machinery, and
 p50/p95/p99 + throughput reporting.
 
@@ -14,8 +14,8 @@ Layers (each its own module):
   (concrete models: :class:`repro.apps.als.AlsServeModel`,
   :class:`repro.apps.gat.GatServeModel`)
 * :mod:`~repro.serve.batcher` — coalescing windows + admission control
-* :mod:`~repro.serve.fleet` — one resident session per model, pipelined
-  dispatch, per-tenant value rebinding
+* :mod:`~repro.serve.fleet` — one resident session per model, one call
+  per batch, per-tenant value rebinding
 * :mod:`~repro.serve.stats` — latency percentiles, batch histograms,
   throughput, outcome counts
 * :mod:`~repro.serve.server` — the front door, :class:`Server`

@@ -26,7 +26,7 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.serve.request import Request
-from repro.session import Session, SessionFuture
+from repro.session import Session
 
 __all__ = ["ServeModel"]
 
@@ -56,8 +56,8 @@ class ServeModel(ABC):
         """Coalesce up to ``batch_width`` requests into one dense panel."""
 
     @abstractmethod
-    def dispatch(self, sess: Session, panel: np.ndarray) -> SessionFuture:
-        """Launch the panel's single kernel call, pipelined (async)."""
+    def dispatch(self, sess: Session, panel: np.ndarray) -> Any:
+        """Run the panel's single kernel call; returns its raw output."""
 
     @abstractmethod
     def decode(self, raw: Any, requests: Sequence[Request]) -> List[Any]:

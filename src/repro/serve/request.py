@@ -109,7 +109,7 @@ class ServeFuture:
     """Client-side handle for one submitted request.
 
     Settled exactly once by the server's dispatch path; ``result()``
-    blocks until then.  Unlike :class:`~repro.session.SessionFuture`,
+    blocks until then.  Unlike a :class:`~repro.session.Session` call,
     waiting on this from any thread is safe — settlement happens on the
     serving side, the client only observes it.
     """

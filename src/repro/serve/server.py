@@ -50,8 +50,8 @@ class Server:
     ----------
     models:
         One :class:`~repro.serve.model.ServeModel` or an iterable of them
-        (one batcher + one resident session per model id; the session
-        double-buffers through its async dispatch).
+        (one batcher + one resident session per model id; each batch is
+        one synchronous session call).
     window_ms:
         Coalescing window: a pending request waits at most this long for
         batch-mates before its batch is released.
@@ -213,9 +213,9 @@ class Server:
                 self._flush_requested = True
                 self._cond.notify_all()
                 # wait out both the queues and any batch the dispatcher
-                # is currently running: on return the sessions are only
-                # touched by whoever settles next (drain/close), never by
-                # two threads at once
+                # is currently running: on return every batch has settled
+                # and only drain/close touch the sessions, never two
+                # threads at once
                 while (
                     any(len(b) for b in self._batchers.values())
                     or self._dispatching
@@ -231,14 +231,11 @@ class Server:
             self._run_batches(batches)
 
     def drain(self) -> None:
-        """Flush, then settle every in-flight batch: on return every
-        admitted request has a completion and the fleets are quiescent
-        (session metrics are folded into :meth:`stats`).  In background
+        """Flush: on return every admitted request has a completion and
+        the session metrics are folded into :meth:`stats`.  In background
         mode, call only while no new submissions race the drain.
         """
         self.flush()
-        for fleet in self._fleets.values():
-            fleet.settle_all()
         self._refresh_session_records()
 
     def _refresh_session_records(self) -> None:
@@ -268,7 +265,7 @@ class Server:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the dispatcher, flush + settle everything, and join every
+        """Stop the dispatcher, flush everything, and join every
         session's worker pool (thread-leak gated).  Idempotent."""
         if self._closed:
             return

@@ -42,7 +42,6 @@ build a throwaway session per call.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import inspect
 import json
@@ -51,7 +50,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -111,65 +110,6 @@ class _Orientation:
     locals_: List
     sparse_plans: Optional[list]
     contexts: List = None
-
-
-class SessionFuture:
-    """Handle for one kernel call on a :class:`Session`.
-
-    Every kernel call is a future: the ``*_async`` methods return it, the
-    synchronous methods are ``*_async(...).result()``.  :meth:`result`
-    blocks until the SPMD run finished — re-run by the worker pool under
-    the session's ``retries``, then degraded once, if it died of a runtime
-    fault — gathers the output from the resident blocks, and returns
-    ``(output, RunReport)`` (plus the reassembled SDDMM intermediate when
-    requested).
-    The session settles a future automatically before any later call
-    touches the resident state, so outputs are never clobbered by the next
-    call's dense scatter; ``result()`` then simply returns the cached
-    outcome.  Errors from the SPMD run surface here (and, if unconsumed,
-    at the next session call).
-
-    Once settled, :attr:`metrics` is the call's own
-    :meth:`Session.metrics` record (``outcome``, ``retries``, ``wall_ms``
-    from stage to collect, ...).
-    """
-
-    __slots__ = (
-        "_session",
-        "_bound",
-        "_collect",
-        "_pool_future",
-        "_t0",
-        "_done",
-        "_error",
-        "_value",
-        "metrics",
-    )
-
-    def __init__(self, session: "Session", bound: Tuple, collect: Callable) -> None:
-        self._session = session
-        # (transpose, call, label): what a degraded re-run dispatches (no
-        # operands: a re-run starts from the dispatched blocks); dropped at settle
-        self._bound = bound
-        self._collect = collect
-        self._pool_future = None
-        self._t0 = time.perf_counter()
-        self._done = False
-        # a failure at dispatch; after settle, the surfaced error
-        self._error: Optional[BaseException] = None
-        self._value = None
-        #: the call's per-call metrics record, set when the call settles
-        self.metrics: Optional[Dict[str, Any]] = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def result(self):
-        self._session._finalize(self)
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class Session:
@@ -270,8 +210,6 @@ class Session:
         #: — the counters the skip-rebind guarantee is asserted on
         self.dense_bind_counts: Dict[str, int] = {"a": 0, "b": 0}
         self.dense_bind_skips: Dict[str, int] = {"a": 0, "b": 0}
-        # cross-call pipeline: the one not-yet-settled kernel call
-        self._inflight: Optional[SessionFuture] = None
         # sessions are single-caller by design: every public entry point
         # try-acquires this gate and raises SessionBusyError on genuine
         # concurrency (reentrant, so kernel methods may compose freely on
@@ -306,9 +244,8 @@ class Session:
 
         ``None`` disarms the watchdog.  Serving front-ends use this to
         propagate per-request deadline budgets onto each batch's session
-        call; the resident worker pool picks the new horizon up on its
-        next dispatched item (the in-flight item keeps the horizon it was
-        dispatched with).
+        call; the resident worker pool arms the new horizon on its next
+        item.
         """
         with self._exclusive():
             if deadline_ms is not None and deadline_ms <= 0:
@@ -441,7 +378,6 @@ class Session:
         """
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             vals = np.asarray(vals, dtype=np.float64)
             if vals.shape != (self.S.nnz,):
                 raise ReproError(
@@ -575,64 +511,31 @@ class Session:
             for side in sides:
                 misses[side] = 0
 
-    def _stage_operands(self, ori: _Orientation, transpose: bool, A, B, dirty: str):
-        """Compute the dense scatter into *staged* shallow copies of the
-        rank locals, without touching the resident blocks.
-
-        This is the pipelined half of :meth:`_bind`: it runs while the
-        previous call's SPMD ranks are still computing (they only ever
-        read/rebind the real locals' dense fields, which staging never
-        writes).
-        """
-        A_arg = self._bind_arg(transpose, "a", A, "a" in dirty)
-        B_arg = self._bind_arg(transpose, "b", B, "b" in dirty)
-        if A_arg is KEEP and B_arg is KEEP:
-            return None
-        staged = [copy.copy(loc) for loc in ori.locals_]
-        self._alg.bind_dense(ori.plan, staged, A_arg, B_arg)
-        return staged, A_arg is not KEEP, B_arg is not KEEP
-
     def _bind(
         self, ori: _Orientation, transpose: bool, A, B, dirty: str = ""
     ) -> None:
-        """Scatter the dense operands, skipping bitwise-unchanged sides:
-        stage against shallow copies → drain the in-flight call → swap
-        the freshly sliced blocks in with ``p`` pointer assignments.
-        ``dirty`` names the plan sides the call about to run overwrites.
-
-        Staging *before* the drain is the driver-side half of the call
-        pipeline: call ``k+1``'s scatter is computed while call ``k``'s
-        SPMD run is still in flight.  A re-run of call ``k`` restores only
-        ``k``'s own blocks, so the staging stays valid through it.
+        """Scatter the dense operands into the resident rank locals,
+        skipping bitwise-unchanged sides.  ``dirty`` names the plan sides
+        the call about to run overwrites.  ``bind_dense`` replaces blocks
+        and never writes one in place, so the blocks a call was
+        dispatched with stay intact for :meth:`_dispatch` to put back.
         """
-        staging = self._stage_operands(ori, transpose, A, B, dirty)
-        try:
-            self._wait_inflight()  # drains the pool; raises call k's error
-        except BaseException:
-            # the staged blocks never land: forget the snapshots staging
-            # may have taken of their operands
-            self._mark_dense_dirty(transpose, "ab")
-            raise
-        if staging is None:
-            return
-        staged, bind_a, bind_b = staging
-        for loc, st in zip(ori.locals_, staged):
-            if bind_a:
-                loc.A = st.A
-            if bind_b:
-                loc.B = st.B
+        A_arg = self._bind_arg(transpose, "a", A, "a" in dirty)
+        B_arg = self._bind_arg(transpose, "b", B, "b" in dirty)
+        if A_arg is not KEEP or B_arg is not KEEP:
+            self._alg.bind_dense(ori.plan, ori.locals_, A_arg, B_arg)
 
     # ------------------------------------------------------------------
-    # SPMD dispatch
+    # SPMD dispatch (graceful degradation)
     # ------------------------------------------------------------------
 
     def _dispatch(
         self, ori: _Orientation, call, label: str, retries=0, degraded=False
-    ):
-        """Send one rank procedure to the worker pool (without waiting).
+    ) -> int:
+        """Run one rank procedure on the worker pool and wait for it.
 
-        Returns a :class:`~repro.runtime.spmd.PoolFuture`; the pool re-runs
-        a runtime-fault death up to ``retries`` times.  After each failed
+        The pool re-runs a runtime-fault death up to ``retries`` times;
+        returns the re-runs a successful run used.  After each failed
         attempt ``restore`` puts the dispatched blocks back into every
         rank's local (resident blocks are replaced, never written in place,
         so the skip-rebind snapshots stay true) and drops every context (a
@@ -640,14 +543,17 @@ class Session:
         rank's fiber replicas (some ranks of a fiber may hold one, some not).
         ``degraded=True`` forces the dense communication path even on a
         sparse-comm session (the graceful degradation re-run — see
-        :meth:`_await_recovering`).
+        :meth:`_run_recovering`).
         """
         alg = self._alg
         transpose = ori is self._orients.get(True)
         pool = self._ensure_pool()
         dispatched = [(loc.A, loc.B) for loc in ori.locals_]
+        reruns = 0
 
         def restore():
+            nonlocal reruns
+            reruns += 1
             for loc, (A, B) in zip(ori.locals_, dispatched):
                 loc.A, loc.B = A, B
             for o in self._orients.values():
@@ -665,7 +571,7 @@ class Session:
                 call(ctx, ori.plan, local, sparse_plan=ori.sparse_plans[comm.rank])
             return local
 
-        future = pool.run_async(
+        results, _ = pool.run(
             body, profiles=self._profiles, label=label, retries=retries,
             on_failure=restore,
         )
@@ -675,54 +581,11 @@ class Session:
             # ori.locals_ mutates, so the body returns that local and the
             # pool's result allgather doubles as the cross-process locals
             # sync — remote entries are patched before any driver-side
-            # collect reads them.  The pool executes eagerly (settled
-            # future), so waiting here adds no blocking.
-            results, _ = future.wait()
+            # collect reads them
             for rr, loc in enumerate(results):
                 if rr != pool.local_rank and loc is not None:
                     ori.locals_[rr] = loc
-        return future
-
-    # ------------------------------------------------------------------
-    # the call pipeline: settle (graceful degradation)
-    # ------------------------------------------------------------------
-
-    def _finalize(self, future: SessionFuture) -> None:
-        """Settle a call: wait its SPMD run and collect its output before
-        anything else touches the resident blocks.
-
-        Takes the call gate: ``SessionFuture.result()`` is a public entry
-        point, so settling a future from a second thread while the owning
-        thread is mid-call is concurrent driving and raises
-        :class:`~repro.errors.SessionBusyError` like any other call.
-        """
-        with self._exclusive():
-            if future._done:
-                return
-            future._done = True
-            self._inflight = None  # once waited, no longer in flight
-            transpose, _call, label = future._bound
-            outcome, nretries = "failed", 0
-            try:
-                outcome, nretries = self._await_recovering(future)
-                self._ncalls += 1
-                future._value = future._collect(self._orients[transpose])
-            except BaseException as exc:  # noqa: BLE001 - stored and re-raised
-                future._error = exc
-                outcome = self.failure_outcome(exc)
-                raise
-            finally:
-                # exactly one record per call, once its counters stopped
-                # moving; wall_ms spans stage -> collect
-                future.metrics = self._record_call(
-                    label, future._t0, outcome, nretries
-                )
-                # consumed futures pin no staging state or rank_fn closures
-                future._bound = future._collect = future._pool_future = None
-
-    def _wait_inflight(self) -> None:
-        if self._inflight is not None:
-            self._finalize(self._inflight)
+        return reruns
 
     @staticmethod
     def failure_outcome(exc: BaseException) -> str:
@@ -731,24 +594,19 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _await_recovering(self, future: SessionFuture) -> Tuple[str, int]:
-        """Wait the call's SPMD run, degrading it once if it still failed.
+    def _run_recovering(self, ori: _Orientation, call, label) -> Tuple[str, int]:
+        """Run a kernel call, degrading it once if it still failed.
 
-        The pool re-ran a runtime-fault death up to ``retries`` times from
+        The pool re-runs a runtime-fault death up to ``retries`` times from
         the dispatched blocks (:meth:`_dispatch`) — never re-binding, never
         re-planning (:attr:`plan_builds`).  If it still failed of a runtime
         fault, a ``comm="sparse"`` session makes one *degraded* re-run on
         the dense ring collectives before the pool's error, the **first**
-        one, surfaces.  Returns ``(outcome,
-        retries_used)``.
+        one, surfaces.  Returns ``(outcome, retries_used)``.
         """
-        transpose, call, label = future._bound
         try:
-            if future._pool_future is None:
-                raise future._error  # single-rank / mpi: failed at dispatch
-            future._pool_future.wait()
+            retries = self._dispatch(ori, call, label, self.retries)
         except Exception as first_error:  # noqa: BLE001 - classified below
-            ori = self._orients[transpose]
             if not (ori.sparse_plans is not None and retryable(first_error)):
                 raise
             # graceful degradation: one re-run on the dense comm path,
@@ -756,12 +614,11 @@ class Session:
             # do not carry the comm mode, so a successful re-run leaves
             # them resident for the next clean call.
             try:
-                self._dispatch(ori, call, label, degraded=True).wait()
+                self._dispatch(ori, call, label, degraded=True)
             except Exception:  # noqa: BLE001 - degraded run failed too
                 raise first_error
             self.degraded_calls += 1
             return "degraded", self.retries
-        retries = future._pool_future.retries
         if not retries:
             return "ok", 0
         self.retried_calls += 1
@@ -774,10 +631,12 @@ class Session:
     def _submit_kernel(
         self, kernel: Union[Mode, FusedVariant], A, B, collect_sddmm: bool = False,
         **kernel_kwargs,
-    ) -> SessionFuture:
-        """Validate and submit one call of any of the five kernels, run as
+    ):
+        """Run one call of any of the five kernels, as
         :func:`~repro.algorithms.fused.native_procedure` resolves it
-        (``None`` marks a single mode's output side)."""
+        (``None`` marks a single mode's output side): validate → bind →
+        dispatch and wait → degrade once → collect, then exactly one
+        :meth:`metrics` record, failed calls included."""
         with self._exclusive():
             self._check_open()
             unknown = kernel_kwargs.keys() - self._rank_kernel_keywords
@@ -794,8 +653,17 @@ class Session:
                 A, B = B, A
             what = kernel if single else self.elision
             label = f"{self.algorithm}/{what.value}{self._suffix}"
-
-            def collect(ori):
+            t0 = time.perf_counter()
+            ori = self._orientation(transpose)
+            self._bind(ori, transpose, A, B, side)
+            # the kernel overwrites its output side(s)
+            self._mark_dense_dirty(transpose, side)
+            outcome, retries = "failed", 0
+            try:
+                outcome, retries = self._run_recovering(
+                    ori, partial(method, **kernel_kwargs), label
+                )
+                self._ncalls += 1
                 outs = []
                 if side:
                     collect_dense = getattr(alg, f"collect_dense_{side}")
@@ -804,34 +672,18 @@ class Session:
                     R = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
                     outs.append(R.transposed() if transpose else R)
                 return (*outs, self.report(f"{label}/x{self._ncalls}"))
+            except BaseException as exc:
+                outcome = self.failure_outcome(exc)
+                raise
+            finally:
+                # wall_ms spans bind -> collect
+                self._record_call(label, t0, outcome, retries)
 
-            call = partial(method, **kernel_kwargs)
-            future = SessionFuture(self, (transpose, call, label), collect)
-            ori = self._orientation(transpose)
-            self._bind(ori, transpose, A, B, side)
-            try:
-                future._pool_future = self._dispatch(ori, call, label, self.retries)
-            except Exception as exc:  # noqa: BLE001 - raised at settle
-                # single-rank and mpi pools run the body at dispatch: park
-                # the failure for settle to degrade and record
-                future._error = exc
-            # the kernel overwrites its output side(s)
-            self._mark_dense_dirty(transpose, side)
-            self._inflight = future
-            return future
-
-    def _wait(self, submit: Callable[..., SessionFuture], *args):
-        """The synchronous form of an entry point: submit and settle under
-        one hold of the call gate."""
-        with self._exclusive():
-            return submit(*args).result()
-
-    def sddmm_async(
+    def sddmm(
         self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
-    ) -> SessionFuture:
-        """``SDDMM(A, B, S) = S * (A @ B.T)`` on the resident S, left in
-        flight (see :meth:`fusedmm_a_async`); the serving path for GAT
-        edge scoring batches.
+    ) -> Tuple[CooMatrix, RunReport]:
+        """``SDDMM(A, B, S) = S * (A @ B.T)`` on the resident S; the
+        serving path for GAT edge scoring batches.
 
         ``use_values=False`` computes pattern-only dots; ``edge_op``
         replaces the dot products with a custom per-edge function (both
@@ -846,60 +698,25 @@ class Session:
             kw["edge_op"] = edge_op
         return self._submit_kernel(Mode.SDDMM, A, B, **kw)
 
-    def sddmm(
-        self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
-    ) -> Tuple[CooMatrix, RunReport]:
-        """Synchronous :meth:`sddmm_async`."""
-        return self._wait(self.sddmm_async, A, B, use_values, edge_op)
-
-    def spmm_a_async(self, B: np.ndarray) -> SessionFuture:
-        """``SpMMA(S, B) = S @ B`` on the resident S, left in flight (see
-        :meth:`fusedmm_a_async`).  This is the serving fleet's dispatch
-        primitive — the next micro-batch panel binds while the current
-        one runs."""
-        return self._submit_kernel(Mode.SPMM_A, None, B)
-
     def spmm_a(self, B: np.ndarray) -> Tuple[np.ndarray, RunReport]:
-        """Synchronous :meth:`spmm_a_async`."""
-        return self._wait(self.spmm_a_async, B)
+        """``SpMMA(S, B) = S @ B`` on the resident S; the serving path for
+        ALS top-k batches."""
+        return self._submit_kernel(Mode.SPMM_A, None, B)
 
     def spmm_b(self, A: np.ndarray) -> Tuple[np.ndarray, RunReport]:
         """``SpMMB(S, A) = S.T @ A`` on the resident S."""
-        return self._wait(self._submit_kernel, Mode.SPMM_B, A, None)
-
-    def fusedmm_a_async(
-        self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
-    ) -> SessionFuture:
-        """``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``, left in
-        flight: returns a :class:`SessionFuture`.
-
-        Submitting call ``k+1`` while call ``k`` is still running overlaps
-        the driver-side dense scatter of ``k+1`` (computed against staged
-        blocks) with ``k``'s SPMD run — the cross-call half of the call
-        pipeline::
-
-            futures = [sess.fusedmm_a_async(A, Bs[i]) for i in range(5)]
-            outs = [f.result()[0] for f in futures]
-
-        ``result()`` returns ``(output, report)``; with
-        ``collect_sddmm=True``, ``(output, sddmm_intermediate, report)``.
-        """
-        return self._submit_kernel(FusedVariant.FUSED_A, A, B, collect_sddmm)
+        return self._submit_kernel(Mode.SPMM_B, A, None)
 
     def fusedmm_a(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
-        """Synchronous :meth:`fusedmm_a_async`."""
-        return self._wait(self.fusedmm_a_async, A, B, collect_sddmm)
-
-    def fusedmm_b_async(
-        self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False
-    ) -> SessionFuture:
-        """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``, left in
-        flight (see :meth:`fusedmm_a_async`)."""
-        return self._submit_kernel(FusedVariant.FUSED_B, A, B, collect_sddmm)
+        """``FusedMMA(S, A, B) = SpMMA(SDDMM(A, B, S), B)``: returns
+        ``(output, report)``; with ``collect_sddmm=True``, ``(output,
+        sddmm_intermediate, report)``."""
+        return self._submit_kernel(FusedVariant.FUSED_A, A, B, collect_sddmm)
 
     def fusedmm_b(self, A: np.ndarray, B: np.ndarray, collect_sddmm: bool = False):
-        """Synchronous :meth:`fusedmm_b_async`."""
-        return self._wait(self.fusedmm_b_async, A, B, collect_sddmm)
+        """``FusedMMB(S, A, B) = SpMMB(SDDMM(A, B, S), A)``, returned as by
+        :meth:`fusedmm_a`."""
+        return self._submit_kernel(FusedVariant.FUSED_B, A, B, collect_sddmm)
 
     # ------------------------------------------------------------------
     # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
@@ -954,7 +771,6 @@ class Session:
         t0 = time.perf_counter()
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             ori = self._orientation(transpose)
             # a custom rank procedure may overwrite either resident dense
             # side, in place too, whether or not it then fails
@@ -964,7 +780,7 @@ class Session:
                 # edge softmax) mutate rank-resident state as they go, so a
                 # re-run would not start from the pre-call state — fail fast
                 # and let the app re-drive from its own checkpoint
-                self._dispatch(ori, proc, label).wait()
+                self._dispatch(ori, proc, label)
             except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
                 self._record_call(label, t0, outcome=self.failure_outcome(exc))
                 raise
@@ -980,18 +796,17 @@ class Session:
         """The accumulated cost report over every call since the last
         :meth:`reset_profile` (live view: later calls keep adding).
 
-        A still-pipelined async call is finalized first — the per-rank
-        profiles are single-writer by design, so the report never reads
-        counters a running call is concurrently mutating.
+        Takes the call gate: the per-rank profiles are single-writer, so
+        a report is never read while another thread's call mutates them.
         """
+        label = label or f"session/{self.algorithm}{self._suffix}/x{self._ncalls}"
         with self._exclusive():
-            self._wait_inflight()
-        return RunReport(
-            per_rank=self._profiles,
-            label=label or f"session/{self.algorithm}{self._suffix}/x{self._ncalls}",
-            comm_mode=self._plan["comm_mode"],
-            kernel_backend=self._plan["kernels"],
-        )
+            return RunReport(
+                per_rank=self._profiles,
+                label=label,
+                comm_mode=self._plan["comm_mode"],
+                kernel_backend=self._plan["kernels"],
+            )
 
     def reset_profile(self) -> None:
         """Start a fresh accumulation window (resident state untouched).
@@ -999,7 +814,6 @@ class Session:
         Clears the counters, the per-call metrics records and — when
         tracing — every rank's span buffer."""
         with self._exclusive():
-            self._wait_inflight()
             self._profiles = self._new_profiles()
             self._ncalls = 0
             self._metrics = []
@@ -1029,11 +843,8 @@ class Session:
         ``"failed"``) together with the number of ``retries`` it took.
         Failed calls are recorded too.
         Record 0 additionally carries ``"plan"``: :meth:`explain` as a dict.
-        A still-pipelined async call is finalized first so its record
-        exists by the time this returns.
         """
         with self._exclusive():
-            self._wait_inflight()
             return list(self._metrics)
 
     def metrics_jsonl(self) -> str:
@@ -1042,7 +853,6 @@ class Session:
 
     def tracers(self) -> List[Tracer]:
         """The per-rank tracers (empty list when ``trace="off"``)."""
-        self._wait_inflight()
         return [p.tracer for p in self._profiles if p.tracer is not None]
 
     def timeline(self) -> TimelineStats:
@@ -1060,7 +870,6 @@ class Session:
         ``trace="on"``.  Returns the document; writes it to ``path`` too
         when given.
         """
-        self._wait_inflight()
         return export_chrome_trace(
             self._profiles,
             path=path,
@@ -1071,9 +880,7 @@ class Session:
         """Drain and join the worker pool, release buffer pools, and drop
         the resident distributions.
 
-        Any still-pipelined call is finalized first (its future stays
-        consumable; a failure it carried surfaces at ``result()``, not
-        here).  The pool join is counter-asserted (every rank thread must
+        The pool join is counter-asserted (every rank thread must
         terminate), so sessions cannot leak threads.  Idempotent;
         subsequent kernel calls raise :class:`ReproError`.
 
@@ -1083,10 +890,6 @@ class Session:
         """
         with self._call_gate:
             if not self._closed:
-                try:
-                    self._wait_inflight()
-                except Exception:
-                    pass  # stored on the future; close must not fail on it
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None
@@ -1175,18 +978,6 @@ def plan(
     over 1.25x the mean) whose need-list unions the paper's random row /
     column permutation narrows is distributed permuted, under one fixed
     seed; outputs come back in the caller's order.
-
-    **One call pipeline.**  Every kernel call is a
-    :class:`SessionFuture`: the dense operands are staged against shallow
-    copies of the rank locals, the previous in-flight call is settled,
-    the staged blocks are swapped in and the SPMD run is dispatched to
-    the pool.  A synchronous method *is* ``*_async(...).result()``, so
-    both spellings produce the same bits, the same report counters and
-    exactly one :meth:`Session.metrics` record per call, whose
-    ``wall_ms`` spans stage → collect.  ``deadline_ms`` / ``retries`` /
-    degradation (below) apply when the future settles — at ``result()``,
-    or at the next session call if the future was left unconsumed — and
-    therefore to sync and async calls alike.
 
     ``overlap`` is accepted for compatibility and ignored: there is one
     synchronous propagation schedule, every shift, all-gather and

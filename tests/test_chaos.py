@@ -9,9 +9,9 @@ a typed error carrying the blocked-state dump) — never a hang and never
 a re-plan.  The thread-leak gate from the stress suite guards every
 session here too.
 
-Retry / degrade runs when a call's future settles, so every recovery
-case is driven through both the synchronous entry point and its
-``_async(...).result()`` twin (``ENTRIES``): same bits, same outcome.
+Every recovery case is driven through both fused orientations
+(``ENTRIES``): FusedMMA and FusedMMB reach the faulted channels through
+different native procedures, and both must come back bitwise.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ FAMILIES = [
 _SEED_BASES = {family: 100 * i for i, family in enumerate(FAMILIES)}
 
 
-#: the two spellings of one call: retry/degrade must not tell them apart
-ENTRIES = ["fusedmm_a", "fusedmm_a_async"]
+#: the two fused orientations every recovery case runs
+ENTRIES = ["fusedmm_a", "fusedmm_b"]
 
 
-def _fused_a(sess, entry: str, A, B):
-    if entry == "fusedmm_a":
-        return sess.fusedmm_a(A, B)
-    return sess.fusedmm_a_async(A, B).result()
+def _fused(sess, entry: str, A, B):
+    return getattr(sess, entry)(A, B)
 
 
 def _chaos_seed(family: str, action: str) -> int:
@@ -74,12 +72,13 @@ def workload():
 
 @pytest.fixture(scope="module")
 def references(workload):
-    """Clean fusedmm_a output per family (the bitwise oracle)."""
+    """Clean output per family and entry (the bitwise oracle)."""
     S, A, B = workload
     refs = {}
     for family in FAMILIES:
         with repro.plan(S, R, p=P, c=2, algorithm=family, comm="dense") as sess:
-            refs[family], _ = sess.fusedmm_a(A, B)
+            for entry in ENTRIES:
+                refs[family, entry], _ = _fused(sess, entry, A, B)
     return refs
 
 
@@ -100,8 +99,8 @@ class TestChaosMatrix:
             S, R, p=P, c=2, algorithm=family, comm="dense",
             deadline_ms=1200, retries=2, faults=plan,
         ) as sess:
-            out, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out, references[family])
+            out, _ = _fused(sess, entry, A, B)
+            np.testing.assert_array_equal(out, references[family, entry])
             rec = sess.metrics()[-1]
             assert rec["outcome"] in ("ok", "retried", "degraded")
             assert len(sess.metrics()) == 1  # one record per call
@@ -110,8 +109,8 @@ class TestChaosMatrix:
             assert sess.plan_builds == 1
             # the session stays usable for a follow-up call (which may
             # consume a yet-unfired fault index and still recover)
-            out2, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out2, references[family])
+            out2, _ = _fused(sess, entry, A, B)
+            np.testing.assert_array_equal(out2, references[family, entry])
             assert sess.plan_builds == 1
         assert threading.active_count() == baseline  # thread-leak gate
 
@@ -126,7 +125,7 @@ class TestChaosMatrix:
             retries=1, faults=plan,
         ) as sess:
             out, _ = sess.fusedmm_a(A, B)
-            np.testing.assert_array_equal(out, references[family])
+            np.testing.assert_array_equal(out, references[family, "fusedmm_a"])
             assert sess.metrics()[-1]["outcome"] == "retried"
             assert sess.retried_calls == 1
             assert plan.fired_log[0][1] == "exhaust"
@@ -144,8 +143,8 @@ class TestGracefulDegradation:
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
             deadline_ms=700, retries=1, faults=sticky,
         ) as sess:
-            out, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
+            out, _ = _fused(sess, entry, A, B)
+            np.testing.assert_array_equal(out, references["1.5d-sparse-shift", entry])
             assert sess.metrics()[-1]["outcome"] == "degraded"
             assert sess.degraded_calls == 1
             assert sess.plan_builds == 1
@@ -228,13 +227,13 @@ class TestGracefulDegradation:
             S, R, p=P, c=2, algorithm="1.5d-sparse-shift", comm="sparse",
             deadline_ms=700, retries=0, faults=once,
         ) as sess:
-            out, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out, references["1.5d-sparse-shift"])
+            out, _ = _fused(sess, entry, A, B)
+            np.testing.assert_array_equal(out, references["1.5d-sparse-shift", entry])
             assert sess.metrics()[-1]["outcome"] == "degraded"
             builds = sess.context_builds
             skips = sum(sess.dense_bind_skips.values())
-            out2, _ = _fused_a(sess, entry, A, B)
-            np.testing.assert_array_equal(out2, references["1.5d-sparse-shift"])
+            out2, _ = _fused(sess, entry, A, B)
+            np.testing.assert_array_equal(out2, references["1.5d-sparse-shift", entry])
             assert sess.metrics()[-1]["outcome"] == "ok"
             assert sess.context_builds == builds
             assert sum(sess.dense_bind_skips.values()) > skips
@@ -254,7 +253,7 @@ class TestGracefulDegradation:
             deadline_ms=500, retries=0, faults=sticky,
         ) as sess:
             with pytest.raises(SpmdTimeout) as err:
-                _fused_a(sess, entry, A, B)
+                _fused(sess, entry, A, B)
             assert err.value.dump  # blocked-state dump travels with it
             assert sess.metrics()[-1]["outcome"] == "timeout"
             assert sess.degraded_calls == 0
@@ -311,33 +310,31 @@ class TestRetrySemantics:
             retries=1, faults=plan,
         ) as sess:
             with pytest.raises(RuntimeError, match="injected crash"):
-                _fused_a(sess, entry, A, B)
+                _fused(sess, entry, A, B)
             assert sess.metrics()[-1]["outcome"] == "failed"
 
-    def test_serve_dispatch_primitive_retries_at_settle(self, workload):
-        """``spmm_a_async`` is what the serving fleet dispatches: a crash
-        under ``retries=1`` is recovered when the future settles, the
-        output matches the clean synchronous call bitwise, and the future
-        carries its own ``retried`` metrics record."""
+    def test_serve_dispatch_primitive_retries(self, workload):
+        """``spmm_a`` is what the serving fleet dispatches: a crash under
+        ``retries=1`` is recovered within the call, the output matches the
+        clean call bitwise, and the call's metrics record says
+        ``retried``."""
         S, A, B = workload
         kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense")
         with repro.plan(S, R, **kw) as sess:
             want, _ = sess.spmm_a(B)
         plan = FaultPlan.crash_at(site="computation", rank=2)
         with repro.plan(S, R, retries=1, faults=plan, **kw) as sess:
-            future = sess.spmm_a_async(B)
-            out, _ = future.result()
+            out, _ = sess.spmm_a(B)
             np.testing.assert_array_equal(out, want)
-            assert future.metrics is sess.metrics()[-1]
-            assert future.metrics["outcome"] == "retried"
-            assert future.metrics["retries"] == 1
+            [record] = sess.metrics()
+            assert record["outcome"] == "retried"
+            assert record["retries"] == 1
             assert sess.retried_calls == 1 and sess.plan_builds == 1
 
-    def test_retry_at_drain_keeps_the_pipeline_bitwise(self, workload):
-        """Call k crashes while call k+1 is already staged behind it: the
-        drain inside k+1's submit re-executes k, k+1 re-stages against the
-        recovered snapshots, and a later call repeating k's operands
-        still sees the right resident blocks."""
+    def test_retried_call_leaves_the_next_calls_bitwise(self, workload):
+        """Call k crashes and is re-executed; the next call binds a
+        changed operand and a later one repeats k's operands, and each
+        sees the right resident blocks."""
         S, A, B = workload
         B2 = np.random.default_rng(9).standard_normal(B.shape)
         kw = dict(p=P, c=2, algorithm="1.5d-dense-shift", comm="dense")
@@ -345,35 +342,12 @@ class TestRetrySemantics:
             want = [sess.fusedmm_a(A, b)[0] for b in (B, B2, B)]
         plan = FaultPlan.crash_at(site="computation", rank=1)
         with repro.plan(S, R, retries=1, faults=plan, **kw) as sess:
-            f1 = sess.fusedmm_a_async(A, B)  # crashes once
-            f2 = sess.fusedmm_a_async(A, B2)  # staged behind it
-            f3 = sess.fusedmm_a_async(A, B)
-            for future, ref in zip((f1, f2, f3), want):
-                np.testing.assert_array_equal(future.result()[0], ref)
+            for b, ref in zip((B, B2, B), want):  # the first call crashes once
+                np.testing.assert_array_equal(sess.fusedmm_a(A, b)[0], ref)
             assert [r["outcome"] for r in sess.metrics()] == [
                 "retried", "ok", "ok"
             ]
             assert sess.plan_builds == 1
-
-    def test_unconsumed_failed_future_surfaces_at_next_call(self, workload):
-        """A future that failed for good (retries exhausted) and was never
-        consumed raises at the next session call, once; the session is
-        usable afterwards and ``result()`` keeps re-raising."""
-        S, A, B = workload
-        plan = FaultPlan([FaultSpec("crash", rank=1, site="computation", times=2)])
-        with repro.plan(
-            S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
-            retries=1, faults=plan,
-        ) as sess:
-            future = sess.fusedmm_a_async(A, B)
-            with pytest.raises(RuntimeError, match="injected crash"):
-                sess.spmm_a(B)  # drains the failed call, never launches
-            assert [r["outcome"] for r in sess.metrics()] == ["failed"]
-            out, _ = sess.spmm_a(B)
-            assert out.shape == (N, R)
-            with pytest.raises(RuntimeError, match="injected crash"):
-                future.result()
-            assert future.metrics["outcome"] == "failed"
 
     def test_run_rank_stays_fail_fast(self, workload):
         """Custom rank procedures mutate rank state, so ``run_rank`` never
@@ -419,7 +393,7 @@ class TestMetricsJsonl:
     FIELDS = ("call", "label", "outcome", "retries", "wall_ms",
               "comm_words", "comm_messages", "nranks")
 
-    def test_round_trip_one_record_per_call_including_async(self, workload):
+    def test_round_trip_one_record_per_call(self, workload):
         import json
 
         S, A, B = workload
@@ -427,7 +401,7 @@ class TestMetricsJsonl:
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
         ) as sess:
             sess.sddmm(A, B)
-            sess.spmm_a_async(B).result()  # async calls are recorded too
+            sess.spmm_a(B)
             sess.fusedmm_a(A, B)
             lines = sess.metrics_jsonl().splitlines()
             records = [json.loads(line) for line in lines]

@@ -309,6 +309,14 @@ class TestDeadlineWatchdog:
             assert results[1] == 1.0
 
 
+def _run_behind(pool, body) -> threading.Thread:
+    """Run ``body`` on ``pool`` from a second driver thread, so this one
+    can close the pool while the item is still running."""
+    driver = threading.Thread(target=pool.run, args=(body,), daemon=True)
+    driver.start()
+    return driver
+
+
 class TestCloseTimeout:
     def test_close_timeout_names_blocked_rank(self):
         pool = WorkerPool(2, name="stuckpool")
@@ -318,7 +326,7 @@ class TestCloseTimeout:
                 return comm.recv(1, tag=42)  # never satisfied, no deadline
             return None
 
-        pool.run_async(body)
+        driver = _run_behind(pool, body)
         deadline = time.monotonic() + 5.0
         while 0 not in pool.world.blocked and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -333,6 +341,7 @@ class TestCloseTimeout:
             # unwedge the stuck rank so the pool can actually join
             pool.world.abort()
             pool.close()
+            driver.join()
 
     def test_close_retry_after_unblock_succeeds(self):
         """A failed close leaves the pool joinable: the documented
@@ -345,12 +354,13 @@ class TestCloseTimeout:
                 release.wait()
             return None
 
-        pool.run_async(body)
+        driver = _run_behind(pool, body)
         with pytest.raises(ReproError, match="failed to join"):
             pool.close(timeout=0.1)
         assert not pool.closed
         release.set()
         pool.close()
+        driver.join()
         assert pool.closed
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -150,9 +151,15 @@ class TestWhereTheThreadsSit:
         before = os.sched_getaffinity(0)
         sess = placed(S, 8, "packed", p=4)
         assert os.sched_getaffinity(0) == before
-        future = sess.fusedmm_a_async(A, B)
-        assert os.sched_getaffinity(0) == before  # ranks pinned, call in flight
-        future.result()
+        driver = threading.get_native_id()
+        seen = []  # the driver's mask, read by every rank mid-call
+
+        def read_driver_mask(ctx, plan_, local, sparse_plan=None):
+            seen.append(os.sched_getaffinity(driver))
+
+        sess.fusedmm_a(A, B)
+        sess.run_rank(read_driver_mask, label="driver-mask")
+        assert seen == [before] * 4  # ranks pinned, call running
         assert os.sched_getaffinity(0) == before
         sess.close()
         assert os.sched_getaffinity(0) == before

@@ -55,7 +55,6 @@ KERNELS = {
     "spmm_b": lambda sess, A, B: sess.spmm_b(A)[0],
     "fusedmm_a": lambda sess, A, B: sess.fusedmm_a(A, B)[0],
     "fusedmm_b": lambda sess, A, B: sess.fusedmm_b(A, B)[0],
-    "fusedmm_b_async": lambda sess, A, B: sess.fusedmm_b_async(A, B).result()[0],
 }
 
 #: (family, comm, elision, kernel, panels): calls whose replication phase is
@@ -64,19 +63,16 @@ KERNELS = {
 #: sides of a 2.5D sparse-replicating call under ``comm="sparse"``
 WARM_CASES = [
     ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b", ""),
-    ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_b_async", ""),
     ("1.5d-dense-shift", "dense", "replication-reuse", "fusedmm_a", ""),
     ("1.5d-dense-shift", "dense", "none", "sddmm", ""),
     ("1.5d-dense-shift", "dense", "none", "spmm_b", ""),
-    ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_b_async", ""),
+    ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_b", ""),
     ("1.5d-sparse-shift", "dense", "replication-reuse", "fusedmm_a", ""),
     ("1.5d-sparse-shift", "dense", "none", "sddmm", ""),
     ("1.5d-sparse-shift", "dense", "none", "spmm_b", ""),
     ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b", ""),
-    ("1.5d-sparse-shift", "sparse", "replication-reuse", "fusedmm_b_async", ""),
     ("1.5d-sparse-shift", "sparse", "none", "sddmm", ""),
     ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b", ""),
-    ("2.5d-dense-replicate", "dense", "replication-reuse", "fusedmm_b_async", ""),
     ("2.5d-dense-replicate", "dense", "none", "sddmm", ""),
     ("2.5d-dense-replicate", "dense", "none", "spmm_b", ""),
     ("2.5d-sparse-replicate", "dense", "none", "spmm_a", ""),
@@ -146,7 +142,7 @@ def _comm_plans(sess, S):
 #: chunk rounds (ring cycles of S) per call of each kernel
 ROUNDS = {
     "sddmm": 1, "spmm_a": 1, "spmm_b": 1,
-    "fusedmm_a": 2, "fusedmm_b": 2, "fusedmm_b_async": 2,
+    "fusedmm_a": 2, "fusedmm_b": 2,
 }
 
 

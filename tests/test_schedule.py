@@ -9,8 +9,10 @@ state lanes and packed legs.  Covers:
   builds rank profiles / kernel backends or distributes operands itself:
   apps reach ranks only through ``Session``;
 * the one-schedule guard — no ``src/`` module defines or calls a
-  nonblocking primitive (``ishift`` / ``irecv`` / ``iallgather``) or a
-  buffer ``lease``, or reads an ``overlap`` attribute;
+  nonblocking primitive (``ishift`` / ``irecv`` / ``iallgather``), a
+  buffer ``lease``, ``run_async`` or any ``*_async`` entry point, names
+  a cross-call future type (``SessionFuture`` / ``PoolFuture`` /
+  ``_SettledFuture``), or reads an ``overlap`` attribute;
 * the ownership guard — no per-phase ``compute`` closure sorts or
   translates indices (a circulating chunk arrives kernel-ready); every
   family's ``dense_index`` pieces tile the dense matrices exactly once
@@ -83,22 +85,42 @@ def _phase_closures(tree: ast.AST) -> list:
     ]
 
 
-#: the pipeline's nonblocking primitives and double-buffer leases
-PIPELINE_NAMES = {"ishift", "irecv", "isendrecv", "iallgather", "lease", "lease_zeros"}
+#: the pipeline's nonblocking primitives and double-buffer leases, and
+#: the cross-call pipeline's pool entry point (every ``*_async`` name too)
+PIPELINE_NAMES = {
+    "ishift", "irecv", "isendrecv", "iallgather", "lease", "lease_zeros",
+    "run_async",
+}
+#: the cross-call pipeline's future types
+FUTURE_TYPES = {"SessionFuture", "PoolFuture", "_SettledFuture"}
+
+
+def _pipelined(name: str) -> bool:
+    return name in PIPELINE_NAMES or name.endswith("_async")
 
 
 def _pipeline_hits(tree):
     """Where ``tree`` defines or calls a :data:`PIPELINE_NAMES` member or
+    an ``*_async`` function, names a :data:`FUTURE_TYPES` member, or
     reads an ``overlap`` attribute, in source order."""
     hits = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in PIPELINE_NAMES:
+        if isinstance(node, ast.FunctionDef) and _pipelined(node.name):
+            hits.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.ClassDef) and node.name in FUTURE_TYPES:
             hits.append((node.lineno, f"defines {node.name}"))
         elif isinstance(node, ast.Call):
             f = node.func
             called = getattr(f, "attr", None) or getattr(f, "id", "")
-            if called in PIPELINE_NAMES:
+            if _pipelined(called):
                 hits.append((node.lineno, f"calls {called}"))
+        elif isinstance(node, ast.Name) and node.id in FUTURE_TYPES:
+            hits.append((node.lineno, f"names {node.id}"))
+        elif isinstance(node, ast.ImportFrom):
+            hits += [
+                (node.lineno, f"imports {alias.name}") for alias in node.names
+                if alias.name in FUTURE_TYPES
+            ]
         elif isinstance(node, ast.Attribute) and node.attr == "overlap":
             hits.append((node.lineno, "reads .overlap"))
     return [f"{what} (line {line})" for line, what in sorted(hits)]
@@ -164,6 +186,21 @@ class TestScheduleOwnership:
         )
         assert [h.split(" ")[0] for h in _pipeline_hits(bad)] == [
             "defines", "calls", "calls", "reads",
+        ]
+
+    def test_the_guard_sees_the_cross_call_pipeline(self):
+        bad = ast.parse(
+            "from repro.session import SessionFuture\n"
+            "class PoolFuture: ...\n"
+            "class S:\n"
+            "    def spmm_a_async(self, B) -> 'SessionFuture': ...\n"
+            "    def k(self, pool, sess, B):\n"
+            "        fut = pool.run_async(lambda comm: None)\n"
+            "        return sess.spmm_a_async(B), _SettledFuture\n"
+        )
+        assert [h.rsplit(" (", 1)[0] for h in _pipeline_hits(bad)] == [
+            "imports SessionFuture", "defines PoolFuture", "defines spmm_a_async",
+            "calls run_async", "calls spmm_a_async", "names _SettledFuture",
         ]
 
     def test_families_state_their_layout_once(self):

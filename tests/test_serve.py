@@ -236,7 +236,7 @@ class TestRetries:
     def test_completion_reports_the_retried_session_call(
         self, als_parts, monkeypatch
     ):
-        """The fleet dispatches through ``spmm_a_async``; a batch whose
+        """The fleet dispatches through ``spmm_a``; a batch whose
         session call crashed and was re-executed under the model's
         ``retries`` completes ``"retried"`` — with the clean values."""
         import repro.apps.als as als_app
@@ -265,6 +265,30 @@ class TestRetries:
             assert np.array_equal(got.value[0], want.value[0])
             assert np.array_equal(got.value[1], want.value[1])
 
+    def test_failed_batch_leaves_the_next_batch_clean(self, als_parts, monkeypatch):
+        """Without ``retries`` the crashed batch completes ``"failed"``;
+        the next batch runs on the recovered session, ``"ok"`` and with
+        the clean values."""
+        import repro.apps.als as als_app
+
+        reqs = lambda: [  # noqa: E731 - fresh dataclasses per server
+            AlsTopKRequest(model_id="als", user=u, k=5) for u in range(WIDTH + 2)
+        ]
+        clean = _serve_all(_als_model(als_parts), reqs())
+        monkeypatch.setattr(
+            als_app, "plan",
+            lambda *a, **kw: repro.plan(
+                *a, faults=FaultPlan.crash_at(site="computation", rank=0), **kw
+            ),
+        )
+        completions = _serve_all(_als_model(als_parts), reqs())
+        assert {c.outcome for c in completions[:WIDTH]} == {"failed"}
+        assert all("injected crash" in c.error for c in completions[:WIDTH])
+        assert {c.outcome for c in completions[WIDTH:]} == {"ok"}
+        for got, want in zip(completions[WIDTH:], clean[WIDTH:]):
+            assert np.array_equal(got.value[0], want.value[0])
+            assert np.array_equal(got.value[1], want.value[1])
+
 
 def _one_batch(model, deadline_ms=None):
     """Serve one single-request batch on a bare fleet; return its
@@ -275,7 +299,6 @@ def _one_batch(model, deadline_ms=None):
         req = AlsTopKRequest(model_id="als", user=1, k=5, deadline_ms=deadline_ms)
         env = Envelope(request=req, future=ServeFuture(req), t_submit=time.perf_counter())
         fleet.dispatch([env])
-        fleet.settle_all()
         records = fleet.session_metrics()
     finally:
         fleet.close()
@@ -378,12 +401,26 @@ class TestFleetLifecycle:
                 srv.submit(AlsTopKRequest(model_id="als", user=u % N_USERS, k=4))
                 for u in range(24)
             ]
-            # drain settles the tail batches the pipelined fleet still
-            # holds in flight; only then is every future guaranteed done
             srv.drain()
             completions = [f.result(timeout=60.0) for f in futures]
         assert all(c.ok for c in completions)
         assert threading.active_count() == baseline  # thread-leak gate
+
+    @pytest.mark.parametrize("workload", ["als", "gat"])
+    def test_lone_request_completes_without_drain(
+        self, als_parts, gat_parts, workload
+    ):
+        """A background server completes a single request on its own: the
+        batch that carries it settles when it runs, not when a later batch
+        is dispatched or the server drains."""
+        if workload == "als":
+            model = _als_model(als_parts)
+            req = AlsTopKRequest(model_id="als", user=3, k=4)
+        else:
+            model = _gat_model(gat_parts)
+            req = GatEdgeScoreRequest(model_id="gat", node=3)
+        with Server(model, window_ms=0.5, background=True) as srv:
+            assert srv.submit(req).result(timeout=10.0).ok
 
     def test_inline_server_leaves_no_threads(self, gat_parts):
         baseline = threading.active_count()

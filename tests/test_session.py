@@ -11,8 +11,6 @@ Covers the session redesign's contract:
 * validation: dense-operand shape drift, re-plan error on a different S,
   value rebinding via ``update_values``, closed-session errors;
 * context-manager lifecycle and the debugging ``repr``;
-* ``*_async`` calls: bitwise the synchronous outputs, and an unconsumed
-  future is never clobbered by the next call;
 * skip-rebind after a failed ``run_rank``, and pool recovery after a
   rank dies while its siblings are blocked in a shift.
 """
@@ -638,21 +636,37 @@ class TestFailedCallKeepsResidentBlocks:
             assert sess.dense_bind_counts == counts
             assert sess.dense_bind_skips["b"] == skips["b"] + 1
 
-    def test_a_call_whose_drain_raises_forgets_its_staged_operand(
+    def test_one_record_per_call_that_ran(self, small_problem):
+        """A call rejected before binding (a shape error) leaves no
+        metrics record; one that failed on the ranks leaves exactly one,
+        ``"failed"``, and the next call gets its own."""
+        S, A, B = small_problem
+        plan = repro.FaultPlan.crash_at(site="computation", rank=1)
+        with repro.plan(S, A.shape[1], faults=plan, **self.KW) as sess:
+            with pytest.raises(ReproError, match="operand shapes"):
+                sess.spmm_a(B[:-1])
+            assert sess.metrics() == []
+            with pytest.raises(RuntimeError, match="injected crash"):
+                sess.spmm_a(B)
+            sess.spmm_a(B)
+            records = sess.metrics()
+            assert [(r["call"], r["outcome"]) for r in records] == [
+                (0, "failed"), (1, "ok")
+            ]
+
+    def test_a_failed_call_never_lets_a_changed_operand_skip(
         self, small_problem
     ):
-        """Call 2 stages ``B2`` (re-taking the b-side snapshot) behind call
-        1, whose settle then raises: ``B2`` never reaches the ranks, so a
-        third call with ``B2`` must scatter it, not skip it."""
+        """Call 1 with ``B`` crashes for good; call 2 with ``B2`` must
+        scatter ``B2``, not skip it against call 1's snapshot."""
         S, A, B = small_problem
         B2 = np.random.default_rng(8).standard_normal(B.shape)
         with repro.plan(S, A.shape[1], **self.KW) as sess:
             want, _ = sess.fusedmm_a(A, B2)
         plan = repro.FaultPlan.crash_at(site="computation", rank=1)
         with repro.plan(S, A.shape[1], faults=plan, **self.KW) as sess:
-            sess.fusedmm_a_async(A, B)  # crashes
             with pytest.raises(RuntimeError, match="injected crash"):
-                sess.fusedmm_a(A, B2)  # drains call 1, never launches
+                sess.fusedmm_a(A, B)
             out, _ = sess.fusedmm_a(A, B2)
             np.testing.assert_array_equal(out, want)
 
@@ -712,43 +726,6 @@ class TestThreadSafety:
             assert sess.metrics()[-1]["outcome"] == "ok"
 
 
-class TestAsyncCalls:
-    def test_async_pipeline_bitwise_and_reports(self, small_problem):
-        S, A, B = small_problem
-        rng = np.random.default_rng(3)
-        Bs = [rng.standard_normal(B.shape) for _ in range(4)]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        elision="replication-reuse") as sess:
-            sync_outs = [sess.fusedmm_a(A, b)[0] for b in Bs]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        elision="replication-reuse") as sess:
-            futures = [sess.fusedmm_a_async(A, b) for b in Bs]
-            outs = [f.result() for f in futures]
-        for want, (got, report) in zip(sync_outs, outs):
-            assert np.array_equal(want, got)
-            assert report.comm_mode == "dense"
-
-    def test_async_result_is_idempotent_and_unclobbered(self, small_problem):
-        """A later pipelined call must not clobber an unconsumed output."""
-        S, A, B = small_problem
-        rng = np.random.default_rng(4)
-        B2 = rng.standard_normal(B.shape)
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift") as sess:
-            want1 = sess.fusedmm_a(A, B)[0]
-            want2 = sess.fusedmm_a(A, B2)[0]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift") as sess:
-            f1 = sess.fusedmm_a_async(A, B)
-            f2 = sess.fusedmm_a_async(A, B2)  # stages while f1 runs
-            out2 = f2.result()[0]
-            out1 = f1.result()[0]  # finalized before f2 promoted; cached
-            assert np.array_equal(want1, out1)
-            assert np.array_equal(want2, out2)
-
-
 class TestSkipRebindAfterFailure:
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
         """A custom rank procedure dirties both dense sides, failing or
@@ -760,7 +737,7 @@ class TestSkipRebindAfterFailure:
             want = sess.fusedmm_a(A, B)[0]
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift") as sess:
-            f1 = sess.fusedmm_a_async(A, B)  # snapshots both sides
+            sess.fusedmm_a(A, B)  # snapshots both sides
 
             def bad(ctx, plan_, local, sparse_plan=None):
                 local.A[:] = np.nan  # clobber resident blocks, then die
@@ -770,7 +747,6 @@ class TestSkipRebindAfterFailure:
 
             with pytest.raises(RuntimeError):
                 sess.run_rank(bad, label="clobber")
-            f1.result()  # finalized before the failing dispatch; still good
             # the failed run_rank dirtied both sides: rebinding the *same*
             # operands must NOT be skipped against the NaN-filled blocks
             out, _ = sess.fusedmm_a(A, B)

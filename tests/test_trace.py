@@ -70,7 +70,7 @@ class TestDisabledPath:
         with repro.plan(S, 16, p=4, algorithm="1.5d-sparse-shift",
                         comm="sparse", trace="off") as sess:
             sess.fusedmm_a(A, B)
-            sess.fusedmm_a_async(A, B).result()
+            sess.spmm_a(B)
         assert calls["n"] == 0
 
     def test_invalid_trace_mode_rejected(self):
@@ -259,7 +259,7 @@ class TestSessionMetrics:
                         comm="sparse") as sess:
             sess.fusedmm_a(A, B)
             sess.spmm_a(B)
-            sess.fusedmm_a_async(A, B).result()
+            sess.fusedmm_a(A, B)
             recs = sess.metrics()
         assert len(recs) == 3
         assert [r["call"] for r in recs] == [0, 1, 2]

@@ -6,8 +6,8 @@ The pool's guarantees, each asserted here:
   driver, and the pool stays **reusable** afterwards;
 * ``close()`` joins every rank thread (no leaks) and is idempotent;
 * dispatch after close raises;
-* ``run_async`` holds one unsettled item: a second dispatch settles the
-  first, whose error surfaces at its own ``wait()``;
+* ``run(..., retries=, on_failure=)`` re-runs a retryable failure after
+  the hook, and surfaces the first error once the re-runs are spent;
 * a warm session produces **bitwise** the same kernel outputs as a
   fresh session per call across families x comm modes, while building
   its contexts exactly once per orientation.
@@ -151,7 +151,7 @@ class TestPoolFailure:
 
 @pytest.mark.parametrize("p", [4, 1], ids=["threads", "inline"])
 class TestPoolRetry:
-    """The pool's re-execution contract: ``run_async(..., retries=,
+    """The pool's re-execution contract: ``run(..., retries=,
     on_failure=)`` re-runs the same item after a retryable failure, with
     the hook run on the driver once the world has recovered."""
 
@@ -175,17 +175,13 @@ class TestPoolRetry:
 
         return body, on_failure, attempts
 
-    def _settle(self, pool, body, **kw):
-        future = pool.run_async(body, **kw)  # an inline pool raises here
-        return future, future.wait()[0]
-
     def test_retryable_failure_fired_once_settles_ok(self, p):
         hooks = []
         with WorkerPool(p) as pool:
             body, hook, attempts = self._flaky(pool, [CommError("hiccup")], hooks)
-            future, results = self._settle(pool, body, retries=2, on_failure=hook)
+            results, _ = pool.run(body, retries=2, on_failure=hook)
             assert results == [float(p)] * p
-            assert future.retries == 1 and len(attempts) == 2
+            assert len(attempts) == 2
             # the hook ran once, on a recovered world: no abort flag, no
             # message of the failed attempt left undelivered
             assert hooks == [(False, False)]
@@ -195,7 +191,7 @@ class TestPoolRetry:
         with WorkerPool(p) as pool:
             body, hook, attempts = self._flaky(pool, [ValueError("boom")], hooks)
             with pytest.raises((RuntimeError, ValueError), match="boom") as err:
-                self._settle(pool, body, retries=3, on_failure=hook)
+                pool.run(body, retries=3, on_failure=hook)
             assert (err.type is ValueError) == (p == 1)  # inline: raw error
             assert len(attempts) == 1 and len(hooks) == 1
             # ...also after a retryable one: it is not the *first* error
@@ -203,7 +199,7 @@ class TestPoolRetry:
                 pool, [CommError("hiccup"), ValueError("boom")], hooks
             )
             with pytest.raises((RuntimeError, ValueError), match="boom"):
-                self._settle(pool, body, retries=3, on_failure=hook)
+                pool.run(body, retries=3, on_failure=hook)
             assert len(attempts) == 2
             # the pool stays usable
             assert pool.run(lambda comm: comm.allreduce_scalar(1.0))[0] == [p] * p
@@ -214,8 +210,18 @@ class TestPoolRetry:
         with WorkerPool(p) as pool:
             body, hook, attempts = self._flaky(pool, errors, hooks)
             with pytest.raises((RuntimeError, CommError), match="attempt 0"):
-                self._settle(pool, body, retries=2, on_failure=hook)
+                pool.run(body, retries=2, on_failure=hook)
             assert len(attempts) == 3 and len(hooks) == 3
+
+    def test_clean_run_never_calls_the_hook(self, p):
+        """The hook's calls are the re-runs a caller counts: a run that
+        succeeds first time calls it zero times."""
+        hooks = []
+        with WorkerPool(p) as pool:
+            body, hook, attempts = self._flaky(pool, [], hooks)
+            results, _ = pool.run(body, retries=2, on_failure=hook)
+            assert results == [float(p)] * p
+            assert len(attempts) == 1 and hooks == []
 
 
 def test_reruns_under_thread_churn():
@@ -237,31 +243,40 @@ def test_reruns_under_thread_churn():
                         raise CommError("hiccup")
                     return comm.allreduce_scalar(float(comm.rank))
 
-                future = pool.run_async(body, retries=1, on_failure=lambda: None)
-                assert future.wait()[0] == [float(sum(range(p)))] * p
-                assert future.retries == 1
+                hooks = []
+                results, _ = pool.run(
+                    body, retries=1, on_failure=lambda: hooks.append(k)
+                )
+                assert results == [float(sum(range(p)))] * p
+                assert hooks == [k]
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_mpi_pool_runs_the_hook_and_rejects_reruns():
-    """``MpiWorkerPool.run_async`` takes the same two parameters: it calls
+    """``MpiWorkerPool.run`` takes the same two parameters: it calls
     ``on_failure`` before a rank error propagates and refuses re-runs
-    (its processes cannot agree to retry).  Exercised without mpi4py by
-    standing in for the local run."""
+    (its processes cannot agree to retry).  Exercised without mpi4py on a
+    one-rank pool whose transport and communicator are stand-ins."""
+    from types import SimpleNamespace
+
     from repro.runtime.backend_mpi import MpiWorkerPool
 
     pool = MpiWorkerPool.__new__(MpiWorkerPool)
     with pytest.raises(ReproError, match="retries=0"):
-        pool.run_async(lambda comm: None, retries=1)
+        pool.run(lambda comm: None, retries=1)
 
-    def failing_run(rank_fn, **kw):
+    pool.nranks, pool.local_rank, pool.deadline_ms = 1, 0, None
+    pool._closed, pool._armed = False, None
+    pool.world = SimpleNamespace(active_profiles={}, deadline=None)
+    pool._local_comm = SimpleNamespace(profile=None)
+
+    def failing(comm):
         raise ValueError("rank error")
 
-    pool.run = failing_run
     hooks = []
     with pytest.raises(ValueError, match="rank error"):
-        pool.run_async(lambda comm: None, on_failure=lambda: hooks.append(1))
+        pool.run(failing, on_failure=lambda: hooks.append(1))
     assert hooks == [1]
 
 
@@ -294,23 +309,36 @@ def test_retry_lives_at_the_pool_seam():
     assert not hasattr(session.Session, "_RETRYABLE_ERRORS")
 
 
-class TestPoolAsyncDispatch:
-    def test_run_async_basic(self):
+class TestPoolDispatch:
+    def test_run_basic(self):
         with WorkerPool(4) as pool:
-            fut = pool.run_async(lambda comm: comm.rank * 2)
-            results, report = fut.wait()
+            results, report = pool.run(lambda comm: comm.rank * 2, label="basic")
             assert results == [0, 2, 4, 6]
-            assert fut.done
-            # idempotent wait
-            assert fut.wait()[0] == results
+            assert report.label == "basic"
 
-    def test_dispatch_on_busy_pool_settles_the_unsettled_item(self):
-        with WorkerPool(3) as pool:
-            f1 = pool.run_async(lambda comm: comm.shift(comm.rank, 1), label="one")
-            f2 = pool.run_async(lambda comm: comm.shift(comm.rank, -1), label="two")
-            assert f1.done  # one slot: the second dispatch settled the first
-            assert f2.wait()[0] == [(r + 1) % 3 for r in range(3)]
-            assert f1.wait()[0] == [(r - 1) % 3 for r in range(3)]
+    def test_concurrent_callers_are_serialized(self):
+        """Two driver threads calling ``run`` on one pool: each item runs
+        whole on the resident ranks, one after the other, and each caller
+        gets its own results."""
+        got = {}
+
+        def drive(pool, shift):
+            for _ in range(20):
+                results, _ = pool.run(lambda comm: comm.shift(comm.rank, shift))
+                got.setdefault(shift, set()).add(tuple(results))
+
+        with WorkerPool(3, deadline_ms=10_000) as pool:
+            drivers = [
+                threading.Thread(target=drive, args=(pool, s)) for s in (1, -1)
+            ]
+            for t in drivers:
+                t.start()
+            for t in drivers:
+                t.join()
+        assert got == {
+            1: {tuple((r - 1) % 3 for r in range(3))},
+            -1: {tuple((r + 1) % 3 for r in range(3))},
+        }
 
     def test_abort_with_a_sibling_blocked_in_a_shift_recovers(self):
         """One rank dies while a sibling is blocked in a shift's receive;
@@ -324,41 +352,17 @@ class TestPoolAsyncDispatch:
             return comm.shift(np.ones(16), displacement=1, tag=9)
 
         with WorkerPool(4) as pool:
-            fut = pool.run_async(bad, label="doomed")
             with pytest.raises(RuntimeError, match="rank 0 failed"):
-                fut.wait()
+                pool.run(bad, label="doomed")
             # recovered: the same resident ranks serve the next item
             results, _ = pool.run(lambda comm: comm.shift(comm.rank, 1))
             assert results == [(r - 1) % 4 for r in range(4)]
 
-    def test_item_dispatched_behind_a_failure_runs_on_recovered_world(self):
-        """``run_async`` with an unsettled failing item: the failure
-        surfaces at the *first* future's ``wait()`` (not at the second
-        dispatch), and the second item runs clean on the recovered
-        world instead of unwinding through the aborted one."""
-
-        def bad(comm):
-            comm.barrier(tag=60)
-            if comm.rank == 1:
-                raise ValueError("first item dies")
-            comm.recv(comm.rank, tag=61)  # blocks until abort
-
-        def innocent(comm):
-            return comm.shift(comm.rank, displacement=1)
-
-        with WorkerPool(3) as pool:
-            f1 = pool.run_async(bad, label="bad")
-            f2 = pool.run_async(innocent, label="innocent")  # does not raise
-            assert f2.wait()[0] == [(r - 1) % 3 for r in range(3)]
-            with pytest.raises(RuntimeError, match="rank 1 failed") as err:
-                f1.wait()
-            assert isinstance(err.value.__cause__, ValueError)
-
     def test_single_rank_pool_runs_inline(self):
         with WorkerPool(1) as pool:
-            fut = pool.run_async(lambda comm: 42)
-            assert fut.done
-            assert fut.wait()[0] == [42]
+            driver = threading.get_ident()
+            results, _ = pool.run(lambda comm: threading.get_ident())
+            assert results == [driver]
 
 
 class TestPoolClose:
