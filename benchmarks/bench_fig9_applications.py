@@ -12,8 +12,12 @@ contrast this figure plots.  The GAT replication-reuse variant is one
 rank-side procedure on the same cached session (its cross-round gather
 sharing cannot be split into independent kernel calls) and pays the same
 edge-softmax reductions outside FusedMM.  ALS holds one session on the
-observations; its CG matvecs are pattern-only (``use_values=False``), so
-they carry no ``S *`` multiply in the compute column.
+observations; each half-sweep's right-hand side is an SpMM on the
+stored values, computed rank-side in the half-sweep's one dispatch (under
+replication reuse it reads the fixed factor's fiber panel, so it adds no
+replication words), and its CG matvecs are pattern-only
+(``use_values=False``), so they carry no ``S *`` multiply in the compute
+column.
 """
 
 from __future__ import annotations

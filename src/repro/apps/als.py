@@ -16,20 +16,20 @@ workload of the paper's Figure 9 (left).
 This driver is built on the session-handle API (:func:`repro.plan`):
 it plans **one resident session** on the observations — one worker pool,
 ``S`` plus its transposed sibling, the reference ``Distributed_Sparse``'s
-``S`` / ``ST`` — and passes "with or without the stored values" per call:
-the normal-equation right-hand sides are ``spmm_a`` / ``spmm_b`` on the
+``S`` / ``ST`` — and passes "with or without the stored values" per
+kernel: each normal equation's right-hand side is an SpMM on the
 observed values, while every CG matvec and the loss SDDMM run
 pattern-only (``use_values=False``) on the same distribution.  Each
-half-sweep's entire batched CG runs **rank-side** on the session's
-resident worker pool: one :meth:`~repro.session.Session.run_rank`
-dispatch performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG
-scalar recurrences on the warm ranks, so no factor matrix is gathered or
-re-scattered between CG iterations (the fixed factor is bound once per
-half-sweep and, under replication reuse, replicated along the fiber
-once per half-sweep instead of once per matvec).  FusedMMB-phase solves
-transparently run on the session's transposed sibling distribution (the
-paper's "two copies of the sparse matrix, one transposed"), built once
-on first use.
+half-sweep runs **rank-side** on the session's resident worker pool: one
+:meth:`~repro.session.Session.run_rank` dispatch computes the right-hand
+side, performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG scalar
+recurrences on the warm ranks, so no right-hand side or factor matrix is
+gathered or re-scattered inside a half-sweep (the fixed factor is bound
+once per half-sweep and, under replication reuse, replicated along the
+fiber once per half-sweep instead of once per kernel).  FusedMMB-phase
+solves transparently run on the session's transposed sibling
+distribution (the paper's "two copies of the sparse matrix, one
+transposed"), built once on first use.
 
 Two algorithm families are supported, capturing the paper's contrast:
 
@@ -55,13 +55,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import TAG_APP
+from repro.algorithms.fused import native_procedure
 from repro.errors import ReproError
 from repro.runtime.profile import RunReport
 from repro.serve.model import ServeModel
 from repro.serve.request import AlsTopKRequest, Request
 from repro.session import Session, plan
 from repro.sparse.coo import CooMatrix
-from repro.types import CommMode, Elision, FusedVariant, Phase
+from repro.types import CommMode, Elision, FusedVariant, Mode, Phase
 
 # re-exported for tests/benchmarks that poke the CG directly
 __all__ = [
@@ -170,50 +171,40 @@ class DistributedALS:
     # ------------------------------------------------------------------
 
     def _rank_cg(
-        self, sess: Session, variant: FusedVariant, fixed: np.ndarray,
-        rhs: np.ndarray, x0: np.ndarray,
+        self, sess: Session, variant: FusedVariant, fixed: np.ndarray, x0: np.ndarray
     ) -> np.ndarray:
         """Solve ``(FusedMM(pattern(S), ., fixed) + lam I) x = rhs`` rank-side.
 
-        The whole batched CG — ``cg_iters + 1`` fused matvecs plus the
-        per-row scalar recurrences — runs in **one** dispatch to the
-        session's warm worker pool.  The moving factor occupies the
+        The right-hand side (``S @ fixed`` for FusedMMA, ``S.T @ fixed``
+        for FusedMMB, on the observed values), the ``cg_iters + 1`` fused
+        matvecs and the per-row scalar recurrences run in **one** dispatch
+        to the session's warm worker pool.  The moving factor occupies the
         native-output slot of the (possibly transposed) resident
-        orientation; the fixed factor is bound once and, under
-        replication reuse, gathered along the fiber once.  When a rank's
+        orientation, the fixed factor the other; under replication reuse
+        the fixed factor is gathered along the fiber once, and that panel
+        feeds the right-hand side's SpMM and every matvec.  When a rank's
         factor block holds only an r-strip (sparse-shifting family), the
         per-row dots are all-reduced across the layer, measured as
         OTHER-phase communication.
         """
-        lam, iters = self.lam, self.cg_iters
-        transpose, native, method = sess.fused_rank_method(variant)
-        x_in_a = native == "a"
-
-        def slots(x):
-            # the moving operand sits in the native-output slot; for the
-            # transposed sibling the session-level operands are already
-            # swapped by construction (same convention as fusedmm_a/b)
-            return (x, fixed) if x_in_a else (fixed, x)
-
-        # Two binds per half-sweep: the first scatters rhs through the x
-        # slot purely to snapshot its per-rank blocks.  The session's
-        # dirty tracking recognizes the fixed factor as unchanged on the
-        # second bind and skips its scatter, so the fixed side moves
-        # exactly once per half-sweep (counter-asserted in
-        # tests/test_session.py).
-        ori = sess.bind(*slots(rhs), transpose=transpose)
-        rhs_blks = [loc.A if x_in_a else loc.B for loc in ori.locals_]
-        sess.bind(*slots(x0), transpose=transpose)
+        lam, iters, alg = self.lam, self.cg_iters, sess.alg
+        transpose, native, method = native_procedure(alg, variant, self.elision)
+        # the moving factor's slot; the right-hand side is the SpMM that
+        # writes it from the fixed factor in the other slot
+        slot, rhs_mode = ("A", Mode.SPMM_A) if native == "a" else ("B", Mode.SPMM_B)
         reuse = self.elision == Elision.REPLICATION_REUSE
-        slot = "A" if x_in_a else "B"
 
         def cg_body(ctx, plan_, local, **kw):  # kw: sparse_plan= under sparse comm
             prof = ctx.comm.profile
             if reuse:
                 # replication reuse gathers the operand opposite its
                 # output — here the *fixed* factor — along the fiber: one
-                # gather serves all cg_iters + 1 matvecs of the half-sweep
-                kw["replicated"] = sess.alg.replicate(ctx, plan_, local, **kw)
+                # gather serves the right-hand side and all cg_iters + 1
+                # matvecs of the half-sweep
+                kw["replicated"] = alg.replicate(ctx, plan_, local, **kw)
+            x0_blk = getattr(local, slot)
+            alg.rank_kernel(ctx, plan_, local, rhs_mode, **kw)
+            rhs_blk = getattr(local, slot)
 
             def matvec(vblk):
                 setattr(local, slot, vblk)
@@ -221,7 +212,6 @@ class DistributedALS:
                 method(ctx, plan_, local, use_values=False, **kw)
                 return getattr(local, slot) + lam * vblk
 
-            x0_blk = getattr(local, slot)
             # complete factor rows are rank-local on the dense-shifting
             # family; r-strips (sparse shift) reduce row dots over the
             # layer, whose ranks all own the same row set
@@ -234,14 +224,13 @@ class DistributedALS:
                         d = ctx.layer.allreduce(d, tag=TAG_APP)
                 return d
 
-            x = _batched_cg(rhs_blks[ctx.comm.rank], matvec, rowdot, x0_blk, iters)
+            x = _batched_cg(rhs_blk, matvec, rowdot, x0_blk, iters)
             setattr(local, slot, x)  # the solution stays resident for the collect
 
-        sess.run_rank(cg_body, transpose=transpose, label=f"als/cg/{variant.value}")
-        collect = (
-            sess.alg.collect_dense_a if x_in_a else sess.alg.collect_dense_b
-        )
-        return collect(ori.plan, ori.locals_)
+        return sess.run_rank(
+            cg_body, *((x0, fixed) if native == "a" else (fixed, x0)),
+            transpose=transpose, collect=native, label=f"als/cg/{variant.value}",
+        )[0]
 
     def run(
         self,
@@ -263,17 +252,13 @@ class DistributedALS:
             elision=self.elision, comm=self.comm, kernels=self.kernels,
         ) as sess:
             for _ in range(outer_iters):
-                # solve for A with B fixed: rhs = SpMMA(C_obs, B); the CG
-                # (matvec = FusedMMA(pattern, X, B) + lam X, plus scalar
-                # recurrences) runs rank-side in one pool dispatch
-                rhs_a, _ = sess.spmm_a(B)
-                A = self._rank_cg(sess, FusedVariant.FUSED_A, B, rhs_a, A)
-
-                # solve for B with A fixed: rhs = SpMMB(C_obs, A); runs on
-                # the session's transposed sibling distribution when the
+                # solve for A with B fixed (rhs = SpMMA(C_obs, B), matvec =
+                # FusedMMA(pattern, X, B) + lam X), then for B with A fixed
+                # (rhs = SpMMB(C_obs, A)): each one pool dispatch, on the
+                # session's transposed sibling distribution when the
                 # elision's native procedure lives on the opposite side
-                rhs_b, _ = sess.spmm_b(A)
-                B = self._rank_cg(sess, FusedVariant.FUSED_B, A, rhs_b, B)
+                A = self._rank_cg(sess, FusedVariant.FUSED_A, B, A)
+                B = self._rank_cg(sess, FusedVariant.FUSED_B, A, B)
 
                 if track_loss:
                     # || C_obs - SDDMM(A, B, pattern) ||^2 over observations

@@ -208,13 +208,20 @@ class DistributedGAT:
 
     def _session(self, S_adj: CooMatrix) -> Session:
         """The resident adjacency session, re-planned only when the graph
-        structure changes (epochs over a fixed graph re-use it)."""
+        structure or the collected width changes (epochs over a fixed
+        graph re-use it)."""
+        # planned at the width each variant collects: one head, or the
+        # concatenated heads of the replication-reuse forward
+        width = self.r_head
+        if self.elision == Elision.REPLICATION_REUSE:
+            width *= len(self.heads)
         sess = self._sess
-        if sess is not None and not sess._closed and sess.S.same_structure(S_adj):
+        if (sess is not None and not sess.closed and sess.r == width
+                and sess.S.same_structure(S_adj)):
             return sess
         self.close()
         self._sess = plan(
-            S_adj, self.r_head, p=self.p, c=self.c,
+            S_adj, width, p=self.p, c=self.c,
             algorithm="1.5d-dense-shift", elision=Elision.NONE,
             kernels=self.kernels,
         )
@@ -253,8 +260,6 @@ class DistributedGAT:
             # computation into one jitted pass (see GatScoreOp)
             edge_op = GatScoreOp(head.a_left, head.a_right, slope)
 
-            ori = sess.bind(H, H)
-
             def head_body(ctx, plan, local, edge_op=edge_op):
                 prof = ctx.comm.profile
                 # 1) attention scores: SDDMM with the custom edge function
@@ -272,8 +277,7 @@ class DistributedGAT:
                 # (no driver gather / update_values round trip)
                 alg.rank_kernel(ctx, plan, local, Mode.SPMM_A, use_r_values=True)
 
-            sess.run_rank(head_body, label="gat/none/head")
-            agg = alg.collect_dense_a(ori.plan, ori.locals_)
+            agg, _ = sess.run_rank(head_body, H, H, collect="a", label="gat/none/head")
             outs.append(elu(agg) if self.apply_elu else agg)
         return np.concatenate(outs, axis=1)
 
@@ -354,11 +358,9 @@ class DistributedGAT:
             # the concatenated heads leave through the rank's n-side block
             local.B = np.concatenate(outs, axis=1)
 
-        ori = sess.run_rank(reuse_body, transpose=True, label="gat/reuse")
-        out = np.empty((sess.n, len(heads) * self.r_head))
-        for loc in ori.locals_:
-            out[alg.dense_index(ori.plan, loc, "b")[0]] = loc.B
-        return out
+        return sess.run_rank(
+            reuse_body, transpose=True, collect="b", label="gat/reuse"
+        )[0]
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,8 @@ class ServeModel(ABC):
 
     @abstractmethod
     def make_session(self) -> Session:
-        """Plan one resident session for this model (called per replica)."""
+        """Plan the model's one resident session (called once, by the
+        model's fleet)."""
 
     @abstractmethod
     def encode(self, requests: Sequence[Request]) -> np.ndarray:

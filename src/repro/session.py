@@ -36,6 +36,12 @@ structure is fixed (GAT attention weights, SDDMM outputs),
 :meth:`Session.update_values` rebinds the resident values — no
 repartitioning, and the structure-keyed comm-plan caches stay valid.
 
+Applications whose step is more than one kernel (ALS's batched CG, GAT's
+edge softmax) hand their own rank procedure to :meth:`Session.run_rank`.
+It is a kernel call with the caller's procedure in place of the native
+one: the same bind, dispatch, collect and metrics record, without
+retries.  The kernel methods and ``run_rank`` share one private call body.
+
 The legacy one-shot functions in :mod:`repro.api` are thin wrappers that
 build a throwaway session per call.
 """
@@ -143,7 +149,8 @@ class Session:
         self._plan = plan = resolved.as_dict()
         consts = ("algorithm", "comm_mode", "kernels", "trace")
         self._record_consts = {**{k: plan[k] for k in consts}, "nranks": resolved.p}
-        self._alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
+        #: the resolved algorithm instance (rank procedures call its methods)
+        self.alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
         self.algorithm, self.p, self.c = alg.name, alg.p, alg.c
         self.r = resolved.r
         #: "natural", or "permuted": every orientation distributes
@@ -345,7 +352,7 @@ class Session:
         ori = self._orients.get(transpose)
         if ori is None:
             self.plan_builds += 1
-            alg = self._alg
+            alg = self.alg
             S_eff = self.S.transposed() if transpose else self.S
             S_dist = S_eff
             if self._perms is not None:
@@ -387,11 +394,16 @@ class Session:
             self.S = self.S.with_values(vals)
             for transpose, ori in self._orients.items():
                 ori.S_eff = self.S.transposed() if transpose else self.S
-                self._alg.update_values(ori.plan, ori.locals_, ori.S_eff.vals)
+                self.alg.update_values(ori.plan, ori.locals_, ori.S_eff.vals)
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run (read-only)."""
+        return self._closed
 
     def _check_open(self) -> None:
         if self._closed:
@@ -411,11 +423,6 @@ class Session:
     # ------------------------------------------------------------------
     # SPMD launch
     # ------------------------------------------------------------------
-
-    @property
-    def alg(self):
-        """The resolved algorithm instance (for rank-side app procedures)."""
-        return self._alg
 
     @property
     def context_builds(self) -> Dict[bool, int]:
@@ -459,8 +466,8 @@ class Session:
         scattered a bitwise-equal array (checked against a private
         snapshot, so in-place caller mutations are detected) and no kernel
         since then overwrote the side.  Output sides (``X is None``) are
-        always re-zeroed.  This is what lets ALS scatter its fixed factor
-        once per half-sweep instead of once per CG call.
+        always re-zeroed; a :data:`KEEP` side (one :meth:`run_rank` was
+        not given) stays as it is.
 
         The tracking pays one full-array compare plus a snapshot copy per
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
@@ -471,6 +478,8 @@ class Session:
         one: :meth:`_mark_dense_dirty` would drop it before any bind
         could match it.
         """
+        if X is KEEP:
+            return KEEP
         state = self._dense_state.setdefault(transpose, {"a": None, "b": None})
         misses = self._bind_miss.setdefault(transpose, {"a": 0, "b": 0})
         if X is None:
@@ -511,20 +520,6 @@ class Session:
             for side in sides:
                 misses[side] = 0
 
-    def _bind(
-        self, ori: _Orientation, transpose: bool, A, B, dirty: str = ""
-    ) -> None:
-        """Scatter the dense operands into the resident rank locals,
-        skipping bitwise-unchanged sides.  ``dirty`` names the plan sides
-        the call about to run overwrites.  ``bind_dense`` replaces blocks
-        and never writes one in place, so the blocks a call was
-        dispatched with stay intact for :meth:`_dispatch` to put back.
-        """
-        A_arg = self._bind_arg(transpose, "a", A, "a" in dirty)
-        B_arg = self._bind_arg(transpose, "b", B, "b" in dirty)
-        if A_arg is not KEEP or B_arg is not KEEP:
-            self._alg.bind_dense(ori.plan, ori.locals_, A_arg, B_arg)
-
     # ------------------------------------------------------------------
     # SPMD dispatch (graceful degradation)
     # ------------------------------------------------------------------
@@ -545,7 +540,7 @@ class Session:
         sparse-comm session (the graceful degradation re-run — see
         :meth:`_run_recovering`).
         """
-        alg = self._alg
+        alg = self.alg
         transpose = ori is self._orients.get(True)
         pool = self._ensure_pool()
         dispatched = [(loc.A, loc.B) for loc in ori.locals_]
@@ -594,20 +589,25 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _run_recovering(self, ori: _Orientation, call, label) -> Tuple[str, int]:
-        """Run a kernel call, degrading it once if it still failed.
+    def _run_recovering(
+        self, ori: _Orientation, call, label, recover: bool
+    ) -> Tuple[str, int]:
+        """Run a call, degrading it once if it still failed.
 
-        The pool re-runs a runtime-fault death up to ``retries`` times from
-        the dispatched blocks (:meth:`_dispatch`) — never re-binding, never
-        re-planning (:attr:`plan_builds`).  If it still failed of a runtime
-        fault, a ``comm="sparse"`` session makes one *degraded* re-run on
-        the dense ring collectives before the pool's error, the **first**
-        one, surfaces.  Returns ``(outcome, retries_used)``.
+        With ``recover`` (a kernel call) the pool re-runs a runtime-fault
+        death up to ``retries`` times from the dispatched blocks
+        (:meth:`_dispatch`) — never re-binding, never re-planning
+        (:attr:`plan_builds`).  If it still failed of a runtime fault, a
+        ``comm="sparse"`` session makes one *degraded* re-run on the dense
+        ring collectives before the pool's error, the **first** one,
+        surfaces.  Without ``recover`` (:meth:`run_rank`) the first failure
+        surfaces.  Returns ``(outcome, retries_used)``.
         """
         try:
-            retries = self._dispatch(ori, call, label, self.retries)
+            retries = self._dispatch(ori, call, label, self.retries if recover else 0)
         except Exception as first_error:  # noqa: BLE001 - classified below
-            if not (ori.sparse_plans is not None and retryable(first_error)):
+            if not (recover and ori.sparse_plans is not None
+                    and retryable(first_error)):
                 raise
             # graceful degradation: one re-run on the dense comm path,
             # forced by the degraded dispatch.  Contexts and bind snapshots
@@ -624,6 +624,46 @@ class Session:
         self.retried_calls += 1
         return "retried", retries
 
+    def _call(
+        self, transpose: bool, A, B, written: str, call, collect: Tuple[str, ...],
+        label: str, recover: bool,
+    ):
+        """The one call body behind the five kernels and :meth:`run_rank`:
+        bind ``A`` / ``B`` (in the orientation's plan shape) → dispatch and
+        wait → collect each of ``collect`` (``"a"``, ``"b"``, ``"sddmm"``),
+        then exactly one :meth:`metrics` record, failed calls included.
+        ``written`` names the plan sides the call overwrites."""
+        t0 = time.perf_counter()
+        alg = self.alg
+        ori = self._orientation(transpose)
+        # skip bitwise-unchanged sides; bind_dense replaces blocks, never
+        # writes one in place, so the blocks a call was dispatched with
+        # stay intact for _dispatch to put back
+        A = self._bind_arg(transpose, "a", A, "a" in written)
+        B = self._bind_arg(transpose, "b", B, "b" in written)
+        if A is not KEEP or B is not KEEP:
+            alg.bind_dense(ori.plan, ori.locals_, A, B)
+        self._mark_dense_dirty(transpose, written)
+        outcome, retries = "failed", 0
+        try:
+            outcome, retries = self._run_recovering(ori, call, label, recover)
+            self._ncalls += 1
+            outs = []
+            for what in collect:
+                if what == "sddmm":
+                    R = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
+                    outs.append(R.transposed() if transpose else R)
+                else:
+                    collect_dense = getattr(alg, f"collect_dense_{what}")
+                    outs.append(collect_dense(ori.plan, ori.locals_))
+            return (*outs, self.report(f"{label}/x{self._ncalls}"))
+        except BaseException as exc:
+            outcome = self.failure_outcome(exc)
+            raise
+        finally:
+            # wall_ms spans bind -> collect
+            self._record_call(label, t0, outcome, retries)
+
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
@@ -634,16 +674,14 @@ class Session:
     ):
         """Run one call of any of the five kernels, as
         :func:`~repro.algorithms.fused.native_procedure` resolves it
-        (``None`` marks a single mode's output side): validate → bind →
-        dispatch and wait → degrade once → collect, then exactly one
-        :meth:`metrics` record, failed calls included."""
+        (``None`` marks a single mode's output side), with the session's
+        retries and one degraded re-run (:meth:`_call`)."""
         with self._exclusive():
             self._check_open()
             unknown = kernel_kwargs.keys() - self._rank_kernel_keywords
             if unknown:
                 raise ReproError(f"{self.algorithm} takes no {min(unknown)}= option")
-            alg = self._alg
-            transpose, side, method = native_procedure(alg, kernel, self.elision)
+            transpose, side, method = native_procedure(self.alg, kernel, self.elision)
             single = isinstance(kernel, Mode)
             if not (single and side == "a"):
                 A = self._check_dense(A, "A", self.m)
@@ -653,31 +691,13 @@ class Session:
                 A, B = B, A
             what = kernel if single else self.elision
             label = f"{self.algorithm}/{what.value}{self._suffix}"
-            t0 = time.perf_counter()
-            ori = self._orientation(transpose)
-            self._bind(ori, transpose, A, B, side)
-            # the kernel overwrites its output side(s)
-            self._mark_dense_dirty(transpose, side)
-            outcome, retries = "failed", 0
-            try:
-                outcome, retries = self._run_recovering(
-                    ori, partial(method, **kernel_kwargs), label
-                )
-                self._ncalls += 1
-                outs = []
-                if side:
-                    collect_dense = getattr(alg, f"collect_dense_{side}")
-                    outs.append(collect_dense(ori.plan, ori.locals_))
-                if collect_sddmm or not side:
-                    R = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-                    outs.append(R.transposed() if transpose else R)
-                return (*outs, self.report(f"{label}/x{self._ncalls}"))
-            except BaseException as exc:
-                outcome = self.failure_outcome(exc)
-                raise
-            finally:
-                # wall_ms spans bind -> collect
-                self._record_call(label, t0, outcome, retries)
+            collect = (side,) if side else ()
+            if collect_sddmm or not side:
+                collect += ("sddmm",)
+            return self._call(
+                transpose, A, B, side, partial(method, **kernel_kwargs), collect,
+                label, recover=True,
+            )
 
     def sddmm(
         self, A: np.ndarray, B: np.ndarray, use_values: bool = True, edge_op=None
@@ -719,74 +739,48 @@ class Session:
         return self._submit_kernel(FusedVariant.FUSED_B, A, B, collect_sddmm)
 
     # ------------------------------------------------------------------
-    # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
+    # rank-side procedures (apps: rank-resident CG loops, edge softmax)
     # ------------------------------------------------------------------
 
-    def fused_rank_method(self, variant: FusedVariant):
-        """Resolve a fused variant to its rank-side native procedure.
-
-        Returns ``(transpose, native, method)``: run ``method(ctx, plan,
-        local, ...)`` against the ``transpose`` orientation; the moving
-        (native-output) operand occupies the ``local`` slot named by
-        ``native`` (``"a"`` or ``"b"``) and the other slot holds the
-        fixed operand.  This is the hook apps use to keep iterative
-        solvers (ALS's batched CG) entirely rank-side on the warm pool.
-        """
-        return native_procedure(self._alg, variant, self.elision)
-
-    def bind(self, A, B, transpose: bool = False) -> _Orientation:
-        """(Re)bind the dense operands of one resident orientation.
-
-        ``A``/``B`` follow the *orientation's* plan shape — for the
-        transposed sibling the caller passes already-swapped operands,
-        exactly as the fused dispatch does.  ``None`` zeroes an
-        output-only slot.  Returns the orientation handle, whose
-        ``plan``/``locals_`` the caller may pass to the algorithm's
-        ``collect_*`` methods after :meth:`run_rank`.
-        """
-        with self._exclusive():
-            self._check_open()
-            ori = self._orientation(transpose)
-            if A is not None:
-                A = self._check_dense(A, "A", ori.plan.m)
-            if B is not None:
-                B = self._check_dense(B, "B", ori.plan.n)
-            self._bind(ori, transpose, A, B)
-            return ori
-
     def run_rank(
-        self, proc, transpose: bool = False, label: str = "rank-step"
-    ) -> _Orientation:
-        """Dispatch a custom rank-side procedure to the warm worker pool.
+        self, proc, A=None, B=None, *, transpose: bool = False,
+        collect: Optional[str] = None, label: str = "rank-step",
+    ) -> Tuple[Any, RunReport]:
+        """Run the caller's rank procedure as a kernel call runs its own.
 
         ``proc(ctx, plan, local)`` (plus ``sparse_plan=`` on sparse-comm
-        sessions) runs on every resident rank against the orientation's
-        resident sparse state and whatever dense blocks :meth:`bind` (or a
-        previous kernel) left in place.  Communication inside ``proc``
-        uses the resident context's subcommunicators and is accounted to
-        the session's report — this is how the apps put their
-        once-driver-side reductions (CG row dots, edge softmax) back into
-        the measured OTHER phase.
+        sessions) runs on every resident rank of the ``transpose``
+        orientation, against its resident sparse state and dense blocks.
+        ``A`` / ``B`` follow that orientation's plan shape (for the
+        transposed sibling, ``(S.T, B, A)``) and bind exactly as a kernel
+        call binds them, skip-rebind included; an omitted side keeps its
+        resident blocks.  Communication inside ``proc`` uses the resident
+        context's subcommunicators and is accounted to the session's
+        report — this is how the apps put their once-driver-side
+        reductions (CG row dots, edge softmax) into the measured OTHER
+        phase.
+
+        ``collect`` names what comes back: ``"a"`` / ``"b"`` (the ranks'
+        dense blocks of that side, reassembled) or ``"sddmm"`` (the
+        ranks' SDDMM output, in ``S``'s coordinates); ``None`` returns no
+        output.  Returns ``(output, report)`` and records one
+        :meth:`metrics` entry.  ``proc`` may overwrite either dense side,
+        in place too, so both are dirty afterwards, and it is never
+        re-run: a procedure mutates rank-resident state as it goes, so a
+        failure surfaces at once, without retries or degradation.
         """
-        t0 = time.perf_counter()
         with self._exclusive():
             self._check_open()
-            ori = self._orientation(transpose)
-            # a custom rank procedure may overwrite either resident dense
-            # side, in place too, whether or not it then fails
-            self._mark_dense_dirty(transpose, "ab")
-            try:
-                # no retries: custom rank procedures (the apps' CG loops,
-                # edge softmax) mutate rank-resident state as they go, so a
-                # re-run would not start from the pre-call state — fail fast
-                # and let the app re-drive from its own checkpoint
-                self._dispatch(ori, proc, label)
-            except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-                self._record_call(label, t0, outcome=self.failure_outcome(exc))
-                raise
-            self._ncalls += 1
-            self._record_call(label, t0)
-            return ori
+            if collect not in (None, "a", "b", "sddmm"):
+                raise ReproError(f"collect is 'a', 'b' or 'sddmm', not {collect!r}")
+            m, n = (self.n, self.m) if transpose else (self.m, self.n)
+            A = KEEP if A is None else self._check_dense(A, "A", m)
+            B = KEEP if B is None else self._check_dense(B, "B", n)
+            *outs, report = self._call(
+                transpose, A, B, "ab", proc, (collect,) if collect else (), label,
+                recover=False,
+            )
+            return (outs[0] if outs else None), report
 
     # ------------------------------------------------------------------
     # profiling / lifecycle
@@ -893,7 +887,7 @@ class Session:
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None
-                self._alg.release_buffers()
+                self.alg.release_buffers()
                 self._orients.clear()
                 self._dense_state.clear()
                 self._closed = True

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.algorithms.fused import native_procedure
 from repro.apps import als as als_module
 from repro.apps.als import DistributedALS, _batched_cg
 from repro.errors import ReproError
@@ -90,7 +91,8 @@ class TestCostAccounting:
             elision=Elision.REPLICATION_REUSE, cg_iters=4,
         )
         als.run(C, r, outer_iters=2, seed=0, track_loss=False)
-        # 2 sweeps x (5 + 5) matvecs + 4 rhs queries, yet 2 distributions
+        # 2 sweeps x (5 + 5) matvecs and 4 right-hand sides, yet 2
+        # distributions
         assert calls["n"] == 2
 
     @pytest.mark.parametrize(
@@ -107,14 +109,15 @@ class TestCostAccounting:
             sessions.append(repro.plan(*args, **kw))
             return sessions[-1]
 
-        rank_cg = DistributedALS._rank_cg
+        batched_cg = als_module._batched_cg
 
-        def watching_rank_cg(self, *args):
+        def watching_cg(*args):
+            # sampled inside the CG dispatch, on a rank thread of the pool
             threads.append(threading.active_count())
-            return rank_cg(self, *args)
+            return batched_cg(*args)
 
         monkeypatch.setattr(als_module, "plan", recording_plan)
-        monkeypatch.setattr(DistributedALS, "_rank_cg", watching_rank_cg)
+        monkeypatch.setattr(als_module, "_batched_cg", watching_cg)
         C, r, _ = completion_problem
         base = threading.active_count()
         als = DistributedALS(p=p, c=c, algorithm=alg, elision=el, cg_iters=3)
@@ -123,6 +126,34 @@ class TestCostAccounting:
         assert sessions[0].plan_builds == 2  # S and S^T, each built once
         assert set(threads) == {base + p}
         assert threading.active_count() == base
+
+    @pytest.mark.parametrize(
+        "alg,el,p,c", VARIANTS, ids=[f"{a}/{e.value}" for a, e, p, c in VARIANTS]
+    )
+    def test_one_sweep_binds_no_right_hand_side(
+        self, alg, el, p, c, completion_problem, monkeypatch
+    ):
+        """One sweep is two CG dispatches and the loss SDDMM.  Each CG
+        dispatch scatters its moving and its fixed factor once and builds
+        its right-hand side rank-side; the SDDMM scatters both factors.
+        No call scatters, or collects, a right-hand side."""
+        sessions = []
+
+        def recording_plan(*args, **kw):
+            sessions.append(repro.plan(*args, **kw))
+            return sessions[-1]
+
+        monkeypatch.setattr(als_module, "plan", recording_plan)
+        C, r, _ = completion_problem
+        DistributedALS(p=p, c=c, algorithm=alg, elision=el, cg_iters=3).run(
+            C, r, outer_iters=1, seed=0
+        )
+        [sess] = sessions
+        assert [rec["label"] for rec in sess.metrics()] == [
+            "als/cg/fusedmm_a", "als/cg/fusedmm_b", f"{alg}/sddmm",
+        ]
+        assert sess.dense_bind_counts == {"a": 3, "b": 3}
+        assert sess.dense_bind_skips == {"a": 0, "b": 0}
 
     def test_report_contains_fusedmm_phases(self, completion_problem):
         C, r, _ = completion_problem
@@ -163,19 +194,21 @@ class TestPatternOnlyFusedMM:
         def fused(S_run, use_values):
             with repro.plan(S_run, r, p=8, c=2, algorithm=name, elision=el,
                             comm=comm) as sess:
-                transpose, native, method = sess.fused_rank_method(variant)
-                ori = sess.bind(*((B, A) if transpose else (A, B)),
-                                transpose=transpose)
+                transpose, native, method = native_procedure(sess.alg, variant, el)
 
                 def body(ctx, plan, local, **kw):
                     method(ctx, plan, local, use_values=use_values, **kw)
 
-                sess.run_rank(body, transpose=transpose)
-                alg = sess.alg
-                collect = alg.collect_dense_a if native == "a" else alg.collect_dense_b
-                out = collect(ori.plan, ori.locals_)
-                dots = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff).vals
-                return out, dots, sess.report().comm_words
+                out, _ = sess.run_rank(
+                    body, *((B, A) if transpose else (A, B)),
+                    transpose=transpose, collect=native,
+                )
+                # a no-op dispatch on the same orientation reads the
+                # resident SDDMM output the fused call left behind
+                dots, report = sess.run_rank(
+                    lambda *args, **kw: None, transpose=transpose, collect="sddmm"
+                )
+                return out, dots.vals, report.comm_words
 
         twin = fused(S.with_values(np.ones(S.nnz)), True)
         pattern = fused(S, False)

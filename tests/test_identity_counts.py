@@ -48,13 +48,12 @@ CELLS = [
 
 def _sibling(sess, mode, A, B):
     """One single-mode call on the transposed sibling ``(S.T, B, A)``."""
-    sess.bind(B, A, transpose=True)
-    alg = sess.alg
-    ori = sess.run_rank(partial(alg.rank_kernel, mode=mode), transpose=True)
-    if mode == Mode.SDDMM:
-        return alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff).vals
-    collect = alg.collect_dense_a if mode == Mode.SPMM_A else alg.collect_dense_b
-    return collect(ori.plan, ori.locals_)
+    collect = {Mode.SDDMM: "sddmm", Mode.SPMM_A: "a", Mode.SPMM_B: "b"}[mode]
+    out, _ = sess.run_rank(
+        partial(sess.alg.rank_kernel, mode=mode), B, A, transpose=True,
+        collect=collect,
+    )
+    return out.vals if mode == Mode.SDDMM else out
 
 
 def run_cell(family, elision, comm, overlap):

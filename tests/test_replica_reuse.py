@@ -115,20 +115,18 @@ def _call(sess, kernel, A, B):
 
 
 SIBLING_MODES = (Mode.SDDMM, Mode.SPMM_A, Mode.SPMM_B)
+#: what ``run_rank`` collects after each single mode
+SIBLING_COLLECT = {Mode.SDDMM: "sddmm", Mode.SPMM_A: "a", Mode.SPMM_B: "b"}
 
 
 def _sibling(sess, mode, A, B):
     """One single-mode call on the transposed sibling ``(S.T, B, A)``
     through ``run_rank``: ``(output, metrics record)``."""
-    sess.bind(B, A, transpose=True)
-    alg = sess.alg
-    ori = sess.run_rank(partial(alg.rank_kernel, mode=mode), transpose=True)
-    if mode == Mode.SDDMM:
-        out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff).vals
-    else:
-        collect = alg.collect_dense_a if mode == Mode.SPMM_A else alg.collect_dense_b
-        out = collect(ori.plan, ori.locals_)
-    return out, sess.metrics()[-1]
+    out, _ = sess.run_rank(
+        partial(sess.alg.rank_kernel, mode=mode), B, A, transpose=True,
+        collect=SIBLING_COLLECT[mode],
+    )
+    return (out.vals if mode == Mode.SDDMM else out), sess.metrics()[-1]
 
 
 def _comm_plans(sess, S):

@@ -6,8 +6,10 @@ need-list collectives block; the families and the GAT reuse forward only
 state lanes and packed legs.  Covers:
 
 * the application guard — no module under ``apps/`` launches ranks,
-  builds rank profiles / kernel backends or distributes operands itself:
-  apps reach ranks only through ``Session``;
+  builds rank profiles / kernel backends, distributes operands, binds,
+  names a resident orientation, its ``locals_`` or a collect, or reads a
+  private session attribute: apps reach ranks only through ``Session``'s
+  kernels and ``run_rank``;
 * the one-schedule guard — no ``src/`` module defines or calls a
   nonblocking primitive (``ishift`` / ``irecv`` / ``iallgather``), a
   buffer ``lease``, ``run_async`` or any ``*_async`` entry point, names
@@ -218,12 +220,19 @@ class TestScheduleOwnership:
 
 
 #: what an application must not touch: launching ranks, building rank
-#: profiles / kernel backends or distributing operands is the session's job
-APP_FORBIDDEN_NAMES = {"run_spmd", "RankProfile", "get_kernel_backend"}
-APP_FORBIDDEN_CALLS = {"distribute", "make_context"}
+#: profiles / kernel backends or distributing operands is the session's
+#: job, and so are its resident orientations, their rank locals, their
+#: collects and the native-procedure lookup
+APP_FORBIDDEN_NAMES = {
+    "run_spmd", "RankProfile", "get_kernel_backend", "_Orientation", "locals_",
+    "collect_dense_a", "collect_dense_b", "collect_sddmm", "fused_rank_method",
+}
+APP_FORBIDDEN_CALLS = {"distribute", "make_context", "bind"}
 
 
 def _session_bypasses(tree: ast.AST) -> list:
+    """``(lineno, what)`` for every forbidden import, name, call and
+    private attribute read (``_``-prefixed, on anything but ``self``)."""
     hits = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -231,13 +240,26 @@ def _session_bypasses(tree: ast.AST) -> list:
                 (node.lineno, alias.name) for alias in node.names
                 if alias.name.rsplit(".", 1)[-1] in APP_FORBIDDEN_NAMES
             ]
-        elif (
+        elif isinstance(node, (ast.Name, ast.arg)):
+            name = node.id if isinstance(node, ast.Name) else node.arg
+            if name in APP_FORBIDDEN_NAMES:
+                hits.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute):
+            attr = node.attr
+            if attr in APP_FORBIDDEN_NAMES:
+                hits.append((node.lineno, f".{attr}"))
+            elif (
+                attr.startswith("_") and not attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                hits.append((node.lineno, f".{attr}"))
+        if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in APP_FORBIDDEN_CALLS
         ):
             hits.append((node.lineno, f".{node.func.attr}("))
-    return hits
+    return sorted(hits)
 
 
 class TestAppsReachRanksThroughSession:
@@ -254,9 +276,20 @@ class TestAppsReachRanksThroughSession:
             "from repro.runtime.profile import RankProfile, RunReport\n"
             "locals_ = alg.distribute(plan, S, None, None)\n"
             "ctx = alg.make_context(comm)\n"
+            "from repro.session import _Orientation\n"
+            "blocks = [loc.A for loc in ori.locals_]\n"
+            "out = alg.collect_dense_a(plan, blocks)\n"
+            "out = alg.collect_dense_b(plan, blocks)\n"
+            "R = alg.collect_sddmm(plan, blocks, S)\n"
+            "method = sess.fused_rank_method(variant)\n"
+            "sess.bind(A, B)\n"
+            "alive = not sess._closed and self._sess._pool\n"
         )
         assert [what for _, what in _session_bypasses(bad)] == [
-            "run_spmd", "RankProfile", ".distribute(", ".make_context(",
+            "run_spmd", "RankProfile", ".distribute(", "locals_",
+            ".make_context(", "_Orientation", ".locals_", ".collect_dense_a",
+            ".collect_dense_b", ".collect_sddmm", ".fused_rank_method",
+            ".bind(", "._closed", "._pool",
         ]
 
 

@@ -374,13 +374,27 @@ class TestLifecycle:
             elision="replication-reuse", comm="sparse",
         ) as sess:
             out, _ = sess.fusedmm_b(A, B)
-            assert sess._alg._pools  # pools were populated by the run
-        assert not sess._alg._pools  # released on exit
-        assert sess._closed
+            assert sess.alg._pools  # pools were populated by the run
+        assert not sess.alg._pools  # released on exit
+        assert sess.closed
         with pytest.raises(ReproError, match="closed"):
             sess.fusedmm_b(A, B)
         with pytest.raises(ReproError, match="closed"):
             sess.update_values(S.vals)
+
+    def test_closed_flips_on_close_and_on_with_exit(self, small_problem):
+        S, A, B = small_problem
+        sess = repro.plan(S, A.shape[1], p=4, c=2, algorithm="1.5d-dense-shift")
+        assert not sess.closed
+        sess.close()
+        assert sess.closed
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            sess.spmm_a(B)
+            assert not sess.closed
+        assert sess.closed
+        with pytest.raises(AttributeError):
+            sess.closed = False  # read-only
 
     def test_close_is_idempotent(self, small_problem):
         S, A, B = small_problem
@@ -520,25 +534,42 @@ class TestDenseBindSkipping:
             assert sess.dense_bind_counts == {"a": 2, "b": 1}
             np.testing.assert_allclose(out, fusedmm_a_serial(S, A, B), rtol=1e-9)
 
-    def test_als_fixed_factor_scattered_once_per_half_sweep(self, small_problem):
-        """The ALS bind pattern: bind(rhs, fixed) then bind(x0, fixed) —
-        the fixed factor's second scatter is skipped, so it moves exactly
-        once per half-sweep despite feeding every CG matvec."""
+    def test_run_rank_binds_as_a_kernel_call_does(self, small_problem):
+        """``run_rank`` binds through the kernels' skip-rebind: a side a
+        kernel left resident is not scattered again, an omitted side keeps
+        its blocks, and the procedure dirties both sides."""
         S, A, B = small_problem
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal(A.shape)
         x0 = rng.standard_normal(A.shape)
+
+        def noop(ctx, plan_, local):
+            return None
+
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift",
                         elision="local-kernel-fusion") as sess:
-            sess.bind(rhs, B)   # snapshot the rhs blocks
-            sess.bind(x0, B)    # rebinds only the moving side
+            sess.sddmm(rhs, B)          # snapshots both sides
+            sess.run_rank(noop, x0, B)  # rebinds only the moving side
             assert sess.dense_bind_counts == {"a": 2, "b": 1}
             assert sess.dense_bind_skips == {"a": 0, "b": 1}
+            # an omitted side stays resident: nothing is scattered
+            out, _ = sess.run_rank(noop, collect="a")
+            np.testing.assert_array_equal(out, x0)
+            assert sess.dense_bind_counts == {"a": 2, "b": 1}
             # a custom rank procedure may write anything: both sides dirty
-            sess.run_rank(lambda ctx, plan_, local: None, label="noop")
-            sess.bind(x0, B)
+            sess.run_rank(noop, x0, B)
             assert sess.dense_bind_counts == {"a": 3, "b": 2}
+
+    def test_run_rank_validates_before_dispatch(self, small_problem):
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            with pytest.raises(ReproError, match="collect"):
+                sess.run_rank(lambda *args: None, collect="c")
+            with pytest.raises(ReproError, match="operand shapes"):
+                sess.run_rank(lambda *args: None, A[:-1])
+            assert sess.metrics() == []
 
     @pytest.mark.parametrize("name,comm", [
         ("1.5d-sparse-shift", "dense"),
@@ -550,15 +581,16 @@ class TestDenseBindSkipping:
         self, monkeypatch, name, comm, variant
     ):
         """Under replication reuse the fixed factor is what the fiber
-        gathers: one ``replicate`` per rank per half-sweep feeds all
-        ``cg_iters + 1`` matvecs, bitwise-equal to gathering per matvec."""
+        gathers: one ``replicate`` per rank per half-sweep feeds the
+        right-hand side and all ``cg_iters + 1`` matvecs, bitwise-equal to
+        gathering per matvec."""
         from repro.apps.als import DistributedALS
         from repro.types import Phase
 
         p, c, n, r, cg_iters = 8, 2, 60, 8, 3
         pattern = repro.erdos_renyi(n, n, 5, seed=4, values="ones")
         rng = np.random.default_rng(6)
-        fixed, rhs, x0 = (rng.standard_normal((n, r)) for _ in range(3))
+        fixed, x0 = (rng.standard_normal((n, r)) for _ in range(2))
         als = DistributedALS(p=p, c=c, algorithm=name, cg_iters=cg_iters, comm=comm,
                              elision=repro.Elision.REPLICATION_REUSE)
 
@@ -581,7 +613,7 @@ class TestDenseBindSkipping:
 
                 monkeypatch.setattr(alg, "replicate", counting_replicate)
                 monkeypatch.setattr(alg, "rank_fusedmm_reuse", watching_reuse)
-                x = als._rank_cg(sess, variant, fixed, rhs, x0)
+                x = als._rank_cg(sess, variant, fixed, x0)
                 words = sess.report().phase_words(Phase.REPLICATION)
             return x, len(gathers), handed, words
 
