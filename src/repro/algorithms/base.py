@@ -384,10 +384,15 @@ class DistributedAlgorithm:
 
     def _collect_dense(self, plan, locals_, side: str, nrows: int) -> np.ndarray:
         # uninitialized: the ranks' ``dense_index`` pieces tile the matrix
-        # exactly once (gated for every family in tests/test_schedule.py)
-        out = np.empty((nrows, plan.r))
-        for loc in locals_:
-            out[self.dense_index(plan, loc, side)] = getattr(loc, side.upper())
+        # exactly once (gated for every family in tests/test_schedule.py).
+        # Full-width pieces set the width, so a rank procedure may leave
+        # blocks wider than the plan's r (GAT's concatenated heads).
+        index = [self.dense_index(plan, loc, side) for loc in locals_]
+        blocks = [getattr(loc, side.upper()) for loc in locals_]
+        width = blocks[0].shape[1] if index[0][1] == slice(None) else plan.r
+        out = np.empty((nrows, width))
+        for idx, block in zip(index, blocks):
+            out[idx] = block
         return out
 
     def collect_dense_a(self, plan, locals_) -> np.ndarray:

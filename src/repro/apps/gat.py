@@ -208,20 +208,13 @@ class DistributedGAT:
 
     def _session(self, S_adj: CooMatrix) -> Session:
         """The resident adjacency session, re-planned only when the graph
-        structure or the collected width changes (epochs over a fixed
-        graph re-use it)."""
-        # planned at the width each variant collects: one head, or the
-        # concatenated heads of the replication-reuse forward
-        width = self.r_head
-        if self.elision == Elision.REPLICATION_REUSE:
-            width *= len(self.heads)
+        structure changes (epochs over a fixed graph re-use it)."""
         sess = self._sess
-        if (sess is not None and not sess.closed and sess.r == width
-                and sess.S.same_structure(S_adj)):
+        if sess is not None and not sess.closed and sess.S.same_structure(S_adj):
             return sess
         self.close()
         self._sess = plan(
-            S_adj, width, p=self.p, c=self.c,
+            S_adj, self.r_head, p=self.p, c=self.c,
             algorithm="1.5d-dense-shift", elision=Elision.NONE,
             kernels=self.kernels,
         )
@@ -356,6 +349,7 @@ class DistributedGAT:
                 with prof.track(Phase.OTHER):
                     outs.append(elu(out_acc) if apply_elu else out_acc)
             # the concatenated heads leave through the rank's n-side block
+            # (full-width pieces: the collect takes their width)
             local.B = np.concatenate(outs, axis=1)
 
         return sess.run_rank(

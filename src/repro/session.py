@@ -149,8 +149,7 @@ class Session:
         self._plan = plan = resolved.as_dict()
         consts = ("algorithm", "comm_mode", "kernels", "trace")
         self._record_consts = {**{k: plan[k] for k in consts}, "nranks": resolved.p}
-        #: the resolved algorithm instance (rank procedures call its methods)
-        self.alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
+        self._alg = alg = make_algorithm(resolved.algorithm, resolved.p, resolved.c)
         self.algorithm, self.p, self.c = alg.name, alg.p, alg.c
         self.r = resolved.r
         #: "natural", or "permuted": every orientation distributes
@@ -352,7 +351,7 @@ class Session:
         ori = self._orients.get(transpose)
         if ori is None:
             self.plan_builds += 1
-            alg = self.alg
+            alg = self._alg
             S_eff = self.S.transposed() if transpose else self.S
             S_dist = S_eff
             if self._perms is not None:
@@ -394,7 +393,7 @@ class Session:
             self.S = self.S.with_values(vals)
             for transpose, ori in self._orients.items():
                 ori.S_eff = self.S.transposed() if transpose else self.S
-                self.alg.update_values(ori.plan, ori.locals_, ori.S_eff.vals)
+                self._alg.update_values(ori.plan, ori.locals_, ori.S_eff.vals)
 
     # ------------------------------------------------------------------
     # validation
@@ -423,6 +422,11 @@ class Session:
     # ------------------------------------------------------------------
     # SPMD launch
     # ------------------------------------------------------------------
+
+    @property
+    def alg(self):
+        """The resolved algorithm instance (for rank-side app procedures)."""
+        return self._alg
 
     @property
     def context_builds(self) -> Dict[bool, int]:
@@ -540,7 +544,7 @@ class Session:
         sparse-comm session (the graceful degradation re-run — see
         :meth:`_run_recovering`).
         """
-        alg = self.alg
+        alg = self._alg
         transpose = ori is self._orients.get(True)
         pool = self._ensure_pool()
         dispatched = [(loc.A, loc.B) for loc in ori.locals_]
@@ -589,25 +593,20 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _run_recovering(
-        self, ori: _Orientation, call, label, recover: bool
-    ) -> Tuple[str, int]:
-        """Run a call, degrading it once if it still failed.
+    def _run_recovering(self, ori: _Orientation, call, label) -> Tuple[str, int]:
+        """Run a kernel call, degrading it once if it still failed.
 
-        With ``recover`` (a kernel call) the pool re-runs a runtime-fault
-        death up to ``retries`` times from the dispatched blocks
-        (:meth:`_dispatch`) — never re-binding, never re-planning
-        (:attr:`plan_builds`).  If it still failed of a runtime fault, a
-        ``comm="sparse"`` session makes one *degraded* re-run on the dense
-        ring collectives before the pool's error, the **first** one,
-        surfaces.  Without ``recover`` (:meth:`run_rank`) the first failure
-        surfaces.  Returns ``(outcome, retries_used)``.
+        The pool re-runs a runtime-fault death up to ``retries`` times from
+        the dispatched blocks (:meth:`_dispatch`) — never re-binding, never
+        re-planning (:attr:`plan_builds`).  If it still failed of a runtime
+        fault, a ``comm="sparse"`` session makes one *degraded* re-run on
+        the dense ring collectives before the pool's error, the **first**
+        one, surfaces.  Returns ``(outcome, retries_used)``.
         """
         try:
-            retries = self._dispatch(ori, call, label, self.retries if recover else 0)
+            retries = self._dispatch(ori, call, label, self.retries)
         except Exception as first_error:  # noqa: BLE001 - classified below
-            if not (recover and ori.sparse_plans is not None
-                    and retryable(first_error)):
+            if not (ori.sparse_plans is not None and retryable(first_error)):
                 raise
             # graceful degradation: one re-run on the dense comm path,
             # forced by the degraded dispatch.  Contexts and bind snapshots
@@ -624,17 +623,23 @@ class Session:
         self.retried_calls += 1
         return "retried", retries
 
+    def _run_once(self, ori: _Orientation, call, label) -> Tuple[str, int]:
+        """Run a rank procedure once: its first failure surfaces."""
+        self._dispatch(ori, call, label)
+        return "ok", 0
+
     def _call(
         self, transpose: bool, A, B, written: str, call, collect: Tuple[str, ...],
-        label: str, recover: bool,
+        label: str, run,
     ):
         """The one call body behind the five kernels and :meth:`run_rank`:
         bind ``A`` / ``B`` (in the orientation's plan shape) → dispatch and
         wait → collect each of ``collect`` (``"a"``, ``"b"``, ``"sddmm"``),
         then exactly one :meth:`metrics` record, failed calls included.
-        ``written`` names the plan sides the call overwrites."""
+        ``written`` names the plan sides the call overwrites; ``run(ori,
+        call, label)`` dispatches and returns ``(outcome, retries_used)``."""
         t0 = time.perf_counter()
-        alg = self.alg
+        alg = self._alg
         ori = self._orientation(transpose)
         # skip bitwise-unchanged sides; bind_dense replaces blocks, never
         # writes one in place, so the blocks a call was dispatched with
@@ -646,7 +651,7 @@ class Session:
         self._mark_dense_dirty(transpose, written)
         outcome, retries = "failed", 0
         try:
-            outcome, retries = self._run_recovering(ori, call, label, recover)
+            outcome, retries = run(ori, call, label)
             self._ncalls += 1
             outs = []
             for what in collect:
@@ -681,7 +686,7 @@ class Session:
             unknown = kernel_kwargs.keys() - self._rank_kernel_keywords
             if unknown:
                 raise ReproError(f"{self.algorithm} takes no {min(unknown)}= option")
-            transpose, side, method = native_procedure(self.alg, kernel, self.elision)
+            transpose, side, method = native_procedure(self._alg, kernel, self.elision)
             single = isinstance(kernel, Mode)
             if not (single and side == "a"):
                 A = self._check_dense(A, "A", self.m)
@@ -696,7 +701,7 @@ class Session:
                 collect += ("sddmm",)
             return self._call(
                 transpose, A, B, side, partial(method, **kernel_kwargs), collect,
-                label, recover=True,
+                label, self._run_recovering,
             )
 
     def sddmm(
@@ -778,7 +783,7 @@ class Session:
             B = KEEP if B is None else self._check_dense(B, "B", n)
             *outs, report = self._call(
                 transpose, A, B, "ab", proc, (collect,) if collect else (), label,
-                recover=False,
+                self._run_once,
             )
             return (outs[0] if outs else None), report
 
@@ -887,7 +892,7 @@ class Session:
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None
-                self.alg.release_buffers()
+                self._alg.release_buffers()
                 self._orients.clear()
                 self._dense_state.clear()
                 self._closed = True

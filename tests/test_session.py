@@ -374,8 +374,8 @@ class TestLifecycle:
             elision="replication-reuse", comm="sparse",
         ) as sess:
             out, _ = sess.fusedmm_b(A, B)
-            assert sess.alg._pools  # pools were populated by the run
-        assert not sess.alg._pools  # released on exit
+            assert sess._alg._pools  # pools were populated by the run
+        assert not sess._alg._pools  # released on exit
         assert sess.closed
         with pytest.raises(ReproError, match="closed"):
             sess.fusedmm_b(A, B)
@@ -570,6 +570,22 @@ class TestDenseBindSkipping:
             with pytest.raises(ReproError, match="operand shapes"):
                 sess.run_rank(lambda *args: None, A[:-1])
             assert sess.metrics() == []
+
+    def test_run_rank_collects_full_width_blocks_at_their_width(
+        self, small_problem
+    ):
+        """A family whose pieces span the full width sizes a dense collect
+        from the rank blocks, so a procedure may leave them wider than the
+        plan's ``r`` (GAT's concatenated heads)."""
+        S, A, B = small_problem
+
+        def widen(ctx, plan, local):
+            local.B = np.concatenate([local.B, 2 * local.B], axis=1)
+
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            out, _ = sess.run_rank(widen, A, B, collect="b")
+        np.testing.assert_array_equal(out, np.concatenate([B, 2 * B], axis=1))
 
     @pytest.mark.parametrize("name,comm", [
         ("1.5d-sparse-shift", "dense"),
