@@ -17,11 +17,16 @@ their memory traffic and little else:
   ``take(out=)`` is only slow in its default ``mode="raise"``, which
   buffers ``out`` (2.7x at 8 192 x 64); ``mode="clip"`` is bitwise-equal
   and as fast as a fresh gather.  Reusing per-thread scratch blocks that
-  way is still rejected, because the fresh blocks cost nothing to fault
-  in: the e2e harness's steady loop takes a median of 0-1 minor faults
-  per op on ``small_auto`` / ``er_compute``, and a scratch-reuse
-  prototype read +10-15 % ``op_ms_p50`` and +11-23 MB ``peak_rss_mb``
-  there (2-core x86_64 host).
+  way is still rejected, because in the e2e harness's steady loop the
+  fresh blocks cost nothing to fault in: after its 7 cold builds it
+  takes a median of 0-1 minor faults per op on ``small_auto`` /
+  ``er_compute``, and a scratch-reuse prototype read +10-15 %
+  ``op_ms_p50`` and +11-23 MB ``peak_rss_mb`` there (2-core x86_64
+  host).  That holds only once glibc's dynamic mmap / trim thresholds
+  have risen: a process that plans once and runs 8 warm-up ops at those
+  shapes measured 8 500-10 300 minor faults and 15-21 ms system time
+  per op (``RUSAGE_THREAD``, read in each rank thread), almost all
+  in :meth:`NumpyKernels.sddmm_edge_op`'s ``np.take``.
 """
 
 from __future__ import annotations

@@ -127,7 +127,10 @@ class Session:
     method scatters only its dense operands, runs the SPMD kernel on the
     resident sparse distribution, gathers the output and returns
     ``(output, RunReport)``.  Reports accumulate across calls until
-    :meth:`reset_profile`.
+    :meth:`reset_profile`.  A kernel's output is transient: once the call
+    returns or raises, the side it wrote holds its bound input again (an
+    SpMM's output side, its pre-call blocks), so a repeated call on
+    bitwise-unchanged operands scatters nothing (:attr:`dense_bind_counts`).
 
     The session owns a :class:`~repro.runtime.spmd.WorkerPool` for its
     lifetime: ``p`` resident rank threads spawn on the first kernel call
@@ -206,10 +209,11 @@ class Session:
         self._context_builds: Dict[bool, int] = {}
         # dense-operand dirty tracking (skip-rebind): per orientation and
         # side, a private snapshot of the last scattered operand; None
-        # when the side holds an output or a kernel overwrote its blocks.
-        # ``_bind_miss`` counts consecutive snapshot-compare misses — a
-        # side that changes on every call stops being tracked (no compare,
-        # no snapshot upkeep) until a kernel dirties it again.
+        # when a run_rank procedure may have overwritten its blocks (a
+        # kernel call puts them back).  ``_bind_miss`` counts consecutive
+        # snapshot-compare misses — a side that changes on every call stops
+        # being tracked (no compare, no snapshot upkeep) until a run_rank
+        # dirties it again.
         self._dense_state: Dict[bool, Dict[str, Optional[np.ndarray]]] = {}
         self._bind_miss: Dict[bool, Dict[str, int]] = {}
         #: actual dense scatters / skipped rebinds per plan side ("a"/"b")
@@ -468,27 +472,26 @@ class Session:
         An input side is *skipped* (returns :data:`KEEP`) exactly when its
         resident blocks still hold this operand: the previous bind
         scattered a bitwise-equal array (checked against a private
-        snapshot, so in-place caller mutations are detected) and no kernel
-        since then overwrote the side.  Output sides (``X is None``) are
-        always re-zeroed; a :data:`KEEP` side (one :meth:`run_rank` was
-        not given) stays as it is.
+        snapshot, so in-place caller mutations are detected) and no
+        :meth:`run_rank` since then may have overwritten it.  A kernel's
+        output side (``X is None``) gets fresh zero blocks for the call and
+        its pre-call blocks back after it (:meth:`_call`), so its snapshot
+        stays true and is left alone; a :data:`KEEP` side (one
+        :meth:`run_rank` was not given) stays as it is.
 
         The tracking pays one full-array compare plus a snapshot copy per
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
         in a row evidently changes every call, so its tracking is retired
-        (plain scatters, zero upkeep) until a kernel dirties the side.
-        A side the call itself is about to overwrite (``overwritten``) is
-        still compared against a snapshot that exists, but gets no new
+        (plain scatters, zero upkeep) until a :meth:`run_rank` dirties
+        the side.  A side a rank procedure may overwrite (``overwritten``)
+        is still compared against a snapshot that exists, but gets no new
         one: :meth:`_mark_dense_dirty` would drop it before any bind
         could match it.
         """
-        if X is KEEP:
-            return KEEP
+        if X is KEEP or X is None:
+            return X
         state = self._dense_state.setdefault(transpose, {"a": None, "b": None})
         misses = self._bind_miss.setdefault(transpose, {"a": 0, "b": 0})
-        if X is None:
-            state[side] = None
-            return None
         snap = state[side]
         comparable = snap is not None and snap.shape == X.shape
         if comparable and np.array_equal(snap, X):
@@ -511,10 +514,11 @@ class Session:
     _BIND_MISS_LIMIT = 3
 
     def _mark_dense_dirty(self, transpose: bool, sides: str) -> None:
-        """Invalidate snapshots for the sides a kernel overwrote
-        (``sides`` is a string of plan-side letters, e.g. ``"a"``/``"ab"``).
-        A dirty event also re-arms retired tracking — the workload's bind
-        pattern evidently changed."""
+        """Invalidate snapshots for the sides a :meth:`run_rank` procedure
+        may have overwritten (``sides`` is ``"ab"``, or ``""`` for a
+        kernel call, which dirties nothing).  A dirty event also re-arms
+        retired tracking — the workload's bind pattern evidently
+        changed."""
         state = self._dense_state.get(transpose)
         if state is not None:
             for side in sides:
@@ -629,26 +633,38 @@ class Session:
         return "ok", 0
 
     def _call(
-        self, transpose: bool, A, B, written: str, call, collect: Tuple[str, ...],
+        self, transpose: bool, A, B, dirty: str, call, collect: Tuple[str, ...],
         label: str, run,
     ):
         """The one call body behind the five kernels and :meth:`run_rank`:
         bind ``A`` / ``B`` (in the orientation's plan shape) → dispatch and
         wait → collect each of ``collect`` (``"a"``, ``"b"``, ``"sddmm"``),
         then exactly one :meth:`metrics` record, failed calls included.
-        ``written`` names the plan sides the call overwrites; ``run(ori,
-        call, label)`` dispatches and returns ``(outcome, retries_used)``."""
+        ``run(ori, call, label)`` dispatches and returns ``(outcome,
+        retries_used)``.  ``dirty`` names the plan sides left as the
+        procedure left them (``"ab"`` from :meth:`run_rank`); whether it
+        returns or raises, every other side gets back its bound input or,
+        for an output side (``None``), its pre-call blocks, so a kernel's
+        output is transient and its snapshots stay true."""
         t0 = time.perf_counter()
         alg = self._alg
         ori = self._orientation(transpose)
-        # skip bitwise-unchanged sides; bind_dense replaces blocks, never
-        # writes one in place, so the blocks a call was dispatched with
-        # stay intact for _dispatch to put back
-        A = self._bind_arg(transpose, "a", A, "a" in written)
-        B = self._bind_arg(transpose, "b", B, "b" in written)
+        # only an output side's pre-call blocks are held; bind_dense frees
+        # an input side's as it replaces them, never writing one in place,
+        # so the blocks a call is dispatched with stay intact to put back
+        held = [
+            (loc.A if A is None else None, loc.B if B is None else None)
+            for loc in ori.locals_
+        ]
+        A = self._bind_arg(transpose, "a", A, "a" in dirty)
+        B = self._bind_arg(transpose, "b", B, "b" in dirty)
         if A is not KEEP or B is not KEEP:
             alg.bind_dense(ori.plan, ori.locals_, A, B)
-        self._mark_dense_dirty(transpose, written)
+        kept = [
+            (a if A is None else loc.A, b if B is None else loc.B)
+            for loc, (a, b) in zip(ori.locals_, held)
+        ]
+        self._mark_dense_dirty(transpose, dirty)
         outcome, retries = "failed", 0
         try:
             outcome, retries = run(ori, call, label)
@@ -666,6 +682,9 @@ class Session:
             outcome = self.failure_outcome(exc)
             raise
         finally:
+            for loc, (a, b) in zip(ori.locals_, kept):
+                loc.A = loc.A if "a" in dirty else a
+                loc.B = loc.B if "b" in dirty else b
             # wall_ms spans bind -> collect
             self._record_call(label, t0, outcome, retries)
 
@@ -700,7 +719,7 @@ class Session:
             if collect_sddmm or not side:
                 collect += ("sddmm",)
             return self._call(
-                transpose, A, B, side, partial(method, **kernel_kwargs), collect,
+                transpose, A, B, "", partial(method, **kernel_kwargs), collect,
                 label, self._run_recovering,
             )
 

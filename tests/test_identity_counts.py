@@ -8,7 +8,10 @@ call's rank-summed ``comm_words`` and ``comm_messages`` from
 ``Session.metrics()``.  ``tests/identity_counts.json`` holds those integers
 as the software-pipelined schedule's last commit measured them, with
 ``overlap="on"`` and ``"off"`` cells: the gate that deleting the pipeline
-moved no word.
+moved no word.  Five dense-family cells were re-pinned lower once, in
+both ``overlap`` entries, when kernel outputs became transient: a side a
+call wrote then holds its bound input again, so a later call's fiber
+replication of it reuses the stored panel.
 
 Since then ``overlap=`` is accepted and ignored, so every cell must move
 exactly its committed words, and exactly the messages of its committed

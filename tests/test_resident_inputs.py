@@ -7,6 +7,11 @@ only right while no kernel writes into a bound block, so here every block
 ``bind_dense`` binds is marked read-only — an in-place write raises — and
 the outputs must be bitwise those of the unwrapped run: all five kernels
 on every family x comm, one ALS run and one GAT forward pass.
+
+The same invariant makes a kernel's output transient: once a kernel call
+returns or raises, the side it wrote gets its bound input back (an SpMM's
+output side, its pre-call blocks), so the next kernel on the same
+operands scatters nothing and reads exactly what a fresh session would.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.algorithms.base import DistributedAlgorithm
 from repro.algorithms.registry import ALGORITHMS
 from repro.apps.als import DistributedALS
 from repro.apps.gat import DistributedGAT
+from repro.runtime.faults import FaultPlan
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
 from repro.types import Elision
@@ -95,6 +101,53 @@ def test_five_kernels_never_write_a_bound_block(
     assert blocks
     for w, g in zip(want, got):
         np.testing.assert_array_equal(w, g)
+
+
+KERNELS = {
+    "sddmm": lambda s, A, B: s.sddmm(A, B)[0].vals,
+    "spmm_a": lambda s, A, B: s.spmm_a(B)[0],
+    "spmm_b": lambda s, A, B: s.spmm_b(A)[0],
+    "fusedmm_a": lambda s, A, B: s.fusedmm_a(A, B)[0],
+    "fusedmm_b": lambda s, A, B: s.fusedmm_b(A, B)[0],
+}
+
+
+@pytest.mark.parametrize(
+    "name,comm,elision", CASES, ids=[f"{n}/{c}/{e.value}" for n, c, e in CASES]
+)
+def test_a_kernel_leaves_its_inputs_resident(readonly_binds, name, comm, elision):
+    S, A, B = make_problem(48, 40, 8, 4, seed=3)
+    knobs = dict(p=8, c=2, algorithm=name, comm=comm, elision=elision)
+    want = {}
+    for kernel, run in KERNELS.items():
+        with repro.plan(S, A.shape[1], **knobs) as fresh:
+            want[kernel] = run(fresh, A, B)
+    with readonly_binds() as blocks, repro.plan(S, A.shape[1], **knobs) as sess:
+        for run in KERNELS.values():  # binds each orientation's sides once
+            run(sess, A, B)
+        binds = dict(sess.dense_bind_counts)
+        # after each kernel, every kernel on the same operands scatters
+        # nothing and reads what a fresh session reads
+        for first, run_first in KERNELS.items():
+            np.testing.assert_array_equal(run_first(sess, A, B), want[first])
+            for kernel, run in KERNELS.items():
+                np.testing.assert_array_equal(run(sess, A, B), want[kernel])
+                assert sess.dense_bind_counts == binds, (first, kernel)
+    assert blocks
+    # a call that raises leaves them resident too: the crash fires on the
+    # first call's first computation (and on a sparse-comm session's
+    # degraded re-run), the repeat skips every bind
+    times = 2 if comm == "sparse" else 1
+    with readonly_binds():
+        for kernel, run in KERNELS.items():
+            faults = FaultPlan.crash_at(site="computation", rank=0, times=times)
+            with repro.plan(S, A.shape[1], faults=faults, **knobs) as sess:
+                with pytest.raises(RuntimeError):
+                    run(sess, A, B)
+                binds = dict(sess.dense_bind_counts)
+                np.testing.assert_array_equal(run(sess, A, B), want[kernel])
+                assert sess.dense_bind_counts == binds, kernel
+                assert [rec["outcome"] for rec in sess.metrics()] == ["failed", "ok"]
 
 
 def test_als_never_writes_a_bound_block(readonly_binds):

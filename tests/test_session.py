@@ -198,8 +198,9 @@ class TestAmortization:
         outs = [sess.fusedmm_b(A, B)[0] for _ in range(5)]
         assert counts["distribute_sparse"] == 1
         assert counts["build_comm_plans"] == 1
-        # dense operands rebind once per call, and only per call
-        assert counts["bind_dense"] == 5
+        # the unchanged dense operands bind once: each call's output is
+        # transient, so the inputs stay resident for the next call
+        assert counts["bind_dense"] == 1
         ref, _ = repro.fusedmm_b(
             S, A, B, p=8, c=2, algorithm="1.5d-sparse-shift",
             elision="replication-reuse", comm="sparse",
@@ -434,9 +435,11 @@ class TestLifecycle:
 
 class TestDenseBindSkipping:
     """Skip-rebind dirty tracking: unchanged dense operands are scattered
-    once, not per call, and any kernel that overwrites a resident side
-    forces its next bind (counters: ``Session.dense_bind_counts`` /
-    ``dense_bind_skips``)."""
+    once, not per call.  A kernel's output is transient — the side it wrote
+    gets its bound input (or, for an SpMM's output side, its pre-call
+    blocks) back — so no kernel forces a rebind; only a ``run_rank``
+    procedure dirties both sides (counters: ``Session.dense_bind_counts``
+    / ``dense_bind_skips``)."""
 
     def test_repeated_sddmm_binds_each_side_once(self, small_problem):
         S, A, B = small_problem
@@ -480,41 +483,46 @@ class TestDenseBindSkipping:
             sess.sddmm(A.copy(), B.copy())  # bitwise equal -> no rebind
             assert sess.dense_bind_counts == {"a": 1, "b": 1}
 
-    def test_fused_output_side_rebinds_next_call(self, small_problem):
+    def test_fused_output_side_stays_resident_next_call(self, small_problem):
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift",
                         elision="replication-reuse") as sess:
-            sess.fusedmm_b(A, B)  # native b: overwrites resident B blocks
-            sess.fusedmm_b(A, B)
-            # A untouched -> bound once; B dirtied by call 1 -> bound twice
-            assert sess.dense_bind_counts == {"a": 1, "b": 2}
-            assert sess.dense_bind_skips["a"] == 1
+            want, _ = sess.fusedmm_b(A, B)  # native b: writes the B slot
+            out, _ = sess.fusedmm_b(A, B)
+            # call 1 put the bound B back: both sides bound once
+            assert sess.dense_bind_counts == {"a": 1, "b": 1}
+            assert sess.dense_bind_skips == {"a": 1, "b": 1}
+            assert np.array_equal(out, want)
 
-    def test_overwritten_side_is_never_snapshotted(self, small_problem, monkeypatch):
+    def test_overwritten_cycling_side_retires_its_snapshot(
+        self, small_problem, monkeypatch
+    ):
         """The ``er_comm`` pattern — ``fusedmm_a(A_i, B)``, A fresh every
-        call, B fixed, native side = the cycling one: the call overwrites
-        the side it just bound, so a snapshot of it could never match and
-        none is taken; the fixed side still skips every rebind."""
+        call, B fixed, native side = the cycling one: the written side
+        keeps its snapshot like any input, so it is compared for
+        ``_BIND_MISS_LIMIT`` calls, then retires and is never compared
+        again; the fixed side still skips every rebind."""
         S, A, B = small_problem
         rng = np.random.default_rng(5)
+        limit = repro.Session._BIND_MISS_LIMIT
         with repro.plan(S, A.shape[1], p=4, c=2, algorithm="1.5d-sparse-shift",
                         elision="replication-reuse", comm="sparse") as sess:
-            snapshots = []  # did a dirty event find a snapshot to drop?
-            mark = sess._mark_dense_dirty
+            compared = []  # did the cycling side's bind find a snapshot?
+            bind_arg = sess._bind_arg
 
-            def spy(transpose, sides):
-                snapshots.extend(
-                    sess._dense_state[transpose][s] is not None for s in sides
-                )
-                mark(transpose, sides)
+            def spy(transpose, side, X, overwritten=False):
+                if (transpose, side) == (True, "b"):
+                    compared.append(sess._dense_state[True]["b"] is not None)
+                return bind_arg(transpose, side, X, overwritten)
 
-            monkeypatch.setattr(sess, "_mark_dense_dirty", spy)
+            monkeypatch.setattr(sess, "_bind_arg", spy)
             for _ in range(5):
                 A_i = rng.standard_normal(A.shape)
                 out, _ = sess.fusedmm_a(A_i, B)
             np.testing.assert_allclose(out, fusedmm_a_serial(S, A_i, B), rtol=1e-9)
-            assert snapshots == [False] * 5
+            assert compared == [False] + [True] * limit + [False] * (4 - limit)
+            assert sess._dense_state[True]["b"] is None
             # transposed sibling: plan side "a" holds the fixed B, "b" the A_i
             assert sess.dense_bind_counts == {"a": 1, "b": 5}
             assert sess.dense_bind_skips == {"a": 4, "b": 0}
@@ -530,8 +538,9 @@ class TestDenseBindSkipping:
             sess.fusedmm_a(A, B)
             assert sess.dense_bind_counts == {"a": 1, "b": 1}
             assert sess.dense_bind_skips == {"a": 1, "b": 1}
-            out, _ = sess.fusedmm_a(A, B)  # call 2 dirtied A: bound again
-            assert sess.dense_bind_counts == {"a": 2, "b": 1}
+            out, _ = sess.fusedmm_a(A, B)  # call 2 put A back: skipped again
+            assert sess.dense_bind_counts == {"a": 1, "b": 1}
+            assert sess.dense_bind_skips == {"a": 2, "b": 2}
             np.testing.assert_allclose(out, fusedmm_a_serial(S, A, B), rtol=1e-9)
 
     def test_run_rank_binds_as_a_kernel_call_does(self, small_problem):
@@ -718,6 +727,23 @@ class TestFailedCallKeepsResidentBlocks:
             out, _ = sess.fusedmm_a(A, B2)
             np.testing.assert_array_equal(out, want)
 
+    def test_a_failed_spmm_puts_its_output_side_back(self, small_problem):
+        """SpMMA crashes after its zero output blocks were dispatched: the
+        A side gets its pre-call blocks back, so the next SDDMM on the same
+        operands skips every bind and reads A, not zeros."""
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], **self.KW) as sess:
+            want, _ = sess.sddmm(A, B)
+        plan = repro.FaultPlan.crash_at(site="reduce-scatter-A", rank=1)
+        with repro.plan(S, A.shape[1], faults=plan, **self.KW) as sess:
+            sess.sddmm(A, B)
+            with pytest.raises(RuntimeError, match="injected crash"):
+                sess.spmm_a(B)
+            counts = dict(sess.dense_bind_counts)
+            out, _ = sess.sddmm(A, B)
+            assert sess.dense_bind_counts == counts
+            np.testing.assert_array_equal(out.vals, want.vals)
+
 
 class TestThreadSafety:
     """Sessions are single-caller: a second driver thread gets a typed
@@ -825,7 +851,7 @@ class TestSkipRebindAfterFailure:
 
     def test_changing_operand_retires_tracking(self, small_problem):
         """A side that misses the snapshot compare on every bind stops
-        being tracked until a kernel dirties it (no permanent upkeep for
+        being tracked until a ``run_rank`` dirties it (no permanent upkeep for
         always-fresh operands) — and correctness is unaffected."""
         S, A, B = small_problem
         rng = np.random.default_rng(11)
