@@ -53,9 +53,9 @@ FusedMM hands the SDDMM round's panel of the SpMM's input side (B for
 FusedMMA, A for FusedMMB) to the SpMM round: one gather per operand per
 fused call plus the output reduction — three exchanges, not four.  A
 gathered panel is also held *across* calls, per side, while its source
-block is unchanged (``BufferPool.replica``): a FusedMMA / FusedMMB
-alternation on the same operands rebinds only the side the previous
-call wrote, so a warm call makes two exchanges.
+block is unchanged and nothing has acquired its slot since
+(``BufferPool.replica``); kernel outputs are transient, so a kernel call
+changes no source block.
 
 Packed buffers: the strip-wide gather targets and partial-output
 accumulators are packed to exactly those unique-row unions
@@ -64,12 +64,18 @@ the resident block's coordinates are rewritten into packed-panel space
 once per structure (:meth:`~repro.sparse.coo.SparseBlock.remapped`, with
 the CSR caches prebuilt driver-side) so the local kernels run as plain
 ``spmm_a_block``/``spmm_b_block`` CSR products and coordinate SDDMMs on
-compact panels with zero per-call index translation.  There are two panel
-slots, one per dense side (``gather-a`` / ``gather-b``): an SpMM's packed
-output panel has exactly the shape of its own side's gather panel, which
-no SpMM reads, and takes that slot — a rank never holds more than two
-strip panels, fused or not, and a panel held across calls lives in its
-slot, so it adds none.
+compact panels with zero per-call index translation.  Each dense side
+has a gather slot (``gather-a`` / ``gather-b``), and a panel held across
+calls lives in its slot, so it adds no footprint.  Where three packed
+panels fit in the dense path's three pieces for every rank
+(``SparsePlan25D.third_slot``) an SpMM accumulates in a third slot,
+``spmm-out``, as tall as the taller union: both gathered panels outlive
+every kernel, and a FusedMMA / FusedMMB alternation on unchanged
+operands posts only its output reductions and its fiber value
+collectives.  Above that budget the SpMM's packed output takes its own
+side's gather slot (the same shape, read by no SpMM), dropping that
+side's stored panel: a rank holds two strip panels, and the next call
+gathers that side again.
 
 The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
 (A pieces on the grid row, B pieces on the grid column; an SpMM's output
@@ -449,8 +455,10 @@ class SparseReplicate25D(DistributedAlgorithm):
             # the packed partial-output panel back to the chunk owners.
             # Every row of the packed output panel is a touched row, so
             # the reduction ships it densely — the packing *is* the need
-            # list.  The output panel takes the output side's (idle)
-            # gather slot: two strip panels per rank, never three.
+            # list.  Where three panels fit the dense pieces
+            # (``third_slot``) the output panel gets a slot of its own, as
+            # tall as the taller side's, and both gathered panels outlive
+            # the call; above that budget it takes its own side's slot.
             sp = sparse_plan
             w0, w1 = sp.my_window
             index, reduce = (
@@ -462,7 +470,13 @@ class SparseReplicate25D(DistributedAlgorithm):
             if in_p is None:
                 with track(ctx.comm, Phase.PROPAGATION):
                     (in_p,) = self._gather_packed(ctx, local, sp, inp)
-            out_p = ctx.pool.zeros(f"gather-{out}", (index.size, sp.strip_width))
+            slot, rows = (
+                ("spmm-out", max(sp.index_a.size, sp.index_b.size))
+                if sp.third_slot
+                else (f"gather-{out}", index.size)
+            )
+            out_p = ctx.pool.empty(slot, (rows, sp.strip_width))[: index.size]
+            out_p.fill(0.0)
             with track(ctx.comm, Phase.COMPUTATION):
                 kernel(sp.block_packed, in_p, out_p, values=values_full, profile=prof)
             with track(ctx.comm, Phase.PROPAGATION), region(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -116,6 +116,11 @@ class SparsePlan25D:
     #: ``len(index_b.union)``-tall B panel), with CSR structure prebuilt
     #: driver-side so rank threads only read the caches
     block_packed: SparseBlock = None
+    #: an SpMM accumulates in a third panel slot (``"spmm-out"``, as tall
+    #: as the taller union) instead of its output side's gather slot, so
+    #: both gathered panels outlive every kernel; decided for all ranks
+    #: together by :func:`plan_sparse_replicate_25d`
+    third_slot: bool = False
 
     @property
     def kernel_recv_words(self) -> Dict[str, int]:
@@ -215,6 +220,14 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
     ``plan`` is a :class:`~repro.algorithms.sparse_repl_25d.Plan25DSparse`.
     The need lists are identical across the fiber (``z``) because block
     coordinates are replicated; only chunk windows differ per layer.
+
+    ``third_slot`` holds on every rank or on none — a grid row (column)
+    must decide hit or miss on its panels as one — and it holds iff every
+    rank's three packed panels (``gather-a``, ``gather-b`` and an
+    ``spmm-out`` as tall as the taller union, all strip-wide) fit in the
+    dense path's three chunk-wide pieces (``piece-a``, ``piece-b`` and a
+    ``piece-out`` as tall as the taller block).  Above that budget an
+    SpMM's output takes its own side's gather slot.
     """
     grid = plan.grid
     p, c, q = grid.p, grid.c, grid.q
@@ -253,6 +266,7 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
         return entry
 
     plans: List[SparsePlan25D] = []
+    fits = True
     for rank in range(p):
         x, y, z = grid.coords(rank)
         strip0 = int(plan.strips[z])
@@ -306,6 +320,10 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
         reduce_a = gather_a.reversed("25d/row-reduce-a")
         reduce_b = gather_b.reversed("25d/col-reduce-b")
         index_a, index_b, block_packed = packed_of(x, y)
+        ua, ub = index_a.size, index_b.size
+        ha = int(plan.row_coarse[x + 1] - plan.row_coarse[x])
+        hb = int(plan.col_coarse[y + 1] - plan.col_coarse[y])
+        fits &= (ua + ub + max(ua, ub)) * sw <= (ha + hb + max(ha, hb)) * my_width
         plans.append(
             SparsePlan25D(
                 gather_a=gather_a,
@@ -331,6 +349,8 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
                 block_packed=block_packed,
             )
         )
+    if fits:
+        plans = [replace(sp, third_slot=True) for sp in plans]
     return plans
 
 

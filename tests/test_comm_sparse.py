@@ -505,9 +505,11 @@ class TestFused25DGathersOnce:
         """Per rank, a need-list FusedMM receives exactly the A gather, the
         B gather and the output side's reduction — the SpMM round does not
         fetch its input side again.  The standalone kernels move what
-        their plans say on a fresh session; on the fused call's session
-        they skip the gather of the side it left unchanged, whose panel an
-        earlier dispatch stored (``BufferPool.replica``)."""
+        their plans say on a fresh session.  On the fused call's session
+        they skip the gather of the SpMM's input side, whose panel an
+        earlier dispatch stored (``BufferPool.replica``); this problem is
+        above the third-slot budget, so the SpMM's output panel took its
+        own side's gather slot and dropped that side's panel."""
         S, A, B = _fused_25d_problem()
         p, c = 18, 2
         alg = make_algorithm(FUSED_25D, p, c)
@@ -547,8 +549,9 @@ class TestFused25DGathersOnce:
             kernels = ("sddmm", f"spmm_{side}")
             for kernel, rep in zip(kernels, cold):
                 assert propagation(rep, rank).words_received == words[kernel]
-            # the fused call wrote its output side, so the next call
-            # rebinds it; the other side's panel serves both later calls
+            # the fused call's output panel dropped its own side's panel,
+            # so the next call gathers that side again; the other side's
+            # panel serves both later calls
             kept = cp.gather_b_packed if side == "a" else cp.gather_a_packed
             for kernel, rep in zip(kernels, warm):
                 assert (

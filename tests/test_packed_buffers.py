@@ -419,11 +419,12 @@ class TestPeakBufferRegression:
         ],
     )
     def test_25d_sparse_peak_bounded_by_unions(self, mode):
-        """A rank holds exactly two strip panels — the A-side and the
-        B-side one — whatever the kernel: an SDDMM gathers both, an SpMM
-        gathers its input side and accumulates in the output side's slot,
-        and a FusedMM keeps the SDDMM round's input-side panel for its
-        SpMM round instead of leasing a third."""
+        """Above the third-slot budget (``SparsePlan25D.third_slot``;
+        two nonzeros per row here) a rank holds exactly two strip panels —
+        the A-side and the B-side one — whatever the kernel: an SDDMM
+        gathers both, an SpMM gathers its input side and accumulates in
+        the output side's slot, and a FusedMM keeps the SDDMM round's
+        input-side panel for its SpMM round instead of leasing a third."""
         alg, plan, cplans, _, rep_s = self._measure(
             "2.5d-sparse-replicate", 8, 2, mode, nnz_per_row=2
         )
@@ -431,6 +432,33 @@ class TestPeakBufferRegression:
             cp = cplans[rank]
             panels = (cp.index_a.size + cp.index_b.size) * cp.strip_width * 8
             assert prof.peak_buffer_bytes == panels
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            Mode.SDDMM, Mode.SPMM_A, Mode.SPMM_B,
+            "rank_fusedmm_none_a", "rank_fusedmm_none_b",
+        ],
+    )
+    def test_25d_sparse_peak_within_budget_is_three_panels(self, mode):
+        """Inside the budget (one nonzero per row) an SpMM accumulates in
+        a third slot as tall as the taller union, so a FusedMM holds
+        exactly three strip panels, a single SpMM its input side's panel
+        and the third, an SDDMM its two gathered panels — and never more
+        than the dense path's pieces on the same call."""
+        _, _, cplans, rep_d, rep_s = self._measure(
+            "2.5d-sparse-replicate", 8, 2, mode, nnz_per_row=1
+        )
+        for prof_s, prof_d, cp in zip(rep_s.per_rank, rep_d.per_rank, cplans):
+            assert cp.third_slot
+            ua, ub = cp.index_a.size, cp.index_b.size
+            rows = {
+                Mode.SDDMM: ua + ub,
+                Mode.SPMM_A: ub + max(ua, ub),
+                Mode.SPMM_B: ua + max(ua, ub),
+            }.get(mode, ua + ub + max(ua, ub))
+            assert prof_s.peak_buffer_bytes == rows * cp.strip_width * 8
+            assert prof_s.peak_buffer_bytes <= prof_d.peak_buffer_bytes
 
     @pytest.mark.parametrize("nnz_per_row", [1, 2])
     def test_15d_sparse_peak_halves_dense_at_low_phi(self, nnz_per_row):

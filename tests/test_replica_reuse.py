@@ -14,16 +14,18 @@ slot since.  Covered here:
   messages,
   bitwise equal to the cold call, with one ``replica_hits`` per rank per
   reused replica or panel in ``Session.metrics()``;
-* ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB gathers
-  only the side the previous call wrote;
+* ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB re-gathers
+  only the side whose panel the previous call's SpMM output overwrote —
+  and, inside the third-slot budget (``SparsePlan25D.third_slot``), no
+  side at all;
 * a single ``elision="none"`` call still pays both of its replications;
 * the misses: an operand mutated in place, the two orientations sharing
   one slot, an SpMMA between two SDDMMs, ``update_values``;
 * ranks whose blocks are empty hit while the others miss, without a hang;
 * seeded call sequences on a q = 3 grid, bitwise equal to fresh sessions
   and never timing out;
-* failure recovery drops every rank's memo, and ``peak_buffer_bytes``
-  counts a hit like an acquisition;
+* failure recovery drops every rank's memo, inside the budget too, and
+  ``peak_buffer_bytes`` counts a hit like an acquisition;
 * the :class:`~repro.runtime.buffers.BufferPool` rule itself.
 """
 
@@ -209,13 +211,15 @@ class TestWarmCalls:
 
     def test_rmat_25d_steady_state(self, problem):
         """``rmat_25d``'s op shape — FusedMMA then FusedMMB on the same
-        operands — on a q = 3 grid.  Each call writes one side, so the
-        next call rebinds that side and gathers it; the other side's
-        panel survives (the SpMM output takes only its own side's slot).
-        Every call after the first is steady: per rank it receives the
-        output reduction and the rebound side's gather, nothing else, and
-        hits twice — the S values and the kept panel.  Outputs equal a
-        fresh session's."""
+        operands — on a q = 3 grid, above the third-slot budget.  Each
+        call's SpMM accumulates in its output side's gather slot, which
+        drops the panel stored there, so the next call gathers that side
+        again although its block is unchanged (kernel outputs are
+        transient); the other side's panel survives.  Every call after the
+        first is steady: per rank it receives the output reduction and the
+        dropped side's gather, nothing else, and hits twice — the S values
+        and the kept panel.  Outputs equal a fresh session's.
+        ``TestThirdSlot`` pins the within-budget case."""
         S, A, B = problem
         p = 18
         kw = dict(comm="sparse", p=p, c=2)
@@ -284,6 +288,73 @@ class TestWarmCalls:
         assert cold_repl == 2 * one
         assert warm["replica_hits"] == 2 * P and warm_repl == 0
         assert np.array_equal(warm_out, cold_out)
+
+
+def _budget_problem(n, nnz_per_row=1.0):
+    """ER inside the third-slot budget, unlike ``problem``: one nonzero
+    per row at p = 8.  At p = 18 the strips of width 4 split into chunks
+    of 2, 1 and 1 columns; a one-column chunk's dense pieces leave room
+    for three strip-wide panels only at about half a nonzero per row."""
+    S = repro.erdos_renyi(n, n, nnz_per_row=nnz_per_row, seed=3)
+    rng = np.random.default_rng(4)
+    return S, rng.standard_normal((n, R)), rng.standard_normal((n, R))
+
+
+class TestThirdSlot:
+    """Inside the budget (``SparsePlan25D.third_slot``) a need-list SpMM
+    accumulates in a pool slot of its own, so both gathered panels
+    outlive every kernel and a warm call on unchanged operands gathers
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "p,n,nnz_per_row", [(8, 256, 1.0), (18, 512, 0.5)], ids=["q2", "q3"]
+    )
+    def test_alternating_fused_calls_post_only_their_reductions(
+        self, p, n, nnz_per_row
+    ):
+        """``rmat_25d``'s op shape.  From the second call on, per rank, a
+        call receives its output reduction and nothing else on the
+        PROPAGATION phase, and hits three times — the S values and both
+        panels.  Outputs equal a fresh session's."""
+        S, A, B = _budget_problem(n, nnz_per_row)
+        kw = dict(comm="sparse", p=p, c=C)
+        kernels = ("fusedmm_a", "fusedmm_b")
+        refs = {}
+        for kernel in kernels:
+            with _natural(S, **kw) as fresh:
+                refs[kernel] = KERNELS[kernel](fresh, A, B)
+        with _natural(S, **kw) as sess:
+            cplans = _comm_plans(sess, S)
+            assert all(cp.third_slot for cp in cplans)
+            for i in range(6):
+                kernel = kernels[i % 2]
+                out, rec, _ = _call(sess, kernel, A, B)
+                assert np.array_equal(out, refs[kernel])
+                if i == 0:
+                    continue
+                assert rec["replica_hits"] == 3 * p
+                written = kernel[-1]
+                for prof, cp in zip(sess.report().per_rank, cplans):
+                    leg = getattr(cp, f"reduce_{written}_packed")
+                    ctr = prof.counters[Phase.PROPAGATION]
+                    assert ctr.words_received == leg.recv_words()
+                    assert ctr.messages_received == leg.recv_messages()
+
+    @pytest.mark.parametrize("fused", ["fusedmm_a", "fusedmm_b"])
+    def test_sddmm_after_a_fused_call_gathers_nothing(self, fused):
+        """Whichever side the fused call wrote, both of its panels are
+        still stored: the SDDMM that follows receives no PROPAGATION word
+        or message and hits three times per rank."""
+        S, A, B = _budget_problem(256)
+        with _natural(S, comm="sparse") as fresh:
+            ref, _, _ = _call(fresh, "sddmm", A, B)
+        with _natural(S, comm="sparse") as sess:
+            _call(sess, fused, A, B)
+            out, rec, _ = _call(sess, "sddmm", A, B)
+            ctrs = [prof.counters[Phase.PROPAGATION] for prof in sess.report().per_rank]
+        assert rec["replica_hits"] == 3 * P
+        assert all(c.words_received == c.messages_received == 0 for c in ctrs)
+        assert np.array_equal(out, ref)
 
 
 class TestMisses:
@@ -490,6 +561,51 @@ class TestCallSequences:
         _random_sequence(problem, family, comm, seed)
 
 
+def _drop_a_panel_gather(S, calls, monkeypatch):
+    """Run ``calls`` (``(kernel, A, B)`` triples) on a need-list session
+    whose rank 1 drops its third packed-gather leg (call 2's A leg), with
+    one retry.  Checks every output against a clean session's, that call
+    2 alone is retried after hitting a stored replica, that its failure
+    drops every rank's memo, and that its retry misses on the values and
+    both panels on every rank; returns the metrics records."""
+    family = "2.5d-sparse-replicate"
+    lookups = []  # True / False per held_replica, "drop" per pool
+    held, drop = BufferPool.held_replica, BufferPool.drop_replicas
+
+    def spy_held(pool, label, source):
+        panel = held(pool, label, source)
+        lookups.append(panel is not None)
+        return panel
+
+    def spy_drop(pool):
+        lookups.append("drop")
+        drop(pool)
+
+    monkeypatch.setattr(BufferPool, "held_replica", spy_held)
+    monkeypatch.setattr(BufferPool, "drop_replicas", spy_drop)
+    with _plan(S, family, "sparse") as clean:
+        refs = [KERNELS[kernel](clean, A, B) for kernel, A, B in calls]
+    plan = FaultPlan([FaultSpec("drop", rank=1, tag=TAG_SPARSE_AG, index=2)])
+    with _plan(
+        S, family, "sparse", deadline_ms=700, retries=1, faults=plan,
+    ) as sess:
+        records, spans = [], []
+        for (kernel, A, B), ref in zip(calls, refs):
+            start = len(lookups)
+            out, rec, _ = _call(sess, kernel, A, B)
+            assert np.array_equal(out, ref)
+            records.append(rec)
+            spans.append(lookups[start:])
+    assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
+    assert len(plan.fired_log) == 1
+    failed = spans[1]
+    first, last = failed.index("drop"), len(failed) - failed[::-1].index("drop")
+    assert any(hit is True for hit in failed[:first])  # B's panel, values
+    assert failed[first:last] == ["drop"] * P
+    assert failed[last:] == [False] * (3 * P)  # values, A, B on every rank
+    return records
+
+
 class TestRecovery:
     @pytest.mark.parametrize(
         "family,kernel,fault,failing_call",
@@ -544,52 +660,31 @@ class TestRecovery:
             assert sess.plan_builds == 1
 
     def test_drop_mid_panel_gather(self, problem, monkeypatch):
-        """``rmat_25d``'s shape on the need-list path.  Call 2 (FusedMMB)
-        gathers only A, which call 1 wrote, and reuses B's panel.  Rank 1
-        sends 2 packed-gather legs in call 1 (A and B), so index 2 is its
-        A leg of call 2: its row peer times out while the other ranks
-        store the new A panel.  The failure hook drops every rank's memo,
-        so on the retry every rank misses on the values and both panels —
-        a rank that kept one would skip the gather its peer waits on — and
-        the next call hits again."""
+        """``rmat_25d``'s shape on the need-list path, above the
+        third-slot budget.  Call 2 (FusedMMB) gathers only A, whose panel
+        call 1's SpMMA output overwrote in the ``gather-a`` slot, and
+        reuses B's panel.  Rank 1 sends 2 packed-gather legs in call 1 (A
+        and B), so index 2 is its A leg of call 2: its row peer times out
+        while the other ranks store the new A panel.  The failure hook
+        drops every rank's memo, so on the retry every rank misses on the
+        values and both panels — a rank that kept one would skip the
+        gather its peer waits on — and the next call hits again."""
         S, A, B = problem
-        family = "2.5d-sparse-replicate"
-        lookups = []  # True / False per held_replica, "drop" per pool
-        held, drop = BufferPool.held_replica, BufferPool.drop_replicas
-
-        def spy_held(pool, label, source):
-            panel = held(pool, label, source)
-            lookups.append(panel is not None)
-            return panel
-
-        def spy_drop(pool):
-            lookups.append("drop")
-            drop(pool)
-
-        monkeypatch.setattr(BufferPool, "held_replica", spy_held)
-        monkeypatch.setattr(BufferPool, "drop_replicas", spy_drop)
-        kernels = ("fusedmm_a", "fusedmm_b", "fusedmm_a")
-        with _plan(S, family, "sparse") as clean:
-            refs = [KERNELS[k](clean, A, B) for k in kernels]
-        plan = FaultPlan([FaultSpec("drop", rank=1, tag=TAG_SPARSE_AG, index=2)])
-        with _plan(
-            S, family, "sparse", deadline_ms=700, retries=1, faults=plan,
-        ) as sess:
-            records, spans = [], []
-            for kernel, ref in zip(kernels, refs):
-                start = len(lookups)
-                out, rec, _ = _call(sess, kernel, A, B)
-                assert np.array_equal(out, ref)
-                records.append(rec)
-                spans.append(lookups[start:])
-        assert [rec["outcome"] for rec in records] == ["ok", "retried", "ok"]
-        assert len(plan.fired_log) == 1
-        failed = spans[1]
-        first, last = failed.index("drop"), len(failed) - failed[::-1].index("drop")
-        assert any(hit is True for hit in failed[:first])  # B's panel, values
-        assert failed[first:last] == ["drop"] * P
-        assert failed[last:] == [False] * (3 * P)  # values, A, B on every rank
+        calls = [("fusedmm_a", A, B), ("fusedmm_b", A, B), ("fusedmm_a", A, B)]
+        records = _drop_a_panel_gather(S, calls, monkeypatch)
         assert records[2]["replica_hits"] == 2 * P
+
+    def test_drop_mid_panel_gather_within_budget(self, monkeypatch):
+        """The same inside the third-slot budget, where an unchanged A
+        would not be gathered at all: call 2 (FusedMMB) changes A, so it
+        gathers A alone and hits on the values and B's panel; the drop
+        hits its A leg as above.  The retry misses on all three, and call
+        3 (FusedMMA on the same operands) hits all three."""
+        S, A, B = _budget_problem(256)
+        A2 = A + 1.0
+        calls = [("fusedmm_a", A, B), ("fusedmm_b", A2, B), ("fusedmm_a", A2, B)]
+        records = _drop_a_panel_gather(S, calls, monkeypatch)
+        assert records[2]["replica_hits"] == 3 * P
 
 
 class TestPoolRule:
