@@ -95,13 +95,19 @@ class Lane:
     per nonzero); each phase it moves ``displacement`` positions on
     channel ``tag``.  ``rides_with`` marks the values of a warm chunk,
     whose coordinates form another lane: its payload must stay as long
-    as the coordinate lane's (see :meth:`DistributedAlgorithm.chunk_lanes`).
+    as the coordinate lane's, and it makes one shift fewer than the
+    round has phases (see :meth:`DistributedAlgorithm.ring_loop`).
 
     The coordinate lane of a chunk ring carries :class:`CarriedCoords`
     state, set by ``chunk_lanes``: ``trail`` is handed every payload the
     lane receives on a cold round (the memo fill), and ``stays`` — on a
     warm round — is that memo entry itself: the lane does not move, and
-    after ``k`` phases its payload is ``stays[k % len(stays)]``.
+    after ``k`` shifts its payload is ``stays[k % len(stays)]``.
+
+    Every lane comes home after a full cycle.  A warm chunk's values skip
+    one hop without a message: the last of a trailing round (read-only,
+    they are still at home) or the first of a leading one (a zero
+    accumulator, made where it lands).
     """
 
     ring: Communicator
@@ -125,12 +131,15 @@ class CarriedCoords:
     own home chunk (the very arrays the home rank prepared — a changed
     structure never matches), position ``k`` the pair it received after
     ``k`` shifts of the cold round, kept as the transport delivered it
-    and marked read-only — nothing kernel-derived.  That is 2 words per
-    nonzero of the ring's other chunks (``2·(L−1)/L`` per nonzero of the
-    ring on average) per distinct travel order: a received pair bitwise
-    equal to another entry's pair at the same position shares that
-    entry's arrays (an SDDMM and an SpMMA of a row-major chunk travel in
-    one order).
+    and marked read-only — nothing kernel-derived.  A leading round (an
+    SDDMM's) receives its home chunk last, and a warm one never receives
+    position 1's values (its zero accumulator is made in place), but the
+    entry is the same: position ``k`` is what ``k`` shifts bring, on a
+    round of either order.  That is 2 words per nonzero of the ring's
+    other chunks (``2·(L−1)/L`` per nonzero of the ring on average) per
+    distinct travel order: a received pair bitwise equal to another
+    entry's pair at the same position shares that entry's arrays (an
+    SDDMM and an SpMMA of a row-major chunk travel in one order).
 
     It lives on the rank's resident context, which the session's failure
     hook drops on every rank, so the ranks of a ring — which run the same
@@ -488,8 +497,10 @@ class DistributedAlgorithm:
         and a later round of the same ``key`` is *warm*: the coordinate
         lane stays put, reading each ring position's pair from the entry,
         and only the values move, on :data:`TAG_SHIFT_SV` — one message
-        and one word per nonzero per phase.  ``ring_loop`` checks every
-        warm value array against the entry's length at its position.
+        and one word per nonzero per shift, ``L − 1`` shifts on a ring of
+        ``L`` (``ring_loop`` saves the one hop whose values nothing
+        needs to carry).  ``ring_loop`` checks every warm value array
+        against the entry's length at its position.
         """
         trail = None
         if carried is not None:
@@ -554,27 +565,46 @@ class DistributedAlgorithm:
         steps: int,
         lanes: Sequence[Lane],
         compute: Callable[..., None],
+        leading: bool = False,
     ) -> list:
-        """The propagation round every family runs: ``steps`` phases of
-        ``compute(t, *operands)`` followed by one cyclic shift of every
-        lane, where ``operands`` are the lanes' current payloads in lane
-        order (tuple payloads splatted).  Returns the operands after the
-        full cycle — back at their home ranks when ``steps`` is the ring
-        size.
+        """The propagation round every family runs: ``steps`` phases, each
+        ``compute(t, *operands)`` and one cyclic shift of every lane, where
+        ``operands`` are the lanes' current payloads in lane order (tuple
+        payloads splatted).  A *trailing* round (the default) runs the
+        kernel first, so phase ``t`` sees what ``t`` shifts brought; a
+        *leading* one (``leading=True``, an SDDMM's) shifts first, so
+        phase ``t`` sees what ``t + 1`` shifts brought and a chunk's home
+        rank adds its strip last.  Returns the operands after the round —
+        every lane back at its home rank when ``steps`` is the ring size.
 
-        Every lane shifts (blocking) after the kernel, in lane order.  A
-        lane that ``stays`` (warm chunk coordinates) never moves: after
-        each phase its payload is the next ring position's entry.
+        Every lane shifts (blocking) in lane order.  A lane that ``stays``
+        (warm chunk coordinates) never moves: after ``k`` shifts its
+        payload is ring position ``k``'s entry.  The values riding with it
+        make ``steps − 1`` shifts, a chunk's round being one full cycle:
+
+        * a trailing round's values are read-only, so the last hop would
+          carry back what the home rank still holds — it takes its own;
+        * a leading round's values are an accumulator that leaves home as
+          zeros, so the first hop is zeros of the length of ring position
+          1's coordinates, made where they are needed.
+
         ``root`` is the communicator whose profile the phases are tracked
         on.
         """
+        homes = [lane.payload for lane in lanes]
+        free_hop = 0 if leading else steps - 1
         for t in range(steps):
-            with track(root, Phase.COMPUTATION):
-                compute(t, *_operands(lanes))
+            if not leading:
+                with track(root, Phase.COMPUTATION):
+                    compute(t, *_operands(lanes))
             with track(root, Phase.PROPAGATION):
-                for lane in lanes:
+                for lane, home in zip(lanes, homes):
                     if lane.stays is not None:
                         lane.payload = lane.stays[(t + 1) % len(lane.stays)]
+                        continue
+                    if lane.rides_with is not None and t == free_hop:
+                        coords = lane.rides_with.payload[0]
+                        lane.payload = np.zeros(len(coords)) if leading else home
                         continue
                     lane.payload = lane.ring.shift(
                         lane.payload, lane.displacement, lane.tag
@@ -593,6 +623,9 @@ class DistributedAlgorithm:
                             f"{len(lane.payload)} values for "
                             f"{len(head.payload[0])} coordinates"
                         )
+            if leading:
+                with track(root, Phase.COMPUTATION):
+                    compute(t, *_operands(lanes))
         return _operands(lanes)
 
     # ------------------------------------------------------------------

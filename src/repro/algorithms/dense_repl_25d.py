@@ -25,17 +25,22 @@ its (skewed) start.
 Unified kernel: all-gather A along the fiber into the coarse panel ``T``
 (input) or reduce-scatter ``T`` at the end (output).  SDDMM accumulates
 partial dots (over the r-strips) in the circulating value array and
-multiplies by the resident S values on return; SpMMB accumulates into the
-circulating B buffer (ends complete, no reduction).
+multiplies by the resident S values on return — its round *leads* (S and
+B shift, then the kernel runs), so the home strip is added last; SpMMB
+accumulates into the circulating B buffer (ends complete, no reduction).
 
 FusedMM supports *no elision* and *replication reuse* (one all-gather for
 both rounds; native FusedMMB), at the Table III cost
 ``nr/sqrt(pc) * (6 phi + 2 + (c^1.5 - sqrt(c))/sqrt(p))`` with
 ``4 sqrt(p/c) + (c-1)`` messages for a *cold* call.  A warm call of a
-session moves the S chunks' values alone (``6 phi`` becomes ``2 phi``):
-the grid row already carried their coordinates, which each rank kept
-(``CarriedCoords`` on its context).  Local kernel fusion is impossible
-(dense operands are split along r), as the paper notes.
+session moves the S chunks' values alone: the grid row already carried
+their coordinates, which each rank kept (``CarriedCoords`` on its
+context).  The values also make ``q − 1`` shifts per round, not ``q``:
+an SpMM round's read-only values stop one hop short of home, and an
+SDDMM round's zero accumulator starts one hop downstream.  So ``6 phi``
+becomes ``2 phi (q − 1) / q``; the B block keeps its ``q`` shifts.
+Local kernel fusion is impossible (dense operands are split along r),
+as the paper notes.
 
 Propagation is stated as :class:`~repro.algorithms.base.Lane` s — the S
 chunk on the grid row (``chunk_lanes``: its values accumulate in the
@@ -338,7 +343,8 @@ class DenseReplicate25D(DistributedAlgorithm):
 
         # q Cannon phases: the S chunk moves left along the grid row (its
         # values accumulate in the SDDMM), B up along the grid column (as
-        # the output accumulator in the SpMMB)
+        # the output accumulator in the SpMMB); an SDDMM round leads with
+        # both lanes, so S/B pairs stay matched and the home strip is last
         _, _, dots, B_end = self.ring_loop(
             ctx.comm, plan.q,
             [
@@ -349,6 +355,7 @@ class DenseReplicate25D(DistributedAlgorithm):
                 Lane(ctx.col, B_start, TAG_SHIFT_B),
             ],
             compute,
+            leading=mode == Mode.SDDMM,
         )
 
         if mode == Mode.SDDMM:

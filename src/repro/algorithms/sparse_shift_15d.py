@@ -20,7 +20,8 @@ Unified kernel (Mode):
 
 * SDDMM — all-gather A's strip; the circulating value array accumulates
   partial dot products strip by strip; after the full ring cycle each
-  chunk is home and is multiplied by the resident S values.
+  chunk is home and is multiplied by the resident S values.  The round
+  *leads* (shift, then compute), so a chunk's home strip is added last.
 * SpMMA — partial products accumulate into a full ``m x strip`` buffer,
   reduce-scattered along the fiber at the end (cyclic row groups).
 * SpMMB — all-gather A's strip; contributions accumulate directly into
@@ -33,7 +34,11 @@ Eq. (2) cost ``6 nnz/c + n r (c-1)/p`` with ``2p/c + (c-1)`` messages and
 optimal ``c = sqrt(6 p phi)`` — for a *cold* call.  A warm call of a
 session moves the values alone: the layer ring already carried every
 chunk's coordinates, which each rank kept (``CarriedCoords`` on its
-context), so propagation falls to ``2 nnz/c`` words, and the fiber
+context).  It also makes ``L − 1`` value shifts per round on the ring
+of ``L = p/c``, not ``L``: the SpMMB round's read-only values stop one
+hop short of home, where they still are, and the SDDMM round's zero
+accumulator starts one hop downstream.  So propagation falls to
+``2 nnz (L − 1) / (c L)`` words (``nnz/c`` at ``L = 2``), and the fiber
 gather of an unchanged A is skipped too (``BufferPool.replica``).
 Local kernel fusion is impossible here (dense matrices are split along
 r, so local dots are partial — paper Section IV-B), matching the paper.
@@ -425,7 +430,8 @@ class SparseShift15D(DistributedAlgorithm):
                 else:  # SPMM_B: out[local cols] += vals * T[rows]
                     spmm_scatter(cols, rows, vals, T, local.B, profile=prof)
 
-        # the chunk is home again after the full ring cycle
+        # the chunk is home again after the full ring cycle; an SDDMM
+        # round leads, so each chunk's home strip is added last
         _, _, dots = self.ring_loop(
             ctx.comm, plan.n_layer,
             self.chunk_lanes(
@@ -433,6 +439,7 @@ class SparseShift15D(DistributedAlgorithm):
                 key=(space, mode),
             ),
             compute,
+            leading=mode == Mode.SDDMM,
         )
 
         if mode == Mode.SDDMM:

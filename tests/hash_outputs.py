@@ -10,8 +10,8 @@ Writes ``{sequence: [sha256 of each output, ...]}`` as JSON:
   (``SparsePlan25D.third_slot``): alternating FusedMMs, standalone
   kernels, new values and a changed operand;
 * with ``--e2e``, ``e2e/<workload>/seed<s>`` — three ops of the
-  ``rmat_25d`` and ``small_auto`` benchmark workloads at seeds 7 and 11
-  (the first op cold, the others warm).
+  ``er_comm``, ``rmat_25d`` and ``small_auto`` benchmark workloads at
+  seeds 7 and 11 (the first op cold, the others warm).
 
 Run it from the root of each checkout — copy this file into the other
 one if it lacks it — and compare the two files::
@@ -89,7 +89,7 @@ def main() -> None:
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument(
         "--e2e", action="store_true",
-        help="also hash the rmat_25d and small_auto workloads",
+        help="also hash the er_comm, rmat_25d and small_auto workloads",
     )
     args = ap.parse_args()
     sequences = {}
@@ -99,7 +99,7 @@ def main() -> None:
     sequences["third-slot/q2"] = third_slot_sequence(8, 256, 1.0)
     sequences["third-slot/q3"] = third_slot_sequence(18, 512, 0.5)
     if args.e2e:
-        for name in ("rmat_25d", "small_auto"):
+        for name in ("er_comm", "rmat_25d", "small_auto"):
             for seed in (7, 11):
                 sequences[f"e2e/{name}/seed{seed}"] = e2e_sequence(name, seed)
     hashes = {key: [_sha(out) for out in outs] for key, outs in sequences.items()}

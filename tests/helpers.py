@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import inspect
-from collections import Counter
 
 import numpy as np
 
@@ -92,27 +91,53 @@ def dist_fused(alg, S, A, B, method_name, out_side):
 
 
 #: the families whose sparse chunks circulate, and the grid coordinates
-#: naming the ring a rank's chunk travels (1.5D: the layer; 2.5D: the
-#: grid row)
+#: naming the ring a rank's chunk travels and the rank's position on it
+#: (1.5D: the layer, position u; 2.5D: the grid row, position y); a
+#: round's shifts move every chunk to position - 1
 CHUNK_RINGS = {
-    "1.5d-sparse-shift": lambda u, v: v,
-    "2.5d-dense-replicate": lambda x, y, z: (x, z),
+    "1.5d-sparse-shift": lambda u, v: (v, u),
+    "2.5d-dense-replicate": lambda x, y, z: ((x, z), y),
 }
 
 
-def chunk_round_traffic(alg, S, r):
-    """The nonzeros one chunk round of ``alg`` on ``S`` (natural layout)
-    receives, rank-summed.  Every rank receives each chunk of its ring
-    once per round, one message per phase (a ring of one rank moves
-    nothing); a cold round moves 3 words per nonzero, a warm one 1.  0
-    where S does not circulate."""
+def _chunk_layout(alg, S, r):
+    """``(where, rings)``: per rank its ``(ring, position)``, and per ring
+    the nonzeros of its home chunks by position; ``S`` in natural layout,
+    both empty where S does not circulate."""
     ring_of = CHUNK_RINGS.get(alg.name)
     if ring_of is None:
-        return 0
+        return [], {}
     locals_ = alg.distribute_sparse(alg.plan(S.nrows, S.ncols, r), S)
-    nnz, size = Counter(), Counter()
-    for rank, loc in enumerate(locals_):
-        ring = ring_of(*alg.grid.coords(rank))
-        nnz[ring] += len(loc.S_rows)
-        size[ring] += 1
-    return sum(size[ring] * nnz[ring] for ring in size if size[ring] > 1)
+    where = [ring_of(*alg.grid.coords(rank)) for rank in range(alg.p)]
+    at = {}
+    for (ring, pos), loc in zip(where, locals_):
+        at.setdefault(ring, {})[pos] = len(loc.S_rows)
+    return where, {ring: [nnz[k] for k in sorted(nnz)] for ring, nnz in at.items()}
+
+
+def chunk_ring_members(alg, S, r):
+    """Per rank, ``(position, nnz)``: its position on the ring its S chunk
+    circulates on, and that ring's home-chunk nonzeros by position."""
+    where, rings = _chunk_layout(alg, S, r)
+    return [(pos, rings[ring]) for ring, pos in where]
+
+
+def chunk_rings(alg, S, r):
+    """``(size, nnz)`` of every ring ``alg``'s S chunks circulate on, for
+    ``S`` in natural layout; empty where S does not circulate."""
+    _, rings = _chunk_layout(alg, S, r)
+    return [(len(nnz), sum(nnz)) for nnz in rings.values()]
+
+
+def chunk_round_traffic(alg, S, r, warm=False):
+    """The nonzeros one chunk round of ``alg`` on ``S`` (natural layout)
+    receives, rank-summed, one message per rank per shift (a ring of one
+    rank moves nothing).  Cold, every rank receives each chunk of its
+    ring once per round, 3 words per nonzero; warm, a ring of ``L``
+    ranks makes ``L − 1`` shifts, so each chunk reaches ``L − 1`` ranks,
+    1 word per nonzero.  0 where S does not circulate."""
+    return sum(
+        (size - 1 if warm else size) * nnz
+        for size, nnz in chunk_rings(alg, S, r)
+        if size > 1
+    )

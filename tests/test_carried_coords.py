@@ -9,16 +9,19 @@ space and travel order, on its resident context
 same chunk ring ships values alone.  Covered here, for each
 chunk-circulating family x comm x grid:
 
-* a warm round moves exactly one third of the cold round's chunk words
-  — all of a 1.5D sparse-shift call's PROPAGATION words — in as many
-  messages;
+* a warm round on a ring of ``L`` ranks moves the values alone, 1 word
+  per nonzero, in ``L − 1`` shifts: an SpMM round's values stop one hop
+  short of home, an SDDMM round's accumulator starts one hop downstream
+  — all of a 1.5D sparse-shift call's PROPAGATION words — one message
+  per rank fewer than the cold round's ``L``;
 * outputs are bitwise the cold call's and a fresh session's, also after
   ``update_values`` (the memo survives it) and on the transposed sibling;
 * a warm call's value message dropped or duplicated ends in a retryable
   error — the length check against the memo, or the deadline — and a
   bitwise retry that rebuilds the memo on every rank, as does a fault
   that leaves a cold round's entries complete on some ranks only;
-* the memo rule itself, on ``ring_loop`` and on ``CarriedCoords``.
+* the memo rule itself, on ``ring_loop`` (trailing and leading rounds)
+  and on ``CarriedCoords``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import retryable, run_spmd
 from repro.types import Phase
-from tests.helpers import chunk_round_traffic
+from tests.helpers import chunk_round_traffic, chunk_rings
 
 P, C = 8, 2
 N, R = 96, 8
@@ -105,12 +108,25 @@ def _fresh(S, family, comm, kernel, A, B, elision="none", grid=(P, C)):
         return KERNELS[kernel](sess, A, B)
 
 
-def _traffic(sess, S, kernel, transpose=False):
+def _traffic(sess, S, kernel, transpose=False, warm=False):
     """The nonzeros the call's chunk rounds receive, rank-summed, for
-    ``kernel`` on its orientation of ``S``."""
+    ``kernel`` on its orientation of ``S``, cold or warm."""
     assert sess.explain().layout == "natural"
-    nnz = chunk_round_traffic(sess.alg, S.transposed() if transpose else S, R)
-    return nnz * ROUNDS[kernel]
+    S = S.transposed() if transpose else S
+    return chunk_round_traffic(sess.alg, S, R, warm=warm) * ROUNDS[kernel]
+
+
+def _saved_words(sess, S, kernel, transpose=False):
+    """The chunk words a warm call of ``kernel`` saves on a cold one: the
+    coordinates, and one hop of values per rank and round."""
+    cold = _traffic(sess, S, kernel, transpose)
+    return 3 * cold - _traffic(sess, S, kernel, transpose, warm=True)
+
+
+def _ring_ranks(sess, S):
+    """Ranks on a ring that moves something: each receives one message
+    fewer per warm round than per cold one."""
+    return sum(size for size, _ in chunk_rings(sess.alg, S, R) if size > 1)
 
 
 class TestWarmRounds:
@@ -119,21 +135,24 @@ class TestWarmRounds:
     def test_warm_round_moves_values_only(
         self, problem, family, comm, grid, kernel
     ):
-        """Cold, every chunk a rank receives is 3 words per nonzero; warm,
-        1 — exactly a third, in as many messages.  The other lanes (2.5D's
-        B block) move what they moved."""
+        """Cold, every chunk a rank receives is 3 words per nonzero, in
+        ``L`` shifts; warm, 1, in ``L − 1`` — one message fewer per rank
+        and round.  The other lanes (2.5D's B block) move what they
+        moved."""
         S, A, B = problem
         with _plan(S, family, comm, grid=grid) as sess:
             nnz = _traffic(sess, S, kernel)
+            warm_nnz = _traffic(sess, S, kernel, warm=True)
+            saved_msgs = _ring_ranks(sess, S) * ROUNDS[kernel]
             cold_out, cold_words, cold_msgs, _ = _call(sess, kernel, A, B)
             for _ in range(2):
                 out, words, msgs, _ = _call(sess, kernel, A, B)
-                assert nnz > 0
+                assert 0 < warm_nnz < nnz
                 rest = cold_words - 3 * nnz  # the lanes that are not S
-                assert words - rest == nnz  # a third of the chunk words
+                assert words - rest == warm_nnz  # L − 1 hops of values
                 if family.startswith("1.5d"):
-                    assert rest == 0 and 3 * words == cold_words
-                assert msgs == cold_msgs
+                    assert rest == 0 and words == warm_nnz
+                assert msgs == cold_msgs - saved_msgs
                 assert np.array_equal(out, cold_out)
         fresh = _fresh(S, family, comm, kernel, A, B, grid=grid)
         assert np.array_equal(cold_out, fresh)
@@ -153,11 +172,11 @@ class TestWarmRounds:
         args = (family, comm)
         kw = dict(elision="replication-reuse", grid=grid)
         with _plan(S, *args, **kw) as sess:
-            nnz_b = _traffic(sess, S, "fusedmm_b")
-            nnz_a = _traffic(sess, S, "fusedmm_a", transpose=True)
+            saved_b = _saved_words(sess, S, "fusedmm_b")
+            saved_a = _saved_words(sess, S, "fusedmm_a", transpose=True)
             cold_b, cold_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
             warm_b, warm_words_b, _, _ = _call(sess, "fusedmm_b", A, B)
-            assert cold_words_b - warm_words_b == 2 * nnz_b
+            assert cold_words_b - warm_words_b == saved_b
             assert np.array_equal(warm_b, cold_b)
             assert np.array_equal(cold_b, _fresh(S, *args, "fusedmm_b", A, B, **kw))
 
@@ -169,7 +188,7 @@ class TestWarmRounds:
             ref_a = _fresh(S2, *args, "fusedmm_a", A, B, **kw)
             cold_a, cold_words_a, _, _ = _call(sess, "fusedmm_a", A, B)
             warm_a, warm_words_a, _, _ = _call(sess, "fusedmm_a", A, B)
-            assert cold_words_a - warm_words_a == 2 * nnz_a > 0
+            assert cold_words_a - warm_words_a == saved_a > 0
             assert np.array_equal(cold_a, ref_a) and np.array_equal(warm_a, ref_a)
 
             again_b, words, _, _ = _call(sess, "fusedmm_b", A, B)
@@ -189,14 +208,15 @@ class TestWarmFaults:
     ):
         """Rank 0's first or last value message of call 2 (its first warm
         call) is lost or delivered twice.  A lost one hands the receiver
-        the next phase's values — their length disagrees with the carried
-        coordinates, a ``CommError`` — or, the last one, leaves it waiting
-        out the deadline; a duplicate puts the receiver one phase behind,
-        the same length check.  Both are retryable: the failure hook drops
-        every rank's context, so the retry is a cold round on every rank
-        (bitwise the clean output) that fills the memo again, and call 3
-        is warm everywhere — a rank without an entry would ship whole
-        chunks its peers do not wait for."""
+        the next message's values — their length disagrees with the
+        carried coordinates, a ``CommError`` — or, the last one (the
+        SpMMB round's shift before its free hop home), leaves it waiting
+        out the deadline; a duplicate puts the receiver one message
+        behind, the same length check.  Both are retryable: the failure
+        hook drops every rank's context, so the retry is a cold round on
+        every rank (bitwise the clean output) that fills the memo again,
+        and call 3 is warm everywhere — a rank without an entry would ship
+        whole chunks its peers do not wait for."""
         S, A, B = problem
         kernel = "fusedmm_b"
         with _plan(S, family, comm, grid=grid) as clean:
@@ -205,9 +225,10 @@ class TestWarmFaults:
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
         layout = clean.alg.grid
         ring = layout.layer_size if family.startswith("1.5d") else layout.q
-        # rank 0's value messages: one per phase of each warm round (a
-        # cold round ships its chunks whole, on TAG_SHIFT_S)
-        index = 0 if where == "first" else 2 * ring - 1
+        # rank 0's value messages: ring - 1 per warm round, the SDDMM's
+        # then the SpMMB's (a cold round ships its chunks whole, on
+        # TAG_SHIFT_S)
+        index = 0 if where == "first" else 2 * (ring - 1) - 1
         plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
         with _plan(
             S, family, comm, grid=grid, deadline_ms=700, retries=1, faults=plan,
@@ -274,7 +295,7 @@ class TestWarmFaults:
         with _plan(S, family, comm) as clean:
             ref = KERNELS["fusedmm_b"](clean, A, B)
         ring = P // C
-        index = 0 if where == "first" else 2 * ring - 1
+        index = 0 if where == "first" else 2 * (ring - 1) - 1
         plan = FaultPlan([FaultSpec(action, rank=0, tag=TAG_SHIFT_SV, index=index)])
         with _plan(
             S, family, comm, deadline_ms=700, retries=0, faults=plan,
@@ -299,34 +320,44 @@ class TestWarmFaults:
 RING = 4
 
 
-def _rounds(values_at, rounds=2):
-    """``rounds`` SpMM-like rounds of one chunk lane on a ring of RING
-    ranks sharing one :class:`CarriedCoords` per rank; ``values_at(rank,
-    round)`` makes the home values.  Returns per rank the operands each
-    round's kernel saw at each phase, and the profiles."""
+def _nnz(rank):
+    return 3 + 2 * rank  # every chunk has its own length
+
+
+def _rounds(values_at, rounds=2, leading=False):
+    """``rounds`` rounds of one chunk lane on a ring of RING ranks sharing
+    one :class:`CarriedCoords` per rank: SpMM-like (trailing, read-only
+    values) or SDDMM-like (leading, every rank adds ``rank + 1`` to the
+    values it holds); ``values_at(rank, round)`` makes the home values.
+    Returns per rank the operands each round's kernel saw at each phase
+    and the values each round brought home, and the profiles."""
     alg = DistributedAlgorithm(RING, 1)
     profiles = [RankProfile() for _ in range(RING)]
 
     def body(comm):
         carried = CarriedCoords()
-        nnz = 3 + 2 * comm.rank  # every chunk has its own length
+        nnz = _nnz(comm.rank)
         rows = np.arange(nnz) + 100 * comm.rank
         cols = np.arange(nnz)[::-1].copy()
-        seen = []
+        seen, home = [], []
         for k in range(rounds):
             vals = values_at(comm.rank, k)[:nnz]
             block = np.full((2, 2), float(comm.rank))
 
             def compute(t, r, c, v, blk):
                 seen.append((k, t, r.tolist(), c.tolist(), v.tolist()))
+                if leading:
+                    v += comm.rank + 1
 
             lanes = [
                 *alg.chunk_lanes(comm, rows, cols, vals, carried=carried, key="chunk"),
                 Lane(comm, block, TAG_SHIFT_B),
             ]
-            out = alg.ring_loop(comm, RING, lanes, compute)
+            out = alg.ring_loop(comm, RING, lanes, compute, leading=leading)
             assert np.array_equal(out[0], rows)  # home again
-        return seen
+            assert len(out[2]) == nnz and out[3][0, 0] == comm.rank
+            home.append(out[2].tolist())
+        return seen, home
 
     results, _ = run_spmd(RING, body, profiles=profiles)
     return results, profiles
@@ -334,20 +365,56 @@ def _rounds(values_at, rounds=2):
 
 class TestRule:
     def test_warm_round_sees_what_the_cold_round_saw(self):
+        """Trailing: the warm values stop one hop short of home — each
+        rank receives every chunk's values but its own, which it still
+        holds."""
         results, profiles = _rounds(lambda rank, k: np.full(16, 10.0 * rank + k))
-        for seen in results:
+        for rank, (seen, home) in enumerate(results):
             cold = [s for s in seen if s[0] == 0]
             warm = [s for s in seen if s[0] == 1]
             for c, w in zip(cold, warm):
                 assert c[1:4] == w[1:4]  # the same coordinates at each phase
                 assert [v - 1 for v in w[4]] == c[4]  # this round's values
-        chunk = sum(3 + 2 * rank for rank in range(RING))
-        for prof in profiles:
+            # phase t sees the chunk of rank + t, its own first
+            assert [c[2][0] // 100 for c in cold] == [
+                (rank + t) % RING for t in range(RING)
+            ]
+            assert home == [[10.0 * rank + k] * _nnz(rank) for k in range(2)]
+        chunk = sum(_nnz(rank) for rank in range(RING))
+        for rank, prof in enumerate(profiles):
             ctr = prof.counters[Phase.PROPAGATION]
-            # the B lane (4 words a phase) both rounds; the chunk 3 words
-            # per nonzero cold, 1 warm; one message per lane per phase
-            assert ctr.words_received == 2 * 4 * RING + 4 * chunk
-            assert ctr.messages_received == 2 * 2 * RING
+            # the B lane (4 words a shift) RING shifts both rounds; the
+            # chunk RING shifts of 3 words per nonzero cold, RING - 1 of 1
+            # warm
+            assert ctr.words_received == (
+                2 * 4 * RING + 3 * chunk + chunk - _nnz(rank)
+            )
+            assert ctr.messages_received == 2 * RING + RING + RING - 1
+
+    def test_leading_warm_round_starts_one_hop_downstream(self):
+        """Leading: shift, then compute, so a chunk's home rank adds its
+        mark last.  Warm, the accumulator's first hop is zeros made at
+        ring position 1 — each rank receives every chunk's values but its
+        upstream neighbour's — and every chunk still comes home with all
+        marks, bitwise what the cold round brought."""
+        results, profiles = _rounds(lambda rank, k: np.zeros(16), leading=True)
+        for rank, (seen, home) in enumerate(results):
+            cold = [s for s in seen if s[0] == 0]
+            warm = [s for s in seen if s[0] == 1]
+            assert [c[1:] for c in cold] == [w[1:] for w in warm]
+            assert [c[2][0] // 100 for c in cold] == [
+                (rank + t + 1) % RING for t in range(RING)
+            ]
+            marks = float(sum(range(1, RING + 1)))
+            assert home == [[marks] * _nnz(rank)] * 2
+        chunk = sum(_nnz(rank) for rank in range(RING))
+        for rank, prof in enumerate(profiles):
+            ctr = prof.counters[Phase.PROPAGATION]
+            upstream = _nnz((rank + 1) % RING)
+            assert ctr.words_received == (
+                2 * 4 * RING + 3 * chunk + chunk - upstream
+            )
+            assert ctr.messages_received == 2 * RING + RING + RING - 1
 
     def test_entry_is_warm_once_complete_for_its_own_home_chunk(self):
         memo = CarriedCoords()

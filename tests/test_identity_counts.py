@@ -11,7 +11,12 @@ as the software-pipelined schedule's last commit measured them, with
 moved no word.  Five dense-family cells were re-pinned lower once, in
 both ``overlap`` entries, when kernel outputs became transient: a side a
 call wrote then holds its bound input again, so a later call's fiber
-replication of it reuses the stored panel.
+replication of it reuses the stored panel.  The chunk-ring cells
+(``1.5d-sparse-shift``, ``2.5d-dense-replicate``) were re-pinned lower
+once, in their warm calls only, when a warm chunk round stopped making
+its L-th value shift: an SpMM's values no longer travel the last hop
+home, an SDDMM's zero accumulator no longer travels the first.  The
+``overlap="on"`` entries' messages moved by the same amount.
 
 Since then ``overlap=`` is accepted and ignored, so every cell must move
 exactly its committed words, and exactly the messages of its committed

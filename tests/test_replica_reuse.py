@@ -10,8 +10,8 @@ slot since.  Covered here:
 * warm calls on every family x comm move exactly the cold words
   minus the replication words minus each unchanged side's need-list
   gather (2.5D sparse-replicate, ``comm="sparse"``) minus the coordinates
-  of every circulating chunk (tests/test_carried_coords.py), in fewer
-  messages,
+  of every circulating chunk and one hop of its values
+  (tests/test_carried_coords.py), in fewer messages,
   bitwise equal to the cold call, with one ``replica_hits`` per rank per
   reused replica or panel in ``Session.metrics()``;
 * ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB re-gathers
@@ -146,13 +146,15 @@ ROUNDS = {
 }
 
 
-def _coordinate_words(sess, S, kernel):
-    """Rank-summed coordinate words a cold call of ``kernel`` moves — two
-    per nonzero of every chunk a rank receives — and a warm one does not
-    (``CarriedCoords``); zero where S does not circulate."""
+def _chunk_words_saved(sess, S, kernel):
+    """Rank-summed chunk words a cold call of ``kernel`` moves and a warm
+    one does not: the coordinates — two per nonzero of every chunk a rank
+    receives (``CarriedCoords``) — and the values of the hop a warm round
+    saves; zero where S does not circulate."""
     assert sess.explain().layout == "natural"
-    nnz = chunk_round_traffic(sess.alg, S, R)
-    return 2 * nnz * ROUNDS[kernel]
+    cold = chunk_round_traffic(sess.alg, S, R)
+    warm = chunk_round_traffic(sess.alg, S, R, warm=True)
+    return (3 * cold - warm) * ROUNDS[kernel]
 
 
 def _panel_words(sess, S, sides):
@@ -178,7 +180,7 @@ class TestWarmCalls:
         S, A, B = problem
         with _plan(S, family, comm, elision) as sess:
             skipped = _panel_words(sess, S, panels)
-            skipped += _coordinate_words(sess, S, kernel)
+            skipped += _chunk_words_saved(sess, S, kernel)
             cold_out, cold, cold_repl = _call(sess, kernel, A, B)
             for _ in range(2):
                 warm_out, warm, warm_repl = _call(sess, kernel, A, B)
@@ -611,13 +613,13 @@ class TestRecovery:
         "family,kernel,fault,failing_call",
         [
             # call 1 ships whole chunks; from call 2 on only their values
-            # travel, on their own channel: each rank sends n_layer = 4
-            # value arrays per round, two rounds per call, so index 7 is
+            # travel, on their own channel: each rank sends n_layer - 1 = 3
+            # value arrays per round, two rounds per call, so index 5 is
             # call 2's last value shift (its receiver waits out the
-            # deadline; an earlier one would hand it the next phase's
+            # deadline; an earlier one would hand it the next shift's
             # values, which the carried coordinates' length check catches)
             ("1.5d-sparse-shift", "fusedmm_b",
-             FaultSpec("drop", rank=0, tag=TAG_SHIFT_SV, index=7), 1),
+             FaultSpec("drop", rank=0, tag=TAG_SHIFT_SV, index=5), 1),
             # call 1's fiber gather of A: one fiber stores, the other
             # times out; the retry rebinds A, so every source is new
             ("1.5d-sparse-shift", "fusedmm_b",

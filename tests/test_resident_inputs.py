@@ -16,13 +16,10 @@ operands scatters nothing and reads exactly what a fresh session would.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
 import repro
-from repro.algorithms.base import DistributedAlgorithm
 from repro.algorithms.registry import ALGORITHMS
 from repro.apps.als import DistributedALS
 from repro.apps.gat import DistributedGAT
@@ -45,31 +42,6 @@ CASES = [
     for name, comm in FAMILY_COMMS
     for elision in ALGORITHMS[name].elisions
 ]
-
-
-@pytest.fixture
-def readonly_binds():
-    """A context manager under which ``bind_dense`` marks every block it
-    binds read-only; it yields the list of blocks frozen so far."""
-    bind = DistributedAlgorithm.bind_dense
-
-    @contextmanager
-    def frozen():
-        blocks = []
-
-        def bind_dense(self, plan, locals_, A, B):
-            bind(self, plan, locals_, A, B)
-            for loc in locals_:
-                for block in (loc.A, loc.B):
-                    if block is not None and block.flags.writeable:
-                        block.flags.writeable = False
-                        blocks.append(block)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DistributedAlgorithm, "bind_dense", bind_dense)
-            yield blocks
-
-    return frozen
 
 
 def _five_kernels(name, comm, elision, S, A, B, A2):
