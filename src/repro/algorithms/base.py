@@ -48,7 +48,7 @@ TAG_APP = 30
 
 #: sentinel for ``bind_dense``: leave this dense side's resident blocks
 #: untouched (the session's skip-rebind fast path for operands that are
-#: bitwise unchanged since the last bind and not dirtied by any kernel)
+#: bitwise unchanged since the last bind)
 KEEP = object()
 
 
@@ -366,8 +366,12 @@ class DistributedAlgorithm:
         session can run many kernels against the same resident sparse
         state — and :data:`KEEP` leaves a side untouched.  Every bound
         block is a fresh C-contiguous array that never aliases the
-        caller's operand.  Cheap relative to :meth:`distribute_sparse`
-        (pure dense slicing, no COO partitioning).
+        caller's operand, and is read-only: a rank procedure replaces a
+        resident block, and an in-place write raises, so the blocks a
+        call was dispatched with are intact for a retry, for the session
+        to put back and for the replica memo keyed on them.  Cheap
+        relative to :meth:`distribute_sparse` (pure dense slicing, no COO
+        partitioning).
         """
         sides = [
             (side, X, nrows)
@@ -389,6 +393,7 @@ class DistributedAlgorithm:
                         # basic slicing views the operand (an integer row
                         # array already gathered into a fresh C panel)
                         block = block.copy()
+                block.flags.writeable = False
                 setattr(loc, side.upper(), block)
 
     def _collect_dense(self, plan, locals_, side: str, nrows: int) -> np.ndarray:

@@ -191,13 +191,15 @@ class NumbaKernels:
         out1 = np.zeros(1)
         out2 = np.zeros((1, 2))
         indptr = np.array([0, 1], dtype=np.int64)
-        # a fiber replica reaches the kernels read-only (BufferPool.replica),
-        # which numba types apart from a writeable array
+        # a fiber replica (BufferPool.replica) and a bound dense block
+        # (bind_dense) reach the kernels read-only, in either operand
+        # position, which numba types apart from a writeable array
         ro = np.zeros((1, 2))
         ro.flags.writeable = False
         for panel in (M, ro):
-            _sddmm_dots_add(panel, M, idx, idx, out1)
-            _sddmm_gat_score(panel, M, idx, idx, vec, vec, 0.2, out1)
+            for other in (M, ro):
+                _sddmm_dots_add(panel, other, idx, idx, out1)
+                _sddmm_gat_score(panel, other, idx, idx, vec, vec, 0.2, out1)
             _spmm_csr_add(indptr, idx, val, panel, out2)
         _gat_edge_scores(val, val, idx, idx, 0.2, out1)
         self._warmed = True

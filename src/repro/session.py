@@ -127,10 +127,11 @@ class Session:
     method scatters only its dense operands, runs the SPMD kernel on the
     resident sparse distribution, gathers the output and returns
     ``(output, RunReport)``.  Reports accumulate across calls until
-    :meth:`reset_profile`.  A kernel's output is transient: once the call
-    returns or raises, the side it wrote holds its bound input again (an
-    SpMM's output side, its pre-call blocks), so a repeated call on
-    bitwise-unchanged operands scatters nothing (:attr:`dense_bind_counts`).
+    :meth:`reset_profile`.  A call's output is transient: once a kernel or
+    :meth:`run_rank` call returns or raises, every rank holds the blocks
+    it was bound again (an output side, its pre-call blocks), so a
+    repeated call on bitwise-unchanged operands scatters nothing
+    (:attr:`dense_bind_counts`).
 
     The session owns a :class:`~repro.runtime.spmd.WorkerPool` for its
     lifetime: ``p`` resident rank threads spawn on the first kernel call
@@ -207,13 +208,11 @@ class Session:
         self._pool: Optional[WorkerPool] = None
         self._ctx_lock = threading.Lock()
         self._context_builds: Dict[bool, int] = {}
-        # dense-operand dirty tracking (skip-rebind): per orientation and
-        # side, a private snapshot of the last scattered operand; None
-        # when a run_rank procedure may have overwritten its blocks (a
-        # kernel call puts them back).  ``_bind_miss`` counts consecutive
-        # snapshot-compare misses — a side that changes on every call stops
-        # being tracked (no compare, no snapshot upkeep) until a run_rank
-        # dirties it again.
+        # skip-rebind: per orientation and side, a private snapshot of the
+        # last scattered operand, true for the session's life (bound blocks
+        # are read-only and every call puts them back).  ``_bind_miss``
+        # counts consecutive snapshot-compare misses — a side that changes
+        # on every call retires (None: no compare, no snapshot upkeep).
         self._dense_state: Dict[bool, Dict[str, Optional[np.ndarray]]] = {}
         self._bind_miss: Dict[bool, Dict[str, int]] = {}
         #: actual dense scatters / skipped rebinds per plan side ("a"/"b")
@@ -463,30 +462,26 @@ class Session:
             self._context_builds[transpose] = self._context_builds.get(transpose, 0) + 1
 
     # ------------------------------------------------------------------
-    # dense-operand binding: dirty tracking + skip-rebind
+    # dense-operand binding: skip-rebind
     # ------------------------------------------------------------------
 
-    def _bind_arg(self, transpose: bool, side: str, X, overwritten: bool = False):
+    def _bind_arg(self, transpose: bool, side: str, X):
         """Decide whether one dense side actually needs scattering.
 
-        An input side is *skipped* (returns :data:`KEEP`) exactly when its
-        resident blocks still hold this operand: the previous bind
-        scattered a bitwise-equal array (checked against a private
-        snapshot, so in-place caller mutations are detected) and no
-        :meth:`run_rank` since then may have overwritten it.  A kernel's
-        output side (``X is None``) gets fresh zero blocks for the call and
-        its pre-call blocks back after it (:meth:`_call`), so its snapshot
-        stays true and is left alone; a :data:`KEEP` side (one
-        :meth:`run_rank` was not given) stays as it is.
+        An input side is *skipped* (returns :data:`KEEP`) exactly when the
+        previous bind scattered a bitwise-equal array (checked against a
+        private snapshot, so in-place caller mutations are detected): its
+        resident blocks still hold it, since they are read-only and every
+        call puts them back (:meth:`_call`).  An output side (``X is
+        None``) gets fresh zero blocks for the call and its pre-call
+        blocks back after it, so its snapshot is left alone; a
+        :data:`KEEP` side (one :meth:`run_rank` was not given) stays as it
+        is.
 
         The tracking pays one full-array compare plus a snapshot copy per
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
         in a row evidently changes every call, so its tracking is retired
-        (plain scatters, zero upkeep) until a :meth:`run_rank` dirties
-        the side.  A side a rank procedure may overwrite (``overwritten``)
-        is still compared against a snapshot that exists, but gets no new
-        one: :meth:`_mark_dense_dirty` would drop it before any bind
-        could match it.
+        for the session's life (plain scatters, zero upkeep).
         """
         if X is KEEP or X is None:
             return X
@@ -498,35 +493,19 @@ class Session:
             misses[side] = 0
             self.dense_bind_skips[side] += 1
             return KEEP
-        if not overwritten:
-            if comparable:
-                misses[side] += 1
-                if misses[side] >= self._BIND_MISS_LIMIT:
-                    state[side] = None  # retire tracking: this side never repeats
-                else:
-                    np.copyto(snap, X)  # reuse the snapshot buffer, no realloc
-            elif misses[side] < self._BIND_MISS_LIMIT:
-                state[side] = np.array(X, dtype=np.float64, copy=True)
+        if comparable:
+            misses[side] += 1
+            if misses[side] >= self._BIND_MISS_LIMIT:
+                state[side] = None  # retire tracking: this side never repeats
+            else:
+                np.copyto(snap, X)  # reuse the snapshot buffer, no realloc
+        elif misses[side] < self._BIND_MISS_LIMIT:
+            state[side] = np.array(X, dtype=np.float64, copy=True)
         self.dense_bind_counts[side] += 1
         return X
 
     #: consecutive snapshot-compare misses before a side's tracking retires
     _BIND_MISS_LIMIT = 3
-
-    def _mark_dense_dirty(self, transpose: bool, sides: str) -> None:
-        """Invalidate snapshots for the sides a :meth:`run_rank` procedure
-        may have overwritten (``sides`` is ``"ab"``, or ``""`` for a
-        kernel call, which dirties nothing).  A dirty event also re-arms
-        retired tracking — the workload's bind pattern evidently
-        changed."""
-        state = self._dense_state.get(transpose)
-        if state is not None:
-            for side in sides:
-                state[side] = None
-        misses = self._bind_miss.get(transpose)
-        if misses is not None:
-            for side in sides:
-                misses[side] = 0
 
     # ------------------------------------------------------------------
     # SPMD dispatch (graceful degradation)
@@ -540,10 +519,10 @@ class Session:
         The pool re-runs a runtime-fault death up to ``retries`` times;
         returns the re-runs a successful run used.  After each failed
         attempt ``restore`` puts the dispatched blocks back into every
-        rank's local (resident blocks are replaced, never written in place,
-        so the skip-rebind snapshots stay true) and drops every context (a
-        failed item may have interrupted a collective build) and every
-        rank's fiber replicas (some ranks of a fiber may hold one, some not).
+        rank's local (they are read-only, so intact) and drops every
+        context (a failed item may have interrupted a collective build)
+        and every rank's fiber replicas (some ranks of a fiber may hold
+        one, some not).
         ``degraded=True`` forces the dense communication path even on a
         sparse-comm session (the graceful degradation re-run — see
         :meth:`_run_recovering`).
@@ -633,38 +612,35 @@ class Session:
         return "ok", 0
 
     def _call(
-        self, transpose: bool, A, B, dirty: str, call, collect: Tuple[str, ...],
-        label: str, run,
+        self, transpose: bool, A, B, call, collect: Tuple[str, ...], label: str, run,
     ):
         """The one call body behind the five kernels and :meth:`run_rank`:
         bind ``A`` / ``B`` (in the orientation's plan shape) → dispatch and
         wait → collect each of ``collect`` (``"a"``, ``"b"``, ``"sddmm"``),
         then exactly one :meth:`metrics` record, failed calls included.
         ``run(ori, call, label)`` dispatches and returns ``(outcome,
-        retries_used)``.  ``dirty`` names the plan sides left as the
-        procedure left them (``"ab"`` from :meth:`run_rank`); whether it
-        returns or raises, every other side gets back its bound input or,
-        for an output side (``None``), its pre-call blocks, so a kernel's
-        output is transient and its snapshots stay true."""
+        retries_used)``.  Whether it returns or raises, every side gets
+        back its bound or kept blocks or, for an output side (``None``),
+        its pre-call blocks, so a call's output is transient and the
+        skip-rebind snapshots stay true."""
         t0 = time.perf_counter()
         alg = self._alg
         ori = self._orientation(transpose)
         # only an output side's pre-call blocks are held; bind_dense frees
-        # an input side's as it replaces them, never writing one in place,
+        # an input side's as it replaces them, and binds read-only blocks,
         # so the blocks a call is dispatched with stay intact to put back
         held = [
             (loc.A if A is None else None, loc.B if B is None else None)
             for loc in ori.locals_
         ]
-        A = self._bind_arg(transpose, "a", A, "a" in dirty)
-        B = self._bind_arg(transpose, "b", B, "b" in dirty)
+        A = self._bind_arg(transpose, "a", A)
+        B = self._bind_arg(transpose, "b", B)
         if A is not KEEP or B is not KEEP:
             alg.bind_dense(ori.plan, ori.locals_, A, B)
         kept = [
             (a if A is None else loc.A, b if B is None else loc.B)
             for loc, (a, b) in zip(ori.locals_, held)
         ]
-        self._mark_dense_dirty(transpose, dirty)
         outcome, retries = "failed", 0
         try:
             outcome, retries = run(ori, call, label)
@@ -683,8 +659,7 @@ class Session:
             raise
         finally:
             for loc, (a, b) in zip(ori.locals_, kept):
-                loc.A = loc.A if "a" in dirty else a
-                loc.B = loc.B if "b" in dirty else b
+                loc.A, loc.B = a, b
             # wall_ms spans bind -> collect
             self._record_call(label, t0, outcome, retries)
 
@@ -719,8 +694,8 @@ class Session:
             if collect_sddmm or not side:
                 collect += ("sddmm",)
             return self._call(
-                transpose, A, B, "", partial(method, **kernel_kwargs), collect,
-                label, self._run_recovering,
+                transpose, A, B, partial(method, **kernel_kwargs), collect, label,
+                self._run_recovering,
             )
 
     def sddmm(
@@ -788,10 +763,13 @@ class Session:
         dense blocks of that side, reassembled) or ``"sddmm"`` (the
         ranks' SDDMM output, in ``S``'s coordinates); ``None`` returns no
         output.  Returns ``(output, report)`` and records one
-        :meth:`metrics` entry.  ``proc`` may overwrite either dense side,
-        in place too, so both are dirty afterwards, and it is never
-        re-run: a procedure mutates rank-resident state as it goes, so a
-        failure surfaces at once, without retries or degradation.
+        :meth:`metrics` entry.  ``proc`` replaces a dense block, never
+        writes one in place (bound blocks are read-only), and the blocks
+        it leaves last only until the call's collect: afterwards every
+        rank holds its bound or kept blocks again, as after a kernel call.
+        It is never re-run: a procedure may mutate other rank-resident
+        state as it goes, so a failure surfaces at once, without retries
+        or degradation.
         """
         with self._exclusive():
             self._check_open()
@@ -801,7 +779,7 @@ class Session:
             A = KEEP if A is None else self._check_dense(A, "A", m)
             B = KEEP if B is None else self._check_dense(B, "B", n)
             *outs, report = self._call(
-                transpose, A, B, "ab", proc, (collect,) if collect else (), label,
+                transpose, A, B, proc, (collect,) if collect else (), label,
                 self._run_once,
             )
             return (outs[0] if outs else None), report

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
-from repro.algorithms.base import DistributedAlgorithm
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
 
@@ -47,33 +44,6 @@ def require_world_size(backend, p):
     size = mpi_world_size()
     if size != p:
         pytest.skip(f"backend 'mpi' needs mpirun -n {p}, running under -n {size}")
-
-
-@pytest.fixture
-def readonly_binds():
-    """A context manager under which ``bind_dense`` marks every block it
-    binds read-only; it yields the list of blocks frozen so far.  A kernel
-    that wrote into a bound block — what a retry would then re-read —
-    raises instead."""
-    bind = DistributedAlgorithm.bind_dense
-
-    @contextmanager
-    def frozen():
-        blocks = []
-
-        def bind_dense(self, plan, locals_, A, B):
-            bind(self, plan, locals_, A, B)
-            for loc in locals_:
-                for block in (loc.A, loc.B):
-                    if block is not None and block.flags.writeable:
-                        block.flags.writeable = False
-                        blocks.append(block)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DistributedAlgorithm, "bind_dense", bind_dense)
-            yield blocks
-
-    return frozen
 
 
 @pytest.fixture

@@ -16,7 +16,12 @@ replication of it reuses the stored panel.  The chunk-ring cells
 once, in their warm calls only, when a warm chunk round stopped making
 its L-th value shift: an SpMM's values no longer travel the last hop
 home, an SDDMM's zero accumulator no longer travels the first.  The
-``overlap="on"`` entries' messages moved by the same amount.
+``overlap="on"`` entries' messages moved by the same amount.  Two cells
+moved lower once more, in one call each, when ``run_rank`` calls became
+transient like kernel calls: a sibling call leaves its bound blocks
+resident, so the next call on the same operands skips its binds and its
+fiber replication (dense shift) or need-list ring gather (2.5D sparse
+replicate) reuses the stored panel.
 
 Since then ``overlap=`` is accepted and ignored, so every cell must move
 exactly its committed words, and exactly the messages of its committed

@@ -551,6 +551,28 @@ class TestNumbaEquivalence:
         b = sddmm_custom(A, B, rows, cols, op, profile=nb_prof)
         np.testing.assert_allclose(a, b, **TOL)
 
+    def test_read_only_operands_are_warmed_up(self, profs, coords):
+        """Bound dense blocks reach the SDDMM kernels read-only in either
+        operand position: the warm-up compiled every combination, so a
+        call compiles nothing and matches the writeable operands."""
+        import repro.kernels.backend_numba as bn
+
+        np_prof, nb_prof = profs
+        _, _, rows, cols, A, B = coords
+        A_ro, B_ro = A.copy(), B.copy()
+        A_ro.flags.writeable = B_ro.flags.writeable = False
+        op = GatScoreOp(np.ones(A.shape[1]), np.ones(B.shape[1]), 0.2)
+        kernels = (bn._sddmm_dots_add, bn._sddmm_gat_score)
+        compiled = [len(k.signatures) for k in kernels]
+        want = sddmm_coo(A, B, rows, cols, profile=np_prof)
+        want_gat = sddmm_custom(A, B, rows, cols, op, profile=np_prof)
+        for X, Y in ((A_ro, B), (A, B_ro), (A_ro, B_ro)):
+            got = sddmm_coo(X, Y, rows, cols, profile=nb_prof)
+            np.testing.assert_allclose(got, want, **TOL)
+            got = sddmm_custom(X, Y, rows, cols, op, profile=nb_prof)
+            np.testing.assert_allclose(got, want_gat, **TOL)
+        assert [len(k.signatures) for k in kernels] == compiled
+
     # -- end to end ----------------------------------------------------
 
     def test_session_end_to_end(self, small_problem):

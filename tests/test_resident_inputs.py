@@ -3,18 +3,23 @@
 A retried call re-runs from the blocks it was dispatched with: the worker
 pool's failure hook puts each rank's ``A`` / ``B`` references back
 (``Session._dispatch``) instead of scattering the operands again.  That is
-only right while no kernel writes into a bound block, so here every block
-``bind_dense`` binds is marked read-only — an in-place write raises — and
-the outputs must be bitwise those of the unwrapped run: all five kernels
-on every family x comm, one ALS run and one GAT forward pass.
+only right while no rank procedure writes into a bound block, so
+``bind_dense`` marks every block it binds read-only — an in-place write
+raises.  Covered here: all five kernels on every family x comm, whose
+outputs are bitwise a fresh session's, one ALS run and one GAT forward
+pass; after each, every resident ``A`` / ``B`` of every orientation is
+still read-only.
 
-The same invariant makes a kernel's output transient: once a kernel call
-returns or raises, the side it wrote gets its bound input back (an SpMM's
-output side, its pre-call blocks), so the next kernel on the same
-operands scatters nothing and reads exactly what a fresh session would.
+The same invariant makes every call's output transient: once a kernel or
+``run_rank`` call returns or raises, each side holds its bound input
+again (an SpMM's output side, its pre-call blocks), so the next call on
+the same operands scatters nothing and reads exactly what a fresh session
+would.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from repro.apps.gat import DistributedGAT
 from repro.runtime.faults import FaultPlan
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
-from repro.types import Elision
+from repro.types import Elision, Mode
 from tests.conftest import make_problem
 
 FAMILY_COMMS = [
@@ -44,38 +49,40 @@ CASES = [
 ]
 
 
-def _five_kernels(name, comm, elision, S, A, B, A2):
-    outs = []
-    with repro.plan(
-        S, A.shape[1], p=8, c=2, algorithm=name, comm=comm, elision=elision,
-    ) as sess:
-        # a repeat (skip-rebind, replica reuse), then a changed operand
-        for X in (A, A, A2):
-            outs.append(sess.sddmm(X, B)[0].vals)
-            outs.append(sess.spmm_a(B)[0])
-            outs.append(sess.spmm_b(X)[0])
-            outs.append(sess.fusedmm_a(X, B)[0])
-            outs.append(sess.fusedmm_b(X, B)[0])
-    return outs
-
-
-@pytest.mark.parametrize(
-    "name,comm,elision", CASES, ids=[f"{n}/{c}/{e.value}" for n, c, e in CASES]
-)
-def test_five_kernels_never_write_a_bound_block(
-    readonly_binds, name, comm, elision
-):
-    S, A, B = make_problem(48, 40, 8, 4, seed=3)
-    A2 = np.random.default_rng(4).standard_normal(A.shape)
-    want = _five_kernels(name, comm, elision, S, A, B, A2)
-    with readonly_binds() as blocks:
-        got = _five_kernels(name, comm, elision, S, A, B, A2)
+def _assert_frozen(sess):
+    """Every resident ``A`` / ``B`` block of every orientation is
+    read-only."""
+    blocks = [
+        block
+        for ori in sess._orients.values()
+        for loc in ori.locals_
+        for block in (loc.A, loc.B)
+        if block is not None
+    ]
     assert blocks
-    for w, g in zip(want, got):
-        np.testing.assert_array_equal(w, g)
+    assert not any(block.flags.writeable for block in blocks)
 
 
-KERNELS = {
+@pytest.fixture
+def frozen_at_close(monkeypatch):
+    """Checks every session the test closes with :func:`_assert_frozen`
+    first; returns the list of sessions checked."""
+    checked = []
+    close = repro.Session.close
+
+    def checking_close(self):
+        try:
+            if not self.closed:
+                _assert_frozen(self)
+                checked.append(self)
+        finally:
+            close(self)
+
+    monkeypatch.setattr(repro.Session, "close", checking_close)
+    return checked
+
+
+FIVE = {
     "sddmm": lambda s, A, B: s.sddmm(A, B)[0].vals,
     "spmm_a": lambda s, A, B: s.spmm_a(B)[0],
     "spmm_b": lambda s, A, B: s.spmm_b(A)[0],
@@ -87,42 +94,78 @@ KERNELS = {
 @pytest.mark.parametrize(
     "name,comm,elision", CASES, ids=[f"{n}/{c}/{e.value}" for n, c, e in CASES]
 )
-def test_a_kernel_leaves_its_inputs_resident(readonly_binds, name, comm, elision):
+def test_five_kernels_never_write_a_bound_block(name, comm, elision):
+    S, A, B = make_problem(48, 40, 8, 4, seed=3)
+    A2 = np.random.default_rng(4).standard_normal(A.shape)
+    knobs = dict(p=8, c=2, algorithm=name, comm=comm, elision=elision)
+    want = {}
+    for X in (A, A2):
+        for kernel, run in FIVE.items():
+            with repro.plan(S, A.shape[1], **knobs) as fresh:
+                want[kernel, X is A2] = run(fresh, X, B)
+    with repro.plan(S, A.shape[1], **knobs) as sess:
+        # a repeat (skip-rebind, replica reuse), then a changed operand
+        for X in (A, A, A2):
+            for kernel, run in FIVE.items():
+                np.testing.assert_array_equal(run(sess, X, B), want[kernel, X is A2])
+        _assert_frozen(sess)
+
+
+#: the five kernels, and two ``run_rank`` calls: a forward SDDMM and an
+#: SpMMA on the transposed sibling ``(S.T, B, A)``
+KERNELS = {
+    **FIVE,
+    "run_rank/sddmm": lambda s, A, B: s.run_rank(
+        partial(s.alg.rank_kernel, mode=Mode.SDDMM), A, B, collect="sddmm",
+    )[0].vals,
+    "run_rank/sibling-spmm_a": lambda s, A, B: s.run_rank(
+        partial(s.alg.rank_kernel, mode=Mode.SPMM_A), B, A, transpose=True,
+        collect="a",
+    )[0],
+}
+
+
+@pytest.mark.parametrize(
+    "name,comm,elision", CASES, ids=[f"{n}/{c}/{e.value}" for n, c, e in CASES]
+)
+def test_a_kernel_leaves_its_inputs_resident(name, comm, elision):
     S, A, B = make_problem(48, 40, 8, 4, seed=3)
     knobs = dict(p=8, c=2, algorithm=name, comm=comm, elision=elision)
     want = {}
     for kernel, run in KERNELS.items():
         with repro.plan(S, A.shape[1], **knobs) as fresh:
             want[kernel] = run(fresh, A, B)
-    with readonly_binds() as blocks, repro.plan(S, A.shape[1], **knobs) as sess:
+    with repro.plan(S, A.shape[1], **knobs) as sess:
         for run in KERNELS.values():  # binds each orientation's sides once
             run(sess, A, B)
         binds = dict(sess.dense_bind_counts)
-        # after each kernel, every kernel on the same operands scatters
+        # after each call, every call on the same operands scatters
         # nothing and reads what a fresh session reads
         for first, run_first in KERNELS.items():
             np.testing.assert_array_equal(run_first(sess, A, B), want[first])
             for kernel, run in KERNELS.items():
                 np.testing.assert_array_equal(run(sess, A, B), want[kernel])
                 assert sess.dense_bind_counts == binds, (first, kernel)
-    assert blocks
+        _assert_frozen(sess)
     # a call that raises leaves them resident too: the crash fires on the
     # first call's first computation (and on a sparse-comm session's
-    # degraded re-run), the repeat skips every bind
-    times = 2 if comm == "sparse" else 1
-    with readonly_binds():
-        for kernel, run in KERNELS.items():
-            faults = FaultPlan.crash_at(site="computation", rank=0, times=times)
-            with repro.plan(S, A.shape[1], faults=faults, **knobs) as sess:
-                with pytest.raises(RuntimeError):
-                    run(sess, A, B)
-                binds = dict(sess.dense_bind_counts)
-                np.testing.assert_array_equal(run(sess, A, B), want[kernel])
-                assert sess.dense_bind_counts == binds, kernel
-                assert [rec["outcome"] for rec in sess.metrics()] == ["failed", "ok"]
+    # degraded re-run of a kernel; run_rank fails fast), the repeat skips
+    # every bind
+    for kernel, run in KERNELS.items():
+        degrades = comm == "sparse" and kernel in FIVE
+        faults = FaultPlan.crash_at(
+            site="computation", rank=0, times=2 if degrades else 1
+        )
+        with repro.plan(S, A.shape[1], faults=faults, **knobs) as sess:
+            with pytest.raises(RuntimeError):
+                run(sess, A, B)
+            binds = dict(sess.dense_bind_counts)
+            np.testing.assert_array_equal(run(sess, A, B), want[kernel])
+            assert sess.dense_bind_counts == binds, kernel
+            assert [rec["outcome"] for rec in sess.metrics()] == ["failed", "ok"]
 
 
-def test_als_never_writes_a_bound_block(readonly_binds):
+def test_als_never_writes_a_bound_block(frozen_at_close):
     rng = np.random.default_rng(0)
     m, n, r = 60, 48, 4
     pat = erdos_renyi(m, n, 8, seed=1)
@@ -138,27 +181,25 @@ def test_als_never_writes_a_bound_block(readonly_binds):
         return als.run(C, r, outer_iters=2, seed=9)
 
     want = run()
-    with readonly_binds() as blocks:
-        got = run()
-    assert blocks
+    got = run()
+    assert len(frozen_at_close) == 2
     np.testing.assert_array_equal(want.A, got.A)
     np.testing.assert_array_equal(want.B, got.B)
     assert want.loss_history == got.loss_history
 
 
-def test_gat_never_writes_a_bound_block(readonly_binds):
+def test_gat_never_writes_a_bound_block(frozen_at_close):
     n = 64
     adj = erdos_renyi(n, n, 5, seed=4, values="ones")
     X = np.random.default_rng(5).standard_normal((n, 12))
 
     def forward():
-        gat = DistributedGAT(
+        with DistributedGAT(
             p=4, c=2, n_heads=2, r_in=12, r_head=6, elision=Elision.NONE, seed=5,
-        )
-        return gat.forward(adj, X).output
+        ) as gat:
+            return gat.forward(adj, X).output
 
     want = forward()
-    with readonly_binds() as blocks:
-        got = forward()
-    assert blocks
+    got = forward()
+    assert len(frozen_at_close) == 2
     np.testing.assert_array_equal(want, got)

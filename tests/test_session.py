@@ -434,12 +434,11 @@ class TestLifecycle:
 
 
 class TestDenseBindSkipping:
-    """Skip-rebind dirty tracking: unchanged dense operands are scattered
-    once, not per call.  A kernel's output is transient — the side it wrote
-    gets its bound input (or, for an SpMM's output side, its pre-call
-    blocks) back — so no kernel forces a rebind; only a ``run_rank``
-    procedure dirties both sides (counters: ``Session.dense_bind_counts``
-    / ``dense_bind_skips``)."""
+    """Skip-rebind: unchanged dense operands are scattered once, not per
+    call.  Every call's output is transient — after a kernel or a
+    ``run_rank`` call each side holds its bound input (or, for an SpMM's
+    output side, its pre-call blocks) again — so no call forces a rebind
+    (counters: ``Session.dense_bind_counts`` / ``dense_bind_skips``)."""
 
     def test_repeated_sddmm_binds_each_side_once(self, small_problem):
         S, A, B = small_problem
@@ -511,10 +510,10 @@ class TestDenseBindSkipping:
             compared = []  # did the cycling side's bind find a snapshot?
             bind_arg = sess._bind_arg
 
-            def spy(transpose, side, X, overwritten=False):
+            def spy(transpose, side, X):
                 if (transpose, side) == (True, "b"):
                     compared.append(sess._dense_state[True]["b"] is not None)
-                return bind_arg(transpose, side, X, overwritten)
+                return bind_arg(transpose, side, X)
 
             monkeypatch.setattr(sess, "_bind_arg", spy)
             for _ in range(5):
@@ -546,7 +545,8 @@ class TestDenseBindSkipping:
     def test_run_rank_binds_as_a_kernel_call_does(self, small_problem):
         """``run_rank`` binds through the kernels' skip-rebind: a side a
         kernel left resident is not scattered again, an omitted side keeps
-        its blocks, and the procedure dirties both sides."""
+        its blocks, and the call leaves both sides resident, as a kernel
+        call does."""
         S, A, B = small_problem
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal(A.shape)
@@ -566,9 +566,9 @@ class TestDenseBindSkipping:
             out, _ = sess.run_rank(noop, collect="a")
             np.testing.assert_array_equal(out, x0)
             assert sess.dense_bind_counts == {"a": 2, "b": 1}
-            # a custom rank procedure may write anything: both sides dirty
+            # the procedure's blocks are put back: both sides skip
             sess.run_rank(noop, x0, B)
-            assert sess.dense_bind_counts == {"a": 3, "b": 2}
+            assert sess.dense_bind_counts == {"a": 2, "b": 1}
 
     def test_run_rank_validates_before_dispatch(self, small_problem):
         S, A, B = small_problem
@@ -802,9 +802,9 @@ class TestThreadSafety:
 
 class TestSkipRebindAfterFailure:
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
-        """A custom rank procedure dirties both dense sides, failing or
-        not: a bind may never be skipped against resident blocks a failed
-        ``run_rank`` half-overwrote in place."""
+        """Bound blocks are read-only: a rank procedure that tries to
+        overwrite them in place raises at the write, the blocks stay
+        intact, and the next call skips both binds against them."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift") as sess:
@@ -819,17 +819,17 @@ class TestSkipRebindAfterFailure:
                 ctx.comm.barrier(tag=77)
                 raise ValueError("post-clobber failure")
 
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="read-only"):
                 sess.run_rank(bad, label="clobber")
-            # the failed run_rank dirtied both sides: rebinding the *same*
-            # operands must NOT be skipped against the NaN-filled blocks
-            out, _ = sess.fusedmm_a(A, B)
-            assert np.isfinite(out).all()
+            binds = dict(sess.dense_bind_counts)
+            out, _ = sess.fusedmm_a(A, B)  # skips both binds
+            assert sess.dense_bind_counts == binds
             assert np.array_equal(want, out)
 
     def test_single_rank_failure_invalidates_snapshots_too(self, small_problem):
         """p=1 pools run the body inline, so the failure surfaces at
-        dispatch time — the procedure must still dirty both sides."""
+        dispatch time — the write still raises and the next call still
+        skips both binds."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=1, c=1,
                         algorithm="1.5d-dense-shift") as sess:
@@ -843,15 +843,16 @@ class TestSkipRebindAfterFailure:
                 local.B[:] = np.nan
                 raise ValueError("inline failure")
 
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="read-only"):
                 sess.run_rank(bad, label="clobber")
-            out, _ = sess.fusedmm_a(A, B)  # must rebind, not skip
-            assert np.isfinite(out).all()
+            binds = dict(sess.dense_bind_counts)
+            out, _ = sess.fusedmm_a(A, B)  # skips both binds
+            assert sess.dense_bind_counts == binds
             assert np.array_equal(want, out)
 
     def test_changing_operand_retires_tracking(self, small_problem):
         """A side that misses the snapshot compare on every bind stops
-        being tracked until a ``run_rank`` dirties it (no permanent upkeep for
+        being tracked for the session's life (no permanent upkeep for
         always-fresh operands) — and correctness is unaffected."""
         S, A, B = small_problem
         rng = np.random.default_rng(11)

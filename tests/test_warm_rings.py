@@ -10,7 +10,8 @@ families x every comm path x the five kernels x rings of
 ``L`` in {1, 2, 4, 9}, on one call sequence — cold, warm,
 ``update_values``, the other orientation, warm, then (thread backend) a
 warm call with a crashed rank under ``retries=1`` — with every bound
-block read-only, in whichever layout ``repro.plan`` resolves:
+block read-only (as ``bind_dense`` binds them), in whichever layout
+``repro.plan`` resolves:
 
 * every output is bitwise a fresh session's cold call on the same
   values and orientation;
@@ -136,7 +137,7 @@ def _assert_warm_lanes(sess, S, kernel, R):
     "family,comm,L", CELLS, ids=[f"{f}/{c}/L{L}" for f, c, L in CELLS]
 )
 def test_warm_rings_are_bitwise_and_make_l_minus_1_shifts(
-    readonly_binds, exec_backend, family, comm, L, kernel
+    exec_backend, family, comm, L, kernel
 ):
     p, c = GRIDS[family][L]
     require_world_size(exec_backend, p)
@@ -156,31 +157,30 @@ def test_warm_rings_are_bitwise_and_make_l_minus_1_shifts(
     per_call = len(modes) * L
     index = 4 * per_call + per_call // 2
     crash = FaultPlan([FaultSpec("crash", rank=0, site="propagation", index=index)])
-    with readonly_binds():
-        with repro.plan(S, R, **knobs) as fresh:
-            ref = run(fresh, A, B)
-        with repro.plan(S2, R, **knobs) as fresh:
-            ref2 = run(fresh, A, B)
-            ref2_sibling = _sibling(fresh, kernel, A, B)
+    with repro.plan(S, R, **knobs) as fresh:
+        ref = run(fresh, A, B)
+    with repro.plan(S2, R, **knobs) as fresh:
+        ref2 = run(fresh, A, B)
+        ref2_sibling = _sibling(fresh, kernel, A, B)
 
-        extra = dict(retries=1, faults=crash) if threads else {}
-        with repro.plan(S, R, **knobs, **extra) as sess:
-            assert np.array_equal(run(sess, A, B), ref)  # cold
-            sess.reset_profile()
-            assert np.array_equal(run(sess, A, B), ref)  # warm
-            _assert_warm_lanes(sess, S, kernel, R)
+    extra = dict(retries=1, faults=crash) if threads else {}
+    with repro.plan(S, R, **knobs, **extra) as sess:
+        assert np.array_equal(run(sess, A, B), ref)  # cold
+        sess.reset_profile()
+        assert np.array_equal(run(sess, A, B), ref)  # warm
+        _assert_warm_lanes(sess, S, kernel, R)
 
-            sess.update_values(vals)
-            assert np.array_equal(_sibling(sess, kernel, A, B), ref2_sibling)
-            sess.reset_profile()
-            assert np.array_equal(run(sess, A, B), ref2)  # still warm
-            _assert_warm_lanes(sess, S, kernel, R)
+        sess.update_values(vals)
+        assert np.array_equal(_sibling(sess, kernel, A, B), ref2_sibling)
+        sess.reset_profile()
+        assert np.array_equal(run(sess, A, B), ref2)  # still warm
+        _assert_warm_lanes(sess, S, kernel, R)
 
-            if threads:
-                # the crash drops every rank's context, carried coordinates
-                # with it: the retry is a cold round on every rank
-                assert np.array_equal(run(sess, A, B), ref2)
-                # the metrics since the last reset: calls 4 and 5
-                outcomes = [rec["outcome"] for rec in sess.metrics()]
-                assert outcomes == ["ok", "retried"]
-                assert len(crash.fired_log) == 1
+        if threads:
+            # the crash drops every rank's context, carried coordinates
+            # with it: the retry is a cold round on every rank
+            assert np.array_equal(run(sess, A, B), ref2)
+            # the metrics since the last reset: calls 4 and 5
+            outcomes = [rec["outcome"] for rec in sess.metrics()]
+            assert outcomes == ["ok", "retried"]
+            assert len(crash.fired_log) == 1
