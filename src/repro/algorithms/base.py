@@ -46,10 +46,12 @@ TAG_FIBER_RS = 21
 TAG_FIBER_AR = 22
 TAG_APP = 30
 
-#: sentinel for ``bind_dense``: leave this dense side's resident blocks
-#: untouched (the session's skip-rebind fast path for operands that are
-#: bitwise unchanged since the last bind)
-KEEP = object()
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: a resident block is replaced, never
+    written in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def concat_allgather(
@@ -217,14 +219,6 @@ def region(comm: Communicator, name: str, cat: str = "algorithm"):
     return tracer.region(name, cat)
 
 
-def _extent(index, n: int) -> int:
-    """Number of positions ``index`` (a slice or an integer array) selects
-    along an axis of length ``n``."""
-    if isinstance(index, slice):
-        return len(range(*index.indices(n)))
-    return len(index)
-
-
 def _operands(lanes: Sequence[Lane]) -> list:
     """The lanes' payloads as one flat argument list (tuples splatted)."""
     out: list = []
@@ -316,12 +310,12 @@ class DistributedAlgorithm:
         """Partition the sparse operand per the family's Table II layout.
 
         Returns the per-rank local-state list with all sparse blocks,
-        reassembly metadata (``gidx``) and layout maps populated.  The
-        dense blocks are empty placeholders until :meth:`bind_dense` runs
-        (every kernel call binds before launching, so no zero blocks are
-        materialized at plan time).  Run **once** per resident
-        distribution; repeated kernel calls only rebind the dense
-        operands.
+        reassembly metadata (``gidx``) and layout maps populated, every
+        resident sparse value array read-only (replaced, never written in
+        place, so it circulates as it is: the transport copies on send).
+        The dense blocks are empty placeholders until a call binds them as
+        inputs.  Run **once** per resident distribution; repeated kernel
+        calls only rebind the dense operands.
         """
         raise NotImplementedError
 
@@ -334,6 +328,17 @@ class DistributedAlgorithm:
         ``loc``'s rank holds at the start of a kernel call.
         """
         raise NotImplementedError
+
+    def piece_shape(self, plan, loc, side: str) -> Tuple[int, int]:
+        """The shape of :meth:`piece_index`'s piece: what a rank procedure
+        sizes a pure output from (a side no call has bound yet is an
+        empty placeholder, one an earlier call bound holds that call's
+        operand)."""
+        nrows = plan.m if side == "a" else plan.n
+        return tuple(
+            len(range(*index.indices(n))) if isinstance(index, slice) else len(index)
+            for index, n in zip(self.piece_index(plan, loc, side), (nrows, plan.r))
+        )
 
     def dense_index(self, plan, loc, side: str) -> Tuple[Any, Any]:
         """Where :meth:`piece_index` lives in the *caller's* operand.
@@ -359,42 +364,33 @@ class DistributedAlgorithm:
         self._row_orders[id(plan)] = (plan, {"a": a, "b": b})
 
     def bind_dense(self, plan, locals_, A, B) -> None:
-        """(Re)scatter the dense operands into ``locals_`` in place.
+        """Scatter the given dense operands into ``locals_`` in place.
 
-        ``None`` operands (pure outputs) become fresh zero blocks — this
-        also resets output blocks a previous kernel call overwrote, so a
-        session can run many kernels against the same resident sparse
-        state — and :data:`KEEP` leaves a side untouched.  Every bound
-        block is a fresh C-contiguous array that never aliases the
-        caller's operand, and is read-only: a rank procedure replaces a
-        resident block, and an in-place write raises, so the blocks a
-        call was dispatched with are intact for a retry, for the session
-        to put back and for the replica memo keyed on them.  Cheap
-        relative to :meth:`distribute_sparse` (pure dense slicing, no COO
+        A ``None`` operand leaves that side's resident blocks untouched: a
+        call binds only its inputs, and a rank procedure sizes a pure
+        output from the plan (:meth:`piece_shape`).  Every bound block is
+        a fresh C-contiguous array that never aliases the caller's
+        operand, and is read-only: a rank procedure replaces a resident
+        block, and an in-place write raises, so the blocks a call was
+        dispatched with are intact for a retry, for the session to put
+        back and for the replica memo keyed on them.  Cheap relative to
+        :meth:`distribute_sparse` (pure dense slicing, no COO
         partitioning).
         """
-        sides = [
-            (side, X, nrows)
-            for side, X, nrows in (("a", A, plan.m), ("b", B, plan.n))
-            if X is not KEEP
-        ]
+        sides = [(side, X) for side, X in (("a", A), ("b", B)) if X is not None]
         # rank by rank, A then B: interleaving the two sides' blocks keeps a
         # side that is rebound every call from sitting alone at the top of
         # the heap, where freeing it trims the heap and the next bind
         # page-faults every block back in (~13 % of an er_comm op)
         for loc in locals_:
-            for side, X, nrows in sides:
+            for side, X in sides:
                 rows, cols = self.dense_index(plan, loc, side)
-                if X is None:
-                    block = np.zeros((_extent(rows, nrows), _extent(cols, plan.r)))
-                else:
-                    block = X[rows, cols]
-                    if isinstance(rows, slice):
-                        # basic slicing views the operand (an integer row
-                        # array already gathered into a fresh C panel)
-                        block = block.copy()
-                block.flags.writeable = False
-                setattr(loc, side.upper(), block)
+                block = X[rows, cols]
+                if isinstance(rows, slice):
+                    # basic slicing views the operand (an integer row
+                    # array already gathered into a fresh C panel)
+                    block = block.copy()
+                setattr(loc, side.upper(), frozen(block))
 
     def _collect_dense(self, plan, locals_, side: str, nrows: int) -> np.ndarray:
         # uninitialized: the ranks' ``dense_index`` pieces tile the matrix
@@ -431,8 +427,9 @@ class DistributedAlgorithm:
         fixed sparsity pattern between kernel calls (GAT attention, SDDMM
         outputs): no partitioning, no need-list replanning — the cached
         comm plans key on structure only and stay valid.  Value arrays are
-        replaced, never written in place: a fiber replica of them keys on
-        the array object (``BufferPool.replica``).
+        replaced, never written in place, and bound read-only as
+        :meth:`distribute_sparse` binds them: a fiber replica of them keys
+        on the array object (``BufferPool.replica``).
         """
         raise NotImplementedError
 

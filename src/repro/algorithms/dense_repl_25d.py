@@ -66,6 +66,7 @@ from repro.algorithms.base import (
     DistributedAlgorithm,
     Lane,
     concat_allgather,
+    frozen,
     reduce_scatter_rows,
     region,
     track,
@@ -212,7 +213,7 @@ class DenseReplicate25D(DistributedAlgorithm):
             np.empty(0),
             np.empty(0, np.int64),
         )
-        placeholder = np.empty((0, 0))
+        placeholder = frozen(np.empty((0, 0)))
         for rank in range(self.p):
             x, y, z = self.grid.coords(rank)
             sigma0 = plan.sigma(x, y, 0)
@@ -227,7 +228,7 @@ class DenseReplicate25D(DistributedAlgorithm):
                     B=placeholder,
                     S_rows=sr - plan.row_coarse[x] if len(sr) else sr,
                     S_cols=sc - plan.col_fine[fb] if len(sc) else sc,
-                    S_vals=sv,
+                    S_vals=frozen(sv),
                     gidx=gi,
                 )
             )
@@ -247,7 +248,7 @@ class DenseReplicate25D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             if len(loc.gidx):
-                loc.S_vals = vals[loc.gidx]  # rebound, never written in place
+                loc.S_vals = frozen(vals[loc.gidx])
 
     def collect_sddmm(
         self, plan: Plan25DDense, locals_: List[Local25DDense], S: CooMatrix
@@ -326,8 +327,11 @@ class DenseReplicate25D(DistributedAlgorithm):
             vals0 = np.zeros(len(local.S_rows))
         else:
             vals0 = local.R if use_r_values else local.S_vals
-            vals0 = vals0.copy() if perm is None else vals0[perm]
-        B_start = np.zeros_like(local.B) if mode == Mode.SPMM_B else local.B.copy()
+            if perm is not None:
+                vals0 = vals0[perm]
+        B_start = local.B
+        if mode == Mode.SPMM_B:
+            B_start = np.zeros(self.piece_shape(plan, local, "b"))
 
         def compute(_t, rows, cols, vals, B_cur):
             if len(rows):

@@ -47,6 +47,7 @@ from repro.algorithms.base import (
     DistributedAlgorithm,
     Lane,
     concat_allgather,
+    frozen,
     reduce_scatter_rows,
     region,
     track,
@@ -169,7 +170,7 @@ class DenseShift15D(DistributedAlgorithm):
             parts = partition_coo_2d(
                 S.rows, S.cols, S.vals, plan.row_coarse, plan.col_fine
             )
-        empty = np.empty((0, 0))
+        empty = frozen(np.empty((0, 0)))
         for rank in range(self.p):
             u, v = self.grid.coords(rank)
             locals_.append(Local15DDense(u=u, v=v, A=empty, B=empty, S={}))
@@ -180,7 +181,7 @@ class DenseShift15D(DistributedAlgorithm):
                 int(plan.col_fine[j + 1] - plan.col_fine[j]),
             )
             loc = locals_[rank]
-            loc.S[j] = SparseBlock(lr, lc, lv, shape)
+            loc.S[j] = SparseBlock(lr, lc, frozen(lv), shape)
             loc.gidx[j] = gi
         return locals_
 
@@ -195,7 +196,7 @@ class DenseShift15D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             for j, gi in loc.gidx.items():
-                loc.S[j].vals = vals[gi]  # rebound, never written in place
+                loc.S[j].vals = frozen(vals[gi])
 
     def collect_sddmm(
         self, plan: Plan15DDense, locals_: List[Local15DDense], S: CooMatrix
@@ -277,9 +278,9 @@ class DenseShift15D(DistributedAlgorithm):
         # --- propagation: the B block circulates around the layer, as a
         # read-only input or (SpMMB) as the output the kernel accumulates
         if mode == Mode.SPMM_B:
-            B_start = np.zeros_like(local.B)
+            B_start = np.zeros(self.piece_shape(plan, local, "b"))
         else:
-            B_start = local.B.copy()
+            B_start = local.B
 
         def compute(t, B_cur):
             j = plan.held_block(u, v, t)
@@ -362,7 +363,7 @@ class DenseShift15D(DistributedAlgorithm):
 
         self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, local.B.copy(), TAG_SHIFT_B)],
+            [Lane(ctx.layer, local.B, TAG_SHIFT_B)],
             fused_compute,
         )
         with track(ctx.comm, Phase.REPLICATION):

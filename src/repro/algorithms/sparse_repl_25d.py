@@ -98,6 +98,7 @@ from repro.algorithms.base import (
     TAG_SHIFT_B,
     DistributedAlgorithm,
     Lane,
+    frozen,
     region,
     track,
 )
@@ -249,7 +250,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             np.empty(0),
             np.empty(0, np.int64),
         )
-        placeholder = np.empty((0, 0))
+        placeholder = frozen(np.empty((0, 0)))
         # one structure-caching block per coarse (x, y), shared by its c
         # fiber ranks like the coordinates themselves; its stored values
         # are never read (every kernel passes the gathered ``values=``)
@@ -261,7 +262,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             if (x, y) not in blocks:
                 ra, rb = plan.rows_a(x), plan.rows_b(y)
                 shape = (ra.stop - ra.start, rb.stop - rb.start)
-                blocks[x, y] = SparseBlock(sr, sc, sv, shape)
+                blocks[x, y] = SparseBlock(sr, sc, frozen(sv), shape)
             vb = block_ranges(len(sr), c)
             locals_.append(
                 Local25DSparse(
@@ -269,7 +270,7 @@ class SparseReplicate25D(DistributedAlgorithm):
                     y=y,
                     z=z,
                     S=blocks[x, y],
-                    S_vals_chunk=sv[int(vb[z]) : int(vb[z + 1])].copy(),
+                    S_vals_chunk=frozen(sv[int(vb[z]) : int(vb[z + 1])]),
                     val_bounds=vb,
                     gidx=gi,
                     A=placeholder,
@@ -294,7 +295,7 @@ class SparseReplicate25D(DistributedAlgorithm):
                 chunk = loc.gidx[int(vb[loc.z]) : int(vb[loc.z + 1])]
                 # rebound, never written in place: the value replica keys
                 # on this object
-                loc.S_vals_chunk = vals[chunk]
+                loc.S_vals_chunk = frozen(vals[chunk])
 
     def collect_sddmm(
         self, plan: Plan25DSparse, locals_: List[Local25DSparse], S: CooMatrix
@@ -442,7 +443,8 @@ class SparseReplicate25D(DistributedAlgorithm):
         # SpMMA accumulates in A's layout out of B's pieces; SpMMB mirrors it
         out, inp = ("a", "b") if mode == Mode.SPMM_A else ("b", "a")
         kernel = spmm_a_block if mode == Mode.SPMM_A else spmm_b_block
-        out_home, in_home = (local.A, local.B) if out == "a" else (local.B, local.A)
+        in_home = local.B if out == "a" else local.A
+        out_shape = self.piece_shape(plan, local, out)
         out_ring, out_tag = self._piece_ring(ctx, out)
         prof = ctx.comm.profile
 
@@ -482,7 +484,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             with track(ctx.comm, Phase.PROPAGATION), region(
                 ctx.comm, f"reduce-{out.upper()}-packed"
             ):
-                result = np.zeros_like(out_home)
+                result = np.zeros(out_shape)
                 result[index.union] = out_p[:, w0:w1]
                 sparse_reduce_scatterv_packed(out_ring, reduce, index, out_p, result)
         else:
@@ -500,7 +502,7 @@ class SparseReplicate25D(DistributedAlgorithm):
                         in_tag, displacement=1,
                     ),
                     Lane(
-                        out_ring, ctx.pool.zeros("piece-out", out_home.shape),
+                        out_ring, ctx.pool.zeros("piece-out", out_shape),
                         out_tag, displacement=1,
                     ),
                 ],

@@ -87,6 +87,7 @@ from repro.algorithms.base import (
     TAG_FIBER_RS,
     CarriedCoords,
     DistributedAlgorithm,
+    frozen,
     region,
     track,
 )
@@ -235,7 +236,7 @@ class SparseShift15D(DistributedAlgorithm):
             np.empty(0),
             np.empty(0, np.int64),
         )
-        placeholder = np.empty((0, 0))
+        placeholder = frozen(np.empty((0, 0)))
         for rank in range(self.p):
             u, v = self.grid.coords(rank)
             sr, sc, sv, gi = parts.get(rank, empty)
@@ -248,7 +249,7 @@ class SparseShift15D(DistributedAlgorithm):
                     loc_b=global_to_local_map(plan.n, plan.rows_b_of_fiber[v]),
                     S_rows=sr,
                     S_cols=sc,
-                    S_vals=sv,
+                    S_vals=frozen(sv),
                     gidx=gi,
                 )
             )
@@ -264,7 +265,7 @@ class SparseShift15D(DistributedAlgorithm):
     ) -> None:
         for loc in locals_:
             if len(loc.gidx):
-                loc.S_vals = vals[loc.gidx]  # rebound, never written in place
+                loc.S_vals = frozen(vals[loc.gidx])
 
     def collect_sddmm(
         self, plan: Plan15DSparse, locals_: List[Local15DSparse], S: CooMatrix
@@ -408,13 +409,12 @@ class SparseShift15D(DistributedAlgorithm):
             vals0 = np.zeros(len(local.S_rows))
         else:
             vals0 = local.R if use_r_values else local.S_vals
-            vals0 = vals0.copy() if perm is None else vals0[perm]
+            if perm is not None:
+                vals0 = vals0[perm]
         if mode == Mode.SPMM_B:
-            # B is a pure output here; rebind rather than zero in place
-            # (the previous array may be caller-owned, e.g. a CG query
-            # vector), and keep it off the pool since it escapes into the
-            # collected local state
-            local.B = np.zeros_like(local.B)
+            # B is a pure output here, accumulated in a fresh block sized
+            # from the plan (off the pool: it escapes into the local state)
+            local.B = np.zeros(self.piece_shape(plan, local, "b"))
 
         def compute(_t, rows, cols, vals):
             if len(rows):
@@ -453,7 +453,7 @@ class SparseShift15D(DistributedAlgorithm):
                     # rows (everything else it owns was never touched and
                     # stays zero), then pull in each fiber peer's
                     # contributions straight out of their packed panels
-                    base = np.zeros_like(local.A)
+                    base = np.zeros(self.piece_shape(plan, local, "a"))
                     base[sparse_plan.own_local] = T[sparse_plan.own_packed]
                     local.A = sparse_reduce_scatterv_packed(
                         ctx.fiber, sparse_plan.reduce_packed, sparse_plan.index,

@@ -327,7 +327,7 @@ class DistributedGAT:
                         )
 
                 alg.ring_loop(
-                    ctx.comm, nl, [Lane(ctx.layer, H_blk.copy(), TAG_SHIFT_B)],
+                    ctx.comm, nl, [Lane(ctx.layer, H_blk, TAG_SHIFT_B)],
                     score_compute,
                 )
 

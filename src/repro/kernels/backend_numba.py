@@ -193,14 +193,16 @@ class NumbaKernels:
         indptr = np.array([0, 1], dtype=np.int64)
         # a fiber replica (BufferPool.replica) and a bound dense block
         # (bind_dense) reach the kernels read-only, in either operand
-        # position, which numba types apart from a writeable array
-        ro = np.zeros((1, 2))
-        ro.flags.writeable = False
+        # position, and so do a circulating chunk's resident sparse
+        # values, which numba types apart from a writeable array
+        ro, ro_val = np.zeros((1, 2)), np.zeros(1)
+        ro.flags.writeable = ro_val.flags.writeable = False
         for panel in (M, ro):
             for other in (M, ro):
                 _sddmm_dots_add(panel, other, idx, idx, out1)
                 _sddmm_gat_score(panel, other, idx, idx, vec, vec, 0.2, out1)
-            _spmm_csr_add(indptr, idx, val, panel, out2)
+            for data in (val, ro_val):
+                _spmm_csr_add(indptr, idx, data, panel, out2)
         _gat_edge_scores(val, val, idx, idx, 0.2, out1)
         self._warmed = True
         return self

@@ -60,7 +60,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import KEEP
 from repro.algorithms.fused import native_procedure
 from repro.algorithms.registry import make_algorithm
 from repro.errors import ReproError, SessionBusyError, SpmdTimeout
@@ -127,10 +126,10 @@ class Session:
     method scatters only its dense operands, runs the SPMD kernel on the
     resident sparse distribution, gathers the output and returns
     ``(output, RunReport)``.  Reports accumulate across calls until
-    :meth:`reset_profile`.  A call's output is transient: once a kernel or
-    :meth:`run_rank` call returns or raises, every rank holds the blocks
-    it was bound again (an output side, its pre-call blocks), so a
-    repeated call on bitwise-unchanged operands scatters nothing
+    :meth:`reset_profile`.  A call binds only its inputs, and its output
+    is transient: once a kernel or :meth:`run_rank` call returns or
+    raises, every rank holds the blocks it was dispatched with again, so
+    a repeated call on bitwise-unchanged operands scatters nothing
     (:attr:`dense_bind_counts`).
 
     The session owns a :class:`~repro.runtime.spmd.WorkerPool` for its
@@ -468,23 +467,22 @@ class Session:
     def _bind_arg(self, transpose: bool, side: str, X):
         """Decide whether one dense side actually needs scattering.
 
-        An input side is *skipped* (returns :data:`KEEP`) exactly when the
-        previous bind scattered a bitwise-equal array (checked against a
-        private snapshot, so in-place caller mutations are detected): its
-        resident blocks still hold it, since they are read-only and every
-        call puts them back (:meth:`_call`).  An output side (``X is
-        None``) gets fresh zero blocks for the call and its pre-call
-        blocks back after it, so its snapshot is left alone; a
-        :data:`KEEP` side (one :meth:`run_rank` was not given) stays as it
-        is.
+        Returns ``X``, or ``None`` for a side that binds nothing.  An
+        input side is *skipped* exactly when the previous bind scattered a
+        bitwise-equal array (checked against a private snapshot, so
+        in-place caller mutations are detected): its resident blocks still
+        hold it, since they are read-only and every call puts them back
+        (:meth:`_call`).  A ``None`` side (a pure output, or one
+        :meth:`run_rank` was not given) keeps its resident blocks and its
+        snapshot.
 
         The tracking pays one full-array compare plus a snapshot copy per
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
         in a row evidently changes every call, so its tracking is retired
         for the session's life (plain scatters, zero upkeep).
         """
-        if X is KEEP or X is None:
-            return X
+        if X is None:
+            return None
         state = self._dense_state.setdefault(transpose, {"a": None, "b": None})
         misses = self._bind_miss.setdefault(transpose, {"a": 0, "b": 0})
         snap = state[side]
@@ -492,7 +490,7 @@ class Session:
         if comparable and np.array_equal(snap, X):
             misses[side] = 0
             self.dense_bind_skips[side] += 1
-            return KEEP
+            return None
         if comparable:
             misses[side] += 1
             if misses[side] >= self._BIND_MISS_LIMIT:
@@ -512,17 +510,17 @@ class Session:
     # ------------------------------------------------------------------
 
     def _dispatch(
-        self, ori: _Orientation, call, label: str, retries=0, degraded=False
+        self, ori: _Orientation, call, label: str, bound, retries=0, degraded=False
     ) -> int:
         """Run one rank procedure on the worker pool and wait for it.
 
         The pool re-runs a runtime-fault death up to ``retries`` times;
         returns the re-runs a successful run used.  After each failed
-        attempt ``restore`` puts the dispatched blocks back into every
-        rank's local (they are read-only, so intact) and drops every
-        context (a failed item may have interrupted a collective build)
-        and every rank's fiber replicas (some ranks of a fiber may hold
-        one, some not).
+        attempt ``restore`` puts ``bound`` — the blocks the call was
+        dispatched with, read-only, so intact — back into every rank's
+        local and drops every context (a failed item may have interrupted
+        a collective build) and every rank's fiber replicas (some ranks of
+        a fiber may hold one, some not).
         ``degraded=True`` forces the dense communication path even on a
         sparse-comm session (the graceful degradation re-run — see
         :meth:`_run_recovering`).
@@ -530,13 +528,12 @@ class Session:
         alg = self._alg
         transpose = ori is self._orients.get(True)
         pool = self._ensure_pool()
-        dispatched = [(loc.A, loc.B) for loc in ori.locals_]
         reruns = 0
 
         def restore():
             nonlocal reruns
             reruns += 1
-            for loc, (A, B) in zip(ori.locals_, dispatched):
+            for loc, (A, B) in zip(ori.locals_, bound):
                 loc.A, loc.B = A, B
             for o in self._orients.values():
                 o.contexts = [None] * self.p
@@ -576,7 +573,7 @@ class Session:
             return "timeout"
         return "failed"
 
-    def _run_recovering(self, ori: _Orientation, call, label) -> Tuple[str, int]:
+    def _run_recovering(self, ori: _Orientation, call, label, bound) -> Tuple[str, int]:
         """Run a kernel call, degrading it once if it still failed.
 
         The pool re-runs a runtime-fault death up to ``retries`` times from
@@ -587,7 +584,7 @@ class Session:
         one, surfaces.  Returns ``(outcome, retries_used)``.
         """
         try:
-            retries = self._dispatch(ori, call, label, self.retries)
+            retries = self._dispatch(ori, call, label, bound, self.retries)
         except Exception as first_error:  # noqa: BLE001 - classified below
             if not (ori.sparse_plans is not None and retryable(first_error)):
                 raise
@@ -596,7 +593,7 @@ class Session:
             # do not carry the comm mode, so a successful re-run leaves
             # them resident for the next clean call.
             try:
-                self._dispatch(ori, call, label, degraded=True)
+                self._dispatch(ori, call, label, bound, degraded=True)
             except Exception:  # noqa: BLE001 - degraded run failed too
                 raise first_error
             self.degraded_calls += 1
@@ -606,9 +603,9 @@ class Session:
         self.retried_calls += 1
         return "retried", retries
 
-    def _run_once(self, ori: _Orientation, call, label) -> Tuple[str, int]:
+    def _run_once(self, ori: _Orientation, call, label, bound) -> Tuple[str, int]:
         """Run a rank procedure once: its first failure surfaces."""
-        self._dispatch(ori, call, label)
+        self._dispatch(ori, call, label, bound)
         return "ok", 0
 
     def _call(
@@ -618,32 +615,24 @@ class Session:
         bind ``A`` / ``B`` (in the orientation's plan shape) → dispatch and
         wait → collect each of ``collect`` (``"a"``, ``"b"``, ``"sddmm"``),
         then exactly one :meth:`metrics` record, failed calls included.
-        ``run(ori, call, label)`` dispatches and returns ``(outcome,
-        retries_used)``.  Whether it returns or raises, every side gets
-        back its bound or kept blocks or, for an output side (``None``),
-        its pre-call blocks, so a call's output is transient and the
+        Only the inputs bind (``None`` keeps a side's resident blocks).
+        ``run(ori, call, label, bound)`` dispatches and returns
+        ``(outcome, retries_used)``, ``bound`` being the blocks the call
+        is dispatched with: read-only, so the pool's failure hook puts
+        them back before a re-run, and so does this body once the call
+        returns or raises — a call's output is transient and the
         skip-rebind snapshots stay true."""
         t0 = time.perf_counter()
         alg = self._alg
         ori = self._orientation(transpose)
-        # only an output side's pre-call blocks are held; bind_dense frees
-        # an input side's as it replaces them, and binds read-only blocks,
-        # so the blocks a call is dispatched with stay intact to put back
-        held = [
-            (loc.A if A is None else None, loc.B if B is None else None)
-            for loc in ori.locals_
-        ]
         A = self._bind_arg(transpose, "a", A)
         B = self._bind_arg(transpose, "b", B)
-        if A is not KEEP or B is not KEEP:
+        if A is not None or B is not None:
             alg.bind_dense(ori.plan, ori.locals_, A, B)
-        kept = [
-            (a if A is None else loc.A, b if B is None else loc.B)
-            for loc, (a, b) in zip(ori.locals_, held)
-        ]
+        bound = [(loc.A, loc.B) for loc in ori.locals_]
         outcome, retries = "failed", 0
         try:
-            outcome, retries = run(ori, call, label)
+            outcome, retries = run(ori, call, label, bound)
             self._ncalls += 1
             outs = []
             for what in collect:
@@ -658,7 +647,7 @@ class Session:
             outcome = self.failure_outcome(exc)
             raise
         finally:
-            for loc, (a, b) in zip(ori.locals_, kept):
+            for loc, (a, b) in zip(ori.locals_, bound):
                 loc.A, loc.B = a, b
             # wall_ms spans bind -> collect
             self._record_call(label, t0, outcome, retries)
@@ -766,7 +755,8 @@ class Session:
         :meth:`metrics` entry.  ``proc`` replaces a dense block, never
         writes one in place (bound blocks are read-only), and the blocks
         it leaves last only until the call's collect: afterwards every
-        rank holds its bound or kept blocks again, as after a kernel call.
+        rank holds the blocks it was dispatched with again, as after a
+        kernel call.
         It is never re-run: a procedure may mutate other rank-resident
         state as it goes, so a failure surfaces at once, without retries
         or degradation.
@@ -776,8 +766,8 @@ class Session:
             if collect not in (None, "a", "b", "sddmm"):
                 raise ReproError(f"collect is 'a', 'b' or 'sddmm', not {collect!r}")
             m, n = (self.n, self.m) if transpose else (self.m, self.n)
-            A = KEEP if A is None else self._check_dense(A, "A", m)
-            B = KEEP if B is None else self._check_dense(B, "B", n)
+            A = A if A is None else self._check_dense(A, "A", m)
+            B = B if B is None else self._check_dense(B, "B", n)
             *outs, report = self._call(
                 transpose, A, B, proc, (collect,) if collect else (), label,
                 self._run_once,

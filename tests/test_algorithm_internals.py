@@ -268,21 +268,24 @@ class TestDenseIndex:
         np.testing.assert_array_equal(alg.collect_dense_b(plan, locals_), B)
 
     @pytest.mark.parametrize("cls,p,c", FAMILIES)
-    def test_keep_and_none_handled_once_for_every_family(self, rng, cls, p, c):
-        from repro.algorithms.base import KEEP
-
+    def test_none_leaves_a_side_resident_for_every_family(self, rng, cls, p, c):
+        """A ``None`` operand binds nothing: that side keeps its resident
+        blocks (the placeholders, or an earlier bind's), by identity; a
+        bound side round-trips, in blocks of ``piece_shape``."""
         alg = cls(p, c)
         plan = alg.plan(self.M, self.N, self.R)
         locals_ = alg.distribute_sparse(plan, erdos_renyi(self.M, self.N, 3, seed=4))
+        placeholders = [loc.B for loc in locals_]
         A = rng.standard_normal((self.M, self.R))
         alg.bind_dense(plan, locals_, A, None)
+        assert all(loc.B is blk for loc, blk in zip(locals_, placeholders))
         held = [loc.A for loc in locals_]
-        for loc in locals_:  # an output side binds as fresh zeros, right shape
-            want = np.empty((self.N, self.R))[alg.dense_index(plan, loc, "b")]
-            assert loc.B.shape == want.shape
-            assert not loc.B.any() and loc.B.flags["OWNDATA"]
         B = rng.standard_normal((self.N, self.R))
-        alg.bind_dense(plan, locals_, KEEP, B)
+        alg.bind_dense(plan, locals_, None, B)
         assert all(loc.A is blk for loc, blk in zip(locals_, held))
+        for loc in locals_:
+            for side in "ab":
+                block = getattr(loc, side.upper())
+                assert block.shape == alg.piece_shape(plan, loc, side)
         np.testing.assert_array_equal(alg.collect_dense_a(plan, locals_), A)
         np.testing.assert_array_equal(alg.collect_dense_b(plan, locals_), B)

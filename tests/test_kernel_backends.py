@@ -573,6 +573,23 @@ class TestNumbaEquivalence:
             np.testing.assert_allclose(got, want_gat, **TOL)
         assert [len(k.signatures) for k in kernels] == compiled
 
+    def test_read_only_sparse_values_are_warmed_up(self, profs, coords):
+        """A circulating chunk's resident sparse values reach the SpMM
+        kernel read-only: the warm-up compiled that too."""
+        import repro.kernels.backend_numba as bn
+
+        np_prof, nb_prof = profs
+        m, _, rows, cols, _, B = coords
+        vals = np.linspace(-1.0, 1.0, len(rows))
+        vals.flags.writeable = False
+        compiled = len(bn._spmm_csr_add.signatures)
+        want = spmm_scatter(rows, cols, vals, B, np.zeros((m, B.shape[1])),
+                            profile=np_prof)
+        got = spmm_scatter(rows, cols, vals, B, np.zeros((m, B.shape[1])),
+                           profile=nb_prof)
+        np.testing.assert_allclose(got, want, **TOL)
+        assert len(bn._spmm_csr_add.signatures) == compiled
+
     # -- end to end ----------------------------------------------------
 
     def test_session_end_to_end(self, small_problem):

@@ -436,9 +436,10 @@ class TestLifecycle:
 class TestDenseBindSkipping:
     """Skip-rebind: unchanged dense operands are scattered once, not per
     call.  Every call's output is transient — after a kernel or a
-    ``run_rank`` call each side holds its bound input (or, for an SpMM's
-    output side, its pre-call blocks) again — so no call forces a rebind
-    (counters: ``Session.dense_bind_counts`` / ``dense_bind_skips``)."""
+    ``run_rank`` call each side holds the blocks it was dispatched with
+    again (an SpMM's output side is never bound) — so no call forces a
+    rebind (counters: ``Session.dense_bind_counts`` /
+    ``dense_bind_skips``)."""
 
     def test_repeated_sddmm_binds_each_side_once(self, small_problem):
         S, A, B = small_problem
@@ -728,9 +729,10 @@ class TestFailedCallKeepsResidentBlocks:
             np.testing.assert_array_equal(out, want)
 
     def test_a_failed_spmm_puts_its_output_side_back(self, small_problem):
-        """SpMMA crashes after its zero output blocks were dispatched: the
-        A side gets its pre-call blocks back, so the next SDDMM on the same
-        operands skips every bind and reads A, not zeros."""
+        """SpMMA crashes at its output reduction: the A side, which the
+        call never bound, gets the blocks it was dispatched with (the
+        SDDMM's) back, so the next SDDMM on the same operands skips every
+        bind and reads A."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], **self.KW) as sess:
             want, _ = sess.sddmm(A, B)
