@@ -354,7 +354,7 @@ class SparseReplicate25D(DistributedAlgorithm):
 
     # -- need-list dense-row exchanges (comm="sparse") ---------------------
 
-    def _gather_packed(
+    def _gather_panels(
         self, ctx: Ctx25DSparse, local: Local25DSparse, sp: SparsePlan25D, sides: str
     ) -> List[np.ndarray]:
         """Assemble the needed rows of A (``"a"``, along the grid row), of
@@ -379,8 +379,8 @@ class SparseReplicate25D(DistributedAlgorithm):
         """
         w0, w1 = sp.my_window
         legs = {
-            "a": (sp.gather_a_packed, sp.index_a, local.A),
-            "b": (sp.gather_b_packed, sp.index_b, local.B),
+            "a": (sp.gather_a, sp.index_a, local.A),
+            "b": (sp.gather_b, sp.index_b, local.B),
         }
         panels = {s: ctx.pool.held_replica(f"gather-{s}", legs[s][2]) for s in sides}
         missing = "".join(s for s in sides if panels[s] is None)
@@ -464,14 +464,12 @@ class SparseReplicate25D(DistributedAlgorithm):
             sp = sparse_plan
             w0, w1 = sp.my_window
             index, reduce = (
-                (sp.index_a, sp.reduce_a_packed)
-                if out == "a"
-                else (sp.index_b, sp.reduce_b_packed)
+                (sp.index_a, sp.reduce_a) if out == "a" else (sp.index_b, sp.reduce_b)
             )
             in_p = held
             if in_p is None:
                 with track(ctx.comm, Phase.PROPAGATION):
-                    (in_p,) = self._gather_packed(ctx, local, sp, inp)
+                    (in_p,) = self._gather_panels(ctx, local, sp, inp)
             slot, rows = (
                 ("spmm-out", max(sp.index_a.size, sp.index_b.size))
                 if sp.third_slot
@@ -539,7 +537,7 @@ class SparseReplicate25D(DistributedAlgorithm):
             # panels and take the full-width dots in a single local kernel
             # call, addressed through the structure-cached packed block
             with track(ctx.comm, Phase.PROPAGATION):
-                a_p, b_p = self._gather_packed(ctx, local, sparse_plan, "ab")
+                a_p, b_p = self._gather_panels(ctx, local, sparse_plan, "ab")
             panels = {"a": a_p, "b": b_p}
             with track(ctx.comm, Phase.COMPUTATION):
                 if len(local.S_rows):

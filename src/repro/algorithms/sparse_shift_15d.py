@@ -319,7 +319,7 @@ class SparseShift15D(DistributedAlgorithm):
             P = ctx.pool.empty("packed", (sparse_plan.index.size, local.A.shape[1]))
             P[sparse_plan.own_packed] = local.A[sparse_plan.own_local]
             return sparse_allgatherv_packed(
-                ctx.fiber, sparse_plan.gather_packed, sparse_plan.index, local.A, P
+                ctx.fiber, sparse_plan.gather, sparse_plan.index, local.A, P
             )
 
     def replicate(
@@ -456,7 +456,7 @@ class SparseShift15D(DistributedAlgorithm):
                     base = np.zeros(self.piece_shape(plan, local, "a"))
                     base[sparse_plan.own_local] = T[sparse_plan.own_packed]
                     local.A = sparse_reduce_scatterv_packed(
-                        ctx.fiber, sparse_plan.reduce_packed, sparse_plan.index,
+                        ctx.fiber, sparse_plan.reduce, sparse_plan.index,
                         T, base,
                     )
                 else:

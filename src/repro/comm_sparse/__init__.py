@@ -8,10 +8,12 @@ per-rank index lists computed once per sparsity structure and cached.
 Layers:
 
 * :mod:`repro.comm_sparse.plan` — :class:`CommPlan` / :class:`PeerExchange`
-  with exact word accounting;
+  with exact word accounting, and the :class:`PackedIndex` of a packed
+  panel;
 * :mod:`repro.comm_sparse.planner` — layout-aware need-list planners for
-  the 1.5D sparse-shifting and 2.5D sparse-replicating algorithms, plus
-  the structure-fingerprint plan cache;
+  the 1.5D sparse-shifting and 2.5D sparse-replicating algorithms (one
+  plan per exchange, built in packed-panel coordinates), plus the
+  structure-fingerprint plan cache;
 * :mod:`repro.comm_sparse.collectives` — the packed need-list
   all-gather / reduce-scatter built on the point-to-point layer, with
   traffic attributed through the ordinary :class:`RankProfile` hooks.

@@ -129,12 +129,12 @@ def sparse_allgatherv_packed(
 ) -> np.ndarray:
     """Need-list all-gather into a *packed* panel; returns ``out``.
 
-    ``plan`` must be the :meth:`CommPlan.packed_recv` derivation whose
-    ``recv_rows`` are packed positions of ``index``; ``out`` is a
-    ``len(union) x width`` panel — no full-height buffer exists on the
-    receive side, and because every union row is either locally owned or
-    covered by exactly one peer leg, ``out`` may be allocated with
-    ``np.empty`` (no zero-fill bandwidth is ever paid).  The peer legs
+    ``plan``'s ``recv_rows`` are packed positions of ``index`` (as the
+    planners build every gather); ``out`` is a ``len(union) x width``
+    panel — no full-height buffer exists on the receive side, and
+    because every union row is either locally owned or covered by
+    exactly one peer leg, ``out`` may be allocated with ``np.empty``
+    (no zero-fill bandwidth is ever paid).  The peer legs
     fill every row the caller's own-rows copy does not.
     """
     _check_packed(plan, index, out)
@@ -152,9 +152,9 @@ def sparse_reduce_scatterv_packed(
     """Need-list reduce-scatter out of a *packed* contribution panel;
     returns ``base``.
 
-    ``plan`` must be the :meth:`CommPlan.packed_send` derivation whose
-    ``send_rows`` are packed positions of ``index``; ``contrib`` is the
-    ``len(union) x width`` partial-output panel holding exactly the rows
+    ``plan``'s ``send_rows`` are packed positions of ``index`` (as the
+    planners build every reduction); ``contrib`` is the ``len(union) x
+    width`` partial-output panel holding exactly the rows
     this rank's nonzeros touched; the rows destined to peer ``k``
     (``send_rows_k``, through the optional column window) are shipped to
     ``k``, and contributions arriving from peer ``k`` are added into

@@ -7,6 +7,10 @@ structure by :mod:`repro.comm_sparse.planner` and reused across kernel
 invocations — the communication analogue of the library caching CSR
 structure in :class:`~repro.sparse.coo.SparseBlock` (and of the paper
 amortizing sparse-matrix preprocessing across repeated FusedMM calls).
+A gather's ``recv_rows`` (a reduction's ``send_rows``) are positions in
+the rank's *packed* panel (:class:`PackedIndex`); the other side's rows
+index the rank's resident piece.  The planners build every exchange once,
+in these coordinates, and a reduction is its gather :meth:`reversed`.
 Because both endpoints hold the plan, the per-iteration payloads carry
 *values only*: no indices ever travel with the data, so a row of width
 ``w`` costs exactly ``w`` words on the wire.
@@ -19,7 +23,7 @@ collective, word for word (tests assert this equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,8 +99,7 @@ class PeerExchange:
     matching the sparse-collective contract that empty exchanges cost
     neither latency nor bandwidth.
 
-    ``send_whole`` / ``recv_whole`` are set by the packed derivations
-    (:meth:`CommPlan.packed_send` / :meth:`CommPlan.packed_recv`) when the
+    ``send_whole`` / ``recv_whole`` are set by the planners when the
     leg's rows are the *whole* packed panel in panel order, which the
     collectives then move as one column-window slice instead of a
     fancy-indexed gather / scatter.
@@ -184,53 +187,6 @@ class CommPlan:
             rank=self.rank,
             peers=tuple(px.reversed() for px in self.peers),
         )
-
-    # -- packed-panel derivations -----------------------------------------
-
-    def _packed(
-        self, side: str, index: "PackedIndex", key: Optional[str]
-    ) -> "CommPlan":
-        """Every leg's ``<side>_rows`` renamed to packed positions of
-        ``index``, flagged ``<side>_whole`` when they are the whole panel
-        in panel order."""
-        panel = np.arange(index.size)
-        peers = []
-        for px in self.peers:
-            pos = index.positions(getattr(px, f"{side}_rows"))
-            whole = len(pos) == index.size and bool((pos == panel).all())
-            peers.append(
-                replace(px, **{f"{side}_rows": pos, f"{side}_whole": whole})
-            )
-        return CommPlan(
-            key=key if key is not None else self.key + "/packed",
-            size=self.size,
-            rank=self.rank,
-            peers=tuple(peers),
-        )
-
-    def packed_recv(
-        self, index: "PackedIndex", key: Optional[str] = None
-    ) -> "CommPlan":
-        """Remap every leg's ``recv_rows`` into packed-panel coordinates.
-
-        The derived plan drives a gather whose receive buffer is a
-        ``index.size``-tall packed panel instead of a full-height one;
-        word and message counts are identical (rows are renamed, never
-        added or dropped), so all traffic accounting carries over.  A leg
-        that fills the whole panel is recorded ``recv_whole``.
-        """
-        return self._packed("recv", index, key)
-
-    def packed_send(
-        self, index: "PackedIndex", key: Optional[str] = None
-    ) -> "CommPlan":
-        """Remap every leg's ``send_rows`` into packed-panel coordinates.
-
-        The mirror of :meth:`packed_recv` for reductions: contributions
-        are read out of a packed partial-output panel rather than a
-        full-height one (``send_whole`` when a leg ships all of it).
-        """
-        return self._packed("send", index, key)
 
 
 def dense_rows_moved(plans) -> int:

@@ -18,6 +18,10 @@ nonzero touches them:
   just those rows from each chunk's owner (and pushes back only the
   output rows it touched).
 
+Each exchange is one :class:`CommPlan`, built in the coordinates its
+collective runs in: the rows a rank receives (or, reducing, sends back)
+are positions in its packed panel, the union of what it needs.
+
 Plans are cached by sparse-structure fingerprint so repeated kernel
 invocations on the same matrix (ALS sweeps, GAT layers, the paper's
 "5 FusedMM calls") pay the planning cost once — the communication-layer
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -53,30 +57,25 @@ def _touched(index: np.ndarray, extent: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparsePlan15D:
-    """Need-list plans for one rank of the 1.5D sparse-shifting layout.
-
-    Besides the row-space plans inherited from the traffic-only subsystem
-    (``gather``/``reduce``), the bundle carries everything the *packed*
-    buffer path needs, computed once per sparsity structure:
+    """Need-list plans for one rank of the 1.5D sparse-shifting layout,
+    computed once per sparsity structure:
 
     * ``index`` — the sorted union of rows this rank's layer touches plus
       the cached global->packed remap (shared by every rank of the layer);
+    * ``gather`` / ``reduce`` — the fiber exchanges in packed-panel
+      coordinates: a gather leg receives into packed positions of
+      ``index`` and sends local-panel rows, the reduction is its mirror;
     * ``own_local``/``own_packed`` — positions of the locally-owned union
       rows in the local panel and in the packed panel respectively, so
       seeding a packed gather (or draining a packed reduction) is a single
-      fancy-indexed copy;
-    * ``gather_packed``/``reduce_packed`` — the plans rewritten into
-      packed-panel coordinates (:meth:`CommPlan.packed_recv` /
-      :meth:`CommPlan.packed_send`).
+      fancy-indexed copy.
     """
 
     gather: CommPlan  # fiber all-gather of the dense A panel into T
     reduce: CommPlan  # fiber reduction of the SpMMA output panel (mirror)
-    index: PackedIndex = None  # union of the layer's touched rows over m
-    own_local: np.ndarray = None  # local-panel rows of owned union rows
-    own_packed: np.ndarray = None  # packed positions of those same rows
-    gather_packed: CommPlan = None  # gather with recv_rows in packed coords
-    reduce_packed: CommPlan = None  # reduction with send_rows in packed coords
+    index: PackedIndex  # union of the layer's touched rows over m
+    own_local: np.ndarray  # local-panel rows of owned union rows
+    own_packed: np.ndarray  # packed positions of those same rows
 
     @property
     def kernel_recv_words(self) -> Dict[str, int]:
@@ -96,6 +95,11 @@ class SparsePlan25D:
     ``my_window`` the column window (relative to the strip) of the chunk
     this rank owns — the kernels assemble gathered rows into a
     strip-wide buffer and slice their own chunk back out of it.
+
+    Every gather leg receives the whole packed panel of its side
+    (``arange(index.size)`` in the sender's column window, flagged
+    ``recv_whole``) and sends rows of the sender's resident piece; each
+    reduction is its gather reversed, so its sends are whole.
     """
 
     gather_a: CommPlan  # row-comm gather of needed A rows across chunks
@@ -104,23 +108,18 @@ class SparsePlan25D:
     reduce_b: CommPlan  # col-comm reduction of touched SpMMB output rows
     strip_width: int
     my_window: Tuple[int, int]
-    # -- packed-panel extensions (computed once per structure) -------------
-    index_a: PackedIndex = None  # unique S rows of the resident block
-    index_b: PackedIndex = None  # unique S cols of the resident block
-    gather_a_packed: CommPlan = None
-    gather_b_packed: CommPlan = None
-    reduce_a_packed: CommPlan = None
-    reduce_b_packed: CommPlan = None
+    index_a: PackedIndex  # unique S rows of the resident block
+    index_b: PackedIndex  # unique S cols of the resident block
     #: the resident block's coordinates rewritten into packed-panel space
     #: (rows index a ``len(index_a.union)``-tall A panel, cols a
     #: ``len(index_b.union)``-tall B panel), with CSR structure prebuilt
     #: driver-side so rank threads only read the caches
-    block_packed: SparseBlock = None
+    block_packed: SparseBlock
     #: an SpMM accumulates in a third panel slot (``"spmm-out"``, as tall
     #: as the taller union) instead of its output side's gather slot, so
     #: both gathered panels outlive every kernel; decided for all ranks
     #: together by :func:`plan_sparse_replicate_25d`
-    third_slot: bool = False
+    third_slot: bool
 
     @property
     def kernel_recv_words(self) -> Dict[str, int]:
@@ -154,23 +153,22 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
     else:
         need = [_EMPTY] * c
 
-    # I[v][w]: global rows layer v needs from fiber coordinate w's panel;
-    # L[v][w]: panel-local positions at v of the rows layer w needs from v.
-    inter = [[_EMPTY] * c for _ in range(c)]
-    local = [[_EMPTY] * c for _ in range(c)]
-    for v in range(c):
-        for w in range(c):
-            if v != w:
-                inter[v][w] = np.intersect1d(need[v], rows_of[w], assume_unique=True)
-    for v in range(c):
-        for w in range(c):
-            if v != w:
-                local[v][w] = np.searchsorted(rows_of[v], inter[w][v])
-
     # packed index per *layer*: the union need[v] and its global->packed
     # remap are identical for every rank of layer v, so build them once
     # and share the (m-long) lookup across the layer's p/c plan bundles.
     indexes = [PackedIndex.from_union(need[v], plan.m) for v in range(c)]
+
+    # the rows layer v needs from fiber coordinate w's panel leave w's
+    # panel at local[w][v] and land at packed[v][w] of layer v's panel
+    # (positions raise on a row outside the union)
+    packed = [[_EMPTY] * c for _ in range(c)]
+    local = [[_EMPTY] * c for _ in range(c)]
+    for v in range(c):
+        for w in range(c):
+            if v != w:
+                rows = np.intersect1d(need[v], rows_of[w], assume_unique=True)
+                packed[v][w] = indexes[v].positions(rows)
+                local[w][v] = np.searchsorted(rows_of[w], rows)
     own_positions = []
     for v in range(c):
         pos = indexes[v].lookup[rows_of[v]]
@@ -185,25 +183,25 @@ def plan_sparse_shift_15d(plan, S: CooMatrix) -> List[SparsePlan15D]:
             PeerExchange(
                 peer=w,
                 send_rows=local[v][w],
-                recv_rows=inter[v][w],
+                recv_rows=packed[v][w],
                 send_width=sw,
                 recv_width=sw,
+                # sorted positions of a subset of the union: as tall as the
+                # union, they are the whole panel in panel order
+                recv_whole=len(packed[v][w]) == indexes[v].size,
             )
             for w in range(c)
             if w != v
         )
         gather = CommPlan(key="15d/fiber-gather", size=c, rank=v, peers=peers)
-        reduce = gather.reversed("15d/fiber-reduce")
         own_local, own_packed = own_positions[v]
         plans.append(
             SparsePlan15D(
                 gather=gather,
-                reduce=reduce,
+                reduce=gather.reversed("15d/fiber-reduce"),
                 index=indexes[v],
                 own_local=own_local,
                 own_packed=own_packed,
-                gather_packed=gather.packed_recv(indexes[v], "15d/fiber-gather/packed"),
-                reduce_packed=reduce.packed_send(indexes[v], "15d/fiber-reduce/packed"),
             )
         )
     return plans
@@ -265,7 +263,7 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
             packed[(x, y)] = entry
         return entry
 
-    plans: List[SparsePlan25D] = []
+    bundles: List[dict] = []
     fits = True
     for rank in range(p):
         x, y, z = grid.coords(rank)
@@ -278,6 +276,10 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
 
         my_w = window(plan.kappa0(x, y))
         my_width = my_w[1] - my_w[0]
+        # the block's need list IS its packed panel: every leg fills the
+        # whole panel, in the sender's column window
+        index_a, index_b, block_packed = packed_of(x, y)
+        panel_a, panel_b = np.arange(index_a.size), np.arange(index_b.size)
 
         peers_a = []
         for yp in range(q):
@@ -288,10 +290,11 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
                 PeerExchange(
                     peer=yp,
                     send_rows=u_rows.get((x, yp), _EMPTY),
-                    recv_rows=u_rows.get((x, y), _EMPTY),
+                    recv_rows=panel_a,
                     send_width=my_width,
                     recv_width=w1 - w0,
                     recv_cols=(w0, w1),
+                    recv_whole=True,
                 )
             )
         gather_a = CommPlan(
@@ -307,51 +310,35 @@ def plan_sparse_replicate_25d(plan, S: CooMatrix) -> List[SparsePlan25D]:
                 PeerExchange(
                     peer=xp,
                     send_rows=u_cols.get((xp, y), _EMPTY),
-                    recv_rows=u_cols.get((x, y), _EMPTY),
+                    recv_rows=panel_b,
                     send_width=my_width,
                     recv_width=w1 - w0,
                     recv_cols=(w0, w1),
+                    recv_whole=True,
                 )
             )
         gather_b = CommPlan(
             key="25d/col-gather-b", size=q, rank=x, peers=tuple(peers_b)
         )
 
-        reduce_a = gather_a.reversed("25d/row-reduce-a")
-        reduce_b = gather_b.reversed("25d/col-reduce-b")
-        index_a, index_b, block_packed = packed_of(x, y)
         ua, ub = index_a.size, index_b.size
         ha = int(plan.row_coarse[x + 1] - plan.row_coarse[x])
         hb = int(plan.col_coarse[y + 1] - plan.col_coarse[y])
         fits &= (ua + ub + max(ua, ub)) * sw <= (ha + hb + max(ha, hb)) * my_width
-        plans.append(
-            SparsePlan25D(
+        bundles.append(
+            dict(
                 gather_a=gather_a,
                 gather_b=gather_b,
-                reduce_a=reduce_a,
-                reduce_b=reduce_b,
+                reduce_a=gather_a.reversed("25d/row-reduce-a"),
+                reduce_b=gather_b.reversed("25d/col-reduce-b"),
                 strip_width=sw,
                 my_window=my_w,
                 index_a=index_a,
                 index_b=index_b,
-                gather_a_packed=gather_a.packed_recv(
-                    index_a, "25d/row-gather-a/packed"
-                ),
-                gather_b_packed=gather_b.packed_recv(
-                    index_b, "25d/col-gather-b/packed"
-                ),
-                reduce_a_packed=reduce_a.packed_send(
-                    index_a, "25d/row-reduce-a/packed"
-                ),
-                reduce_b_packed=reduce_b.packed_send(
-                    index_b, "25d/col-reduce-b/packed"
-                ),
                 block_packed=block_packed,
             )
         )
-    if fits:
-        plans = [replace(sp, third_slot=True) for sp in plans]
-    return plans
+    return [SparsePlan25D(**fields, third_slot=fits) for fields in bundles]
 
 
 # ----------------------------------------------------------------------

@@ -194,15 +194,18 @@ class NumbaKernels:
         # a fiber replica (BufferPool.replica) and a bound dense block
         # (bind_dense) reach the kernels read-only, in either operand
         # position, and so do a circulating chunk's resident sparse
-        # values, which numba types apart from a writeable array
-        ro, ro_val = np.zeros((1, 2)), np.zeros(1)
-        ro.flags.writeable = ro_val.flags.writeable = False
+        # values and the coordinates a warm chunk round carries
+        # (CarriedCoords), which numba types apart from writeable arrays
+        ro, ro_val, ro_idx = np.zeros((1, 2)), np.zeros(1), np.zeros(1, dtype=np.int64)
+        ro.flags.writeable = ro_val.flags.writeable = ro_idx.flags.writeable = False
         for panel in (M, ro):
             for other in (M, ro):
-                _sddmm_dots_add(panel, other, idx, idx, out1)
+                for coords in (idx, ro_idx):
+                    _sddmm_dots_add(panel, other, coords, coords, out1)
                 _sddmm_gat_score(panel, other, idx, idx, vec, vec, 0.2, out1)
             for data in (val, ro_val):
-                _spmm_csr_add(indptr, idx, data, panel, out2)
+                for coords in (idx, ro_idx):
+                    _spmm_csr_add(indptr, coords, data, panel, out2)
         _gat_edge_scores(val, val, idx, idx, 0.2, out1)
         self._warmed = True
         return self

@@ -9,8 +9,6 @@ neighborhood collectives, need-list planners — plus the generic
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -228,36 +226,26 @@ class TestSparseCollectives:
         run_spmd(2, body)
 
     def test_whole_panel_legs_move_by_slice_bitwise(self):
-        """Legs the packed derivations flag as the whole panel (sliced
-        column-window moves) fill and reduce exactly as the same plans
-        with the flags cleared (fancy-indexed moves)."""
+        """Legs flagged as the whole panel (sliced column-window moves)
+        fill and reduce exactly as the same legs unflagged (fancy-indexed
+        moves)."""
         h, w = 5, 3  # panel height; per-rank column window width
         idx = whole(h)
 
-        def gather_plan(rank):
+        def gather_plan(rank, flagged):
             peer = 1 - rank
             px = PeerExchange(
                 peer=peer, send_rows=np.arange(h), recv_rows=np.arange(h),
                 send_width=w, recv_width=w, recv_cols=(peer * w, (peer + 1) * w),
+                recv_whole=flagged,
             )
             return CommPlan(key="g", size=2, rank=rank, peers=(px,))
 
-        def unflagged(plan):
-            return replace(
-                plan,
-                peers=tuple(
-                    replace(px, send_whole=False, recv_whole=False)
-                    for px in plan.peers
-                ),
-            )
-
         def body(comm, flagged):
             r = comm.rank
-            gather = gather_plan(r).packed_recv(idx)
-            reduce = gather_plan(r).reversed().packed_send(idx)
-            assert gather.peers[0].recv_whole and reduce.peers[0].send_whole
-            if not flagged:
-                gather, reduce = unflagged(gather), unflagged(reduce)
+            gather = gather_plan(r, flagged)
+            reduce = gather.reversed()
+            assert reduce.peers[0].send_whole == flagged
             mine = np.random.default_rng(r).standard_normal((h, w))
             panel = np.empty((h, 2 * w))
             panel[:, r * w : (r + 1) * w] = mine
@@ -320,7 +308,10 @@ class TestPlanner15D:
             u, v = self.alg.grid.coords(rank)
             needed = np.unique(self.S.rows[layer_v == v])
             owned = self.plan.rows_a_of_fiber[v]
-            received = np.concatenate([px.recv_rows for px in cp.gather.peers] or [ix()])
+            # a leg receives packed positions of the layer's union
+            received = np.concatenate(
+                [cp.index.union[px.recv_rows] for px in cp.gather.peers] or [ix()]
+            )
             covered = np.union1d(owned, received)
             assert np.all(np.isin(needed, covered))
 
@@ -389,9 +380,11 @@ class TestPlanner25D:
         g = self.alg.grid
         for x in range(g.q):
             for y in range(g.q):
-                r0 = g.rank_of(x, y, 0)
-                r1 = g.rank_of(x, y, 1)
-                for a, b in zip(self.cplans[r0].gather_a.peers, self.cplans[r1].gather_a.peers):
+                p0 = self.cplans[g.rank_of(x, y, 0)]
+                p1 = self.cplans[g.rank_of(x, y, 1)]
+                np.testing.assert_array_equal(p0.index_a.union, p1.index_a.union)
+                for a, b in zip(p0.gather_a.peers, p1.gather_a.peers):
+                    np.testing.assert_array_equal(a.send_rows, b.send_rows)
                     np.testing.assert_array_equal(a.recv_rows, b.recv_rows)
 
     def test_need_lists_are_each_blocks_unique_coordinates(self):
@@ -539,8 +532,8 @@ class TestFused25DGathersOnce:
             return rep.per_rank[rank].counters[Phase.PROPAGATION]
 
         for rank, cp in enumerate(cplans):
-            reduce = cp.reduce_a_packed if side == "a" else cp.reduce_b_packed
-            legs = (cp.gather_a_packed, cp.gather_b_packed, reduce)
+            reduce = cp.reduce_a if side == "a" else cp.reduce_b
+            legs = (cp.gather_a, cp.gather_b, reduce)
             ctr = propagation(rep_fused, rank)
             assert ctr.words_received == sum(leg.recv_words() for leg in legs)
             assert ctr.messages_received == sum(leg.recv_messages() for leg in legs)
@@ -552,7 +545,7 @@ class TestFused25DGathersOnce:
             # the fused call's output panel dropped its own side's panel,
             # so the next call gathers that side again; the other side's
             # panel serves both later calls
-            kept = cp.gather_b_packed if side == "a" else cp.gather_a_packed
+            kept = cp.gather_b if side == "a" else cp.gather_a
             for kernel, rep in zip(kernels, warm):
                 assert (
                     propagation(rep, rank).words_received

@@ -553,14 +553,18 @@ class TestNumbaEquivalence:
 
     def test_read_only_operands_are_warmed_up(self, profs, coords):
         """Bound dense blocks reach the SDDMM kernels read-only in either
-        operand position: the warm-up compiled every combination, so a
-        call compiles nothing and matches the writeable operands."""
+        operand position, and a warm chunk round's coordinates (frozen by
+        ``CarriedCoords``) reach ``sddmm_coo`` read-only: the warm-up
+        compiled every combination, so a call compiles nothing and
+        matches the writeable operands."""
         import repro.kernels.backend_numba as bn
 
         np_prof, nb_prof = profs
         _, _, rows, cols, A, B = coords
         A_ro, B_ro = A.copy(), B.copy()
-        A_ro.flags.writeable = B_ro.flags.writeable = False
+        rows_ro, cols_ro = rows.copy(), cols.copy()
+        for arr in (A_ro, B_ro, rows_ro, cols_ro):
+            arr.flags.writeable = False
         op = GatScoreOp(np.ones(A.shape[1]), np.ones(B.shape[1]), 0.2)
         kernels = (bn._sddmm_dots_add, bn._sddmm_gat_score)
         compiled = [len(k.signatures) for k in kernels]
@@ -571,23 +575,35 @@ class TestNumbaEquivalence:
             np.testing.assert_allclose(got, want, **TOL)
             got = sddmm_custom(X, Y, rows, cols, op, profile=nb_prof)
             np.testing.assert_allclose(got, want_gat, **TOL)
+        for X, Y in ((A, B), (A_ro, B), (A, B_ro), (A_ro, B_ro)):
+            got = sddmm_coo(X, Y, rows_ro, cols_ro, profile=nb_prof)
+            np.testing.assert_allclose(got, want, **TOL)
         assert [len(k.signatures) for k in kernels] == compiled
 
     def test_read_only_sparse_values_are_warmed_up(self, profs, coords):
-        """A circulating chunk's resident sparse values reach the SpMM
-        kernel read-only: the warm-up compiled that too."""
+        """A circulating chunk's resident sparse values, and a warm chunk
+        round's coordinates (frozen by ``CarriedCoords``), reach the SpMM
+        kernel read-only, apart or together: the warm-up compiled that
+        too."""
         import repro.kernels.backend_numba as bn
 
         np_prof, nb_prof = profs
         m, _, rows, cols, _, B = coords
         vals = np.linspace(-1.0, 1.0, len(rows))
-        vals.flags.writeable = False
+        vals_ro, rows_ro, cols_ro = vals.copy(), rows.copy(), cols.copy()
+        for arr in (vals_ro, rows_ro, cols_ro):
+            arr.flags.writeable = False
         compiled = len(bn._spmm_csr_add.signatures)
         want = spmm_scatter(rows, cols, vals, B, np.zeros((m, B.shape[1])),
                             profile=np_prof)
-        got = spmm_scatter(rows, cols, vals, B, np.zeros((m, B.shape[1])),
-                           profile=nb_prof)
-        np.testing.assert_allclose(got, want, **TOL)
+        for rr, cc, vv in (
+            (rows, cols, vals_ro),
+            (rows_ro, cols_ro, vals),
+            (rows_ro, cols_ro, vals_ro),
+        ):
+            got = spmm_scatter(rr, cc, vv, B, np.zeros((m, B.shape[1])),
+                               profile=nb_prof)
+            np.testing.assert_allclose(got, want, **TOL)
         assert len(bn._spmm_csr_add.signatures) == compiled
 
     # -- end to end ----------------------------------------------------

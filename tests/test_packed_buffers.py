@@ -7,10 +7,12 @@ no full-height panel may exist anywhere on the ``comm="sparse"`` path.
 
 Covers, bottom-up:
 
-* :class:`PackedIndex` and the ``packed_recv``/``packed_send`` plan
-  derivations;
+* :class:`PackedIndex` (its ``positions`` refuse a row outside the
+  union, which is how the 1.5D planner places every leg);
 * :meth:`SparseBlock.remapped` (the cached coordinate-rewritten view);
-* planner invariants — every packed panel row is covered exactly once;
+* planner invariants — every packed panel row is covered exactly once,
+  each reduction leg is its gather leg reversed, and a leg is flagged
+  whole exactly when it spans the packed panel;
 * property tests: packed runs are ``allclose`` to dense-mode runs across
   both families x {SDDMM, SpMMA, SpMMB, FusedMM} x random grids;
 * the memory regression: per-rank peak buffer bytes in sparse mode is
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.algorithms.registry import make_algorithm
-from repro.comm_sparse import CommPlan, PackedIndex, PeerExchange
+from repro.comm_sparse import PackedIndex
 from repro.errors import CommError
 from repro.model.costs import fusedmm_buffer_words
 from repro.model.optimal import choose_comm_mode
@@ -37,6 +39,7 @@ from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import run_spmd
 from repro.sparse.coo import CooMatrix, SparseBlock
 from repro.sparse.generate import erdos_renyi
+from repro.sparse.partition import block_of
 from repro.types import Mode
 from tests.helpers import (
     SWEEP_NNZ_PER_ROW,
@@ -51,7 +54,7 @@ def ix(*vals):
 
 
 # ----------------------------------------------------------------------
-# PackedIndex + packed plan derivations
+# PackedIndex
 # ----------------------------------------------------------------------
 
 
@@ -93,57 +96,6 @@ class TestPackedIndex:
     def test_from_union_out_of_domain_rejected(self):
         with pytest.raises(CommError, match="out of domain"):
             PackedIndex.from_union(ix(1, 12), domain=10)
-
-
-class TestPackedPlanDerivations:
-    def make(self):
-        peers = (
-            PeerExchange(peer=1, send_rows=ix(0), recv_rows=ix(3, 8), send_width=2, recv_width=2),
-        )
-        plan = CommPlan(key="t", size=2, rank=0, peers=peers)
-        idx = PackedIndex.from_rows(ix(3, 5, 8), domain=10)
-        return plan, idx
-
-    def test_packed_recv_remaps_only_recv(self):
-        plan, idx = self.make()
-        packed = plan.packed_recv(idx)
-        np.testing.assert_array_equal(packed.peers[0].recv_rows, ix(0, 2))
-        np.testing.assert_array_equal(packed.peers[0].send_rows, ix(0))
-        assert packed.recv_words() == plan.recv_words()  # words are renamed, not added
-
-    def test_packed_send_remaps_only_send(self):
-        plan, idx = self.make()
-        rev = plan.reversed()  # now send_rows = (3, 8) live in the index
-        packed = rev.packed_send(idx)
-        np.testing.assert_array_equal(packed.peers[0].send_rows, ix(0, 2))
-        np.testing.assert_array_equal(packed.peers[0].recv_rows, ix(0))
-
-    def test_whole_panel_legs_are_recorded_at_plan_time(self):
-        """A leg whose rows are the whole packed panel, in panel order, is
-        flagged once by the derivation (the collectives then move it by
-        slice); a partial or permuted leg is not, and ``reversed`` swaps
-        the flags with the roles."""
-        idx = PackedIndex.from_rows(ix(3, 5, 8), domain=10)
-
-        def leg(rows):
-            px = PeerExchange(
-                peer=1, send_rows=ix(0), recv_rows=rows, send_width=2, recv_width=2
-            )
-            return CommPlan(key="t", size=2, rank=0, peers=(px,))
-
-        whole = leg(ix(3, 5, 8)).packed_recv(idx).peers[0]
-        assert whole.recv_whole and not whole.send_whole
-        assert not leg(ix(3, 8)).packed_recv(idx).peers[0].recv_whole
-        assert not leg(ix(5, 3, 8)).packed_recv(idx).peers[0].recv_whole
-        back = leg(ix(3, 5, 8)).reversed().packed_send(idx).peers[0]
-        assert back.send_whole and not back.recv_whole
-        assert whole.reversed().send_whole and not whole.reversed().recv_whole
-
-    def test_packed_recv_rejects_uncovered_rows(self):
-        plan, _ = self.make()
-        bad = PackedIndex.from_rows(ix(3), domain=10)  # row 8 missing
-        with pytest.raises(CommError):
-            plan.packed_recv(bad)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +150,29 @@ class TestSparseBlockRemapped:
 # ----------------------------------------------------------------------
 
 
+def assert_reversed(gather, reduce):
+    """``reduce`` is ``gather`` with every leg's roles swapped: the same
+    row arrays, widths, column windows and whole-panel flags."""
+    assert len(reduce.peers) == len(gather.peers)
+    for g, r in zip(gather.peers, reduce.peers):
+        assert r.peer == g.peer
+        assert r.send_rows is g.recv_rows and r.recv_rows is g.send_rows
+        assert (r.send_width, r.recv_width) == (g.recv_width, g.send_width)
+        assert (r.send_cols, r.recv_cols) == (g.recv_cols, g.send_cols)
+        assert (r.send_whole, r.recv_whole) == (g.recv_whole, g.send_whole)
+
+
+def assert_whole_iff_union_tall(cp):
+    """A 1.5D gather leg receives sorted packed positions, so it is the
+    whole panel in panel order exactly when it is as tall as the union."""
+    for px in cp.gather.peers:
+        assert px.recv_whole == (len(px.recv_rows) == cp.index.size)
+        assert np.all(np.diff(px.recv_rows) > 0)
+        if px.recv_whole:
+            np.testing.assert_array_equal(px.recv_rows, np.arange(cp.index.size))
+        assert not px.send_whole
+
+
 class TestPlannerPackedCoverage15D:
     def setup_method(self):
         self.S = erdos_renyi(40, 52, 3, seed=11)
@@ -209,21 +184,69 @@ class TestPlannerPackedCoverage15D:
         """own rows + one peer leg per remaining row tile the packed panel,
         which is what makes the np.empty gather target legal."""
         for cp in self.cplans:
-            pieces = [cp.own_packed] + [px.recv_rows for px in cp.gather_packed.peers]
+            pieces = [cp.own_packed] + [px.recv_rows for px in cp.gather.peers]
             covered = np.concatenate([np.asarray(p) for p in pieces if len(p)] or [ix()])
             assert len(covered) == len(np.unique(covered))
             np.testing.assert_array_equal(np.sort(covered), np.arange(cp.index.size))
 
-    def test_packed_plans_preserve_word_counts(self):
+    def test_reduce_legs_are_gather_legs_reversed(self):
         for cp in self.cplans:
-            assert cp.gather_packed.recv_words() == cp.gather.recv_words()
-            assert cp.reduce_packed.send_words() == cp.reduce.send_words()
+            assert_reversed(cp.gather, cp.reduce)
+
+    def test_leg_is_whole_iff_as_tall_as_the_union(self):
+        for cp in self.cplans:
+            assert_whole_iff_union_tall(cp)
 
     def test_own_rows_agree_with_layout(self):
         for rank, cp in enumerate(self.cplans):
             _, v = self.alg.grid.coords(rank)
             owned = self.plan.rows_a_of_fiber[v]
             np.testing.assert_array_equal(owned[cp.own_local], cp.index.union[cp.own_packed])
+
+
+class TestPlannerWholeLeg15D:
+    """c = 2: layer 0 touches only rows fiber coordinate 1 owns, so its
+    one peer leg covers the whole union; layer 1 owns some of its rows,
+    so its leg is partial."""
+
+    m, n, r = 24, 32, 6
+
+    def setup_method(self):
+        self.alg = make_algorithm("1.5d-sparse-shift", 4, 2)
+        self.plan = self.alg.plan(self.m, self.n, self.r)
+        rng = np.random.default_rng(3)
+        cols = np.arange(self.n)
+        layer = block_of(cols, self.plan.col_fine) % 2
+        rows = np.where(
+            layer == 0,
+            rng.choice(self.plan.rows_a_of_fiber[1], self.n),
+            rng.integers(0, self.m, self.n),
+        )
+        self.S = CooMatrix(rows, cols, rng.standard_normal(self.n), (self.m, self.n))
+        self.cplans = self.alg.build_comm_plans(self.plan, self.S)
+
+    def test_whole_and_partial_legs(self):
+        for rank, cp in enumerate(self.cplans):
+            _, v = self.alg.grid.coords(rank)
+            (leg,) = cp.gather.peers
+            assert leg.recv_whole == (v == 0)
+            assert (len(cp.own_packed) == 0) == (v == 0)
+            assert_whole_iff_union_tall(cp)
+            assert_reversed(cp.gather, cp.reduce)
+            assert cp.reduce.peers[0].send_whole == (v == 0)
+
+    def test_whole_legs_match_dense_comm(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((self.m, self.r))
+        B = rng.standard_normal((self.n, self.r))
+        outs = {}
+        for comm in ("dense", "sparse"):
+            with repro.plan(
+                self.S, self.r, p=4, c=2, algorithm="1.5d-sparse-shift", comm=comm
+            ) as sess:
+                outs[comm] = (sess.sddmm(A, B)[0].vals, sess.spmm_a(B)[0])
+        for got, want in zip(outs["sparse"], outs["dense"]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestPlannerPacked25D:
@@ -233,14 +256,24 @@ class TestPlannerPacked25D:
         self.plan = self.alg.plan(36, 30, 10)
         self.cplans = self.alg.build_comm_plans(self.plan, self.S)
 
-    def test_packed_recv_rows_are_the_whole_panel(self):
+    def test_gather_legs_receive_the_whole_panel(self):
         """A rank's need list IS its packed panel, so every peer leg lands
-        on the identity packed rows (only the column windows differ)."""
+        on the identity packed rows, flagged whole (only the column
+        windows differ), and every reduction leg sends the whole panel."""
         for cp in self.cplans:
-            for px in cp.gather_a_packed.peers:
-                np.testing.assert_array_equal(px.recv_rows, np.arange(cp.index_a.size))
-            for px in cp.gather_b_packed.peers:
-                np.testing.assert_array_equal(px.recv_rows, np.arange(cp.index_b.size))
+            for gather, reduce, index in (
+                (cp.gather_a, cp.reduce_a, cp.index_a),
+                (cp.gather_b, cp.reduce_b, cp.index_b),
+            ):
+                for px in gather.peers:
+                    assert px.recv_whole and not px.send_whole
+                    np.testing.assert_array_equal(px.recv_rows, np.arange(index.size))
+                assert all(px.send_whole for px in reduce.peers)
+
+    def test_reduce_legs_are_gather_legs_reversed(self):
+        for cp in self.cplans:
+            assert_reversed(cp.gather_a, cp.reduce_a)
+            assert_reversed(cp.gather_b, cp.reduce_b)
 
     def test_block_packed_is_in_panel_coordinates(self):
         for cp in self.cplans:

@@ -163,7 +163,7 @@ def _panel_words(sess, S, sides):
     if not sides:
         return 0
     return sum(
-        getattr(cp, f"gather_{side}_packed").recv_words()
+        getattr(cp, f"gather_{side}").recv_words()
         for cp in _comm_plans(sess, S)
         for side in sides
     )
@@ -242,8 +242,8 @@ class TestWarmCalls:
                 assert rec["replica_hits"] == 2 * p
                 for prof, cp in zip(sess.report().per_rank, cplans):
                     legs = (
-                        getattr(cp, f"reduce_{written}_packed"),
-                        getattr(cp, f"gather_{rebound}_packed"),
+                        getattr(cp, f"reduce_{written}"),
+                        getattr(cp, f"gather_{rebound}"),
                     )
                     ctr = prof.counters[Phase.PROPAGATION]
                     assert ctr.words_received == sum(g.recv_words() for g in legs)
@@ -337,7 +337,7 @@ class TestThirdSlot:
                 assert rec["replica_hits"] == 3 * p
                 written = kernel[-1]
                 for prof, cp in zip(sess.report().per_rank, cplans):
-                    leg = getattr(cp, f"reduce_{written}_packed")
+                    leg = getattr(cp, f"reduce_{written}")
                     ctr = prof.counters[Phase.PROPAGATION]
                     assert ctr.words_received == leg.recv_words()
                     assert ctr.messages_received == leg.recv_messages()

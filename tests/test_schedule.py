@@ -425,7 +425,7 @@ def _packed_exchanges():
         with comm.profile.track(Phase.REPLICATION):
             panel[sp.own_packed] = local.A[sp.own_local]
             got = sparse_allgatherv_packed(
-                ctx.fiber, sp.gather_packed, sp.index, local.A, panel
+                ctx.fiber, sp.gather, sp.index, local.A, panel
             )
         assert got is panel
         contrib = panel * (comm.rank + 1)
@@ -433,7 +433,7 @@ def _packed_exchanges():
         with comm.profile.track(Phase.REPLICATION):
             base[sp.own_local] = contrib[sp.own_packed]
             reduced = sparse_reduce_scatterv_packed(
-                ctx.fiber, sp.reduce_packed, sp.index, contrib, base
+                ctx.fiber, sp.reduce, sp.index, contrib, base
             )
         assert reduced is base
         return panel, base
@@ -448,7 +448,7 @@ class TestPackedCollectives:
         for (panel, _), prof, sp in zip(results, profiles, sparse_plans):
             assert not np.isnan(panel).any()  # every packed row was covered
             ctr = prof.counters[Phase.REPLICATION]
-            legs = (sp.gather_packed, sp.reduce_packed)
+            legs = (sp.gather, sp.reduce)
             assert ctr.words_received == sum(leg.recv_words() for leg in legs)
             assert ctr.messages_received == sum(leg.recv_messages() for leg in legs)
 
