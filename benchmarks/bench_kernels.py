@@ -25,8 +25,10 @@ was cut against, and no numba run has re-measured the margin).
 ``spmm_a_block`` / ``spmm_b_block`` / ``spmm_scatter`` all run one CSR
 walk over the same raw arrays on both backends — SciPy's compiled
 sequential ``csr_matvecs`` against the jitted row-partitioned loop
-(``spmm_scatter`` adds the same per-call run-head scan, plus the same
-stable sort when its keys arrive
+(``spmm_scatter`` adds the same per-call CSR build — a ``bincount`` of
+the keys over every output row when the output is at most ``2 * nnz``
+rows tall, as in every row here, a run-head scan of the touched rows
+above that — plus the same stable sort when its keys arrive
 unsorted, on both sides: the ``_sorted`` / ``_unsorted`` rows time one
 column-keyed chunk both ways — as the families circulate it, prepared
 at its home rank, and as an unprepared caller hands it over) — and

@@ -5,8 +5,10 @@ dispatched by :mod:`repro.kernels.registry`.  Partitioning follows the
 shared-memory sparse-kernel literature (Gale et al., "Sparse GPU Kernels
 for Deep Learning"):
 
-* **Row-partitioned CSR** for SpMMA/SpMMB and the transient touched-rows
-  CSR of ``spmm_scatter``: one ``prange`` iteration per output row walks
+* **Row-partitioned CSR** for SpMMA/SpMMB and the transient CSR of
+  ``spmm_scatter`` (full-height into ``out`` itself when ``out`` has at
+  most ``2 * nnz`` rows, else over the touched rows into a ``sums``
+  temporary scattered back): one ``prange`` iteration per output row walks
   that row's nonzeros in CSR index order into a private accumulator,
   then adds the accumulator into the caller's output — the *same*
   per-element accumulation order SciPy's ``csr @ dense`` routine

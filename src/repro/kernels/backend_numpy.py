@@ -7,7 +7,11 @@ their memory traffic and little else:
 * the CSR product is :func:`scipy.sparse._sparsetools.csr_matvecs` — the
   C loop behind SciPy's ``csr @ dense`` — run on raw ``(indptr, indices,
   data)`` arrays into a zeroed temporary that is then added into the
-  caller's rows: bitwise ``out += csr @ B``, minus the per-call matrix
+  caller's rows — all of ``out`` in one contiguous add (``rows=None``:
+  a block's CSR, or ``spmm_scatter``'s full-height CSR of a chunk into
+  an output at most ``2 * nnz`` rows tall), or, for a taller output,
+  only the rows a chunk touches, gathered and scattered back: bitwise
+  ``out += csr @ B``, minus the per-call matrix
   object (constructor, index scan and downcast, matmul dispatch — more
   than the product itself at rank sizes).  ``_sparsetools`` is private
   to SciPy; ``tests/test_kernels.py::TestCsrProduct`` is the tripwire;

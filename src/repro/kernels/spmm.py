@@ -18,10 +18,13 @@ bitwise-identical to each other and to SciPy's ``out += csr @ B``
 ``tests/test_kernels.py::TestCsrProduct``).
 
 :func:`spmm_scatter` is the same product for a *transient* coordinate
-chunk: a per-call CSR over the touched rows, run through the same hook.
-The rank running it caches nothing — what can be prepared about a
-circulating chunk (its order by output row) is prepared once per
-structure at the chunk's home rank, and arrives with it.
+chunk: a per-call CSR run through the same hook — over every row of the
+output when it is at most ``2 * nnz`` rows tall (one contiguous add of
+the product), over only the touched rows above that (the product is
+scattered back into them).  The rank running it caches nothing — what
+can be prepared about a circulating chunk (its order by output row) is
+prepared once per structure at the chunk's home rank, and arrives with
+it.
 """
 
 from __future__ import annotations
@@ -85,6 +88,20 @@ def _row_runs(rows: np.ndarray) -> tuple:
     return indptr, rows[indptr[:-1]]
 
 
+def _full_height_indptr(rows: np.ndarray, height: int) -> np.ndarray:
+    """CSR ``indptr`` over all ``height`` rows of the output for
+    non-decreasing keys ``rows`` (empty rows get empty segments)."""
+    counts = np.bincount(rows, minlength=height)
+    if len(counts) > height:
+        raise IndexError(
+            f"row {len(counts) - 1} is out of bounds for an output of "
+            f"{height} rows"
+        )
+    indptr = np.zeros(height + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 def spmm_scatter(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -96,31 +113,48 @@ def spmm_scatter(
     """``out[rows] += vals * B[cols]`` for a transient coordinate chunk.
 
     A circulating sparse chunk visits a rank once per phase and the
-    receiver keeps nothing about it, so a CSR over *only the rows the
-    chunk touches* is built per call (``indptr`` = the segment starts of
-    the row keys, ``indices``/``data`` in chunk order within each row)
-    and the product is one CSR matmul scattered back into the touched
-    rows.  The families send their chunks out already ordered by output
-    row (prepared once per structure at the home rank, see
-    ``DistributedAlgorithm.home_chunk``): the run heads found in one
-    O(nnz) pass are strictly increasing exactly when the keys arrive
-    non-decreasing — then the CSR is the chunk itself; any other order
-    is stably sorted here first (and its runs found again).  Both ways walk
-    each row's nonzeros in the same order, so a chunk and its stable
-    row-sort give bitwise-equal outputs.
-    Work and temporaries are O(nnz * r) whatever the height of ``out``.
-    Contributions of duplicate rows (and duplicate ``(row, col)`` pairs)
-    are summed.  Both kernel backends walk the same CSR in the same
-    order, so they are bitwise-identical.
+    receiver keeps nothing about it, so a CSR is built per call
+    (``indices``/``data`` in chunk order within each row) and run through
+    the backend's CSR hook.  Which rows that CSR spans is a rule on the
+    shapes, not a knob:
+
+    * **full height** when ``out`` has at most ``2 * nnz`` rows: the
+      ``indptr`` spans every row of ``out`` (a ``bincount`` of the keys,
+      cumulated, empty rows included) and the hook writes one
+      ``out``-shaped product with one contiguous add — no gather or
+      scatter of the touched rows;
+    * **touched rows** for a taller (hypersparse) ``out``: ``indptr`` =
+      the segment starts of the row keys, and the product is scattered
+      back into only the rows the chunk touches.
+
+    Either way the temporaries are at most ``2 * nnz * r`` words plus
+    O(nnz), whatever the height of ``out``.  The families send their
+    chunks out already ordered by output row (prepared once per structure
+    at the home rank, see ``DistributedAlgorithm.home_chunk``), so keys
+    that arrive non-decreasing are the CSR as they are; any other order
+    is stably sorted here first.  Both paths walk each row's nonzeros in
+    the same order into a zero-started accumulator that is then added to
+    ``out``, so a chunk and its stable row-sort, and the two paths, give
+    bitwise-equal outputs (an untouched row adds ``+0.0``, which changes
+    no bits unless ``out`` holds a ``-0.0`` there; a zero-started output
+    never does).  A row outside ``out`` raises.  Contributions of
+    duplicate rows (and duplicate ``(row, col)`` pairs) are summed.  Both
+    kernel backends walk the same CSR in the same order, so they are
+    bitwise-identical.
     """
     nnz = len(rows)
     if nnz == 0:
         return out
     t0 = _span_start(profile)
-    indptr, touched = _row_runs(rows)
-    if (touched[1:] <= touched[:-1]).any():
+    if (rows[1:] < rows[:-1]).any():
         order = np.argsort(rows, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows[0] < 0:  # fancy indexing would wrap it into the last rows
+        raise IndexError(f"row {rows[0]} is negative")
+    height = out.shape[0]
+    if height <= 2 * nnz:
+        indptr, touched = _full_height_indptr(rows, height), None
+    else:
         indptr, touched = _row_runs(rows)
     _kernel_impl(profile, vals, B, out).spmm_csr_add(
         indptr,

@@ -60,8 +60,10 @@ _REPEATS = 3
 #: from the old code stop feeding the cost model.  (2: ``spmm_scatter``
 #: became a touched-rows CSR product, ``sddmm_coo`` byte-sized chunks;
 #: 3: numpy runs the raw CSR loop and ``np.take`` gathers — gammas of
-#: the slower kernels must not feed ``kernels="auto"``.)
-KERNEL_REVISION = 3
+#: the slower kernels must not feed ``kernels="auto"``; 4: the probe's
+#: ``spmm_scatter`` — ``_N`` rows, ``_N * _AVG_DEG`` nonzeros — takes the
+#: full-height CSR path, with no touched-rows gather / scatter.)
+KERNEL_REVISION = 4
 
 #: in-memory memo: calibration runs at most once per process per cache
 _MEMO: Dict[str, dict] = {}

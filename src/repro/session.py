@@ -86,6 +86,14 @@ def _as_coo(S) -> CooMatrix:
     return CooMatrix.from_scipy(S)
 
 
+def _bits(X: np.ndarray) -> np.ndarray:
+    """``X`` viewed as its elements' bit patterns (a same-itemsize unsigned
+    integer view; raw bytes for itemsizes without one), so two such views
+    compare equal exactly when the arrays are bitwise equal."""
+    size = X.dtype.itemsize
+    return X.view(f"u{size}" if size in (1, 2, 4, 8) else f"V{size}")
+
+
 def _inverse(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
@@ -469,8 +477,10 @@ class Session:
 
         Returns ``X``, or ``None`` for a side that binds nothing.  An
         input side is *skipped* exactly when the previous bind scattered a
-        bitwise-equal array (checked against a private snapshot, so
-        in-place caller mutations are detected): its resident blocks still
+        bitwise-equal array (checked against a private snapshot in the
+        operand's own dtype, bit pattern by bit pattern — a flipped sign
+        of zero rebinds, a NaN that stayed put skips — so in-place caller
+        mutations are detected): its resident blocks still
         hold it, since they are read-only and every call puts them back
         (:meth:`_call`).  A ``None`` side (a pure output, or one
         :meth:`run_rank` was not given) keeps its resident blocks and its
@@ -486,8 +496,10 @@ class Session:
         state = self._dense_state.setdefault(transpose, {"a": None, "b": None})
         misses = self._bind_miss.setdefault(transpose, {"a": 0, "b": 0})
         snap = state[side]
-        comparable = snap is not None and snap.shape == X.shape
-        if comparable and np.array_equal(snap, X):
+        comparable = (
+            snap is not None and snap.shape == X.shape and snap.dtype == X.dtype
+        )
+        if comparable and np.array_equal(_bits(snap), _bits(X)):
             misses[side] = 0
             self.dense_bind_skips[side] += 1
             return None
@@ -498,7 +510,7 @@ class Session:
             else:
                 np.copyto(snap, X)  # reuse the snapshot buffer, no realloc
         elif misses[side] < self._BIND_MISS_LIMIT:
-            state[side] = np.array(X, dtype=np.float64, copy=True)
+            state[side] = np.array(X, copy=True)
         self.dense_bind_counts[side] += 1
         return X
 

@@ -355,7 +355,8 @@ class TestFlopAccounting:
 
 
 class TestScatterBackendRoute:
-    """``spmm_scatter`` hands every backend the same touched-rows CSR.
+    """``spmm_scatter`` hands every backend the same CSR (full-height or
+    touched-rows).
     The hook under test is ``NumbaKernels.spmm_csr_add`` itself — its
     row loop jitted where numba is installed, the plain-Python function
     otherwise (the ``njit`` stub) — so the route is covered in tier-1."""
@@ -489,6 +490,34 @@ class TestNumbaEquivalence:
                 spmm_scatter(rws, cols, vals, B, out, profile=prof)
                 outs.append(out)
             np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_spmm_scatter_full_height_bitwise(self, profs, rng, monkeypatch):
+        """A chunk into an ``out`` at most ``2 * nnz`` rows tall, most of
+        them empty, reaches the compiled hook with ``rows=None`` (it adds
+        each non-empty row's sum straight into ``out``): bitwise numpy."""
+        np_prof, nb_prof = profs
+        m, n, r, nnz = 120, 80, 16, 60
+        rows = np.sort(rng.choice([2, 3, 50, 51, 119], nnz))
+        cols = rng.integers(0, n, nnz)
+        vals = rng.standard_normal(nnz)
+        B = rng.standard_normal((n, r))
+        start = rng.standard_normal((m, r))
+        hook = nb_prof.kernels.spmm_csr_add
+        seen = []
+
+        def spy(*args):
+            seen.append(args[5] if len(args) > 5 else None)
+            return hook(*args)
+
+        monkeypatch.setattr(nb_prof.kernels, "spmm_csr_add", spy)
+        for rws in (rows, rng.permutation(rows)):  # sorted and unsorted
+            outs = []
+            for prof in (np_prof, nb_prof):
+                out = start.copy()
+                spmm_scatter(rws, cols, vals, B, out, profile=prof)
+                outs.append(out)
+            np.testing.assert_array_equal(outs[0], outs[1])
+        assert seen == [None, None]
 
     def test_gat_edge_scores_bitwise(self, profs, coords, rng):
         np_prof, nb_prof = profs

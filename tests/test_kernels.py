@@ -203,8 +203,9 @@ def _dense_scatter_ref(rows, cols, vals, B, out):
 
 
 class TestSpmmScatter:
-    """The transient touched-rows CSR product behind every circulating
-    chunk SpMM."""
+    """The transient CSR product behind every circulating chunk SpMM
+    (full-height for an ``out`` of at most ``2 * nnz`` rows, touched
+    rows above)."""
 
     @pytest.mark.parametrize(
         "case",
@@ -292,6 +293,95 @@ class TestSpmmScatter:
             tracemalloc.stop()
         assert peak < 40 * nnz * r * 8  # a small multiple of nnz * r words
         assert peak < out.nbytes // 50
+
+    def test_full_height_temporaries_bounded_by_nnz(self, rng, monkeypatch):
+        """An ``out`` of exactly ``2 * nnz`` rows takes the full-height
+        CSR: its one ``out``-shaped product and ``indptr`` stay a small
+        multiple of ``nnz * r`` words."""
+        n, r, nnz = 500, 8, 20_000
+        m = 2 * nnz
+        rows = np.sort(rng.integers(0, m, nnz))
+        cols = rng.integers(0, n, nnz)
+        vals = rng.standard_normal(nnz)
+        B = rng.standard_normal((n, r))
+        out = np.zeros((m, r))
+        spmm_scatter(rows, cols, vals, B, out)  # warm imports / caches
+        runs = _count_row_runs(monkeypatch)
+        tracemalloc.start()
+        try:
+            spmm_scatter(rows, cols, vals, B, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runs == []  # the full-height path built the CSR
+        assert peak < 4 * nnz * r * 8
+
+    @pytest.mark.parametrize(
+        "case",
+        ["sorted", "unsorted", "duplicate_rows", "duplicate_pairs", "empty_rows",
+         "nnz1", "float32", "strided_B"],
+    )
+    def test_full_height_equals_touched_rows_bitwise(self, rng, case, monkeypatch):
+        """The same chunk into an ``out`` at most ``2 * nnz`` rows tall
+        (full-height CSR) and into a taller one (touched-rows CSR) gives
+        byte-identical rows, and the taller one's extra rows keep their
+        bits."""
+        m, n, r, nnz = 16, 9, 5, 40
+        rows = np.sort(rng.integers(0, m, nnz))
+        cols = rng.integers(0, n, nnz)
+        dtype = np.float32 if case == "float32" else np.float64
+        if case == "unsorted":
+            rows = rng.permutation(rows)
+        elif case == "duplicate_rows":
+            rows = np.sort(rng.integers(3, 6, nnz))
+        elif case == "duplicate_pairs":
+            rows, cols = np.tile(rows[:8], 5), np.tile(cols[:8], 5)
+        elif case == "empty_rows":
+            m = 2 * nnz  # most rows of the panel get no nonzero
+            rows = np.sort(rng.choice([0, 7, 8, 31, 79], nnz))
+        elif case == "nnz1":
+            m, rows, cols = 2, np.array([1]), cols[:1]
+        vals = rng.standard_normal(len(rows)).astype(dtype)
+        if case == "strided_B":
+            B = rng.standard_normal((n, 3 * r))[:, 1::3]
+            assert not B.flags["C_CONTIGUOUS"]
+        else:
+            B = rng.standard_normal((n, r)).astype(dtype)
+        start = rng.standard_normal((2 * len(rows) + 1 + m, r)).astype(dtype)
+        runs = _count_row_runs(monkeypatch)
+        short = spmm_scatter(rows, cols, vals, B, start[:m].copy())
+        assert runs == []  # full height
+        tall = spmm_scatter(rows, cols, vals, B, start.copy())
+        assert runs == [1]  # touched rows
+        assert short.dtype == tall.dtype == dtype
+        assert short.tobytes() == tall[:m].tobytes()
+        assert tall[m:].tobytes() == start[m:].tobytes()
+
+    @pytest.mark.parametrize("height", [3, 40])  # full height, touched rows
+    @pytest.mark.parametrize("bad", ["past_end", "negative"])
+    def test_out_of_range_row_raises(self, height, bad):
+        rows = np.array([0, 1, 1, height if bad == "past_end" else -1])
+        cols = np.zeros(4, dtype=np.int64)
+        out = np.zeros((height, 2))
+        with pytest.raises(IndexError):
+            spmm_scatter(rows, cols, np.ones(4), np.ones((1, 2)), out)
+        assert not out.any()  # nothing was added before the check
+
+
+def _count_row_runs(monkeypatch) -> list:
+    """Record a call of ``spmm_scatter``'s touched-rows CSR builder per
+    entry of the returned list."""
+    import repro.kernels.spmm as spmm_module
+
+    calls = []
+    row_runs = spmm_module._row_runs
+
+    def counting(rows):
+        calls.append(1)
+        return row_runs(rows)
+
+    monkeypatch.setattr(spmm_module, "_row_runs", counting)
+    return calls
 
 
 CSR_CASES = [

@@ -483,6 +483,30 @@ class TestDenseBindSkipping:
             sess.sddmm(A.copy(), B.copy())  # bitwise equal -> no rebind
             assert sess.dense_bind_counts == {"a": 1, "b": 1}
 
+    def test_skip_compares_bits_not_values(self, small_problem):
+        """A skip needs a bitwise-equal operand: B with its zeros flipped
+        to ``-0.0`` equals B as values but rebinds, and an A holding a
+        NaN (unequal to itself as a value) passed twice skips."""
+        S, A, B = small_problem
+        B = B.copy()
+        B[::2] = 0.0
+        B_neg = np.where(B == 0.0, -0.0, B)
+        A_nan = A.copy()
+        A_nan[0, 0] = np.nan
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            sess.sddmm(A, B)
+            sess.sddmm(A, B_neg)  # signed-zero flip: rebinds B
+            assert sess.dense_bind_counts == {"a": 1, "b": 2}
+            assert sess.dense_bind_skips == {"a": 1, "b": 0}
+            sess.sddmm(A_nan, B_neg)
+            sess.sddmm(A_nan.copy(), B_neg)  # same NaN bits: skips A
+            assert sess.dense_bind_counts == {"a": 2, "b": 2}
+            assert sess.dense_bind_skips == {"a": 2, "b": 2}
+            out, _ = sess.sddmm(A, B_neg)
+            np.testing.assert_allclose(out.vals, sddmm_serial(S, A, B).vals,
+                                       rtol=1e-9)
+
     def test_fused_output_side_stays_resident_next_call(self, small_problem):
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
