@@ -97,8 +97,7 @@ class Lane:
     per nonzero); each phase it moves ``displacement`` positions on
     channel ``tag``.  ``rides_with`` marks the values of a warm chunk,
     whose coordinates form another lane: its payload must stay as long
-    as the coordinate lane's, and it makes one shift fewer than the
-    round has phases (see :meth:`DistributedAlgorithm.ring_loop`).
+    as the coordinate lane's.
 
     The coordinate lane of a chunk ring carries :class:`CarriedCoords`
     state, set by ``chunk_lanes``: ``trail`` is handed every payload the
@@ -106,10 +105,14 @@ class Lane:
     warm round — is that memo entry itself: the lane does not move, and
     after ``k`` shifts its payload is ``stays[k % len(stays)]``.
 
-    Every lane comes home after a full cycle.  A warm chunk's values skip
-    one hop without a message: the last of a trailing round (read-only,
-    they are still at home) or the first of a leading one (a zero
-    accumulator, made where it lands).
+    Every lane comes home after a full cycle, but not every lane ships
+    its last hop.  ``read_only`` marks a lane the round only reads: its
+    home payload (every array of it read-only) is still at home, so the
+    hop that would bring it back is taken without a message — the last
+    shift of a trailing round and of a leading one alike.  A warm
+    chunk's values in a leading round are an accumulator that leaves
+    home as zeros, so they skip the first hop instead: zeros made where
+    they land (see :meth:`DistributedAlgorithm.ring_loop`).
     """
 
     ring: Communicator
@@ -119,6 +122,7 @@ class Lane:
     rides_with: Optional["Lane"] = None
     trail: Optional[Callable[[Any], None]] = None
     stays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+    read_only: bool = False
 
 
 class CarriedCoords:
@@ -487,31 +491,47 @@ class DistributedAlgorithm:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
+        read_only: bool,
         carried: Optional[CarriedCoords] = None,
         key: Any = None,
     ) -> List[Lane]:
         """The lane(s) of a sparse chunk circulating around ``ring``; the
-        kernel sees ``rows, cols, vals`` either way.
+        kernel sees ``rows, cols, vals`` either way.  ``read_only`` says
+        the round only reads the values (an SpMM's); an SDDMM's accumulate
+        in them.
 
         Cold, a chunk travels whole, as one ``(rows, cols, vals)`` message
-        per phase on :data:`TAG_SHIFT_S`.  With ``carried`` (the rank's
+        per shift on :data:`TAG_SHIFT_S` — ``L`` shifts on a ring of
+        ``L`` as an accumulator, ``L − 1`` read-only (``ring_loop`` saves
+        the hop home).  With ``carried`` (the rank's
         :class:`CarriedCoords`) the cold round fills the entry ``key``,
         and a later round of the same ``key`` is *warm*: the coordinate
         lane stays put, reading each ring position's pair from the entry,
         and only the values move, on :data:`TAG_SHIFT_SV` — one message
-        and one word per nonzero per shift, ``L − 1`` shifts on a ring of
-        ``L`` (``ring_loop`` saves the one hop whose values nothing
-        needs to carry).  ``ring_loop`` checks every warm value array
-        against the entry's length at its position.
+        and one word per nonzero per shift, ``L − 1`` shifts either way
+        (``ring_loop`` saves the one hop whose values nothing needs to
+        carry).  ``ring_loop`` checks every warm value array against the
+        entry's length at its position.
         """
         trail = None
         if carried is not None:
             stays = carried.held(key, rows, cols, ring.size)
             if stays is not None:
                 coords = Lane(ring, (rows, cols), TAG_SHIFT_S, stays=stays)
-                return [coords, Lane(ring, vals, TAG_SHIFT_SV, rides_with=coords)]
+                return [
+                    coords,
+                    Lane(
+                        ring, vals, TAG_SHIFT_SV, rides_with=coords,
+                        read_only=read_only,
+                    ),
+                ]
             trail = carried.start(key, rows, cols, ring.size)
-        return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, trail=trail)]
+        return [
+            Lane(
+                ring, (rows, cols, vals), TAG_SHIFT_S, trail=trail,
+                read_only=read_only,
+            )
+        ]
 
     def home_chunk(
         self,
@@ -536,7 +556,8 @@ class DistributedAlgorithm:
         order; distributed order itself for SDDMM, whose values must come
         home that way — with ``perm`` the permutation the caller applies
         to the values (``None`` when distributed order already is travel
-        order, as it is for a row-major chunk's SpMMA).
+        order, as it is for a row-major chunk's SpMMA).  The coordinates
+        are read-only, as an SpMM round circulates them.
 
         ``cache`` is the home rank's own dict (it lives with the local
         sparse state: built lazily, once per resident structure, surviving
@@ -549,14 +570,14 @@ class DistributedAlgorithm:
         entry = cache.get((space, mode))
         if entry is None:
             if mode == Mode.SDDMM:
-                entry = (*coords(), None)
+                entry = (*map(frozen, coords()), None)
             else:
                 # sort the distributed-order entry, translated only once
                 rows, cols, perm = self.home_chunk(cache, space, coords, Mode.SDDMM)
                 keys = rows if mode == Mode.SPMM_A else cols
                 if (keys[1:] < keys[:-1]).any():
                     perm = np.argsort(keys, kind="stable")
-                    rows, cols = rows[perm], cols[perm]
+                    rows, cols = frozen(rows[perm]), frozen(cols[perm])
                 entry = (rows, cols, perm)
             cache[(space, mode)] = entry
         return entry
@@ -577,24 +598,39 @@ class DistributedAlgorithm:
         *leading* one (``leading=True``, an SDDMM's) shifts first, so
         phase ``t`` sees what ``t + 1`` shifts brought and a chunk's home
         rank adds its strip last.  Returns the operands after the round —
-        every lane back at its home rank when ``steps`` is the ring size.
+        every lane back at its home rank, ``steps`` being the ring size.
 
-        Every lane shifts (blocking) in lane order.  A lane that ``stays``
-        (warm chunk coordinates) never moves: after ``k`` shifts its
-        payload is ring position ``k``'s entry.  The values riding with it
-        make ``steps − 1`` shifts, a chunk's round being one full cycle:
+        Every lane shifts (blocking) in lane order, except on a hop that
+        carries nothing its receiver lacks:
 
-        * a trailing round's values are read-only, so the last hop would
-          carry back what the home rank still holds — it takes its own;
-        * a leading round's values are an accumulator that leaves home as
-          zeros, so the first hop is zeros of the length of ring position
-          1's coordinates, made where they are needed.
+        * a ``read_only`` lane's last hop would bring back what its home
+          rank still holds, so it takes its home payload instead — in a
+          trailing round (nothing computes after it) and in a leading one
+          (the last phase reads it) alike, ``steps − 1`` messages;
+        * a warm chunk's values (``rides_with``) in a leading round are
+          an accumulator that leaves home as zeros, so the first hop is
+          zeros of the length of ring position 1's coordinates, made
+          where they are needed;
+        * a lane that ``stays`` (warm chunk coordinates) never moves:
+          after ``k`` shifts its payload is ring position ``k``'s entry.
+
+        An accumulator lane keeps every hop, so no sum changes order.  A
+        lane marked ``read_only`` must leave from a home payload that
+        cannot be written (every array read-only), or the round raises:
+        an accumulator marked by mistake would otherwise lose its last
+        hop.
 
         ``root`` is the communicator whose profile the phases are tracked
         on.
         """
         homes = [lane.payload for lane in lanes]
-        free_hop = 0 if leading else steps - 1
+        for lane in lanes:
+            if lane.read_only and any(a.flags.writeable for a in _operands([lane])):
+                raise ReproError(
+                    f"lane on tag {lane.tag} is marked read-only, but its home "
+                    f"payload is writeable"
+                )
+        last = steps - 1
         for t in range(steps):
             if not leading:
                 with track(root, Phase.COMPUTATION):
@@ -604,9 +640,12 @@ class DistributedAlgorithm:
                     if lane.stays is not None:
                         lane.payload = lane.stays[(t + 1) % len(lane.stays)]
                         continue
-                    if lane.rides_with is not None and t == free_hop:
+                    if lane.read_only and t == last:
+                        lane.payload = home
+                        continue
+                    if leading and t == 0 and lane.rides_with is not None:
                         coords = lane.rides_with.payload[0]
-                        lane.payload = np.zeros(len(coords)) if leading else home
+                        lane.payload = np.zeros(len(coords))
                         continue
                     lane.payload = lane.ring.shift(
                         lane.payload, lane.displacement, lane.tag

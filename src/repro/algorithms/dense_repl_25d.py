@@ -32,23 +32,30 @@ accumulates into the circulating B buffer (ends complete, no reduction).
 FusedMM supports *no elision* and *replication reuse* (one all-gather for
 both rounds; native FusedMMB), at the Table III cost
 ``nr/sqrt(pc) * (6 phi + 2 + (c^1.5 - sqrt(c))/sqrt(p))`` with
-``4 sqrt(p/c) + (c-1)`` messages for a *cold* call.  A warm call of a
+``4 sqrt(p/c) + (c-1)`` messages — less, for a *cold* call, the hops
+home of the lanes a round only reads (``home_hops``): the B block outside
+SpMMB (``nr/p`` words) and an SpMM's chunk triple (``3 phi nr/p``) make
+``q − 1`` shifts, one message each less, so FusedMMB moves
+``(1 + 3 phi) nr/p`` words and two messages less, an un-elided FusedMMA
+(its SpMMA reads B too) ``(2 + 3 phi) nr/p`` and three.  A warm call of a
 session moves the S chunks' values alone: the grid row already carried
 their coordinates, which each rank kept (``CarriedCoords`` on its
 context).  The values also make ``q − 1`` shifts per round, not ``q``:
 an SpMM round's read-only values stop one hop short of home, and an
 SDDMM round's zero accumulator starts one hop downstream.  So ``6 phi``
-becomes ``2 phi (q − 1) / q``; the B block keeps its ``q`` shifts.
+becomes ``2 phi (q − 1) / q``; the B block keeps its ``q − 1`` shifts
+as an input and ``q`` as the SpMMB output.
 Local kernel fusion is impossible (dense operands are split along r),
 as the paper notes.
 
 Propagation is stated as :class:`~repro.algorithms.base.Lane` s — the S
 chunk on the grid row (``chunk_lanes``: its values accumulate in the
-SDDMM rounds) and the B block on the grid column (the output accumulator
-in the SpMMB rounds) — handed to the shared ``ring_loop``, which owns
-the schedule.  The S chunk leaves home in the mode's travel order
-(``home_chunk``: column-major for SpMMB, cached per resident structure),
-so a phase runs the local kernel and nothing else.
+SDDMM rounds, read-only in the SpMM rounds) and the B block on the grid
+column (the output accumulator in the SpMMB rounds, read-only otherwise)
+— handed to the shared ``ring_loop``, which owns the schedule.  The S
+chunk leaves home in the mode's travel order (``home_chunk``:
+column-major for SpMMB, cached per resident structure), so a phase runs
+the local kernel and nothing else.
 """
 
 from __future__ import annotations
@@ -328,7 +335,7 @@ class DenseReplicate25D(DistributedAlgorithm):
         else:
             vals0 = local.R if use_r_values else local.S_vals
             if perm is not None:
-                vals0 = vals0[perm]
+                vals0 = frozen(vals0[perm])
         B_start = local.B
         if mode == Mode.SPMM_B:
             B_start = np.zeros(self.piece_shape(plan, local, "b"))
@@ -353,10 +360,10 @@ class DenseReplicate25D(DistributedAlgorithm):
             ctx.comm, plan.q,
             [
                 *self.chunk_lanes(
-                    ctx.row, rows0, cols0, vals0, carried=ctx.carried,
-                    key=("block", mode),
+                    ctx.row, rows0, cols0, vals0, read_only=mode != Mode.SDDMM,
+                    carried=ctx.carried, key=("block", mode),
                 ),
-                Lane(ctx.col, B_start, TAG_SHIFT_B),
+                Lane(ctx.col, B_start, TAG_SHIFT_B, read_only=mode != Mode.SPMM_B),
             ],
             compute,
             leading=mode == Mode.SDDMM,
@@ -364,7 +371,7 @@ class DenseReplicate25D(DistributedAlgorithm):
 
         if mode == Mode.SDDMM:
             # home after q shifts
-            local.R = dots * local.S_vals if use_values else dots
+            local.R = frozen(dots * local.S_vals if use_values else dots)
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
                 ctx.comm, "reduce-scatter-A"
@@ -373,4 +380,6 @@ class DenseReplicate25D(DistributedAlgorithm):
                     ctx.fiber, T, self._fiber_sizes_a(plan, x), TAG_FIBER_RS
                 )
         else:
-            local.B = B_end  # accumulated output, back at its skewed start
+            # the accumulated output, back at its skewed start and read-only
+            # as a bound block is: a later round may circulate it read-only
+            local.B = frozen(B_end)

@@ -15,18 +15,24 @@ One unified kernel (``Mode`` selects SDDMM / SpMMA / SpMMB):
    when A is an input (SDDMM, SpMMB).
 2. ``p/c`` phases: local kernel against the currently-held B block, then a
    cyclic shift of the B buffer within the layer (the circulating buffer is
-   the *output* accumulator for SpMMB).
+   the *output* accumulator for SpMMB).  Read-only as an input, the block
+   skips the shift that would bring it home: ``p/c − 1`` shifts of
+   ``nr/p`` words; as the SpMMB accumulator it makes all ``p/c``.
 3. ``T`` reduce-scattered along the fiber when A is the output (SpMMA).
 
-FusedMM strategies (Section IV-B, Table III):
+FusedMM strategies (Section IV-B, Table III; each read-only round then
+moves one ``nr/p`` hop and one message less, ``home_hops``):
 
-* *No elision*: two unified calls; ``nr(2/c + 2(c-1)/p)`` words.
+* *No elision*: two unified calls; ``nr(2/c + 2(c-1)/p)`` words, less
+  ``2nr/p`` for FusedMMA (SDDMM and SpMMA read B) and ``nr/p`` for
+  FusedMMB.
 * *Replication reuse* (native output: B-shaped, i.e. FusedMMB): the single
   all-gather of A serves both kernels and the output accumulates in the
-  circulating buffer; ``nr(2/c + (c-1)/p)`` words, optimal ``c = sqrt(2p)``.
+  circulating buffer; ``nr(2/c + (c-1)/p)`` words less ``nr/p``, optimal
+  ``c = sqrt(2p)`` (Table III).
 * *Local kernel fusion* (native output: A-shaped, i.e. FusedMMA): one
   propagation round runs the fused local kernel; ``nr(1/c + 2(c-1)/p)``
-  words, optimal ``c = sqrt(p/2)``.
+  words less ``nr/p``, optimal ``c = sqrt(p/2)`` (Table III).
 
 Propagation is one :class:`~repro.algorithms.base.Lane` — the B block on
 the layer ring, read-only as an input and mutated as the SpMMB output —
@@ -311,12 +317,14 @@ class DenseShift15D(DistributedAlgorithm):
 
         (B_end,) = self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, B_start, TAG_SHIFT_B)],
+            [Lane(ctx.layer, B_start, TAG_SHIFT_B, read_only=mode != Mode.SPMM_B)],
             compute,
         )
 
         if mode == Mode.SPMM_B:
-            local.B = B_end  # accumulated output, back at its home rank
+            # the accumulated output, back at its home rank and read-only as
+            # a bound block is: a later round may circulate it read-only
+            local.B = frozen(B_end)
 
         # --- output reduction ---------------------------------------------
         if mode == Mode.SPMM_A:
@@ -339,7 +347,8 @@ class DenseShift15D(DistributedAlgorithm):
         """Local kernel fusion (native FusedMMA).
 
         A single propagation round; each phase runs the fused local
-        SDDMM+SpMM kernel.  Words: ``nr(2(c-1)/p + 1/c)``.
+        SDDMM+SpMM kernel against the read-only B block, which skips its
+        hop home.  Words: ``nr(2(c-1)/p + 1/c − 1/p)``.
         """
         prof = ctx.comm.profile
         u, v = ctx.u, ctx.v
@@ -363,7 +372,7 @@ class DenseShift15D(DistributedAlgorithm):
 
         self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, local.B, TAG_SHIFT_B)],
+            [Lane(ctx.layer, local.B, TAG_SHIFT_B, read_only=True)],
             fused_compute,
         )
         with track(ctx.comm, Phase.REPLICATION):

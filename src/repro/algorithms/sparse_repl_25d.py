@@ -36,6 +36,10 @@ initial value all-gather, the SDDMM round, an all-reduce of the values
 (reduce-scatter + all-gather, exactly the paper's description), and the
 SpMM round — ``4 sqrt(p/c) + 3(c-1)`` messages and
 ``nr/sqrt(p) * (4/sqrt(c) + 3 phi (c-1)/sqrt(p))`` words (Table III).
+As run, the Cannon path moves ``3 nr/p`` words and three messages less
+(``home_hops``): both of the SDDMM round's pieces and the SpMM round's
+input pieces are read-only, so each skips the hop that would bring it
+home; the SpMM's output piece, an accumulator, makes all ``q`` shifts.
 
 Sparse communication (``comm="sparse"``): the resident block's structure
 is *stationary*, so rank ``(x, y, z)`` only ever reads A at
@@ -78,9 +82,9 @@ side's stored panel: a rank holds two strip panels, and the next call
 gathers that side again.
 
 The Cannon propagation is stated as :class:`~repro.algorithms.base.Lane` s
-(A pieces on the grid row, B pieces on the grid column; an SpMM's output
-lane is the accumulator the kernel mutates) handed to the shared
-``ring_loop``; the packed neighborhood gathers / reductions are the
+(A pieces on the grid row, B pieces on the grid column, read-only but
+for an SpMM's output lane, the accumulator the kernel mutates) handed to
+the shared ``ring_loop``; the packed neighborhood gathers / reductions are the
 blocking collectives of :mod:`repro.comm_sparse.collectives`.
 """
 
@@ -496,8 +500,8 @@ class SparseReplicate25D(DistributedAlgorithm):
                 ctx.comm, plan.q,
                 [
                     Lane(
-                        in_ring, ctx.pool.take_like(f"piece-{inp}", in_home),
-                        in_tag, displacement=1,
+                        in_ring, frozen(ctx.pool.take_like(f"piece-{inp}", in_home)),
+                        in_tag, displacement=1, read_only=True,
                     ),
                     Lane(
                         out_ring, ctx.pool.zeros("piece-out", out_shape),
@@ -560,12 +564,12 @@ class SparseReplicate25D(DistributedAlgorithm):
                 ctx.comm, plan.q,
                 [
                     Lane(
-                        ctx.row, ctx.pool.take_like("piece-a", local.A),
-                        TAG_SHIFT_A, displacement=1,
+                        ctx.row, frozen(ctx.pool.take_like("piece-a", local.A)),
+                        TAG_SHIFT_A, displacement=1, read_only=True,
                     ),
                     Lane(
-                        ctx.col, ctx.pool.take_like("piece-b", local.B),
-                        TAG_SHIFT_B, displacement=1,
+                        ctx.col, frozen(ctx.pool.take_like("piece-b", local.B)),
+                        TAG_SHIFT_B, displacement=1, read_only=True,
                     ),
                 ],
                 compute,

@@ -31,13 +31,16 @@ Unified kernel (Mode):
 FusedMM: *replication reuse* (native FusedMMB) shares the single
 all-gather between the SDDMM and SpMMB rounds, reproducing the paper's
 Eq. (2) cost ``6 nnz/c + n r (c-1)/p`` with ``2p/c + (c-1)`` messages and
-optimal ``c = sqrt(6 p phi)`` — for a *cold* call.  A warm call of a
-session moves the values alone: the layer ring already carried every
-chunk's coordinates, which each rank kept (``CarriedCoords`` on its
-context).  It also makes ``L − 1`` value shifts per round on the ring
-of ``L = p/c``, not ``L``: the SpMMB round's read-only values stop one
-hop short of home, where they still are, and the SDDMM round's zero
-accumulator starts one hop downstream.  So propagation falls to
+optimal ``c = sqrt(6 p phi)`` — less, for a *cold* call, the SpMM round's
+hop home: its chunk triple is read-only and still at home, so it makes
+``L − 1`` shifts (``3 nnz/p`` words and one message less,
+``home_hops``), while the SDDMM round's accumulating triple makes all
+``L``.  A warm call of a session moves the values alone: the layer
+ring already carried every chunk's coordinates, which each rank kept
+(``CarriedCoords`` on its context).  It also makes ``L − 1`` value
+shifts per round on the ring of ``L = p/c``: the SpMMB round's
+read-only values stop one hop short of home, where they still are, and
+the SDDMM round's zero accumulator starts one hop downstream.  So propagation falls to
 ``2 nnz (L − 1) / (c L)`` words (``nnz/c`` at ``L = 2``), and the fiber
 gather of an unchanged A is skipped too (``BufferPool.replica``).
 Local kernel fusion is impossible here (dense matrices are split along
@@ -410,7 +413,7 @@ class SparseShift15D(DistributedAlgorithm):
         else:
             vals0 = local.R if use_r_values else local.S_vals
             if perm is not None:
-                vals0 = vals0[perm]
+                vals0 = frozen(vals0[perm])
         if mode == Mode.SPMM_B:
             # B is a pure output here, accumulated in a fresh block sized
             # from the plan (off the pool: it escapes into the local state)
@@ -435,15 +438,15 @@ class SparseShift15D(DistributedAlgorithm):
         _, _, dots = self.ring_loop(
             ctx.comm, plan.n_layer,
             self.chunk_lanes(
-                ctx.layer, rows0, cols0, vals0, carried=ctx.carried,
-                key=(space, mode),
+                ctx.layer, rows0, cols0, vals0, read_only=mode != Mode.SDDMM,
+                carried=ctx.carried, key=(space, mode),
             ),
             compute,
             leading=mode == Mode.SDDMM,
         )
 
         if mode == Mode.SDDMM:
-            local.R = dots * local.S_vals if use_values else dots
+            local.R = frozen(dots * local.S_vals if use_values else dots)
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
                 ctx.comm, "reduce-scatter-A"

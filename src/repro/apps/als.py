@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import TAG_APP
+from repro.algorithms.base import TAG_APP, frozen
 from repro.algorithms.fused import native_procedure
 from repro.errors import ReproError
 from repro.runtime.profile import RunReport
@@ -207,7 +207,8 @@ class DistributedALS:
             rhs_blk = getattr(local, slot)
 
             def matvec(vblk):
-                setattr(local, slot, vblk)
+                # bound as a resident block is: read-only, replaced
+                setattr(local, slot, frozen(vblk))
                 # pattern-only: the normal equations use S's indicator
                 method(ctx, plan_, local, use_values=False, **kw)
                 return getattr(local, slot) + lam * vblk

@@ -54,6 +54,7 @@ from repro.algorithms.base import (
     TAG_SHIFT_B,
     Lane,
     concat_allgather,
+    frozen,
     track,
 )
 from repro.errors import ReproError
@@ -310,11 +311,12 @@ class DistributedGAT:
             for head in heads:
                 with prof.track(Phase.OTHER):
                     T_H = T_X @ head.W  # coarse panel of H (j-side rows)
-                    H_blk = X_own @ head.W  # circulating block (i-side rows)
+                    H_blk = frozen(X_own @ head.W)  # circulating (i-side rows)
                     prof.add_flops(2 * (T_X.size + X_own.size) * head.W.shape[1])
 
                 # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>);
-                # H circulates read-only
+                # H circulates read-only, so it skips the hop home: nl - 1
+                # shifts of its n/p x r_head block
                 scores = {}
                 score_op = GatScoreOp(head.a_right, head.a_left, slope)
 
@@ -327,7 +329,8 @@ class DistributedGAT:
                         )
 
                 alg.ring_loop(
-                    ctx.comm, nl, [Lane(ctx.layer, H_blk, TAG_SHIFT_B)],
+                    ctx.comm, nl,
+                    [Lane(ctx.layer, H_blk, TAG_SHIFT_B, read_only=True)],
                     score_compute,
                 )
 
@@ -337,7 +340,8 @@ class DistributedGAT:
                     _edge_softmax(ctx.layer, scores, seg, width)
 
                 # round 2: aggregation out_i = sum_j attn_ij H_j, accumulated
-                # in the circulating buffer (SpMMB on the transposed layout)
+                # in the circulating buffer (SpMMB on the transposed layout),
+                # which makes all nl shifts of an n/p x r_head block
                 def agg_compute(t, out_cur):
                     j = plan.held_block(u, v, t)
                     blk = local.S.get(j)

@@ -114,6 +114,80 @@ def fusedmm_cost(key: str, n: int, r: int, p: int, c: int, phi: float) -> CostBr
     raise ReproError(f"unknown cost row {key!r}; options: {PAPER_COST_ROWS}")
 
 
+#: per algorithm and round: the read-only lanes of one propagation round,
+#: as the size of their home payload — ``"piece"`` a dense block / piece
+#: (``n r / p`` words), ``"chunk"`` a cold sparse chunk (``3 nnz / p``).
+#: Accumulator lanes (an SpMMB's dense output, a 2.5D sparse-replicating
+#: SpMM's output piece, an SDDMM's chunk values) are not listed: they
+#: keep every hop.  A local-kernel-fusion round reads B as an SDDMM does.
+_READ_ONLY_LANES: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "1.5d-dense-shift": {"sddmm": ("piece",), "spmm_a": ("piece",), "spmm_b": ()},
+    "1.5d-sparse-shift": {"sddmm": (), "spmm_a": ("chunk",), "spmm_b": ("chunk",)},
+    "2.5d-dense-replicate": {
+        "sddmm": ("piece",), "spmm_a": ("chunk", "piece"), "spmm_b": ("chunk",),
+    },
+    "2.5d-sparse-replicate": {
+        "sddmm": ("piece", "piece"), "spmm_a": ("piece",), "spmm_b": ("piece",),
+    },
+}
+
+#: (elision, FusedMM variant) -> the rounds its rank procedure runs; the
+#: variant that is not an elision's native one runs the native procedure
+#: on the transposed sibling, the same rounds (m ~= n)
+_FUSED_ROUNDS: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("none", "a"): ("sddmm", "spmm_a"),
+    ("none", "b"): ("sddmm", "spmm_b"),
+    ("replication-reuse", "a"): ("sddmm", "spmm_b"),
+    ("replication-reuse", "b"): ("sddmm", "spmm_b"),
+    ("local-kernel-fusion", "a"): ("sddmm",),
+    ("local-kernel-fusion", "b"): ("sddmm",),
+}
+
+
+def _ring_size(algorithm: str, p: int, c: int) -> int:
+    """Ranks on one propagation ring: a 1.5D layer, a 2.5D grid row."""
+    return p // c if algorithm.startswith("1.5d") else math.isqrt(p // c)
+
+
+def _home_hops(
+    algorithm: str, rounds: Tuple[str, ...], table: CostBreakdown,
+    n: int, r: int, p: int, c: int, phi: float,
+) -> CostBreakdown:
+    """The part of ``table``'s propagation that ``rounds`` do not move:
+    one hop of words and one message per read-only lane, or everything
+    on a one-rank ring."""
+    if _ring_size(algorithm, p, c) == 1:
+        return CostBreakdown(
+            0.0, table.propagation_words, 0.0, table.propagation_messages
+        )
+    size = {"piece": float(n) * r / p, "chunk": 3 * phi * n * r / p}
+    lanes = [lane for mode in rounds for lane in _READ_ONLY_LANES[algorithm][mode]]
+    return CostBreakdown(0.0, sum(size[lane] for lane in lanes), 0.0, len(lanes))
+
+
+def home_hops(
+    key: str, variant: str, n: int, r: int, p: int, c: int, phi: float
+) -> CostBreakdown:
+    """Table III traffic a *cold* FusedMM call does not move.
+
+    Table III charges every propagation round a full ring of shifts (``p/c``
+    on 1.5D, ``q`` on 2.5D), but a lane the round only reads comes home on
+    its last shift carrying a block its owner never gave up, so
+    ``ring_loop`` takes the home payload instead of that message.  This
+    counts one hop of words and one message per read-only lane per round
+    of ``key``'s FusedMMA (``variant="a"``) or FusedMMB (``"b"``) — and on
+    a one-rank ring every hop is a home hop: all of the propagation.  A
+    cold call moves exactly ``fusedmm_cost(...) − home_hops(...)``;
+    warm chunk rounds save more (``CarriedCoords``).
+    """
+    table = fusedmm_cost(key, n, r, p, c, phi)  # validates key and grid
+    algorithm, elision = key.split("/", 1)
+    rounds = _FUSED_ROUNDS.get((elision, variant))
+    if rounds is None:
+        raise ReproError(f"unknown FusedMM variant {variant!r}; options: 'a', 'b'")
+    return _home_hops(algorithm, rounds, table, n, r, p, c, phi)
+
+
 def fusedmm_cost_paper(
     key: str, n: int, r: int, p: int, c: int, phi: float
 ) -> Tuple[float, float]:
@@ -282,26 +356,37 @@ def fusedmm_cost_sparse(
 def kernel_cost(
     algorithm: str, mode: str, n: int, r: int, p: int, c: int, phi: float
 ) -> CostBreakdown:
-    """Cost of one *single* (non-fused) kernel call, as implemented.
+    """Cost of one *single* (non-fused) cold kernel call, as implemented.
 
     Every unified kernel is one propagation round plus the fiber
     collectives its mode requires: SDDMM and SpMMB replicate the input A
     (all-gather); SpMMA reduces the output (reduce-scatter); the 2.5D
-    sparse-replicating kernels move value arrays instead.
+    sparse-replicating kernels move value arrays instead.  The round's
+    read-only lanes skip their hop home (:func:`home_hops`), and a
+    one-rank ring moves nothing.
     """
     nr = float(n) * r
     ag = nr * (c - 1) / p
     ag_m = float(c - 1)
     if algorithm == "1.5d-dense-shift":
-        return CostBreakdown(ag, nr / c, ag_m, p / c)
-    if algorithm == "1.5d-sparse-shift":
-        return CostBreakdown(ag, 3 * phi * nr / c, ag_m, p / c)
-    q = math.isqrt(p // c)
-    if algorithm == "2.5d-dense-replicate":
-        return CostBreakdown(ag, (3 * phi + 1) * nr * q / p, ag_m, 2 * q)
-    if algorithm == "2.5d-sparse-replicate":
+        full = CostBreakdown(ag, nr / c, ag_m, p / c)
+    elif algorithm == "1.5d-sparse-shift":
+        full = CostBreakdown(ag, 3 * phi * nr / c, ag_m, p / c)
+    elif algorithm == "2.5d-dense-replicate":
+        q = math.isqrt(p // c)
+        full = CostBreakdown(ag, (3 * phi + 1) * nr * q / p, ag_m, 2 * q)
+    elif algorithm == "2.5d-sparse-replicate":
+        q = math.isqrt(p // c)
         nfiber = 2.0 if mode == "sddmm" else 1.0
-        return CostBreakdown(
+        full = CostBreakdown(
             nfiber * phi * nr * (c - 1) / p, 2 * nr * q / p, nfiber * ag_m, 2 * q
         )
-    raise ReproError(f"unknown algorithm {algorithm!r}")
+    else:
+        raise ReproError(f"unknown algorithm {algorithm!r}")
+    saved = _home_hops(algorithm, (mode,), full, n, r, p, c, phi)
+    return CostBreakdown(
+        full.replication_words,
+        full.propagation_words - saved.propagation_words,
+        full.replication_messages,
+        full.propagation_messages - saved.propagation_messages,
+    )

@@ -129,15 +129,17 @@ def chunk_rings(alg, S, r):
     return [(len(nnz), sum(nnz)) for nnz in rings.values()]
 
 
-def chunk_round_traffic(alg, S, r, warm=False):
+def chunk_round_traffic(alg, S, r, warm=False, read_only=False):
     """The nonzeros one chunk round of ``alg`` on ``S`` (natural layout)
     receives, rank-summed, one message per rank per shift (a ring of one
     rank moves nothing).  Cold, every rank receives each chunk of its
-    ring once per round, 3 words per nonzero; warm, a ring of ``L``
-    ranks makes ``L − 1`` shifts, so each chunk reaches ``L − 1`` ranks,
-    1 word per nonzero.  0 where S does not circulate."""
+    ring once per round, 3 words per nonzero — but a round that only
+    reads its chunk (``read_only``: an SpMM's) makes ``L − 1`` shifts on
+    a ring of ``L``, so no rank receives its own; warm, every round makes
+    ``L − 1`` shifts, so each chunk reaches ``L − 1`` ranks, 1 word per
+    nonzero.  0 where S does not circulate."""
     return sum(
-        (size - 1 if warm else size) * nnz
+        (size - 1 if warm or read_only else size) * nnz
         for size, nnz in chunk_rings(alg, S, r)
         if size > 1
     )

@@ -11,9 +11,10 @@ chunk-circulating family x comm x grid:
 
 * a warm round on a ring of ``L`` ranks moves the values alone, 1 word
   per nonzero, in ``L − 1`` shifts: an SpMM round's values stop one hop
-  short of home, an SDDMM round's accumulator starts one hop downstream
-  — all of a 1.5D sparse-shift call's PROPAGATION words — one message
-  per rank fewer than the cold round's ``L``;
+  short of home (as its cold chunk triple does), an SDDMM round's
+  accumulator starts one hop downstream — all of a 1.5D sparse-shift
+  call's PROPAGATION words — one message per rank fewer than the cold
+  SDDMM round's ``L``;
 * outputs are bitwise the cold call's and a fresh session's, also after
   ``update_values`` (the memo survives it) and on the transposed sibling;
 * a warm call's value message dropped or duplicated ends in a retryable
@@ -37,6 +38,7 @@ from repro.algorithms.base import (
     CarriedCoords,
     DistributedAlgorithm,
     Lane,
+    frozen,
 )
 from repro.errors import CommError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -72,9 +74,13 @@ KERNELS = {
     "fusedmm_a": lambda sess, A, B: sess.fusedmm_a(A, B)[0],
     "fusedmm_b": lambda sess, A, B: sess.fusedmm_b(A, B)[0],
 }
-#: chunk rounds per call; FusedMMA under replication reuse runs on the
-#: transposed sibling
-ROUNDS = {"sddmm": 1, "spmm_a": 1, "spmm_b": 1, "fusedmm_a": 2, "fusedmm_b": 2}
+#: chunk rounds per call, each by whether it only reads its chunk (an
+#: SpMM's) or accumulates in it (an SDDMM's); FusedMMA under replication
+#: reuse runs on the transposed sibling
+ROUNDS = {
+    "sddmm": (False,), "spmm_a": (True,), "spmm_b": (True,),
+    "fusedmm_a": (False, True), "fusedmm_b": (False, True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -113,19 +119,24 @@ def _traffic(sess, S, kernel, transpose=False, warm=False):
     ``kernel`` on its orientation of ``S``, cold or warm."""
     assert sess.explain().layout == "natural"
     S = S.transposed() if transpose else S
-    return chunk_round_traffic(sess.alg, S, R, warm=warm) * ROUNDS[kernel]
+    return sum(
+        chunk_round_traffic(sess.alg, S, R, warm=warm, read_only=read_only)
+        for read_only in ROUNDS[kernel]
+    )
 
 
 def _saved_words(sess, S, kernel, transpose=False):
     """The chunk words a warm call of ``kernel`` saves on a cold one: the
-    coordinates, and one hop of values per rank and round."""
+    coordinates, and one hop of values per rank and SDDMM round (a cold
+    SpMM round already stops one hop short of home)."""
     cold = _traffic(sess, S, kernel, transpose)
     return 3 * cold - _traffic(sess, S, kernel, transpose, warm=True)
 
 
 def _ring_ranks(sess, S):
     """Ranks on a ring that moves something: each receives one message
-    fewer per warm round than per cold one."""
+    fewer per warm SDDMM round than per cold one (an SpMM round makes
+    ``L − 1`` shifts either way)."""
     return sum(size for size, _ in chunk_rings(sess.alg, S, R) if size > 1)
 
 
@@ -136,18 +147,20 @@ class TestWarmRounds:
         self, problem, family, comm, grid, kernel
     ):
         """Cold, every chunk a rank receives is 3 words per nonzero, in
-        ``L`` shifts; warm, 1, in ``L − 1`` — one message fewer per rank
-        and round.  The other lanes (2.5D's B block) move what they
-        moved."""
+        ``L`` shifts of an SDDMM round and ``L − 1`` of an SpMM round;
+        warm, 1, in ``L − 1`` — one message fewer per rank and SDDMM
+        round.  The other lanes (2.5D's B block) move what they moved."""
         S, A, B = problem
         with _plan(S, family, comm, grid=grid) as sess:
             nnz = _traffic(sess, S, kernel)
             warm_nnz = _traffic(sess, S, kernel, warm=True)
-            saved_msgs = _ring_ranks(sess, S) * ROUNDS[kernel]
+            saved_msgs = _ring_ranks(sess, S) * ROUNDS[kernel].count(False)
             cold_out, cold_words, cold_msgs, _ = _call(sess, kernel, A, B)
             for _ in range(2):
                 out, words, msgs, _ = _call(sess, kernel, A, B)
-                assert 0 < warm_nnz < nnz
+                assert 0 < warm_nnz < 3 * nnz
+                # fewer shifts warm exactly when an SDDMM round is run
+                assert (warm_nnz < nnz) == (False in ROUNDS[kernel])
                 rest = cold_words - 3 * nnz  # the lanes that are not S
                 assert words - rest == warm_nnz  # L − 1 hops of values
                 if family.startswith("1.5d"):
@@ -247,14 +260,13 @@ class TestWarmFaults:
     def test_fault_in_the_cold_round_refills_every_rank(
         self, problem, family, comm, grid
     ):
-        """Rank 0's second-to-last chunk message of call 1 (in the cold
-        SpMMB round) is lost: its receiver takes the last one — its own
-        home chunk coming back — for the position before, keeps those
-        coordinates, and waits out the deadline for one more message.
-        Every other rank's entry is right.  Were the memo to survive the
-        failure, that receiver's retry would read the wrong coordinates;
-        the hook drops it on every rank, so the retry fills it again
-        everywhere and the next calls are warm."""
+        """Rank 0's last chunk message of call 1 (in the cold SpMMB round,
+        whose read-only chunk stops one hop short of home) is lost: its
+        receiver's entry stays one position short while it waits out the
+        deadline.  Every other rank's entry is complete.  Were the memos
+        to survive the failure, the retry would run warm on every rank
+        but that one; the hook drops them on every rank, so the retry
+        fills them again everywhere and the next calls are warm."""
         S, A, B = problem
         kernel = "fusedmm_b"
         with _plan(S, family, comm, grid=grid) as clean:
@@ -262,7 +274,8 @@ class TestWarmFaults:
             _, warm_words, warm_msgs, _ = _call(clean, kernel, A, B)
         layout = clean.alg.grid
         ring = layout.layer_size if family.startswith("1.5d") else layout.q
-        # one coordinate-carrying message per phase of both cold rounds
+        # one coordinate-carrying message per shift: ``ring`` in the cold
+        # SDDMM round, ``ring - 1`` in the cold SpMMB round
         lost = FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=2 * ring - 2)
         plan = FaultPlan([lost])
         with _plan(
@@ -337,11 +350,13 @@ def _rounds(values_at, rounds=2, leading=False):
     def body(comm):
         carried = CarriedCoords()
         nnz = _nnz(comm.rank)
-        rows = np.arange(nnz) + 100 * comm.rank
-        cols = np.arange(nnz)[::-1].copy()
+        rows = frozen(np.arange(nnz) + 100 * comm.rank)
+        cols = frozen(np.arange(nnz)[::-1].copy())
         seen, home = [], []
         for k in range(rounds):
             vals = values_at(comm.rank, k)[:nnz]
+            if not leading:
+                vals = frozen(vals)  # an SpMM reads its values only
             block = np.full((2, 2), float(comm.rank))
 
             def compute(t, r, c, v, blk):
@@ -350,7 +365,10 @@ def _rounds(values_at, rounds=2, leading=False):
                     v += comm.rank + 1
 
             lanes = [
-                *alg.chunk_lanes(comm, rows, cols, vals, carried=carried, key="chunk"),
+                *alg.chunk_lanes(
+                    comm, rows, cols, vals, read_only=not leading,
+                    carried=carried, key="chunk",
+                ),
                 Lane(comm, block, TAG_SHIFT_B),
             ]
             out = alg.ring_loop(comm, RING, lanes, compute, leading=leading)
@@ -365,9 +383,9 @@ def _rounds(values_at, rounds=2, leading=False):
 
 class TestRule:
     def test_warm_round_sees_what_the_cold_round_saw(self):
-        """Trailing: the warm values stop one hop short of home — each
-        rank receives every chunk's values but its own, which it still
-        holds."""
+        """Trailing: the read-only chunk stops one hop short of home, cold
+        and warm — each rank receives every chunk but its own, which it
+        still holds."""
         results, profiles = _rounds(lambda rank, k: np.full(16, 10.0 * rank + k))
         for rank, (seen, home) in enumerate(results):
             cold = [s for s in seen if s[0] == 0]
@@ -383,13 +401,13 @@ class TestRule:
         chunk = sum(_nnz(rank) for rank in range(RING))
         for rank, prof in enumerate(profiles):
             ctr = prof.counters[Phase.PROPAGATION]
-            # the B lane (4 words a shift) RING shifts both rounds; the
-            # chunk RING shifts of 3 words per nonzero cold, RING - 1 of 1
-            # warm
+            # the B lane (4 words a shift, not marked read-only) RING
+            # shifts both rounds; the chunk RING - 1 shifts of 3 words per
+            # nonzero cold, of 1 warm
             assert ctr.words_received == (
-                2 * 4 * RING + 3 * chunk + chunk - _nnz(rank)
+                2 * 4 * RING + 3 * (chunk - _nnz(rank)) + chunk - _nnz(rank)
             )
-            assert ctr.messages_received == 2 * RING + RING + RING - 1
+            assert ctr.messages_received == 2 * RING + RING - 1 + RING - 1
 
     def test_leading_warm_round_starts_one_hop_downstream(self):
         """Leading: shift, then compute, so a chunk's home rank adds its

@@ -2,9 +2,12 @@
 
 These are the reproduction's core validation tests: for every algorithm x
 elision x grid, the words and messages *measured* by the runtime during a
-real FusedMM execution equal the paper's analytic formulas — exactly for
-the dense terms (the problem sizes divide evenly), and exactly in
-expectation for the sparse-chunk terms (the formulas use nnz/p).
+real cold FusedMM execution equal the paper's analytic formulas less the
+hops home of the lanes a round only reads (``home_hops``: such a lane's
+last shift would carry back what its owner still holds, so it is not
+sent) — exactly for the dense terms (the problem sizes divide evenly),
+and exactly in expectation for the sparse-chunk terms (the formulas use
+nnz/p).
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from repro.model.costs import (
     fusedmm_cost_paper,
     fusedmm_cost_sparse,
     fusedmm_flops,
+    home_hops,
     kernel_cost,
     sparse_comm_discount,
 )
+from repro.errors import ReproError
 from repro.sparse.generate import erdos_renyi
 from repro.types import Elision, Phase
 
@@ -50,8 +55,13 @@ CASES = [
 ]
 
 
-def _measure(name, elision, p, c):
-    _, rep = repro.fusedmm_b(S, A, B, p=p, c=c, algorithm=name, elision=elision)
+def _measure(name, elision, p, c, fused=repro.fusedmm_b):
+    _, rep = fused(S, A, B, p=p, c=c, algorithm=name, elision=elision)
+    return _traffic(rep)
+
+
+def _traffic(rep):
+    """Rank-mean (replication words, propagation words, messages)."""
     repl_w = np.mean(
         [pr.counters[Phase.REPLICATION].words_received for pr in rep.per_rank]
     )
@@ -72,12 +82,27 @@ def _measure(name, elision, p, c):
     "name,elision,p,c", CASES, ids=[f"{n}/{e.value}-p{p}c{c}" for n, e, p, c in CASES]
 )
 class TestMeasuredTrafficMatchesTableIII:
-    def test_words_and_messages(self, name, elision, p, c):
-        repl_w, prop_w, msgs = _measure(name, elision, p, c)
-        model = fusedmm_cost(f"{name}/{elision.value}", N, R, p, c, PHI)
+    def _check(self, name, elision, p, c, variant, fused):
+        repl_w, prop_w, msgs = _measure(name, elision, p, c, fused)
+        key = f"{name}/{elision.value}"
+        model = fusedmm_cost(key, N, R, p, c, PHI)
+        saved = home_hops(key, variant, N, R, p, c, PHI)
+        assert saved.replication_words == saved.replication_messages == 0
+        assert 0 < saved.propagation_messages < model.propagation_messages
         assert repl_w == pytest.approx(model.replication_words, rel=1e-12, abs=0.6)
-        assert prop_w == pytest.approx(model.propagation_words, rel=1e-12, abs=0.6)
-        assert msgs == pytest.approx(model.messages, abs=1e-9)
+        assert prop_w == pytest.approx(
+            model.propagation_words - saved.propagation_words, rel=1e-12, abs=0.6
+        )
+        assert msgs == pytest.approx(model.messages - saved.messages, abs=1e-9)
+
+    def test_words_and_messages(self, name, elision, p, c):
+        self._check(name, elision, p, c, "b", repro.fusedmm_b)
+
+    def test_home_hops_cover_the_other_variant(self, name, elision, p, c):
+        """FusedMMA runs other rounds (a none-elision SpMMA reads B) or
+        the native procedure on the transposed sibling: ``home_hops``
+        prices it too."""
+        self._check(name, elision, p, c, "a", repro.fusedmm_a)
 
 
 class TestModelInternalConsistency:
@@ -132,8 +157,6 @@ class TestModelInternalConsistency:
             assert cost.words > 0 and cost.messages > 0
 
     def test_invalid_grid_rejected(self):
-        from repro.errors import ReproError
-
         with pytest.raises(ReproError):
             fusedmm_cost("1.5d-dense-shift/none", 100, 8, 8, 3, 0.1)
         with pytest.raises(ReproError):
@@ -145,10 +168,65 @@ class TestModelInternalConsistency:
         assert fusedmm_flops(1000, 64, 8) == pytest.approx(4 * 1000 * 64 / 8)
 
     def test_kernel_cost_is_roughly_half_a_fused_call(self):
-        for fam in ("1.5d-dense-shift", "1.5d-sparse-shift"):
+        """An SDDMM round is half a replication-reuse FusedMM's Table III
+        propagation, less its own read-only lanes' hops home: dense
+        shifting reads its B block (one ``n r / p`` hop), sparse shifting
+        accumulates in its chunk (none)."""
+        hops = (("1.5d-dense-shift", 4096 * 64 / 16), ("1.5d-sparse-shift", 0))
+        for fam, hop in hops:
             single = kernel_cost(fam, "sddmm", 4096, 64, 16, 4, 0.2)
             fused = fusedmm_cost(f"{fam}/replication-reuse", 4096, 64, 16, 4, 0.2)
-            assert single.propagation_words == pytest.approx(fused.propagation_words / 2)
+            assert single.propagation_words == pytest.approx(
+                fused.propagation_words / 2 - hop
+            )
+
+    def test_one_rank_ring_moves_no_propagation(self):
+        """At ``c = p`` every hop is a hop home."""
+        for key in PAPER_COST_ROWS:
+            for variant in "ab":
+                table = fusedmm_cost(key, 1024, 32, 4, 4, 0.1)
+                saved = home_hops(key, variant, 1024, 32, 4, 4, 0.1)
+                assert saved.propagation_words == table.propagation_words
+                assert saved.propagation_messages == table.propagation_messages
+                assert saved.replication_words == saved.replication_messages == 0
+        with pytest.raises(ReproError):
+            home_hops("1.5d-dense-shift/none", "c", 1024, 32, 4, 2, 0.1)
+
+
+#: (family, (p, c)) x single kernels under comm="dense": two grids each
+KERNEL_GRIDS = [
+    (name, grid)
+    for name, grids in (
+        ("1.5d-dense-shift", [(8, 2), (16, 4)]),
+        ("1.5d-sparse-shift", [(8, 2), (16, 4)]),
+        ("2.5d-dense-replicate", [(8, 2), (16, 1)]),
+        ("2.5d-sparse-replicate", [(8, 2), (16, 1)]),
+    )
+    for grid in grids
+]
+
+
+@pytest.mark.parametrize("mode", ["sddmm", "spmm_a", "spmm_b"])
+@pytest.mark.parametrize(
+    "name,grid", KERNEL_GRIDS, ids=[f"{n}-p{p}c{c}" for n, (p, c) in KERNEL_GRIDS]
+)
+class TestKernelCostMatchesMeasured:
+    def test_single_kernel_words_and_messages(self, name, grid, mode):
+        """A cold single kernel moves exactly ``kernel_cost``: its round's
+        Table III traffic less the hops home of its read-only lanes."""
+        p, c = grid
+        with repro.plan(S, R, p=p, c=c, algorithm=name, comm="dense") as sess:
+            if mode == "sddmm":
+                _, rep = sess.sddmm(A, B)
+            elif mode == "spmm_a":
+                _, rep = sess.spmm_a(B)
+            else:
+                _, rep = sess.spmm_b(A)
+        repl_w, prop_w, msgs = _traffic(rep)
+        model = kernel_cost(name, mode, N, R, p, c, PHI)
+        assert repl_w == pytest.approx(model.replication_words, rel=1e-12, abs=0.6)
+        assert prop_w == pytest.approx(model.propagation_words, rel=1e-12, abs=0.6)
+        assert msgs == pytest.approx(model.messages, abs=1e-9)
 
 
 class TestNeedList25DRow:

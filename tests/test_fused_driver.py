@@ -220,7 +220,8 @@ class TestDriverMechanics:
     def test_multiple_calls_accumulate_traffic(self, small_problem):
         """Five calls move one cold call plus four warm ones: a warm call's
         input A is the very block the first call bound, so its fiber
-        replica is reused."""
+        replica is reused.  Each call's SDDMM and SpMMA rounds read the
+        circulating B block only, so it skips its hop home in both."""
         S, A, B = small_problem
         _, one = fused(FusedVariant.FUSED_A, S, A, B, calls=1, **self.KNOBS)
         _, five = fused(FusedVariant.FUSED_A, S, A, B, calls=5, **self.KNOBS)
@@ -228,8 +229,8 @@ class TestDriverMechanics:
             sess.fusedmm_a(A, B)
             sess.reset_profile()
             _, warm = sess.fusedmm_a(A, B)
-        assert (one.comm_words, one.comm_messages) == (2768, 6)
-        assert (warm.comm_words, warm.comm_messages) == (2384, 5)
+        assert (one.comm_words, one.comm_messages) == (1776, 4)
+        assert (warm.comm_words, warm.comm_messages) == (1392, 3)
         assert five.comm_words == one.comm_words + 4 * warm.comm_words
         assert five.comm_messages == one.comm_messages + 4 * warm.comm_messages
 

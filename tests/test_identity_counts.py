@@ -21,7 +21,11 @@ moved lower once more, in one call each, when ``run_rank`` calls became
 transient like kernel calls: a sibling call leaves its bound blocks
 resident, so the next call on the same operands skips its binds and its
 fiber replication (dense shift) or need-list ring gather (2.5D sparse
-replicate) reuses the stored panel.
+replicate) reuses the stored panel.  Every cell but the need-list 2.5D
+sparse-replicating one moved lower once more when a lane a round only
+reads stopped shipping its hop home, cold rounds included: the dense
+shift B block outside SpMMB, the 2.5D B block outside SpMMB, the Cannon
+input pieces and a cold SpMM's chunk triple each take L − 1 shifts.
 
 Since then ``overlap=`` is accepted and ignored, so a cell run with
 either ``overlap`` value must move exactly the words and messages of its

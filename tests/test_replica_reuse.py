@@ -10,8 +10,8 @@ slot since.  Covered here:
 * warm calls on every family x comm move exactly the cold words
   minus the replication words minus each unchanged side's need-list
   gather (2.5D sparse-replicate, ``comm="sparse"``) minus the coordinates
-  of every circulating chunk and one hop of its values
-  (tests/test_carried_coords.py), in fewer messages,
+  of every circulating chunk and, in an SDDMM round, one hop of its
+  values (tests/test_carried_coords.py), in fewer messages,
   bitwise equal to the cold call, with one ``replica_hits`` per rank per
   reused replica or panel in ``Session.metrics()``;
 * ``rmat_25d``'s steady state: alternating FusedMMA / FusedMMB re-gathers
@@ -139,22 +139,26 @@ def _comm_plans(sess, S):
     return alg.build_comm_plans(alg.plan(*S.shape, R), S)
 
 
-#: chunk rounds (ring cycles of S) per call of each kernel
+#: chunk rounds (ring cycles of S) per call of each kernel, each by whether
+#: it only reads its chunk (an SpMM's) or accumulates in it (an SDDMM's)
 ROUNDS = {
-    "sddmm": 1, "spmm_a": 1, "spmm_b": 1,
-    "fusedmm_a": 2, "fusedmm_b": 2,
+    "sddmm": (False,), "spmm_a": (True,), "spmm_b": (True,),
+    "fusedmm_a": (False, True), "fusedmm_b": (False, True),
 }
 
 
 def _chunk_words_saved(sess, S, kernel):
     """Rank-summed chunk words a cold call of ``kernel`` moves and a warm
     one does not: the coordinates — two per nonzero of every chunk a rank
-    receives (``CarriedCoords``) — and the values of the hop a warm round
-    saves; zero where S does not circulate."""
+    receives (``CarriedCoords``) — and, in an SDDMM round, the values of
+    the hop a warm round saves (a cold SpMM round already stops one hop
+    short of home); zero where S does not circulate."""
     assert sess.explain().layout == "natural"
-    cold = chunk_round_traffic(sess.alg, S, R)
     warm = chunk_round_traffic(sess.alg, S, R, warm=True)
-    return (3 * cold - warm) * ROUNDS[kernel]
+    return sum(
+        3 * chunk_round_traffic(sess.alg, S, R, read_only=read_only) - warm
+        for read_only in ROUNDS[kernel]
+    )
 
 
 def _panel_words(sess, S, sides):

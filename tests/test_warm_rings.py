@@ -18,7 +18,8 @@ block read-only (as ``bind_dense`` binds them), in whichever layout
 * on each warm call each rank's chunk lane sends and receives exactly
   ``L − 1`` messages per round, and its words are the nonzeros of the
   ``L − 1`` chunks it receives: all of its ring's but its own in an SpMM
-  round, all but its upstream neighbour's in an SDDMM round.
+  round, all but its upstream neighbour's in an SDDMM round (2.5D's B
+  block, read-only outside SpMMB, also skips its hop home there).
 """
 
 from __future__ import annotations
@@ -91,21 +92,24 @@ def _problem(seed, L):
     return S, A, B, vals
 
 
-def _other_lanes(sess, rank):
-    """``(words, messages)`` rank ``rank`` receives per round on lanes
-    that are not its S chunk's: 2.5D's B block visits each rank of its
-    grid column once, one fine block of strip ``y`` per shift."""
+def _other_lanes(sess, rank, mode):
+    """``(words, messages)`` rank ``rank`` receives per round of ``mode``
+    on lanes that are not its S chunk's: 2.5D's B block visits each rank
+    of its grid column once, one fine block of strip ``y`` per shift —
+    but where the round only reads it (outside SpMMB) it skips the hop
+    home, so no rank receives its own."""
     alg = sess.alg
     if alg.name != "2.5d-dense-replicate":
         return 0, 0
-    _, y, z = alg.grid.coords(rank)
+    x, y, z = alg.grid.coords(rank)
     plan = alg.plan(sess.m, sess.n, sess.r)
     q, c = plan.q, plan.c
     if q == 1:
         return 0, 0  # a ring of one rank moves nothing
     fine = np.diff(plan.col_fine)
-    rows = sum(int(fine[s * c + z]) for s in range(q))
-    return rows * plan.strip_width(y), q
+    visits = [s for s in range(q) if mode == Mode.SPMM_B or s != plan.sigma(x, y, 0)]
+    rows = sum(int(fine[s * c + z]) for s in visits)
+    return rows * plan.strip_width(y), len(visits)
 
 
 def _assert_warm_lanes(sess, S, kernel, R):
@@ -119,15 +123,15 @@ def _assert_warm_lanes(sess, S, kernel, R):
         ctr = prof.counters[Phase.PROPAGATION]
         pos, nnz = members[rank]
         L = len(nnz)
-        other_words, other_msgs = _other_lanes(sess, rank)
-        words = 0
+        words = msgs = 0
         for mode in modes:
             # the chunk a rank does not receive: an SpMM round keeps its
             # own home, an SDDMM round's first hop (from position + 1) is
             # made in place
             skipped = nnz[(pos + 1) % L] if mode == Mode.SDDMM else nnz[pos]
+            other_words, other_msgs = _other_lanes(sess, rank, mode)
             words += sum(nnz) - skipped + other_words
-        msgs = len(modes) * (L - 1 + other_msgs)
+            msgs += L - 1 + other_msgs
         assert ctr.messages_received == ctr.messages_sent == msgs, rank
         assert ctr.words_received == words, rank
 
