@@ -12,6 +12,12 @@ Paper shape to reproduce (256 KNL nodes, r=256, side 2^16 p):
 
 Here the same sweep runs at laptop scale on the thread runtime and is
 costed with Cori-like alpha-beta-gamma parameters on measured traffic.
+The claims are judged on the paper's schedule, every hop of every
+propagation ring shipped (the measured traffic plus the hops home the
+runs' read-only lanes skipped); the same runs priced as they ran are
+printed beside it.  As run, the 2.5D families gain most — the skipped hop
+is ``1/q`` of a lane's traffic and the laptop grids have ``q = 2`` — and
+``2.5d-sparse-replicate`` leads setup 1 at p = 16.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from repro.harness.weak_scaling import FIG4_VARIANTS, weak_scaling_experiment
 from conftest import write_result
 
 
-def _series(results):
+def _series(results, attr="modeled_seconds"):
     out = defaultdict(dict)
     for v in results:
-        out[v.label][v.p] = v.modeled_seconds
+        out[v.label][v.p] = getattr(v, attr)
     return out
 
 
@@ -49,17 +55,24 @@ def test_fig4_weak_scaling(scale):
     res1, res2 = run()
 
     lines = []
-    for setup, res in ((1, res1), (2, res2)):
-        series = _series(res)
-        table = {lbl: [vals.get(p, float("nan")) for p in p_list] for lbl, vals in series.items()}
-        lines.append(
-            print_series(
-                f"Figure 4 — weak scaling setup {setup} "
-                f"(modeled seconds per FusedMM, cori-knl)",
-                table,
-                p_list,
+    for attr, schedule in (
+        ("modeled_seconds", ""),
+        ("as_run_seconds", ", as run: read-only lanes skip their hop home"),
+    ):
+        for setup, res in ((1, res1), (2, res2)):
+            series = _series(res, attr)
+            table = {
+                lbl: [vals.get(p, float("nan")) for p in p_list]
+                for lbl, vals in series.items()
+            }
+            lines.append(
+                print_series(
+                    f"Figure 4 — weak scaling setup {setup} "
+                    f"(modeled seconds per FusedMM, cori-knl{schedule})",
+                    table,
+                    p_list,
+                )
             )
-        )
     write_result("fig4_weak_scaling.txt", "\n\n".join(lines))
 
     big_p = p_list[-1]

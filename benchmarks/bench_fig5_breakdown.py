@@ -4,7 +4,9 @@ propagation and computation.
 Paper shape to reproduce: communication time grows ~sqrt(p) for the 1.5D
 algorithms and ~cbrt(p) for the 2.5D algorithms while per-rank computation
 stays flat, so communication progressively dominates; the 2.5D algorithms
-spend relatively more of their communication in replication.
+spend relatively more of their communication in replication.  Times are
+on the paper's schedule, every hop of every propagation ring shipped (see
+``bench_fig4_weak_scaling.py``).
 """
 
 from __future__ import annotations

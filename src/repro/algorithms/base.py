@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import CommError, ReproError
 from repro.runtime.buffers import BufferPool
-from repro.runtime.comm import Communicator
+from repro.runtime.comm import Communicator, payload_words
 from repro.types import Mode, Phase
 
 # Message tags: one per logical channel so phases never cross-talk.
@@ -106,13 +106,13 @@ class Lane:
     after ``k`` shifts its payload is ``stays[k % len(stays)]``.
 
     Every lane comes home after a full cycle, but not every lane ships
-    its last hop.  ``read_only`` marks a lane the round only reads: its
-    home payload (every array of it read-only) is still at home, so the
-    hop that would bring it back is taken without a message — the last
-    shift of a trailing round and of a leading one alike.  A warm
-    chunk's values in a leading round are an accumulator that leaves
-    home as zeros, so they skip the first hop instead: zeros made where
-    they land (see :meth:`DistributedAlgorithm.ring_loop`).
+    its last hop.  A lane whose home payload cannot be written (every
+    array of it read-only) is one the round only reads: it is still at
+    home, so the hop that would bring it back is taken without a message
+    — the last shift of a trailing round and of a leading one alike.  A
+    warm chunk's values in a leading round are an accumulator that
+    leaves home as zeros, so they skip the first hop instead: zeros made
+    where they land (see :meth:`DistributedAlgorithm.ring_loop`).
     """
 
     ring: Communicator
@@ -122,7 +122,6 @@ class Lane:
     rides_with: Optional["Lane"] = None
     trail: Optional[Callable[[Any], None]] = None
     stays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-    read_only: bool = False
 
 
 class CarriedCoords:
@@ -491,47 +490,33 @@ class DistributedAlgorithm:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        read_only: bool,
         carried: Optional[CarriedCoords] = None,
         key: Any = None,
     ) -> List[Lane]:
         """The lane(s) of a sparse chunk circulating around ``ring``; the
-        kernel sees ``rows, cols, vals`` either way.  ``read_only`` says
-        the round only reads the values (an SpMM's); an SDDMM's accumulate
-        in them.
+        kernel sees ``rows, cols, vals`` either way.
 
         Cold, a chunk travels whole, as one ``(rows, cols, vals)`` message
         per shift on :data:`TAG_SHIFT_S` — ``L`` shifts on a ring of
-        ``L`` as an accumulator, ``L − 1`` read-only (``ring_loop`` saves
-        the hop home).  With ``carried`` (the rank's
-        :class:`CarriedCoords`) the cold round fills the entry ``key``,
-        and a later round of the same ``key`` is *warm*: the coordinate
-        lane stays put, reading each ring position's pair from the entry,
-        and only the values move, on :data:`TAG_SHIFT_SV` — one message
-        and one word per nonzero per shift, ``L − 1`` shifts either way
-        (``ring_loop`` saves the one hop whose values nothing needs to
-        carry).  ``ring_loop`` checks every warm value array against the
-        entry's length at its position.
+        ``L`` as an SDDMM's accumulator, ``L − 1`` as an SpMM's read-only
+        input (``ring_loop`` saves the hop home).  With ``carried`` (the
+        rank's :class:`CarriedCoords`) the cold round fills the entry
+        ``key``, and a later round of the same ``key`` is *warm*: the
+        coordinate lane stays put, reading each ring position's pair from
+        the entry, and only the values move, on :data:`TAG_SHIFT_SV` —
+        one message and one word per nonzero per shift, ``L − 1`` shifts
+        either way (``ring_loop`` saves the one hop whose values nothing
+        needs to carry).  ``ring_loop`` checks every warm value array
+        against the entry's length at its position.
         """
         trail = None
         if carried is not None:
             stays = carried.held(key, rows, cols, ring.size)
             if stays is not None:
                 coords = Lane(ring, (rows, cols), TAG_SHIFT_S, stays=stays)
-                return [
-                    coords,
-                    Lane(
-                        ring, vals, TAG_SHIFT_SV, rides_with=coords,
-                        read_only=read_only,
-                    ),
-                ]
+                return [coords, Lane(ring, vals, TAG_SHIFT_SV, rides_with=coords)]
             trail = carried.start(key, rows, cols, ring.size)
-        return [
-            Lane(
-                ring, (rows, cols, vals), TAG_SHIFT_S, trail=trail,
-                read_only=read_only,
-            )
-        ]
+        return [Lane(ring, (rows, cols, vals), TAG_SHIFT_S, trail=trail)]
 
     def home_chunk(
         self,
@@ -603,10 +588,16 @@ class DistributedAlgorithm:
         Every lane shifts (blocking) in lane order, except on a hop that
         carries nothing its receiver lacks:
 
-        * a ``read_only`` lane's last hop would bring back what its home
-          rank still holds, so it takes its home payload instead — in a
-          trailing round (nothing computes after it) and in a leading one
-          (the last phase reads it) alike, ``steps − 1`` messages;
+        * a read-only lane (every array of its home payload read-only,
+          so the round cannot have written it) would bring back on its
+          last hop what its home rank still holds, so it takes its home
+          payload instead — in a trailing round (nothing computes after
+          it) and in a leading one (the last phase reads it) alike,
+          ``steps − 1`` messages.  The profile counts the hop it saved
+          where Table III's schedule ships it
+          (:meth:`RankProfile.on_home_hop`): not on a one-rank ring,
+          whose shifts send nothing, and not for a warm chunk's values,
+          which that schedule ships as the whole triple;
         * a warm chunk's values (``rides_with``) in a leading round are
           an accumulator that leaves home as zeros, so the first hop is
           zeros of the length of ring position 1's coordinates, made
@@ -614,34 +605,30 @@ class DistributedAlgorithm:
         * a lane that ``stays`` (warm chunk coordinates) never moves:
           after ``k`` shifts its payload is ring position ``k``'s entry.
 
-        An accumulator lane keeps every hop, so no sum changes order.  A
-        lane marked ``read_only`` must leave from a home payload that
-        cannot be written (every array read-only), or the round raises:
-        an accumulator marked by mistake would otherwise lose its last
-        hop.
+        An accumulator lane leaves home writeable, so it keeps every hop
+        and no sum changes order.
 
         ``root`` is the communicator whose profile the phases are tracked
         on.
         """
         homes = [lane.payload for lane in lanes]
-        for lane in lanes:
-            if lane.read_only and any(a.flags.writeable for a in _operands([lane])):
-                raise ReproError(
-                    f"lane on tag {lane.tag} is marked read-only, but its home "
-                    f"payload is writeable"
-                )
+        read_only = [
+            not any(a.flags.writeable for a in _operands([lane])) for lane in lanes
+        ]
         last = steps - 1
         for t in range(steps):
             if not leading:
                 with track(root, Phase.COMPUTATION):
                     compute(t, *_operands(lanes))
             with track(root, Phase.PROPAGATION):
-                for lane, home in zip(lanes, homes):
+                for lane, home, frozen_home in zip(lanes, homes, read_only):
                     if lane.stays is not None:
                         lane.payload = lane.stays[(t + 1) % len(lane.stays)]
                         continue
-                    if lane.read_only and t == last:
+                    if frozen_home and t == last:
                         lane.payload = home
+                        if lane.rides_with is None and lane.ring.size > 1:
+                            lane.ring.profile.on_home_hop(payload_words(home))
                         continue
                     if leading and t == 0 and lane.rides_with is not None:
                         coords = lane.rides_with.payload[0]

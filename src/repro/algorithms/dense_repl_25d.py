@@ -360,10 +360,10 @@ class DenseReplicate25D(DistributedAlgorithm):
             ctx.comm, plan.q,
             [
                 *self.chunk_lanes(
-                    ctx.row, rows0, cols0, vals0, read_only=mode != Mode.SDDMM,
+                    ctx.row, rows0, cols0, vals0,
                     carried=ctx.carried, key=("block", mode),
                 ),
-                Lane(ctx.col, B_start, TAG_SHIFT_B, read_only=mode != Mode.SPMM_B),
+                Lane(ctx.col, B_start, TAG_SHIFT_B),
             ],
             compute,
             leading=mode == Mode.SDDMM,

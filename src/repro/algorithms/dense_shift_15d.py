@@ -317,7 +317,7 @@ class DenseShift15D(DistributedAlgorithm):
 
         (B_end,) = self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, B_start, TAG_SHIFT_B, read_only=mode != Mode.SPMM_B)],
+            [Lane(ctx.layer, B_start, TAG_SHIFT_B)],
             compute,
         )
 
@@ -372,7 +372,7 @@ class DenseShift15D(DistributedAlgorithm):
 
         self.ring_loop(
             ctx.comm, plan.n_layer,
-            [Lane(ctx.layer, local.B, TAG_SHIFT_B, read_only=True)],
+            [Lane(ctx.layer, local.B, TAG_SHIFT_B)],
             fused_compute,
         )
         with track(ctx.comm, Phase.REPLICATION):

@@ -38,8 +38,10 @@ SpMM round — ``4 sqrt(p/c) + 3(c-1)`` messages and
 ``nr/sqrt(p) * (4/sqrt(c) + 3 phi (c-1)/sqrt(p))`` words (Table III).
 As run, the Cannon path moves ``3 nr/p`` words and three messages less
 (``home_hops``): both of the SDDMM round's pieces and the SpMM round's
-input pieces are read-only, so each skips the hop that would bring it
-home; the SpMM's output piece, an accumulator, makes all ``q`` shifts.
+input pieces are read-only (frozen pool copies of the bound blocks: the
+pool accounts the ring's three pieces), so each skips the hop that would
+bring it home; the SpMM's output piece, an accumulator, makes all ``q``
+shifts.
 
 Sparse communication (``comm="sparse"``): the resident block's structure
 is *stationary*, so rank ``(x, y, z)`` only ever reads A at
@@ -501,7 +503,7 @@ class SparseReplicate25D(DistributedAlgorithm):
                 [
                     Lane(
                         in_ring, frozen(ctx.pool.take_like(f"piece-{inp}", in_home)),
-                        in_tag, displacement=1, read_only=True,
+                        in_tag, displacement=1,
                     ),
                     Lane(
                         out_ring, ctx.pool.zeros("piece-out", out_shape),
@@ -565,11 +567,11 @@ class SparseReplicate25D(DistributedAlgorithm):
                 [
                     Lane(
                         ctx.row, frozen(ctx.pool.take_like("piece-a", local.A)),
-                        TAG_SHIFT_A, displacement=1, read_only=True,
+                        TAG_SHIFT_A, displacement=1,
                     ),
                     Lane(
                         ctx.col, frozen(ctx.pool.take_like("piece-b", local.B)),
-                        TAG_SHIFT_B, displacement=1, read_only=True,
+                        TAG_SHIFT_B, displacement=1,
                     ),
                 ],
                 compute,

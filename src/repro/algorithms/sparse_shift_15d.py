@@ -438,7 +438,7 @@ class SparseShift15D(DistributedAlgorithm):
         _, _, dots = self.ring_loop(
             ctx.comm, plan.n_layer,
             self.chunk_lanes(
-                ctx.layer, rows0, cols0, vals0, read_only=mode != Mode.SDDMM,
+                ctx.layer, rows0, cols0, vals0,
                 carried=ctx.carried, key=(space, mode),
             ),
             compute,

@@ -330,7 +330,7 @@ class DistributedGAT:
 
                 alg.ring_loop(
                     ctx.comm, nl,
-                    [Lane(ctx.layer, H_blk, TAG_SHIFT_B, read_only=True)],
+                    [Lane(ctx.layer, H_blk, TAG_SHIFT_B)],
                     score_compute,
                 )
 

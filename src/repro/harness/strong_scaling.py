@@ -31,6 +31,10 @@ class StrongScalingResult:
     def best_variant(self) -> VariantResult:
         return min(self.variants, key=lambda v: v.modeled_seconds)
 
+    def best_as_run(self) -> VariantResult:
+        """The best variant on the traffic the runs moved."""
+        return min(self.variants, key=lambda v: v.as_run_seconds)
+
 
 def petsc_baseline_seconds(
     S: CooMatrix,

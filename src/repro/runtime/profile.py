@@ -41,6 +41,11 @@ class PhaseCounters:
 
     ``seconds`` is wall time spent *inside* the phase's tracked blocks —
     for communication phases that is the time blocked on the transfer.
+    ``home_words`` / ``home_messages`` are the hops home this rank's
+    read-only ring lanes took without a message where the schedule Table
+    III prices ships them (every hop of a ring of two or more ranks, a
+    chunk as its whole triple): what the rank would also have received
+    on it.
     """
 
     seconds: float = 0.0
@@ -49,6 +54,8 @@ class PhaseCounters:
     messages_sent: int = 0
     messages_received: int = 0
     flops: int = 0
+    home_words: int = 0
+    home_messages: int = 0
 
     def merge(self, other: "PhaseCounters") -> None:
         self.seconds += other.seconds
@@ -57,6 +64,8 @@ class PhaseCounters:
         self.messages_sent += other.messages_sent
         self.messages_received += other.messages_received
         self.flops += other.flops
+        self.home_words += other.home_words
+        self.home_messages += other.home_messages
 
 
 class RankProfile:
@@ -118,6 +127,13 @@ class RankProfile:
         ctr = self.counters[self.phase]
         ctr.words_received += words
         ctr.messages_received += 1
+
+    def on_home_hop(self, words: int) -> None:
+        """A read-only ring lane took its home payload instead of the
+        ``words``-word message that would have brought it back."""
+        ctr = self.counters[self.phase]
+        ctr.home_words += words
+        ctr.home_messages += 1
 
     def add_flops(self, flops: int) -> None:
         self.counters[self.phase].flops += flops
@@ -262,11 +278,16 @@ class RunReport:
 
     # -- modeled times -----------------------------------------------------
 
-    def modeled_comm_seconds(self, machine, phase: Optional[Phase] = None) -> float:
+    def modeled_comm_seconds(
+        self, machine, phase: Optional[Phase] = None, table3: bool = False
+    ) -> float:
         """alpha-beta time of the communication measured in this run.
 
         ``machine`` is a :class:`repro.runtime.cost.MachineParams`.  With
-        ``phase=None`` all communication phases are included.
+        ``phase=None`` all communication phases are included.  With
+        ``table3=True`` the hops home the run's read-only lanes skipped
+        are priced as if shipped: the every-hop schedule of the paper's
+        algorithms, which Table III prices.
         """
         phases: Iterable[Phase]
         if phase is None:
@@ -278,8 +299,12 @@ class RunReport:
             t = 0.0
             for ph in phases:
                 ctr = p.counters[ph]
-                t += machine.alpha * ctr.messages_received
-                t += machine.beta * ctr.words_received
+                messages, words = ctr.messages_received, ctr.words_received
+                if table3:
+                    messages += ctr.home_messages
+                    words += ctr.home_words
+                t += machine.alpha * messages
+                t += machine.beta * words
             return t
 
         return max(rank_time(p) for p in self.per_rank)
@@ -288,18 +313,21 @@ class RunReport:
         """gamma time of the FLOPs measured in this run."""
         return max(p.total().flops for p in self.per_rank) * machine.gamma
 
-    def modeled_total_seconds(self, machine, measured_compute: bool = False) -> float:
+    def modeled_total_seconds(
+        self, machine, measured_compute: bool = False, table3: bool = False
+    ) -> float:
         """Total modeled runtime: communication (alpha-beta) + computation.
 
         With ``measured_compute=True``, wall-clock local-kernel time from
-        this process is used instead of ``gamma * flops``.
+        this process is used instead of ``gamma * flops``; ``table3`` is
+        :meth:`modeled_comm_seconds`'.
         """
         compute = (
             self.compute_seconds
             if measured_compute
             else self.modeled_compute_seconds(machine)
         )
-        return self.modeled_comm_seconds(machine) + compute
+        return self.modeled_comm_seconds(machine, table3=table3) + compute
 
     # -- structured export -------------------------------------------------
 

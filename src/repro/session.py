@@ -765,7 +765,9 @@ class Session:
         ranks' SDDMM output, in ``S``'s coordinates); ``None`` returns no
         output.  Returns ``(output, report)`` and records one
         :meth:`metrics` entry.  ``proc`` replaces a dense block, never
-        writes one in place (bound blocks are read-only), and the blocks
+        writes one in place (bound blocks are read-only); a writeable
+        replacement circulates on every hop of a ring, where a read-only
+        one skips its hop home.  The blocks
         it leaves last only until the call's collect: afterwards every
         rank holds the blocks it was dispatched with again, as after a
         kernel call.

@@ -366,7 +366,7 @@ def _rounds(values_at, rounds=2, leading=False):
 
             lanes = [
                 *alg.chunk_lanes(
-                    comm, rows, cols, vals, read_only=not leading,
+                    comm, rows, cols, vals,
                     carried=carried, key="chunk",
                 ),
                 Lane(comm, block, TAG_SHIFT_B),

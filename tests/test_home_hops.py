@@ -3,8 +3,9 @@
 Table III charges every propagation round a full ring of ``L`` shifts,
 but a lane the round only reads comes home on its last shift carrying a
 block its owner never gave up, so ``ring_loop`` takes the home payload
-instead of that message (``Lane.read_only``).  Accumulator lanes keep
-every hop, so no sum changes order.  Covered here, seeded per cell, for
+instead of that message: a lane whose home payload cannot be written.
+Accumulator lanes leave home writeable and keep every hop, so no sum
+changes order.  Covered here, seeded per cell, for
 every family x the five kernels x rings of ``L`` in {1, 2, 4, 9}
 (``comm="dense"``, ``elision="none"``), a cold then a warm call on one
 session, with every bound block read-only (as ``bind_dense`` binds
@@ -18,7 +19,10 @@ them):
   (a FusedMM) or ``kernel_cost`` (a single kernel, as run), rank mean;
 * outputs are allclose to ``baselines/serial``, and the cold and warm
   calls are bitwise equal;
-* a lane marked read-only whose home payload is writeable raises.
+* the hops saved are counted (``PhaseCounters.home_words`` /
+  ``home_messages``), and with them the cold call's traffic is Table
+  III's again;
+* a lane with any writeable array in its home payload keeps every hop.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from repro.algorithms.base import (
     frozen,
 )
 from repro.baselines import serial
-from repro.errors import ReproError
 from repro.model.costs import fusedmm_cost, home_hops, kernel_cost
 from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile
@@ -155,15 +158,33 @@ def _problem(seed):
     return S, rng.standard_normal((n, r)), rng.standard_normal((n, r))
 
 
-def _mean(report, phase=None):
-    """Rank-mean (words, messages) received, in ``phase`` or in all."""
+#: the counters of the hops home a rank's read-only lanes skipped
+HOME = ("home_words", "home_messages")
+
+
+def _mean(report, phase=None, attrs=("words_received", "messages_received")):
+    """Rank-mean (words, messages) received, in ``phase`` or in all;
+    ``attrs=HOME`` counts the skipped hops home instead."""
     ctrs = [
         [prof.counters[phase]] if phase else list(prof.counters.values())
         for prof in report.per_rank
     ]
-    words = [sum(c.words_received for c in cs) for cs in ctrs]
-    msgs = [sum(c.messages_received for c in cs) for cs in ctrs]
-    return np.mean(words), np.mean(msgs)
+    words, msgs = (
+        np.mean([sum(getattr(c, attr) for c in cs) for cs in ctrs])
+        for attr in attrs
+    )
+    return words, msgs
+
+
+def _read_only_lanes(family, modes, warm=False):
+    """Read-only lanes over ``modes``' rounds, a warm chunk's values not
+    counted: each saves one hop Table III's schedule ships."""
+    return sum(
+        read_only
+        for mode in modes
+        for tag, read_only in LANES[family][mode]
+        if not (warm and tag == TAG_SHIFT_S)
+    )
 
 
 def _as_run(family, kernel, n, r, p, c, phi):
@@ -203,6 +224,11 @@ def test_read_only_lanes_skip_the_hop_home(exec_backend, shifts, family, L, kern
                 if exec_backend == "threads":
                     got = Counter(tag for who, tag in shifts if who == rank)
                     assert got == want, (warm, rank)
+            # one counted hop home per read-only lane and round, none on
+            # a one-rank ring (its shifts send nothing) and none for warm
+            # values (Table III ships a chunk as its triple)
+            hop_words, hop_msgs = _mean(report, attrs=HOME)
+            assert hop_msgs == (_read_only_lanes(family, modes, warm) if L > 1 else 0)
             if not warm:
                 words, msgs = _mean(report)
                 model_words, model_msgs = _as_run(
@@ -210,6 +236,18 @@ def test_read_only_lanes_skip_the_hop_home(exec_backend, shifts, family, L, kern
                 )
                 assert words == pytest.approx(model_words, rel=1e-12, abs=1e-6)
                 assert msgs == pytest.approx(model_msgs, abs=1e-9)
+                # the hops put back, a FusedMM moved Table III's (which
+                # still prices a one-rank ring's hop)
+                if kernel.startswith("fusedmm") and L > 1:
+                    table = fusedmm_cost(
+                        f"{family}/none", n, r, p, c, S.nnz / (n * r)
+                    )
+                    assert words + hop_words == pytest.approx(
+                        table.words, rel=1e-12, abs=1e-6
+                    )
+                    assert msgs + hop_msgs == pytest.approx(
+                        table.messages, abs=1e-9
+                    )
                 if L == 1:
                     assert _mean(report, Phase.PROPAGATION) == (0, 0)
     cold, warm_out = outs
@@ -217,21 +255,23 @@ def test_read_only_lanes_skip_the_hop_home(exec_backend, shifts, family, L, kern
     np.testing.assert_allclose(cold, reference(S, A, B), rtol=1e-10, atol=1e-10)
 
 
-def _ring(payload, read_only, steps=4):
+def _ring(payload, steps=4):
     """One trailing ``ring_loop`` of a single lane over ``steps`` ranks,
     each rank's payload ``payload(rank)``: per rank the operands every
-    phase saw and what came home, and the profiles."""
+    phase saw and whether the lane ended on its home payload, and the
+    profiles."""
     alg = DistributedAlgorithm(steps, 1)
     profiles = [RankProfile() for _ in range(steps)]
 
     def body(comm):
         home = payload(comm.rank)
         seen = []
-        lane = Lane(comm, home, TAG_SHIFT_B, read_only=read_only)
-        (out,) = alg.ring_loop(
-            comm, steps, [lane], lambda t, blk: seen.append(float(blk[0]))
-        )
-        return seen, out is home
+
+        def compute(t, *ops):
+            seen.append(float(ops[-1][0]))
+
+        out = alg.ring_loop(comm, steps, [Lane(comm, home, TAG_SHIFT_B)], compute)
+        return seen, out[-1] is (home[-1] if isinstance(home, tuple) else home)
 
     results, _ = run_spmd(steps, body, profiles=profiles)
     return results, profiles
@@ -240,8 +280,9 @@ def _ring(payload, read_only, steps=4):
 class TestRule:
     def test_read_only_lane_takes_its_home_payload(self):
         """Each rank sees every rank's block, its own first, in ``L − 1``
-        messages, and the lane ends on the very home array."""
-        results, profiles = _ring(lambda k: frozen(np.full(3, float(k))), True)
+        messages, ends on the very home array, and counts the hop it
+        saved."""
+        results, profiles = _ring(lambda k: frozen(np.full(3, float(k))))
         for rank, (seen, home) in enumerate(results):
             assert seen == [float((rank + t) % 4) for t in range(4)]
             assert home
@@ -249,23 +290,49 @@ class TestRule:
             ctr = prof.counters[Phase.PROPAGATION]
             assert ctr.messages_sent == ctr.messages_received == 3
             assert ctr.words_received == 9
+            assert (ctr.home_words, ctr.home_messages) == (3, 1)
 
-    def test_writeable_payload_marked_read_only_raises(self):
-        """An accumulator marked read-only by mistake would lose its last
-        hop: the round refuses to start."""
-        with pytest.raises(RuntimeError) as err:
-            _ring(lambda k: np.full(3, float(k)), True)
-        assert isinstance(err.value.__cause__, ReproError)
-        assert "read-only" in str(err.value.__cause__)
-        # a tuple payload must be read-only in every array
-        with pytest.raises(RuntimeError) as err:
-            _ring(lambda k: (frozen(np.zeros(2)), np.full(3, float(k))), True)
-        assert "read-only" in str(err.value.__cause__)
-
-    def test_unmarked_lane_keeps_every_hop(self):
-        results, profiles = _ring(lambda k: np.full(3, float(k)), False)
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda k: np.full(3, float(k)),
+            # a tuple payload is read-only only if every array is
+            lambda k: (frozen(np.zeros(2)), np.full(3, float(k))),
+        ],
+        ids=["array", "tuple"],
+    )
+    def test_writeable_payload_keeps_every_hop(self, payload):
+        """An accumulator leaves home writeable: its last hop ships."""
+        results, profiles = _ring(payload)
         for rank, (seen, home) in enumerate(results):
             assert seen == [float((rank + t) % 4) for t in range(4)]
             assert not home  # a received copy came back
         for prof in profiles:
-            assert prof.counters[Phase.PROPAGATION].messages_sent == 4
+            ctr = prof.counters[Phase.PROPAGATION]
+            assert ctr.messages_sent == 4
+            assert (ctr.home_words, ctr.home_messages) == (0, 0)
+
+
+def test_run_rank_proc_may_replace_a_block_writeable(exec_backend):
+    """A ``run_rank`` procedure that replaces ``B`` with a fresh writeable
+    block and runs an SDDMM round gets the right dots; the writeable
+    block ships all ``L`` hops."""
+    p, c = GRID_15D[4]
+    require_world_size(exec_backend, p)
+    S, A, B = _problem(5)
+
+    def proc(ctx, plan, local):
+        local.B = local.B * 2.0  # a new, writeable block
+        sess.alg.rank_kernel(ctx, plan, local, mode=Mode.SDDMM)
+
+    with repro.plan(
+        S, A.shape[1], p=p, c=c, algorithm="1.5d-dense-shift", comm="dense",
+        backend=exec_backend,
+    ) as sess:
+        out, report = sess.run_rank(proc, A, B, collect="sddmm")
+    want = serial.sddmm_serial(S, A, 2.0 * B)
+    np.testing.assert_allclose(out.vals, want.vals, rtol=1e-10, atol=1e-10)
+    for prof in report.per_rank:
+        ctr = prof.counters[Phase.PROPAGATION]
+        assert ctr.messages_received == p // c
+        assert ctr.home_messages == 0

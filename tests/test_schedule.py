@@ -367,7 +367,7 @@ def _ring_run():
             v += comm.rank + 1  # every visited rank leaves its mark
 
         lanes = [
-            *alg.chunk_lanes(comm, rows, cols, vals, read_only=False),
+            *alg.chunk_lanes(comm, rows, cols, vals),
             Lane(comm, block, TAG_SHIFT_B),
         ]
         out = alg.ring_loop(comm, STEPS, lanes, compute)
