@@ -39,9 +39,10 @@ Two algorithm families are supported, capturing the paper's contrast:
   exercised since the alternating phases need both FusedMMA and
   FusedMMB).
 * ``1.5d-sparse-shift`` — the factors are split into r-strips, so the
-  CG's per-row dot products are all-reduced across the layer between
-  matvecs.  That communication now runs rank-side and is measured as
-  OTHER-phase traffic in the :class:`RunReport` — the paper's Figure 9
+  CG's per-row dot products (``2 * cg_iters`` per half-sweep) are
+  all-reduced across the layer between matvecs.  That communication now
+  runs rank-side and is measured as OTHER-phase traffic in the
+  :class:`RunReport` — the paper's Figure 9
   "communication outside FusedMM" contrast.  FusedMM uses *replication
   reuse* (local kernel fusion is impossible for this family — paper
   Section IV-B).
@@ -91,16 +92,24 @@ def _batched_cg(
     x0: np.ndarray,
     iters: int,
 ) -> np.ndarray:
-    """Conjugate gradients on all rows at once (per-row scalars)."""
+    """Conjugate gradients on all rows at once (per-row scalars).
+
+    Calls ``matvec`` ``iters + 1`` times and, for ``iters >= 1``,
+    ``rowdot`` ``2 * iters`` times: the last iteration stops once ``x``
+    is updated, since the residual and direction it would go on to
+    compute are never read.
+    """
     x = x0.copy()
     rvec = rhs - matvec(x)
     pvec = rvec.copy()
     rs = rowdot(rvec, rvec)
-    for _ in range(iters):
+    for it in range(iters):
         q = matvec(pvec)
         denom = rowdot(pvec, q)
         alpha = np.where(denom > 1e-300, rs / np.maximum(denom, 1e-300), 0.0)
         x = x + alpha[:, None] * pvec
+        if it == iters - 1:
+            break
         rvec = rvec - alpha[:, None] * q
         rs_new = rowdot(rvec, rvec)
         beta = np.where(rs > 1e-300, rs_new / np.maximum(rs, 1e-300), 0.0)

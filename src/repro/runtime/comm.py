@@ -24,13 +24,21 @@ collective           messages per rank  words received per rank
 ===================  =================  ==========================
 ring all-gather      ``P - 1``          ``(P-1)/P * W``
 ring reduce-scatter  ``P - 1``          ``(P-1)/P * W``
-all-reduce (RS+AG)   ``2(P - 1)``       ``2 (P-1)/P * W``
+all-reduce (RS+AG)   ``2 log2 P``       ``2 (P-1)/P * W``
+                     (``2(P - 1)``
+                     unless ``P`` is a
+                     power of two)
 all-to-all-v         ``P - 1``          ``sum_k W_k`` (peer blocks)
 ===================  =================  ==========================
 
 where ``W`` is the total (gathered / reduced) payload size in 8-byte words
 and ``W_k`` the size of the personalized block peer ``k`` addresses to this
-rank.  The *sparse* neighborhood collectives in
+rank.  The all-reduce is the applications' (ALS's CG row dots, GAT's edge
+softmax), not the paper's FusedMM algorithms': on a power-of-two group it
+reduce-scatters by recursive halving and all-gathers by recursive
+doubling, on any other group it is the ring pair.
+
+The *sparse* neighborhood collectives in
 :mod:`repro.comm_sparse.collectives` are built on the same point-to-point
 layer and skip empty legs entirely, so their costs are data dependent:
 ``sum_k |need_k| * width_k`` words in at most ``P - 1`` messages.
@@ -81,6 +89,17 @@ def _isolate(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {k: _isolate(v) for k, v in obj.items()}
     return obj
+
+
+def _check_segment(segment: Any, shape: Tuple[int, ...], tag: int) -> None:
+    """Raise :class:`CommError` unless ``segment`` is an array of
+    ``shape`` (a reduction leg received out of step)."""
+    if not isinstance(segment, np.ndarray) or segment.shape != shape:
+        got = getattr(segment, "shape", type(segment).__name__)
+        raise CommError(
+            f"reduction segment on tag {tag} is {got}, expected {shape}: "
+            "a message was lost or duplicated"
+        )
 
 
 class Communicator:
@@ -229,7 +248,10 @@ class Communicator:
         ``blocks`` is this rank's contribution to every rank's result
         (``blocks[k]`` is destined for rank ``k``); returns the fully
         reduced ``blocks[self.rank]``.  Reduction order is fixed by ring
-        position, so results are deterministic.
+        position, so results are deterministic.  A received partial
+        whose shape is not its block's raises :class:`CommError`; a stale
+        copy of the right shape (a duplicate whose length matches a later
+        call's block) is not detected and is reduced in (ROADMAP 16(b)).
         """
         P = self.size
         if len(blocks) != P:
@@ -247,6 +269,7 @@ class Communicator:
             self.send((r + 1) % P, send_data, tag)
             received = self.recv((r - 1) % P, tag)
             recv_label = (r - step - 1) % P
+            _check_segment(received, own(recv_label).shape, tag)
             cur = op(received, own(recv_label))
         assert cur is not None
         return cur
@@ -257,20 +280,66 @@ class Communicator:
         tag: int = 103,
         op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
     ) -> np.ndarray:
-        """All-reduce as reduce-scatter + all-gather, the composition the
-        paper uses between the SDDMM and SpMM calls of the 2.5D
-        sparse-replicating algorithm.  ``op`` defaults to sum; e.g.
-        ``np.maximum`` gives a max-reduction (edge-softmax stabilization).
+        """Element-wise all-reduce of ``arr`` over the group: a
+        reduce-scatter on ``tag`` followed by an all-gather on ``tag + 1``.
+
+        The applications' reduction (ALS's CG row dots, GAT's edge-softmax
+        max and sum); the FusedMM algorithms never call it.  ``op``
+        defaults to sum; e.g. ``np.maximum`` gives a max-reduction.  The
+        flattened array is cut into ``P`` blocks at ``k * size // P``.  On
+        a power-of-two group the blocks are reduced by recursive halving
+        and gathered by recursive doubling, ``2 log2 P`` messages per
+        rank; on any other group by the ring :meth:`reduce_scatter` and
+        :meth:`allgather`, ``2(P - 1)``.  Either way a rank receives
+        ``2 (P-1)/P * W`` words (exactly when ``P`` divides ``W``).  Each
+        block is reduced by one rank, with ``op`` applied lower rank
+        first, so every rank returns the same bits.  A received segment
+        of the wrong length raises :class:`CommError`.  A lost or
+        duplicated message is caught only when it leaves such a segment:
+        a stale copy whose length equals the next call's segment (as
+        ALS's equal-length row dots give) is summed in undetected
+        (ROADMAP 16(b)).
         """
         P = self.size
         if P == 1:
             return arr.copy()
         flat = np.ascontiguousarray(arr).reshape(-1)
-        bounds = np.linspace(0, flat.size, P + 1).astype(np.int64)
-        blocks = [flat[bounds[k] : bounds[k + 1]] for k in range(P)]
-        mine = self.reduce_scatter(blocks, tag=tag, op=op)
-        pieces = self.allgather(mine, tag=tag + 1)
-        return np.concatenate(pieces).reshape(arr.shape)
+        bounds = np.arange(P + 1) * flat.size // P
+        if P & (P - 1):
+            blocks = [flat[bounds[k] : bounds[k + 1]] for k in range(P)]
+            mine = self.reduce_scatter(blocks, tag=tag, op=op)
+            pieces = self.allgather(mine, tag=tag + 1)
+            for k, piece in enumerate(pieces):
+                _check_segment(piece, (bounds[k + 1] - bounds[k],), tag + 1)
+            return np.concatenate(pieces).reshape(arr.shape)
+        r = self.rank
+        # reduce-scatter: halve the block range [lo, hi) this rank holds
+        # partial sums of, top bit first, until it is block r alone
+        lo, hi, cur = 0, P, flat
+        half = P // 2
+        while half:
+            partner, mid = r ^ half, lo + half
+            split = bounds[mid] - bounds[lo]
+            lower, upper = cur[:split], cur[split:]
+            mine, give = (upper, lower) if r & half else (lower, upper)
+            self.send(partner, give, tag)
+            theirs = self.recv(partner, tag)
+            _check_segment(theirs, mine.shape, tag)
+            cur = op(mine, theirs) if r < partner else op(theirs, mine)
+            lo, hi = (mid, hi) if r & half else (lo, mid)
+            half //= 2
+        # all-gather: double the range, lower half first, back to [0, P)
+        width = 1
+        while width < P:
+            partner = r ^ width
+            plo = lo - width if r & width else hi
+            self.send(partner, cur, tag + 1)
+            theirs = self.recv(partner, tag + 1)
+            _check_segment(theirs, (bounds[plo + width] - bounds[plo],), tag + 1)
+            cur = np.concatenate((theirs, cur) if r & width else (cur, theirs))
+            lo, hi = min(lo, plo), max(hi, plo + width)
+            width *= 2
+        return cur.reshape(arr.shape)
 
     def alltoallv(self, sendbufs: Sequence[Any], tag: int = 109) -> List[Any]:
         """Personalized all-to-all: ``sendbufs[k]`` goes to rank ``k``.
@@ -331,15 +400,24 @@ class Communicator:
         Every rank of this communicator must call ``split`` the same number
         of times in the same order (standard SPMD discipline); membership
         metadata is exchanged with untracked messages since communicator
-        construction is not part of the paper's cost model.
+        construction is not part of the paper's cost model.  Each entry
+        carries the split's sequence number on this communicator: an
+        entry out of place or from another split (what a lost or
+        duplicated metadata message leaves) raises :class:`CommError`
+        instead of building a wrong group.
         """
-        info = self.allgather((color, key, self.rank), tag=108, tracked=False)
-        members = sorted(
-            (k, r) for (c, k, r) in info if c == color
-        )
+        stamp = self._split_counter
+        info = self.allgather((stamp, color, key, self.rank), tag=108, tracked=False)
+        for k, entry in enumerate(info):
+            if entry[0] != stamp or entry[3] != k:
+                raise CommError(
+                    f"split {stamp}: metadata entry {k} is {entry!r}, expected "
+                    f"rank {k} of split {stamp}: a message was lost or duplicated"
+                )
+        members = sorted((k, r) for (_, c, k, r) in info if c == color)
         group = [self.group[r] for (_, r) in members]
         my_index = [r for (_, r) in members].index(self.rank)
-        child_id = self.comm_id + (self._split_counter, color)
+        child_id = self.comm_id + (stamp, color)
         self._split_counter += 1
         return Communicator(
             self.world, group, child_id, my_index, profile_ref=self._profile_ref

@@ -11,7 +11,10 @@ Writes ``{sequence: [sha256 of each output, ...]}`` as JSON:
   kernels, new values and a changed operand;
 * with ``--e2e``, ``e2e/<workload>/seed<s>`` — three ops of the
   ``er_comm``, ``rmat_25d`` and ``small_auto`` benchmark workloads at
-  seeds 7 and 11 (the first op cold, the others warm).
+  seeds 7 and 11 (the first op cold, the others warm) — and
+  ``apps/als/seed<s>`` — the factors ``A`` and ``B`` after two sweeps of
+  the ``als_sweep`` benchmark workload at seeds 7 and 11: the
+  application path, CG row-dot all-reduces included.
 
 Run it from the root of each checkout — copy this file into the other
 one if it lacks it — and compare the two files::
@@ -84,12 +87,22 @@ def e2e_sequence(name: str, seed: int) -> list:
     return outs
 
 
+def als_sequence(seed: int) -> list:
+    """The factors of two sweeps of the ``als_sweep`` workload (full size)."""
+    from e2ebench.workloads import BUILDERS
+
+    w = BUILDERS["als_sweep"](seed, False)
+    res = w.als.run(w.C_obs, w.r, outer_iters=2, seed=w.run_seed)
+    return [res.A, res.B]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument(
         "--e2e", action="store_true",
-        help="also hash the er_comm, rmat_25d and small_auto workloads",
+        help="also hash the er_comm, rmat_25d, small_auto and als_sweep"
+        " workloads",
     )
     args = ap.parse_args()
     sequences = {}
@@ -102,6 +115,8 @@ def main() -> None:
         for name in ("er_comm", "rmat_25d", "small_auto"):
             for seed in (7, 11):
                 sequences[f"e2e/{name}/seed{seed}"] = e2e_sequence(name, seed)
+        for seed in (7, 11):
+            sequences[f"apps/als/seed{seed}"] = als_sequence(seed)
     hashes = {key: [_sha(out) for out in outs] for key, outs in sequences.items()}
     pathlib.Path(args.out).write_text(json.dumps(hashes, indent=1) + "\n")
     total = sum(len(v) for v in hashes.values())

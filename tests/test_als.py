@@ -262,6 +262,46 @@ class TestBatchedCG:
         x = _batched_cg(rhs, matvec, rowdot, np.zeros_like(rhs), iters=3)
         np.testing.assert_allclose(x, 0)
 
+    @pytest.mark.parametrize("iters", [1, 2, 10])
+    def test_last_iteration_stops_at_x(self, rng, iters):
+        """The last iteration's residual, row dot and direction are never
+        read: ``2 * iters`` row dots (each an all-reduce on the
+        sparse-shifting family), ``iters + 1`` matvecs, and the same bits
+        as the loop that computed them."""
+        rows, r = 40, 5
+        M = rng.standard_normal((rows, r, r))
+        M = M @ M.transpose(0, 2, 1) + r * np.eye(r)
+        rhs, x0 = rng.standard_normal((rows, r)), rng.standard_normal((rows, r))
+        calls = {"matvec": 0, "rowdot": 0}
+
+        def matvec(x):
+            calls["matvec"] += 1
+            return np.einsum("ijk,ik->ij", M, x)
+
+        def rowdot(x, y):
+            calls["rowdot"] += 1
+            return np.einsum("ij,ij->i", x, y)
+
+        x = _batched_cg(rhs, matvec, rowdot, x0, iters)
+        assert calls == {"matvec": iters + 1, "rowdot": 2 * iters}
+
+        # the loop before the dead tail was cut
+        old = x0.copy()
+        rvec = rhs - matvec(old)
+        pvec = rvec.copy()
+        rs = rowdot(rvec, rvec)
+        for _ in range(iters):
+            q = matvec(pvec)
+            denom = rowdot(pvec, q)
+            alpha = np.where(denom > 1e-300, rs / np.maximum(denom, 1e-300), 0.0)
+            old = old + alpha[:, None] * pvec
+            rvec = rvec - alpha[:, None] * q
+            rs_new = rowdot(rvec, rvec)
+            beta = np.where(rs > 1e-300, rs_new / np.maximum(rs, 1e-300), 0.0)
+            pvec = rvec + beta[:, None] * pvec
+            rs = rs_new
+        assert x.tobytes() == old.tobytes()
+
 
 class TestRecommendTopK:
     """The serving scoring path: top-k over the factor product."""

@@ -313,6 +313,35 @@ class TestRetrySemantics:
                 _fused(sess, entry, A, B)
             assert sess.metrics()[-1]["outcome"] == "failed"
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_lost_split_metadata_is_typed_or_recovers_bitwise(
+        self, workload, references, retries
+    ):
+        """A lost message of a communicator split's untracked metadata
+        all-gather (tag 108: rank 7's second send, while the first call
+        builds its grid) lets the next split's entry take its place.  The
+        split checks each entry's rank and split stamp, so it raises the
+        retryable ``CommError`` at once instead of building a wrong
+        subcommunicator, and one re-run is bitwise."""
+        S, A, B = workload
+        family = "2.5d-dense-replicate"
+        plan = FaultPlan([FaultSpec("drop", rank=7, tag=108, index=1)])
+        with repro.plan(
+            S, R, p=P, c=2, algorithm=family, comm="dense",
+            deadline_ms=1200, retries=retries, faults=plan,
+        ) as sess:
+            if retries:
+                out, _ = sess.fusedmm_a(A, B)
+                np.testing.assert_array_equal(out, references[family, "fusedmm_a"])
+                assert sess.metrics()[-1]["outcome"] == "retried"
+            else:
+                with pytest.raises(RuntimeError) as err:
+                    sess.fusedmm_a(A, B)
+                assert isinstance(err.value.__cause__, CommError)
+                assert "metadata entry" in str(err.value.__cause__)
+            assert len(plan.fired_log) == 1
+            assert sess.plan_builds == 1
+
     def test_serve_dispatch_primitive_retries(self, workload):
         """``spmm_a`` is what the serving fleet dispatches: a crash under
         ``retries=1`` is recovered within the call, the output matches the

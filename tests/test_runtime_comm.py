@@ -1,5 +1,6 @@
 """Tests for the MPI-like communicator: point-to-point, ring collectives,
-traffic accounting, splits and failure handling."""
+the all-reduce schedules, traffic accounting, splits and failure
+handling."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import run_spmd
 from repro.types import Phase
+
+from tests.conftest import require_world_size
 
 
 class TestPayloadWords:
@@ -238,6 +241,106 @@ class TestCollectives:
             np.testing.assert_array_equal(x, y)
 
 
+#: group sizes of the all-reduce tests: the powers of two reduce by
+#: recursive halving / doubling, the others by the ring
+ALLREDUCE_GROUPS = [1, 2, 3, 4, 5, 6, 8]
+
+
+def _contribution(rank, shape):
+    return np.random.default_rng([rank, *shape]).standard_normal(shape)
+
+
+def _ring_words(W, P, r):
+    """Words rank ``r`` receives in the ring reduce-scatter + all-gather of
+    ``W`` words cut at ``k * W // P``: every block but two."""
+    b = np.diff(np.arange(P + 1) * W // P)
+    return 2 * W - b[(r - 1) % P] - b[r]
+
+
+class TestAllreduceSchedule:
+    """``Communicator.allreduce``: ``2 log2 P`` messages per rank on a
+    power-of-two group, ``2 (P - 1)`` on any other, the ring's words, and
+    the same bits on every rank."""
+
+    @pytest.mark.parametrize("p", ALLREDUCE_GROUPS)
+    def test_results_and_traffic(self, exec_backend, p):
+        require_world_size(exec_backend, p)
+        shapes = [(W,) for W in sorted({0, 1, p - 1, 2048, 2049})] + [(33, 62)]
+        ops = (np.add, np.maximum)
+
+        def body(comm):
+            out = []
+            for shape in shapes:
+                for op in ops:
+                    before = comm.profile.total()
+                    got = comm.allreduce(_contribution(comm.rank, shape), op=op)
+                    after = comm.profile.total()
+                    out.append((
+                        got,
+                        after.messages_received - before.messages_received,
+                        after.words_received - before.words_received,
+                    ))
+            return out
+
+        results, _ = run_spmd(p, body, backend=exec_backend)
+        log2 = p.bit_length() - 1
+        messages = 2 * log2 if p == 1 << log2 else 2 * (p - 1)
+        calls = [(shape, op) for shape in shapes for op in ops]
+        for i, (shape, op) in enumerate(calls):
+            first = results[0][i][0]
+            assert first.shape == shape
+            want = op.reduce(np.stack([_contribution(r, shape) for r in range(p)]))
+            np.testing.assert_allclose(first, want, rtol=1e-12, atol=1e-12)
+            W = int(np.prod(shape))
+            ring = [_ring_words(W, p, r) for r in range(p)]
+            words = [results[r][i][2] for r in range(p)]
+            for r in range(p):
+                assert results[r][i][0].tobytes() == first.tobytes(), (shape, r)
+                assert results[r][i][1] == messages, (shape, r)
+            # the rank sums always agree; rank by rank when P divides W
+            assert sum(words) == sum(ring), shape
+            if W % p == 0:
+                assert words == ring, shape
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_lower_rank_first(self, exec_backend, p):
+        """Every block is reduced over the same halving tree, the lower
+        rank's operand first: a non-commutative ``op`` shows the order."""
+        require_world_size(exec_backend, p)
+
+        def op(a, b):
+            return 3.0 * a + b
+
+        def body(comm):
+            return comm.allreduce(np.full(2 * p + 1, float(comm.rank)), op=op)
+
+        results, _ = run_spmd(p, body, backend=exec_backend)
+        level = [float(r) for r in range(p)]
+        while len(level) > 1:
+            h = len(level) // 2
+            level = [op(level[i], level[i + h]) for i in range(h)]
+        for got in results:
+            np.testing.assert_array_equal(got, np.full(2 * p + 1, level[0]))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])
+    def test_duplicated_message_is_a_comm_error(self, exec_backend, p):
+        """A duplicated reduce-scatter message leaves a segment out of step
+        (at the latest the next call on the tag receives it): the retryable
+        ``CommError``, not a broadcasting ``ValueError``."""
+        if exec_backend != "threads":
+            pytest.skip("the fault plan is armed per process: threads only")
+        faults = FaultPlan([FaultSpec("dup", tag=103, rank=0, times=1)])
+
+        def body(comm):
+            for W in (2049, 5):
+                comm.allreduce(np.ones(W))
+
+        with pytest.raises(RuntimeError) as err:
+            run_spmd(p, body, faults=faults, deadline_ms=20_000)
+        assert isinstance(err.value.__cause__, CommError)
+        assert "lost or duplicated" in str(err.value.__cause__)
+
+
 class TestSplit:
     def test_split_into_layers(self):
         def body(comm):
@@ -270,6 +373,31 @@ class TestSplit:
         results, _ = run_spmd(4, body)
         assert results[0] == (1.0, 2.0)  # {0,1} and {0,2}
         assert results[3] == (5.0, 4.0)  # {2,3} and {1,3}
+
+    def test_duplicated_metadata_is_a_comm_error(self):
+        """A duplicated metadata message takes another rank's entry in the
+        all-gather: the split raises instead of building a wrong group."""
+        faults = FaultPlan([FaultSpec("dup", tag=108, rank=0, times=1)])
+
+        def body(comm):
+            return comm.split(color=comm.rank % 2, key=comm.rank).group
+
+        with pytest.raises(RuntimeError) as err:
+            run_spmd(4, body, faults=faults, deadline_ms=20_000)
+        assert isinstance(err.value.__cause__, CommError)
+        assert "metadata entry" in str(err.value.__cause__)
+
+    def test_metadata_of_another_split_is_a_comm_error(self):
+        """An entry stamped with another split's sequence number — the
+        next split's message filling the place of a lost one — raises."""
+
+        def body(comm):
+            comm._split_counter += comm.rank == 2
+            comm.split(color=0, key=comm.rank)
+
+        with pytest.raises(RuntimeError) as err:
+            run_spmd(4, body, deadline_ms=20_000)
+        assert isinstance(err.value.__cause__, CommError)
 
 
 class TestFailureHandling:
