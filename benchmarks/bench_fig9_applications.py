@@ -5,13 +5,14 @@ applications are dominated by FusedMM work, with a visible
 "communication outside FusedMM" component.  With the sessions'
 persistent worker pool, the apps run those outside-the-kernel steps
 **rank-side** again: the ALS batched-CG per-row dot products (an
-all-reduce across the layer on the sparse-shifting family) and the GAT
-edge-softmax max/sum reductions both execute on the warm ranks and are
-measured as OTHER-phase communication in the reports — the paper's
-contrast this figure plots.  The GAT replication-reuse variant is one
+all-reduce across the layer on the sparse-shifting family, one per CG
+iteration) and the GAT edge-softmax ``(max, sum)`` all-reduce (one per
+head) both execute on the warm ranks and are measured as OTHER-phase
+communication in the reports — the paper's contrast this figure plots.
+The GAT replication-reuse variant is one
 rank-side procedure on the same cached session (its cross-round gather
 sharing cannot be split into independent kernel calls) and pays the same
-edge-softmax reductions outside FusedMM.  ALS holds one session on the
+edge-softmax all-reduces outside FusedMM.  ALS holds one session on the
 observations; each half-sweep's right-hand side is an SpMM on the
 stored values, computed rank-side in the half-sweep's one dispatch (under
 replication reuse it reads the fixed factor's fiber panel, so it adds no
@@ -104,7 +105,7 @@ def test_fig9_applications(scale):
     assert parsed["ALS 1.5d-sparse-shift reuse"][3] > 0.0
     assert parsed["ALS 1.5d-dense-shift LKF"][3] == 0.0
     assert parsed["ALS 1.5d-dense-shift reuse"][3] == 0.0
-    # both GAT variants pay the same edge-softmax max/sum reductions
+    # both GAT variants pay the same edge-softmax all-reduce per head
     # outside FusedMM (paper Section VI-E)
     assert parsed["GAT none"][3] == parsed["GAT replication-reuse"][3] > 0.0
     # reuse lowers GAT replication traffic vs the unoptimized sequence

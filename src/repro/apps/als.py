@@ -39,11 +39,12 @@ Two algorithm families are supported, capturing the paper's contrast:
   exercised since the alternating phases need both FusedMMA and
   FusedMMB).
 * ``1.5d-sparse-shift`` — the factors are split into r-strips, so the
-  CG's per-row dot products (``2 * cg_iters`` per half-sweep) are
-  all-reduced across the layer between matvecs.  That communication now
-  runs rank-side and is measured as OTHER-phase traffic in the
-  :class:`RunReport` — the paper's Figure 9
-  "communication outside FusedMM" contrast.  FusedMM uses *replication
+  CG's per-row dot products are all-reduced across the layer between
+  matvecs: one all-reduce of stacked ``(r.r, r.Mr)`` records per
+  iteration, ``cg_iters`` per half-sweep (the single-reduction CG of
+  Chronopoulos & Gear).  That communication runs rank-side and is
+  measured as OTHER-phase traffic in the :class:`RunReport` — the
+  paper's Figure 9 "communication outside FusedMM" contrast.  FusedMM uses *replication
   reuse* (local kernel fusion is impossible for this family — paper
   Section IV-B).
 """
@@ -88,34 +89,45 @@ class AlsResult:
 def _batched_cg(
     rhs: np.ndarray,
     matvec: Callable[[np.ndarray], np.ndarray],
-    rowdot: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    reduce: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     iters: int,
 ) -> np.ndarray:
-    """Conjugate gradients on all rows at once (per-row scalars).
+    """Conjugate gradients on all rows at once (per-row scalars), in the
+    single-reduction form of Chronopoulos & Gear (1989).
 
-    Calls ``matvec`` ``iters + 1`` times and, for ``iters >= 1``,
-    ``rowdot`` ``2 * iters`` times: the last iteration stops once ``x``
-    is updated, since the residual and direction it would go on to
-    compute are never read.
+    Each iteration makes one matvec ``w = M r`` and hands ``reduce`` one
+    ``(rows, 2)`` array of this caller's row-dot records ``(r.r, r.w)``;
+    ``reduce`` returns the complete ones (the identity on full rows, a
+    layer all-reduce on r-strips).  The direction ``p`` and ``s = M p``
+    follow by recurrence, so ``matvec`` is called ``iters + 1`` times and
+    ``reduce`` ``iters`` times: the last iteration stops once ``x`` is
+    updated.  In exact arithmetic the iterates are classical CG's.
     """
     x = x0.copy()
     rvec = rhs - matvec(x)
-    pvec = rvec.copy()
-    rs = rowdot(rvec, rvec)
+    pvec, svec = np.zeros_like(rvec), np.zeros_like(rvec)
+    gamma = alpha = np.zeros(len(rvec))
     for it in range(iters):
-        q = matvec(pvec)
-        denom = rowdot(pvec, q)
-        alpha = np.where(denom > 1e-300, rs / np.maximum(denom, 1e-300), 0.0)
+        wvec = matvec(rvec)
+        rr, rw = reduce(np.stack((_rowdot(rvec, rvec), _rowdot(rvec, wvec)), axis=1)).T
+        beta = _ratio(rr, gamma)
+        # rw - beta * rr / alpha_old is p.Mp of the new direction
+        alpha = _ratio(rr, rw - beta * _ratio(rr, alpha))
+        gamma = rr
+        pvec = rvec + beta[:, None] * pvec
+        svec = wvec + beta[:, None] * svec
         x = x + alpha[:, None] * pvec
         if it == iters - 1:
             break
-        rvec = rvec - alpha[:, None] * q
-        rs_new = rowdot(rvec, rvec)
-        beta = np.where(rs > 1e-300, rs_new / np.maximum(rs, 1e-300), 0.0)
-        pvec = rvec + beta[:, None] * pvec
-        rs = rs_new
+        rvec = rvec - alpha[:, None] * svec
     return x
+
+
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` where ``b`` is positive, 0 elsewhere (converged or
+    all-zero rows)."""
+    return np.where(b > 1e-300, a / np.maximum(b, 1e-300), 0.0)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -192,9 +204,9 @@ class DistributedALS:
         orientation, the fixed factor the other; under replication reuse
         the fixed factor is gathered along the fiber once, and that panel
         feeds the right-hand side's SpMM and every matvec.  When a rank's
-        factor block holds only an r-strip (sparse-shifting family), the
-        per-row dots are all-reduced across the layer, measured as
-        OTHER-phase communication.
+        factor block holds only an r-strip (sparse-shifting family), each
+        CG iteration all-reduces its row-dot records across the layer once,
+        measured as OTHER-phase communication.
         """
         lam, iters, alg = self.lam, self.cg_iters, sess.alg
         transpose, native, method = native_procedure(alg, variant, self.elision)
@@ -223,18 +235,17 @@ class DistributedALS:
                 return getattr(local, slot) + lam * vblk
 
             # complete factor rows are rank-local on the dense-shifting
-            # family; r-strips (sparse shift) reduce row dots over the
-            # layer, whose ranks all own the same row set
+            # family; r-strips (sparse shift) reduce the row-dot records
+            # over the layer, whose ranks all own the same row set
             full_rows = x0_blk.shape[1] == sess.r
 
-            def rowdot(y, z):
-                d = _rowdot(y, z)
-                if not full_rows:
-                    with prof.track(Phase.OTHER):
-                        d = ctx.layer.allreduce(d, tag=TAG_APP)
-                return d
+            def reduce(dots):
+                if full_rows:
+                    return dots
+                with prof.track(Phase.OTHER):
+                    return ctx.layer.allreduce(dots, tag=TAG_APP)
 
-            x = _batched_cg(rhs_blk, matvec, rowdot, x0_blk, iters)
+            x = _batched_cg(rhs_blk, matvec, reduce, x0_blk, iters)
             setattr(local, slot, x)  # the solution stays resident for the collect
 
         return sess.run_rank(

@@ -22,19 +22,20 @@ the worker pool, the profiles and the kernel backend.
 
 * ``Elision.NONE`` — each head is a single
   :meth:`~repro.session.Session.run_rank` dispatch: an SDDMM kernel
-  (custom edge op), the edge softmax — per-row max/sum all-reduced along
-  the fiber, measured as OTHER-phase communication — and an SpMMA
-  aggregation directly on the normalized scores.  No edge values
-  round-trip through the driver between the kernels;
+  (custom edge op), the edge softmax — one all-reduce of per-row
+  ``(max, scaled sum)`` records along the fiber, measured as OTHER-phase
+  communication — and an SpMMA aggregation directly on the normalized
+  scores.  No edge values round-trip through the driver between the
+  kernels;
 * ``Elision.REPLICATION_REUSE`` — one dispatch for the whole forward
   pass, on the session's resident *transposed* adjacency: one all-gather
   of the node features serves both the score round and the aggregation
   round *of every head* (the aggregation accumulates into the circulating
-  buffer — no terminal reduce-scatter), with the softmax reductions
-  running along the layer between the rounds.  This cross-round,
-  cross-head communication elision cannot be expressed as independent
-  per-kernel session calls, which is exactly why the paper treats it as
-  its own strategy.
+  buffer — no terminal reduce-scatter), with each head's softmax
+  all-reduce running along the layer between the rounds.  This
+  cross-round, cross-head communication elision cannot be expressed as
+  independent per-kernel session calls, which is exactly why the paper
+  treats it as its own strategy.
 
 Multi-head attention concatenates per-head outputs, each with its own
 ``W``, ``a_L``, ``a_R`` (random weights — the paper benchmarks the
@@ -133,26 +134,43 @@ def gat_forward_reference(
     return np.concatenate(outs, axis=1)
 
 
+def _lse_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge two ``(segments, 2)`` arrays of softmax records ``(max, sum of
+    exp(e - max))``: the larger max, both sums rescaled to it.  An empty
+    segment's record ``(-inf, 0)`` merges as the identity, without NaN."""
+    top = np.maximum(a[:, 0], b[:, 0])
+    ref = np.where(np.isfinite(top), top, 0.0)
+    total = a[:, 1] * np.exp(a[:, 0] - ref) + b[:, 1] * np.exp(b[:, 0] - ref)
+    return np.stack((top, total), axis=1)
+
+
 def _edge_softmax(comm, scores: Dict[int, np.ndarray], seg, width: int) -> None:
     """Softmax the edge ``scores`` in place over the rows of ``S``.
 
     ``scores[j]`` holds one sparse block's edge scores and ``seg[j]`` the
     softmax segment (row of ``S``) of each, numbered ``0..width`` alike on
     every rank of ``comm`` — the ranks that between them hold a
-    segment's edges, so the per-segment max and sum are all-reduced there.
+    segment's edges.  Each rank exponentiates against its own segment
+    maxima, then **one** all-reduce of per-segment ``(max, scaled sum)``
+    records, merged by :func:`_lse_merge`, gives every rank each segment's
+    max and sum, and a per-segment factor rescales the local exponentials.
     """
     smax = np.full(width, -np.inf)
     for j, e in scores.items():
         np.maximum.at(smax, seg[j], e)
-    smax = comm.allreduce(smax, tag=TAG_APP, op=np.maximum)
-    smax = np.where(np.isfinite(smax), smax, 0.0)
+    ref = np.where(np.isfinite(smax), smax, 0.0)
     ssum = np.zeros(width)
     for j, e in scores.items():
-        scores[j] = np.exp(e - smax[seg[j]])
+        scores[j] = np.exp(e - ref[seg[j]])
         np.add.at(ssum, seg[j], scores[j])
-    ssum = comm.allreduce(ssum, tag=TAG_APP + 2)
+    total = comm.allreduce(np.stack((smax, ssum), axis=1), tag=TAG_APP, op=_lse_merge)
+    # exp(local max - segment max) / segment sum: 0 on segments this rank
+    # holds no edge of, and no 0 / 0 on segments no rank does
+    top, norm = total[:, 0], total[:, 1]
+    scale = np.exp(smax - np.where(np.isfinite(top), top, 0.0))
+    scale = scale / np.where(norm > 0, norm, 1.0)
     for j in scores:
-        scores[j] = scores[j] / ssum[seg[j]]
+        scores[j] = scores[j] * scale[seg[j]]
 
 
 class DistributedGAT:
@@ -191,7 +209,12 @@ class DistributedGAT:
 
     def forward(self, S_adj: CooMatrix, X: np.ndarray) -> GatResult:
         """Run the forward pass on adjacency ``S_adj`` (square) and node
-        features ``X``; returns the concatenated head outputs."""
+        features ``X``; returns the concatenated head outputs.
+
+        Outside the FusedMM rounds each head makes one all-reduce, its
+        edge softmax's (:func:`_edge_softmax`): along the fiber under
+        ``Elision.NONE``, along the layer under replication reuse, in the
+        report's OTHER phase either way."""
         n = S_adj.nrows
         if S_adj.ncols != n:
             raise ReproError("GAT needs a square adjacency matrix")
@@ -239,10 +262,11 @@ class DistributedGAT:
 
     def _forward_none(self, sess: Session, X: np.ndarray) -> np.ndarray:
         """One pool dispatch per head: SDDMM scores, **rank-side** edge
-        softmax (fiber all-reductions of per-row max and sum, measured as
-        OTHER-phase communication — the paper's "communication outside
-        FusedMM"), then SpMMA aggregation on the normalized scores.  No
-        edge values travel through the driver between the two kernels.
+        softmax (one fiber all-reduce of per-row max and scaled sum,
+        measured as OTHER-phase communication — the paper's
+        "communication outside FusedMM"), then SpMMA aggregation on the
+        normalized scores.  No edge values travel through the driver
+        between the two kernels.
         """
         slope = self.negative_slope
         alg = sess.alg
@@ -261,7 +285,7 @@ class DistributedGAT:
                     ctx, plan, local, Mode.SDDMM, use_values=False, edge_op=edge_op
                 )
                 # 2) edge softmax over S rows: a coarse row block is spread
-                # over the fiber, so the max/sum reductions run there
+                # over the fiber, so the (max, sum) all-reduce runs there
                 with prof.track(Phase.OTHER):
                     u = ctx.u
                     width = int(plan.row_coarse[u + 1] - plan.row_coarse[u])
@@ -335,7 +359,7 @@ class DistributedGAT:
                 )
 
                 # softmax over S rows == columns of the transposed layout:
-                # reductions run across the LAYER (all coarse row blocks)
+                # its all-reduce runs across the LAYER (all coarse row blocks)
                 with prof.track(Phase.OTHER):
                     _edge_softmax(ctx.layer, scores, seg, width)
 

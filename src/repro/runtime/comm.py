@@ -24,8 +24,8 @@ collective           messages per rank  words received per rank
 ===================  =================  ==========================
 ring all-gather      ``P - 1``          ``(P-1)/P * W``
 ring reduce-scatter  ``P - 1``          ``(P-1)/P * W``
-all-reduce (RS+AG)   ``2 log2 P``       ``2 (P-1)/P * W``
-                     (``2(P - 1)``
+all-reduce (RS+AG,   ``2 log2 P``       ``2 (P-1)/P * W``
+records on axis 0)   (``2(P - 1)``
                      unless ``P`` is a
                      power of two)
 all-to-all-v         ``P - 1``          ``sum_k W_k`` (peer blocks)
@@ -33,8 +33,11 @@ all-to-all-v         ``P - 1``          ``sum_k W_k`` (peer blocks)
 
 where ``W`` is the total (gathered / reduced) payload size in 8-byte words
 and ``W_k`` the size of the personalized block peer ``k`` addresses to this
-rank.  The all-reduce is the applications' (ALS's CG row dots, GAT's edge
-softmax), not the paper's FusedMM algorithms': on a power-of-two group it
+rank.  The all-reduce is the applications' (ALS's CG row-dot records,
+GAT's edge-softmax records), not the paper's FusedMM algorithms': it cuts
+its blocks along axis 0, so a record (a row) is never split between two
+blocks, and a stacked ``(W, k)`` reduction costs the words of ``k``
+``W``-element ones in the messages of one.  On a power-of-two group it
 reduce-scatters by recursive halving and all-gathers by recursive
 doubling, on any other group it is the ring pair.
 
@@ -93,7 +96,8 @@ def _isolate(obj: Any) -> Any:
 
 def _check_segment(segment: Any, shape: Tuple[int, ...], tag: int) -> None:
     """Raise :class:`CommError` unless ``segment`` is an array of
-    ``shape`` (a reduction leg received out of step)."""
+    ``shape``, trailing (record) dimensions included (a reduction leg
+    received out of step)."""
     if not isinstance(segment, np.ndarray) or segment.shape != shape:
         got = getattr(segment, "shape", type(segment).__name__)
         raise CommError(
@@ -280,42 +284,48 @@ class Communicator:
         tag: int = 103,
         op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
     ) -> np.ndarray:
-        """Element-wise all-reduce of ``arr`` over the group: a
+        """All-reduce of ``arr`` over the group, record by record: a
         reduce-scatter on ``tag`` followed by an all-gather on ``tag + 1``.
 
-        The applications' reduction (ALS's CG row dots, GAT's edge-softmax
-        max and sum); the FusedMM algorithms never call it.  ``op``
-        defaults to sum; e.g. ``np.maximum`` gives a max-reduction.  The
-        flattened array is cut into ``P`` blocks at ``k * size // P``.  On
-        a power-of-two group the blocks are reduced by recursive halving
-        and gathered by recursive doubling, ``2 log2 P`` messages per
-        rank; on any other group by the ring :meth:`reduce_scatter` and
+        The applications' reduction (ALS's CG row-dot records, GAT's
+        edge-softmax ``(max, scaled sum)`` records); the FusedMM
+        algorithms never call it.  A record is a row of ``arr`` (an
+        element of a 1-D ``arr``): ``arr`` is cut into ``P`` blocks along
+        axis 0 at ``k * len(arr) // P``, so ``op`` always sees whole
+        records — it defaults to element-wise sum; ``np.maximum`` gives a
+        max-reduction, and any ``op`` mapping two ``(rows, ...)`` arrays
+        to one merges records (GAT's log-sum-exp merge).  On a
+        power-of-two group the blocks are reduced by recursive halving and
+        gathered by recursive doubling, ``2 log2 P`` messages per rank; on
+        any other group by the ring :meth:`reduce_scatter` and
         :meth:`allgather`, ``2(P - 1)``.  Either way a rank receives
-        ``2 (P-1)/P * W`` words (exactly when ``P`` divides ``W``).  Each
-        block is reduced by one rank, with ``op`` applied lower rank
-        first, so every rank returns the same bits.  A received segment
-        of the wrong length raises :class:`CommError`.  A lost or
-        duplicated message is caught only when it leaves such a segment:
-        a stale copy whose length equals the next call's segment (as
-        ALS's equal-length row dots give) is summed in undetected
-        (ROADMAP 16(b)).
+        ``2 (P-1)/P * W`` words (exactly when ``P`` divides the record
+        count), so a stacked ``(W, k)`` all-reduce moves the words of
+        ``k`` separate ``W``-element ones in a ``k``-th of their messages.
+        Each block is reduced by one rank, with ``op`` applied lower rank
+        first, so every rank returns the same bits.  A received segment of
+        the wrong shape raises :class:`CommError`.  A lost or duplicated
+        message is caught only when it leaves such a segment: a stale copy
+        whose shape equals the next call's segment (as ALS's equal-shape
+        row-dot records give) is reduced in undetected (ROADMAP 16(b)).
         """
         P = self.size
         if P == 1:
             return arr.copy()
-        flat = np.ascontiguousarray(arr).reshape(-1)
-        bounds = np.arange(P + 1) * flat.size // P
+        recs = np.ascontiguousarray(arr)  # at least 1-D
+        bounds = np.arange(P + 1) * len(recs) // P
+        tail = recs.shape[1:]
         if P & (P - 1):
-            blocks = [flat[bounds[k] : bounds[k + 1]] for k in range(P)]
+            blocks = [recs[bounds[k] : bounds[k + 1]] for k in range(P)]
             mine = self.reduce_scatter(blocks, tag=tag, op=op)
             pieces = self.allgather(mine, tag=tag + 1)
             for k, piece in enumerate(pieces):
-                _check_segment(piece, (bounds[k + 1] - bounds[k],), tag + 1)
+                _check_segment(piece, (bounds[k + 1] - bounds[k], *tail), tag + 1)
             return np.concatenate(pieces).reshape(arr.shape)
         r = self.rank
         # reduce-scatter: halve the block range [lo, hi) this rank holds
-        # partial sums of, top bit first, until it is block r alone
-        lo, hi, cur = 0, P, flat
+        # partial reductions of, top bit first, until it is block r alone
+        lo, hi, cur = 0, P, recs
         half = P // 2
         while half:
             partner, mid = r ^ half, lo + half
@@ -335,7 +345,8 @@ class Communicator:
             plo = lo - width if r & width else hi
             self.send(partner, cur, tag + 1)
             theirs = self.recv(partner, tag + 1)
-            _check_segment(theirs, (bounds[plo + width] - bounds[plo],), tag + 1)
+            rows = bounds[plo + width] - bounds[plo]
+            _check_segment(theirs, (rows, *tail), tag + 1)
             cur = np.concatenate((theirs, cur) if r & width else (cur, theirs))
             lo, hi = min(lo, plo), max(hi, plo + width)
             width *= 2

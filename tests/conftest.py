@@ -82,3 +82,21 @@ def make_problem(m, n, r, nnz_per_row, seed=0):
 def coo_from_dense(D: np.ndarray) -> CooMatrix:
     rows, cols = np.nonzero(D)
     return CooMatrix(rows, cols, D[rows, cols], D.shape, dedupe=False)
+
+
+@pytest.fixture
+def allreduce_calls(monkeypatch):
+    """Record every ``Communicator.allreduce`` as ``(world rank, group
+    size, input shape)``, in call order per rank (the rank threads append
+    to one list)."""
+    from repro.runtime.comm import Communicator
+
+    calls = []
+    allreduce = Communicator.allreduce
+
+    def recording(self, arr, *args, **kw):
+        calls.append((self.group[self.rank], self.size, np.shape(arr)))
+        return allreduce(self, arr, *args, **kw)
+
+    monkeypatch.setattr(Communicator, "allreduce", recording)
+    return calls

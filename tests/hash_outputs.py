@@ -14,7 +14,10 @@ Writes ``{sequence: [sha256 of each output, ...]}`` as JSON:
   seeds 7 and 11 (the first op cold, the others warm) — and
   ``apps/als/seed<s>`` — the factors ``A`` and ``B`` after two sweeps of
   the ``als_sweep`` benchmark workload at seeds 7 and 11: the
-  application path, CG row-dot all-reduces included.
+  application path, CG row-dot all-reduces included — and
+  ``apps/gat/seed<s>`` — the forward output of a GAT layer without
+  elision and with replication reuse on a graph drawn at seeds 7 and 11:
+  the edge-softmax all-reduces along the fiber and along the layer.
 
 Run it from the root of each checkout — copy this file into the other
 one if it lacks it — and compare the two files::
@@ -96,13 +99,30 @@ def als_sequence(seed: int) -> list:
     return [res.A, res.B]
 
 
+def gat_sequence(seed: int) -> list:
+    """The forward output of both GAT variants at p = 8, c = 2."""
+    from repro.apps.gat import DistributedGAT
+    from repro.types import Elision
+
+    n, r = 2048, 32
+    S = repro.erdos_renyi(n, n, 8, seed=seed, values="ones")
+    X = np.random.default_rng(seed).standard_normal((n, r))
+    outs = []
+    for el in (Elision.NONE, Elision.REPLICATION_REUSE):
+        with DistributedGAT(
+            p=8, c=2, n_heads=4, r_in=r, r_head=r // 4, elision=el, seed=seed
+        ) as gat:
+            outs.append(gat.forward(S, X).output)
+    return outs
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument(
         "--e2e", action="store_true",
         help="also hash the er_comm, rmat_25d, small_auto and als_sweep"
-        " workloads",
+        " workloads and a GAT forward pass",
     )
     args = ap.parse_args()
     sequences = {}
@@ -117,6 +137,8 @@ def main() -> None:
                 sequences[f"e2e/{name}/seed{seed}"] = e2e_sequence(name, seed)
         for seed in (7, 11):
             sequences[f"apps/als/seed{seed}"] = als_sequence(seed)
+        for seed in (7, 11):
+            sequences[f"apps/gat/seed{seed}"] = gat_sequence(seed)
     hashes = {key: [_sha(out) for out in outs] for key, outs in sequences.items()}
     pathlib.Path(args.out).write_text(json.dumps(hashes, indent=1) + "\n")
     total = sum(len(v) for v in hashes.values())

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.algorithms.base import TAG_APP
 from repro.algorithms.fused import native_procedure
 from repro.apps import als as als_module
 from repro.apps.als import DistributedALS, _batched_cg
-from repro.errors import ReproError
+from repro.errors import CommError, ReproError
+from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
 from repro.types import Elision, FusedVariant, Phase
@@ -158,6 +160,34 @@ class TestCostAccounting:
         assert sess.dense_bind_counts == {"a": 3 - found, "b": 3}
         assert sess.dense_bind_skips == {"a": found, "b": 0}
 
+    @pytest.mark.parametrize("cg_iters", [1, 4])
+    def test_sparse_shift_sweep_reduces_once_per_cg_iteration(
+        self, cg_iters, allreduce_calls
+    ):
+        """One sparse-shift sweep at p = 8, c = 2 (layers of L = 4) makes
+        exactly ``2 * cg_iters`` layer all-reduces per rank, one per CG
+        iteration of each half-sweep, each of ``(W, 2)`` row-dot records:
+        ``2 log2 L`` messages and the words of two ``W``-element
+        all-reduces, nothing else in the OTHER phase."""
+        m, n, r, L = 128, 96, 8, 4
+        C = erdos_renyi(m, n, 6, seed=1)
+        als = DistributedALS(
+            p=8, c=2, algorithm="1.5d-sparse-shift",
+            elision=Elision.REPLICATION_REUSE, cg_iters=cg_iters,
+        )
+        rep = als.run(C, r, outer_iters=1, seed=0).report
+        for rank, prof in enumerate(rep.per_rank):
+            mine = [(size, shape) for w, size, shape in allreduce_calls if w == rank]
+            assert len(mine) == 2 * cg_iters
+            assert {size for size, _ in mine} == {L}
+            assert all(len(shape) == 2 and shape[1] == 2 for _, shape in mine)
+            rows = [shape[0] for _, shape in mine]
+            assert all(W % L == 0 for W in rows)
+            other = prof.counters[Phase.OTHER]
+            assert other.messages_received == 2 * cg_iters * 2 * (L.bit_length() - 1)
+            # a W-element all-reduce receives 2 (L - 1) / L * W words
+            assert other.words_received == sum(2 * 2 * (L - 1) * W // L for W in rows)
+
     def test_report_contains_fusedmm_phases(self, completion_problem):
         C, r, _ = completion_problem
         als = DistributedALS(p=4, c=2, cg_iters=3)
@@ -165,6 +195,47 @@ class TestCostAccounting:
         assert rep.phase_words(Phase.REPLICATION) > 0
         assert rep.phase_words(Phase.PROPAGATION) > 0
         assert rep.phase_flops(Phase.COMPUTATION) > 0
+
+
+class TestFaults:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 16(b): a duplicated row-dot message has the shape of "
+        "the next one, and no per-key stamp tells them apart",
+    )
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_duplicated_row_dot_is_typed_or_bitwise_clean(
+        self, index, completion_problem, monkeypatch
+    ):
+        """Known defect, pinned strict so its fix must flip it.  A
+        duplicated ``TAG_APP`` message of rank 0 (its ``index``-th send on
+        the tag) stays queued and is taken as the next all-reduce's
+        segment: it has the right shape, so it is reduced in, and the run
+        completes with wrong factors instead of raising a ``CommError``
+        (which ``retries=1`` would re-run cleanly)."""
+        C, r, _ = completion_problem
+
+        def run(faults):
+            def faulty_plan(*args, **kw):
+                return repro.plan(*args, retries=1, faults=faults, **kw)
+
+            monkeypatch.setattr(als_module, "plan", faulty_plan)
+            als = DistributedALS(
+                p=8, c=2, algorithm="1.5d-sparse-shift",
+                elision=Elision.REPLICATION_REUSE, cg_iters=4,
+            )
+            return als.run(C, r, outer_iters=1, seed=0)
+
+        clean = run(None)
+        faults = FaultPlan([FaultSpec("dup", rank=0, tag=TAG_APP, index=index)])
+        try:
+            res = run(faults)
+        except RuntimeError as err:
+            assert isinstance(err.__cause__, CommError)
+            return
+        assert len(faults.fired_log) == 1
+        np.testing.assert_array_equal(res.A, clean.A)
+        np.testing.assert_array_equal(res.B, clean.B)
 
 
 PATTERN_CASES = [
@@ -235,7 +306,35 @@ class TestValidation:
             )
 
 
+def _identity(dots):
+    return dots
+
+
+def _spd_systems(rng, rows=40, r=12, zero_rows=()):
+    """Batched SPD systems ``M_i x_i = rhs_i`` (condition number about 6)
+    and a start ``x0``; ``zero_rows`` get a zero right-hand side and
+    start."""
+    G = rng.standard_normal((rows, r, r))
+    M = G @ G.transpose(0, 2, 1) / r + np.eye(r)
+    rhs, x0 = rng.standard_normal((rows, r)), rng.standard_normal((rows, r))
+    rhs[list(zero_rows)] = 0.0
+    x0[list(zero_rows)] = 0.0
+    return M, rhs, x0
+
+
+def _apply(M, x):
+    return np.einsum("ijk,ik->ij", M, x)
+
+
+def _rowdot(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
 class TestBatchedCG:
+    """``_batched_cg`` is Chronopoulos & Gear's single-reduction CG: one
+    matvec and one ``reduce`` of ``(r.r, r.w)`` row-dot records per
+    iteration."""
+
     def test_solves_diagonal_systems(self, rng):
         """Per-row systems M_i = d_i I are solved exactly in one step."""
         rows, r = 50, 6
@@ -244,63 +343,93 @@ class TestBatchedCG:
         def matvec(x):
             return d[:, None] * x
 
-        def rowdot(x, y):
-            return np.einsum("ij,ij->i", x, y)
-
         rhs = rng.standard_normal((rows, r))
-        x = _batched_cg(rhs, matvec, rowdot, np.zeros_like(rhs), iters=2)
+        x = _batched_cg(rhs, matvec, _identity, np.zeros_like(rhs), iters=2)
         np.testing.assert_allclose(x, rhs / d[:, None], rtol=1e-8)
 
     def test_zero_rows_stay_zero(self, rng):
         def matvec(x):
             return x
 
-        def rowdot(x, y):
-            return np.einsum("ij,ij->i", x, y)
-
         rhs = np.zeros((5, 3))
-        x = _batched_cg(rhs, matvec, rowdot, np.zeros_like(rhs), iters=3)
+        x = _batched_cg(rhs, matvec, _identity, np.zeros_like(rhs), iters=3)
         np.testing.assert_allclose(x, 0)
 
     @pytest.mark.parametrize("iters", [1, 2, 10])
-    def test_last_iteration_stops_at_x(self, rng, iters):
-        """The last iteration's residual, row dot and direction are never
-        read: ``2 * iters`` row dots (each an all-reduce on the
-        sparse-shifting family), ``iters + 1`` matvecs, and the same bits
-        as the loop that computed them."""
-        rows, r = 40, 5
-        M = rng.standard_normal((rows, r, r))
-        M = M @ M.transpose(0, 2, 1) + r * np.eye(r)
-        rhs, x0 = rng.standard_normal((rows, r)), rng.standard_normal((rows, r))
-        calls = {"matvec": 0, "rowdot": 0}
+    def test_one_reduction_per_iteration(self, rng, iters):
+        """``iters + 1`` matvecs (the start residual, then ``w = M r`` per
+        iteration) and ``iters`` reductions, each of one ``(rows, 2)``
+        record array — one all-reduce per iteration on the
+        sparse-shifting family."""
+        M, rhs, x0 = _spd_systems(rng)
+        calls = {"matvec": 0, "reduce": 0}
 
         def matvec(x):
             calls["matvec"] += 1
-            return np.einsum("ijk,ik->ij", M, x)
+            return _apply(M, x)
 
-        def rowdot(x, y):
-            calls["rowdot"] += 1
-            return np.einsum("ij,ij->i", x, y)
+        def reduce(dots):
+            calls["reduce"] += 1
+            assert dots.shape == (len(rhs), 2)
+            return dots
 
-        x = _batched_cg(rhs, matvec, rowdot, x0, iters)
-        assert calls == {"matvec": iters + 1, "rowdot": 2 * iters}
+        _batched_cg(rhs, matvec, reduce, x0, iters)
+        assert calls == {"matvec": iters + 1, "reduce": iters}
 
-        # the loop before the dead tail was cut
-        old = x0.copy()
-        rvec = rhs - matvec(old)
-        pvec = rvec.copy()
-        rs = rowdot(rvec, rvec)
+    @pytest.mark.parametrize("iters", [1, 2, 10])
+    def test_same_bits_as_the_recurrence(self, rng, iters):
+        """The Chronopoulos-Gear recurrence written out: ``p = r`` and
+        ``s = w`` on the first iteration, then ``beta = gamma / gamma_old``,
+        ``alpha = gamma / (delta - beta * (gamma / alpha_old))``,
+        ``p = r + beta p``, ``s = w + beta s``; the last iteration stops
+        at ``x``."""
+        M, rhs, x0 = _spd_systems(rng)
+        x = _batched_cg(rhs, lambda v: _apply(M, v), _identity, x0, iters)
+
+        want = x0.copy()
+        rvec = rhs - _apply(M, want)
+        for it in range(iters):
+            wvec = _apply(M, rvec)
+            gamma, delta = _rowdot(rvec, rvec), _rowdot(rvec, wvec)
+            if it == 0:
+                alpha = gamma / delta
+                pvec, svec = rvec, wvec
+            else:
+                beta = gamma / gamma_old
+                alpha = gamma / (delta - beta * (gamma / alpha))
+                pvec = rvec + beta[:, None] * pvec
+                svec = wvec + beta[:, None] * svec
+            gamma_old = gamma
+            want = want + alpha[:, None] * pvec
+            rvec = rvec - alpha[:, None] * svec
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("iters", [1, 3, 10])
+    def test_agrees_with_classical_cg(self, rng, iters):
+        """In exact arithmetic the iterates are classical CG's (two
+        reductions per iteration, ``q = M p`` by matvec); in floating point
+        they agree to ``rtol=1e-10`` on these systems, all-zero rows
+        staying exactly zero."""
+        zero = (0, 17, 39)
+        M, rhs, x0 = _spd_systems(rng, zero_rows=zero)
+        x = _batched_cg(rhs, lambda v: _apply(M, v), _identity, x0, iters)
+
+        def ratio(a, b):
+            return np.where(b > 1e-300, a / np.maximum(b, 1e-300), 0.0)
+
+        want = x0.copy()
+        rvec = rhs - _apply(M, want)
+        pvec, rs = rvec.copy(), _rowdot(rvec, rvec)
         for _ in range(iters):
-            q = matvec(pvec)
-            denom = rowdot(pvec, q)
-            alpha = np.where(denom > 1e-300, rs / np.maximum(denom, 1e-300), 0.0)
-            old = old + alpha[:, None] * pvec
+            q = _apply(M, pvec)
+            alpha = ratio(rs, _rowdot(pvec, q))
+            want = want + alpha[:, None] * pvec
             rvec = rvec - alpha[:, None] * q
-            rs_new = rowdot(rvec, rvec)
-            beta = np.where(rs > 1e-300, rs_new / np.maximum(rs, 1e-300), 0.0)
-            pvec = rvec + beta[:, None] * pvec
+            rs_new = _rowdot(rvec, rvec)
+            pvec = rvec + ratio(rs_new, rs)[:, None] * pvec
             rs = rs_new
-        assert x.tobytes() == old.tobytes()
+        np.testing.assert_allclose(x, want, rtol=1e-10, atol=1e-13)
+        assert not x[list(zero)].any()
 
 
 class TestRecommendTopK:

@@ -120,6 +120,29 @@ class TestCommunicationBehavior:
         rep = gat.forward(adj, X).report
         assert rep.phase_words(Phase.OTHER) > 0  # softmax allreduces
 
+    @pytest.mark.parametrize(
+        "el,group", [(Elision.NONE, 2), (Elision.REPLICATION_REUSE, 4)],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_one_softmax_all_reduce_per_head(self, el, group, graph, allreduce_calls):
+        """At p = 8, c = 2 each head's edge softmax is one all-reduce of
+        ``(segments, 2)`` ``(max, scaled sum)`` records — along the fiber
+        (2 ranks) without elision, the layer (4) under replication reuse —
+        and it is all the OTHER phase receives: ``2 log2 group`` messages
+        per head."""
+        adj, X = graph
+        n_heads = 3
+        gat = DistributedGAT(p=8, c=2, n_heads=n_heads, r_in=12, r_head=6,
+                             elision=el, seed=5)
+        with gat:
+            rep = gat.forward(adj, X).report
+        for rank, prof in enumerate(rep.per_rank):
+            mine = [(size, shape) for w, size, shape in allreduce_calls if w == rank]
+            assert len(mine) == n_heads
+            assert all(size == group and shape[1:] == (2,) for size, shape in mine)
+            other = prof.counters[Phase.OTHER]
+            assert other.messages_received == n_heads * 2 * (group.bit_length() - 1)
+
 
 class TestResidentSession:
     """Both variants reach ranks through one cached ``Session``."""

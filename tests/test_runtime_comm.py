@@ -302,6 +302,63 @@ class TestAllreduceSchedule:
             if W % p == 0:
                 assert words == ring, shape
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_records_stay_whole(self, exec_backend, p):
+        """A ``(W, k)`` array is cut along axis 0 only: ``op`` always sees
+        whole ``k``-word records (here it keeps the record with the larger
+        key, which a split record would break), every rank returns the
+        same bits, and the call takes the messages of one ``W``-element
+        all-reduce and, rank by rank, ``k`` times its words."""
+        require_world_size(exec_backend, p)
+        rows = sorted({0, 1, p - 1, 2049})
+        widths = (2, 3)
+
+        def keep_larger_key(a, b):
+            assert a.shape == b.shape and a.shape[1:] in {(k,) for k in widths}
+            return np.where((a[:, 0] >= b[:, 0])[:, None], a, b)
+
+        def measured(comm, arr, op):
+            before = comm.profile.total()
+            got = comm.allreduce(arr, op=op)
+            after = comm.profile.total()
+            return (
+                got,
+                after.messages_received - before.messages_received,
+                after.words_received - before.words_received,
+            )
+
+        def body(comm):
+            out = {}
+            for W in rows:
+                out[W] = measured(comm, _contribution(comm.rank, (W,)), np.add)
+                for k in widths:
+                    recs = _contribution(comm.rank, (W, k))
+                    out[W, k, "add"] = measured(comm, recs, np.add)
+                    out[W, k, "key"] = measured(comm, recs, keep_larger_key)
+            return out
+
+        results, _ = run_spmd(p, body, backend=exec_backend)
+        log2 = p.bit_length() - 1
+        messages = 2 * log2 if p == 1 << log2 else 2 * (p - 1)
+        for W in rows:
+            for k in widths:
+                stack = np.stack([_contribution(r, (W, k)) for r in range(p)])
+                larger = np.take_along_axis(
+                    stack, stack[:, :, :1].argmax(axis=0)[None], axis=0
+                )[0]
+                want = {"add": stack.sum(axis=0), "key": larger}
+                for kind in ("add", "key"):
+                    first = results[0][W, k, kind][0]
+                    assert first.shape == (W, k)
+                    np.testing.assert_allclose(first, want[kind], rtol=1e-12)
+                    for r in range(p):
+                        got, msgs, words = results[r][W, k, kind]
+                        assert got.tobytes() == first.tobytes(), (W, k, kind, r)
+                        assert msgs == results[r][W][1] == messages
+                        assert words == k * results[r][W][2], (W, k, kind, r)
+                        if W % p == 0:
+                            assert words == k * _ring_words(W, p, r)
+
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_lower_rank_first(self, exec_backend, p):
         """Every block is reduced over the same halving tree, the lower
@@ -321,6 +378,28 @@ class TestAllreduceSchedule:
             level = [op(level[i], level[i + h]) for i in range(h)]
         for got in results:
             np.testing.assert_array_equal(got, np.full(2 * p + 1, level[0]))
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_record_op_lower_rank_first(self, exec_backend, p):
+        """A non-commutative ``op`` on ``(rows, 2)`` records that mixes a
+        record's words: each record is reduced whole, over the same
+        halving tree, the lower rank's record first."""
+        require_world_size(exec_backend, p)
+
+        def op(a, b):
+            return np.stack((3.0 * a[:, 0] + b[:, 1], a[:, 1] - b[:, 0]), axis=1)
+
+        def body(comm):
+            mine = np.tile([float(comm.rank), 10.0 + comm.rank], (2 * p + 1, 1))
+            return comm.allreduce(mine, op=op)
+
+        results, _ = run_spmd(p, body, backend=exec_backend)
+        level = [np.array([[float(r), 10.0 + r]]) for r in range(p)]
+        while len(level) > 1:
+            h = len(level) // 2
+            level = [op(level[i], level[i + h]) for i in range(h)]
+        for got in results:
+            np.testing.assert_array_equal(got, np.tile(level[0], (2 * p + 1, 1)))
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])
     def test_duplicated_message_is_a_comm_error(self, exec_backend, p):
