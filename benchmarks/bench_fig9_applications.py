@@ -13,10 +13,10 @@ The GAT replication-reuse variant is one
 rank-side procedure on the same cached session (its cross-round gather
 sharing cannot be split into independent kernel calls) and pays the same
 edge-softmax all-reduces outside FusedMM.  ALS holds one session on the
-observations; each half-sweep's right-hand side is an SpMM on the
-stored values, computed rank-side in the half-sweep's one dispatch (under
-replication reuse it reads the fixed factor's fiber panel, so it adds no
-replication words), and its CG matvecs are pattern-only
+observations; each half-sweep is ``cg_iters + 1`` FusedMMs in one
+rank-side dispatch: the first forms the CG's start residual, its SDDMM
+subtracting the dots from the stored values so that no separate
+right-hand-side SpMM runs, and the CG matvecs are pattern-only
 (``use_values=False``), so they carry no ``S *`` multiply in the compute
 column.  Communication is priced on the paper's schedule, every hop of
 every propagation ring shipped; "prop as run" prices the propagation the

@@ -55,7 +55,7 @@ def main() -> None:
         print(f"  training RMSE: {rmse:.4f}")
         fused_comm = rep.modeled_comm_seconds(CORI_KNL, Phase.REPLICATION) + \
             rep.modeled_comm_seconds(CORI_KNL, Phase.PROPAGATION)
-        print(f"  modeled kernel comm (all CG FusedMM/SpMM calls, "
+        print(f"  modeled kernel comm (all CG FusedMMs and the loss SDDMM, "
               f"S distributed once): {fused_comm*1e3:8.3f} ms\n")
 
 

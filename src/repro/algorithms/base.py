@@ -673,7 +673,8 @@ class DistributedAlgorithm:
         self.rank_kernel(ctx, plan, local, Mode.SPMM_B, use_r_values=True, **kw)
 
     def rank_fusedmm_reuse(
-        self, ctx, plan, local, use_values: bool = True, replicated=None, **kw
+        self, ctx, plan, local, use_values: bool = True, residual: bool = False,
+        replicated=None, **kw
     ) -> None:
         """Replication reuse (native FusedMMB): one fiber gather of A feeds
         both the SDDMM and the SpMMB, whose output accumulates where it
@@ -681,13 +682,17 @@ class DistributedAlgorithm:
         families' module docstrings).  ``replicated`` hands in the panel
         of an earlier :meth:`replicate` of an unchanged A (an iterative
         solver's fixed operand) and saves the gather too;
-        ``use_values=False`` makes the SDDMM pattern-only.
+        ``use_values=False`` makes the SDDMM pattern-only, and
+        ``residual=True`` (1.5D families only: it is passed on only when
+        set) makes it leave ``S_vals − dots``.
         """
         T = replicated
         if T is None:
             T = self.replicate(ctx, plan, local, **kw)
+        extra = {"residual": True} if residual else {}
         self.rank_kernel(
-            ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T, **kw
+            ctx, plan, local, Mode.SDDMM, use_values=use_values, replicated=T,
+            **extra, **kw,
         )
         self.rank_kernel(
             ctx, plan, local, Mode.SPMM_B, use_r_values=True, replicated=T, **kw

@@ -253,6 +253,7 @@ class DenseShift15D(DistributedAlgorithm):
         mode: Mode,
         use_r_values: bool = False,
         use_values: bool = True,
+        residual: bool = False,
         edge_op=None,
         replicated: Optional[np.ndarray] = None,
     ) -> None:
@@ -262,7 +263,8 @@ class DenseShift15D(DistributedAlgorithm):
         (the SDDMM output) instead of the stored S values — the unoptimized
         back-to-back FusedMM path.  ``use_values=False`` computes a
         pattern-only SDDMM (dots without the ``S *`` multiply, used by the
-        ALS normal equations).  ``edge_op`` replaces the SDDMM dot products
+        ALS normal equations); ``residual=True`` leaves ``S − dots``
+        instead (the ALS start residual).  ``edge_op`` replaces the SDDMM dot products
         with a custom per-edge function of the incident dense rows (used by
         the GAT attention scores).  ``replicated`` hands in an
         already-gathered coarse A panel (replication reuse shares one
@@ -300,14 +302,15 @@ class DenseShift15D(DistributedAlgorithm):
                     )
                     local.R[j] = dots * blk.vals if use_values else dots
                 else:
-                    local.R[j] = sddmm_coo(
+                    dots = sddmm_coo(
                         T,
                         B_cur,
                         blk.rows,
                         blk.cols,
-                        s_vals=blk.vals if use_values else None,
+                        s_vals=blk.vals if use_values and not residual else None,
                         profile=prof,
                     )
+                    local.R[j] = blk.vals - dots if residual else dots
             elif mode == Mode.SPMM_A:
                 vals = local.R[j] if use_r_values else None
                 spmm_a_block(blk, B_cur, T, values=vals, profile=prof)
@@ -343,12 +346,14 @@ class DenseShift15D(DistributedAlgorithm):
         plan: Plan15DDense,
         local: Local15DDense,
         use_values: bool = True,
+        residual: bool = False,
     ) -> None:
         """Local kernel fusion (native FusedMMA).
 
         A single propagation round; each phase runs the fused local
         SDDMM+SpMM kernel against the read-only B block, which skips its
-        hop home.  Words: ``nr(2(c-1)/p + 1/c − 1/p)``.
+        hop home.  Words: ``nr(2(c-1)/p + 1/c − 1/p)``.  ``use_values`` /
+        ``residual`` select the SDDMM's output as :meth:`rank_kernel`'s do.
         """
         prof = ctx.comm.profile
         u, v = ctx.u, ctx.v
@@ -366,6 +371,7 @@ class DenseShift15D(DistributedAlgorithm):
                     blk,
                     T_out,
                     use_values=use_values,
+                    residual=residual,
                     return_sddmm=True,
                     profile=prof,
                 )

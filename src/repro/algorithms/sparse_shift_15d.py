@@ -372,15 +372,18 @@ class SparseShift15D(DistributedAlgorithm):
         mode: Mode,
         use_r_values: bool = False,
         use_values: bool = True,
+        residual: bool = False,
         sparse_plan: Optional[SparsePlan15D] = None,
         replicated: Optional[np.ndarray] = None,
     ) -> None:
         """One unified kernel call (see module docstring).
 
         ``use_values=False`` computes a pattern-only SDDMM (plain dots,
-        for the ALS normal equations).  With ``sparse_plan`` the fiber
-        collectives become need-list neighborhood exchanges over *packed*
-        panels (the chunk's rows then index the packed panel).
+        for the ALS normal equations); ``residual=True`` leaves
+        ``S_vals − dots`` instead (the ALS start residual).  With
+        ``sparse_plan`` the fiber collectives become need-list
+        neighborhood exchanges over *packed* panels (the chunk's rows
+        then index the packed panel).
         ``replicated`` hands in an already-gathered A panel (replication
         reuse shares one gather between its two rounds).
         """
@@ -446,7 +449,10 @@ class SparseShift15D(DistributedAlgorithm):
         )
 
         if mode == Mode.SDDMM:
-            local.R = frozen(dots * local.S_vals if use_values else dots)
+            if residual:
+                local.R = frozen(local.S_vals - dots)
+            else:
+                local.R = frozen(dots * local.S_vals if use_values else dots)
         elif mode == Mode.SPMM_A:
             with track(ctx.comm, Phase.REPLICATION), region(
                 ctx.comm, "reduce-scatter-A"

@@ -11,25 +11,34 @@ exactly FusedMM calls with the pattern of S:
             = FusedMMA(pattern(S), X, B)_i + lambda X_i
 
 so 10 CG iterations for A and 10 for B cost 20 FusedMM invocations — the
-workload of the paper's Figure 9 (left).
+workload of the paper's Figure 9 (left).  The right-hand side
+``S @ B`` never runs on its own: the CG's start residual is one more
+FusedMM, whose SDDMM leaves ``C_obs − pattern(S) * (X0 Bᵀ)``
+(``residual=True``) for its SpMM to multiply::
+
+    r0 = S @ B - M X0 = SpMMA(C_obs - SDDMM(pattern(S), X0, B), B) - lambda X0
+
+so a half-sweep is ``cg_iters + 1`` FusedMMs and nothing else.  That
+SDDMM is also the loss of the factors the last sweep left, so a sweep's
+loss is read off the next sweep's A half-sweep, and only the last sweep
+takes a loss SDDMM.
 
 This driver is built on the session-handle API (:func:`repro.plan`):
 it plans **one resident session** on the observations — one worker pool,
 ``S`` plus its transposed sibling, the reference ``Distributed_Sparse``'s
 ``S`` / ``ST`` — and passes "with or without the stored values" per
-kernel: each normal equation's right-hand side is an SpMM on the
-observed values, while every CG matvec and the loss SDDMM run
-pattern-only (``use_values=False``) on the same distribution.  Each
-half-sweep runs **rank-side** on the session's resident worker pool: one
-:meth:`~repro.session.Session.run_rank` dispatch computes the right-hand
-side, performs the ``cg_iters + 1`` FusedMM matvecs *and* the CG scalar
-recurrences on the warm ranks, so no right-hand side or factor matrix is
-gathered or re-scattered inside a half-sweep (the fixed factor is bound
-once per half-sweep and, under replication reuse, replicated along the
-fiber once per half-sweep instead of once per kernel).  FusedMMB-phase
-solves transparently run on the session's transposed sibling
-distribution (the paper's "two copies of the sparse matrix, one
-transposed"), built once on first use.
+kernel: each start residual subtracts from the observed values, while
+every CG matvec and the last loss SDDMM run pattern-only
+(``use_values=False``) on the same distribution.  Each half-sweep runs
+**rank-side** on the session's resident worker pool: one
+:meth:`~repro.session.Session.run_rank` dispatch performs the
+``cg_iters + 1`` FusedMMs *and* the CG scalar recurrences on the warm
+ranks, so no residual or factor matrix is gathered or re-scattered
+inside a half-sweep (the fixed factor is bound once per half-sweep and,
+under replication reuse, replicated along the fiber once per half-sweep
+instead of once per kernel).  FusedMMB-phase solves transparently run on
+the session's transposed sibling distribution (the paper's "two copies
+of the sparse matrix, one transposed"), built once on first use.
 
 Two algorithm families are supported, capturing the paper's contrast:
 
@@ -51,6 +60,7 @@ Two algorithm families are supported, capturing the paper's contrast:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +74,7 @@ from repro.serve.model import ServeModel
 from repro.serve.request import AlsTopKRequest, Request
 from repro.session import Session, plan
 from repro.sparse.coo import CooMatrix
-from repro.types import CommMode, Elision, FusedVariant, Mode, Phase
+from repro.types import CommMode, Elision, FusedVariant, Phase
 
 # re-exported for tests/benchmarks that poke the CG directly
 __all__ = [
@@ -87,25 +97,26 @@ class AlsResult:
 
 
 def _batched_cg(
-    rhs: np.ndarray,
+    r0: np.ndarray,
     matvec: Callable[[np.ndarray], np.ndarray],
     reduce: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     iters: int,
 ) -> np.ndarray:
     """Conjugate gradients on all rows at once (per-row scalars), in the
-    single-reduction form of Chronopoulos & Gear (1989).
+    single-reduction form of Chronopoulos & Gear (1989), from the start
+    ``x0`` whose residual ``r0 = rhs − M x0`` the caller hands in.
 
     Each iteration makes one matvec ``w = M r`` and hands ``reduce`` one
     ``(rows, 2)`` array of this caller's row-dot records ``(r.r, r.w)``;
     ``reduce`` returns the complete ones (the identity on full rows, a
     layer all-reduce on r-strips).  The direction ``p`` and ``s = M p``
-    follow by recurrence, so ``matvec`` is called ``iters + 1`` times and
-    ``reduce`` ``iters`` times: the last iteration stops once ``x`` is
-    updated.  In exact arithmetic the iterates are classical CG's.
+    follow by recurrence, so ``matvec`` and ``reduce`` are each called
+    ``iters`` times: the last iteration stops once ``x`` is updated.  In
+    exact arithmetic the iterates are classical CG's.
     """
     x = x0.copy()
-    rvec = rhs - matvec(x)
+    rvec = r0
     pvec, svec = np.zeros_like(rvec), np.zeros_like(rvec)
     gamma = alpha = np.zeros(len(rvec))
     for it in range(iters):
@@ -158,6 +169,12 @@ class DistributedALS:
     kernels:
         Local-kernel backend for the sessions (``"numpy"`` / ``"numba"``
         / ``"auto"``; see :func:`repro.plan`).
+    deadline_ms:
+        The session's watchdog (see :func:`repro.plan`): a half-sweep
+        whose ranks block longer on a receive fails with
+        :class:`~repro.errors.SpmdTimeout` instead of hanging.  There is
+        no ``retries=``: a half-sweep is one
+        :meth:`~repro.session.Session.run_rank`, which is never re-run.
     """
 
     def __init__(
@@ -170,6 +187,7 @@ class DistributedALS:
         cg_iters: int = 10,
         comm: "str | CommMode" = CommMode.DENSE,
         kernels: str = "numpy",
+        deadline_ms: Optional[float] = None,
     ) -> None:
         if algorithm not in ("1.5d-dense-shift", "1.5d-sparse-shift"):
             raise ReproError(f"ALS supports the 1.5D families, not {algorithm!r}")
@@ -188,31 +206,40 @@ class DistributedALS:
         self.cg_iters = int(cg_iters)
         self.comm = comm
         self.kernels = kernels
+        self.deadline_ms = deadline_ms
 
     # ------------------------------------------------------------------
 
     def _rank_cg(
-        self, sess: Session, variant: FusedVariant, fixed: np.ndarray, x0: np.ndarray
-    ) -> np.ndarray:
+        self, sess: Session, variant: FusedVariant, fixed: np.ndarray,
+        x0: np.ndarray, loss: bool = False,
+    ) -> Tuple[np.ndarray, Optional[float]]:
         """Solve ``(FusedMM(pattern(S), ., fixed) + lam I) x = rhs`` rank-side.
 
-        The right-hand side (``S @ fixed`` for FusedMMA, ``S.T @ fixed``
-        for FusedMMB, on the observed values), the ``cg_iters + 1`` fused
-        matvecs and the per-row scalar recurrences run in **one** dispatch
-        to the session's warm worker pool.  The moving factor occupies the
-        native-output slot of the (possibly transposed) resident
-        orientation, the fixed factor the other; under replication reuse
-        the fixed factor is gathered along the fiber once, and that panel
-        feeds the right-hand side's SpMM and every matvec.  When a rank's
-        factor block holds only an r-strip (sparse-shifting family), each
-        CG iteration all-reduces its row-dot records across the layer once,
-        measured as OTHER-phase communication.
+        ``rhs`` is ``S @ fixed`` for FusedMMA (``S.T @ fixed`` for
+        FusedMMB) on the observed values, so the start residual is itself
+        one FusedMM::
+
+            r0 = rhs - M x0 = SpMM(S - pattern(S) * (x0 fixed^T), fixed) - lam x0
+
+        whose SDDMM leaves the residual values ``R`` (``residual=True``).
+        That FusedMM, the ``cg_iters`` fused matvecs and the per-row
+        scalar recurrences run in **one** dispatch to the session's warm
+        worker pool.  The moving factor occupies the native-output slot of
+        the (possibly transposed) resident orientation, the fixed factor
+        the other; under replication reuse the fixed factor is gathered
+        along the fiber once, and that panel feeds all ``cg_iters + 1``
+        FusedMMs.  When a rank's factor block holds only an r-strip
+        (sparse-shifting family), each CG iteration all-reduces its
+        row-dot records across the layer once, measured as OTHER-phase
+        communication.
+
+        Returns ``(x, None)``, or with ``loss=True`` ``(x, sum(R**2))``:
+        the squared training error of ``x0`` and ``fixed``.
         """
         lam, iters, alg = self.lam, self.cg_iters, sess.alg
         transpose, native, method = native_procedure(alg, variant, self.elision)
-        # the moving factor's slot; the right-hand side is the SpMM that
-        # writes it from the fixed factor in the other slot
-        slot, rhs_mode = ("A", Mode.SPMM_A) if native == "a" else ("B", Mode.SPMM_B)
+        slot = native.upper()  # the moving factor's slot, which the FusedMM writes
         reuse = self.elision == Elision.REPLICATION_REUSE
 
         def cg_body(ctx, plan_, local, **kw):  # kw: sparse_plan= under sparse comm
@@ -220,12 +247,13 @@ class DistributedALS:
             if reuse:
                 # replication reuse gathers the operand opposite its
                 # output — here the *fixed* factor — along the fiber: one
-                # gather serves the right-hand side and all cg_iters + 1
-                # matvecs of the half-sweep
+                # gather serves all cg_iters + 1 FusedMMs of the half-sweep
                 kw["replicated"] = alg.replicate(ctx, plan_, local, **kw)
             x0_blk = getattr(local, slot)
-            alg.rank_kernel(ctx, plan_, local, rhs_mode, **kw)
-            rhs_blk = getattr(local, slot)
+            method(ctx, plan_, local, residual=True, **kw)
+            r0 = getattr(local, slot) - lam * x0_blk
+            # the matvecs overwrite R; the loss collect reads the residual
+            resid = copy(local.R)
 
             def matvec(vblk):
                 # bound as a resident block is: read-only, replaced
@@ -245,13 +273,16 @@ class DistributedALS:
                 with prof.track(Phase.OTHER):
                     return ctx.layer.allreduce(dots, tag=TAG_APP)
 
-            x = _batched_cg(rhs_blk, matvec, reduce, x0_blk, iters)
+            x = _batched_cg(r0, matvec, reduce, x0_blk, iters)
             setattr(local, slot, x)  # the solution stays resident for the collect
+            local.R = resid
 
-        return sess.run_rank(
+        x, *R, _ = sess.run_rank(
             cg_body, *((x0, fixed) if native == "a" else (fixed, x0)),
-            transpose=transpose, collect=native, label=f"als/cg/{variant.value}",
-        )[0]
+            transpose=transpose, collect=(native, "sddmm") if loss else (native,),
+            label=f"als/cg/{variant.value}",
+        )
+        return x, (float(np.sum(R[0].vals ** 2)) if loss else None)
 
     def run(
         self,
@@ -261,7 +292,12 @@ class DistributedALS:
         seed: int = 0,
         track_loss: bool = True,
     ) -> AlsResult:
-        """Run ``outer_iters`` alternating sweeps; returns factors and report."""
+        """Run ``outer_iters`` alternating sweeps; returns factors and report.
+
+        Sweep ``k``'s loss ``||C_obs - SDDMM(A, B, pattern)||^2`` is read
+        off sweep ``k + 1``'s A half-sweep, whose start residual is exactly
+        that; the last sweep's takes one SDDMM after the loop.
+        """
         m, n = C_obs.shape
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((m, r)) * 0.1
@@ -270,21 +306,24 @@ class DistributedALS:
         loss_history: List[float] = []
         with plan(
             C_obs, r, p=self.p, c=self.c, algorithm=self.algorithm,
-            elision=self.elision, comm=self.comm, kernels=self.kernels,
+            elision=self.elision, comm=self.comm, deadline_ms=self.deadline_ms,
+            kernels=self.kernels,
         ) as sess:
-            for _ in range(outer_iters):
-                # solve for A with B fixed (rhs = SpMMA(C_obs, B), matvec =
-                # FusedMMA(pattern, X, B) + lam X), then for B with A fixed
-                # (rhs = SpMMB(C_obs, A)): each one pool dispatch, on the
-                # session's transposed sibling distribution when the
+            for sweep in range(outer_iters):
+                # solve for A with B fixed (matvec = FusedMMA(pattern, X, B)
+                # + lam X), then for B with A fixed: each one pool dispatch,
+                # on the session's transposed sibling distribution when the
                 # elision's native procedure lives on the opposite side
-                A = self._rank_cg(sess, FusedVariant.FUSED_A, B, A)
-                B = self._rank_cg(sess, FusedVariant.FUSED_B, A, B)
+                A, loss = self._rank_cg(
+                    sess, FusedVariant.FUSED_A, B, A, loss=track_loss and sweep > 0
+                )
+                if loss is not None:
+                    loss_history.append(loss)
+                B, _ = self._rank_cg(sess, FusedVariant.FUSED_B, A, B)
 
-                if track_loss:
-                    # || C_obs - SDDMM(A, B, pattern) ||^2 over observations
-                    dots, _ = sess.sddmm(A, B, use_values=False)
-                    loss_history.append(float(np.sum((C_obs.vals - dots.vals) ** 2)))
+            if track_loss and outer_iters > 0:
+                dots, _ = sess.sddmm(A, B, use_values=False)
+                loss_history.append(float(np.sum((C_obs.vals - dots.vals) ** 2)))
 
             report = sess.report()
         report.label = f"als/{self.algorithm}/{self.elision.value}"

@@ -27,6 +27,7 @@ def fusedmm_local(
     block: SparseBlock,
     out: np.ndarray,
     use_values: bool = True,
+    residual: bool = False,
     return_sddmm: bool = False,
     profile: Optional[RankProfile] = None,
 ) -> Optional[np.ndarray]:
@@ -39,7 +40,10 @@ def fusedmm_local(
     structure, so both halves honour ``profile.kernels`` and emit their
     kernel spans.
 
-    With ``return_sddmm=True`` the intermediate values are also returned
+    ``use_values=False`` makes the SDDMM half pattern-only (plain dots);
+    ``residual=True`` feeds ``block.vals − dots`` to the SpMM half instead,
+    so ``out += (S − pattern(S) * (A_rep B_curᵀ)) @ B_cur``.  With
+    ``return_sddmm=True`` the intermediate values are also returned
     (used by tests and by callers that keep R).
     """
     if block.nnz == 0:
@@ -49,9 +53,11 @@ def fusedmm_local(
         B_cur,
         block.rows,
         block.cols,
-        s_vals=block.vals if use_values else None,
+        s_vals=block.vals if use_values and not residual else None,
         profile=profile,
     )
+    if residual:
+        r_vals = block.vals - r_vals
     spmm_a_block(block, B_cur, out, values=r_vals, profile=profile)
     return r_vals if return_sddmm else None
 

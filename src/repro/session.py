@@ -744,8 +744,8 @@ class Session:
 
     def run_rank(
         self, proc, A=None, B=None, *, transpose: bool = False,
-        collect: Optional[str] = None, label: str = "rank-step",
-    ) -> Tuple[Any, RunReport]:
+        collect: Union[None, str, Tuple[str, ...]] = None, label: str = "rank-step",
+    ) -> Tuple[Any, ...]:
         """Run the caller's rank procedure as a kernel call runs its own.
 
         ``proc(ctx, plan, local)`` (plus ``sparse_plan=`` on sparse-comm
@@ -763,7 +763,8 @@ class Session:
         ``collect`` names what comes back: ``"a"`` / ``"b"`` (the ranks'
         dense blocks of that side, reassembled) or ``"sddmm"`` (the
         ranks' SDDMM output, in ``S``'s coordinates); ``None`` returns no
-        output.  Returns ``(output, report)`` and records one
+        output.  Returns ``(output, report)``, or for a tuple of names
+        ``(*outputs, report)`` in its order, and records one
         :meth:`metrics` entry.  ``proc`` replaces a dense block, never
         writes one in place (bound blocks are read-only); a writeable
         replacement circulates on every hop of a ring, where a read-only
@@ -777,15 +778,18 @@ class Session:
         """
         with self._exclusive():
             self._check_open()
-            if collect not in (None, "a", "b", "sddmm"):
-                raise ReproError(f"collect is 'a', 'b' or 'sddmm', not {collect!r}")
+            names = (collect,) if isinstance(collect, str) else tuple(collect or ())
+            for what in names:
+                if what not in ("a", "b", "sddmm"):
+                    raise ReproError(f"collect is 'a', 'b' or 'sddmm', not {what!r}")
             m, n = (self.n, self.m) if transpose else (self.m, self.n)
             A = A if A is None else self._check_dense(A, "A", m)
             B = B if B is None else self._check_dense(B, "B", n)
             *outs, report = self._call(
-                transpose, A, B, proc, (collect,) if collect else (), label,
-                self._run_once,
+                transpose, A, B, proc, names, label, self._run_once,
             )
+            if isinstance(collect, tuple):
+                return (*outs, report)
             return (outs[0] if outs else None), report
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.algorithms.base import TAG_APP
 from repro.algorithms.fused import native_procedure
 from repro.apps import als as als_module
 from repro.apps.als import DistributedALS, _batched_cg
-from repro.errors import CommError, ReproError
+from repro.errors import CommError, ReproError, SpmdTimeout
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.sparse.coo import CooMatrix
 from repro.sparse.generate import erdos_renyi
@@ -136,11 +136,12 @@ class TestCostAccounting:
         self, alg, el, p, c, completion_problem, monkeypatch
     ):
         """One sweep is two CG dispatches and the loss SDDMM.  Each CG
-        dispatch scatters its moving and its fixed factor once and builds
-        its right-hand side rank-side; the SDDMM scatters both factors
-        unless, as under replication reuse, the B half-sweep ran on the
-        forward orientation too: then its fixed factor A is still
-        resident.  No call scatters, or collects, a right-hand side."""
+        dispatch scatters its moving and its fixed factor once and forms
+        its start residual rank-side, as one FusedMM; the SDDMM scatters
+        both factors unless, as under replication reuse, the B half-sweep
+        ran on the forward orientation too: then its fixed factor A is
+        still resident.  No call scatters, or collects, a right-hand
+        side."""
         sessions = []
 
         def recording_plan(*args, **kw):
@@ -159,6 +160,62 @@ class TestCostAccounting:
         found = int(el == Elision.REPLICATION_REUSE)
         assert sess.dense_bind_counts == {"a": 3 - found, "b": 3}
         assert sess.dense_bind_skips == {"a": found, "b": 0}
+
+    @pytest.mark.parametrize(
+        "alg,el,p,c", VARIANTS, ids=[f"{a}/{e.value}" for a, e, p, c in VARIANTS]
+    )
+    def test_steady_sweep_is_two_dispatches(
+        self, alg, el, p, c, completion_problem, monkeypatch
+    ):
+        """After the first sweep, a sweep is its two CG dispatches and
+        nothing else: sweep ``k``'s loss is read off sweep ``k + 1``'s A
+        half-sweep (its start residual), so the one kernel call is the
+        last sweep's loss SDDMM.  Each steady sweep scatters each factor
+        twice (moving, then fixed) and skips nothing — under local kernel
+        fusion too, where the per-sweep loss SDDMM used to re-scatter A on
+        the forward orientation — and on the sparse-shifting family its
+        ``2 (cg_iters + 1)`` FusedMMs send ``2 (L - 1)`` value shifts
+        each, per rank."""
+        sessions, after = [], []
+
+        def recording_plan(*args, **kw):
+            sessions.append(repro.plan(*args, **kw))
+            return sessions[-1]
+
+        rank_cg = DistributedALS._rank_cg
+
+        def watching_cg(self, sess, variant, *args, **kw):
+            out = rank_cg(self, sess, variant, *args, **kw)
+            if variant == FusedVariant.FUSED_B:  # a sweep's end
+                after.append((
+                    dict(sess.dense_bind_counts), dict(sess.dense_bind_skips),
+                    [prof.counters[Phase.PROPAGATION].messages_received
+                     for prof in sess.report().per_rank],
+                ))
+            return out
+
+        monkeypatch.setattr(als_module, "plan", recording_plan)
+        monkeypatch.setattr(DistributedALS, "_rank_cg", watching_cg)
+        C, r, _ = completion_problem
+        cg_iters = 3
+        res = DistributedALS(
+            p=p, c=c, algorithm=alg, elision=el, cg_iters=cg_iters
+        ).run(C, r, outer_iters=3, seed=0)
+        [sess] = sessions
+        assert len(res.loss_history) == 3
+        assert [rec["label"] for rec in sess.metrics()] == [
+            "als/cg/fusedmm_a", "als/cg/fusedmm_b",
+        ] * 3 + [f"{alg}/sddmm"]
+        L = p // c
+        for (counts0, skips0, msgs0), (counts1, skips1, msgs1) in zip(
+            after, after[1:]
+        ):
+            assert {k: counts1[k] - counts0[k] for k in "ab"} == {"a": 2, "b": 2}
+            assert skips1 == skips0
+            if alg == "1.5d-sparse-shift":
+                assert [b - a for a, b in zip(msgs0, msgs1)] == (
+                    [2 * (cg_iters + 1) * 2 * (L - 1)] * p
+                )
 
     @pytest.mark.parametrize("cg_iters", [1, 4])
     def test_sparse_shift_sweep_reduces_once_per_cg_iteration(
@@ -198,6 +255,35 @@ class TestCostAccounting:
 
 
 class TestFaults:
+    def test_lost_row_dot_times_out_under_a_deadline(
+        self, completion_problem, monkeypatch
+    ):
+        """``deadline_ms`` reaches the session's watchdog: a row-dot
+        message dropped inside a half-sweep ends the run in a typed
+        timeout, with the blocked ranks' dump, instead of a hang.  The
+        half-sweep is a ``run_rank``, so nothing re-runs it."""
+        C, r, _ = completion_problem
+        lost = FaultPlan([FaultSpec("drop", rank=0, tag=TAG_APP)])
+        sessions = []
+
+        def faulty_plan(*args, **kw):
+            sessions.append(repro.plan(*args, faults=lost, **kw))
+            return sessions[-1]
+
+        monkeypatch.setattr(als_module, "plan", faulty_plan)
+        als = DistributedALS(
+            p=8, c=2, algorithm="1.5d-sparse-shift",
+            elision=Elision.REPLICATION_REUSE, cg_iters=2, deadline_ms=300,
+        )
+        with pytest.raises(SpmdTimeout) as err:
+            als.run(C, r, outer_iters=1, seed=0)
+        assert err.value.dump
+        assert len(lost.fired_log) == 1
+        [sess] = sessions
+        assert [(rec["label"], rec["outcome"]) for rec in sess.metrics()] == [
+            ("als/cg/fusedmm_a", "timeout"),
+        ]
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP 16(b): a duplicated row-dot message has the shape of "
@@ -331,7 +417,8 @@ def _rowdot(x, y):
 
 
 class TestBatchedCG:
-    """``_batched_cg`` is Chronopoulos & Gear's single-reduction CG: one
+    """``_batched_cg`` is Chronopoulos & Gear's single-reduction CG from a
+    start residual ``r0`` the caller computes (ALS: one FusedMM): one
     matvec and one ``reduce`` of ``(r.r, r.w)`` row-dot records per
     iteration."""
 
@@ -344,6 +431,7 @@ class TestBatchedCG:
             return d[:, None] * x
 
         rhs = rng.standard_normal((rows, r))
+        # from x0 = 0 the start residual is the right-hand side
         x = _batched_cg(rhs, matvec, _identity, np.zeros_like(rhs), iters=2)
         np.testing.assert_allclose(x, rhs / d[:, None], rtol=1e-8)
 
@@ -351,17 +439,18 @@ class TestBatchedCG:
         def matvec(x):
             return x
 
-        rhs = np.zeros((5, 3))
-        x = _batched_cg(rhs, matvec, _identity, np.zeros_like(rhs), iters=3)
+        r0 = np.zeros((5, 3))
+        x = _batched_cg(r0, matvec, _identity, np.zeros_like(r0), iters=3)
         np.testing.assert_allclose(x, 0)
 
     @pytest.mark.parametrize("iters", [1, 2, 10])
     def test_one_reduction_per_iteration(self, rng, iters):
-        """``iters + 1`` matvecs (the start residual, then ``w = M r`` per
-        iteration) and ``iters`` reductions, each of one ``(rows, 2)``
-        record array — one all-reduce per iteration on the
+        """``iters`` matvecs (``w = M r`` per iteration; the start
+        residual is the caller's) and ``iters`` reductions, each of one
+        ``(rows, 2)`` record array — one all-reduce per iteration on the
         sparse-shifting family."""
         M, rhs, x0 = _spd_systems(rng)
+        r0 = rhs - _apply(M, x0)
         calls = {"matvec": 0, "reduce": 0}
 
         def matvec(x):
@@ -373,8 +462,8 @@ class TestBatchedCG:
             assert dots.shape == (len(rhs), 2)
             return dots
 
-        _batched_cg(rhs, matvec, reduce, x0, iters)
-        assert calls == {"matvec": iters + 1, "reduce": iters}
+        _batched_cg(r0, matvec, reduce, x0, iters)
+        assert calls == {"matvec": iters, "reduce": iters}
 
     @pytest.mark.parametrize("iters", [1, 2, 10])
     def test_same_bits_as_the_recurrence(self, rng, iters):
@@ -384,10 +473,11 @@ class TestBatchedCG:
         ``p = r + beta p``, ``s = w + beta s``; the last iteration stops
         at ``x``."""
         M, rhs, x0 = _spd_systems(rng)
-        x = _batched_cg(rhs, lambda v: _apply(M, v), _identity, x0, iters)
+        r0 = rhs - _apply(M, x0)
+        x = _batched_cg(r0, lambda v: _apply(M, v), _identity, x0, iters)
 
         want = x0.copy()
-        rvec = rhs - _apply(M, want)
+        rvec = r0
         for it in range(iters):
             wvec = _apply(M, rvec)
             gamma, delta = _rowdot(rvec, rvec), _rowdot(rvec, wvec)
@@ -407,18 +497,19 @@ class TestBatchedCG:
     @pytest.mark.parametrize("iters", [1, 3, 10])
     def test_agrees_with_classical_cg(self, rng, iters):
         """In exact arithmetic the iterates are classical CG's (two
-        reductions per iteration, ``q = M p`` by matvec); in floating point
-        they agree to ``rtol=1e-10`` on these systems, all-zero rows
-        staying exactly zero."""
+        reductions per iteration, ``q = M p`` by matvec) started from the
+        same ``r0``; in floating point they agree to ``rtol=1e-10`` on
+        these systems, all-zero rows staying exactly zero."""
         zero = (0, 17, 39)
         M, rhs, x0 = _spd_systems(rng, zero_rows=zero)
-        x = _batched_cg(rhs, lambda v: _apply(M, v), _identity, x0, iters)
+        r0 = rhs - _apply(M, x0)
+        x = _batched_cg(r0, lambda v: _apply(M, v), _identity, x0, iters)
 
         def ratio(a, b):
             return np.where(b > 1e-300, a / np.maximum(b, 1e-300), 0.0)
 
         want = x0.copy()
-        rvec = rhs - _apply(M, want)
+        rvec = r0
         pvec, rs = rvec.copy(), _rowdot(rvec, rvec)
         for _ in range(iters):
             q = _apply(M, pvec)

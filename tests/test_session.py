@@ -631,9 +631,9 @@ class TestDenseBindSkipping:
         self, monkeypatch, name, comm, variant
     ):
         """Under replication reuse the fixed factor is what the fiber
-        gathers: one ``replicate`` per rank per half-sweep feeds the
-        right-hand side and all ``cg_iters + 1`` matvecs, bitwise-equal to
-        gathering per matvec."""
+        gathers: one ``replicate`` per rank per half-sweep feeds all
+        ``cg_iters + 1`` FusedMMs (the start residual and the matvecs),
+        bitwise-equal to gathering per FusedMM."""
         from repro.apps.als import DistributedALS
         from repro.types import Phase
 
@@ -663,7 +663,7 @@ class TestDenseBindSkipping:
 
                 monkeypatch.setattr(alg, "replicate", counting_replicate)
                 monkeypatch.setattr(alg, "rank_fusedmm_reuse", watching_reuse)
-                x = als._rank_cg(sess, variant, fixed, x0)
+                x, _ = als._rank_cg(sess, variant, fixed, x0)
                 words = sess.report().phase_words(Phase.REPLICATION)
             return x, len(gathers), handed, words
 
@@ -671,7 +671,7 @@ class TestDenseBindSkipping:
         assert gathers == p  # one fiber gather per rank per half-sweep
         assert len(handed) == p * (cg_iters + 1) and all(handed)
         ref, ref_gathers, _, ref_words = half_sweep(per_matvec_gather=True)
-        assert ref_gathers == p * (cg_iters + 2)  # the hoisted one + per matvec
+        assert ref_gathers == p * (cg_iters + 2)  # the hoisted one + per FusedMM
         assert np.array_equal(x, ref)
         # the only count that moves is the replication traffic, downward
         assert words * (cg_iters + 2) == ref_words
