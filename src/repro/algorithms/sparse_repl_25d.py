@@ -104,6 +104,7 @@ from repro.algorithms.base import (
     TAG_SHIFT_B,
     DistributedAlgorithm,
     Lane,
+    concat_allgather,
     frozen,
     region,
     track,
@@ -341,7 +342,7 @@ class SparseReplicate25D(DistributedAlgorithm):
         source = local.S_vals_chunk
         return ctx.pool.replica(
             "values", source,
-            lambda: np.concatenate(ctx.fiber.allgather(source, tag=TAG_FIBER_AG)),
+            lambda: concat_allgather(ctx.fiber, source, TAG_FIBER_AG),
         )
 
     def _reduce_scatter_values(
@@ -600,8 +601,7 @@ class SparseReplicate25D(DistributedAlgorithm):
         partial_vals, panels = self._sddmm_round(ctx, plan, local, sparse_plan)
         with track(ctx.comm, Phase.REPLICATION):
             local.R_chunk = self._reduce_scatter_values(ctx, local, partial_vals)
-            parts = ctx.fiber.allgather(local.R_chunk, tag=TAG_FIBER_AG)
-            r_full = np.concatenate(parts) if parts else np.empty(0)
+            r_full = concat_allgather(ctx.fiber, local.R_chunk, TAG_FIBER_AG)
         inp = "b" if spmm_mode == Mode.SPMM_A else "a"
         self._spmm_round(
             ctx, plan, local, spmm_mode, r_full, sparse_plan, held=panels.get(inp)

@@ -37,6 +37,11 @@ the worker pool, the profiles and the kernel backend.
   independent per-kernel session calls, which is exactly why the paper
   treats it as its own strategy.
 
+Either way the data moves only through the family: its ``replicate``
+and its ``rank_kernel`` rounds (SDDMM with the GAT edge op, SpMMA or
+SpMMB on the softmaxed scores).  This module composes them and adds
+only the edge softmax's all-reduce.
+
 Multi-head attention concatenates per-head outputs, each with its own
 ``W``, ``a_L``, ``a_R`` (random weights — the paper benchmarks the
 forward-pass workload, not training).
@@ -49,18 +54,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (
-    TAG_APP,
-    TAG_FIBER_AG,
-    TAG_SHIFT_B,
-    Lane,
-    concat_allgather,
-    frozen,
-    track,
-)
+from repro.algorithms.base import TAG_APP, frozen
 from repro.errors import ReproError
-from repro.kernels.sddmm import GatScoreOp, sddmm_custom
-from repro.kernels.spmm import spmm_b_block
+from repro.kernels.sddmm import GatScoreOp
 from repro.runtime.profile import RunReport
 from repro.serve.model import ServeModel
 from repro.serve.request import GatEdgeScoreRequest, Request
@@ -305,23 +301,32 @@ class DistributedGAT:
         """One pool dispatch for the whole forward pass, on the session's
         transposed adjacency: rows of ``S`` (the softmax axis) are columns
         there, block rows are ``j`` (the ``a_R`` side) and block columns
-        ``i`` (the ``a_L`` side)."""
+        ``i`` (the ``a_L`` side).
+
+        The node features bind as the A blocks and the family's
+        ``replicate`` gathers them once: ``(c − 1)·(n/p)·r_in`` words in
+        ``c − 1`` messages per rank.  Each head derives its coarse ``H``
+        panel from that gather and binds its own ``H`` block as the
+        circulating B block.  It then runs the family's SDDMM round (edge
+        op :class:`GatScoreOp`, ``p/c − 1`` hops: the block is read-only)
+        and SpMMB round (``use_r_values``, all ``p/c`` hops of the
+        accumulator), both with ``replicated=`` that panel, and the edge
+        softmax on ``local.R`` between them.  Per head that is
+        ``(2·p/c − 1)·(n/p)·r_head`` PROPAGATION words."""
         alg = sess.alg
         heads, slope, apply_elu = self.heads, self.negative_slope, self.apply_elu
         p, c = self.p, self.c
 
         def reuse_body(ctx, plan, local):
             prof = ctx.comm.profile
-            u, v = ctx.u, ctx.v
-            nl = plan.n_layer
-            X_blk = X[alg.dense_index(plan, local, "a")]
+            v = ctx.v
             # the circulating block's rows are the B side's (the i side): the
             # A side's only while S's rows and columns share one order
             X_own = X[alg.dense_index(plan, local, "b")]
-            # gather the replicated node features ONCE; per-head panels
-            # derive locally (replication reuse across heads and rounds)
-            with track(ctx.comm, Phase.REPLICATION):
-                T_X = concat_allgather(ctx.fiber, X_blk, TAG_FIBER_AG)
+            # the family gathers the replicated node features ONCE; per-head
+            # panels derive locally (replication reuse across heads and rounds)
+            local.A = frozen(X[alg.dense_index(plan, local, "a")])
+            T_X = alg.replicate(ctx, plan, local)
 
             # softmax segments: S rows are columns here, and this rank's
             # column blocks (j % c == v) laid end to end number them
@@ -335,47 +340,28 @@ class DistributedGAT:
             for head in heads:
                 with prof.track(Phase.OTHER):
                     T_H = T_X @ head.W  # coarse panel of H (j-side rows)
-                    H_blk = frozen(X_own @ head.W)  # circulating (i-side rows)
+                    local.B = frozen(X_own @ head.W)  # circulating (i-side rows)
                     prof.add_flops(2 * (T_X.size + X_own.size) * head.W.shape[1])
 
-                # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>);
-                # H circulates read-only, so it skips the hop home: nl - 1
-                # shifts of its n/p x r_head block
-                scores = {}
-                score_op = GatScoreOp(head.a_right, head.a_left, slope)
-
-                def score_compute(t, B_cur):
-                    j = plan.held_block(u, v, t)
-                    blk = local.S.get(j)
-                    if blk is not None:
-                        scores[j] = sddmm_custom(
-                            T_H, B_cur, blk.rows, blk.cols, score_op, profile=prof
-                        )
-
-                alg.ring_loop(
-                    ctx.comm, nl,
-                    [Lane(ctx.layer, H_blk, TAG_SHIFT_B)],
-                    score_compute,
+                # round 1: scores e_ij = LeakyReLU(<a_L,H_i> + <a_R,H_j>), an
+                # SDDMM whose read-only H block skips its hop home
+                alg.rank_kernel(
+                    ctx, plan, local, Mode.SDDMM, use_values=False,
+                    edge_op=GatScoreOp(head.a_right, head.a_left, slope),
+                    replicated=T_H,
                 )
-
                 # softmax over S rows == columns of the transposed layout:
                 # its all-reduce runs across the LAYER (all coarse row blocks)
                 with prof.track(Phase.OTHER):
-                    _edge_softmax(ctx.layer, scores, seg, width)
-
-                # round 2: aggregation out_i = sum_j attn_ij H_j, accumulated
-                # in the circulating buffer (SpMMB on the transposed layout),
-                # which makes all nl shifts of an n/p x r_head block
-                def agg_compute(t, out_cur):
-                    j = plan.held_block(u, v, t)
-                    blk = local.S.get(j)
-                    if blk is not None:
-                        spmm_b_block(blk, T_H, out_cur, values=scores[j], profile=prof)
-
-                out_lane = Lane(ctx.layer, np.zeros_like(H_blk), TAG_SHIFT_B)
-                (out_acc,) = alg.ring_loop(ctx.comm, nl, [out_lane], agg_compute)
+                    _edge_softmax(ctx.layer, local.R, seg, width)
+                # round 2: aggregation out_i = sum_j attn_ij H_j, an SpMMB
+                # accumulated in the circulating buffer on every hop
+                alg.rank_kernel(
+                    ctx, plan, local, Mode.SPMM_B, use_r_values=True,
+                    replicated=T_H,
+                )
                 with prof.track(Phase.OTHER):
-                    outs.append(elu(out_acc) if apply_elu else out_acc)
+                    outs.append(elu(local.B) if apply_elu else local.B)
             # the concatenated heads leave through the rank's n-side block
             # (full-width pieces: the collect takes their width)
             local.B = np.concatenate(outs, axis=1)

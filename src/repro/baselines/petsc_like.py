@@ -9,7 +9,10 @@ libraries the paper surveyed.  Its defining properties, reproduced here:
   decrease with the processor count;
 * a sparsity-aware fetch: each rank determines the distinct off-rank
   columns of its S rows and retrieves exactly those rows of B from their
-  owners with request/response round trips (PETSc's symbolic phase + scatter).
+  owners with a request and a response (PETSc's symbolic phase +
+  scatter), two personalized all-to-alls on the runtime's
+  ``Communicator.alltoallv`` — the baseline composes collectives and
+  moves no data of its own.
 
 The paper benchmarks two back-to-back PETSc SpMM calls as the FusedMM
 surrogate (SDDMM and SpMM have identical FLOPs and communication);
@@ -22,7 +25,7 @@ independent of the rank kernels' raw CSR product).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -90,43 +93,33 @@ def petsc_distribute(plan: PetscPlan, S: CooMatrix, B: np.ndarray) -> List[Petsc
 def _rank_spmm(comm: Communicator, plan: PetscPlan, local: PetscLocal) -> None:
     """One distributed SpMM: fetch needed B rows, multiply locally.
 
-    The fetch is a sparse all-to-all: index requests (1 word per index) go
-    to the owning ranks, which respond with the dense rows (r words per
-    row).  Fiber/propagation phase names do not apply to this 1D baseline,
-    so all its traffic is attributed to ``Phase.PROPAGATION``.
+    The fetch is two personalized all-to-alls (``comm.alltoallv``): index
+    requests (1 word per index) go to the owning ranks, which answer
+    with the dense rows (r words per row).  Every rank addresses every
+    other rank in both, empty or not, so a rank receives ``2·(p − 1)``
+    messages per SpMM.  Fiber/propagation phase names do not apply to
+    this 1D baseline, so all its traffic is attributed to
+    ``Phase.PROPAGATION``.
     """
-    p = comm.size
     rank = comm.rank
     prof = comm.profile
+    base = int(plan.col_offsets[rank])
 
     needed = np.unique(local.cols)
     owners = block_of(needed, plan.col_offsets)
+    asked = [owners == q for q in range(comm.size)]
 
     with track(comm, Phase.PROPAGATION):
-        # 1) send index requests to every owner (including a local "copy")
-        for q in range(p):
-            if q == rank:
-                continue
-            idx = needed[owners == q]
-            comm.send(q, idx, tag=TAG_APP)
-        # 2) serve incoming requests with the dense rows
-        incoming: Dict[int, np.ndarray] = {}
-        for q in range(p):
-            if q == rank:
-                continue
-            incoming[q] = comm.recv(q, tag=TAG_APP)
-        for q, idx in incoming.items():
-            rows = local.B[idx - int(plan.col_offsets[rank])]
-            comm.send(q, rows, tag=TAG_APP + 1)
+        # 1) index requests to every owner (this rank's own kept local)
+        requests = comm.alltoallv([needed[mine] for mine in asked], tag=TAG_APP)
+        # 2) each request answered with the dense rows it names
+        replies = comm.alltoallv(
+            [local.B[idx - base] for idx in requests], tag=TAG_APP + 1
+        )
         # 3) assemble the gathered B rows in `needed` order
         gathered = np.empty((len(needed), plan.r))
-        mine = owners == rank
-        gathered[mine] = local.B[needed[mine] - int(plan.col_offsets[rank])]
-        for q in range(p):
-            if q == rank:
-                continue
-            rows = comm.recv(q, tag=TAG_APP + 1)
-            gathered[owners == q] = rows
+        for mine, rows in zip(asked, replies):
+            gathered[mine] = rows
 
     with track(comm, Phase.COMPUTATION):
         # remap global columns onto the compacted gathered rows and multiply

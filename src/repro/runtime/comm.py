@@ -359,10 +359,13 @@ class Communicator:
         own block is deep-copied locally, never sent).  Peers are paired
         round-robin by offset so traffic spreads evenly over the group,
         and every peer exchange is word-accounted individually — the cost
-        is exactly the sum of the addressed block sizes.  This is the
-        generic personalized exchange; the need-list collectives in
-        :mod:`repro.comm_sparse.collectives` implement the same pattern
-        directly on ``send``/``recv`` so they can skip empty legs.
+        is exactly the sum of the addressed block sizes, in ``P − 1``
+        messages each way even for empty blocks.  This is the generic
+        personalized exchange, the PETSc-like baseline's request and
+        reply fetch (``baselines/petsc_like.py``); the need-list
+        collectives in :mod:`repro.comm_sparse.collectives` implement the
+        same pattern directly on ``send``/``recv`` so they can skip empty
+        legs.
         """
         P = self.size
         if len(sendbufs) != P:

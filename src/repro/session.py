@@ -488,8 +488,13 @@ class Session:
 
         The tracking pays one full-array compare plus a snapshot copy per
         bind; a side whose operand misses :data:`_BIND_MISS_LIMIT` times
-        in a row evidently changes every call, so its tracking is retired
-        for the session's life (plain scatters, zero upkeep).
+        in a row is retired for the session's life (plain scatters, zero
+        upkeep).  That costs ALS's last loss SDDMM its skip (``als_sweep``
+        seed 7: 5 461.3 words per op), but staying armed costs more: two
+        2 MB snapshot refreshes per ``er_compute`` op take ``_bind_arg``
+        from ~0.007 to ~0.9 ms, and its ``op_ms_p50`` read higher in most
+        alternating pairs (ROADMAP 13(c)).  It stays until 8(a)'s resident
+        results.
         """
         if X is None:
             return None

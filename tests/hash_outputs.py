@@ -17,7 +17,9 @@ Writes ``{sequence: [sha256 of each output, ...]}`` as JSON:
   application path, CG row-dot all-reduces included — and
   ``apps/gat/seed<s>`` — the forward output of a GAT layer without
   elision and with replication reuse on a graph drawn at seeds 7 and 11:
-  the edge-softmax all-reduces along the fiber and along the layer.
+  the edge-softmax all-reduces along the fiber and along the layer — and
+  ``baselines/petsc/p<p>`` — the ``petsc_like_fusedmm_surrogate`` output
+  at p = 4, 7 and 16: the baseline's two personalized all-to-alls.
 
 Run it from the root of each checkout — copy this file into the other
 one if it lacks it — and compare the two files::
@@ -116,13 +118,23 @@ def gat_sequence(seed: int) -> list:
     return outs
 
 
+def petsc_sequence(p: int) -> list:
+    """The output of the PETSc-like FusedMM surrogate on ``p`` ranks."""
+    from repro.baselines.petsc_like import petsc_like_fusedmm_surrogate
+
+    n, r = 1024, 32
+    S = repro.erdos_renyi(n, n, 8, seed=3)
+    B = np.random.default_rng(4).standard_normal((n, r))
+    return [petsc_like_fusedmm_surrogate(S, B, p)[0]]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument(
         "--e2e", action="store_true",
         help="also hash the er_comm, rmat_25d, small_auto and als_sweep"
-        " workloads and a GAT forward pass",
+        " workloads, a GAT forward pass and the PETSc-like baseline",
     )
     args = ap.parse_args()
     sequences = {}
@@ -139,6 +151,8 @@ def main() -> None:
             sequences[f"apps/als/seed{seed}"] = als_sequence(seed)
         for seed in (7, 11):
             sequences[f"apps/gat/seed{seed}"] = gat_sequence(seed)
+        for p in (4, 7, 16):
+            sequences[f"baselines/petsc/p{p}"] = petsc_sequence(p)
     hashes = {key: [_sha(out) for out in outs] for key, outs in sequences.items()}
     pathlib.Path(args.out).write_text(json.dumps(hashes, indent=1) + "\n")
     total = sum(len(v) for v in hashes.values())

@@ -143,6 +143,33 @@ class TestCommunicationBehavior:
             other = prof.counters[Phase.OTHER]
             assert other.messages_received == n_heads * 2 * (group.bit_length() - 1)
 
+    def test_reuse_counts_in_closed_form(self):
+        """Replication reuse at p = 8, c = 2 on a graph p divides: the one
+        gather of X moves ``(c − 1)·(n/p)·r_in`` REPLICATION words per rank
+        in ``c − 1`` messages, and each head's two rounds ``(2·p/c − 1)``
+        shifts of an ``n/p x r_head`` block — the score round's read-only
+        block ``p/c − 1`` hops, the aggregation accumulator all ``p/c``."""
+        p, c, n, r_in, r_head, n_heads = 8, 2, 512, 32, 16, 2
+        adj = erdos_renyi(n, n, 8, seed=1, values="ones")
+        X = np.random.default_rng(2).standard_normal((n, r_in))
+        with DistributedGAT(p=p, c=c, n_heads=n_heads, r_in=r_in, r_head=r_head,
+                            elision=Elision.REPLICATION_REUSE, seed=3) as gat:
+            rep = gat.forward(adj, X).report
+        block, hops = n // p, 2 * (p // c) - 1
+        for prof in rep.per_rank:
+            repl = prof.counters[Phase.REPLICATION]
+            prop = prof.counters[Phase.PROPAGATION]
+            assert (repl.words_received, repl.messages_received) == (
+                (c - 1) * block * r_in, c - 1
+            )
+            assert (prop.words_received, prop.messages_received) == (
+                n_heads * hops * block * r_head, n_heads * hops
+            )
+            assert (prop.words_sent, prop.messages_sent) == (
+                prop.words_received, prop.messages_received
+            )
+        assert (repl.words_received, prop.words_received) == (2048, 14336)
+
 
 class TestResidentSession:
     """Both variants reach ranks through one cached ``Session``."""

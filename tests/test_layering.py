@@ -6,13 +6,18 @@ point at the importing module's own layer or a lower one, and an import
 may hide inside a function only where it gates an optional dependency
 (or in ``cli.py``, whose subcommands import what they run).  A cycle
 "broken" by a function-level import is still a cycle — this is the test
-that keeps one from coming back.
+that keeps one from coming back.  The same reading keeps data movement in
+the layers that own it: no module under ``apps/`` or ``baselines/`` runs
+a propagation round or calls a point-to-point or gather / scatter
+primitive of its own.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -175,3 +180,66 @@ class TestImportsPointDownward:
         assert function_level(imports) == {
             ("kernels/registry.py", "repro.model.calibrate")
         }
+
+
+#: what moves data: the propagation round and its lanes, the point-to-point
+#: calls and every collective the families build their rounds from
+DATA_MOVING_CALLS = {
+    "ring_loop", "Lane", "send", "send_owned", "recv", "sendrecv", "shift",
+    "allgather", "concat_allgather", "reduce_scatter", "reduce_scatter_rows",
+}
+#: the names a module would import to state a round of its own
+ROUND_NAMES = {"Lane", "concat_allgather", "reduce_scatter_rows"}
+
+
+def data_movement(tree: ast.AST) -> list:
+    """``(lineno, what)`` for every call in :data:`DATA_MOVING_CALLS` and
+    every import of a :data:`ROUND_NAMES` name or a shift / fiber tag."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = getattr(f, "attr", None) or getattr(f, "id", "")
+            if called in DATA_MOVING_CALLS:
+                hits.append((node.lineno, f"calls {called}"))
+        elif isinstance(node, ast.ImportFrom):
+            hits += [
+                (node.lineno, f"imports {alias.name}") for alias in node.names
+                if alias.name in ROUND_NAMES
+                or alias.name.startswith(("TAG_SHIFT", "TAG_FIBER"))
+            ]
+    return sorted(hits)
+
+
+class TestOnlyTheFamiliesMoveData:
+    """Apps and baselines compose; only ``algorithms/`` and ``runtime/``
+    move data (ARCHITECTURE.md, "Layer map").  An application reaches its
+    ranks' data through a family's ``replicate`` / ``rank_kernel`` rounds
+    and adds reductions of its own (``allreduce``) or a personalized
+    exchange (``alltoallv``) — never a hand-written round or collective."""
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((SRC / "apps").glob("*.py")) + sorted((SRC / "baselines").glob("*.py")),
+        ids=lambda p: str(p.relative_to(SRC)),
+    )
+    def test_module_moves_no_data_itself(self, path):
+        hits = data_movement(ast.parse(path.read_text()))
+        assert not hits, f"{path.relative_to(SRC)} moves data: {hits}"
+
+    def test_the_guard_sees_a_hand_written_round(self):
+        bad = ast.parse(
+            "from repro.algorithms.base import TAG_SHIFT_B, Lane, concat_allgather\n"
+            "def body(ctx, plan, local):\n"
+            "    T = concat_allgather(ctx.fiber, local.A)\n"
+            "    alg.ring_loop(ctx.comm, 4, [Lane(ctx.layer, B, TAG_SHIFT_B)], f)\n"
+            "    ctx.comm.send(1, T, tag=30)\n"
+            "    x = ctx.comm.recv(1, tag=30)\n"
+            "    y = ctx.layer.allreduce(x, tag=30)\n"
+            "    z = ctx.comm.alltoallv([x, y], tag=30)\n"
+        )
+        assert [what for _, what in data_movement(bad)] == [
+            "imports Lane", "imports TAG_SHIFT_B", "imports concat_allgather",
+            "calls concat_allgather", "calls Lane", "calls ring_loop",
+            "calls send", "calls recv",
+        ]

@@ -13,6 +13,7 @@ from repro.baselines.petsc_like import (
 )
 from repro.baselines.serial import spmm_a_serial
 from repro.sparse.generate import erdos_renyi
+from repro.sparse.partition import block_of
 from repro.types import Phase
 
 
@@ -58,6 +59,30 @@ class TestCommunicationBehavior:
         _, report = petsc_like_spmm(S, B, p)
         # only zero-length index requests travel
         assert report.phase_words(Phase.PROPAGATION) == 0
+
+    @pytest.mark.parametrize("p", [4, 7, 8, 16])
+    def test_fetch_counts_in_closed_form(self, p):
+        """Each SpMM's fetch is a request and a reply to every other rank:
+        a rank receives ``2·(p − 1)`` messages, empty ones included, and
+        its words are the indices other ranks ask of it plus ``r`` per row
+        it asked for (twice over for the two-call surrogate)."""
+        n, r = 1000, 16
+        S = erdos_renyi(n, n, 8, seed=3)
+        B = np.random.default_rng(4).standard_normal((n, r))
+        _, report = petsc_like_fusedmm_surrogate(S, B, p)
+        plan = petsc_plan(n, n, r, p)
+        rank_of_row = block_of(S.rows, plan.row_offsets)
+        # asks[k, q]: distinct columns rank k's rows need from owner q
+        asks = np.zeros((p, p), dtype=np.int64)
+        for k in range(p):
+            needed = np.unique(S.cols[rank_of_row == k])
+            asks[k] = np.bincount(block_of(needed, plan.col_offsets), minlength=p)
+        np.fill_diagonal(asks, 0)
+        for k, prof in enumerate(report.per_rank):
+            prop = prof.counters[Phase.PROPAGATION]
+            assert prop.messages_received == 2 * 2 * (p - 1)
+            assert prop.words_received == 2 * (asks[:, k].sum() + r * asks[k].sum())
+            assert prop.words_sent == 2 * (asks[k].sum() + r * asks[:, k].sum())
 
     def test_communication_does_not_shrink_with_p(self):
         """The paper's criticism: no replication, so per-rank communication
