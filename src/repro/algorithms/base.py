@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CommError, ReproError
+from repro.errors import ReproError
 from repro.runtime.buffers import BufferPool
 from repro.runtime.comm import Communicator, payload_words
 from repro.types import Mode, Phase
@@ -96,8 +96,7 @@ class Lane:
     cold as its ``(rows, cols, vals)`` triple — the paper's three words
     per nonzero); each phase it moves ``displacement`` positions on
     channel ``tag``.  ``rides_with`` marks the values of a warm chunk,
-    whose coordinates form another lane: its payload must stay as long
-    as the coordinate lane's.
+    whose coordinates form another lane.
 
     The coordinate lane of a chunk ring carries :class:`CarriedCoords`
     state, set by ``chunk_lanes``: ``trail`` is handed every payload the
@@ -506,8 +505,7 @@ class DistributedAlgorithm:
         the entry, and only the values move, on :data:`TAG_SHIFT_SV` —
         one message and one word per nonzero per shift, ``L − 1`` shifts
         either way (``ring_loop`` saves the one hop whose values nothing
-        needs to carry).  ``ring_loop`` checks every warm value array
-        against the entry's length at its position.
+        needs to carry).
         """
         trail = None
         if carried is not None:
@@ -639,18 +637,6 @@ class DistributedAlgorithm:
                     )
                     if lane.trail is not None:
                         lane.trail(lane.payload)
-                for lane in lanes:
-                    head = lane.rides_with
-                    if head is not None and len(lane.payload) != len(head.payload[0]):
-                        # the values fell out of step with a warm round's
-                        # carried coordinates: a message was lost or
-                        # duplicated on one channel — a transport fault
-                        # the session may retry, not a user error
-                        raise CommError(
-                            f"chunk values out of step on tag {lane.tag}: "
-                            f"{len(lane.payload)} values for "
-                            f"{len(head.payload[0])} coordinates"
-                        )
             if leading:
                 with track(root, Phase.COMPUTATION):
                     compute(t, *_operands(lanes))

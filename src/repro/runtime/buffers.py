@@ -177,8 +177,11 @@ class BufferPool:
     def release_all(self) -> None:
         """Mark a work-item boundary (context build / refresh): advances
         the dispatch epoch the replica memo's "earlier dispatch" rule
-        reads."""
+        reads, and frees every replica whose source block is gone (it can
+        never be handed back)."""
         self._epoch += 1
+        for label in [k for k, v in self._replicas.items() if v[0]() is None]:
+            del self._replicas[label]
 
     @property
     def total_bytes(self) -> int:

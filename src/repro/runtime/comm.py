@@ -50,12 +50,22 @@ Payloads are NumPy arrays, scalars, or (nested) tuples/lists/dicts thereof.
 The receiver never aliases a buffer the sender still holds: ``send``
 deep-copies array payloads, ``send_owned`` takes over a temporary the
 sender gives up.
+
+One rule catches a lost or duplicated message, on every path above the
+transport: each message travels as ``(seq, payload)``, where ``seq``
+counts the sender's messages to that peer on that tag of that
+communicator, and :meth:`Communicator.recv` raises :class:`CommError` on
+a gap or a repeat.  The stamp is assigned above the transport (so the
+fault plane's ``drop`` / ``dup`` hit stamped messages) and is not a
+payload word.  A rank's counters are shared by its world communicator
+and every communicator split from it; the worker pool clears them when
+it recovers from a failed item, as it drops undelivered messages.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +74,8 @@ from repro.runtime.backend import Transport
 from repro.runtime.profile import RankProfile
 
 CommId = Tuple[int, ...]
+#: (communicator id, peer comm rank, tag): one stamped message stream
+Channel = Tuple[CommId, int, int]
 
 
 def payload_words(obj: Any) -> int:
@@ -94,18 +106,6 @@ def _isolate(obj: Any) -> Any:
     return obj
 
 
-def _check_segment(segment: Any, shape: Tuple[int, ...], tag: int) -> None:
-    """Raise :class:`CommError` unless ``segment`` is an array of
-    ``shape``, trailing (record) dimensions included (a reduction leg
-    received out of step)."""
-    if not isinstance(segment, np.ndarray) or segment.shape != shape:
-        got = getattr(segment, "shape", type(segment).__name__)
-        raise CommError(
-            f"reduction segment on tag {tag} is {got}, expected {shape}: "
-            "a message was lost or duplicated"
-        )
-
-
 class Communicator:
     """A group of ranks that can exchange messages.
 
@@ -123,6 +123,7 @@ class Communicator:
         rank: int,
         profile: Optional[RankProfile] = None,
         profile_ref: Optional[List[RankProfile]] = None,
+        stamps: Optional[Tuple[Dict[Channel, int], Dict[Channel, int]]] = None,
     ) -> None:
         self.world = world
         self.group = list(group)  # comm rank -> world rank
@@ -137,6 +138,9 @@ class Communicator:
             self._profile_ref = profile_ref
         else:
             self._profile_ref = [profile if profile is not None else RankProfile()]
+        # messages sent to / received from each (comm id, peer, tag): the
+        # stamps of the module's one loss rule, shared like the profile
+        self._sent, self._received = stamps if stamps is not None else ({}, {})
         self._split_counter = 0
 
     @property
@@ -180,6 +184,8 @@ class Communicator:
         as-is, so the caller must hold no other reference into it and
         never touch it again (the exchange layers give up the temporaries
         they gathered for a leg this way instead of copying them twice).
+        The message is stamped with its sequence number on ``(dest,
+        tag)``.
         """
         if not 0 <= dest < self.size:
             raise CommError(f"destination {dest} out of range for size {self.size}")
@@ -188,17 +194,31 @@ class Communicator:
             profile.on_send(payload_words(data))
             if profile.tracer is not None:
                 profile.tracer.instant(f"send->r{dest}", "comm")
-        self.world.deliver(self.group[dest], (self.comm_id, self.rank, tag), data)
+        channel = (self.comm_id, dest, tag)
+        seq = self._sent.get(channel, 0)
+        self._sent[channel] = seq + 1
+        key = (self.comm_id, self.rank, tag)
+        self.world.deliver(self.group[dest], key, (seq, data))
 
     def recv(self, source: int, tag: int = 0, tracked: bool = True) -> Any:
-        """Blocking receive from ``source`` in this comm."""
+        """Blocking receive from ``source`` in this comm.  A message whose
+        stamp is not the next one on ``(source, tag)`` raises
+        :class:`CommError`: one before it was lost, or it is a duplicate."""
         if not 0 <= source < self.size:
             raise CommError(f"source {source} out of range for size {self.size}")
         profile = self.profile if tracked else None
         tracer = profile.tracer if profile is not None else None
         t0 = time.perf_counter() if tracer is not None else 0.0
         key = (self.comm_id, source, tag)
-        payload = self.world.collect(self.group[self.rank], key)
+        seq, payload = self.world.collect(self.group[self.rank], key)
+        expected = self._received.get(key, 0)
+        if seq != expected:
+            raise CommError(
+                f"message {seq} from comm rank {source} on tag {tag} (comm "
+                f"{self.comm_id}), expected {expected}: a message was lost or "
+                "duplicated"
+            )
+        self._received[key] = seq + 1
         if profile is not None:
             profile.on_recv(payload_words(payload))
             if tracer is not None:
@@ -252,10 +272,7 @@ class Communicator:
         ``blocks`` is this rank's contribution to every rank's result
         (``blocks[k]`` is destined for rank ``k``); returns the fully
         reduced ``blocks[self.rank]``.  Reduction order is fixed by ring
-        position, so results are deterministic.  A received partial
-        whose shape is not its block's raises :class:`CommError`; a stale
-        copy of the right shape (a duplicate whose length matches a later
-        call's block) is not detected and is reduced in (ROADMAP 16(b)).
+        position, so results are deterministic.
         """
         P = self.size
         if len(blocks) != P:
@@ -272,9 +289,7 @@ class Communicator:
             send_data = own(send_label) if step == 0 else cur
             self.send((r + 1) % P, send_data, tag)
             received = self.recv((r - 1) % P, tag)
-            recv_label = (r - step - 1) % P
-            _check_segment(received, own(recv_label).shape, tag)
-            cur = op(received, own(recv_label))
+            cur = op(received, own((r - step - 1) % P))
         assert cur is not None
         return cur
 
@@ -303,29 +318,22 @@ class Communicator:
         count), so a stacked ``(W, k)`` all-reduce moves the words of
         ``k`` separate ``W``-element ones in a ``k``-th of their messages.
         Each block is reduced by one rank, with ``op`` applied lower rank
-        first, so every rank returns the same bits.  A received segment of
-        the wrong shape raises :class:`CommError`.  A lost or duplicated
-        message is caught only when it leaves such a segment: a stale copy
-        whose shape equals the next call's segment (as ALS's equal-shape
-        row-dot records give) is reduced in undetected (ROADMAP 16(b)).
+        first, so every rank returns the same bits.
         """
         P = self.size
         if P == 1:
             return arr.copy()
         recs = np.ascontiguousarray(arr)  # at least 1-D
         bounds = np.arange(P + 1) * len(recs) // P
-        tail = recs.shape[1:]
         if P & (P - 1):
             blocks = [recs[bounds[k] : bounds[k + 1]] for k in range(P)]
             mine = self.reduce_scatter(blocks, tag=tag, op=op)
             pieces = self.allgather(mine, tag=tag + 1)
-            for k, piece in enumerate(pieces):
-                _check_segment(piece, (bounds[k + 1] - bounds[k], *tail), tag + 1)
             return np.concatenate(pieces).reshape(arr.shape)
         r = self.rank
-        # reduce-scatter: halve the block range [lo, hi) this rank holds
-        # partial reductions of, top bit first, until it is block r alone
-        lo, hi, cur = 0, P, recs
+        # reduce-scatter: halve the block range [lo, lo + 2·half) this rank
+        # holds partial reductions of, top bit first, until it is block r
+        lo, cur = 0, recs
         half = P // 2
         while half:
             partner, mid = r ^ half, lo + half
@@ -334,21 +342,16 @@ class Communicator:
             mine, give = (upper, lower) if r & half else (lower, upper)
             self.send(partner, give, tag)
             theirs = self.recv(partner, tag)
-            _check_segment(theirs, mine.shape, tag)
             cur = op(mine, theirs) if r < partner else op(theirs, mine)
-            lo, hi = (mid, hi) if r & half else (lo, mid)
+            lo = mid if r & half else lo
             half //= 2
         # all-gather: double the range, lower half first, back to [0, P)
         width = 1
         while width < P:
             partner = r ^ width
-            plo = lo - width if r & width else hi
             self.send(partner, cur, tag + 1)
             theirs = self.recv(partner, tag + 1)
-            rows = bounds[plo + width] - bounds[plo]
-            _check_segment(theirs, (rows, *tail), tag + 1)
             cur = np.concatenate((theirs, cur) if r & width else (cur, theirs))
-            lo, hi = min(lo, plo), max(hi, plo + width)
             width *= 2
         return cur.reshape(arr.shape)
 
@@ -414,25 +417,17 @@ class Communicator:
         Every rank of this communicator must call ``split`` the same number
         of times in the same order (standard SPMD discipline); membership
         metadata is exchanged with untracked messages since communicator
-        construction is not part of the paper's cost model.  Each entry
-        carries the split's sequence number on this communicator: an
-        entry out of place or from another split (what a lost or
-        duplicated metadata message leaves) raises :class:`CommError`
-        instead of building a wrong group.
+        construction is not part of the paper's cost model.  The child's
+        id carries the split's sequence number on this communicator, and
+        the child shares this communicator's profile and message stamps.
         """
-        stamp = self._split_counter
-        info = self.allgather((stamp, color, key, self.rank), tag=108, tracked=False)
-        for k, entry in enumerate(info):
-            if entry[0] != stamp or entry[3] != k:
-                raise CommError(
-                    f"split {stamp}: metadata entry {k} is {entry!r}, expected "
-                    f"rank {k} of split {stamp}: a message was lost or duplicated"
-                )
-        members = sorted((k, r) for (_, c, k, r) in info if c == color)
+        info = self.allgather((color, key), tag=108, tracked=False)
+        members = sorted((k, r) for r, (c, k) in enumerate(info) if c == color)
         group = [self.group[r] for (_, r) in members]
         my_index = [r for (_, r) in members].index(self.rank)
-        child_id = self.comm_id + (stamp, color)
+        child_id = self.comm_id + (self._split_counter, color)
         self._split_counter += 1
         return Communicator(
-            self.world, group, child_id, my_index, profile_ref=self._profile_ref
+            self.world, group, child_id, my_index, profile_ref=self._profile_ref,
+            stamps=(self._sent, self._received),
         )

@@ -16,7 +16,12 @@ Supported fault classes (``FaultSpec.action``):
     receiver hangs until a sibling aborts or a ``deadline_ms`` watchdog
     converts the hang into :class:`~repro.errors.SpmdTimeout`);
     ``delay`` sleeps ``delay_s`` before delivering; ``dup`` delivers the
-    payload twice (a duplicated wire message).
+    payload twice (a duplicated wire message).  The communicator stamps
+    each message per (peer, tag) above this decorator, so after a drop
+    the next message on the same key raises
+    :class:`~repro.errors.CommError` where it arrives, as a duplicate
+    does: a message fault ends in that error or in the deadline, never in
+    a payload taken for another.
 ``crash``
     Raise :class:`~repro.errors.InjectedCrash` on a chosen rank when it
     enters a named phase (``site`` matches the
@@ -234,8 +239,8 @@ class FaultPlan:
             [FaultSpec("exhaust", rank=rank, site=label, index=index, times=times)]
         )
 
-    #: fault classes the CI chaos matrix sweeps (dup is covered by the
-    #: transport-level unit tests; it corrupts FIFO channels by design)
+    #: fault classes the CI chaos matrix sweeps (dup and delay are the
+    #: single-fault sweep's, ``tests/test_fault_sweep.py``)
     CHAOS_ACTIONS = ("crash", "drop", "straggler")
 
     @classmethod

@@ -379,15 +379,18 @@ class WorkerPool:
 
         Every rank has already finished the item (the latch was waited
         on), so no thread is blocked in the transport: clear the abort
-        flag, drop undelivered messages, and realign the per-rank split
-        counters to their maximum so the next collective split sequence
-        derives consistent, never-before-used communicator ids even when
-        ranks failed at different depths of a split sequence.
+        flag, drop undelivered messages and, with them, every rank's
+        message stamps, and realign the per-rank split counters to their
+        maximum so the next collective split sequence derives consistent,
+        never-before-used communicator ids even when ranks failed at
+        different depths of a split sequence.
         """
         self.world.reset()
         top = max(c._split_counter for c in self._comms)
         for c in self._comms:
             c._split_counter = top
+            c._sent.clear()
+            c._received.clear()
 
     def close(self, timeout: float = 30.0) -> None:
         """Drain the queues, join every rank thread, and seal the pool.

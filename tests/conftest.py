@@ -19,6 +19,24 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "fault_sweep: the full single-fault sweep (tests/test_fault_sweep.py); "
+        "collected only when selected with -m fault_sweep",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Deselect the ``fault_sweep`` tests unless ``-m`` names the marker."""
+    if "fault_sweep" in (config.getoption("markexpr") or ""):
+        return
+    swept = [item for item in items if item.get_closest_marker("fault_sweep")]
+    if swept:
+        config.hook.pytest_deselected(items=swept)
+        items[:] = [item for item in items if item not in swept]
+
+
 @pytest.fixture(scope="session")
 def exec_backend(request):
     """The backend under test; skips mpi runs when mpi4py is absent."""

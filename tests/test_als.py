@@ -284,21 +284,15 @@ class TestFaults:
             ("als/cg/fusedmm_a", "timeout"),
         ]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 16(b): a duplicated row-dot message has the shape of "
-        "the next one, and no per-key stamp tells them apart",
-    )
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_duplicated_row_dot_is_typed_or_bitwise_clean(
         self, index, completion_problem, monkeypatch
     ):
-        """Known defect, pinned strict so its fix must flip it.  A
-        duplicated ``TAG_APP`` message of rank 0 (its ``index``-th send on
-        the tag) stays queued and is taken as the next all-reduce's
-        segment: it has the right shape, so it is reduced in, and the run
-        completes with wrong factors instead of raising a ``CommError``
-        (which ``retries=1`` would re-run cleanly)."""
+        """A duplicated ``TAG_APP`` message of rank 0 (its ``index``-th
+        send on the tag) stays queued where the next all-reduce's segment
+        is awaited.  It has that segment's shape, but not its stamp: the
+        receiver raises a ``CommError`` instead of reducing it in, so the
+        run either surfaces the typed error or ends bitwise clean."""
         C, r, _ = completion_problem
 
         def run(faults):

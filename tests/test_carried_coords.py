@@ -18,9 +18,10 @@ chunk-circulating family x comm x grid:
 * outputs are bitwise the cold call's and a fresh session's, also after
   ``update_values`` (the memo survives it) and on the transposed sibling;
 * a warm call's value message dropped or duplicated ends in a retryable
-  error — the length check against the memo, or the deadline — and a
+  error — the communicator's stamp check, or the deadline — and a
   bitwise retry that rebuilds the memo on every rank, as does a fault
-  that leaves a cold round's entries complete on some ranks only;
+  that leaves a cold round's entries complete on some ranks only, or
+  one in a cold SDDMM round;
 * the memo rule itself, on ``ring_loop`` (trailing and leading rounds)
   and on ``CarriedCoords``.
 """
@@ -221,11 +222,10 @@ class TestWarmFaults:
     ):
         """Rank 0's first or last value message of call 2 (its first warm
         call) is lost or delivered twice.  A lost one hands the receiver
-        the next message's values — their length disagrees with the
-        carried coordinates, a ``CommError`` — or, the last one (the
-        SpMMB round's shift before its free hop home), leaves it waiting
-        out the deadline; a duplicate puts the receiver one message
-        behind, the same length check.  Both are retryable: the failure
+        the next message on the channel — its stamp is one ahead, a
+        ``CommError`` — or, the last one (the SpMMB round's shift before
+        its free hop home), leaves it waiting out the deadline; a
+        duplicate repeats a stamp, the same error.  Both are retryable: the failure
         hook drops every rank's context, so the retry is a cold round on
         every rank (bitwise the clean output) that fills the memo again,
         and call 3 is warm everywhere — a rank without an entry would ship
@@ -290,6 +290,28 @@ class TestWarmFaults:
         assert [rec["outcome"] for rec in records] == ["retried", "ok", "ok"]
         assert len(plan.fired_log) == 1
 
+    @pytest.mark.parametrize("family,comm,grid", GRID_PATHS, ids=GRID_PATH_IDS)
+    def test_fault_in_the_cold_sddmm_round_retries_clean(
+        self, problem, family, comm, grid
+    ):
+        """Rank 0's first chunk message of call 1 (in the cold SDDMM
+        round, whose accumulating chunk travels whole all ``L`` hops) is
+        lost.  Its receiver takes the next chunk on the channel, stamped
+        one ahead: a ``CommError`` (not a kernel's ``ValueError`` on a
+        triple of another ring position), so one re-run is bitwise."""
+        S, A, B = problem
+        kernel = "fusedmm_b"
+        with _plan(S, family, comm, grid=grid) as clean:
+            ref = KERNELS[kernel](clean, A, B)
+        plan = FaultPlan([FaultSpec("drop", rank=0, tag=TAG_SHIFT_S, index=0)])
+        with _plan(
+            S, family, comm, grid=grid, deadline_ms=700, retries=1, faults=plan,
+        ) as sess:
+            out, _, _, rec = _call(sess, kernel, A, B)
+        assert np.array_equal(out, ref)
+        assert rec["outcome"] == "retried"
+        assert len(plan.fired_log) == 1
+
     @pytest.mark.parametrize(
         "action,where,error",
         [("drop", "first", CommError), ("dup", "first", CommError),
@@ -337,7 +359,7 @@ def _nnz(rank):
     return 3 + 2 * rank  # every chunk has its own length
 
 
-def _rounds(values_at, rounds=2, leading=False):
+def _rounds(values_at, rounds=2, leading=False, faults=None):
     """``rounds`` rounds of one chunk lane on a ring of RING ranks sharing
     one :class:`CarriedCoords` per rank: SpMM-like (trailing, read-only
     values) or SDDMM-like (leading, every rank adds ``rank + 1`` to the
@@ -377,7 +399,9 @@ def _rounds(values_at, rounds=2, leading=False):
             home.append(out[2].tolist())
         return seen, home
 
-    results, _ = run_spmd(RING, body, profiles=profiles)
+    results, _ = run_spmd(
+        RING, body, profiles=profiles, faults=faults, deadline_ms=20_000
+    )
     return results, profiles
 
 
@@ -469,17 +493,13 @@ class TestRule:
         assert two[2][0] is not one[2][0]
         assert np.array_equal(two[2][0], [2])
 
-    def test_warm_values_of_the_wrong_length_are_a_comm_error(self):
-        """A value array that does not fit the carried coordinates of its
-        ring position — what a lost or duplicated value message leaves —
-        raises the retryable ``CommError`` where the lanes meet."""
-
-        def values_at(rank, k):
-            # warm, rank 1 ships one value too few
-            n = 16 if not (k == 1 and rank == 1) else 3 + 2 * rank - 1
-            return np.ones(n)
-
+    def test_a_duplicated_warm_value_message_is_a_comm_error(self):
+        """A duplicated value message would hand its receiver the values
+        of the ring position before, out of step with the carried
+        coordinates: the repeated stamp raises the retryable ``CommError``
+        at the next shift instead."""
+        faults = FaultPlan([FaultSpec("dup", rank=1, tag=TAG_SHIFT_SV)])
         with pytest.raises(RuntimeError) as err:
-            _rounds(values_at)
+            _rounds(lambda rank, k: np.ones(16), faults=faults)
         assert isinstance(err.value.__cause__, CommError)
-        assert "out of step" in str(err.value.__cause__)
+        assert "lost or duplicated" in str(err.value.__cause__)

@@ -319,10 +319,10 @@ class TestRetrySemantics:
     ):
         """A lost message of a communicator split's untracked metadata
         all-gather (tag 108: rank 7's second send, while the first call
-        builds its grid) lets the next split's entry take its place.  The
-        split checks each entry's rank and split stamp, so it raises the
-        retryable ``CommError`` at once instead of building a wrong
-        subcommunicator, and one re-run is bitwise."""
+        builds its grid) would let the next message on its channel take
+        its place.  That message's stamp is one ahead, so the receiver
+        raises the retryable ``CommError`` at once instead of building a
+        wrong subcommunicator, and one re-run is bitwise."""
         S, A, B = workload
         family = "2.5d-dense-replicate"
         plan = FaultPlan([FaultSpec("drop", rank=7, tag=108, index=1)])
@@ -338,7 +338,7 @@ class TestRetrySemantics:
                 with pytest.raises(RuntimeError) as err:
                     sess.fusedmm_a(A, B)
                 assert isinstance(err.value.__cause__, CommError)
-                assert "metadata entry" in str(err.value.__cause__)
+                assert "lost or duplicated" in str(err.value.__cause__)
             assert len(plan.fired_log) == 1
             assert sess.plan_builds == 1
 

@@ -20,16 +20,21 @@ import pytest
 
 import repro
 from repro.errors import (
+    CommError,
     FaultInjected,
     InjectedCrash,
     InjectedExhaustion,
     ReproError,
     SpmdTimeout,
 )
+from repro.runtime.backend import World
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.runtime.spmd import WorkerPool, run_spmd
 from repro.types import Phase
+
+#: a message key of the world communicator: from comm rank 0, tag 7
+KEY = ((0,), 0, 7)
 
 
 class TestFaultSpec:
@@ -148,34 +153,56 @@ class TestMessageFaults:
         assert plan.fired_log == [(0, "delay", "tag=7")]
 
     def test_dup_delivers_twice(self):
-        plan = FaultPlan.duplicate_message(tag=7)
-
-        def body(comm):
-            if comm.rank == 0:
-                comm.send(1, np.array([3.0]), tag=7)
-                return None
-            first = comm.recv(0, tag=7)
-            second = comm.recv(0, tag=7)  # the duplicate
-            return float(first[0]), float(second[0])
-
-        results, _ = run_spmd(2, body, faults=plan)
-        assert results[1] == (3.0, 3.0)
+        world = World(2)
+        armed = FaultPlan.duplicate_message(tag=7).rank_view(0, world)
+        armed.deliver(1, KEY, np.array([3.0]))
+        first, second = world.collect(1, KEY), world.collect(1, KEY)
+        assert (float(first[0]), float(second[0])) == (3.0, 3.0)
 
     def test_duplicate_payloads_do_not_alias(self):
         """The duplicated delivery is isolated like any other send: the
         receiver of the first copy cannot corrupt the second."""
+        world = World(2)
+        armed = FaultPlan.duplicate_message(tag=7).rank_view(0, world)
+        armed.deliver(1, KEY, np.array([3.0]))
+        first = world.collect(1, KEY)
+        first[0] = -99.0
+        assert float(world.collect(1, KEY)[0]) == 3.0
+
+    def test_the_receiver_raises_on_the_duplicate(self):
+        """Through a communicator the duplicate repeats the first copy's
+        stamp: the first receive returns the payload, the second raises
+        the retryable ``CommError``."""
         plan = FaultPlan.duplicate_message(tag=7)
 
         def body(comm):
             if comm.rank == 0:
                 comm.send(1, np.array([3.0]), tag=7)
                 return None
-            first = comm.recv(0, tag=7)
-            first[0] = -99.0
-            return float(comm.recv(0, tag=7)[0])
+            assert float(comm.recv(0, tag=7)[0]) == 3.0
+            comm.recv(0, tag=7)
 
-        results, _ = run_spmd(2, body, faults=plan)
-        assert results[1] == 3.0
+        with pytest.raises(RuntimeError) as err:
+            run_spmd(2, body, faults=plan)
+        assert isinstance(err.value.__cause__, CommError)
+        assert "lost or duplicated" in str(err.value.__cause__)
+
+    def test_the_receiver_raises_on_a_lost_messages_successor(self):
+        """A dropped message's successor on the same (peer, tag) arrives
+        one stamp early: ``CommError`` at once, not a payload taken for
+        the lost one."""
+        plan = FaultPlan.drop_message(tag=7)
+
+        def body(comm):
+            if comm.rank == 0:
+                comm.send(1, np.array([1.0]), tag=7)
+                comm.send(1, np.array([2.0]), tag=7)
+                return None
+            comm.recv(0, tag=7)
+
+        with pytest.raises(RuntimeError) as err:
+            run_spmd(2, body, faults=plan)
+        assert isinstance(err.value.__cause__, CommError)
 
 
 class TestSiteFaults:

@@ -26,7 +26,8 @@ slot since.  Covered here:
   and never timing out;
 * failure recovery drops every rank's memo, inside the budget too, and
   ``peak_buffer_bytes`` counts a hit like an acquisition;
-* the :class:`~repro.runtime.buffers.BufferPool` rule itself.
+* the :class:`~repro.runtime.buffers.BufferPool` rule itself, and that
+  a dispatch boundary frees a replica whose source block is gone.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ import pytest
 
 import repro
 from repro.algorithms.base import TAG_FIBER_AG, TAG_SHIFT_SV
+from repro.apps.gat import DistributedGAT
 from repro.comm_sparse.collectives import TAG_SPARSE_AG
 from repro.runtime.buffers import BufferPool
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.profile import RankProfile
 from repro.session import Session
 from repro.sparse.coo import CooMatrix
-from repro.types import Mode, Phase
+from repro.types import Elision, Mode, Phase
 from tests.helpers import chunk_round_traffic
 
 P, C = 8, 2
@@ -621,7 +623,7 @@ class TestRecovery:
             # value arrays per round, two rounds per call, so index 5 is
             # call 2's last value shift (its receiver waits out the
             # deadline; an earlier one would hand it the next shift's
-            # values, which the carried coordinates' length check catches)
+            # values, whose stamp the receiving communicator rejects)
             ("1.5d-sparse-shift", "fusedmm_b",
              FaultSpec("drop", rank=0, tag=TAG_SHIFT_SV, index=5), 1),
             # call 1's fiber gather of A: one fiber stores, the other
@@ -757,3 +759,28 @@ class TestPoolRule:
         pool.release_all()
         pool.replica("panel", src, gather)
         assert len(calls) == 2
+
+    def test_a_dispatch_boundary_frees_a_replica_whose_source_is_gone(self):
+        pool = BufferPool()
+        src = np.ones(3)
+        pool.replica("panel", src, self._gatherer(pool)[0])
+        pool.release_all()
+        assert "panel" in pool._replicas  # its source lives: it may hit
+        del src
+        pool.release_all()
+        assert not pool._replicas
+
+    def test_gat_reuse_leaves_no_dead_replica_past_the_next_dispatch(self):
+        """One GAT replication-reuse forward replicates a node-feature
+        block that dies with the forward; the session's next dispatch (an
+        ``spmm_a``) frees that panel on every rank."""
+        p, c, n, r_in = 8, 2, 512, 32
+        adj = repro.erdos_renyi(n, n, 8, seed=1, values="ones")
+        X = np.random.default_rng(2).standard_normal((n, r_in))
+        with DistributedGAT(p=p, c=c, n_heads=2, r_in=r_in, r_head=16,
+                            elision=Elision.REPLICATION_REUSE, seed=3) as gat:
+            gat.forward(adj, X)
+            sess = gat._sess
+            sess.spmm_a(np.ones((n, 16)))
+            for pool in sess.alg._pools.values():
+                assert all(src() is not None for src, *_ in pool._replicas.values())

@@ -403,9 +403,10 @@ class TestAllreduceSchedule:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])
     def test_duplicated_message_is_a_comm_error(self, exec_backend, p):
-        """A duplicated reduce-scatter message leaves a segment out of step
-        (at the latest the next call on the tag receives it): the retryable
-        ``CommError``, not a broadcasting ``ValueError``."""
+        """A duplicated reduce-scatter message repeats a stamp (at the
+        latest the next call on the tag receives it): the retryable
+        ``CommError``, not a broadcasting ``ValueError`` or a stale
+        segment reduced in."""
         if exec_backend != "threads":
             pytest.skip("the fault plan is armed per process: threads only")
         faults = FaultPlan([FaultSpec("dup", tag=103, rank=0, times=1)])
@@ -454,8 +455,9 @@ class TestSplit:
         assert results[3] == (5.0, 4.0)  # {2,3} and {1,3}
 
     def test_duplicated_metadata_is_a_comm_error(self):
-        """A duplicated metadata message takes another rank's entry in the
-        all-gather: the split raises instead of building a wrong group."""
+        """A duplicated metadata message would take another rank's entry
+        in the all-gather: its receiver raises on the repeated stamp
+        instead of building a wrong group."""
         faults = FaultPlan([FaultSpec("dup", tag=108, rank=0, times=1)])
 
         def body(comm):
@@ -464,19 +466,22 @@ class TestSplit:
         with pytest.raises(RuntimeError) as err:
             run_spmd(4, body, faults=faults, deadline_ms=20_000)
         assert isinstance(err.value.__cause__, CommError)
-        assert "metadata entry" in str(err.value.__cause__)
+        assert "lost or duplicated" in str(err.value.__cause__)
 
     def test_metadata_of_another_split_is_a_comm_error(self):
-        """An entry stamped with another split's sequence number — the
-        next split's message filling the place of a lost one — raises."""
+        """A duplicate of one split's last metadata message waits in its
+        receiver's mailbox and takes the next split's first entry: the
+        stale stamp raises in the next split."""
+        faults = FaultPlan([FaultSpec("dup", tag=108, rank=0, index=2)])
 
         def body(comm):
-            comm._split_counter += comm.rank == 2
+            comm.split(color=0, key=comm.rank)
             comm.split(color=0, key=comm.rank)
 
         with pytest.raises(RuntimeError) as err:
-            run_spmd(4, body, deadline_ms=20_000)
+            run_spmd(4, body, faults=faults, deadline_ms=20_000)
         assert isinstance(err.value.__cause__, CommError)
+        assert "lost or duplicated" in str(err.value.__cause__)
 
 
 class TestFailureHandling:
@@ -513,16 +518,20 @@ class TestSendOwned:
             assert owned is peer_handed  # handed over, not copied
 
     def test_duplicated_delivery_is_its_own_copy(self):
+        """The duplicate of a handed-over payload carries the same stamp
+        (so ``recv`` would raise on it) and shares no memory with the
+        first delivery: read off the transport beneath the communicator."""
         faults = FaultPlan([FaultSpec("dup", tag=6, rank=0, times=1)])
 
         def body(comm):
             if comm.rank == 0:
                 comm.send_owned(1, np.arange(3.0), tag=6)
                 return None
-            first, second = comm.recv(0, tag=6), comm.recv(0, tag=6)
-            return first, second
+            key = (comm.comm_id, 0, 6)
+            return comm.world.collect(1, key), comm.world.collect(1, key)
 
         results, _ = run_spmd(2, body, faults=faults)
-        first, second = results[1]
+        (seq, first), (dup_seq, second) = results[1]
+        assert seq == dup_seq == 0
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
